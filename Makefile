@@ -13,7 +13,7 @@ GO ?= go
 # page store backs concurrent publish/checkpoint traffic.
 RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/sherlock/... ./internal/baselines/... ./internal/cache/... ./internal/pipeline/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
 
-.PHONY: build vet test race race-all fuzz ci bench bench-fleet bench-cache bench-pipeline bench-gate bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
+.PHONY: build vet test race race-all bench-check fuzz ci bench bench-fleet bench-cache bench-pipeline bench-gate bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
 
 build:
 	$(GO) build ./...
@@ -24,8 +24,19 @@ vet:
 test: build
 	$(GO) test ./...
 
+# race also runs internal/core's coalescer tests: they drive the newest
+# concurrent code (coalesce.go) on an untrained model, so they need neither
+# the trained fixture nor race-all's 45 minutes.
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -run 'RequestBatcher|Coalesc' ./internal/core/
+
+# bench-check builds and smoke-tests the benchmark module against this
+# checkout. bench/ is a module of its own (replace repro => ..), so the root
+# build and tests never compile it: an internal API change that breaks it
+# would otherwise surface only when the benchmark pipeline runs.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz gives the /v1/detect fuzzer a short budget beyond its seed corpus.
 fuzz:
@@ -55,9 +66,9 @@ registry-smoke:
 	bash scripts/registry_smoke.sh
 
 # ci is the gate a pull request must pass: vet, build, the full test suite,
-# the race detector over every concurrent package, and the serving smoke
-# tests.
-ci: vet test race metrics-smoke fleet-smoke cache-smoke registry-smoke
+# the race detector over every concurrent package, the benchmark module's
+# build and smoke test, and the serving smoke tests.
+ci: vet test race bench-check metrics-smoke fleet-smoke cache-smoke registry-smoke
 
 # race-all adds internal/core, whose fixture trains a model and needs a
 # far longer deadline under the race detector's ~10x slowdown.

@@ -137,8 +137,8 @@ func TestContentInputStructure(t *testing.T) {
 		if in.IDs[a] != valID {
 			t.Fatalf("anchor %d not at [VAL]", slot)
 		}
-		if in.ColOf[a] != slot {
-			t.Fatalf("ColOf mismatch at anchor %d", slot)
+		if in.ColSpans[slot][0] != a {
+			t.Fatalf("column %d span starts at %d, its [VAL] anchor is at %d", slot, in.ColSpans[slot][0], a)
 		}
 	}
 	// Each cell block starts with [CLS] then a length token.
@@ -237,12 +237,24 @@ func TestContentMaskBlocksCrossColumn(t *testing.T) {
 	}
 	in := m.Encoder().BuildContentInput(info, []int{0, 1}, 1)
 	lm := 5
-	mask := m.contentMask(lm, in)
+	menc := []*MetaEncoding{{In: &MetaInput{IDs: make([]int, lm)}}}
+	mask := contentMask(menc, []*ContentInput{in})
 	if mask == nil {
 		t.Fatal("multi-column input needs a mask")
 	}
 	if mask.Rows != in.Len() || mask.Cols != lm+in.Len() {
 		t.Fatalf("mask shape %dx%d", mask.Rows, mask.Cols)
+	}
+	// Reference column membership, read off the token stream rather than
+	// ColSpans (which the mask is built from): each [VAL] opens a column.
+	valID := m.Tok.MustID("[VAL]")
+	colOf := make([]int, in.Len())
+	col := -1
+	for i, id := range in.IDs {
+		if id == valID {
+			col++
+		}
+		colOf[i] = col
 	}
 	for i := 0; i < in.Len(); i++ {
 		for j := 0; j < lm; j++ {
@@ -252,7 +264,7 @@ func TestContentMaskBlocksCrossColumn(t *testing.T) {
 		}
 		for j := 0; j < in.Len(); j++ {
 			v := mask.At(i, lm+j)
-			same := in.ColOf[i] == in.ColOf[j]
+			same := colOf[i] == colOf[j]
 			if same && v != 0 {
 				t.Fatal("same-column content must be attendable")
 			}
@@ -263,7 +275,7 @@ func TestContentMaskBlocksCrossColumn(t *testing.T) {
 	}
 	// Single-column: no mask needed.
 	single := m.Encoder().BuildContentInput(info, []int{0}, 1)
-	if m.contentMask(lm, single) != nil {
+	if contentMask(menc, []*ContentInput{single}) != nil {
 		t.Fatal("single-column mask should be nil")
 	}
 }

@@ -1,7 +1,6 @@
 package adtd
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/metafeat"
@@ -18,11 +17,13 @@ type ContentRequest struct {
 }
 
 // PredictContentBatch runs the content tower over several chunks' requests
-// in one forward pass. The chunks' content sequences are concatenated and a
-// block-diagonal attention mask keeps every chunk's attention confined to
-// its own metadata and (per §6.4) its own column's content, so each row of
-// the result equals the corresponding unbatched PredictContent output; the
-// batching only amortizes the per-kernel dispatch and classifier overhead.
+// in one forward pass. The chunks' content sequences are concatenated and
+// per-(chunk, column) key spans (contentSpans) keep every row's attention
+// confined to its own chunk's metadata and (per §6.4) its own column's
+// content, so each row of the result equals the corresponding unbatched
+// PredictContent output; the batching only amortizes the per-kernel dispatch
+// and classifier overhead, and a row costs the keys it sees however many
+// chunks share the forward.
 //
 // The batch's autograd graph — including any *fresh* metadata encodings the
 // requests reference — is released into the tensor arena before returning.
@@ -47,14 +48,19 @@ func (m *Model) PredictContentBatchQ(reqs []ContentRequest, n int, quantize *boo
 	if len(reqs) == 0 {
 		return nil
 	}
+	for _, req := range reqs {
+		m.checkLatents(req.Menc)
+	}
 	defer observeContentForward(time.Now(), len(reqs))
 	if m.evalFast() && batchNoGrad(reqs) {
 		return m.predictContentBatchFast(reqs, n, quantize)
 	}
 
 	cins := make([]*ContentInput, len(reqs))
+	mencs := make([]*MetaEncoding, len(reqs))
 	embeds := make([]*tensor.Tensor, len(reqs))
 	for r, req := range reqs {
+		mencs[r] = req.Menc
 		cin := m.enc.BuildContentInput(req.Table, req.Cols, n)
 		segs := make([]int, len(cin.IDs))
 		for i := range segs {
@@ -69,18 +75,13 @@ func (m *Model) PredictContentBatchQ(reqs []ContentRequest, n int, quantize *boo
 		content = tensor.ConcatRows(embeds...)
 	}
 
-	metaLens := make([]int, len(reqs))
-	for r, req := range reqs {
-		metaLens[r] = req.Menc.In.Len()
-	}
-
 	if m.Cfg.SymmetricContent {
-		mask := batchSymmetricMask(cins)
+		mask := contentMask(nil, cins)
 		for _, b := range m.Blocks {
 			content = b.SelfForward(content, mask)
 		}
 	} else {
-		mask := batchContentMask(metaLens, cins)
+		mask := contentMask(mencs, cins)
 		for li, b := range m.Blocks {
 			kv := make([]*tensor.Tensor, 0, len(reqs)+1)
 			for _, req := range reqs {
@@ -138,89 +139,14 @@ func batchNoGrad(reqs []ContentRequest) bool {
 	return true
 }
 
-// batchContentMask builds the additive mask for the concatenated batch:
-// rows are the batch's content positions, key columns are every request's
-// metadata block (in request order) followed by the concatenated content.
-// A content position sees its own chunk's metadata and the content of its
-// own column; everything else is -Inf. With a single single-column request
-// the mask is nil, matching the unbatched fast path.
-func batchContentMask(metaLens []int, cins []*ContentInput) *tensor.Tensor {
-	totalMeta, totalContent := 0, 0
-	for _, l := range metaLens {
-		totalMeta += l
-	}
+// contentMask is contentSpans materialized as the dense additive mask the
+// composed autograd ops take — the only place a mask is ever built. nil when
+// nothing is hidden (one single-column chunk).
+func contentMask(mencs []*MetaEncoding, cins []*ContentInput) *tensor.Tensor {
+	spans, lkv := contentSpans(mencs, cins)
+	lq := 0
 	for _, cin := range cins {
-		totalContent += cin.Len()
+		lq += cin.Len()
 	}
-	if len(cins) == 1 {
-		multi := false
-		for _, c := range cins[0].ColOf {
-			if c != cins[0].ColOf[0] {
-				multi = true
-				break
-			}
-		}
-		if !multi {
-			return nil
-		}
-	}
-	mask := tensor.New(totalContent, totalMeta+totalContent)
-	mask.Fill(math.Inf(-1))
-	metaOff, contOff := 0, 0
-	for r, cin := range cins {
-		lc := cin.Len()
-		for i := 0; i < lc; i++ {
-			row := mask.Row(contOff + i)
-			// Own chunk's metadata block.
-			for j := metaOff; j < metaOff+metaLens[r]; j++ {
-				row[j] = 0
-			}
-			// Own column's content positions within the chunk.
-			for j := 0; j < lc; j++ {
-				if cin.ColOf[j] == cin.ColOf[i] {
-					row[totalMeta+contOff+j] = 0
-				}
-			}
-		}
-		metaOff += metaLens[r]
-		contOff += lc
-	}
-	return mask
-}
-
-// batchSymmetricMask is the content-only analogue for the SymmetricContent
-// ablation: same column of the same chunk only.
-func batchSymmetricMask(cins []*ContentInput) *tensor.Tensor {
-	total := 0
-	for _, cin := range cins {
-		total += cin.Len()
-	}
-	if len(cins) == 1 {
-		multi := false
-		for _, c := range cins[0].ColOf {
-			if c != cins[0].ColOf[0] {
-				multi = true
-				break
-			}
-		}
-		if !multi {
-			return nil
-		}
-	}
-	mask := tensor.New(total, total)
-	mask.Fill(math.Inf(-1))
-	off := 0
-	for _, cin := range cins {
-		lc := cin.Len()
-		for i := 0; i < lc; i++ {
-			row := mask.Row(off + i)
-			for j := 0; j < lc; j++ {
-				if cin.ColOf[j] == cin.ColOf[i] {
-					row[off+j] = 0
-				}
-			}
-		}
-		off += lc
-	}
-	return mask
+	return tensor.DenseMask(spans, lq, lkv)
 }

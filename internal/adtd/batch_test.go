@@ -8,8 +8,8 @@ import (
 )
 
 // TestPredictContentBatchMatchesUnbatched verifies the batched Phase-2 path
-// against per-chunk PredictContent: the block-diagonal mask must isolate the
-// chunks so every probability row matches its unbatched counterpart.
+// against per-chunk PredictContent: the key spans must isolate the chunks
+// so every probability row matches its unbatched counterpart.
 func TestPredictContentBatchMatchesUnbatched(t *testing.T) {
 	m, ds := tinyModel(t)
 	const cells = 3
@@ -46,8 +46,8 @@ func TestPredictContentBatchMatchesUnbatched(t *testing.T) {
 	}
 }
 
-// TestPredictContentBatchSingleRequest exercises the nil-mask fast path for
-// one single-column request.
+// TestPredictContentBatchSingleRequest exercises the everything-visible
+// case: one single-column request.
 func TestPredictContentBatchSingleRequest(t *testing.T) {
 	m, ds := tinyModel(t)
 	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
@@ -64,7 +64,7 @@ func TestPredictContentBatchSingleRequest(t *testing.T) {
 	}
 }
 
-// TestPredictContentBatchSymmetric checks the ablation tower's batched mask.
+// TestPredictContentBatchSymmetric checks the ablation tower's batched spans.
 func TestPredictContentBatchSymmetric(t *testing.T) {
 	m, ds := tinyModel(t)
 	m.Cfg.SymmetricContent = true

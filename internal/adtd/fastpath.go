@@ -2,16 +2,14 @@
 // tower forwards, and fused span pooling feeding the classifier heads. Every
 // routine here is bit-exact against the composed path it replaces (the
 // per-layer kernels guarantee it — see nn/fastpath.go and tensor/fused.go;
-// the pooling and masks below reproduce the composed op order element for
-// element), so PredictMeta/PredictContent/PredictContentBatch return
+// the pooling below reproduces the composed op order element for element,
+// and the attention key spans hide exactly what the composed path's dense
+// mask hides), so PredictMeta/PredictContent/PredictContentBatch return
 // identical bytes whether or not the fast path is selected. Enforced by
 // fastpath_test.go.
 package adtd
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/tensor"
 )
 
@@ -105,28 +103,67 @@ func (m *Model) metaLogitsWS(ws *tensor.Workspace, enc *MetaEncoding) *tensor.Te
 	return m.MetaCls.ForwardWS(ws, x, final)
 }
 
-// encodeContentWS is EncodeContent threading one workspace: fused embedding,
-// workspace-assembled [metadata ⊕ content] keys/values per layer, and masks
-// living in scratch instead of the heap.
-func (m *Model) encodeContentWS(ws *tensor.Workspace, menc *MetaEncoding, in *ContentInput) *tensor.Tensor {
-	if len(menc.Layers) != m.Cfg.Layers+1 {
-		panic(fmt.Sprintf("adtd: metadata encoding has %d layers, model wants %d", len(menc.Layers)-1, m.Cfg.Layers))
+// contentSpans lists the keys every content row of a batch may attend to
+// (§6.4): its own chunk's metadata block and its own column's content span,
+// one tensor.AttnSpan per (chunk, column). Rows are the chunks' content
+// positions concatenated in request order; keys are every chunk's metadata
+// block (in request order) followed by that concatenated content, lkv in
+// all. mencs == nil is the SymmetricContent ablation: no metadata keys, own
+// column only. ContentInput.ColSpans already tile each chunk's positions by
+// column, so the spans cost nothing to derive — and at most two ranges per
+// row is all the fused attention kernels ever visit, however many chunks
+// share the forward.
+func contentSpans(mencs []*MetaEncoding, cins []*ContentInput) (spans []tensor.AttnSpan, lkv int) {
+	totalMeta := 0
+	for _, me := range mencs {
+		totalMeta += me.In.Len()
 	}
-	content := m.embedFast(in.IDs, nil, 2)
+	metaOff, rowOff := 0, 0
+	for r, cin := range cins {
+		var meta [2]int
+		if mencs != nil {
+			meta = [2]int{metaOff, metaOff + mencs[r].In.Len()}
+			metaOff = meta[1]
+		}
+		for _, sp := range cin.ColSpans {
+			lo, hi := rowOff+sp[0], rowOff+sp[1]
+			spans = append(spans, tensor.AttnSpan{
+				RowLo: lo, RowHi: hi,
+				A: meta, B: [2]int{totalMeta + lo, totalMeta + hi},
+			})
+		}
+		rowOff += cin.Len()
+	}
+	return spans, totalMeta + rowOff
+}
+
+// contentTowerWS runs the content tower over the concatenated content
+// embeddings of one or more chunks, threading one workspace: each layer
+// attends over workspace-assembled [metadata ⊕ content] keys/values under
+// the batch's key spans. No mask is materialized.
+func (m *Model) contentTowerWS(ws *tensor.Workspace, mencs []*MetaEncoding, cins []*ContentInput, content *tensor.Tensor) *tensor.Tensor {
 	if m.Cfg.SymmetricContent {
-		mask := batchSymmetricMaskWS(ws, []*ContentInput{in})
+		spans, _ := contentSpans(nil, cins)
 		for _, b := range m.Blocks {
-			content = b.ForwardWS(ws, content, content, mask)
+			content = b.ForwardWS(ws, content, content, spans)
 		}
 		return content
 	}
-	mask := batchContentMaskWS(ws, []int{menc.In.Len()}, []*ContentInput{in})
-	parts := make([]*tensor.Tensor, 2)
-	for i, b := range m.Blocks {
-		parts[0], parts[1] = menc.Layers[i], content
-		content = b.ForwardKVConcatWS(ws, content, parts, mask)
+	spans, _ := contentSpans(mencs, cins)
+	parts := make([]*tensor.Tensor, len(mencs)+1)
+	for li, b := range m.Blocks {
+		for r, me := range mencs {
+			parts[r] = me.Layers[li]
+		}
+		parts[len(mencs)] = content
+		content = b.ForwardKVConcatWS(ws, content, parts, spans)
 	}
 	return content
+}
+
+// encodeContentWS is EncodeContent threading one workspace.
+func (m *Model) encodeContentWS(ws *tensor.Workspace, menc *MetaEncoding, in *ContentInput) *tensor.Tensor {
+	return m.contentTowerWS(ws, []*MetaEncoding{menc}, []*ContentInput{in}, m.embedFast(in.IDs, nil, 2))
 }
 
 // contentLogitsWS assembles the content head's features
@@ -148,8 +185,9 @@ func (m *Model) contentLogitsWS(ws *tensor.Workspace, x *tensor.Tensor, rowBase 
 }
 
 // predictContentBatchFast is the fused PredictContentBatch: one workspace
-// for the whole batch, scratch-resident masks and classifier features, and
-// the same release contract as the composed path (fresh metadata encodings
+// for the whole batch, holding every intermediate including the classifier
+// features (its size grows with the batch's rows, not their square), and the
+// same release contract as the composed path (fresh metadata encodings
 // reachable from the logits' parents are recycled; cached graph-free entries
 // are leaves and survive). quantize, when non-nil, overrides the process-wide
 // quantization default for this batch.
@@ -162,11 +200,13 @@ func (m *Model) predictContentBatchFast(reqs []ContentRequest, n int, quantize *
 	h := m.Cfg.Hidden
 
 	cins := make([]*ContentInput, len(reqs))
+	mencs := make([]*MetaEncoding, len(reqs))
 	embeds := make([]*tensor.Tensor, len(reqs))
 	total := 0
 	for r, req := range reqs {
 		cin := m.enc.BuildContentInput(req.Table, req.Cols, n)
 		cins[r] = cin
+		mencs[r] = req.Menc
 		embeds[r] = m.embedFast(cin.IDs, nil, 2)
 		total += cin.Len()
 	}
@@ -181,27 +221,7 @@ func (m *Model) predictContentBatchFast(reqs []ContentRequest, n int, quantize *
 			off += len(e.Data)
 		}
 	}
-
-	if m.Cfg.SymmetricContent {
-		mask := batchSymmetricMaskWS(ws, cins)
-		for _, b := range m.Blocks {
-			content = b.ForwardWS(ws, content, content, mask)
-		}
-	} else {
-		metaLens := make([]int, len(reqs))
-		for r, req := range reqs {
-			metaLens[r] = req.Menc.In.Len()
-		}
-		mask := batchContentMaskWS(ws, metaLens, cins)
-		parts := make([]*tensor.Tensor, len(reqs)+1)
-		for li, b := range m.Blocks {
-			for r, req := range reqs {
-				parts[r] = req.Menc.Layers[li]
-			}
-			parts[len(reqs)] = content
-			content = b.ForwardKVConcatWS(ws, content, parts, mask)
-		}
-	}
+	content = m.contentTowerWS(ws, mencs, cins, content)
 
 	totalCols := 0
 	for _, cin := range cins {
@@ -232,102 +252,4 @@ func (m *Model) predictContentBatchFast(reqs []ContentRequest, n int, quantize *
 		row += nc
 	}
 	return out
-}
-
-// batchContentMaskWS is batchContentMask built in workspace scratch: every
-// element is written exactly once (allowed positions 0, everything else
-// -Inf), so the uncleared buffer needs no separate fill pass. Returns nil in
-// the same single-single-column case as the heap builder.
-func batchContentMaskWS(ws *tensor.Workspace, metaLens []int, cins []*ContentInput) *tensor.Tensor {
-	totalMeta, totalContent := 0, 0
-	for _, l := range metaLens {
-		totalMeta += l
-	}
-	for _, cin := range cins {
-		totalContent += cin.Len()
-	}
-	if len(cins) == 1 && singleColumn(cins[0]) {
-		return nil
-	}
-	mask := ws.Matrix(totalContent, totalMeta+totalContent)
-	neg := math.Inf(-1)
-	metaOff, contOff := 0, 0
-	for r, cin := range cins {
-		lc := cin.Len()
-		for i := 0; i < lc; i++ {
-			row := mask.Row(contOff + i)
-			for j := 0; j < metaOff; j++ {
-				row[j] = neg
-			}
-			for j := metaOff; j < metaOff+metaLens[r]; j++ {
-				row[j] = 0
-			}
-			for j := metaOff + metaLens[r]; j < totalMeta; j++ {
-				row[j] = neg
-			}
-			crow := row[totalMeta:]
-			for j := 0; j < contOff; j++ {
-				crow[j] = neg
-			}
-			for j := 0; j < lc; j++ {
-				if cin.ColOf[j] == cin.ColOf[i] {
-					crow[contOff+j] = 0
-				} else {
-					crow[contOff+j] = neg
-				}
-			}
-			for j := contOff + lc; j < totalContent; j++ {
-				crow[j] = neg
-			}
-		}
-		metaOff += metaLens[r]
-		contOff += lc
-	}
-	return mask
-}
-
-// batchSymmetricMaskWS is the scratch-resident batchSymmetricMask.
-func batchSymmetricMaskWS(ws *tensor.Workspace, cins []*ContentInput) *tensor.Tensor {
-	total := 0
-	for _, cin := range cins {
-		total += cin.Len()
-	}
-	if len(cins) == 1 && singleColumn(cins[0]) {
-		return nil
-	}
-	mask := ws.Matrix(total, total)
-	neg := math.Inf(-1)
-	off := 0
-	for _, cin := range cins {
-		lc := cin.Len()
-		for i := 0; i < lc; i++ {
-			row := mask.Row(off + i)
-			for j := 0; j < off; j++ {
-				row[j] = neg
-			}
-			for j := 0; j < lc; j++ {
-				if cin.ColOf[j] == cin.ColOf[i] {
-					row[off+j] = 0
-				} else {
-					row[off+j] = neg
-				}
-			}
-			for j := off + lc; j < total; j++ {
-				row[j] = neg
-			}
-		}
-		off += lc
-	}
-	return mask
-}
-
-// singleColumn reports whether every content position belongs to one column,
-// the case where no attention mask is needed.
-func singleColumn(cin *ContentInput) bool {
-	for _, c := range cin.ColOf {
-		if c != cin.ColOf[0] {
-			return false
-		}
-	}
-	return true
 }

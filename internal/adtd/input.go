@@ -86,14 +86,13 @@ func (e *Encoder) BuildMetaInput(t *metafeat.TableInfo, includeStats bool) *Meta
 // Layout per selected column: [VAL] then for each of the first n non-empty
 // cells: [CLS] <length-bucket token> <cell pieces> (≤ CellTokens). The
 // latent at each [VAL] position is the column's content representation.
-// ColOf supports the per-column attention restriction of §6.4: a cell
-// attends to all metadata but only to content positions of its own column.
 type ContentInput struct {
 	IDs        []int
-	ColOf      []int // for each position, the index into Columns it belongs to
 	ValAnchors []int // position of each selected column's [VAL] token
 	// ColSpans holds each selected column's [start, end) range; the content
-	// representation is mean-pooled over it.
+	// representation is mean-pooled over it, and it is the column's half of
+	// the per-column attention restriction of §6.4: a cell attends to all
+	// metadata but only to content positions of its own column.
 	ColSpans [][2]int
 	Columns  []int // selected column indices within the TableInfo
 }
@@ -106,12 +105,11 @@ func (in *ContentInput) Len() int { return len(in.IDs) }
 // Columns must have Values populated (from training data or a P2 scan).
 func (e *Encoder) BuildContentInput(t *metafeat.TableInfo, cols []int, n int) *ContentInput {
 	in := &ContentInput{Columns: append([]int(nil), cols...)}
-	for slot, ci := range cols {
+	for _, ci := range cols {
 		c := t.Columns[ci]
 		start := len(in.IDs)
 		in.ValAnchors = append(in.ValAnchors, start)
 		in.IDs = append(in.IDs, e.Tok.MustID(tokenizer.VAL))
-		in.ColOf = append(in.ColOf, slot)
 		used := 0
 		for _, v := range c.Values {
 			if used >= n {
@@ -126,9 +124,6 @@ func (e *Encoder) BuildContentInput(t *metafeat.TableInfo, cols []int, n int) *C
 			in.IDs = e.Tok.EncodeAppend(in.IDs, v)
 			// +2: the [CLS] and length tokens.
 			in.IDs = truncate(in.IDs, mark+e.Cfg.CellTokens+2)
-			for len(in.ColOf) < len(in.IDs) {
-				in.ColOf = append(in.ColOf, slot)
-			}
 		}
 		in.ColSpans = append(in.ColSpans, [2]int{start, len(in.IDs)})
 	}

@@ -285,9 +285,7 @@ func poolSpans(x *tensor.Tensor, spans [][2]int) *tensor.Tensor {
 // may be a cached encoding. The attention mask lets a cell attend to all
 // metadata positions but only to content positions of its own column (§6.4).
 func (m *Model) EncodeContent(menc *MetaEncoding, in *ContentInput) *tensor.Tensor {
-	if len(menc.Layers) != m.Cfg.Layers+1 {
-		panic(fmt.Sprintf("adtd: metadata encoding has %d layers, model wants %d", len(menc.Layers)-1, m.Cfg.Layers))
-	}
+	m.checkLatents(menc)
 	if m.evalFast() && tensor.NoGrad(menc.Layers...) {
 		ws := tensor.AcquireWorkspace()
 		out := m.encodeContentWS(ws, menc, in)
@@ -301,13 +299,13 @@ func (m *Model) EncodeContent(menc *MetaEncoding, in *ContentInput) *tensor.Tens
 	content := m.embed(in.IDs, segs)
 	if m.Cfg.SymmetricContent {
 		// Ablation: plain self-attention over content, no metadata K/V.
-		mask := m.symmetricMask(in)
+		mask := contentMask(nil, []*ContentInput{in})
 		for _, b := range m.Blocks {
 			content = b.SelfForward(content, mask)
 		}
 		return content
 	}
-	mask := m.contentMask(menc.In.Len(), in)
+	mask := contentMask([]*MetaEncoding{menc}, []*ContentInput{in})
 	for i, b := range m.Blocks {
 		kv := tensor.ConcatRows(menc.Layers[i], content)
 		content = b.Forward(content, kv, mask)
@@ -315,59 +313,13 @@ func (m *Model) EncodeContent(menc *MetaEncoding, in *ContentInput) *tensor.Tens
 	return content
 }
 
-// symmetricMask is the content-only per-column mask used by the
-// SymmetricContent ablation.
-func (m *Model) symmetricMask(in *ContentInput) *tensor.Tensor {
-	lc := in.Len()
-	multi := false
-	for _, c := range in.ColOf {
-		if c != in.ColOf[0] {
-			multi = true
-			break
-		}
+// checkLatents panics descriptively when a metadata encoding does not carry
+// one latent per layer plus the embedding — a stale or foreign cache entry —
+// instead of letting the content tower index out of range deep in nn.
+func (m *Model) checkLatents(menc *MetaEncoding) {
+	if len(menc.Layers) != m.Cfg.Layers+1 {
+		panic(fmt.Sprintf("adtd: metadata encoding has %d layers, model wants %d", len(menc.Layers)-1, m.Cfg.Layers))
 	}
-	if !multi {
-		return nil
-	}
-	mask := tensor.New(lc, lc)
-	neg := math.Inf(-1)
-	for i := 0; i < lc; i++ {
-		row := mask.Row(i)
-		for j := 0; j < lc; j++ {
-			if in.ColOf[j] != in.ColOf[i] {
-				row[j] = neg
-			}
-		}
-	}
-	return mask
-}
-
-// contentMask builds the Lc × (Lm+Lc) additive mask: zeros over metadata,
-// zeros within the same column's content, -Inf across columns.
-func (m *Model) contentMask(lm int, in *ContentInput) *tensor.Tensor {
-	lc := in.Len()
-	// Single-column chunks need no mask: everything may attend everywhere.
-	multi := false
-	for _, c := range in.ColOf {
-		if c != in.ColOf[0] {
-			multi = true
-			break
-		}
-	}
-	if !multi {
-		return nil
-	}
-	mask := tensor.New(lc, lm+lc)
-	neg := math.Inf(-1)
-	for i := 0; i < lc; i++ {
-		row := mask.Row(i)
-		for j := 0; j < lc; j++ {
-			if in.ColOf[j] != in.ColOf[i] {
-				row[lm+j] = neg
-			}
-		}
-	}
-	return mask
 }
 
 // ContentLogits applies the content classifier f₂ (§4.3) to the selected
@@ -441,6 +393,7 @@ func (m *Model) PredictMetaQ(t *metafeat.TableInfo, includeStats bool, quantize 
 // metadata encoding and scanned content for the selected columns, return
 // their type probabilities.
 func (m *Model) PredictContent(menc *MetaEncoding, t *metafeat.TableInfo, cols []int, n int) [][]float64 {
+	m.checkLatents(menc)
 	in := m.enc.BuildContentInput(t, cols, n)
 	if m.evalFast() && tensor.NoGrad(menc.Layers...) {
 		ws := tensor.AcquireWorkspace()

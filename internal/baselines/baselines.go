@@ -22,7 +22,6 @@ package baselines
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"strings"
 
@@ -151,7 +150,6 @@ func (m *Model) Load(r io.Reader) error { return tensor.ReadTensors(r, m.Params(
 // input is a serialized table with per-column anchors and spans.
 type input struct {
 	ids     []int
-	colOf   []int // -1 for table-level positions
 	anchors []int
 	spans   [][2]int // per-column [start, end) ranges, mean-pooled
 }
@@ -161,26 +159,18 @@ type input struct {
 // non-empty cell values per column.
 func (m *Model) buildInput(t *metafeat.TableInfo, n int, withContent bool) *input {
 	in := &input{}
-	push := func(id, col int) {
-		in.ids = append(in.ids, id)
-		in.colOf = append(in.colOf, col)
-	}
-	push(m.Tok.MustID(tokenizer.TAB), -1)
-	for _, id := range capIDs(m.Tok.Encode(t.Name+" "+t.Comment), 10) {
-		push(id, -1)
-	}
-	for ci, c := range t.Columns {
+	in.ids = append(in.ids, m.Tok.MustID(tokenizer.TAB))
+	in.ids = append(in.ids, capIDs(m.Tok.Encode(t.Name+" "+t.Comment), 10)...)
+	for _, c := range t.Columns {
 		start := len(in.ids)
 		in.anchors = append(in.anchors, start)
-		push(m.Tok.MustID(tokenizer.COL), ci)
+		in.ids = append(in.ids, m.Tok.MustID(tokenizer.COL))
 		meta := c.Name
 		if c.Comment != "" {
 			meta += " " + c.Comment
 		}
 		meta += " " + strings.ToLower(c.DataType)
-		for _, id := range capIDs(m.Tok.Encode(meta), m.Cfg.ColTokens) {
-			push(id, ci)
-		}
+		in.ids = append(in.ids, capIDs(m.Tok.Encode(meta), m.Cfg.ColTokens)...)
 		if withContent {
 			used := 0
 			for _, v := range c.Values {
@@ -191,18 +181,14 @@ func (m *Model) buildInput(t *metafeat.TableInfo, n int, withContent bool) *inpu
 					continue
 				}
 				used++
-				push(m.Tok.MustID(tokenizer.CLS), ci)
-				push(m.Tok.ID(adtd.LengthBucketToken(len(v))), ci)
-				for _, id := range capIDs(m.Tok.Encode(v), m.Cfg.CellTokens) {
-					push(id, ci)
-				}
+				in.ids = append(in.ids, m.Tok.MustID(tokenizer.CLS), m.Tok.ID(adtd.LengthBucketToken(len(v))))
+				in.ids = append(in.ids, capIDs(m.Tok.Encode(v), m.Cfg.CellTokens)...)
 			}
 		}
 		in.spans = append(in.spans, [2]int{start, len(in.ids)})
 	}
 	if len(in.ids) > m.Cfg.MaxSeq {
 		in.ids = in.ids[:m.Cfg.MaxSeq]
-		in.colOf = in.colOf[:m.Cfg.MaxSeq]
 		var kept []int
 		var keptSpans [][2]int
 		for i, a := range in.anchors {
@@ -228,37 +214,24 @@ func capIDs(ids []int, max int) []int {
 	return ids
 }
 
-// mask builds the TURL attention restriction: a position belonging to
-// column c attends to table-level positions and to positions of column c.
-// Doduo attends globally (nil mask).
-func (m *Model) mask(in *input) *tensor.Tensor {
+// keySpans states the TURL attention restriction as key spans: a position
+// belonging to column c attends to the table-level prefix and to column c's
+// own span; table-level positions attend everywhere. Doduo attends globally
+// (nil).
+func (m *Model) keySpans(in *input) []tensor.AttnSpan {
 	if m.Variant == Doduo {
 		return nil
 	}
 	L := len(in.ids)
-	multi := false
-	for _, c := range in.colOf {
-		if c > 0 {
-			multi = true
-			break
-		}
+	prefix := L
+	if len(in.spans) > 0 {
+		prefix = in.spans[0][0]
 	}
-	if !multi {
-		return nil
+	spans := []tensor.AttnSpan{{RowLo: 0, RowHi: prefix, A: [2]int{0, L}, B: [2]int{L, L}}}
+	for _, sp := range in.spans {
+		spans = append(spans, tensor.AttnSpan{RowLo: sp[0], RowHi: sp[1], A: [2]int{0, prefix}, B: sp})
 	}
-	mask := tensor.New(L, L)
-	neg := math.Inf(-1)
-	for i := 0; i < L; i++ {
-		row := mask.Row(i)
-		for j := 0; j < L; j++ {
-			ci, cj := in.colOf[i], in.colOf[j]
-			if ci == -1 || cj == -1 || ci == cj {
-				continue
-			}
-			row[j] = neg
-		}
-	}
-	return mask
+	return spans
 }
 
 // forward encodes the input and returns per-column logits.
@@ -272,10 +245,14 @@ func (m *Model) forward(in *input) *tensor.Tensor {
 		pos[i] = p
 	}
 	x := tensor.Add(m.TokEmbed.Forward(in.ids), m.PosEmbed.Forward(pos))
-	mask := m.mask(in)
+	// ForwardWS falls back to the composed ops under the equivalent dense
+	// mask when training.
+	spans := m.keySpans(in)
+	ws := tensor.AcquireWorkspace()
 	for _, b := range m.Blocks {
-		x = b.SelfForward(x, mask)
+		x = b.ForwardWS(ws, x, x, spans)
 	}
+	tensor.ReleaseWorkspace(ws)
 	// Each column's representation is the mean over its token span.
 	pooled := make([]*tensor.Tensor, len(in.spans))
 	for i, sp := range in.spans {

@@ -8,6 +8,8 @@ import (
 	"repro/internal/adtd"
 	"repro/internal/corpus"
 	"repro/internal/metafeat"
+	"repro/internal/tensor"
+	"repro/internal/tokenizer"
 )
 
 func tiny(t *testing.T, v Variant) (*Model, *corpus.Dataset) {
@@ -91,13 +93,25 @@ func TestTURLMaskRestrictsColumns(t *testing.T) {
 		},
 	}
 	in := m.buildInput(info, 1, true)
-	mask := m.mask(in)
+	mask := tensor.DenseMask(m.keySpans(in), len(in.ids), len(in.ids))
 	if mask == nil {
 		t.Fatal("TURL multi-column input needs a mask")
 	}
+	// Reference column membership, read off the token stream rather than the
+	// spans the mask is built from: -1 up to the first [COL], which opens
+	// column 0.
+	colID := m.Tok.MustID(tokenizer.COL)
+	colOf := make([]int, len(in.ids))
+	col := -1
+	for i, id := range in.ids {
+		if id == colID {
+			col++
+		}
+		colOf[i] = col
+	}
 	for i := range in.ids {
 		for j := range in.ids {
-			ci, cj := in.colOf[i], in.colOf[j]
+			ci, cj := colOf[i], colOf[j]
 			blocked := math.IsInf(mask.At(i, j), -1)
 			if ci >= 0 && cj >= 0 && ci != cj && !blocked {
 				t.Fatalf("cross-column attention %d→%d not blocked", i, j)
@@ -112,7 +126,7 @@ func TestTURLMaskRestrictsColumns(t *testing.T) {
 func TestDoduoNoMask(t *testing.T) {
 	m, ds := tiny(t, Doduo)
 	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
-	if m.mask(m.buildInput(info, 2, true)) != nil {
+	if m.keySpans(m.buildInput(info, 2, true)) != nil {
 		t.Fatal("Doduo must attend globally")
 	}
 }

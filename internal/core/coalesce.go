@@ -4,21 +4,21 @@
 // tables into a handful of padded batched forwards. On a many-small-tables
 // database this collapses N per-table forwards into ~N·chunks/BatchChunks.
 //
-// The forward itself goes through the detector's ContentInferencer when one
-// is installed — i.e. the service-level cross-request Batcher — so
-// intra-request coalescing composes with cross-request coalescing rather
-// than bypassing it; without an inferencer the merged batch runs as one
-// direct PredictContentBatch. Either way the results are deterministic:
-// the block-diagonal batch mask makes every chunk's output bit-identical
-// regardless of which other chunks share its forward (the §16 determinism
-// argument, pinned by TestPipelineGoldenParity).
+// A flush runs its merged batch directly, as one PredictContentBatchQ under
+// the request's own quantization preference — never through the detector's
+// ContentInferencer (the service-level cross-request Batcher). A flush has
+// already waited for all the company it can get: every scheduler worker of
+// the request is blocked in submit, so parking the batch for the Batcher's
+// timer window would only idle the cores. Request-scoped flushes never wait
+// on a timer. The results are deterministic: the per-(chunk, column) key
+// spans make every chunk's output bit-identical regardless of which other
+// chunks share its forward (the §16 determinism argument, pinned by
+// TestPipelineGoldenParity).
 //
-// Flushing is timer-free, so it adds no latency floor. A flush triggers
-// when the pending chunk count reaches BatchChunks, or when every table
-// that could still contribute is already waiting — len(waiting) ≥
-// min(active tables, scheduler workers) — which is also the deadlock
-// brake: a submission can never wait on work the blocked workers would
-// have to run.
+// A flush triggers when the pending chunk count reaches BatchChunks, or when
+// every table that could still contribute is already waiting — len(waiting)
+// ≥ min(active tables, scheduler workers) — which is also the deadlock brake:
+// a submission can never wait on work the blocked workers would have to run.
 package core
 
 import (
@@ -48,7 +48,6 @@ type rbCall struct {
 // requestBatcher coalesces Phase-2 content batches across the tables of a
 // single detect request. One instance lives for one DetectDatabase call.
 type requestBatcher struct {
-	d         *Detector
 	n         int // CellsPerColumn, fixed per detector
 	maxChunks int
 	workers   int
@@ -62,9 +61,11 @@ type requestBatcher struct {
 
 func newRequestBatcher(d *Detector, maxChunks, workers, tables int, fwd *atomic.Int64) *requestBatcher {
 	return &requestBatcher{
-		d: d, n: d.Opts.CellsPerColumn,
-		maxChunks: maxChunks, workers: workers,
-		active: tables, fwd: fwd,
+		n:         d.Opts.CellsPerColumn,
+		maxChunks: maxChunks,
+		workers:   workers,
+		active:    tables,
+		fwd:       fwd,
 	}
 }
 
@@ -151,11 +152,7 @@ func (r *requestBatcher) forward(group []*rbCall, chunks int) {
 				batchPanicsTotal.Inc()
 			}
 		}()
-		if ci := r.d.contentInferencer(); ci != nil {
-			rows, err = ci.InferContentBatch(first.ctx, first.model, merged, r.n)
-		} else {
-			rows = first.model.PredictContentBatchQ(merged, r.n, quantPref(first.ctx))
-		}
+		rows = first.model.PredictContentBatchQ(merged, r.n, quantPref(first.ctx))
 	}()
 	r.fwd.Add(1)
 	batchForwardsTotal.Inc()

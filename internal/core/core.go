@@ -388,9 +388,9 @@ type Report struct {
 	CacheHits   int
 	CacheMisses int
 	// ContentForwards counts the Phase-2 content batches this request sent
-	// to the model — each one padded batched forward in direct mode, or one
-	// submission to the cross-request inferencer. Cross-table batching
-	// exists to shrink this number (DESIGN.md §16).
+	// to the model — each one batched forward in direct or coalesced mode,
+	// or one submission to the cross-request inferencer. Cross-table
+	// batching exists to shrink this number (DESIGN.md §16).
 	ContentForwards int
 	// PrefetchHits/PrefetchWasted/PrefetchSkipped summarize the scan
 	// prefetcher: consumed reads, reads completed for nothing, and reads
@@ -536,7 +536,8 @@ type quantKey struct{}
 // (when selectable), false forces it off, overriding the process default set
 // by tensor.SetQuantize. Requests without the value follow the default. The
 // cross-request content inferencer batches requests from many contexts and
-// therefore always uses the process default.
+// therefore always uses the process default; a pipelined request's
+// cross-table coalescer runs its own forwards and honors the preference.
 func WithQuantize(ctx context.Context, on bool) context.Context {
 	return context.WithValue(ctx, quantKey{}, on)
 }
@@ -903,13 +904,15 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 	}
 	// lquant is the flag the latents were produced under in s2 (per-request
 	// preference); cquant is what the content forward below actually runs
-	// with — the cross-request inferencer batches many contexts and always
-	// uses the process default. Both version the result key.
+	// with. They differ only when the forward goes to the cross-request
+	// inferencer, which batches many contexts and always uses the process
+	// default; a coalescer flush (j.rb) runs directly under the request's
+	// preference, inferencer or not. Both version the result key.
 	lquant := j.d.effectiveQuantize(quantPref(ctx))
 	cquant := lquant
 	ci := j.d.contentInferencer()
 	hasInferencer := ci != nil
-	if hasInferencer {
+	if hasInferencer && j.rb == nil {
 		cquant = j.d.effectiveQuantize(nil)
 	}
 	applyRows := func(globals []int, rows [][]float64) {
@@ -983,8 +986,7 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 	switch {
 	case j.rb != nil:
 		// Cross-table coalescing: the chunks merge with other tables' into
-		// padded batched forwards (which themselves go through the
-		// cross-request inferencer when one is installed).
+		// batched forwards the flushing worker runs directly.
 		var err error
 		batch, err = j.rb.submit(ctx, j.model, reqs)
 		if err != nil {

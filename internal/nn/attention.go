@@ -47,15 +47,17 @@ func NewMultiHeadAttention(hidden, heads int, rng *rand.Rand) *MultiHeadAttentio
 
 // Forward computes attention with queries from q (Lq × H) and keys/values
 // from kv (Lkv × H). mask, when non-nil, is an additive Lq × Lkv matrix
-// (use -Inf to hide positions, e.g. padding).
+// (use -Inf to hide positions, e.g. padding); a masked forward always runs
+// the composed ops — the fused path takes key spans, see
+// TransformerBlock.ForwardWS.
 func (a *MultiHeadAttention) Forward(q, kv *tensor.Tensor, mask *tensor.Tensor) *tensor.Tensor {
 	if q.Cols != a.Hidden || kv.Cols != a.Hidden {
 		panic(fmt.Sprintf("nn: attention input width %d/%d, want %d", q.Cols, kv.Cols, a.Hidden))
 	}
-	if a.fastEligible(q, kv, mask) {
+	if mask == nil && a.fastEligible(q, kv) {
 		ws := tensor.AcquireWorkspace()
 		out := tensor.InferenceResult(q.Rows, a.Hidden, q, kv)
-		a.forwardFastInto(ws, out.Data, q.Data, q.Rows, kv.Data, kv.Rows, mask)
+		a.forwardFastInto(ws, out.Data, q.Data, q.Rows, kv.Data, kv.Rows, nil)
 		tensor.ReleaseWorkspace(ws)
 		return out
 	}
@@ -136,11 +138,14 @@ func NewTransformerBlock(hidden, heads, intermediate int, rng *rand.Rand) *Trans
 
 // Forward runs the block with queries q and keys/values kv. Pass q == kv for
 // self-attention. The residual connection is taken from q, so output shape is
-// Lq × H.
+// Lq × H. A non-nil dense mask always runs the composed ops, frozen weights
+// or not — several times slower than the fused path at serve-time shapes —
+// so inference code that restricts attention passes key spans to ForwardWS
+// instead; mask is for the autograd path.
 func (b *TransformerBlock) Forward(q, kv *tensor.Tensor, mask *tensor.Tensor) *tensor.Tensor {
-	if b.fastEligible(q, kv, mask) {
+	if mask == nil && b.fastEligible(q, kv) {
 		ws := tensor.AcquireWorkspace()
-		out := b.forwardFastWS(ws, q, kv.Data, kv.Rows, mask, []*tensor.Tensor{q, kv})
+		out := b.forwardFastWS(ws, q, kv.Data, kv.Rows, nil, []*tensor.Tensor{q, kv})
 		tensor.ReleaseWorkspace(ws)
 		return out
 	}

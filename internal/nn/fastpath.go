@@ -85,15 +85,19 @@ func quantSelected(ws *tensor.Workspace) bool {
 	return ws.Quantize && tensor.QuantizeAvailable()
 }
 
-func (a *MultiHeadAttention) fastEligible(q, kv, mask *tensor.Tensor) bool {
+// fastEligible reports whether the fused path may run. It takes no mask: the
+// fused kernels know visibility only as key spans (tensor.AttnSpan), so a
+// forward handed a dense additive mask always runs the composed ops.
+func (a *MultiHeadAttention) fastEligible(q, kv *tensor.Tensor) bool {
 	return tensor.FastPathEnabled() &&
-		tensor.NoGrad(q, kv, mask, a.WQ.W, a.WQ.B, a.WK.W, a.WK.B, a.WV.W, a.WV.B, a.WO.W, a.WO.B)
+		tensor.NoGrad(q, kv, a.WQ.W, a.WQ.B, a.WK.W, a.WK.B, a.WV.W, a.WV.B, a.WO.W, a.WO.B)
 }
 
 // forwardFastInto runs fused attention into dst (lq × Hidden). q and kv are
 // raw row-major activations; passing the same slice for both selects the
-// packed single-matmul self-attention projection.
-func (a *MultiHeadAttention) forwardFastInto(ws *tensor.Workspace, dst []float64, q []float64, lq int, kv []float64, lkv int, mask *tensor.Tensor) {
+// packed single-matmul self-attention projection. spans (nil = everything)
+// names the keys each query row may attend to.
+func (a *MultiHeadAttention) forwardFastInto(ws *tensor.Workspace, dst []float64, q []float64, lq int, kv []float64, lkv int, spans []tensor.AttnSpan) {
 	h := a.Hidden
 	pk := a.pack()
 	headDim := h / a.Heads
@@ -128,8 +132,8 @@ func (a *MultiHeadAttention) forwardFastInto(ws *tensor.Workspace, dst []float64
 		sh.KOff, sh.VOff, sh.KVStride = 0, h, 2*h
 	}
 	core := ws.Take(lq * h)
-	if !(quant && tensor.QuantAttentionCore(ws, core, qp, kvp, sh, mask)) {
-		tensor.FusedAttentionCore(ws, core, qp, kvp, sh, mask)
+	if !(quant && tensor.QuantAttentionCore(ws, core, qp, kvp, sh, spans)) {
+		tensor.FusedAttentionCore(ws, core, qp, kvp, sh, spans)
 	}
 	if quant {
 		tensor.LinearQuantInto(ws, dst, core, lq, h, a.WO.quantPack(), 0, h, a.WO.B.Data)
@@ -146,8 +150,8 @@ func AttnShapeFor(lq, lkv, heads, headDim int) tensor.AttnShape {
 	}
 }
 
-func (b *TransformerBlock) fastEligible(q, kv, mask *tensor.Tensor) bool {
-	return b.Attn.fastEligible(q, kv, mask) &&
+func (b *TransformerBlock) fastEligible(q, kv *tensor.Tensor) bool {
+	return b.Attn.fastEligible(q, kv) &&
 		tensor.NoGrad(b.LN1.Gamma, b.LN1.Beta, b.FF1.W, b.FF1.B, b.FF2.W, b.FF2.B, b.LN2.Gamma, b.LN2.Beta)
 }
 
@@ -155,12 +159,12 @@ func (b *TransformerBlock) fastEligible(q, kv, mask *tensor.Tensor) bool {
 // GELU feed-forward, residual+LN2. Every intermediate lives in ws; only the
 // output is an arena tensor, with the given parents recorded so
 // ReleaseGraph frees fused graphs like composed ones.
-func (b *TransformerBlock) forwardFastWS(ws *tensor.Workspace, q *tensor.Tensor, kvData []float64, lkv int, mask *tensor.Tensor, parents []*tensor.Tensor) *tensor.Tensor {
+func (b *TransformerBlock) forwardFastWS(ws *tensor.Workspace, q *tensor.Tensor, kvData []float64, lkv int, spans []tensor.AttnSpan, parents []*tensor.Tensor) *tensor.Tensor {
 	h := b.Attn.Hidden
 	lq := q.Rows
 	quant := quantSelected(ws)
 	attn := ws.Take(lq * h)
-	b.Attn.forwardFastInto(ws, attn, q.Data, lq, kvData, lkv, mask)
+	b.Attn.forwardFastInto(ws, attn, q.Data, lq, kvData, lkv, spans)
 	x := ws.Take(lq * h)
 	tensor.FusedAddLayerNormInto(x, q.Data, attn, b.LN1.Gamma.Data, b.LN1.Beta.Data, lq, h, b.LN1.Eps)
 	inter := b.FF1.Out()
@@ -183,14 +187,15 @@ func (b *TransformerBlock) forwardFastWS(ws *tensor.Workspace, q *tensor.Tensor,
 	return out
 }
 
-// ForwardWS is Forward with an explicit workspace for scratch buffers: the
-// fused path when eligible, the composed ops otherwise. Use it to thread
-// one warm workspace through a multi-layer forward.
-func (b *TransformerBlock) ForwardWS(ws *tensor.Workspace, q, kv *tensor.Tensor, mask *tensor.Tensor) *tensor.Tensor {
-	if !b.fastEligible(q, kv, mask) {
-		return b.Forward(q, kv, mask)
+// ForwardWS is Forward with an explicit workspace for scratch buffers and
+// attention visibility given as key spans (nil = everything): the fused path
+// when eligible, otherwise the composed ops under the equivalent dense mask.
+// Use it to thread one warm workspace through a multi-layer forward.
+func (b *TransformerBlock) ForwardWS(ws *tensor.Workspace, q, kv *tensor.Tensor, spans []tensor.AttnSpan) *tensor.Tensor {
+	if !b.fastEligible(q, kv) {
+		return b.Forward(q, kv, tensor.DenseMask(spans, q.Rows, kv.Rows))
 	}
-	return b.forwardFastWS(ws, q, kv.Data, kv.Rows, mask, []*tensor.Tensor{q, kv})
+	return b.forwardFastWS(ws, q, kv.Data, kv.Rows, spans, []*tensor.Tensor{q, kv})
 }
 
 // ForwardKVConcatWS runs the block with keys/values formed by vertically
@@ -198,21 +203,15 @@ func (b *TransformerBlock) ForwardWS(ws *tensor.Workspace, q, kv *tensor.Tensor,
 // without materializing the concatenation as a graph tensor: the rows are
 // assembled in workspace scratch and every part is recorded as a parent of
 // the output, so ReleaseGraph still reaches fresh metadata encodings.
-func (b *TransformerBlock) ForwardKVConcatWS(ws *tensor.Workspace, q *tensor.Tensor, parts []*tensor.Tensor, mask *tensor.Tensor) *tensor.Tensor {
-	fast := b.fastEligible(q, q, mask)
-	for _, p := range parts {
-		if p.RequiresGrad() {
-			fast = false
-		}
-	}
-	if !fast {
-		return b.Forward(q, tensor.ConcatRows(parts...), mask)
-	}
-	h := b.Attn.Hidden
+func (b *TransformerBlock) ForwardKVConcatWS(ws *tensor.Workspace, q *tensor.Tensor, parts []*tensor.Tensor, spans []tensor.AttnSpan) *tensor.Tensor {
 	lkv := 0
 	for _, p := range parts {
 		lkv += p.Rows
 	}
+	if !(b.fastEligible(q, q) && tensor.NoGrad(parts...)) {
+		return b.Forward(q, tensor.ConcatRows(parts...), tensor.DenseMask(spans, q.Rows, lkv))
+	}
+	h := b.Attn.Hidden
 	kvData := ws.Take(lkv * h)
 	off := 0
 	for _, p := range parts {
@@ -222,7 +221,7 @@ func (b *TransformerBlock) ForwardKVConcatWS(ws *tensor.Workspace, q *tensor.Ten
 	parents := make([]*tensor.Tensor, 0, len(parts)+1)
 	parents = append(parents, q)
 	parents = append(parents, parts...)
-	return b.forwardFastWS(ws, q, kvData, lkv, mask, parents)
+	return b.forwardFastWS(ws, q, kvData, lkv, spans, parents)
 }
 
 // ForwardWS is the classifier forward with explicit workspace and explicit

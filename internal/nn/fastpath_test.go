@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -38,22 +37,39 @@ func randFilled(rng *rand.Rand, rows, cols int) *tensor.Tensor {
 	return x
 }
 
-// randMask builds an additive attention mask with random -Inf entries but
-// always at least one visible key per query row (a query that can attend to
-// nothing never occurs in the model's masks: content positions always see
+// randSpans tiles the query rows with random groups, each seeing two random
+// ascending key ranges with at least one visible key (a query that can
+// attend to nothing never occurs in the model: content positions always see
 // their own column).
-func randMask(rng *rand.Rand, lq, lkv int) *tensor.Tensor {
-	m := tensor.New(lq, lkv)
-	neg := math.Inf(-1)
-	for i := 0; i < lq; i++ {
-		keep := rng.Intn(lkv)
-		for j := 0; j < lkv; j++ {
-			if j != keep && rng.Float64() < 0.4 {
-				m.Set(i, j, neg)
-			}
+func randSpans(rng *rand.Rand, lq, lkv int) []tensor.AttnSpan {
+	var spans []tensor.AttnSpan
+	for lo := 0; lo < lq; {
+		hi := lo + 1 + rng.Intn(6)
+		if hi > lq {
+			hi = lq
 		}
+		a0 := rng.Intn(lkv)
+		a1 := a0 + 1 + rng.Intn(lkv-a0)
+		b0 := a1 + rng.Intn(lkv-a1+1)
+		b1 := b0 + rng.Intn(lkv-b0+1)
+		spans = append(spans, tensor.AttnSpan{RowLo: lo, RowHi: hi, A: [2]int{a0, a1}, B: [2]int{b0, b1}})
+		lo = hi
 	}
-	return m
+	return spans
+}
+
+// attendSpans runs one attention layer under key spans the way the block
+// does: fused over the spans when the fast path is selectable, composed
+// under the equivalent dense mask otherwise.
+func attendSpans(a *MultiHeadAttention, q, kv *tensor.Tensor, spans []tensor.AttnSpan) *tensor.Tensor {
+	if !a.fastEligible(q, kv) {
+		return a.Forward(q, kv, tensor.DenseMask(spans, q.Rows, kv.Rows))
+	}
+	ws := tensor.AcquireWorkspace()
+	defer tensor.ReleaseWorkspace(ws)
+	out := tensor.InferenceResult(q.Rows, a.Hidden, q, kv)
+	a.forwardFastInto(ws, out.Data, q.Data, q.Rows, kv.Data, kv.Rows, spans)
+	return out
 }
 
 // TestAttentionFastPathBitExact covers self- and cross-attention, masked and
@@ -85,11 +101,11 @@ func TestAttentionFastPathBitExact(t *testing.T) {
 		if tc.cross {
 			kv = randFilled(rng, tc.lkv, tc.hidden)
 		}
-		var mask *tensor.Tensor
+		var spans []tensor.AttnSpan
 		if tc.masked {
-			mask = randMask(rng, tc.lq, tc.lkv)
+			spans = randSpans(rng, tc.lq, tc.lkv)
 		}
-		bothPaths(t, tc.name, func() *tensor.Tensor { return a.Forward(q, kv, mask) })
+		bothPaths(t, tc.name, func() *tensor.Tensor { return attendSpans(a, q, kv, spans) })
 	}
 }
 
@@ -100,8 +116,15 @@ func TestTransformerBlockFastPathBitExact(t *testing.T) {
 	x := randFilled(rng, 48, 64)
 	kv := randFilled(rng, 80, 64)
 	bothPaths(t, "self", func() *tensor.Tensor { return blk.SelfForward(x, nil) })
-	bothPaths(t, "self-masked", func() *tensor.Tensor { return blk.SelfForward(x, randMask(rand.New(rand.NewSource(13)), 48, 48)) })
+	ws := tensor.NewWorkspace()
+	spans := randSpans(rand.New(rand.NewSource(13)), 48, 48)
+	bothPaths(t, "self-spans", func() *tensor.Tensor { defer ws.Reset(); return blk.ForwardWS(ws, x, x, spans) })
 	bothPaths(t, "cross", func() *tensor.Tensor { return blk.Forward(x, kv, nil) })
+	cross := randSpans(rand.New(rand.NewSource(19)), 48, 48+80)
+	bothPaths(t, "kv-concat-spans", func() *tensor.Tensor {
+		defer ws.Reset()
+		return blk.ForwardKVConcatWS(ws, x, []*tensor.Tensor{kv, x}, cross)
+	})
 }
 
 func TestLayerNormFastPathBitExact(t *testing.T) {

@@ -68,8 +68,8 @@ func TestQuantForwardTolerance(t *testing.T) {
 	x := randFilled(rng, 128, 64)
 	kv := randFilled(rng, 192, 64)
 	check("self-attention", 0.05, func() *tensor.Tensor { return a.Forward(x, x, nil) })
-	check("cross-attention-masked", 0.05, func() *tensor.Tensor {
-		return a.Forward(x, kv, randMask(rand.New(rand.NewSource(32)), 128, 192))
+	check("cross-attention-spans", 0.05, func() *tensor.Tensor {
+		return attendSpans(a, x, kv, randSpans(rand.New(rand.NewSource(32)), 128, 192))
 	})
 
 	blk := NewTransformerBlock(64, 4, 128, rng)

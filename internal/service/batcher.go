@@ -4,8 +4,10 @@
 // one larger model batch, amortizing kernel dispatch and classifier overhead
 // across requests, then demultiplexes the per-chunk results back to their
 // submitters. Batching changes throughput only — each chunk's rows are
-// bit-identical to an unbatched call because the model's block-diagonal
-// batch mask isolates every chunk (see adtd.PredictContentBatch).
+// bit-identical to an unbatched call because the model's per-chunk key spans
+// isolate every chunk (see adtd.PredictContentBatch). Only requests that do
+// not coalesce on their own queue here: a pipelined bulk request's
+// cross-table coalescer runs its flushes directly (core/coalesce.go).
 package service
 
 import (

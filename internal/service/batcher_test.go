@@ -129,6 +129,45 @@ func TestBatcherCoalescesConcurrentDetects(t *testing.T) {
 	}
 }
 
+// TestCoalescedBulkDetectSkipsBatcherQueue: a pipelined bulk request's
+// cross-table coalescer has already merged all the company a flush can get,
+// so with batching enabled its forwards must not be parked in the batcher's
+// window — no submission, no taste_batcher_queue_delay_seconds observation —
+// while the answers stay those of the sequential run.
+func TestCoalescedBulkDetectSkipsBatcherQueue(t *testing.T) {
+	plain, _ := testService(t)
+	tablesOf := func(h http.Handler, req DetectRequest) (string, int) {
+		t.Helper()
+		rec := doJSON(t, h, http.MethodPost, "/v1/detect", req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		var resp DetectResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		cols, err := json.Marshal(resp.Tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(cols), resp.ScannedColumns
+	}
+	want, _ := tablesOf(plain.Handler(), DetectRequest{Database: "tenantdb"})
+
+	svc := batchedService(t, 50*time.Millisecond, 8)
+	delays, subs := batcherQueueDelaySeconds.Count(), batcherSubmissionsTotal.Value()
+	got, scanned := tablesOf(svc.Handler(), DetectRequest{Database: "tenantdb", Pipelined: true})
+	if scanned == 0 {
+		t.Fatal("no column reached Phase 2: nothing could have been queued")
+	}
+	if got != want {
+		t.Fatal("coalesced bulk detect differs from the sequential answer")
+	}
+	if d, s := batcherQueueDelaySeconds.Count()-delays, batcherSubmissionsTotal.Value()-subs; d != 0 || s != 0 {
+		t.Fatalf("coalescer flushes queued in the batcher: %d submissions, %d queue-delay observations", s, d)
+	}
+}
+
 // TestBatcherDeadlineDegradedNot500: with batching enabled, a deadline that
 // expires while work is queued or in flight inside the micro-batcher must
 // surface as a 200 degraded response — the degradation ladder from the

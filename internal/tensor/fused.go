@@ -5,11 +5,12 @@
 // outputs are bit-exact against the slow path — enforced by fused_test.go.
 // The wins come from everything around the arithmetic: no per-op tensor and
 // graph bookkeeping, no materialized per-head score matrices or column
-// slices, workspace scratch instead of zeroed arena buffers, and dot
-// products skipped outright for -Inf-masked attention positions.
+// slices, workspace scratch instead of zeroed arena buffers, and attention
+// that visits only the key spans a query row can see (AttnSpan).
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 )
@@ -188,83 +189,170 @@ type AttnShape struct {
 	Scale                   float64
 }
 
+// AttnSpan restricts a run of consecutive query rows [RowLo, RowHi) to two
+// half-open key ranges, A then B: ascending and disjoint (A[1] <= B[0]), either
+// possibly empty (lo == hi). It is the whole attention-mask vocabulary of the
+// NoGrad fast path — the §6.4 column restriction lets a content row see its
+// own chunk's metadata block and its own column's content span, nothing
+// else — so the kernels visit exactly the keys a row can see instead of
+// testing a dense Lq×Lkv mask. A span list must tile [0, Lq) in row order; a
+// nil list means every row sees every key.
+type AttnSpan struct {
+	RowLo, RowHi int
+	A, B         [2]int
+}
+
+// visible returns the span's non-empty key ranges in ascending order.
+func (sp AttnSpan) visible() (r [2][2]int, n int) {
+	for _, kr := range [2][2]int{sp.A, sp.B} {
+		if kr[0] < kr[1] {
+			r[n] = kr
+			n++
+		}
+	}
+	return r, n
+}
+
+// checkSpans panics unless spans tile the query rows [0, lq) in order with
+// ascending, disjoint key ranges inside [0, lkv) — a malformed list is a
+// caller bug that would otherwise read scratch the kernel never wrote.
+func checkSpans(spans []AttnSpan, lq, lkv int) {
+	row := 0
+	for _, sp := range spans {
+		ok := sp.RowLo == row && sp.RowHi >= sp.RowLo &&
+			0 <= sp.A[0] && sp.A[0] <= sp.A[1] && sp.A[1] <= sp.B[0] && sp.B[0] <= sp.B[1] && sp.B[1] <= lkv
+		if !ok {
+			panic(fmt.Sprintf("tensor: bad attention span %+v (next row %d, lq %d, lkv %d)", sp, row, lq, lkv))
+		}
+		row = sp.RowHi
+	}
+	if row != lq {
+		panic(fmt.Sprintf("tensor: attention spans cover %d query rows, want %d", row, lq))
+	}
+}
+
+// spansOrAll validates a kernel's spans argument, standing in the one group
+// a nil list means — every row sees every key — built in the caller's all so
+// the default allocates nothing.
+func spansOrAll(spans []AttnSpan, all *[1]AttnSpan, lq, lkv int) []AttnSpan {
+	if spans == nil {
+		all[0] = AttnSpan{RowLo: 0, RowHi: lq, A: [2]int{0, lkv}, B: [2]int{lkv, lkv}}
+		return all[:]
+	}
+	checkSpans(spans, lq, lkv)
+	return spans
+}
+
+// DenseMask materializes spans as the additive lq×lkv mask the composed
+// autograd ops take: 0 where a row may attend, -Inf elsewhere. It returns nil
+// when nothing is hidden (nil spans, or every row sees all lkv keys), so the
+// common single-column training step allocates no mask.
+func DenseMask(spans []AttnSpan, lq, lkv int) *Tensor {
+	if spans == nil {
+		return nil
+	}
+	checkSpans(spans, lq, lkv)
+	hidden := false
+	for _, sp := range spans {
+		if sp.RowHi > sp.RowLo && (sp.A[1]-sp.A[0])+(sp.B[1]-sp.B[0]) != lkv {
+			hidden = true
+		}
+	}
+	if !hidden {
+		return nil
+	}
+	mask := New(lq, lkv)
+	mask.Fill(math.Inf(-1))
+	for _, sp := range spans {
+		for i := sp.RowLo; i < sp.RowHi; i++ {
+			row := mask.Row(i)
+			for _, kr := range [2][2]int{sp.A, sp.B} {
+				for j := kr[0]; j < kr[1]; j++ {
+					row[j] = 0
+				}
+			}
+		}
+	}
+	return mask
+}
+
 // FusedAttentionCore computes multi-head scaled dot-product attention into
 // dst (Lq × Heads*HeadDim, head h in columns [h*HeadDim,(h+1)*HeadDim)),
 // streaming one score row at a time instead of materializing per-head
-// Lq×Lkv score matrices. mask (Lq × Lkv additive, may be nil) follows
-// SoftmaxRows semantics: -Inf removes a position — here the position's dot
-// product is skipped entirely, which on block-diagonal batch masks removes
-// most of the score work — and a fully masked row yields zeros.
-// Bit-exact against SliceCols+MatMulNT+Scale+SoftmaxRows+MatMul+ConcatCols.
-func FusedAttentionCore(ws *Workspace, dst, qp, kvp []float64, sh AttnShape, mask *Tensor) {
+// Lq×Lkv score matrices. spans (nil = everything visible) names the keys
+// each query row may attend to; scores, exponentials, normalization and the
+// weights×V product touch those keys only, so the cost of a row is what it
+// sees, not Lkv. A row that sees nothing yields zeros.
+//
+// Bit-exact against SliceCols+MatMulNT+Scale+SoftmaxRows(DenseMask)+MatMul+
+// ConcatCols: a -Inf-masked key contributes exp(-Inf) = +0 to the softmax
+// sum (x + 0 == x) and a zero weight the composed MatMul skips, so visiting
+// only the visible keys, in ascending order, runs the same left-associative
+// chains.
+func FusedAttentionCore(ws *Workspace, dst, qp, kvp []float64, sh AttnShape, spans []AttnSpan) {
+	var all [1]AttnSpan
+	spans = spansOrAll(spans, &all, sh.Lq, sh.Lkv)
 	hd := sh.Heads * sh.HeadDim
 	srow := ws.Take(sh.Lkv)
 	for h := 0; h < sh.Heads; h++ {
 		qOff := sh.QOff + h*sh.HeadDim
 		kOff := sh.KOff + h*sh.HeadDim
 		vOff := sh.VOff + h*sh.HeadDim
-		for i := 0; i < sh.Lq; i++ {
-			qrow := qp[i*sh.QStride+qOff : i*sh.QStride+qOff+sh.HeadDim]
-			var mrow []float64
-			if mask != nil {
-				mrow = mask.Row(i)
-			}
-			var maxv float64
-			if sh.HeadDim == 16 {
-				maxv = scoreRow16(srow, qrow, kvp, mrow, kOff, sh.KVStride, sh.Lkv, sh.Scale)
-			} else {
-				maxv = scoreRowGeneric(srow, qrow, kvp, mrow, kOff, sh.KVStride, sh.Lkv, sh.HeadDim, sh.Scale)
-			}
-			drow := dst[i*hd+h*sh.HeadDim : i*hd+(h+1)*sh.HeadDim]
-			if math.IsInf(maxv, -1) {
-				// Entire row masked: SoftmaxRows emits zeros, so AV is zero.
-				for j := range drow {
-					drow[j] = 0
+		for _, sp := range spans {
+			vis, nv := sp.visible()
+			for i := sp.RowLo; i < sp.RowHi; i++ {
+				qrow := qp[i*sh.QStride+qOff : i*sh.QStride+qOff+sh.HeadDim]
+				drow := dst[i*hd+h*sh.HeadDim : i*hd+(h+1)*sh.HeadDim]
+				maxv := math.Inf(-1)
+				for _, kr := range vis[:nv] {
+					if sh.HeadDim == 16 {
+						maxv = scoreRow16(srow, qrow, kvp, kOff, sh.KVStride, kr[0], kr[1], sh.Scale, maxv)
+					} else {
+						maxv = scoreRowGeneric(srow, qrow, kvp, kOff, sh.KVStride, kr[0], kr[1], sh.HeadDim, sh.Scale, maxv)
+					}
 				}
-				continue
-			}
-			sum := 0.0
-			for j := 0; j < sh.Lkv; j++ {
-				e := math.Exp(srow[j] - maxv)
-				srow[j] = e
-				sum += e
-			}
-			if sum == 0 {
-				for j := range drow {
-					drow[j] = 0
+				sum := 0.0
+				if !math.IsInf(maxv, -1) {
+					for _, kr := range vis[:nv] {
+						for j := kr[0]; j < kr[1]; j++ {
+							e := math.Exp(srow[j] - maxv)
+							srow[j] = e
+							sum += e
+						}
+					}
 				}
-				continue
+				if sum == 0 {
+					// Nothing visible (or every weight underflowed):
+					// SoftmaxRows emits zeros, so AV is zero.
+					for j := range drow {
+						drow[j] = 0
+					}
+					continue
+				}
+				// Normalize in place exactly as SoftmaxRows does, then run each
+				// visible range's weights×V through the register-blocked matmul
+				// kernel (one output row, B columns [vOff, vOff+HeadDim)), the
+				// first range clearing drow and later ones accumulating.
+				// Underflowed weights are exact zeros and are skipped, as the
+				// composed MatMul's zero-skip does.
+				inv := 1.0 / sum
+				for r, kr := range vis[:nv] {
+					w := srow[kr[0]:kr[1]]
+					for j := range w {
+						w[j] *= inv
+					}
+					mulRowRange(drow, w, kvp[kr[0]*sh.KVStride:], 0, 1, len(w), sh.HeadDim, sh.KVStride, vOff, r == 0)
+				}
 			}
-			// Normalize in place exactly as SoftmaxRows does, then run the
-			// weights×V product through the register-blocked matmul kernel
-			// (one output row, B columns [vOff, vOff+HeadDim)); masked
-			// positions have weight exactly 0 and are skipped, as the
-			// composed MatMul's zero-skip does.
-			inv := 1.0 / sum
-			for j := 0; j < sh.Lkv; j++ {
-				srow[j] *= inv
-			}
-			mulRowRange(drow, srow, kvp, 0, 1, sh.Lkv, sh.HeadDim, sh.KVStride, vOff, true)
 		}
 	}
 }
 
-// scoreRowGeneric fills srow with the scaled, masked q·k scores of one query
-// row against all keys and returns the row max. -Inf-masked positions skip
-// the dot entirely (their srow entry is -Inf, which the exp pass maps to an
-// exact 0 weight). The dot uses the same 4-partial accumulation as dot().
-func scoreRowGeneric(srow, qrow, kvp, mrow []float64, kOff, stride, lkv, headDim int, scale float64) float64 {
-	negInf := math.Inf(-1)
-	maxv := negInf
-	for j := 0; j < lkv; j++ {
-		mv := 0.0
-		if mrow != nil {
-			mv = mrow[j]
-			if math.IsInf(mv, -1) {
-				srow[j] = negInf
-				continue
-			}
-		}
+// scoreRowGeneric fills srow[lo:hi) with the scaled q·k scores of one query
+// row against keys [lo, hi) and returns the running row max, seeded with
+// maxv. The dot uses the same 4-partial accumulation as dot().
+func scoreRowGeneric(srow, qrow, kvp []float64, kOff, stride, lo, hi, headDim int, scale, maxv float64) float64 {
+	for j := lo; j < hi; j++ {
 		krow := kvp[j*stride+kOff : j*stride+kOff+headDim]
 		var s0, s1, s2, s3 float64
 		d := 0
@@ -277,7 +365,7 @@ func scoreRowGeneric(srow, qrow, kvp, mrow []float64, kOff, stride, lkv, headDim
 		for ; d < headDim; d++ {
 			s0 += qrow[d] * krow[d]
 		}
-		v := (s0+s1+s2+s3)*scale + mv
+		v := (s0 + s1 + s2 + s3) * scale
 		srow[j] = v
 		if v > maxv {
 			maxv = v
@@ -293,29 +381,19 @@ func scoreRowGeneric(srow, qrow, kvp, mrow []float64, kOff, stride, lkv, headDim
 // generic loop seeds each partial with +0.0, which the unrolled chain
 // omits; that can only flip the sign of a zero-valued partial, and a zero's
 // sign never survives exp(v - max) downstream.)
-func scoreRow16(srow, qrow, kvp, mrow []float64, kOff, stride, lkv int, scale float64) float64 {
+func scoreRow16(srow, qrow, kvp []float64, kOff, stride, lo, hi int, scale, maxv float64) float64 {
 	q0, q1, q2, q3 := qrow[0], qrow[1], qrow[2], qrow[3]
 	q4, q5, q6, q7 := qrow[4], qrow[5], qrow[6], qrow[7]
 	q8, q9, q10, q11 := qrow[8], qrow[9], qrow[10], qrow[11]
 	q12, q13, q14, q15 := qrow[12], qrow[13], qrow[14], qrow[15]
-	negInf := math.Inf(-1)
-	maxv := negInf
-	for j := 0; j < lkv; j++ {
-		mv := 0.0
-		if mrow != nil {
-			mv = mrow[j]
-			if math.IsInf(mv, -1) {
-				srow[j] = negInf
-				continue
-			}
-		}
+	for j := lo; j < hi; j++ {
 		base := j*stride + kOff
 		k := kvp[base : base+16 : base+16]
 		s0 := q0*k[0] + q4*k[4] + q8*k[8] + q12*k[12]
 		s1 := q1*k[1] + q5*k[5] + q9*k[9] + q13*k[13]
 		s2 := q2*k[2] + q6*k[6] + q10*k[10] + q14*k[14]
 		s3 := q3*k[3] + q7*k[7] + q11*k[11] + q15*k[15]
-		v := (s0+s1+s2+s3)*scale + mv
+		v := (s0 + s1 + s2 + s3) * scale
 		srow[j] = v
 		if v > maxv {
 			maxv = v

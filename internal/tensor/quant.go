@@ -321,19 +321,21 @@ func LinearQuantInto(ws *Workspace, dst, x []float64, rows, in int, qm *QuantMat
 // are quantized per head with dynamic absmax scales, scores run as
 // int8×int8 dots, the softmax uses fastExp with probabilities quantized
 // onto the fixed 14-bit grid, and the AV product runs as int16×int8 dots
-// against a per-head transposed value pack. -Inf mask positions are handled
-// as run ranges: score and softmax work only touches allowed runs, and the
-// AV dots stream 16-aligned windows around them with the pad slop zeroed.
-// Output differs from FusedAttentionCore by the documented quantization
-// tolerance (quant_test.go).
+// against a per-head transposed value pack. spans has FusedAttentionCore's
+// meaning: score and softmax work only touches each row group's visible key
+// ranges, and the AV dots stream 16-aligned windows around them with the pad
+// slop zeroed. Output differs from FusedAttentionCore by the documented
+// quantization tolerance (quant_test.go).
 //
 // Returns false — computing nothing — when the shape is outside the
 // envelope: HeadDim not a positive multiple of 16, or Lkv > quantMaxLkv
 // (the int32 AV accumulator bound). Callers fall back to the fp64 core.
-func QuantAttentionCore(ws *Workspace, dst, qp, kvp []float64, sh AttnShape, mask *Tensor) bool {
+func QuantAttentionCore(ws *Workspace, dst, qp, kvp []float64, sh AttnShape, spans []AttnSpan) bool {
 	if sh.HeadDim <= 0 || sh.HeadDim%quantLane != 0 || sh.Lkv > quantMaxLkv || sh.Lkv == 0 {
 		return false
 	}
+	var all [1]AttnSpan
+	spans = spansOrAll(spans, &all, sh.Lq, sh.Lkv)
 	hd := sh.Heads * sh.HeadDim
 	lkv16 := padLane(sh.Lkv)
 
@@ -372,171 +374,138 @@ func QuantAttentionCore(ws *Workspace, dst, qp, kvp []float64, sh AttnShape, mas
 	srow := ws.Take(sh.Lkv)
 	pq := ws.TakeI16(lkv16)
 	qq := ws.TakeI8(sh.HeadDim)
-	// Allowed runs and their 16-aligned, merged AV windows, as flattened
-	// [lo, hi) pairs. A maskless row is the single run [0, Lkv).
-	ranges := ws.TakeInt(2 * (sh.Lkv/2 + 1))
-	windows := ws.TakeInt(2 * (sh.Lkv/2 + 1))
 	negInf := math.Inf(-1)
 
-	for i := 0; i < sh.Lq; i++ {
-		var mrow []float64
-		if mask != nil {
-			mrow = mask.Row(i)
+	for _, sp := range spans {
+		// The group's visible runs and their 16-aligned, merged AV windows.
+		// Adjacent ranges merge into one run, so run boundaries — and with
+		// them the quad and exp-lane grouping — depend only on which keys
+		// are visible.
+		runs, nr := sp.visible()
+		if nr == 2 && runs[0][1] == runs[1][0] {
+			runs[0][1], nr = runs[1][1], 1
 		}
-		nr := maskRuns(ranges, mrow, sh.Lkv)
-		if nr == 0 {
-			// Fully masked row: softmax yields zeros, so AV is zero.
-			for h := 0; h < sh.Heads; h++ {
-				drow := dst[i*hd+h*sh.HeadDim : i*hd+(h+1)*sh.HeadDim]
-				for c := range drow {
-					drow[c] = 0
-				}
-			}
-			continue
-		}
-		nw := alignWindows(windows, ranges, nr, lkv16)
-		// Zero every in-window probability once per query row; the per-head
-		// fill below only writes allowed positions, so masked positions
-		// inside a window stay zero for every head.
-		for w := 0; w < nw; w++ {
-			zq := pq[windows[2*w]:windows[2*w+1]]
-			for k := range zq {
-				zq[k] = 0
-			}
-		}
+		var windows [2][2]int
+		nw := alignWindows(windows[:], runs[:nr], lkv16)
 
-		for h := 0; h < sh.Heads; h++ {
-			qOff := sh.QOff + h*sh.HeadDim
-			qsc := quantizeRow(qq, qp[i*sh.QStride+qOff:i*sh.QStride+qOff+sh.HeadDim])
-			qkScale := qsc * sh.Scale
-			ksh := kqs[h*sh.Lkv : (h+1)*sh.Lkv]
-			maxv := negInf
-			for r := 0; r < nr; r++ {
-				lo, hi := ranges[2*r], ranges[2*r+1]
-				j := lo
-				var sums [4]int32
-				for ; j+4 <= hi; j += 4 {
-					dotQuad(qq, kq[j*hd+h*sh.HeadDim:(j+3)*hd+h*sh.HeadDim+sh.HeadDim], hd, sh.HeadDim, &sums)
-					for t := 0; t < 4; t++ {
-						v := float64(sums[t]) * qkScale * ksh[j+t]
-						if mrow != nil {
-							v += mrow[j+t]
-						}
-						srow[j+t] = v
-						if v > maxv {
-							maxv = v
-						}
-					}
-				}
-				if j < hi {
-					if hi-lo >= 4 {
-						j = hi - 4 // overlap: recompute the last full quad
-						dotQuad(qq, kq[j*hd+h*sh.HeadDim:(j+3)*hd+h*sh.HeadDim+sh.HeadDim], hd, sh.HeadDim, &sums)
-						for t := 0; t < 4; t++ {
-							v := float64(sums[t]) * qkScale * ksh[j+t]
-							if mrow != nil {
-								v += mrow[j+t]
-							}
-							srow[j+t] = v
-							if v > maxv {
-								maxv = v
-							}
-						}
-					} else {
-						for ; j < hi; j++ {
-							s := dotOne(qq, kq[j*hd+h*sh.HeadDim:j*hd+h*sh.HeadDim+sh.HeadDim])
-							v := float64(s) * qkScale * ksh[j]
-							if mrow != nil {
-								v += mrow[j]
-							}
-							srow[j] = v
-							if v > maxv {
-								maxv = v
-							}
-						}
-					}
-				}
-			}
-			drow := dst[i*hd+h*sh.HeadDim : i*hd+(h+1)*sh.HeadDim]
-			if math.IsInf(maxv, -1) {
+		for i := sp.RowLo; i < sp.RowHi; i++ {
+			if nr == 0 {
+				// Row sees nothing: softmax yields zeros, so AV is zero.
+				drow := dst[i*hd : (i+1)*hd]
 				for c := range drow {
 					drow[c] = 0
 				}
 				continue
 			}
-			// Softmax onto the fixed grid: the row max maps to exactly
-			// quantProbScale, so sumQ ≥ quantProbScale whenever any position
-			// is allowed. Normalization folds into the dequant factor.
-			sumQ := 0
-			for r := 0; r < nr; r++ {
-				lo, hi := ranges[2*r], ranges[2*r+1]
-				sumQ += expGrid(srow[lo:hi], maxv, pq[lo:hi])
-			}
-			invSum := 1.0 / float64(sumQ)
-			for c := 0; c < sh.HeadDim; c += 4 {
-				var acc [4]int32
-				for w := 0; w < nw; w++ {
-					wlo, whi := windows[2*w], windows[2*w+1]
-					var sums [4]int32
-					dotQuadW(pq[wlo:whi], vtq[(h*sh.HeadDim+c)*lkv16+wlo:(h*sh.HeadDim+c+3)*lkv16+whi], lkv16, whi-wlo, &sums)
-					acc[0] += sums[0]
-					acc[1] += sums[1]
-					acc[2] += sums[2]
-					acc[3] += sums[3]
+			// Zero every in-window probability once per query row; the per-head
+			// fill below only writes visible positions, so hidden positions
+			// inside a window stay zero for every head.
+			for w := 0; w < nw; w++ {
+				zq := pq[windows[w][0]:windows[w][1]]
+				for k := range zq {
+					zq[k] = 0
 				}
-				drow[c] = float64(acc[0]) * vts[h*sh.HeadDim+c] * invSum
-				drow[c+1] = float64(acc[1]) * vts[h*sh.HeadDim+c+1] * invSum
-				drow[c+2] = float64(acc[2]) * vts[h*sh.HeadDim+c+2] * invSum
-				drow[c+3] = float64(acc[3]) * vts[h*sh.HeadDim+c+3] * invSum
+			}
+
+			for h := 0; h < sh.Heads; h++ {
+				qOff := sh.QOff + h*sh.HeadDim
+				qsc := quantizeRow(qq, qp[i*sh.QStride+qOff:i*sh.QStride+qOff+sh.HeadDim])
+				qkScale := qsc * sh.Scale
+				ksh := kqs[h*sh.Lkv : (h+1)*sh.Lkv]
+				maxv := negInf
+				for _, run := range runs[:nr] {
+					lo, hi := run[0], run[1]
+					j := lo
+					var sums [4]int32
+					for ; j+4 <= hi; j += 4 {
+						dotQuad(qq, kq[j*hd+h*sh.HeadDim:(j+3)*hd+h*sh.HeadDim+sh.HeadDim], hd, sh.HeadDim, &sums)
+						for t := 0; t < 4; t++ {
+							v := float64(sums[t]) * qkScale * ksh[j+t]
+							srow[j+t] = v
+							if v > maxv {
+								maxv = v
+							}
+						}
+					}
+					if j < hi {
+						if hi-lo >= 4 {
+							j = hi - 4 // overlap: recompute the last full quad
+							dotQuad(qq, kq[j*hd+h*sh.HeadDim:(j+3)*hd+h*sh.HeadDim+sh.HeadDim], hd, sh.HeadDim, &sums)
+							for t := 0; t < 4; t++ {
+								v := float64(sums[t]) * qkScale * ksh[j+t]
+								srow[j+t] = v
+								if v > maxv {
+									maxv = v
+								}
+							}
+						} else {
+							for ; j < hi; j++ {
+								s := dotOne(qq, kq[j*hd+h*sh.HeadDim:j*hd+h*sh.HeadDim+sh.HeadDim])
+								v := float64(s) * qkScale * ksh[j]
+								srow[j] = v
+								if v > maxv {
+									maxv = v
+								}
+							}
+						}
+					}
+				}
+				drow := dst[i*hd+h*sh.HeadDim : i*hd+(h+1)*sh.HeadDim]
+				if math.IsInf(maxv, -1) {
+					for c := range drow {
+						drow[c] = 0
+					}
+					continue
+				}
+				// Softmax onto the fixed grid: the row max maps to exactly
+				// quantProbScale, so sumQ ≥ quantProbScale whenever any position
+				// is visible. Normalization folds into the dequant factor.
+				sumQ := 0
+				for _, run := range runs[:nr] {
+					sumQ += expGrid(srow[run[0]:run[1]], maxv, pq[run[0]:run[1]])
+				}
+				invSum := 1.0 / float64(sumQ)
+				for c := 0; c < sh.HeadDim; c += 4 {
+					var acc [4]int32
+					for _, win := range windows[:nw] {
+						wlo, whi := win[0], win[1]
+						var sums [4]int32
+						dotQuadW(pq[wlo:whi], vtq[(h*sh.HeadDim+c)*lkv16+wlo:(h*sh.HeadDim+c+3)*lkv16+whi], lkv16, whi-wlo, &sums)
+						acc[0] += sums[0]
+						acc[1] += sums[1]
+						acc[2] += sums[2]
+						acc[3] += sums[3]
+					}
+					drow[c] = float64(acc[0]) * vts[h*sh.HeadDim+c] * invSum
+					drow[c+1] = float64(acc[1]) * vts[h*sh.HeadDim+c+1] * invSum
+					drow[c+2] = float64(acc[2]) * vts[h*sh.HeadDim+c+2] * invSum
+					drow[c+3] = float64(acc[3]) * vts[h*sh.HeadDim+c+3] * invSum
+				}
 			}
 		}
 	}
 	return true
 }
 
-// maskRuns writes the maximal runs of non-(-Inf) positions of mrow (length
-// lkv; nil means all allowed) into out as flattened [lo, hi) pairs and
-// returns the run count.
-func maskRuns(out []int, mrow []float64, lkv int) int {
-	if mrow == nil {
-		out[0], out[1] = 0, lkv
-		return 1
-	}
-	n := 0
-	j := 0
-	for j < lkv {
-		if math.IsInf(mrow[j], -1) {
-			j++
-			continue
-		}
-		lo := j
-		for j < lkv && !math.IsInf(mrow[j], -1) {
-			j++
-		}
-		out[2*n], out[2*n+1] = lo, j
-		n++
-	}
-	return n
-}
-
 // alignWindows rounds each run out to quantLane boundaries (clamped to
-// lkv16) and merges overlapping or adjacent windows, so the AV dots stream
-// whole lanes while double-counting nothing.
-func alignWindows(out, ranges []int, nr, lkv16 int) int {
+// lkv16) and merges overlapping or adjacent windows into out (len(out) ≥
+// len(runs)), so the AV dots stream whole lanes while double-counting
+// nothing. It returns the window count.
+func alignWindows(out, runs [][2]int, lkv16 int) int {
 	n := 0
-	for r := 0; r < nr; r++ {
-		lo := ranges[2*r] &^ (quantLane - 1)
-		hi := (ranges[2*r+1] + quantLane - 1) &^ (quantLane - 1)
+	for _, run := range runs {
+		lo := run[0] &^ (quantLane - 1)
+		hi := (run[1] + quantLane - 1) &^ (quantLane - 1)
 		if hi > lkv16 {
 			hi = lkv16
 		}
-		if n > 0 && lo <= out[2*n-1] {
-			if hi > out[2*n-1] {
-				out[2*n-1] = hi
+		if n > 0 && lo <= out[n-1][1] {
+			if hi > out[n-1][1] {
+				out[n-1][1] = hi
 			}
 			continue
 		}
-		out[2*n], out[2*n+1] = lo, hi
+		out[n] = [2]int{lo, hi}
 		n++
 	}
 	return n

@@ -296,21 +296,22 @@ func buildAttnInputs(rng *rand.Rand, lq, lkv, heads, headDim int) ([]float64, At
 	return proj, sh
 }
 
-// blockMask builds a run-structured additive mask like the batched Phase-2
-// masks: row i may attend to [0, meta) and to its own block of width span.
-func blockMask(lq, lkv, meta, span int) *Tensor {
-	m := New(lq, lkv)
-	neg := math.Inf(-1)
-	for i := 0; i < lq; i++ {
-		row := m.Row(i)
-		blk := meta + (i/span)*span
-		for j := meta; j < lkv; j++ {
-			if j < blk || j >= blk+span {
-				row[j] = neg
-			}
+// blockSpans builds the batched Phase-2 span structure: row i may attend
+// to [0, meta) and to its own block of width span.
+func blockSpans(lq, lkv, meta, span int) []AttnSpan {
+	var spans []AttnSpan
+	for lo := 0; lo < lq; lo += span {
+		hi, blk := lo+span, meta+lo
+		if hi > lq {
+			hi = lq
 		}
+		bhi := blk + span
+		if bhi > lkv {
+			bhi = lkv
+		}
+		spans = append(spans, AttnSpan{RowLo: lo, RowHi: hi, A: [2]int{0, meta}, B: [2]int{blk, bhi}})
 	}
-	return m
+	return spans
 }
 
 // Property: QuantAttentionCore tracks FusedAttentionCore within the
@@ -327,19 +328,19 @@ func TestQuantAttentionCoreTolerance(t *testing.T) {
 			ws := NewWorkspace()
 			for _, tc := range []struct {
 				lq, lkv, heads, headDim int
-				mask                    *Tensor
+				spans                   []AttnSpan
 			}{
 				{128, 128, 4, 16, nil},
-				{40, 104, 4, 16, blockMask(40, 104, 24, 8)},
-				{9, 17, 2, 16, blockMask(9, 17, 5, 3)},
+				{40, 104, 4, 16, blockSpans(40, 104, 24, 8)},
+				{9, 17, 2, 16, blockSpans(9, 17, 5, 3)},
 				{6, 30, 1, 32, nil},
 			} {
 				proj, sh := buildAttnInputs(rng, tc.lq, tc.lkv, tc.heads, tc.headDim)
 				h := tc.heads * tc.headDim
 				want := make([]float64, tc.lq*h)
-				FusedAttentionCore(ws, want, proj, proj, sh, tc.mask)
+				FusedAttentionCore(ws, want, proj, proj, sh, tc.spans)
 				got := make([]float64, tc.lq*h)
-				if !QuantAttentionCore(ws, got, proj, proj, sh, tc.mask) {
+				if !QuantAttentionCore(ws, got, proj, proj, sh, tc.spans) {
 					t.Fatalf("QuantAttentionCore refused supported shape %+v", tc)
 				}
 				ws.Reset()
@@ -364,15 +365,15 @@ func TestQuantAttentionCoreTolerance(t *testing.T) {
 	}
 }
 
-// A fully masked row must produce exact zeros, matching the fp64 core.
+// A row that sees no key must produce exact zeros, matching the fp64 core.
 func TestQuantAttentionCoreFullyMaskedRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ws := NewWorkspace()
 	proj, sh := buildAttnInputs(rng, 4, 8, 2, 16)
-	mask := New(4, 8)
-	neg := math.Inf(-1)
-	for j := 0; j < 8; j++ {
-		mask.Row(2)[j] = neg
+	mask := []AttnSpan{
+		{RowLo: 0, RowHi: 2, A: [2]int{0, 8}, B: [2]int{8, 8}},
+		{RowLo: 2, RowHi: 3},
+		{RowLo: 3, RowHi: 4, A: [2]int{0, 8}, B: [2]int{8, 8}},
 	}
 	h := sh.Heads * sh.HeadDim
 	got := make([]float64, 4*h)
@@ -405,43 +406,18 @@ func TestQuantAttentionCoreEnvelope(t *testing.T) {
 	}
 }
 
-// maskRuns and alignWindows must partition correctly, including merges.
-func TestMaskRunsAndWindows(t *testing.T) {
-	neg := math.Inf(-1)
-	row := make([]float64, 40)
-	for j := range row {
-		row[j] = neg
-	}
-	for _, j := range []int{3, 4, 5, 20, 21, 36, 37, 38, 39} {
-		row[j] = 0
-	}
-	runs := make([]int, 42)
-	nr := maskRuns(runs, row, 40)
-	want := []int{3, 6, 20, 22, 36, 40}
-	if nr != 3 {
-		t.Fatalf("run count %d != 3", nr)
-	}
-	for i, v := range want {
-		if runs[i] != v {
-			t.Fatalf("runs[%d] = %d, want %d", i, runs[i], v)
-		}
-	}
-	wins := make([]int, 42)
-	nw := alignWindows(wins, runs, nr, 48)
+// alignWindows must round runs out to lanes and merge what then overlaps.
+func TestAlignWindows(t *testing.T) {
+	wins := make([][2]int, 3)
 	// [3,6)→[0,16), [20,22)→[16,32) merges with the first; [36,40)→[32,48)
 	// merges again: one window covering everything.
-	if nw != 1 || wins[0] != 0 || wins[1] != 48 {
-		t.Fatalf("windows = %v (n=%d), want one [0,48)", wins[:2*nw], nw)
+	nw := alignWindows(wins, [][2]int{{3, 6}, {20, 22}, {36, 40}}, 48)
+	if nw != 1 || wins[0] != [2]int{0, 48} {
+		t.Fatalf("windows = %v, want one [0,48)", wins[:nw])
 	}
-	// Disjoint case.
-	nr = maskRuns(runs, nil, 20)
-	if nr != 1 || runs[0] != 0 || runs[1] != 20 {
-		t.Fatalf("nil mask runs = %v", runs[:2])
-	}
-	runs[0], runs[1], runs[2], runs[3] = 0, 2, 60, 70
-	nw = alignWindows(wins, runs, 2, 80)
-	if nw != 2 || wins[0] != 0 || wins[1] != 16 || wins[2] != 48 || wins[3] != 80 {
-		t.Fatalf("disjoint windows = %v", wins[:2*nw])
+	nw = alignWindows(wins, [][2]int{{0, 2}, {60, 70}}, 80)
+	if nw != 2 || wins[0] != [2]int{0, 16} || wins[1] != [2]int{48, 80} {
+		t.Fatalf("disjoint windows = %v", wins[:nw])
 	}
 }
 
@@ -463,7 +439,7 @@ func TestQuantKernelAllocs(t *testing.T) {
 	dst := make([]float64, rows*out)
 	proj, sh := buildAttnInputs(rng, 32, 32, 4, 16)
 	attnDst := make([]float64, 32*64)
-	mask := blockMask(32, 32, 8, 8)
+	mask := blockSpans(32, 32, 8, 8)
 	// Warm the workspace pools.
 	LinearQuantInto(ws, dst, x, rows, in, qm, 0, out, nil)
 	QuantAttentionCore(ws, attnDst, proj, proj, sh, mask)

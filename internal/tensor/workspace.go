@@ -19,8 +19,6 @@ type Workspace struct {
 	usedI8  [][]int8
 	freeI16 map[int][][]int16
 	usedI16 [][]int16
-	freeInt map[int][][]int
-	usedInt [][]int
 
 	// Quantize requests the int8 kernels for forwards threaded through this
 	// workspace. AcquireWorkspace seeds it from the process default
@@ -36,7 +34,6 @@ func NewWorkspace() *Workspace {
 		free:    make(map[int][][]float64),
 		freeI8:  make(map[int][][]int8),
 		freeI16: make(map[int][][]int16),
-		freeInt: make(map[int][][]int),
 	}
 }
 
@@ -97,19 +94,6 @@ func (w *Workspace) TakeI16(n int) []int16 {
 	return b
 }
 
-// TakeInt is Take for int scratch (mask run boundaries and the like).
-func (w *Workspace) TakeInt(n int) []int {
-	if l := w.freeInt[n]; len(l) > 0 {
-		b := l[len(l)-1]
-		w.freeInt[n] = l[:len(l)-1]
-		w.usedInt = append(w.usedInt, b)
-		return b
-	}
-	b := make([]int, n)
-	w.usedInt = append(w.usedInt, b)
-	return b
-}
-
 // Reset reclaims every buffer handed out since the previous Reset. Any
 // slice or Matrix obtained earlier becomes invalid for reading or writing.
 func (w *Workspace) Reset() {
@@ -125,10 +109,6 @@ func (w *Workspace) Reset() {
 		w.freeI16[len(b)] = append(w.freeI16[len(b)], b)
 	}
 	w.usedI16 = w.usedI16[:0]
-	for _, b := range w.usedInt {
-		w.freeInt[len(b)] = append(w.freeInt[len(b)], b)
-	}
-	w.usedInt = w.usedInt[:0]
 }
 
 // wsPool recycles workspaces across goroutines; in steady state each worker

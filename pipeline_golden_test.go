@@ -12,8 +12,8 @@ import (
 // contract (DESIGN.md §16): a pipelined run — stage stealing, scan
 // prefetch, and cross-table inference batching all enabled — must produce
 // byte-identical results to the sequential baseline. Prefetched reads use
-// the same scan options as synchronous ones, and the block-diagonal batch
-// mask makes each chunk's output independent of its batch mates, so any
+// the same scan options as synchronous ones, and the per-chunk attention key
+// spans make each chunk's output independent of its batch mates, so any
 // divergence here is a bug, not noise.
 func TestPipelineGoldenParity(t *testing.T) {
 	// One kernel worker keeps floating-point reductions in a fixed order.
