@@ -24,12 +24,13 @@ vet:
 test: build
 	$(GO) test ./...
 
-# race also runs internal/core's coalescer tests: they drive the newest
-# concurrent code (coalesce.go) on an untrained model, so they need neither
-# the trained fixture nor race-all's 45 minutes.
+# race also runs internal/core's coalescer, prefetcher and gate tests: they
+# drive core's concurrent code (coalesce.go, prefetch.go, jobs parked on
+# storage futures and cancelled there) on an untrained model, so they need
+# neither the trained fixture nor race-all's 45 minutes.
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'RequestBatcher|Coalesc' ./internal/core/
+	$(GO) test -race -run 'RequestBatcher|Coalesc|Prefetch' ./internal/core/
 
 # bench-check builds and smoke-tests the benchmark module against this
 # checkout. bench/ is a module of its own (replace repro => ..), so the root

@@ -21,7 +21,6 @@ type benchPipelineOpts struct {
 	repeats     int
 	latency     float64
 	workers     int
-	lookahead   int
 	batchChunks int
 }
 
@@ -125,12 +124,10 @@ func runBenchPipeline(opts benchPipelineOpts) error {
 	}{
 		{"pipeline/sequential", core.SequentialMode},
 		{"pipeline/stealing", core.ExecMode{
-			Pipelined: true, Workers: opts.workers,
-			Lookahead: opts.lookahead, BatchChunks: -1,
+			Pipelined: true, Workers: opts.workers, BatchChunks: -1,
 		}},
 		{"pipeline/stealing_batched", core.ExecMode{
-			Pipelined: true, Workers: opts.workers,
-			Lookahead: opts.lookahead, BatchChunks: opts.batchChunks,
+			Pipelined: true, Workers: opts.workers, BatchChunks: opts.batchChunks,
 		}},
 	}
 

@@ -66,14 +66,13 @@ func main() {
 		benchpipeline  = flag.Bool("benchpipeline", false, "run the work-stealing pipeline benchmark (sequential vs stealing vs batched over many small tables) and print BENCH_10-format JSON lines")
 		pipelineTables = flag.Int("pipeline-tables", 200, "corpus size for -benchpipeline (narrow 3-column tables)")
 		pipeWorkers    = flag.Int("pipeline-workers", 8, "work-stealing pool size for -benchpipeline (batch occupancy is bounded by it)")
-		scanLookahead  = flag.Int("scan-lookahead", 0, "scan-prefetch window for -benchpipeline (0 = 2×workers, negative disables)")
 		batchChunks    = flag.Int("batch-chunks", 8, "max table chunks per cross-table Phase-2 forward for -benchpipeline")
 	)
 	flag.Parse()
 	if *benchpipeline {
 		if err := runBenchPipeline(benchPipelineOpts{
 			tables: *pipelineTables, seed: *loadgenSeed, repeats: *repeats, latency: *latency,
-			workers: *pipeWorkers, lookahead: *scanLookahead, batchChunks: *batchChunks,
+			workers: *pipeWorkers, batchChunks: *batchChunks,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "tastebench:", err)
 			os.Exit(1)

@@ -55,11 +55,10 @@ func main() {
 		epochs       = flag.Int("epochs", 8, "training epochs when -train is set")
 		trainWorkers = flag.Int("train-workers", 1, "data-parallel gradient workers when -train is set (bit-reproducible per (seed, workers))")
 		gradAccum    = flag.Int("grad-accum", 1, "micro-batches accumulated per worker per optimizer step when -train is set")
-		prepWorkers   = flag.Int("prep-workers", autoMode.PrepWorkers, "legacy TP1 pool size; with -infer-workers it derives the work-stealing pool when -pipeline-workers is 0")
-		inferWorkers  = flag.Int("infer-workers", autoMode.InferWorkers, "legacy TP2 pool size; see -prep-workers")
-		pipeWorkers   = flag.Int("pipeline-workers", 0, "work-stealing pool size for pipelined detect requests (0 = derive from -prep-workers + -infer-workers)")
-		scanLookahead = flag.Int("scan-lookahead", 0, "scan-prefetch window: metadata/content reads issued ahead of their stages (0 = 2×workers, negative disables)")
-		batchChunks   = flag.Int("batch-chunks", 0, "max table chunks coalesced into one cross-table Phase-2 forward within a request (0 = 8, negative disables)")
+		prepWorkers  = flag.Int("prep-workers", autoMode.PrepWorkers, "legacy TP1 pool size; with -infer-workers it derives the work-stealing pool when -pipeline-workers is 0")
+		inferWorkers = flag.Int("infer-workers", autoMode.InferWorkers, "legacy TP2 pool size; see -prep-workers")
+		pipeWorkers  = flag.Int("pipeline-workers", 0, "work-stealing pool size for pipelined detect requests (0 = derive from -prep-workers + -infer-workers)")
+		batchChunks  = flag.Int("batch-chunks", 0, "max table chunks coalesced into one cross-table Phase-2 forward within a request (0 = 8, negative disables)")
 		parallelism  = flag.Int("parallelism", tensor.DefaultParallelism(), "worker goroutines for the sharded tensor kernels")
 		deadline     = flag.Duration("deadline", 0, "default per-request deadline for /v1/detect (0 = none; requests can override via deadline_ms)")
 		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "how long Phase-2 inference waits to coalesce chunks from concurrent requests (0 disables micro-batching)")
@@ -158,7 +157,7 @@ func main() {
 		Pipelined:   true,
 		Workers:     *pipeWorkers,
 		PrepWorkers: *prepWorkers, InferWorkers: *inferWorkers,
-		Lookahead: *scanLookahead, BatchChunks: *batchChunks,
+		BatchChunks: *batchChunks,
 	})
 	svc.SetDefaultDeadline(*deadline)
 	if *batchWindow > 0 {

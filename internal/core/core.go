@@ -393,8 +393,8 @@ type Report struct {
 	// batching exists to shrink this number (DESIGN.md §16).
 	ContentForwards int
 	// PrefetchHits/PrefetchWasted/PrefetchSkipped summarize the scan
-	// prefetcher: consumed reads, reads completed for nothing, and reads
-	// declined by a capacity brake.
+	// prefetcher: consumed reads, reads issued for nothing, and scans
+	// declined by the byte brake.
 	PrefetchHits    int
 	PrefetchWasted  int
 	PrefetchSkipped int
@@ -451,15 +451,12 @@ type ExecMode struct {
 	// the two survive only as capacity inputs to the Workers derivation.
 	PrepWorkers  int
 	InferWorkers int
-	// Lookahead bounds the scan prefetcher: at most this many table
-	// metadata fetches plus content scans run ahead of the stages that
-	// will consume them. 0 defaults to 2×Workers; negative disables
-	// prefetching.
-	Lookahead int
 	// PrefetchBytes bounds the bytes held by completed-but-unconsumed
 	// prefetched scans — backpressure tied to the cache byte budget. 0
 	// defaults to a quarter of Options.CacheBytes (floor 1 MiB); negative
-	// removes the byte brake, leaving only the Lookahead window.
+	// removes the byte brake. How many reads are in flight is not
+	// configured: the prefetcher derives it from measured read latency and
+	// stage time (prefetch.go).
 	PrefetchBytes int64
 	// BatchChunks caps the table chunks coalesced into one cross-table
 	// Phase-2 forward within a single DetectDatabase call. 0 defaults to
@@ -481,7 +478,7 @@ func PipelinedMode() ExecMode {
 // AutoMode sizes the work-stealing pool from the machine instead of the
 // paper's fixed 2+2: one worker per logical CPU (floor 4, so a small host
 // still overlaps I/O with compute). The legacy per-kind fields are filled
-// in for callers that still display or override them; lookahead and batch
+// in for callers that still display or override them; the prefetch and batch
 // knobs stay 0 and resolve to their defaults per the struct contract.
 func AutoMode() ExecMode {
 	w := runtime.GOMAXPROCS(0)
@@ -492,10 +489,10 @@ func AutoMode() ExecMode {
 }
 
 // withDefaults resolves the mode's zero values against the detector
-// options, returning a fully concrete mode: Workers ≥ 1, Lookahead and
+// options, returning a fully concrete mode: Workers ≥ 1, PrefetchBytes and
 // BatchChunks either positive or explicitly disabled (negative input maps
-// to the disabled sentinel 0 for Lookahead / 1 for BatchChunks). Sequential
-// modes pass through untouched.
+// to the disabled sentinel 0 for PrefetchBytes / 1 for BatchChunks).
+// Sequential modes pass through untouched.
 func (m ExecMode) withDefaults(opts Options) ExecMode {
 	if !m.Pipelined {
 		return m
@@ -504,14 +501,8 @@ func (m ExecMode) withDefaults(opts Options) ExecMode {
 		m.Workers = pipeline.Scheduler{PrepWorkers: m.PrepWorkers, InferWorkers: m.InferWorkers}.WorkerCount()
 	}
 	switch {
-	case m.Lookahead < 0:
-		m.Lookahead = 0
-	case m.Lookahead == 0:
-		m.Lookahead = 2 * m.Workers
-	}
-	switch {
 	case m.PrefetchBytes < 0:
-		m.PrefetchBytes = 0 // no byte brake; window still bounds
+		m.PrefetchBytes = 0 // no byte brake
 	case m.PrefetchBytes == 0:
 		m.PrefetchBytes = opts.CacheBytes / 4
 		if m.PrefetchBytes < 1<<20 {
@@ -602,56 +593,63 @@ func deadlineNear(ctx context.Context, margin time.Duration) (string, bool) {
 	return "", false
 }
 
-// fetchTableMeta fetches a table's metadata, running ANALYZE first when
-// histograms are requested but statistics are absent. Transient failures
-// are retried per the backoff policy; the retry count is returned for the
-// caller's table ledger. Shared by the synchronous s1 path and the
-// prefetcher's metadata lookahead.
+// fetchTableMeta fetches a table's metadata, running ANALYZE when histograms
+// are requested but statistics are absent — two round trips at most, since
+// ANALYZE replies with the refreshed metadata. Transient failures are
+// retried per the backoff policy; the retry count is returned for the
+// caller's table ledger. This is the synchronous path (DetectTable and
+// sequential batches); the prefetcher reads metadata in groups and shares
+// needsAnalyze/analyzeTable.
 func (d *Detector) fetchTableMeta(ctx context.Context, conn *simdb.Conn, table string) (*simdb.TableMeta, int, error) {
 	var tm *simdb.TableMeta
-	retries := 0
-	n, err := d.retry(ctx, conn.Accounting(), func() error {
+	retries, err := d.retry(ctx, conn.Accounting(), func() error {
 		var e error
 		tm, e = conn.TableMetadata(ctx, table)
 		return e
 	})
-	retries += n
 	if err != nil {
 		return nil, retries, err
 	}
-	if d.Opts.UseHistogram {
-		missing := false
-		for i := range tm.Columns {
-			if tm.Columns[i].Stats == nil {
-				missing = true
-				break
-			}
-		}
-		if missing {
-			n, err := d.retry(ctx, conn.Accounting(), func() error {
-				return conn.AnalyzeTable(ctx, table, simdb.AnalyzeOptions{})
-			})
-			retries += n
-			if err != nil {
-				return nil, retries, err
-			}
-			n, err = d.retry(ctx, conn.Accounting(), func() error {
-				var e error
-				tm, e = conn.TableMetadata(ctx, table)
-				return e
-			})
-			retries += n
-			if err != nil {
-				return nil, retries, err
-			}
+	if d.needsAnalyze(tm) {
+		var n int
+		tm, n, err = d.analyzeTable(ctx, conn, table)
+		retries += n
+		if err != nil {
+			return nil, retries, err
 		}
 	}
 	return tm, retries, nil
 }
 
-// s1PrepMetadata fetches metadata — from the batch prefetcher's lookahead
-// when it got there first, synchronously otherwise — and builds the chunked
-// table view.
+// needsAnalyze reports whether histograms are on and any column of tm still
+// lacks statistics.
+func (d *Detector) needsAnalyze(tm *simdb.TableMeta) bool {
+	if !d.Opts.UseHistogram {
+		return false
+	}
+	for i := range tm.Columns {
+		if tm.Columns[i].Stats == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// analyzeTable runs ANALYZE under the retry policy and returns the refreshed
+// metadata it replies with.
+func (d *Detector) analyzeTable(ctx context.Context, conn *simdb.Conn, table string) (*simdb.TableMeta, int, error) {
+	var tm *simdb.TableMeta
+	retries, err := d.retry(ctx, conn.Accounting(), func() error {
+		var e error
+		tm, e = conn.AnalyzeTable(ctx, table, simdb.AnalyzeOptions{})
+		return e
+	})
+	return tm, retries, err
+}
+
+// s1PrepMetadata takes the table's metadata — from the batch prefetcher's
+// future, which the stage was gated on, or synchronously when there is no
+// prefetcher — and builds the chunked table view.
 func (j *tableJob) s1PrepMetadata(ctx context.Context) error {
 	var tm *simdb.TableMeta
 	var n int
@@ -827,8 +825,9 @@ func (j *tableJob) s3PrepContent(ctx context.Context) error {
 	var err error
 	ok := false
 	if j.pf != nil {
-		// Consume the scan s2 started (same columns, same options); falls
-		// through to the synchronous path when a capacity brake skipped it.
+		// Consume the scan s2 started (same columns, same options), which
+		// the stage was gated on; falls through to the synchronous path
+		// when the byte brake skipped it.
 		content, n, err, ok = j.pf.awaitScan(j.table)
 	}
 	if !ok {
@@ -1047,7 +1046,10 @@ func isUncertain(probs []float64, alpha, beta float64) bool {
 
 // stages exposes the job's four ordered stages for the scheduler, each
 // wrapped with its duration histogram and (when the request is traced) a
-// span named "s<N>:<table>".
+// span named "s<N>:<table>". Under a prefetcher the two prep stages are
+// gated on the storage read they consume, so the scheduler parks the table —
+// not a worker — while the read is on the wire, and every stage's duration
+// feeds the prefetcher's depth estimate.
 func (j *tableJob) stages() []pipeline.Stage {
 	raw := []pipeline.Stage{
 		{Kind: pipeline.Prep, Name: j.table + "/p1-prep", Run: j.s1PrepMetadata},
@@ -1055,8 +1057,14 @@ func (j *tableJob) stages() []pipeline.Stage {
 		{Kind: pipeline.Prep, Name: j.table + "/p2-prep", Run: j.s3PrepContent},
 		{Kind: pipeline.Infer, Name: j.table + "/p2-infer", Run: j.s4InferContent},
 	}
+	var busy func(stage int, d time.Duration)
+	if pf := j.pf; pf != nil {
+		raw[0].Ready = func() <-chan struct{} { return pf.metaReady(j.table) }
+		raw[2].Ready = func() <-chan struct{} { return pf.scanReady(j.table) }
+		busy = pf.observeBusy
+	}
 	for i := range raw {
-		raw[i] = instrumentStage(i, j.table, raw[i])
+		raw[i] = instrumentStage(i, j.table, raw[i], busy)
 	}
 	return raw
 }
@@ -1132,9 +1140,7 @@ func (d *Detector) DetectDatabase(ctx context.Context, server *simdb.Server, dbN
 	var pf *prefetcher
 	var rb *requestBatcher
 	if mode.Pipelined {
-		if mode.Lookahead > 0 {
-			pf = newPrefetcher(ctx, d, conn, tables, mode.Lookahead, mode.PrefetchBytes)
-		}
+		pf = newPrefetcher(ctx, d, conn, tables, mode.Workers, mode.PrefetchBytes)
 		if mode.BatchChunks > 1 {
 			rb = newRequestBatcher(d, mode.BatchChunks, mode.Workers, len(tables), &fwd)
 		}

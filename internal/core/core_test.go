@@ -320,20 +320,46 @@ func TestCacheDisabledStillCorrect(t *testing.T) {
 	}
 }
 
+// TestHistogramVariantRunsAnalyze: ANALYZE replies with the metadata it
+// refreshed, so a cold table costs two metadata round trips (metadata,
+// analyze), not three — and a second pass, statistics in place, costs one.
+// The pipelined path reads the metadata in groups on top of that.
 func TestHistogramVariantRunsAnalyze(t *testing.T) {
 	m, ds := trainedModel(t)
 	opts := DefaultOptions()
 	opts.UseHistogram = true
-	d, _ := NewDetector(m, opts)
-	s := newServer(ds)
-	before := s.Accounting().Snapshot().Queries
-	if _, err := d.DetectDatabase(context.Background(), s, "tenant", SequentialMode); err != nil {
-		t.Fatal(err)
+	tables := len(ds.Test)
+	// queries spent on metadata: everything but list_tables and the scans.
+	metaQueries := func(s *simdb.Server, mode ExecMode) int {
+		t.Helper()
+		d, err := NewDetector(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := s.Accounting().Snapshot().Queries
+		rep, err := d.DetectDatabase(context.Background(), s, "tenant", mode)
+		if err != nil || len(rep.Errors) != 0 {
+			t.Fatalf("detect: %v %v", err, rep.Errors)
+		}
+		scans := 0
+		for _, tr := range rep.Tables {
+			if tr.ScannedColumns > 0 {
+				scans++
+			}
+		}
+		return s.Accounting().Snapshot().Queries - before - 1 - scans
 	}
-	after := s.Accounting().Snapshot().Queries
-	// Each table needs at least metadata + analyze + metadata = 3 queries.
-	if after-before < 3*len(ds.Test) {
-		t.Fatalf("histogram variant issued only %d queries for %d tables", after-before, len(ds.Test))
+	s := newServer(ds)
+	if got := metaQueries(s, SequentialMode); got != 2*tables {
+		t.Fatalf("cold sequential pass: %d metadata queries for %d tables, want %d", got, tables, 2*tables)
+	}
+	if got := metaQueries(s, SequentialMode); got != tables {
+		t.Fatalf("analyzed sequential pass: %d metadata queries for %d tables, want %d", got, tables, tables)
+	}
+	// Pipelined and cold: one ANALYZE per table plus the grouped reads, of
+	// which there are at most one per table.
+	if got := metaQueries(newServer(ds), PipelinedMode()); got <= tables || got > 2*tables {
+		t.Fatalf("cold pipelined pass: %d metadata queries for %d tables, want (%d, %d]", got, tables, tables, 2*tables)
 	}
 }
 

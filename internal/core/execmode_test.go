@@ -12,9 +12,6 @@ func TestExecModeWithDefaults(t *testing.T) {
 	if m.Workers != 4 {
 		t.Fatalf("default Workers = %d, want 4", m.Workers)
 	}
-	if m.Lookahead != 2*m.Workers {
-		t.Fatalf("default Lookahead = %d, want %d", m.Lookahead, 2*m.Workers)
-	}
 	if m.PrefetchBytes != opts.CacheBytes/4 {
 		t.Fatalf("default PrefetchBytes = %d, want %d", m.PrefetchBytes, opts.CacheBytes/4)
 	}
@@ -22,10 +19,7 @@ func TestExecModeWithDefaults(t *testing.T) {
 		t.Fatalf("default BatchChunks = %d, want 8", m.BatchChunks)
 	}
 
-	m = ExecMode{Pipelined: true, Workers: 2, Lookahead: -1, PrefetchBytes: -1, BatchChunks: -1}.withDefaults(opts)
-	if m.Lookahead != 0 {
-		t.Fatalf("negative Lookahead must disable prefetching: got %d", m.Lookahead)
-	}
+	m = ExecMode{Pipelined: true, Workers: 2, PrefetchBytes: -1, BatchChunks: -1}.withDefaults(opts)
 	if m.PrefetchBytes != 0 {
 		t.Fatalf("negative PrefetchBytes must drop the byte brake: got %d", m.PrefetchBytes)
 	}
@@ -48,7 +42,7 @@ func TestExecModeWithDefaults(t *testing.T) {
 	}
 
 	// Sequential modes are never touched.
-	seq := ExecMode{Lookahead: -5, BatchChunks: 3}
+	seq := ExecMode{PrefetchBytes: -5, BatchChunks: 3}
 	if got := seq.withDefaults(opts); got != seq {
 		t.Fatalf("sequential mode mutated: %+v", got)
 	}

@@ -37,7 +37,7 @@ var (
 )
 
 // prefetchCount records scan-prefetcher outcomes: hit (consumed), waste
-// (completed but never consumed), skipped (declined by a capacity brake).
+// (issued but never consumed), skipped (declined by the byte brake).
 func prefetchCount(kind, outcome string, n int) {
 	if n > 0 {
 		obs.Default.Counter("taste_pipeline_prefetch_total", "kind", kind, "outcome", outcome).Add(int64(n))
@@ -49,14 +49,19 @@ func prefetchCount(kind, outcome string, n int) {
 var stageLabels = [4]string{"s1", "s2", "s3", "s4"}
 
 // instrumentStage wraps a stage Run with a trace span (child of the request
-// trace, when one is active) and the stage's duration histogram.
-func instrumentStage(idx int, table string, st pipeline.Stage) pipeline.Stage {
+// trace, when one is active) and the stage's duration histogram; busy, when
+// set, receives the same duration.
+func instrumentStage(idx int, table string, st pipeline.Stage, busy func(stage int, d time.Duration)) pipeline.Stage {
 	run := st.Run
 	st.Run = func(ctx context.Context) error {
 		ctx, sp := obs.StartSpan(ctx, stageLabels[idx]+":"+table)
 		start := time.Now()
 		err := run(ctx)
-		stageSeconds[idx].ObserveDuration(time.Since(start))
+		elapsed := time.Since(start)
+		stageSeconds[idx].ObserveDuration(elapsed)
+		if busy != nil {
+			busy(idx, elapsed)
+		}
 		if err != nil {
 			stageErrorsTotal[idx].Inc()
 		}

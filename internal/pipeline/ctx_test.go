@@ -63,13 +63,7 @@ func TestPipelinedCancellationDrainsWithoutLeaks(t *testing.T) {
 	}
 	// Run is a barrier: every dispatched stage returned before it did. Give
 	// the runtime a moment to reap worker goroutines, then compare.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Fatalf("goroutines leaked: before=%d after=%d", before, after)
-	}
+	waitGoroutines(t, before)
 }
 
 func TestPipelinedDeadlineMarksUnfinishedJobs(t *testing.T) {

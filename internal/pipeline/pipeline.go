@@ -31,6 +31,14 @@ func queueWait(stageIdx int, kind StageKind, stolen bool, d time.Duration) {
 		"stolen", fmt.Sprintf("%v", stolen)).ObserveDuration(d)
 }
 
+// parkWait records how long a job sat parked on a stage's Ready completion:
+// time spent waiting for storage (or any other gate), which queueWait never
+// sees because a parked job is in no deque.
+func parkWait(stageIdx int, d time.Duration) {
+	obs.Default.LatencyHistogram("taste_pipeline_park_seconds",
+		"stage", fmt.Sprintf("s%d", stageIdx+1)).ObserveDuration(d)
+}
+
 // StageKind distinguishes the two resource classes of §5. The work-stealing
 // scheduler treats the kind as a priority hint, not a dedicated lane: a
 // worker prefers running its own freshest Infer stage (hot caches) and
@@ -61,6 +69,29 @@ type Stage struct {
 	Kind StageKind
 	Name string
 	Run  func(ctx context.Context) error
+	// Ready, when set, names the completion the stage waits for — a storage
+	// read in flight, a forward someone else will run. It is called once,
+	// after the job's previous stage finished, and returns a channel that
+	// is closed when Run can proceed without blocking; a nil func or a nil
+	// channel means "runnable now". The work-stealing engine parks the job,
+	// not a worker, until the channel closes or the context dies.
+	Ready func() <-chan struct{}
+}
+
+// pending resolves the stage's gate: the channel the job must park on, or
+// nil when the stage has no gate or its completion already fired (no park,
+// no goroutine).
+func (st Stage) pending() <-chan struct{} {
+	if st.Ready == nil {
+		return nil
+	}
+	ch := st.Ready()
+	select {
+	case <-ch: // a nil channel never fires and falls to default
+		return nil
+	default:
+		return ch
+	}
 }
 
 // Job is an ordered list of stages for one table: P1-prep, P1-infer,
@@ -127,6 +158,9 @@ type Stats struct {
 	// MaxQueueDepth is the peak number of runnable stages queued across
 	// all worker deques at any instant.
 	MaxQueueDepth int
+	// Parks counts stages whose job left the deques to wait for a Ready
+	// completion; a gate that had already fired does not count.
+	Parks int64
 }
 
 // Run executes all jobs under ctx and returns after every job finishes,
@@ -158,6 +192,14 @@ func (s Scheduler) RunStats(ctx context.Context, jobs []*Job) (Stats, error) {
 func runSequential(ctx context.Context, jobs []*Job) {
 	for _, j := range jobs {
 		for _, st := range j.Stages {
+			if ready := st.pending(); ready != nil {
+				// One table at a time: there is nothing else to run
+				// meanwhile, so the caller itself waits.
+				select {
+				case <-ready:
+				case <-ctx.Done():
+				}
+			}
 			if err := ctx.Err(); err != nil {
 				j.Err = err
 				break

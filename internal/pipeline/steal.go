@@ -8,6 +8,12 @@
 // (steal-half), which starts upcoming I/O early while the victim keeps its
 // compute-bound tail.
 //
+// A stage may be gated on a completion (Stage.Ready). When a job's next stage
+// is not ready the job is parked: it sits in no deque, a waiter goroutine
+// re-enqueues it on the deque it would have landed on when the completion
+// fires, and the workers meanwhile run only stages that can make progress.
+// Jobs wait for storage; workers do not.
+//
 // Deque operations run under one engine mutex: stages are millisecond-scale
 // (model forwards, database scans), so the discipline — locality, kind
 // priorities, steal-half — is what matters, not lock-free push/pop.
@@ -28,6 +34,8 @@ var (
 		Infer: obs.Default.Counter("taste_pipeline_steals_total", "kind", "infer"),
 	}
 	queueDepthGauge = obs.Default.Gauge("taste_pipeline_queue_depth")
+	// parkedGauge moves by deltas, so concurrent batches sum.
+	parkedGauge = obs.Default.Gauge("taste_pipeline_parked_jobs")
 )
 
 // item is one runnable stage in a deque.
@@ -41,9 +49,9 @@ type item struct {
 }
 
 // jobState tracks a job's progress; next indexes the next stage to run.
-// Each job is owned by exactly one worker at a time (its runnable stage
-// sits in exactly one deque, or is in flight on one worker), so next needs
-// no extra synchronization beyond the engine mutex.
+// Each job has exactly one owner at a time (its runnable stage sits in
+// exactly one deque, is in flight on one worker, or is held by one park
+// waiter), so next needs no extra synchronization beyond the engine mutex.
 type jobState struct {
 	job  *Job
 	next int
@@ -56,16 +64,17 @@ type deque struct {
 }
 
 type engine struct {
-	ctx     context.Context
-	deques  []deque
-	wg      sync.WaitGroup
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queued  int // runnable stages across all deques
-	inflight int
+	ctx       context.Context
+	deques    []deque
+	wg        sync.WaitGroup // workers and park waiters
+	mu        sync.Mutex
+	cond      *sync.Cond
+	queued    int // runnable stages across all deques
+	inflight  int
+	parked    int // jobs waiting on a Ready completion, in no deque
 	remaining int // stages not yet finished or abandoned
-	done    bool
-	stats   Stats
+	done      bool
+	stats     Stats
 }
 
 // runStealing executes jobs on a pool of workers with per-worker deques.
@@ -82,10 +91,15 @@ func runStealing(ctx context.Context, jobs []*Job, workers int) Stats {
 		}
 		js := &jobState{job: j}
 		states = append(states, js)
-		e.pushLocked(i%workers, &item{js: js, readyAt: now})
+		// A gate may fire while later jobs are still being seeded, so even
+		// seeding takes the lock (after resolving the gate: caller code).
+		ready := j.Stages[0].pending()
+		e.mu.Lock()
 		e.remaining += len(j.Stages)
+		e.submitLocked(i%workers, js, ready, now)
+		e.mu.Unlock()
 	}
-	if e.remaining == 0 {
+	if len(states) == 0 {
 		queueDepthGauge.Set(0)
 		return e.stats
 	}
@@ -127,9 +141,10 @@ func (e *engine) worker(id int) {
 		}
 		it := e.take(id)
 		if it == nil {
-			if e.queued == 0 && e.inflight == 0 && e.remaining > 0 {
-				// Nothing runnable, nothing running, work remaining: a
-				// scheduler bug would otherwise park the pool forever.
+			if e.queued == 0 && e.inflight == 0 && e.parked == 0 && e.remaining > 0 {
+				// Nothing runnable, running or waiting on a gate, yet work
+				// remains: a scheduler bug would otherwise idle the pool
+				// forever.
 				panic("pipeline: scheduler deadlock")
 			}
 			e.cond.Wait()
@@ -142,6 +157,13 @@ func (e *engine) worker(id int) {
 		stage := js.job.Stages[js.next]
 		queueWait(js.next, stage.Kind, it.stolen, time.Since(it.readyAt))
 		err := stage.Run(e.ctx)
+		// Resolve the successor's gate outside the engine lock: Ready is
+		// caller code.
+		var ready <-chan struct{}
+		more := err == nil && js.next+1 < len(js.job.Stages)
+		if more {
+			ready = js.job.Stages[js.next+1].pending()
+		}
 
 		e.mu.Lock()
 		e.inflight--
@@ -151,12 +173,11 @@ func (e *engine) worker(id int) {
 		} else {
 			js.next++
 			e.remaining--
-			if js.next < len(js.job.Stages) {
+			if more {
 				// The completing worker keeps the job: its successor stage
-				// lands on this deque and is popped LIFO next unless a
-				// thief gets there first.
-				e.pushLocked(id, &item{js: js, readyAt: time.Now()})
-				e.cond.Signal()
+				// lands on this deque (now, or when its gate fires) and is
+				// popped LIFO next unless a thief gets there first.
+				e.submitLocked(id, js, ready, time.Now())
 			}
 		}
 		if e.remaining <= 0 {
@@ -166,8 +187,41 @@ func (e *engine) worker(id int) {
 	}
 }
 
+// submitLocked hands js's next stage to worker id: onto its deque when ready
+// is nil, otherwise to a waiter that pushes it there once ready fires. A
+// dead context ends the wait without a push — the job is then abandoned like
+// any other unfinished one. Callers hold e.mu.
+func (e *engine) submitLocked(id int, js *jobState, ready <-chan struct{}, now time.Time) {
+	if ready == nil {
+		e.pushLocked(id, &item{js: js, readyAt: now})
+		e.cond.Signal()
+		return
+	}
+	e.parked++
+	e.stats.Parks++
+	parkedGauge.Add(1)
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		select {
+		case <-ready:
+		case <-e.ctx.Done():
+		}
+		woke := time.Now()
+		parkWait(js.next, woke.Sub(now))
+		parkedGauge.Add(-1)
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.parked--
+		if e.ctx.Err() == nil {
+			e.pushLocked(id, &item{js: js, readyAt: woke})
+			e.cond.Signal()
+		}
+	}()
+}
+
 // pushLocked appends a runnable stage to worker id's deque. Callers hold
-// e.mu (or have exclusive access during seeding).
+// e.mu.
 func (e *engine) pushLocked(id int, it *item) {
 	k := it.js.job.Stages[it.js.next].Kind
 	e.deques[id].q[k] = append(e.deques[id].q[k], it)

@@ -34,10 +34,9 @@ type DetectRequest struct {
 	// request; 0 keeps the service default (or derives from the legacy
 	// prep/infer overrides above when those are set).
 	Workers int `json:"workers,omitempty"`
-	// Lookahead and BatchChunks override the scan-prefetch window and the
-	// cross-table batching cap (core.ExecMode semantics: 0 = service
-	// default, negative = disable the feature for this request).
-	Lookahead      int   `json:"lookahead,omitempty"`
+	// BatchChunks overrides the cross-table batching cap (core.ExecMode
+	// semantics: 0 = service default, negative = disable the feature for
+	// this request).
 	BatchChunks    int   `json:"batch_chunks,omitempty"`
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
 	// Trace requests the span tree of this detection inline in the
@@ -276,9 +275,6 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 			}
 			if req.Workers > 0 {
 				mode.Workers = req.Workers
-			}
-			if req.Lookahead != 0 {
-				mode.Lookahead = req.Lookahead
 			}
 			if req.BatchChunks != 0 {
 				mode.BatchChunks = req.BatchChunks

@@ -60,7 +60,7 @@ func BenchmarkAnalyzeTable(b *testing.B) {
 	defer conn.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := conn.AnalyzeTable(context.Background(), tables[i%len(tables)].Name, AnalyzeOptions{}); err != nil {
+		if _, err := conn.AnalyzeTable(context.Background(), tables[i%len(tables)].Name, AnalyzeOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -69,17 +69,18 @@ type AnalyzeOptions struct {
 // AnalyzeTable computes statistics and histograms for every column of a
 // table, mimicking MySQL's ANALYZE TABLE ... UPDATE HISTOGRAM. The work
 // happens inside the database server, so the detection service pays only a
-// query round trip, not a per-row transfer; but the stats become part of the
-// metadata returned by TableMetadata afterwards.
-func (c *Conn) AnalyzeTable(ctx context.Context, table string, opts AnalyzeOptions) (err error) {
+// query round trip, not a per-row transfer. The statement's reply is the
+// refreshed information_schema view — what TableMetadata returns from now
+// on — so a client that just analyzed need not ask again.
+func (c *Conn) AnalyzeTable(ctx context.Context, table string, opts AnalyzeOptions) (_ *TableMeta, err error) {
 	start := time.Now()
 	defer func() { observeOp("analyze", start, err) }()
 	if err := c.check(); err != nil {
-		return err
+		return nil, err
 	}
 	st, ok := c.db.tables[table]
 	if !ok {
-		return fmt.Errorf("simdb: unknown table %s.%s", c.db.name, table)
+		return nil, fmt.Errorf("simdb: unknown table %s.%s", c.db.name, table)
 	}
 	buckets := opts.Buckets
 	if buckets <= 0 {
@@ -88,11 +89,11 @@ func (c *Conn) AnalyzeTable(ctx context.Context, table string, opts AnalyzeOptio
 	d := c.server.decide(opQuery, c.db.name+"."+table)
 	cost := c.server.latency.QueryRoundTrip + time.Duration(st.rows)*c.server.latency.PerCell/10
 	if err := c.server.latency.sleep(ctx, scaleDur(cost, d.slowFactor)); err != nil {
-		return err
+		return nil, err
 	}
 	c.server.acct.addQuery()
 	if d.err != nil {
-		return d.err
+		return nil, d.err
 	}
 	for _, col := range st.columns {
 		stats := computeStats(col.values, buckets)
@@ -100,7 +101,7 @@ func (c *Conn) AnalyzeTable(ctx context.Context, table string, opts AnalyzeOptio
 		col.stats = stats
 		col.statsMu.Unlock()
 	}
-	return nil
+	return st.meta(), nil
 }
 
 // ComputeStats derives ColumnStats from raw values ("" = NULL). It is the

@@ -418,21 +418,61 @@ type TableMeta struct {
 func (c *Conn) TableMetadata(ctx context.Context, table string) (_ *TableMeta, err error) {
 	start := time.Now()
 	defer func() { observeOp("table_metadata", start, err) }()
-	if err := c.check(); err != nil {
+	if err := c.metadataQuery(ctx, table); err != nil {
 		return nil, err
-	}
-	d := c.server.decide(opQuery, c.db.name+"."+table)
-	if err := c.server.latency.sleep(ctx, scaleDur(c.server.latency.QueryRoundTrip, d.slowFactor)); err != nil {
-		return nil, err
-	}
-	c.server.acct.addQuery()
-	if d.err != nil {
-		return nil, d.err
 	}
 	st, ok := c.db.tables[table]
 	if !ok {
 		return nil, fmt.Errorf("simdb: unknown table %s.%s", c.db.name, table)
 	}
+	return st.meta(), nil
+}
+
+// TablesMetadata fetches schema metadata for a group of tables in one query
+// round trip — information_schema.columns WHERE table_name IN (…). It is
+// charged exactly like one TableMetadata (the rows are free there too): one
+// round trip, one ledger query, one fault decision for the whole group. The
+// result is aligned with tables; a name the database does not know yields a
+// nil entry, as the IN query simply returns no rows for it.
+func (c *Conn) TablesMetadata(ctx context.Context, tables []string) (_ []*TableMeta, err error) {
+	if len(tables) == 0 {
+		return nil, nil
+	}
+	start := time.Now()
+	defer func() { observeOp("table_metadata", start, err) }()
+	detail := tables[0]
+	if len(tables) > 1 {
+		detail = fmt.Sprintf("%s (+%d tables)", detail, len(tables)-1)
+	}
+	if err := c.metadataQuery(ctx, detail); err != nil {
+		return nil, err
+	}
+	out := make([]*TableMeta, len(tables))
+	for i, table := range tables {
+		if st, ok := c.db.tables[table]; ok {
+			out[i] = st.meta()
+		}
+	}
+	return out, nil
+}
+
+// metadataQuery pays for one information_schema query over the named
+// table(s): connection check, fault decision, round trip, ledger entry.
+func (c *Conn) metadataQuery(ctx context.Context, detail string) error {
+	if err := c.check(); err != nil {
+		return err
+	}
+	d := c.server.decide(opQuery, c.db.name+"."+detail)
+	if err := c.server.latency.sleep(ctx, scaleDur(c.server.latency.QueryRoundTrip, d.slowFactor)); err != nil {
+		return err
+	}
+	c.server.acct.addQuery()
+	return d.err
+}
+
+// meta builds the table's information_schema view, statistics included when
+// ANALYZE has run.
+func (st *storedTable) meta() *TableMeta {
 	tm := &TableMeta{Name: st.name, Comment: st.comment, RowCount: st.rows}
 	for _, col := range st.columns {
 		cm := ColumnMeta{Name: col.name, Comment: col.comment, DataType: col.sqlType}
@@ -441,7 +481,7 @@ func (c *Conn) TableMetadata(ctx context.Context, table string) (_ *TableMeta, e
 		col.statsMu.Unlock()
 		tm.Columns = append(tm.Columns, cm)
 	}
-	return tm, nil
+	return tm
 }
 
 // ScanStrategy selects how content scans pick rows (§6.1.2).

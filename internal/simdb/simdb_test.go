@@ -83,6 +83,50 @@ func TestTableMetadataUnknownTable(t *testing.T) {
 	}
 }
 
+// TestTablesMetadataIsOneQuery: a grouped read returns exactly what the
+// per-table reads return, aligned with the request, for the price of one
+// query and one table_metadata observation; an unknown name fails nothing
+// but its own (nil) entry.
+func TestTablesMetadataIsOneQuery(t *testing.T) {
+	s, tables := testServer(t)
+	ctx := context.Background()
+	conn, _ := s.Connect(ctx, "userdb")
+	defer conn.Close()
+	names := []string{tables[len(tables)-1].Name, "ghost", tables[0].Name, tables[1].Name}
+	before, observed := s.Accounting().Snapshot().Queries, opSeconds["table_metadata"].Count()
+	group, err := conn.TablesMetadata(ctx, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Accounting().Snapshot().Queries - before; got != 1 {
+		t.Fatalf("group of %d cost %d queries, want 1", len(names), got)
+	}
+	if got := opSeconds["table_metadata"].Count() - observed; got != 1 {
+		t.Fatalf("group observed %d table_metadata ops, want 1", got)
+	}
+	if len(group) != len(names) {
+		t.Fatalf("got %d entries for %d names", len(group), len(names))
+	}
+	for i, name := range names {
+		if name == "ghost" {
+			if group[i] != nil {
+				t.Fatal("unknown table must yield a nil entry")
+			}
+			continue
+		}
+		single, err := conn.TableMetadata(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(group[i], single) {
+			t.Fatalf("entry %d (%s) differs from the single-table read", i, name)
+		}
+	}
+	if empty, err := conn.TablesMetadata(ctx, nil); err != nil || empty != nil {
+		t.Fatalf("empty group: %v, %v", empty, err)
+	}
+}
+
 func TestScanFirstRows(t *testing.T) {
 	s, tables := testServer(t)
 	conn, _ := s.Connect(context.Background(), "userdb")
@@ -220,10 +264,20 @@ func TestAnalyzeTablePopulatesStats(t *testing.T) {
 	conn, _ := s.Connect(context.Background(), "userdb")
 	defer conn.Close()
 	src := tables[0]
-	if err := conn.AnalyzeTable(context.Background(), src.Name, AnalyzeOptions{Buckets: 4}); err != nil {
+	before := s.Accounting().Snapshot().Queries
+	analyzed, err := conn.AnalyzeTable(context.Background(), src.Name, AnalyzeOptions{Buckets: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if got := s.Accounting().Snapshot().Queries - before; got != 1 {
+		t.Fatalf("ANALYZE cost %d queries, want 1", got)
+	}
+	// ANALYZE replies with what it computed: the same view a follow-up
+	// metadata query returns.
 	tm, _ := conn.TableMetadata(context.Background(), src.Name)
+	if !reflect.DeepEqual(analyzed, tm) {
+		t.Fatal("AnalyzeTable's reply differs from the metadata query that follows it")
+	}
 	for i, cm := range tm.Columns {
 		if cm.Stats == nil {
 			t.Fatalf("column %d has no stats after ANALYZE", i)
@@ -256,7 +310,7 @@ func TestAnalyzeUnknownTable(t *testing.T) {
 	s, _ := testServer(t)
 	conn, _ := s.Connect(context.Background(), "userdb")
 	defer conn.Close()
-	if err := conn.AnalyzeTable(context.Background(), "ghost", AnalyzeOptions{}); err == nil {
+	if _, err := conn.AnalyzeTable(context.Background(), "ghost", AnalyzeOptions{}); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -5,10 +5,16 @@
 // heap allocation once the workspace is warm.
 package tensor
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
-// Workspace is a grow-only arena of scratch buffers keyed by exact length.
-// It is NOT safe for concurrent use; acquire one per goroutine with
+// Workspace is a grow-only arena of scratch buffers keyed by size class
+// (wsClass): a batched forward's buffer lengths follow the token count of
+// whichever chunks happened to merge, so keying by exact length would miss —
+// and allocate and page in a fresh buffer — on nearly every new batch
+// composition. It is NOT safe for concurrent use; acquire one per goroutine with
 // AcquireWorkspace and return it with ReleaseWorkspace. Buffers obtained
 // from Take are valid until the next Reset (ReleaseWorkspace resets).
 type Workspace struct {
@@ -41,15 +47,26 @@ func NewWorkspace() *Workspace {
 // caller must fully overwrite it. The slice belongs to the workspace until
 // the next Reset.
 func (w *Workspace) Take(n int) []float64 {
-	if l := w.free[n]; len(l) > 0 {
+	c := wsClass(n)
+	if l := w.free[c]; len(l) > 0 {
 		b := l[len(l)-1]
-		w.free[n] = l[:len(l)-1]
+		w.free[c] = l[:len(l)-1]
 		w.used = append(w.used, b)
-		return b
+		return b[:n]
 	}
-	b := make([]float64, n)
+	b := make([]float64, c)
 	w.used = append(w.used, b)
-	return b
+	return b[:n]
+}
+
+// wsClass rounds a buffer length up to its size class: eight classes per
+// power of two, so a buffer is at most 1/8 larger than asked for.
+func wsClass(n int) int {
+	if n <= 64 {
+		return 64
+	}
+	shift := bits.Len(uint(n-1)) - 4
+	return ((n-1)>>shift + 1) << shift
 }
 
 // TakeZero is Take with the buffer cleared.
@@ -70,43 +87,45 @@ func (w *Workspace) Matrix(rows, cols int) *Tensor {
 
 // TakeI8 is Take for int8 scratch (quantized activations and weight tiles).
 func (w *Workspace) TakeI8(n int) []int8 {
-	if l := w.freeI8[n]; len(l) > 0 {
+	c := wsClass(n)
+	if l := w.freeI8[c]; len(l) > 0 {
 		b := l[len(l)-1]
-		w.freeI8[n] = l[:len(l)-1]
+		w.freeI8[c] = l[:len(l)-1]
 		w.usedI8 = append(w.usedI8, b)
-		return b
+		return b[:n]
 	}
-	b := make([]int8, n)
+	b := make([]int8, c)
 	w.usedI8 = append(w.usedI8, b)
-	return b
+	return b[:n]
 }
 
 // TakeI16 is Take for int16 scratch (quantized attention probabilities).
 func (w *Workspace) TakeI16(n int) []int16 {
-	if l := w.freeI16[n]; len(l) > 0 {
+	c := wsClass(n)
+	if l := w.freeI16[c]; len(l) > 0 {
 		b := l[len(l)-1]
-		w.freeI16[n] = l[:len(l)-1]
+		w.freeI16[c] = l[:len(l)-1]
 		w.usedI16 = append(w.usedI16, b)
-		return b
+		return b[:n]
 	}
-	b := make([]int16, n)
+	b := make([]int16, c)
 	w.usedI16 = append(w.usedI16, b)
-	return b
+	return b[:n]
 }
 
 // Reset reclaims every buffer handed out since the previous Reset. Any
 // slice or Matrix obtained earlier becomes invalid for reading or writing.
 func (w *Workspace) Reset() {
 	for _, b := range w.used {
-		w.free[len(b)] = append(w.free[len(b)], b)
+		w.free[cap(b)] = append(w.free[cap(b)], b)
 	}
 	w.used = w.used[:0]
 	for _, b := range w.usedI8 {
-		w.freeI8[len(b)] = append(w.freeI8[len(b)], b)
+		w.freeI8[cap(b)] = append(w.freeI8[cap(b)], b)
 	}
 	w.usedI8 = w.usedI8[:0]
 	for _, b := range w.usedI16 {
-		w.freeI16[len(b)] = append(w.freeI16[len(b)], b)
+		w.freeI16[cap(b)] = append(w.freeI16[cap(b)], b)
 	}
 	w.usedI16 = w.usedI16[:0]
 }
