@@ -13,13 +13,19 @@ GO ?= go
 # page store backs concurrent publish/checkpoint traffic.
 RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/sherlock/... ./internal/baselines/... ./internal/cache/... ./internal/pipeline/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
 
-.PHONY: build vet test race race-all bench-check fuzz ci bench bench-fleet bench-cache bench-pipeline bench-gate bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
+.PHONY: build vet vet-arm64 test race race-all bench-check fuzz ci bench bench-fleet bench-cache bench-pipeline bench-gate bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# vet-arm64 type-checks the packages that sit on the assembly kernels for a
+# platform that has none, so a symbol defined only in *_amd64.go (or used
+# only by a test) cannot break the pure-Go fallback unnoticed.
+vet-arm64:
+	GOARCH=arm64 $(GO) vet ./internal/tensor/... ./internal/nn/... ./internal/adtd/...
 
 test: build
 	$(GO) test ./...
@@ -69,7 +75,7 @@ registry-smoke:
 # ci is the gate a pull request must pass: vet, build, the full test suite,
 # the race detector over every concurrent package, the benchmark module's
 # build and smoke test, and the serving smoke tests.
-ci: vet test race bench-check metrics-smoke fleet-smoke cache-smoke registry-smoke
+ci: vet vet-arm64 test race bench-check metrics-smoke fleet-smoke cache-smoke registry-smoke
 
 # race-all adds internal/core, whose fixture trains a model and needs a
 # far longer deadline under the race detector's ~10x slowdown.
@@ -119,11 +125,12 @@ bench-gate:
 
 # bench-smoke compiles and runs every benchmark exactly once — no timing
 # value, but it keeps the benchmark code from rotting between full runs.
-# The second pass repeats one quantized pair so the int8 kernels are
-# exercised even where the default run skips them.
+# The second pass repeats the kernel pairs (fp64 assembly against the Go
+# kernels, and the int8 ones) so they are exercised by name even where the
+# default run skips them.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-	$(GO) test -run='^$$' -bench='BenchmarkQuantAttentionCore128$$|BenchmarkLinearQuantInto128x64x192$$' -benchtime=1x ./internal/tensor/
+	$(GO) test -run='^$$' -bench='BenchmarkLinearInto$$|BenchmarkFusedAttentionCore128$$|BenchmarkQuantAttentionCore128$$|BenchmarkLinearQuantInto128x64x192$$' -benchtime=1x ./internal/tensor/
 
 clean:
 	$(GO) clean ./...

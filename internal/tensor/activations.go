@@ -104,13 +104,13 @@ func LayerNorm(a, gamma, beta *Tensor, eps float64) *Tensor {
 		vsum := 0.0
 		for _, v := range arow {
 			d := v - m
-			vsum += d * d
+			vsum += float64(d * d) // rounded before the add on every build, as FusedAddLayerNormInto does
 		}
 		inv := 1 / math.Sqrt(vsum/n+eps)
 		means[i], invStds[i] = m, inv
 		orow := out.Row(i)
 		for j, v := range arow {
-			orow[j] = (v-m)*inv*gamma.Data[j] + beta.Data[j]
+			orow[j] = float64((v-m)*inv*gamma.Data[j]) + beta.Data[j]
 		}
 	}
 	if out.requiresGrad {

@@ -82,6 +82,56 @@ func BenchmarkBackwardSmallGraph(b *testing.B) {
 	}
 }
 
+// benchKernels runs body as one sub-benchmark per kernel choice ("asm",
+// "generic").
+func benchKernels(b *testing.B, body func(b *testing.B)) {
+	for _, kc := range kernelChoices {
+		b.Run(kc.name, func(b *testing.B) {
+			if kc.asm && !haveAVX2 {
+				b.Skip("no AVX2 on this machine")
+			}
+			withAVX2(b, kc.asm, func() { body(b) })
+		})
+	}
+}
+
+// BenchmarkLinearInto times dst = x·W + bias at the repro config's shapes
+// (the packed QKV projection, the feed-forward up-projection, and QKV for a
+// merged batch of eight chunks) and at the paper config's QKV projection.
+func BenchmarkLinearInto(b *testing.B) {
+	for _, sh := range [][3]int{{128, 64, 192}, {128, 64, 128}, {1024, 64, 192}, {128, 312, 936}} {
+		rows, in, out := sh[0], sh[1], sh[2]
+		b.Run(fmt.Sprintf("%dx%dx%d", rows, in, out), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x, w := benchTensor(rng, rows, in).Data, benchTensor(rng, in, out).Data
+			bias, dst := make([]float64, out), make([]float64, rows*out)
+			benchKernels(b, func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					LinearInto(dst, x, rows, in, w, out, 0, out, bias)
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkFusedAttentionCore128 times the fp64 attention core on 128-token
+// self-attention at the repro scale (4 heads of 16), every key visible.
+func BenchmarkFusedAttentionCore128(b *testing.B) {
+	ws, qp, sh, dst := attnBenchSetup(rand.New(rand.NewSource(1)))
+	benchKernels(b, func(b *testing.B) {
+		FusedAttentionCore(ws, dst, qp, qp, sh, nil)
+		ws.Reset()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			FusedAttentionCore(ws, dst, qp, qp, sh, nil)
+			ws.Reset()
+		}
+	})
+}
+
 // BenchmarkMatMul measures the sharded kernel across sizes and worker
 // counts; the par1/parN pairs quantify the parallel speedup (or, on a
 // single-core box, the sharding overhead).

@@ -67,16 +67,19 @@ func allocDataDirty(n int) ([]float64, bool) {
 	return make([]float64, n, 1<<c), true
 }
 
-// axpy4 computes y += a0*x0 + a1*x1 + a2*x2 + a3*x3 elementwise. Go's
-// float64 addition is left-associative and unfused (no FMA contraction), so
-// each element sees exactly the same rounding sequence as four successive
-// axpy calls — which is what keeps the register-blocked kernels bit-exact
-// against the one-rank-at-a-time reference.
+// axpy4 computes y += a0*x0 + a1*x1 + a2*x2 + a3*x3 elementwise: one
+// left-associative chain per element, each product rounded before it is
+// added. The explicit float64 conversions are what guarantee that — the Go
+// spec lets a compiler fuse x*y+z into one rounding (arm64, ppc64, s390x and
+// riscv64 do; amd64 does not) unless the product is explicitly converted —
+// so every build sees the rounding sequence of four successive axpy calls,
+// which keeps the register-blocked kernels bit-exact against the
+// one-rank-at-a-time reference and the Go kernels against the assembly.
 func axpy4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
 	n := len(y)
 	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
 	for j := 0; j < n; j++ {
-		y[j] = y[j] + a0*x0[j] + a1*x1[j] + a2*x2[j] + a3*x3[j]
+		y[j] = y[j] + float64(a0*x0[j]) + float64(a1*x1[j]) + float64(a2*x2[j]) + float64(a3*x3[j])
 	}
 }
 
@@ -88,18 +91,25 @@ func axpy8(a0, a1, a2, a3, a4, a5, a6, a7 float64, x0, x1, x2, x3, x4, x5, x6, x
 	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
 	x4, x5, x6, x7 = x4[:n], x5[:n], x6[:n], x7[:n]
 	for j := 0; j < n; j++ {
-		y[j] = y[j] + a0*x0[j] + a1*x1[j] + a2*x2[j] + a3*x3[j] + a4*x4[j] + a5*x5[j] + a6*x6[j] + a7*x7[j]
+		y[j] = y[j] + float64(a0*x0[j]) + float64(a1*x1[j]) + float64(a2*x2[j]) + float64(a3*x3[j]) +
+			float64(a4*x4[j]) + float64(a5*x5[j]) + float64(a6*x6[j]) + float64(a7*x7[j])
 	}
 }
 
-// mulRowRange computes out[lo:hi) rows of A(m×k) × B, where B's rows have
-// stride bstride and the product reads B columns [c0, c0+n). When zero is
-// set the output rows are cleared first (out =), otherwise accumulated
-// (out +=). Ranks with a zero A coefficient are skipped — exactly as the
-// scalar kernel does — because adding a +0.0 term is not a bitwise no-op
-// for -0.0 outputs; a rank block containing any zero falls back to the
+// mulRowRange (per platform: the AVX2 row kernel when the CPU has it, else
+// mulRowRangeGeneric) computes out[lo:hi) rows of A(m×k) × B, where B's rows
+// have stride bstride and the product reads B columns [c0, c0+n). When zero
+// is set the output rows are cleared first (out =), otherwise accumulated
+// (out +=). Each output element is one chain over the k ranks in ascending
+// order. Ranks with a zero A coefficient are skipped — exactly as the scalar
+// kernel does — because adding a +0.0 term is not a bitwise no-op for -0.0
+// outputs.
+//
+// mulRowRangeGeneric is the Go implementation and the reference the assembly
+// is tested against: ranks are register-blocked eight and four at a time
+// (axpy8/axpy4), and a rank block containing any zero falls back to the
 // scalar order for those ranks.
-func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool) {
+func mulRowRangeGeneric(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool) {
 	for i := lo; i < hi; i++ {
 		orow := out[i*n : (i+1)*n]
 		if zero {
@@ -164,13 +174,14 @@ func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool) 
 // AddRowVector(MatMul(x, W'), b') on the corresponding column slice.
 func LinearInto(dst, x []float64, rows, in int, w []float64, wcols, c0, c1 int, bias []float64) {
 	n := c1 - c0
-	parallelRows(rows, in*n, func(lo, hi int) {
+	parallelRows(rows, mulRowCost(in, n), func(lo, hi int) {
 		mulRowRange(dst, x, w, lo, hi, in, n, wcols, c0, true)
 		if bias != nil {
+			brow := bias[c0:c1]
 			for i := lo; i < hi; i++ {
 				drow := dst[i*n : (i+1)*n]
-				for j := range drow {
-					drow[j] += bias[c0+j]
+				for j, bv := range brow {
+					drow[j] += bv
 				}
 			}
 		}
@@ -305,11 +316,7 @@ func FusedAttentionCore(ws *Workspace, dst, qp, kvp []float64, sh AttnShape, spa
 				drow := dst[i*hd+h*sh.HeadDim : i*hd+(h+1)*sh.HeadDim]
 				maxv := math.Inf(-1)
 				for _, kr := range vis[:nv] {
-					if sh.HeadDim == 16 {
-						maxv = scoreRow16(srow, qrow, kvp, kOff, sh.KVStride, kr[0], kr[1], sh.Scale, maxv)
-					} else {
-						maxv = scoreRowGeneric(srow, qrow, kvp, kOff, sh.KVStride, kr[0], kr[1], sh.HeadDim, sh.Scale, maxv)
-					}
+					maxv = scoreRow(srow, qrow, kvp, kOff, sh.KVStride, kr[0], kr[1], sh.HeadDim, sh.Scale, maxv)
 				}
 				sum := 0.0
 				if !math.IsInf(maxv, -1) {
@@ -348,22 +355,33 @@ func FusedAttentionCore(ws *Workspace, dst, qp, kvp []float64, sh AttnShape, spa
 	}
 }
 
-// scoreRowGeneric fills srow[lo:hi) with the scaled q·k scores of one query
-// row against keys [lo, hi) and returns the running row max, seeded with
-// maxv. The dot uses the same 4-partial accumulation as dot().
+// scoreRow (per platform: the AVX2 kernel when the CPU has it, else
+// scoreRowGo) fills srow[lo:hi) with the scaled q·k scores of one query row
+// against keys [lo, hi) and returns the running row max, seeded with maxv.
+// scoreRowGo is the Go implementation the assembly is tested against.
+func scoreRowGo(srow, qrow, kvp []float64, kOff, stride, lo, hi, headDim int, scale, maxv float64) float64 {
+	if headDim == 16 {
+		return scoreRow16(srow, qrow, kvp, kOff, stride, lo, hi, scale, maxv)
+	}
+	return scoreRowGeneric(srow, qrow, kvp, kOff, stride, lo, hi, headDim, scale, maxv)
+}
+
+// scoreRowGeneric is scoreRow for any head width. The dot uses the same
+// 4-partial accumulation as dot(), products rounded before they are added
+// (see axpy4).
 func scoreRowGeneric(srow, qrow, kvp []float64, kOff, stride, lo, hi, headDim int, scale, maxv float64) float64 {
 	for j := lo; j < hi; j++ {
 		krow := kvp[j*stride+kOff : j*stride+kOff+headDim]
 		var s0, s1, s2, s3 float64
 		d := 0
 		for ; d+4 <= headDim; d += 4 {
-			s0 += qrow[d] * krow[d]
-			s1 += qrow[d+1] * krow[d+1]
-			s2 += qrow[d+2] * krow[d+2]
-			s3 += qrow[d+3] * krow[d+3]
+			s0 += float64(qrow[d] * krow[d])
+			s1 += float64(qrow[d+1] * krow[d+1])
+			s2 += float64(qrow[d+2] * krow[d+2])
+			s3 += float64(qrow[d+3] * krow[d+3])
 		}
 		for ; d < headDim; d++ {
-			s0 += qrow[d] * krow[d]
+			s0 += float64(qrow[d] * krow[d])
 		}
 		v := (s0 + s1 + s2 + s3) * scale
 		srow[j] = v
@@ -389,10 +407,10 @@ func scoreRow16(srow, qrow, kvp []float64, kOff, stride, lo, hi int, scale, maxv
 	for j := lo; j < hi; j++ {
 		base := j*stride + kOff
 		k := kvp[base : base+16 : base+16]
-		s0 := q0*k[0] + q4*k[4] + q8*k[8] + q12*k[12]
-		s1 := q1*k[1] + q5*k[5] + q9*k[9] + q13*k[13]
-		s2 := q2*k[2] + q6*k[6] + q10*k[10] + q14*k[14]
-		s3 := q3*k[3] + q7*k[7] + q11*k[11] + q15*k[15]
+		s0 := float64(q0*k[0]) + float64(q4*k[4]) + float64(q8*k[8]) + float64(q12*k[12])
+		s1 := float64(q1*k[1]) + float64(q5*k[5]) + float64(q9*k[9]) + float64(q13*k[13])
+		s2 := float64(q2*k[2]) + float64(q6*k[6]) + float64(q10*k[10]) + float64(q14*k[14])
+		s3 := float64(q3*k[3]) + float64(q7*k[7]) + float64(q11*k[11]) + float64(q15*k[15])
 		v := (s0 + s1 + s2 + s3) * scale
 		srow[j] = v
 		if v > maxv {
@@ -405,20 +423,54 @@ func scoreRow16(srow, qrow, kvp []float64, kOff, stride, lo, hi int, scale, maxv
 // FusedAddLayerNormInto computes dst = LayerNorm(a + b) rowwise, with b nil
 // meaning plain LayerNorm(a). dst may alias a or b. Bit-exact against
 // LayerNorm(Add(a, b), gamma, beta, eps).
+//
+// A row's mean and variance are each one serial chain of additions, bound by
+// the add latency, not its throughput; rows are independent, so four rows'
+// chains are interleaved in one loop and overlap in the pipeline. Each chain
+// still adds its own row's elements in column order.
 func FusedAddLayerNormInto(dst, a, b, gamma, beta []float64, rows, cols int, eps float64) {
 	n := float64(cols)
 	for i := 0; i < rows; i++ {
-		arow := a[i*cols : (i+1)*cols]
 		drow := dst[i*cols : (i+1)*cols]
-		var brow []float64
+		arow := a[i*cols : (i+1)*cols]
 		if b != nil {
-			brow = b[i*cols : (i+1)*cols]
+			brow := b[i*cols : (i+1)*cols]
 			for j, v := range arow {
 				drow[j] = v + brow[j]
 			}
 		} else if &drow[0] != &arow[0] {
 			copy(drow, arow)
 		}
+	}
+	i := 0
+	for ; i+4 <= rows; i += 4 {
+		d0 := dst[i*cols : (i+1)*cols]
+		d1 := dst[(i+1)*cols : (i+2)*cols]
+		d2 := dst[(i+2)*cols : (i+3)*cols]
+		d3 := dst[(i+3)*cols : (i+4)*cols]
+		var m0, m1, m2, m3 float64
+		for j, v := range d0 {
+			m0 += v
+			m1 += d1[j]
+			m2 += d2[j]
+			m3 += d3[j]
+		}
+		m0, m1, m2, m3 = m0/n, m1/n, m2/n, m3/n
+		var v0, v1, v2, v3 float64
+		for j, v := range d0 {
+			e0, e1, e2, e3 := v-m0, d1[j]-m1, d2[j]-m2, d3[j]-m3
+			v0 += float64(e0 * e0)
+			v1 += float64(e1 * e1)
+			v2 += float64(e2 * e2)
+			v3 += float64(e3 * e3)
+		}
+		normalizeRow(d0, m0, 1/math.Sqrt(v0/n+eps), gamma, beta)
+		normalizeRow(d1, m1, 1/math.Sqrt(v1/n+eps), gamma, beta)
+		normalizeRow(d2, m2, 1/math.Sqrt(v2/n+eps), gamma, beta)
+		normalizeRow(d3, m3, 1/math.Sqrt(v3/n+eps), gamma, beta)
+	}
+	for ; i < rows; i++ {
+		drow := dst[i*cols : (i+1)*cols]
 		m := 0.0
 		for _, v := range drow {
 			m += v
@@ -427,12 +479,17 @@ func FusedAddLayerNormInto(dst, a, b, gamma, beta []float64, rows, cols int, eps
 		vsum := 0.0
 		for _, v := range drow {
 			d := v - m
-			vsum += d * d
+			vsum += float64(d * d)
 		}
-		inv := 1 / math.Sqrt(vsum/n+eps)
-		for j, v := range drow {
-			drow[j] = (v-m)*inv*gamma[j] + beta[j]
-		}
+		normalizeRow(drow, m, 1/math.Sqrt(vsum/n+eps), gamma, beta)
+	}
+}
+
+// normalizeRow is LayerNorm's last pass over one row whose mean and inverse
+// standard deviation are known.
+func normalizeRow(row []float64, m, inv float64, gamma, beta []float64) {
+	for j, v := range row {
+		row[j] = float64((v-m)*inv*gamma[j]) + beta[j]
 	}
 }
 

@@ -64,9 +64,14 @@ func requireBitEqual(t *testing.T, name string, got []float64, want *Tensor) {
 
 // The span-walking core must reproduce the dense-mask composed ops bit for
 // bit: random span structures at the specialized (16) and generic (12) head
-// widths, rows that see nothing, and weights that underflow to exact zeros
-// inside a visible range.
+// widths and the paper's (26, a remainder of 2), rows that see nothing, and
+// weights that underflow to exact zeros inside a visible range. Both sides
+// run on the selected kernels, so the pair holds on the assembly and on Go.
 func TestFusedAttentionCoreSpansBitExact(t *testing.T) {
+	eachKernel(t, testFusedAttentionCoreSpansBitExact)
+}
+
+func testFusedAttentionCoreSpansBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ws := NewWorkspace()
 	for _, tc := range []struct {
@@ -78,6 +83,7 @@ func TestFusedAttentionCoreSpansBitExact(t *testing.T) {
 		{"block-16", 40, 104, 4, 16, func() []AttnSpan { return blockSpans(40, 104, 24, 8) }},
 		{"random-16", 57, 91, 4, 16, func() []AttnSpan { return randSpans(rng, 57, 91) }},
 		{"random-12", 23, 45, 3, 12, func() []AttnSpan { return randSpans(rng, 23, 45) }},
+		{"random-26", 19, 37, 2, 26, func() []AttnSpan { return randSpans(rng, 19, 37) }},
 	} {
 		for round := 0; round < 4; round++ {
 			proj, sh := buildAttnInputs(rng, tc.lq, tc.lkv, tc.heads, tc.headDim)
@@ -95,6 +101,10 @@ func TestFusedAttentionCoreSpansBitExact(t *testing.T) {
 }
 
 func TestFusedAttentionCoreEmptySpanAndUnderflow(t *testing.T) {
+	eachKernel(t, testFusedAttentionCoreEmptySpanAndUnderflow)
+}
+
+func testFusedAttentionCoreEmptySpanAndUnderflow(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	ws := NewWorkspace()
 	proj, sh := buildAttnInputs(rng, 6, 20, 2, 16)

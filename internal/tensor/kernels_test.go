@@ -1,0 +1,380 @@
+package tensor
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// withAVX2 forces the asm/generic kernel choice for the duration of f.
+// Serial tests only (haveAVX2 is package state).
+func withAVX2(t testing.TB, on bool, f func()) {
+	t.Helper()
+	old := haveAVX2
+	haveAVX2 = on
+	defer func() { haveAVX2 = old }()
+	f()
+}
+
+// kernelChoices names the two implementations every kernel test and
+// benchmark runs: the assembly (skipped where the CPU lacks AVX2) and the Go
+// kernels.
+var kernelChoices = []struct {
+	name string
+	asm  bool
+}{{"asm", true}, {"generic", false}}
+
+// eachKernel runs f as one subtest per kernel choice, so one body checks
+// both implementations.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, kc := range kernelChoices {
+		t.Run(kc.name, func(t *testing.T) {
+			if kc.asm && !haveAVX2 {
+				t.Skip("no AVX2 on this machine")
+			}
+			withAVX2(t, kc.asm, func() { f(t) })
+		})
+	}
+}
+
+// The values arithmetic treats specially: both zeros (the zero-skip and the
+// sign of an all-zero chain), infinities and NaN (Inf·0, Inf−Inf, a NaN
+// coefficient is not a zero), and subnormals (gradual underflow in the
+// product and in the sum).
+var kernelSpecials = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040, -0x1p-1030,
+	math.MaxFloat64, 0x1p-600,
+}
+
+// fillKernelInput draws s from a normal distribution and overwrites about
+// one element in `every` with a special (every <= 0: none).
+func fillKernelInput(rng *rand.Rand, s []float64, every int) {
+	for i := range s {
+		s[i] = rng.NormFloat64()
+		if every > 0 && rng.Intn(every) == 0 {
+			s[i] = kernelSpecials[rng.Intn(len(kernelSpecials))]
+		}
+	}
+}
+
+// firstBitDiff returns the first index where got and want differ in their
+// bits, or -1. Any NaN equals any NaN: which of two NaN operands' payloads
+// an x86 add or multiply forwards depends on operand order, which neither
+// the Go compiler nor the spec pins down, and nothing downstream reads a
+// payload.
+func firstBitDiff(got, want []float64) int {
+	for i, w := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(w) && !(math.IsNaN(got[i]) && math.IsNaN(w)) {
+			return i
+		}
+	}
+	return -1
+}
+
+// mulRowRangeRef is the specification of mulRowRange, one output element at
+// a time: start from +0.0 or from out, walk the ranks in ascending order,
+// skip a coefficient that equals zero, round each product before adding it.
+func mulRowRangeRef(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool) {
+	for i := lo; i < hi; i++ {
+		for j := 0; j < n; j++ {
+			acc := out[i*n+j]
+			if zero {
+				acc = 0
+			}
+			for p := 0; p < k; p++ {
+				if av := a[i*k+p]; av != 0 {
+					acc += float64(av * b[p*bstride+c0+j])
+				}
+			}
+			out[i*n+j] = acc
+		}
+	}
+}
+
+// mulCase is one mulRowRange call; checkMulRowRange runs it through the
+// reference, the Go kernel and (where present) the assembly.
+type mulCase struct {
+	m, lo, k, n, c0, pad int // rows [lo, m) of an m×k A; bstride = c0+n+pad
+	zero                 bool
+	specials             int // fillKernelInput's `every`
+}
+
+type mulBufs struct{ out, a, b *guardBuf }
+
+func newMulBufs(t testing.TB, maxDim int) mulBufs {
+	return mulBufs{
+		out: newGuardBuf(t, maxDim*maxDim),
+		a:   newGuardBuf(t, maxDim*maxDim),
+		b:   newGuardBuf(t, maxDim*(2*maxDim+16)),
+	}
+}
+
+// checkMulRowRange places every operand so that it ends at a guard page
+// (hi == m, and B holds exactly (k-1)·bstride+c0+n elements), so a kernel
+// that touches memory past n columns or k ranks faults.
+func checkMulRowRange(t testing.TB, bufs mulBufs, rng *rand.Rand, c mulCase) {
+	t.Helper()
+	bstride := c.c0 + c.n + c.pad
+	a := bufs.a.tail(c.m * c.k)
+	b := bufs.b.tail((c.k-1)*bstride + c.c0 + c.n)
+	out0 := make([]float64, c.m*c.n)
+	fillKernelInput(rng, a, c.specials)
+	fillKernelInput(rng, b, c.specials)
+	fillKernelInput(rng, out0, c.specials)
+
+	want := append([]float64(nil), out0...)
+	mulRowRangeRef(want, a, b, c.lo, c.m, c.k, c.n, bstride, c.c0, c.zero)
+	for _, asm := range []bool{true, false} {
+		if asm && !haveAVX2 {
+			continue
+		}
+		got := bufs.out.tail(c.m * c.n)
+		copy(got, out0)
+		withAVX2(t, asm, func() {
+			mulRowRange(got, a, b, c.lo, c.m, c.k, c.n, bstride, c.c0, c.zero)
+		})
+		if i := firstBitDiff(got, want); i >= 0 {
+			t.Fatalf("%+v asm=%v: out[%d] (row %d, col %d) = %v (%#x), reference %v (%#x)",
+				c, asm, i, i/c.n, i%c.n, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// Property: the assembly row kernel and the blocked Go kernel both equal the
+// one-element-at-a-time reference in every bit, over random shapes that mix
+// all tile widths with a masked tail, column offsets into a wider B, both
+// accumulation modes, and planted zeros, −0.0, ±Inf, NaN and subnormals.
+func TestMulRowRangeBitExact(t *testing.T) {
+	const maxDim = 70
+	bufs := newMulBufs(t, maxDim)
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 600; trial++ {
+		m := 1 + rng.Intn(maxDim)
+		c := mulCase{
+			m: m, lo: rng.Intn(m), k: 1 + rng.Intn(maxDim), n: 1 + rng.Intn(maxDim),
+			c0: rng.Intn(maxDim), pad: rng.Intn(9), zero: rng.Intn(2) == 0,
+		}
+		switch trial % 3 { // clean, sprinkled, saturated with specials
+		case 1:
+			c.specials = 12
+		case 2:
+			c.specials = 2
+		}
+		checkMulRowRange(t, bufs, rng, c)
+	}
+}
+
+// The shapes the models run: the paper config's Hidden=312 and HeadDim=26,
+// the repro config's 64/192/16, and one-row weights×V products.
+func TestMulRowRangeModelShapes(t *testing.T) {
+	bufs := newMulBufs(t, 320)
+	rng := rand.New(rand.NewSource(32))
+	for _, c := range []mulCase{
+		{m: 3, k: 312, n: 312, specials: 40},
+		{m: 2, k: 64, n: 192, zero: true},
+		{m: 5, k: 64, n: 64, c0: 128, zero: true, specials: 40},
+		{m: 1, k: 97, n: 26, c0: 52, pad: 26, zero: true, specials: 9},
+		{m: 1, k: 128, n: 16, c0: 144, pad: 32, specials: 9},
+		{m: 4, lo: 3, k: 1, n: 1},
+	} {
+		checkMulRowRange(t, bufs, rng, c)
+	}
+}
+
+func FuzzMulRowRange(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), true, uint8(0))
+	f.Add(int64(2), uint8(6), uint8(63), uint8(62), uint8(5), uint8(3), false, uint8(2))
+	f.Add(int64(3), uint8(1), uint8(8), uint8(35), uint8(0), uint8(0), true, uint8(12))
+	f.Add(int64(4), uint8(69), uint8(69), uint8(69), uint8(69), uint8(8), false, uint8(5))
+	f.Add(int64(5), uint8(2), uint8(17), uint8(2), uint8(40), uint8(1), true, uint8(1))
+	const maxDim = 70
+	bufs := newMulBufs(f, maxDim)
+	f.Fuzz(func(t *testing.T, seed int64, m, k, n, c0, pad uint8, zero bool, specials uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		rows := 1 + int(m)%maxDim
+		checkMulRowRange(t, bufs, rng, mulCase{
+			m: rows, lo: rng.Intn(rows), k: 1 + int(k)%maxDim, n: 1 + int(n)%maxDim,
+			c0: int(c0) % maxDim, pad: int(pad) % 9, zero: zero, specials: int(specials) % 16,
+		})
+	})
+}
+
+// Property: the assembly score kernel equals the Go loops in every bit —
+// scores and the returned running max — at the specialised width (16), the
+// paper's (26, a remainder of 2), widths below and not a multiple of four,
+// over key ranges that start past zero, strides wider than the head, seeded
+// maxima of every kind, and specials that make some scores NaN or ±Inf.
+func TestScoreRowBitExact(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no AVX2 on this machine")
+	}
+	const maxKeys = 40
+	srowBuf := newGuardBuf(t, maxKeys)
+	qBuf := newGuardBuf(t, 64)
+	kvBuf := newGuardBuf(t, maxKeys*(3*64+8))
+	rng := rand.New(rand.NewSource(33))
+	seeds := []float64{math.Inf(-1), math.Inf(-1), -3.5, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1)}
+	nanScores := 0
+	for trial := 0; trial < 700; trial++ {
+		hd := []int{16, 26, 1, 2, 3, 4, 7, 12, 33}[trial%9]
+		hi := 1 + rng.Intn(maxKeys)
+		lo := rng.Intn(hi)
+		kOff := rng.Intn(2 * hd)
+		stride := kOff + hd + rng.Intn(9)
+		scale := 1 / math.Sqrt(float64(hd))
+		maxv := seeds[rng.Intn(len(seeds))]
+
+		q := qBuf.tail(hd)
+		kvp := kvBuf.tail((hi-1)*stride + kOff + hd)
+		every := []int{0, 30, 3}[trial%3]
+		fillKernelInput(rng, q, every)
+		fillKernelInput(rng, kvp, every)
+		if trial%5 == 0 { // one key row that is certainly a NaN score
+			kvp[lo*stride+kOff+rng.Intn(hd)] = math.NaN()
+		}
+
+		want := make([]float64, hi)
+		wantMax := scoreRowGo(want, q, kvp, kOff, stride, lo, hi, hd, scale, maxv)
+		got := srowBuf.tail(hi)
+		for i := range got {
+			got[i] = 0
+		}
+		gotMax := scoreRow(got, q, kvp, kOff, stride, lo, hi, hd, scale, maxv)
+		if i := firstBitDiff(got, want); i >= 0 {
+			t.Fatalf("hd=%d keys [%d,%d) kOff=%d stride=%d: score[%d] = %v (%#x), Go kernel %v (%#x)",
+				hd, lo, hi, kOff, stride, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+		if firstBitDiff([]float64{gotMax}, []float64{wantMax}) >= 0 {
+			t.Fatalf("hd=%d keys [%d,%d) seed %v: max = %v (%#x), Go kernel %v (%#x)",
+				hd, lo, hi, maxv, gotMax, math.Float64bits(gotMax), wantMax, math.Float64bits(wantMax))
+		}
+		for _, v := range want[lo:hi] {
+			if math.IsNaN(v) {
+				nanScores++
+			}
+		}
+	}
+	if nanScores == 0 {
+		t.Fatal("no NaN score was produced: the NaN-never-replaces-max rule is not exercised")
+	}
+}
+
+// A NaN score is stored but never becomes the running max, whichever
+// kernel runs: Go's `v > maxv` is false for NaN.
+func TestScoreRowNaNNeverReplacesMax(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		for _, hd := range []int{16, 26, 6} {
+			q := make([]float64, hd)
+			kvp := make([]float64, 3*hd)
+			for i := range q {
+				q[i] = 1
+			}
+			kvp[0], kvp[hd] = 2, math.NaN() // key 0 scores 2·scale, key 1 NaN, key 2 zero
+			srow := make([]float64, 3)
+			maxv := scoreRow(srow, q, kvp, 0, hd, 0, 3, hd, 0.5, math.Inf(-1))
+			if maxv != 1 || srow[0] != 1 || !math.IsNaN(srow[1]) || srow[2] != 0 {
+				t.Fatalf("hd=%d: scores %v max %v, want [1 NaN 0] max 1", hd, srow, maxv)
+			}
+		}
+	})
+}
+
+// fmaTriple returns a, x, y with a·x + y exactly 0 when the product is
+// rounded first and 2⁻⁶⁰ under a fused multiply-add.
+func fmaTriple(t *testing.T) (a, x, y float64) {
+	a = 1 + 0x1p-30
+	x = a
+	y = -float64(a * x)
+	if fused, unfused := math.FMA(a, x, y), float64(a*x)+y; fused == unfused || unfused != 0 {
+		t.Fatalf("triple does not separate fused (%g) from unfused (%g)", fused, unfused)
+	}
+	return a, x, y
+}
+
+// No kernel may contract a product and a sum into one rounding: the
+// assembly issues VMULPD then VADDPD, and the Go kernels convert every
+// product explicitly so that compilers which fuse x*y+z (arm64, ppc64,
+// s390x, riscv64) may not. Each rank position of each blocking (scalar
+// axpy, axpy4, axpy8 and their mixes) carries the discriminating product
+// once, surrounded by ranks that add +0.0.
+func TestNoFMAContraction(t *testing.T) {
+	a, x, y := fmaTriple(t)
+	eachKernel(t, func(t *testing.T) {
+		for _, k := range []int{1, 3, 4, 8, 13} {
+			for pos := 0; pos < k; pos++ {
+				for _, n := range []int{1, 4, 37} {
+					arow := make([]float64, k)
+					b := make([]float64, k*n)
+					out := make([]float64, n)
+					for p := range arow {
+						arow[p] = 1 // times a +0.0 row of b: adds nothing, fused or not
+					}
+					arow[pos] = a
+					for j := 0; j < n; j++ {
+						b[pos*n+j] = x
+						out[j] = y
+					}
+					mulRowRange(out, arow, b, 0, 1, k, n, n, 0, false)
+					for j, v := range out {
+						if v != 0 {
+							t.Fatalf("k=%d pos=%d n=%d: out[%d] = %g, want 0 (a fused multiply-add leaves 2^-60)", k, pos, n, j, v)
+						}
+					}
+				}
+			}
+		}
+		// Score kernels: lane 0 holds y after its first product and a·x
+		// arrives as its second.
+		for _, hd := range []int{16, 8, 26} {
+			q := make([]float64, hd)
+			krow := make([]float64, hd)
+			q[0], krow[0] = 1, y
+			q[4], krow[4] = a, x
+			srow := make([]float64, 1)
+			scoreRow(srow, q, krow, 0, hd, 0, 1, hd, 1, math.Inf(-1))
+			if srow[0] != 0 {
+				t.Fatalf("scoreRow hd=%d: %g, want 0", hd, srow[0])
+			}
+		}
+	})
+	if got := dot([]float64{1, 0, 0, 0, a}, []float64{y, 0, 0, 0, x}); got != 0 {
+		t.Fatalf("dot: %g, want 0", got)
+	}
+}
+
+// The two callers above the kernels — a packed projection with a bias and
+// the attention core over random spans — produce the same bits whichever
+// kernels run, at the repro head width, the paper's, and an odd one.
+func TestLinearAndAttentionSameBitsOnBothKernels(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no AVX2 on this machine")
+	}
+	rng := rand.New(rand.NewSource(34))
+	ws := NewWorkspace()
+	for _, hd := range []int{16, 26, 5} {
+		const lq, heads = 29, 3
+		h := heads * hd
+		x := make([]float64, lq*h)
+		w := make([]float64, h*3*h)
+		bias := make([]float64, 3*h)
+		fillKernelInput(rng, x, 50) // the occasional exact zero coefficient
+		fillKernelInput(rng, w, 0)
+		fillKernelInput(rng, bias, 0)
+		sh := AttnShape{Lq: lq, Lkv: lq, Heads: heads, HeadDim: hd, QStride: 3 * h, KOff: h, VOff: 2 * h, KVStride: 3 * h, Scale: 1 / math.Sqrt(float64(hd))}
+		spans := randSpans(rng, lq, lq)
+		var outs [2][]float64
+		for i, asm := range []bool{true, false} {
+			proj := make([]float64, lq*3*h)
+			outs[i] = make([]float64, lq*h)
+			withAVX2(t, asm, func() {
+				LinearInto(proj, x, lq, h, w, 3*h, 0, 3*h, bias)
+				FusedAttentionCore(ws, outs[i], proj, proj, sh, spans)
+				ws.Reset()
+			})
+		}
+		if i := firstBitDiff(outs[0], outs[1]); i >= 0 {
+			t.Fatalf("head width %d: output[%d] = %v on the assembly, %v on the Go kernels", hd, i, outs[0][i], outs[1][i])
+		}
+	}
+}

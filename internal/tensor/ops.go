@@ -57,14 +57,14 @@ func MatMulNT(a, b *Tensor) *Tensor {
 // accumulation order is identical to the scalar one-rank-at-a-time kernel,
 // so results are bit-exact regardless of parallelism or blocking.
 func matmulInto(out, a, b []float64, m, k, n int) {
-	parallelRows(m, k*n, func(lo, hi int) {
+	parallelRows(m, mulRowCost(k, n), func(lo, hi int) {
 		mulRowRange(out, a, b, lo, hi, k, n, n, 0, true)
 	})
 }
 
 // matmulAccInto computes out += A(m×k) × B(k×n), row-sharded like matmulInto.
 func matmulAccInto(out, a, b []float64, m, k, n int) {
-	parallelRows(m, k*n, func(lo, hi int) {
+	parallelRows(m, mulRowCost(k, n), func(lo, hi int) {
 		mulRowRange(out, a, b, lo, hi, k, n, n, 0, false)
 	})
 }
@@ -102,38 +102,40 @@ func matmulNTInto(out, a, b []float64, m, k, n int, accumulate bool) {
 }
 
 // dot computes the inner product of equal-length slices with 4-way
-// unrolling; this kernel dominates attention-score computation.
+// unrolling; this kernel dominates attention-score computation. Products
+// are rounded before they are added on every build (see axpy4).
 func dot(a, b []float64) float64 {
 	var s0, s1, s2, s3 float64
 	n := len(a)
 	b = b[:n]
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += float64(a[i] * b[i])
+		s1 += float64(a[i+1] * b[i+1])
+		s2 += float64(a[i+2] * b[i+2])
+		s3 += float64(a[i+3] * b[i+3])
 	}
 	for ; i < n; i++ {
-		s0 += a[i] * b[i]
+		s0 += float64(a[i] * b[i])
 	}
 	return s0 + s1 + s2 + s3
 }
 
 // axpy computes y += alpha * x with 4-way unrolling; this kernel dominates
-// the remaining matmul variants.
+// the remaining matmul variants. Products are rounded before they are added
+// on every build (see axpy4).
 func axpy(alpha float64, x, y []float64) {
 	n := len(y)
 	x = x[:n]
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
+		y[i] += float64(alpha * x[i])
+		y[i+1] += float64(alpha * x[i+1])
+		y[i+2] += float64(alpha * x[i+2])
+		y[i+3] += float64(alpha * x[i+3])
 	}
 	for ; i < n; i++ {
-		y[i] += alpha * x[i]
+		y[i] += float64(alpha * x[i])
 	}
 }
 

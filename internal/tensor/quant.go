@@ -36,7 +36,7 @@ func QuantizeEnabled() bool { return quantizeOn.Load() }
 // this machine (amd64 with AVX2). When false, requesting quantization is a
 // silent no-op: the fp64 fast path runs instead, because scalar int8
 // arithmetic is slower than the fp64 kernels.
-func QuantizeAvailable() bool { return haveQuantKernels }
+func QuantizeAvailable() bool { return haveAVX2 }
 
 const (
 	// quantLane is the int8 dot kernels' step: row lengths are zero-padded

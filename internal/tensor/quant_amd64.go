@@ -14,39 +14,8 @@ func dotQuadWAsm(x *int16, w *int8, stride, n int, sums *[4]int32)
 //go:noescape
 func expGridAsm(s *float64, n int, maxv float64, pq *int16) int64
 
-//go:noescape
-func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-//go:noescape
-func xgetbvAsm() (eax, edx uint32)
-
-// haveQuantKernels gates selection of the quantized path: without AVX2 the
-// scalar int8 fallbacks are slower than the fp64 kernels, so quantization
-// stays off. Tests flip it to exercise the generic kernels.
-var haveQuantKernels = detectAVX2()
-
-// detectAVX2 reports AVX2 support with OS-enabled YMM state (OSXSAVE set
-// and XCR0 advertising XMM+YMM), the requirement for the VPMADDWD kernels.
-func detectAVX2() bool {
-	maxLeaf, _, _, _ := cpuidAsm(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, _, c, _ := cpuidAsm(1, 0)
-	const osxsave = 1 << 27
-	if c&osxsave == 0 {
-		return false
-	}
-	xcr0, _ := xgetbvAsm()
-	if xcr0&0x6 != 0x6 {
-		return false
-	}
-	_, b, _, _ := cpuidAsm(7, 0)
-	return b&(1<<5) != 0 // AVX2
-}
-
 func dotQuad(x, w []int8, stride, n int, sums *[4]int32) {
-	if haveQuantKernels {
+	if haveAVX2 {
 		dotQuadAsm(&x[0], &w[0], stride, n, sums)
 		return
 	}
@@ -54,7 +23,7 @@ func dotQuad(x, w []int8, stride, n int, sums *[4]int32) {
 }
 
 func dotQuadW(x []int16, w []int8, stride, n int, sums *[4]int32) {
-	if haveQuantKernels {
+	if haveAVX2 {
 		dotQuadWAsm(&x[0], &w[0], stride, n, sums)
 		return
 	}
@@ -62,7 +31,7 @@ func dotQuadW(x []int16, w []int8, stride, n int, sums *[4]int32) {
 }
 
 func expGrid(s []float64, maxv float64, pq []int16) int {
-	if !haveQuantKernels || len(s) < 4 {
+	if !haveAVX2 || len(s) < 4 {
 		return expGridGeneric(s, maxv, pq)
 	}
 	n4 := len(s) &^ 3

@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// The kernel-level pairs below time one quantized kernel against its fp64
-// counterpart on the shapes the serving path actually runs (128-token
-// self-attention at the repro scale); the end-to-end ratios live in the nn
-// and adtd benchmarks.
+// The int8 kernels on the shapes the serving path actually runs (128-token
+// self-attention at the repro scale); their fp64 counterparts are
+// BenchmarkFusedAttentionCore128 and BenchmarkLinearInto/128x64x192 in
+// bench_test.go, and the end-to-end ratios live in the nn and adtd
+// benchmarks.
 
 func attnBenchSetup(rng *rand.Rand) (ws *Workspace, qp []float64, sh AttnShape, dst []float64) {
 	h := 64
@@ -20,18 +21,6 @@ func attnBenchSetup(rng *rand.Rand) (ws *Workspace, qp []float64, sh AttnShape, 
 	dst = make([]float64, 128*h)
 	ws = NewWorkspace()
 	return
-}
-
-func BenchmarkFusedAttentionCore128(b *testing.B) {
-	ws, qp, sh, dst := attnBenchSetup(rand.New(rand.NewSource(1)))
-	FusedAttentionCore(ws, dst, qp, qp, sh, nil)
-	ws.Reset()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FusedAttentionCore(ws, dst, qp, qp, sh, nil)
-		ws.Reset()
-	}
 }
 
 func BenchmarkQuantAttentionCore128(b *testing.B) {
@@ -63,15 +52,6 @@ func linearBenchSetup(rng *rand.Rand) (x, w, bias, dst []float64) {
 	}
 	dst = make([]float64, 128*192)
 	return
-}
-
-func BenchmarkLinearInto128x64x192(b *testing.B) {
-	x, w, bias, dst := linearBenchSetup(rand.New(rand.NewSource(1)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LinearInto(dst, x, 128, 64, w, 192, 0, 192, bias)
-	}
 }
 
 func BenchmarkLinearQuantInto128x64x192(b *testing.B) {

@@ -6,16 +6,6 @@ import (
 	"testing"
 )
 
-// withQuantKernels forces the asm/generic kernel choice for the duration of
-// f. Serial tests only (haveQuantKernels is package state).
-func withQuantKernels(t *testing.T, on bool, f func()) {
-	t.Helper()
-	old := haveQuantKernels
-	haveQuantKernels = on
-	defer func() { haveQuantKernels = old }()
-	f()
-}
-
 func randI8(rng *rand.Rand, n int) []int8 {
 	out := make([]int8, n)
 	for i := range out {
@@ -27,7 +17,7 @@ func randI8(rng *rand.Rand, n int) []int8 {
 // Property: the AVX2 quad-dot kernels match the portable reference exactly
 // on random inputs, across strides, lengths and alignments.
 func TestDotQuadAsmMatchesGeneric(t *testing.T) {
-	if !haveQuantKernels {
+	if !haveAVX2 {
 		t.Skip("no SIMD int8 kernels on this machine")
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -41,9 +31,9 @@ func TestDotQuadAsmMatchesGeneric(t *testing.T) {
 			x16[i] = int16(rng.Intn(2*quantProbScale+1) - quantProbScale)
 		}
 		var got, want, gotW, wantW [4]int32
-		dotQuadAsm(&x[0], &w[0], stride, n, &got)
+		dotQuad(x, w, stride, n, &got) // the assembly: haveAVX2 is set
 		dotQuadGeneric(x, w, stride, n, &want)
-		dotQuadWAsm(&x16[0], &w[0], stride, n, &gotW)
+		dotQuadW(x16, w, stride, n, &gotW)
 		dotQuadWGeneric(x16, w, stride, n, &wantW)
 		if got != want {
 			t.Fatalf("trial %d (n=%d stride=%d): dotQuad asm %v != generic %v", trial, n, stride, got, want)
@@ -59,7 +49,7 @@ func TestDotQuadAsmMatchesGeneric(t *testing.T) {
 // differently at representation boundaries) and the sums track accordingly.
 // Against math.Exp the scalar reference is within one grid step too.
 func TestExpGridAsmMatchesGeneric(t *testing.T) {
-	if !haveQuantKernels {
+	if !haveAVX2 {
 		t.Skip("no SIMD int8 kernels on this machine")
 	}
 	rng := rand.New(rand.NewSource(9))
@@ -206,10 +196,10 @@ func TestFastExp(t *testing.T) {
 // a wide margin for both kernel implementations and both bias modes.
 func TestLinearQuantIntoTolerance(t *testing.T) {
 	for _, asm := range []bool{false, true} {
-		if asm && !haveQuantKernels {
+		if asm && !haveAVX2 {
 			continue
 		}
-		withQuantKernels(t, asm, func() {
+		withAVX2(t, asm, func() {
 			rng := rand.New(rand.NewSource(5))
 			ws := NewWorkspace()
 			for _, shape := range [][3]int{{7, 64, 192}, {3, 150, 30}, {12, 86, 3}, {1, 16, 1}} {
@@ -320,10 +310,10 @@ func blockSpans(lq, lkv, meta, span int) []AttnSpan {
 // masked and maskless, with both kernel implementations.
 func TestQuantAttentionCoreTolerance(t *testing.T) {
 	for _, asm := range []bool{false, true} {
-		if asm && !haveQuantKernels {
+		if asm && !haveAVX2 {
 			continue
 		}
-		withQuantKernels(t, asm, func() {
+		withAVX2(t, asm, func() {
 			rng := rand.New(rand.NewSource(7))
 			ws := NewWorkspace()
 			for _, tc := range []struct {

@@ -188,7 +188,7 @@ emit "$TRAIN_OUT"
 # Quantized-inference set → $QUANT_OUT: every fp64/int8 pair runs in one
 # process invocation, back-to-back, at each matrix point.
 for gp in $MATRIX; do
-    run "$gp" ./internal/tensor 'BenchmarkFusedAttentionCore128$|BenchmarkQuantAttentionCore128$|BenchmarkLinearInto128x64x192$|BenchmarkLinearQuantInto128x64x192$' 1s
+    run "$gp" ./internal/tensor 'BenchmarkFusedAttentionCore128$|BenchmarkQuantAttentionCore128$|BenchmarkLinearInto$|BenchmarkLinearQuantInto128x64x192$' 1s
     run "$gp" ./internal/nn 'BenchmarkSelfAttention128$|BenchmarkSelfAttention128Quant$' 1s
     run "$gp" ./internal/adtd 'BenchmarkP2InferenceBatched$|BenchmarkP2InferenceBatchedQuant$' 1s
 done
