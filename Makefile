@@ -5,15 +5,15 @@ GO ?= go
 # Packages whose concurrency the race detector must vet: the tensor
 # runtime's worker pool + arena, the sharded tiered cache with its
 # singleflight groups, the pipelined scheduler, the fault-injecting simdb,
-# the HTTP service with its cross-request micro-batcher, the lock-free
-# metrics registry, the data-parallel training runtime with its gradient
-# workers (plus the two model packages whose multi-worker training tests
-# exercise it), the fleet coordinator with its health prober and admission
-# queue, the shared retry core, and the deduplicated model registry whose
-# page store backs concurrent publish/checkpoint traffic.
+# the HTTP service, the lock-free metrics registry, the data-parallel
+# training runtime with its gradient workers (plus the two model packages
+# whose multi-worker training tests exercise it), the fleet coordinator with
+# its health prober and admission queue, the shared retry core, and the
+# deduplicated model registry whose page store backs concurrent
+# publish/checkpoint traffic.
 RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/sherlock/... ./internal/baselines/... ./internal/cache/... ./internal/pipeline/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
 
-.PHONY: build vet vet-arm64 test race race-all bench-check fuzz ci bench bench-fleet bench-cache bench-pipeline bench-gate bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
+.PHONY: build vet vet-arm64 test race race-all bench-check fuzz ci bench bench-fleet bench-cache bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
 
 build:
 	$(GO) build ./...
@@ -30,13 +30,14 @@ vet-arm64:
 test: build
 	$(GO) test ./...
 
-# race also runs internal/core's coalescer, prefetcher and gate tests: they
-# drive core's concurrent code (coalesce.go, prefetch.go, jobs parked on
-# storage futures and cancelled there) on an untrained model, so they need
-# neither the trained fixture nor race-all's 45 minutes.
+# race also runs internal/core's prefetcher, gate and per-table-forward
+# tests: they drive core's concurrent code (prefetch.go, jobs parked on
+# storage futures and cancelled there, s4 forwards on every worker at once)
+# on an untrained model, so they need neither the trained fixture nor
+# race-all's 45 minutes.
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'RequestBatcher|Coalesc|Prefetch' ./internal/core/
+	$(GO) test -race -run 'Prefetch|Forward|ResultKeys' ./internal/core/
 
 # bench-check builds and smoke-tests the benchmark module against this
 # checkout. bench/ is a module of its own (replace repro => ..), so the root
@@ -90,13 +91,11 @@ race-all:
 # their fp64 counterparts across the GOMAXPROCS matrix), the
 # fleet-serving set (BENCH_7.json: seeded open-/closed-loop load against
 # an in-process 3-replica fleet — latency quantiles, throughput, shed rate,
-# per-replica distribution), the tiered-cache set (BENCH_8.json:
+# per-replica distribution), and the tiered-cache set (BENCH_8.json:
 # cold vs warm detect p50/p99, result-cache speedup, byte parity, plus a
-# Zipf-skewed fleet load run), and the pipeline set (BENCH_10.json:
-# whole-database detection over 200 narrow tables, sequential vs
-# work-stealing vs cross-table-batched, with byte parity enforced).
+# Zipf-skewed fleet load run).
 bench:
-	scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json BENCH_10.json
+	scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json
 
 # bench-fleet re-records only BENCH_7.json (the fleet suite trains a model,
 # so it dominates a full bench run's wall-clock).
@@ -109,20 +108,6 @@ bench-fleet:
 bench-cache:
 	CACHE_ONLY=1 scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json
 
-# bench-pipeline re-records only BENCH_10.json: the work-stealing scheduler
-# and cross-table batching suite over the many-small-tables corpus.
-bench-pipeline:
-	PIPELINE_ONLY=1 scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json BENCH_10.json
-
-# bench-gate re-runs the pipeline suite and fails on a >15% p50 regression
-# against the checked-in BENCH_10.json — but only when the baseline was
-# recorded on the same platform/cpus/go version (latency comparisons are
-# only honest back-to-back on one machine; elsewhere it skips). Byte parity
-# and the ≥5× forward-reduction floor are enforced unconditionally by the
-# benchmark itself.
-bench-gate:
-	sh scripts/bench_gate.sh BENCH_10.json
-
 # bench-smoke compiles and runs every benchmark exactly once — no timing
 # value, but it keeps the benchmark code from rotting between full runs.
 # The second pass repeats the kernel pairs (fp64 assembly against the Go
@@ -134,4 +119,4 @@ bench-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_1.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json BENCH_10.json
+	rm -f BENCH_1.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json

@@ -62,23 +62,8 @@ func main() {
 		loadgenTarget = flag.String("target", "", "drive an external coordinator/replica at this base URL instead of booting the in-process fleet")
 
 		benchcache = flag.Bool("benchcache", false, "run the tiered-cache benchmark (cold vs warm detect latency + byte parity) and print BENCH_8-format JSON lines")
-
-		benchpipeline  = flag.Bool("benchpipeline", false, "run the work-stealing pipeline benchmark (sequential vs stealing vs batched over many small tables) and print BENCH_10-format JSON lines")
-		pipelineTables = flag.Int("pipeline-tables", 200, "corpus size for -benchpipeline (narrow 3-column tables)")
-		pipeWorkers    = flag.Int("pipeline-workers", 8, "work-stealing pool size for -benchpipeline (batch occupancy is bounded by it)")
-		batchChunks    = flag.Int("batch-chunks", 8, "max table chunks per cross-table Phase-2 forward for -benchpipeline")
 	)
 	flag.Parse()
-	if *benchpipeline {
-		if err := runBenchPipeline(benchPipelineOpts{
-			tables: *pipelineTables, seed: *loadgenSeed, repeats: *repeats, latency: *latency,
-			workers: *pipeWorkers, batchChunks: *batchChunks,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "tastebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *benchcache {
 		if err := runBenchCache(benchCacheOpts{
 			tables: *fleetTables, seed: *loadgenSeed, requests: *loadgenReqs,

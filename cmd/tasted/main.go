@@ -58,11 +58,8 @@ func main() {
 		prepWorkers  = flag.Int("prep-workers", autoMode.PrepWorkers, "legacy TP1 pool size; with -infer-workers it derives the work-stealing pool when -pipeline-workers is 0")
 		inferWorkers = flag.Int("infer-workers", autoMode.InferWorkers, "legacy TP2 pool size; see -prep-workers")
 		pipeWorkers  = flag.Int("pipeline-workers", 0, "work-stealing pool size for pipelined detect requests (0 = derive from -prep-workers + -infer-workers)")
-		batchChunks  = flag.Int("batch-chunks", 0, "max table chunks coalesced into one cross-table Phase-2 forward within a request (0 = 8, negative disables)")
 		parallelism  = flag.Int("parallelism", tensor.DefaultParallelism(), "worker goroutines for the sharded tensor kernels")
 		deadline     = flag.Duration("deadline", 0, "default per-request deadline for /v1/detect (0 = none; requests can override via deadline_ms)")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "how long Phase-2 inference waits to coalesce chunks from concurrent requests (0 disables micro-batching)")
-		maxBatch     = flag.Int("max-batch", 8, "max table chunks per coalesced Phase-2 model forward")
 		faultProb    = flag.Float64("fault-prob", 0, "demo tenant: probability of a transient fault per scan/query/connect (chaos mode)")
 		faultSeed    = flag.Int64("fault-seed", 1, "demo tenant: fault-injection seed")
 		quantize     = flag.Bool("quantize", false, "default /v1/detect requests to int8 quantized inference (lossy; requests can override via \"quantize\"; no-op without AVX2)")
@@ -157,14 +154,8 @@ func main() {
 		Pipelined:   true,
 		Workers:     *pipeWorkers,
 		PrepWorkers: *prepWorkers, InferWorkers: *inferWorkers,
-		BatchChunks: *batchChunks,
 	})
 	svc.SetDefaultDeadline(*deadline)
-	if *batchWindow > 0 {
-		svc.EnableBatching(*batchWindow, *maxBatch)
-		defer svc.Close()
-		log.Printf("micro-batching Phase-2 inference: window %s, max %d chunks", *batchWindow, *maxBatch)
-	}
 
 	demo := simdb.NewServer(simdb.PaperLatency(0.1))
 	demo.LoadTables("demo", ds.Test)

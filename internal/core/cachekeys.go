@@ -57,10 +57,9 @@ func (d *Detector) metaResultKey(m *adtd.Model, chunk *metafeat.TableInfo, quant
 }
 
 // contentResultKey memoizes Phase 2's probability rows for one chunk
-// request. lquant versions the cached latents feeding the content tower,
-// cquant the content forward itself (they differ when the cross-request
-// batcher overrides a per-request preference with the process default).
-func (d *Detector) contentResultKey(m *adtd.Model, chunk *metafeat.TableInfo, cols []int, n int, lquant, cquant bool) string {
+// request; quant is the flag both the cached latents and the content forward
+// ran under.
+func (d *Detector) contentResultKey(m *adtd.Model, chunk *metafeat.TableInfo, cols []int, n int, quant bool) string {
 	h := sha256.New()
 	hashTableInfo(h, chunk)
 	hashInt(h, len(cols))
@@ -68,8 +67,8 @@ func (d *Detector) contentResultKey(m *adtd.Model, chunk *metafeat.TableInfo, co
 		hashInt(h, c)
 	}
 	hashInt(h, n)
-	return fmt.Sprintf("p2|g%d|q%v.%v|h%v|%s",
-		m.Generation(), lquant, cquant, d.Opts.UseHistogram, hex.EncodeToString(h.Sum(nil)))
+	return fmt.Sprintf("p2|g%d|q%v|h%v|%s",
+		m.Generation(), quant, d.Opts.UseHistogram, hex.EncodeToString(h.Sum(nil)))
 }
 
 func hashInt(h hash.Hash, v int) {

@@ -153,21 +153,6 @@ type FaultStats struct {
 	FailureDegraded int
 }
 
-// ContentInferencer abstracts how Phase-2 content batches are classified.
-// The default is a direct PredictContentBatch on the request's model; a
-// service-level micro-batcher can be plugged in with SetContentInferencer to
-// coalesce batches across concurrent requests. The model is passed per call
-// because the detector hot-swaps models: a request pinned to an old model
-// must be classified by that model even if a swap lands mid-flight, so
-// implementations that coalesce must group by model and never mix requests
-// from different models into one forward. Implementations must return
-// results indexed like reqs, and should return ctx's error when the request
-// dies while queued or in flight — the detector maps deadline errors to
-// graceful degradation, not failures.
-type ContentInferencer interface {
-	InferContentBatch(ctx context.Context, m *adtd.Model, reqs []adtd.ContentRequest, n int) ([][][]float64, error)
-}
-
 // Detector is the Taste detection service: a trained ADTD model plus the
 // framework configuration. It is safe for concurrent use once the model is
 // in eval mode.
@@ -184,9 +169,6 @@ type Detector struct {
 	cache   *cache.Latent
 	results *cache.Result
 	rules   *ruledet.Detector
-
-	infMu      sync.RWMutex
-	contentInf ContentInferencer
 
 	mu       sync.Mutex
 	feedback []adtd.FeedbackExample
@@ -266,21 +248,6 @@ func (d *Detector) Cache() *cache.Latent { return d.cache }
 
 // Results exposes the content-hash result cache tier (for stats and tests).
 func (d *Detector) Results() *cache.Result { return d.results }
-
-// SetContentInferencer routes Phase-2 content inference through ci; nil
-// restores the direct model call. Safe to call concurrently with detection,
-// though it is normally set once at service startup.
-func (d *Detector) SetContentInferencer(ci ContentInferencer) {
-	d.infMu.Lock()
-	d.contentInf = ci
-	d.infMu.Unlock()
-}
-
-func (d *Detector) contentInferencer() ContentInferencer {
-	d.infMu.RLock()
-	defer d.infMu.RUnlock()
-	return d.contentInf
-}
 
 // FaultStats returns a snapshot of the fault-tolerance ledger.
 func (d *Detector) FaultStats() FaultStats {
@@ -458,11 +425,6 @@ type ExecMode struct {
 	// configured: the prefetcher derives it from measured read latency and
 	// stage time (prefetch.go).
 	PrefetchBytes int64
-	// BatchChunks caps the table chunks coalesced into one cross-table
-	// Phase-2 forward within a single DetectDatabase call. 0 defaults to
-	// 8 (matching the serving micro-batcher); 1 or negative disables
-	// cross-table batching so every table issues its own forward.
-	BatchChunks int
 }
 
 // SequentialMode is the execution mode of the baselines and of "Taste w/o
@@ -478,8 +440,8 @@ func PipelinedMode() ExecMode {
 // AutoMode sizes the work-stealing pool from the machine instead of the
 // paper's fixed 2+2: one worker per logical CPU (floor 4, so a small host
 // still overlaps I/O with compute). The legacy per-kind fields are filled
-// in for callers that still display or override them; the prefetch and batch
-// knobs stay 0 and resolve to their defaults per the struct contract.
+// in for callers that still display or override them; PrefetchBytes stays 0
+// and resolves to its default per the struct contract.
 func AutoMode() ExecMode {
 	w := runtime.GOMAXPROCS(0)
 	if w < 4 {
@@ -489,10 +451,9 @@ func AutoMode() ExecMode {
 }
 
 // withDefaults resolves the mode's zero values against the detector
-// options, returning a fully concrete mode: Workers ≥ 1, PrefetchBytes and
-// BatchChunks either positive or explicitly disabled (negative input maps
-// to the disabled sentinel 0 for PrefetchBytes / 1 for BatchChunks).
-// Sequential modes pass through untouched.
+// options, returning a fully concrete mode: Workers ≥ 1, PrefetchBytes
+// either positive or explicitly disabled (negative input maps to the
+// disabled sentinel 0). Sequential modes pass through untouched.
 func (m ExecMode) withDefaults(opts Options) ExecMode {
 	if !m.Pipelined {
 		return m
@@ -509,12 +470,6 @@ func (m ExecMode) withDefaults(opts Options) ExecMode {
 			m.PrefetchBytes = 1 << 20
 		}
 	}
-	switch {
-	case m.BatchChunks < 0:
-		m.BatchChunks = 1
-	case m.BatchChunks == 0:
-		m.BatchChunks = 8
-	}
 	return m
 }
 
@@ -525,10 +480,7 @@ type quantKey struct{}
 // WithQuantize returns a context carrying a per-request quantization
 // preference for the inference stages: true forces the int8 fast path on
 // (when selectable), false forces it off, overriding the process default set
-// by tensor.SetQuantize. Requests without the value follow the default. The
-// cross-request content inferencer batches requests from many contexts and
-// therefore always uses the process default; a pipelined request's
-// cross-table coalescer runs its own forwards and honors the preference.
+// by tensor.SetQuantize. Requests without the value follow the default.
 func WithQuantize(ctx context.Context, on bool) context.Context {
 	return context.WithValue(ctx, quantKey{}, on)
 }
@@ -552,11 +504,8 @@ type tableJob struct {
 	dbName string
 	table  string
 	// pf, when set, serves this job's storage reads from the batch's scan
-	// prefetcher; rb, when set, routes s4's chunks through the batch's
-	// cross-table coalescer; fwd, when set, counts content forwards issued
-	// on the direct (uncoalesced) path.
+	// prefetcher; fwd, when set, counts the batch's content forwards.
 	pf      *prefetcher
-	rb      *requestBatcher
 	fwd     *atomic.Int64
 	info    *metafeat.TableInfo
 	chunks  []*metafeat.TableInfo
@@ -901,19 +850,7 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 	for _, g := range pending {
 		pendingSet[g] = true
 	}
-	// lquant is the flag the latents were produced under in s2 (per-request
-	// preference); cquant is what the content forward below actually runs
-	// with. They differ only when the forward goes to the cross-request
-	// inferencer, which batches many contexts and always uses the process
-	// default; a coalescer flush (j.rb) runs directly under the request's
-	// preference, inferencer or not. Both version the result key.
-	lquant := j.d.effectiveQuantize(quantPref(ctx))
-	cquant := lquant
-	ci := j.d.contentInferencer()
-	hasInferencer := ci != nil
-	if hasInferencer && j.rb == nil {
-		cquant = j.d.effectiveQuantize(nil)
-	}
+	quant := j.d.effectiveQuantize(quantPref(ctx))
 	applyRows := func(globals []int, rows [][]float64) {
 		for slot, g := range globals {
 			cr := &j.res.Columns[g]
@@ -942,13 +879,13 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 		// key and stale memoized answers simply never resolve again.
 		var rkey string
 		if j.d.results.Enabled() {
-			rkey = j.d.contentResultKey(j.model, chunk, localCols, opts.CellsPerColumn, lquant, cquant)
+			rkey = j.d.contentResultKey(j.model, chunk, localCols, opts.CellsPerColumn, quant)
 			if rows, ok := j.d.results.Get(rkey); ok && len(rows) == len(globals) {
 				applyRows(globals, rows)
 				continue
 			}
 		}
-		menc := j.d.cache.Get(j.d.cacheKey(j.model, j.dbName, j.table, ci, lquant))
+		menc := j.d.cache.Get(j.d.cacheKey(j.model, j.dbName, j.table, ci, quant))
 		if menc == nil {
 			// Cache disabled or evicted: pay the duplicate metadata-tower
 			// computation the latent cache exists to avoid (§4.2.2). The
@@ -963,48 +900,15 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	// inferFailed maps a batch-inference error to the degradation ladder:
-	// the columns keep their Phase-1 answer, sharpened by the rules over
-	// the already-fetched content. Returns the error to propagate (nil when
-	// degradation absorbed it).
-	inferFailed := func(err error) error {
+	batch, err := j.contentForward(ctx, reqs)
+	if err != nil {
 		if opts.DisableDegradation {
 			return err
 		}
-		if ctxErr := ctx.Err(); ctxErr != nil && !errors.Is(ctxErr, context.DeadlineExceeded) {
-			return ctxErr // user cancellation: abort, nothing to salvage
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			j.degradeWithRules(pending, "deadline exceeded in content inference", true)
-		} else {
-			j.degradeWithRules(pending, "content inference failed: "+err.Error(), false)
-		}
+		// The columns keep their Phase-1 answer, sharpened by the rules over
+		// the already-fetched content.
+		j.degradeWithRules(pending, "content inference failed: "+err.Error(), false)
 		return nil
-	}
-	var batch [][][]float64
-	switch {
-	case j.rb != nil:
-		// Cross-table coalescing: the chunks merge with other tables' into
-		// batched forwards the flushing worker runs directly.
-		var err error
-		batch, err = j.rb.submit(ctx, j.model, reqs)
-		if err != nil {
-			return inferFailed(err)
-		}
-	case hasInferencer:
-		if j.fwd != nil {
-			j.fwd.Add(1)
-		}
-		var err error
-		batch, err = ci.InferContentBatch(ctx, j.model, reqs, opts.CellsPerColumn)
-		if err != nil {
-			return inferFailed(err)
-		}
-	default:
-		if j.fwd != nil {
-			j.fwd.Add(1)
-		}
-		batch = j.model.PredictContentBatchQ(reqs, opts.CellsPerColumn, quantPref(ctx))
 	}
 	for r, globals := range globalsPerReq {
 		applyRows(globals, batch[r])
@@ -1015,6 +919,23 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 		}
 	}
 	return nil
+}
+
+// contentForward runs the table's one Phase-2 forward over its chunks. A
+// panic inside the model (a corrupt latent, a kernel bug) comes back as an
+// error, so s4 degrades this table's columns instead of the panic killing a
+// scheduler worker goroutine and with it the process.
+func (j *tableJob) contentForward(ctx context.Context, reqs []adtd.ContentRequest) (batch [][][]float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			forwardPanicsTotal.Inc()
+			err = fmt.Errorf("core: content forward panic: %v", r)
+		}
+	}()
+	if j.fwd != nil {
+		j.fwd.Add(1)
+	}
+	return j.model.PredictContentBatchQ(reqs, j.d.Opts.CellsPerColumn, quantPref(ctx)), nil
 }
 
 // admitted returns the sorted type names with probability ≥ threshold,
@@ -1138,22 +1059,14 @@ func (d *Detector) DetectDatabase(ctx context.Context, server *simdb.Server, dbN
 	mode = mode.withDefaults(d.Opts)
 	var fwd atomic.Int64
 	var pf *prefetcher
-	var rb *requestBatcher
 	if mode.Pipelined {
 		pf = newPrefetcher(ctx, d, conn, tables, mode.Workers, mode.PrefetchBytes)
-		if mode.BatchChunks > 1 {
-			rb = newRequestBatcher(d, mode.BatchChunks, mode.Workers, len(tables), &fwd)
-		}
 	}
 	jobs := make([]*pipeline.Job, len(tables))
 	tjobs := make([]*tableJob, len(tables))
 	for i, t := range tables {
-		tjobs[i] = &tableJob{d: d, model: model, conn: conn, dbName: dbName, table: t, pf: pf, rb: rb, fwd: &fwd}
-		stages := tjobs[i].stages()
-		if rb != nil {
-			stages = rb.wrapStages(stages)
-		}
-		jobs[i] = &pipeline.Job{ID: t, Stages: stages}
+		tjobs[i] = &tableJob{d: d, model: model, conn: conn, dbName: dbName, table: t, pf: pf, fwd: &fwd}
+		jobs[i] = &pipeline.Job{ID: t, Stages: tjobs[i].stages()}
 	}
 	sched := pipeline.Scheduler{Pipelined: mode.Pipelined, Workers: mode.Workers}
 	stats, err := sched.RunStats(ctx, jobs)

@@ -15,16 +15,10 @@ func TestExecModeWithDefaults(t *testing.T) {
 	if m.PrefetchBytes != opts.CacheBytes/4 {
 		t.Fatalf("default PrefetchBytes = %d, want %d", m.PrefetchBytes, opts.CacheBytes/4)
 	}
-	if m.BatchChunks != 8 {
-		t.Fatalf("default BatchChunks = %d, want 8", m.BatchChunks)
-	}
 
-	m = ExecMode{Pipelined: true, Workers: 2, PrefetchBytes: -1, BatchChunks: -1}.withDefaults(opts)
+	m = ExecMode{Pipelined: true, Workers: 2, PrefetchBytes: -1}.withDefaults(opts)
 	if m.PrefetchBytes != 0 {
 		t.Fatalf("negative PrefetchBytes must drop the byte brake: got %d", m.PrefetchBytes)
-	}
-	if m.BatchChunks != 1 {
-		t.Fatalf("negative BatchChunks must disable coalescing: got %d", m.BatchChunks)
 	}
 
 	// Legacy per-kind pools derive the unified pool size.
@@ -42,7 +36,7 @@ func TestExecModeWithDefaults(t *testing.T) {
 	}
 
 	// Sequential modes are never touched.
-	seq := ExecMode{PrefetchBytes: -5, BatchChunks: 3}
+	seq := ExecMode{PrefetchBytes: -5, Workers: 3}
 	if got := seq.withDefaults(opts); got != seq {
 		t.Fatalf("sequential mode mutated: %+v", got)
 	}

@@ -28,12 +28,7 @@ var (
 	degradedDeadlineTotal = obs.Default.Counter("taste_detector_degraded_columns_total", "cause", "deadline")
 	degradedFailureTotal  = obs.Default.Counter("taste_detector_degraded_columns_total", "cause", "failure")
 	tablesDetectedTotal   = obs.Default.Counter("taste_detector_tables_total")
-
-	// Cross-table batching series (DESIGN.md §16): forwards issued by the
-	// intra-request coalescer and how many chunks each carried.
-	batchForwardsTotal   = obs.Default.Counter("taste_pipeline_batch_forwards_total")
-	batchOccupancyChunks = obs.Default.Histogram("taste_pipeline_batch_chunks", obs.ExpBuckets(1, 2, 8))
-	batchPanicsTotal     = obs.Default.Counter("taste_pipeline_batch_panics_total")
+	forwardPanicsTotal    = obs.Default.Counter("taste_detector_forward_panics_total")
 )
 
 // prefetchCount records scan-prefetcher outcomes: hit (consumed), waste

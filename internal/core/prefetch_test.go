@@ -492,9 +492,8 @@ func TestPipelinedPrefetchCancelWhileParked(t *testing.T) {
 }
 
 // TestPipelinedPrefetchCancelNoLeak: cancelling a full pipelined
-// DetectDatabase run — work-stealing scheduler, prefetcher, and
-// cross-table batcher all live — must abort with context.Canceled and wind
-// everything down.
+// DetectDatabase run — work-stealing scheduler and prefetcher both live —
+// must abort with context.Canceled and wind everything down.
 func TestPipelinedPrefetchCancelNoLeak(t *testing.T) {
 	det, ds := phase2Detector(t, 30)
 	// Scale 10 → 100 ms connect, 50 ms per query: connect, list_tables, the
@@ -502,7 +501,7 @@ func TestPipelinedPrefetchCancelNoLeak(t *testing.T) {
 	// cancel at 200 ms is guaranteed to land mid-run with reads in flight.
 	server := simdb.NewServer(simdb.PaperLatency(10))
 	server.LoadTables("tenant", allTables(ds))
-	mode := ExecMode{Pipelined: true, Workers: 8, BatchChunks: 8}
+	mode := ExecMode{Pipelined: true, Workers: 8}
 
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -33,11 +33,7 @@ type DetectRequest struct {
 	// Workers overrides the work-stealing pool size for this pipelined
 	// request; 0 keeps the service default (or derives from the legacy
 	// prep/infer overrides above when those are set).
-	Workers int `json:"workers,omitempty"`
-	// BatchChunks overrides the cross-table batching cap (core.ExecMode
-	// semantics: 0 = service default, negative = disable the feature for
-	// this request).
-	BatchChunks    int   `json:"batch_chunks,omitempty"`
+	Workers        int   `json:"workers,omitempty"`
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
 	// Trace requests the span tree of this detection inline in the
 	// response: per-stage timings for every table, relative to request
@@ -45,9 +41,7 @@ type DetectRequest struct {
 	Trace bool `json:"trace,omitempty"`
 	// Quantize, when set, overrides the process-wide int8 quantized-inference
 	// default (tasted -quantize) for this request: true opts in, false opts
-	// out. Ignored on CPUs without the required SIMD support and on requests
-	// served through the cross-request batcher, which always follows the
-	// process default.
+	// out. Ignored on CPUs without the required SIMD support.
 	Quantize *bool `json:"quantize,omitempty"`
 	// ModelVersion, when positive, pins this request to a published registry
 	// version instead of the serving model — e.g. to compare a candidate
@@ -275,9 +269,6 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 			}
 			if req.Workers > 0 {
 				mode.Workers = req.Workers
-			}
-			if req.BatchChunks != 0 {
-				mode.BatchChunks = req.BatchChunks
 			}
 		}
 		rep, err := s.detector.DetectDatabase(ctx, server, req.Database, mode)

@@ -7,7 +7,7 @@ import (
 )
 
 // Service-level metric handles (DESIGN.md §9): per-request outcomes, the
-// scanned-column intrusiveness ratio, and the micro-batcher's activity.
+// scanned-column intrusiveness ratio, and model swaps.
 var (
 	detectRequestSeconds = obs.Default.LatencyHistogram("taste_detect_request_seconds")
 	detectScannedRatio   = obs.Default.Histogram("taste_detect_scanned_ratio", obs.RatioBuckets())
@@ -20,13 +20,6 @@ var (
 	modelSwapsTotal      = obs.Default.Counter("taste_model_swaps_total")
 	modelSwapErrorsTotal = obs.Default.Counter("taste_model_swap_errors_total")
 	servingVersionGauge  = obs.Default.Gauge("taste_model_serving_version")
-
-	batcherQueueDelaySeconds    = obs.Default.LatencyHistogram("taste_batcher_queue_delay_seconds")
-	batcherBatchChunks          = obs.Default.Histogram("taste_batcher_batch_chunks", obs.ExpBuckets(1, 2, 8))
-	batcherSubmissionsTotal     = obs.Default.Counter("taste_batcher_submissions_total")
-	batcherBatchesTotal         = obs.Default.Counter("taste_batcher_batches_total")
-	batcherDeadlineDroppedTotal = obs.Default.Counter("taste_batcher_deadline_dropped_total")
-	batcherPanicsTotal          = obs.Default.Counter("taste_batcher_panics_total")
 )
 
 // syncGauges mirrors externally-owned ledgers (cache occupancy, the
@@ -50,11 +43,6 @@ func (s *Service) syncGauges() {
 	g("taste_cache_skipped_copies").Set(s.detector.Cache().Stats().SkippedCopies)
 	fs := s.detector.FaultStats()
 	g("taste_detector_degraded_columns").Set(int64(fs.DegradedColumns))
-	if s.batcher != nil {
-		bs := s.batcher.Stats()
-		g("taste_batcher_coalesced_batches").Set(int64(bs.CoalescedBatches))
-		g("taste_batcher_max_batch_chunks").Set(int64(bs.MaxBatchChunks))
-	}
 }
 
 // MetricsHandler serves the process-wide metric registry in Prometheus text

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -9,9 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"repro/internal/adtd"
 	"repro/internal/obs"
 	"repro/internal/simdb"
 )
@@ -68,73 +65,58 @@ func TestConcurrentRetryAttribution(t *testing.T) {
 	}
 }
 
-// TestBatcherPanicAnswersSubmitters: a panicking model forward used to kill
-// the run goroutine without writing to any submitter's out channel, stranding
-// every request in the batch until its deadline. run now recovers and
-// delivers the error to all unanswered calls.
-func TestBatcherPanicAnswersSubmitters(t *testing.T) {
-	svc, _ := testService(t)
-	b := NewBatcher(5*time.Millisecond, 64)
-	defer b.Stop()
-	b.forward = func(*adtd.Model, []adtd.ContentRequest, int) [][][]float64 {
-		panic("injected forward failure")
+// TestConcurrentDetectsMatchSerial: every table runs its own Phase-2 forward
+// on the goroutine of its own request, so N single-table detects issued at
+// once on one Service must return the bytes the same requests return one at
+// a time (run under -race: the requests share the detector, its caches and
+// the tensor workspace pools).
+func TestConcurrentDetectsMatchSerial(t *testing.T) {
+	svc, ds := testService(t)
+	h := svc.Handler()
+	detect := func(name string) (string, int) {
+		rec := doJSON(t, h, http.MethodPost, "/v1/detect", DetectRequest{Database: "tenantdb", Tables: []string{name}})
+		if rec.Code != http.StatusOK {
+			t.Errorf("table %s: status %d: %s", name, rec.Code, rec.Body)
+			return "", 0
+		}
+		var resp DetectResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Error(err)
+			return "", 0
+		}
+		cols, err := json.Marshal(resp.Tables)
+		if err != nil {
+			t.Error(err)
+		}
+		return string(cols), resp.ScannedColumns
 	}
 
-	const callers = 4
-	errs := make([]error, callers)
+	serial := make([]string, len(ds.Test))
+	scanned := 0
+	for i, tb := range ds.Test {
+		var n int
+		serial[i], n = detect(tb.Name)
+		scanned += n
+	}
+	if scanned == 0 {
+		t.Fatal("no column reached Phase 2: the requests never ran a content forward")
+	}
+
+	concurrent := make([]string, len(ds.Test))
 	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
+	for i, tb := range ds.Test {
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, name string) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_, err := b.InferContentBatch(ctx, svc.detector.Model(), []adtd.ContentRequest{{}}, 4)
-			errs[i] = err
-			if ctx.Err() != nil {
-				t.Error("submitter hung until its deadline instead of being answered")
-			}
-		}(i)
+			concurrent[i], _ = detect(name)
+		}(i, tb.Name)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err == nil || !strings.Contains(err.Error(), "panicked") {
-			t.Fatalf("caller %d: err = %v, want the recovered panic error", i, err)
+	for i, tb := range ds.Test {
+		if concurrent[i] != serial[i] {
+			t.Errorf("table %s: concurrent result differs from the serial one\nconcurrent: %s\nserial:     %s", tb.Name, concurrent[i], serial[i])
 		}
 	}
-	if got := b.Stats().Panics; got == 0 {
-		t.Fatal("BatcherStats.Panics not incremented")
-	}
-}
-
-// TestBatcherStopQuiescence: Stop used to return while flush-spawned run
-// goroutines could still be executing a model forward. Stop now waits for
-// them; the plain (unsynchronized) counter below is safe to read exactly
-// because Stop is a barrier — under -race the old behavior fails.
-func TestBatcherStopQuiescence(t *testing.T) {
-	svc, _ := testService(t)
-	b := NewBatcher(50*time.Millisecond, 64)
-	forwards := 0 // intentionally unsynchronized; see above
-	b.forward = func(_ *adtd.Model, reqs []adtd.ContentRequest, _ int) [][][]float64 {
-		time.Sleep(20 * time.Millisecond)
-		forwards++
-		return make([][][]float64, len(reqs))
-	}
-	const callers = 3
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _ = b.InferContentBatch(context.Background(), svc.detector.Model(), []adtd.ContentRequest{{}}, 4)
-		}()
-	}
-	time.Sleep(10 * time.Millisecond) // let the calls enqueue
-	b.Stop()                          // flushes the queue, then must wait for the forwards
-	if forwards == 0 {
-		t.Fatal("Stop returned before the flushed batch ran")
-	}
-	wg.Wait()
 }
 
 // TestDetectDeadContextStopsTableLoop: after the deadline killed the context,
@@ -241,8 +223,6 @@ func metricValue(t *testing.T, text, series string) float64 {
 // scrapes.
 func TestMetricsEndpoint(t *testing.T) {
 	svc, ds := testService(t)
-	svc.EnableBatching(2*time.Millisecond, 32)
-	defer svc.Close()
 	h := svc.Handler()
 
 	doJSON(t, h, http.MethodPost, "/v1/detect", DetectRequest{Database: "tenantdb", Pipelined: true})
@@ -262,13 +242,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		`taste_stage_seconds_bucket{stage="s1",le="+Inf"}`,
 		`taste_stage_seconds_bucket{stage="s4",le="+Inf"}`,
 		`taste_pipeline_queue_wait_seconds_count{kind="prep",stage="s1",stolen="false"}`,
-		`taste_pipeline_batch_forwards_total`,
+		`taste_detector_forward_panics_total`,
 		`taste_detect_requests_total{outcome="ok"}`,
 		`taste_detect_requests_total{outcome="degraded"}`,
 		`taste_detect_requests_total{outcome="error"}`,
 		`taste_detect_request_seconds_count`,
 		`taste_detect_scanned_ratio_count`,
-		`taste_batcher_submissions_total`,
 		`taste_cache_hits`,
 		`taste_detector_tables_total`,
 		`taste_adtd_forwards_total{kind="meta"}`,

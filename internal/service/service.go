@@ -46,7 +46,6 @@ type Service struct {
 
 	defaultMode     core.ExecMode
 	defaultDeadline time.Duration
-	batcher         *Batcher
 	flight          *cache.Group[flightResult]
 
 	// Model registry state (models.go). regMu guards the registry handle
@@ -82,26 +81,17 @@ func (s *Service) SetDefaultMode(mode core.ExecMode) { s.defaultMode = mode }
 // before serving traffic.
 func (s *Service) SetDefaultDeadline(d time.Duration) { s.defaultDeadline = d }
 
-// EnableBatching routes the detector's Phase-2 content inference through a
-// cross-request micro-batcher: chunks from concurrent /v1/detect requests
-// arriving within window of each other share one model forward, up to
-// maxBatch chunks per forward. window ≤ 0 disables batching. Call before
-// serving traffic; Close stops the batcher.
-func (s *Service) EnableBatching(window time.Duration, maxBatch int) {
-	if window <= 0 {
-		return
-	}
-	s.batcher = NewBatcher(window, maxBatch)
-	s.detector.SetContentInferencer(s.batcher)
-}
+// EnableBatching does nothing.
+//
+// Deprecated: nothing to enable; kept so bench/ compiles — delete with the
+// next [benchmark] PR.
+func (s *Service) EnableBatching(window time.Duration, maxBatch int) {}
 
-// Close stops the micro-batcher (if enabled) after flushing queued work.
-// Detection keeps working afterwards — inference just runs unbatched.
-func (s *Service) Close() {
-	if s.batcher != nil {
-		s.batcher.Stop()
-	}
-}
+// Close does nothing.
+//
+// Deprecated: nothing to stop; kept so bench/ compiles — delete with the
+// next [benchmark] PR.
+func (s *Service) Close() {}
 
 // RegisterTenant attaches a database server under the given database name.
 func (s *Service) RegisterTenant(dbName string, server *simdb.Server) {
@@ -260,21 +250,6 @@ type StatsResponse struct {
 		DeadlineDegraded int `json:"deadline_degraded"`
 		FailureDegraded  int `json:"failure_degraded"`
 	} `json:"detector"`
-	// Batcher reports cross-request micro-batching activity; nil when
-	// batching is disabled.
-	Batcher *BatcherStatsResponse `json:"batcher,omitempty"`
-}
-
-// BatcherStatsResponse is the /v1/stats view of BatcherStats.
-type BatcherStatsResponse struct {
-	Submissions      int   `json:"submissions"`
-	Batches          int   `json:"batches"`
-	CoalescedBatches int   `json:"coalesced_batches"`
-	BatchedChunks    int   `json:"batched_chunks"`
-	MaxBatchChunks   int   `json:"max_batch_chunks"`
-	QueueDelayMicros int64 `json:"queue_delay_us"`
-	DeadlineDropped  int   `json:"deadline_dropped"`
-	Panics           int   `json:"panics"`
 }
 
 // CacheStats snapshots the tiered cache and singleflight counters — the
@@ -306,18 +281,5 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Detector.DegradedColumns = fs.DegradedColumns
 	resp.Detector.DeadlineDegraded = fs.DeadlineDegraded
 	resp.Detector.FailureDegraded = fs.FailureDegraded
-	if s.batcher != nil {
-		bs := s.batcher.Stats()
-		resp.Batcher = &BatcherStatsResponse{
-			Submissions:      bs.Submissions,
-			Batches:          bs.Batches,
-			CoalescedBatches: bs.CoalescedBatches,
-			BatchedChunks:    bs.BatchedChunks,
-			MaxBatchChunks:   bs.MaxBatchChunks,
-			QueueDelayMicros: bs.QueueDelay.Microseconds(),
-			DeadlineDropped:  bs.DeadlineDropped,
-			Panics:           bs.Panics,
-		}
-	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -387,6 +387,8 @@ func FuzzHandleDetect(f *testing.F) {
 	f.Add(`{"deadline_ms":-1}`)
 	f.Add(``)
 	f.Add(`{"database":"tenantdb","deadline_ms":9999999999999}`)
+	// Fields the schema no longer has (retired knobs of old clients) are ignored.
+	f.Add(`{"database":"tenantdb","tables":["ghost"],"pipelined":true,"retired_knob":4}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/detect", strings.NewReader(body))
 		rec := httptest.NewRecorder()

@@ -38,15 +38,6 @@
 # whose hot keys concentrate on a few route keys — the workload where the
 # per-replica caches earn their budget. Set CACHE_ONLY=1 to run just this
 # suite.
-#
-# $6 (default BENCH_10.json) receives the pipeline set: tastebench
-# -benchpipeline measures whole-database detection over 200 narrow
-# 3-column tables (every column forced through Phase 2) in three modes —
-# sequential, work-stealing, and work-stealing with cross-table inference
-# batching — at every matrix point, reporting p50/p95, Phase-2 forward
-# counts, prefetch hit/waste, and steal counts, with every mode's results
-# byte-compared against sequential. Set PIPELINE_ONLY=1 to run just this
-# suite; scripts/bench_gate.sh regression-gates against its output.
 set -eu
 
 COMPUTE_OUT="${1:-BENCH_1.json}"
@@ -54,7 +45,6 @@ TRAIN_OUT="${2:-BENCH_5.json}"
 QUANT_OUT="${3:-BENCH_6.json}"
 FLEET_OUT="${4:-BENCH_7.json}"
 CACHE_OUT="${5:-BENCH_8.json}"
-PIPE_OUT="${6:-BENCH_10.json}"
 cd "$(dirname "$0")/.."
 
 NCPU="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
@@ -167,7 +157,7 @@ END {
     : >"$TMP"
 }
 
-if [ "${FLEET_ONLY:-0}" != "1" ] && [ "${CACHE_ONLY:-0}" != "1" ] && [ "${PIPELINE_ONLY:-0}" != "1" ]; then
+if [ "${FLEET_ONLY:-0}" != "1" ] && [ "${CACHE_ONLY:-0}" != "1" ]; then
 
 # Compute-runtime set → $COMPUTE_OUT (ambient GOMAXPROCS = top of matrix).
 run "$TOPGP" ./internal/tensor 'BenchmarkMatMul$|BenchmarkMatMul64$|BenchmarkMatMulNTScores$|BenchmarkTrainStepRelease' 1s
@@ -194,9 +184,9 @@ for gp in $MATRIX; do
 done
 emit "$QUANT_OUT"
 
-fi # FLEET_ONLY / CACHE_ONLY / PIPELINE_ONLY
+fi # FLEET_ONLY / CACHE_ONLY
 
-if [ "${CACHE_ONLY:-0}" != "1" ] && [ "${PIPELINE_ONLY:-0}" != "1" ]; then
+if [ "${CACHE_ONLY:-0}" != "1" ]; then
 
 # Fleet-serving set → $FLEET_OUT. Each tastebench -loadgen invocation boots
 # an in-process 3-replica fleet behind the coordinator, drives it with a
@@ -240,9 +230,9 @@ rm -f "$TBENCH"
 echo "bench: wrote $FLEET_OUT ($(grep -c '"name"' "$FLEET_OUT") entries)" >&2
 : >"$TMP"
 
-fi # CACHE_ONLY / PIPELINE_ONLY
+fi # CACHE_ONLY
 
-if [ "${FLEET_ONLY:-0}" != "1" ] && [ "${PIPELINE_ONLY:-0}" != "1" ]; then
+if [ "${FLEET_ONLY:-0}" != "1" ]; then
 
 # Tiered-cache set → $CACHE_OUT. tastebench -benchcache trains one model
 # and measures the three cache temperatures (cold, warm latent, warm
@@ -281,43 +271,4 @@ rm -f "$TBENCH"
 echo "bench: wrote $CACHE_OUT ($(grep -c '"name"' "$CACHE_OUT") entries)" >&2
 : >"$TMP"
 
-fi # FLEET_ONLY / PIPELINE_ONLY
-
-if [ "${FLEET_ONLY:-0}" != "1" ] && [ "${CACHE_ONLY:-0}" != "1" ]; then
-
-# Pipeline set → $PIPE_OUT. tastebench -benchpipeline runs the same
-# 200-table × 3-column database through sequential, work-stealing, and
-# work-stealing+batched modes with an untrained tiny model (α=0.01/β=0.99
-# forces every column through Phase 2); each invocation byte-compares every
-# mode's results against sequential and fails unless the batched mode cuts
-# Phase-2 forwards ≥5×. The full matrix runs so p50 claims are tied to a
-# recorded machine shape.
-TBENCH="$(mktemp -d)/tastebench"
-go build -o "$TBENCH" ./cmd/tastebench
-for gp in $MATRIX; do
-    echo "bench: GOMAXPROCS=$gp tastebench -benchpipeline" >&2
-    GOMAXPROCS="$gp" "$TBENCH" -benchpipeline -pipeline-tables 200 \
-        -repeats 3 -loadgen-seed 7 >>"$TMP" || {
-        echo "bench: benchpipeline FAILED" >&2
-        exit 1
-    }
-done
-rm -f "$TBENCH"
-{
-    printf '{\n  "platform": "%s/%s",\n' "$(go env GOOS)" "$(go env GOARCH)"
-    printf '  "go_version": "%s",\n' "$(go env GOVERSION)"
-    printf '  "cpus": %s,\n' "$NCPU"
-    printf '  "gomaxprocs_matrix": [%s],\n' "$(echo "$MATRIX" | tr ' ' ',')"
-    printf '  "gomaxprocs_skipped": [%s],\n' "$(echo "$SKIPPED" | tr ' ' ',')"
-    if [ -n "$SKIPPED" ]; then
-        printf '  "matrix_note": "gomaxprocs values [%s] exceed the %s available CPU(s) and were skipped",\n' "$SKIPPED" "$NCPU"
-    fi
-    printf '  "git_sha": "%s",\n' "$GITSHA"
-    printf '  "pipeline_runs": [\n'
-    awk '{ lines[NR] = $0 } END { for (i = 1; i <= NR; i++) printf "    %s%s\n", lines[i], (i < NR ? "," : "") }' "$TMP"
-    printf '  ]\n}\n'
-} >"$PIPE_OUT"
-echo "bench: wrote $PIPE_OUT ($(grep -c '"name"' "$PIPE_OUT") entries)" >&2
-: >"$TMP"
-
-fi # FLEET_ONLY / CACHE_ONLY
+fi # FLEET_ONLY

@@ -48,7 +48,6 @@ for series in \
     'taste_pipeline_queue_wait_seconds' \
     'taste_detect_requests_total{outcome="ok"}' \
     'taste_detect_request_seconds_count' \
-    'taste_batcher_submissions_total' \
     'taste_adtd_forward_seconds' \
     'taste_simdb_op_seconds' \
     'taste_cache_hits' \
