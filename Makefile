@@ -30,14 +30,15 @@ vet-arm64:
 test: build
 	$(GO) test ./...
 
-# race also runs internal/core's prefetcher, gate and per-table-forward
-# tests: they drive core's concurrent code (prefetch.go, jobs parked on
-# storage futures and cancelled there, s4 forwards on every worker at once)
-# on an untrained model, so they need neither the trained fixture nor
-# race-all's 45 minutes.
+# race also runs internal/core's prefetcher, gate, per-table-forward and
+# over-a-connection tests: they drive core's concurrent code (prefetch.go,
+# jobs parked on storage futures and cancelled there, s4 forwards on every
+# worker at once, a pipelined batch on a connection its caller keeps) on an
+# untrained model, so they need neither the trained fixture nor race-all's
+# 45 minutes.
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'Prefetch|Forward|ResultKeys' ./internal/core/
+	$(GO) test -race -run 'Prefetch|Forward|ResultKeys|DetectDatabaseOn' ./internal/core/
 
 # bench-check builds and smoke-tests the benchmark module against this
 # checkout. bench/ is a module of its own (replace repro => ..), so the root

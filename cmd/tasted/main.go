@@ -185,7 +185,9 @@ func main() {
 			}
 		}()
 	}
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		<-ctx.Done()
 		// Give in-flight detect requests a bounded window to finish; their
 		// contexts descend from the server's base context and are cancelled
@@ -204,5 +206,9 @@ func main() {
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
+	// ListenAndServe returns as soon as Shutdown starts; wait for it to
+	// finish draining in-flight requests before closing what they use.
+	<-drained
+	svc.Close()
 	log.Printf("tasted: graceful shutdown complete")
 }

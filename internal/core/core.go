@@ -1014,40 +1014,70 @@ func (d *Detector) DetectTable(ctx context.Context, conn *simdb.Conn, dbName, ta
 	return j.res, nil
 }
 
-// DetectDatabase runs end-to-end detection over every table of a database,
-// reusing one connection for the whole batch (§5 recommends connection
-// reuse) and executing per the given mode. Per-table failures are collected
-// in Report.Errors without aborting the batch; tables whose Phase 1
-// completed before a deadline killed the batch are salvaged with their
-// unresolved columns degraded.
+// Connect opens a connection to dbName under the detector's retry policy:
+// a transient connect failure is retried on the same ladder every other
+// database operation gets. It returns the retries spent alongside the
+// connection so the caller can book them on its request; the caller closes
+// the connection.
+func (d *Detector) Connect(ctx context.Context, server *simdb.Server, dbName string) (*simdb.Conn, int, error) {
+	var conn *simdb.Conn
+	retries, err := d.retry(ctx, server.Accounting(), func() error {
+		var e error
+		conn, e = server.Connect(ctx, dbName)
+		return e
+	})
+	return conn, retries, err
+}
+
+// DetectDatabase runs end-to-end detection over every table of a database
+// on a connection of its own: connect (retried), DetectDatabaseOn, close.
+// One connection serves the whole batch (§5 recommends connection reuse),
+// and because the handshake is paid inside the call, Report.Duration is the
+// paper's end-to-end time — Fig 4's retrieval time includes it. A caller
+// that keeps connections across requests (the service's pool) calls Connect
+// and DetectDatabaseOn itself.
 func (d *Detector) DetectDatabase(ctx context.Context, server *simdb.Server, dbName string, mode ExecMode) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	batchRetries := 0
-	var conn *simdb.Conn
 	_, connSpan := obs.StartSpan(ctx, "connect")
-	n, err := d.retry(ctx, server.Accounting(), func() error {
-		var e error
-		conn, e = server.Connect(ctx, dbName)
-		return e
-	})
+	conn, retries, err := d.Connect(ctx, server, dbName)
 	connSpan.End()
-	batchRetries += n
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
+	rep, err := d.DetectDatabaseOn(ctx, conn, dbName, mode)
+	if err != nil {
+		return nil, err
+	}
+	rep.Retries += retries
+	rep.Duration = time.Since(start)
+	return rep, nil
+}
+
+// DetectDatabaseOn runs end-to-end detection over every table of a database
+// over an existing connection, the way DetectTable does for one table,
+// executing per the given mode. The connection stays open and is the
+// caller's to close or reuse; nothing reads from it once the call returns.
+// Per-table failures are collected in Report.Errors without aborting the
+// batch; tables whose Phase 1 completed before a deadline killed the batch
+// are salvaged with their unresolved columns degraded. A nil ctx means
+// context.Background().
+func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbName string, mode ExecMode) (*Report, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	start := time.Now()
 	var tables []string
 	_, listSpan := obs.StartSpan(ctx, "list_tables")
-	n, err = d.retry(ctx, server.Accounting(), func() error {
+	batchRetries, err := d.retry(ctx, conn.Accounting(), func() error {
 		var e error
 		tables, e = conn.ListTables(ctx)
 		return e
 	})
 	listSpan.End()
-	batchRetries += n
 	if err != nil {
 		return nil, err
 	}

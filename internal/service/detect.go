@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/simdb"
 )
 
 // DetectRequest is the /v1/detect payload. PrepWorkers/InferWorkers, when
@@ -192,7 +191,7 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 	if req.Workers < 0 || req.PrepWorkers < 0 || req.InferWorkers < 0 {
 		return nil, apiErrorf(http.StatusBadRequest, "worker counts must be ≥ 0")
 	}
-	server, ok := s.tenant(req.Database)
+	tn, ok := s.tenant(req.Database)
 	if !ok {
 		return nil, apiErrorf(http.StatusNotFound, "unknown database %q", req.Database)
 	}
@@ -251,6 +250,23 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 		}
 		return resp
 	}
+	conn, retries, err := tn.checkout(ctx, s.detector, req.Database)
+	resp.Retries = retries
+	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) {
+			// The deadline fired before a connection was up: still a valid,
+			// fully degraded response — not a server error.
+			resp.Degraded = true
+			resp.Errors = append(resp.Errors, err.Error())
+			return finish(), nil
+		}
+		return nil, apiErrorf(http.StatusInternalServerError, "connect: %v", err)
+	}
+	// The connection goes back to the pool only from a request that ran to
+	// its end with nothing to report; every other exit leaves clean false
+	// and the release closes it.
+	clean := false
+	defer func() { tn.release(conn, clean && ctx.Err() == nil) }()
 	if len(req.Tables) == 0 {
 		mode := core.SequentialMode
 		if req.Pipelined {
@@ -271,7 +287,7 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 				mode.Workers = req.Workers
 			}
 		}
-		rep, err := s.detector.DetectDatabase(ctx, server, req.Database, mode)
+		rep, err := s.detector.DetectDatabaseOn(ctx, conn, req.Database, mode)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
 				// The deadline fired before any table resolved: still a
@@ -288,7 +304,7 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 		resp.TotalColumns = rep.TotalColumns
 		resp.ScannedColumns = rep.ScannedColumns
 		resp.DegradedColumns = rep.DegradedColumns
-		resp.Retries = rep.Retries
+		resp.Retries += rep.Retries
 		resp.Degraded = rep.DegradedColumns > 0
 		for _, e := range rep.Errors {
 			resp.Errors = append(resp.Errors, e.Error())
@@ -297,17 +313,6 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 			}
 		}
 	} else {
-		var conn *simdb.Conn
-		var err error
-		if conn, err = server.Connect(ctx, req.Database); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				resp.Degraded = true
-				resp.Errors = append(resp.Errors, err.Error())
-				return finish(), nil
-			}
-			return nil, apiErrorf(http.StatusInternalServerError, "connect: %v", err)
-		}
-		defer conn.Close()
 		for i, table := range req.Tables {
 			if err := ctx.Err(); err != nil {
 				// The request context is dead: every further DetectTable
@@ -346,6 +351,7 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 			resp.Degraded = true
 		}
 	}
+	clean = !resp.Degraded && len(resp.Errors) == 0 && resp.Retries == 0
 	return finish(), nil
 }
 

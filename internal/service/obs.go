@@ -17,6 +17,13 @@ var (
 		"error":    obs.Default.Counter("taste_detect_requests_total", "outcome", "error"),
 	}
 
+	// Connection pool (connpool.go): a miss is a handshake paid, a discard a
+	// released connection closed instead of pooled.
+	connpoolHits     = obs.Default.Counter("taste_connpool_checkouts_total", "outcome", "hit")
+	connpoolMisses   = obs.Default.Counter("taste_connpool_checkouts_total", "outcome", "miss")
+	connpoolDiscards = obs.Default.Counter("taste_connpool_discards_total")
+	connpoolIdle     = obs.Default.Gauge("taste_connpool_idle")
+
 	modelSwapsTotal      = obs.Default.Counter("taste_model_swaps_total")
 	modelSwapErrorsTotal = obs.Default.Counter("taste_model_swap_errors_total")
 	servingVersionGauge  = obs.Default.Gauge("taste_model_serving_version")

@@ -66,57 +66,69 @@ func TestConcurrentRetryAttribution(t *testing.T) {
 }
 
 // TestConcurrentDetectsMatchSerial: every table runs its own Phase-2 forward
-// on the goroutine of its own request, so N single-table detects issued at
-// once on one Service must return the bytes the same requests return one at
-// a time (run under -race: the requests share the detector, its caches and
-// the tensor workspace pools).
+// on the goroutine of its own request, on a connection checked out for that
+// request alone, so N clients issuing single-table detects at once on one
+// Service must return the bytes the same requests return one at a time with
+// no pool behind them — each on a Service of its own, so every reference
+// pays its own handshake (run under -race: the requests share the detector,
+// its caches, the tensor workspace pools and the tenant's idle list).
 func TestConcurrentDetectsMatchSerial(t *testing.T) {
-	svc, ds := testService(t)
-	h := svc.Handler()
-	detect := func(name string) (string, int) {
-		rec := doJSON(t, h, http.MethodPost, "/v1/detect", DetectRequest{Database: "tenantdb", Tables: []string{name}})
-		if rec.Code != http.StatusOK {
-			t.Errorf("table %s: status %d: %s", name, rec.Code, rec.Body)
-			return "", 0
-		}
-		var resp DetectResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Error(err)
-			return "", 0
-		}
-		cols, err := json.Marshal(resp.Tables)
-		if err != nil {
-			t.Error(err)
-		}
-		return string(cols), resp.ScannedColumns
+	_, ds := testService(t)
+	serial := referenceAnswers(t, ds)
+	scanned := false
+	for _, ref := range serial {
+		scanned = scanned || strings.Contains(ref, `"scanned":true`)
 	}
-
-	serial := make([]string, len(ds.Test))
-	scanned := 0
-	for i, tb := range ds.Test {
-		var n int
-		serial[i], n = detect(tb.Name)
-		scanned += n
-	}
-	if scanned == 0 {
+	if !scanned {
 		t.Fatal("no column reached Phase 2: the requests never ran a content forward")
 	}
 
-	concurrent := make([]string, len(ds.Test))
+	// More clients than the idle cap, each walking every table from its own
+	// starting point, so checkouts, releases into a full idle list and
+	// misses all interleave.
+	svc, _ := testService(t)
+	h := svc.Handler()
+	tn, _ := svc.tenant("tenantdb")
+	const clients = 2 * maxIdleConns
 	var wg sync.WaitGroup
-	for i, tb := range ds.Test {
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
-		go func(i int, name string) {
+		go func(c int) {
 			defer wg.Done()
-			concurrent[i], _ = detect(name)
-		}(i, tb.Name)
+			for k := range ds.Test {
+				name := ds.Test[(c+k)%len(ds.Test)].Name
+				// Not detectOne: t.Fatal must stay on the test's goroutine.
+				rec := doJSON(t, h, http.MethodPost, "/v1/detect", DetectRequest{Database: "tenantdb", Tables: []string{name}})
+				var resp DetectResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+					t.Errorf("client %d, table %s: status %d, decode error %v: %s", c, name, rec.Code, err, rec.Body)
+					continue
+				}
+				cols, err := json.Marshal(resp.Tables)
+				if err != nil {
+					t.Error(err)
+				}
+				if got := string(cols); got != serial[name] {
+					t.Errorf("client %d, table %s: concurrent result differs from the serial one\nconcurrent: %s\nserial:     %s",
+						c, name, got, serial[name])
+				}
+				if n := len(idleConns(tn)); n > maxIdleConns {
+					t.Errorf("idle list holds %d connections, cap is %d", n, maxIdleConns)
+				}
+			}
+		}(c)
 	}
 	wg.Wait()
-	for i, tb := range ds.Test {
-		if concurrent[i] != serial[i] {
-			t.Errorf("table %s: concurrent result differs from the serial one\nconcurrent: %s\nserial:     %s", tb.Name, concurrent[i], serial[i])
-		}
+	opened := tn.server.Accounting().Snapshot().Connections
+	if total := clients * len(ds.Test); opened >= total {
+		t.Fatalf("%d handshakes for %d requests: nothing was reused", opened, total)
 	}
+	idle := idleConns(tn)
+	if len(idle) == 0 || len(idle) > maxIdleConns {
+		t.Fatalf("%d idle connections after the burst, want 1..%d", len(idle), maxIdleConns)
+	}
+	svc.Close()
+	assertClosedOnce(t, idle...)
 }
 
 // TestDetectDeadContextStopsTableLoop: after the deadline killed the context,
@@ -181,9 +193,12 @@ func TestDetectTraceReturnsSpanTree(t *testing.T) {
 	resp.Trace.Walk(func(n obs.SpanNode) {
 		if i := strings.IndexByte(n.Name, ':'); i > 0 {
 			stages[n.Name[:i]] = true
+		} else {
+			stages[n.Name] = true
 		}
 	})
-	for _, want := range []string{"s1", "s2", "s3", "s4"} {
+	// "connect" is the pool checkout: a handshake on a miss, ≈ 0 on a hit.
+	for _, want := range []string{"connect", "s1", "s2", "s3", "s4"} {
 		if !stages[want] {
 			t.Fatalf("trace misses stage %s: have %v", want, stages)
 		}
@@ -252,6 +267,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`taste_detector_tables_total`,
 		`taste_adtd_forwards_total{kind="meta"}`,
 		`taste_simdb_op_seconds_count{op="scan"}`,
+		`taste_connpool_checkouts_total{outcome="hit"}`,
+		`taste_connpool_checkouts_total{outcome="miss"}`,
+		`taste_connpool_discards_total`,
+		`taste_connpool_idle`,
 	} {
 		if !strings.Contains(body, series) {
 			t.Errorf("/metrics misses %s", series)

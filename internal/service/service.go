@@ -19,6 +19,10 @@
 // flaky tenant database) prevents Phase 2, the response still carries typed
 // results for every reachable column, with "degraded": true and a
 // per-column reason — a deadline is an SLO, not a 500.
+//
+// Requests that read a tenant database run on a connection checked out of
+// that tenant's pool of warm connections (connpool.go), so the handshake is
+// paid only when none is waiting.
 package service
 
 import (
@@ -42,7 +46,8 @@ import (
 type Service struct {
 	detector *core.Detector
 	mu       sync.RWMutex
-	tenants  map[string]*simdb.Server
+	tenants  map[string]*tenant
+	closed   bool // Close ran: tenants registered from now on are born retired
 
 	defaultMode     core.ExecMode
 	defaultDeadline time.Duration
@@ -66,7 +71,7 @@ type Service struct {
 func New(det *core.Detector) *Service {
 	return &Service{
 		detector:    det,
-		tenants:     make(map[string]*simdb.Server),
+		tenants:     make(map[string]*tenant),
 		defaultMode: core.PipelinedMode(),
 		flight:      cache.NewGroup[flightResult](obs.Default.Counter(cache.MetricCoalesced)),
 	}
@@ -87,24 +92,41 @@ func (s *Service) SetDefaultDeadline(d time.Duration) { s.defaultDeadline = d }
 // next [benchmark] PR.
 func (s *Service) EnableBatching(window time.Duration, maxBatch int) {}
 
-// Close does nothing.
-//
-// Deprecated: nothing to stop; kept so bench/ compiles — delete with the
-// next [benchmark] PR.
-func (s *Service) Close() {}
-
-// RegisterTenant attaches a database server under the given database name.
-func (s *Service) RegisterTenant(dbName string, server *simdb.Server) {
+// Close closes every idle pooled connection. Requests still in flight close
+// theirs on release instead of pooling them, so once they have returned the
+// service holds no open connection. Call it after the HTTP server has shut
+// down.
+func (s *Service) Close() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tenants[dbName] = server
+	s.closed = true
+	tenants := make([]*tenant, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		tenants = append(tenants, t)
+	}
+	s.mu.Unlock()
+	for _, t := range tenants {
+		t.retire()
+	}
 }
 
-func (s *Service) tenant(dbName string) (*simdb.Server, bool) {
+// RegisterTenant attaches a database server under the given database name.
+// Re-registering a name replaces the server and drops the old one's idle
+// connections.
+func (s *Service) RegisterTenant(dbName string, server *simdb.Server) {
+	s.mu.Lock()
+	old := s.tenants[dbName]
+	s.tenants[dbName] = &tenant{server: server, retired: s.closed}
+	s.mu.Unlock()
+	if old != nil {
+		old.retire()
+	}
+}
+
+func (s *Service) tenant(dbName string) (*tenant, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	server, ok := s.tenants[dbName]
-	return server, ok
+	t, ok := s.tenants[dbName]
+	return t, ok
 }
 
 // Handler returns the HTTP handler for the service.
@@ -185,19 +207,19 @@ func (s *Service) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	server, ok := s.tenant(req.Database)
+	tn, ok := s.tenant(req.Database)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown database %q", req.Database)
 		return
 	}
 	ctx := r.Context()
-	conn, err := server.Connect(ctx, req.Database)
+	conn, retries, err := tn.checkout(ctx, s.detector, req.Database)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "connect: %v", err)
 		return
 	}
-	defer conn.Close()
 	tm, err := conn.TableMetadata(ctx, req.Table)
+	tn.release(conn, err == nil && retries == 0 && ctx.Err() == nil)
 	if err != nil {
 		writeError(w, http.StatusNotFound, "table: %v", err)
 		return
@@ -270,8 +292,8 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := StatsResponse{Tenants: map[string]simdb.AccountingSnapshot{}}
 	s.mu.RLock()
-	for name, server := range s.tenants {
-		resp.Tenants[name] = server.Accounting().Snapshot()
+	for name, t := range s.tenants {
+		resp.Tenants[name] = t.server.Accounting().Snapshot()
 	}
 	s.mu.RUnlock()
 	resp.Cache = s.CacheStats()

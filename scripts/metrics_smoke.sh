@@ -60,6 +60,12 @@ do
     fi
 done
 
+# The one clean detect paid the tenant's one handshake and left that
+# connection warm in the pool (DESIGN.md §7 "Connection reuse").
+grep -qxF 'taste_connpool_checkouts_total{outcome="miss"} 1' <<<"$METRICS" \
+    && grep -qxF 'taste_connpool_idle 1' <<<"$METRICS" \
+    || { echo "connection pool series wrong after one detect:" >&2; grep taste_connpool <<<"$METRICS" >&2; exit 1; }
+
 # /metrics must also be mounted on the tenant-facing mux. Capture before
 # grepping: piping curl straight into grep -q trips pipefail when grep
 # exits at the first match and curl takes EPIPE on the rest.
