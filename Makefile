@@ -13,7 +13,7 @@ GO ?= go
 # publish/checkpoint traffic.
 RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/sherlock/... ./internal/baselines/... ./internal/cache/... ./internal/pipeline/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
 
-.PHONY: build vet vet-arm64 test race race-all bench-check fuzz ci bench bench-fleet bench-cache bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
+.PHONY: build vet vet-arm64 test test-nofma race race-all bench-check fuzz ci bench bench-fleet bench-cache bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
 
 build:
 	$(GO) build ./...
@@ -47,9 +47,20 @@ race:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# fuzz gives the /v1/detect fuzzer a short budget beyond its seed corpus.
+# fuzz gives each fuzzer a short budget beyond its seed corpus: the
+# /v1/detect handler, and the three assembly kernels against their references
+# (go test takes one -fuzz target per run).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzHandleDetect -fuzztime=20s ./internal/service/
+	for f in FuzzExpRow FuzzGELURow FuzzMulRowRange; do \
+		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzztime=10s ./internal/tensor/ || exit 1; \
+	done
+
+# test-nofma runs the goldens and the kernel packages as a process whose
+# math.Exp takes its non-FMA branch: the start-up probe must deselect the
+# exp/GELU kernels and every bit test must hold on the scalar calls.
+test-nofma:
+	GODEBUG=cpu.fma=off $(GO) test . ./internal/tensor/ ./internal/nn/ ./internal/adtd/
 
 # metrics-smoke boots tasted with -debug-addr, fires a traced detect, and
 # asserts /metrics and /debug/pprof serve what DESIGN.md §9 promises.
@@ -75,9 +86,10 @@ registry-smoke:
 	bash scripts/registry_smoke.sh
 
 # ci is the gate a pull request must pass: vet, build, the full test suite,
-# the race detector over every concurrent package, the benchmark module's
-# build and smoke test, and the serving smoke tests.
-ci: vet vet-arm64 test race bench-check metrics-smoke fleet-smoke cache-smoke registry-smoke
+# the same goldens and kernel tests with the exp/GELU kernels deselected, the
+# race detector over every concurrent package, the benchmark module's build
+# and smoke test, and the serving smoke tests.
+ci: vet vet-arm64 test test-nofma race bench-check metrics-smoke fleet-smoke cache-smoke registry-smoke
 
 # race-all adds internal/core, whose fixture trains a model and needs a
 # far longer deadline under the race detector's ~10x slowdown.
@@ -112,11 +124,11 @@ bench-cache:
 # bench-smoke compiles and runs every benchmark exactly once — no timing
 # value, but it keeps the benchmark code from rotting between full runs.
 # The second pass repeats the kernel pairs (fp64 assembly against the Go
-# kernels, and the int8 ones) so they are exercised by name even where the
-# default run skips them.
+# kernels — matmul, attention, the exp and GELU rows — and the int8 ones) so
+# they are exercised by name even where the default run skips them.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-	$(GO) test -run='^$$' -bench='BenchmarkLinearInto$$|BenchmarkFusedAttentionCore128$$|BenchmarkQuantAttentionCore128$$|BenchmarkLinearQuantInto128x64x192$$' -benchtime=1x ./internal/tensor/
+	$(GO) test -run='^$$' -bench='BenchmarkLinearInto$$|BenchmarkFusedAttentionCore128$$|BenchmarkExpSubRow$$|BenchmarkGELURow$$|BenchmarkQuantAttentionCore128$$|BenchmarkLinearQuantInto128x64x192$$' -benchtime=1x ./internal/tensor/
 
 clean:
 	$(GO) clean ./...

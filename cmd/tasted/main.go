@@ -202,7 +202,7 @@ func main() {
 		}
 	}()
 
-	log.Printf("tasted listening on %s (demo tenant: %d tables)", *addr, len(ds.Test))
+	log.Printf("tasted listening on %s (demo tenant: %d tables; kernels: %s)", *addr, len(ds.Test), tensor.Kernels())
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

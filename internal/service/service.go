@@ -40,6 +40,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/simdb"
+	"repro/internal/tensor"
 )
 
 // Service wires a detector to one or more tenant database servers.
@@ -272,6 +273,9 @@ type StatsResponse struct {
 		DeadlineDegraded int `json:"deadline_degraded"`
 		FailureDegraded  int `json:"failure_degraded"`
 	} `json:"detector"`
+	// Kernels is tensor.Kernels(): which compute kernels this process
+	// selected, and why not the fastest if it did not.
+	Kernels string `json:"kernels"`
 }
 
 // CacheStats snapshots the tiered cache and singleflight counters — the
@@ -303,5 +307,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Detector.DegradedColumns = fs.DegradedColumns
 	resp.Detector.DeadlineDegraded = fs.DeadlineDegraded
 	resp.Detector.FailureDegraded = fs.FailureDegraded
+	resp.Kernels = tensor.Kernels()
 	writeJSON(w, http.StatusOK, resp)
 }

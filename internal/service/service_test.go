@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/simdb"
+	"repro/internal/tensor"
 )
 
 var shared struct {
@@ -226,6 +227,9 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if snap.Queries == 0 {
 		t.Fatal("no queries recorded")
+	}
+	if resp.Kernels == "" || resp.Kernels != tensor.Kernels() {
+		t.Fatalf("kernels = %q, want tensor.Kernels() = %q", resp.Kernels, tensor.Kernels())
 	}
 }
 

@@ -26,12 +26,10 @@ func ReLU(a *Tensor) *Tensor {
 // GELU applies the Gaussian Error Linear Unit using the tanh approximation
 // used by BERT-family models.
 func GELU(a *Tensor) *Tensor {
-	const c = 0.7978845608028654 // sqrt(2/π)
+	const c = geluC
 	out := result(a.Rows, a.Cols, []*Tensor{a}, nil)
-	for i, x := range a.Data {
-		inner := c * (x + 0.044715*x*x*x)
-		out.Data[i] = 0.5 * x * (1 + math.Tanh(inner))
-	}
+	copy(out.Data, a.Data)
+	geluRow(out.Data)
 	if out.requiresGrad {
 		out.backward = func() {
 			a.ensureGrad()

@@ -85,12 +85,12 @@ func BenchmarkBackwardSmallGraph(b *testing.B) {
 // benchKernels runs body as one sub-benchmark per kernel choice ("asm",
 // "generic").
 func benchKernels(b *testing.B, body func(b *testing.B)) {
-	for _, kc := range kernelChoices {
+	for _, kc := range kernelChoices[:2] {
 		b.Run(kc.name, func(b *testing.B) {
 			if kc.asm && !haveAVX2 {
 				b.Skip("no AVX2 on this machine")
 			}
-			withAVX2(b, kc.asm, func() { body(b) })
+			kc.with(b, func() { body(b) })
 		})
 	}
 }
@@ -128,6 +128,39 @@ func BenchmarkFusedAttentionCore128(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			FusedAttentionCore(ws, dst, qp, qp, sh, nil)
 			ws.Reset()
+		}
+	})
+}
+
+// BenchmarkExpSubRow times softmax's exponential pass over one 128-key score
+// row (scores already at or below their max), the vector kernel against the
+// scalar math.Exp loop.
+func BenchmarkExpSubRow(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	src, p := make([]float64, 128), make([]float64, 128)
+	for i := range src {
+		src[i] = -rng.ExpFloat64() * 4
+	}
+	benchKernels(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(p, src)
+			expSubRow(p, 0)
+		}
+	})
+}
+
+// BenchmarkGELURow times GELU over one feed-forward row at the repro config
+// (256 wide, unit-normal pre-activations: both tanh arms in most blocks).
+func BenchmarkGELURow(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	src, p := make([]float64, 256), make([]float64, 256)
+	for i := range src {
+		src[i] = rng.NormFloat64()
+	}
+	benchKernels(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(p, src)
+			geluRow(p)
 		}
 	})
 }

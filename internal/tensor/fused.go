@@ -318,12 +318,14 @@ func FusedAttentionCore(ws *Workspace, dst, qp, kvp []float64, sh AttnShape, spa
 				for _, kr := range vis[:nv] {
 					maxv = scoreRow(srow, qrow, kvp, kOff, sh.KVStride, kr[0], kr[1], sh.HeadDim, sh.Scale, maxv)
 				}
+				// The exponentials are independent elements (expSubRow); their
+				// sum is one left-associative chain over them, in key order.
 				sum := 0.0
 				if !math.IsInf(maxv, -1) {
 					for _, kr := range vis[:nv] {
-						for j := kr[0]; j < kr[1]; j++ {
-							e := math.Exp(srow[j] - maxv)
-							srow[j] = e
+						w := srow[kr[0]:kr[1]]
+						expSubRow(w, maxv)
+						for _, e := range w {
 							sum += e
 						}
 					}
@@ -493,15 +495,40 @@ func normalizeRow(row []float64, m, inv float64, gamma, beta []float64) {
 	}
 }
 
-// FusedGELUInPlace applies the tanh-approximation GELU elementwise,
-// bit-exact against GELU.
-func FusedGELUInPlace(x []float64) {
-	const c = 0.7978845608028654 // sqrt(2/π)
-	for i, v := range x {
-		inner := c * (v + 0.044715*v*v*v)
-		x[i] = 0.5 * v * (1 + math.Tanh(inner))
+// expSubRow (per platform: the AVX2+FMA kernel where the process runs
+// math.Exp's FMA branch, else expSubRowGo) sets p[j] = math.Exp(p[j] − sub),
+// softmax's pass over one row of scores. expSubRowGo is the Go
+// implementation, what the assembly is tested against and what runs the
+// blocks it declines.
+func expSubRowGo(p []float64, sub float64) {
+	for j, v := range p {
+		p[j] = math.Exp(v - sub)
 	}
 }
+
+// geluRow (per platform, like expSubRow) applies the tanh-approximation
+// GELU used by BERT-family models to every element of p; geluRowGo is the Go
+// implementation, and geluScalar the package's one forward expression of the
+// function: GELU, FusedGELUInPlace and the assembly's fallback all end here.
+func geluRowGo(p []float64) {
+	for i, v := range p {
+		p[i] = geluScalar(v)
+	}
+}
+
+// The cubic term is converted before it is added so that no compiler may
+// contract v + t·v into one rounding (see axpy4): the assembly lanes and the
+// scalar elements of one row must agree on every build.
+func geluScalar(v float64) float64 {
+	inner := geluC * (v + float64(0.044715*v*v*v))
+	return 0.5 * v * (1 + math.Tanh(inner))
+}
+
+const geluC = 0.7978845608028654 // sqrt(2/π)
+
+// FusedGELUInPlace applies GELU elementwise, the same kernel the graph op
+// runs.
+func FusedGELUInPlace(x []float64) { geluRow(x) }
 
 // FusedReLUInPlace applies max(0, x) elementwise, bit-exact against ReLU
 // (negative values, -0.0 and NaN all map to +0.0, as the slow path's

@@ -1,8 +1,10 @@
-// AVX2 float64 kernels for the NoGrad fast path. Each runs, per output
-// element, exactly the operation sequence of the Go loop it stands in for
-// (fused.go): lanes are independent outputs, never terms of one sum, and a
-// product is always VMULPD then VADDPD — two roundings, never an FMA's one —
-// so results match the Go kernels bit for bit.
+// AVX2 float64 kernels. Each runs, per output element, exactly the operation
+// sequence of the Go loop it stands in for (fused.go): lanes are independent
+// outputs, never terms of one sum, and a product is always VMULPD then VADDPD
+// — two roundings, never an FMA's one — so results match the Go kernels bit
+// for bit. The one exception is the exp sequence (EXP_CORE below), which
+// fuses exactly where math.archExp's FMA branch does, because that branch is
+// what it has to match.
 
 #include "textflag.h"
 
@@ -359,5 +361,262 @@ key16:
 
 out:
 	VMOVSD X12, ret+64(FP)
+	VZEROUPPER
+	RET
+
+// Constants of the exp and GELU kernels, each replicated across a YMM so it
+// can be a memory operand. The exp ones are math.archExp's
+// ($GOROOT/src/math/exp_amd64.s), the tanh ones math.tanh's (tanh.go).
+#define QUAD(off, v) \
+	DATA mathc<>+off+0(SB)/8, v; \
+	DATA mathc<>+off+8(SB)/8, v; \
+	DATA mathc<>+off+16(SB)/8, v; \
+	DATA mathc<>+off+24(SB)/8, v
+
+QUAD(0, $0x7fffffffffffffff)                               // |x| mask
+QUAD(32, $708.0)                                           // exp's vector range
+QUAD(64, $1.4426950408889634073599246810018920)            // LOG2E
+QUAD(96, $0.69314718055966295651160180568695068359375)     // LN2U
+QUAD(128, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+QUAD(160, $0.0625)
+QUAD(192, $2.4801587301587301587e-5)
+QUAD(224, $1.9841269841269841270e-4)
+QUAD(256, $1.3888888888888888889e-3)
+QUAD(288, $8.3333333333333333333e-3)
+QUAD(320, $4.1666666666666666667e-2)
+QUAD(352, $1.6666666666666666667e-1)
+QUAD(384, $0.5)
+QUAD(416, $1.0)
+QUAD(448, $2.0)
+QUAD(480, $0x3ff)                                          // exponent bias
+QUAD(512, $0.044715)
+QUAD(544, $0.7978845608028654)                             // sqrt(2/π)
+QUAD(576, $44.0)                                           // GELU's vector range, inside 0.5·MAXLOG
+QUAD(608, $0.625)                                          // tanh's cut
+QUAD(640, $-9.64399179425052238628e-1)                     // tanhP[0]
+QUAD(672, $-9.92877231001918586564e1)                      // tanhP[1]
+QUAD(704, $-1.61468768441708447952e3)                      // tanhP[2]
+QUAD(736, $1.12811678491632931402e2)                       // tanhQ[0]
+QUAD(768, $2.23548839060100448583e3)                       // tanhQ[1]
+QUAD(800, $4.84406305325125486048e3)                       // tanhQ[2]
+QUAD(832, $0x8000000000000000)                             // sign bit
+GLOBL mathc<>(SB), RODATA|NOPTR, $864
+
+#define ABSMASK mathc<>+0(SB)
+#define EXPMAX  mathc<>+32(SB)
+#define LOG2E   mathc<>+64(SB)
+#define LN2U    mathc<>+96(SB)
+#define LN2L    mathc<>+128(SB)
+#define SIXTEENTH mathc<>+160(SB)
+#define EXPC8   mathc<>+192(SB)
+#define EXPC7   mathc<>+224(SB)
+#define EXPC6   mathc<>+256(SB)
+#define EXPC5   mathc<>+288(SB)
+#define EXPC4   mathc<>+320(SB)
+#define EXPC3   mathc<>+352(SB)
+#define HALF    mathc<>+384(SB)
+#define ONE     mathc<>+416(SB)
+#define TWO     mathc<>+448(SB)
+#define EXPBIAS mathc<>+480(SB)
+#define GELUA   mathc<>+512(SB)
+#define GELUC   mathc<>+544(SB)
+#define GELUMAX mathc<>+576(SB)
+#define TANHCUT mathc<>+608(SB)
+#define TANHP0  mathc<>+640(SB)
+#define TANHP1  mathc<>+672(SB)
+#define TANHP2  mathc<>+704(SB)
+#define TANHQ0  mathc<>+736(SB)
+#define TANHQ1  mathc<>+768(SB)
+#define TANHQ2  mathc<>+800(SB)
+#define SIGNBIT mathc<>+832(SB)
+
+// EXP_CORE: Y0 = exp(Y0) for four arguments with |x| ≤ 708, clobbering Y1
+// and Y2. Instruction for instruction the avxfma branch of math.archExp,
+// four lanes wide: k = round-to-nearest-even(x·LOG2E) under MXCSR as
+// CVTSD2SL, x −= k·LN2U then k·LN2L (fused), ÷16, the degree-8 Horner chain
+// (fused), four squarings x·(x+2) the last of which closes with +1 (fused),
+// times 2^k built in the exponent field. Within the range the biased
+// exponent k+0x3FF stays in [2, 0x7FC], so archExp's overflow, denormal and
+// not-finite exits are never the ones it would have taken.
+#define EXP_CORE \
+	VMULPD LOG2E, Y0, Y1; \
+	VCVTPD2DQY Y1, X2; \
+	VCVTDQ2PD X2, Y1; \
+	VFNMADD231PD LN2U, Y1, Y0; \
+	VFNMADD231PD LN2L, Y1, Y0; \
+	VMULPD SIXTEENTH, Y0, Y0; \
+	VMOVUPD EXPC8, Y1; \
+	VFMADD213PD EXPC7, Y0, Y1; \
+	VFMADD213PD EXPC6, Y0, Y1; \
+	VFMADD213PD EXPC5, Y0, Y1; \
+	VFMADD213PD EXPC4, Y0, Y1; \
+	VFMADD213PD EXPC3, Y0, Y1; \
+	VFMADD213PD HALF, Y0, Y1; \
+	VFMADD213PD ONE, Y0, Y1; \
+	VMULPD Y1, Y0, Y0; \
+	VADDPD TWO, Y0, Y1; \
+	VMULPD Y1, Y0, Y0; \
+	VADDPD TWO, Y0, Y1; \
+	VMULPD Y1, Y0, Y0; \
+	VADDPD TWO, Y0, Y1; \
+	VMULPD Y1, Y0, Y0; \
+	VADDPD TWO, Y0, Y1; \
+	VFMADD213PD ONE, Y1, Y0; \
+	VPMOVSXDQ X2, Y2; \
+	VPADDQ EXPBIAS, Y2, Y2; \
+	VPSLLQ $52, Y2, Y2; \
+	VMULPD Y2, Y0, Y0
+
+// Both row kernels walk p four elements at a time and return how many
+// leading elements they replaced: n, or the start of the first block with a
+// lane outside the vector range (the caller runs that block through the
+// scalar function and calls again). The last n%4 elements are a block whose
+// idle lanes are masked: loaded as zeros (so exp sees −sub there, in range
+// for any row maximum softmax meets), never stored.
+//   DI p, CX elements left, AX elements done, R8 nonzero in the masked block,
+//   Y15 its lane mask.
+#define ROW_BEGIN \
+	MOVQ p+0(FP), DI; \
+	MOVQ n+8(FP), CX; \
+	XORQ AX, AX; \
+	XORQ R8, R8
+
+#define TAIL_MASK \
+	LEAQ tailMask<>+32(SB), R9; \
+	MOVQ CX, R10; \
+	SHLQ $3, R10; \
+	SUBQ R10, R9; \
+	VMOVDQU (R9), Y15; \
+	MOVQ $1, R8
+
+// func expSubFMAAsm(p *float64, n int, sub float64) int
+// p[j] = math.Exp(p[j] − sub) where math.Exp takes its FMA branch.
+TEXT ·expSubFMAAsm(SB), NOSPLIT, $0-32
+	ROW_BEGIN
+	VBROADCASTSD sub+16(FP), Y14
+	VMOVUPD ABSMASK, Y13
+	VMOVUPD EXPMAX, Y12
+expLoop:
+	CMPQ CX, $4
+	JLT  expTail
+	VMOVUPD (DI), Y0
+	VSUBPD Y14, Y0, Y0
+expBlock:
+	VANDPD Y13, Y0, Y1
+	VCMPPD $18, Y12, Y1, Y1 // |x| ≤ 708, false for NaN
+	VMOVMSKPD Y1, DX
+	CMPL DX, $15
+	JNE  expRet
+	EXP_CORE
+	TESTQ R8, R8
+	JNZ  expTailStore
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $4, AX
+	SUBQ $4, CX
+	JMP  expLoop
+expTail:
+	TESTQ CX, CX
+	JZ   expRet
+	TAIL_MASK
+	VMASKMOVPD (DI), Y15, Y0
+	VSUBPD Y14, Y0, Y0
+	JMP  expBlock
+expTailStore:
+	VMASKMOVPD Y0, Y15, (DI)
+	ADDQ CX, AX
+expRet:
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func geluFMAAsm(p *float64, n int) int
+// p[j] = 0.5·v·(1 + math.Tanh(c·(v + 0.044715·v³))) in geluScalar's order:
+// every product and sum of the polynomial and of math.tanh's two arms is its
+// own VMULPD/VADDPD/VDIVPD, and the only fused operations are EXP_CORE's.
+// Both arms are computed for the whole block and blended per lane, an arm no
+// lane needs being skipped; a lane's discarded arm sees an argument that arm
+// is defined on (exp(2z) with z < 0.625; the rational at s ≤ 44²).
+// math.tanh returns a zero argument as it is where the rational would turn
+// −0 into +0; the kernel does not, because 1 + (±0) is the same 1.
+//   Y4 v, Y5 u = c·(v + 0.044715·v³), Y6 z = |u|, Y7 lanes with z ≥ 0.625,
+//   Y8 tanh(u).
+TEXT ·geluFMAAsm(SB), NOSPLIT, $0-24
+	ROW_BEGIN
+	VMOVUPD ABSMASK, Y13
+	VMOVUPD GELUMAX, Y12
+geluLoop:
+	CMPQ CX, $4
+	JLT  geluTail
+	VMOVUPD (DI), Y4
+geluBlock:
+	VMULPD GELUA, Y4, Y5
+	VMULPD Y4, Y5, Y5
+	VMULPD Y4, Y5, Y5
+	VADDPD Y5, Y4, Y5
+	VMULPD GELUC, Y5, Y5
+	VANDPD Y13, Y5, Y6
+	VCMPPD $18, Y12, Y6, Y0 // z ≤ 44, false for NaN
+	VMOVMSKPD Y0, DX
+	CMPL DX, $15
+	JNE  geluRet
+	VCMPPD $29, TANHCUT, Y6, Y7 // z ≥ 0.625
+	VMOVMSKPD Y7, DX
+	CMPL DX, $15
+	JEQ  geluLarge
+
+	// z < 0.625: u + u·s·P(s)/Q(s), s = u².
+	VMULPD Y5, Y5, Y9
+	VMULPD TANHP0, Y9, Y10
+	VADDPD TANHP1, Y10, Y10
+	VMULPD Y9, Y10, Y10
+	VADDPD TANHP2, Y10, Y10
+	VADDPD TANHQ0, Y9, Y11
+	VMULPD Y9, Y11, Y11
+	VADDPD TANHQ1, Y11, Y11
+	VMULPD Y9, Y11, Y11
+	VADDPD TANHQ2, Y11, Y11
+	VMULPD Y9, Y5, Y8
+	VMULPD Y10, Y8, Y8
+	VDIVPD Y11, Y8, Y8
+	VADDPD Y8, Y5, Y8
+	TESTL DX, DX
+	JZ   geluFinish
+
+geluLarge:
+	// z ≥ 0.625: 1 − 2/(exp(2z) + 1), with u's sign.
+	VADDPD Y6, Y6, Y0
+	EXP_CORE
+	VADDPD ONE, Y0, Y0
+	VMOVUPD TWO, Y1
+	VDIVPD Y0, Y1, Y0
+	VMOVUPD ONE, Y1
+	VSUBPD Y0, Y1, Y0
+	VANDPD SIGNBIT, Y5, Y1
+	VXORPD Y1, Y0, Y0
+	VBLENDVPD Y7, Y0, Y8, Y8
+
+geluFinish:
+	VMULPD HALF, Y4, Y0
+	VADDPD ONE, Y8, Y1
+	VMULPD Y1, Y0, Y0
+	TESTQ R8, R8
+	JNZ  geluTailStore
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $4, AX
+	SUBQ $4, CX
+	JMP  geluLoop
+geluTail:
+	TESTQ CX, CX
+	JZ   geluRet
+	TAIL_MASK
+	VMASKMOVPD (DI), Y15, Y4
+	JMP  geluBlock
+geluTailStore:
+	VMASKMOVPD Y0, Y15, (DI)
+	ADDQ CX, AX
+geluRet:
+	MOVQ AX, ret+16(FP)
 	VZEROUPPER
 	RET

@@ -8,6 +8,9 @@ package tensor
 // on every platform.
 var haveAVX2 = false
 
+// mathRowsOff likewise (kernels_amd64.go: why exp and GELU run scalar calls).
+var mathRowsOff = "not amd64"
+
 func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool) {
 	mulRowRangeGeneric(out, a, b, lo, hi, k, n, bstride, c0, zero)
 }
@@ -15,3 +18,10 @@ func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool) 
 func scoreRow(srow, qrow, kvp []float64, kOff, stride, lo, hi, headDim int, scale, maxv float64) float64 {
 	return scoreRowGo(srow, qrow, kvp, kOff, stride, lo, hi, headDim, scale, maxv)
 }
+
+func expSubRow(p []float64, sub float64) { expSubRowGo(p, sub) }
+
+func geluRow(p []float64) { geluRowGo(p) }
+
+// Kernels names the kernels this process runs (see kernels_amd64.go).
+func Kernels() string { return "go (" + mathRowsOff + ")" }

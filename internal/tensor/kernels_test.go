@@ -6,7 +6,8 @@ import (
 	"testing"
 )
 
-// withAVX2 forces the asm/generic kernel choice for the duration of f.
+// withAVX2 forces the asm/generic choice of the matmul, score and int8
+// kernels for the duration of f (exp and GELU follow withMathRowsOff).
 // Serial tests only (haveAVX2 is package state).
 func withAVX2(t testing.TB, on bool, f func()) {
 	t.Helper()
@@ -16,23 +17,49 @@ func withAVX2(t testing.TB, on bool, f func()) {
 	f()
 }
 
-// kernelChoices names the two implementations every kernel test and
-// benchmark runs: the assembly (skipped where the CPU lacks AVX2) and the Go
-// kernels.
-var kernelChoices = []struct {
-	name string
-	asm  bool
-}{{"asm", true}, {"generic", false}}
+// withMathRowsOff forces the verdict of the exp/GELU probe for the duration
+// of f: "" selects the vector kernels (only where the probe did), a reason
+// deselects them. Serial tests only.
+func withMathRowsOff(t testing.TB, why string, f func()) {
+	t.Helper()
+	old := mathRowsOff
+	mathRowsOff = why
+	defer func() { mathRowsOff = old }()
+	f()
+}
+
+// kernelChoices names the implementations every kernel test runs: the
+// assembly (skipped where the CPU lacks AVX2; exp and GELU as probed), the
+// Go kernels, and the assembly with the exp/GELU probe's verdict forced to a
+// mismatch — what a process under GODEBUG=cpu.fma=off runs. Benchmarks run
+// the first two.
+type kernelChoice struct {
+	name     string
+	asm      bool
+	mathRows string // mathRowsOff to force; "" = as probed
+}
+
+var kernelChoices = []kernelChoice{{"asm", true, ""}, {"generic", false, "go kernels"}, {"asm-scalar-math", true, "probe mismatch"}}
+
+// with runs f on the choice's kernels. Serial tests only.
+func (kc kernelChoice) with(t testing.TB, f func()) {
+	t.Helper()
+	why := mathRowsOff
+	if kc.mathRows != "" {
+		why = kc.mathRows
+	}
+	withAVX2(t, kc.asm, func() { withMathRowsOff(t, why, f) })
+}
 
 // eachKernel runs f as one subtest per kernel choice, so one body checks
-// both implementations.
+// every implementation.
 func eachKernel(t *testing.T, f func(t *testing.T)) {
 	for _, kc := range kernelChoices {
 		t.Run(kc.name, func(t *testing.T) {
 			if kc.asm && !haveAVX2 {
 				t.Skip("no AVX2 on this machine")
 			}
-			withAVX2(t, kc.asm, func() { f(t) })
+			kc.with(t, func() { f(t) })
 		})
 	}
 }
@@ -343,9 +370,10 @@ func TestNoFMAContraction(t *testing.T) {
 	}
 }
 
-// The two callers above the kernels — a packed projection with a bias and
-// the attention core over random spans — produce the same bits whichever
-// kernels run, at the repro head width, the paper's, and an odd one.
+// The callers above the kernels — a packed projection with a bias, the
+// attention core over random spans, GELU over the projection and the graph
+// softmax over a row of it — produce the same bits whichever kernels run, at
+// the repro head width, the paper's, and an odd one.
 func TestLinearAndAttentionSameBitsOnBothKernels(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("no AVX2 on this machine")
@@ -363,18 +391,23 @@ func TestLinearAndAttentionSameBitsOnBothKernels(t *testing.T) {
 		fillKernelInput(rng, bias, 0)
 		sh := AttnShape{Lq: lq, Lkv: lq, Heads: heads, HeadDim: hd, QStride: 3 * h, KOff: h, VOff: 2 * h, KVStride: 3 * h, Scale: 1 / math.Sqrt(float64(hd))}
 		spans := randSpans(rng, lq, lq)
-		var outs [2][]float64
-		for i, asm := range []bool{true, false} {
+		var want []float64
+		for _, kc := range kernelChoices {
 			proj := make([]float64, lq*3*h)
-			outs[i] = make([]float64, lq*h)
-			withAVX2(t, asm, func() {
+			got := make([]float64, lq*h, lq*h+2*len(proj))
+			kc.with(t, func() {
 				LinearInto(proj, x, lq, h, w, 3*h, 0, 3*h, bias)
-				FusedAttentionCore(ws, outs[i], proj, proj, sh, spans)
+				FusedAttentionCore(ws, got, proj, proj, sh, spans)
 				ws.Reset()
+				got = append(got, SoftmaxRows(FromSlice(lq, 3*h, proj), nil).Data...)
+				FusedGELUInPlace(proj)
+				got = append(got, proj...)
 			})
-		}
-		if i := firstBitDiff(outs[0], outs[1]); i >= 0 {
-			t.Fatalf("head width %d: output[%d] = %v on the assembly, %v on the Go kernels", hd, i, outs[0][i], outs[1][i])
+			if want == nil {
+				want = got
+			} else if i := firstBitDiff(got, want); i >= 0 {
+				t.Fatalf("head width %d: output[%d] = %v on %s, %v on %s", hd, i, got[i], kc.name, want[i], kernelChoices[0].name)
+			}
 		}
 	}
 }

@@ -564,10 +564,9 @@ func SoftmaxRows(a *Tensor, mask *Tensor) *Tensor {
 			}
 			continue
 		}
+		expSubRow(orow, maxv)
 		sum := 0.0
-		for j, v := range orow {
-			e := math.Exp(v - maxv)
-			orow[j] = e
+		for _, e := range orow {
 			sum += e
 		}
 		if sum == 0 {
