@@ -30,15 +30,15 @@ vet-arm64:
 test: build
 	$(GO) test ./...
 
-# race also runs internal/core's prefetcher, gate, per-table-forward and
-# over-a-connection tests: they drive core's concurrent code (prefetch.go,
-# jobs parked on storage futures and cancelled there, s4 forwards on every
-# worker at once, a pipelined batch on a connection its caller keeps) on an
-# untrained model, so they need neither the trained fixture nor race-all's
-# 45 minutes.
+# race also runs internal/core's prefetcher, gate, per-table-forward,
+# latent-key and over-a-connection tests: they drive core's concurrent code
+# (prefetch.go, jobs parked on storage futures and cancelled there, s4
+# forwards on every worker at once, two tenants sharing one detector's cache
+# tiers, a pipelined batch on a connection its caller keeps) on an untrained
+# model, so they need neither the trained fixture nor race-all's 45 minutes.
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'Prefetch|Forward|ResultKeys|DetectDatabaseOn' ./internal/core/
+	$(GO) test -race -run 'Prefetch|Forward|LatentKey|DetectDatabaseOn' ./internal/core/
 
 # bench-check builds and smoke-tests the benchmark module against this
 # checkout. bench/ is a module of its own (replace repro => ..), so the root
@@ -100,36 +100,34 @@ race-all:
 # kernels, attention forward, batched Phase-2 inference, end-to-end
 # detection), the training-runtime set (BENCH_5.json: sharded Adam and
 # one fine-tuning epoch, serial vs four gradient workers), the
-# quantized-inference set (BENCH_6.json: int8 kernels back-to-back with
-# their fp64 counterparts across the GOMAXPROCS matrix), the
 # fleet-serving set (BENCH_7.json: seeded open-/closed-loop load against
 # an in-process 3-replica fleet — latency quantiles, throughput, shed rate,
 # per-replica distribution), and the tiered-cache set (BENCH_8.json:
 # cold vs warm detect p50/p99, result-cache speedup, byte parity, plus a
 # Zipf-skewed fleet load run).
 bench:
-	scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json
+	scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_7.json BENCH_8.json
 
 # bench-fleet re-records only BENCH_7.json (the fleet suite trains a model,
 # so it dominates a full bench run's wall-clock).
 bench-fleet:
-	FLEET_ONLY=1 scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json
+	FLEET_ONLY=1 scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_7.json BENCH_8.json
 
 # bench-cache re-records only BENCH_8.json: cold/warm latency quantiles for
 # the latent and result tiers, the measured hit-path speedup, and the
 # cache-friendly Zipf load-generator run.
 bench-cache:
-	CACHE_ONLY=1 scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json
+	CACHE_ONLY=1 scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_7.json BENCH_8.json
 
 # bench-smoke compiles and runs every benchmark exactly once — no timing
 # value, but it keeps the benchmark code from rotting between full runs.
-# The second pass repeats the kernel pairs (fp64 assembly against the Go
-# kernels — matmul, attention, the exp and GELU rows — and the int8 ones) so
-# they are exercised by name even where the default run skips them.
+# The second pass repeats the kernel pairs (assembly against the Go kernels —
+# matmul, attention, the exp and GELU rows) so they are exercised by name
+# even where the default run skips them.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-	$(GO) test -run='^$$' -bench='BenchmarkLinearInto$$|BenchmarkFusedAttentionCore128$$|BenchmarkExpSubRow$$|BenchmarkGELURow$$|BenchmarkQuantAttentionCore128$$|BenchmarkLinearQuantInto128x64x192$$' -benchtime=1x ./internal/tensor/
+	$(GO) test -run='^$$' -bench='BenchmarkLinearInto$$|BenchmarkFusedAttentionCore128$$|BenchmarkExpSubRow$$|BenchmarkGELURow$$' -benchtime=1x ./internal/tensor/
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_1.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json
+	rm -f BENCH_1.json BENCH_5.json BENCH_7.json BENCH_8.json

@@ -42,7 +42,6 @@ func main() {
 		inferWorkers = flag.Int("infer-workers", 0, "TP2 pool size for pipelined runs (0 = paper default of 2)")
 		parallelism  = flag.Int("parallelism", tensor.DefaultParallelism(), "worker goroutines for the sharded tensor kernels")
 		fastpath     = flag.Bool("fastpath", true, "use the fused no-grad inference kernels (disable to time the composed autograd ops)")
-		quantize     = flag.Bool("quantize", false, "run inference through the int8 quantized kernels (lossy; no-op without AVX2)")
 		trace        = flag.Bool("trace", false, "run one traced detection and print the per-phase latency breakdown (Table-7 style) instead of the experiments")
 
 		loadgen       = flag.Bool("loadgen", false, "run the fleet load generator instead of the experiments (see -loadgen-* flags)")
@@ -88,10 +87,6 @@ func main() {
 	}
 	tensor.SetParallelism(*parallelism)
 	tensor.SetFastPath(*fastpath)
-	tensor.SetQuantize(*quantize)
-	if *quantize && !tensor.QuantizeAvailable() {
-		fmt.Fprintln(os.Stderr, "tastebench: -quantize set but the CPU lacks the required SIMD support; timing fp64")
-	}
 
 	cfg := experiments.DefaultConfig()
 	if *quick {

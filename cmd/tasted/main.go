@@ -62,16 +62,11 @@ func main() {
 		deadline     = flag.Duration("deadline", 0, "default per-request deadline for /v1/detect (0 = none; requests can override via deadline_ms)")
 		faultProb    = flag.Float64("fault-prob", 0, "demo tenant: probability of a transient fault per scan/query/connect (chaos mode)")
 		faultSeed    = flag.Int64("fault-seed", 1, "demo tenant: fault-injection seed")
-		quantize     = flag.Bool("quantize", false, "default /v1/detect requests to int8 quantized inference (lossy; requests can override via \"quantize\"; no-op without AVX2)")
 		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "latent-cache byte budget (0 disables the metadata-latent tier)")
 		resultCache  = flag.Int64("result-cache", 16<<20, "result-cache byte budget memoizing per-column detect outputs (0 disables; invalidated on any weight update)")
 	)
 	flag.Parse()
 	tensor.SetParallelism(*parallelism)
-	tensor.SetQuantize(*quantize)
-	if *quantize && !tensor.QuantizeAvailable() {
-		log.Printf("tasted: -quantize set but the CPU lacks the required SIMD support; serving fp64")
-	}
 
 	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.WikiTableProfile(*tables), *seed)
 	tok := adtd.BuildVocabulary(ds.Train, ds.Registry.Names(), 4000)

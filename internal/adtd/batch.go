@@ -36,15 +36,6 @@ type ContentRequest struct {
 // slice is indexed like reqs; each entry holds one probability row per
 // requested column.
 func (m *Model) PredictContentBatch(reqs []ContentRequest, n int) [][][]float64 {
-	return m.PredictContentBatchQ(reqs, n, nil)
-}
-
-// PredictContentBatchQ is PredictContentBatch with an explicit per-request
-// quantization preference: nil follows the process default
-// (tensor.SetQuantize), non-nil forces the int8 path on or off for this
-// batch only. Quantization applies only when the fused fast path is selected
-// and tensor.QuantizeAvailable reports kernel support.
-func (m *Model) PredictContentBatchQ(reqs []ContentRequest, n int, quantize *bool) [][][]float64 {
 	if len(reqs) == 0 {
 		return nil
 	}
@@ -53,7 +44,7 @@ func (m *Model) PredictContentBatchQ(reqs []ContentRequest, n int, quantize *boo
 	}
 	defer observeContentForward(time.Now(), len(reqs))
 	if m.evalFast() && batchNoGrad(reqs) {
-		return m.predictContentBatchFast(reqs, n, quantize)
+		return m.predictContentBatchFast(reqs, n)
 	}
 
 	cins := make([]*ContentInput, len(reqs))

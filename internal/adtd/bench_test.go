@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/metafeat"
-	"repro/internal/tensor"
 )
 
 var benchModel struct {
@@ -75,30 +74,6 @@ func BenchmarkP2InferenceRecomputedLatents(b *testing.B) {
 // BenchmarkP2InferenceCachedLatents iterations for the batching win.
 func BenchmarkP2InferenceBatched(b *testing.B) {
 	m, ds := benchSetup(b)
-	var reqs []ContentRequest
-	for ti := 0; ti < 4 && ti < len(ds.Test); ti++ {
-		info := metafeat.FromCorpusTable(ds.Test[ti], false, 0)
-		menc, _ := m.PredictMeta(info, false)
-		reqs = append(reqs, ContentRequest{Menc: menc.CloneDetach(), Table: info, Cols: []int{0}})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictContentBatch(reqs, 10)
-	}
-}
-
-// BenchmarkP2InferenceBatchedQuant is BenchmarkP2InferenceBatched with the
-// int8 inference packs opted in; run both back-to-back on the same machine
-// for the quantization speedup ratio.
-func BenchmarkP2InferenceBatchedQuant(b *testing.B) {
-	m, ds := benchSetup(b)
-	if !tensor.QuantizeAvailable() {
-		b.Skip("no SIMD int8 kernels on this machine")
-	}
-	prev := tensor.QuantizeEnabled()
-	tensor.SetQuantize(true)
-	defer tensor.SetQuantize(prev)
 	var reqs []ContentRequest
 	for ti := 0; ti < 4 && ti < len(ds.Test); ti++ {
 		info := metafeat.FromCorpusTable(ds.Test[ti], false, 0)

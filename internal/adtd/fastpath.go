@@ -13,9 +13,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// invalidatePacks drops every cached fast-path weight pack — the fp64
-// attention projections and all int8 quantized packs (attention, FF and
-// classifier/MLM linears) — and bumps the weight generation that versions
+// invalidatePacks drops every cached fast-path weight pack (the fused
+// attention projections) and bumps the weight generation that versions
 // memoized model outputs; called whenever parameters may have changed in
 // place (grad-mode flips, checkpoint loads, feedback updates) so the next
 // fast forward repacks fresh weights and stale cached predictions stop
@@ -24,9 +23,6 @@ func (m *Model) invalidatePacks() {
 	for _, b := range m.Blocks {
 		b.InvalidateFastPath()
 	}
-	m.MetaCls.InvalidateFastPath()
-	m.ContCls.InvalidateFastPath()
-	m.MLMHead.InvalidateFastPath()
 	m.gen.Store(nextGeneration())
 }
 
@@ -189,14 +185,9 @@ func (m *Model) contentLogitsWS(ws *tensor.Workspace, x *tensor.Tensor, rowBase 
 // features (its size grows with the batch's rows, not their square), and the
 // same release contract as the composed path (fresh metadata encodings
 // reachable from the logits' parents are recycled; cached graph-free entries
-// are leaves and survive). quantize, when non-nil, overrides the process-wide
-// quantization default for this batch.
-func (m *Model) predictContentBatchFast(reqs []ContentRequest, n int, quantize *bool) [][][]float64 {
+// are leaves and survive).
+func (m *Model) predictContentBatchFast(reqs []ContentRequest, n int) [][][]float64 {
 	ws := tensor.AcquireWorkspace()
-	if quantize != nil {
-		ws.Quantize = *quantize
-	}
-	observeQuantized(ws, quantContentForwardsTotal)
 	h := m.Cfg.Hidden
 
 	cins := make([]*ContentInput, len(reqs))

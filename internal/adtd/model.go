@@ -361,25 +361,12 @@ func Sigmoid(logits *tensor.Tensor) [][]float64 {
 // PredictMeta is the Phase-1 inference path: encode metadata and return the
 // encoding (for caching) plus per-column type probabilities p_{c,s}.
 func (m *Model) PredictMeta(t *metafeat.TableInfo, includeStats bool) (*MetaEncoding, [][]float64) {
-	return m.PredictMetaQ(t, includeStats, nil)
-}
-
-// PredictMetaQ is PredictMeta with an explicit per-request quantization
-// preference: nil follows the process default (tensor.SetQuantize), non-nil
-// forces the int8 path on or off for this forward only. The preference is
-// honored only when the fast path is selected and the CPU supports the int8
-// kernels (tensor.QuantizeAvailable); otherwise the fp64 path runs.
-func (m *Model) PredictMetaQ(t *metafeat.TableInfo, includeStats bool, quantize *bool) (*MetaEncoding, [][]float64) {
 	defer observeMetaForward(time.Now())
 	in := m.enc.BuildMetaInput(t, includeStats)
 	if m.evalFast() {
 		// One warm workspace threads through the whole phase: encoder blocks,
 		// span pooling and the classifier head.
 		ws := tensor.AcquireWorkspace()
-		if quantize != nil {
-			ws.Quantize = *quantize
-		}
-		observeQuantized(ws, quantMetaForwardsTotal)
 		menc := m.encodeMetadataWS(ws, in)
 		probs := Sigmoid(m.metaLogitsWS(ws, menc))
 		tensor.ReleaseWorkspace(ws)

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/tensor"
 )
 
 // Forward-pass metric handles (DESIGN.md §9): one histogram+counter pair per
@@ -16,23 +15,7 @@ var (
 	metaForwardsTotal     = obs.Default.Counter("taste_adtd_forwards_total", "kind", "meta")
 	contentForwardsTotal  = obs.Default.Counter("taste_adtd_forwards_total", "kind", "content")
 	contentChunksTotal    = obs.Default.Counter("taste_adtd_content_chunks_total")
-
-	// Quantized-path selection counters (DESIGN.md §11): incremented only when
-	// a forward actually runs int8 kernels, i.e. the resolved preference is on
-	// AND the CPU has the required SIMD support — so the ratio against
-	// taste_adtd_forwards_total tells operators what fraction of traffic took
-	// the lossy path.
-	quantMetaForwardsTotal    = obs.Default.Counter("taste_infer_quantized_forwards_total", "kind", "meta")
-	quantContentForwardsTotal = obs.Default.Counter("taste_infer_quantized_forwards_total", "kind", "content")
 )
-
-// observeQuantized bumps c when the workspace's resolved quantization
-// preference will actually select the int8 kernels.
-func observeQuantized(ws *tensor.Workspace, c *obs.Counter) {
-	if ws.Quantize && tensor.QuantizeAvailable() {
-		c.Inc()
-	}
-}
 
 func observeMetaForward(start time.Time) {
 	metaForwardSeconds.ObserveDuration(time.Since(start))

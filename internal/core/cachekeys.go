@@ -11,7 +11,6 @@ import (
 	"repro/internal/adtd"
 	"repro/internal/metafeat"
 	"repro/internal/simdb"
-	"repro/internal/tensor"
 )
 
 // Result-cache key construction. A key must change whenever anything that
@@ -20,8 +19,6 @@ import (
 //   - the model weights — covered by the Generation() prefix, bumped on
 //     SetTrain/Load/ApplyFeedback, so a weight change orphans every old key
 //     in O(1) without touching the cache;
-//   - the effective quantization mode — int8 and fp64 forwards produce
-//     (slightly) different probabilities and must never alias;
 //   - the detector knobs that shape the model input — UseHistogram, and for
 //     the content tier the requested columns and cell budget n;
 //   - the chunk itself, hashed by content: table/column names, comments,
@@ -34,32 +31,17 @@ import (
 // Framing is length-prefixed (every string and list is preceded by its
 // length) so distinct field sequences can never collide by concatenation.
 
-// effectiveQuantize resolves the int8 flag a request's forwards actually
-// run with: the per-request preference when present, else the process
-// default — and never on when the CPU lacks the kernels.
-func (d *Detector) effectiveQuantize(pref *bool) bool {
-	if !tensor.QuantizeAvailable() {
-		return false
-	}
-	if pref != nil {
-		return *pref
-	}
-	return tensor.QuantizeEnabled()
-}
-
 // metaResultKey memoizes Phase 1's probability rows for one chunk, under the
 // generation of the model the request actually runs on.
-func (d *Detector) metaResultKey(m *adtd.Model, chunk *metafeat.TableInfo, quant bool) string {
+func (d *Detector) metaResultKey(m *adtd.Model, chunk *metafeat.TableInfo) string {
 	h := sha256.New()
 	hashTableInfo(h, chunk)
-	return fmt.Sprintf("p1|g%d|q%v|h%v|%s",
-		m.Generation(), quant, d.Opts.UseHistogram, hex.EncodeToString(h.Sum(nil)))
+	return fmt.Sprintf("p1|g%d|h%v|%s", m.Generation(), d.Opts.UseHistogram, hex.EncodeToString(h.Sum(nil)))
 }
 
 // contentResultKey memoizes Phase 2's probability rows for one chunk
-// request; quant is the flag both the cached latents and the content forward
-// ran under.
-func (d *Detector) contentResultKey(m *adtd.Model, chunk *metafeat.TableInfo, cols []int, n int, quant bool) string {
+// request.
+func (d *Detector) contentResultKey(m *adtd.Model, chunk *metafeat.TableInfo, cols []int, n int) string {
 	h := sha256.New()
 	hashTableInfo(h, chunk)
 	hashInt(h, len(cols))
@@ -67,8 +49,7 @@ func (d *Detector) contentResultKey(m *adtd.Model, chunk *metafeat.TableInfo, co
 		hashInt(h, c)
 	}
 	hashInt(h, n)
-	return fmt.Sprintf("p2|g%d|q%v|h%v|%s",
-		m.Generation(), quant, d.Opts.UseHistogram, hex.EncodeToString(h.Sum(nil)))
+	return fmt.Sprintf("p2|g%d|h%v|%s", m.Generation(), d.Opts.UseHistogram, hex.EncodeToString(h.Sum(nil)))
 }
 
 func hashInt(h hash.Hash, v int) {

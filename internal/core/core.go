@@ -473,27 +473,6 @@ func (m ExecMode) withDefaults(opts Options) ExecMode {
 	return m
 }
 
-// quantKey carries a per-request int8 quantization override through the
-// stage contexts.
-type quantKey struct{}
-
-// WithQuantize returns a context carrying a per-request quantization
-// preference for the inference stages: true forces the int8 fast path on
-// (when selectable), false forces it off, overriding the process default set
-// by tensor.SetQuantize. Requests without the value follow the default.
-func WithQuantize(ctx context.Context, on bool) context.Context {
-	return context.WithValue(ctx, quantKey{}, on)
-}
-
-// quantPref extracts the per-request quantization preference; nil means
-// "follow the process default".
-func quantPref(ctx context.Context) *bool {
-	if v, ok := ctx.Value(quantKey{}).(bool); ok {
-		return &v
-	}
-	return nil
-}
-
 // tableJob carries per-table state across the four stages. The model is
 // captured once at job creation: all four stages (and their cache keys) use
 // the same weights even if the detector hot-swaps mid-request.
@@ -521,9 +500,11 @@ type tableJob struct {
 // generation prefix orphans every cached latent in O(1) when the weights
 // change (SetTrain, Load, ApplyFeedback) — and, because generations are
 // process-unique, keeps entries from hot-swapped models from ever aliasing.
-// The quantization flag keeps int8 and fp64 latents apart.
-func (d *Detector) cacheKey(m *adtd.Model, dbName, table string, chunk int, quant bool) string {
-	return fmt.Sprintf("g%d/q%v/%s.%s#%d/h=%v", m.Generation(), quant, dbName, table, chunk, d.Opts.UseHistogram)
+// Database and table names are free-form (nothing validates them), so each
+// is length-prefixed: tenant "a.b" with table "c" and tenant "a" with table
+// "b.c" must not share latents.
+func (d *Detector) cacheKey(m *adtd.Model, dbName, table string, chunk int) string {
+	return fmt.Sprintf("g%d/%d:%s/%d:%s#%d/h=%v", m.Generation(), len(dbName), dbName, len(table), table, chunk, d.Opts.UseHistogram)
 }
 
 // deadlineNear reports whether the request deadline has passed or is within
@@ -632,7 +613,6 @@ func (j *tableJob) s2InferMetadata(ctx context.Context) error {
 	}
 	opts := j.d.Opts
 	j.res = &TableResult{Table: j.table}
-	quant := j.d.effectiveQuantize(quantPref(ctx))
 	// Chunks cover the columns consecutively, so appending per chunk keeps
 	// p1Probs indexed by global column position.
 	for ci, chunk := range j.chunks {
@@ -643,14 +623,14 @@ func (j *tableJob) s2InferMetadata(ctx context.Context) error {
 		// downstream still finds latents without recomputing them.
 		var rkey string
 		if j.d.results.Enabled() {
-			rkey = j.d.metaResultKey(j.model, chunk, quant)
+			rkey = j.d.metaResultKey(j.model, chunk)
 			if probs, ok := j.d.results.Get(rkey); ok {
 				j.p1Probs = append(j.p1Probs, probs...)
 				continue
 			}
 		}
-		menc, probs := j.model.PredictMetaQ(chunk, opts.UseHistogram, quantPref(ctx))
-		if !j.d.cache.Put(j.d.cacheKey(j.model, j.dbName, j.table, ci, quant), menc) {
+		menc, probs := j.model.PredictMeta(chunk, opts.UseHistogram)
+		if !j.d.cache.Put(j.d.cacheKey(j.model, j.dbName, j.table, ci), menc) {
 			// Not consumed (disabled, oversized, or an equal entry already
 			// cached): the fresh graph goes back to the tensor arena.
 			menc.Release()
@@ -850,7 +830,6 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 	for _, g := range pending {
 		pendingSet[g] = true
 	}
-	quant := j.d.effectiveQuantize(quantPref(ctx))
 	applyRows := func(globals []int, rows [][]float64) {
 		for slot, g := range globals {
 			cr := &j.res.Columns[g]
@@ -879,13 +858,13 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 		// key and stale memoized answers simply never resolve again.
 		var rkey string
 		if j.d.results.Enabled() {
-			rkey = j.d.contentResultKey(j.model, chunk, localCols, opts.CellsPerColumn, quant)
+			rkey = j.d.contentResultKey(j.model, chunk, localCols, opts.CellsPerColumn)
 			if rows, ok := j.d.results.Get(rkey); ok && len(rows) == len(globals) {
 				applyRows(globals, rows)
 				continue
 			}
 		}
-		menc := j.d.cache.Get(j.d.cacheKey(j.model, j.dbName, j.table, ci, quant))
+		menc := j.d.cache.Get(j.d.cacheKey(j.model, j.dbName, j.table, ci))
 		if menc == nil {
 			// Cache disabled or evicted: pay the duplicate metadata-tower
 			// computation the latent cache exists to avoid (§4.2.2). The
@@ -900,7 +879,7 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	batch, err := j.contentForward(ctx, reqs)
+	batch, err := j.contentForward(reqs)
 	if err != nil {
 		if opts.DisableDegradation {
 			return err
@@ -925,7 +904,7 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 // panic inside the model (a corrupt latent, a kernel bug) comes back as an
 // error, so s4 degrades this table's columns instead of the panic killing a
 // scheduler worker goroutine and with it the process.
-func (j *tableJob) contentForward(ctx context.Context, reqs []adtd.ContentRequest) (batch [][][]float64, err error) {
+func (j *tableJob) contentForward(reqs []adtd.ContentRequest) (batch [][][]float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			forwardPanicsTotal.Inc()
@@ -935,7 +914,7 @@ func (j *tableJob) contentForward(ctx context.Context, reqs []adtd.ContentReques
 	if j.fwd != nil {
 		j.fwd.Add(1)
 	}
-	return j.model.PredictContentBatchQ(reqs, j.d.Opts.CellsPerColumn, quantPref(ctx)), nil
+	return j.model.PredictContentBatch(reqs, j.d.Opts.CellsPerColumn), nil
 }
 
 // admitted returns the sorted type names with probability ≥ threshold,

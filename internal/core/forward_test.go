@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
 // canonTables serializes per-table results for byte comparison across
@@ -51,56 +49,6 @@ func TestEveryTableRunsItsOwnForward(t *testing.T) {
 	}
 }
 
-// TestResultKeysFollowRequestQuantize: the content forward runs under the
-// request's own quantization preference, so the result tier must key its
-// rows by it — a quantize:true and a quantize:false request over the same
-// tables never share an entry, on either execution path, cold or warm.
-func TestResultKeysFollowRequestQuantize(t *testing.T) {
-	if !tensor.QuantizeAvailable() {
-		t.Skip("no int8 SIMD kernels on this CPU")
-	}
-	base, ds := phase2Detector(t, 12)
-	server := newServerWith(allTables(ds))
-	detect := func(det *Detector, quant bool, mode ExecMode) string {
-		t.Helper()
-		rep, err := det.DetectDatabase(WithQuantize(context.Background(), quant), server, "tenant", mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return canonTables(t, rep)
-	}
-	// Every detector gets cold caches of its own, result tier on.
-	fresh := func() *Detector {
-		opts := base.Opts
-		opts.ResultCacheBytes = 4 << 20
-		det, err := NewDetector(base.Model(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return det
-	}
-	refOn := detect(fresh(), true, SequentialMode)
-	refOff := detect(fresh(), false, SequentialMode)
-	if refOn == refOff {
-		t.Fatal("quantization does not change this fixture's rows: the test cannot tell the paths apart")
-	}
-
-	det := fresh()
-	piped := ExecMode{Pipelined: true, Workers: 4}
-	if got := detect(det, true, piped); got != refOn {
-		t.Fatal("pipelined quantize=on differs from its sequential reference")
-	}
-	if got := detect(det, false, piped); got != refOff {
-		t.Fatal("quantize=off request was answered from the quantize=on request's result entries")
-	}
-	if got := detect(det, true, SequentialMode); got != refOn {
-		t.Fatal("warm quantize=on differs from its reference")
-	}
-	if got := detect(det, false, SequentialMode); got != refOff {
-		t.Fatal("warm quantize=off differs from its reference")
-	}
-}
-
 // TestForwardPanicDegradesTable: a model forward that panics (here on a
 // latent-cache entry that lost its input view) must cost exactly that
 // table's Phase-2 answer — its pending columns come back degraded with the
@@ -129,7 +77,7 @@ func TestForwardPanicDegradesTable(t *testing.T) {
 			// entry and s4 hands it to the content tower, which dereferences
 			// the missing input.
 			victim := tables[len(tables)/2].Name
-			key := det.cacheKey(det.Model(), "tenant", victim, 0, det.effectiveQuantize(nil))
+			key := det.cacheKey(det.Model(), "tenant", victim, 0)
 			enc := det.cache.Get(key)
 			if enc == nil {
 				t.Fatalf("no cached latents for %s", victim)

@@ -24,9 +24,6 @@ type MultiHeadAttention struct {
 	// path (fastpath.go); nil until first fast forward, dropped by
 	// InvalidateFastPath when the weights change.
 	packed atomic.Pointer[qkvPack]
-	// qkvQuant is the int8 transposed pack of the fused projection for the
-	// quantized path, cached and invalidated alongside packed.
-	qkvQuant atomic.Pointer[tensor.QuantMatrix]
 }
 
 // NewMultiHeadAttention creates an attention layer with hidden size divisible

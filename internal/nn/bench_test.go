@@ -31,28 +31,6 @@ func BenchmarkSelfAttention128(b *testing.B) {
 	}
 }
 
-// BenchmarkSelfAttention128Quant is BenchmarkSelfAttention128 through the
-// int8 quantized kernels; the ratio of the two is the headline speedup
-// tracked in BENCH_6.json. Falls back to fp64 (and matches the fp64 number)
-// on CPUs without the required SIMD support.
-func BenchmarkSelfAttention128Quant(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := NewMultiHeadAttention(64, 4, rng)
-	evalMode(a)
-	x := tensor.New(128, 64)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	prev := tensor.QuantizeEnabled()
-	tensor.SetQuantize(true)
-	defer tensor.SetQuantize(prev)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Forward(x, x, nil)
-	}
-}
-
 func BenchmarkCrossAttention(b *testing.B) {
 	// Content-tower shape: 64 queries over 192 keys/values.
 	rng := rand.New(rand.NewSource(1))

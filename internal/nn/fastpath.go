@@ -43,47 +43,13 @@ func (a *MultiHeadAttention) pack() *qkvPack {
 	return p
 }
 
-// quantPack returns the int8 pack of the fused projection, building it
-// from the fp64 pack on first quantized forward.
-func (a *MultiHeadAttention) quantPack(pk *qkvPack) *tensor.QuantMatrix {
-	if q := a.qkvQuant.Load(); q != nil {
-		return q
-	}
-	q := tensor.PackQuantMatrix(pk.w, a.Hidden, 3*a.Hidden)
-	a.qkvQuant.Store(q)
-	return q
-}
+// InvalidateFastPath drops the packed projection; call after mutating the
+// attention weights in place (checkpoint load, optimizer step) so the next
+// fast forward repacks. Model-level SetEval/SetTrain/Load do this for you.
+func (a *MultiHeadAttention) InvalidateFastPath() { a.packed.Store(nil) }
 
-// InvalidateFastPath drops the packed projection and the quantized packs;
-// call after mutating the attention weights in place (checkpoint load,
-// optimizer step) so the next fast forward repacks. Model-level
-// SetEval/SetTrain/Load do this for you.
-func (a *MultiHeadAttention) InvalidateFastPath() {
-	a.packed.Store(nil)
-	a.qkvQuant.Store(nil)
-	a.WO.InvalidateFastPath()
-}
-
-// InvalidateFastPath drops the block's cached packs (attention projection
-// and the feed-forward int8 packs).
-func (b *TransformerBlock) InvalidateFastPath() {
-	b.Attn.InvalidateFastPath()
-	b.FF1.InvalidateFastPath()
-	b.FF2.InvalidateFastPath()
-}
-
-// InvalidateFastPath drops the classifier's cached int8 packs.
-func (c *MLPClassifier) InvalidateFastPath() {
-	c.Hidden.InvalidateFastPath()
-	c.Out.InvalidateFastPath()
-}
-
-// quantSelected reports whether forwards threaded through ws should take
-// the int8 kernels: requested on the workspace (process default or
-// per-request override) and SIMD-backed on this machine.
-func quantSelected(ws *tensor.Workspace) bool {
-	return ws.Quantize && tensor.QuantizeAvailable()
-}
+// InvalidateFastPath drops the block's cached attention projection pack.
+func (b *TransformerBlock) InvalidateFastPath() { b.Attn.InvalidateFastPath() }
 
 // fastEligible reports whether the fused path may run. It takes no mask: the
 // fused kernels know visibility only as key spans (tensor.AttnSpan), so a
@@ -102,44 +68,24 @@ func (a *MultiHeadAttention) forwardFastInto(ws *tensor.Workspace, dst []float64
 	pk := a.pack()
 	headDim := h / a.Heads
 	sh := AttnShapeFor(lq, lkv, a.Heads, headDim)
-	quant := quantSelected(ws)
-	var qq *tensor.QuantMatrix
-	if quant {
-		qq = a.quantPack(pk)
-	}
 	var qp, kvp []float64
 	if lq == lkv && &q[0] == &kv[0] {
 		proj := ws.Take(lq * 3 * h)
-		if quant {
-			tensor.LinearQuantInto(ws, proj, q, lq, h, qq, 0, 3*h, pk.b)
-		} else {
-			tensor.LinearInto(proj, q, lq, h, pk.w, 3*h, 0, 3*h, pk.b)
-		}
+		tensor.LinearInto(proj, q, lq, h, pk.w, 3*h, 0, 3*h, pk.b)
 		qp, kvp = proj, proj
 		sh.QOff, sh.QStride = 0, 3*h
 		sh.KOff, sh.VOff, sh.KVStride = h, 2*h, 3*h
 	} else {
 		qp = ws.Take(lq * h)
 		kvp = ws.Take(lkv * 2 * h)
-		if quant {
-			tensor.LinearQuantInto(ws, qp, q, lq, h, qq, 0, h, pk.b)
-			tensor.LinearQuantInto(ws, kvp, kv, lkv, h, qq, h, 3*h, pk.b)
-		} else {
-			tensor.LinearInto(qp, q, lq, h, pk.w, 3*h, 0, h, pk.b)
-			tensor.LinearInto(kvp, kv, lkv, h, pk.w, 3*h, h, 3*h, pk.b)
-		}
+		tensor.LinearInto(qp, q, lq, h, pk.w, 3*h, 0, h, pk.b)
+		tensor.LinearInto(kvp, kv, lkv, h, pk.w, 3*h, h, 3*h, pk.b)
 		sh.QOff, sh.QStride = 0, h
 		sh.KOff, sh.VOff, sh.KVStride = 0, h, 2*h
 	}
 	core := ws.Take(lq * h)
-	if !(quant && tensor.QuantAttentionCore(ws, core, qp, kvp, sh, spans)) {
-		tensor.FusedAttentionCore(ws, core, qp, kvp, sh, spans)
-	}
-	if quant {
-		tensor.LinearQuantInto(ws, dst, core, lq, h, a.WO.quantPack(), 0, h, a.WO.B.Data)
-	} else {
-		tensor.LinearInto(dst, core, lq, h, a.WO.W.Data, h, 0, h, a.WO.B.Data)
-	}
+	tensor.FusedAttentionCore(ws, core, qp, kvp, sh, spans)
+	tensor.LinearInto(dst, core, lq, h, a.WO.W.Data, h, 0, h, a.WO.B.Data)
 }
 
 // AttnShapeFor fills the shape-invariant fields of an AttnShape.
@@ -162,26 +108,16 @@ func (b *TransformerBlock) fastEligible(q, kv *tensor.Tensor) bool {
 func (b *TransformerBlock) forwardFastWS(ws *tensor.Workspace, q *tensor.Tensor, kvData []float64, lkv int, spans []tensor.AttnSpan, parents []*tensor.Tensor) *tensor.Tensor {
 	h := b.Attn.Hidden
 	lq := q.Rows
-	quant := quantSelected(ws)
 	attn := ws.Take(lq * h)
 	b.Attn.forwardFastInto(ws, attn, q.Data, lq, kvData, lkv, spans)
 	x := ws.Take(lq * h)
 	tensor.FusedAddLayerNormInto(x, q.Data, attn, b.LN1.Gamma.Data, b.LN1.Beta.Data, lq, h, b.LN1.Eps)
 	inter := b.FF1.Out()
 	hidden := ws.Take(lq * inter)
-	if quant {
-		tensor.LinearQuantInto(ws, hidden, x, lq, h, b.FF1.quantPack(), 0, inter, b.FF1.B.Data)
-		tensor.FastGELUInPlace(hidden)
-	} else {
-		tensor.LinearInto(hidden, x, lq, h, b.FF1.W.Data, inter, 0, inter, b.FF1.B.Data)
-		tensor.FusedGELUInPlace(hidden)
-	}
+	tensor.LinearInto(hidden, x, lq, h, b.FF1.W.Data, inter, 0, inter, b.FF1.B.Data)
+	tensor.FusedGELUInPlace(hidden)
 	ff := ws.Take(lq * h)
-	if quant {
-		tensor.LinearQuantInto(ws, ff, hidden, lq, inter, b.FF2.quantPack(), 0, h, b.FF2.B.Data)
-	} else {
-		tensor.LinearInto(ff, hidden, lq, inter, b.FF2.W.Data, h, 0, h, b.FF2.B.Data)
-	}
+	tensor.LinearInto(ff, hidden, lq, inter, b.FF2.W.Data, h, 0, h, b.FF2.B.Data)
 	out := tensor.InferenceResult(lq, h, parents...)
 	tensor.FusedAddLayerNormInto(out.Data, x, ff, b.LN2.Gamma.Data, b.LN2.Beta.Data, lq, h, b.LN2.Eps)
 	return out
@@ -235,22 +171,13 @@ func (c *MLPClassifier) ForwardWS(ws *tensor.Workspace, x *tensor.Tensor, parent
 	}
 	rows, in := x.Rows, c.Hidden.In()
 	hid := c.Hidden.Out()
-	quant := quantSelected(ws)
 	hidden := ws.Take(rows * hid)
-	if quant {
-		tensor.LinearQuantInto(ws, hidden, x.Data, rows, in, c.Hidden.quantPack(), 0, hid, c.Hidden.B.Data)
-	} else {
-		tensor.LinearInto(hidden, x.Data, rows, in, c.Hidden.W.Data, hid, 0, hid, c.Hidden.B.Data)
-	}
+	tensor.LinearInto(hidden, x.Data, rows, in, c.Hidden.W.Data, hid, 0, hid, c.Hidden.B.Data)
 	tensor.FusedReLUInPlace(hidden)
 	if len(parents) == 0 {
 		parents = []*tensor.Tensor{x}
 	}
 	out := tensor.InferenceResult(rows, c.Out.Out(), parents...)
-	if quant {
-		tensor.LinearQuantInto(ws, out.Data, hidden, rows, hid, c.Out.quantPack(), 0, c.Out.Out(), c.Out.B.Data)
-	} else {
-		tensor.LinearInto(out.Data, hidden, rows, hid, c.Out.W.Data, c.Out.Out(), 0, c.Out.Out(), c.Out.B.Data)
-	}
+	tensor.LinearInto(out.Data, hidden, rows, hid, c.Out.W.Data, c.Out.Out(), 0, c.Out.Out(), c.Out.B.Data)
 	return out
 }

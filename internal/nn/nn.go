@@ -12,7 +12,6 @@ package nn
 
 import (
 	"math/rand"
-	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -45,11 +44,6 @@ func NumParams(ms ...Module) int {
 type Linear struct {
 	W *tensor.Tensor // in × out
 	B *tensor.Tensor // 1 × out
-
-	// quant caches the int8 transposed weight pack for the quantized
-	// inference path; nil until first quantized forward, dropped by
-	// InvalidateFastPath when W changes in place.
-	quant atomic.Pointer[tensor.QuantMatrix]
 }
 
 // NewLinear creates a Xavier-initialized linear layer.
@@ -70,22 +64,6 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	return tensor.AddRowVector(tensor.MatMul(x, l.W), l.B)
 }
-
-// quantPack returns the cached int8 weight pack, building it on first use.
-// Like the attention projection pack, the pointer is published atomically;
-// a racing rebuild wastes one allocation.
-func (l *Linear) quantPack() *tensor.QuantMatrix {
-	if q := l.quant.Load(); q != nil {
-		return q
-	}
-	q := tensor.PackQuantMatrix(l.W.Data, l.In(), l.Out())
-	l.quant.Store(q)
-	return q
-}
-
-// InvalidateFastPath drops the cached int8 pack; call after mutating W in
-// place. Model-level SetEval/SetTrain/Load do this for you.
-func (l *Linear) InvalidateFastPath() { l.quant.Store(nil) }
 
 // Params implements Module.
 func (l *Linear) Params() []*tensor.Tensor { return []*tensor.Tensor{l.W, l.B} }

@@ -38,10 +38,6 @@ type DetectRequest struct {
 	// response: per-stage timings for every table, relative to request
 	// start.
 	Trace bool `json:"trace,omitempty"`
-	// Quantize, when set, overrides the process-wide int8 quantized-inference
-	// default (tasted -quantize) for this request: true opts in, false opts
-	// out. Ignored on CPUs without the required SIMD support.
-	Quantize *bool `json:"quantize,omitempty"`
 	// ModelVersion, when positive, pins this request to a published registry
 	// version instead of the serving model — e.g. to compare a candidate
 	// against the live model, or to keep a tenant on a validated version
@@ -136,7 +132,9 @@ type flightResult struct {
 // coalescing. The route-key prefix matches the granularity the fleet
 // coordinator shards by, so on a replica the colliding traffic is exactly
 // the traffic routed to collide there; the canonical JSON body makes any
-// parameter difference (tables, deadline, mode, quantize) a different key.
+// parameter difference (tables, deadline, mode, model version) a different
+// key. It is the decoded request re-encoded, so fields the service does not
+// know, retired request knobs included, never split it.
 func flightKey(req DetectRequest) string {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -196,9 +194,6 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 		return nil, apiErrorf(http.StatusNotFound, "unknown database %q", req.Database)
 	}
 
-	if req.Quantize != nil {
-		ctx = core.WithQuantize(ctx, *req.Quantize)
-	}
 	// Pin the request's model here, once: the version label below is derived
 	// from the same pointer, so even a hot-swap racing this request cannot
 	// produce a response computed on one model but labeled with another's

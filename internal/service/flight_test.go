@@ -3,6 +3,9 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -78,5 +81,46 @@ func TestDetectTraceBypassesFlight(t *testing.T) {
 	}
 	if st := svc.CacheStats().Flight; st.Leaders != 0 || st.Coalesced != 0 {
 		t.Fatalf("trace request entered the flight group: %+v", st)
+	}
+}
+
+// TestLegacyRequestFieldsAreHarmless: fields the API has retired
+// ("quantize", "batch_chunks") are ignored, not honoured. A body carrying
+// them answers the same bytes as the body without them and shares its flight
+// key, so the two coalesce under singleflight.
+func TestLegacyRequestFieldsAreHarmless(t *testing.T) {
+	svc, _ := testService(t)
+	h := svc.Handler()
+	const plain = `{"database":"tenantdb","pipelined":true}`
+	const legacy = `{"database":"tenantdb","pipelined":true,"quantize":true,"batch_chunks":8}`
+	answer := func(body string) (key, canon string) {
+		t.Helper()
+		var req DetectRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/detect", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body)
+		}
+		var resp DetectResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		resp.DurationMillis = 0
+		out, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return flightKey(req), string(out)
+	}
+	legacyKey, legacyResp := answer(legacy)
+	plainKey, plainResp := answer(plain)
+	if legacyKey != plainKey {
+		t.Fatalf("legacy fields split the flight key:\n%q\n%q", legacyKey, plainKey)
+	}
+	if legacyResp != plainResp {
+		t.Fatalf("legacy fields changed the answer:\n%s\nvs\n%s", legacyResp, plainResp)
 	}
 }

@@ -393,6 +393,7 @@ func FuzzHandleDetect(f *testing.F) {
 	f.Add(`{"database":"tenantdb","deadline_ms":9999999999999}`)
 	// Fields the schema no longer has (retired knobs of old clients) are ignored.
 	f.Add(`{"database":"tenantdb","tables":["ghost"],"pipelined":true,"retired_knob":4}`)
+	f.Add(`{"database":"tenantdb","pipelined":true,"quantize":true,"batch_chunks":8}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/detect", strings.NewReader(body))
 		rec := httptest.NewRecorder()

@@ -119,7 +119,10 @@ func BenchmarkLinearInto(b *testing.B) {
 // BenchmarkFusedAttentionCore128 times the fp64 attention core on 128-token
 // self-attention at the repro scale (4 heads of 16), every key visible.
 func BenchmarkFusedAttentionCore128(b *testing.B) {
-	ws, qp, sh, dst := attnBenchSetup(rand.New(rand.NewSource(1)))
+	const h = 64
+	sh := AttnShape{Lq: 128, Lkv: 128, Heads: 4, HeadDim: 16, QStride: 3 * h, KOff: h, VOff: 2 * h, KVStride: 3 * h, Scale: 0.25}
+	qp := benchTensor(rand.New(rand.NewSource(1)), 128, 3*h).Data
+	ws, dst := NewWorkspace(), make([]float64, 128*h)
 	benchKernels(b, func(b *testing.B) {
 		FusedAttentionCore(ws, dst, qp, qp, sh, nil)
 		ws.Reset()

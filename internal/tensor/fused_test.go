@@ -187,3 +187,36 @@ func TestAttnSpansValidated(t *testing.T) {
 		}()
 	}
 }
+
+// buildAttnInputs makes a random packed self-attention projection and shape.
+func buildAttnInputs(rng *rand.Rand, lq, lkv, heads, headDim int) ([]float64, AttnShape) {
+	h := heads * headDim
+	proj := make([]float64, lkv*3*h)
+	for i := range proj {
+		proj[i] = rng.NormFloat64()
+	}
+	sh := AttnShape{
+		Lq: lq, Lkv: lkv, Heads: heads, HeadDim: headDim,
+		QOff: 0, QStride: 3 * h, KOff: h, VOff: 2 * h, KVStride: 3 * h,
+		Scale: 1 / math.Sqrt(float64(headDim)),
+	}
+	return proj, sh
+}
+
+// blockSpans builds the batched Phase-2 span structure: row i may attend
+// to [0, meta) and to its own block of width span.
+func blockSpans(lq, lkv, meta, span int) []AttnSpan {
+	var spans []AttnSpan
+	for lo := 0; lo < lq; lo += span {
+		hi, blk := lo+span, meta+lo
+		if hi > lq {
+			hi = lq
+		}
+		bhi := blk + span
+		if bhi > lkv {
+			bhi = lkv
+		}
+		spans = append(spans, AttnSpan{RowLo: lo, RowHi: hi, A: [2]int{0, meta}, B: [2]int{blk, bhi}})
+	}
+	return spans
+}

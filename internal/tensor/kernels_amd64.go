@@ -26,8 +26,8 @@ func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 //go:noescape
 func xgetbvAsm() (eax, edx uint32)
 
-// haveAVX2 selects the assembly kernels, fp64 and int8 alike; without it
-// every kernel runs its Go implementation. Tests flip it to run both on the
+// haveAVX2 selects the assembly kernels; without it every kernel runs its Go
+// implementation. Tests flip it to run both on the
 // same inputs.
 var haveAVX2 = detectAVX2()
 

@@ -3,7 +3,7 @@
 package tensor
 
 // Non-amd64 platforms have no assembly kernels: the Go implementations run
-// everywhere and the quantized path (QuantizeAvailable) is never selected.
+// everywhere.
 // A variable, not a constant, so the in-package tests that flip it compile
 // on every platform.
 var haveAVX2 = false

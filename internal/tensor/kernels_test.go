@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// withAVX2 forces the asm/generic choice of the matmul, score and int8
-// kernels for the duration of f (exp and GELU follow withMathRowsOff).
+// withAVX2 forces the asm/generic choice of the matmul and score kernels
+// for the duration of f (exp and GELU follow withMathRowsOff).
 // Serial tests only (haveAVX2 is package state).
 func withAVX2(t testing.TB, on bool, f func()) {
 	t.Helper()

@@ -20,27 +20,11 @@ import (
 type Workspace struct {
 	free map[int][][]float64
 	used [][]float64
-
-	freeI8  map[int][][]int8
-	usedI8  [][]int8
-	freeI16 map[int][][]int16
-	usedI16 [][]int16
-
-	// Quantize requests the int8 kernels for forwards threaded through this
-	// workspace. AcquireWorkspace seeds it from the process default
-	// (QuantizeEnabled); entry points with a per-request preference overwrite
-	// it after acquiring. Consumers must additionally check
-	// QuantizeAvailable before selecting a quantized kernel.
-	Quantize bool
 }
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace {
-	return &Workspace{
-		free:    make(map[int][][]float64),
-		freeI8:  make(map[int][][]int8),
-		freeI16: make(map[int][][]int16),
-	}
+	return &Workspace{free: make(map[int][][]float64)}
 }
 
 // Take returns a scratch slice of length n with UNSPECIFIED contents; the
@@ -85,34 +69,6 @@ func (w *Workspace) Matrix(rows, cols int) *Tensor {
 	return &Tensor{Rows: rows, Cols: cols, Data: w.Take(rows * cols)}
 }
 
-// TakeI8 is Take for int8 scratch (quantized activations and weight tiles).
-func (w *Workspace) TakeI8(n int) []int8 {
-	c := wsClass(n)
-	if l := w.freeI8[c]; len(l) > 0 {
-		b := l[len(l)-1]
-		w.freeI8[c] = l[:len(l)-1]
-		w.usedI8 = append(w.usedI8, b)
-		return b[:n]
-	}
-	b := make([]int8, c)
-	w.usedI8 = append(w.usedI8, b)
-	return b[:n]
-}
-
-// TakeI16 is Take for int16 scratch (quantized attention probabilities).
-func (w *Workspace) TakeI16(n int) []int16 {
-	c := wsClass(n)
-	if l := w.freeI16[c]; len(l) > 0 {
-		b := l[len(l)-1]
-		w.freeI16[c] = l[:len(l)-1]
-		w.usedI16 = append(w.usedI16, b)
-		return b[:n]
-	}
-	b := make([]int16, c)
-	w.usedI16 = append(w.usedI16, b)
-	return b[:n]
-}
-
 // Reset reclaims every buffer handed out since the previous Reset. Any
 // slice or Matrix obtained earlier becomes invalid for reading or writing.
 func (w *Workspace) Reset() {
@@ -120,14 +76,6 @@ func (w *Workspace) Reset() {
 		w.free[cap(b)] = append(w.free[cap(b)], b)
 	}
 	w.used = w.used[:0]
-	for _, b := range w.usedI8 {
-		w.freeI8[cap(b)] = append(w.freeI8[cap(b)], b)
-	}
-	w.usedI8 = w.usedI8[:0]
-	for _, b := range w.usedI16 {
-		w.freeI16[cap(b)] = append(w.freeI16[cap(b)], b)
-	}
-	w.usedI16 = w.usedI16[:0]
 }
 
 // wsPool recycles workspaces across goroutines; in steady state each worker
@@ -136,13 +84,8 @@ func (w *Workspace) Reset() {
 var wsPool = sync.Pool{New: func() interface{} { return NewWorkspace() }}
 
 // AcquireWorkspace returns a workspace for exclusive use by the calling
-// goroutine, with Quantize seeded from the process-wide default. Pair with
-// ReleaseWorkspace.
-func AcquireWorkspace() *Workspace {
-	ws := wsPool.Get().(*Workspace)
-	ws.Quantize = QuantizeEnabled()
-	return ws
-}
+// goroutine. Pair with ReleaseWorkspace.
+func AcquireWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
 
 // ReleaseWorkspace resets ws and returns it to the shared pool. Every
 // buffer taken from it is invalidated; arena-backed op outputs built with

@@ -2,16 +2,13 @@
 # Runs the benchmark suites and emits JSON summaries (ns/op, B/op,
 # allocs/op per benchmark). Stdlib tooling only.
 #
-#   scripts/bench.sh [COMPUTE_OUT] [TRAIN_OUT] [QUANT_OUT] [FLEET_OUT]
+#   scripts/bench.sh [COMPUTE_OUT] [TRAIN_OUT] [FLEET_OUT] [CACHE_OUT]
 #
 # $1 (default BENCH_1.json) receives the compute-runtime set: matmul
 # kernels, attention forward, batched Phase-2 inference, end-to-end
 # detection. $2 (default BENCH_5.json) receives the training-runtime set:
 # the sharded Adam step and one fine-tuning epoch, each serial (par1)
-# versus four-way parallel (par4). $3 (default BENCH_6.json) receives the
-# quantized-inference set: each int8 kernel timed back-to-back with its
-# fp64 counterpart in the same process, so the speedup ratio is
-# same-machine by construction.
+# versus four-way parallel (par4).
 #
 # Parallel-sensitive suites run across a GOMAXPROCS matrix (1/2/4, values
 # above the CPU count skipped and recorded in the header), and every
@@ -23,7 +20,7 @@
 # because BENCH_1's par4 shards running no faster than par1 once looked like
 # a kernel regression but was simply a 1-CPU container.
 #
-# $4 (default BENCH_7.json) receives the fleet-serving set: the seeded load
+# $3 (default BENCH_7.json) receives the fleet-serving set: the seeded load
 # generator (open- and closed-loop) driving an in-process 3-replica fleet
 # through the coordinator, reporting p50/p95/p99 latency, throughput, shed
 # rate, and the per-replica hit distribution — plus a deliberately
@@ -31,7 +28,7 @@
 # FLEET_ONLY=1 to run just this suite (it trains a model, so it dominates
 # a full run's wall-clock).
 #
-# $5 (default BENCH_8.json) receives the tiered-cache set: tastebench
+# $4 (default BENCH_8.json) receives the tiered-cache set: tastebench
 # -benchcache measures cold vs warm single-table detect latency on one
 # trained model (warm answers byte-compared against cold), reporting the
 # result-cache speedup at p50, plus one Zipf-skewed closed-loop fleet run
@@ -42,9 +39,8 @@ set -eu
 
 COMPUTE_OUT="${1:-BENCH_1.json}"
 TRAIN_OUT="${2:-BENCH_5.json}"
-QUANT_OUT="${3:-BENCH_6.json}"
-FLEET_OUT="${4:-BENCH_7.json}"
-CACHE_OUT="${5:-BENCH_8.json}"
+FLEET_OUT="${3:-BENCH_7.json}"
+CACHE_OUT="${4:-BENCH_8.json}"
 cd "$(dirname "$0")/.."
 
 NCPU="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
@@ -174,15 +170,6 @@ for gp in $MATRIX; do
     run "$gp" ./internal/adtd 'BenchmarkFineTuneEpoch$' 2x
 done
 emit "$TRAIN_OUT"
-
-# Quantized-inference set → $QUANT_OUT: every fp64/int8 pair runs in one
-# process invocation, back-to-back, at each matrix point.
-for gp in $MATRIX; do
-    run "$gp" ./internal/tensor 'BenchmarkFusedAttentionCore128$|BenchmarkQuantAttentionCore128$|BenchmarkLinearInto$|BenchmarkLinearQuantInto128x64x192$' 1s
-    run "$gp" ./internal/nn 'BenchmarkSelfAttention128$|BenchmarkSelfAttention128Quant$' 1s
-    run "$gp" ./internal/adtd 'BenchmarkP2InferenceBatched$|BenchmarkP2InferenceBatchedQuant$' 1s
-done
-emit "$QUANT_OUT"
 
 fi # FLEET_ONLY / CACHE_ONLY
 
