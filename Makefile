@@ -121,9 +121,10 @@ bench-cache:
 
 # bench-smoke compiles and runs every benchmark exactly once — no timing
 # value, but it keeps the benchmark code from rotting between full runs.
-# The second pass repeats the kernel pairs (assembly against the Go kernels —
-# matmul, attention, the exp and GELU rows) so they are exercised by name
-# even where the default run skips them.
+# The second pass repeats the kernel sets (the AVX-512 rows, the AVX2
+# assembly and the Go kernels — matmul, attention, the exp and GELU rows:
+# sub-benchmarks avx512/asm/generic) so they are exercised by name even where
+# the default run skips them.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 	$(GO) test -run='^$$' -bench='BenchmarkLinearInto$$|BenchmarkFusedAttentionCore128$$|BenchmarkExpSubRow$$|BenchmarkGELURow$$' -benchtime=1x ./internal/tensor/

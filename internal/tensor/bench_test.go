@@ -82,13 +82,13 @@ func BenchmarkBackwardSmallGraph(b *testing.B) {
 	}
 }
 
-// benchKernels runs body as one sub-benchmark per kernel choice ("asm",
-// "generic").
+// benchKernels runs body as one sub-benchmark per kernel choice ("avx512",
+// "asm", "generic"). Only the matmul rows differ between the first two.
 func benchKernels(b *testing.B, body func(b *testing.B)) {
-	for _, kc := range kernelChoices[:2] {
+	for _, kc := range kernelChoices[:3] {
 		b.Run(kc.name, func(b *testing.B) {
-			if kc.asm && !haveAVX2 {
-				b.Skip("no AVX2 on this machine")
+			if why := kc.missing(); why != "" {
+				b.Skip(why)
 			}
 			kc.with(b, func() { body(b) })
 		})
@@ -96,10 +96,11 @@ func benchKernels(b *testing.B, body func(b *testing.B)) {
 }
 
 // BenchmarkLinearInto times dst = x·W + bias at the repro config's shapes
-// (the packed QKV projection, the feed-forward up-projection, and QKV for a
-// merged batch of eight chunks) and at the paper config's QKV projection.
+// (the packed QKV projection, the feed-forward up- and down-projections, and
+// QKV for a merged batch of eight chunks) and at the paper config's QKV
+// projection.
 func BenchmarkLinearInto(b *testing.B) {
-	for _, sh := range [][3]int{{128, 64, 192}, {128, 64, 128}, {1024, 64, 192}, {128, 312, 936}} {
+	for _, sh := range [][3]int{{128, 64, 192}, {128, 64, 128}, {128, 128, 64}, {1024, 64, 192}, {128, 312, 936}} {
 		rows, in, out := sh[0], sh[1], sh[2]
 		b.Run(fmt.Sprintf("%dx%dx%d", rows, in, out), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))

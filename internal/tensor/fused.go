@@ -96,20 +96,22 @@ func axpy8(a0, a1, a2, a3, a4, a5, a6, a7 float64, x0, x1, x2, x3, x4, x5, x6, x
 	}
 }
 
-// mulRowRange (per platform: the AVX2 row kernel when the CPU has it, else
-// mulRowRangeGeneric) computes out[lo:hi) rows of A(m×k) × B, where B's rows
-// have stride bstride and the product reads B columns [c0, c0+n). When zero
-// is set the output rows are cleared first (out =), otherwise accumulated
-// (out +=). Each output element is one chain over the k ranks in ascending
-// order. Ranks with a zero A coefficient are skipped — exactly as the scalar
-// kernel does — because adding a +0.0 term is not a bitwise no-op for -0.0
-// outputs.
+// mulRowRange (per platform: the AVX-512 row kernel when the CPU has it, else
+// the AVX2 one, else mulRowRangeGeneric) computes out[lo:hi) rows of A(m×k) ×
+// B, where B's rows have stride bstride and the product reads B columns
+// [c0, c0+n). When zero is set the output rows are cleared first (out =),
+// otherwise accumulated (out +=). Each output element is one chain over the
+// k ranks in ascending order. Ranks with a zero A coefficient are skipped —
+// exactly as the scalar kernel does — because adding a +0.0 term is not a
+// bitwise no-op for -0.0 outputs. bias, nil or n long, is added to each
+// row's finished chains, one rounded add per element: out[i][j] = chain +
+// bias[j].
 //
 // mulRowRangeGeneric is the Go implementation and the reference the assembly
 // is tested against: ranks are register-blocked eight and four at a time
 // (axpy8/axpy4), and a rank block containing any zero falls back to the
 // scalar order for those ranks.
-func mulRowRangeGeneric(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool) {
+func mulRowRangeGeneric(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool, bias []float64) {
 	for i := lo; i < hi; i++ {
 		orow := out[i*n : (i+1)*n]
 		if zero {
@@ -164,6 +166,11 @@ func mulRowRangeGeneric(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero
 				axpy(av, b[p*bstride+c0:p*bstride+c0+n], orow)
 			}
 		}
+		if bias != nil {
+			for j, bv := range bias[:n] {
+				orow[j] += bv
+			}
+		}
 	}
 }
 
@@ -171,20 +178,15 @@ func mulRowRangeGeneric(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero
 // is in×wcols row-major and bias (length wcols) may be nil. Writing only a
 // column range of a packed weight matrix is what lets attention project Q,
 // K and V from one fused [WQ|WK|WV] matrix. Bit-exact against
-// AddRowVector(MatMul(x, W'), b') on the corresponding column slice.
+// AddRowVector(MatMul(x, W'), b') on the corresponding column slice: the row
+// kernel adds the bias to each finished chain, the one add AddRowVector makes.
 func LinearInto(dst, x []float64, rows, in int, w []float64, wcols, c0, c1 int, bias []float64) {
 	n := c1 - c0
+	if bias != nil {
+		bias = bias[c0:c1]
+	}
 	parallelRows(rows, mulRowCost(in, n), func(lo, hi int) {
-		mulRowRange(dst, x, w, lo, hi, in, n, wcols, c0, true)
-		if bias != nil {
-			brow := bias[c0:c1]
-			for i := lo; i < hi; i++ {
-				drow := dst[i*n : (i+1)*n]
-				for j, bv := range brow {
-					drow[j] += bv
-				}
-			}
-		}
+		mulRowRange(dst, x, w, lo, hi, in, n, wcols, c0, true, bias)
 	})
 }
 
@@ -350,7 +352,7 @@ func FusedAttentionCore(ws *Workspace, dst, qp, kvp []float64, sh AttnShape, spa
 					for j := range w {
 						w[j] *= inv
 					}
-					mulRowRange(drow, w, kvp[kr[0]*sh.KVStride:], 0, 1, len(w), sh.HeadDim, sh.KVStride, vOff, r == 0)
+					mulRowRange(drow, w, kvp[kr[0]*sh.KVStride:], 0, 1, len(w), sh.HeadDim, sh.KVStride, vOff, r == 0, nil)
 				}
 			}
 		}

@@ -9,7 +9,10 @@ import "math"
 // to that extent first, so a bad shape panics here like the Go loops would.
 
 //go:noescape
-func mulRowsAsm(out, a, b *float64, rows, k, n, bstride int, zero bool)
+func mulRowsAsm(out, a, b *float64, rows, k, n, bstride int, zero bool, bias *float64)
+
+//go:noescape
+func mulRows512Asm(out, a, b *float64, rows, k, n, bstride int, zero bool, bias *float64)
 
 //go:noescape
 func scoreRowAsm(srow, q, k *float64, nkeys, kstride, hd int, scale, maxv float64) float64
@@ -49,6 +52,21 @@ func detectAVX2() bool {
 	}
 	_, b, _, _ := cpuidAsm(7, 0)
 	return b&(1<<5) != 0 // AVX2
+}
+
+// haveAVX512 selects mulRows512Asm for the matmul rows (which implies
+// haveAVX2; every other kernel stays on AVX2). Tests flip it with haveAVX2.
+var haveAVX512 = haveAVX2 && detectAVX512()
+
+// detectAVX512 reports AVX512F with the OS saving the opmask and all of the
+// ZMM state: XCR0 bits 1–2 (XMM, YMM), 5 (opmask), 6 (ZMM0–15 upper halves)
+// and 7 (ZMM16–31). detectAVX2 has checked OSXSAVE and the CPUID leaf.
+func detectAVX512() bool {
+	if xcr0, _ := xgetbvAsm(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	_, b, _, _ := cpuidAsm(7, 0)
+	return b&(1<<16) != 0 // AVX512F
 }
 
 // mathRowsOff is why expSubRow and geluRow run the scalar library calls, or
@@ -112,24 +130,38 @@ var (
 
 // Kernels names the kernels this process runs, for start-up lines and
 // /v1/stats: a replica that is slow because of a GODEBUG, a rebuild or an
-// older CPU says so.
+// older CPU says so. "avx512" leads when the matmul rows run on it; the
+// string ends in " fma exp gelu" exactly when the exp and GELU rows run
+// vectorised.
 func Kernels() string {
-	switch {
-	case !haveAVX2:
+	if !haveAVX2 {
 		return "go (no AVX2)"
-	case mathRowsOff != "":
-		return "avx2, exp and gelu on scalar calls (" + mathRowsOff + ")"
 	}
-	return "avx2 fma exp gelu"
+	s := "avx2"
+	if haveAVX512 {
+		s = "avx512 avx2"
+	}
+	if mathRowsOff != "" {
+		return s + ", exp and gelu on scalar calls (" + mathRowsOff + ")"
+	}
+	return s + " fma exp gelu"
 }
 
-func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool) {
+func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool, bias []float64) {
 	if !haveAVX2 || hi <= lo || k <= 0 || n <= 0 {
-		mulRowRangeGeneric(out, a, b, lo, hi, k, n, bstride, c0, zero)
+		mulRowRangeGeneric(out, a, b, lo, hi, k, n, bstride, c0, zero, bias)
 		return
 	}
 	o, x, w := out[lo*n:hi*n], a[lo*k:hi*k], b[c0:(k-1)*bstride+c0+n]
-	mulRowsAsm(&o[0], &x[0], &w[0], hi-lo, k, n, bstride, zero)
+	var bp *float64
+	if bias != nil {
+		bp = &bias[:n][0]
+	}
+	if haveAVX512 {
+		mulRows512Asm(&o[0], &x[0], &w[0], hi-lo, k, n, bstride, zero, bp)
+	} else {
+		mulRowsAsm(&o[0], &x[0], &w[0], hi-lo, k, n, bstride, zero, bp)
+	}
 }
 
 func scoreRow(srow, qrow, kvp []float64, kOff, stride, lo, hi, headDim int, scale, maxv float64) float64 {

@@ -1,10 +1,10 @@
-// AVX2 float64 kernels. Each runs, per output element, exactly the operation
-// sequence of the Go loop it stands in for (fused.go): lanes are independent
-// outputs, never terms of one sum, and a product is always VMULPD then VADDPD
-// — two roundings, never an FMA's one — so results match the Go kernels bit
-// for bit. The one exception is the exp sequence (EXP_CORE below), which
-// fuses exactly where math.archExp's FMA branch does, because that branch is
-// what it has to match.
+// AVX2 and AVX-512 float64 kernels. Each runs, per output element, exactly
+// the operation sequence of the Go loop it stands in for (fused.go): lanes
+// are independent outputs, never terms of one sum, and a product is always
+// VMULPD then VADDPD — two roundings, never an FMA's one — so results match
+// the Go kernels bit for bit. The one exception is the exp sequence
+// (EXP_CORE below), which fuses exactly where math.archExp's FMA branch
+// does, because that branch is what it has to match.
 
 #include "textflag.h"
 
@@ -39,16 +39,19 @@ DATA tailMask<>+48(SB)/8, $0
 DATA tailMask<>+56(SB)/8, $0
 GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 
-// mulRowsAsm register plan:
-//   DI out, SI a, DX b — base of the current column tile (row 0, rank 0)
+// Register plan of both row kernels (mulRowsAsm, mulRows512Asm):
+//   DI out, DX b, SI bias — base of the current column tile (row 0, rank 0);
+//   SI walks the tiles whether or not there is a bias, and is read only when
+//   bias+64(FP) is not nil
 //   R9 k·8, R11 bstride·8, R13 n·8, R10 columns not yet tiled
 //   AX rows left, BX out row, CX end of the a row, R12 rank offset (−k·8 → 0)
-//   R8 b row of the current rank, R14 scratch, Y8 the broadcast coefficient
+//   R8 b row of the current rank, R14 scratch, Y8/Z8 the broadcast coefficient
 
 #define ROWS_BEGIN \
 	MOVQ rows+24(FP), AX; \
 	MOVQ DI, BX; \
-	LEAQ (SI)(R9*1), CX
+	MOVQ a+8(FP), CX; \
+	ADDQ R9, CX
 
 #define RANKS_BEGIN \
 	MOVQ R9, R12; \
@@ -57,20 +60,33 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 
 // A coefficient is skipped iff it compares equal to zero: ±0 are the two
 // bit patterns that shift left to nothing, and a NaN is neither.
-#define RANK_LOAD(skip) \
+#define RANK_LOAD(skip, bcast) \
 	MOVQ (CX)(R12*1), R14; \
 	SHLQ $1, R14; \
 	JZ skip; \
-	VBROADCASTSD (CX)(R12*1), Y8
+	VBROADCASTSD (CX)(R12*1), bcast
 
 #define MAC(off, acc, tmp) \
 	VMULPD off(R8), Y8, tmp; \
+	VADDPD tmp, acc, acc
+
+#define MAC512(off, acc, tmp) \
+	VMULPD off(R8), Z8, tmp; \
 	VADDPD tmp, acc, acc
 
 #define RANK_NEXT(loop) \
 	ADDQ R11, R8; \
 	ADDQ $8, R12; \
 	JNZ loop
+
+// The bias epilogue: each finished chain plus its column's bias, one rounded
+// add per element — the add AddRowVector makes to a MatMul's output.
+#define HAS_BIAS(none) \
+	CMPQ bias+64(FP), $0; \
+	JEQ none
+
+#define BIAS(off, acc) \
+	VADDPD off(SI), acc, acc
 
 #define ROW_NEXT(loop) \
 	ADDQ R13, BX; \
@@ -81,29 +97,34 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 #define TILE_NEXT(bytes, cols, loop) \
 	ADDQ $bytes, DI; \
 	ADDQ $bytes, DX; \
+	ADDQ $bytes, SI; \
 	SUBQ $cols, R10; \
 	JMP loop
 
-// func mulRowsAsm(out, a, b *float64, rows, k, n, bstride int, zero bool)
-// out(rows×n) = or += a(rows×k) · b, where rank p of b starts at b[p·bstride]
-// and supplies n columns; rows, k, n > 0. Columns are tiled 32/16/8/4 wide
-// plus a masked tail; a tile's accumulators stay in registers across all k
-// ranks, taken in ascending order with zero coefficients skipped, and the
-// tile loop is outermost so the k×tile slab of b is reused across the rows.
-// zero starts a chain at +0.0 and adds into it (a −0.0 product still gives
-// +0.0, as clearing the row and accumulating does); otherwise it starts
-// from out.
-TEXT ·mulRowsAsm(SB), NOSPLIT, $0-57
-	MOVQ out+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ k+32(FP), R9
-	MOVQ n+40(FP), R10
-	MOVQ bstride+48(FP), R11
-	SHLQ $3, R9
-	SHLQ $3, R11
-	MOVQ R10, R13
+#define ROWS_PROLOGUE \
+	MOVQ out+0(FP), DI; \
+	MOVQ b+16(FP), DX; \
+	MOVQ bias+64(FP), SI; \
+	MOVQ k+32(FP), R9; \
+	MOVQ n+40(FP), R10; \
+	MOVQ bstride+48(FP), R11; \
+	SHLQ $3, R9; \
+	SHLQ $3, R11; \
+	MOVQ R10, R13; \
 	SHLQ $3, R13
+
+// func mulRowsAsm(out, a, b *float64, rows, k, n, bstride int, zero bool, bias *float64)
+// out(rows×n) = or += a(rows×k) · b (+ bias), where rank p of b starts at
+// b[p·bstride] and supplies n columns, and bias is nil or n elements; rows,
+// k, n > 0. Columns are tiled 32/16/8/4 wide plus a masked tail; a tile's
+// accumulators stay in registers across all k ranks, taken in ascending
+// order with zero coefficients skipped, and the tile loop is outermost so
+// the k×tile slab of b is reused across the rows. zero starts a chain at
+// +0.0 and adds into it (a −0.0 product still gives +0.0, as clearing the
+// row and accumulating does); otherwise it starts from out. The bias is
+// added to the finished chain, just before the store.
+TEXT ·mulRowsAsm(SB), NOSPLIT, $0-72
+	ROWS_PROLOGUE
 
 tile32:
 	CMPQ R10, $32
@@ -133,7 +154,7 @@ clear32:
 ranks32:
 	RANKS_BEGIN
 rank32:
-	RANK_LOAD(skip32)
+	RANK_LOAD(skip32, Y8)
 	MAC(0, Y0, Y9)
 	MAC(32, Y1, Y10)
 	MAC(64, Y2, Y11)
@@ -144,6 +165,16 @@ rank32:
 	MAC(224, Y7, Y12)
 skip32:
 	RANK_NEXT(rank32)
+	HAS_BIAS(store32)
+	BIAS(0, Y0)
+	BIAS(32, Y1)
+	BIAS(64, Y2)
+	BIAS(96, Y3)
+	BIAS(128, Y4)
+	BIAS(160, Y5)
+	BIAS(192, Y6)
+	BIAS(224, Y7)
+store32:
 	VMOVUPD Y0, 0(BX)
 	VMOVUPD Y1, 32(BX)
 	VMOVUPD Y2, 64(BX)
@@ -175,13 +206,19 @@ clear16:
 ranks16:
 	RANKS_BEGIN
 rank16:
-	RANK_LOAD(skip16)
+	RANK_LOAD(skip16, Y8)
 	MAC(0, Y0, Y9)
 	MAC(32, Y1, Y10)
 	MAC(64, Y2, Y11)
 	MAC(96, Y3, Y12)
 skip16:
 	RANK_NEXT(rank16)
+	HAS_BIAS(store16)
+	BIAS(0, Y0)
+	BIAS(32, Y1)
+	BIAS(64, Y2)
+	BIAS(96, Y3)
+store16:
 	VMOVUPD Y0, 0(BX)
 	VMOVUPD Y1, 32(BX)
 	VMOVUPD Y2, 64(BX)
@@ -205,11 +242,15 @@ clear8:
 ranks8:
 	RANKS_BEGIN
 rank8:
-	RANK_LOAD(skip8)
+	RANK_LOAD(skip8, Y8)
 	MAC(0, Y0, Y9)
 	MAC(32, Y1, Y10)
 skip8:
 	RANK_NEXT(rank8)
+	HAS_BIAS(store8)
+	BIAS(0, Y0)
+	BIAS(32, Y1)
+store8:
 	VMOVUPD Y0, 0(BX)
 	VMOVUPD Y1, 32(BX)
 	ROW_NEXT(row8)
@@ -229,10 +270,13 @@ clear4:
 ranks4:
 	RANKS_BEGIN
 rank4:
-	RANK_LOAD(skip4)
+	RANK_LOAD(skip4, Y8)
 	MAC(0, Y0, Y9)
 skip4:
 	RANK_NEXT(rank4)
+	HAS_BIAS(store4)
+	BIAS(0, Y0)
+store4:
 	VMOVUPD Y0, 0(BX)
 	ROW_NEXT(row4)
 	TILE_NEXT(32, 4, tile4)
@@ -257,15 +301,222 @@ clearT:
 ranksT:
 	RANKS_BEGIN
 rankT:
-	RANK_LOAD(skipT)
+	RANK_LOAD(skipT, Y8)
 	VMASKMOVPD (R8), Y15, Y9
 	VMULPD Y9, Y8, Y9
 	VADDPD Y9, Y0, Y0
 skipT:
 	RANK_NEXT(rankT)
+	HAS_BIAS(storeT)
+	VMASKMOVPD (SI), Y15, Y9
+	VADDPD Y9, Y0, Y0
+storeT:
 	VMASKMOVPD Y0, Y15, (BX)
 	ROW_NEXT(rowT)
 done:
+	VZEROUPPER
+	RET
+
+// func mulRows512Asm(out, a, b *float64, rows, k, n, bstride int, zero bool, bias *float64)
+// mulRowsAsm's contract and chain order, eight lanes to a register: columns
+// are tiled 64/32/16/8 wide in ZMM accumulators (a 64-column tile is eight
+// independent chains per rank, as mulRowsAsm's 32-column one is), and the
+// last 1–7 columns are a tail under the opmask K1 = 2^r − 1. A masked-off
+// lane is neither loaded nor stored — AVX-512 suppresses faults on the
+// elements a mask excludes — so no byte past n is touched; VMOVUPD.Z loads
+// zeros into those lanes, whose results are never stored. Only AVX512F
+// instructions: VPXORQ clears (VXORPD on ZMM would need AVX512DQ), KMOVW sets
+// the mask.
+TEXT ·mulRows512Asm(SB), NOSPLIT, $0-72
+	ROWS_PROLOGUE
+
+tile64:
+	CMPQ R10, $64
+	JLT  tile32z
+	ROWS_BEGIN
+row64:
+	CMPB zero+56(FP), $0
+	JNE  clear64
+	VMOVUPD 0(BX), Z0
+	VMOVUPD 64(BX), Z1
+	VMOVUPD 128(BX), Z2
+	VMOVUPD 192(BX), Z3
+	VMOVUPD 256(BX), Z4
+	VMOVUPD 320(BX), Z5
+	VMOVUPD 384(BX), Z6
+	VMOVUPD 448(BX), Z7
+	JMP  ranks64
+clear64:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+ranks64:
+	RANKS_BEGIN
+rank64:
+	RANK_LOAD(skip64, Z8)
+	MAC512(0, Z0, Z9)
+	MAC512(64, Z1, Z10)
+	MAC512(128, Z2, Z11)
+	MAC512(192, Z3, Z12)
+	MAC512(256, Z4, Z13)
+	MAC512(320, Z5, Z14)
+	MAC512(384, Z6, Z15)
+	MAC512(448, Z7, Z9)
+skip64:
+	RANK_NEXT(rank64)
+	HAS_BIAS(store64)
+	BIAS(0, Z0)
+	BIAS(64, Z1)
+	BIAS(128, Z2)
+	BIAS(192, Z3)
+	BIAS(256, Z4)
+	BIAS(320, Z5)
+	BIAS(384, Z6)
+	BIAS(448, Z7)
+store64:
+	VMOVUPD Z0, 0(BX)
+	VMOVUPD Z1, 64(BX)
+	VMOVUPD Z2, 128(BX)
+	VMOVUPD Z3, 192(BX)
+	VMOVUPD Z4, 256(BX)
+	VMOVUPD Z5, 320(BX)
+	VMOVUPD Z6, 384(BX)
+	VMOVUPD Z7, 448(BX)
+	ROW_NEXT(row64)
+	TILE_NEXT(512, 64, tile64)
+
+tile32z:
+	CMPQ R10, $32
+	JLT  tile16z
+	ROWS_BEGIN
+row32z:
+	CMPB zero+56(FP), $0
+	JNE  clear32z
+	VMOVUPD 0(BX), Z0
+	VMOVUPD 64(BX), Z1
+	VMOVUPD 128(BX), Z2
+	VMOVUPD 192(BX), Z3
+	JMP  ranks32z
+clear32z:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+ranks32z:
+	RANKS_BEGIN
+rank32z:
+	RANK_LOAD(skip32z, Z8)
+	MAC512(0, Z0, Z9)
+	MAC512(64, Z1, Z10)
+	MAC512(128, Z2, Z11)
+	MAC512(192, Z3, Z12)
+skip32z:
+	RANK_NEXT(rank32z)
+	HAS_BIAS(store32z)
+	BIAS(0, Z0)
+	BIAS(64, Z1)
+	BIAS(128, Z2)
+	BIAS(192, Z3)
+store32z:
+	VMOVUPD Z0, 0(BX)
+	VMOVUPD Z1, 64(BX)
+	VMOVUPD Z2, 128(BX)
+	VMOVUPD Z3, 192(BX)
+	ROW_NEXT(row32z)
+	TILE_NEXT(256, 32, tile32z)
+
+tile16z:
+	CMPQ R10, $16
+	JLT  tile8z
+	ROWS_BEGIN
+row16z:
+	CMPB zero+56(FP), $0
+	JNE  clear16z
+	VMOVUPD 0(BX), Z0
+	VMOVUPD 64(BX), Z1
+	JMP  ranks16z
+clear16z:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+ranks16z:
+	RANKS_BEGIN
+rank16z:
+	RANK_LOAD(skip16z, Z8)
+	MAC512(0, Z0, Z9)
+	MAC512(64, Z1, Z10)
+skip16z:
+	RANK_NEXT(rank16z)
+	HAS_BIAS(store16z)
+	BIAS(0, Z0)
+	BIAS(64, Z1)
+store16z:
+	VMOVUPD Z0, 0(BX)
+	VMOVUPD Z1, 64(BX)
+	ROW_NEXT(row16z)
+	TILE_NEXT(128, 16, tile16z)
+
+tile8z:
+	CMPQ R10, $8
+	JLT  tailz
+	ROWS_BEGIN
+row8z:
+	CMPB zero+56(FP), $0
+	JNE  clear8z
+	VMOVUPD 0(BX), Z0
+	JMP  ranks8z
+clear8z:
+	VPXORQ Z0, Z0, Z0
+ranks8z:
+	RANKS_BEGIN
+rank8z:
+	RANK_LOAD(skip8z, Z8)
+	MAC512(0, Z0, Z9)
+skip8z:
+	RANK_NEXT(rank8z)
+	HAS_BIAS(store8z)
+	BIAS(0, Z0)
+store8z:
+	VMOVUPD Z0, 0(BX)
+	ROW_NEXT(row8z)
+	TILE_NEXT(64, 8, tile8z)
+
+tailz:
+	TESTQ R10, R10
+	JZ   donez
+	MOVQ R10, CX
+	MOVL $1, R14
+	SHLL CX, R14
+	DECL R14
+	KMOVW R14, K1
+	ROWS_BEGIN
+rowTz:
+	CMPB zero+56(FP), $0
+	JNE  clearTz
+	VMOVUPD.Z (BX), K1, Z0
+	JMP  ranksTz
+clearTz:
+	VPXORQ Z0, Z0, Z0
+ranksTz:
+	RANKS_BEGIN
+rankTz:
+	RANK_LOAD(skipTz, Z8)
+	VMOVUPD.Z (R8), K1, Z9
+	VMULPD Z9, Z8, Z9
+	VADDPD Z9, Z0, Z0
+skipTz:
+	RANK_NEXT(rankTz)
+	HAS_BIAS(storeTz)
+	VMOVUPD.Z (SI), K1, Z9
+	VADDPD Z9, Z0, Z0
+storeTz:
+	VMOVUPD Z0, K1, (BX)
+	ROW_NEXT(rowTz)
+donez:
 	VZEROUPPER
 	RET
 

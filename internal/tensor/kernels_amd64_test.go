@@ -1,7 +1,10 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -67,4 +70,53 @@ func TestMathRowsSelectedWhereTheLibraryFuses(t *testing.T) {
 		c.gelu(t, geluProbeArgs[:])
 	})
 	t.Fatal("the probe reported a mismatch that its arguments do not show")
+}
+
+// A host that has AVX-512 but runs the AVX2 rows is slower, not wrong, and
+// every bit test passes on it — the avx512 mode just skips. So the machine's
+// support is read here condition by condition, independently of
+// detectAVX512, and where all of them hold the kernel must be selected; on
+// Linux the kernel's own flag (/proc/cpuinfo lists avx512f only where it
+// saves the ZMM state) must agree with the reading.
+func TestAVX512SelectedWhereTheCPUHasIt(t *testing.T) {
+	maxLeaf, _, _, _ := cpuidAsm(0, 0)
+	_, _, ecx1, _ := cpuidAsm(1, 0)
+	_, ebx7, _, _ := cpuidAsm(7, 0)
+	var xcr0 uint32
+	if ecx1&(1<<27) != 0 {
+		xcr0, _ = xgetbvAsm()
+	}
+	var why string
+	switch {
+	case maxLeaf < 7:
+		why = "CPUID has no leaf 7"
+	case ebx7&(1<<16) == 0:
+		why = "CPUID.(EAX=7):EBX.AVX512F is clear"
+	case ecx1&(1<<27) == 0:
+		why = "CPUID.1:ECX.OSXSAVE is clear"
+	case xcr0&0xe6 != 0xe6:
+		why = fmt.Sprintf("XCR0 = %#x: the OS does not save the opmask and ZMM state (want bits 0xe6)", xcr0)
+	case !cpuAVX2:
+		why = "the AVX2 kernels it runs beside are not selected"
+	}
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		listed := false
+		for _, line := range strings.Split(string(info), "\n") {
+			if strings.HasPrefix(line, "flags") {
+				listed = strings.Contains(line+" ", " avx512f ")
+				break
+			}
+		}
+		if listed != (why == "") {
+			t.Fatalf("/proc/cpuinfo lists avx512f: %v; CPUID and XCR0 read here: %q", listed, why)
+		}
+	}
+	switch {
+	case why != "" && cpuAVX512:
+		t.Fatalf("AVX-512 rows selected although %s", why)
+	case why != "":
+		t.Skipf("no AVX-512 here: %s", why)
+	case !cpuAVX512:
+		t.Fatalf("CPUID and XCR0 advertise AVX-512, but the process runs %q", Kernels())
+	}
 }

@@ -8,11 +8,14 @@ package tensor
 // on every platform.
 var haveAVX2 = false
 
+// haveAVX512 likewise (kernels_amd64.go: the 8-lane matmul rows).
+var haveAVX512 = false
+
 // mathRowsOff likewise (kernels_amd64.go: why exp and GELU run scalar calls).
 var mathRowsOff = "not amd64"
 
-func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool) {
-	mulRowRangeGeneric(out, a, b, lo, hi, k, n, bstride, c0, zero)
+func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool, bias []float64) {
+	mulRowRangeGeneric(out, a, b, lo, hi, k, n, bstride, c0, zero, bias)
 }
 
 func scoreRow(srow, qrow, kvp []float64, kOff, stride, lo, hi, headDim int, scale, maxv float64) float64 {

@@ -6,14 +6,18 @@ import (
 	"testing"
 )
 
-// withAVX2 forces the asm/generic choice of the matmul and score kernels
-// for the duration of f (exp and GELU follow withMathRowsOff).
-// Serial tests only (haveAVX2 is package state).
-func withAVX2(t testing.TB, on bool, f func()) {
+// The process's own kernel selection, before any test flips it.
+var cpuAVX2, cpuAVX512 = haveAVX2, haveAVX512
+
+// withVector forces the choice of the matmul and score kernels for the
+// duration of f: AVX2 on or off, and on top of it the AVX-512 matmul rows
+// (exp and GELU follow withMathRowsOff). Serial tests only (both flags are
+// package state).
+func withVector(t testing.TB, avx2, avx512 bool, f func()) {
 	t.Helper()
-	old := haveAVX2
-	haveAVX2 = on
-	defer func() { haveAVX2 = old }()
+	old2, old512 := haveAVX2, haveAVX512
+	haveAVX2, haveAVX512 = avx2, avx512
+	defer func() { haveAVX2, haveAVX512 = old2, old512 }()
 	f()
 }
 
@@ -29,17 +33,34 @@ func withMathRowsOff(t testing.TB, why string, f func()) {
 }
 
 // kernelChoices names the implementations every kernel test runs: the
-// assembly (skipped where the CPU lacks AVX2; exp and GELU as probed), the
-// Go kernels, and the assembly with the exp/GELU probe's verdict forced to a
-// mismatch — what a process under GODEBUG=cpu.fma=off runs. Benchmarks run
-// the first two.
+// AVX-512 matmul rows over the AVX2 kernels (skipped where the CPU lacks
+// AVX-512), the AVX2 assembly alone (skipped where it lacks AVX2; exp and
+// GELU as probed in both), the Go kernels, and the process's own assembly
+// with the exp/GELU probe's verdict forced to a mismatch — what a process
+// under GODEBUG=cpu.fma=off runs. Benchmarks run the first three.
 type kernelChoice struct {
-	name     string
-	asm      bool
-	mathRows string // mathRowsOff to force; "" = as probed
+	name         string
+	avx2, avx512 bool
+	mathRows     string // mathRowsOff to force; "" = as probed
 }
 
-var kernelChoices = []kernelChoice{{"asm", true, ""}, {"generic", false, "go kernels"}, {"asm-scalar-math", true, "probe mismatch"}}
+var kernelChoices = []kernelChoice{
+	{"avx512", true, true, ""},
+	{"asm", true, false, ""},
+	{"generic", false, false, "go kernels"},
+	{"asm-scalar-math", true, cpuAVX512, "probe mismatch"},
+}
+
+// missing is why this machine cannot run the choice, or "".
+func (kc kernelChoice) missing() string {
+	switch {
+	case kc.avx2 && !cpuAVX2:
+		return "no AVX2 on this machine"
+	case kc.avx512 && !cpuAVX512:
+		return "no AVX-512 on this machine (" + Kernels() + ")"
+	}
+	return ""
+}
 
 // with runs f on the choice's kernels. Serial tests only.
 func (kc kernelChoice) with(t testing.TB, f func()) {
@@ -48,7 +69,7 @@ func (kc kernelChoice) with(t testing.TB, f func()) {
 	if kc.mathRows != "" {
 		why = kc.mathRows
 	}
-	withAVX2(t, kc.asm, func() { withMathRowsOff(t, why, f) })
+	withVector(t, kc.avx2, kc.avx512, func() { withMathRowsOff(t, why, f) })
 }
 
 // eachKernel runs f as one subtest per kernel choice, so one body checks
@@ -56,8 +77,8 @@ func (kc kernelChoice) with(t testing.TB, f func()) {
 func eachKernel(t *testing.T, f func(t *testing.T)) {
 	for _, kc := range kernelChoices {
 		t.Run(kc.name, func(t *testing.T) {
-			if kc.asm && !haveAVX2 {
-				t.Skip("no AVX2 on this machine")
+			if why := kc.missing(); why != "" {
+				t.Skip(why)
 			}
 			kc.with(t, func() { f(t) })
 		})
@@ -101,8 +122,9 @@ func firstBitDiff(got, want []float64) int {
 
 // mulRowRangeRef is the specification of mulRowRange, one output element at
 // a time: start from +0.0 or from out, walk the ranks in ascending order,
-// skip a coefficient that equals zero, round each product before adding it.
-func mulRowRangeRef(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool) {
+// skip a coefficient that equals zero, round each product before adding it,
+// then add the column's bias (if any) to the finished chain.
+func mulRowRangeRef(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool, bias []float64) {
 	for i := lo; i < hi; i++ {
 		for j := 0; j < n; j++ {
 			acc := out[i*n+j]
@@ -114,32 +136,36 @@ func mulRowRangeRef(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero boo
 					acc += float64(av * b[p*bstride+c0+j])
 				}
 			}
+			if bias != nil {
+				acc += bias[j]
+			}
 			out[i*n+j] = acc
 		}
 	}
 }
 
 // mulCase is one mulRowRange call; checkMulRowRange runs it through the
-// reference, the Go kernel and (where present) the assembly.
+// reference and every matmul kernel the machine has.
 type mulCase struct {
 	m, lo, k, n, c0, pad int // rows [lo, m) of an m×k A; bstride = c0+n+pad
-	zero                 bool
+	zero, bias           bool
 	specials             int // fillKernelInput's `every`
 }
 
-type mulBufs struct{ out, a, b *guardBuf }
+type mulBufs struct{ out, a, b, bias *guardBuf }
 
 func newMulBufs(t testing.TB, maxDim int) mulBufs {
 	return mulBufs{
-		out: newGuardBuf(t, maxDim*maxDim),
-		a:   newGuardBuf(t, maxDim*maxDim),
-		b:   newGuardBuf(t, maxDim*(2*maxDim+16)),
+		out:  newGuardBuf(t, maxDim*maxDim),
+		a:    newGuardBuf(t, maxDim*maxDim),
+		b:    newGuardBuf(t, maxDim*(2*maxDim+16)),
+		bias: newGuardBuf(t, maxDim),
 	}
 }
 
 // checkMulRowRange places every operand so that it ends at a guard page
-// (hi == m, and B holds exactly (k-1)·bstride+c0+n elements), so a kernel
-// that touches memory past n columns or k ranks faults.
+// (hi == m, B holds exactly (k-1)·bstride+c0+n elements and the bias n), so
+// a kernel that touches memory past n columns or k ranks faults.
 func checkMulRowRange(t testing.TB, bufs mulBufs, rng *rand.Rand, c mulCase) {
 	t.Helper()
 	bstride := c.c0 + c.n + c.pad
@@ -149,29 +175,35 @@ func checkMulRowRange(t testing.TB, bufs mulBufs, rng *rand.Rand, c mulCase) {
 	fillKernelInput(rng, a, c.specials)
 	fillKernelInput(rng, b, c.specials)
 	fillKernelInput(rng, out0, c.specials)
+	var bias []float64
+	if c.bias {
+		bias = bufs.bias.tail(c.n)
+		fillKernelInput(rng, bias, c.specials)
+	}
 
 	want := append([]float64(nil), out0...)
-	mulRowRangeRef(want, a, b, c.lo, c.m, c.k, c.n, bstride, c.c0, c.zero)
-	for _, asm := range []bool{true, false} {
-		if asm && !haveAVX2 {
+	mulRowRangeRef(want, a, b, c.lo, c.m, c.k, c.n, bstride, c.c0, c.zero, bias)
+	for _, kc := range kernelChoices[:3] {
+		if kc.missing() != "" {
 			continue
 		}
 		got := bufs.out.tail(c.m * c.n)
 		copy(got, out0)
-		withAVX2(t, asm, func() {
-			mulRowRange(got, a, b, c.lo, c.m, c.k, c.n, bstride, c.c0, c.zero)
+		withVector(t, kc.avx2, kc.avx512, func() {
+			mulRowRange(got, a, b, c.lo, c.m, c.k, c.n, bstride, c.c0, c.zero, bias)
 		})
 		if i := firstBitDiff(got, want); i >= 0 {
-			t.Fatalf("%+v asm=%v: out[%d] (row %d, col %d) = %v (%#x), reference %v (%#x)",
-				c, asm, i, i/c.n, i%c.n, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			t.Fatalf("%+v on %s: out[%d] (row %d, col %d) = %v (%#x), reference %v (%#x)",
+				c, kc.name, i, i/c.n, i%c.n, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }
 
-// Property: the assembly row kernel and the blocked Go kernel both equal the
+// Property: both assembly row kernels and the blocked Go kernel equal the
 // one-element-at-a-time reference in every bit, over random shapes that mix
 // all tile widths with a masked tail, column offsets into a wider B, both
-// accumulation modes, and planted zeros, −0.0, ±Inf, NaN and subnormals.
+// accumulation modes, with and without a bias, and planted zeros, −0.0,
+// ±Inf, NaN and subnormals.
 func TestMulRowRangeBitExact(t *testing.T) {
 	const maxDim = 70
 	bufs := newMulBufs(t, maxDim)
@@ -180,7 +212,7 @@ func TestMulRowRangeBitExact(t *testing.T) {
 		m := 1 + rng.Intn(maxDim)
 		c := mulCase{
 			m: m, lo: rng.Intn(m), k: 1 + rng.Intn(maxDim), n: 1 + rng.Intn(maxDim),
-			c0: rng.Intn(maxDim), pad: rng.Intn(9), zero: rng.Intn(2) == 0,
+			c0: rng.Intn(maxDim), pad: rng.Intn(9), zero: rng.Intn(2) == 0, bias: rng.Intn(2) == 0,
 		}
 		switch trial % 3 { // clean, sprinkled, saturated with specials
 		case 1:
@@ -193,17 +225,28 @@ func TestMulRowRangeBitExact(t *testing.T) {
 }
 
 // The shapes the models run: the paper config's Hidden=312 and HeadDim=26,
-// the repro config's 64/192/16, and one-row weights×V products.
+// the repro config's 64/128/192/16 projections with their biases, and
+// one-row weights×V products; and widths that take every tile of both
+// assembly kernels (127 is 64+32+16+8 and a 7-column tail at eight lanes,
+// 3·32+16+8+4 and a 3-column tail at four; 120 has no tail at eight).
 func TestMulRowRangeModelShapes(t *testing.T) {
 	bufs := newMulBufs(t, 320)
 	rng := rand.New(rand.NewSource(32))
 	for _, c := range []mulCase{
 		{m: 3, k: 312, n: 312, specials: 40},
+		{m: 3, k: 312, n: 312, zero: true, bias: true, specials: 40},
 		{m: 2, k: 64, n: 192, zero: true},
+		{m: 2, k: 64, n: 192, zero: true, bias: true},
+		{m: 3, k: 128, n: 64, zero: true, bias: true, specials: 40},
+		{m: 2, k: 64, n: 128, c0: 64, pad: 64, zero: true, bias: true},
 		{m: 5, k: 64, n: 64, c0: 128, zero: true, specials: 40},
 		{m: 1, k: 97, n: 26, c0: 52, pad: 26, zero: true, specials: 9},
 		{m: 1, k: 128, n: 16, c0: 144, pad: 32, specials: 9},
 		{m: 4, lo: 3, k: 1, n: 1},
+		{m: 4, lo: 1, k: 1, n: 1, bias: true},
+		{m: 3, k: 33, n: 127, c0: 5, pad: 3, zero: true, bias: true, specials: 9},
+		{m: 3, k: 33, n: 127, c0: 5, pad: 3, specials: 9},
+		{m: 2, k: 9, n: 120, bias: true, specials: 3},
 	} {
 		checkMulRowRange(t, bufs, rng, c)
 	}
@@ -222,7 +265,8 @@ func FuzzMulRowRange(f *testing.F) {
 		rows := 1 + int(m)%maxDim
 		checkMulRowRange(t, bufs, rng, mulCase{
 			m: rows, lo: rng.Intn(rows), k: 1 + int(k)%maxDim, n: 1 + int(n)%maxDim,
-			c0: int(c0) % maxDim, pad: int(pad) % 9, zero: zero, specials: int(specials) % 16,
+			c0: int(c0) % maxDim, pad: int(pad) % 9, zero: zero, bias: rng.Intn(2) == 0,
+			specials: int(specials) % 16,
 		})
 	})
 }
@@ -330,7 +374,7 @@ func TestNoFMAContraction(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		for _, k := range []int{1, 3, 4, 8, 13} {
 			for pos := 0; pos < k; pos++ {
-				for _, n := range []int{1, 4, 37} {
+				for _, n := range []int{1, 4, 37, 75} {
 					arow := make([]float64, k)
 					b := make([]float64, k*n)
 					out := make([]float64, n)
@@ -342,7 +386,7 @@ func TestNoFMAContraction(t *testing.T) {
 						b[pos*n+j] = x
 						out[j] = y
 					}
-					mulRowRange(out, arow, b, 0, 1, k, n, n, 0, false)
+					mulRowRange(out, arow, b, 0, 1, k, n, n, 0, false, nil)
 					for j, v := range out {
 						if v != 0 {
 							t.Fatalf("k=%d pos=%d n=%d: out[%d] = %g, want 0 (a fused multiply-add leaves 2^-60)", k, pos, n, j, v)
@@ -373,11 +417,10 @@ func TestNoFMAContraction(t *testing.T) {
 // The callers above the kernels — a packed projection with a bias, the
 // attention core over random spans, GELU over the projection and the graph
 // softmax over a row of it — produce the same bits whichever kernels run, at
-// the repro head width, the paper's, and an odd one.
+// the repro head width, the paper's, and an odd one; and on each, the
+// projection with its bias in the kernel's epilogue equals the composed
+// AddRowVector(MatMul(x, W), b).
 func TestLinearAndAttentionSameBitsOnBothKernels(t *testing.T) {
-	if !haveAVX2 {
-		t.Skip("no AVX2 on this machine")
-	}
 	rng := rand.New(rand.NewSource(34))
 	ws := NewWorkspace()
 	for _, hd := range []int{16, 26, 5} {
@@ -392,21 +435,32 @@ func TestLinearAndAttentionSameBitsOnBothKernels(t *testing.T) {
 		sh := AttnShape{Lq: lq, Lkv: lq, Heads: heads, HeadDim: hd, QStride: 3 * h, KOff: h, VOff: 2 * h, KVStride: 3 * h, Scale: 1 / math.Sqrt(float64(hd))}
 		spans := randSpans(rng, lq, lq)
 		var want []float64
+		var wantOn string
 		for _, kc := range kernelChoices {
+			if why := kc.missing(); why != "" {
+				t.Logf("%s: %s", kc.name, why)
+				continue
+			}
 			proj := make([]float64, lq*3*h)
 			got := make([]float64, lq*h, lq*h+2*len(proj))
+			var lin, composed []float64
 			kc.with(t, func() {
 				LinearInto(proj, x, lq, h, w, 3*h, 0, 3*h, bias)
+				lin = append(lin, proj...)
+				composed = AddRowVector(MatMul(FromSlice(lq, h, x), FromSlice(h, 3*h, w)), FromSlice(1, 3*h, bias)).Data
 				FusedAttentionCore(ws, got, proj, proj, sh, spans)
 				ws.Reset()
 				got = append(got, SoftmaxRows(FromSlice(lq, 3*h, proj), nil).Data...)
 				FusedGELUInPlace(proj)
 				got = append(got, proj...)
 			})
+			if i := firstBitDiff(lin, composed); i >= 0 {
+				t.Fatalf("head width %d on %s: LinearInto[%d] = %v, composed %v", hd, kc.name, i, lin[i], composed[i])
+			}
 			if want == nil {
-				want = got
+				want, wantOn = got, kc.name
 			} else if i := firstBitDiff(got, want); i >= 0 {
-				t.Fatalf("head width %d: output[%d] = %v on %s, %v on %s", hd, i, got[i], kc.name, want[i], kernelChoices[0].name)
+				t.Fatalf("head width %d: output[%d] = %v on %s, %v on %s", hd, i, got[i], kc.name, want[i], wantOn)
 			}
 		}
 	}

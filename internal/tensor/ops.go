@@ -58,14 +58,14 @@ func MatMulNT(a, b *Tensor) *Tensor {
 // so results are bit-exact regardless of parallelism or blocking.
 func matmulInto(out, a, b []float64, m, k, n int) {
 	parallelRows(m, mulRowCost(k, n), func(lo, hi int) {
-		mulRowRange(out, a, b, lo, hi, k, n, n, 0, true)
+		mulRowRange(out, a, b, lo, hi, k, n, n, 0, true, nil)
 	})
 }
 
 // matmulAccInto computes out += A(m×k) × B(k×n), row-sharded like matmulInto.
 func matmulAccInto(out, a, b []float64, m, k, n int) {
 	parallelRows(m, mulRowCost(k, n), func(lo, hi int) {
-		mulRowRange(out, a, b, lo, hi, k, n, n, 0, false)
+		mulRowRange(out, a, b, lo, hi, k, n, n, 0, false, nil)
 	})
 }
 
