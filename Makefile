@@ -13,7 +13,7 @@ GO ?= go
 # publish/checkpoint traffic.
 RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/sherlock/... ./internal/baselines/... ./internal/cache/... ./internal/pipeline/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
 
-.PHONY: build vet vet-arm64 test test-nofma race race-all bench-check fuzz ci bench bench-fleet bench-cache bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
+.PHONY: build vet vet-arm64 test race race-all bench-check fuzz ci bench bench-fleet bench-cache bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
 
 build:
 	$(GO) build ./...
@@ -48,19 +48,13 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz gives each fuzzer a short budget beyond its seed corpus: the
-# /v1/detect handler, and the three assembly kernels against their references
-# (go test takes one -fuzz target per run).
+# /v1/detect handler, the three assembly kernels against their references,
+# and the checkpoint decoder (go test takes one -fuzz target per run).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzHandleDetect -fuzztime=20s ./internal/service/
-	for f in FuzzExpRow FuzzGELURow FuzzMulRowRange; do \
+	for f in FuzzExpRow FuzzGELURow FuzzMulRowRange FuzzReadTensors; do \
 		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzztime=10s ./internal/tensor/ || exit 1; \
 	done
-
-# test-nofma runs the goldens and the kernel packages as a process whose
-# math.Exp takes its non-FMA branch: the start-up probe must deselect the
-# exp/GELU kernels and every bit test must hold on the scalar calls.
-test-nofma:
-	GODEBUG=cpu.fma=off $(GO) test . ./internal/tensor/ ./internal/nn/ ./internal/adtd/
 
 # metrics-smoke boots tasted with -debug-addr, fires a traced detect, and
 # asserts /metrics and /debug/pprof serve what DESIGN.md §9 promises.
@@ -86,10 +80,13 @@ registry-smoke:
 	bash scripts/registry_smoke.sh
 
 # ci is the gate a pull request must pass: vet, build, the full test suite,
-# the same goldens and kernel tests with the exp/GELU kernels deselected, the
-# race detector over every concurrent package, the benchmark module's build
-# and smoke test, and the serving smoke tests.
-ci: vet vet-arm64 test test-nofma race bench-check metrics-smoke fleet-smoke cache-smoke registry-smoke
+# the race detector over every concurrent package, the benchmark module's
+# build and smoke test, the serving smoke tests, and last the goldens, the
+# answer-bit pin and the kernel bit tests again in a process without FMA
+# (math.Exp takes its other branch there; Exp runs on software FMA and must
+# not move).
+ci: vet vet-arm64 test race bench-check metrics-smoke fleet-smoke cache-smoke registry-smoke
+	GODEBUG=cpu.fma=off $(GO) test -count=1 . ./internal/tensor/
 
 # race-all adds internal/core, whose fixture trains a model and needs a
 # far longer deadline under the race detector's ~10x slowdown.

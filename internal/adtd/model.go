@@ -3,7 +3,6 @@ package adtd
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"time"
 
@@ -351,7 +350,7 @@ func Sigmoid(logits *tensor.Tensor) [][]float64 {
 	for i := 0; i < logits.Rows; i++ {
 		row := make([]float64, logits.Cols)
 		for j, v := range logits.Row(i) {
-			row[j] = 1 / (1 + math.Exp(-v))
+			row[j] = 1 / (1 + tensor.Exp(-v))
 		}
 		out[i] = row
 	}

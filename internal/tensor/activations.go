@@ -26,7 +26,6 @@ func ReLU(a *Tensor) *Tensor {
 // GELU applies the Gaussian Error Linear Unit using the tanh approximation
 // used by BERT-family models.
 func GELU(a *Tensor) *Tensor {
-	const c = geluC
 	out := result(a.Rows, a.Cols, []*Tensor{a}, nil)
 	copy(out.Data, a.Data)
 	geluRow(out.Data)
@@ -35,10 +34,10 @@ func GELU(a *Tensor) *Tensor {
 			a.ensureGrad()
 			for i, g := range out.Grad {
 				x := a.Data[i]
-				inner := c * (x + 0.044715*x*x*x)
-				t := math.Tanh(inner)
+				inner := geluC * (x + 0.044715*x*x*x)
+				t := math.Tanh(inner) // training only: may keep the library's (DESIGN.md §8)
 				sech2 := 1 - t*t
-				d := 0.5*(1+t) + 0.5*x*sech2*c*(1+3*0.044715*x*x)
+				d := 0.5*(1+t) + 0.5*x*sech2*geluC*(1+3*0.044715*x*x)
 				a.Grad[i] += g * d
 			}
 		}
@@ -50,7 +49,7 @@ func GELU(a *Tensor) *Tensor {
 func Sigmoid(a *Tensor) *Tensor {
 	out := result(a.Rows, a.Cols, []*Tensor{a}, nil)
 	for i, v := range a.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
+		out.Data[i] = 1 / (1 + Exp(-v))
 	}
 	if out.requiresGrad {
 		out.backward = func() {
@@ -68,7 +67,7 @@ func Sigmoid(a *Tensor) *Tensor {
 func Tanh(a *Tensor) *Tensor {
 	out := result(a.Rows, a.Cols, []*Tensor{a}, nil)
 	for i, v := range a.Data {
-		out.Data[i] = math.Tanh(v)
+		out.Data[i] = tanh(v)
 	}
 	if out.requiresGrad {
 		out.backward = func() {

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -85,7 +86,7 @@ func BenchmarkBackwardSmallGraph(b *testing.B) {
 // benchKernels runs body as one sub-benchmark per kernel choice ("avx512",
 // "asm", "generic"). Only the matmul rows differ between the first two.
 func benchKernels(b *testing.B, body func(b *testing.B)) {
-	for _, kc := range kernelChoices[:3] {
+	for _, kc := range kernelChoices {
 		b.Run(kc.name, func(b *testing.B) {
 			if why := kc.missing(); why != "" {
 				b.Skip(why)
@@ -136,9 +137,34 @@ func BenchmarkFusedAttentionCore128(b *testing.B) {
 	})
 }
 
+// BenchmarkExp times one scalar call of the package's Exp against
+// math.Exp over softmax-range arguments. Under GODEBUG=cpu.fma=off Exp's
+// fused steps run on software FMA (and math.Exp takes its other branch).
+func BenchmarkExp(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	args := make([]float64, 1024)
+	for i := range args {
+		args[i] = -rng.ExpFloat64() * 4
+	}
+	for _, fn := range []struct {
+		name string
+		f    func(float64) float64
+	}{{"tensor", Exp}, {"math", math.Exp}} {
+		b.Run(fn.name, func(b *testing.B) {
+			sum := 0.0
+			for i := 0; i < b.N; i++ {
+				sum += fn.f(args[i%len(args)])
+			}
+			benchSink = sum
+		})
+	}
+}
+
+var benchSink float64
+
 // BenchmarkExpSubRow times softmax's exponential pass over one 128-key score
 // row (scores already at or below their max), the vector kernel against the
-// scalar math.Exp loop.
+// scalar Exp loop.
 func BenchmarkExpSubRow(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	src, p := make([]float64, 128), make([]float64, 128)

@@ -497,14 +497,13 @@ func normalizeRow(row []float64, m, inv float64, gamma, beta []float64) {
 	}
 }
 
-// expSubRow (per platform: the AVX2+FMA kernel where the process runs
-// math.Exp's FMA branch, else expSubRowGo) sets p[j] = math.Exp(p[j] − sub),
-// softmax's pass over one row of scores. expSubRowGo is the Go
-// implementation, what the assembly is tested against and what runs the
-// blocks it declines.
+// expSubRow (per platform: the AVX2+FMA kernel where the CPU has both, else
+// expSubRowGo) sets p[j] = Exp(p[j] − sub), softmax's pass over one row of
+// scores. expSubRowGo is the Go implementation, what the assembly is tested
+// against and what runs the blocks it declines.
 func expSubRowGo(p []float64, sub float64) {
 	for j, v := range p {
-		p[j] = math.Exp(v - sub)
+		p[j] = Exp(v - sub)
 	}
 }
 
@@ -523,7 +522,7 @@ func geluRowGo(p []float64) {
 // scalar elements of one row must agree on every build.
 func geluScalar(v float64) float64 {
 	inner := geluC * (v + float64(0.044715*v*v*v))
-	return 0.5 * v * (1 + math.Tanh(inner))
+	return 0.5 * v * (1 + tanh(inner))
 }
 
 const geluC = 0.7978845608028654 // sqrt(2/π)

@@ -2,8 +2,6 @@
 
 package tensor
 
-import "math"
-
 // Assembly kernels (kernels_amd64.s). Pointers address exactly the elements
 // the kernel's contract names; the Go wrappers below slice their operands
 // to that extent first, so a bad shape panics here like the Go loops would.
@@ -30,28 +28,26 @@ func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 
 // haveAVX2 selects the assembly kernels; without it every kernel runs its Go
-// implementation. Tests flip it to run both on the
-// same inputs.
-var haveAVX2 = detectAVX2()
+// implementation. haveFMA (which implies it) selects expSubFMAAsm and
+// geluFMAAsm: they replay Exp and tanh, the same on every host, so CPUID
+// alone decides. Tests flip both to run every kernel on the same inputs.
+var haveAVX2, haveFMA = detectAVX2()
 
 // detectAVX2 reports AVX2 support with OS-enabled YMM state (OSXSAVE set
-// and XCR0 advertising XMM+YMM).
-func detectAVX2() bool {
+// and XCR0 advertising XMM+YMM), and with it FMA.
+func detectAVX2() (avx2, fma bool) {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
 	_, _, c, _ := cpuidAsm(1, 0)
-	const osxsave = 1 << 27
-	if c&osxsave == 0 {
-		return false
+	const osxsave, fmaBit = 1 << 27, 1 << 12
+	if maxLeaf < 7 || c&osxsave == 0 {
+		return false, false
 	}
-	xcr0, _ := xgetbvAsm()
-	if xcr0&0x6 != 0x6 {
-		return false
+	if xcr0, _ := xgetbvAsm(); xcr0&0x6 != 0x6 {
+		return false, false
 	}
 	_, b, _, _ := cpuidAsm(7, 0)
-	return b&(1<<5) != 0 // AVX2
+	avx2 = b&(1<<5) != 0
+	return avx2, avx2 && c&fmaBit != 0
 }
 
 // haveAVX512 selects mulRows512Asm for the matmul rows (which implies
@@ -69,70 +65,10 @@ func detectAVX512() bool {
 	return b&(1<<16) != 0 // AVX512F
 }
 
-// mathRowsOff is why expSubRow and geluRow run the scalar library calls, or
-// "" when they run expSubFMAAsm and geluFMAAsm (which implies AVX2). The
-// assembly replays the FMA branch of math.Exp, and which branch the library
-// takes is its own business (CPUID today, but also GODEBUG=cpu.fma=off, or a
-// release that changes either function), so the kernels are selected by
-// asking the library: probeMathRows compares them with it, bit for bit, on
-// arguments that tell the variants apart. One verdict for the process, so a
-// row never mixes the two. Tests flip it to run both on the same inputs.
-var mathRowsOff = probeMathRows()
-
-func probeMathRows() string {
-	if !haveAVX2 {
-		return "no AVX2"
-	}
-	if _, _, c, _ := cpuidAsm(1, 0); c&(1<<12) == 0 {
-		return "no FMA"
-	}
-	exp, gelu := expProbeArgs, geluProbeArgs
-	expSubFMAAsm(&exp[0], len(exp), 0)
-	geluFMAAsm(&gelu[0], len(gelu))
-	for i, x := range expProbeArgs {
-		if math.Float64bits(exp[i]) != math.Float64bits(math.Exp(x)) {
-			return "probe mismatch"
-		}
-	}
-	for i, v := range geluProbeArgs {
-		if math.Float64bits(gelu[i]) != math.Float64bits(geluScalar(v)) {
-			return "probe mismatch"
-		}
-	}
-	return ""
-}
-
-// Arguments inside the kernels' vector ranges on which the ways the library
-// could differ from them show. On the first three rows of expProbeArgs
-// math.Exp's non-FMA branch differs from its FMA branch in the last place (as
-// it does on 9.3 % of softmax-range arguments: …a485 against …a486 on the
-// first); the last row is the range's ends and middle. The first four rows
-// of geluProbeArgs alternate tanh's arms, so every block blends: on the even
-// columns (|u| ≥ 0.625) that same difference survives 1 − 2/(exp(2z) + 1), on
-// the odd ones a rational evaluated with contracted multiply-adds would
-// differ. The last row is the two neighbours, of each sign, between which
-// u = c·(v + 0.044715·v³) crosses the cut.
-var (
-	expProbeArgs = [...]float64{
-		-8.529451372330323, -3.7990673860352824, -6.559269962953987, -3.202149335319489,
-		-7.340810464251763, -5.014415480186494, -14.360629121168557, -0.1497611171529497,
-		-1.605471338659004, -27.243262843745846, -16.281966072334797, -3.101755102041939,
-		-708, 0, 1, 708,
-	}
-	geluProbeArgs = [...]float64{
-		1.0564440647297513, -0.6294913518035368, -1.025517280049951, -0.5968520438792029,
-		-1.406102516864119, -0.3882836916117408, -1.9768496095015715, 0.6210128824626382,
-		1.604062725871022, 0.28344882512600716, 0.877686718083507, 0.7296624914540806,
-		-0.7644575366359357, -0.6621564284441689, 0.7669923508098127, 0.5868766869447135,
-		0.7634258809972125, 0.7634258809972126, -0.7634258809972125, -0.7634258809972126,
-	}
-)
-
 // Kernels names the kernels this process runs, for start-up lines and
-// /v1/stats: a replica that is slow because of a GODEBUG, a rebuild or an
-// older CPU says so. "avx512" leads when the matmul rows run on it; the
-// string ends in " fma exp gelu" exactly when the exp and GELU rows run
-// vectorised.
+// /v1/stats: a replica that is slow because of a rebuild or an older CPU
+// says so. "avx512" leads when the matmul rows run on it; the string ends in
+// " fma exp gelu" exactly when the exp and GELU rows run vectorised.
 func Kernels() string {
 	if !haveAVX2 {
 		return "go (no AVX2)"
@@ -141,8 +77,8 @@ func Kernels() string {
 	if haveAVX512 {
 		s = "avx512 avx2"
 	}
-	if mathRowsOff != "" {
-		return s + ", exp and gelu on scalar calls (" + mathRowsOff + ")"
+	if !haveFMA {
+		return s + ", exp and gelu on scalar calls (no FMA)"
 	}
 	return s + " fma exp gelu"
 }
@@ -172,16 +108,14 @@ func scoreRow(srow, qrow, kvp []float64, kOff, stride, lo, hi, headDim int, scal
 	return scoreRowAsm(&s[0], &q[0], &keys[0], hi-lo, stride, headDim, scale, maxv)
 }
 
-// The assembly stops at the first four-element block with a lane outside
-// its range; that block runs through the scalar function and the kernel
-// takes up again after it.
+// The assembly (where haveFMA) stops at the first four-element block with a
+// lane outside its range; that block runs through the scalar function and
+// the kernel takes up again after it. Without FMA every block is scalar.
 func expSubRow(p []float64, sub float64) {
-	if mathRowsOff != "" {
-		expSubRowGo(p, sub)
-		return
-	}
 	for len(p) > 0 {
-		p = p[expSubFMAAsm(&p[0], len(p), sub):]
+		if haveFMA {
+			p = p[expSubFMAAsm(&p[0], len(p), sub):]
+		}
 		blk := p[:min(4, len(p))]
 		expSubRowGo(blk, sub)
 		p = p[len(blk):]
@@ -189,12 +123,10 @@ func expSubRow(p []float64, sub float64) {
 }
 
 func geluRow(p []float64) {
-	if mathRowsOff != "" {
-		geluRowGo(p)
-		return
-	}
 	for len(p) > 0 {
-		p = p[geluFMAAsm(&p[0], len(p)):]
+		if haveFMA {
+			p = p[geluFMAAsm(&p[0], len(p)):]
+		}
 		blk := p[:min(4, len(p))]
 		geluRowGo(blk)
 		p = p[len(blk):]

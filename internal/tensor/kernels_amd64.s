@@ -682,8 +682,8 @@ GLOBL mathc<>(SB), RODATA|NOPTR, $864
 #define SIGNBIT mathc<>+832(SB)
 
 // EXP_CORE: Y0 = exp(Y0) for four arguments with |x| ≤ 708, clobbering Y1
-// and Y2. Instruction for instruction the avxfma branch of math.archExp,
-// four lanes wide: k = round-to-nearest-even(x·LOG2E) under MXCSR as
+// and Y2. Instruction for instruction Exp (mathfn.go, the avxfma branch of
+// math.archExp), four lanes wide: k = round-to-nearest-even(x·LOG2E) under MXCSR as
 // CVTSD2SL, x −= k·LN2U then k·LN2L (fused), ÷16, the degree-8 Horner chain
 // (fused), four squarings x·(x+2) the last of which closes with +1 (fused),
 // times 2^k built in the exponent field. Within the range the biased
@@ -741,7 +741,7 @@ GLOBL mathc<>(SB), RODATA|NOPTR, $864
 	MOVQ $1, R8
 
 // func expSubFMAAsm(p *float64, n int, sub float64) int
-// p[j] = math.Exp(p[j] − sub) where math.Exp takes its FMA branch.
+// p[j] = Exp(p[j] − sub).
 TEXT ·expSubFMAAsm(SB), NOSPLIT, $0-32
 	ROW_BEGIN
 	VBROADCASTSD sub+16(FP), Y14
@@ -782,8 +782,8 @@ expRet:
 	RET
 
 // func geluFMAAsm(p *float64, n int) int
-// p[j] = 0.5·v·(1 + math.Tanh(c·(v + 0.044715·v³))) in geluScalar's order:
-// every product and sum of the polynomial and of math.tanh's two arms is its
+// p[j] = 0.5·v·(1 + tanh(c·(v + 0.044715·v³))) in geluScalar's order:
+// every product and sum of the polynomial and of tanh's two arms is its
 // own VMULPD/VADDPD/VDIVPD, and the only fused operations are EXP_CORE's.
 // Both arms are computed for the whole block and blended per lane, an arm no
 // lane needs being skipped; a lane's discarded arm sees an argument that arm

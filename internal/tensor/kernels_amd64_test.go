@@ -13,7 +13,7 @@ import (
 // a row inside it, masked tail included, and stop at the start of the first
 // block holding an argument outside it.
 func TestMathRowKernelsTakeTheirRange(t *testing.T) {
-	if mathRowsOff != "" {
+	if !haveFMA {
 		t.Skipf("vector exp/gelu not selected here (%s)", Kernels())
 	}
 	kernels := []struct {
@@ -48,36 +48,13 @@ func TestMathRowKernelsTakeTheirRange(t *testing.T) {
 	}
 }
 
-// The probe turns a kernel that no longer matches the library into a slower
-// process, not a wrong one — which would also hide a broken kernel behind
-// green bit tests. So where the library demonstrably runs the branch the
-// kernels replay (math.Exp gives its FMA bits on an argument where the two
-// branches differ), a probe mismatch is a failure, and the probe arguments
-// are run through the assembly to name the first one that differs.
-func TestMathRowsSelectedWhereTheLibraryFuses(t *testing.T) {
-	const fmaBits, plainBits = 0x3f29e52012b5a485, 0x3f29e52012b5a486
-	switch got := math.Float64bits(math.Exp(expProbeArgs[0])); {
-	case mathRowsOff != "probe mismatch":
-		t.Skipf("no mismatch to explain (%s)", Kernels())
-	case got == plainBits:
-		t.Skip("math.Exp runs its non-FMA branch: the probe is right to deselect")
-	case got != fmaBits:
-		t.Fatalf("math.Exp(%v) = %#x, neither archExp branch: the library's algorithm changed; the kernels need a new sequence", expProbeArgs[0], got)
-	}
-	c := newMathRowChecker(t)
-	withMathRowsOff(t, "", func() {
-		c.exp(t, expProbeArgs[:], 0)
-		c.gelu(t, geluProbeArgs[:])
-	})
-	t.Fatal("the probe reported a mismatch that its arguments do not show")
-}
-
-// A host that has AVX-512 but runs the AVX2 rows is slower, not wrong, and
-// every bit test passes on it — the avx512 mode just skips. So the machine's
-// support is read here condition by condition, independently of
-// detectAVX512, and where all of them hold the kernel must be selected; on
-// Linux the kernel's own flag (/proc/cpuinfo lists avx512f only where it
-// saves the ZMM state) must agree with the reading.
+// A host that has AVX-512 but runs the AVX2 rows, or has FMA but runs exp and
+// GELU on scalar calls, is slower, not wrong, and every bit test passes on it
+// (the avx512 mode skips; the Go rows compute the same Exp). So the machine's
+// support is read here condition by condition, independently of detectAVX2
+// and detectAVX512, and where all of them hold the kernels must be selected; on
+// Linux the kernel's own flags (/proc/cpuinfo lists avx512f and fma only where
+// it saves the register state they need) must agree with the reading.
 func TestAVX512SelectedWhereTheCPUHasIt(t *testing.T) {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
 	_, _, ecx1, _ := cpuidAsm(1, 0)
@@ -86,6 +63,39 @@ func TestAVX512SelectedWhereTheCPUHasIt(t *testing.T) {
 	if ecx1&(1<<27) != 0 {
 		xcr0, _ = xgetbvAsm()
 	}
+	var flags string // the first "flags" line of /proc/cpuinfo, "" off Linux
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(info), "\n") {
+			if strings.HasPrefix(line, "flags") {
+				flags = line + " "
+				break
+			}
+		}
+	}
+	listed := func(flag string) bool { return strings.Contains(flags, " "+flag+" ") }
+
+	var fmaWhy string
+	switch {
+	case maxLeaf < 7:
+		fmaWhy = "CPUID has no leaf 7"
+	case ebx7&(1<<5) == 0:
+		fmaWhy = "CPUID.(EAX=7):EBX.AVX2 is clear"
+	case ecx1&(1<<12) == 0:
+		fmaWhy = "CPUID.1:ECX.FMA is clear"
+	case ecx1&(1<<27) == 0:
+		fmaWhy = "CPUID.1:ECX.OSXSAVE is clear"
+	case xcr0&0x6 != 0x6:
+		fmaWhy = fmt.Sprintf("XCR0 = %#x: the OS does not save the YMM state (want bits 0x6)", xcr0)
+	case flags != "" && !listed("fma"):
+		fmaWhy = "/proc/cpuinfo does not list fma"
+	}
+	switch vector := strings.HasSuffix(Kernels(), " fma exp gelu"); {
+	case fmaWhy != "" && vector:
+		t.Fatalf("vector exp/GELU rows selected although %s", fmaWhy)
+	case fmaWhy == "" && !vector:
+		t.Fatalf("CPUID, XCR0 and /proc/cpuinfo advertise AVX2 and FMA, but the process runs %q", Kernels())
+	}
+
 	var why string
 	switch {
 	case maxLeaf < 7:
@@ -99,17 +109,8 @@ func TestAVX512SelectedWhereTheCPUHasIt(t *testing.T) {
 	case !cpuAVX2:
 		why = "the AVX2 kernels it runs beside are not selected"
 	}
-	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
-		listed := false
-		for _, line := range strings.Split(string(info), "\n") {
-			if strings.HasPrefix(line, "flags") {
-				listed = strings.Contains(line+" ", " avx512f ")
-				break
-			}
-		}
-		if listed != (why == "") {
-			t.Fatalf("/proc/cpuinfo lists avx512f: %v; CPUID and XCR0 read here: %q", listed, why)
-		}
+	if flags != "" && listed("avx512f") != (why == "") {
+		t.Fatalf("/proc/cpuinfo lists avx512f: %v; CPUID and XCR0 read here: %q", listed("avx512f"), why)
 	}
 	switch {
 	case why != "" && cpuAVX512:

@@ -3,16 +3,9 @@
 package tensor
 
 // Non-amd64 platforms have no assembly kernels: the Go implementations run
-// everywhere.
-// A variable, not a constant, so the in-package tests that flip it compile
-// on every platform.
-var haveAVX2 = false
-
-// haveAVX512 likewise (kernels_amd64.go: the 8-lane matmul rows).
-var haveAVX512 = false
-
-// mathRowsOff likewise (kernels_amd64.go: why exp and GELU run scalar calls).
-var mathRowsOff = "not amd64"
+// everywhere. The selection flags (kernels_amd64.go) are variables, not
+// constants, so the in-package tests that flip them compile on every platform.
+var haveAVX2, haveAVX512, haveFMA = false, false, false
 
 func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool, bias []float64) {
 	mulRowRangeGeneric(out, a, b, lo, hi, k, n, bstride, c0, zero, bias)
@@ -27,4 +20,4 @@ func expSubRow(p []float64, sub float64) { expSubRowGo(p, sub) }
 func geluRow(p []float64) { geluRowGo(p) }
 
 // Kernels names the kernels this process runs (see kernels_amd64.go).
-func Kernels() string { return "go (" + mathRowsOff + ")" }
+func Kernels() string { return "go (no AVX2)" }

@@ -7,48 +7,21 @@ import (
 )
 
 // The process's own kernel selection, before any test flips it.
-var cpuAVX2, cpuAVX512 = haveAVX2, haveAVX512
-
-// withVector forces the choice of the matmul and score kernels for the
-// duration of f: AVX2 on or off, and on top of it the AVX-512 matmul rows
-// (exp and GELU follow withMathRowsOff). Serial tests only (both flags are
-// package state).
-func withVector(t testing.TB, avx2, avx512 bool, f func()) {
-	t.Helper()
-	old2, old512 := haveAVX2, haveAVX512
-	haveAVX2, haveAVX512 = avx2, avx512
-	defer func() { haveAVX2, haveAVX512 = old2, old512 }()
-	f()
-}
-
-// withMathRowsOff forces the verdict of the exp/GELU probe for the duration
-// of f: "" selects the vector kernels (only where the probe did), a reason
-// deselects them. Serial tests only.
-func withMathRowsOff(t testing.TB, why string, f func()) {
-	t.Helper()
-	old := mathRowsOff
-	mathRowsOff = why
-	defer func() { mathRowsOff = old }()
-	f()
-}
+var cpuAVX2, cpuAVX512, cpuFMA = haveAVX2, haveAVX512, haveFMA
 
 // kernelChoices names the implementations every kernel test runs: the
 // AVX-512 matmul rows over the AVX2 kernels (skipped where the CPU lacks
 // AVX-512), the AVX2 assembly alone (skipped where it lacks AVX2; exp and
-// GELU as probed in both), the Go kernels, and the process's own assembly
-// with the exp/GELU probe's verdict forced to a mismatch — what a process
-// under GODEBUG=cpu.fma=off runs. Benchmarks run the first three.
+// GELU vectorised in both where it has FMA), and the Go kernels.
 type kernelChoice struct {
 	name         string
 	avx2, avx512 bool
-	mathRows     string // mathRowsOff to force; "" = as probed
 }
 
 var kernelChoices = []kernelChoice{
-	{"avx512", true, true, ""},
-	{"asm", true, false, ""},
-	{"generic", false, false, "go kernels"},
-	{"asm-scalar-math", true, cpuAVX512, "probe mismatch"},
+	{"avx512", true, true},
+	{"asm", true, false},
+	{"generic", false, false},
 }
 
 // missing is why this machine cannot run the choice, or "".
@@ -62,14 +35,15 @@ func (kc kernelChoice) missing() string {
 	return ""
 }
 
-// with runs f on the choice's kernels. Serial tests only.
+// with runs f on the choice's kernels: AVX2 on or off (the exp and GELU rows
+// follow it where the CPU has FMA), and on top of it the AVX-512 matmul rows.
+// Serial tests only (the flags are package state).
 func (kc kernelChoice) with(t testing.TB, f func()) {
 	t.Helper()
-	why := mathRowsOff
-	if kc.mathRows != "" {
-		why = kc.mathRows
-	}
-	withVector(t, kc.avx2, kc.avx512, func() { withMathRowsOff(t, why, f) })
+	old2, old512, oldFMA := haveAVX2, haveAVX512, haveFMA
+	haveAVX2, haveAVX512, haveFMA = kc.avx2, kc.avx512, kc.avx2 && cpuFMA
+	defer func() { haveAVX2, haveAVX512, haveFMA = old2, old512, oldFMA }()
+	f()
 }
 
 // eachKernel runs f as one subtest per kernel choice, so one body checks
@@ -183,13 +157,13 @@ func checkMulRowRange(t testing.TB, bufs mulBufs, rng *rand.Rand, c mulCase) {
 
 	want := append([]float64(nil), out0...)
 	mulRowRangeRef(want, a, b, c.lo, c.m, c.k, c.n, bstride, c.c0, c.zero, bias)
-	for _, kc := range kernelChoices[:3] {
+	for _, kc := range kernelChoices {
 		if kc.missing() != "" {
 			continue
 		}
 		got := bufs.out.tail(c.m * c.n)
 		copy(got, out0)
-		withVector(t, kc.avx2, kc.avx512, func() {
+		kc.with(t, func() {
 			mulRowRange(got, a, b, c.lo, c.m, c.k, c.n, bstride, c.c0, c.zero, bias)
 		})
 		if i := firstBitDiff(got, want); i >= 0 {

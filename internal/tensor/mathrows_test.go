@@ -4,18 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"os/exec"
+	"runtime"
 	"strings"
 	"testing"
 )
 
-// The exp and GELU row kernels are held to the live library functions, not to
-// a copy of their algorithm: expSubRow must equal math.Exp(p[j] − sub) and
-// geluRow must equal geluScalar (which calls math.Tanh) in every bit, so a
-// toolchain that changes either function fails here instead of silently
-// forking the goldens. Where the probe has deselected the assembly the same
-// tests hold on the scalar calls.
+// The exp and GELU row kernels are held to the package's own functions:
+// expSubRow must equal Exp(p[j] − sub) and geluRow must equal geluScalar
+// (which calls tanh) in every bit, on every kernel choice. Those two are tied
+// to the library once, by TestExpAndTanhMatchTheLibrary.
 
 // mathRowChecker runs rows through a kernel with the row ending at a guard
 // page (a read or write past it faults) and compares every element with the
@@ -37,11 +34,11 @@ func (c *mathRowChecker) exp(t testing.TB, args []float64, sub float64) {
 	got, want := c.buf.tail(len(args)), c.want[:len(args)]
 	copy(got, args)
 	for j, v := range args {
-		want[j] = math.Exp(v - sub)
+		want[j] = Exp(v - sub)
 	}
 	expSubRow(got, sub)
 	if i := firstBitDiff(got, want); i >= 0 {
-		t.Fatalf("expSubRow, %d elements, sub %v: element %d, exp(%v = %#x) = %#x, math.Exp gives %#x",
+		t.Fatalf("expSubRow, %d elements, sub %v: element %d, exp(%v = %#x) = %#x, Exp gives %#x",
 			len(args), sub, i, args[i]-sub, math.Float64bits(args[i]-sub), math.Float64bits(got[i]), math.Float64bits(want[i]))
 	}
 	c.n += len(args)
@@ -66,7 +63,7 @@ func (c *mathRowChecker) gelu(t testing.TB, args []float64) {
 // 10⁷ where the vector kernels run, a twentieth of that where both sides of
 // the comparison are the scalar calls (or under -short).
 func mathRowBatterySize() int {
-	if testing.Short() || mathRowsOff != "" {
+	if testing.Short() || !haveFMA {
 		return 510_000
 	}
 	return 10_200_000
@@ -95,8 +92,8 @@ func binadeEdges() []float64 {
 	return out
 }
 
-// expEdgeArgs are the arguments where math.Exp changes behaviour: the cuts of
-// the kernel's vector range and of archExp's overflow, denormal and underflow
+// expEdgeArgs are the arguments where Exp changes behaviour: the cuts of
+// the kernel's vector range and of Exp's overflow, denormal and underflow
 // exits with their neighbours on both sides, the arguments whose x·LOG2E
 // falls within a few ulps of k + ½ for every exponent k the result can carry
 // (where the round-to-nearest-even conversion decides k), every binade edge,
@@ -127,7 +124,7 @@ func shuffledRows(rng *rand.Rand, args []float64, check func(row []float64)) {
 	}
 }
 
-// Property: expSubRow equals math.Exp(p[j] − sub) in every bit over more
+// Property: expSubRow equals Exp(p[j] − sub) in every bit over more
 // than 10⁷ arguments — softmax-shaped rows (scores at or below a seeded max,
 // at four temperatures), uniform over ±720, raw random bit patterns and the
 // edge set — in rows of every length 0–70 that end at a guard page.
@@ -204,7 +201,7 @@ func geluArgAt(u float64) float64 {
 	return hi
 }
 
-// geluEdgeArgs: the cut between math.tanh's arms (|u| = 0.625), the end of
+// geluEdgeArgs: the cut between tanh's arms (|u| = 0.625), the end of
 // the kernel's vector range (44) and tanh's own saturation cut (0.5·MAXLOG)
 // with their neighbours, of both signs; where the cube overflows; every
 // binade edge and the specials.
@@ -224,7 +221,7 @@ func geluEdgeArgs() []float64 {
 	return append(out, kernelSpecials...)
 }
 
-// Property: geluRow equals the scalar GELU expression over math.Tanh in
+// Property: geluRow equals the scalar GELU expression over tanh in
 // every bit over more than 10⁷ arguments: pre-activation-shaped (normal, at
 // four widths, so blocks of one arm, of the other and mixed all occur),
 // uniform over ±12, raw random bit patterns and the edge set, in rows of
@@ -282,7 +279,7 @@ func TestGELURowEveryLengthAndLane(t *testing.T) {
 	})
 }
 
-// math.tanh hands a zero argument back as it is; the kernel lets −0 go
+// tanh hands a zero argument back as it is; the kernel lets −0 go
 // through the rational, which makes it +0, because GELU cannot tell:
 // 1 + (±0) is the same 1 and the result takes its zero's sign from 0.5·v.
 func TestGELURowKeepsTheSignOfZero(t *testing.T) {
@@ -340,7 +337,7 @@ func FuzzGELURow(f *testing.F) {
 
 // The graph ops and the fused ops are the same row kernels, so composed and
 // fused agree by construction; this pins the construction: SoftmaxRows equals
-// the definition over math.Exp with one left-associative sum, and GELU equals
+// the definition over Exp with one left-associative sum, and GELU equals
 // the scalar expression, on every kernel choice.
 func TestGraphOpsRunTheRowKernels(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
@@ -358,7 +355,7 @@ func TestGraphOpsRunTheRowKernels(t *testing.T) {
 			}
 			e := make([]float64, len(row))
 			for j, v := range row {
-				e[j] = math.Exp(v - maxv)
+				e[j] = Exp(v - maxv)
 				sum += e[j]
 			}
 			for j := range e {
@@ -383,44 +380,80 @@ func TestGraphOpsRunTheRowKernels(t *testing.T) {
 func TestKernelsReport(t *testing.T) {
 	got := Kernels()
 	t.Logf("kernels: %s; %s", got, expBranchLine())
-	vector := mathRowsOff == ""
-	if vector != strings.HasSuffix(got, " fma exp gelu") || haveAVX2 == strings.HasPrefix(got, "go ") ||
+	if haveFMA != strings.HasSuffix(got, " fma exp gelu") || haveAVX2 == strings.HasPrefix(got, "go ") ||
 		haveAVX512 != strings.HasPrefix(got, "avx512 ") {
-		t.Fatalf("Kernels() = %q with haveAVX2=%v, haveAVX512=%v, mathRowsOff=%q", got, haveAVX2, haveAVX512, mathRowsOff)
+		t.Fatalf("Kernels() = %q with haveAVX2=%v, haveAVX512=%v, haveFMA=%v", got, haveAVX2, haveAVX512, haveFMA)
 	}
-	if !vector && !strings.Contains(got, mathRowsOff) {
-		t.Fatalf("Kernels() = %q does not give the reason %q", got, mathRowsOff)
+	if haveAVX2 && !haveFMA && !strings.HasSuffix(got, "(no FMA)") {
+		t.Fatalf("Kernels() = %q does not give the reason: no FMA", got)
 	}
 }
 
-// expBranchLine shows which branch of math.Exp this process runs: the two
-// differ in the last place on this argument.
+// expBranchArg is an argument on which math.Exp's two amd64 branches differ
+// in the last place: its FMA branch, like Exp, gives 0x3f29e52012b5a485.
+const expBranchArg, expFMABits = -8.529451372330323, 0x3f29e52012b5a485
+
+// expBranchLine shows which branch of math.Exp this process runs.
 func expBranchLine() string {
-	const x = -8.529451372330323
-	return fmt.Sprintf("math.Exp(%v) = %#x", x, math.Float64bits(math.Exp(x)))
+	return fmt.Sprintf("math.Exp(%v) = %#x", expBranchArg, math.Float64bits(math.Exp(expBranchArg)))
 }
 
-// The gate: a process whose math.Exp takes the non-FMA branch while CPUID
-// still advertises FMA (GODEBUG=cpu.fma=off) must deselect the vector
-// kernels by itself and keep every bit test green on the scalar calls.
-// Without the probe the first softmax row of this run fails.
-func TestFMAOffDeselectsMathRows(t *testing.T) {
-	if mathRowsOff != "" {
-		t.Skipf("vector exp/gelu not selected here (%s)", Kernels())
+// The one tie to the library: where math.Exp takes its FMA branch, Exp equals
+// it and tanh equals math.Tanh in every bit over more than 10⁷ arguments each
+// — softmax-shaped, uniform over ±760 and ±2 (±50 for tanh), raw bit
+// patterns, and the edge sets: every cut with its neighbours, every binade
+// edge, the specials. A toolchain that changes either function fails here;
+// everything else in the package is held to Exp and tanh.
+func TestExpAndTanhMatchTheLibrary(t *testing.T) {
+	if runtime.GOARCH != "amd64" || math.Float64bits(math.Exp(expBranchArg)) != expFMABits {
+		t.Skipf("math.Exp does not take its amd64 FMA branch in this process (%s %s; that branch and Exp give %#x): nothing to compare with",
+			runtime.GOARCH, expBranchLine(), uint64(expFMABits))
 	}
-	var want string
-	withMathRowsOff(t, "probe mismatch", func() { want = "kernels: " + Kernels() })
-	cmd := exec.Command(os.Args[0], "-test.short", "-test.v",
-		"-test.run=^(TestExpSubRow|TestGELURow|TestGraphOpsRunTheRowKernels|TestLinearAndAttentionSameBits|TestFusedAttentionCore|TestKernelsReport$)")
-	cmd.Env = append(os.Environ(), "GODEBUG=cpu.fma=off")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("bit tests under GODEBUG=cpu.fma=off: %v\n%s", err, out)
+	n := 10_200_000
+	if testing.Short() {
+		n = 510_000
 	}
-	if strings.Contains(string(out), expBranchLine()) {
-		t.Skip("GODEBUG=cpu.fma=off does not move math.Exp off its FMA branch in this build (GOAMD64 ≥ v3)")
+	check := func(name string, f, lib func(float64) float64, x float64) {
+		if got, want := f(x), lib(x); firstBitDiff([]float64{got}, []float64{want}) >= 0 {
+			t.Fatalf("%s(%v = %#x) = %#x, the library gives %#x", name, x, math.Float64bits(x), math.Float64bits(got), math.Float64bits(want))
+		}
 	}
-	if !strings.Contains(string(out), want) {
-		t.Fatalf("child did not report %q:\n%s", want, out)
+	rng := rand.New(rand.NewSource(46))
+	for i := 0; i < n; i++ {
+		var x float64
+		switch i % 5 {
+		case 0, 1:
+			x = -rng.ExpFloat64() * []float64{1, 4, 20, 200}[i/5%4]
+		case 2:
+			x = (rng.Float64()*2 - 1) * 760
+		case 3:
+			x = (rng.Float64()*2 - 1) * 2
+		case 4:
+			x = math.Float64frombits(rng.Uint64())
+		}
+		check("Exp", Exp, math.Exp, x)
 	}
+	for _, x := range expEdgeArgs() {
+		check("Exp", Exp, math.Exp, x)
+	}
+	for i := 0; i < n; i++ {
+		var x float64
+		switch i % 4 {
+		case 0, 1:
+			x = rng.NormFloat64() * []float64{0.3, 1, 2.5, 8}[i/4%4]
+		case 2:
+			x = (rng.Float64()*2 - 1) * 50
+		case 3:
+			x = math.Float64frombits(rng.Uint64())
+		}
+		check("tanh", tanh, math.Tanh, x)
+	}
+	edges := append(binadeEdges(), kernelSpecials...)
+	for _, u := range []float64{0.625, 0.5 * 8.8029691931113054295988e+01, 1, 20, 44} {
+		edges = append(append(edges, neighbours(u)...), neighbours(-u)...)
+	}
+	for _, x := range edges {
+		check("tanh", tanh, math.Tanh, x)
+	}
+	t.Logf("%d arguments each, and the edge sets", n)
 }

@@ -182,6 +182,45 @@ func TestReadTensorsAcceptsLegacyV1(t *testing.T) {
 	}
 }
 
+// FuzzReadTensors feeds arbitrary bytes to the checkpoint decoder, seeded
+// with a v1 ("TSR1") and a v2 ("TSRv") checkpoint of the destination's
+// shapes. It never panics; a failed load leaves the destination bit for bit
+// as it was; a v2 input that loads re-encodes to the same bytes.
+func FuzzReadTensors(f *testing.F) {
+	dest := func() []*Tensor {
+		rng := rand.New(rand.NewSource(13))
+		return []*Tensor{randParam(rng, 2, 3), randParam(rng, 1, 4)}
+	}
+	encode := func(t testing.TB, ts []*Tensor) []byte {
+		var buf bytes.Buffer
+		if err := WriteTensors(&buf, ts); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	src := []*Tensor{
+		FromSlice(2, 3, []float64{1, math.NaN(), -2, 0, 5e-324, math.Inf(-1)}),
+		FromSlice(1, 4, []float64{math.Copysign(0, -1), 3, 0.5, -7}),
+	}
+	var v1 bytes.Buffer
+	writeTensorsV1(&v1, src)
+	f.Add(v1.Bytes())
+	f.Add(encode(f, src))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ts := dest()
+		before := encode(t, ts)
+		if err := ReadTensors(bytes.NewReader(data), ts); err != nil {
+			if !bytes.Equal(encode(t, ts), before) {
+				t.Fatalf("failed load (%v) changed the destination", err)
+			}
+			return
+		}
+		if got := encode(t, ts); bytes.HasPrefix(data, []byte(serializeMagic)) && !bytes.Equal(got, data) {
+			t.Fatalf("v2 checkpoint of %d bytes re-encodes to %d different bytes", len(data), len(got))
+		}
+	})
+}
+
 func TestReadTensorsRejectsFutureVersion(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString(serializeMagic)
