@@ -48,11 +48,11 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz gives each fuzzer a short budget beyond its seed corpus: the
-# /v1/detect handler, the three assembly kernels against their references,
+# /v1/detect handler, the four row kernels against their references,
 # and the checkpoint decoder (go test takes one -fuzz target per run).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzHandleDetect -fuzztime=20s ./internal/service/
-	for f in FuzzExpRow FuzzGELURow FuzzMulRowRange FuzzReadTensors; do \
+	for f in FuzzExpRow FuzzGELURow FuzzMulRowRange FuzzScoreRow FuzzReadTensors; do \
 		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzztime=10s ./internal/tensor/ || exit 1; \
 	done
 
@@ -119,12 +119,12 @@ bench-cache:
 # bench-smoke compiles and runs every benchmark exactly once — no timing
 # value, but it keeps the benchmark code from rotting between full runs.
 # The second pass repeats the kernel sets (the AVX-512 rows, the AVX2
-# assembly and the Go kernels — matmul, attention, the exp and GELU rows:
-# sub-benchmarks avx512/asm/generic) so they are exercised by name even where
-# the default run skips them.
+# assembly and the Go kernels — matmul, attention, the score, exp and GELU
+# rows: sub-benchmarks avx512/asm/generic) so they are exercised by name even
+# where the default run skips them.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-	$(GO) test -run='^$$' -bench='BenchmarkLinearInto$$|BenchmarkFusedAttentionCore128$$|BenchmarkExpSubRow$$|BenchmarkGELURow$$' -benchtime=1x ./internal/tensor/
+	$(GO) test -run='^$$' -bench='BenchmarkLinearInto$$|BenchmarkFusedAttentionCore128$$|BenchmarkExpSubRow$$|BenchmarkGELURow$$|BenchmarkScoreRow$$' -benchtime=1x ./internal/tensor/
 
 clean:
 	$(GO) clean ./...

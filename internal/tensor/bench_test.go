@@ -84,7 +84,7 @@ func BenchmarkBackwardSmallGraph(b *testing.B) {
 }
 
 // benchKernels runs body as one sub-benchmark per kernel choice ("avx512",
-// "asm", "generic"). Only the matmul rows differ between the first two.
+// "asm", "generic").
 func benchKernels(b *testing.B, body func(b *testing.B)) {
 	for _, kc := range kernelChoices {
 		b.Run(kc.name, func(b *testing.B) {
@@ -162,37 +162,68 @@ func BenchmarkExp(b *testing.B) {
 
 var benchSink float64
 
-// BenchmarkExpSubRow times softmax's exponential pass over one 128-key score
-// row (scores already at or below their max), the vector kernel against the
-// scalar Exp loop.
+// BenchmarkExpSubRow times softmax's exponential pass over one score row
+// (scores already at or below their max) at the lengths scan_cpu meets — a
+// metadata span (≈30 keys), a column span (≈54) — and at 128 keys, the
+// vector kernels against the scalar Exp loop.
 func BenchmarkExpSubRow(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	src, p := make([]float64, 128), make([]float64, 128)
-	for i := range src {
-		src[i] = -rng.ExpFloat64() * 4
+	for _, n := range []int{29, 54, 128} {
+		b.Run(fmt.Sprintf("keys%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			src, p := make([]float64, n), make([]float64, n)
+			for i := range src {
+				src[i] = -rng.ExpFloat64() * 4
+			}
+			benchKernels(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(p, src)
+					expSubRow(p, 0)
+				}
+			})
+		})
 	}
-	benchKernels(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(p, src)
-			expSubRow(p, 0)
-		}
-	})
 }
 
-// BenchmarkGELURow times GELU over one feed-forward row at the repro config
-// (256 wide, unit-normal pre-activations: both tanh arms in most blocks).
+// BenchmarkGELURow times GELU over one feed-forward row, 128 wide as the
+// repro config's and 256 wide (unit-normal pre-activations: both tanh arms
+// in most blocks).
 func BenchmarkGELURow(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	src, p := make([]float64, 256), make([]float64, 256)
-	for i := range src {
-		src[i] = rng.NormFloat64()
+	for _, n := range []int{128, 256} {
+		b.Run(fmt.Sprintf("width%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			src, p := make([]float64, n), make([]float64, n)
+			for i := range src {
+				src[i] = rng.NormFloat64()
+			}
+			benchKernels(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(p, src)
+					geluRow(p)
+				}
+			})
+		})
 	}
-	benchKernels(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(p, src)
-			geluRow(p)
+}
+
+// BenchmarkScoreRow times one query row's scores against a visible key
+// range at the repro head width (16): keys in a packed [K|V] block (stride
+// 128) or a packed QKV block (stride 192), over a metadata span (30 keys)
+// and a column span (54).
+func BenchmarkScoreRow(b *testing.B) {
+	for _, stride := range []int{128, 192} {
+		for _, n := range []int{30, 54} {
+			b.Run(fmt.Sprintf("stride%d/keys%d", stride, n), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				q, kvp := benchTensor(rng, 1, 16).Data, benchTensor(rng, n, stride).Data
+				srow := make([]float64, n)
+				benchKernels(b, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						benchSink = scoreRow(srow, q, kvp, 64, stride, 0, n, 16, 0.25, math.Inf(-1))
+					}
+				})
+			})
 		}
-	})
+	}
 }
 
 // BenchmarkMatMul measures the sharded kernel across sizes and worker

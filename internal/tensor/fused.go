@@ -359,9 +359,9 @@ func FusedAttentionCore(ws *Workspace, dst, qp, kvp []float64, sh AttnShape, spa
 	}
 }
 
-// scoreRow (per platform: the AVX2 kernel when the CPU has it, else
-// scoreRowGo) fills srow[lo:hi) with the scaled q·k scores of one query row
-// against keys [lo, hi) and returns the running row max, seeded with maxv.
+// scoreRow (per platform: the AVX-512 or AVX2 kernel where the CPU has it,
+// else scoreRowGo) fills srow[lo:hi) with the scaled q·k scores of one query
+// row against keys [lo, hi) and returns the running row max, seeded with maxv.
 // scoreRowGo is the Go implementation the assembly is tested against.
 func scoreRowGo(srow, qrow, kvp []float64, kOff, stride, lo, hi, headDim int, scale, maxv float64) float64 {
 	if headDim == 16 {
@@ -497,10 +497,10 @@ func normalizeRow(row []float64, m, inv float64, gamma, beta []float64) {
 	}
 }
 
-// expSubRow (per platform: the AVX2+FMA kernel where the CPU has both, else
-// expSubRowGo) sets p[j] = Exp(p[j] − sub), softmax's pass over one row of
-// scores. expSubRowGo is the Go implementation, what the assembly is tested
-// against and what runs the blocks it declines.
+// expSubRow (per platform: the AVX-512 or AVX2 kernel where the CPU has it
+// and FMA, else expSubRowGo) sets p[j] = Exp(p[j] − sub), softmax's pass over
+// one row of scores. expSubRowGo is the Go implementation, what the assembly
+// is tested against and what runs the blocks it declines.
 func expSubRowGo(p []float64, sub float64) {
 	for j, v := range p {
 		p[j] = Exp(v - sub)

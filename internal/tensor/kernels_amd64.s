@@ -871,3 +871,292 @@ geluRet:
 	MOVQ AX, ret+16(FP)
 	VZEROUPPER
 	RET
+
+// EXP_CORE512 is EXP_CORE on Z0 (clobbering Z1, Z2): the same instructions
+// in the same order, eight lanes wide, the constants broadcast from their
+// first quadword (.BCST). VCVTPD2DQ rounds under MXCSR as its YMM form does.
+#define EXP_CORE512 \
+	VMULPD.BCST LOG2E, Z0, Z1; \
+	VCVTPD2DQ Z1, Y2; \
+	VCVTDQ2PD Y2, Z1; \
+	VFNMADD231PD.BCST LN2U, Z1, Z0; \
+	VFNMADD231PD.BCST LN2L, Z1, Z0; \
+	VMULPD.BCST SIXTEENTH, Z0, Z0; \
+	VBROADCASTSD EXPC8, Z1; \
+	VFMADD213PD.BCST EXPC7, Z0, Z1; \
+	VFMADD213PD.BCST EXPC6, Z0, Z1; \
+	VFMADD213PD.BCST EXPC5, Z0, Z1; \
+	VFMADD213PD.BCST EXPC4, Z0, Z1; \
+	VFMADD213PD.BCST EXPC3, Z0, Z1; \
+	VFMADD213PD.BCST HALF, Z0, Z1; \
+	VFMADD213PD.BCST ONE, Z0, Z1; \
+	VMULPD Z1, Z0, Z0; \
+	VADDPD.BCST TWO, Z0, Z1; \
+	VMULPD Z1, Z0, Z0; \
+	VADDPD.BCST TWO, Z0, Z1; \
+	VMULPD Z1, Z0, Z0; \
+	VADDPD.BCST TWO, Z0, Z1; \
+	VMULPD Z1, Z0, Z0; \
+	VADDPD.BCST TWO, Z0, Z1; \
+	VFMADD213PD.BCST ONE, Z1, Z0; \
+	VPMOVSXDQ Y2, Z2; \
+	VPADDQ.BCST EXPBIAS, Z2, Z2; \
+	VPSLLQ $52, Z2, Z2; \
+	VMULPD Z2, Z0, Z0
+
+// The 8-lane row kernels walk p eight elements at a time under the same
+// contract as the 4-lane ones, with ROW_BEGIN's registers. The range check
+// is an ordered VCMPPD into the opmask K2, taken only when all eight bits
+// are set. The last n%8 elements are a block under K1 = 2^r − 1: masked-off
+// lanes are neither loaded nor stored (AVX-512 suppresses their faults) and
+// hold zeros, in range for both functions, so only the r real lanes decide
+// whether the block is taken.
+#define TAIL_MASK512 \
+	MOVL $1, R9; \
+	SHLL CX, R9; \
+	DECL R9; \
+	KMOVW R9, K1; \
+	MOVQ $1, R8
+
+#define ALL_LANES(k, fail) \
+	KMOVW k, DX; \
+	CMPL DX, $0xff; \
+	JNE fail
+
+// func expSub512Asm(p *float64, n int, sub float64) int
+// expSubFMAAsm eight lanes wide.
+TEXT ·expSub512Asm(SB), NOSPLIT, $0-32
+	ROW_BEGIN
+	VBROADCASTSD sub+16(FP), Z14
+	VBROADCASTSD ABSMASK, Z13
+	VBROADCASTSD EXPMAX, Z12
+exp8Loop:
+	CMPQ CX, $8
+	JLT  exp8Tail
+	VMOVUPD (DI), Z0
+	VSUBPD Z14, Z0, Z0
+exp8Block:
+	VPANDQ Z13, Z0, Z1
+	VCMPPD $18, Z12, Z1, K2 // |x| ≤ 708, false for NaN
+	ALL_LANES(K2, exp8Ret)
+	EXP_CORE512
+	TESTQ R8, R8
+	JNZ  exp8TailStore
+	VMOVUPD Z0, (DI)
+	ADDQ $64, DI
+	ADDQ $8, AX
+	SUBQ $8, CX
+	JMP  exp8Loop
+exp8Tail:
+	TESTQ CX, CX
+	JZ   exp8Ret
+	TAIL_MASK512
+	VMOVUPD.Z (DI), K1, Z0
+	VSUBPD.Z Z14, Z0, K1, Z0
+	JMP  exp8Block
+exp8TailStore:
+	VMOVUPD Z0, K1, (DI)
+	ADDQ CX, AX
+exp8Ret:
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func gelu512Asm(p *float64, n int) int
+// geluFMAAsm eight lanes wide, with tanh's arms sharing one division: a
+// ZMM VDIVPD costs what two YMM ones do, so the kernel blends each lane's
+// numerator and denominator under the opmask K3 (lanes with z ≥ 0.625) —
+// (u·s·P(s), Q(s)) or (2, exp(2z) + 1) — divides once, and finishes both
+// arms from the one quotient t: u + t, or 1 − t with u's sign. Each lane
+// divides the operands its own arm divides, so the quotient has its bits.
+//   Z4 v, Z5 u, Z6 z = |u|, Z8 the numerator then tanh(u), Z11 the
+//   denominator, Z9 t, Z15 0.625, DX K3's bits.
+TEXT ·gelu512Asm(SB), NOSPLIT, $0-24
+	ROW_BEGIN
+	VBROADCASTSD ABSMASK, Z13
+	VBROADCASTSD GELUMAX, Z12
+	VBROADCASTSD TANHCUT, Z15
+gelu8Loop:
+	CMPQ CX, $8
+	JLT  gelu8Tail
+	VMOVUPD (DI), Z4
+gelu8Block:
+	VMULPD.BCST GELUA, Z4, Z5
+	VMULPD Z4, Z5, Z5
+	VMULPD Z4, Z5, Z5
+	VADDPD Z5, Z4, Z5
+	VMULPD.BCST GELUC, Z5, Z5
+	VPANDQ Z13, Z5, Z6
+	VCMPPD $18, Z12, Z6, K2 // z ≤ 44, false for NaN
+	ALL_LANES(K2, gelu8Ret)
+	VCMPPD $29, Z15, Z6, K3 // z ≥ 0.625
+	KMOVW K3, DX
+	CMPL DX, $0xff
+	JEQ  gelu8Large
+
+	// z < 0.625: u·s·P(s) over Q(s), s = u².
+	VMULPD Z5, Z5, Z9
+	VMULPD.BCST TANHP0, Z9, Z10
+	VADDPD.BCST TANHP1, Z10, Z10
+	VMULPD Z9, Z10, Z10
+	VADDPD.BCST TANHP2, Z10, Z10
+	VADDPD.BCST TANHQ0, Z9, Z11
+	VMULPD Z9, Z11, Z11
+	VADDPD.BCST TANHQ1, Z11, Z11
+	VMULPD Z9, Z11, Z11
+	VADDPD.BCST TANHQ2, Z11, Z11
+	VMULPD Z9, Z5, Z8
+	VMULPD Z10, Z8, Z8
+	TESTL DX, DX
+	JZ   gelu8Divide
+
+gelu8Large:
+	// z ≥ 0.625: 2 over exp(2z) + 1.
+	VADDPD Z6, Z6, Z0
+	EXP_CORE512
+	VADDPD.BCST ONE, Z0, K3, Z11
+	VBROADCASTSD TWO, K3, Z8
+
+gelu8Divide:
+	VDIVPD Z11, Z8, Z9
+	VADDPD Z9, Z5, Z8
+	TESTL DX, DX
+	JZ   gelu8Finish
+	VBROADCASTSD ONE, Z0
+	VSUBPD Z9, Z0, Z0
+	VPANDQ.BCST SIGNBIT, Z5, Z1
+	VPXORQ Z1, Z0, Z0
+	VMOVAPD Z0, K3, Z8
+
+gelu8Finish:
+	VMULPD.BCST HALF, Z4, Z0
+	VADDPD.BCST ONE, Z8, Z1
+	VMULPD Z1, Z0, Z0
+	TESTQ R8, R8
+	JNZ  gelu8TailStore
+	VMOVUPD Z0, (DI)
+	ADDQ $64, DI
+	ADDQ $8, AX
+	SUBQ $8, CX
+	JMP  gelu8Loop
+gelu8Tail:
+	TESTQ CX, CX
+	JZ   gelu8Ret
+	TAIL_MASK512
+	VMOVUPD.Z (DI), K1, Z4
+	JMP  gelu8Block
+gelu8TailStore:
+	VMOVUPD Z0, K1, (DI)
+	ADDQ CX, AX
+gelu8Ret:
+	MOVQ AX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// PAIR16 computes two keys' partials in one ZMM, key lo in the low half and
+// key hi in the high half: scoreRowAsm's hd16 chain, product of chunk 0 then
+// + chunk 1, 2, 3 products, against Z4–Z7.
+#define PAIR16(lo, hi, acc, yacc, t, yt) \
+	VMOVUPD 0 lo, yacc; \
+	VINSERTF64X4 $1, 0 hi, acc, acc; \
+	VMULPD Z4, acc, acc; \
+	VMOVUPD 32 lo, yt; \
+	VINSERTF64X4 $1, 32 hi, t, t; \
+	VMULPD Z5, t, t; \
+	VADDPD t, acc, acc; \
+	VMOVUPD 64 lo, yt; \
+	VINSERTF64X4 $1, 64 hi, t, t; \
+	VMULPD Z6, t, t; \
+	VADDPD t, acc, acc; \
+	VMOVUPD 96 lo, yt; \
+	VINSERTF64X4 $1, 96 hi, t, t; \
+	VMULPD Z7, t, t; \
+	VADDPD t, acc, acc
+
+// func scoreRow512Asm(srow, q, k *float64, nkeys, kstride int, scale, maxv float64) float64
+// scoreRowAsm's contract at hd == 16, for nkeys ≥ 8, eight keys per
+// iteration. Each key's four partials s0..s3 are scoreRowAsm's hd16 chain;
+// what changes is the finish. Two keys' partials share a ZMM (PAIR16), built
+// as [P0|P2], [P1|P3], [P4|P6], [P5|P7] (Pj is key j's s0..s3) and
+// transposed into S0..S3, S_l holding partial l of keys 0–7: the unpacks
+// pair keys (0,1), (2,3), … within each 128-bit block, and VSHUFF64X2
+// gathers the blocks in key order. ((S0+S1)+S2)+S3, × scale, is then eight
+// scores in one vertical add chain and one store. A last group of fewer
+// than eight keys is run as the eight keys ending at nkeys, rewriting
+// scores of the group before with the same bits.
+//
+// The max is lane-wise: every lane starts from maxv and lane l folds keys
+// l, l+8, … with VMAXPD (score as first source, as VMAXSD in scoreRowAsm),
+// then the lanes are reduced. A lane holds a NaN only if maxv is one, and then
+// every lane does and stays so, so the result is the sequential fold's value;
+// it may differ in bits only when that value is a zero of either sign, which
+// the caller resolves (scoreRow in kernels_amd64.go).
+//
+// Register plan: DI srow, SI q, DX key 0 of the group, CX keys left,
+// R8/R9/R10/R11 1/3/5/7·kstride·8, R12 8·kstride·8, Z4–Z7 q's four chunks
+// in both halves, Z12 the lane maxima, Z13 scale.
+TEXT ·scoreRow512Asm(SB), NOSPLIT, $0-64
+	MOVQ srow+0(FP), DI
+	MOVQ q+8(FP), SI
+	MOVQ k+16(FP), DX
+	MOVQ nkeys+24(FP), CX
+	MOVQ kstride+32(FP), R8
+	VBROADCASTSD scale+40(FP), Z13
+	VBROADCASTSD maxv+48(FP), Z12
+	SHLQ $3, R8
+	LEAQ (R8)(R8*2), R9
+	LEAQ (R8)(R8*4), R10
+	LEAQ (R9)(R8*4), R11
+	MOVQ R8, R12
+	SHLQ $3, R12
+	VBROADCASTF64X4 0(SI), Z4
+	VBROADCASTF64X4 32(SI), Z5
+	VBROADCASTF64X4 64(SI), Z6
+	VBROADCASTF64X4 96(SI), Z7
+group8:
+	PAIR16((DX), (DX)(R8*2), Z0, Y0, Z8, Y8)
+	PAIR16((DX)(R8*1), (DX)(R9*1), Z1, Y1, Z9, Y9)
+	PAIR16((DX)(R8*4), (DX)(R9*2), Z2, Y2, Z10, Y10)
+	PAIR16((DX)(R10*1), (DX)(R11*1), Z3, Y3, Z11, Y11)
+	VUNPCKLPD Z1, Z0, Z8
+	VUNPCKHPD Z1, Z0, Z9
+	VUNPCKLPD Z3, Z2, Z10
+	VUNPCKHPD Z3, Z2, Z11
+	VSHUFF64X2 $0x88, Z10, Z8, Z0
+	VSHUFF64X2 $0x88, Z11, Z9, Z1
+	VSHUFF64X2 $0xdd, Z10, Z8, Z2
+	VSHUFF64X2 $0xdd, Z11, Z9, Z3
+	VADDPD Z1, Z0, Z0
+	VADDPD Z2, Z0, Z0
+	VADDPD Z3, Z0, Z0
+	VMULPD Z13, Z0, Z0
+	VMOVUPD Z0, (DI)
+	VMAXPD Z12, Z0, Z12
+	ADDQ R12, DX
+	ADDQ $64, DI
+	SUBQ $8, CX
+	CMPQ CX, $8
+	JGE  group8
+	TESTQ CX, CX
+	JZ   max8
+	// 1–7 keys left: step back 8 − CX keys and run one more group.
+	MOVQ $8, AX
+	SUBQ CX, AX
+	MOVQ AX, BX
+	IMULQ R8, BX
+	SUBQ BX, DX
+	SHLQ $3, AX
+	SUBQ AX, DI
+	MOVQ $8, CX
+	JMP  group8
+
+max8:
+	VEXTRACTF64X4 $1, Z12, Y0
+	VMAXPD Y0, Y12, Y12
+	VEXTRACTF128 $1, Y12, X0
+	VMAXPD X0, X12, X12
+	VPERMILPD $1, X12, X0
+	VMAXSD X0, X12, X12
+	VMOVSD X12, ret+56(FP)
+	VZEROUPPER
+	RET

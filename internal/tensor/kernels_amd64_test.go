@@ -11,36 +11,51 @@ import (
 // A kernel that declined every block would pass every bit test on the scalar
 // fallback. Called directly, the assembly must take exactly its range: all of
 // a row inside it, masked tail included, and stop at the start of the first
-// block holding an argument outside it.
+// block (four lanes, or eight on AVX-512) holding an argument outside it.
 func TestMathRowKernelsTakeTheirRange(t *testing.T) {
-	if !haveFMA {
+	if !cpuFMA {
 		t.Skipf("vector exp/gelu not selected here (%s)", Kernels())
 	}
-	kernels := []struct {
-		name    string
-		run     func(p []float64) int
+	type kernel struct {
+		name  string
+		lanes int
+		run   func(p []float64) int
+	}
+	for _, f := range []struct {
+		kernels []kernel
 		in, out []float64 // arguments just inside and just outside the range
 	}{
-		{"exp", func(p []float64) int { return expSubFMAAsm(&p[0], len(p), 0) },
+		{[]kernel{
+			{"expSubFMAAsm", 4, func(p []float64) int { return expSubFMAAsm(&p[0], len(p), 0) }},
+			{"expSub512Asm", 8, func(p []float64) int { return expSub512Asm(&p[0], len(p), 0) }},
+		},
 			[]float64{708, -708, 0, math.Copysign(0, -1), 5e-324},
 			[]float64{math.Nextafter(708, 709), math.Nextafter(-708, -709), math.Inf(1), math.Inf(-1), math.NaN()}},
-		{"gelu", func(p []float64) int { return geluFMAAsm(&p[0], len(p)) },
+		{[]kernel{
+			{"geluFMAAsm", 4, func(p []float64) int { return geluFMAAsm(&p[0], len(p)) }},
+			{"gelu512Asm", 8, func(p []float64) int { return gelu512Asm(&p[0], len(p)) }},
+		},
 			[]float64{math.Nextafter(geluArgAt(44), 0), -math.Nextafter(geluArgAt(44), 0), 0, math.Copysign(0, -1), 5e-324},
 			[]float64{math.Nextafter(geluArgAt(44), 64), -math.Nextafter(geluArgAt(44), 64), 1e200, math.Inf(-1), math.NaN()}},
-	}
-	for _, k := range kernels {
-		for n := 1; n <= 13; n++ {
-			for pos := 0; pos < n; pos++ {
-				for i := range k.in {
-					row := make([]float64, n)
-					row[pos] = k.in[i]
-					if got := k.run(row); got != n {
-						t.Fatalf("%s: %d elements with %v at %d: took %d, want all", k.name, n, k.in[i], pos, got)
-					}
-					row = make([]float64, n)
-					row[pos] = k.out[i]
-					if got, want := k.run(row), pos&^3; got != want {
-						t.Fatalf("%s: %d elements with %v at %d: took %d, want %d", k.name, n, k.out[i], pos, got, want)
+	} {
+		for _, k := range f.kernels {
+			if k.lanes == 8 && !cpuAVX512 {
+				t.Logf("%s not called: no AVX-512 here", k.name)
+				continue
+			}
+			for n := 1; n <= 19; n++ {
+				for pos := 0; pos < n; pos++ {
+					for i := range f.in {
+						row := make([]float64, n)
+						row[pos] = f.in[i]
+						if got := k.run(row); got != n {
+							t.Fatalf("%s: %d elements with %v at %d: took %d, want all", k.name, n, f.in[i], pos, got)
+						}
+						row = make([]float64, n)
+						row[pos] = f.out[i]
+						if got, want := k.run(row), pos&^(k.lanes-1); got != want {
+							t.Fatalf("%s: %d elements with %v at %d: took %d, want %d", k.name, n, f.out[i], pos, got, want)
+						}
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -10,9 +11,10 @@ import (
 var cpuAVX2, cpuAVX512, cpuFMA = haveAVX2, haveAVX512, haveFMA
 
 // kernelChoices names the implementations every kernel test runs: the
-// AVX-512 matmul rows over the AVX2 kernels (skipped where the CPU lacks
-// AVX-512), the AVX2 assembly alone (skipped where it lacks AVX2; exp and
-// GELU vectorised in both where it has FMA), and the Go kernels.
+// AVX-512 kernels with the AVX2 score kernel under them for short ranges
+// (skipped where the CPU lacks AVX-512), the AVX2 assembly alone (skipped
+// where it lacks AVX2; exp and GELU vectorised in both where it has FMA), and
+// the Go kernels.
 type kernelChoice struct {
 	name         string
 	avx2, avx512 bool
@@ -36,7 +38,7 @@ func (kc kernelChoice) missing() string {
 }
 
 // with runs f on the choice's kernels: AVX2 on or off (the exp and GELU rows
-// follow it where the CPU has FMA), and on top of it the AVX-512 matmul rows.
+// follow it where the CPU has FMA), and on top of it the AVX-512 ones.
 // Serial tests only (the flags are package state).
 func (kc kernelChoice) with(t testing.TB, f func()) {
 	t.Helper()
@@ -245,81 +247,204 @@ func FuzzMulRowRange(f *testing.F) {
 	})
 }
 
-// Property: the assembly score kernel equals the Go loops in every bit —
-// scores and the returned running max — at the specialised width (16), the
-// paper's (26, a remainder of 2), widths below and not a multiple of four,
-// over key ranges that start past zero, strides wider than the head, seeded
-// maxima of every kind, and specials that make some scores NaN or ±Inf.
-func TestScoreRowBitExact(t *testing.T) {
-	if !haveAVX2 {
-		t.Skip("no AVX2 on this machine")
-	}
-	const maxKeys = 40
-	srowBuf := newGuardBuf(t, maxKeys)
-	qBuf := newGuardBuf(t, 64)
-	kvBuf := newGuardBuf(t, maxKeys*(3*64+8))
-	rng := rand.New(rand.NewSource(33))
-	seeds := []float64{math.Inf(-1), math.Inf(-1), -3.5, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1)}
-	nanScores := 0
-	for trial := 0; trial < 700; trial++ {
-		hd := []int{16, 26, 1, 2, 3, 4, 7, 12, 33}[trial%9]
-		hi := 1 + rng.Intn(maxKeys)
-		lo := rng.Intn(hi)
-		kOff := rng.Intn(2 * hd)
-		stride := kOff + hd + rng.Intn(9)
-		scale := 1 / math.Sqrt(float64(hd))
-		maxv := seeds[rng.Intn(len(seeds))]
+// scoreBufs holds scoreRow's operands, each ending at a guard page.
+type scoreBufs struct{ srow, q, kv *guardBuf }
 
-		q := qBuf.tail(hd)
-		kvp := kvBuf.tail((hi-1)*stride + kOff + hd)
-		every := []int{0, 30, 3}[trial%3]
-		fillKernelInput(rng, q, every)
-		fillKernelInput(rng, kvp, every)
-		if trial%5 == 0 { // one key row that is certainly a NaN score
-			kvp[lo*stride+kOff+rng.Intn(hd)] = math.NaN()
-		}
+const maxScoreKeys, maxScoreHD = 40, 64
 
-		want := make([]float64, hi)
-		wantMax := scoreRowGo(want, q, kvp, kOff, stride, lo, hi, hd, scale, maxv)
-		got := srowBuf.tail(hi)
-		for i := range got {
-			got[i] = 0
-		}
-		gotMax := scoreRow(got, q, kvp, kOff, stride, lo, hi, hd, scale, maxv)
-		if i := firstBitDiff(got, want); i >= 0 {
-			t.Fatalf("hd=%d keys [%d,%d) kOff=%d stride=%d: score[%d] = %v (%#x), Go kernel %v (%#x)",
-				hd, lo, hi, kOff, stride, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-		}
-		if firstBitDiff([]float64{gotMax}, []float64{wantMax}) >= 0 {
-			t.Fatalf("hd=%d keys [%d,%d) seed %v: max = %v (%#x), Go kernel %v (%#x)",
-				hd, lo, hi, maxv, gotMax, math.Float64bits(gotMax), wantMax, math.Float64bits(wantMax))
-		}
-		for _, v := range want[lo:hi] {
-			if math.IsNaN(v) {
-				nanScores++
-			}
-		}
-	}
-	if nanScores == 0 {
-		t.Fatal("no NaN score was produced: the NaN-never-replaces-max rule is not exercised")
+func newScoreBufs(t testing.TB) scoreBufs {
+	return scoreBufs{
+		srow: newGuardBuf(t, maxScoreKeys),
+		q:    newGuardBuf(t, maxScoreHD),
+		kv:   newGuardBuf(t, maxScoreKeys*(3*maxScoreHD+8)),
 	}
 }
 
+// scoreCase is one scoreRow call: keys [lo, hi) of a block whose rows are
+// stride apart, each key hd wide starting kOff into its row.
+type scoreCase struct {
+	hd, lo, hi, kOff, stride int
+	scale, maxv              float64
+}
+
+// operands returns q and the key block of c, sized exactly so that each ends
+// at its guard page, for the caller to fill.
+func (b scoreBufs) operands(c scoreCase) (q, kvp []float64) {
+	return b.q.tail(c.hd), b.kv.tail((c.hi-1)*c.stride + c.kOff + c.hd)
+}
+
+// checkScoreRow compares scoreRow, on whichever kernels are selected, with
+// scoreRowGo in every bit: the scores and the returned max. It returns the
+// reference scores and max.
+func checkScoreRow(t testing.TB, b scoreBufs, c scoreCase) (want []float64, wantMax float64) {
+	t.Helper()
+	q, kvp := b.operands(c)
+	want = make([]float64, c.hi)
+	wantMax = scoreRowGo(want, q, kvp, c.kOff, c.stride, c.lo, c.hi, c.hd, c.scale, c.maxv)
+	got := b.srow.tail(c.hi)
+	clear(got)
+	gotMax := scoreRow(got, q, kvp, c.kOff, c.stride, c.lo, c.hi, c.hd, c.scale, c.maxv)
+	if i := firstBitDiff(got, want); i >= 0 {
+		t.Fatalf("%+v on %s: score[%d] = %v (%#x), Go kernel %v (%#x)",
+			c, Kernels(), i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+	}
+	if firstBitDiff([]float64{gotMax}, []float64{wantMax}) >= 0 {
+		t.Fatalf("%+v on %s: max = %v (%#x), Go kernel %v (%#x)",
+			c, Kernels(), gotMax, math.Float64bits(gotMax), wantMax, math.Float64bits(wantMax))
+	}
+	return want, wantMax
+}
+
+// plantZeroScores rewrites c's operands so that every score is −2⁻⁸⁰ or a
+// zero of either sign (±2⁻¹⁰⁰⁰ times a scale of 2⁻⁸⁰ rounds to a signed
+// zero), drawn per key.
+func plantZeroScores(rng *rand.Rand, c *scoreCase, q, kvp []float64) {
+	c.scale = 0x1p-80
+	for i := range q {
+		q[i] = 1
+	}
+	for j := c.lo; j < c.hi; j++ {
+		row := kvp[j*c.stride+c.kOff : j*c.stride+c.kOff+c.hd]
+		clear(row)
+		row[0] = []float64{-1, 0x1p-1000, -0x1p-1000}[rng.Intn(3)]
+	}
+}
+
+// Property: every score kernel equals the Go loops in every bit — scores and
+// the returned running max — at the specialised width (16), the paper's
+// (26, a remainder of 2), widths below and not a multiple of four, over
+// every key count 1–40 (so every tail of an 8-key group) starting past
+// zero, strides wider than the head, seeded maxima of every kind including
+// both zeros, specials that make some scores NaN or ±Inf, and rows whose
+// scores are zeros of both signs.
+func TestScoreRowBitExact(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		b := newScoreBufs(t)
+		rng := rand.New(rand.NewSource(33))
+		seeds := []float64{math.Inf(-1), math.Inf(-1), -3.5, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1)}
+		nanScores, zeroMaxes := 0, 0
+		for trial := 0; trial < 1400; trial++ {
+			hd := []int{16, 26, 1, 2, 3, 4, 7, 12, 33}[trial%9]
+			n := 1 + trial%maxScoreKeys
+			lo := rng.Intn(maxScoreKeys - n + 1)
+			kOff := rng.Intn(2 * hd)
+			c := scoreCase{hd: hd, lo: lo, hi: lo + n, kOff: kOff, stride: kOff + hd + rng.Intn(9),
+				scale: 1 / math.Sqrt(float64(hd)), maxv: seeds[rng.Intn(len(seeds))]}
+			q, kvp := b.operands(c)
+			every := []int{0, 30, 3}[trial%3]
+			fillKernelInput(rng, q, every)
+			fillKernelInput(rng, kvp, every)
+			if trial%5 == 0 { // one key row that is certainly a NaN score
+				kvp[lo*c.stride+kOff+rng.Intn(hd)] = math.NaN()
+			}
+			if trial%7 == 3 {
+				plantZeroScores(rng, &c, q, kvp)
+			}
+			want, wantMax := checkScoreRow(t, b, c)
+			for _, v := range want[c.lo:c.hi] {
+				if math.IsNaN(v) {
+					nanScores++
+				}
+			}
+			if wantMax == 0 && n >= 8 {
+				zeroMaxes++
+			}
+		}
+		if nanScores == 0 || zeroMaxes == 0 {
+			t.Fatalf("%d NaN scores, %d zero maxima over 8+ keys: the NaN and signed-zero rules of the max are not both exercised", nanScores, zeroMaxes)
+		}
+	})
+}
+
+// When the max of a row is zero, `if v > maxv` keeps the first zero it
+// meets — a zero seed, else the first zero score — whatever zeros of the
+// other sign follow. Every placement of a zero followed by one of the other
+// sign, among negative scores, over lengths that make one group, a group and
+// a tail, and several groups.
+func TestScoreRowMaxKeepsTheFirstZero(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		b := newScoreBufs(t)
+		negZero := math.Copysign(0, -1)
+		for _, hd := range []int{16, 5} {
+			for _, n := range []int{3, 8, 11, 17} {
+				for first := 0; first < n; first++ {
+					for second := first + 1; second < n; second++ {
+						for _, sign := range []float64{1, -1} {
+							for _, seed := range []float64{math.Inf(-1), -1, 0, negZero} {
+								c := scoreCase{hd: hd, hi: n, stride: hd, scale: 0x1p-80, maxv: seed}
+								q, kvp := b.operands(c)
+								for i := range q {
+									q[i] = 1
+								}
+								clear(kvp)
+								for j := 0; j < n; j++ {
+									kvp[j*hd] = -1
+								}
+								kvp[first*hd], kvp[second*hd] = sign*0x1p-1000, -sign*0x1p-1000
+								checkScoreRow(t, b, c)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+func FuzzScoreRow(f *testing.F) {
+	f.Add(int64(1), uint8(16), uint8(0), uint8(0), uint8(0), uint8(29), math.Inf(-1), uint8(0))
+	f.Add(int64(2), uint8(26), uint8(5), uint8(13), uint8(3), uint8(8), 0.0, uint8(4))
+	f.Add(int64(3), uint8(16), uint8(8), uint8(16), uint8(1), uint8(38), math.Copysign(0, -1), uint8(7))
+	f.Add(int64(4), uint8(3), uint8(2), uint8(1), uint8(0), uint8(7), math.NaN(), uint8(2))
+	f.Add(int64(5), uint8(33), uint8(7), uint8(60), uint8(39), uint8(0), -2.0, uint8(5))
+	f.Add(int64(6), uint8(64), uint8(3), uint8(127), uint8(20), uint8(19), math.Inf(1), uint8(1))
+	b := newScoreBufs(f)
+	f.Fuzz(func(t *testing.T, seed int64, hd, pad, kOff, lo, n uint8, maxv float64, fill uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		c := scoreCase{hd: 1 + int(hd)%maxScoreHD, lo: int(lo) % maxScoreKeys, maxv: maxv}
+		c.hi = c.lo + 1 + int(n)%(maxScoreKeys-c.lo)
+		c.kOff = int(kOff) % (2 * c.hd)
+		c.stride = c.kOff + c.hd + int(pad)%9
+		c.scale = []float64{1 / math.Sqrt(float64(c.hd)), 0x1p-80, -0.5}[fill/3%3]
+		q, kvp := b.operands(c)
+		for _, s := range [][]float64{q, kvp} {
+			switch fill % 3 {
+			case 0:
+				fillKernelInput(rng, s, 0)
+			case 1:
+				fillKernelInput(rng, s, 3)
+			case 2:
+				for i := range s {
+					s[i] = math.Float64frombits(rng.Uint64())
+				}
+			}
+		}
+		for _, kc := range kernelChoices {
+			if kc.missing() == "" {
+				kc.with(t, func() { checkScoreRow(t, b, c) })
+			}
+		}
+	})
+}
+
 // A NaN score is stored but never becomes the running max, whichever
-// kernel runs: Go's `v > maxv` is false for NaN.
+// kernel runs, on a short range and on one of 8-key groups: Go's `v > maxv`
+// is false for NaN.
 func TestScoreRowNaNNeverReplacesMax(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		for _, hd := range []int{16, 26, 6} {
-			q := make([]float64, hd)
-			kvp := make([]float64, 3*hd)
-			for i := range q {
-				q[i] = 1
-			}
-			kvp[0], kvp[hd] = 2, math.NaN() // key 0 scores 2·scale, key 1 NaN, key 2 zero
-			srow := make([]float64, 3)
-			maxv := scoreRow(srow, q, kvp, 0, hd, 0, 3, hd, 0.5, math.Inf(-1))
-			if maxv != 1 || srow[0] != 1 || !math.IsNaN(srow[1]) || srow[2] != 0 {
-				t.Fatalf("hd=%d: scores %v max %v, want [1 NaN 0] max 1", hd, srow, maxv)
+			for _, n := range []int{3, 11} {
+				q := make([]float64, hd)
+				kvp := make([]float64, n*hd)
+				for i := range q {
+					q[i] = 1
+				}
+				kvp[0], kvp[hd] = 2, math.NaN() // key 0 scores 2·scale, key 1 NaN, the rest zero
+				srow := make([]float64, n)
+				maxv := scoreRow(srow, q, kvp, 0, hd, 0, n, hd, 0.5, math.Inf(-1))
+				if maxv != 1 || srow[0] != 1 || !math.IsNaN(srow[1]) || slices.ContainsFunc(srow[2:], func(v float64) bool { return v != 0 }) {
+					t.Fatalf("hd=%d: scores %v max %v, want [1 NaN 0…] max 1", hd, srow, maxv)
+				}
 			}
 		}
 	})
@@ -370,16 +495,23 @@ func TestNoFMAContraction(t *testing.T) {
 			}
 		}
 		// Score kernels: lane 0 holds y after its first product and a·x
-		// arrives as its second.
+		// arrives as its second, in every key of a short range and of one
+		// run in 8-key groups.
 		for _, hd := range []int{16, 8, 26} {
-			q := make([]float64, hd)
-			krow := make([]float64, hd)
-			q[0], krow[0] = 1, y
-			q[4], krow[4] = a, x
-			srow := make([]float64, 1)
-			scoreRow(srow, q, krow, 0, hd, 0, 1, hd, 1, math.Inf(-1))
-			if srow[0] != 0 {
-				t.Fatalf("scoreRow hd=%d: %g, want 0", hd, srow[0])
+			for _, n := range []int{1, 11} {
+				q := make([]float64, hd)
+				kvp := make([]float64, n*hd)
+				q[0], q[4] = 1, a
+				for j := 0; j < n; j++ {
+					kvp[j*hd], kvp[j*hd+4] = y, x
+				}
+				srow := make([]float64, n)
+				scoreRow(srow, q, kvp, 0, hd, 0, n, hd, 1, math.Inf(-1))
+				for j, v := range srow {
+					if v != 0 {
+						t.Fatalf("scoreRow hd=%d, %d keys: score[%d] = %g, want 0", hd, n, j, v)
+					}
+				}
 			}
 		}
 	})
