@@ -48,11 +48,12 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz gives each fuzzer a short budget beyond its seed corpus: the
-# /v1/detect handler, the four row kernels against their references,
-# and the checkpoint decoder (go test takes one -fuzz target per run).
+# /v1/detect handler, the four row kernels and the attention core (with its
+# span validation) against their references, and the checkpoint decoder
+# (go test takes one -fuzz target per run).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzHandleDetect -fuzztime=20s ./internal/service/
-	for f in FuzzExpRow FuzzGELURow FuzzMulRowRange FuzzScoreRow FuzzReadTensors; do \
+	for f in FuzzExpRow FuzzGELURow FuzzMulRowRange FuzzScoreRow FuzzAttnCore FuzzReadTensors; do \
 		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzztime=10s ./internal/tensor/ || exit 1; \
 	done
 
@@ -118,13 +119,13 @@ bench-cache:
 
 # bench-smoke compiles and runs every benchmark exactly once — no timing
 # value, but it keeps the benchmark code from rotting between full runs.
-# The second pass repeats the kernel sets (the AVX-512 rows, the AVX2
-# assembly and the Go kernels — matmul, attention, the score, exp and GELU
-# rows: sub-benchmarks avx512/asm/generic) so they are exercised by name even
-# where the default run skips them.
+# The second pass repeats the kernel sets (the AVX-512 kernels, the AVX2
+# assembly and the Go kernels — matmul, attention at scan_cpu's shapes, the
+# score, exp and GELU rows: sub-benchmarks avx512/asm/generic) so they are
+# exercised by name even where the default run skips them.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-	$(GO) test -run='^$$' -bench='BenchmarkLinearInto$$|BenchmarkFusedAttentionCore128$$|BenchmarkExpSubRow$$|BenchmarkGELURow$$|BenchmarkScoreRow$$' -benchtime=1x ./internal/tensor/
+	$(GO) test -run='^$$' -bench='BenchmarkLinearInto$$|BenchmarkFusedAttentionCore$$|BenchmarkExpSubRow$$|BenchmarkGELURow$$|BenchmarkScoreRow$$' -benchtime=1x ./internal/tensor/
 
 clean:
 	$(GO) clean ./...

@@ -315,7 +315,7 @@ func TestCoordinatorQueueOverflow429(t *testing.T) {
 	cfg.MaxInFlight = 1
 	cfg.QueueDepth = 1
 	cfg.QueueWait = 2 * time.Second
-	_, srv := startCoordinator(t, cfg, a)
+	c, srv := startCoordinator(t, cfg, a)
 
 	// First request takes the in-flight slot and blocks inside the stub.
 	first := make(chan int, 1)
@@ -343,28 +343,19 @@ func TestCoordinatorQueueOverflow429(t *testing.T) {
 		resp.Body.Close()
 		second <- resp.StatusCode
 	}()
-	waitUntil(t, time.Second, func() bool {
-		st := fetchStats(t, srv.URL)
-		return st.Routing.Routed >= 0 && queueWaiters(srv.URL) >= 0 // stats reachable
-	})
-	// Give the second request time to enter the wait queue: poll the shed
-	// behaviour directly — the third request must be rejected immediately.
-	var shedStatus int
-	waitUntil(t, 2*time.Second, func() bool {
-		resp := postDetect(t, srv.URL, `{"database":"d"}`)
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		shedStatus = resp.StatusCode
-		if resp.StatusCode == http.StatusTooManyRequests {
-			if resp.Header.Get("Retry-After") == "" {
-				t.Fatalf("429 without Retry-After")
-			}
-			return true
-		}
-		return false
-	})
-	if shedStatus != http.StatusTooManyRequests {
-		t.Fatalf("overflow status = %d, want 429", shedStatus)
+	// Probe only once the second request holds the one queue slot: probing
+	// earlier lets the probe take the slot and the second request be shed.
+	waitUntil(t, time.Second, func() bool { return c.waiters.Load() == 1 })
+
+	// The third request finds the slot taken and the queue full.
+	resp := postDetect(t, srv.URL, `{"database":"d"}`)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("overflow status = %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("429 without Retry-After")
 	}
 
 	close(release)
@@ -382,10 +373,6 @@ func TestCoordinatorQueueOverflow429(t *testing.T) {
 		t.Fatalf("routed = %d, want 2", st.Routing.Routed)
 	}
 }
-
-// queueWaiters is a stats-poll helper placeholder (the ledger does not
-// expose waiters; reachability is what the overflow test needs).
-func queueWaiters(string) int { return 0 }
 
 func waitUntil(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Helper()

@@ -118,23 +118,47 @@ func BenchmarkLinearInto(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedAttentionCore128 times the fp64 attention core on 128-token
-// self-attention at the repro scale (4 heads of 16), every key visible.
-func BenchmarkFusedAttentionCore128(b *testing.B) {
+// BenchmarkFusedAttentionCore times the fp64 attention core at the repro
+// scale (4 heads of 16) on the shapes scan_cpu runs — metadata
+// self-attention (30 rows, packed QKV, every key visible) and a content
+// layer (two 54-row column spans, each seeing the 30 metadata keys and its
+// own column, over packed K|V) — and on 128-token self-attention.
+func BenchmarkFusedAttentionCore(b *testing.B) {
 	const h = 64
-	sh := AttnShape{Lq: 128, Lkv: 128, Heads: 4, HeadDim: 16, QStride: 3 * h, KOff: h, VOff: 2 * h, KVStride: 3 * h, Scale: 0.25}
-	qp := benchTensor(rand.New(rand.NewSource(1)), 128, 3*h).Data
-	ws, dst := NewWorkspace(), make([]float64, 128*h)
-	benchKernels(b, func(b *testing.B) {
-		FusedAttentionCore(ws, dst, qp, qp, sh, nil)
-		ws.Reset()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			FusedAttentionCore(ws, dst, qp, qp, sh, nil)
-			ws.Reset()
+	rng := rand.New(rand.NewSource(1))
+	self := func(l int) AttnShape {
+		return AttnShape{Lq: l, Lkv: l, Heads: 4, HeadDim: 16, QStride: 3 * h, KOff: h, VOff: 2 * h, KVStride: 3 * h, Scale: 0.25}
+	}
+	for _, c := range []struct {
+		name    string
+		sh      AttnShape
+		qp, kvp []float64
+		spans   []AttnSpan
+	}{
+		{name: "meta30", sh: self(30)},
+		{name: "content2x54", sh: AttnShape{Lq: 108, Lkv: 138, Heads: 4, HeadDim: 16, QStride: h, VOff: h, KVStride: 2 * h, Scale: 0.25},
+			spans: []AttnSpan{{RowLo: 0, RowHi: 54, A: [2]int{0, 30}, B: [2]int{30, 84}}, {RowLo: 54, RowHi: 108, A: [2]int{0, 30}, B: [2]int{84, 138}}}},
+		{name: "self128", sh: self(128)},
+	} {
+		c.kvp = benchTensor(rng, c.sh.Lkv, c.sh.KVStride).Data
+		c.qp = c.kvp
+		if c.sh.QStride != c.sh.KVStride {
+			c.qp = benchTensor(rng, c.sh.Lq, c.sh.QStride).Data
 		}
-	})
+		ws, dst := NewWorkspace(), make([]float64, c.sh.Lq*h)
+		b.Run(c.name, func(b *testing.B) {
+			benchKernels(b, func(b *testing.B) {
+				FusedAttentionCore(ws, dst, c.qp, c.kvp, c.sh, c.spans)
+				ws.Reset()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					FusedAttentionCore(ws, dst, c.qp, c.kvp, c.sh, c.spans)
+					ws.Reset()
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkExp times one scalar call of the package's Exp against

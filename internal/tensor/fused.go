@@ -295,16 +295,24 @@ func DenseMask(spans []AttnSpan, lq, lkv int) *Tensor {
 // Lq×Lkv score matrices. spans (nil = everything visible) names the keys
 // each query row may attend to; scores, exponentials, normalization and the
 // weights×V product touch those keys only, so the cost of a row is what it
-// sees, not Lkv. A row that sees nothing yields zeros.
+// sees, not Lkv. A row that sees nothing yields zeros. Where the platform
+// has block kernels (attnBlocks: AVX-512, head width 16) they run eight rows
+// of a span at a time with each row's operations unchanged; the per-row
+// loop below is every other case and the reference they are tested against.
 //
 // Bit-exact against SliceCols+MatMulNT+Scale+SoftmaxRows(DenseMask)+MatMul+
 // ConcatCols: a -Inf-masked key contributes exp(-Inf) = +0 to the softmax
 // sum (x + 0 == x) and a zero weight the composed MatMul skips, so visiting
 // only the visible keys, in ascending order, runs the same left-associative
-// chains.
+// chains. That holds wherever a hidden key scores finite or -Inf; one that
+// scores NaN or +Inf turns the composed row NaN (score + -Inf), and here it
+// is never read.
 func FusedAttentionCore(ws *Workspace, dst, qp, kvp []float64, sh AttnShape, spans []AttnSpan) {
 	var all [1]AttnSpan
 	spans = spansOrAll(spans, &all, sh.Lq, sh.Lkv)
+	if attnBlocks(ws, dst, qp, kvp, sh, spans) {
+		return
+	}
 	hd := sh.Heads * sh.HeadDim
 	srow := ws.Take(sh.Lkv)
 	for h := 0; h < sh.Heads; h++ {
@@ -359,8 +367,8 @@ func FusedAttentionCore(ws *Workspace, dst, qp, kvp []float64, sh AttnShape, spa
 	}
 }
 
-// scoreRow (per platform: the AVX-512 or AVX2 kernel where the CPU has it,
-// else scoreRowGo) fills srow[lo:hi) with the scaled q·k scores of one query
+// scoreRow (per platform: the AVX2 kernel where the CPU has it, else
+// scoreRowGo) fills srow[lo:hi) with the scaled q·k scores of one query
 // row against keys [lo, hi) and returns the running row max, seeded with maxv.
 // scoreRowGo is the Go implementation the assembly is tested against.
 func scoreRowGo(srow, qrow, kvp []float64, kOff, stride, lo, hi, headDim int, scale, maxv float64) float64 {

@@ -22,13 +22,19 @@ func expSubFMAAsm(p *float64, n int, sub float64) int
 func geluFMAAsm(p *float64, n int) int
 
 //go:noescape
-func scoreRow512Asm(srow, q, k *float64, nkeys, kstride int, scale, maxv float64) float64
-
-//go:noescape
 func expSub512Asm(p *float64, n int, sub float64) int
 
 //go:noescape
 func gelu512Asm(p *float64, n int) int
+
+//go:noescape
+func attnScores512Asm(s, q *float64, qstride, rows int, ka *float64, na int, kb *float64, nb, kstride int, scale float64, maxv *float64)
+
+//go:noescape
+func attnExp512Asm(p *float64, n int, maxv, sum *float64) int
+
+//go:noescape
+func attnOut512Asm(out *float64, ostride, rows int, e, va *float64, na int, vb *float64, nb, vstride int, maxv, sum *float64)
 
 //go:noescape
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -60,10 +66,11 @@ func detectAVX2() (avx2, fma bool) {
 }
 
 // haveAVX512 (which implies haveAVX2) selects the 8-lane kernels:
-// mulRows512Asm for the matmul rows, scoreRow512Asm for score ranges of eight
-// keys or more at head width 16 (other ranges stay on scoreRowAsm), and,
-// where haveFMA also holds, gelu512Asm and expSub512Asm for the GELU and exp
-// rows. Tests flip it with haveAVX2.
+// mulRows512Asm for the matmul rows, the attention block kernels for
+// FusedAttentionCore at head width 16 (attnBlocks; other widths keep the
+// per-row path on the AVX2 score kernel), and, where haveFMA also holds,
+// gelu512Asm and expSub512Asm for the GELU and exp rows. Tests flip it with
+// haveAVX2.
 var haveAVX512 = haveAVX2 && detectAVX512()
 
 // detectAVX512 reports AVX512F with the OS saving the opmask and all of the
@@ -80,8 +87,9 @@ func detectAVX512() bool {
 // Kernels names the kernels this process runs, for start-up lines and
 // /v1/stats: a replica that is slow because of a rebuild or an older CPU
 // says so. "avx512" leads when the row kernels run eight lanes wide (the
-// matmul and score rows; the exp and GELU rows too when the string also ends
-// in " fma exp gelu", which it does exactly when they run vectorised).
+// matmul rows, and attention eight query rows per vector at head width 16;
+// the exp and GELU rows too when the string also ends in " fma exp gelu",
+// which it does exactly when they run vectorised).
 func Kernels() string {
 	if !haveAVX2 {
 		return "go (no AVX2)"
@@ -113,36 +121,82 @@ func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool, 
 	}
 }
 
-// scoreRow runs a range of eight or more keys 16 wide (the repro head) on
-// the 8-lane kernel where haveAVX512, and any other range on the AVX2 one.
-// The 8-lane kernel's max is the sequential fold's value; when that value is
-// a zero, the fold kept the first zero it met (`v > maxv` is false between
-// zeros), which firstZero finds again.
 func scoreRow(srow, qrow, kvp []float64, kOff, stride, lo, hi, headDim int, scale, maxv float64) float64 {
 	if !haveAVX2 || hi <= lo || headDim <= 0 {
 		return scoreRowGo(srow, qrow, kvp, kOff, stride, lo, hi, headDim, scale, maxv)
 	}
 	s, q, keys := srow[lo:hi], qrow[:headDim], kvp[lo*stride+kOff:(hi-1)*stride+kOff+headDim]
-	if !haveAVX512 || headDim != 16 || len(s) < 8 {
-		return scoreRowAsm(&s[0], &q[0], &keys[0], len(s), stride, headDim, scale, maxv)
-	}
-	if m := scoreRow512Asm(&s[0], &q[0], &keys[0], len(s), stride, scale, maxv); m != 0 {
-		return m
-	}
-	return firstZero(maxv, s)
+	return scoreRowAsm(&s[0], &q[0], &keys[0], len(s), stride, headDim, scale, maxv)
 }
 
-// firstZero returns the first zero of maxv, s[0], s[1], …; one exists.
-func firstZero(maxv float64, s []float64) float64 {
-	if maxv == 0 {
-		return maxv
+// attnBlocks runs FusedAttentionCore eight query rows of a span at a time,
+// one row per lane, where haveAVX512 holds and heads are 16 wide, and
+// reports whether it ran; the per-row path runs every other case. The rows
+// of a span see the same keys, and each lane performs the per-row path's
+// scalar operations in its order (kernels_amd64.s), so the bits are the
+// same. A block whose rows see no key is zeros, as a per-row one is.
+func attnBlocks(ws *Workspace, dst, qp, kvp []float64, sh AttnShape, spans []AttnSpan) bool {
+	const hdim = 16
+	if !haveAVX512 || sh.HeadDim != hdim {
+		return false
 	}
-	for _, v := range s {
-		if v == 0 {
-			return v
+	width := sh.Heads * hdim
+	s := ws.Take(8 * sh.Lkv)
+	var maxv, sum [8]float64
+	for h := 0; h < sh.Heads; h++ {
+		qOff, kOff, vOff := sh.QOff+h*hdim, sh.KOff+h*hdim, sh.VOff+h*hdim
+		for _, sp := range spans {
+			na, nb := sp.A[1]-sp.A[0], sp.B[1]-sp.B[0]
+			ka, va := laneRows(kvp, sp.A, sh.KVStride, kOff), laneRows(kvp, sp.A, sh.KVStride, vOff)
+			kb, vb := laneRows(kvp, sp.B, sh.KVStride, kOff), laneRows(kvp, sp.B, sh.KVStride, vOff)
+			e := s[:8*(na+nb)]
+			for r0 := sp.RowLo; r0 < sp.RowHi; r0 += 8 {
+				rows := min(8, sp.RowHi-r0)
+				out := dst[r0*width+h*hdim : (r0+rows-1)*width+h*hdim+hdim]
+				if len(e) == 0 {
+					for r := 0; r < rows; r++ {
+						clear(out[r*width : r*width+hdim])
+					}
+					continue
+				}
+				q := qp[r0*sh.QStride+qOff : (r0+rows-1)*sh.QStride+qOff+hdim]
+				attnScores512Asm(&e[0], &q[0], sh.QStride, rows, ka, na, kb, nb, sh.KVStride, sh.Scale, &maxv[0])
+				attnExp(e, &maxv, &sum)
+				attnOut512Asm(&out[0], width, rows, &e[0], va, na, vb, nb, sh.KVStride, &maxv[0], &sum[0])
+			}
 		}
 	}
-	panic("tensor: score max is zero but no score is")
+	return true
+}
+
+// laneRows returns the first element of the 16-wide rows of kvp in
+// [kr[0], kr[1]) at column off, stride apart, or nil for an empty range.
+// Slicing them first bounds what the block kernels read.
+func laneRows(kvp []float64, kr [2]int, stride, off int) *float64 {
+	if kr[0] == kr[1] {
+		return nil
+	}
+	return &kvp[kr[0]*stride+off : (kr[1]-1)*stride+off+16][0]
+}
+
+// attnExp sets e[j] = Exp(e[j] − maxv[j%8]) and sum[l] to the in-order sum of
+// lane l's results from +0.0, on attnExp512Asm where haveFMA and the scalar
+// Exp for each block it declines (for every block without FMA).
+func attnExp(e []float64, maxv, sum *[8]float64) {
+	*sum = [8]float64{}
+	for len(e) > 0 {
+		if haveFMA {
+			if e = e[attnExp512Asm(&e[0], len(e), &maxv[0], &sum[0]):]; len(e) == 0 {
+				return
+			}
+		}
+		for l, v := range e[:8] {
+			x := Exp(v - maxv[l])
+			e[l] = x
+			sum[l] += x
+		}
+		e = e[8:]
+	}
 }
 
 // The assembly (where haveFMA) stops at the first block (four elements, or

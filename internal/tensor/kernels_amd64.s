@@ -1053,110 +1053,304 @@ gelu8Ret:
 	VZEROUPPER
 	RET
 
-// PAIR16 computes two keys' partials in one ZMM, key lo in the low half and
-// key hi in the high half: scoreRowAsm's hd16 chain, product of chunk 0 then
-// + chunk 1, 2, 3 products, against Z4–Z7.
-#define PAIR16(lo, hi, acc, yacc, t, yt) \
-	VMOVUPD 0 lo, yacc; \
-	VINSERTF64X4 $1, 0 hi, acc, acc; \
-	VMULPD Z4, acc, acc; \
-	VMOVUPD 32 lo, yt; \
-	VINSERTF64X4 $1, 32 hi, t, t; \
-	VMULPD Z5, t, t; \
-	VADDPD t, acc, acc; \
-	VMOVUPD 64 lo, yt; \
-	VINSERTF64X4 $1, 64 hi, t, t; \
-	VMULPD Z6, t, t; \
-	VADDPD t, acc, acc; \
-	VMOVUPD 96 lo, yt; \
-	VINSERTF64X4 $1, 96 hi, t, t; \
-	VMULPD Z7, t, t; \
-	VADDPD t, acc, acc
 
-// func scoreRow512Asm(srow, q, k *float64, nkeys, kstride int, scale, maxv float64) float64
-// scoreRowAsm's contract at hd == 16, for nkeys ≥ 8, eight keys per
-// iteration. Each key's four partials s0..s3 are scoreRowAsm's hd16 chain;
-// what changes is the finish. Two keys' partials share a ZMM (PAIR16), built
-// as [P0|P2], [P1|P3], [P4|P6], [P5|P7] (Pj is key j's s0..s3) and
-// transposed into S0..S3, S_l holding partial l of keys 0–7: the unpacks
-// pair keys (0,1), (2,3), … within each 128-bit block, and VSHUFF64X2
-// gathers the blocks in key order. ((S0+S1)+S2)+S3, × scale, is then eight
-// scores in one vertical add chain and one store. A last group of fewer
-// than eight keys is run as the eight keys ending at nkeys, rewriting
-// scores of the group before with the same bits.
-//
-// The max is lane-wise: every lane starts from maxv and lane l folds keys
-// l, l+8, … with VMAXPD (score as first source, as VMAXSD in scoreRowAsm),
-// then the lanes are reduced. A lane holds a NaN only if maxv is one, and then
-// every lane does and stays so, so the result is the sequential fold's value;
-// it may differ in bits only when that value is a zero of either sign, which
-// the caller resolves (scoreRow in kernels_amd64.go).
-//
-// Register plan: DI srow, SI q, DX key 0 of the group, CX keys left,
-// R8/R9/R10/R11 1/3/5/7·kstride·8, R12 8·kstride·8, Z4–Z7 q's four chunks
-// in both halves, Z12 the lane maxima, Z13 scale.
-TEXT ·scoreRow512Asm(SB), NOSPLIT, $0-64
-	MOVQ srow+0(FP), DI
+// Attention eight query rows at a time, one row per lane: FusedAttentionCore
+// at head width 16 where haveAVX512 (attnBlocks, kernels_amd64.go). The rows
+// of a span see the same key ranges, so for every key the eight rows'
+// scores, max steps, exponentials, sum steps and weights×V terms are one
+// vertical operation each, and every lane runs the per-row path's scalar
+// operations in the per-row order:
+//   attnScores512Asm  scores and the running max (scoreRow16's chains);
+//   attnExp512Asm     Exp(v − max) and softmax's sum (expSubRow, the sum loop);
+//   attnOut512Asm     the normalise and the weights×V chains (mulRowRange's).
+// The scores and exponentials live in a key-major scratch, eight lanes per
+// key, range A's keys then range B's. A block of r < 8 rows fills lanes
+// r..7 with row r−1 again (tail lanes): they are computed and never stored.
+DATA laneIota<>+0(SB)/8, $0
+DATA laneIota<>+8(SB)/8, $1
+DATA laneIota<>+16(SB)/8, $2
+DATA laneIota<>+24(SB)/8, $3
+DATA laneIota<>+32(SB)/8, $4
+DATA laneIota<>+40(SB)/8, $5
+DATA laneIota<>+48(SB)/8, $6
+DATA laneIota<>+56(SB)/8, $7
+GLOBL laneIota<>(SB), RODATA|NOPTR, $64
+
+#define NEGINF $0xfff0000000000000
+
+// LANE_OFFSETS sets idx lane l to min(l, last)·stride·8, the byte offset of
+// row l of a block with tail lanes on row last; it clobbers stride and tmp.
+// VPMULUDQ multiplies the low 32 bits of each quadword, which hold both
+// factors for any stride below 2²⁹ elements.
+#define LANE_OFFSETS(last, stride, idx, tmp) \
+	VPBROADCASTQ last, tmp; \
+	VPMINSQ laneIota<>(SB), tmp, idx; \
+	SHLQ $3, stride; \
+	VPBROADCASTQ stride, tmp; \
+	VPMULUDQ tmp, idx, idx
+
+// GATHER loads dimension off/8 of the block's eight query rows into dst.
+#define GATHER(off, dst) \
+	KXNORW K1, K1, K1; \
+	VGATHERQPD off(SI)(Z8*1), K1, dst
+
+// PARTIALS adds the products of one group of four key dimensions to the
+// partials Z0..Z3, each product rounded before it is added.
+#define PARTIALS(o0, o1, o2, o3, q0, q1, q2, q3) \
+	VMULPD.BCST o0(DX), q0, Z4; \
+	VADDPD Z4, Z0, Z0; \
+	VMULPD.BCST o1(DX), q1, Z5; \
+	VADDPD Z5, Z1, Z1; \
+	VMULPD.BCST o2(DX), q2, Z6; \
+	VADDPD Z6, Z2, Z2; \
+	VMULPD.BCST o3(DX), q3, Z7; \
+	VADDPD Z7, Z3, Z3
+
+// func attnScores512Asm(s, q *float64, qstride, rows int, ka *float64, na int, kb *float64, nb, kstride int, scale float64, maxv *float64)
+// For key j of range A (na key rows from ka) then range B (nb from kb), key
+// rows kstride apart, s[8j+l] = (q_l · k_j)·scale, and maxv[l] is the fold
+// of `if v > maxv { maxv = v }` over lane l's scores from −Inf. q_l is
+// query row l of the block, rows qstride apart (1 ≤ rows ≤ 8; a tail lane
+// reads row rows−1). A lane's dot is scoreRow16's: the strided partials
+// s_d = q[d]·k[d] + q[d+4]·k[d+4] + q[d+8]·k[d+8] + q[d+12]·k[d+12], left to
+// right, then ((s0+s1)+s2)+s3, × scale. Sixteen gathers transpose the query
+// (Z16+d holds dimension d of the eight rows) and each key dimension is a
+// broadcast memory operand. The max step is an ordered compare into K2 and
+// a masked move, the Go statement exactly: a NaN score never wins, and a
+// zero does not displace the zero of the other sign it ties.
+//   DI s, DX key row, CX keys left in the range, BX ranges done,
+//   R8 kstride·8, Z14 the maxima, Z15 scale.
+TEXT ·attnScores512Asm(SB), NOSPLIT, $0-88
 	MOVQ q+8(FP), SI
-	MOVQ k+16(FP), DX
-	MOVQ nkeys+24(FP), CX
-	MOVQ kstride+32(FP), R8
-	VBROADCASTSD scale+40(FP), Z13
-	VBROADCASTSD maxv+48(FP), Z12
+	MOVQ rows+24(FP), AX
+	DECQ AX
+	MOVQ qstride+16(FP), BX
+	LANE_OFFSETS(AX, BX, Z8, Z9)
+	GATHER(0, Z16)
+	GATHER(8, Z17)
+	GATHER(16, Z18)
+	GATHER(24, Z19)
+	GATHER(32, Z20)
+	GATHER(40, Z21)
+	GATHER(48, Z22)
+	GATHER(56, Z23)
+	GATHER(64, Z24)
+	GATHER(72, Z25)
+	GATHER(80, Z26)
+	GATHER(88, Z27)
+	GATHER(96, Z28)
+	GATHER(104, Z29)
+	GATHER(112, Z30)
+	GATHER(120, Z31)
+	MOVQ s+0(FP), DI
+	MOVQ kstride+64(FP), R8
 	SHLQ $3, R8
-	LEAQ (R8)(R8*2), R9
-	LEAQ (R8)(R8*4), R10
-	LEAQ (R9)(R8*4), R11
-	MOVQ R8, R12
-	SHLQ $3, R12
-	VBROADCASTF64X4 0(SI), Z4
-	VBROADCASTF64X4 32(SI), Z5
-	VBROADCASTF64X4 64(SI), Z6
-	VBROADCASTF64X4 96(SI), Z7
-group8:
-	PAIR16((DX), (DX)(R8*2), Z0, Y0, Z8, Y8)
-	PAIR16((DX)(R8*1), (DX)(R9*1), Z1, Y1, Z9, Y9)
-	PAIR16((DX)(R8*4), (DX)(R9*2), Z2, Y2, Z10, Y10)
-	PAIR16((DX)(R10*1), (DX)(R11*1), Z3, Y3, Z11, Y11)
-	VUNPCKLPD Z1, Z0, Z8
-	VUNPCKHPD Z1, Z0, Z9
-	VUNPCKLPD Z3, Z2, Z10
-	VUNPCKHPD Z3, Z2, Z11
-	VSHUFF64X2 $0x88, Z10, Z8, Z0
-	VSHUFF64X2 $0x88, Z11, Z9, Z1
-	VSHUFF64X2 $0xdd, Z10, Z8, Z2
-	VSHUFF64X2 $0xdd, Z11, Z9, Z3
+	VBROADCASTSD scale+72(FP), Z15
+	MOVQ NEGINF, AX
+	VPBROADCASTQ AX, Z14
+	MOVQ ka+32(FP), DX
+	MOVQ na+40(FP), CX
+	XORQ BX, BX
+scoreRange:
+	TESTQ CX, CX
+	JZ   scoreNext
+scoreKey:
+	VMULPD.BCST 0(DX), Z16, Z0
+	VMULPD.BCST 8(DX), Z17, Z1
+	VMULPD.BCST 16(DX), Z18, Z2
+	VMULPD.BCST 24(DX), Z19, Z3
+	PARTIALS(32, 40, 48, 56, Z20, Z21, Z22, Z23)
+	PARTIALS(64, 72, 80, 88, Z24, Z25, Z26, Z27)
+	PARTIALS(96, 104, 112, 120, Z28, Z29, Z30, Z31)
 	VADDPD Z1, Z0, Z0
 	VADDPD Z2, Z0, Z0
 	VADDPD Z3, Z0, Z0
-	VMULPD Z13, Z0, Z0
+	VMULPD Z15, Z0, Z0
 	VMOVUPD Z0, (DI)
-	VMAXPD Z12, Z0, Z12
-	ADDQ R12, DX
+	VCMPPD $0x1e, Z14, Z0, K2 // v > max (GT_OQ), false for NaN
+	VMOVAPD Z0, K2, Z14
+	ADDQ R8, DX
 	ADDQ $64, DI
-	SUBQ $8, CX
-	CMPQ CX, $8
-	JGE  group8
-	TESTQ CX, CX
-	JZ   max8
-	// 1–7 keys left: step back 8 − CX keys and run one more group.
-	MOVQ $8, AX
-	SUBQ CX, AX
-	MOVQ AX, BX
-	IMULQ R8, BX
-	SUBQ BX, DX
-	SHLQ $3, AX
-	SUBQ AX, DI
-	MOVQ $8, CX
-	JMP  group8
+	DECQ CX
+	JNZ  scoreKey
+scoreNext:
+	TESTQ BX, BX
+	JNZ  scoreDone
+	INCQ BX
+	MOVQ kb+48(FP), DX
+	MOVQ nb+56(FP), CX
+	JMP  scoreRange
+scoreDone:
+	MOVQ maxv+80(FP), AX
+	VMOVUPD Z14, (AX)
+	VZEROUPPER
+	RET
 
-max8:
-	VEXTRACTF64X4 $1, Z12, Y0
-	VMAXPD Y0, Y12, Y12
-	VEXTRACTF128 $1, Y12, X0
-	VMAXPD X0, X12, X12
-	VPERMILPD $1, X12, X0
-	VMAXSD X0, X12, X12
-	VMOVSD X12, ret+56(FP)
+// func attnExp512Asm(p *float64, n int, maxv, sum *float64) int
+// p[j] = Exp(p[j] − maxv[j mod 8]) with sum[l] += each of lane l's results
+// in order, for n a multiple of 8: expSub512Asm with a subtrahend per lane
+// and softmax's sum folded in as one vertical VADDPD per key. It returns
+// how many elements it replaced: n, or the start of the first block with a
+// live lane outside |x| ≤ 708 (the caller runs that block on the scalar Exp
+// and calls again). A dead lane — max −Inf, its row saw no score above −Inf
+// — does not decide whether a block is taken; its results are never stored.
+//   DI p, CX elements left, AX elements done, R9 sum, K3 dead lanes,
+//   Z10 the sums, Z14 the maxima.
+TEXT ·attnExp512Asm(SB), NOSPLIT, $0-40
+	MOVQ p+0(FP), DI
+	MOVQ n+8(FP), CX
+	XORQ AX, AX
+	MOVQ maxv+16(FP), R8
+	VMOVUPD (R8), Z14
+	MOVQ sum+24(FP), R9
+	VMOVUPD (R9), Z10
+	MOVQ NEGINF, R8
+	VPBROADCASTQ R8, Z11
+	VCMPPD $0, Z11, Z14, K3 // max == −Inf
+	VBROADCASTSD ABSMASK, Z13
+	VBROADCASTSD EXPMAX, Z12
+attnExpLoop:
+	TESTQ CX, CX
+	JZ   attnExpRet
+	VMOVUPD (DI), Z0
+	VSUBPD Z14, Z0, Z0
+	VPANDQ Z13, Z0, Z1
+	VCMPPD $18, Z12, Z1, K2 // |x| ≤ 708, false for NaN
+	KORW K3, K2, K2
+	ALL_LANES(K2, attnExpRet)
+	EXP_CORE512
+	VMOVUPD Z0, (DI)
+	VADDPD Z0, Z10, Z10
+	ADDQ $64, DI
+	ADDQ $8, AX
+	SUBQ $8, CX
+	JMP  attnExpLoop
+attnExpRet:
+	VMOVUPD Z10, (R9)
+	MOVQ AX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// WV adds w·v[c] to column c's chain on the lanes whose weight is not zero.
+#define WV(off, acc) \
+	VMULPD.BCST off(DX), Z0, Z1; \
+	VADDPD Z1, acc, K1, acc
+
+// STORE_COL zeroes column c on the dead lanes and scatters it to the block's
+// rows, off bytes into each.
+#define STORE_COL(off, acc) \
+	VMOVAPD.Z acc, K4, acc; \
+	KMOVW K5, K1; \
+	VSCATTERQPD acc, K1, off(DI)(Z8*1)
+
+// func attnOut512Asm(out *float64, ostride, rows int, e, va *float64, na int, vb *float64, nb, vstride int, maxv, sum *float64)
+// Row l < rows of out (rows ostride apart, 16 columns) = Σ_j w_lj·v_j over
+// the keys of range A (na value rows from va) then range B (nb from vb),
+// value rows vstride apart, where e holds the exponentials as
+// attnExp512Asm left them and w_lj = e[8j+l]·(1/sum[l]) — the in-place
+// normalise's rounding. Each column is mulRowRange's chain for one output
+// element: from +0.0, add w·v[c] when w is not zero, in key order. The test
+// is a NEQ_UQ compare into K1 (±0 skipped, NaN added, as mulRowRange's
+// SHL/JZ) and the add a merge-masked VADDPD. A lane whose max is −Inf
+// (dead) stores zeros, as the per-row path does; lanes ≥ rows are not
+// stored. The per-row path's other zeros rule, a sum of 0, needs no test
+// here: a live lane's max is a score, whose own weight is Exp(0) = 1, so its
+// sum is at least 1 — or NaN, where the max is +Inf and Exp(+Inf − +Inf) is.
+//   SI e, DX value row, CX keys left in the range, BX ranges done,
+//   R8 vstride·8, Z14 zero, Z15 the inverse sums, K4 live lanes,
+//   Z16+c column c.
+TEXT ·attnOut512Asm(SB), NOSPLIT, $0-88
+	MOVQ maxv+72(FP), AX
+	VMOVUPD (AX), Z11
+	MOVQ NEGINF, AX
+	VPBROADCASTQ AX, Z12
+	VCMPPD $4, Z12, Z11, K4 // max ≠ −Inf
+	MOVQ sum+80(FP), AX
+	VMOVUPD (AX), Z10
+	VPXORQ Z14, Z14, Z14
+	VBROADCASTSD ONE, Z15
+	VDIVPD Z10, Z15, Z15
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
+	VPXORQ Z22, Z22, Z22
+	VPXORQ Z23, Z23, Z23
+	VPXORQ Z24, Z24, Z24
+	VPXORQ Z25, Z25, Z25
+	VPXORQ Z26, Z26, Z26
+	VPXORQ Z27, Z27, Z27
+	VPXORQ Z28, Z28, Z28
+	VPXORQ Z29, Z29, Z29
+	VPXORQ Z30, Z30, Z30
+	VPXORQ Z31, Z31, Z31
+	MOVQ e+24(FP), SI
+	MOVQ vstride+64(FP), R8
+	SHLQ $3, R8
+	MOVQ va+32(FP), DX
+	MOVQ na+40(FP), CX
+	XORQ BX, BX
+outRange:
+	TESTQ CX, CX
+	JZ   outNext
+outKey:
+	VMULPD (SI), Z15, Z0
+	VCMPPD $4, Z14, Z0, K1 // w ≠ 0 (NEQ_UQ), true for NaN
+	WV(0, Z16)
+	WV(8, Z17)
+	WV(16, Z18)
+	WV(24, Z19)
+	WV(32, Z20)
+	WV(40, Z21)
+	WV(48, Z22)
+	WV(56, Z23)
+	WV(64, Z24)
+	WV(72, Z25)
+	WV(80, Z26)
+	WV(88, Z27)
+	WV(96, Z28)
+	WV(104, Z29)
+	WV(112, Z30)
+	WV(120, Z31)
+	ADDQ $64, SI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  outKey
+outNext:
+	TESTQ BX, BX
+	JNZ  outStore
+	INCQ BX
+	MOVQ vb+48(FP), DX
+	MOVQ nb+56(FP), CX
+	JMP  outRange
+outStore:
+	MOVQ rows+16(FP), CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K5
+	MOVQ ostride+8(FP), AX
+	SHLQ $3, AX
+	VPBROADCASTQ AX, Z9
+	VPMULUDQ laneIota<>(SB), Z9, Z8
+	MOVQ out+0(FP), DI
+	STORE_COL(0, Z16)
+	STORE_COL(8, Z17)
+	STORE_COL(16, Z18)
+	STORE_COL(24, Z19)
+	STORE_COL(32, Z20)
+	STORE_COL(40, Z21)
+	STORE_COL(48, Z22)
+	STORE_COL(56, Z23)
+	STORE_COL(64, Z24)
+	STORE_COL(72, Z25)
+	STORE_COL(80, Z26)
+	STORE_COL(88, Z27)
+	STORE_COL(96, Z28)
+	STORE_COL(104, Z29)
+	STORE_COL(112, Z30)
+	STORE_COL(120, Z31)
 	VZEROUPPER
 	RET

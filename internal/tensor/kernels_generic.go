@@ -17,6 +17,10 @@ func scoreRow(srow, qrow, kvp []float64, kOff, stride, lo, hi, headDim int, scal
 
 func expSubRow(p []float64, sub float64) { expSubRowGo(p, sub) }
 
+func attnBlocks(*Workspace, []float64, []float64, []float64, AttnShape, []AttnSpan) bool {
+	return false
+}
+
 func geluRow(p []float64) { geluRowGo(p) }
 
 // Kernels names the kernels this process runs (see kernels_amd64.go).

@@ -11,10 +11,10 @@ import (
 var cpuAVX2, cpuAVX512, cpuFMA = haveAVX2, haveAVX512, haveFMA
 
 // kernelChoices names the implementations every kernel test runs: the
-// AVX-512 kernels with the AVX2 score kernel under them for short ranges
-// (skipped where the CPU lacks AVX-512), the AVX2 assembly alone (skipped
-// where it lacks AVX2; exp and GELU vectorised in both where it has FMA), and
-// the Go kernels.
+// AVX-512 kernels (the 8-lane rows and the attention blocks, with the AVX2
+// score kernel under the per-row attention path; skipped where the CPU lacks
+// AVX-512), the AVX2 assembly alone (skipped where it lacks AVX2; exp and
+// GELU vectorised in both where it has FMA), and the Go kernels.
 type kernelChoice struct {
 	name         string
 	avx2, avx512 bool
@@ -313,7 +313,7 @@ func plantZeroScores(rng *rand.Rand, c *scoreCase, q, kvp []float64) {
 // Property: every score kernel equals the Go loops in every bit — scores and
 // the returned running max — at the specialised width (16), the paper's
 // (26, a remainder of 2), widths below and not a multiple of four, over
-// every key count 1–40 (so every tail of an 8-key group) starting past
+// every key count 1–40 (so every tail of a 4-lane block) starting past
 // zero, strides wider than the head, seeded maxima of every kind including
 // both zeros, specials that make some scores NaN or ±Inf, and rows whose
 // scores are zeros of both signs.
@@ -346,12 +346,12 @@ func TestScoreRowBitExact(t *testing.T) {
 					nanScores++
 				}
 			}
-			if wantMax == 0 && n >= 8 {
+			if wantMax == 0 {
 				zeroMaxes++
 			}
 		}
 		if nanScores == 0 || zeroMaxes == 0 {
-			t.Fatalf("%d NaN scores, %d zero maxima over 8+ keys: the NaN and signed-zero rules of the max are not both exercised", nanScores, zeroMaxes)
+			t.Fatalf("%d NaN scores, %d zero maxima: the NaN and signed-zero rules of the max are not both exercised", nanScores, zeroMaxes)
 		}
 	})
 }
@@ -428,7 +428,7 @@ func FuzzScoreRow(f *testing.F) {
 }
 
 // A NaN score is stored but never becomes the running max, whichever
-// kernel runs, on a short range and on one of 8-key groups: Go's `v > maxv`
+// kernel runs, on a short range and on a longer one: Go's `v > maxv`
 // is false for NaN.
 func TestScoreRowNaNNeverReplacesMax(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
@@ -495,8 +495,9 @@ func TestNoFMAContraction(t *testing.T) {
 			}
 		}
 		// Score kernels: lane 0 holds y after its first product and a·x
-		// arrives as its second, in every key of a short range and of one
-		// run in 8-key groups.
+		// arrives as its second, in every key of a short range and of a
+		// longer one. (The attention block kernels' score chain is
+		// TestFusedAttentionCoreLaneEdges's last case.)
 		for _, hd := range []int{16, 8, 26} {
 			for _, n := range []int{1, 11} {
 				q := make([]float64, hd)
@@ -539,7 +540,7 @@ func TestLinearAndAttentionSameBitsOnBothKernels(t *testing.T) {
 		fillKernelInput(rng, w, 0)
 		fillKernelInput(rng, bias, 0)
 		sh := AttnShape{Lq: lq, Lkv: lq, Heads: heads, HeadDim: hd, QStride: 3 * h, KOff: h, VOff: 2 * h, KVStride: 3 * h, Scale: 1 / math.Sqrt(float64(hd))}
-		spans := randSpans(rng, lq, lq)
+		spans := randSpans(rng, lq, lq, 5)
 		var want []float64
 		var wantOn string
 		for _, kc := range kernelChoices {
