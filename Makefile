@@ -48,11 +48,13 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz gives each fuzzer a short budget beyond its seed corpus: the
-# /v1/detect handler, the four row kernels and the attention core (with its
-# span validation) against their references, and the checkpoint decoder
-# (go test takes one -fuzz target per run).
+# /v1/detect handler, the tokenizer's append path against Encode, the four
+# row kernels and the attention core (with its span validation) against
+# their references, and the checkpoint decoder (go test takes one -fuzz
+# target per run).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzHandleDetect -fuzztime=20s ./internal/service/
+	$(GO) test -run=^$$ -fuzz=^FuzzEncodeAppend$$ -fuzztime=10s ./internal/tokenizer/
 	for f in FuzzExpRow FuzzGELURow FuzzMulRowRange FuzzScoreRow FuzzAttnCore FuzzReadTensors; do \
 		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzztime=10s ./internal/tensor/ || exit 1; \
 	done

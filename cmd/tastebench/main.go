@@ -41,7 +41,6 @@ func main() {
 		prepWorkers  = flag.Int("prep-workers", 0, "TP1 pool size for pipelined runs (0 = paper default of 2)")
 		inferWorkers = flag.Int("infer-workers", 0, "TP2 pool size for pipelined runs (0 = paper default of 2)")
 		parallelism  = flag.Int("parallelism", tensor.DefaultParallelism(), "worker goroutines for the sharded tensor kernels")
-		fastpath     = flag.Bool("fastpath", true, "use the fused no-grad inference kernels (disable to time the composed autograd ops)")
 		trace        = flag.Bool("trace", false, "run one traced detection and print the per-phase latency breakdown (Table-7 style) instead of the experiments")
 
 		loadgen       = flag.Bool("loadgen", false, "run the fleet load generator instead of the experiments (see -loadgen-* flags)")
@@ -86,7 +85,6 @@ func main() {
 		return
 	}
 	tensor.SetParallelism(*parallelism)
-	tensor.SetFastPath(*fastpath)
 
 	cfg := experiments.DefaultConfig()
 	if *quick {

@@ -308,7 +308,7 @@ func TestEvalModeBuildsNoGraph(t *testing.T) {
 		t.Fatal("eval-mode forward must not track gradients")
 	}
 	m.SetTrain()
-	enc = m.EncodeMetadata(m.Encoder().BuildMetaInput(info, false))
+	enc = m.encodeMetadataGraph(m.Encoder().BuildMetaInput(info, false))
 	if !enc.Final().RequiresGrad() {
 		t.Fatal("train-mode forward must track gradients")
 	}
@@ -538,6 +538,40 @@ func TestApplyFeedbackMovesPrediction(t *testing.T) {
 	}
 }
 
+// TestApplyFeedbackKeepsTrainModeHeadsTrainable: feedback on a model in
+// train mode must leave its heads requiring grad, so a following FineTune
+// still trains them (it once froze them behind the model's back, and the
+// SetTrain that FineTune starts with was then a no-op).
+func TestApplyFeedbackKeepsTrainModeHeadsTrainable(t *testing.T) {
+	m, ds := tinyModel(t)
+	m.SetTrain()
+	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
+	if err := m.ApplyFeedback([]FeedbackExample{{Table: info, Column: 0, Labels: []string{"email"}}}, 0.05, 1); err != nil {
+		t.Fatal(err)
+	}
+	var before []float64
+	for _, p := range m.MetaCls.Params() {
+		before = append(before, p.Data...)
+	}
+	cfg := DefaultTrainConfig()
+	cfg.Epochs = 1
+	if _, err := FineTune(m, ds.Train[:5], cfg); err != nil {
+		t.Fatal(err)
+	}
+	moved, i := 0, 0
+	for _, p := range m.MetaCls.Params() {
+		for _, v := range p.Data {
+			if v != before[i] {
+				moved++
+			}
+			i++
+		}
+	}
+	if moved == 0 {
+		t.Fatalf("meta head weights moved: 0 of %d", len(before))
+	}
+}
+
 func TestBuildVocabularyIncludesLengthBuckets(t *testing.T) {
 	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.WikiTableProfile(10), 2)
 	tok := BuildVocabulary(ds.Train, ds.Registry.Names(), 500)
@@ -565,9 +599,8 @@ func TestConcurrentEvalInference(t *testing.T) {
 					errs <- "bad probs length"
 					return
 				}
-				cols := []int{0}
-				out := m.PredictContent(menc, info, cols, 3)
-				if len(out) != 1 {
+				out := m.PredictContentBatch([]ContentRequest{{Menc: menc, Table: info, Cols: []int{0}}}, 3)
+				if len(out) != 1 || len(out[0]) != 1 {
 					errs <- "bad content probs"
 					return
 				}

@@ -16,14 +16,16 @@ type ContentRequest struct {
 	Cols  []int
 }
 
-// PredictContentBatch runs the content tower over several chunks' requests
-// in one forward pass. The chunks' content sequences are concatenated and
-// per-(chunk, column) key spans (contentSpans) keep every row's attention
-// confined to its own chunk's metadata and (per §6.4) its own column's
-// content, so each row of the result equals the corresponding unbatched
-// PredictContent output; the batching only amortizes the per-kernel dispatch
-// and classifier overhead, and a row costs the keys it sees however many
-// chunks share the forward.
+// PredictContentBatch is the Phase-2 inference call: it runs the content
+// tower over one or more chunks' requests in one forward pass. The chunks'
+// content sequences are concatenated and per-(chunk, column) key spans
+// (contentSpans) keep every row's attention confined to its own chunk's
+// metadata and (per §6.4) its own column's content, so each chunk's rows
+// equal what the chunk gets alone; the batching only amortizes the
+// per-kernel dispatch and classifier overhead, and a row costs the keys it
+// sees however many chunks share the forward. One workspace holds every
+// intermediate, the classifier features included, so its size grows with the
+// batch's rows, not their square.
 //
 // The batch's autograd graph — including any *fresh* metadata encodings the
 // requests reference — is released into the tensor arena before returning.
@@ -32,9 +34,8 @@ type ContentRequest struct {
 // cached latents survive. Callers who want a fresh encoding to survive must
 // hand it to the cache (whose Put consumes it) or CloneDetach it first.
 //
-// n is the per-column cell budget, as in PredictContent. The outer result
-// slice is indexed like reqs; each entry holds one probability row per
-// requested column.
+// n is the per-column cell budget. The outer result slice is indexed like
+// reqs; each entry holds one probability row per requested column.
 func (m *Model) PredictContentBatch(reqs []ContentRequest, n int) [][][]float64 {
 	if len(reqs) == 0 {
 		return nil
@@ -43,71 +44,54 @@ func (m *Model) PredictContentBatch(reqs []ContentRequest, n int) [][][]float64 
 		m.checkLatents(req.Menc)
 	}
 	defer observeContentForward(time.Now(), len(reqs))
-	if m.evalFast() && batchNoGrad(reqs) {
-		return m.predictContentBatchFast(reqs, n)
-	}
+	ws := tensor.AcquireWorkspace()
+	h := m.Cfg.Hidden
 
 	cins := make([]*ContentInput, len(reqs))
 	mencs := make([]*MetaEncoding, len(reqs))
 	embeds := make([]*tensor.Tensor, len(reqs))
+	total := 0
 	for r, req := range reqs {
-		mencs[r] = req.Menc
 		cin := m.enc.BuildContentInput(req.Table, req.Cols, n)
-		segs := make([]int, len(cin.IDs))
-		for i := range segs {
-			segs[i] = 2
-		}
 		cins[r] = cin
-		// Positions restart per chunk, exactly as in the unbatched path.
-		embeds[r] = m.embed(cin.IDs, segs)
+		mencs[r] = req.Menc
+		// Positions restart per chunk.
+		embeds[r] = m.embedFast(cin.IDs, nil, 2)
+		total += cin.Len()
 	}
 	content := embeds[0]
 	if len(embeds) > 1 {
-		content = tensor.ConcatRows(embeds...)
-	}
-
-	if m.Cfg.SymmetricContent {
-		mask := contentMask(nil, cins)
-		for _, b := range m.Blocks {
-			content = b.SelfForward(content, mask)
-		}
-	} else {
-		mask := contentMask(mencs, cins)
-		for li, b := range m.Blocks {
-			kv := make([]*tensor.Tensor, 0, len(reqs)+1)
-			for _, req := range reqs {
-				kv = append(kv, req.Menc.Layers[li])
-			}
-			kv = append(kv, content)
-			content = b.Forward(content, tensor.ConcatRows(kv...), mask)
+		// ConcatRows without the zeroed allocation; the embeds stay parents
+		// so the final release reaches them.
+		content = tensor.InferenceResult(total, h, embeds...)
+		off := 0
+		for _, e := range embeds {
+			copy(content.Data[off:off+len(e.Data)], e.Data)
+			off += len(e.Data)
 		}
 	}
+	content = m.contentTowerWS(ws, mencs, cins, content)
 
-	// Classifier features for every requested column across the batch, then
-	// one classifier forward for the whole batch.
-	features := make([]*tensor.Tensor, len(reqs))
-	off := 0
+	totalCols := 0
+	for _, cin := range cins {
+		totalCols += len(cin.Columns)
+	}
+	x := ws.Matrix(totalCols, m.ContCls.Hidden.In())
+	rowBase, off := 0, 0
 	for r, req := range reqs {
-		cin := cins[r]
-		chunk := tensor.SliceRows(content, off, off+cin.Len())
-		off += cin.Len()
-		contentPooled := poolSpans(chunk, cin.ColSpans)
-		metaSpans := make([][2]int, len(cin.Columns))
-		nonTextual := make([][]float64, len(cin.Columns))
-		for slot, ci := range cin.Columns {
-			metaSpans[slot] = req.Menc.In.ColSpans[ci]
-			nonTextual[slot] = req.Menc.In.NonTextual[ci]
-		}
-		metaPooled := poolSpans(req.Menc.Final(), metaSpans)
-		features[r] = tensor.ConcatCols(contentPooled, metaPooled, tensor.FromRows(nonTextual))
+		m.contentLogitsWS(ws, x, rowBase, req.Menc, cins[r], content, off)
+		rowBase += len(cins[r].Columns)
+		off += cins[r].Len()
 	}
-	stacked := features[0]
-	if len(features) > 1 {
-		stacked = tensor.ConcatRows(features...)
+	parents := make([]*tensor.Tensor, 0, len(reqs)+1)
+	parents = append(parents, content)
+	for _, req := range reqs {
+		parents = append(parents, req.Menc.Final())
 	}
-	logits := m.ContCls.Forward(stacked)
+	logits := m.ContCls.ForwardWS(ws, x, parents...)
 	all := Sigmoid(logits)
 	tensor.ReleaseGraph(logits)
+	tensor.ReleaseWorkspace(ws)
 
 	out := make([][][]float64, len(reqs))
 	row := 0
@@ -119,20 +103,9 @@ func (m *Model) PredictContentBatch(reqs []ContentRequest, n int) [][][]float64 
 	return out
 }
 
-// batchNoGrad reports whether every request's metadata latents are frozen,
-// part of the fast-path eligibility check.
-func batchNoGrad(reqs []ContentRequest) bool {
-	for _, req := range reqs {
-		if !tensor.NoGrad(req.Menc.Layers...) {
-			return false
-		}
-	}
-	return true
-}
-
 // contentMask is contentSpans materialized as the dense additive mask the
-// composed autograd ops take — the only place a mask is ever built. nil when
-// nothing is hidden (one single-column chunk).
+// training ops take — the only place a mask is ever built. nil when nothing
+// is hidden (one single-column chunk).
 func contentMask(mencs []*MetaEncoding, cins []*ContentInput) *tensor.Tensor {
 	spans, lkv := contentSpans(mencs, cins)
 	lq := 0

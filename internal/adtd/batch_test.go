@@ -1,15 +1,15 @@
 package adtd
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"repro/internal/metafeat"
 )
 
 // TestPredictContentBatchMatchesUnbatched verifies the batched Phase-2 path
-// against per-chunk PredictContent: the key spans must isolate the chunks
-// so every probability row matches its unbatched counterpart.
+// against one call per chunk: the key spans must isolate the chunks so every
+// probability row matches its unbatched counterpart bit for bit.
 func TestPredictContentBatchMatchesUnbatched(t *testing.T) {
 	m, ds := tinyModel(t)
 	const cells = 3
@@ -23,7 +23,8 @@ func TestPredictContentBatchMatchesUnbatched(t *testing.T) {
 			cols = append(cols, len(info.Columns)-1)
 		}
 		menc := m.EncodeMetadata(m.Encoder().BuildMetaInput(info, false))
-		want = append(want, m.PredictContent(menc, info, cols, cells))
+		alone := ContentRequest{Menc: menc.CloneDetach(), Table: info, Cols: cols}
+		want = append(want, m.PredictContentBatch([]ContentRequest{alone}, cells)[0])
 		reqs = append(reqs, ContentRequest{Menc: menc, Table: info, Cols: cols})
 	}
 
@@ -32,36 +33,23 @@ func TestPredictContentBatchMatchesUnbatched(t *testing.T) {
 		t.Fatalf("batch returned %d results for %d requests", len(got), len(reqs))
 	}
 	for r := range reqs {
-		if len(got[r]) != len(want[r]) {
-			t.Fatalf("request %d: %d rows, want %d", r, len(got[r]), len(want[r]))
-		}
-		for c := range want[r] {
-			for s := range want[r][c] {
-				if d := math.Abs(got[r][c][s] - want[r][c][s]); d > 1e-9 {
-					t.Fatalf("request %d col %d type %d: batched %v vs unbatched %v (Δ %g)",
-						r, c, s, got[r][c][s], want[r][c][s], d)
-				}
-			}
-		}
+		sameProbs(t, fmt.Sprintf("request %d", r), got[r], want[r])
 	}
 }
 
 // TestPredictContentBatchSingleRequest exercises the everything-visible
-// case: one single-column request.
+// case, one single-column request, against the training forward.
 func TestPredictContentBatchSingleRequest(t *testing.T) {
 	m, ds := tinyModel(t)
 	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
 	menc := m.EncodeMetadata(m.Encoder().BuildMetaInput(info, false))
-	want := m.PredictContent(menc, info, []int{0}, 3)
-	got := m.PredictContentBatch([]ContentRequest{{Menc: menc, Table: info, Cols: []int{0}}}, 3)
+	req := ContentRequest{Menc: menc, Table: info, Cols: []int{0}}
+	want := composedContent(m, req, 3)
+	got := m.PredictContentBatch([]ContentRequest{req}, 3)
 	if len(got) != 1 || len(got[0]) != 1 {
 		t.Fatalf("unexpected batch shape")
 	}
-	for s := range want[0] {
-		if math.Abs(got[0][0][s]-want[0][s]) > 1e-9 {
-			t.Fatalf("type %d: %v vs %v", s, got[0][0][s], want[0][s])
-		}
-	}
+	sameProbs(t, "single request", got[0], want)
 }
 
 // TestPredictContentBatchSymmetric checks the ablation tower's batched spans.
@@ -78,18 +66,13 @@ func TestPredictContentBatchSymmetric(t *testing.T) {
 			cols = append(cols, 1)
 		}
 		menc := m.EncodeMetadata(m.Encoder().BuildMetaInput(info, false))
-		want = append(want, m.PredictContent(menc, info, cols, 3))
+		alone := ContentRequest{Menc: menc.CloneDetach(), Table: info, Cols: cols}
+		want = append(want, m.PredictContentBatch([]ContentRequest{alone}, 3)[0])
 		reqs = append(reqs, ContentRequest{Menc: menc, Table: info, Cols: cols})
 	}
 	got := m.PredictContentBatch(reqs, 3)
 	for r := range want {
-		for c := range want[r] {
-			for s := range want[r][c] {
-				if math.Abs(got[r][c][s]-want[r][c][s]) > 1e-9 {
-					t.Fatalf("req %d col %d type %d: %v vs %v", r, c, s, got[r][c][s], want[r][c][s])
-				}
-			}
-		}
+		sameProbs(t, fmt.Sprintf("req %d", r), got[r], want[r])
 	}
 }
 

@@ -48,11 +48,10 @@ func BenchmarkP2InferenceCachedLatents(b *testing.B) {
 	m, ds := benchSetup(b)
 	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
 	menc, _ := m.PredictMeta(info, false)
-	cached := menc.Detach()
-	cols := []int{0}
+	reqs := []ContentRequest{{Menc: menc.Detach(), Table: info, Cols: []int{0}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.PredictContent(cached, info, cols, 10)
+		m.PredictContentBatch(reqs, 10)
 	}
 }
 
@@ -61,11 +60,10 @@ func BenchmarkP2InferenceCachedLatents(b *testing.B) {
 func BenchmarkP2InferenceRecomputedLatents(b *testing.B) {
 	m, ds := benchSetup(b)
 	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
-	cols := []int{0}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		menc := m.EncodeMetadata(m.Encoder().BuildMetaInput(info, false))
-		m.PredictContent(menc, info, cols, 10)
+		m.PredictContentBatch([]ContentRequest{{Menc: menc, Table: info, Cols: []int{0}}}, 10)
 	}
 }
 

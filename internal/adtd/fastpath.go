@@ -1,12 +1,14 @@
-// Model-level NoGrad fast path: fused embedding gather, workspace-threaded
-// tower forwards, and fused span pooling feeding the classifier heads. Every
-// routine here is bit-exact against the composed path it replaces (the
-// per-layer kernels guarantee it — see nn/fastpath.go and tensor/fused.go;
-// the pooling below reproduces the composed op order element for element,
-// and the attention key spans hide exactly what the composed path's dense
-// mask hides), so PredictMeta/PredictContent/PredictContentBatch return
-// identical bytes whether or not the fast path is selected. Enforced by
-// fastpath_test.go.
+// The inference bodies: fused embedding gather, workspace-threaded tower
+// forwards, and fused span pooling feeding the classifier heads, behind the
+// inference calls PredictMeta, EncodeMetadata and PredictContentBatch. The
+// training ops (encodeMetadataGraph, MetaLogits, EncodeContent,
+// ContentLogits) run the composed autograd ops, and every routine here is
+// bit-exact against them (the per-layer kernels guarantee it — see
+// nn/fastpath.go and tensor/fused.go; the pooling below reproduces the
+// composed op order element for element, and the attention key spans hide
+// exactly what the training ops' dense mask hides), so an inference call
+// returns the bytes the training forward computes in train mode. Enforced
+// by fastpath_test.go.
 package adtd
 
 import (
@@ -24,17 +26,6 @@ func (m *Model) invalidatePacks() {
 		b.InvalidateFastPath()
 	}
 	m.gen.Store(nextGeneration())
-}
-
-// evalFast reports whether the model-level fused inference path may be
-// selected: the global toggle is on and the tensors the fused pooling and
-// classifier stages touch are frozen. Per-block eligibility is re-checked by
-// the nn layer (mixed freezing falls back per block).
-func (m *Model) evalFast() bool {
-	return tensor.FastPathEnabled() && tensor.NoGrad(
-		m.TokEmbed.Table, m.PosEmbed.Table, m.SegEmbed.Table,
-		m.MetaCls.Hidden.W, m.MetaCls.Hidden.B, m.MetaCls.Out.W, m.MetaCls.Out.B,
-		m.ContCls.Hidden.W, m.ContCls.Hidden.B, m.ContCls.Out.W, m.ContCls.Out.B)
 }
 
 // embedFast is embed() in one pass: token+position+segment rows summed
@@ -157,15 +148,10 @@ func (m *Model) contentTowerWS(ws *tensor.Workspace, mencs []*MetaEncoding, cins
 	return content
 }
 
-// encodeContentWS is EncodeContent threading one workspace.
-func (m *Model) encodeContentWS(ws *tensor.Workspace, menc *MetaEncoding, in *ContentInput) *tensor.Tensor {
-	return m.contentTowerWS(ws, []*MetaEncoding{menc}, []*ContentInput{in}, m.embedFast(in.IDs, nil, 2))
-}
-
 // contentLogitsWS assembles the content head's features
-// [meanpool(content span) ⊕ meanpool(metadata span) ⊕ nonTextual] in scratch
-// and runs the classifier fused. contentOff shifts the content spans, which
-// is how the batched path pools one chunk out of a concatenated batch.
+// [meanpool(content span) ⊕ meanpool(metadata span) ⊕ nonTextual] for one
+// chunk into rows rowBase… of x. contentOff shifts the content spans, which
+// is how a chunk is pooled out of a concatenated batch.
 func (m *Model) contentLogitsWS(ws *tensor.Workspace, x *tensor.Tensor, rowBase int, menc *MetaEncoding, in *ContentInput, content *tensor.Tensor, contentOff int) {
 	h := m.Cfg.Hidden
 	width := x.Cols
@@ -178,69 +164,4 @@ func (m *Model) contentLogitsWS(ws *tensor.Workspace, x *tensor.Tensor, rowBase 
 		tensor.MeanPoolRowsInto(row[h:2*h], final.Data, h, msp[0], msp[1])
 		copy(row[2*h:], menc.In.NonTextual[ci])
 	}
-}
-
-// predictContentBatchFast is the fused PredictContentBatch: one workspace
-// for the whole batch, holding every intermediate including the classifier
-// features (its size grows with the batch's rows, not their square), and the
-// same release contract as the composed path (fresh metadata encodings
-// reachable from the logits' parents are recycled; cached graph-free entries
-// are leaves and survive).
-func (m *Model) predictContentBatchFast(reqs []ContentRequest, n int) [][][]float64 {
-	ws := tensor.AcquireWorkspace()
-	h := m.Cfg.Hidden
-
-	cins := make([]*ContentInput, len(reqs))
-	mencs := make([]*MetaEncoding, len(reqs))
-	embeds := make([]*tensor.Tensor, len(reqs))
-	total := 0
-	for r, req := range reqs {
-		cin := m.enc.BuildContentInput(req.Table, req.Cols, n)
-		cins[r] = cin
-		mencs[r] = req.Menc
-		embeds[r] = m.embedFast(cin.IDs, nil, 2)
-		total += cin.Len()
-	}
-	content := embeds[0]
-	if len(embeds) > 1 {
-		// ConcatRows without the zeroed allocation; the embeds stay parents
-		// so the final release reaches them.
-		content = tensor.InferenceResult(total, h, embeds...)
-		off := 0
-		for _, e := range embeds {
-			copy(content.Data[off:off+len(e.Data)], e.Data)
-			off += len(e.Data)
-		}
-	}
-	content = m.contentTowerWS(ws, mencs, cins, content)
-
-	totalCols := 0
-	for _, cin := range cins {
-		totalCols += len(cin.Columns)
-	}
-	x := ws.Matrix(totalCols, m.ContCls.Hidden.In())
-	rowBase, off := 0, 0
-	for r, req := range reqs {
-		m.contentLogitsWS(ws, x, rowBase, req.Menc, cins[r], content, off)
-		rowBase += len(cins[r].Columns)
-		off += cins[r].Len()
-	}
-	parents := make([]*tensor.Tensor, 0, len(reqs)+1)
-	parents = append(parents, content)
-	for _, req := range reqs {
-		parents = append(parents, req.Menc.Final())
-	}
-	logits := m.ContCls.ForwardWS(ws, x, parents...)
-	all := Sigmoid(logits)
-	tensor.ReleaseGraph(logits)
-	tensor.ReleaseWorkspace(ws)
-
-	out := make([][][]float64, len(reqs))
-	row := 0
-	for r := range reqs {
-		nc := len(cins[r].Columns)
-		out[r] = all[row : row+nc]
-		row += nc
-	}
-	return out
 }

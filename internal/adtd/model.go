@@ -235,16 +235,22 @@ func (e *MetaEncoding) Release() {
 	e.Layers = nil
 }
 
-// EncodeMetadata runs the metadata tower (§4.2.2): L layers of
-// self-attention over the metadata sequence, returning every layer's
-// latents so P2 can reuse them.
+// EncodeMetadata runs the metadata tower (§4.2.2) for inference: L layers
+// of self-attention over the metadata sequence, fused in one workspace,
+// returning every layer's latents so P2 can reuse them. Like every
+// inference call (PredictMeta, PredictContentBatch) it wants frozen tower
+// weights and panics on a model in train mode; training encodes through
+// encodeMetadataGraph.
 func (m *Model) EncodeMetadata(in *MetaInput) *MetaEncoding {
-	if m.evalFast() {
-		ws := tensor.AcquireWorkspace()
-		enc := m.encodeMetadataWS(ws, in)
-		tensor.ReleaseWorkspace(ws)
-		return enc
-	}
+	ws := tensor.AcquireWorkspace()
+	enc := m.encodeMetadataWS(ws, in)
+	tensor.ReleaseWorkspace(ws)
+	return enc
+}
+
+// encodeMetadataGraph is the training encode: EncodeMetadata in the
+// composed ops, recording the autograd graph when the weights require grad.
+func (m *Model) encodeMetadataGraph(in *MetaInput) *MetaEncoding {
 	enc := &MetaEncoding{In: in}
 	x := m.embed(in.IDs, in.Segments)
 	enc.Layers = append(enc.Layers, x)
@@ -257,14 +263,9 @@ func (m *Model) EncodeMetadata(in *MetaInput) *MetaEncoding {
 
 // MetaLogits applies the metadata classifier f₁ (§4.3) to every column of
 // an encoded chunk: Classify_meta(Encode_L^{Mᶜₜ} ⊕ Mᶜₙ). The column's
-// latent representation is the mean over its metadata token span.
+// latent representation is the mean over its metadata token span. It is a
+// training op; PredictMeta is the inference call.
 func (m *Model) MetaLogits(enc *MetaEncoding) *tensor.Tensor {
-	if m.evalFast() && !enc.Final().RequiresGrad() {
-		ws := tensor.AcquireWorkspace()
-		out := m.metaLogitsWS(ws, enc)
-		tensor.ReleaseWorkspace(ws)
-		return out
-	}
 	pooled := poolSpans(enc.Final(), enc.In.ColSpans)
 	return m.MetaCls.Forward(tensor.ConcatCols(pooled, tensor.FromRows(enc.In.NonTextual)))
 }
@@ -283,14 +284,9 @@ func poolSpans(x *tensor.Tensor, spans [][2]int) *tensor.Tensor {
 // latents of the previous layer; the metadata latents come from menc, which
 // may be a cached encoding. The attention mask lets a cell attend to all
 // metadata positions but only to content positions of its own column (§6.4).
+// It is a training op; PredictContentBatch is the inference call.
 func (m *Model) EncodeContent(menc *MetaEncoding, in *ContentInput) *tensor.Tensor {
 	m.checkLatents(menc)
-	if m.evalFast() && tensor.NoGrad(menc.Layers...) {
-		ws := tensor.AcquireWorkspace()
-		out := m.encodeContentWS(ws, menc, in)
-		tensor.ReleaseWorkspace(ws)
-		return out
-	}
 	segs := make([]int, len(in.IDs))
 	for i := range segs {
 		segs[i] = 2
@@ -322,16 +318,9 @@ func (m *Model) checkLatents(menc *MetaEncoding) {
 }
 
 // ContentLogits applies the content classifier f₂ (§4.3) to the selected
-// columns: Classify_cont(Encode_L^{Dᶜ} ⊕ Encode_L^{Mᶜₜ} ⊕ Mᶜₙ).
+// columns: Classify_cont(Encode_L^{Dᶜ} ⊕ Encode_L^{Mᶜₜ} ⊕ Mᶜₙ). A training
+// op, like EncodeContent.
 func (m *Model) ContentLogits(menc *MetaEncoding, in *ContentInput, content *tensor.Tensor) *tensor.Tensor {
-	if m.evalFast() && tensor.NoGrad(content, menc.Final()) {
-		ws := tensor.AcquireWorkspace()
-		x := ws.Matrix(len(in.Columns), m.ContCls.Hidden.In())
-		m.contentLogitsWS(ws, x, 0, menc, in, content, 0)
-		out := m.ContCls.ForwardWS(ws, x, content, menc.Final())
-		tensor.ReleaseWorkspace(ws)
-		return out
-	}
 	contentPooled := poolSpans(content, in.ColSpans)
 	metaSpans := make([][2]int, len(in.Columns))
 	nonTextual := make([][]float64, len(in.Columns))
@@ -357,41 +346,18 @@ func Sigmoid(logits *tensor.Tensor) [][]float64 {
 	return out
 }
 
-// PredictMeta is the Phase-1 inference path: encode metadata and return the
-// encoding (for caching) plus per-column type probabilities p_{c,s}.
+// PredictMeta is the Phase-1 inference call: encode metadata and return the
+// encoding (for caching) plus per-column type probabilities p_{c,s}. One
+// warm workspace threads through the whole phase: encoder blocks, span
+// pooling and the classifier head.
 func (m *Model) PredictMeta(t *metafeat.TableInfo, includeStats bool) (*MetaEncoding, [][]float64) {
 	defer observeMetaForward(time.Now())
 	in := m.enc.BuildMetaInput(t, includeStats)
-	if m.evalFast() {
-		// One warm workspace threads through the whole phase: encoder blocks,
-		// span pooling and the classifier head.
-		ws := tensor.AcquireWorkspace()
-		menc := m.encodeMetadataWS(ws, in)
-		probs := Sigmoid(m.metaLogitsWS(ws, menc))
-		tensor.ReleaseWorkspace(ws)
-		return menc, probs
-	}
-	menc := m.EncodeMetadata(in)
-	return menc, Sigmoid(m.MetaLogits(menc))
-}
-
-// PredictContent is the Phase-2 inference path: given a (possibly cached)
-// metadata encoding and scanned content for the selected columns, return
-// their type probabilities.
-func (m *Model) PredictContent(menc *MetaEncoding, t *metafeat.TableInfo, cols []int, n int) [][]float64 {
-	m.checkLatents(menc)
-	in := m.enc.BuildContentInput(t, cols, n)
-	if m.evalFast() && tensor.NoGrad(menc.Layers...) {
-		ws := tensor.AcquireWorkspace()
-		content := m.encodeContentWS(ws, menc, in)
-		x := ws.Matrix(len(in.Columns), m.ContCls.Hidden.In())
-		m.contentLogitsWS(ws, x, 0, menc, in, content, 0)
-		probs := Sigmoid(m.ContCls.ForwardWS(ws, x, content, menc.Final()))
-		tensor.ReleaseWorkspace(ws)
-		return probs
-	}
-	content := m.EncodeContent(menc, in)
-	return Sigmoid(m.ContentLogits(menc, in, content))
+	ws := tensor.AcquireWorkspace()
+	menc := m.encodeMetadataWS(ws, in)
+	probs := Sigmoid(m.metaLogitsWS(ws, menc))
+	tensor.ReleaseWorkspace(ws)
+	return menc, probs
 }
 
 // ExtendTypes grows both classifier heads to cover newly registered

@@ -59,7 +59,8 @@ func randBatch(rng *rand.Rand, m *Model, b int) []ContentRequest {
 // TestContentSpansFastMatchesDenseMask is the span design's property test:
 // for random batch sizes, column counts and uneven column lengths, in both
 // attention regimes, the fast path (key spans, no mask) must equal the
-// composed path (the dense mask those spans stand for) bit for bit.
+// per-request training forward (the dense mask those spans stand for) bit
+// for bit.
 func TestContentSpansFastMatchesDenseMask(t *testing.T) {
 	const cells = 5
 	for _, symmetric := range []bool{false, true} {
@@ -69,20 +70,9 @@ func TestContentSpansFastMatchesDenseMask(t *testing.T) {
 		for trial := 0; trial < 12; trial++ {
 			reqs := randBatch(rng, m, 1+rng.Intn(8))
 			fast := m.PredictContentBatch(reqs, cells)
-			var slow [][][]float64
-			withSlowPath(func() { slow = m.PredictContentBatch(reqs, cells) })
-			for r := range slow {
-				if len(fast[r]) != len(reqs[r].Cols) {
-					t.Fatalf("symmetric=%v trial %d req %d: %d rows for %d columns", symmetric, trial, r, len(fast[r]), len(reqs[r].Cols))
-				}
-				for c := range slow[r] {
-					for s, want := range slow[r][c] {
-						if fast[r][c][s] != want {
-							t.Fatalf("symmetric=%v trial %d (B=%d) req %d col %d type %d: spans %v != dense mask %v",
-								symmetric, trial, len(reqs), r, c, s, fast[r][c][s], want)
-						}
-					}
-				}
+			for r, req := range reqs {
+				what := fmt.Sprintf("symmetric=%v trial %d (B=%d) req %d", symmetric, trial, len(reqs), r)
+				sameProbs(t, what, fast[r], composedContent(m, req, cells))
 			}
 		}
 	}
@@ -162,22 +152,17 @@ func TestBatchedContentCostIsLinear(t *testing.T) {
 
 // TestPredictContentBatchRejectsForeignLatents: an encoding with the wrong
 // layer count (a stale or foreign cache entry) must fail at batch entry with
-// a message naming the mismatch, on the fused and the composed path alike.
+// a message naming the mismatch.
 func TestPredictContentBatchRejectsForeignLatents(t *testing.T) {
 	m, ds := tinyModel(t)
 	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
 	menc := m.EncodeMetadata(m.Encoder().BuildMetaInput(info, false)).CloneDetach()
 	menc.Layers = menc.Layers[:len(menc.Layers)-1]
 	reqs := []ContentRequest{{Menc: menc, Table: info, Cols: []int{0}}}
-	check := func(path string) {
-		defer func() {
-			msg := fmt.Sprint(recover())
-			if !strings.Contains(msg, "metadata encoding has") {
-				t.Fatalf("%s path: panic %q does not name the layer mismatch", path, msg)
-			}
-		}()
-		m.PredictContentBatch(reqs, 3)
-	}
-	check("fused")
-	withSlowPath(func() { check("composed") })
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "metadata encoding has") {
+			t.Fatalf("panic %q does not name the layer mismatch", msg)
+		}
+	}()
+	m.PredictContentBatch(reqs, 3)
 }

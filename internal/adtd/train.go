@@ -169,7 +169,7 @@ func (m *Model) trainStep(info *metafeat.TableInfo, labels [][]string, cfg Train
 	targetT := tensor.FromRows(targets)
 
 	// Task 1: metadata tower.
-	menc := m.EncodeMetadata(m.enc.BuildMetaInput(info, cfg.WithStats))
+	menc := m.encodeMetadataGraph(m.enc.BuildMetaInput(info, cfg.WithStats))
 	metaLoss := tensor.WeightedBCEWithLogits(m.MetaLogits(menc), targetT, cfg.PosWeight)
 
 	// Task 2: content tower over a (possibly sampled) subset of columns.
@@ -208,19 +208,22 @@ type FeedbackExample struct {
 }
 
 // ApplyFeedback performs a lightweight online update of the classifier
-// heads only (encoder frozen), adapting predictions to user corrections
-// without a full re-train.
+// heads only, adapting predictions to user corrections without a full
+// re-train. It runs on a serving (eval-mode) model as well as on one in
+// train mode, and leaves each head's gradient flag as it found it.
 func (m *Model) ApplyFeedback(examples []FeedbackExample, lr float64, steps int) error {
 	if len(examples) == 0 {
 		return fmt.Errorf("adtd: no feedback examples")
 	}
 	heads := append(m.MetaCls.Params(), m.ContCls.Params()...)
-	for _, p := range heads {
+	wasGrad := make([]bool, len(heads))
+	for i, p := range heads {
+		wasGrad[i] = p.RequiresGrad()
 		p.SetRequiresGrad(true)
 	}
 	defer func() {
-		for _, p := range heads {
-			p.SetRequiresGrad(false)
+		for i, p := range heads {
+			p.SetRequiresGrad(wasGrad[i])
 		}
 		// The SGD steps mutated head weights in place behind the model-level
 		// setGrad hooks, so packed fast-path weights and any memoized
@@ -231,7 +234,7 @@ func (m *Model) ApplyFeedback(examples []FeedbackExample, lr float64, steps int)
 	for s := 0; s < steps; s++ {
 		for _, ex := range examples {
 			opt.ZeroGrads()
-			menc := m.EncodeMetadata(m.enc.BuildMetaInput(ex.Table, false))
+			menc := m.encodeMetadataGraph(m.enc.BuildMetaInput(ex.Table, false))
 			logits := m.MetaLogits(menc)
 			row := tensor.SliceRows(logits, ex.Column, ex.Column+1)
 			target := tensor.FromRows([][]float64{m.Types.Targets(ex.Labels)})

@@ -180,7 +180,7 @@ func NewMLPClassifier(in, hidden, classes int, rng *rand.Rand) *MLPClassifier {
 
 // Forward returns raw logits (rows × classes).
 func (c *MLPClassifier) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if tensor.FastPathEnabled() && tensor.NoGrad(x, c.Hidden.W, c.Hidden.B, c.Out.W, c.Out.B) {
+	if tensor.NoGrad(x, c.Hidden.W, c.Hidden.B, c.Out.W, c.Out.B) {
 		ws := tensor.AcquireWorkspace()
 		out := c.ForwardWS(ws, x)
 		tensor.ReleaseWorkspace(ws)

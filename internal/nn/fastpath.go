@@ -1,9 +1,10 @@
 // NoGrad fast paths for the nn layers, built on the fused kernels in
-// internal/tensor. A layer selects its fast path automatically when the
-// global toggle is on and neither its inputs nor its parameters require
-// grad (the serve-time configuration after Model.SetEval); otherwise it
-// falls through to the composed autograd ops. Both paths produce bit-exact
-// identical outputs — see fastpath_test.go.
+// internal/tensor. A layer takes its fast path exactly when neither its
+// inputs nor its parameters require grad (tensor.NoGrad; the serve-time
+// configuration after Model.SetEval) and runs the composed autograd ops
+// otherwise, so training keeps its graph and the composed ops stay the
+// reference the fused ones are tested against, bit for bit — see
+// fastpath_test.go.
 package nn
 
 import (
@@ -55,8 +56,7 @@ func (b *TransformerBlock) InvalidateFastPath() { b.Attn.InvalidateFastPath() }
 // fused kernels know visibility only as key spans (tensor.AttnSpan), so a
 // forward handed a dense additive mask always runs the composed ops.
 func (a *MultiHeadAttention) fastEligible(q, kv *tensor.Tensor) bool {
-	return tensor.FastPathEnabled() &&
-		tensor.NoGrad(q, kv, a.WQ.W, a.WQ.B, a.WK.W, a.WK.B, a.WV.W, a.WV.B, a.WO.W, a.WO.B)
+	return tensor.NoGrad(q, kv, a.WQ.W, a.WQ.B, a.WK.W, a.WK.B, a.WV.W, a.WV.B, a.WO.W, a.WO.B)
 }
 
 // forwardFastInto runs fused attention into dst (lq × Hidden). q and kv are
@@ -164,9 +164,7 @@ func (b *TransformerBlock) ForwardKVConcatWS(ws *tensor.Workspace, q *tensor.Ten
 // graph parents for the returned logits (defaulting to x when none are
 // given). The fast path keeps the ReLU hidden layer in scratch.
 func (c *MLPClassifier) ForwardWS(ws *tensor.Workspace, x *tensor.Tensor, parents ...*tensor.Tensor) *tensor.Tensor {
-	if !(tensor.FastPathEnabled() &&
-		tensor.NoGrad(x, c.Hidden.W, c.Hidden.B, c.Out.W, c.Out.B) &&
-		tensor.NoGrad(parents...)) {
+	if !tensor.NoGrad(x, c.Hidden.W, c.Hidden.B, c.Out.W, c.Out.B) || !tensor.NoGrad(parents...) {
 		return c.Forward(x)
 	}
 	rows, in := x.Rows, c.Hidden.In()

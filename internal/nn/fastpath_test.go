@@ -7,17 +7,23 @@ import (
 	"repro/internal/tensor"
 )
 
-// bothPaths runs f with the fused NoGrad kernels enabled and disabled and
-// compares the outputs element-for-element with == : the fast path promises
-// bit-exactness, not mere closeness, so serving results cannot drift when
-// the kernel selection changes.
-func bothPaths(t *testing.T, name string, f func() *tensor.Tensor) {
+// bothPaths runs f on the frozen module (the fused NoGrad kernels) and again
+// with its parameters requiring grad (the composed autograd ops), then
+// freezes it again, and compares the outputs element-for-element with == :
+// the fast path promises bit-exactness, not mere closeness, so serving
+// results cannot drift from what training computes.
+func bothPaths(t *testing.T, name string, mod Module, f func() *tensor.Tensor) {
 	t.Helper()
-	tensor.SetFastPath(true)
 	fast := f()
-	tensor.SetFastPath(false)
+	for _, p := range mod.Params() {
+		p.SetRequiresGrad(true)
+	}
 	slow := f()
-	tensor.SetFastPath(true)
+	evalMode(mod)
+	if fast.RequiresGrad() || !slow.RequiresGrad() {
+		t.Fatalf("%s: fast run requires grad %v, slow run %v: the paths were not the fused and composed ones",
+			name, fast.RequiresGrad(), slow.RequiresGrad())
+	}
 	if fast.Rows != slow.Rows || fast.Cols != slow.Cols {
 		t.Fatalf("%s: fast %dx%d vs slow %dx%d", name, fast.Rows, fast.Cols, slow.Rows, slow.Cols)
 	}
@@ -59,8 +65,8 @@ func randSpans(rng *rand.Rand, lq, lkv int) []tensor.AttnSpan {
 }
 
 // attendSpans runs one attention layer under key spans the way the block
-// does: fused over the spans when the fast path is selectable, composed
-// under the equivalent dense mask otherwise.
+// does: fused over the spans when nothing requires grad, composed under the
+// equivalent dense mask otherwise.
 func attendSpans(a *MultiHeadAttention, q, kv *tensor.Tensor, spans []tensor.AttnSpan) *tensor.Tensor {
 	if !a.fastEligible(q, kv) {
 		return a.Forward(q, kv, tensor.DenseMask(spans, q.Rows, kv.Rows))
@@ -105,7 +111,7 @@ func TestAttentionFastPathBitExact(t *testing.T) {
 		if tc.masked {
 			spans = randSpans(rng, tc.lq, tc.lkv)
 		}
-		bothPaths(t, tc.name, func() *tensor.Tensor { return attendSpans(a, q, kv, spans) })
+		bothPaths(t, tc.name, a, func() *tensor.Tensor { return attendSpans(a, q, kv, spans) })
 	}
 }
 
@@ -115,13 +121,13 @@ func TestTransformerBlockFastPathBitExact(t *testing.T) {
 	evalMode(blk)
 	x := randFilled(rng, 48, 64)
 	kv := randFilled(rng, 80, 64)
-	bothPaths(t, "self", func() *tensor.Tensor { return blk.SelfForward(x, nil) })
+	bothPaths(t, "self", blk, func() *tensor.Tensor { return blk.SelfForward(x, nil) })
 	ws := tensor.NewWorkspace()
 	spans := randSpans(rand.New(rand.NewSource(13)), 48, 48)
-	bothPaths(t, "self-spans", func() *tensor.Tensor { defer ws.Reset(); return blk.ForwardWS(ws, x, x, spans) })
-	bothPaths(t, "cross", func() *tensor.Tensor { return blk.Forward(x, kv, nil) })
+	bothPaths(t, "self-spans", blk, func() *tensor.Tensor { defer ws.Reset(); return blk.ForwardWS(ws, x, x, spans) })
+	bothPaths(t, "cross", blk, func() *tensor.Tensor { return blk.Forward(x, kv, nil) })
 	cross := randSpans(rand.New(rand.NewSource(19)), 48, 48+80)
-	bothPaths(t, "kv-concat-spans", func() *tensor.Tensor {
+	bothPaths(t, "kv-concat-spans", blk, func() *tensor.Tensor {
 		defer ws.Reset()
 		return blk.ForwardKVConcatWS(ws, x, []*tensor.Tensor{kv, x}, cross)
 	})
@@ -137,7 +143,7 @@ func TestLayerNormFastPathBitExact(t *testing.T) {
 		ln.Beta.Data[i] = 0.1 * rng.NormFloat64()
 	}
 	x := randFilled(rng, 33, 64)
-	bothPaths(t, "layernorm", func() *tensor.Tensor { return ln.Forward(x) })
+	bothPaths(t, "layernorm", ln, func() *tensor.Tensor { return ln.Forward(x) })
 }
 
 func TestLinearAndClassifierFastPathBitExact(t *testing.T) {
@@ -145,12 +151,12 @@ func TestLinearAndClassifierFastPathBitExact(t *testing.T) {
 	l := NewLinear(70, 40, rng)
 	evalMode(l)
 	x := randFilled(rng, 17, 70)
-	bothPaths(t, "linear", func() *tensor.Tensor { return l.Forward(x) })
+	bothPaths(t, "linear", l, func() *tensor.Tensor { return l.Forward(x) })
 
 	c := NewMLPClassifier(86, 64, 62, rng)
 	evalMode(c)
 	cx := randFilled(rng, 20, 86)
-	bothPaths(t, "classifier", func() *tensor.Tensor { return c.Forward(cx) })
+	bothPaths(t, "classifier", c, func() *tensor.Tensor { return c.Forward(cx) })
 }
 
 // TestFastPathSkippedUnderGrad: an input that requires grad must never take

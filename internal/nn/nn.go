@@ -2,7 +2,9 @@
 // the TURL/Doduo baselines: embeddings, linear projections, layer
 // normalization, multi-head (self- and cross-) attention, Transformer
 // encoder blocks, and MLP classifier heads. All layers are built on the
-// autograd engine in internal/tensor.
+// autograd engine in internal/tensor: a forward over tensors none of which
+// requires grad runs the fused NoGrad kernels (fastpath.go), any other
+// runs the composed autograd ops, with bit-identical outputs.
 //
 // Every layer implements the Module interface so models can collect
 // trainable parameters for the optimizer and for checkpointing. Layers are
@@ -54,10 +56,10 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 }
 
 // Forward applies the affine transform to x (rows × in). When neither x
-// nor the parameters require grad (and the fast path is enabled) the
-// matmul and bias add run fused into one arena tensor.
+// nor the parameters require grad the matmul and bias add run fused into
+// one arena tensor.
 func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if tensor.FastPathEnabled() && tensor.NoGrad(x, l.W, l.B) {
+	if tensor.NoGrad(x, l.W, l.B) {
 		out := tensor.InferenceResult(x.Rows, l.Out(), x)
 		tensor.LinearInto(out.Data, x.Data, x.Rows, l.In(), l.W.Data, l.Out(), 0, l.Out(), l.B.Data)
 		return out
@@ -90,7 +92,7 @@ func NewLayerNorm(dim int) *LayerNorm {
 
 // Forward normalizes each row of x, fused on the NoGrad fast path.
 func (ln *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if tensor.FastPathEnabled() && tensor.NoGrad(x, ln.Gamma, ln.Beta) {
+	if tensor.NoGrad(x, ln.Gamma, ln.Beta) {
 		out := tensor.InferenceResult(x.Rows, x.Cols, x)
 		tensor.FusedAddLayerNormInto(out.Data, x.Data, nil, ln.Gamma.Data, ln.Beta.Data, x.Rows, x.Cols, ln.Eps)
 		return out

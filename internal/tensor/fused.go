@@ -2,7 +2,7 @@
 // replicates, element for element, the floating-point operation sequence of
 // the composed autograd ops it replaces (MatMul+AddRowVector,
 // MatMulNT+Scale+SoftmaxRows+MatMul, Add+LayerNorm, ...), so fast-path
-// outputs are bit-exact against the slow path — enforced by fused_test.go.
+// outputs are bit-exact against the composed ops — enforced by fused_test.go.
 // The wins come from everything around the arithmetic: no per-op tensor and
 // graph bookkeeping, no materialized per-head score matrices or column
 // slices, workspace scratch instead of zeroed arena buffers, and attention
@@ -12,23 +12,11 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
-var fastPathOff atomic.Bool // zero value = enabled
-
-// SetFastPath toggles the fused NoGrad kernels globally. The fast path is
-// on by default; turning it off forces every forward through the composed
-// autograd ops, which is useful for bit-exactness tests and as a safety
-// valve. Safe to call concurrently.
-func SetFastPath(on bool) { fastPathOff.Store(!on) }
-
-// FastPathEnabled reports whether the fused kernels may be selected.
-func FastPathEnabled() bool { return !fastPathOff.Load() }
-
 // NoGrad reports whether none of the given tensors require grad; nil
-// entries are allowed and ignored. It is the per-call eligibility check for
-// the fast path.
+// entries are allowed and ignored. It is the whole rule by which a layer
+// picks the fused kernels over the composed autograd ops.
 func NoGrad(ts ...*Tensor) bool {
 	for _, t := range ts {
 		if t != nil && t.requiresGrad {

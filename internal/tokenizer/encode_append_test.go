@@ -12,39 +12,63 @@ func refEncode(tok *Tokenizer, s string) []int {
 	return tok.Encode(s)
 }
 
+// encodeAppendCases are the input shapes the serving path sees; they seed
+// FuzzEncodeAppend too.
+var encodeAppendCases = []string{
+	"",
+	"phone",
+	"Phone Number",
+	"phone_number, credit-card!",
+	"abc cba bac",
+	"   padded   spaces   ",
+	"zzz unknown zzz",
+	"ALLCAPS MiXeD",
+	"names userss",
+	"tab\tnewline\nmix",
+	"digits123 and ipv4",
+	"Ünïcode Grüße çédille",
+	"日本語のテキスト",
+	"emoji 🙂 in cells",
+	"a,b;c.d/e\\f(g)h[i]j{k}l",
+	"quoted \"values\" and 'more'",
+	"trailing punct...",
+	"##s ##b literal hashes",
+	string([]byte{0xff, 0xfe, 'a', 'b'}),        // invalid UTF-8: falls back to the slow path
+	"mixed " + string([]byte{0x80}) + " middle", // invalid continuation byte
+}
+
 // TestEncodeAppendMatchesEncode pins the zero-alloc substring path against
 // the reference tokenizer on the input shapes the serving path sees.
 func TestEncodeAppendMatchesEncode(t *testing.T) {
 	tok := testTok()
-	cases := []string{
-		"",
-		"phone",
-		"Phone Number",
-		"phone_number, credit-card!",
-		"abc cba bac",
-		"   padded   spaces   ",
-		"zzz unknown zzz",
-		"ALLCAPS MiXeD",
-		"names userss",
-		"tab\tnewline\nmix",
-		"digits123 and ipv4",
-		"Ünïcode Grüße çédille",
-		"日本語のテキスト",
-		"emoji 🙂 in cells",
-		"a,b;c.d/e\\f(g)h[i]j{k}l",
-		"quoted \"values\" and 'more'",
-		"trailing punct...",
-		"##s ##b literal hashes",
-		string([]byte{0xff, 0xfe, 'a', 'b'}),        // invalid UTF-8: falls back to the slow path
-		"mixed " + string([]byte{0x80}) + " middle", // invalid continuation byte
-	}
-	for _, s := range cases {
+	for _, s := range encodeAppendCases {
 		want := refEncode(tok, s)
 		got := tok.EncodeAppend(nil, s)
 		if !reflect.DeepEqual(normalize(got), normalize(want)) {
 			t.Errorf("EncodeAppend(%q) = %v, want %v", s, got, want)
 		}
 	}
+}
+
+// FuzzEncodeAppend: for any prefix and any string, valid UTF-8 or not,
+// EncodeAppend(prefix, s) is prefix followed by Encode(s). Each prefix byte
+// becomes one id, and the prefix gets spare capacity, so an append that
+// wrote over its destination or dropped part of it would show.
+func FuzzEncodeAppend(f *testing.F) {
+	for i, s := range encodeAppendCases {
+		f.Add([]byte{byte(i), 42}[:i%3], s)
+	}
+	tok := testTok()
+	f.Fuzz(func(t *testing.T, prefix []byte, s string) {
+		dst := make([]int, len(prefix), len(prefix)+4)
+		for i, b := range prefix {
+			dst[i] = int(b)
+		}
+		want := append(append([]int{}, dst...), refEncode(tok, s)...)
+		if got := tok.EncodeAppend(dst, s); !reflect.DeepEqual(normalize(got), want) {
+			t.Fatalf("EncodeAppend(%v, %q) = %v, want %v", dst, s, got, want)
+		}
+	})
 }
 
 // TestEncodeAppendAppendsInPlace: the result must extend dst, preserving the
