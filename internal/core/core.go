@@ -629,7 +629,10 @@ func (j *tableJob) s2InferMetadata(ctx context.Context) error {
 				continue
 			}
 		}
-		menc, probs := j.model.PredictMeta(chunk, opts.UseHistogram)
+		menc, probs, err := j.metaForward(chunk)
+		if err != nil {
+			return err
+		}
 		if !j.d.cache.Put(j.d.cacheKey(j.model, j.dbName, j.table, ci), menc) {
 			// Not consumed (disabled, oversized, or an equal entry already
 			// cached): the fresh graph goes back to the tensor arena.
@@ -864,14 +867,9 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 				continue
 			}
 		}
+		// A nil Menc (cache disabled or evicted) is re-encoded inside
+		// contentForward.
 		menc := j.d.cache.Get(j.d.cacheKey(j.model, j.dbName, j.table, ci))
-		if menc == nil {
-			// Cache disabled or evicted: pay the duplicate metadata-tower
-			// computation the latent cache exists to avoid (§4.2.2). The
-			// fresh encoding is released by the batch call below; cached
-			// encodings are graph-free views and survive it.
-			menc = j.model.EncodeMetadata(j.model.Encoder().BuildMetaInput(chunk, opts.UseHistogram))
-		}
 		reqs = append(reqs, adtd.ContentRequest{Menc: menc, Table: chunk, Cols: localCols})
 		globalsPerReq = append(globalsPerReq, globals)
 		keysPerReq = append(keysPerReq, rkey)
@@ -900,21 +898,43 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 	return nil
 }
 
-// contentForward runs the table's one Phase-2 forward over its chunks. A
-// panic inside the model (a corrupt latent, a kernel bug) comes back as an
-// error, so s4 degrades this table's columns instead of the panic killing a
-// scheduler worker goroutine and with it the process.
+// contentForward runs the table's one Phase-2 forward over its chunks, first
+// re-encoding the metadata of any chunk whose latents were not cached: the
+// duplicate metadata-tower computation the latent cache exists to avoid
+// (§4.2.2). The fresh encoding is released by the batch call; cached
+// encodings are graph-free views and survive it. A panic inside the model (a
+// corrupt latent, a kernel bug) comes back as an error, so s4 degrades this
+// table's columns instead of the panic killing a scheduler worker goroutine
+// and with it the process.
 func (j *tableJob) contentForward(reqs []adtd.ContentRequest) (batch [][][]float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			forwardPanicsTotal.Inc()
-			err = fmt.Errorf("core: content forward panic: %v", r)
+	defer recoverForward("content", &err)
+	for i, r := range reqs {
+		if r.Menc == nil {
+			reqs[i].Menc = j.model.EncodeMetadata(j.model.Encoder().BuildMetaInput(r.Table, j.d.Opts.UseHistogram))
 		}
-	}()
+	}
 	if j.fwd != nil {
 		j.fwd.Add(1)
 	}
 	return j.model.PredictContentBatch(reqs, j.d.Opts.CellsPerColumn), nil
+}
+
+// metaForward runs Phase 1's forward over one chunk. A panic inside it comes
+// back as an error, as contentForward's does; s2 fails the table with it, as
+// there is no Phase-1 answer to degrade to.
+func (j *tableJob) metaForward(chunk *metafeat.TableInfo) (menc *adtd.MetaEncoding, probs [][]float64, err error) {
+	defer recoverForward("metadata", &err)
+	menc, probs = j.model.PredictMeta(chunk, j.d.Opts.UseHistogram)
+	return menc, probs, nil
+}
+
+// recoverForward, deferred by a forward, turns its panic into *err and
+// counts it in taste_detector_forward_panics_total.
+func recoverForward(kind string, err *error) {
+	if r := recover(); r != nil {
+		forwardPanicsTotal.Inc()
+		*err = fmt.Errorf("core: %s forward panic: %v", kind, r)
+	}
 }
 
 // admitted returns the sorted type names with probability ≥ threshold,

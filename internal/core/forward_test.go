@@ -5,6 +5,10 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/adtd"
+	"repro/internal/corpus"
+	"repro/internal/metafeat"
 )
 
 // canonTables serializes per-table results for byte comparison across
@@ -132,5 +136,54 @@ func TestForwardPanicDegradesTable(t *testing.T) {
 				t.Fatal("detector did not return to the reference answer after the panic")
 			}
 		})
+	}
+}
+
+// TestMetadataForwardPanicFailsTable: a model with one truncated weight
+// slice (capacity too, so the kernels' bounds checks see it) panics in every
+// forward it runs. Pipelined, Phase 1's forward panics
+// on a scheduler worker goroutine; recovered, it fails that table with the
+// panic as its error, counted once in taste_detector_forward_panics_total,
+// and the process lives on. Phase 2's re-encode of latents the cache does
+// not hold runs the same kernels and comes back the same way, as a content
+// forward error.
+func TestMetadataForwardPanicFailsTable(t *testing.T) {
+	det, ds := phase2Detector(t, 4)
+	table := allTables(ds)[0]
+	server := newServerWith([]*corpus.Table{table})
+	m := det.Model()
+	w := m.Blocks[0].FF1.W
+	w.Data = w.Data[: len(w.Data)-1 : len(w.Data)-1]
+
+	ctx := context.Background()
+	panics := forwardPanicsTotal.Value()
+	rep, err := det.DetectDatabase(ctx, server, "tenant", ExecMode{Pipelined: true, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Tables) != 0 || len(rep.Errors) != 1 || !strings.Contains(rep.Errors[0].Error(), "metadata forward panic") {
+		t.Fatalf("%d tables answered, errors %v: want the one table failed by its metadata forward's panic", len(rep.Tables), rep.Errors)
+	}
+	if got := forwardPanicsTotal.Value() - panics; got != 1 {
+		t.Fatalf("taste_detector_forward_panics_total rose by %d, want 1", got)
+	}
+
+	conn, err := server.Connect(ctx, "tenant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	tm, _, err := det.fetchTableMeta(ctx, conn, table.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := metafeat.FromTableMeta(tm).Split(det.Opts.SplitThreshold)[0]
+	j := &tableJob{d: det, model: m}
+	panics = forwardPanicsTotal.Value()
+	if _, err := j.contentForward([]adtd.ContentRequest{{Table: chunk, Cols: []int{0}}}); err == nil || !strings.Contains(err.Error(), "content forward panic") {
+		t.Fatalf("content forward over an uncached chunk: err %v, want its re-encode's panic", err)
+	}
+	if got := forwardPanicsTotal.Value() - panics; got != 1 {
+		t.Fatalf("taste_detector_forward_panics_total rose by %d on the re-encode, want 1", got)
 	}
 }

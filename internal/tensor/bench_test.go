@@ -98,10 +98,12 @@ func benchKernels(b *testing.B, body func(b *testing.B)) {
 
 // BenchmarkLinearInto times dst = x·W + bias at the repro config's shapes
 // (the packed QKV projection, the feed-forward up- and down-projections, and
-// QKV for a merged batch of eight chunks) and at the paper config's QKV
-// projection.
+// QKV for a merged batch of eight chunks), at two the forwards run — a
+// metadata forward's QKV (30 rows) and an odd-length content forward's
+// feed-forward up-projection (107 rows: the two-row tile's pairs and its
+// one-row tail) — and at the paper config's QKV projection.
 func BenchmarkLinearInto(b *testing.B) {
-	for _, sh := range [][3]int{{128, 64, 192}, {128, 64, 128}, {128, 128, 64}, {1024, 64, 192}, {128, 312, 936}} {
+	for _, sh := range [][3]int{{128, 64, 192}, {128, 64, 128}, {128, 128, 64}, {1024, 64, 192}, {30, 64, 192}, {107, 64, 128}, {128, 312, 936}} {
 		rows, in, out := sh[0], sh[1], sh[2]
 		b.Run(fmt.Sprintf("%dx%dx%d", rows, in, out), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))

@@ -56,18 +56,18 @@ func allocDataDirty(n int) ([]float64, bool) {
 }
 
 // axpy4 computes y += a0*x0 + a1*x1 + a2*x2 + a3*x3 elementwise: one
-// left-associative chain per element, each product rounded before it is
-// added. The explicit float64 conversions are what guarantee that — the Go
-// spec lets a compiler fuse x*y+z into one rounding (arm64, ppc64, s390x and
-// riscv64 do; amd64 does not) unless the product is explicitly converted —
-// so every build sees the rounding sequence of four successive axpy calls,
-// which keeps the register-blocked kernels bit-exact against the
-// one-rank-at-a-time reference and the Go kernels against the assembly.
+// left-associative chain per element, each product fused into it with fma
+// (mathfn.go) — one rounding per rank, the same on every platform, in
+// hardware or in software, so no compiler's choice to contract or not can
+// change a bit. Every build sees the rounding
+// sequence of four successive axpy calls, which keeps the register-blocked
+// kernels bit-exact against the one-rank-at-a-time reference and the Go
+// kernels against the assembly's VFMADD231PD.
 func axpy4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
 	n := len(y)
 	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
 	for j := 0; j < n; j++ {
-		y[j] = y[j] + float64(a0*x0[j]) + float64(a1*x1[j]) + float64(a2*x2[j]) + float64(a3*x3[j])
+		y[j] = fma(a3, x3[j], fma(a2, x2[j], fma(a1, x1[j], fma(a0, x0[j], y[j]))))
 	}
 }
 
@@ -79,8 +79,8 @@ func axpy8(a0, a1, a2, a3, a4, a5, a6, a7 float64, x0, x1, x2, x3, x4, x5, x6, x
 	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
 	x4, x5, x6, x7 = x4[:n], x5[:n], x6[:n], x7[:n]
 	for j := 0; j < n; j++ {
-		y[j] = y[j] + float64(a0*x0[j]) + float64(a1*x1[j]) + float64(a2*x2[j]) + float64(a3*x3[j]) +
-			float64(a4*x4[j]) + float64(a5*x5[j]) + float64(a6*x6[j]) + float64(a7*x7[j])
+		acc := fma(a3, x3[j], fma(a2, x2[j], fma(a1, x1[j], fma(a0, x0[j], y[j]))))
+		y[j] = fma(a7, x7[j], fma(a6, x6[j], fma(a5, x5[j], fma(a4, x4[j], acc))))
 	}
 }
 
@@ -89,7 +89,8 @@ func axpy8(a0, a1, a2, a3, a4, a5, a6, a7 float64, x0, x1, x2, x3, x4, x5, x6, x
 // B, where B's rows have stride bstride and the product reads B columns
 // [c0, c0+n). When zero is set the output rows are cleared first (out =),
 // otherwise accumulated (out +=). Each output element is one chain over the
-// k ranks in ascending order. Ranks with a zero A coefficient are skipped —
+// k ranks in ascending order, each rank's product fused into it
+// (acc = FMA(a, b, acc)). Ranks with a zero A coefficient are skipped —
 // exactly as the scalar kernel does — because adding a +0.0 term is not a
 // bitwise no-op for -0.0 outputs. bias, nil or n long, is added to each
 // row's finished chains, one rounded add per element: out[i][j] = chain +
@@ -366,22 +367,22 @@ func scoreRowGo(srow, qrow, kvp []float64, kOff, stride, lo, hi, headDim int, sc
 	return scoreRowGeneric(srow, qrow, kvp, kOff, stride, lo, hi, headDim, scale, maxv)
 }
 
-// scoreRowGeneric is scoreRow for any head width. The dot uses the same
-// 4-partial accumulation as dot(), products rounded before they are added
-// (see axpy4).
+// scoreRowGeneric is scoreRow for any head width. The dot is four strided
+// partial sums from +0.0, the last hd%4 products going to s0, each product
+// fused into its partial (see axpy4), then ((s0+s1)+s2)+s3.
 func scoreRowGeneric(srow, qrow, kvp []float64, kOff, stride, lo, hi, headDim int, scale, maxv float64) float64 {
 	for j := lo; j < hi; j++ {
 		krow := kvp[j*stride+kOff : j*stride+kOff+headDim]
 		var s0, s1, s2, s3 float64
 		d := 0
 		for ; d+4 <= headDim; d += 4 {
-			s0 += float64(qrow[d] * krow[d])
-			s1 += float64(qrow[d+1] * krow[d+1])
-			s2 += float64(qrow[d+2] * krow[d+2])
-			s3 += float64(qrow[d+3] * krow[d+3])
+			s0 = fma(qrow[d], krow[d], s0)
+			s1 = fma(qrow[d+1], krow[d+1], s1)
+			s2 = fma(qrow[d+2], krow[d+2], s2)
+			s3 = fma(qrow[d+3], krow[d+3], s3)
 		}
 		for ; d < headDim; d++ {
-			s0 += float64(qrow[d] * krow[d])
+			s0 = fma(qrow[d], krow[d], s0)
 		}
 		v := (s0 + s1 + s2 + s3) * scale
 		srow[j] = v
@@ -396,8 +397,9 @@ func scoreRowGeneric(srow, qrow, kvp []float64, kOff, stride, lo, hi, headDim in
 // config): the query row is held in locals and the four partial sums are
 // fully unrolled in the same strided order as the generic loop, so each
 // partial sees an identical left-associative accumulation sequence. (The
-// generic loop seeds each partial with +0.0, which the unrolled chain
-// omits; that can only flip the sign of a zero-valued partial, and a zero's
+// generic loop seeds each partial with +0.0, so its first step is
+// FMA(q, k, +0.0) where the unrolled chain starts from the rounded product;
+// the two differ only in the sign of a zero-valued product, and a zero's
 // sign never survives exp(v - max) downstream.)
 func scoreRow16(srow, qrow, kvp []float64, kOff, stride, lo, hi int, scale, maxv float64) float64 {
 	q0, q1, q2, q3 := qrow[0], qrow[1], qrow[2], qrow[3]
@@ -407,10 +409,10 @@ func scoreRow16(srow, qrow, kvp []float64, kOff, stride, lo, hi int, scale, maxv
 	for j := lo; j < hi; j++ {
 		base := j*stride + kOff
 		k := kvp[base : base+16 : base+16]
-		s0 := float64(q0*k[0]) + float64(q4*k[4]) + float64(q8*k[8]) + float64(q12*k[12])
-		s1 := float64(q1*k[1]) + float64(q5*k[5]) + float64(q9*k[9]) + float64(q13*k[13])
-		s2 := float64(q2*k[2]) + float64(q6*k[6]) + float64(q10*k[10]) + float64(q14*k[14])
-		s3 := float64(q3*k[3]) + float64(q7*k[7]) + float64(q11*k[11]) + float64(q15*k[15])
+		s0 := fma(q12, k[12], fma(q8, k[8], fma(q4, k[4], float64(q0*k[0]))))
+		s1 := fma(q13, k[13], fma(q9, k[9], fma(q5, k[5], float64(q1*k[1]))))
+		s2 := fma(q14, k[14], fma(q10, k[10], fma(q6, k[6], float64(q2*k[2]))))
+		s3 := fma(q15, k[15], fma(q11, k[11], fma(q7, k[7], float64(q3*k[3]))))
 		v := (s0 + s1 + s2 + s3) * scale
 		srow[j] = v
 		if v > maxv {
@@ -513,9 +515,11 @@ func geluRowGo(p []float64) {
 	}
 }
 
-// The cubic term is converted before it is added so that no compiler may
-// contract v + t·v into one rounding (see axpy4): the assembly lanes and the
-// scalar elements of one row must agree on every build.
+// The cubic term is converted before it is added: the Go spec lets a
+// compiler fuse x*y+z into one rounding (arm64, ppc64le, s390x and riscv64
+// do) unless the product is explicitly converted, and GELU's arithmetic is
+// unfused, so the assembly lanes and the scalar elements of one row agree
+// on every build.
 func geluScalar(v float64) float64 {
 	inner := geluC * (v + float64(0.044715*v*v*v))
 	return 0.5 * v * (1 + tanh(inner))

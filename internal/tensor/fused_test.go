@@ -398,7 +398,8 @@ func TestFusedAttentionCoreLaneEdges(t *testing.T) {
 		}
 		checkAttention(t, b, ws, qp, kvp, sh, spans)
 
-		// Score 0 for every key, or 1 for key 0 had its y + a·x been fused.
+		// Key 0 scores 1 (its y + a·x fused is 2⁻⁶⁰, times 2⁶⁰), every
+		// other key 0; rounding the product first would score key 0 at 0 too.
 		qp, kvp, sh = b.operands(lq, lkv, heads, hd)
 		sh.Scale = 0x1p60
 		clear(qp)
@@ -409,6 +410,9 @@ func TestFusedAttentionCoreLaneEdges(t *testing.T) {
 		kvp[0], kvp[4] = y, x
 		for j := 0; j < lkv; j++ {
 			fillKernelInput(rng, kvp[j*2*w+w:(j+1)*2*w], 0)
+		}
+		if _, weights = composedAttention(qp, kvp, sh, spans); weights[0].At(0, 0) <= weights[0].At(0, 1) {
+			t.Fatalf("composed weights %g (key 0) and %g (key 1): key 0's score was not fused", weights[0].At(0, 0), weights[0].At(0, 1))
 		}
 		checkAttention(t, b, ws, qp, kvp, sh, spans)
 	})

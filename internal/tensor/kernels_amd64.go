@@ -42,35 +42,39 @@ func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 //go:noescape
 func xgetbvAsm() (eax, edx uint32)
 
-// haveAVX2 selects the assembly kernels; without it every kernel runs its Go
-// implementation. haveFMA (which implies it) selects the exp and GELU row
-// kernels: they replay Exp and tanh, the same on every host, so CPUID alone
-// decides. Tests flip both to run every kernel on the same inputs.
-var haveAVX2, haveFMA = detectAVX2()
+// haveAVX2 selects the assembly kernels, which need AVX2 and FMA: every
+// mul-add chain is a VFMADD231PD, and the exp and GELU rows replay Exp and
+// tanh, the same on every host, so CPUID alone decides. Without it every
+// kernel runs its Go implementation on math.FMA, which is software where
+// hostFMA is false. Tests flip haveAVX2 to run every kernel on the same
+// inputs.
+var haveAVX2, hostFMA = detectAVX2()
 
-// detectAVX2 reports AVX2 support with OS-enabled YMM state (OSXSAVE set
-// and XCR0 advertising XMM+YMM), and with it FMA.
-func detectAVX2() (avx2, fma bool) {
+// detectAVX2 reports AVX2 and FMA support with OS-enabled YMM state
+// (OSXSAVE set and XCR0 advertising XMM+YMM), and FMA on its own.
+func detectAVX2() (asm, fma bool) {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
 	_, _, c, _ := cpuidAsm(1, 0)
 	const osxsave, fmaBit = 1 << 27, 1 << 12
-	if maxLeaf < 7 || c&osxsave == 0 {
+	if c&osxsave == 0 {
 		return false, false
 	}
 	if xcr0, _ := xgetbvAsm(); xcr0&0x6 != 0x6 {
 		return false, false
 	}
+	fma = c&fmaBit != 0
+	if maxLeaf < 7 {
+		return false, fma
+	}
 	_, b, _, _ := cpuidAsm(7, 0)
-	avx2 = b&(1<<5) != 0
-	return avx2, avx2 && c&fmaBit != 0
+	return fma && b&(1<<5) != 0, fma
 }
 
 // haveAVX512 (which implies haveAVX2) selects the 8-lane kernels:
 // mulRows512Asm for the matmul rows, the attention block kernels for
 // FusedAttentionCore at head width 16 (attnBlocks; other widths keep the
-// per-row path on the AVX2 score kernel), and, where haveFMA also holds,
-// gelu512Asm and expSub512Asm for the GELU and exp rows. Tests flip it with
-// haveAVX2.
+// per-row path on the AVX2 score kernel), and gelu512Asm and expSub512Asm
+// for the GELU and exp rows. Tests flip it with haveAVX2.
 var haveAVX512 = haveAVX2 && detectAVX512()
 
 // detectAVX512 reports AVX512F with the OS saving the opmask and all of the
@@ -87,21 +91,20 @@ func detectAVX512() bool {
 // Kernels names the kernels this process runs, for start-up lines and
 // /v1/stats: a replica that is slow because of a rebuild or an older CPU
 // says so. "avx512" leads when the row kernels run eight lanes wide (the
-// matmul rows, and attention eight query rows per vector at head width 16;
-// the exp and GELU rows too when the string also ends in " fma exp gelu",
-// which it does exactly when they run vectorised).
+// matmul, exp and GELU rows, and attention eight query rows per vector at
+// head width 16); the string ends in " fma exp gelu" exactly when the
+// assembly runs. "go (no FMA)" is the Go kernels on software math.FMA, the
+// slowest case; "go (no AVX2)" the Go kernels on hardware FMA.
 func Kernels() string {
-	if !haveAVX2 {
-		return "go (no AVX2)"
+	switch {
+	case haveAVX512:
+		return "avx512 avx2 fma exp gelu"
+	case haveAVX2:
+		return "avx2 fma exp gelu"
+	case !hostFMA:
+		return "go (no FMA)"
 	}
-	s := "avx2"
-	if haveAVX512 {
-		s = "avx512 avx2"
-	}
-	if !haveFMA {
-		return s + ", exp and gelu on scalar calls (no FMA)"
-	}
-	return s + " fma exp gelu"
+	return "go (no AVX2)"
 }
 
 func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool, bias []float64) {
@@ -180,15 +183,13 @@ func laneRows(kvp []float64, kr [2]int, stride, off int) *float64 {
 }
 
 // attnExp sets e[j] = Exp(e[j] − maxv[j%8]) and sum[l] to the in-order sum of
-// lane l's results from +0.0, on attnExp512Asm where haveFMA and the scalar
-// Exp for each block it declines (for every block without FMA).
+// lane l's results from +0.0, on attnExp512Asm and the scalar Exp for each
+// block it declines.
 func attnExp(e []float64, maxv, sum *[8]float64) {
 	*sum = [8]float64{}
 	for len(e) > 0 {
-		if haveFMA {
-			if e = e[attnExp512Asm(&e[0], len(e), &maxv[0], &sum[0]):]; len(e) == 0 {
-				return
-			}
+		if e = e[attnExp512Asm(&e[0], len(e), &maxv[0], &sum[0]):]; len(e) == 0 {
+			return
 		}
 		for l, v := range e[:8] {
 			x := Exp(v - maxv[l])
@@ -199,17 +200,17 @@ func attnExp(e []float64, maxv, sum *[8]float64) {
 	}
 }
 
-// The assembly (where haveFMA) stops at the first block (four elements, or
-// eight on the AVX-512 kernels) with a lane outside its range; that block
-// runs through the scalar function and the kernel takes up again after it.
-// Without FMA every block is scalar.
+// The assembly stops at the first block (four elements, or eight on the
+// AVX-512 kernels) with a lane outside its range; that block runs through
+// the scalar function and the kernel takes up again after it. Without the
+// assembly every block is scalar.
 func expSubRow(p []float64, sub float64) {
 	for len(p) > 0 {
 		w := 4
 		switch {
-		case haveFMA && haveAVX512:
+		case haveAVX512:
 			p, w = p[expSub512Asm(&p[0], len(p), sub):], 8
-		case haveFMA:
+		case haveAVX2:
 			p = p[expSubFMAAsm(&p[0], len(p), sub):]
 		}
 		blk := p[:min(w, len(p))]
@@ -222,9 +223,9 @@ func geluRow(p []float64) {
 	for len(p) > 0 {
 		w := 4
 		switch {
-		case haveFMA && haveAVX512:
+		case haveAVX512:
 			p, w = p[gelu512Asm(&p[0], len(p)):], 8
-		case haveFMA:
+		case haveAVX2:
 			p = p[geluFMAAsm(&p[0], len(p)):]
 		}
 		blk := p[:min(w, len(p))]

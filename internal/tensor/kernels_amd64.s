@@ -1,10 +1,12 @@
 // AVX2 and AVX-512 float64 kernels. Each runs, per output element, exactly
 // the operation sequence of the Go loop it stands in for (fused.go): lanes
-// are independent outputs, never terms of one sum, and a product is always
-// VMULPD then VADDPD — two roundings, never an FMA's one — so results match
-// the Go kernels bit for bit. The one exception is the exp sequence
-// (EXP_CORE below), which fuses exactly where math.archExp's FMA branch
-// does, because that branch is what it has to match.
+// are independent outputs, never terms of one sum, and a product that is
+// added to a chain — a matmul rank, a score partial, a weights×V term — is
+// one VFMADD231PD, the Go loops' fma(a, x, acc): one rounding, the same
+// bits on every machine, so results match the Go kernels bit for bit.
+// Every other product (the exp, GELU and tanh polynomials outside EXP_CORE,
+// the scale, the normalise) stays a VMULPD of its own, as in the Go code.
+// EXP_CORE fuses exactly where Exp (mathfn.go) does.
 
 #include "textflag.h"
 
@@ -66,13 +68,26 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 	JZ skip; \
 	VBROADCASTSD (CX)(R12*1), bcast
 
-#define MAC(off, acc, tmp) \
-	VMULPD off(R8), Y8, tmp; \
-	VADDPD tmp, acc, acc
+// acc += coefficient · b with one rounding: the Go kernels' fma(a, x, acc)
+// per lane.
+#define MAC(off, acc) \
+	VFMADD231PD off(R8), Y8, acc
 
-#define MAC512(off, acc, tmp) \
-	VMULPD off(R8), Z8, tmp; \
-	VADDPD tmp, acc, acc
+#define MAC512(off, acc) \
+	VFMADD231PD off(R8), Z8, acc
+
+// The two-row tile's second row: RANK_LOAD on the a row R15 points past.
+#define RANK_LOAD_B(skip, bcast) \
+	MOVQ (R15)(R12*1), R14; \
+	SHLQ $1, R14; \
+	JZ skip; \
+	VBROADCASTSD (R15)(R12*1), bcast
+
+// MAC2 is MAC512 for both rows of a pair, one load of b feeding both.
+#define MAC2(off, acc0, acc1) \
+	VMOVUPD off(R8), Z9; \
+	VFMADD231PD Z9, Z8, acc0; \
+	VFMADD231PD Z9, Z24, acc1
 
 #define RANK_NEXT(loop) \
 	ADDQ R11, R8; \
@@ -155,14 +170,14 @@ ranks32:
 	RANKS_BEGIN
 rank32:
 	RANK_LOAD(skip32, Y8)
-	MAC(0, Y0, Y9)
-	MAC(32, Y1, Y10)
-	MAC(64, Y2, Y11)
-	MAC(96, Y3, Y12)
-	MAC(128, Y4, Y9)
-	MAC(160, Y5, Y10)
-	MAC(192, Y6, Y11)
-	MAC(224, Y7, Y12)
+	MAC(0, Y0)
+	MAC(32, Y1)
+	MAC(64, Y2)
+	MAC(96, Y3)
+	MAC(128, Y4)
+	MAC(160, Y5)
+	MAC(192, Y6)
+	MAC(224, Y7)
 skip32:
 	RANK_NEXT(rank32)
 	HAS_BIAS(store32)
@@ -207,10 +222,10 @@ ranks16:
 	RANKS_BEGIN
 rank16:
 	RANK_LOAD(skip16, Y8)
-	MAC(0, Y0, Y9)
-	MAC(32, Y1, Y10)
-	MAC(64, Y2, Y11)
-	MAC(96, Y3, Y12)
+	MAC(0, Y0)
+	MAC(32, Y1)
+	MAC(64, Y2)
+	MAC(96, Y3)
 skip16:
 	RANK_NEXT(rank16)
 	HAS_BIAS(store16)
@@ -243,8 +258,8 @@ ranks8:
 	RANKS_BEGIN
 rank8:
 	RANK_LOAD(skip8, Y8)
-	MAC(0, Y0, Y9)
-	MAC(32, Y1, Y10)
+	MAC(0, Y0)
+	MAC(32, Y1)
 skip8:
 	RANK_NEXT(rank8)
 	HAS_BIAS(store8)
@@ -271,7 +286,7 @@ ranks4:
 	RANKS_BEGIN
 rank4:
 	RANK_LOAD(skip4, Y8)
-	MAC(0, Y0, Y9)
+	MAC(0, Y0)
 skip4:
 	RANK_NEXT(rank4)
 	HAS_BIAS(store4)
@@ -303,8 +318,7 @@ ranksT:
 rankT:
 	RANK_LOAD(skipT, Y8)
 	VMASKMOVPD (R8), Y15, Y9
-	VMULPD Y9, Y8, Y9
-	VADDPD Y9, Y0, Y0
+	VFMADD231PD Y9, Y8, Y0
 skipT:
 	RANK_NEXT(rankT)
 	HAS_BIAS(storeT)
@@ -321,7 +335,13 @@ done:
 // mulRowsAsm's contract and chain order, eight lanes to a register: columns
 // are tiled 64/32/16/8 wide in ZMM accumulators (a 64-column tile is eight
 // independent chains per rank, as mulRowsAsm's 32-column one is), and the
-// last 1–7 columns are a tail under the opmask K1 = 2^r − 1. A masked-off
+// last 1–7 columns are a tail under the opmask K1 = 2^r − 1. The 64-column
+// tile runs two rows at a time (Z0–Z7 row i, Z16–Z23 row i+1, broadcasts Z8
+// and Z24, R15 past row i+1's a row), so each load of b feeds both rows'
+// chains: at the feed-forward shapes the k×64 slab of b does not stay in L1,
+// and it, not the FP ports, is the limit (DESIGN.md §8). Each row zero-tests its own coefficient, so a rank runs
+// both rows, one of them, or neither; an odd last row takes the one-row
+// loop. The chains are the one-row ones. A masked-off
 // lane is neither loaded nor stored — AVX-512 suppresses faults on the
 // elements a mask excludes — so no byte past n is touched; VMOVUPD.Z loads
 // zeros into those lanes, whose results are never stored. Only AVX512F
@@ -334,6 +354,123 @@ tile64:
 	CMPQ R10, $64
 	JLT  tile32z
 	ROWS_BEGIN
+	CMPQ AX, $2
+	JLT  row64
+pair64:
+	CMPB zero+56(FP), $0
+	JNE  clearp64
+	VMOVUPD 0(BX), Z0
+	VMOVUPD 64(BX), Z1
+	VMOVUPD 128(BX), Z2
+	VMOVUPD 192(BX), Z3
+	VMOVUPD 256(BX), Z4
+	VMOVUPD 320(BX), Z5
+	VMOVUPD 384(BX), Z6
+	VMOVUPD 448(BX), Z7
+	VMOVUPD 0(BX)(R13*1), Z16
+	VMOVUPD 64(BX)(R13*1), Z17
+	VMOVUPD 128(BX)(R13*1), Z18
+	VMOVUPD 192(BX)(R13*1), Z19
+	VMOVUPD 256(BX)(R13*1), Z20
+	VMOVUPD 320(BX)(R13*1), Z21
+	VMOVUPD 384(BX)(R13*1), Z22
+	VMOVUPD 448(BX)(R13*1), Z23
+	JMP  ranksp64
+clearp64:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
+	VPXORQ Z22, Z22, Z22
+	VPXORQ Z23, Z23, Z23
+ranksp64:
+	RANKS_BEGIN
+	LEAQ (CX)(R9*1), R15
+rankp64:
+	RANK_LOAD(onlyB64, Z8)
+	RANK_LOAD_B(onlyA64, Z24)
+	MAC2(0, Z0, Z16)
+	MAC2(64, Z1, Z17)
+	MAC2(128, Z2, Z18)
+	MAC2(192, Z3, Z19)
+	MAC2(256, Z4, Z20)
+	MAC2(320, Z5, Z21)
+	MAC2(384, Z6, Z22)
+	MAC2(448, Z7, Z23)
+	JMP  skipp64
+onlyA64:
+	MAC512(0, Z0)
+	MAC512(64, Z1)
+	MAC512(128, Z2)
+	MAC512(192, Z3)
+	MAC512(256, Z4)
+	MAC512(320, Z5)
+	MAC512(384, Z6)
+	MAC512(448, Z7)
+	JMP  skipp64
+onlyB64:
+	RANK_LOAD_B(skipp64, Z8)
+	MAC512(0, Z16)
+	MAC512(64, Z17)
+	MAC512(128, Z18)
+	MAC512(192, Z19)
+	MAC512(256, Z20)
+	MAC512(320, Z21)
+	MAC512(384, Z22)
+	MAC512(448, Z23)
+skipp64:
+	RANK_NEXT(rankp64)
+	HAS_BIAS(storep64)
+	BIAS(0, Z0)
+	BIAS(64, Z1)
+	BIAS(128, Z2)
+	BIAS(192, Z3)
+	BIAS(256, Z4)
+	BIAS(320, Z5)
+	BIAS(384, Z6)
+	BIAS(448, Z7)
+	BIAS(0, Z16)
+	BIAS(64, Z17)
+	BIAS(128, Z18)
+	BIAS(192, Z19)
+	BIAS(256, Z20)
+	BIAS(320, Z21)
+	BIAS(384, Z22)
+	BIAS(448, Z23)
+storep64:
+	VMOVUPD Z0, 0(BX)
+	VMOVUPD Z1, 64(BX)
+	VMOVUPD Z2, 128(BX)
+	VMOVUPD Z3, 192(BX)
+	VMOVUPD Z4, 256(BX)
+	VMOVUPD Z5, 320(BX)
+	VMOVUPD Z6, 384(BX)
+	VMOVUPD Z7, 448(BX)
+	VMOVUPD Z16, 0(BX)(R13*1)
+	VMOVUPD Z17, 64(BX)(R13*1)
+	VMOVUPD Z18, 128(BX)(R13*1)
+	VMOVUPD Z19, 192(BX)(R13*1)
+	VMOVUPD Z20, 256(BX)(R13*1)
+	VMOVUPD Z21, 320(BX)(R13*1)
+	VMOVUPD Z22, 384(BX)(R13*1)
+	VMOVUPD Z23, 448(BX)(R13*1)
+	LEAQ (BX)(R13*2), BX
+	LEAQ (CX)(R9*2), CX
+	SUBQ $2, AX
+	CMPQ AX, $2
+	JGE  pair64
+	TESTQ AX, AX
+	JZ   next64
 row64:
 	CMPB zero+56(FP), $0
 	JNE  clear64
@@ -359,14 +496,14 @@ ranks64:
 	RANKS_BEGIN
 rank64:
 	RANK_LOAD(skip64, Z8)
-	MAC512(0, Z0, Z9)
-	MAC512(64, Z1, Z10)
-	MAC512(128, Z2, Z11)
-	MAC512(192, Z3, Z12)
-	MAC512(256, Z4, Z13)
-	MAC512(320, Z5, Z14)
-	MAC512(384, Z6, Z15)
-	MAC512(448, Z7, Z9)
+	MAC512(0, Z0)
+	MAC512(64, Z1)
+	MAC512(128, Z2)
+	MAC512(192, Z3)
+	MAC512(256, Z4)
+	MAC512(320, Z5)
+	MAC512(384, Z6)
+	MAC512(448, Z7)
 skip64:
 	RANK_NEXT(rank64)
 	HAS_BIAS(store64)
@@ -388,6 +525,7 @@ store64:
 	VMOVUPD Z6, 384(BX)
 	VMOVUPD Z7, 448(BX)
 	ROW_NEXT(row64)
+next64:
 	TILE_NEXT(512, 64, tile64)
 
 tile32z:
@@ -411,10 +549,10 @@ ranks32z:
 	RANKS_BEGIN
 rank32z:
 	RANK_LOAD(skip32z, Z8)
-	MAC512(0, Z0, Z9)
-	MAC512(64, Z1, Z10)
-	MAC512(128, Z2, Z11)
-	MAC512(192, Z3, Z12)
+	MAC512(0, Z0)
+	MAC512(64, Z1)
+	MAC512(128, Z2)
+	MAC512(192, Z3)
 skip32z:
 	RANK_NEXT(rank32z)
 	HAS_BIAS(store32z)
@@ -447,8 +585,8 @@ ranks16z:
 	RANKS_BEGIN
 rank16z:
 	RANK_LOAD(skip16z, Z8)
-	MAC512(0, Z0, Z9)
-	MAC512(64, Z1, Z10)
+	MAC512(0, Z0)
+	MAC512(64, Z1)
 skip16z:
 	RANK_NEXT(rank16z)
 	HAS_BIAS(store16z)
@@ -475,7 +613,7 @@ ranks8z:
 	RANKS_BEGIN
 rank8z:
 	RANK_LOAD(skip8z, Z8)
-	MAC512(0, Z0, Z9)
+	MAC512(0, Z0)
 skip8z:
 	RANK_NEXT(rank8z)
 	HAS_BIAS(store8z)
@@ -506,8 +644,7 @@ ranksTz:
 rankTz:
 	RANK_LOAD(skipTz, Z8)
 	VMOVUPD.Z (R8), K1, Z9
-	VMULPD Z9, Z8, Z9
-	VADDPD Z9, Z0, Z0
+	VFMADD231PD Z9, Z8, Z0
 skipTz:
 	RANK_NEXT(rankTz)
 	HAS_BIAS(storeTz)
@@ -545,10 +682,11 @@ donez:
 // func scoreRowAsm(srow, q, k *float64, nkeys, kstride, hd int, scale, maxv float64) float64
 // srow[j] = (q · k[j·kstride : +hd]) · scale for j < nkeys (nkeys, hd > 0),
 // returning the running max seeded with maxv. The four lanes are the four
-// strided partial sums of the Go loops: hd == 16 runs scoreRow16's chains
-// (each partial starts from its first product), any other width runs
-// scoreRowGeneric's (partials start from +0.0, the hd%4 remainder goes to
-// s0). Keys are independent, so successive iterations overlap freely.
+// strided partial sums of the Go loops, each later product fused into its
+// partial: hd == 16 runs scoreRow16's chains (each partial starts from its
+// first product), any other width runs scoreRowGeneric's (partials start
+// from +0.0, the hd%4 remainder goes to s0). Keys are independent, so
+// successive iterations overlap freely.
 TEXT ·scoreRowAsm(SB), NOSPLIT, $0-72
 	MOVQ srow+0(FP), DI
 	MOVQ q+8(FP), SI
@@ -572,8 +710,7 @@ key:
 	JGE  lanes
 vec:
 	VMOVUPD (SI)(AX*1), Y1
-	VMULPD (DX)(AX*1), Y1, Y1
-	VADDPD Y1, Y0, Y0
+	VFMADD231PD (DX)(AX*1), Y1, Y0
 	ADDQ $32, AX
 	CMPQ AX, R10
 	JLT  vec
@@ -583,8 +720,7 @@ lanes:
 	JGE  finish
 rem:
 	VMOVSD (SI)(AX*1), X4
-	VMULSD (DX)(AX*1), X4, X4
-	VADDSD X4, X0, X0
+	VFMADD231SD (DX)(AX*1), X4, X0
 	ADDQ $8, AX
 	CMPQ AX, R9
 	JLT  rem
@@ -600,12 +736,9 @@ hd16:
 	VMOVUPD 96(SI), Y7
 key16:
 	VMULPD 0(DX), Y4, Y0
-	VMULPD 32(DX), Y5, Y1
-	VADDPD Y1, Y0, Y0
-	VMULPD 64(DX), Y6, Y1
-	VADDPD Y1, Y0, Y0
-	VMULPD 96(DX), Y7, Y1
-	VADDPD Y1, Y0, Y0
+	VFMADD231PD 32(DX), Y5, Y0
+	VFMADD231PD 64(DX), Y6, Y0
+	VFMADD231PD 96(DX), Y7, Y0
 	SPLIT_LANES
 	SCORE_FINISH
 	JNZ  key16
@@ -1094,17 +1227,13 @@ GLOBL laneIota<>(SB), RODATA|NOPTR, $64
 	KXNORW K1, K1, K1; \
 	VGATHERQPD off(SI)(Z8*1), K1, dst
 
-// PARTIALS adds the products of one group of four key dimensions to the
-// partials Z0..Z3, each product rounded before it is added.
+// PARTIALS fuses the products of one group of four key dimensions into the
+// partials Z0..Z3.
 #define PARTIALS(o0, o1, o2, o3, q0, q1, q2, q3) \
-	VMULPD.BCST o0(DX), q0, Z4; \
-	VADDPD Z4, Z0, Z0; \
-	VMULPD.BCST o1(DX), q1, Z5; \
-	VADDPD Z5, Z1, Z1; \
-	VMULPD.BCST o2(DX), q2, Z6; \
-	VADDPD Z6, Z2, Z2; \
-	VMULPD.BCST o3(DX), q3, Z7; \
-	VADDPD Z7, Z3, Z3
+	VFMADD231PD.BCST o0(DX), q0, Z0; \
+	VFMADD231PD.BCST o1(DX), q1, Z1; \
+	VFMADD231PD.BCST o2(DX), q2, Z2; \
+	VFMADD231PD.BCST o3(DX), q3, Z3
 
 // func attnScores512Asm(s, q *float64, qstride, rows int, ka *float64, na int, kb *float64, nb, kstride int, scale float64, maxv *float64)
 // For key j of range A (na key rows from ka) then range B (nb from kb), key
@@ -1113,7 +1242,8 @@ GLOBL laneIota<>(SB), RODATA|NOPTR, $64
 // query row l of the block, rows qstride apart (1 ≤ rows ≤ 8; a tail lane
 // reads row rows−1). A lane's dot is scoreRow16's: the strided partials
 // s_d = q[d]·k[d] + q[d+4]·k[d+4] + q[d+8]·k[d+8] + q[d+12]·k[d+12], left to
-// right, then ((s0+s1)+s2)+s3, × scale. Sixteen gathers transpose the query
+// right with each later product fused, then ((s0+s1)+s2)+s3, × scale.
+// Sixteen gathers transpose the query
 // (Z16+d holds dimension d of the eight rows) and each key dimension is a
 // broadcast memory operand. The max step is an ordered compare into K2 and
 // a masked move, the Go statement exactly: a NaN score never wins, and a
@@ -1231,10 +1361,10 @@ attnExpRet:
 	VZEROUPPER
 	RET
 
-// WV adds w·v[c] to column c's chain on the lanes whose weight is not zero.
+// WV fuses w·v[c] into column c's chain on the lanes whose weight is not
+// zero; merge masking leaves the other lanes' chains as they were.
 #define WV(off, acc) \
-	VMULPD.BCST off(DX), Z0, Z1; \
-	VADDPD Z1, acc, K1, acc
+	VFMADD231PD.BCST off(DX), Z0, K1, acc
 
 // STORE_COL zeroes column c on the dead lanes and scatters it to the block's
 // rows, off bytes into each.
@@ -1249,9 +1379,9 @@ attnExpRet:
 // value rows vstride apart, where e holds the exponentials as
 // attnExp512Asm left them and w_lj = e[8j+l]·(1/sum[l]) — the in-place
 // normalise's rounding. Each column is mulRowRange's chain for one output
-// element: from +0.0, add w·v[c] when w is not zero, in key order. The test
-// is a NEQ_UQ compare into K1 (±0 skipped, NaN added, as mulRowRange's
-// SHL/JZ) and the add a merge-masked VADDPD. A lane whose max is −Inf
+// element: from +0.0, fuse w·v[c] in when w is not zero, in key order. The
+// test is a NEQ_UQ compare into K1 (±0 skipped, NaN added, as mulRowRange's
+// SHL/JZ) and the step a merge-masked VFMADD231PD. A lane whose max is −Inf
 // (dead) stores zeros, as the per-row path does; lanes ≥ rows are not
 // stored. The per-row path's other zeros rule, a sum of 0, needs no test
 // here: a live lane's max is a score, whose own weight is Exp(0) = 1, so its

@@ -13,7 +13,7 @@ import (
 // a row inside it, masked tail included, and stop at the start of the first
 // block (four lanes, or eight on AVX-512) holding an argument outside it.
 func TestMathRowKernelsTakeTheirRange(t *testing.T) {
-	if !cpuFMA {
+	if !cpuAVX2 {
 		t.Skipf("vector exp/gelu not selected here (%s)", Kernels())
 	}
 	type kernel struct {
@@ -63,13 +63,15 @@ func TestMathRowKernelsTakeTheirRange(t *testing.T) {
 	}
 }
 
-// A host that has AVX-512 but runs the AVX2 rows, or has FMA but runs exp and
-// GELU on scalar calls, is slower, not wrong, and every bit test passes on it
-// (the avx512 mode skips; the Go rows compute the same Exp). So the machine's
-// support is read here condition by condition, independently of detectAVX2
-// and detectAVX512, and where all of them hold the kernels must be selected; on
-// Linux the kernel's own flags (/proc/cpuinfo lists avx512f and fma only where
-// it saves the register state they need) must agree with the reading.
+// A host that has AVX-512 but runs the AVX2 rows, or has AVX2 and FMA but
+// runs the Go kernels, is slower, not wrong, and every bit test passes on it
+// (the avx512 and asm modes skip; the Go kernels compute the same bits). So
+// the machine's support is read here condition by condition, independently
+// of detectAVX2 and detectAVX512, and where all of them hold the kernels must
+// be selected; on Linux the kernel's own flags (/proc/cpuinfo lists avx512f
+// and fma only where it saves the register state they need) must agree with
+// the reading. Kernels() says "no FMA" exactly where the reading has no
+// usable FMA, so the Go kernels' math.FMA is software.
 func TestAVX512SelectedWhereTheCPUHasIt(t *testing.T) {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
 	_, _, ecx1, _ := cpuidAsm(1, 0)
@@ -106,9 +108,13 @@ func TestAVX512SelectedWhereTheCPUHasIt(t *testing.T) {
 	}
 	switch vector := strings.HasSuffix(Kernels(), " fma exp gelu"); {
 	case fmaWhy != "" && vector:
-		t.Fatalf("vector exp/GELU rows selected although %s", fmaWhy)
+		t.Fatalf("assembly kernels selected although %s", fmaWhy)
 	case fmaWhy == "" && !vector:
 		t.Fatalf("CPUID, XCR0 and /proc/cpuinfo advertise AVX2 and FMA, but the process runs %q", Kernels())
+	}
+	noFMA := ecx1&(1<<12) == 0 || ecx1&(1<<27) == 0 || xcr0&0x6 != 0x6
+	if noFMA != (Kernels() == "go (no FMA)") {
+		t.Fatalf("Kernels() = %q, but CPUID and XCR0 read no usable FMA: %v", Kernels(), noFMA)
 	}
 
 	var why string

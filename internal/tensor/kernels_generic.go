@@ -5,7 +5,7 @@ package tensor
 // Non-amd64 platforms have no assembly kernels: the Go implementations run
 // everywhere. The selection flags (kernels_amd64.go) are variables, not
 // constants, so the in-package tests that flip them compile on every platform.
-var haveAVX2, haveAVX512, haveFMA = false, false, false
+var haveAVX2, haveAVX512 = false, false
 
 func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool, bias []float64) {
 	mulRowRangeGeneric(out, a, b, lo, hi, k, n, bstride, c0, zero, bias)

@@ -8,13 +8,13 @@ import (
 )
 
 // The process's own kernel selection, before any test flips it.
-var cpuAVX2, cpuAVX512, cpuFMA = haveAVX2, haveAVX512, haveFMA
+var cpuAVX2, cpuAVX512 = haveAVX2, haveAVX512
 
 // kernelChoices names the implementations every kernel test runs: the
 // AVX-512 kernels (the 8-lane rows and the attention blocks, with the AVX2
 // score kernel under the per-row attention path; skipped where the CPU lacks
-// AVX-512), the AVX2 assembly alone (skipped where it lacks AVX2; exp and
-// GELU vectorised in both where it has FMA), and the Go kernels.
+// AVX-512), the AVX2 assembly alone (skipped where it lacks AVX2 or FMA),
+// and the Go kernels.
 type kernelChoice struct {
 	name         string
 	avx2, avx512 bool
@@ -30,21 +30,21 @@ var kernelChoices = []kernelChoice{
 func (kc kernelChoice) missing() string {
 	switch {
 	case kc.avx2 && !cpuAVX2:
-		return "no AVX2 on this machine"
+		return "no AVX2 and FMA on this machine (" + Kernels() + ")"
 	case kc.avx512 && !cpuAVX512:
 		return "no AVX-512 on this machine (" + Kernels() + ")"
 	}
 	return ""
 }
 
-// with runs f on the choice's kernels: AVX2 on or off (the exp and GELU rows
-// follow it where the CPU has FMA), and on top of it the AVX-512 ones.
-// Serial tests only (the flags are package state).
+// with runs f on the choice's kernels: the AVX2 assembly on or off, and on
+// top of it the AVX-512 kernels. Serial tests only (the flags are package
+// state).
 func (kc kernelChoice) with(t testing.TB, f func()) {
 	t.Helper()
-	old2, old512, oldFMA := haveAVX2, haveAVX512, haveFMA
-	haveAVX2, haveAVX512, haveFMA = kc.avx2, kc.avx512, kc.avx2 && cpuFMA
-	defer func() { haveAVX2, haveAVX512, haveFMA = old2, old512, oldFMA }()
+	old2, old512 := haveAVX2, haveAVX512
+	haveAVX2, haveAVX512 = kc.avx2, kc.avx512
+	defer func() { haveAVX2, haveAVX512 = old2, old512 }()
 	f()
 }
 
@@ -98,8 +98,8 @@ func firstBitDiff(got, want []float64) int {
 
 // mulRowRangeRef is the specification of mulRowRange, one output element at
 // a time: start from +0.0 or from out, walk the ranks in ascending order,
-// skip a coefficient that equals zero, round each product before adding it,
-// then add the column's bias (if any) to the finished chain.
+// skip a coefficient that equals zero, fuse each product into the chain with
+// one rounding, then add the column's bias (if any) to the finished chain.
 func mulRowRangeRef(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool, bias []float64) {
 	for i := lo; i < hi; i++ {
 		for j := 0; j < n; j++ {
@@ -109,7 +109,7 @@ func mulRowRangeRef(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero boo
 			}
 			for p := 0; p < k; p++ {
 				if av := a[i*k+p]; av != 0 {
-					acc += float64(av * b[p*bstride+c0+j])
+					acc = fma(av, b[p*bstride+c0+j], acc)
 				}
 			}
 			if bias != nil {
@@ -125,17 +125,64 @@ func mulRowRangeRef(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero boo
 type mulCase struct {
 	m, lo, k, n, c0, pad int // rows [lo, m) of an m×k A; bstride = c0+n+pad
 	zero, bias           bool
-	specials             int // fillKernelInput's `every`
+	specials             int  // fillKernelInput's `every`
+	pairs                bool // plant plantPairCoefficients' patterns in A
 }
 
 type mulBufs struct{ out, a, b, bias *guardBuf }
 
 func newMulBufs(t testing.TB, maxDim int) mulBufs {
 	return mulBufs{
-		out:  newGuardBuf(t, maxDim*maxDim),
+		out:  newGuardBuf(t, maxDim*(2*maxDim+16)),
 		a:    newGuardBuf(t, maxDim*maxDim),
 		b:    newGuardBuf(t, maxDim*(2*maxDim+16)),
-		bias: newGuardBuf(t, maxDim),
+		bias: newGuardBuf(t, 2*maxDim+16),
+	}
+}
+
+// pairCase is a mulCase for the AVX-512 kernel's two-row tile: 1–9 rows
+// (odd counts end on the one-row loop) at least 64 columns wide, with the
+// per-row coefficient patterns planted. It fits newMulBufs(maxDim) for
+// maxDim ≥ 64.
+func pairCase(rng *rand.Rand, maxDim int) mulCase {
+	lo := rng.Intn(3)
+	return mulCase{
+		m: lo + 1 + rng.Intn(9), lo: lo, k: 1 + rng.Intn(maxDim), n: 64 + rng.Intn(maxDim),
+		c0: rng.Intn(8), pad: rng.Intn(9), zero: rng.Intn(2) == 0, bias: rng.Intn(2) == 0, pairs: true,
+	}
+}
+
+// plantPairCoefficients overwrites A's coefficients so that at every rank
+// each pair of rows (lo, lo+1), (lo+2, lo+3), … takes one of the two-row
+// tile's cases — both live, only the first zero, only the second zero, both
+// zero (of either sign) — or carries a NaN in one row, which is not a zero
+// and is never skipped. An odd last row is live, zero or NaN.
+func plantPairCoefficients(rng *rand.Rand, a []float64, lo, m, k int) {
+	zero := func() float64 { return []float64{0, math.Copysign(0, -1)}[rng.Intn(2)] }
+	for i := lo; i < m; i += 2 {
+		for p := 0; p < k; p++ {
+			r0 := &a[i*k+p]
+			if i+1 == m {
+				switch rng.Intn(3) {
+				case 1:
+					*r0 = zero()
+				case 2:
+					*r0 = math.NaN()
+				}
+				continue
+			}
+			r1 := &a[(i+1)*k+p]
+			switch rng.Intn(5) {
+			case 1:
+				*r0 = zero()
+			case 2:
+				*r1 = zero()
+			case 3:
+				*r0, *r1 = zero(), zero()
+			case 4:
+				*[]*float64{r0, r1}[rng.Intn(2)] = math.NaN()
+			}
+		}
 	}
 }
 
@@ -151,6 +198,9 @@ func checkMulRowRange(t testing.TB, bufs mulBufs, rng *rand.Rand, c mulCase) {
 	fillKernelInput(rng, a, c.specials)
 	fillKernelInput(rng, b, c.specials)
 	fillKernelInput(rng, out0, c.specials)
+	if c.pairs {
+		plantPairCoefficients(rng, a, c.lo, c.m, c.k)
+	}
 	var bias []float64
 	if c.bias {
 		bias = bufs.bias.tail(c.n)
@@ -179,16 +229,21 @@ func checkMulRowRange(t testing.TB, bufs mulBufs, rng *rand.Rand, c mulCase) {
 // one-element-at-a-time reference in every bit, over random shapes that mix
 // all tile widths with a masked tail, column offsets into a wider B, both
 // accumulation modes, with and without a bias, and planted zeros, −0.0,
-// ±Inf, NaN and subnormals.
+// ±Inf, NaN and subnormals; and, every other trial, over pairCase's 1–9
+// rows with each row's coefficients zero, live or NaN independently of its
+// partner's.
 func TestMulRowRangeBitExact(t *testing.T) {
 	const maxDim = 70
 	bufs := newMulBufs(t, maxDim)
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 600; trial++ {
+	for trial := 0; trial < 800; trial++ {
 		m := 1 + rng.Intn(maxDim)
 		c := mulCase{
 			m: m, lo: rng.Intn(m), k: 1 + rng.Intn(maxDim), n: 1 + rng.Intn(maxDim),
 			c0: rng.Intn(maxDim), pad: rng.Intn(9), zero: rng.Intn(2) == 0, bias: rng.Intn(2) == 0,
+		}
+		if trial%2 == 1 {
+			c = pairCase(rng, maxDim)
 		}
 		switch trial % 3 { // clean, sprinkled, saturated with specials
 		case 1:
@@ -228,22 +283,31 @@ func TestMulRowRangeModelShapes(t *testing.T) {
 	}
 }
 
+// FuzzMulRowRange runs random shapes against the reference on every kernel;
+// with pairs set, the two-row tile's: pairCase's rows, widths and
+// per-row coefficient patterns.
 func FuzzMulRowRange(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), true, uint8(0))
-	f.Add(int64(2), uint8(6), uint8(63), uint8(62), uint8(5), uint8(3), false, uint8(2))
-	f.Add(int64(3), uint8(1), uint8(8), uint8(35), uint8(0), uint8(0), true, uint8(12))
-	f.Add(int64(4), uint8(69), uint8(69), uint8(69), uint8(69), uint8(8), false, uint8(5))
-	f.Add(int64(5), uint8(2), uint8(17), uint8(2), uint8(40), uint8(1), true, uint8(1))
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), true, uint8(0), false)
+	f.Add(int64(2), uint8(6), uint8(63), uint8(62), uint8(5), uint8(3), false, uint8(2), false)
+	f.Add(int64(3), uint8(1), uint8(8), uint8(35), uint8(0), uint8(0), true, uint8(12), false)
+	f.Add(int64(4), uint8(69), uint8(69), uint8(69), uint8(69), uint8(8), false, uint8(5), false)
+	f.Add(int64(5), uint8(2), uint8(17), uint8(2), uint8(40), uint8(1), true, uint8(1), false)
+	f.Add(int64(6), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), true, uint8(0), true)
+	f.Add(int64(7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), false, uint8(3), true)
 	const maxDim = 70
 	bufs := newMulBufs(f, maxDim)
-	f.Fuzz(func(t *testing.T, seed int64, m, k, n, c0, pad uint8, zero bool, specials uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, m, k, n, c0, pad uint8, zero bool, specials uint8, pairs bool) {
 		rng := rand.New(rand.NewSource(seed))
 		rows := 1 + int(m)%maxDim
-		checkMulRowRange(t, bufs, rng, mulCase{
+		c := mulCase{
 			m: rows, lo: rng.Intn(rows), k: 1 + int(k)%maxDim, n: 1 + int(n)%maxDim,
 			c0: int(c0) % maxDim, pad: int(pad) % 9, zero: zero, bias: rng.Intn(2) == 0,
-			specials: int(specials) % 16,
-		})
+		}
+		if pairs {
+			c = pairCase(rng, maxDim)
+		}
+		c.specials = int(specials) % 16
+		checkMulRowRange(t, bufs, rng, c)
 	})
 }
 
@@ -462,33 +526,69 @@ func fmaTriple(t *testing.T) (a, x, y float64) {
 	return a, x, y
 }
 
-// No kernel may contract a product and a sum into one rounding: the
-// assembly issues VMULPD then VADDPD, and the Go kernels convert every
-// product explicitly so that compilers which fuse x*y+z (arm64, ppc64,
-// s390x, riscv64) may not. Each rank position of each blocking (scalar
-// axpy, axpy4, axpy8 and their mixes) carries the discriminating product
-// once, surrounded by ranks that add +0.0.
-func TestNoFMAContraction(t *testing.T) {
+// fma rounds x·y + z once on every path: where x·y underflows, the zero it
+// rounds to keeps the exact product's sign against a zero accumulator of
+// either sign, which the library's software math.FMA (run this under
+// GODEBUG=cpu.fma=off) gets wrong against +0. Zero products, the fmaTriple
+// and an ordinary rounding are there too.
+func TestFMAOneRounding(t *testing.T) {
+	negZero := math.Copysign(0, -1)
 	a, x, y := fmaTriple(t)
+	for _, c := range []struct{ x, y, z, want float64 }{
+		{0x1p-600, -0x1p-600, 0, negZero},
+		{-0x1p-600, 0x1p-500, 0, negZero},
+		{0x1p-600, -0x1p-600, negZero, negZero},
+		{-0x1p-600, -0x1p-600, 0, 0},
+		{-0x1p-600, -0x1p-600, negZero, 0},
+		{0, -1, 0, 0},
+		{negZero, 1, negZero, negZero},
+		{negZero, 1, 0, 0},
+		{0x1p-537, 0x1p-537, 0, 0x1p-1074},
+		{a, x, y, 0x1p-60},
+		{1 + 0x1p-52, 1 + 0x1p-52, 0, 1 + 0x1p-51},
+	} {
+		if got := fma(c.x, c.y, c.z); math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("fma(%g, %g, %g) = %g (%#x), want %g (%#x)", c.x, c.y, c.z, got, math.Float64bits(got), c.want, math.Float64bits(c.want))
+		}
+	}
+}
+
+// Every mul-add of a chain is fused, one rounding: the assembly issues
+// VFMADD231PD and the Go kernels call fma, so y + a·x is 2⁻⁶⁰ on every
+// kernel and every build, where rounding the product first would give 0.
+// Each rank position of each blocking (scalar axpy, axpy4, axpy8 and their
+// mixes) carries the discriminating product once, surrounded by ranks that
+// add +0.0, in three rows: both rows of the AVX-512 kernel's two-row tile
+// and the odd row after them, which the one-row loop runs. The score
+// kernels and the graph MatMulNT over them carry it in a key's second
+// product.
+func TestMulAddIsFused(t *testing.T) {
+	a, x, y := fmaTriple(t)
+	fused := math.FMA(a, x, y)
 	eachKernel(t, func(t *testing.T) {
+		const rows = 3
 		for _, k := range []int{1, 3, 4, 8, 13} {
 			for pos := 0; pos < k; pos++ {
-				for _, n := range []int{1, 4, 37, 75} {
-					arow := make([]float64, k)
+				for _, n := range []int{1, 4, 37, 75, 130} {
+					arows := make([]float64, rows*k)
 					b := make([]float64, k*n)
-					out := make([]float64, n)
-					for p := range arow {
-						arow[p] = 1 // times a +0.0 row of b: adds nothing, fused or not
+					out := make([]float64, rows*n)
+					for p := range arows {
+						arows[p] = 1 // times a +0.0 row of b: adds nothing, fused or not
 					}
-					arow[pos] = a
+					for i := 0; i < rows; i++ {
+						arows[i*k+pos] = a
+					}
 					for j := 0; j < n; j++ {
 						b[pos*n+j] = x
-						out[j] = y
 					}
-					mulRowRange(out, arow, b, 0, 1, k, n, n, 0, false, nil)
-					for j, v := range out {
-						if v != 0 {
-							t.Fatalf("k=%d pos=%d n=%d: out[%d] = %g, want 0 (a fused multiply-add leaves 2^-60)", k, pos, n, j, v)
+					for i := range out {
+						out[i] = y
+					}
+					mulRowRange(out, arows, b, 0, rows, k, n, n, 0, false, nil)
+					for i, v := range out {
+						if v != fused {
+							t.Fatalf("k=%d pos=%d n=%d: row %d, out[%d] = %g, want the fused 2^-60", k, pos, n, i/n, i%n, v)
 						}
 					}
 				}
@@ -509,16 +609,16 @@ func TestNoFMAContraction(t *testing.T) {
 				srow := make([]float64, n)
 				scoreRow(srow, q, kvp, 0, hd, 0, n, hd, 1, math.Inf(-1))
 				for j, v := range srow {
-					if v != 0 {
-						t.Fatalf("scoreRow hd=%d, %d keys: score[%d] = %g, want 0", hd, n, j, v)
+					if v != fused {
+						t.Fatalf("scoreRow hd=%d, %d keys: score[%d] = %g, want the fused 2^-60", hd, n, j, v)
 					}
 				}
 			}
 		}
+		if got := MatMulNT(FromSlice(1, 5, []float64{1, 0, 0, 0, a}), FromSlice(1, 5, []float64{y, 0, 0, 0, x})).Data[0]; got != fused {
+			t.Fatalf("MatMulNT: %g, want the fused 2^-60", got)
+		}
 	})
-	if got := dot([]float64{1, 0, 0, 0, a}, []float64{y, 0, 0, 0, x}); got != 0 {
-		t.Fatalf("dot: %g, want 0", got)
-	}
 }
 
 // The callers above the kernels — a packed projection with a bias, the

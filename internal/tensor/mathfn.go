@@ -55,6 +55,22 @@ func Exp(x float64) float64 {
 	}
 }
 
+// fma is x·y + z with one rounding, the step of every mul-add chain in the
+// Go kernels (the assembly's VFMADD231PD). It is math.FMA, which is hardware
+// on amd64 with FMA, arm64, ppc64le, s390x and riscv64, and software
+// elsewhere (GODEBUG=cpu.fma=off included). The software path computes x·y +
+// z in two steps when z is a zero, so an x·y that underflows to −0 plus a +0
+// accumulator gives +0 there, where the one rounding — the hardware's answer
+// — keeps the exact product's sign. The branch below gives that answer on
+// both: with z and the result zero and x, y not, the exact sum is x·y, and
+// rounding it is rounding the product.
+func fma(x, y, z float64) float64 {
+	if r := math.FMA(x, y, z); r != 0 || z != 0 || x == 0 || y == 0 {
+		return r
+	}
+	return x * y
+}
+
 // tanh is math.tanh's arms in its order, over Exp, with every product that
 // feeds a sum rounded on its own (as the GELU kernel's VMULPD/VADDPD are).
 // Tanh is the graph op.

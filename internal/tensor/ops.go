@@ -14,14 +14,18 @@ func MatMul(a, b *Tensor) *Tensor {
 	matmulInto(out.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
 	if out.requiresGrad {
 		out.backward = func() {
-			// dA = dOut × Bᵀ ; dB = Aᵀ × dOut
+			// dA += dOut × Bᵀ ; dB += Aᵀ × dOut
 			if a.requiresGrad {
 				a.ensureGrad()
-				matmulNTInto(a.Grad, out.Grad, b.Data, a.Rows, b.Cols, a.Cols, true)
+				withTransposed(b.Data, b.Rows, b.Cols, func(bt []float64) {
+					matmulAccInto(a.Grad, out.Grad, bt, a.Rows, b.Cols, a.Cols)
+				})
 			}
 			if b.requiresGrad {
 				b.ensureGrad()
-				matmulTNInto(b.Grad, a.Data, out.Grad, a.Cols, a.Rows, b.Cols, true)
+				withTransposed(a.Data, a.Rows, a.Cols, func(at []float64) {
+					matmulAccInto(b.Grad, at, out.Grad, a.Cols, a.Rows, b.Cols)
+				})
 			}
 		}
 	}
@@ -34,21 +38,39 @@ func MatMulNT(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulNT shape mismatch %dx%d × (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := result(a.Rows, b.Rows, []*Tensor{a, b}, nil)
-	matmulNTInto(out.Data, a.Data, b.Data, a.Rows, a.Cols, b.Rows, false)
+	matmulNTInto(out.Data, a.Data, b.Data, a.Rows, a.Cols, b.Rows)
 	if out.requiresGrad {
 		out.backward = func() {
-			// out = A Bᵀ: dA = dOut × B ; dB = dOutᵀ × A
+			// out = A Bᵀ: dA += dOut × B ; dB += dOutᵀ × A
 			if a.requiresGrad {
 				a.ensureGrad()
 				matmulAccInto(a.Grad, out.Grad, b.Data, a.Rows, b.Rows, a.Cols)
 			}
 			if b.requiresGrad {
 				b.ensureGrad()
-				matmulTNInto(b.Grad, out.Grad, a.Data, b.Rows, a.Rows, a.Cols, true)
+				withTransposed(out.Grad, out.Rows, out.Cols, func(gt []float64) {
+					matmulAccInto(b.Grad, gt, a.Data, b.Rows, a.Rows, a.Cols)
+				})
 			}
 		}
 	}
 	return out
+}
+
+// withTransposed runs f on x (rows×cols) transposed into arena scratch, so
+// a backward product with a transposed operand runs on the row kernels,
+// with the chains the matmul reference specifies.
+func withTransposed(x []float64, rows, cols int, f func(t []float64)) {
+	t, pooled := allocDataDirty(rows * cols)
+	for i := 0; i < rows; i++ {
+		for j, v := range x[i*cols : (i+1)*cols] {
+			t[j*rows+i] = v
+		}
+	}
+	f(t)
+	if pooled {
+		freeData(t)
+	}
 }
 
 // matmulInto computes out = A(m×k) × B(k×n), overwriting out. Output rows
@@ -74,111 +96,39 @@ func matmulAccInto(out, a, b []float64, m, k, n int) {
 // every A row of a shard.
 const ntTileRows = 48
 
-// matmulNTInto computes out (+)= A(m×k) × B(n×k)ᵀ — the attention-score
-// kernel. Rows of out are sharded across the worker pool and the inner
-// loops are cache-blocked over B's rows so each tile of B is reused across
-// the shard's A rows instead of streaming the whole of B per row.
-func matmulNTInto(out, a, b []float64, m, k, n int, accumulate bool) {
+// matmulNTInto computes out = A(m×k) × B(n×k)ᵀ — the composed attention
+// scores — on scoreRow at scale 1 (exact): FusedAttentionCore's score
+// kernel, so the two paths' scores are one computation. Rows of out are
+// sharded across the worker pool and the inner loops are cache-blocked over
+// B's rows so each tile of B is reused across the shard's A rows instead of
+// streaming the whole of B per row.
+func matmulNTInto(out, a, b []float64, m, k, n int) {
 	parallelRows(m, k*n, func(lo, hi int) {
 		for j0 := 0; j0 < n; j0 += ntTileRows {
-			j1 := j0 + ntTileRows
-			if j1 > n {
-				j1 = n
-			}
+			j1 := min(j0+ntTileRows, n)
 			for i := lo; i < hi; i++ {
-				arow := a[i*k : (i+1)*k]
-				orow := out[i*n : (i+1)*n]
-				for j := j0; j < j1; j++ {
-					s := dot(arow, b[j*k:(j+1)*k])
-					if accumulate {
-						orow[j] += s
-					} else {
-						orow[j] = s
-					}
-				}
+				scoreRow(out[i*n:(i+1)*n], a[i*k:(i+1)*k], b, 0, k, j0, j1, k, 1, math.Inf(-1))
 			}
 		}
 	})
 }
 
-// dot computes the inner product of equal-length slices with 4-way
-// unrolling; this kernel dominates attention-score computation. Products
-// are rounded before they are added on every build (see axpy4).
-func dot(a, b []float64) float64 {
-	var s0, s1, s2, s3 float64
-	n := len(a)
-	b = b[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += float64(a[i] * b[i])
-		s1 += float64(a[i+1] * b[i+1])
-		s2 += float64(a[i+2] * b[i+2])
-		s3 += float64(a[i+3] * b[i+3])
-	}
-	for ; i < n; i++ {
-		s0 += float64(a[i] * b[i])
-	}
-	return s0 + s1 + s2 + s3
-}
-
-// axpy computes y += alpha * x with 4-way unrolling; this kernel dominates
-// the remaining matmul variants. Products are rounded before they are added
-// on every build (see axpy4).
+// axpy computes y += alpha * x with 4-way unrolling, the Go row kernel's
+// one-rank step. Each product is fused into its element, one rounding (see
+// axpy4).
 func axpy(alpha float64, x, y []float64) {
 	n := len(y)
 	x = x[:n]
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		y[i] += float64(alpha * x[i])
-		y[i+1] += float64(alpha * x[i+1])
-		y[i+2] += float64(alpha * x[i+2])
-		y[i+3] += float64(alpha * x[i+3])
+		y[i] = fma(alpha, x[i], y[i])
+		y[i+1] = fma(alpha, x[i+1], y[i+1])
+		y[i+2] = fma(alpha, x[i+2], y[i+2])
+		y[i+3] = fma(alpha, x[i+3], y[i+3])
 	}
 	for ; i < n; i++ {
-		y[i] += float64(alpha * x[i])
+		y[i] = fma(alpha, x[i], y[i])
 	}
-}
-
-// matmulTNInto computes out (+)= A(k×m)ᵀ × B(k×n), producing m×n. The
-// sequential path keeps the cache-friendly p-major loop; when sharded, each
-// worker owns a disjoint range of output rows and accumulates over p in the
-// same ascending order, so both paths round identically.
-func matmulTNInto(out, a, b []float64, m, k, n int, accumulate bool) {
-	parallelRows(m, k*n, func(lo, hi int) {
-		if lo == 0 && hi == m {
-			if !accumulate {
-				for i := range out[:m*n] {
-					out[i] = 0
-				}
-			}
-			for p := 0; p < k; p++ {
-				arow := a[p*m : (p+1)*m]
-				brow := b[p*n : (p+1)*n]
-				for i, av := range arow {
-					if av == 0 {
-						continue
-					}
-					axpy(av, brow, out[i*n:(i+1)*n])
-				}
-			}
-			return
-		}
-		for i := lo; i < hi; i++ {
-			orow := out[i*n : (i+1)*n]
-			if !accumulate {
-				for x := range orow {
-					orow[x] = 0
-				}
-			}
-			for p := 0; p < k; p++ {
-				av := a[p*m+i]
-				if av == 0 {
-					continue
-				}
-				axpy(av, b[p*n:(p+1)*n], orow)
-			}
-		}
-	})
 }
 
 // Add returns a + b (same shape).

@@ -82,7 +82,7 @@ const (
 // row kernel retires four per instruction (measured 3.7× on the repro
 // shapes), so the same work is a quarter of the cost and the hand-off to
 // the pool has to be paid for by four times as much of it. The AVX-512 row
-// kernel is charged the same quarter although it is 1.2–1.5× faster again:
+// kernel is charged the same quarter although it is faster again:
 // leaving the sharding decisions where they were keeps its end-to-end gain
 // attributable to the kernel alone. Re-deriving the cost for it is a
 // separate, separately measured change.

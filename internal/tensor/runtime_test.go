@@ -34,10 +34,9 @@ func TestParallelMatMulEquivalence(t *testing.T) {
 		a := benchTensor(rng, m, k)
 		b := benchTensor(rng, k, n)
 		bt := benchTensor(rng, n, k) // for the NT kernel
-		at := benchTensor(rng, k, m) // for the TN kernel
 
-		var seq, par struct{ mm, acc, nt, tn []float64 }
-		run := func(dst *struct{ mm, acc, nt, tn []float64 }) {
+		var seq, par struct{ mm, acc, nt []float64 }
+		run := func(dst *struct{ mm, acc, nt []float64 }) {
 			dst.mm = make([]float64, m*n)
 			matmulInto(dst.mm, a.Data, b.Data, m, k, n)
 			dst.acc = make([]float64, m*n)
@@ -46,9 +45,7 @@ func TestParallelMatMulEquivalence(t *testing.T) {
 			}
 			matmulAccInto(dst.acc, a.Data, b.Data, m, k, n)
 			dst.nt = make([]float64, m*n)
-			matmulNTInto(dst.nt, a.Data, bt.Data, m, k, n, false)
-			dst.tn = make([]float64, m*n)
-			matmulTNInto(dst.tn, at.Data, b.Data, m, k, n, false)
+			matmulNTInto(dst.nt, a.Data, bt.Data, m, k, n)
 		}
 		withParallelism(t, 1, func() { run(&seq) })
 		withParallelism(t, 8, func() { run(&par) })
@@ -63,7 +60,6 @@ func TestParallelMatMulEquivalence(t *testing.T) {
 		check("matmulInto", seq.mm, par.mm)
 		check("matmulAccInto", seq.acc, par.acc)
 		check("matmulNTInto", seq.nt, par.nt)
-		check("matmulTNInto", seq.tn, par.tn)
 	}
 }
 
