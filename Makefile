@@ -1,4 +1,6 @@
-# Build/test/bench entry points for the Taste reproduction.
+# Build/test entry points for the Taste reproduction. The benchmark is
+# bash bench/run.sh (BENCHMARK.json); scripts/pairs.sh runs it on a parent
+# revision and on this tree in alternating pairs.
 
 GO ?= go
 
@@ -13,7 +15,7 @@ GO ?= go
 # publish/checkpoint traffic.
 RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/sherlock/... ./internal/baselines/... ./internal/cache/... ./internal/pipeline/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
 
-.PHONY: build vet vet-arm64 test race race-all bench-check fuzz ci bench bench-fleet bench-cache bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
+.PHONY: build vet vet-arm64 test race race-all bench-check fuzz ci bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
 
 build:
 	$(GO) build ./...
@@ -96,31 +98,10 @@ ci: vet vet-arm64 test race bench-check metrics-smoke fleet-smoke cache-smoke re
 race-all:
 	$(GO) test -race -timeout 45m $(RACE_PKGS) ./internal/core/...
 
-# bench runs the compute-runtime benchmark set (BENCH_1.json: matmul
-# kernels, attention forward, batched Phase-2 inference, end-to-end
-# detection), the training-runtime set (BENCH_5.json: sharded Adam and
-# one fine-tuning epoch, serial vs four gradient workers), the
-# fleet-serving set (BENCH_7.json: seeded open-/closed-loop load against
-# an in-process 3-replica fleet — latency quantiles, throughput, shed rate,
-# per-replica distribution), and the tiered-cache set (BENCH_8.json:
-# cold vs warm detect p50/p99, result-cache speedup, byte parity, plus a
-# Zipf-skewed fleet load run).
-bench:
-	scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_7.json BENCH_8.json
-
-# bench-fleet re-records only BENCH_7.json (the fleet suite trains a model,
-# so it dominates a full bench run's wall-clock).
-bench-fleet:
-	FLEET_ONLY=1 scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_7.json BENCH_8.json
-
-# bench-cache re-records only BENCH_8.json: cold/warm latency quantiles for
-# the latent and result tiers, the measured hit-path speedup, and the
-# cache-friendly Zipf load-generator run.
-bench-cache:
-	CACHE_ONLY=1 scripts/bench.sh BENCH_1.json BENCH_5.json BENCH_7.json BENCH_8.json
-
-# bench-smoke compiles and runs every benchmark exactly once — no timing
-# value, but it keeps the benchmark code from rotting between full runs.
+# bench-smoke compiles and runs every package micro-benchmark exactly once —
+# no timing value, but it keeps the benchmark code from rotting between full
+# runs. (The paper's experiments run through cmd/tastebench, the end-to-end
+# benchmark through bench/run.sh.)
 # The second pass repeats the kernel sets (the AVX-512 kernels, the AVX2
 # assembly and the Go kernels — matmul, attention at scan_cpu's shapes, the
 # score, exp and GELU rows: sub-benchmarks avx512/asm/generic) so they are
@@ -131,4 +112,3 @@ bench-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_1.json BENCH_5.json BENCH_7.json BENCH_8.json

@@ -10,9 +10,9 @@ import (
 // BenchmarkFineTuneEpoch measures one epoch of fine-tuning on a small
 // corpus, serial (par1) versus four data-parallel gradient workers (par4);
 // used with -cpuprofile to find hot spots. On a single-CPU runner
-// (GOMAXPROCS=1 — recorded in the BENCH_5 header) par4 tracks par1: the
-// workers time-slice one core, so the comparison records the trainer's
-// coordination overhead rather than speedup.
+// (GOMAXPROCS=1) par4 tracks par1: the workers time-slice one core, so the
+// comparison records the trainer's coordination overhead rather than
+// speedup.
 func BenchmarkFineTuneEpoch(b *testing.B) {
 	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.WikiTableProfile(40), 1)
 	tok := BuildVocabulary(ds.Train, ds.Registry.Names(), 3000)

@@ -191,6 +191,23 @@ func TestRunByName(t *testing.T) {
 	}
 }
 
+func TestRunTable7PrintsEveryPhase(t *testing.T) {
+	s := testSuite()
+	var buf bytes.Buffer
+	if err := s.Run("table7", &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "Table 7") {
+		t.Fatalf("report missing title:\n%s", out)
+	}
+	for _, phase := range []string{"s1", "s2", "s3", "s4"} {
+		if !strings.Contains(out, "\n"+phase+" ") {
+			t.Fatalf("report missing the %s row:\n%s", phase, out)
+		}
+	}
+}
+
 func TestOptionsFromVariant(t *testing.T) {
 	s := testSuite()
 	v := DefaultTaste()

@@ -7,11 +7,14 @@ import (
 )
 
 // Names of the runnable experiments, in presentation order.
-var AllExperiments = []string{"table2", "fig4", "table3", "table4", "fig5", "fig6", "fig7", "fig8", "ablations", "extras"}
+var AllExperiments = []string{"table2", "fig4", "table3", "table4", "fig5", "fig6", "fig7", "fig8", "table7", "ablations", "extras"}
 
-// Run executes one named experiment and writes its report to w.
+// Run executes one named experiment, or every experiment for "all", and
+// writes the reports to w. Names are case-insensitive.
 func (s *Suite) Run(name string, w io.Writer) error {
 	switch strings.ToLower(name) {
+	case "all":
+		return s.RunAll(w)
 	case "table2":
 		fmt.Fprintln(w, s.Table2())
 	case "fig4":
@@ -28,12 +31,14 @@ func (s *Suite) Run(name string, w io.Writer) error {
 		fmt.Fprintln(w, s.Fig7(nil))
 	case "fig8":
 		fmt.Fprintln(w, s.Fig8(nil, nil))
+	case "table7":
+		return s.TraceBreakdown(w)
 	case "ablations":
 		fmt.Fprintln(w, s.Ablations())
 	case "extras":
 		fmt.Fprintln(w, s.Extras())
 	default:
-		return fmt.Errorf("experiments: unknown experiment %q (have %s)", name, strings.Join(AllExperiments, ", "))
+		return fmt.Errorf("experiments: unknown experiment %q (have all, %s)", name, strings.Join(AllExperiments, ", "))
 	}
 	return nil
 }

@@ -24,9 +24,10 @@ var phaseDesc = map[string]string{
 
 // TraceBreakdown runs one traced pipelined detection over the Wiki test
 // split and prints the per-phase latency split in the spirit of the paper's
-// Table 7: where a detection request actually spends its time. Phase totals
-// are summed across tables, so with the pipelined scheduler they exceed the
-// wall time — that overlap is exactly what §5 buys.
+// Table 7 (experiment "table7"): where a detection request actually spends
+// its time. Phase totals are summed across tables, so with the pipelined
+// scheduler they exceed the wall time — that overlap is exactly what §5
+// buys.
 func (s *Suite) TraceBreakdown(w io.Writer) error {
 	model := s.TasteModel(Wiki, false)
 	det, err := core.NewDetector(model, s.options(DefaultTaste()))

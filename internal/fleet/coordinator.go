@@ -17,8 +17,7 @@ import (
 )
 
 // ReplicaHeader names the response header carrying which replica served a
-// routed request — the load generator builds its per-replica hit
-// distribution from it.
+// routed request.
 const ReplicaHeader = "X-Taste-Replica"
 
 // Config tunes a Coordinator.

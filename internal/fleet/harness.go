@@ -27,21 +27,15 @@ type HarnessConfig struct {
 	Seed int64
 	// Epochs fine-tunes the shared model (0 = 1).
 	Epochs int
-	// Coordinator tunes the fleet coordinator; Pool.ProbeInterval defaults
-	// to 200 ms when the whole struct is zero.
-	Coordinator Config
-	// DetectorOptions configures each replica's detector. Nil = the process
-	// defaults with the result cache switched on at 16 MiB — a serving
-	// fleet is exactly the deployment the memoization tier exists for, and
-	// the harness's repeated loadgen traffic should exercise it.
-	DetectorOptions *core.Options
 }
 
 // Harness is a fully wired local fleet: one trained model shared by
 // Replicas in-process tasted services (each with its own detector and
 // latent cache) behind a coordinator, everything on real loopback sockets.
-// tastebench's load-generator mode, examples/fleet, and the smoke tests all
-// drive fleets through this one constructor.
+// examples/fleet and the fleet tests drive fleets through this one
+// constructor. The coordinator probes replica health every 200 ms; each
+// replica's detector runs the process defaults with the result cache on at
+// 16 MiB, because a serving fleet is the deployment that tier exists for.
 type Harness struct {
 	Coordinator    *Coordinator
 	CoordinatorURL string
@@ -49,8 +43,7 @@ type Harness struct {
 	ReplicaURLs map[string]string
 	// Tenants lists the registered tenant database names.
 	Tenants []string
-	// TenantTables maps tenant → its table names (the load generator picks
-	// single-table targets from it).
+	// TenantTables maps tenant → its table names.
 	TenantTables map[string][]string
 
 	services []*service.Service
@@ -74,15 +67,6 @@ func StartLocal(cfg HarnessConfig) (*Harness, error) {
 	}
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 1
-	}
-	if cfg.Coordinator.Pool.ProbeInterval == 0 {
-		cfg.Coordinator.Pool = DefaultPoolConfig()
-		cfg.Coordinator.Pool.ProbeInterval = 200 * time.Millisecond
-	}
-	if cfg.DetectorOptions == nil {
-		opts := core.DefaultOptions()
-		opts.ResultCacheBytes = 16 << 20
-		cfg.DetectorOptions = &opts
 	}
 
 	// One model trained once; replicas share its (read-only at inference)
@@ -134,9 +118,11 @@ func StartLocal(cfg HarnessConfig) (*Harness, error) {
 		return nil, err
 	}
 
+	opts := core.DefaultOptions()
+	opts.ResultCacheBytes = 16 << 20
 	for i := 0; i < cfg.Replicas; i++ {
 		name := fmt.Sprintf("replica%02d", i)
-		det, err := core.NewDetector(model, *cfg.DetectorOptions)
+		det, err := core.NewDetector(model, opts)
 		if err != nil {
 			return fail(fmt.Errorf("fleet harness: detector %s: %w", name, err))
 		}
@@ -155,7 +141,9 @@ func StartLocal(cfg HarnessConfig) (*Harness, error) {
 		h.ReplicaURLs[name] = "http://" + ln.Addr().String()
 	}
 
-	h.Coordinator = NewCoordinator(h.ReplicaURLs, cfg.Coordinator)
+	pool := DefaultPoolConfig()
+	pool.ProbeInterval = 200 * time.Millisecond
+	h.Coordinator = NewCoordinator(h.ReplicaURLs, Config{Pool: pool})
 	h.Coordinator.Start()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -1,17 +1,21 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/service"
 )
 
 // TestHarnessEndToEnd boots a small real fleet (trained model, live
-// sockets) and drives it with the closed-loop load generator: every
-// request must complete, traffic must reach more than one replica, and the
+// sockets) and sends it 12 single-table detects: every request must
+// complete, each must be served by the replica the ring names for its
+// database/table key, traffic must reach more than one replica, and the
 // coordinator's /metrics must aggregate real replica series.
 func TestHarnessEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -19,10 +23,12 @@ func TestHarnessEndToEnd(t *testing.T) {
 	}
 	h, err := StartLocal(HarnessConfig{
 		Replicas: 2,
-		Tables:   12,
-		Tenants:  2,
-		Seed:     7,
-		Epochs:   1,
+		// 40 tables leave four in the test split, which the ring spreads
+		// over both replicas.
+		Tables:  40,
+		Tenants: 2,
+		Seed:    7,
+		Epochs:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,42 +40,36 @@ func TestHarnessEndToEnd(t *testing.T) {
 		replicas = append(replicas, name)
 	}
 	sort.Strings(replicas)
-	lcfg := LoadConfig{
-		Mode:        "closed",
-		Concurrency: 2,
-		Requests:    12,
-		Seed:        7,
-		Targets:     h.TenantTables,
-		Replicas:    replicas,
-	}
-	rep, err := RunLoad(h.CoordinatorURL, lcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK+rep.Degraded != 12 || rep.Shed != 0 || rep.Unavailable != 0 || rep.OtherErrors != 0 {
-		t.Fatalf("load report: %+v", rep)
-	}
-	// The observed per-replica distribution must equal what the ring
-	// predicts for the seeded plan — placement is deterministic end to end.
-	want := make(map[string]int64)
-	for _, tgt := range planLoad(lcfg) {
-		key := tgt.database
-		if tgt.table != "" {
-			key += "/" + tgt.table
-		}
-		want[h.Coordinator.Ring().Owner(key)]++
-	}
-	for name, n := range want {
-		if rep.PerReplica[name] != n {
-			t.Fatalf("per-replica hits %v, ring predicts %v", rep.PerReplica, want)
+	var targets [][2]string
+	for _, tenant := range h.Tenants {
+		for _, table := range h.TenantTables[tenant] {
+			targets = append(targets, [2]string{tenant, table})
 		}
 	}
-	// Schema stability: every started replica must appear in the report,
-	// even with zero hits.
-	for _, name := range replicas {
-		if _, ok := rep.PerReplica[name]; !ok {
-			t.Fatalf("started replica %q absent from per-replica report: %v", name, rep.PerReplica)
+	if len(targets) == 0 {
+		t.Fatal("harness registered no tables")
+	}
+	served := make(map[string]int)
+	for i := 0; i < 12; i++ {
+		db, table := targets[i%len(targets)][0], targets[i%len(targets)][1]
+		body, _ := json.Marshal(service.DetectRequest{Database: db, Tables: []string{table}})
+		resp, err := http.Post(h.CoordinatorURL+"/v1/detect", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("detect %s/%s: status %d", db, table, resp.StatusCode)
+		}
+		got, want := resp.Header.Get(ReplicaHeader), h.Coordinator.Ring().Owner(db+"/"+table)
+		if got != want {
+			t.Fatalf("detect %s/%s served by %q, ring owner is %q", db, table, got, want)
+		}
+		served[got]++
+	}
+	if len(served) < 2 {
+		t.Fatalf("only %d replica(s) served traffic: %v", len(served), served)
 	}
 
 	// The coordinator's /v1/stats must surface each replica's tiered-cache
