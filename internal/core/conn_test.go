@@ -109,3 +109,68 @@ func TestDetectDatabaseOnMatchesWrapper(t *testing.T) {
 		}
 	})
 }
+
+// TestDetectDatabaseOnSchemaReadFault: the schema read is a bulk detect's one
+// metadata query. A transient fault on it is retried, and the report is the
+// fault-free one but for its retry count; a fault that outlasts the retries
+// fails the call before any table runs, as a failed ListTables did.
+func TestDetectDatabaseOnSchemaReadFault(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		mode ExecMode
+	}{
+		{"sequential", SequentialMode},
+		{"pipelined", ExecMode{Pipelined: true, Workers: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			det, ds := phase2Detector(t, 8)
+			tables := allTables(ds)
+			clean, err := det.DetectDatabase(ctx, newServerWith(tables), "tenant", tc.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// run arms the profile on an open connection, so the schema read
+			// takes the injector's first draw.
+			run := func(p simdb.FaultProfile) (*Report, error, simdb.AccountingSnapshot) {
+				t.Helper()
+				server := newServerWith(tables)
+				det2, _ := phase2Detector(t, 8) // fresh caches
+				conn, _, err := det2.Connect(ctx, server, "tenant")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				server.SetFaultProfile(p)
+				before := server.Accounting().Snapshot()
+				rep, err := det2.DetectDatabaseOn(ctx, conn, "tenant", tc.mode)
+				snap := server.Accounting().Snapshot()
+				snap.Queries -= before.Queries
+				return rep, err, snap
+			}
+
+			// Seed 2's first draw fails at p = 0.5 and its second succeeds.
+			rep, err, snap := run(simdb.FaultProfile{Seed: 2, QueryFailProb: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Faults != 1 || snap.Retries != 1 || rep.Retries != 1 {
+				t.Fatalf("faults %d, ledger retries %d, report retries %d: want the one schema-read fault retried once",
+					snap.Faults, snap.Retries, rep.Retries)
+			}
+			rep.Retries = 0
+			if a, b := canonReport(t, clean), canonReport(t, rep); a != b {
+				t.Fatalf("a retried schema read changed the report\nclean:   %s\nretried: %s", a, b)
+			}
+
+			rep, err, snap = run(simdb.FaultProfile{Seed: 2, QueryFailProb: 1})
+			if rep != nil || !simdb.IsTransient(err) {
+				t.Fatalf("report %v, err %v: want no report and the transient fault", rep, err)
+			}
+			if want := det.Opts.MaxRetries + 1; snap.Queries != want || snap.Faults != want || snap.ColumnsScanned != 0 {
+				t.Fatalf("queries %d, faults %d, scanned %d: want %d failed schema reads and nothing else",
+					snap.Queries, snap.Faults, snap.ColumnsScanned, want)
+			}
+		})
+	}
+}

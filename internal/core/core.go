@@ -482,6 +482,9 @@ type tableJob struct {
 	conn   *simdb.Conn
 	dbName string
 	table  string
+	// meta is the table's information_schema view from the batch's schema
+	// snapshot; nil for a single-table detect, whose s1 reads its own.
+	meta *simdb.TableMeta
 	// pf, when set, serves this job's storage reads from the batch's scan
 	// prefetcher; fwd, when set, counts the batch's content forwards.
 	pf      *prefetcher
@@ -527,8 +530,8 @@ func deadlineNear(ctx context.Context, margin time.Duration) (string, bool) {
 // are requested but statistics are absent — two round trips at most, since
 // ANALYZE replies with the refreshed metadata. Transient failures are
 // retried per the backoff policy; the retry count is returned for the
-// caller's table ledger. This is the synchronous path (DetectTable and
-// sequential batches); the prefetcher reads metadata in groups and shares
+// caller's table ledger. This is DetectTable's path; a bulk detect reads
+// every table's metadata in one schema query and shares
 // needsAnalyze/analyzeTable.
 func (d *Detector) fetchTableMeta(ctx context.Context, conn *simdb.Conn, table string) (*simdb.TableMeta, int, error) {
 	var tm *simdb.TableMeta
@@ -577,19 +580,22 @@ func (d *Detector) analyzeTable(ctx context.Context, conn *simdb.Conn, table str
 	return tm, retries, err
 }
 
-// s1PrepMetadata takes the table's metadata — from the batch prefetcher's
-// future, which the stage was gated on, or synchronously when there is no
-// prefetcher — and builds the chunked table view.
+// s1PrepMetadata takes the table's metadata — from the batch's schema
+// snapshot, refreshed by ANALYZE when histograms need statistics it lacks
+// (the prefetcher's future, which the stage was gated on, or a synchronous
+// call without a prefetcher), or read on its own for a single-table detect —
+// and builds the chunked table view.
 func (j *tableJob) s1PrepMetadata(ctx context.Context) error {
-	var tm *simdb.TableMeta
-	var n int
-	var err error
-	ok := false
-	if j.pf != nil {
-		tm, n, err, ok = j.pf.awaitMeta(j.table)
-	}
-	if !ok {
+	tm, n, err := j.meta, 0, error(nil)
+	switch {
+	case tm == nil:
 		tm, n, err = j.d.fetchTableMeta(ctx, j.conn, j.table)
+	case j.d.needsAnalyze(tm):
+		if f := j.pf.await(analyzeRead, j.table); f != nil {
+			tm, n, err = f.tm, f.retries, f.err
+		} else {
+			tm, n, err = j.d.analyzeTable(ctx, j.conn, j.table)
+		}
 	}
 	j.retries += n
 	if err != nil {
@@ -755,14 +761,12 @@ func (j *tableJob) s3PrepContent(ctx context.Context) error {
 	var content map[string][]string
 	var n int
 	var err error
-	ok := false
-	if j.pf != nil {
-		// Consume the scan s2 started (same columns, same options), which
-		// the stage was gated on; falls through to the synchronous path
-		// when the byte brake skipped it.
-		content, n, err, ok = j.pf.awaitScan(j.table)
-	}
-	if !ok {
+	// Consume the scan s2 started (same columns, same options), which the
+	// stage was gated on; without one (no prefetcher, or the byte brake
+	// skipped it) the stage scans synchronously.
+	if f := j.pf.await(scanRead, j.table); f != nil {
+		content, n, err = f.content, f.retries, f.err
+	} else {
 		names := make([]string, len(j.uncertain))
 		for i, g := range j.uncertain {
 			names[i] = j.info.Columns[g].Name
@@ -967,9 +971,9 @@ func isUncertain(probs []float64, alpha, beta float64) bool {
 // stages exposes the job's four ordered stages for the scheduler, each
 // wrapped with its duration histogram and (when the request is traced) a
 // span named "s<N>:<table>". Under a prefetcher the two prep stages are
-// gated on the storage read they consume, so the scheduler parks the table —
-// not a worker — while the read is on the wire, and every stage's duration
-// feeds the prefetcher's depth estimate.
+// gated on the storage read they consume (s1 on an ANALYZE, s3 on a scan),
+// so the scheduler parks the table — not a worker — while the read is on the
+// wire, and every stage's duration feeds the prefetcher's depth estimate.
 func (j *tableJob) stages() []pipeline.Stage {
 	raw := []pipeline.Stage{
 		{Kind: pipeline.Prep, Name: j.table + "/p1-prep", Run: j.s1PrepMetadata},
@@ -979,8 +983,8 @@ func (j *tableJob) stages() []pipeline.Stage {
 	}
 	var busy func(stage int, d time.Duration)
 	if pf := j.pf; pf != nil {
-		raw[0].Ready = func() <-chan struct{} { return pf.metaReady(j.table) }
-		raw[2].Ready = func() <-chan struct{} { return pf.scanReady(j.table) }
+		raw[0].Ready = func() <-chan struct{} { return pf.ready(analyzeRead, j.table) }
+		raw[2].Ready = func() <-chan struct{} { return pf.ready(scanRead, j.table) }
 		busy = pf.observeBusy
 	}
 	for i := range raw {
@@ -1058,28 +1062,31 @@ func (d *Detector) DetectDatabase(ctx context.Context, server *simdb.Server, dbN
 
 // DetectDatabaseOn runs end-to-end detection over every table of a database
 // over an existing connection, the way DetectTable does for one table,
-// executing per the given mode. The connection stays open and is the
-// caller's to close or reuse; nothing reads from it once the call returns.
-// Per-table failures are collected in Report.Errors without aborting the
-// batch; tables whose Phase 1 completed before a deadline killed the batch
-// are salvaged with their unresolved columns degraded. A nil ctx means
-// context.Background().
+// executing per the given mode. It first reads every table's metadata in one
+// information_schema query (SchemaMetadata, retried like any metadata read;
+// a failure fails the call), so no table pays a metadata round trip of its
+// own. The connection stays open and is the caller's to close or reuse;
+// nothing reads from it once the call returns. Per-table failures are
+// collected in Report.Errors without aborting the batch; tables whose Phase
+// 1 completed before a deadline killed the batch are salvaged with their
+// unresolved columns degraded. A nil ctx means context.Background().
 func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbName string, mode ExecMode) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	var tables []string
-	_, listSpan := obs.StartSpan(ctx, "list_tables")
+	var metas []*simdb.TableMeta
+	_, schemaSpan := obs.StartSpan(ctx, "schema_metadata")
 	batchRetries, err := d.retry(ctx, conn.Accounting(), func() error {
 		var e error
-		tables, e = conn.ListTables(ctx)
+		metas, e = conn.SchemaMetadata(ctx)
 		return e
 	})
-	listSpan.End()
+	schemaSpan.End()
 	if err != nil {
 		return nil, err
 	}
+	schemaRead := time.Since(start)
 
 	cs0 := d.cache.Stats()
 	// One model for the whole batch: every table of the request is answered
@@ -1089,13 +1096,13 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 	var fwd atomic.Int64
 	var pf *prefetcher
 	if mode.Pipelined {
-		pf = newPrefetcher(ctx, d, conn, tables, mode.Workers, mode.PrefetchBytes)
+		pf = newPrefetcher(ctx, d, conn, metas, mode.Workers, mode.PrefetchBytes, schemaRead)
 	}
-	jobs := make([]*pipeline.Job, len(tables))
-	tjobs := make([]*tableJob, len(tables))
-	for i, t := range tables {
-		tjobs[i] = &tableJob{d: d, model: model, conn: conn, dbName: dbName, table: t, pf: pf, fwd: &fwd}
-		jobs[i] = &pipeline.Job{ID: t, Stages: tjobs[i].stages()}
+	jobs := make([]*pipeline.Job, len(metas))
+	tjobs := make([]*tableJob, len(metas))
+	for i, tm := range metas {
+		tjobs[i] = &tableJob{d: d, model: model, conn: conn, dbName: dbName, table: tm.Name, meta: tm, pf: pf, fwd: &fwd}
+		jobs[i] = &pipeline.Job{ID: tm.Name, Stages: tjobs[i].stages()}
 	}
 	sched := pipeline.Scheduler{Pipelined: mode.Pipelined, Workers: mode.Workers}
 	stats, err := sched.RunStats(ctx, jobs)

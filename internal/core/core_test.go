@@ -320,16 +320,18 @@ func TestCacheDisabledStillCorrect(t *testing.T) {
 	}
 }
 
-// TestHistogramVariantRunsAnalyze: ANALYZE replies with the metadata it
-// refreshed, so a cold table costs two metadata round trips (metadata,
-// analyze), not three — and a second pass, statistics in place, costs one.
-// The pipelined path reads the metadata in groups on top of that.
+// TestHistogramVariantRunsAnalyze: a bulk detect reads every table's
+// metadata in one schema query, and ANALYZE replies with the metadata it
+// refreshed, so in either mode a cold table costs exactly one ANALYZE and no
+// metadata read of its own, and a second pass, statistics in place, costs
+// the schema read alone.
 func TestHistogramVariantRunsAnalyze(t *testing.T) {
 	m, ds := trainedModel(t)
 	opts := DefaultOptions()
 	opts.UseHistogram = true
 	tables := len(ds.Test)
-	// queries spent on metadata: everything but list_tables and the scans.
+	// metaQueries runs one detect and returns the queries it spent on
+	// anything but scans.
 	metaQueries := func(s *simdb.Server, mode ExecMode) int {
 		t.Helper()
 		d, err := NewDetector(m, opts)
@@ -347,19 +349,17 @@ func TestHistogramVariantRunsAnalyze(t *testing.T) {
 				scans++
 			}
 		}
-		return s.Accounting().Snapshot().Queries - before - 1 - scans
+		return s.Accounting().Snapshot().Queries - before - scans
 	}
-	s := newServer(ds)
-	if got := metaQueries(s, SequentialMode); got != 2*tables {
-		t.Fatalf("cold sequential pass: %d metadata queries for %d tables, want %d", got, tables, 2*tables)
-	}
-	if got := metaQueries(s, SequentialMode); got != tables {
-		t.Fatalf("analyzed sequential pass: %d metadata queries for %d tables, want %d", got, tables, tables)
-	}
-	// Pipelined and cold: one ANALYZE per table plus the grouped reads, of
-	// which there are at most one per table.
-	if got := metaQueries(newServer(ds), PipelinedMode()); got <= tables || got > 2*tables {
-		t.Fatalf("cold pipelined pass: %d metadata queries for %d tables, want (%d, %d]", got, tables, tables, 2*tables)
+	for _, mode := range []ExecMode{SequentialMode, PipelinedMode()} {
+		s := newServer(ds)
+		if got := metaQueries(s, mode); got != 1+tables {
+			t.Fatalf("pipelined=%v, cold pass: %d metadata queries for %d tables, want %d (the schema read, one ANALYZE a table)",
+				mode.Pipelined, got, tables, 1+tables)
+		}
+		if got := metaQueries(s, mode); got != 1 {
+			t.Fatalf("pipelined=%v, analyzed pass: %d metadata queries, want the schema read alone", mode.Pipelined, got)
+		}
 	}
 }
 

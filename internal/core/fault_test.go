@@ -339,6 +339,9 @@ func TestFaultKindBattery(t *testing.T) {
 		profile simdb.FaultProfile
 	}{
 		{"connect", simdb.FaultProfile{Seed: 21, ConnectFailProb: 0.5}},
+		// A bulk detect makes one metadata query, the schema read: seed 22's
+		// second draw (the connect is the first) faults it, and the retry
+		// succeeds.
 		{"query", simdb.FaultProfile{Seed: 22, QueryFailProb: 0.3}},
 		{"scan", simdb.FaultProfile{Seed: 23, ScanFailProb: 0.5}},
 		{"midscan", simdb.FaultProfile{Seed: 24, MidScanDropProb: 0.5}},

@@ -54,11 +54,13 @@ func newServerWith(tables []*corpus.Table) *simdb.Server {
 	return s
 }
 
-// TestPrefetcherParity: prefetched metadata and scans must be identical to
-// the synchronous reads they replace, with every future consumed (no waste,
-// no held bytes) when the batch runs to completion in table order.
+// TestPrefetcherParity: prefetched ANALYZE replies and scans must be
+// identical to the synchronous reads they replace, with every future
+// consumed (no waste, no held bytes) when the batch runs to completion in
+// table order.
 func TestPrefetcherParity(t *testing.T) {
 	det, ds := phase2Detector(t, 20)
+	det.Opts.UseHistogram = true
 	tables := allTables(ds)
 	server := simdb.NewServer(simdb.NoLatency)
 	server.LoadTables("tenant", tables)
@@ -68,27 +70,30 @@ func TestPrefetcherParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	names := tableNames(tables)
+	schema, err := conn.SchemaMetadata(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	pf := newPrefetcher(ctx, det, conn, names, 4, 0)
+	pf := newPrefetcher(ctx, det, conn, schema, 4, 0, 0)
 	for _, tb := range tables {
-		tm, _, err, ok := pf.awaitMeta(tb.Name)
-		if !ok || err != nil {
-			t.Fatalf("awaitMeta(%s): ok=%v err=%v", tb.Name, ok, err)
+		f := pf.await(analyzeRead, tb.Name)
+		if f == nil || f.err != nil {
+			t.Fatalf("await(analyze, %s): %+v", tb.Name, f)
 		}
 		direct, _, err := det.fetchTableMeta(ctx, conn, tb.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(tm, direct) {
-			t.Fatalf("table %s: prefetched metadata differs from direct fetch", tb.Name)
+		if !reflect.DeepEqual(f.tm, direct) {
+			t.Fatalf("table %s: prefetched ANALYZE differs from direct fetch", tb.Name)
 		}
 
 		cols := tableCols(tb)
 		pf.tryStartScan(tb.Name, cols)
-		content, _, err, ok := pf.awaitScan(tb.Name)
-		if !ok || err != nil {
-			t.Fatalf("awaitScan(%s): ok=%v err=%v", tb.Name, ok, err)
+		f = pf.await(scanRead, tb.Name)
+		if f == nil || f.err != nil {
+			t.Fatalf("await(scan, %s): %+v", tb.Name, f)
 		}
 		directScan, err := conn.ScanColumns(ctx, tb.Name, cols, simdb.ScanOptions{
 			Strategy: det.Opts.Strategy, Rows: det.Opts.RowsToRead, Seed: det.Opts.ScanSeed,
@@ -96,7 +101,7 @@ func TestPrefetcherParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(content, directScan) {
+		if !reflect.DeepEqual(f.content, directScan) {
 			t.Fatalf("table %s: prefetched scan differs from direct scan", tb.Name)
 		}
 	}
@@ -150,8 +155,9 @@ func TestPrefetcherBrakes(t *testing.T) {
 	tables := allTables(ds)
 	ctx := context.Background()
 
-	// Depth: with no sample yet the bound is one read in flight. Behind a
-	// round trip the first scan holds that slot while the next two queue.
+	// Depth: with no sample and no prior the bound is one read in flight.
+	// Behind a round trip the first scan holds that slot while the next two
+	// queue.
 	slow := simdb.NewServer(simdb.PaperLatency(4))
 	slow.LoadTables("tenant", tables)
 	conn, err := slow.Connect(ctx, "tenant")
@@ -159,22 +165,22 @@ func TestPrefetcherBrakes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	pf := newPrefetcher(ctx, det, conn, nil, 4, 0)
+	pf := newPrefetcher(ctx, det, conn, nil, 4, 0, 0)
 	for _, tb := range tables[:3] {
 		pf.tryStartScan(tb.Name, tableCols(tb))
 	}
 	pf.mu.Lock()
-	inflight, queued, skipped := pf.inflight[scanRead], len(pf.queue), pf.skipped
+	inflight, queued, skipped := pf.inflight, len(pf.queue), pf.skipped
 	pf.mu.Unlock()
 	if inflight != 1 || queued != 2 || skipped != 0 {
 		t.Fatalf("depth brake: inflight=%d queued=%d skipped=%d, want 1/2/0", inflight, queued, skipped)
 	}
 	for _, tb := range tables[:3] {
-		if pf.scanReady(tb.Name) == nil {
+		if pf.ready(scanRead, tb.Name) == nil {
 			t.Fatalf("table %s: a queued scan must still gate its s3", tb.Name)
 		}
-		if content, _, err, ok := pf.awaitScan(tb.Name); !ok || err != nil || len(content) == 0 {
-			t.Fatalf("queued scan of %s never ran: ok=%v err=%v", tb.Name, ok, err)
+		if f := pf.await(scanRead, tb.Name); f == nil || f.err != nil || len(f.content) == 0 {
+			t.Fatalf("queued scan of %s never ran: %+v", tb.Name, f)
 		}
 	}
 	pf.close()
@@ -190,17 +196,17 @@ func TestPrefetcherBrakes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	pf = newPrefetcher(ctx, det, conn2, nil, 4, 1)
+	pf = newPrefetcher(ctx, det, conn2, nil, 4, 1, 0)
 	pf.tryStartScan(tables[0].Name, tableCols(tables[0]))
-	<-pf.scanReady(tables[0].Name)
+	<-pf.ready(scanRead, tables[0].Name)
 	pf.tryStartScan(tables[1].Name, tableCols(tables[1]))
 	if pf.skipped != 1 || len(pf.queue) != 0 {
 		t.Fatalf("byte brake: skipped=%d queued=%d, want 1/0", pf.skipped, len(pf.queue))
 	}
-	if pf.scanReady(tables[1].Name) != nil {
+	if pf.ready(scanRead, tables[1].Name) != nil || pf.await(scanRead, tables[1].Name) != nil {
 		t.Fatal("a skipped scan must leave s3 ungated (synchronous fallback)")
 	}
-	if _, _, _, ok := pf.awaitScan(tables[0].Name); !ok {
+	if pf.await(scanRead, tables[0].Name) == nil {
 		t.Fatal("held scan must still be consumable")
 	}
 	pf.close()
@@ -210,15 +216,13 @@ func TestPrefetcherBrakes(t *testing.T) {
 }
 
 // TestPrefetchDepthRule drives the estimator with synthetic samples — no
-// clock, no storage: depth = 1 + ⌊latency × workers ÷ busy-per-table⌋.
+// clock, no storage: depth = 1 + ⌊latency × workers ÷ busy-per-table⌋, the
+// schema read's latency standing in until a scan returns.
 func TestPrefetchDepthRule(t *testing.T) {
 	ms := func(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
-	feed := func(e *depthEstimator, meta, scan time.Duration, stages [4]time.Duration) {
-		if meta > 0 {
-			e.observeLatency(metaRead, meta)
-		}
+	feed := func(e *depthEstimator, scan time.Duration, stages [4]time.Duration) {
 		if scan > 0 {
-			e.observeLatency(scanRead, scan)
+			e.observeLatency(scan)
 		}
 		for i, d := range stages {
 			e.observeBusy(i, d)
@@ -226,27 +230,23 @@ func TestPrefetchDepthRule(t *testing.T) {
 	}
 	stages := [4]time.Duration{ms(0.1), ms(2.9), ms(0.1), ms(4.9)} // 8 ms a table
 
-	e := &depthEstimator{workers: 4}
-	if e.depth(metaRead) != 1 || e.depth(scanRead) != 1 {
-		t.Fatal("no samples: depth must be 1")
+	if e := (&depthEstimator{workers: 4}); e.depth() != 1 {
+		t.Fatal("no samples, no prior: depth must be 1")
 	}
-	e.observeLatency(metaRead, ms(15))
+	e := &depthEstimator{workers: 4, prior: ms(15).Seconds()}
 	e.observeBusy(0, ms(0.005))
-	if e.depth(metaRead) != 1 {
+	if e.depth() != 1 {
 		t.Fatal("no forward has reported yet: s1's microseconds are no estimate, depth must stay 1")
 	}
 
-	// 15 ms × 4 workers ÷ 8 ms = 7.5 tables consumed per round trip.
-	feed(e, 0, 0, stages)
-	if got := e.depth(metaRead); got != 8 {
-		t.Fatalf("meta depth = %d, want 8", got)
+	// No scan has returned yet: a scan is at least the schema read's round
+	// trip. 15 ms × 4 workers ÷ 8 ms = 7.5 tables consumed per round trip.
+	feed(e, 0, stages)
+	if got := e.depth(); got != 8 {
+		t.Fatalf("depth before the first scan sample = %d, want 8", got)
 	}
-	// No scan has returned yet: a scan is at least a metadata round trip.
-	if got := e.depth(scanRead); got != 8 {
-		t.Fatalf("scan depth before its first sample = %d, want 8", got)
-	}
-	e.observeLatency(scanRead, ms(22))
-	if got := e.depth(scanRead); got != 12 {
+	e.observeLatency(ms(22))
+	if got := e.depth(); got != 12 {
 		t.Fatalf("scan depth = %d, want 12", got)
 	}
 
@@ -254,78 +254,45 @@ func TestPrefetchDepthRule(t *testing.T) {
 	// fewer of them per second. Nothing the estimator sees changes, so the
 	// depth holds — it is sized from what the pool could consume.
 	for i := 0; i < 100; i++ {
-		feed(e, ms(15), ms(22), stages)
+		feed(e, ms(22), stages)
 	}
-	if m, s := e.depth(metaRead), e.depth(scanRead); m != 8 || s != 12 {
-		t.Fatalf("depth moved to %d/%d on unchanged samples", m, s)
+	if got := e.depth(); got != 12 {
+		t.Fatalf("depth moved to %d on unchanged samples", got)
 	}
 	// One 8× straggler counts for an eighth of its excess (and errs on the
 	// deep side); slower stages shrink the depth.
-	e.observeLatency(metaRead, ms(120))
-	if got := e.depth(metaRead); got != 15 {
-		t.Fatalf("one 120 ms straggler moved meta depth to %d, want 15", got)
+	e.observeLatency(ms(176))
+	if got := e.depth(); got != 21 {
+		t.Fatalf("one 176 ms straggler moved the depth to %d, want 21", got)
 	}
 	for i := 0; i < 100; i++ {
-		feed(e, ms(15), ms(22), [4]time.Duration{ms(0.2), ms(5.8), ms(0.2), ms(9.8)})
+		feed(e, ms(22), [4]time.Duration{ms(0.2), ms(5.8), ms(0.2), ms(9.8)})
 	}
-	if m := e.depth(metaRead); m != 4 {
-		t.Fatalf("meta depth with 16 ms tables = %d, want 4", m)
+	if got := e.depth(); got != 6 {
+		t.Fatalf("depth with 16 ms tables = %d, want 6", got)
 	}
 
 	// No storage latency: microsecond reads against millisecond tables
 	// truncate to nothing ahead.
-	z := &depthEstimator{workers: 8}
+	z := &depthEstimator{workers: 8, prior: (20 * time.Microsecond).Seconds()}
+	feed(z, 0, stages)
+	if got := z.depth(); got != 1 {
+		t.Fatalf("zero-latency depth from the prior = %d, want 1", got)
+	}
 	for i := 0; i < 20; i++ {
-		feed(z, 20*time.Microsecond, 60*time.Microsecond, stages)
+		feed(z, 60*time.Microsecond, stages)
 	}
-	if m, s := z.depth(metaRead), z.depth(scanRead); m != 1 || s != 1 {
-		t.Fatalf("zero-latency depth = %d/%d, want 1/1", m, s)
-	}
-}
-
-// TestPrefetchMetadataGroupsStayWhole: with a depth well below the table
-// count the lookahead must keep reading whole groups — a group's slots are
-// released together — instead of refilling one freed slot at a time with
-// single-table queries.
-func TestPrefetchMetadataGroupsStayWhole(t *testing.T) {
-	det, ds := phase2Detector(t, 40)
-	tables := allTables(ds)
-	server := simdb.NewServer(simdb.PaperLatency(4)) // 20 ms a round trip
-	server.LoadTables("tenant", tables)
-	ctx := context.Background()
-	conn, err := server.Connect(ctx, "tenant")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	names := tableNames(tables)
-	before := server.Accounting().Snapshot().Queries
-	pf := newPrefetcher(ctx, det, conn, names, 4, 0)
-	// 10 ms a table on 4 workers against a 20 ms read: 8 tables a round trip.
-	pf.observeBusy(1, 10*time.Millisecond)
-	for _, name := range names {
-		if _, _, err, ok := pf.awaitMeta(name); !ok || err != nil {
-			t.Fatalf("awaitMeta(%s): ok=%v err=%v", name, ok, err)
-		}
-	}
-	pf.close()
-	pf.mu.Lock()
-	depth := pf.est.depth(metaRead)
-	pf.mu.Unlock()
-	if depth < 8 || depth > 12 {
-		t.Fatalf("derived depth %d, want about 9", depth)
-	}
-	if got := server.Accounting().Snapshot().Queries - before; got > len(tables)/4 {
-		t.Fatalf("%d metadata queries for %d tables at depth %d: groups fragmented", got, len(tables), depth)
+	if got := z.depth(); got != 1 {
+		t.Fatalf("zero-latency depth = %d, want 1", got)
 	}
 }
 
 // TestPrefetcherCancelDrains: cancelling the batch context mid-flight must
 // let close() return promptly (all reads drained), account every issued,
-// unconsumed read as waste — queued ones cost nothing — and leak no
-// goroutines.
+// unconsumed read — ANALYZE and scan — as waste, and leak no goroutines.
 func TestPrefetcherCancelDrains(t *testing.T) {
 	det, ds := phase2Detector(t, 30)
+	det.Opts.UseHistogram = true
 	tables := allTables(ds)
 	server := simdb.NewServer(simdb.PaperLatency(4))
 	server.LoadTables("tenant", tables)
@@ -336,25 +303,30 @@ func TestPrefetcherCancelDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	names := tableNames(tables)
+	schema, err := conn.SchemaMetadata(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	before := runtime.NumGoroutine()
-	pf := newPrefetcher(ctx, det, conn, names, 4, 0)
-	// A pool that costs 100 µs a table against a 20 ms round trip: once the
-	// first read returns the depth opens wide and groups go out.
+	// A 20 ms schema read against a pool that costs 100 µs a table: the
+	// depth opens wide before any scan has returned.
+	pf := newPrefetcher(ctx, det, conn, schema, 4, 0, 20*time.Millisecond)
 	pf.observeBusy(1, 100*time.Microsecond)
-	<-pf.metaReady(names[0])
-	const scans = 3
+	const scans = 10
 	for _, tb := range tables[:scans] {
 		pf.tryStartScan(tb.Name, tableCols(tb))
 	}
-	cancel()
 	pf.mu.Lock()
-	issuedMeta, queuedScans := pf.nextMeta, len(pf.queue)
+	inflight, queued, analyses := pf.inflight, len(pf.queue), len(pf.futures[analyzeRead])
 	pf.mu.Unlock()
-	if issuedMeta <= metaGroupCap {
-		t.Fatalf("only %d metadata reads issued: the depth never opened", issuedMeta)
+	if inflight != scans || queued != 0 {
+		t.Fatalf("inflight=%d queued=%d: the prior did not open the depth to %d", inflight, queued, scans)
 	}
+	if analyses != len(tables) {
+		t.Fatalf("%d ANALYZE futures for %d cold tables", analyses, len(tables))
+	}
+	cancel()
 
 	closed := make(chan struct{})
 	go func() {
@@ -366,11 +338,11 @@ func TestPrefetcherCancelDrains(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("close() did not drain in-flight reads after cancellation")
 	}
-	if want := issuedMeta + scans - queuedScans; pf.waste != want {
+	if want := analyses + scans; pf.waste != want {
 		t.Fatalf("waste = %d, want %d (every issued, unconsumed read)", pf.waste, want)
 	}
-	if pf.inflight != [2]int{} {
-		t.Fatalf("in-flight slots after close: %v", pf.inflight)
+	if pf.inflight != 0 {
+		t.Fatalf("%d scans in flight after close", pf.inflight)
 	}
 	waitGoroutines(t, before)
 }
@@ -378,9 +350,9 @@ func TestPrefetcherCancelDrains(t *testing.T) {
 // TestPipelinedPrefetchHitsEveryRead is the regression test for the
 // LIFO-versus-lookahead bug: workers used to start at the far end of the
 // table list while the lookahead read the near end, so most reads were
-// synchronous sleeps on a worker that no counter saw. Now every table's
-// metadata and every scan is a consumed future, nothing is skipped, and the
-// metadata arrives in grouped queries.
+// synchronous sleeps on a worker that no counter saw. Now every scan is a
+// consumed future and nothing is skipped, and the whole batch's metadata is
+// one schema query.
 func TestPipelinedPrefetchHitsEveryRead(t *testing.T) {
 	det, ds := phase2Detector(t, 32)
 	tables := allTables(ds)
@@ -388,6 +360,8 @@ func TestPipelinedPrefetchHitsEveryRead(t *testing.T) {
 	// under the race detector storage is the bottleneck and the depth opens.
 	server := simdb.NewServer(simdb.PaperLatency(20))
 	server.LoadTables("tenant", tables)
+	s1Parks := obs.Default.LatencyHistogram("taste_pipeline_park_seconds", "stage", "s1")
+	parked := s1Parks.Count()
 	rep, err := det.DetectDatabase(context.Background(), server, "tenant", ExecMode{Pipelined: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -404,16 +378,19 @@ func TestPipelinedPrefetchHitsEveryRead(t *testing.T) {
 	if scanned == 0 {
 		t.Fatal("fixture scanned nothing: the test cannot see scan prefetches")
 	}
-	if want := len(tables) + scanned; rep.PrefetchHits != want {
-		t.Fatalf("PrefetchHits = %d, want %d (every metadata read and every scan)", rep.PrefetchHits, want)
+	if rep.PrefetchHits != scanned {
+		t.Fatalf("PrefetchHits = %d, want %d (every scan)", rep.PrefetchHits, scanned)
 	}
 	if rep.PrefetchSkipped != 0 || rep.PrefetchWasted != 0 {
 		t.Fatalf("skipped=%d wasted=%d, want 0/0", rep.PrefetchSkipped, rep.PrefetchWasted)
 	}
-	// Ledger: one list_tables, one query per scan, the rest is metadata.
-	metaQueries := server.Accounting().Snapshot().Queries - 1 - scanned
-	if metaQueries < 1 || metaQueries > len(tables)/2 {
-		t.Fatalf("%d metadata queries for %d tables: reads are not grouped", metaQueries, len(tables))
+	// Ledger: one query per scan, the rest is metadata.
+	if metaQueries := server.Accounting().Snapshot().Queries - scanned; metaQueries != 1 {
+		t.Fatalf("%d metadata queries for %d tables, want the one schema read", metaQueries, len(tables))
+	}
+	// Without histograms s1 has nothing to wait for.
+	if got := s1Parks.Count() - parked; got != 0 {
+		t.Fatalf("%d tables parked at s1", got)
 	}
 
 	// Same tenant, no latency, sequential: identical answers.
@@ -427,15 +404,16 @@ func TestPipelinedPrefetchHitsEveryRead(t *testing.T) {
 	}
 }
 
-// TestPipelinedPrefetchCancelWhileParked: with every table parked on a
-// storage future — no worker running anything — a cancel must return
+// TestPipelinedPrefetchCancelWhileParked: with every table parked on its
+// scan future — no worker running anything — a cancel must return
 // DetectDatabase promptly with the context error on every table, consume
 // nothing, and leave neither a parked job nor a goroutine behind.
 func TestPipelinedPrefetchCancelWhileParked(t *testing.T) {
 	det, ds := phase2Detector(t, 24)
 	tables := allTables(ds)
-	// Half a second a query: once list_tables has returned and the tables
-	// are parked, no read comes back before the cancel.
+	// Half a second a query: once the schema read has returned, every table
+	// runs Phase 1 and parks on its scan, and no scan comes back before the
+	// cancel.
 	server := simdb.NewServer(simdb.LatencyProfile{QueryRoundTrip: 500 * time.Millisecond, SamplingPenalty: 1})
 	server.LoadTables("tenant", tables)
 	parked := obs.Default.Gauge("taste_pipeline_parked_jobs")
@@ -496,9 +474,9 @@ func TestPipelinedPrefetchCancelWhileParked(t *testing.T) {
 // must abort with context.Canceled and wind everything down.
 func TestPipelinedPrefetchCancelNoLeak(t *testing.T) {
 	det, ds := phase2Detector(t, 30)
-	// Scale 10 → 100 ms connect, 50 ms per query: connect, list_tables, the
-	// first metadata read and the first scans alone take over 250 ms, so a
-	// cancel at 200 ms is guaranteed to land mid-run with reads in flight.
+	// Scale 10 → 100 ms connect, 50 ms per query, 40 ms to transfer a scan:
+	// connect, the schema read and the first scans alone take over 240 ms,
+	// so a cancel at 200 ms is guaranteed to land mid-run.
 	server := simdb.NewServer(simdb.PaperLatency(10))
 	server.LoadTables("tenant", allTables(ds))
 	mode := ExecMode{Pipelined: true, Workers: 8}

@@ -51,7 +51,7 @@ type FaultProfile struct {
 	// error after paying the setup latency.
 	ConnectFailProb float64
 	// QueryFailProb is the probability that a metadata query (ListTables,
-	// TableMetadata, AnalyzeTable) fails transiently.
+	// TableMetadata, SchemaMetadata, AnalyzeTable) fails transiently.
 	QueryFailProb float64
 	// ScanFailProb is the probability that a content scan fails transiently
 	// before any rows are transferred.

@@ -138,8 +138,8 @@ func TestQueryFaultOnMetadataAPIs(t *testing.T) {
 	if _, err := conn.TableMetadata(ctx, tables[0]); !IsTransient(err) {
 		t.Fatalf("TableMetadata: want transient, got %v", err)
 	}
-	if _, err := conn.TablesMetadata(ctx, tables[:2]); !IsTransient(err) {
-		t.Fatalf("TablesMetadata: want transient, got %v", err)
+	if _, err := conn.SchemaMetadata(ctx); !IsTransient(err) {
+		t.Fatalf("SchemaMetadata: want transient, got %v", err)
 	}
 	if _, err := conn.AnalyzeTable(ctx, tables[0], AnalyzeOptions{}); !IsTransient(err) {
 		t.Fatalf("AnalyzeTable: want transient, got %v", err)

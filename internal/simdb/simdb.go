@@ -428,36 +428,28 @@ func (c *Conn) TableMetadata(ctx context.Context, table string) (_ *TableMeta, e
 	return st.meta(), nil
 }
 
-// TablesMetadata fetches schema metadata for a group of tables in one query
-// round trip — information_schema.columns WHERE table_name IN (…). It is
-// charged exactly like one TableMetadata (the rows are free there too): one
-// round trip, one ledger query, one fault decision for the whole group. The
-// result is aligned with tables; a name the database does not know yields a
-// nil entry, as the IN query simply returns no rows for it.
-func (c *Conn) TablesMetadata(ctx context.Context, tables []string) (_ []*TableMeta, err error) {
-	if len(tables) == 0 {
-		return nil, nil
-	}
+// SchemaMetadata fetches the information_schema rows of every table in the
+// database in one query round trip — the SELECT … FROM
+// information_schema.columns WHERE table_schema = ? of §3.2 — in load order
+// (the ListTables order). It is charged exactly like one TableMetadata (the
+// rows are free there too): one round trip, one ledger query, one fault
+// decision, one table_metadata observation.
+func (c *Conn) SchemaMetadata(ctx context.Context) (_ []*TableMeta, err error) {
 	start := time.Now()
 	defer func() { observeOp("table_metadata", start, err) }()
-	detail := tables[0]
-	if len(tables) > 1 {
-		detail = fmt.Sprintf("%s (+%d tables)", detail, len(tables)-1)
-	}
-	if err := c.metadataQuery(ctx, detail); err != nil {
+	if err := c.metadataQuery(ctx, "*"); err != nil {
 		return nil, err
 	}
-	out := make([]*TableMeta, len(tables))
-	for i, table := range tables {
-		if st, ok := c.db.tables[table]; ok {
-			out[i] = st.meta()
-		}
+	out := make([]*TableMeta, len(c.db.order))
+	for i, table := range c.db.order {
+		out[i] = c.db.tables[table].meta()
 	}
 	return out, nil
 }
 
-// metadataQuery pays for one information_schema query over the named
-// table(s): connection check, fault decision, round trip, ledger entry.
+// metadataQuery pays for one information_schema query over the named table
+// ("*" for the whole schema): connection check, fault decision, round trip,
+// ledger entry.
 func (c *Conn) metadataQuery(ctx context.Context, detail string) error {
 	if err := c.check(); err != nil {
 		return err

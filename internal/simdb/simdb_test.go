@@ -3,6 +3,7 @@ package simdb
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -83,48 +84,75 @@ func TestTableMetadataUnknownTable(t *testing.T) {
 	}
 }
 
-// TestTablesMetadataIsOneQuery: a grouped read returns exactly what the
-// per-table reads return, aligned with the request, for the price of one
-// query and one table_metadata observation; an unknown name fails nothing
-// but its own (nil) entry.
-func TestTablesMetadataIsOneQuery(t *testing.T) {
-	s, tables := testServer(t)
+// TestSchemaMetadataIsOneQuery: the schema read returns, in ListTables
+// order, exactly what the per-table reads return, for the price of one
+// query, one table_metadata observation and one fault decision — the
+// up-front failure fires once, and a slow draw scales one round trip.
+func TestSchemaMetadataIsOneQuery(t *testing.T) {
+	const rtt, factor = 10 * time.Millisecond, 4
+	s := faultTestServer(LatencyProfile{QueryRoundTrip: rtt, SamplingPenalty: 1})
 	ctx := context.Background()
-	conn, _ := s.Connect(ctx, "userdb")
+	conn := mustConnect(t, s)
 	defer conn.Close()
-	names := []string{tables[len(tables)-1].Name, "ghost", tables[0].Name, tables[1].Name}
 	before, observed := s.Accounting().Snapshot().Queries, opSeconds["table_metadata"].Count()
-	group, err := conn.TablesMetadata(ctx, names)
+	schema, err := conn.SchemaMetadata(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Accounting().Snapshot().Queries - before; got != 1 {
-		t.Fatalf("group of %d cost %d queries, want 1", len(names), got)
+		t.Fatalf("schema of %d tables cost %d queries, want 1", len(schema), got)
 	}
 	if got := opSeconds["table_metadata"].Count() - observed; got != 1 {
-		t.Fatalf("group observed %d table_metadata ops, want 1", got)
+		t.Fatalf("schema read observed %d table_metadata ops, want 1", got)
 	}
-	if len(group) != len(names) {
-		t.Fatalf("got %d entries for %d names", len(group), len(names))
+	names, err := conn.ListTables(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(schema) != len(names) || len(names) < 2 {
+		t.Fatalf("got %d entries for %d tables", len(schema), len(names))
 	}
 	for i, name := range names {
-		if name == "ghost" {
-			if group[i] != nil {
-				t.Fatal("unknown table must yield a nil entry")
-			}
-			continue
-		}
 		single, err := conn.TableMetadata(ctx, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(group[i], single) {
-			t.Fatalf("entry %d (%s) differs from the single-table read", i, name)
+		if !reflect.DeepEqual(schema[i], single) {
+			t.Fatalf("entry %d is %s, want the single-table read of %s (ListTables order)", i, schema[i].Name, name)
 		}
 	}
-	if empty, err := conn.TablesMetadata(ctx, nil); err != nil || empty != nil {
-		t.Fatalf("empty group: %v, %v", empty, err)
+
+	// oneDecision fails unless the injector armed with seed has drawn exactly
+	// one operation's values (three) since.
+	oneDecision := func(seed int64) {
+		t.Helper()
+		ref := rand.New(rand.NewSource(seed))
+		for i := 0; i < 3; i++ {
+			ref.Float64()
+		}
+		if s.faultProfile.rng.Float64() != ref.Float64() {
+			t.Fatal("the schema read did not draw exactly one fault decision")
+		}
 	}
+	s.SetFaultProfile(FaultProfile{Seed: 1, QueryFailProb: 1})
+	faults := s.Accounting().Snapshot().Faults
+	if _, err := conn.SchemaMetadata(ctx); !IsTransient(err) {
+		t.Fatalf("SchemaMetadata: want transient, got %v", err)
+	}
+	if got := s.Accounting().Snapshot().Faults - faults; got != 1 {
+		t.Fatalf("schema read fired %d faults, want 1", got)
+	}
+	oneDecision(1)
+
+	s.SetFaultProfile(FaultProfile{Seed: 2, SlowQueryProb: 1, SlowQueryFactor: factor})
+	start := time.Now()
+	if _, err := conn.SchemaMetadata(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < factor*rtt {
+		t.Fatalf("slow schema read took %v, want ≥ %v (one round trip × %d)", took, factor*rtt, factor)
+	}
+	oneDecision(2)
 }
 
 func TestScanFirstRows(t *testing.T) {

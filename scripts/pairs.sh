@@ -12,8 +12,11 @@
 # stdout: one JSON line per run (SHA, parent SHA, workload, seed, side,
 # ran_first, nproc, CPU model, correct, failed, metrics). Record a claim
 # with `scripts/pairs.sh ... >> TRAJECTORY.jsonl`.
-# stderr: per end-to-end metric, each side's median and quartiles and how
-# many pairs the change won; any f1 or scanned_ratio that differs from the
+# stderr: per end-to-end metric, each side's median and quartiles, how many
+# pairs the change won, the gap between the medians against the parent's
+# interquartile range, and whether the claim rule holds (the change won at
+# least 9 pairs in 10 and its median is better than the parent's by more
+# than the parent's IQR); any f1 or scanned_ratio that differs from the
 # parent at the same seed is flagged. Exits non-zero when a run is not
 # correct or failed an operation.
 set -euo pipefail
@@ -64,6 +67,7 @@ jq -rs --slurpfile spec BENCHMARK.json '
 		| $s[$l] + ($h - $l) * ($s[([$l + 1, ($s | length) - 1] | min)] - $s[$l]);
 	def r: . * 10000 | round / 10000;
 	def stats: "\(q(0.5) | r) [\(q(0.25) | r), \(q(0.75) | r)]";
+	def abs: if . < 0 then -. else . end;
 	. as $runs
 	| ($runs | map(select(.side == "parent")) | INDEX(.seed)) as $p
 	| ($runs | map(select(.side == "change")) | INDEX(.seed)) as $c
@@ -76,7 +80,11 @@ jq -rs --slurpfile spec BENCHMARK.json '
 	| [$both[] | select(if $m.better == "higher"
 		then $c[.].metrics[$m.name] > $p[.].metrics[$m.name]
 		else $c[.].metrics[$m.name] < $p[.].metrics[$m.name] end)] as $won
-	| "\($m.name) (\($m.better) is better): parent \($pv | stats)  change \($cv | stats)  change/parent \(($cv | q(0.5)) / ($pv | q(0.5)) | r)  change won \($won | length)/\($both | length) pairs",
+	| (($cv | q(0.5)) - ($pv | q(0.5))) as $gap
+	| (($pv | q(0.75)) - ($pv | q(0.25))) as $iqr
+	| ((($won | length) >= 0.9 * ($both | length)) and ($gap | abs) > $iqr
+		and (if $m.better == "higher" then $gap > 0 else $gap < 0 end)) as $claim
+	| "\($m.name) (\($m.better) is better): parent \($pv | stats)  change \($cv | stats)  change/parent \(($cv | q(0.5)) / ($pv | q(0.5)) | r)  change won \($won | length)/\($both | length) pairs  |Δ median| \($gap | abs | r) \(if ($gap | abs) > $iqr then ">" else "<=" end) parent IQR \($iqr | r)  claim rule (>= 9/10 won, gap > IQR): \(if $claim then "met" else "not met" end)",
 	  ($both[] | select($m.name == "f1" or $m.name == "scanned_ratio")
 		| select($p[.].metrics[$m.name] != $c[.].metrics[$m.name])
 		| "DIFFERS: \($m.name) at seed \(.): parent \($p[.].metrics[$m.name]) change \($c[.].metrics[$m.name])")
