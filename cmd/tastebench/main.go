@@ -33,10 +33,7 @@ func main() {
 		repeats     = flag.Int("repeats", 0, "timing repetitions per variant (0 = config default)")
 		latency     = flag.Float64("latency", -1, "database latency scale, 1 = paper testbed (negative = config default)")
 		verbose     = flag.Bool("v", true, "log training and run progress to stderr")
-
-		prepWorkers  = flag.Int("prep-workers", 0, "TP1 pool size for pipelined runs (0 = paper default of 2)")
-		inferWorkers = flag.Int("infer-workers", 0, "TP2 pool size for pipelined runs (0 = paper default of 2)")
-		parallelism  = flag.Int("parallelism", tensor.DefaultParallelism(), "worker goroutines for the sharded tensor kernels")
+		parallelism = flag.Int("parallelism", tensor.DefaultParallelism(), "worker goroutines for the sharded tensor kernels")
 	)
 	flag.Parse()
 	tensor.SetParallelism(*parallelism)
@@ -52,8 +49,6 @@ func main() {
 	if *latency >= 0 {
 		cfg.LatencyScale = *latency
 	}
-	cfg.PrepWorkers = *prepWorkers
-	cfg.InferWorkers = *inferWorkers
 	if *verbose {
 		cfg.Log = os.Stderr
 	}

@@ -41,7 +41,6 @@ import (
 )
 
 func main() {
-	autoMode := core.AutoMode()
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		debugAddr    = flag.String("debug-addr", "", "observability listener serving /metrics and /debug/pprof (empty disables)")
@@ -55,9 +54,7 @@ func main() {
 		epochs       = flag.Int("epochs", 8, "training epochs when -train is set")
 		trainWorkers = flag.Int("train-workers", 1, "data-parallel gradient workers when -train is set (bit-reproducible per (seed, workers))")
 		gradAccum    = flag.Int("grad-accum", 1, "micro-batches accumulated per worker per optimizer step when -train is set")
-		prepWorkers  = flag.Int("prep-workers", autoMode.PrepWorkers, "legacy TP1 pool size; with -infer-workers it derives the work-stealing pool when -pipeline-workers is 0")
-		inferWorkers = flag.Int("infer-workers", autoMode.InferWorkers, "legacy TP2 pool size; see -prep-workers")
-		pipeWorkers  = flag.Int("pipeline-workers", 0, "work-stealing pool size for pipelined detect requests (0 = derive from -prep-workers + -infer-workers)")
+		pipeWorkers  = flag.Int("pipeline-workers", 0, "work-stealing pool size for pipelined detect requests (0 = one per CPU, floor 4)")
 		parallelism  = flag.Int("parallelism", tensor.DefaultParallelism(), "worker goroutines for the sharded tensor kernels")
 		deadline     = flag.Duration("deadline", 0, "default per-request deadline for /v1/detect (0 = none; requests can override via deadline_ms)")
 		faultProb    = flag.Float64("fault-prob", 0, "demo tenant: probability of a transient fault per scan/query/connect (chaos mode)")
@@ -145,11 +142,7 @@ func main() {
 		svc.AttachRegistry(reg, *modelName, bootVersion)
 		log.Printf("model registry attached (%s, serving %s@%d): /v1/models endpoints enabled", *registryDir, *modelName, bootVersion)
 	}
-	svc.SetDefaultMode(core.ExecMode{
-		Pipelined:   true,
-		Workers:     *pipeWorkers,
-		PrepWorkers: *prepWorkers, InferWorkers: *inferWorkers,
-	})
+	svc.SetDefaultMode(core.ExecMode{Pipelined: true, Workers: *pipeWorkers})
 	svc.SetDefaultDeadline(*deadline)
 
 	demo := simdb.NewServer(simdb.PaperLatency(0.1))

@@ -47,7 +47,7 @@ func main() {
 		{"sequential, no cache", taste.SequentialMode, false},
 		{"sequential, latent cache", taste.SequentialMode, true},
 		{"pipelined (TP1=TP2=2), latent cache", taste.PipelinedMode(), true},
-		{"pipelined (TP1=TP2=4), latent cache", taste.ExecMode{Pipelined: true, PrepWorkers: 4, InferWorkers: 4}, true},
+		{"pipelined (TP1=TP2=4), latent cache", taste.ExecMode{Pipelined: true, Workers: 8}, true},
 	}
 	fmt.Printf("%-38s %12s %10s %12s\n", "execution mode", "duration", "scanned", "cache hits")
 	var baseline time.Duration

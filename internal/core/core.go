@@ -71,9 +71,6 @@ type Options struct {
 	// memoization. Serving surfaces opt in; experiment/ablation runs keep it
 	// off so every detect pays the model forwards it is measuring.
 	ResultCacheBytes int64
-	// CacheShards is the shard count for both cache tiers (rounded up to a
-	// power of two); ≤ 0 selects cache.DefaultShards.
-	CacheShards int
 
 	// MaxRetries caps how many times a transient database error is retried
 	// per operation (connect, metadata fetch, content scan) — and therefore
@@ -90,9 +87,6 @@ type Options struct {
 	// affected columns fall back to Phase 1 rather than risk returning
 	// nothing at all.
 	DeadlineMargin time.Duration
-	// DisableDegradation restores the strict behaviour: any Phase-2
-	// failure fails the whole table job instead of degrading its columns.
-	DisableDegradation bool
 }
 
 // DefaultOptions returns the paper's default configuration (§6.2):
@@ -186,9 +180,9 @@ func NewDetector(model *adtd.Model, opts Options) (*Detector, error) {
 		return nil, err
 	}
 	model.SetEval()
-	latents := cache.NewLatent(opts.CacheBytes, opts.CacheShards)
+	latents := cache.NewLatent(opts.CacheBytes, 0)
 	latents.SetMetrics(cache.NewTierMetrics(obs.Default, "latent"))
-	results := cache.NewResult(opts.ResultCacheBytes, opts.CacheShards)
+	results := cache.NewResult(opts.ResultCacheBytes, 0)
 	results.SetMetrics(cache.NewTierMetrics(obs.Default, "result"))
 	d := &Detector{
 		Opts:    opts,
@@ -354,10 +348,9 @@ type Report struct {
 	Retries     int
 	CacheHits   int
 	CacheMisses int
-	// ContentForwards counts the Phase-2 content batches this request sent
-	// to the model — each one batched forward in direct or coalesced mode,
-	// or one submission to the cross-request inferencer. Cross-table
-	// batching exists to shrink this number (DESIGN.md §16).
+	// ContentForwards counts the Phase-2 content forwards this request ran:
+	// one per table that reached Phase 2 with a chunk the result cache
+	// did not answer.
 	ContentForwards int
 	// PrefetchHits/PrefetchWasted/PrefetchSkipped summarize the scan
 	// prefetcher: consumed reads, reads issued for nothing, and scans
@@ -395,82 +388,51 @@ func (r *Report) Find(table, column string) *ColumnResult {
 	return nil
 }
 
-// ExecMode selects how a batch is executed (§5, DESIGN.md §16).
-//
-// Zero-value semantics, uniform across every tunable below: 0 always means
-// "use the default" (resolved against the detector's Options when the batch
-// starts), and a negative value always means "disable the feature". The
-// zero ExecMode is therefore exactly SequentialMode, and a bare
-// ExecMode{Pipelined: true} runs the work-stealing scheduler with every
-// knob at its default. Callers must not treat 0 as a literal size anywhere
-// in this struct.
+// ExecMode selects how a batch is executed (§5, DESIGN.md §16). The zero
+// ExecMode is SequentialMode.
 type ExecMode struct {
 	// Pipelined enables the work-stealing scheduler (Algorithm 1 +
 	// DESIGN.md §16); false processes tables sequentially.
 	Pipelined bool
-	// Workers sizes the unified work-stealing pool. 0 derives the size
-	// from PrepWorkers+InferWorkers — the capacity the legacy fixed pools
-	// offered — or defaults to 4, the paper's 2+2, when those are unset
-	// too.
+	// Workers sizes the work-stealing pool. 0 resolves to one worker per
+	// logical CPU, floor 4, so a small host still overlaps I/O with
+	// compute.
 	Workers int
-	// PrepWorkers and InferWorkers are the legacy §5 fixed-pool sizes.
-	// Stage kinds are scheduling priorities now, not dedicated lanes, so
-	// the two survive only as capacity inputs to the Workers derivation.
-	PrepWorkers  int
-	InferWorkers int
-	// PrefetchBytes bounds the bytes held by completed-but-unconsumed
-	// prefetched scans — backpressure tied to the cache byte budget. 0
-	// defaults to a quarter of Options.CacheBytes (floor 1 MiB); negative
-	// removes the byte brake. How many reads are in flight is not
-	// configured: the prefetcher derives it from measured read latency and
-	// stage time (prefetch.go).
-	PrefetchBytes int64
+
+	// Deprecated: ignored; kept so bench/ compiles.
+	PrepWorkers, InferWorkers int
 }
 
 // SequentialMode is the execution mode of the baselines and of "Taste w/o
 // pipelining".
 var SequentialMode = ExecMode{}
 
-// PipelinedMode returns the default pipelined mode with the paper's pool
-// size of 2 (§6.3) — 4 workers total under the work-stealing scheduler.
+// PipelinedMode returns the paper's pool (§6.3): TP1=TP2=2, 4 workers in
+// the work-stealing pool.
 func PipelinedMode() ExecMode {
-	return ExecMode{Pipelined: true, PrepWorkers: 2, InferWorkers: 2}
+	return ExecMode{Pipelined: true, Workers: 4}
 }
 
-// AutoMode sizes the work-stealing pool from the machine instead of the
-// paper's fixed 2+2: one worker per logical CPU (floor 4, so a small host
-// still overlaps I/O with compute). The legacy per-kind fields are filled
-// in for callers that still display or override them; PrefetchBytes stays 0
-// and resolves to its default per the struct contract.
+// AutoMode is ExecMode{Pipelined: true} with its worker count resolved.
+//
+// Deprecated: use ExecMode{Pipelined: true}; kept so bench/ compiles.
 func AutoMode() ExecMode {
-	w := runtime.GOMAXPROCS(0)
-	if w < 4 {
-		w = 4
-	}
-	return ExecMode{Pipelined: true, Workers: w, PrepWorkers: w / 2, InferWorkers: w - w/2}
+	return ExecMode{Pipelined: true}.withDefaults()
 }
 
-// withDefaults resolves the mode's zero values against the detector
-// options, returning a fully concrete mode: Workers ≥ 1, PrefetchBytes
-// either positive or explicitly disabled (negative input maps to the
-// disabled sentinel 0). Sequential modes pass through untouched.
-func (m ExecMode) withDefaults(opts Options) ExecMode {
-	if !m.Pipelined {
-		return m
-	}
-	if m.Workers == 0 {
-		m.Workers = pipeline.Scheduler{PrepWorkers: m.PrepWorkers, InferWorkers: m.InferWorkers}.WorkerCount()
-	}
-	switch {
-	case m.PrefetchBytes < 0:
-		m.PrefetchBytes = 0 // no byte brake
-	case m.PrefetchBytes == 0:
-		m.PrefetchBytes = opts.CacheBytes / 4
-		if m.PrefetchBytes < 1<<20 {
-			m.PrefetchBytes = 1 << 20
-		}
+// withDefaults resolves a pipelined mode's zero worker count. Sequential
+// modes pass through untouched.
+func (m ExecMode) withDefaults() ExecMode {
+	if m.Pipelined && m.Workers == 0 {
+		m.Workers = max(runtime.GOMAXPROCS(0), 4)
 	}
 	return m
+}
+
+// prefetchBudget is the prefetcher's byte brake: a quarter of the latent
+// cache budget, floor 1 MiB.
+func prefetchBudget(opts Options) int64 {
+	return max(opts.CacheBytes/4, 1<<20)
 }
 
 // tableJob carries per-table state across the four stages. The model is
@@ -743,7 +705,7 @@ func mergeTypes(a, b []string) []string {
 // s3PrepContent scans the uncertain columns' content (§3.3). Certain
 // columns are never scanned. Transient scan failures are retried with
 // backoff; exhausted retries or permanent errors degrade the columns to
-// Phase 1 instead of failing the table (unless DisableDegradation).
+// Phase 1 instead of failing the table.
 func (j *tableJob) s3PrepContent(ctx context.Context) error {
 	if len(j.uncertain) == 0 {
 		return nil
@@ -752,11 +714,9 @@ func (j *tableJob) s3PrepContent(ctx context.Context) error {
 	if err := ctx.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err // user cancellation: abort, nothing to salvage
 	}
-	if !opts.DisableDegradation {
-		if reason, ok := deadlineNear(ctx, opts.DeadlineMargin); ok {
-			j.degrade(j.uncertain, reason, true)
-			return nil
-		}
+	if reason, ok := deadlineNear(ctx, opts.DeadlineMargin); ok {
+		j.degrade(j.uncertain, reason, true)
+		return nil
 	}
 	var content map[string][]string
 	var n int
@@ -783,9 +743,6 @@ func (j *tableJob) s3PrepContent(ctx context.Context) error {
 	}
 	j.retries += n
 	if err != nil {
-		if opts.DisableDegradation {
-			return err
-		}
 		if ctxErr := ctx.Err(); ctxErr != nil && !errors.Is(ctxErr, context.DeadlineExceeded) {
 			return ctxErr
 		}
@@ -825,13 +782,9 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 	if err := ctx.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
-	if !opts.DisableDegradation {
-		if reason, ok := deadlineNear(ctx, opts.DeadlineMargin); ok {
-			j.degradeWithRules(pending, reason, true)
-			return nil
-		}
-	} else if err := ctx.Err(); err != nil {
-		return err
+	if reason, ok := deadlineNear(ctx, opts.DeadlineMargin); ok {
+		j.degradeWithRules(pending, reason, true)
+		return nil
 	}
 	pendingSet := make(map[int]bool, len(pending))
 	for _, g := range pending {
@@ -883,9 +836,6 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 	}
 	batch, err := j.contentForward(reqs)
 	if err != nil {
-		if opts.DisableDegradation {
-			return err
-		}
 		// The columns keep their Phase-1 answer, sharpened by the rules over
 		// the already-fetched content.
 		j.degradeWithRules(pending, "content inference failed: "+err.Error(), false)
@@ -1003,7 +953,7 @@ func (d *Detector) DetectTable(ctx context.Context, conn *simdb.Conn, dbName, ta
 	for _, st := range j.stages() {
 		if err := st.Run(ctx); err != nil {
 			// Salvage a deadline-killed job when Phase 1 already answered.
-			if j.res != nil && !d.Opts.DisableDegradation && errors.Is(err, context.DeadlineExceeded) {
+			if j.res != nil && errors.Is(err, context.DeadlineExceeded) {
 				j.degrade(j.uncertain, "deadline exceeded", true)
 				j.res.Retries = j.retries
 				tablesDetectedTotal.Inc()
@@ -1092,11 +1042,11 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 	// One model for the whole batch: every table of the request is answered
 	// by the same weights, however long the batch runs across swaps.
 	model := d.requestModel(ctx)
-	mode = mode.withDefaults(d.Opts)
+	mode = mode.withDefaults()
 	var fwd atomic.Int64
 	var pf *prefetcher
 	if mode.Pipelined {
-		pf = newPrefetcher(ctx, d, conn, metas, mode.Workers, mode.PrefetchBytes, schemaRead)
+		pf = newPrefetcher(ctx, d, conn, metas, mode.Workers, prefetchBudget(d.Opts), schemaRead)
 	}
 	jobs := make([]*pipeline.Job, len(metas))
 	tjobs := make([]*tableJob, len(metas))
@@ -1131,7 +1081,7 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 		// failed — the server-side ledger saw them too.
 		rep.Retries += tj.retries
 		if j.Err != nil {
-			if tj.res != nil && !d.Opts.DisableDegradation && errors.Is(j.Err, context.DeadlineExceeded) {
+			if tj.res != nil && errors.Is(j.Err, context.DeadlineExceeded) {
 				// Phase 1 finished before the deadline: keep the table,
 				// degrading everything Phase 2 never reached.
 				tj.degrade(tj.uncertain, "deadline exceeded before phase 2", true)

@@ -1,47 +1,42 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
-// TestExecModeWithDefaults pins the zero-value contract documented on
-// ExecMode: 0 always means "use the default", negative always means
-// "disable", and sequential modes pass through untouched.
-func TestExecModeWithDefaults(t *testing.T) {
-	opts := DefaultOptions() // CacheBytes 64 MiB → prefetch budget 16 MiB
-
-	m := ExecMode{Pipelined: true}.withDefaults(opts)
-	if m.Workers != 4 {
-		t.Fatalf("default Workers = %d, want 4", m.Workers)
+// TestExecModeOneRule pins the single worker knob: Workers 0 resolves to one
+// worker per CPU (floor 4), PipelinedMode is the paper's 2+2, the deprecated
+// per-kind fields are ignored, and the prefetch brake is a quarter of the
+// latent cache budget, floored at 1 MiB.
+func TestExecModeOneRule(t *testing.T) {
+	want := max(runtime.GOMAXPROCS(0), 4)
+	if got := (ExecMode{Pipelined: true}).withDefaults().Workers; got != want {
+		t.Fatalf("Workers 0 resolved to %d, want max(GOMAXPROCS, 4) = %d", got, want)
 	}
-	if m.PrefetchBytes != opts.CacheBytes/4 {
-		t.Fatalf("default PrefetchBytes = %d, want %d", m.PrefetchBytes, opts.CacheBytes/4)
+	if got := AutoMode(); got != (ExecMode{Pipelined: true, Workers: want}) {
+		t.Fatalf("AutoMode() = %+v, want the resolved ExecMode{Pipelined: true}", got)
 	}
-
-	m = ExecMode{Pipelined: true, Workers: 2, PrefetchBytes: -1}.withDefaults(opts)
-	if m.PrefetchBytes != 0 {
-		t.Fatalf("negative PrefetchBytes must drop the byte brake: got %d", m.PrefetchBytes)
+	if got := PipelinedMode(); got != (ExecMode{Pipelined: true, Workers: 4}) {
+		t.Fatalf("PipelinedMode() = %+v, want 4 workers", got)
 	}
-
-	// Legacy per-kind pools derive the unified pool size.
-	m = ExecMode{Pipelined: true, PrepWorkers: 2, InferWorkers: 3}.withDefaults(opts)
-	if m.Workers != 5 {
-		t.Fatalf("derived Workers = %d, want 5", m.Workers)
+	legacy := ExecMode{Pipelined: true, PrepWorkers: 2, InferWorkers: 3}.withDefaults()
+	if legacy.Workers != want {
+		t.Fatalf("deprecated per-kind fields changed the pool: %d workers, want %d", legacy.Workers, want)
 	}
-
-	// A tiny cache still leaves a usable prefetch budget.
-	small := opts
-	small.CacheBytes = 100
-	m = ExecMode{Pipelined: true}.withDefaults(small)
-	if m.PrefetchBytes != 1<<20 {
-		t.Fatalf("floored PrefetchBytes = %d, want %d", m.PrefetchBytes, 1<<20)
+	if got := (ExecMode{Pipelined: true, Workers: 3}).withDefaults().Workers; got != 3 {
+		t.Fatalf("explicit Workers 3 resolved to %d", got)
 	}
-
-	// Sequential modes are never touched.
-	seq := ExecMode{PrefetchBytes: -5, Workers: 3}
-	if got := seq.withDefaults(opts); got != seq {
+	if got := SequentialMode.withDefaults(); got != SequentialMode {
 		t.Fatalf("sequential mode mutated: %+v", got)
 	}
 
-	if am := AutoMode(); !am.Pipelined || am.Workers < 4 {
-		t.Fatalf("AutoMode must be pipelined with ≥4 workers: %+v", am)
+	opts := DefaultOptions() // CacheBytes 64 MiB → brake 16 MiB
+	if got := prefetchBudget(opts); got != opts.CacheBytes/4 {
+		t.Fatalf("prefetch brake = %d, want %d", got, opts.CacheBytes/4)
+	}
+	opts.CacheBytes = 100
+	if got := prefetchBudget(opts); got != 1<<20 {
+		t.Fatalf("floored prefetch brake = %d, want %d", got, 1<<20)
 	}
 }

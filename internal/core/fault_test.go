@@ -299,34 +299,6 @@ func TestExpiredDeadlineBeforeConnect(t *testing.T) {
 	}
 }
 
-// TestDisableDegradationStrictMode: the opt-out restores fail-fast — scan
-// failures become table errors again.
-func TestDisableDegradationStrictMode(t *testing.T) {
-	m, ds := trainedModel(t)
-	opts := DefaultOptions()
-	opts.DisableDegradation = true
-	opts.RetryBaseDelay = 10 * time.Microsecond
-	d, err := NewDetector(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(ds)
-	s.SetFaultProfile(simdb.FaultProfile{Seed: 9, ScanFailProb: 1})
-	rep, err := d.DetectDatabase(context.Background(), s, "tenant", SequentialMode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Errors) == 0 {
-		t.Skip("no table reached P2 in this run")
-	}
-	if len(rep.Tables)+len(rep.Errors) != len(ds.Test) {
-		t.Fatalf("tables %d + errors %d != %d", len(rep.Tables), len(rep.Errors), len(ds.Test))
-	}
-	if rep.DegradedColumns != 0 {
-		t.Fatal("strict mode must not degrade")
-	}
-}
-
 // TestFaultKindBattery drives the whole detection path against each fault
 // kind with a seeded profile. Whatever the kind, the invariants hold: the
 // call either returns a coherent report (every loaded table is accounted as

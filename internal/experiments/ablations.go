@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/adtd"
+	"repro/internal/core"
+	"repro/internal/simdb"
 )
 
 // AblationResult collects the design-choice studies listed in DESIGN.md §4
@@ -82,16 +84,17 @@ func (s *Suite) Ablations() *AblationResult {
 	return res
 }
 
-// runTasteWithPool runs the default variant with a custom pool size.
+// runTasteWithPool runs the default variant on the pool the paper's
+// TP1=TP2=workers would make: 2·workers in the work-stealing pool.
 func (s *Suite) runTasteWithPool(dsName string, v TasteVariant, workers int) *RunResult {
 	ds := s.Dataset(dsName)
 	model := s.TasteModel(dsName, v.Hist)
-	det, err := newCoreDetector(model, s.options(v))
+	det, err := core.NewDetector(model, s.options(v))
 	if err != nil {
 		panic(err)
 	}
 	server := s.newTestServer(ds)
-	rep, err := det.DetectDatabase(context.Background(), server, "tenant", pipelineMode(workers))
+	rep, err := det.DetectDatabase(context.Background(), server, "tenant", core.ExecMode{Pipelined: true, Workers: 2 * workers})
 	if err != nil {
 		panic(err)
 	}
@@ -104,12 +107,13 @@ func (s *Suite) runTasteWithPool(dsName string, v TasteVariant, workers int) *Ru
 // test split without latency.
 func (s *Suite) quickF1(m *adtd.Model) float64 {
 	ds := s.Dataset(Wiki)
-	det, err := newCoreDetector(m, s.options(DefaultTaste()))
+	det, err := core.NewDetector(m, s.options(DefaultTaste()))
 	if err != nil {
 		panic(err)
 	}
-	server := noLatencyServerFor(ds)
-	rep, err := det.DetectDatabase(context.Background(), server, "tenant", sequentialMode())
+	server := simdb.NewServer(simdb.NoLatency)
+	server.LoadTables("tenant", ds.Test)
+	rep, err := det.DetectDatabase(context.Background(), server, "tenant", core.SequentialMode)
 	if err != nil {
 		panic(err)
 	}

@@ -53,10 +53,6 @@ type Config struct {
 	Repeats int
 	// CheckpointDir caches trained models on disk ("" disables).
 	CheckpointDir string
-	// PrepWorkers/InferWorkers override the pipelined pool sizes for the
-	// timing experiments; 0 keeps the paper's default of 2 (§6.3).
-	PrepWorkers  int
-	InferWorkers int
 	// TrainWorkers/GradAccum configure the training runtime for every
 	// model the suite trains (internal/train); 0 means 1. Accuracy results
 	// are bit-reproducible per (Seed, TrainWorkers), not across worker

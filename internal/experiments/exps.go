@@ -270,7 +270,7 @@ func (s *Suite) Fig6(ks []int) *Fig6Result {
 		}
 		server := simdb.NewServer(simdb.PaperLatency(s.Cfg.LatencyScale))
 		server.LoadTables("tenant", tuned.Test)
-		rep, err := det.DetectDatabase(context.Background(), server, "tenant", s.pipelinedMode())
+		rep, err := det.DetectDatabase(context.Background(), server, "tenant", core.PipelinedMode())
 		if err != nil {
 			panic(err)
 		}

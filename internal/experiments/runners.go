@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/adtd"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -151,7 +150,7 @@ func (s *Suite) RunTaste(dsName string, v TasteVariant) *RunResult {
 		server := s.newTestServer(ds)
 		mode := core.SequentialMode
 		if v.Pipelined {
-			mode = s.pipelinedMode()
+			mode = core.PipelinedMode()
 		}
 		rep, err := det.DetectDatabase(context.Background(), server, "tenant", mode)
 		if err != nil {
@@ -289,35 +288,4 @@ func (s *Suite) MainRuns(dsName string) []*RunResult {
 	s.mainRuns[dsName] = runs
 	s.mu.Unlock()
 	return runs
-}
-
-// Thin wrappers keeping ablations.go free of direct core/simdb imports.
-
-func newCoreDetector(m *adtd.Model, opts core.Options) (*core.Detector, error) {
-	return core.NewDetector(m, opts)
-}
-
-func pipelineMode(workers int) core.ExecMode {
-	return core.ExecMode{Pipelined: true, PrepWorkers: workers, InferWorkers: workers}
-}
-
-// pipelinedMode is the pipelined execution mode for timing runs: the
-// paper's 2/2 pools (§6.3) unless the config overrides either pool size.
-func (s *Suite) pipelinedMode() core.ExecMode {
-	mode := core.PipelinedMode()
-	if s.Cfg.PrepWorkers > 0 {
-		mode.PrepWorkers = s.Cfg.PrepWorkers
-	}
-	if s.Cfg.InferWorkers > 0 {
-		mode.InferWorkers = s.Cfg.InferWorkers
-	}
-	return mode
-}
-
-func sequentialMode() core.ExecMode { return core.SequentialMode }
-
-func noLatencyServerFor(ds *corpus.Dataset) *simdb.Server {
-	server := simdb.NewServer(simdb.NoLatency)
-	server.LoadTables("tenant", ds.Test)
-	return server
 }

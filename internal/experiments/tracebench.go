@@ -39,7 +39,7 @@ func (s *Suite) TraceBreakdown(w io.Writer) error {
 	server.LoadTables("tenant", ds.Test)
 
 	ctx, root := obs.NewTrace(context.Background(), "detect tenant")
-	rep, err := det.DetectDatabase(ctx, server, "tenant", s.pipelinedMode())
+	rep, err := det.DetectDatabase(ctx, server, "tenant", core.PipelinedMode())
 	if err != nil {
 		return err
 	}

@@ -39,7 +39,7 @@ func BenchmarkSequentialExecution(b *testing.B) {
 }
 
 func BenchmarkPipelinedExecution(b *testing.B) {
-	s := Scheduler{Pipelined: true, PrepWorkers: 2, InferWorkers: 2}
+	s := Scheduler{Pipelined: true, Workers: 4}
 	for i := 0; i < b.N; i++ {
 		if err := s.Run(context.Background(), mixedJobs(16, 200*time.Microsecond, 200*time.Microsecond)); err != nil {
 			b.Fatal(err)
@@ -48,7 +48,7 @@ func BenchmarkPipelinedExecution(b *testing.B) {
 }
 
 func BenchmarkPipelinedWidePools(b *testing.B) {
-	s := Scheduler{Pipelined: true, PrepWorkers: 8, InferWorkers: 8}
+	s := Scheduler{Pipelined: true, Workers: 16}
 	for i := 0; i < b.N; i++ {
 		if err := s.Run(context.Background(), mixedJobs(16, 200*time.Microsecond, 200*time.Microsecond)); err != nil {
 			b.Fatal(err)

@@ -53,7 +53,7 @@ func TestPipelinedCancellationDrainsWithoutLeaks(t *testing.T) {
 	var started atomic.Int64
 	jobs := blockingJobs(8, &started)
 	time.AfterFunc(20*time.Millisecond, cancel)
-	if err := (Scheduler{Pipelined: true, PrepWorkers: 2, InferWorkers: 2}).Run(ctx, jobs); err != nil {
+	if err := (Scheduler{Pipelined: true, Workers: 4}).Run(ctx, jobs); err != nil {
 		t.Fatal(err)
 	}
 	for _, j := range jobs {
@@ -71,7 +71,7 @@ func TestPipelinedDeadlineMarksUnfinishedJobs(t *testing.T) {
 	defer cancel()
 	var started atomic.Int64
 	jobs := blockingJobs(4, &started)
-	if err := (Scheduler{Pipelined: true, PrepWorkers: 1, InferWorkers: 1}).Run(ctx, jobs); err != nil {
+	if err := (Scheduler{Pipelined: true, Workers: 2}).Run(ctx, jobs); err != nil {
 		t.Fatal(err)
 	}
 	for _, j := range jobs {
@@ -86,7 +86,7 @@ func TestPipelinedDeadlineMarksUnfinishedJobs(t *testing.T) {
 func TestPreCancelledContextRunsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, sched := range []Scheduler{{}, {Pipelined: true, PrepWorkers: 2, InferWorkers: 2}} {
+	for _, sched := range []Scheduler{{}, {Pipelined: true, Workers: 4}} {
 		var started atomic.Int64
 		jobs := blockingJobs(3, &started)
 		if err := sched.Run(ctx, jobs); err != nil {
@@ -119,7 +119,7 @@ func TestCancellationDoesNotOverwriteStageErrors(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	}}}}
-	if err := (Scheduler{Pipelined: true, PrepWorkers: 1, InferWorkers: 1}).Run(ctx, []*Job{bad, slow}); err != nil {
+	if err := (Scheduler{Pipelined: true, Workers: 2}).Run(ctx, []*Job{bad, slow}); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(bad.Err, boom) {
@@ -146,7 +146,7 @@ func TestCompletedJobsSurviveLateCancellation(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	}}}}
-	if err := (Scheduler{Pipelined: true, PrepWorkers: 1, InferWorkers: 1}).Run(ctx, []*Job{fast, slow}); err != nil {
+	if err := (Scheduler{Pipelined: true, Workers: 2}).Run(ctx, []*Job{fast, slow}); err != nil {
 		t.Fatal(err)
 	}
 	if fast.Err != nil {

@@ -108,41 +108,17 @@ type Job struct {
 // prior work) or through the work-stealing pool (Algorithm 1 + DESIGN.md
 // §16).
 type Scheduler struct {
-	// Workers sizes the unified work-stealing pool (≥1). 0 derives the
-	// size from PrepWorkers+InferWorkers — the capacity the old dedicated
-	// pools offered — or defaults to 4 (the paper's 2+2) when those are
-	// unset too. Negative is invalid.
+	// Workers sizes the work-stealing pool; pipelined mode needs ≥ 1.
 	Workers int
-	// PrepWorkers and InferWorkers are the legacy §5 fixed-pool sizes,
-	// kept as capacity inputs: stage kinds are scheduling priorities now,
-	// not lanes, so the two only contribute to the pool size.
-	PrepWorkers  int
-	InferWorkers int
 	// Pipelined selects the work-stealing engine; false degenerates to the
 	// sequential mode that processes tables and stages one by one.
 	Pipelined bool
 }
 
-// WorkerCount resolves the effective pool size per the Workers field's
-// derivation rules.
-func (s Scheduler) WorkerCount() int {
-	if s.Workers != 0 {
-		return s.Workers
-	}
-	if n := s.PrepWorkers + s.InferWorkers; n > 0 {
-		return n
-	}
-	return 4
-}
-
 // Validate reports configuration errors.
 func (s Scheduler) Validate() error {
-	if !s.Pipelined {
-		return nil
-	}
-	if s.Workers < 0 || s.PrepWorkers < 0 || s.InferWorkers < 0 || s.WorkerCount() < 1 {
-		return fmt.Errorf("pipeline: pipelined mode needs a positive worker count, got workers=%d prep=%d infer=%d",
-			s.Workers, s.PrepWorkers, s.InferWorkers)
+	if s.Pipelined && s.Workers < 1 {
+		return fmt.Errorf("pipeline: pipelined mode needs a positive worker count, got %d", s.Workers)
 	}
 	return nil
 }
@@ -184,7 +160,7 @@ func (s Scheduler) RunStats(ctx context.Context, jobs []*Job) (Stats, error) {
 		runSequential(ctx, jobs)
 		return Stats{}, nil
 	}
-	return runStealing(ctx, jobs, s.WorkerCount()), nil
+	return runStealing(ctx, jobs, s.Workers), nil
 }
 
 // runSequential processes tables one by one, each stage in order — the

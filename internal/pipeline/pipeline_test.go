@@ -82,7 +82,7 @@ func TestPipelinedPreservesPerJobOrder(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		jobs = append(jobs, makeJob(r, fmt.Sprintf("j%d", i), time.Millisecond))
 	}
-	s := Scheduler{Pipelined: true, PrepWorkers: 2, InferWorkers: 2}
+	s := Scheduler{Pipelined: true, Workers: 4}
 	if err := s.Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestPipelinedOverlapsStages(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		jobs = append(jobs, makeJob(r, fmt.Sprintf("j%d", i), 3*time.Millisecond))
 	}
-	s := Scheduler{Pipelined: true, PrepWorkers: 2, InferWorkers: 2}
+	s := Scheduler{Pipelined: true, Workers: 4}
 	if err := s.Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +149,14 @@ func TestPipelinedFasterThanSequential(t *testing.T) {
 	Scheduler{Pipelined: false}.Run(context.Background(), mk())
 	seq := time.Since(start)
 	start = time.Now()
-	Scheduler{Pipelined: true, PrepWorkers: 2, InferWorkers: 2}.Run(context.Background(), mk())
+	Scheduler{Pipelined: true, Workers: 4}.Run(context.Background(), mk())
 	pipe := time.Since(start)
 	if pipe >= seq {
 		t.Fatalf("pipelined (%v) not faster than sequential (%v)", pipe, seq)
 	}
 }
 
-func TestWorkerCountCapsConcurrency(t *testing.T) {
+func TestWorkersCapConcurrency(t *testing.T) {
 	var active, maxActive int64
 	var jobs []*Job
 	for i := 0; i < 10; i++ {
@@ -178,24 +178,6 @@ func TestWorkerCountCapsConcurrency(t *testing.T) {
 	Scheduler{Pipelined: true, Workers: 3}.Run(context.Background(), jobs)
 	if m := atomic.LoadInt64(&maxActive); m > 3 {
 		t.Fatalf("stage concurrency %d exceeded pool size 3", m)
-	}
-}
-
-func TestWorkerCountDerivation(t *testing.T) {
-	cases := []struct {
-		s    Scheduler
-		want int
-	}{
-		{Scheduler{Workers: 5}, 5},
-		{Scheduler{PrepWorkers: 2, InferWorkers: 3}, 5},
-		{Scheduler{PrepWorkers: 2}, 2},
-		{Scheduler{}, 4},
-		{Scheduler{Workers: 1, PrepWorkers: 8, InferWorkers: 8}, 1},
-	}
-	for _, c := range cases {
-		if got := c.s.WorkerCount(); got != c.want {
-			t.Fatalf("WorkerCount(%+v) = %d, want %d", c.s, got, c.want)
-		}
 	}
 }
 
@@ -222,7 +204,7 @@ func TestFailedStageCancelsJobOnly(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
 		ran = map[string]bool{}
 		bad.Err, good.Err = nil, nil
-		s := Scheduler{Pipelined: pipelined, PrepWorkers: 1, InferWorkers: 1}
+		s := Scheduler{Pipelined: pipelined, Workers: 2}
 		if err := s.Run(context.Background(), []*Job{bad, good}); err != nil {
 			t.Fatal(err)
 		}
@@ -242,11 +224,8 @@ func TestValidate(t *testing.T) {
 	if err := (Scheduler{Pipelined: true, Workers: -1}).Run(context.Background(), nil); err == nil {
 		t.Fatal("expected validation error for negative worker count")
 	}
-	if err := (Scheduler{Pipelined: true, PrepWorkers: -2, InferWorkers: 3}).Run(context.Background(), nil); err == nil {
-		t.Fatal("expected validation error for negative pool size")
-	}
-	if err := (Scheduler{Pipelined: true}).Run(context.Background(), nil); err != nil {
-		t.Fatalf("pipelined with derived default pool must be fine: %v", err)
+	if err := (Scheduler{Pipelined: true}).Run(context.Background(), nil); err == nil {
+		t.Fatal("expected validation error for a pipelined scheduler with no workers")
 	}
 	if err := (Scheduler{Pipelined: false}).Run(context.Background(), nil); err != nil {
 		t.Fatalf("sequential with no workers must be fine: %v", err)
@@ -254,14 +233,14 @@ func TestValidate(t *testing.T) {
 }
 
 func TestEmptyJobList(t *testing.T) {
-	if err := (Scheduler{Pipelined: true, PrepWorkers: 1, InferWorkers: 1}).Run(context.Background(), nil); err != nil {
+	if err := (Scheduler{Pipelined: true, Workers: 2}).Run(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestJobWithNoStages(t *testing.T) {
 	j := &Job{ID: "empty"}
-	if err := (Scheduler{Pipelined: true, PrepWorkers: 1, InferWorkers: 1}).Run(context.Background(), []*Job{j}); err != nil {
+	if err := (Scheduler{Pipelined: true, Workers: 2}).Run(context.Background(), []*Job{j}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -289,7 +268,7 @@ func TestManyJobsStress(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
-	if err := (Scheduler{Pipelined: true, PrepWorkers: 4, InferWorkers: 4}).Run(context.Background(), jobs); err != nil {
+	if err := (Scheduler{Pipelined: true, Workers: 8}).Run(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
 	if done != 800 {

@@ -18,22 +18,15 @@ import (
 	"repro/internal/obs"
 )
 
-// DetectRequest is the /v1/detect payload. PrepWorkers/InferWorkers, when
-// positive, override the service's default pool sizes for this pipelined
-// request; they are ignored when Pipelined is false. DeadlineMillis, when
+// DetectRequest is the /v1/detect payload. Pipelined runs a whole-database
+// request on the service's work-stealing pool. DeadlineMillis, when
 // positive, bounds the whole request: stages past the deadline degrade to
 // Phase-1 answers instead of running.
 type DetectRequest struct {
-	Database     string   `json:"database"`
-	Tables       []string `json:"tables,omitempty"` // empty = all tables
-	Pipelined    bool     `json:"pipelined"`
-	PrepWorkers  int      `json:"prep_workers,omitempty"`
-	InferWorkers int      `json:"infer_workers,omitempty"`
-	// Workers overrides the work-stealing pool size for this pipelined
-	// request; 0 keeps the service default (or derives from the legacy
-	// prep/infer overrides above when those are set).
-	Workers        int   `json:"workers,omitempty"`
-	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
+	Database       string   `json:"database"`
+	Tables         []string `json:"tables,omitempty"` // empty = all tables
+	Pipelined      bool     `json:"pipelined"`
+	DeadlineMillis int64    `json:"deadline_ms,omitempty"`
 	// Trace requests the span tree of this detection inline in the
 	// response: per-stage timings for every table, relative to request
 	// start.
@@ -186,8 +179,8 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 	if req.DeadlineMillis < 0 {
 		return nil, apiErrorf(http.StatusBadRequest, "deadline_ms must be ≥ 0")
 	}
-	if req.Workers < 0 || req.PrepWorkers < 0 || req.InferWorkers < 0 {
-		return nil, apiErrorf(http.StatusBadRequest, "worker counts must be ≥ 0")
+	if req.ModelVersion < 0 {
+		return nil, apiErrorf(http.StatusBadRequest, "model_version must be ≥ 0")
 	}
 	tn, ok := s.tenant(req.Database)
 	if !ok {
@@ -267,20 +260,6 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 		if req.Pipelined {
 			mode = s.defaultMode
 			mode.Pipelined = true
-			if req.PrepWorkers > 0 || req.InferWorkers > 0 {
-				// Legacy per-kind overrides: adopt them and re-derive the
-				// pool size from their sum instead of the default Workers.
-				if req.PrepWorkers > 0 {
-					mode.PrepWorkers = req.PrepWorkers
-				}
-				if req.InferWorkers > 0 {
-					mode.InferWorkers = req.InferWorkers
-				}
-				mode.Workers = 0
-			}
-			if req.Workers > 0 {
-				mode.Workers = req.Workers
-			}
 		}
 		rep, err := s.detector.DetectDatabaseOn(ctx, conn, req.Database, mode)
 		if err != nil {

@@ -85,14 +85,15 @@ func TestDetectTraceBypassesFlight(t *testing.T) {
 }
 
 // TestLegacyRequestFieldsAreHarmless: fields the API has retired
-// ("quantize", "batch_chunks") are ignored, not honoured. A body carrying
+// ("quantize", "batch_chunks", the pool sizes "workers", "prep_workers" and
+// "infer_workers") are ignored, not honoured. A body carrying
 // them answers the same bytes as the body without them and shares its flight
 // key, so the two coalesce under singleflight.
 func TestLegacyRequestFieldsAreHarmless(t *testing.T) {
 	svc, _ := testService(t)
 	h := svc.Handler()
 	const plain = `{"database":"tenantdb","pipelined":true}`
-	const legacy = `{"database":"tenantdb","pipelined":true,"quantize":true,"batch_chunks":8}`
+	const legacy = `{"database":"tenantdb","pipelined":true,"quantize":true,"batch_chunks":8,"workers":3,"prep_workers":1,"infer_workers":2}`
 	answer := func(body string) (key, canon string) {
 		t.Helper()
 		var req DetectRequest

@@ -66,20 +66,21 @@ type Service struct {
 	swaps          atomic.Int64
 }
 
-// New creates a service around a detector. Pipelined requests default to
-// the paper's 2/2 pool sizes; SetDefaultMode overrides that (e.g. with
-// core.AutoMode() when the deployment sizes pools from the machine).
+// New creates a service around a detector. Pipelined requests run on
+// ExecMode{Pipelined: true}, one worker per CPU (floor 4); SetDefaultMode
+// overrides that.
 func New(det *core.Detector) *Service {
 	return &Service{
 		detector:    det,
 		tenants:     make(map[string]*tenant),
-		defaultMode: core.PipelinedMode(),
+		defaultMode: core.ExecMode{Pipelined: true},
 		flight:      cache.NewGroup[flightResult](obs.Default.Counter(cache.MetricCoalesced)),
 	}
 }
 
-// SetDefaultMode sets the execution mode used for pipelined detect requests
-// that do not carry their own worker counts. Call before serving traffic.
+// SetDefaultMode sets the execution mode of pipelined detect requests; its
+// Pipelined flag is ignored, the request's decides. Call before serving
+// traffic.
 func (s *Service) SetDefaultMode(mode core.ExecMode) { s.defaultMode = mode }
 
 // SetDefaultDeadline sets the per-request deadline applied to detect

@@ -233,26 +233,6 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-func TestDetectWorkerOverrides(t *testing.T) {
-	svc, ds := testService(t)
-	// A service default plus a request override must both be accepted and
-	// still produce a full result set.
-	svc.SetDefaultMode(core.ExecMode{Pipelined: true, PrepWorkers: 3, InferWorkers: 3})
-	rec := doJSON(t, svc.Handler(), http.MethodPost, "/v1/detect", DetectRequest{
-		Database: "tenantdb", Pipelined: true, PrepWorkers: 1, InferWorkers: 2,
-	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
-	}
-	var resp DetectResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Tables) != len(ds.Test) {
-		t.Fatalf("tables = %d, want %d", len(resp.Tables), len(ds.Test))
-	}
-}
-
 // TestDetectDeadlineDegradedNot500: deadline_ms=1 cannot possibly finish
 // Phase 2, but the endpoint must still answer 200 with a valid, degraded
 // response — a deadline is an SLO, not a server error.
@@ -282,11 +262,23 @@ func TestDetectDeadlineDegradedNot500(t *testing.T) {
 	}
 }
 
+// TestDetectNegativeDeadlineRejected: a negative deadline_ms or
+// model_version is a bad request, not a silent default.
 func TestDetectNegativeDeadlineRejected(t *testing.T) {
 	svc, _ := testService(t)
-	rec := doJSON(t, svc.Handler(), http.MethodPost, "/v1/detect", DetectRequest{Database: "tenantdb", DeadlineMillis: -5})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", rec.Code)
+	for _, c := range []struct {
+		name string
+		req  DetectRequest
+	}{
+		{"deadline_ms", DetectRequest{Database: "tenantdb", DeadlineMillis: -5}},
+		{"model_version", DetectRequest{Database: "tenantdb", ModelVersion: -1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec := doJSON(t, svc.Handler(), http.MethodPost, "/v1/detect", c.req)
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body)
+			}
+		})
 	}
 }
 
@@ -391,6 +383,7 @@ func FuzzHandleDetect(f *testing.F) {
 	f.Add(`{"deadline_ms":-1}`)
 	f.Add(``)
 	f.Add(`{"database":"tenantdb","deadline_ms":9999999999999}`)
+	f.Add(`{"database":"tenantdb","model_version":-1}`)
 	// Fields the schema no longer has (retired knobs of old clients) are ignored.
 	f.Add(`{"database":"tenantdb","tables":["ghost"],"pipelined":true,"retired_knob":4}`)
 	f.Add(`{"database":"tenantdb","pipelined":true,"quantize":true,"batch_chunks":8}`)

@@ -63,7 +63,7 @@ func TestPipelineGoldenParity(t *testing.T) {
 		mode ExecMode
 	}{
 		{"stealing", ExecMode{Pipelined: true, Workers: 8}},
-		{"legacy_pools", PipelinedMode()},
+		{"paper_pool", PipelinedMode()},
 	} {
 		if got := canon(tc.mode); got != want {
 			t.Fatalf("%s: results differ from sequential mode", tc.name)

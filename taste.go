@@ -112,7 +112,8 @@ var (
 	// DefaultOptions is the paper's default configuration (α=0.1, β=0.9,
 	// m=50, n=10, l=20).
 	DefaultOptions = core.DefaultOptions
-	// PipelinedMode returns Algorithm 1 execution with pool size 2.
+	// PipelinedMode returns Algorithm 1 execution with the paper's
+	// TP1=TP2=2: 4 workers in the work-stealing pool.
 	PipelinedMode = core.PipelinedMode
 	// SequentialMode processes tables one by one.
 	SequentialMode = core.SequentialMode
