@@ -14,8 +14,8 @@ import (
 // around σ(-3) ≈ 0.047, inside the band, so every column goes through
 // Phase 2 — the worst-case end-to-end path (metadata tower, content scan,
 // batched content tower) that the compute runtime is meant to speed up.
-func benchDetector(b *testing.B) (*Detector, *corpus.Dataset) {
-	b.Helper()
+func benchDetector(tb testing.TB) (*Detector, *corpus.Dataset) {
+	tb.Helper()
 	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.WikiTableProfile(40), 1)
 	tok := adtd.BuildVocabulary(ds.Train, ds.Registry.Names(), 2000)
 	types := adtd.NewTypeSpace(ds.Registry.Names())
@@ -24,13 +24,13 @@ func benchDetector(b *testing.B) (*Detector, *corpus.Dataset) {
 	cfg.MetaClassifierHidden, cfg.ContentClassifierHidden = 32, 32
 	m, err := adtd.New(cfg, tok, types, 7)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	opts := DefaultOptions()
 	opts.Alpha, opts.Beta = 0.01, 0.99
 	det, err := NewDetector(m, opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return det, ds
 }

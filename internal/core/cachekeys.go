@@ -4,9 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
-	"hash"
 	"math"
+	"strconv"
+	"sync"
 
 	"repro/internal/adtd"
 	"repro/internal/metafeat"
@@ -29,91 +29,121 @@ import (
 //     explicit data-change invalidation hook is needed.
 //
 // Framing is length-prefixed (every string and list is preceded by its
-// length) so distinct field sequences can never collide by concatenation.
+// length as a little-endian uint64) so distinct field sequences can never
+// collide by concatenation. The whole frame is appended into one reusable
+// buffer and hashed with a single SHA-256 call: a cache hit costs one key
+// string, not an allocation per field.
+
+// keyBufs recycles framing buffers across requests. A frame holding an
+// unusually large scan is not kept: maxPooledKeyBuf caps what the pool pins.
+var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+const maxPooledKeyBuf = 64 << 10
 
 // metaResultKey memoizes Phase 1's probability rows for one chunk, under the
 // generation of the model the request actually runs on.
 func (d *Detector) metaResultKey(m *adtd.Model, chunk *metafeat.TableInfo) string {
-	h := sha256.New()
-	hashTableInfo(h, chunk)
-	return fmt.Sprintf("p1|g%d|h%v|%s", m.Generation(), d.Opts.UseHistogram, hex.EncodeToString(h.Sum(nil)))
+	bp := keyBufs.Get().(*[]byte)
+	b := appendTableInfo((*bp)[:0], chunk)
+	key := resultKey("p1", m.Generation(), d.Opts.UseHistogram, b)
+	putKeyBuf(bp, b)
+	return key
 }
 
 // contentResultKey memoizes Phase 2's probability rows for one chunk
 // request.
 func (d *Detector) contentResultKey(m *adtd.Model, chunk *metafeat.TableInfo, cols []int, n int) string {
-	h := sha256.New()
-	hashTableInfo(h, chunk)
-	hashInt(h, len(cols))
+	bp := keyBufs.Get().(*[]byte)
+	b := appendTableInfo((*bp)[:0], chunk)
+	b = appendInt(b, len(cols))
 	for _, c := range cols {
-		hashInt(h, c)
+		b = appendInt(b, c)
 	}
-	hashInt(h, n)
-	return fmt.Sprintf("p2|g%d|h%v|%s", m.Generation(), d.Opts.UseHistogram, hex.EncodeToString(h.Sum(nil)))
+	b = appendInt(b, n)
+	key := resultKey("p2", m.Generation(), d.Opts.UseHistogram, b)
+	putKeyBuf(bp, b)
+	return key
 }
 
-func hashInt(h hash.Hash, v int) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	h.Write(b[:])
+func putKeyBuf(bp *[]byte, b []byte) {
+	if cap(b) > maxPooledKeyBuf {
+		return
+	}
+	*bp = b
+	keyBufs.Put(bp)
 }
 
-func hashF64(h hash.Hash, v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	h.Write(b[:])
+// resultKey renders "<tier>|g<gen>|h<hist>|<hex sha256(frame)>".
+func resultKey(tier string, gen uint64, hist bool, frame []byte) string {
+	sum := sha256.Sum256(frame)
+	var out [96]byte
+	b := append(out[:0], tier...)
+	b = append(b, "|g"...)
+	b = strconv.AppendUint(b, gen, 10)
+	b = append(b, "|h"...)
+	b = strconv.AppendBool(b, hist)
+	b = append(b, '|')
+	b = hex.AppendEncode(b, sum[:])
+	return string(b)
 }
 
-func hashStr(h hash.Hash, s string) {
-	hashInt(h, len(s))
-	h.Write([]byte(s))
+func appendInt(b []byte, v int) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(v))
 }
 
-func hashStats(h hash.Hash, st *simdb.ColumnStats) {
+func appendF64(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+func appendStr(b []byte, s string) []byte {
+	return append(appendInt(b, len(s)), s...)
+}
+
+func appendStats(b []byte, st *simdb.ColumnStats) []byte {
 	if st == nil {
-		hashInt(h, 0)
-		return
+		return appendInt(b, 0)
 	}
-	hashInt(h, 1)
-	hashInt(h, st.RowCount)
-	hashInt(h, st.NullCount)
-	hashInt(h, st.NDV)
-	hashInt(h, st.MinLen)
-	hashInt(h, st.MaxLen)
-	hashF64(h, st.AvgLen)
-	hashF64(h, st.NumericRatio)
-	hashF64(h, st.NumericMin)
-	hashF64(h, st.NumericMax)
+	b = appendInt(b, 1)
+	b = appendInt(b, st.RowCount)
+	b = appendInt(b, st.NullCount)
+	b = appendInt(b, st.NDV)
+	b = appendInt(b, st.MinLen)
+	b = appendInt(b, st.MaxLen)
+	b = appendF64(b, st.AvgLen)
+	b = appendF64(b, st.NumericRatio)
+	b = appendF64(b, st.NumericMin)
+	b = appendF64(b, st.NumericMax)
 	if st.Histogram == nil {
-		hashInt(h, 0)
-		return
+		return appendInt(b, 0)
 	}
-	hashInt(h, 1)
-	hashInt(h, int(st.Histogram.Kind))
-	hashInt(h, len(st.Histogram.Buckets))
-	for _, b := range st.Histogram.Buckets {
-		hashStr(h, b.Lower)
-		hashStr(h, b.Upper)
-		hashInt(h, b.Count)
+	b = appendInt(b, 1)
+	b = appendInt(b, int(st.Histogram.Kind))
+	b = appendInt(b, len(st.Histogram.Buckets))
+	for _, bk := range st.Histogram.Buckets {
+		b = appendStr(b, bk.Lower)
+		b = appendStr(b, bk.Upper)
+		b = appendInt(b, bk.Count)
 	}
+	return b
 }
 
-// hashTableInfo frames every model-visible field of a chunk into h. Values
+// appendTableInfo frames every model-visible field of a chunk onto b. Values
 // are nil during Phase 1 (metadata only) and populated for scanned columns
-// by the time Phase 2 hashes the chunk.
-func hashTableInfo(h hash.Hash, ti *metafeat.TableInfo) {
-	hashStr(h, ti.Name)
-	hashStr(h, ti.Comment)
-	hashInt(h, ti.RowCount)
-	hashInt(h, len(ti.Columns))
+// by the time Phase 2 frames the chunk.
+func appendTableInfo(b []byte, ti *metafeat.TableInfo) []byte {
+	b = appendStr(b, ti.Name)
+	b = appendStr(b, ti.Comment)
+	b = appendInt(b, ti.RowCount)
+	b = appendInt(b, len(ti.Columns))
 	for _, c := range ti.Columns {
-		hashStr(h, c.Name)
-		hashStr(h, c.Comment)
-		hashStr(h, c.DataType)
-		hashStats(h, c.Stats)
-		hashInt(h, len(c.Values))
+		b = appendStr(b, c.Name)
+		b = appendStr(b, c.Comment)
+		b = appendStr(b, c.DataType)
+		b = appendStats(b, c.Stats)
+		b = appendInt(b, len(c.Values))
 		for _, v := range c.Values {
-			hashStr(h, v)
+			b = appendStr(b, v)
 		}
 	}
+	return b
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -302,6 +303,13 @@ type ColumnResult struct {
 	Uncertain bool
 	// Phase records which phase produced the final answer (1 or 2).
 	Phase int
+	// Scanned reports that s3 read the column's content. It stays set when
+	// Phase 2 then degrades the column (the rules ran over that content), so
+	// a table's Scanned columns always number its ScannedColumns. It is left
+	// out of a result's JSON form, which stays byte-comparable with results
+	// rebuilt stage by stage outside core (the benchmark's trace replay);
+	// /v1/detect reports it per column as "scanned".
+	Scanned bool `json:"-"`
 	// Degraded reports that Phase 2 was required but could not run; the
 	// answer is Phase 1's (possibly sharpened by the rule-based detector).
 	Degraded bool
@@ -467,9 +475,25 @@ type tableJob struct {
 // process-unique, keeps entries from hot-swapped models from ever aliasing.
 // Database and table names are free-form (nothing validates them), so each
 // is length-prefixed: tenant "a.b" with table "c" and tenant "a" with table
-// "b.c" must not share latents.
+// "b.c" must not share latents. The key reads
+// "g<gen>/<len>:<db>/<len>:<table>#<chunk>/h=<hist>".
 func (d *Detector) cacheKey(m *adtd.Model, dbName, table string, chunk int) string {
-	return fmt.Sprintf("g%d/%d:%s/%d:%s#%d/h=%v", m.Generation(), len(dbName), dbName, len(table), table, chunk, d.Opts.UseHistogram)
+	var buf [128]byte
+	b := append(buf[:0], 'g')
+	b = strconv.AppendUint(b, m.Generation(), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(len(dbName)), 10)
+	b = append(b, ':')
+	b = append(b, dbName...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(len(table)), 10)
+	b = append(b, ':')
+	b = append(b, table...)
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(chunk), 10)
+	b = append(b, "/h="...)
+	b = strconv.AppendBool(b, d.Opts.UseHistogram)
+	return string(b)
 }
 
 // deadlineNear reports whether the request deadline has passed or is within
@@ -755,6 +779,7 @@ func (j *tableJob) s3PrepContent(ctx context.Context) error {
 	}
 	for _, g := range j.uncertain {
 		j.info.Columns[g].Values = content[j.info.Columns[g].Name]
+		j.res.Columns[g].Scanned = true
 	}
 	j.res.ScannedColumns = len(j.uncertain)
 	return nil

@@ -75,6 +75,7 @@ func TestForwardPanicDegradesTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkScannedFlags(t, ref)
 
 			// Corrupt the victim's cached latents in place. The layers still
 			// compare equal, so s2's re-Put of the same encoding keeps this
@@ -100,6 +101,7 @@ func TestForwardPanicDegradesTable(t *testing.T) {
 			if got := forwardPanicsTotal.Value() - panics; got != 1 {
 				t.Fatalf("taste_detector_forward_panics_total rose by %d, want 1", got)
 			}
+			checkScannedFlags(t, rep)
 			if len(rep.Tables) != len(ref.Tables) {
 				t.Fatalf("%d tables answered, want %d", len(rep.Tables), len(ref.Tables))
 			}
@@ -116,8 +118,8 @@ func TestForwardPanicDegradesTable(t *testing.T) {
 					if !c.Uncertain {
 						continue
 					}
-					if !c.Degraded || c.Phase != 1 || !strings.Contains(c.DegradeReason, "content forward panic") {
-						t.Fatalf("victim column %s: phase=%d degraded=%v reason=%q", c.Column, c.Phase, c.Degraded, c.DegradeReason)
+					if !c.Degraded || c.Phase != 1 || !c.Scanned || !strings.Contains(c.DegradeReason, "content forward panic") {
+						t.Fatalf("victim column %s: phase=%d scanned=%v degraded=%v reason=%q", c.Column, c.Phase, c.Scanned, c.Degraded, c.DegradeReason)
 					}
 				}
 			}
@@ -136,6 +138,29 @@ func TestForwardPanicDegradesTable(t *testing.T) {
 				t.Fatal("detector did not return to the reference answer after the panic")
 			}
 		})
+	}
+}
+
+// checkScannedFlags: in every table of rep, the columns flagged Scanned
+// number exactly its ScannedColumns, and the report's total is their sum —
+// degraded columns whose content s3 read included.
+func checkScannedFlags(t *testing.T, rep *Report) {
+	t.Helper()
+	total := 0
+	for _, tr := range rep.Tables {
+		n := 0
+		for _, c := range tr.Columns {
+			if c.Scanned {
+				n++
+			}
+		}
+		if n != tr.ScannedColumns {
+			t.Fatalf("table %s: %d columns flagged scanned, ScannedColumns %d", tr.Table, n, tr.ScannedColumns)
+		}
+		total += n
+	}
+	if total != rep.ScannedColumns {
+		t.Fatalf("%d columns flagged scanned, report ScannedColumns %d", total, rep.ScannedColumns)
 	}
 }
 

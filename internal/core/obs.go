@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -31,12 +32,29 @@ var (
 	forwardPanicsTotal    = obs.Default.Counter("taste_detector_forward_panics_total")
 )
 
-// prefetchCount records scan-prefetcher outcomes: hit (consumed), waste
-// (issued but never consumed), skipped (declined by the byte brake).
-func prefetchCount(kind, outcome string, n int) {
-	if n > 0 {
-		obs.Default.Counter("taste_pipeline_prefetch_total", "kind", kind, "outcome", outcome).Add(int64(n))
+// prefetchOutcome indexes the outcome label of taste_pipeline_prefetch_total.
+type prefetchOutcome int
+
+const (
+	prefetchHit     prefetchOutcome = iota // consumed by its stage
+	prefetchWaste                          // issued but never consumed
+	prefetchSkipped                        // declined by the byte brake
+)
+
+var outcomeLabel = [3]string{"hit", "waste", "skipped"}
+
+// prefetchTotals[kind][outcome] holds the counter handles, resolved on first
+// use so a series appears in /metrics only once it has counted something.
+var prefetchTotals [2][3]atomic.Pointer[obs.Counter]
+
+// prefetchCount records one scan-prefetcher outcome.
+func prefetchCount(k readKind, o prefetchOutcome) {
+	c := prefetchTotals[k][o].Load()
+	if c == nil {
+		c = obs.Default.Counter("taste_pipeline_prefetch_total", "kind", kindLabel[k], "outcome", outcomeLabel[o])
+		prefetchTotals[k][o].Store(c)
 	}
+	c.Inc()
 }
 
 // stageLabels name the four stages in spans: "s<N>:<table>", so a trace
@@ -49,7 +67,11 @@ var stageLabels = [4]string{"s1", "s2", "s3", "s4"}
 func instrumentStage(idx int, table string, st pipeline.Stage, busy func(stage int, d time.Duration)) pipeline.Stage {
 	run := st.Run
 	st.Run = func(ctx context.Context) error {
-		ctx, sp := obs.StartSpan(ctx, stageLabels[idx]+":"+table)
+		// The span name is built only for a traced request.
+		var sp *obs.Span
+		if obs.FromContext(ctx) != nil {
+			ctx, sp = obs.StartSpan(ctx, stageLabels[idx]+":"+table)
+		}
 		start := time.Now()
 		err := run(ctx)
 		elapsed := time.Since(start)

@@ -210,7 +210,7 @@ func (p *prefetcher) tryStartScan(table string, names []string) {
 	defer p.mu.Unlock()
 	if p.closed || (p.budget > 0 && p.heldBytes >= p.budget) {
 		p.skipped++
-		prefetchCount("scan", "skipped", 1)
+		prefetchCount(scanRead, prefetchSkipped)
 		return
 	}
 	f := &future{done: make(chan struct{}), table: table, names: names}
@@ -291,7 +291,7 @@ func (p *prefetcher) await(k readKind, table string) *future {
 	p.heldBytes -= f.bytes
 	p.hits++
 	p.mu.Unlock()
-	prefetchCount(kindLabel[k], "hit", 1)
+	prefetchCount(k, prefetchHit)
 	return f
 }
 
@@ -312,7 +312,7 @@ func (p *prefetcher) close() {
 			if f.issued {
 				p.waste++
 				p.wastedRetries += f.retries
-				prefetchCount(kindLabel[k], "waste", 1)
+				prefetchCount(readKind(k), prefetchWaste)
 			}
 		}
 	}

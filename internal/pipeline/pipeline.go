@@ -13,9 +13,24 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+)
+
+// waitStages is how many leading stage positions get a resolved histogram
+// handle; a job with more stages (Taste's have four) looks the rest up in
+// the registry on each call.
+const waitStages = 8
+
+// Wait-histogram handles, resolved on first use (so a series still appears
+// in /metrics only once it has been observed) and then read without a
+// registry lookup: queueWaitHists[stage][kind][stolen], parkWaitHists[stage].
+var (
+	queueWaitHists [waitStages][2][2]atomic.Pointer[obs.Histogram]
+	parkWaitHists  [waitStages]atomic.Pointer[obs.Histogram]
 )
 
 // queueWait records how long a stage sat runnable-but-undispatched in a
@@ -25,19 +40,50 @@ import (
 // series in core; the stolen label splits waits of migrated stages from
 // stages their owner ran locally.
 func queueWait(stageIdx int, kind StageKind, stolen bool, d time.Duration) {
-	obs.Default.LatencyHistogram("taste_pipeline_queue_wait_seconds",
-		"stage", fmt.Sprintf("s%d", stageIdx+1),
-		"kind", kind.String(),
-		"stolen", fmt.Sprintf("%v", stolen)).ObserveDuration(d)
+	lookup := func() *obs.Histogram {
+		return obs.Default.LatencyHistogram("taste_pipeline_queue_wait_seconds",
+			"stage", stageLabel(stageIdx),
+			"kind", kind.String(),
+			"stolen", strconv.FormatBool(stolen))
+	}
+	if stageIdx >= waitStages {
+		lookup().ObserveDuration(d)
+		return
+	}
+	s := 0
+	if stolen {
+		s = 1
+	}
+	resolved(&queueWaitHists[stageIdx][kind][s], lookup).ObserveDuration(d)
 }
 
 // parkWait records how long a job sat parked on a stage's Ready completion:
 // time spent waiting for storage (or any other gate), which queueWait never
 // sees because a parked job is in no deque.
 func parkWait(stageIdx int, d time.Duration) {
-	obs.Default.LatencyHistogram("taste_pipeline_park_seconds",
-		"stage", fmt.Sprintf("s%d", stageIdx+1)).ObserveDuration(d)
+	lookup := func() *obs.Histogram {
+		return obs.Default.LatencyHistogram("taste_pipeline_park_seconds", "stage", stageLabel(stageIdx))
+	}
+	if stageIdx >= waitStages {
+		lookup().ObserveDuration(d)
+		return
+	}
+	resolved(&parkWaitHists[stageIdx], lookup).ObserveDuration(d)
 }
+
+// resolved returns the handle in slot, filling it with lookup on first use.
+// Racing first uses store the same registry-owned histogram.
+func resolved(slot *atomic.Pointer[obs.Histogram], lookup func() *obs.Histogram) *obs.Histogram {
+	h := slot.Load()
+	if h == nil {
+		h = lookup()
+		slot.Store(h)
+	}
+	return h
+}
+
+// stageLabel names stage position idx: "s1" for the first.
+func stageLabel(idx int) string { return "s" + strconv.Itoa(idx+1) }
 
 // StageKind distinguishes the two resource classes of §5. The work-stealing
 // scheduler treats the kind as a priority hint, not a dedicated lane: a

@@ -340,7 +340,7 @@ func toDetectTable(tr *core.TableResult) DetectTable {
 			Column:        c.Column,
 			Types:         types,
 			Phase:         c.Phase,
-			Scanned:       c.Phase == 2,
+			Scanned:       c.Scanned,
 			Degraded:      c.Degraded,
 			DegradeReason: c.DegradeReason,
 		})

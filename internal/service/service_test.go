@@ -136,6 +136,66 @@ func TestDetectWholeDatabase(t *testing.T) {
 	}
 }
 
+// TestScannedFlagsCountScannedColumns: a column whose content s3 read but
+// whose Phase 2 then degraded (here every content forward panics, on a
+// classifier weight cut one element short) still reports "scanned": true,
+// so on every response the per-column flags add up to scanned_columns.
+func TestScannedFlagsCountScannedColumns(t *testing.T) {
+	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.SmallTablesProfile(6), 3)
+	tok := adtd.BuildVocabulary(ds.Train, ds.Registry.Names(), 2000)
+	cfg := adtd.ReproScale()
+	cfg.Layers, cfg.Hidden, cfg.Heads, cfg.Intermediate = 2, 32, 2, 48
+	cfg.MetaClassifierHidden, cfg.ContentClassifierHidden = 32, 32
+	m, err := adtd.New(cfg, tok, adtd.NewTypeSpace(ds.Registry.Names()), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := m.ContCls.Hidden.W
+	w.Data = w.Data[: len(w.Data)-1 : len(w.Data)-1]
+	opts := core.DefaultOptions()
+	opts.Alpha, opts.Beta = 0.01, 0.99 // the untrained model is uncertain about every column
+	det, err := core.NewDetector(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(det)
+	server := simdb.NewServer(simdb.NoLatency)
+	server.LoadTables("tenantdb", ds.Test)
+	svc.RegisterTenant("tenantdb", server)
+
+	for _, req := range []DetectRequest{
+		{Database: "tenantdb"},
+		{Database: "tenantdb", Pipelined: true},
+		{Database: "tenantdb", Tables: []string{ds.Test[0].Name}},
+	} {
+		rec := doJSON(t, svc.Handler(), http.MethodPost, "/v1/detect", req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		var resp DetectResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.ScannedColumns == 0 || resp.DegradedColumns == 0 {
+			t.Fatalf("request %+v: scanned %d, degraded %d; want both > 0", req, resp.ScannedColumns, resp.DegradedColumns)
+		}
+		flagged := 0
+		for _, tb := range resp.Tables {
+			for _, c := range tb.Columns {
+				if c.Scanned {
+					flagged++
+				}
+				if c.Degraded && !strings.Contains(c.DegradeReason, "content forward panic") {
+					t.Fatalf("column %s.%s degraded for %q, want the content forward's panic", tb.Table, c.Column, c.DegradeReason)
+				}
+			}
+		}
+		if flagged != resp.ScannedColumns {
+			t.Fatalf("request %+v: %d columns flagged scanned, scanned_columns %d", req, flagged, resp.ScannedColumns)
+		}
+	}
+}
+
 func TestDetectSpecificTables(t *testing.T) {
 	svc, ds := testService(t)
 	want := ds.Test[0].Name
