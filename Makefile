@@ -51,14 +51,15 @@ bench-check:
 
 # fuzz gives each fuzzer a short budget beyond its seed corpus: the
 # /v1/detect handler, the cache-key framing against its streaming reference,
-# the tokenizer's append path against Encode, the four row kernels and the
+# the tokenizer's append path against Encode, the four row kernels (the
+# matmul's with its K-block edges), the fused add-and-LayerNorm and the
 # attention core (with its span validation) against their references, and
 # the checkpoint decoder (go test takes one -fuzz target per run).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzHandleDetect -fuzztime=20s ./internal/service/
 	$(GO) test -run=^$$ -fuzz=^FuzzResultKeyFraming$$ -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=^FuzzEncodeAppend$$ -fuzztime=10s ./internal/tokenizer/
-	for f in FuzzExpRow FuzzGELURow FuzzMulRowRange FuzzScoreRow FuzzAttnCore FuzzReadTensors; do \
+	for f in FuzzExpRow FuzzGELURow FuzzMulRowRange FuzzScoreRow FuzzLayerNormRows FuzzAttnCore FuzzReadTensors; do \
 		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzztime=10s ./internal/tensor/ || exit 1; \
 	done
 
@@ -101,15 +102,17 @@ race-all:
 
 # bench-smoke compiles and runs every package micro-benchmark exactly once —
 # no timing value, but it keeps the benchmark code from rotting between full
-# runs. (The paper's experiments run through cmd/tastebench, the end-to-end
-# benchmark through bench/run.sh.)
+# runs; that includes BenchmarkPaperScaleForward, the paper-scale model's
+# forwards at random init (~1 s). (The paper's experiments run through
+# cmd/tastebench, the end-to-end benchmark through bench/run.sh.)
 # The second pass repeats the kernel sets (the AVX-512 kernels, the AVX2
-# assembly and the Go kernels — matmul, attention at scan_cpu's shapes, the
-# score, exp and GELU rows: sub-benchmarks avx512/asm/generic) so they are
-# exercised by name even where the default run skips them.
+# assembly and the Go kernels — matmul, the fused add-and-LayerNorm,
+# attention at scan_cpu's shapes, the score, exp and GELU rows:
+# sub-benchmarks avx512/asm/generic) so they are exercised by name even where
+# the default run skips them.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-	$(GO) test -run='^$$' -bench='BenchmarkLinearInto$$|BenchmarkFusedAttentionCore$$|BenchmarkExpSubRow$$|BenchmarkGELURow$$|BenchmarkScoreRow$$' -benchtime=1x ./internal/tensor/
+	$(GO) test -run='^$$' -bench='BenchmarkLinearInto$$|BenchmarkFusedAddLayerNorm$$|BenchmarkFusedAttentionCore$$|BenchmarkExpSubRow$$|BenchmarkGELURow$$|BenchmarkScoreRow$$' -benchtime=1x ./internal/tensor/
 
 clean:
 	$(GO) clean ./...

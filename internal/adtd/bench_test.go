@@ -114,3 +114,40 @@ func BenchmarkBuildMetaInput(b *testing.B) {
 		enc.BuildMetaInput(info, false)
 	}
 }
+
+// BenchmarkPaperScaleForward times the two inference forwards of the
+// paper's deployed model (PaperScale: H=312, 12 heads, I=1200, 4 layers)
+// at random init on one WikiTable test table with all of its columns:
+// meta is Phase 1 (PredictMeta), content Phase 2 (PredictContentBatch on
+// cached metadata latents). Random weights time the same kernels a trained
+// model runs; only the zero-skip depends on their values. Building the
+// model takes about a second, outside the timer.
+func BenchmarkPaperScaleForward(b *testing.B) {
+	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.WikiTableProfile(30), 1)
+	tok := BuildVocabulary(ds.Train, ds.Registry.Names(), 2000)
+	m, err := New(PaperScale(), tok, NewTypeSpace(ds.Registry.Names()), 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.SetEval()
+	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
+	cols := make([]int, len(info.Columns))
+	for i := range cols {
+		cols[i] = i
+	}
+	b.Run("meta", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.PredictMeta(info, false)
+		}
+	})
+	b.Run("content", func(b *testing.B) {
+		menc, _ := m.PredictMeta(info, false)
+		reqs := []ContentRequest{{Menc: menc.Detach(), Table: info, Cols: cols}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.PredictContentBatch(reqs, 10)
+		}
+	})
+}

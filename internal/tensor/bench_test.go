@@ -70,6 +70,27 @@ func BenchmarkLayerNorm(b *testing.B) {
 	}
 }
 
+// BenchmarkFusedAddLayerNorm times the residual add and LayerNorm every
+// forward runs after attention and after the feed-forward block, at the
+// repro width (64) and the paper's (312), over a 128-token sequence.
+// BenchmarkLayerNorm above times the composed training op instead.
+func BenchmarkFusedAddLayerNorm(b *testing.B) {
+	for _, sh := range [][2]int{{128, 64}, {128, 312}} {
+		rows, cols := sh[0], sh[1]
+		b.Run(fmt.Sprintf("%dx%d", rows, cols), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x, res := benchTensor(rng, rows, cols).Data, benchTensor(rng, rows, cols).Data
+			gamma, beta := benchTensor(rng, 1, cols).Data, benchTensor(rng, 1, cols).Data
+			dst := make([]float64, rows*cols)
+			benchKernels(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					FusedAddLayerNormInto(dst, x, res, gamma, beta, rows, cols, 1e-12)
+				}
+			})
+		})
+	}
+}
+
 func BenchmarkBackwardSmallGraph(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	w := Param(64, 64)
@@ -101,9 +122,10 @@ func benchKernels(b *testing.B, body func(b *testing.B)) {
 // QKV for a merged batch of eight chunks), at two the forwards run — a
 // metadata forward's QKV (30 rows) and an odd-length content forward's
 // feed-forward up-projection (107 rows: the two-row tile's pairs and its
-// one-row tail) — and at the paper config's QKV projection.
+// one-row tail) — and at the paper config's QKV projection and its
+// feed-forward up- and down-projections (312→1200, 1200→312).
 func BenchmarkLinearInto(b *testing.B) {
-	for _, sh := range [][3]int{{128, 64, 192}, {128, 64, 128}, {128, 128, 64}, {1024, 64, 192}, {30, 64, 192}, {107, 64, 128}, {128, 312, 936}} {
+	for _, sh := range [][3]int{{128, 64, 192}, {128, 64, 128}, {128, 128, 64}, {1024, 64, 192}, {30, 64, 192}, {107, 64, 128}, {128, 312, 936}, {128, 312, 1200}, {128, 1200, 312}} {
 		rows, in, out := sh[0], sh[1], sh[2]
 		b.Run(fmt.Sprintf("%dx%dx%d", rows, in, out), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))

@@ -94,7 +94,9 @@ func axpy8(a0, a1, a2, a3, a4, a5, a6, a7 float64, x0, x1, x2, x3, x4, x5, x6, x
 // exactly as the scalar kernel does — because adding a +0.0 term is not a
 // bitwise no-op for -0.0 outputs. bias, nil or n long, is added to each
 // row's finished chains, one rounded add per element: out[i][j] = chain +
-// bias[j].
+// bias[j]. The assembly takes k in blocks where the rows reuse a slab of B
+// that would not stay in L1 (rankBlock, kernels_amd64.go); out carries each
+// chain from one block to the next, so the bits are one pass's.
 //
 // mulRowRangeGeneric is the Go implementation and the reference the assembly
 // is tested against: ranks are register-blocked eight and four at a time
@@ -424,13 +426,19 @@ func scoreRow16(srow, qrow, kvp []float64, kOff, stride, lo, hi int, scale, maxv
 
 // FusedAddLayerNormInto computes dst = LayerNorm(a + b) rowwise, with b nil
 // meaning plain LayerNorm(a). dst may alias a or b. Bit-exact against
-// LayerNorm(Add(a, b), gamma, beta, eps).
-//
-// A row's mean and variance are each one serial chain of additions, bound by
-// the add latency, not its throughput; rows are independent, so four rows'
-// chains are interleaved in one loop and overlap in the pipeline. Each chain
-// still adds its own row's elements in column order.
+// LayerNorm(Add(a, b), gamma, beta, eps). It runs addLayerNorm (per
+// platform: the AVX-512 kernel where the CPU has it, else addLayerNormGo).
 func FusedAddLayerNormInto(dst, a, b, gamma, beta []float64, rows, cols int, eps float64) {
+	addLayerNorm(dst, a, b, gamma, beta, rows, cols, eps)
+}
+
+// addLayerNormGo is FusedAddLayerNormInto's Go implementation and the
+// reference the assembly is tested against. A row's mean and variance are
+// each one serial chain of additions, bound by the add latency, not its
+// throughput; rows are independent, so four rows' chains are interleaved in
+// one loop and overlap in the pipeline. Each chain still adds its own row's
+// elements in column order.
+func addLayerNormGo(dst, a, b, gamma, beta []float64, rows, cols int, eps float64) {
 	n := float64(cols)
 	for i := 0; i < rows; i++ {
 		drow := dst[i*cols : (i+1)*cols]

@@ -7,10 +7,10 @@ package tensor
 // to that extent first, so a bad shape panics here like the Go loops would.
 
 //go:noescape
-func mulRowsAsm(out, a, b *float64, rows, k, n, bstride int, zero bool, bias *float64)
+func mulRowsAsm(out, a, b *float64, rows, k, astride, n, bstride int, zero bool, bias *float64)
 
 //go:noescape
-func mulRows512Asm(out, a, b *float64, rows, k, n, bstride int, zero bool, bias *float64)
+func mulRows512Asm(out, a, b *float64, rows, k, astride, n, bstride int, zero bool, bias *float64)
 
 //go:noescape
 func scoreRowAsm(srow, q, k *float64, nkeys, kstride, hd int, scale, maxv float64) float64
@@ -35,6 +35,9 @@ func attnExp512Asm(p *float64, n int, maxv, sum *float64) int
 
 //go:noescape
 func attnOut512Asm(out *float64, ostride, rows int, e, va *float64, na int, vb *float64, nb, vstride int, maxv, sum *float64)
+
+//go:noescape
+func addLayerNorm512Asm(dst, a, b, gamma, beta *float64, rows, cols int, eps float64, ms *float64)
 
 //go:noescape
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -70,11 +73,46 @@ func detectAVX2() (asm, fma bool) {
 	return fma && b&(1<<5) != 0, fma
 }
 
+// l1Size and l1Way are the L1 data cache's bytes and the bytes of one of its
+// ways (sets × line size), which size rankBlock's K blocks.
+var l1Size, l1Way = detectL1D()
+
+// detectL1D reads the level-1 data cache from CPUID's deterministic cache
+// parameters (leaf 4, or 0x8000001D where leaf 4 is reserved, as on AMD),
+// and assumes 32 KiB of eight ways where neither describes one, or where
+// the one it describes has a way smaller than a cache line.
+func detectL1D() (size, way int) {
+	maxLeaf, _, _, _ := cpuidAsm(0, 0)
+	maxExt, _, _, _ := cpuidAsm(0x80000000, 0)
+	for _, leaf := range []uint32{4, 0x8000001d} {
+		if (leaf < 0x80000000 && leaf > maxLeaf) || (leaf >= 0x80000000 && leaf > maxExt) {
+			continue
+		}
+		for sub := uint32(0); sub < 8; sub++ {
+			a, b, c, _ := cpuidAsm(leaf, sub)
+			typ, level := a&0x1f, a>>5&7
+			if typ == 0 {
+				break
+			}
+			if level == 1 && (typ == 1 || typ == 3) {
+				ways, way := int(b>>22)+1, (int(b>>12&0x3ff)+1)*(int(b&0xfff)+1)*(int(c)+1)
+				if way < 64 { // zeroed fields: no cache's geometry
+					break
+				}
+				return ways * way, way
+			}
+		}
+	}
+	return 32 << 10, 4 << 10
+}
+
 // haveAVX512 (which implies haveAVX2) selects the 8-lane kernels:
 // mulRows512Asm for the matmul rows, the attention block kernels for
 // FusedAttentionCore at head width 16 (attnBlocks; other widths keep the
-// per-row path on the AVX2 score kernel), and gelu512Asm and expSub512Asm
-// for the GELU and exp rows. Tests flip it with haveAVX2.
+// per-row path on the AVX2 score kernel), gelu512Asm and expSub512Asm for
+// the GELU and exp rows, and addLayerNorm512Asm for FusedAddLayerNormInto
+// (which has no AVX2 kernel: without AVX-512 it runs addLayerNormGo). Tests
+// flip it with haveAVX2.
 var haveAVX512 = haveAVX2 && detectAVX512()
 
 // detectAVX512 reports AVX512F with the OS saving the opmask and all of the
@@ -91,10 +129,11 @@ func detectAVX512() bool {
 // Kernels names the kernels this process runs, for start-up lines and
 // /v1/stats: a replica that is slow because of a rebuild or an older CPU
 // says so. "avx512" leads when the row kernels run eight lanes wide (the
-// matmul, exp and GELU rows, and attention eight query rows per vector at
-// head width 16); the string ends in " fma exp gelu" exactly when the
-// assembly runs. "go (no FMA)" is the Go kernels on software math.FMA, the
-// slowest case; "go (no AVX2)" the Go kernels on hardware FMA.
+// matmul, exp and GELU rows, attention eight query rows per vector at head
+// width 16, and the fused add-and-LayerNorm eight rows per vector); the
+// string ends in " fma exp gelu" exactly when the assembly runs. "go (no
+// FMA)" is the Go kernels on software math.FMA, the slowest case; "go (no
+// AVX2)" the Go kernels on hardware FMA.
 func Kernels() string {
 	switch {
 	case haveAVX512:
@@ -107,6 +146,12 @@ func Kernels() string {
 	return "go (no AVX2)"
 }
 
+// mulRowRange runs the rows through the row kernel one K block at a time
+// (rankBlock): the first block starts the chains (from +0.0 when zero is
+// set), each later one continues them from out, and only the last adds the
+// bias. A stored float64 is the chain's value, so every output element still
+// runs one chain over the k ranks in ascending order: the bits are those of
+// one pass.
 func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool, bias []float64) {
 	if !haveAVX2 || hi <= lo || k <= 0 || n <= 0 {
 		mulRowRangeGeneric(out, a, b, lo, hi, k, n, bstride, c0, zero, bias)
@@ -117,11 +162,48 @@ func mulRowRange(out, a, b []float64, lo, hi, k, n, bstride, c0 int, zero bool, 
 	if bias != nil {
 		bp = &bias[:n][0]
 	}
-	if haveAVX512 {
-		mulRows512Asm(&o[0], &x[0], &w[0], hi-lo, k, n, bstride, zero, bp)
-	} else {
-		mulRowsAsm(&o[0], &x[0], &w[0], hi-lo, k, n, bstride, zero, bp)
+	kb := rankBlock(hi-lo, k, n, bstride)
+	for p := 0; p < k; p += kb {
+		kk, last := min(kb, k-p), p+kb >= k
+		bb := bp
+		if !last {
+			bb = nil
+		}
+		if haveAVX512 {
+			mulRows512Asm(&o[0], &x[p], &w[p*bstride], hi-lo, kk, k, n, bstride, zero && p == 0, bb)
+		} else {
+			mulRowsAsm(&o[0], &x[p], &w[p*bstride], hi-lo, kk, k, n, bstride, zero && p == 0, bb)
+		}
 	}
+}
+
+// rankBlock is how many ranks of b one pass of the AVX-512 row kernel takes:
+// all k, unless its 64-column tile's k×64 slab of b — which every row of the
+// pass reads again — would not stay in L1. Then k is cut into the fewest
+// blocks of at most 2/3 of the L1 the slab can use (the rest holds the
+// streamed rows of a and out), evened out so the last block is not a sliver,
+// and never under one rank. The slab's ranks are bstride·8 bytes apart, so
+// they start at only way/gcd(bstride·8, way) offsets of a cache way (sets ×
+// line): a stride of 128 columns puts a 64-column tile in half of the sets,
+// and half of L1 is what it can use (DESIGN.md §8). One or two rows read the
+// slab once whatever the blocking, so they take all k. The AVX2 kernel takes
+// all k too: blocking was measured only on the AVX-512 one.
+func rankBlock(rows, k, n, bstride int) int {
+	slab := 8 * min(n, 64)
+	reach := min(l1Way, l1Way/gcd(8*bstride, l1Way)*slab)
+	budget := max(slab, l1Size/l1Way*reach*2/3)
+	if !haveAVX512 || rows <= 2 || k*slab <= budget {
+		return k
+	}
+	blocks := (k*slab + budget - 1) / budget
+	return (k + blocks - 1) / blocks
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 func scoreRow(srow, qrow, kvp []float64, kOff, stride, lo, hi, headDim int, scale, maxv float64) float64 {
@@ -198,6 +280,24 @@ func attnExp(e []float64, maxv, sum *[8]float64) {
 		}
 		e = e[8:]
 	}
+}
+
+// addLayerNorm runs FusedAddLayerNormInto on addLayerNorm512Asm where
+// haveAVX512 holds (rows in lanes for the mean and variance chains, along
+// the row for the add and the normalise), and on addLayerNormGo elsewhere.
+func addLayerNorm(dst, a, b, gamma, beta []float64, rows, cols int, eps float64) {
+	if !haveAVX512 || rows <= 0 || cols <= 0 {
+		addLayerNormGo(dst, a, b, gamma, beta, rows, cols, eps)
+		return
+	}
+	n := rows * cols
+	d, x := dst[:n], a[:n]
+	var bp *float64
+	if b != nil {
+		bp = &b[:n][0]
+	}
+	var ms [24]float64
+	addLayerNorm512Asm(&d[0], &x[0], bp, &gamma[:cols][0], &beta[:cols][0], rows, cols, eps, &ms[0])
 }
 
 // The assembly stops at the first block (four elements, or eight on the

@@ -44,19 +44,22 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 // Register plan of both row kernels (mulRowsAsm, mulRows512Asm):
 //   DI out, DX b, SI bias — base of the current column tile (row 0, rank 0);
 //   SI walks the tiles whether or not there is a bias, and is read only when
-//   bias+64(FP) is not nil
-//   R9 k·8, R11 bstride·8, R13 n·8, R10 columns not yet tiled
-//   AX rows left, BX out row, CX end of the a row, R12 rank offset (−k·8 → 0)
+//   bias+72(FP) is not nil
+//   R9 astride·8, R11 bstride·8, R13 n·8, R10 columns not yet tiled
+//   AX rows left, BX out row, CX end of the row's k coefficients, R12 rank
+//   offset (−k·8 → 0, k reloaded from the frame for each row)
 //   R8 b row of the current rank, R14 scratch, Y8/Z8 the broadcast coefficient
 
 #define ROWS_BEGIN \
 	MOVQ rows+24(FP), AX; \
 	MOVQ DI, BX; \
-	MOVQ a+8(FP), CX; \
-	ADDQ R9, CX
+	MOVQ k+32(FP), CX; \
+	SHLQ $3, CX; \
+	ADDQ a+8(FP), CX
 
 #define RANKS_BEGIN \
-	MOVQ R9, R12; \
+	MOVQ k+32(FP), R12; \
+	SHLQ $3, R12; \
 	NEGQ R12; \
 	MOVQ DX, R8
 
@@ -97,7 +100,7 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 // The bias epilogue: each finished chain plus its column's bias, one rounded
 // add per element — the add AddRowVector makes to a MatMul's output.
 #define HAS_BIAS(none) \
-	CMPQ bias+64(FP), $0; \
+	CMPQ bias+72(FP), $0; \
 	JEQ none
 
 #define BIAS(off, acc) \
@@ -119,17 +122,18 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 #define ROWS_PROLOGUE \
 	MOVQ out+0(FP), DI; \
 	MOVQ b+16(FP), DX; \
-	MOVQ bias+64(FP), SI; \
-	MOVQ k+32(FP), R9; \
-	MOVQ n+40(FP), R10; \
-	MOVQ bstride+48(FP), R11; \
+	MOVQ bias+72(FP), SI; \
+	MOVQ astride+40(FP), R9; \
+	MOVQ n+48(FP), R10; \
+	MOVQ bstride+56(FP), R11; \
 	SHLQ $3, R9; \
 	SHLQ $3, R11; \
 	MOVQ R10, R13; \
 	SHLQ $3, R13
 
-// func mulRowsAsm(out, a, b *float64, rows, k, n, bstride int, zero bool, bias *float64)
-// out(rows×n) = or += a(rows×k) · b (+ bias), where rank p of b starts at
+// func mulRowsAsm(out, a, b *float64, rows, k, astride, n, bstride int, zero bool, bias *float64)
+// out(rows×n) = or += a(rows×k) · b (+ bias), where row i of a starts at
+// a[i·astride] (astride ≥ k: a K block of a wider a), rank p of b starts at
 // b[p·bstride] and supplies n columns, and bias is nil or n elements; rows,
 // k, n > 0. Columns are tiled 32/16/8/4 wide plus a masked tail; a tile's
 // accumulators stay in registers across all k ranks, taken in ascending
@@ -138,7 +142,7 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 // +0.0 and adds into it (a −0.0 product still gives +0.0, as clearing the
 // row and accumulating does); otherwise it starts from out. The bias is
 // added to the finished chain, just before the store.
-TEXT ·mulRowsAsm(SB), NOSPLIT, $0-72
+TEXT ·mulRowsAsm(SB), NOSPLIT, $0-80
 	ROWS_PROLOGUE
 
 tile32:
@@ -146,7 +150,7 @@ tile32:
 	JLT  tile16
 	ROWS_BEGIN
 row32:
-	CMPB zero+56(FP), $0
+	CMPB zero+64(FP), $0
 	JNE  clear32
 	VMOVUPD 0(BX), Y0
 	VMOVUPD 32(BX), Y1
@@ -206,7 +210,7 @@ tile16:
 	JLT  tile8
 	ROWS_BEGIN
 row16:
-	CMPB zero+56(FP), $0
+	CMPB zero+64(FP), $0
 	JNE  clear16
 	VMOVUPD 0(BX), Y0
 	VMOVUPD 32(BX), Y1
@@ -246,7 +250,7 @@ tile8:
 	JLT  tile4
 	ROWS_BEGIN
 row8:
-	CMPB zero+56(FP), $0
+	CMPB zero+64(FP), $0
 	JNE  clear8
 	VMOVUPD 0(BX), Y0
 	VMOVUPD 32(BX), Y1
@@ -276,7 +280,7 @@ tile4:
 	JLT  tail
 	ROWS_BEGIN
 row4:
-	CMPB zero+56(FP), $0
+	CMPB zero+64(FP), $0
 	JNE  clear4
 	VMOVUPD 0(BX), Y0
 	JMP  ranks4
@@ -307,7 +311,7 @@ tail:
 	VMOVDQU (R14), Y15
 	ROWS_BEGIN
 rowT:
-	CMPB zero+56(FP), $0
+	CMPB zero+64(FP), $0
 	JNE  clearT
 	VMASKMOVPD (BX), Y15, Y0
 	JMP  ranksT
@@ -331,15 +335,16 @@ done:
 	VZEROUPPER
 	RET
 
-// func mulRows512Asm(out, a, b *float64, rows, k, n, bstride int, zero bool, bias *float64)
+// func mulRows512Asm(out, a, b *float64, rows, k, astride, n, bstride int, zero bool, bias *float64)
 // mulRowsAsm's contract and chain order, eight lanes to a register: columns
 // are tiled 64/32/16/8 wide in ZMM accumulators (a 64-column tile is eight
 // independent chains per rank, as mulRowsAsm's 32-column one is), and the
 // last 1–7 columns are a tail under the opmask K1 = 2^r − 1. The 64-column
 // tile runs two rows at a time (Z0–Z7 row i, Z16–Z23 row i+1, broadcasts Z8
-// and Z24, R15 past row i+1's a row), so each load of b feeds both rows'
-// chains: at the feed-forward shapes the k×64 slab of b does not stay in L1,
-// and it, not the FP ports, is the limit (DESIGN.md §8). Each row zero-tests its own coefficient, so a rank runs
+// and Z24, R15 past row i+1's k coefficients), so each load of b feeds both
+// rows' chains; every pair reads the tile's k×64 slab of b again, which is
+// why mulRowRange passes k in blocks whose slab stays in L1 (rankBlock,
+// DESIGN.md §8). Each row zero-tests its own coefficient, so a rank runs
 // both rows, one of them, or neither; an odd last row takes the one-row
 // loop. The chains are the one-row ones. A masked-off
 // lane is neither loaded nor stored — AVX-512 suppresses faults on the
@@ -347,7 +352,7 @@ done:
 // zeros into those lanes, whose results are never stored. Only AVX512F
 // instructions: VPXORQ clears (VXORPD on ZMM would need AVX512DQ), KMOVW sets
 // the mask.
-TEXT ·mulRows512Asm(SB), NOSPLIT, $0-72
+TEXT ·mulRows512Asm(SB), NOSPLIT, $0-80
 	ROWS_PROLOGUE
 
 tile64:
@@ -357,7 +362,7 @@ tile64:
 	CMPQ AX, $2
 	JLT  row64
 pair64:
-	CMPB zero+56(FP), $0
+	CMPB zero+64(FP), $0
 	JNE  clearp64
 	VMOVUPD 0(BX), Z0
 	VMOVUPD 64(BX), Z1
@@ -472,7 +477,7 @@ storep64:
 	TESTQ AX, AX
 	JZ   next64
 row64:
-	CMPB zero+56(FP), $0
+	CMPB zero+64(FP), $0
 	JNE  clear64
 	VMOVUPD 0(BX), Z0
 	VMOVUPD 64(BX), Z1
@@ -533,7 +538,7 @@ tile32z:
 	JLT  tile16z
 	ROWS_BEGIN
 row32z:
-	CMPB zero+56(FP), $0
+	CMPB zero+64(FP), $0
 	JNE  clear32z
 	VMOVUPD 0(BX), Z0
 	VMOVUPD 64(BX), Z1
@@ -573,7 +578,7 @@ tile16z:
 	JLT  tile8z
 	ROWS_BEGIN
 row16z:
-	CMPB zero+56(FP), $0
+	CMPB zero+64(FP), $0
 	JNE  clear16z
 	VMOVUPD 0(BX), Z0
 	VMOVUPD 64(BX), Z1
@@ -603,7 +608,7 @@ tile8z:
 	JLT  tailz
 	ROWS_BEGIN
 row8z:
-	CMPB zero+56(FP), $0
+	CMPB zero+64(FP), $0
 	JNE  clear8z
 	VMOVUPD 0(BX), Z0
 	JMP  ranks8z
@@ -633,7 +638,7 @@ tailz:
 	KMOVW R14, K1
 	ROWS_BEGIN
 rowTz:
-	CMPB zero+56(FP), $0
+	CMPB zero+64(FP), $0
 	JNE  clearTz
 	VMOVUPD.Z (BX), K1, Z0
 	JMP  ranksTz
@@ -1037,13 +1042,133 @@ geluRet:
 	VPSLLQ $52, Z2, Z2; \
 	VMULPD Z2, Z0, Z0
 
+// EXP_CORE512_4 is EXP_CORE512 on four vectors at once — Z16, Z19, Z22 and
+// Z25, clobbering the two registers after each — each instruction issued for
+// all four before the next, so four independent chains fill the pipeline
+// where one left it waiting on each result. Every lane's operations are
+// EXP_CORE512's, in its order.
+#define EXP_CORE512_4 \
+	VMULPD.BCST LOG2E, Z16, Z17; \
+	VMULPD.BCST LOG2E, Z19, Z20; \
+	VMULPD.BCST LOG2E, Z22, Z23; \
+	VMULPD.BCST LOG2E, Z25, Z26; \
+	VCVTPD2DQ Z17, Y18; \
+	VCVTPD2DQ Z20, Y21; \
+	VCVTPD2DQ Z23, Y24; \
+	VCVTPD2DQ Z26, Y27; \
+	VCVTDQ2PD Y18, Z17; \
+	VCVTDQ2PD Y21, Z20; \
+	VCVTDQ2PD Y24, Z23; \
+	VCVTDQ2PD Y27, Z26; \
+	VFNMADD231PD.BCST LN2U, Z17, Z16; \
+	VFNMADD231PD.BCST LN2U, Z20, Z19; \
+	VFNMADD231PD.BCST LN2U, Z23, Z22; \
+	VFNMADD231PD.BCST LN2U, Z26, Z25; \
+	VFNMADD231PD.BCST LN2L, Z17, Z16; \
+	VFNMADD231PD.BCST LN2L, Z20, Z19; \
+	VFNMADD231PD.BCST LN2L, Z23, Z22; \
+	VFNMADD231PD.BCST LN2L, Z26, Z25; \
+	VMULPD.BCST SIXTEENTH, Z16, Z16; \
+	VMULPD.BCST SIXTEENTH, Z19, Z19; \
+	VMULPD.BCST SIXTEENTH, Z22, Z22; \
+	VMULPD.BCST SIXTEENTH, Z25, Z25; \
+	VBROADCASTSD EXPC8, Z17; \
+	VBROADCASTSD EXPC8, Z20; \
+	VBROADCASTSD EXPC8, Z23; \
+	VBROADCASTSD EXPC8, Z26; \
+	VFMADD213PD.BCST EXPC7, Z16, Z17; \
+	VFMADD213PD.BCST EXPC7, Z19, Z20; \
+	VFMADD213PD.BCST EXPC7, Z22, Z23; \
+	VFMADD213PD.BCST EXPC7, Z25, Z26; \
+	VFMADD213PD.BCST EXPC6, Z16, Z17; \
+	VFMADD213PD.BCST EXPC6, Z19, Z20; \
+	VFMADD213PD.BCST EXPC6, Z22, Z23; \
+	VFMADD213PD.BCST EXPC6, Z25, Z26; \
+	VFMADD213PD.BCST EXPC5, Z16, Z17; \
+	VFMADD213PD.BCST EXPC5, Z19, Z20; \
+	VFMADD213PD.BCST EXPC5, Z22, Z23; \
+	VFMADD213PD.BCST EXPC5, Z25, Z26; \
+	VFMADD213PD.BCST EXPC4, Z16, Z17; \
+	VFMADD213PD.BCST EXPC4, Z19, Z20; \
+	VFMADD213PD.BCST EXPC4, Z22, Z23; \
+	VFMADD213PD.BCST EXPC4, Z25, Z26; \
+	VFMADD213PD.BCST EXPC3, Z16, Z17; \
+	VFMADD213PD.BCST EXPC3, Z19, Z20; \
+	VFMADD213PD.BCST EXPC3, Z22, Z23; \
+	VFMADD213PD.BCST EXPC3, Z25, Z26; \
+	VFMADD213PD.BCST HALF, Z16, Z17; \
+	VFMADD213PD.BCST HALF, Z19, Z20; \
+	VFMADD213PD.BCST HALF, Z22, Z23; \
+	VFMADD213PD.BCST HALF, Z25, Z26; \
+	VFMADD213PD.BCST ONE, Z16, Z17; \
+	VFMADD213PD.BCST ONE, Z19, Z20; \
+	VFMADD213PD.BCST ONE, Z22, Z23; \
+	VFMADD213PD.BCST ONE, Z25, Z26; \
+	VMULPD Z17, Z16, Z16; \
+	VMULPD Z20, Z19, Z19; \
+	VMULPD Z23, Z22, Z22; \
+	VMULPD Z26, Z25, Z25; \
+	VADDPD.BCST TWO, Z16, Z17; \
+	VADDPD.BCST TWO, Z19, Z20; \
+	VADDPD.BCST TWO, Z22, Z23; \
+	VADDPD.BCST TWO, Z25, Z26; \
+	VMULPD Z17, Z16, Z16; \
+	VMULPD Z20, Z19, Z19; \
+	VMULPD Z23, Z22, Z22; \
+	VMULPD Z26, Z25, Z25; \
+	VADDPD.BCST TWO, Z16, Z17; \
+	VADDPD.BCST TWO, Z19, Z20; \
+	VADDPD.BCST TWO, Z22, Z23; \
+	VADDPD.BCST TWO, Z25, Z26; \
+	VMULPD Z17, Z16, Z16; \
+	VMULPD Z20, Z19, Z19; \
+	VMULPD Z23, Z22, Z22; \
+	VMULPD Z26, Z25, Z25; \
+	VADDPD.BCST TWO, Z16, Z17; \
+	VADDPD.BCST TWO, Z19, Z20; \
+	VADDPD.BCST TWO, Z22, Z23; \
+	VADDPD.BCST TWO, Z25, Z26; \
+	VMULPD Z17, Z16, Z16; \
+	VMULPD Z20, Z19, Z19; \
+	VMULPD Z23, Z22, Z22; \
+	VMULPD Z26, Z25, Z25; \
+	VADDPD.BCST TWO, Z16, Z17; \
+	VADDPD.BCST TWO, Z19, Z20; \
+	VADDPD.BCST TWO, Z22, Z23; \
+	VADDPD.BCST TWO, Z25, Z26; \
+	VFMADD213PD.BCST ONE, Z17, Z16; \
+	VFMADD213PD.BCST ONE, Z20, Z19; \
+	VFMADD213PD.BCST ONE, Z23, Z22; \
+	VFMADD213PD.BCST ONE, Z26, Z25; \
+	VPMOVSXDQ Y18, Z18; \
+	VPMOVSXDQ Y21, Z21; \
+	VPMOVSXDQ Y24, Z24; \
+	VPMOVSXDQ Y27, Z27; \
+	VPADDQ.BCST EXPBIAS, Z18, Z18; \
+	VPADDQ.BCST EXPBIAS, Z21, Z21; \
+	VPADDQ.BCST EXPBIAS, Z24, Z24; \
+	VPADDQ.BCST EXPBIAS, Z27, Z27; \
+	VPSLLQ $52, Z18, Z18; \
+	VPSLLQ $52, Z21, Z21; \
+	VPSLLQ $52, Z24, Z24; \
+	VPSLLQ $52, Z27, Z27; \
+	VMULPD Z18, Z16, Z16; \
+	VMULPD Z21, Z19, Z19; \
+	VMULPD Z24, Z22, Z22; \
+	VMULPD Z27, Z25, Z25
+
 // The 8-lane row kernels walk p eight elements at a time under the same
 // contract as the 4-lane ones, with ROW_BEGIN's registers. The range check
 // is an ordered VCMPPD into the opmask K2, taken only when all eight bits
 // are set. The last n%8 elements are a block under K1 = 2^r − 1: masked-off
 // lanes are neither loaded nor stored (AVX-512 suppresses their faults) and
 // hold zeros, in range for both functions, so only the r real lanes decide
-// whether the block is taken.
+// whether the block is taken. While at least 25 elements remain the GELU
+// kernel takes four blocks at once (the last under K1 when fewer than 32
+// remain), interleaving the four blocks' instructions so their dependency
+// chains overlap, when all four are in range; otherwise its one-block loop
+// takes the next block alone and stops at it if it is out of range, so the
+// contract is unchanged.
 #define TAIL_MASK512 \
 	MOVL $1, R9; \
 	SHLL CX, R9; \
@@ -1055,6 +1180,52 @@ geluRet:
 	KMOVW k, DX; \
 	CMPL DX, $0xff; \
 	JNE fail
+
+// FOUR_MASK sets K1 to the lanes of the fourth vector of a group of four
+// that hold elements, for CX ≥ 25 elements left: all eight from 32 on,
+// else the first CX − 24, which a group takes as a tail block does (the
+// other lanes loaded as zeros, never stored). It clobbers R9 and R10.
+#define FOUR_MASK \
+	MOVQ CX, R10; \
+	SUBQ $24, R10; \
+	MOVQ $8, R9; \
+	CMPQ R10, R9; \
+	CMOVQGT R9, R10; \
+	XCHGQ R10, CX; \
+	MOVL $1, R9; \
+	SHLL CX, R9; \
+	DECL R9; \
+	XCHGQ R10, CX; \
+	KMOVW R9, K1
+
+// FOUR_NEXT advances past a group of four: 32 elements, or the CX < 32
+// left, which ends the row.
+#define FOUR_NEXT(loop, ret) \
+	CMPQ CX, $32; \
+	JGE 3(PC); \
+	ADDQ CX, AX; \
+	JMP ret; \
+	ADDQ $256, DI; \
+	ADDQ $32, AX; \
+	SUBQ $32, CX; \
+	JMP loop
+
+// IN_RANGE4 sets K2 to the lanes where all four of Z16, Z19, Z22 and Z25
+// are inside |x| ≤ max (abs the |x| mask, max the bound; false for NaN):
+// ALL_LANES(K2, …) then takes the four vectors only if every one of their
+// blocks would be taken alone. It clobbers Z17, Z20, Z23, Z26 and K7.
+#define IN_RANGE4(abs, max) \
+	VPANDQ abs, Z16, Z17; \
+	VPANDQ abs, Z19, Z20; \
+	VPANDQ abs, Z22, Z23; \
+	VPANDQ abs, Z25, Z26; \
+	VCMPPD $18, max, Z17, K2; \
+	VCMPPD $18, max, Z20, K7; \
+	KANDW K7, K2, K2; \
+	VCMPPD $18, max, Z23, K7; \
+	KANDW K7, K2, K2; \
+	VCMPPD $18, max, Z26, K7; \
+	KANDW K7, K2, K2
 
 // func expSub512Asm(p *float64, n int, sub float64) int
 // expSubFMAAsm eight lanes wide.
@@ -1102,14 +1273,179 @@ exp8Ret:
 // (u·s·P(s), Q(s)) or (2, exp(2z) + 1) — divides once, and finishes both
 // arms from the one quotient t: u + t, or 1 − t with u's sign. Each lane
 // divides the operands its own arm divides, so the quotient has its bits.
-//   Z4 v, Z5 u, Z6 z = |u|, Z8 the numerator then tanh(u), Z11 the
-//   denominator, Z9 t, Z15 0.625, DX K3's bits.
+// While at least 25 elements remain (the fourth vector under K1 when fewer
+// than 32 do) the kernel takes four vectors at once, every
+// instruction issued for all four before the next: both arms for every lane
+// (an arm's discarded lanes see arguments it is defined on, as above) and
+// the blend under K3..K6, no branch. A group with a lane out of range goes
+// through the one-vector loop, which stops at its first such block.
+//   One vector: Z4 v, Z5 u, Z6 z = |u|, Z8 the numerator then tanh(u), Z11
+//   the denominator, Z9 t, DX K3's bits. Four: v Z0–Z3, u Z4–Z7, the
+//   numerators Z8–Z11, the denominators Z28–Z31, and z, s, P(s) in
+//   EXP_CORE512_4's registers. Z12 44, Z13 the |x| mask, Z15 0.625.
 TEXT ·gelu512Asm(SB), NOSPLIT, $0-24
 	ROW_BEGIN
 	VBROADCASTSD ABSMASK, Z13
 	VBROADCASTSD GELUMAX, Z12
 	VBROADCASTSD TANHCUT, Z15
 gelu8Loop:
+	CMPQ CX, $25
+	JLT  gelu8One
+	FOUR_MASK
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD.Z 192(DI), K1, Z3
+	VMULPD.BCST GELUA, Z0, Z4
+	VMULPD.BCST GELUA, Z1, Z5
+	VMULPD.BCST GELUA, Z2, Z6
+	VMULPD.BCST GELUA, Z3, Z7
+	VMULPD Z0, Z4, Z4
+	VMULPD Z1, Z5, Z5
+	VMULPD Z2, Z6, Z6
+	VMULPD Z3, Z7, Z7
+	VMULPD Z0, Z4, Z4
+	VMULPD Z1, Z5, Z5
+	VMULPD Z2, Z6, Z6
+	VMULPD Z3, Z7, Z7
+	VADDPD Z4, Z0, Z4
+	VADDPD Z5, Z1, Z5
+	VADDPD Z6, Z2, Z6
+	VADDPD Z7, Z3, Z7
+	VMULPD.BCST GELUC, Z4, Z4
+	VMULPD.BCST GELUC, Z5, Z5
+	VMULPD.BCST GELUC, Z6, Z6
+	VMULPD.BCST GELUC, Z7, Z7
+	VPANDQ Z13, Z4, Z16
+	VPANDQ Z13, Z5, Z19
+	VPANDQ Z13, Z6, Z22
+	VPANDQ Z13, Z7, Z25
+	VCMPPD $18, Z12, Z16, K2 // z ≤ 44, false for NaN
+	VCMPPD $18, Z12, Z19, K7
+	KANDW K7, K2, K2
+	VCMPPD $18, Z12, Z22, K7
+	KANDW K7, K2, K2
+	VCMPPD $18, Z12, Z25, K7
+	KANDW K7, K2, K2
+	ALL_LANES(K2, gelu8One)
+	VCMPPD $29, Z15, Z16, K3 // z ≥ 0.625
+	VCMPPD $29, Z15, Z19, K4 // z ≥ 0.625
+	VCMPPD $29, Z15, Z22, K5 // z ≥ 0.625
+	VCMPPD $29, Z15, Z25, K6 // z ≥ 0.625
+
+	// Every lane: u·s·P(s) over Q(s), s = u².
+	VMULPD Z4, Z4, Z17
+	VMULPD Z5, Z5, Z20
+	VMULPD Z6, Z6, Z23
+	VMULPD Z7, Z7, Z26
+	VMULPD.BCST TANHP0, Z17, Z18
+	VMULPD.BCST TANHP0, Z20, Z21
+	VMULPD.BCST TANHP0, Z23, Z24
+	VMULPD.BCST TANHP0, Z26, Z27
+	VADDPD.BCST TANHP1, Z18, Z18
+	VADDPD.BCST TANHP1, Z21, Z21
+	VADDPD.BCST TANHP1, Z24, Z24
+	VADDPD.BCST TANHP1, Z27, Z27
+	VMULPD Z17, Z18, Z18
+	VMULPD Z20, Z21, Z21
+	VMULPD Z23, Z24, Z24
+	VMULPD Z26, Z27, Z27
+	VADDPD.BCST TANHP2, Z18, Z18
+	VADDPD.BCST TANHP2, Z21, Z21
+	VADDPD.BCST TANHP2, Z24, Z24
+	VADDPD.BCST TANHP2, Z27, Z27
+	VADDPD.BCST TANHQ0, Z17, Z28
+	VADDPD.BCST TANHQ0, Z20, Z29
+	VADDPD.BCST TANHQ0, Z23, Z30
+	VADDPD.BCST TANHQ0, Z26, Z31
+	VMULPD Z17, Z28, Z28
+	VMULPD Z20, Z29, Z29
+	VMULPD Z23, Z30, Z30
+	VMULPD Z26, Z31, Z31
+	VADDPD.BCST TANHQ1, Z28, Z28
+	VADDPD.BCST TANHQ1, Z29, Z29
+	VADDPD.BCST TANHQ1, Z30, Z30
+	VADDPD.BCST TANHQ1, Z31, Z31
+	VMULPD Z17, Z28, Z28
+	VMULPD Z20, Z29, Z29
+	VMULPD Z23, Z30, Z30
+	VMULPD Z26, Z31, Z31
+	VADDPD.BCST TANHQ2, Z28, Z28
+	VADDPD.BCST TANHQ2, Z29, Z29
+	VADDPD.BCST TANHQ2, Z30, Z30
+	VADDPD.BCST TANHQ2, Z31, Z31
+	VMULPD Z17, Z4, Z8
+	VMULPD Z20, Z5, Z9
+	VMULPD Z23, Z6, Z10
+	VMULPD Z26, Z7, Z11
+	VMULPD Z18, Z8, Z8
+	VMULPD Z21, Z9, Z9
+	VMULPD Z24, Z10, Z10
+	VMULPD Z27, Z11, Z11
+
+	// Lanes with z ≥ 0.625 take 2 over exp(2z) + 1 instead.
+	VADDPD Z16, Z16, Z16
+	VADDPD Z19, Z19, Z19
+	VADDPD Z22, Z22, Z22
+	VADDPD Z25, Z25, Z25
+	EXP_CORE512_4
+	VADDPD.BCST ONE, Z16, K3, Z28
+	VADDPD.BCST ONE, Z19, K4, Z29
+	VADDPD.BCST ONE, Z22, K5, Z30
+	VADDPD.BCST ONE, Z25, K6, Z31
+	VBROADCASTSD TWO, K3, Z8
+	VBROADCASTSD TWO, K4, Z9
+	VBROADCASTSD TWO, K5, Z10
+	VBROADCASTSD TWO, K6, Z11
+
+	// t = numerator/denominator: u + t, or 1 − t with u's sign.
+	VDIVPD Z28, Z8, Z17
+	VDIVPD Z29, Z9, Z20
+	VDIVPD Z30, Z10, Z23
+	VDIVPD Z31, Z11, Z26
+	VADDPD Z17, Z4, Z8
+	VADDPD Z20, Z5, Z9
+	VADDPD Z23, Z6, Z10
+	VADDPD Z26, Z7, Z11
+	VBROADCASTSD ONE, Z16
+	VBROADCASTSD ONE, Z19
+	VBROADCASTSD ONE, Z22
+	VBROADCASTSD ONE, Z25
+	VSUBPD Z17, Z16, Z16
+	VSUBPD Z20, Z19, Z19
+	VSUBPD Z23, Z22, Z22
+	VSUBPD Z26, Z25, Z25
+	VPANDQ.BCST SIGNBIT, Z4, Z18
+	VPANDQ.BCST SIGNBIT, Z5, Z21
+	VPANDQ.BCST SIGNBIT, Z6, Z24
+	VPANDQ.BCST SIGNBIT, Z7, Z27
+	VPXORQ Z18, Z16, Z16
+	VPXORQ Z21, Z19, Z19
+	VPXORQ Z24, Z22, Z22
+	VPXORQ Z27, Z25, Z25
+	VMOVAPD Z16, K3, Z8
+	VMOVAPD Z19, K4, Z9
+	VMOVAPD Z22, K5, Z10
+	VMOVAPD Z25, K6, Z11
+
+	VMULPD.BCST HALF, Z0, Z16
+	VMULPD.BCST HALF, Z1, Z19
+	VMULPD.BCST HALF, Z2, Z22
+	VMULPD.BCST HALF, Z3, Z25
+	VADDPD.BCST ONE, Z8, Z17
+	VADDPD.BCST ONE, Z9, Z20
+	VADDPD.BCST ONE, Z10, Z23
+	VADDPD.BCST ONE, Z11, Z26
+	VMULPD Z17, Z16, Z16
+	VMULPD Z20, Z19, Z19
+	VMULPD Z23, Z22, Z22
+	VMULPD Z26, Z25, Z25
+	VMOVUPD Z16, (DI)
+	VMOVUPD Z19, 64(DI)
+	VMOVUPD Z22, 128(DI)
+	VMOVUPD Z25, K1, 192(DI)
+	FOUR_NEXT(gelu8Loop, gelu8Ret)
+gelu8One:
 	CMPQ CX, $8
 	JLT  gelu8Tail
 	VMOVUPD (DI), Z4
@@ -1319,7 +1655,8 @@ scoreDone:
 // func attnExp512Asm(p *float64, n int, maxv, sum *float64) int
 // p[j] = Exp(p[j] − maxv[j mod 8]) with sum[l] += each of lane l's results
 // in order, for n a multiple of 8: expSub512Asm with a subtrahend per lane
-// and softmax's sum folded in as one vertical VADDPD per key. It returns
+// and softmax's sum folded in as one vertical VADDPD per key, four keys at
+// a time (EXP_CORE512_4, the four sums added in key order). It returns
 // how many elements it replaced: n, or the start of the first block with a
 // live lane outside |x| ≤ 708 (the caller runs that block on the scalar Exp
 // and calls again). A dead lane — max −Inf, its row saw no score above −Inf
@@ -1340,6 +1677,33 @@ TEXT ·attnExp512Asm(SB), NOSPLIT, $0-40
 	VBROADCASTSD ABSMASK, Z13
 	VBROADCASTSD EXPMAX, Z12
 attnExpLoop:
+	CMPQ CX, $32
+	JLT  attnExpOne
+	VMOVUPD (DI), Z16
+	VMOVUPD 64(DI), Z19
+	VMOVUPD 128(DI), Z22
+	VMOVUPD 192(DI), Z25
+	VSUBPD Z14, Z16, Z16
+	VSUBPD Z14, Z19, Z19
+	VSUBPD Z14, Z22, Z22
+	VSUBPD Z14, Z25, Z25
+	IN_RANGE4(Z13, Z12)
+	KORW K3, K2, K2
+	ALL_LANES(K2, attnExpOne)
+	EXP_CORE512_4
+	VMOVUPD Z16, (DI)
+	VMOVUPD Z19, 64(DI)
+	VMOVUPD Z22, 128(DI)
+	VMOVUPD Z25, 192(DI)
+	VADDPD Z16, Z10, Z10
+	VADDPD Z19, Z10, Z10
+	VADDPD Z22, Z10, Z10
+	VADDPD Z25, Z10, Z10
+	ADDQ $256, DI
+	ADDQ $32, AX
+	SUBQ $32, CX
+	JMP  attnExpLoop
+attnExpOne:
 	TESTQ CX, CX
 	JZ   attnExpRet
 	VMOVUPD (DI), Z0
@@ -1482,5 +1846,308 @@ outStore:
 	STORE_COL(104, Z29)
 	STORE_COL(112, Z30)
 	STORE_COL(120, Z31)
+	VZEROUPPER
+	RET
+
+// LN_ROWS loads columns [j, j+8) of the block's eight rows (AX at column j
+// of its first row) into Z0..Z7, row l from AX plus the byte offset the
+// table at 128(R15) holds for lane l; LN_ROWS_TAIL loads the first r < 8
+// of them under K1, the rest zeros.
+#define LN_ROW(l, z) \
+	MOVQ (128+8*l)(R15), R10; \
+	VMOVUPD (AX)(R10*1), z
+
+#define LN_ROW_TAIL(l, z) \
+	MOVQ (128+8*l)(R15), R10; \
+	VMOVUPD.Z (AX)(R10*1), K1, z
+
+#define LN_ROWS \
+	LN_ROW(0, Z0); LN_ROW(1, Z1); LN_ROW(2, Z2); LN_ROW(3, Z3); \
+	LN_ROW(4, Z4); LN_ROW(5, Z5); LN_ROW(6, Z6); LN_ROW(7, Z7)
+
+#define LN_ROWS_TAIL \
+	LN_ROW_TAIL(0, Z0); LN_ROW_TAIL(1, Z1); LN_ROW_TAIL(2, Z2); LN_ROW_TAIL(3, Z3); \
+	LN_ROW_TAIL(4, Z4); LN_ROW_TAIL(5, Z5); LN_ROW_TAIL(6, Z6); LN_ROW_TAIL(7, Z7)
+
+// LN_TRANSPOSE turns rows Z0..Z7 (eight columns each) into columns: Z0+c
+// holds column c of the eight rows, lane l row l. Pairs of rows interleave
+// (Z16..Z23: 2×2 blocks), then 128-bit lanes gather the 4×4 blocks
+// (Z24..Z31) and the 8×8 one. Moves only: no bit of a value changes.
+#define LN_TRANSPOSE \
+	VUNPCKLPD Z1, Z0, Z16; \
+	VUNPCKHPD Z1, Z0, Z17; \
+	VUNPCKLPD Z3, Z2, Z18; \
+	VUNPCKHPD Z3, Z2, Z19; \
+	VUNPCKLPD Z5, Z4, Z20; \
+	VUNPCKHPD Z5, Z4, Z21; \
+	VUNPCKLPD Z7, Z6, Z22; \
+	VUNPCKHPD Z7, Z6, Z23; \
+	VSHUFF64X2 $0x88, Z18, Z16, Z24; \
+	VSHUFF64X2 $0xdd, Z18, Z16, Z25; \
+	VSHUFF64X2 $0x88, Z22, Z20, Z26; \
+	VSHUFF64X2 $0xdd, Z22, Z20, Z27; \
+	VSHUFF64X2 $0x88, Z19, Z17, Z28; \
+	VSHUFF64X2 $0xdd, Z19, Z17, Z29; \
+	VSHUFF64X2 $0x88, Z23, Z21, Z30; \
+	VSHUFF64X2 $0xdd, Z23, Z21, Z31; \
+	VSHUFF64X2 $0x88, Z26, Z24, Z0; \
+	VSHUFF64X2 $0xdd, Z26, Z24, Z4; \
+	VSHUFF64X2 $0x88, Z30, Z28, Z1; \
+	VSHUFF64X2 $0xdd, Z30, Z28, Z5; \
+	VSHUFF64X2 $0x88, Z27, Z25, Z2; \
+	VSHUFF64X2 $0xdd, Z27, Z25, Z6; \
+	VSHUFF64X2 $0x88, Z31, Z29, Z3; \
+	VSHUFF64X2 $0xdd, Z31, Z29, Z7
+
+// One column's step of the mean chain (Z12) and of the variance chain (Z11,
+// about the mean in Z12): the scalar code's m += v and v += float64(e·e).
+#define MEAN_STEP(c) \
+	VADDPD c, Z12, Z12
+
+#define VAR_STEP(c) \
+	VSUBPD Z12, c, c; \
+	VMULPD c, c, c; \
+	VADDPD c, Z11, Z11
+
+// func addLayerNorm512Asm(dst, a, b, gamma, beta *float64, rows, cols int, eps float64, ms *float64)
+// FusedAddLayerNormInto (rows, cols > 0; b nil for plain LayerNorm; dst may
+// be a or b) in addLayerNormGo's operations. The residual add and the
+// normalise are elementwise, so they run along the row, eight columns to a
+// register and the last cols%8 under K1. The mean and the variance are each
+// one chain of additions per row, in column order from +0.0; those run
+// eight rows to a register, one row per lane: eight columns of the block's
+// rows are loaded and transposed (LN_TRANSPOSE) and lane l performs row l's
+// additions in the scalar order, eight chains where the scalar code had
+// four. A column tail adds only its r real columns. A block of r < 8 rows
+// loads row r−1 again into lanes r..7 (the offset table), whose results are
+// never read. ms (24 elements) holds the block's means, its inverse
+// deviations, and the lanes' row offsets.
+//   DI the block's first dst row, R11 its byte offset, SI and DX the
+//   block's a and b rows, R8 cols·8, R9 rows left, BX the block's rows,
+//   R13 gamma, R14 beta, R15 ms, Z13 float64(cols), Z14 eps, Z15 1.0,
+//   Z12 the means, Z11 the variances then the inverse deviations.
+TEXT ·addLayerNorm512Asm(SB), NOSPLIT, $0-72
+	MOVQ cols+48(FP), R8
+	MOVQ R8, CX
+	ANDQ $7, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	KMOVW AX, K1
+	CVTSQ2SD R8, X13
+	VBROADCASTSD X13, Z13
+	SHLQ $3, R8
+	VBROADCASTSD eps+56(FP), Z14
+	VBROADCASTSD ONE, Z15
+	MOVQ gamma+24(FP), R13
+	MOVQ beta+32(FP), R14
+	MOVQ dst+0(FP), DI
+	MOVQ rows+40(FP), R9
+	XORQ R11, R11
+lnBlock:
+	MOVQ $8, BX
+	CMPQ R9, BX
+	CMOVQLT R9, BX
+
+	// The block's dst = a + b (a copy of a without b; nothing where dst is
+	// a): every element is its own sum.
+	MOVQ a+8(FP), SI
+	ADDQ R11, SI
+	MOVQ BX, CX
+	IMULQ cols+48(FP), CX
+	XORQ AX, AX
+	MOVQ b+16(FP), DX
+	TESTQ DX, DX
+	JZ   lnNoB
+	ADDQ R11, DX
+	JMP  lnAdd
+lnNoB:
+	CMPQ DI, SI
+	JEQ  lnStats
+lnCopy:
+	CMPQ CX, $8
+	JLT  lnCopyTail
+	VMOVUPD (SI)(AX*1), Z0
+	VMOVUPD Z0, (DI)(AX*1)
+	ADDQ $64, AX
+	SUBQ $8, CX
+	JMP  lnCopy
+lnCopyTail:
+	TESTQ CX, CX
+	JZ   lnStats
+	MOVL $1, R10
+	SHLL CX, R10
+	DECL R10
+	KMOVW R10, K2
+	VMOVUPD.Z (SI)(AX*1), K2, Z0
+	VMOVUPD Z0, K2, (DI)(AX*1)
+	JMP  lnStats
+lnAdd:
+	CMPQ CX, $8
+	JLT  lnAddTail
+	VMOVUPD (SI)(AX*1), Z0
+	VADDPD (DX)(AX*1), Z0, Z0
+	VMOVUPD Z0, (DI)(AX*1)
+	ADDQ $64, AX
+	SUBQ $8, CX
+	JMP  lnAdd
+lnAddTail:
+	TESTQ CX, CX
+	JZ   lnStats
+	MOVL $1, R10
+	SHLL CX, R10
+	DECL R10
+	KMOVW R10, K2
+	VMOVUPD.Z (SI)(AX*1), K2, Z0
+	VMOVUPD.Z (DX)(AX*1), K2, Z1
+	VADDPD Z1, Z0, Z0
+	VMOVUPD Z0, K2, (DI)(AX*1)
+
+lnStats:
+	LEAQ -1(BX), AX
+	MOVQ cols+48(FP), R10
+	LANE_OFFSETS(AX, R10, Z8, Z9)
+	MOVQ ms+64(FP), R15 // after LANE_OFFSETS' global: dynamic linking clobbers R15 there
+	VMOVDQU64 Z8, 128(R15)
+
+	// The means: lane l sums row l's columns in order from +0.0.
+	VPXORQ Z12, Z12, Z12
+	MOVQ DI, AX
+	MOVQ cols+48(FP), CX
+lnMean:
+	CMPQ CX, $8
+	JLT  lnMeanTail
+	LN_ROWS
+	LN_TRANSPOSE
+	MEAN_STEP(Z0)
+	MEAN_STEP(Z1)
+	MEAN_STEP(Z2)
+	MEAN_STEP(Z3)
+	MEAN_STEP(Z4)
+	MEAN_STEP(Z5)
+	MEAN_STEP(Z6)
+	MEAN_STEP(Z7)
+	ADDQ $64, AX
+	SUBQ $8, CX
+	JMP  lnMean
+lnMeanTail:
+	TESTQ CX, CX
+	JZ   lnMeanDone
+	LN_ROWS_TAIL
+	LN_TRANSPOSE
+	MEAN_STEP(Z0)
+	CMPQ CX, $1
+	JEQ  lnMeanDone
+	MEAN_STEP(Z1)
+	CMPQ CX, $2
+	JEQ  lnMeanDone
+	MEAN_STEP(Z2)
+	CMPQ CX, $3
+	JEQ  lnMeanDone
+	MEAN_STEP(Z3)
+	CMPQ CX, $4
+	JEQ  lnMeanDone
+	MEAN_STEP(Z4)
+	CMPQ CX, $5
+	JEQ  lnMeanDone
+	MEAN_STEP(Z5)
+	CMPQ CX, $6
+	JEQ  lnMeanDone
+	MEAN_STEP(Z6)
+lnMeanDone:
+	VDIVPD Z13, Z12, Z12
+
+	// The variances: Σ (v − m)², each square rounded before its add.
+	VPXORQ Z11, Z11, Z11
+	MOVQ DI, AX
+	MOVQ cols+48(FP), CX
+lnVar:
+	CMPQ CX, $8
+	JLT  lnVarTail
+	LN_ROWS
+	LN_TRANSPOSE
+	VAR_STEP(Z0)
+	VAR_STEP(Z1)
+	VAR_STEP(Z2)
+	VAR_STEP(Z3)
+	VAR_STEP(Z4)
+	VAR_STEP(Z5)
+	VAR_STEP(Z6)
+	VAR_STEP(Z7)
+	ADDQ $64, AX
+	SUBQ $8, CX
+	JMP  lnVar
+lnVarTail:
+	TESTQ CX, CX
+	JZ   lnVarDone
+	LN_ROWS_TAIL
+	LN_TRANSPOSE
+	VAR_STEP(Z0)
+	CMPQ CX, $1
+	JEQ  lnVarDone
+	VAR_STEP(Z1)
+	CMPQ CX, $2
+	JEQ  lnVarDone
+	VAR_STEP(Z2)
+	CMPQ CX, $3
+	JEQ  lnVarDone
+	VAR_STEP(Z3)
+	CMPQ CX, $4
+	JEQ  lnVarDone
+	VAR_STEP(Z4)
+	CMPQ CX, $5
+	JEQ  lnVarDone
+	VAR_STEP(Z5)
+	CMPQ CX, $6
+	JEQ  lnVarDone
+	VAR_STEP(Z6)
+lnVarDone:
+	VDIVPD Z13, Z11, Z11
+	VADDPD Z14, Z11, Z11
+	VSQRTPD Z11, Z11
+	VDIVPD Z11, Z15, Z11
+	VMOVUPD Z12, (R15)
+	VMOVUPD Z11, 64(R15)
+
+	// The normalise, row by row: ((v − m)·inv)·gamma + beta.
+	XORQ R10, R10
+lnRow:
+	VBROADCASTSD (R15)(R10*8), Z2
+	VBROADCASTSD 64(R15)(R10*8), Z3
+	XORQ R12, R12
+	MOVQ cols+48(FP), CX
+lnCol:
+	CMPQ CX, $8
+	JLT  lnColTail
+	VMOVUPD (DI)(R12*1), Z0
+	VSUBPD Z2, Z0, Z0
+	VMULPD Z3, Z0, Z0
+	VMULPD (R13)(R12*1), Z0, Z0
+	VADDPD (R14)(R12*1), Z0, Z0
+	VMOVUPD Z0, (DI)(R12*1)
+	ADDQ $64, R12
+	SUBQ $8, CX
+	JMP  lnCol
+lnColTail:
+	TESTQ CX, CX
+	JZ   lnRowNext
+	VMOVUPD.Z (DI)(R12*1), K1, Z0
+	VSUBPD Z2, Z0, Z0
+	VMULPD Z3, Z0, Z0
+	VMOVUPD.Z (R13)(R12*1), K1, Z1
+	VMULPD Z1, Z0, Z0
+	VMOVUPD.Z (R14)(R12*1), K1, Z1
+	VADDPD Z1, Z0, Z0
+	VMOVUPD Z0, K1, (DI)(R12*1)
+lnRowNext:
+	ADDQ R8, DI
+	INCQ R10
+	CMPQ R10, BX
+	JLT  lnRow
+	MOVQ BX, AX
+	IMULQ R8, AX
+	ADDQ AX, R11
+	SUBQ BX, R9
+	JNZ  lnBlock
 	VZEROUPPER
 	RET

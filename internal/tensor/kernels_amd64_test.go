@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
@@ -11,7 +12,46 @@ import (
 // A kernel that declined every block would pass every bit test on the scalar
 // fallback. Called directly, the assembly must take exactly its range: all of
 // a row inside it, masked tail included, and stop at the start of the first
-// block (four lanes, or eight on AVX-512) holding an argument outside it.
+// block (four lanes, or eight on AVX-512) holding an argument outside it —
+// also from inside a group of four blocks the AVX-512 GELU kernel takes at
+// once.
+// kernelRankBlock is rankBlock on the AVX-512 kernels, the only ones that
+// cut K into blocks, or all of k where the machine has none.
+func kernelRankBlock(t testing.TB, rows, k, n, bstride int) int {
+	kb := k
+	if cpuAVX512 {
+		kernelChoices[0].with(t, func() { kb = rankBlock(rows, k, n, bstride) })
+	}
+	return kb
+}
+
+// A CPUID report of an L1 with one-byte ways leaves rankBlock no budget; it
+// must still cut K into blocks of at least one rank, and the products must
+// keep their bits.
+func TestRankBlockWithoutL1Budget(t *testing.T) {
+	if !cpuAVX512 {
+		t.Skipf("K blocks not used here (%s)", Kernels())
+	}
+	oldSize, oldWay := l1Size, l1Way
+	l1Size, l1Way = 1, 1
+	defer func() { l1Size, l1Way = oldSize, oldWay }()
+	kernelChoices[0].with(t, func() {
+		for _, k := range []int{1, 2, 7, 64} {
+			if kb := rankBlock(8, k, 64, 64); kb != 1 {
+				t.Fatalf("rankBlock(8, %d, 64, 64) = %d with no L1 budget, want 1", k, kb)
+			}
+		}
+	})
+	bufs := newMulBufs(t, 70, 70)
+	rng := rand.New(rand.NewSource(37))
+	for _, c := range []mulCase{
+		{m: 8, k: 64, n: 64, zero: true, bias: true, specials: 5, edges: true},
+		{m: 5, k: 9, n: 61, c0: 3, pad: 2, specials: 3, edges: true},
+	} {
+		checkMulRowRange(t, bufs, rng, c)
+	}
+}
+
 func TestMathRowKernelsTakeTheirRange(t *testing.T) {
 	if !cpuAVX2 {
 		t.Skipf("vector exp/gelu not selected here (%s)", Kernels())
@@ -43,7 +83,7 @@ func TestMathRowKernelsTakeTheirRange(t *testing.T) {
 				t.Logf("%s not called: no AVX-512 here", k.name)
 				continue
 			}
-			for n := 1; n <= 19; n++ {
+			for n := 1; n <= 43; n++ {
 				for pos := 0; pos < n; pos++ {
 					for i := range f.in {
 						row := make([]float64, n)

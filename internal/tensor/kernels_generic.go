@@ -23,5 +23,9 @@ func attnBlocks(*Workspace, []float64, []float64, []float64, AttnShape, []AttnSp
 
 func geluRow(p []float64) { geluRowGo(p) }
 
+func addLayerNorm(dst, a, b, gamma, beta []float64, rows, cols int, eps float64) {
+	addLayerNormGo(dst, a, b, gamma, beta, rows, cols, eps)
+}
+
 // Kernels names the kernels this process runs (see kernels_amd64.go).
 func Kernels() string { return "go (no AVX2)" }

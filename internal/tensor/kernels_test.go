@@ -127,23 +127,24 @@ type mulCase struct {
 	zero, bias           bool
 	specials             int  // fillKernelInput's `every`
 	pairs                bool // plant plantPairCoefficients' patterns in A
+	edges                bool // plant plantBlockEdges' zeros in A (lo must be 0)
 }
 
 type mulBufs struct{ out, a, b, bias *guardBuf }
 
-func newMulBufs(t testing.TB, maxDim int) mulBufs {
+func newMulBufs(t testing.TB, maxDim, maxK int) mulBufs {
 	return mulBufs{
 		out:  newGuardBuf(t, maxDim*(2*maxDim+16)),
-		a:    newGuardBuf(t, maxDim*maxDim),
-		b:    newGuardBuf(t, maxDim*(2*maxDim+16)),
+		a:    newGuardBuf(t, maxDim*maxK),
+		b:    newGuardBuf(t, maxK*(2*maxDim+16)),
 		bias: newGuardBuf(t, 2*maxDim+16),
 	}
 }
 
 // pairCase is a mulCase for the AVX-512 kernel's two-row tile: 1–9 rows
 // (odd counts end on the one-row loop) at least 64 columns wide, with the
-// per-row coefficient patterns planted. It fits newMulBufs(maxDim) for
-// maxDim ≥ 64.
+// per-row coefficient patterns planted. It fits newMulBufs(maxDim, maxDim)
+// for maxDim ≥ 64.
 func pairCase(rng *rand.Rand, maxDim int) mulCase {
 	lo := rng.Intn(3)
 	return mulCase{
@@ -186,6 +187,34 @@ func plantPairCoefficients(rng *rand.Rand, a []float64, lo, m, k int) {
 	}
 }
 
+// plantBlockEdges zeroes, in a random half of the rows, the coefficients
+// on both sides of each boundary where the row kernel cuts K into blocks
+// (kernelRankBlock): a block that ends or starts on a skipped rank, and a
+// pair whose rows skip different ones.
+func plantBlockEdges(t testing.TB, rng *rand.Rand, a []float64, m, k, n, bstride int) {
+	zero := func() float64 { return []float64{0, math.Copysign(0, -1)}[rng.Intn(2)] }
+	kb := kernelRankBlock(t, m, k, n, bstride)
+	for p := kb; p < k; p += kb {
+		for i := 0; i < m; i++ {
+			if rng.Intn(2) == 0 {
+				a[i*k+p-1], a[i*k+p] = zero(), zero()
+			}
+		}
+	}
+}
+
+// maxRankBlock is the most ranks kernelRankBlock leaves in one block for
+// rows rows of n columns bstride apart (at most limit): k = maxRankBlock is
+// one pass and k+1 two.
+func maxRankBlock(t testing.TB, rows, n, bstride, limit int) int {
+	for k := 1; k <= limit; k++ {
+		if kernelRankBlock(t, rows, k, n, bstride) < k {
+			return k - 1
+		}
+	}
+	return limit
+}
+
 // checkMulRowRange places every operand so that it ends at a guard page
 // (hi == m, B holds exactly (k-1)·bstride+c0+n elements and the bias n), so
 // a kernel that touches memory past n columns or k ranks faults.
@@ -200,6 +229,9 @@ func checkMulRowRange(t testing.TB, bufs mulBufs, rng *rand.Rand, c mulCase) {
 	fillKernelInput(rng, out0, c.specials)
 	if c.pairs {
 		plantPairCoefficients(rng, a, c.lo, c.m, c.k)
+	}
+	if c.edges {
+		plantBlockEdges(t, rng, a, c.m, c.k, c.n, bstride)
 	}
 	var bias []float64
 	if c.bias {
@@ -234,7 +266,7 @@ func checkMulRowRange(t testing.TB, bufs mulBufs, rng *rand.Rand, c mulCase) {
 // partner's.
 func TestMulRowRangeBitExact(t *testing.T) {
 	const maxDim = 70
-	bufs := newMulBufs(t, maxDim)
+	bufs := newMulBufs(t, maxDim, maxDim)
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 800; trial++ {
 		m := 1 + rng.Intn(maxDim)
@@ -261,7 +293,7 @@ func TestMulRowRangeBitExact(t *testing.T) {
 // assembly kernels (127 is 64+32+16+8 and a 7-column tail at eight lanes,
 // 3·32+16+8+4 and a 3-column tail at four; 120 has no tail at eight).
 func TestMulRowRangeModelShapes(t *testing.T) {
-	bufs := newMulBufs(t, 320)
+	bufs := newMulBufs(t, 320, 320)
 	rng := rand.New(rand.NewSource(32))
 	for _, c := range []mulCase{
 		{m: 3, k: 312, n: 312, specials: 40},
@@ -285,25 +317,46 @@ func TestMulRowRangeModelShapes(t *testing.T) {
 
 // FuzzMulRowRange runs random shapes against the reference on every kernel;
 // with pairs set, the two-row tile's: pairCase's rows, widths and
-// per-row coefficient patterns.
+// per-row coefficient patterns; with kblock set, the K blocks': 3–70 rows
+// from the first, k up to 256, zeros planted on the block edges, and the
+// bias as the bias argument says.
 func FuzzMulRowRange(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), true, uint8(0), false)
-	f.Add(int64(2), uint8(6), uint8(63), uint8(62), uint8(5), uint8(3), false, uint8(2), false)
-	f.Add(int64(3), uint8(1), uint8(8), uint8(35), uint8(0), uint8(0), true, uint8(12), false)
-	f.Add(int64(4), uint8(69), uint8(69), uint8(69), uint8(69), uint8(8), false, uint8(5), false)
-	f.Add(int64(5), uint8(2), uint8(17), uint8(2), uint8(40), uint8(1), true, uint8(1), false)
-	f.Add(int64(6), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), true, uint8(0), true)
-	f.Add(int64(7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), false, uint8(3), true)
-	const maxDim = 70
-	bufs := newMulBufs(f, maxDim)
-	f.Fuzz(func(t *testing.T, seed int64, m, k, n, c0, pad uint8, zero bool, specials uint8, pairs bool) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), true, uint8(0), false, false, false)
+	f.Add(int64(2), uint8(6), uint8(63), uint8(62), uint8(5), uint8(3), false, uint8(2), false, false, false)
+	f.Add(int64(3), uint8(1), uint8(8), uint8(35), uint8(0), uint8(0), true, uint8(12), false, false, false)
+	f.Add(int64(4), uint8(69), uint8(69), uint8(69), uint8(69), uint8(8), false, uint8(5), false, false, false)
+	f.Add(int64(5), uint8(2), uint8(17), uint8(2), uint8(40), uint8(1), true, uint8(1), false, false, false)
+	f.Add(int64(6), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), true, uint8(0), true, false, false)
+	f.Add(int64(7), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), false, uint8(3), true, false, false)
+	// K-block boundaries at k = block−1, block, block+1 and 2·block+1, with
+	// nil bias, accumulating (zero unset) and clearing: for 64 columns of B
+	// at stride 64 (the ranks reach every set of a 4 KiB cache way) and 128
+	// (half of them), and for 61 columns, a masked tail, at stride 128.
+	const maxDim, maxK = 70, 256
+	for i, sh := range [][3]int{{64, 0, 0}, {64, 64, 0}, {61, 67, 0}} { // n, c0, pad
+		n, c0, pad := sh[0], sh[1], sh[2]
+		kb := maxRankBlock(f, 8, n, c0+n+pad, maxK)
+		for _, k := range []int{kb - 1, kb, kb + 1, 2*kb + 1} {
+			if k >= 1 && k <= maxK {
+				for _, zero := range []bool{false, true} {
+					f.Add(int64(8+i), uint8(5), uint8(k-1), uint8(n-1), uint8(c0), uint8(pad), zero, uint8(i*5), false, true, false)
+				}
+			}
+		}
+	}
+	f.Add(int64(11), uint8(6), uint8(200), uint8(69), uint8(3), uint8(1), true, uint8(0), false, true, true)
+	bufs := newMulBufs(f, maxDim, maxK)
+	f.Fuzz(func(t *testing.T, seed int64, m, k, n, c0, pad uint8, zero bool, specials uint8, pairs, kblock, bias bool) {
 		rng := rand.New(rand.NewSource(seed))
 		rows := 1 + int(m)%maxDim
 		c := mulCase{
 			m: rows, lo: rng.Intn(rows), k: 1 + int(k)%maxDim, n: 1 + int(n)%maxDim,
 			c0: int(c0) % maxDim, pad: int(pad) % 9, zero: zero, bias: rng.Intn(2) == 0,
 		}
-		if pairs {
+		switch {
+		case kblock:
+			c.m, c.lo, c.k, c.bias, c.edges = 3+int(m)%(maxDim-2), 0, 1+int(k), bias, true
+		case pairs:
 			c = pairCase(rng, maxDim)
 		}
 		c.specials = int(specials) % 16

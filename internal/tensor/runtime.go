@@ -82,12 +82,16 @@ const (
 // row kernel retires four per instruction (measured 3.7× on the repro
 // shapes), so the same work is a quarter of the cost and the hand-off to
 // the pool has to be paid for by four times as much of it. The AVX-512 row
-// kernel is charged the same quarter although it is faster again:
-// leaving the sharding decisions where they were keeps its end-to-end gain
-// attributable to the kernel alone. Re-deriving the cost for it is a
-// separate, separately measured change.
+// kernel, K-blocked, runs BenchmarkLinearInto's repro shapes 1.9–2.9× as
+// fast as the AVX2 one (2.8–3.0× at the paper's), so it is charged an
+// eighth. On scan_cpu that keeps the content forwards' feed-forward
+// products (266–315 rows) on their worker, which under the quarter sharded
+// 256 of the 40–50 thousand LinearInto calls of a 20 s run (DESIGN.md §8).
 func mulRowCost(k, n int) int {
-	if haveAVX2 {
+	switch {
+	case haveAVX512:
+		return k*n/8 + 1
+	case haveAVX2:
 		return k*n/4 + 1
 	}
 	return k * n
