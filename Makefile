@@ -5,7 +5,7 @@
 GO ?= go
 
 # Packages whose concurrency the race detector must vet: the tensor
-# runtime's worker pool + arena, the sharded tiered cache with its
+# runtime's borrowed-core sharding + arena, the sharded tiered cache with its
 # singleflight groups, the pipelined scheduler, the fault-injecting simdb,
 # the HTTP service, the lock-free metrics registry, the data-parallel
 # training runtime with its gradient workers (plus the two model packages

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/service"
-	"repro/internal/tensor"
 )
 
 // TestCacheGoldenParity is the caching-tier determinism pin: detection
@@ -29,10 +28,6 @@ import (
 // file's admitted types — a cache that changes answers is a correctness
 // bug, however fast.
 func TestCacheGoldenParity(t *testing.T) {
-	old := tensor.DefaultParallelism()
-	tensor.SetParallelism(1)
-	defer tensor.SetParallelism(old)
-
 	ds := WikiTableDataset(40, 7)
 	model, err := NewModel(ds, ReproScale(), 7)
 	if err != nil {

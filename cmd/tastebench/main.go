@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/tensor"
 )
 
 func main() {
@@ -33,10 +32,8 @@ func main() {
 		repeats     = flag.Int("repeats", 0, "timing repetitions per variant (0 = config default)")
 		latency     = flag.Float64("latency", -1, "database latency scale, 1 = paper testbed (negative = config default)")
 		verbose     = flag.Bool("v", true, "log training and run progress to stderr")
-		parallelism = flag.Int("parallelism", tensor.DefaultParallelism(), "worker goroutines for the sharded tensor kernels")
 	)
 	flag.Parse()
-	tensor.SetParallelism(*parallelism)
 
 	cfg := experiments.DefaultConfig()
 	if *quick {

@@ -55,7 +55,6 @@ func main() {
 		trainWorkers = flag.Int("train-workers", 1, "data-parallel gradient workers when -train is set (bit-reproducible per (seed, workers))")
 		gradAccum    = flag.Int("grad-accum", 1, "micro-batches accumulated per worker per optimizer step when -train is set")
 		pipeWorkers  = flag.Int("pipeline-workers", 0, "work-stealing pool size for pipelined detect requests (0 = one per CPU, floor 4)")
-		parallelism  = flag.Int("parallelism", tensor.DefaultParallelism(), "worker goroutines for the sharded tensor kernels")
 		deadline     = flag.Duration("deadline", 0, "default per-request deadline for /v1/detect (0 = none; requests can override via deadline_ms)")
 		faultProb    = flag.Float64("fault-prob", 0, "demo tenant: probability of a transient fault per scan/query/connect (chaos mode)")
 		faultSeed    = flag.Int64("fault-seed", 1, "demo tenant: fault-injection seed")
@@ -63,7 +62,6 @@ func main() {
 		resultCache  = flag.Int64("result-cache", 16<<20, "result-cache byte budget memoizing per-column detect outputs (0 disables; invalidated on any weight update)")
 	)
 	flag.Parse()
-	tensor.SetParallelism(*parallelism)
 
 	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.WikiTableProfile(*tables), *seed)
 	tok := adtd.BuildVocabulary(ds.Train, ds.Registry.Names(), 4000)

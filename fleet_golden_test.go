@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/service"
-	"repro/internal/tensor"
 )
 
 // TestFleetGoldenParity is the fleet-level determinism pin: routing
@@ -27,10 +26,6 @@ import (
 //     granularity — reassemble to exactly the golden file's per-column
 //     types, phases, and degradation flags.
 func TestFleetGoldenParity(t *testing.T) {
-	old := tensor.DefaultParallelism()
-	tensor.SetParallelism(1)
-	defer tensor.SetParallelism(old)
-
 	ds := WikiTableDataset(40, 7)
 	model, err := NewModel(ds, ReproScale(), 7)
 	if err != nil {

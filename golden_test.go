@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files under artifacts/")
@@ -48,12 +46,6 @@ const goldenPath = "artifacts/golden_detect.json"
 // A diff here means something changed numerical behaviour — intentionally
 // (re-pin) or not (bug).
 func TestGoldenDetect(t *testing.T) {
-	// One kernel worker keeps every floating-point reduction in a fixed
-	// order, independent of GOMAXPROCS on the host.
-	old := tensor.DefaultParallelism()
-	tensor.SetParallelism(1)
-	defer tensor.SetParallelism(old)
-
 	ds := WikiTableDataset(40, 7)
 	model, err := NewModel(ds, ReproScale(), 7)
 	if err != nil {

@@ -274,27 +274,22 @@ func BenchmarkScoreRow(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMul measures the sharded kernel across sizes and worker
-// counts; the par1/parN pairs quantify the parallel speedup (or, on a
-// single-core box, the sharding overhead).
+// BenchmarkMatMul measures the sharded kernel across sizes; run it with
+// -cpu 1,4 to see the parallel speedup (or, on a single-core box, the
+// sharding overhead).
 func BenchmarkMatMul(b *testing.B) {
 	for _, size := range []int{128, 256} {
-		for _, par := range []int{1, 4} {
-			b.Run(fmt.Sprintf("size%d/par%d", size, par), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(1))
-				x := benchTensor(rng, size, size)
-				y := benchTensor(rng, size, size)
-				old := Parallelism()
-				SetParallelism(par)
-				defer SetParallelism(old)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					out := MatMul(x, y)
-					ReleaseGraph(out)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("size%d", size), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x := benchTensor(rng, size, size)
+			y := benchTensor(rng, size, size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out := MatMul(x, y)
+				ReleaseGraph(out)
+			}
+		})
 	}
 }
 
@@ -302,14 +297,12 @@ func BenchmarkMatMul(b *testing.B) {
 // graph released into the arena each iteration versus left to the GC; the
 // allocs/op delta is the arena's win.
 func BenchmarkTrainStepRelease(b *testing.B) {
-	for _, arena := range []bool{true, false} {
+	for _, release := range []bool{true, false} {
 		name := "arena"
-		if !arena {
+		if !release {
 			name = "gc"
 		}
 		b.Run(name, func(b *testing.B) {
-			SetArena(arena)
-			defer SetArena(true)
 			rng := rand.New(rand.NewSource(1))
 			w1 := Param(64, 64)
 			w2 := Param(64, 64)
@@ -324,7 +317,7 @@ func BenchmarkTrainStepRelease(b *testing.B) {
 				loss := Sum(GELU(MatMul(GELU(MatMul(x, w1)), w2)))
 				loss.Backward()
 				opt.Step()
-				if arena {
+				if release {
 					ReleaseGraph(loss)
 				}
 			}
@@ -332,29 +325,25 @@ func BenchmarkTrainStepRelease(b *testing.B) {
 	}
 }
 
+// BenchmarkAdamStep measures one sharded Adam update of a repro-scale
+// parameter set; run it with -cpu 1,4 for the parallel speedup.
 func BenchmarkAdamStep(b *testing.B) {
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
-			defer SetParallelism(DefaultParallelism())
-			SetParallelism(par)
-			rng := rand.New(rand.NewSource(1))
-			params := []*Tensor{Param(3000, 64), Param(64, 3000), Param(256, 64), Param(1, 64)}
-			elems := 0
-			for _, p := range params {
-				XavierUniform(p, rng)
-				p.ensureGrad()
-				for i := range p.Grad {
-					p.Grad[i] = rng.NormFloat64() * 0.01
-				}
-				elems += len(p.Data)
-			}
-			opt := NewAdam(params, 1e-3)
-			opt.ClipNorm = 1
-			b.SetBytes(int64(elems * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				opt.Step()
-			}
-		})
+	rng := rand.New(rand.NewSource(1))
+	params := []*Tensor{Param(3000, 64), Param(64, 3000), Param(256, 64), Param(1, 64)}
+	elems := 0
+	for _, p := range params {
+		XavierUniform(p, rng)
+		p.ensureGrad()
+		for i := range p.Grad {
+			p.Grad[i] = rng.NormFloat64() * 0.01
+		}
+		elems += len(p.Data)
+	}
+	opt := NewAdam(params, 1e-3)
+	opt.ClipNorm = 1
+	b.SetBytes(int64(elems * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.Step()
 	}
 }

@@ -45,7 +45,7 @@ func InferenceResult(rows, cols int, parents ...*Tensor) *Tensor {
 // overwrite every element of their outputs, so clearing recycled buffers
 // would be pure overhead.
 func allocDataDirty(n int) ([]float64, bool) {
-	if n < 1<<arenaMinClass || n > 1<<arenaMaxClass || !arenaEnabled.Load() {
+	if n < 1<<arenaMinClass || n > 1<<arenaMaxClass {
 		return make([]float64, n), false
 	}
 	c := sizeClass(n)

@@ -32,8 +32,8 @@ func AliasData(dst, src []*Tensor) {
 
 // AccumGrads adds each src parameter's gradient into the matching dst
 // parameter's gradient, allocating dst buffers on demand; src entries with
-// nil gradients are skipped. Large gradients are sharded across the runtime
-// worker pool — the update is elementwise, so the result is bitwise
+// nil gradients are skipped. Large gradients are sharded across free cores
+// (parallelRows) — the update is elementwise, so the result is bitwise
 // identical to the sequential path.
 func AccumGrads(dst, src []*Tensor) {
 	if len(dst) != len(src) {
@@ -75,7 +75,7 @@ func ScaleGrads(params []*Tensor, s float64) {
 }
 
 // ZeroGrads clears every present gradient, sharding large buffers across
-// the runtime worker pool.
+// free cores (parallelRows).
 func ZeroGrads(params []*Tensor) {
 	for _, p := range params {
 		if p.Grad == nil {

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// gomaxprocs temporarily raises GOMAXPROCS so the sharded kernels actually
-// split work even on single-CPU runners (parallelRows caps shard count at
-// GOMAXPROCS), restoring the old value on cleanup.
+// gomaxprocs sets GOMAXPROCS, the width the sharded kernels split to
+// (parallelRows), so they split work even on single-CPU runners, and
+// restores the old value on cleanup.
 func gomaxprocs(t testing.TB, n int) {
 	old := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
@@ -52,11 +52,10 @@ func TestAdamStepParallelBitExact(t *testing.T) {
 				}
 			}
 		}
-		SetParallelism(1)
+		runtime.GOMAXPROCS(1)
 		optSeq.Step()
-		SetParallelism(8)
+		runtime.GOMAXPROCS(8)
 		optPar.Step()
-		SetParallelism(DefaultParallelism())
 		if optSeq.LastGradNorm() != optPar.LastGradNorm() {
 			t.Fatalf("step %d: grad norm differs: %v vs %v", step, optSeq.LastGradNorm(), optPar.LastGradNorm())
 		}

@@ -74,7 +74,7 @@ func withTransposed(x []float64, rows, cols int, f func(t []float64)) {
 }
 
 // matmulInto computes out = A(m×k) × B(k×n), overwriting out. Output rows
-// are sharded across the runtime's worker pool and the inner loop is
+// are sharded across free cores (parallelRows) and the inner loop is
 // register-blocked four ranks at a time (mulRowRange); each row's
 // accumulation order is identical to the scalar one-rank-at-a-time kernel,
 // so results are bit-exact regardless of parallelism or blocking.
@@ -99,7 +99,7 @@ const ntTileRows = 48
 // matmulNTInto computes out = A(m×k) × B(n×k)ᵀ — the composed attention
 // scores — on scoreRow at scale 1 (exact): FusedAttentionCore's score
 // kernel, so the two paths' scores are one computation. Rows of out are
-// sharded across the worker pool and the inner loops are cache-blocked over
+// sharded across free cores and the inner loops are cache-blocked over
 // B's rows so each tile of B is reused across the shard's A rows instead of
 // streaming the whole of B per row.
 func matmulNTInto(out, a, b []float64, m, k, n int) {

@@ -29,7 +29,7 @@ const normChunkElems = 1 << 12
 // used to fine-tune all models in this reproduction.
 //
 // The elementwise update, the gradient-clip rescale and ZeroGrads shard
-// large parameters across the runtime worker pool (with the same
+// large parameters across free cores (parallelRows, with the same
 // small-size sequential fallback as the matmul kernels); the global-norm
 // reduction uses a fixed blocked summation order so the parallel and
 // sequential paths agree bitwise.
@@ -108,7 +108,7 @@ func (a *Adam) Step() {
 // gradient is reduced in normChunkElems-sized partial sums and the partials
 // are combined in a fixed order (chunk order within a parameter, parameters
 // in order), so the result is bitwise identical whether the partials were
-// computed sequentially or on the worker pool.
+// computed sequentially or on borrowed cores.
 func (a *Adam) gradNorm() float64 {
 	chunks := a.chunks[:0]
 	for _, p := range a.params {

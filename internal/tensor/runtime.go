@@ -1,13 +1,16 @@
-// Parallel compute runtime: a package-level worker pool that row-shards the
-// matmul kernels across goroutines, plus a sync.Pool-backed buffer arena that
-// recycles the forward/grad slices of autograd graphs between steps.
+// Parallel compute runtime: row-sharded kernels that borrow free cores, plus
+// a sync.Pool-backed buffer arena that recycles the forward/grad slices of
+// autograd graphs between steps.
 //
-// The pool is sized from GOMAXPROCS and shared by every tensor operation in
-// the process, so concurrent inference workers (the pipeline's TP2 pool)
-// cooperatively saturate the machine instead of oversubscribing it: a shard
-// that cannot be handed to the pool immediately runs on the submitting
-// goroutine. Kernels fall back to a plain sequential loop below a work
-// threshold so small repro-scale matrices pay no synchronization cost.
+// A kernel above a work threshold splits its output rows into shards, up to
+// GOMAXPROCS of them. A shard runs on a new goroutine only while a core is
+// free: one process-wide counter caps the borrowed shard goroutines at
+// GOMAXPROCS−1, so at most callers + GOMAXPROCS−1 goroutines run tensor work
+// at once. A shard that finds no free core runs on its caller, as the last
+// shard always does, so no caller waits behind another caller's shards and
+// no goroutine outlives its kernel. Below the threshold a kernel is a plain
+// sequential loop, so small repro-scale matrices pay no synchronization
+// cost.
 package tensor
 
 import (
@@ -17,55 +20,25 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Worker pool
+// Row sharding
 // ---------------------------------------------------------------------------
 
-var (
-	parWorkers atomic.Int32 // desired shard count for parallel kernels
+// borrowed counts the shard goroutines parallelRows has running, across the
+// whole process.
+var borrowed atomic.Int32
 
-	poolMu      sync.Mutex
-	poolSpawned int
-	poolTasks   = make(chan func(), 256)
-)
-
-func init() {
-	parWorkers.Store(int32(DefaultParallelism()))
-	arenaEnabled.Store(true)
-}
-
-// DefaultParallelism is the GOMAXPROCS-derived worker count the runtime
-// starts with.
-func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
-
-// SetParallelism sets how many goroutines the sharded kernels may use.
-// n ≤ 1 forces every kernel onto the calling goroutine (the sequential
-// reference behavior). Safe to call at any time, including concurrently
-// with running kernels: in-flight kernels finish with the old setting.
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
+// borrow takes one of limit shard-goroutine slots, reporting false when all
+// are in use.
+func borrow(limit int32) bool {
+	for {
+		n := borrowed.Load()
+		if n >= limit {
+			return false
+		}
+		if borrowed.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
-	parWorkers.Store(int32(n))
-}
-
-// Parallelism returns the current worker setting.
-func Parallelism() int { return int(parWorkers.Load()) }
-
-// ensureWorkers lazily grows the shared pool to n resident goroutines.
-func ensureWorkers(n int) {
-	if poolSpawned >= n { // racy fast path; poolMu settles the truth below
-		return
-	}
-	poolMu.Lock()
-	for poolSpawned < n {
-		poolSpawned++
-		go func() {
-			for task := range poolTasks {
-				task()
-			}
-		}()
-	}
-	poolMu.Unlock()
 }
 
 const (
@@ -81,12 +54,13 @@ const (
 // mulRowRange. The thresholds above are in scalar multiply-adds; the AVX2
 // row kernel retires four per instruction (measured 3.7× on the repro
 // shapes), so the same work is a quarter of the cost and the hand-off to
-// the pool has to be paid for by four times as much of it. The AVX-512 row
-// kernel, K-blocked, runs BenchmarkLinearInto's repro shapes 1.9–2.9× as
-// fast as the AVX2 one (2.8–3.0× at the paper's), so it is charged an
-// eighth. On scan_cpu that keeps the content forwards' feed-forward
-// products (266–315 rows) on their worker, which under the quarter sharded
-// 256 of the 40–50 thousand LinearInto calls of a 20 s run (DESIGN.md §8).
+// another goroutine has to be paid for by four times as much of it. The
+// AVX-512 row kernel, K-blocked, runs BenchmarkLinearInto's repro shapes
+// 1.9–2.9× as fast as the AVX2 one (2.8–3.0× at the paper's), so it is
+// charged an eighth. On scan_cpu that keeps the content forwards'
+// feed-forward products (266–315 rows) on their worker, which under the
+// quarter sharded 256 of the 40–50 thousand LinearInto calls of a 20 s run
+// (DESIGN.md §8).
 func mulRowCost(k, n int) int {
 	switch {
 	case haveAVX512:
@@ -97,56 +71,46 @@ func mulRowCost(k, n int) int {
 	return k * n
 }
 
-// parallelRows splits [0, rows) into contiguous shards and runs body over
-// them on the worker pool, keeping the last shard on the calling goroutine.
-// mulAddsPerRow is the per-row cost estimate driving the sequential
-// fallback. body must be safe to run concurrently on disjoint row ranges.
-func parallelRows(rows, mulAddsPerRow int, body func(lo, hi int)) {
-	w := Parallelism()
-	// Sharding beyond the cores that can actually run is pure overhead:
-	// with GOMAXPROCS=1 every "parallel" shard still executes serially but
-	// pays the pool hand-off and WaitGroup costs (on a 1-CPU container a
-	// four-shard 256×256 matmul once ran 11.1 ms against 8.1 ms for one
-	// shard). Cap the effective shard count at the scheduler's limit.
-	if procs := runtime.GOMAXPROCS(0); w > procs {
-		w = procs
-	}
+// shardCount is how many shards parallelRows cuts [0, rows) into at
+// mulAddsPerRow each: one below the work threshold, otherwise one per
+// shardMinMulAdds of work, capped at rows and at GOMAXPROCS. Sharding
+// beyond the cores that can run is pure overhead: on a 1-CPU container a
+// four-shard 256×256 matmul once ran 11.1 ms against 8.1 ms for one shard.
+func shardCount(rows, mulAddsPerRow int) int {
 	total := rows * mulAddsPerRow
-	if w <= 1 || rows < 2 || total < parallelMulAdds {
+	if rows < 2 || total < parallelMulAdds {
+		return 1
+	}
+	return min(total/shardMinMulAdds, runtime.GOMAXPROCS(0), rows)
+}
+
+// parallelRows splits [0, rows) into shardCount contiguous shards and runs
+// body over them, each shard on a borrowed goroutine while fewer than
+// GOMAXPROCS−1 are running and on the caller otherwise; the last shard
+// always runs on the caller. mulAddsPerRow is the per-row cost estimate
+// driving the sequential fallback. body must be safe to run concurrently on
+// disjoint row ranges.
+func parallelRows(rows, mulAddsPerRow int, body func(lo, hi int)) {
+	shards := shardCount(rows, mulAddsPerRow)
+	if shards == 1 {
 		body(0, rows)
 		return
 	}
-	shards := total / shardMinMulAdds
-	if shards > w {
-		shards = w
-	}
-	if shards > rows {
-		shards = rows
-	}
-	if shards <= 1 {
-		body(0, rows)
-		return
-	}
-	ensureWorkers(w)
+	limit := int32(runtime.GOMAXPROCS(0) - 1)
 	var wg sync.WaitGroup
 	chunk := (rows + shards - 1) / shards
 	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi >= rows {
-			body(lo, rows) // last shard runs on the caller
-			break
+		hi := min(lo+chunk, rows)
+		if hi == rows || !borrow(limit) {
+			body(lo, hi) // no free core, or the last shard: run on the caller
+			continue
 		}
 		wg.Add(1)
-		lo, hi := lo, hi
-		task := func() {
+		go func() {
 			defer wg.Done()
+			defer borrowed.Add(-1)
 			body(lo, hi)
-		}
-		select {
-		case poolTasks <- task:
-		default:
-			task() // pool saturated: degrade gracefully instead of queueing
-		}
+		}()
 	}
 	wg.Wait()
 }
@@ -160,19 +124,11 @@ const (
 	arenaMaxClass = 26 // largest pooled buffer: 64 Mi floats (512 MiB)
 )
 
-var (
-	arenaEnabled atomic.Bool
-	arenaPools   [arenaMaxClass + 1]sync.Pool // class c holds *[]float64 with cap 1<<c
-)
-
-// SetArena toggles pooled allocation of op-output buffers. When enabled
-// (the default), result tensors draw their Data/Grad slices from a
-// sync.Pool arena and ReleaseGraph returns them after a training step or
-// inference pass, cutting allocation and GC pressure on the hot loops.
-func SetArena(on bool) { arenaEnabled.Store(on) }
-
-// ArenaEnabled reports whether op outputs are drawn from the arena.
-func ArenaEnabled() bool { return arenaEnabled.Load() }
+// arenaPools backs op-output buffers: result tensors draw their Data/Grad
+// slices from it and ReleaseGraph returns them after a training step or
+// inference pass, cutting allocation and GC pressure on the hot loops. Class
+// c holds *[]float64 with cap 1<<c.
+var arenaPools [arenaMaxClass + 1]sync.Pool
 
 // sizeClass returns the smallest c with 1<<c ≥ n.
 func sizeClass(n int) int {
@@ -184,10 +140,10 @@ func sizeClass(n int) int {
 }
 
 // allocData returns a zeroed slice of length n, drawn from the arena when
-// enabled and the size is in the pooled range. The second result reports
-// whether the slice must be returned with freeData.
+// the size is in the pooled range. The second result reports whether the
+// slice must be returned with freeData.
 func allocData(n int) ([]float64, bool) {
-	if n < 1<<arenaMinClass || n > 1<<arenaMaxClass || !arenaEnabled.Load() {
+	if n < 1<<arenaMinClass || n > 1<<arenaMaxClass {
 		return make([]float64, n), false
 	}
 	c := sizeClass(n)

@@ -3,34 +3,33 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// withParallelism runs f at the given worker setting and restores the
-// default afterwards.
-func withParallelism(t *testing.T, n int, f func()) {
-	t.Helper()
-	old := Parallelism()
-	SetParallelism(n)
-	defer SetParallelism(old)
-	f()
-}
-
 // TestParallelMatMulEquivalence checks that every sharded kernel matches the
-// sequential reference within 1e-12 (the kernels preserve per-element
-// accumulation order, so they should in fact be bit-exact), including odd
-// shapes that do not divide evenly into shards.
+// sequential reference at GOMAXPROCS 1 bit for bit (the kernels preserve
+// per-element accumulation order), including odd shapes that do not divide
+// evenly into shards. 256³ is the shape that shards on every kernel set,
+// the AVX-512 one included; the smaller ones shard only where the row
+// kernel is charged more (mulRowCost).
 func TestParallelMatMulEquivalence(t *testing.T) {
+	gomaxprocs(t, 8)
 	rng := rand.New(rand.NewSource(42))
-	shapes := [][3]int{
-		{129, 67, 131}, // odd sizes, above the parallel threshold
-		{128, 128, 128},
-		{200, 64, 96},
-		{8, 8, 8}, // below threshold: must hit the sequential fallback
+	shapes := []struct {
+		m, k, n int
+		shards  bool // must split into more than one shard at GOMAXPROCS 8
+	}{
+		{129, 67, 131, false}, // odd sizes
+		{128, 128, 128, false},
+		{200, 64, 96, false},
+		{256, 256, 256, true},
+		{8, 8, 8, false}, // below threshold: the sequential fallback
 	}
 	for _, sh := range shapes {
-		m, k, n := sh[0], sh[1], sh[2]
+		m, k, n := sh.m, sh.k, sh.n
 		a := benchTensor(rng, m, k)
 		b := benchTensor(rng, k, n)
 		bt := benchTensor(rng, n, k) // for the NT kernel
@@ -47,12 +46,17 @@ func TestParallelMatMulEquivalence(t *testing.T) {
 			dst.nt = make([]float64, m*n)
 			matmulNTInto(dst.nt, a.Data, bt.Data, m, k, n)
 		}
-		withParallelism(t, 1, func() { run(&seq) })
-		withParallelism(t, 8, func() { run(&par) })
+		runtime.GOMAXPROCS(1)
+		run(&seq)
+		runtime.GOMAXPROCS(8)
+		if s := shardCount(m, mulRowCost(k, n)); sh.shards && s < 2 {
+			t.Fatalf("%dx%dx%d: matmul runs as %d shard at GOMAXPROCS 8, want more", m, k, n, s)
+		}
+		run(&par)
 
 		check := func(name string, s, p []float64) {
 			for i := range s {
-				if math.Abs(s[i]-p[i]) > 1e-12 {
+				if s[i] != p[i] {
 					t.Fatalf("%s %dx%dx%d: element %d differs: seq %v par %v", name, m, k, n, i, s[i], p[i])
 				}
 			}
@@ -63,51 +67,110 @@ func TestParallelMatMulEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelKernelsConcurrentCallers hammers the shared worker pool from
-// many goroutines at once, as the pipeline's TP2 workers do. Run under
-// -race this also validates the pool's synchronization.
+// TestParallelKernelsConcurrentCallers runs a sharding matmul from many
+// goroutines at once, as the pipeline's workers would at paper scale, so
+// callers compete for the borrowed cores. Run under -race this also
+// validates the sharding's synchronization.
 func TestParallelKernelsConcurrentCallers(t *testing.T) {
+	gomaxprocs(t, 1)
 	rng := rand.New(rand.NewSource(7))
-	m, k, n := 96, 96, 96
+	m, k, n := 256, 256, 256
 	a := benchTensor(rng, m, k)
 	b := benchTensor(rng, k, n)
 	want := make([]float64, m*n)
-	withParallelism(t, 1, func() { matmulInto(want, a.Data, b.Data, m, k, n) })
+	matmulInto(want, a.Data, b.Data, m, k, n)
 
-	withParallelism(t, 4, func() {
-		var wg sync.WaitGroup
-		errs := make(chan int, 8)
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				got := make([]float64, m*n)
-				for it := 0; it < 20; it++ {
-					matmulInto(got, a.Data, b.Data, m, k, n)
-					for i := range got {
-						if math.Abs(got[i]-want[i]) > 1e-12 {
-							errs <- i
-							return
-						}
+	runtime.GOMAXPROCS(4)
+	if s := shardCount(m, mulRowCost(k, n)); s < 2 {
+		t.Fatalf("%d³ matmul runs as %d shard at GOMAXPROCS 4, want more", m, s)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan int, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]float64, m*n)
+			for it := 0; it < 4; it++ {
+				matmulInto(got, a.Data, b.Data, m, k, n)
+				for i := range got {
+					if got[i] != want[i] {
+						errs <- i
+						return
 					}
 				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		if i, bad := <-errs; bad {
-			t.Fatalf("concurrent matmul diverged at element %d", i)
-		}
-	})
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if i, bad := <-errs; bad {
+		t.Fatalf("concurrent matmul diverged at element %d", i)
+	}
 }
 
-// TestSetParallelismClamps verifies the setter's floor.
-func TestSetParallelismClamps(t *testing.T) {
-	old := Parallelism()
-	defer SetParallelism(old)
-	SetParallelism(-3)
-	if Parallelism() != 1 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(-3), want 1", Parallelism())
+// TestParallelRowsBorrowBound checks the process-wide bound: with 16
+// callers sharding at once at GOMAXPROCS 4, no shard ever sees more than
+// GOMAXPROCS−1 = 3 borrowed goroutines running, and every product still
+// equals the GOMAXPROCS 1 reference bit for bit.
+func TestParallelRowsBorrowBound(t *testing.T) {
+	gomaxprocs(t, 1)
+	rng := rand.New(rand.NewSource(11))
+	m, k, n := 256, 256, 256
+	a := benchTensor(rng, m, k)
+	b := benchTensor(rng, k, n)
+	var high atomic.Int32
+	product := func(out []float64) {
+		parallelRows(m, mulRowCost(k, n), func(lo, hi int) {
+			for now := borrowed.Load(); ; {
+				h := high.Load()
+				if now <= h || high.CompareAndSwap(h, now) {
+					break
+				}
+			}
+			mulRowRange(out, a.Data, b.Data, lo, hi, k, n, n, 0, true, nil)
+		})
+	}
+	want := make([]float64, m*n)
+	product(want)
+	if h := high.Load(); h != 0 {
+		t.Fatalf("GOMAXPROCS 1 borrowed %d goroutines, want 0", h)
+	}
+
+	runtime.GOMAXPROCS(4)
+	var wg sync.WaitGroup
+	errs := make(chan int, 16)
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]float64, m*n)
+			for it := 0; it < 3; it++ {
+				product(got)
+				for i := range got {
+					if got[i] != want[i] {
+						errs <- i
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if i, bad := <-errs; bad {
+		t.Fatalf("concurrent product diverged at element %d", i)
+	}
+	switch h := high.Load(); {
+	case h > 3:
+		t.Fatalf("%d borrowed shard goroutines ran at once at GOMAXPROCS 4, want at most 3", h)
+	case h < 1:
+		t.Fatal("16 sharding callers never borrowed a goroutine")
+	default:
+		t.Logf("borrowed high-water mark: %d", h)
+	}
+	if n := borrowed.Load(); n != 0 {
+		t.Fatalf("%d borrowed slots still held after every caller returned", n)
 	}
 }
 
@@ -172,23 +235,6 @@ func TestReleaseGraphInferenceGraph(t *testing.T) {
 	}
 	if a.Data == nil || b.Data == nil {
 		t.Fatal("inputs must survive")
-	}
-}
-
-// TestArenaDisabled verifies SetArena(false) switches to plain allocation
-// while ReleaseGraph still detaches the graph.
-func TestArenaDisabled(t *testing.T) {
-	SetArena(false)
-	defer SetArena(true)
-	a := benchTensor(rand.New(rand.NewSource(1)), 16, 16)
-	b := benchTensor(rand.New(rand.NewSource(2)), 16, 16)
-	c := MatMul(a, b)
-	if c.pooled {
-		t.Fatal("arena disabled but output marked pooled")
-	}
-	ReleaseGraph(c)
-	if c.Data != nil {
-		t.Fatal("ReleaseGraph must still detach with arena off")
 	}
 }
 

@@ -14,11 +14,11 @@
 // parameters) are only read. Inference paths use NoGrad tensors so that no
 // backward state is written to shared parameters.
 //
-// Compute runtime (runtime.go): the matmul kernels row-shard across a
-// package-level worker pool sized from GOMAXPROCS (SetParallelism), with a
-// sequential fallback below a work threshold, and op-output buffers come
-// from a sync.Pool arena recycled via ReleaseGraph after each training step
-// or inference pass.
+// Compute runtime (runtime.go): the matmul kernels row-shard onto free
+// cores, at most GOMAXPROCS−1 borrowed goroutines process-wide with the
+// rest of the shards on their caller, with a sequential fallback below a
+// work threshold; op-output buffers come from a sync.Pool arena recycled
+// via ReleaseGraph after each training step or inference pass.
 package tensor
 
 import (

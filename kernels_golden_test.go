@@ -35,10 +35,6 @@ const answerBitsSHA256 = "da9db50cf099de5b624175362a0d3857cd0ebf100ab56af616c60e
 //
 //	go test -run TestAnswerBitsPinned -v .
 func TestAnswerBitsPinned(t *testing.T) {
-	old := tensor.DefaultParallelism()
-	tensor.SetParallelism(1)
-	defer tensor.SetParallelism(old)
-
 	ds := WikiTableDataset(40, 7)
 	model, err := NewModel(ds, ReproScale(), 7)
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
 // TestPipelineGoldenParity pins the work-stealing scheduler's determinism
@@ -15,11 +13,6 @@ import (
 // and every table runs the same forward on either path, so any divergence
 // here is a bug, not noise.
 func TestPipelineGoldenParity(t *testing.T) {
-	// One kernel worker keeps floating-point reductions in a fixed order.
-	old := tensor.DefaultParallelism()
-	tensor.SetParallelism(1)
-	defer tensor.SetParallelism(old)
-
 	// Untrained model with a near-full uncertainty band: every column goes
 	// through Phase 2, exercising prefetched scans and the content forward
 	// on every table.
