@@ -202,7 +202,11 @@ func TestLatentKeysKeepTenantsApart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	j := &tableJob{d: probe, model: probe.Model(), conn: conn, dbName: "a.b", table: "c"}
+	tm, err := conn.TableMetadata(context.Background(), "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &tableJob{d: probe, model: probe.Model(), conn: conn, dbName: "a.b", table: "c", meta: tm}
 	for _, st := range j.stages()[:3] {
 		if err := st.Run(context.Background()); err != nil {
 			t.Fatal(err)

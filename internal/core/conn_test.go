@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"sync"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/simdb"
 )
 
@@ -59,7 +61,7 @@ func TestDetectDatabaseOnMatchesWrapper(t *testing.T) {
 			if err != nil || retries != 0 {
 				t.Fatalf("Connect: retries %d, err %v", retries, err)
 			}
-			over, err := det2.DetectDatabaseOn(ctx, conn, "tenant", tc.mode)
+			over, err := det2.DetectDatabaseOn(ctx, conn, "tenant", nil, tc.mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +145,7 @@ func TestDetectDatabaseOnSchemaReadFault(t *testing.T) {
 				defer conn.Close()
 				server.SetFaultProfile(p)
 				before := server.Accounting().Snapshot()
-				rep, err := det2.DetectDatabaseOn(ctx, conn, "tenant", tc.mode)
+				rep, err := det2.DetectDatabaseOn(ctx, conn, "tenant", nil, tc.mode)
 				snap := server.Accounting().Snapshot()
 				snap.Queries -= before.Queries
 				return rep, err, snap
@@ -172,5 +174,64 @@ func TestDetectDatabaseOnSchemaReadFault(t *testing.T) {
 					snap.Queries, snap.Faults, snap.ColumnsScanned, want)
 			}
 		})
+	}
+}
+
+// TestDetectDatabaseOnConcurrentCacheCounts: a report's latent-tier hits and
+// misses are its own request's lookups, counted per table in s4, not a diff
+// of the detector-wide cache counters that a concurrent request also moves.
+// Two tenants share one detector; run at once, each reports exactly what it
+// reports alone (paper latency stretches both runs so they overlap).
+func TestDetectDatabaseOnConcurrentCacheCounts(t *testing.T) {
+	ctx := context.Background()
+	det, ds := phase2Detector(t, 12)
+	mode := ExecMode{Pipelined: true, Workers: 4}
+	servers := [2]*simdb.Server{}
+	for i, tables := range [][]*corpus.Table{ds.Train, ds.Val} {
+		servers[i] = simdb.NewServer(simdb.PaperLatency(1))
+		servers[i].LoadTables("tenant", tables)
+	}
+	detect := func(i int) (*Report, error) {
+		conn, _, err := det.Connect(ctx, servers[i], "tenant")
+		if err != nil {
+			return nil, err
+		}
+		defer conn.Close()
+		return det.DetectDatabaseOn(ctx, conn, "tenant", nil, mode)
+	}
+	var alone [2]*Report
+	for i := range servers {
+		rep, err := detect(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.CacheHits == 0 {
+			t.Fatalf("tenant %d: no latent hit, Phase 2 never read the tier", i)
+		}
+		alone[i] = rep
+	}
+	var reps [2]*Report
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range servers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			reps[i], errs[i] = detect(i)
+		}(i)
+	}
+	wg.Wait()
+	for i := range servers {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		a, c := alone[i], reps[i]
+		if c.CacheHits != a.CacheHits || c.CacheMisses != a.CacheMisses {
+			t.Fatalf("tenant %d: %d hits, %d misses beside another request; %d and %d alone",
+				i, c.CacheHits, c.CacheMisses, a.CacheHits, a.CacheMisses)
+		}
+		if canonReport(t, c) != canonReport(t, a) {
+			t.Fatalf("tenant %d reports differently beside another request", i)
+		}
 	}
 }

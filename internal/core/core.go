@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -332,17 +333,6 @@ type TableResult struct {
 	Retries int
 }
 
-// DegradedColumns counts the table's degraded columns.
-func (t *TableResult) DegradedColumns() int {
-	n := 0
-	for i := range t.Columns {
-		if t.Columns[i].Degraded {
-			n++
-		}
-	}
-	return n
-}
-
 // Report aggregates a batch detection run — the end-to-end view of §6.2.
 type Report struct {
 	Tables           []*TableResult
@@ -353,7 +343,10 @@ type Report struct {
 	// DegradedColumns counts columns answered by the degradation ladder.
 	DegradedColumns int
 	// Retries counts backoff retries spent on this batch.
-	Retries     int
+	Retries int
+	// CacheHits and CacheMisses count this request's latent-tier lookups
+	// in Phase 2: a hit reused Phase 1's latents, a miss re-encoded the
+	// chunk's metadata although the tier was enabled.
 	CacheHits   int
 	CacheMisses int
 	// ContentForwards counts the Phase-2 content forwards this request ran:
@@ -370,7 +363,10 @@ type Report struct {
 	// pipelined execution.
 	Steals       int64
 	StolenStages int64
-	Errors       []error
+	// Skipped names the tables the deadline caught before Phase 1 finished;
+	// one summary error in Errors counts them.
+	Skipped []string
+	Errors  []error
 }
 
 // ScannedRatio returns the intrusiveness metric of §6.2.
@@ -453,12 +449,11 @@ type tableJob struct {
 	dbName string
 	table  string
 	// meta is the table's information_schema view from the batch's schema
-	// snapshot; nil for a single-table detect, whose s1 reads its own.
+	// read.
 	meta *simdb.TableMeta
 	// pf, when set, serves this job's storage reads from the batch's scan
-	// prefetcher; fwd, when set, counts the batch's content forwards.
+	// prefetcher.
 	pf      *prefetcher
-	fwd     *atomic.Int64
 	info    *metafeat.TableInfo
 	chunks  []*metafeat.TableInfo
 	offsets []int // global index of each chunk's first column
@@ -466,7 +461,10 @@ type tableJob struct {
 	p1Probs   [][]float64
 	uncertain []int // global indices of uncertain columns
 	retries   int   // backoff retries spent on this table
-	res       *TableResult
+	forwards  int   // Phase-2 content forwards run for this table
+	// latentHits and latentMisses count s4's latent-tier lookups.
+	latentHits, latentMisses int
+	res                      *TableResult
 }
 
 // cacheKey identifies a chunk's latents in the latent cache. The model
@@ -512,34 +510,6 @@ func deadlineNear(ctx context.Context, margin time.Duration) (string, bool) {
 	return "", false
 }
 
-// fetchTableMeta fetches a table's metadata, running ANALYZE when histograms
-// are requested but statistics are absent — two round trips at most, since
-// ANALYZE replies with the refreshed metadata. Transient failures are
-// retried per the backoff policy; the retry count is returned for the
-// caller's table ledger. This is DetectTable's path; a bulk detect reads
-// every table's metadata in one schema query and shares
-// needsAnalyze/analyzeTable.
-func (d *Detector) fetchTableMeta(ctx context.Context, conn *simdb.Conn, table string) (*simdb.TableMeta, int, error) {
-	var tm *simdb.TableMeta
-	retries, err := d.retry(ctx, conn.Accounting(), func() error {
-		var e error
-		tm, e = conn.TableMetadata(ctx, table)
-		return e
-	})
-	if err != nil {
-		return nil, retries, err
-	}
-	if d.needsAnalyze(tm) {
-		var n int
-		tm, n, err = d.analyzeTable(ctx, conn, table)
-		retries += n
-		if err != nil {
-			return nil, retries, err
-		}
-	}
-	return tm, retries, nil
-}
-
 // needsAnalyze reports whether histograms are on and any column of tm still
 // lacks statistics.
 func (d *Detector) needsAnalyze(tm *simdb.TableMeta) bool {
@@ -566,26 +536,24 @@ func (d *Detector) analyzeTable(ctx context.Context, conn *simdb.Conn, table str
 	return tm, retries, err
 }
 
-// s1PrepMetadata takes the table's metadata — from the batch's schema
-// snapshot, refreshed by ANALYZE when histograms need statistics it lacks
-// (the prefetcher's future, which the stage was gated on, or a synchronous
-// call without a prefetcher), or read on its own for a single-table detect —
-// and builds the chunked table view.
+// s1PrepMetadata takes the table's metadata from the batch's schema read —
+// refreshed by ANALYZE when histograms need statistics it lacks (the
+// prefetcher's future, which the stage was gated on, or a synchronous call
+// without a prefetcher) — and builds the chunked table view.
 func (j *tableJob) s1PrepMetadata(ctx context.Context) error {
-	tm, n, err := j.meta, 0, error(nil)
-	switch {
-	case tm == nil:
-		tm, n, err = j.d.fetchTableMeta(ctx, j.conn, j.table)
-	case j.d.needsAnalyze(tm):
+	tm := j.meta
+	if j.d.needsAnalyze(tm) {
+		var n int
+		var err error
 		if f := j.pf.await(analyzeRead, j.table); f != nil {
 			tm, n, err = f.tm, f.retries, f.err
 		} else {
 			tm, n, err = j.d.analyzeTable(ctx, j.conn, j.table)
 		}
-	}
-	j.retries += n
-	if err != nil {
-		return err
+		j.retries += n
+		if err != nil {
+			return err
+		}
 	}
 	j.info = metafeat.FromTableMeta(tm)
 	j.chunks = j.info.Split(j.d.Opts.SplitThreshold)
@@ -852,6 +820,11 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 		// A nil Menc (cache disabled or evicted) is re-encoded inside
 		// contentForward.
 		menc := j.d.cache.Get(j.d.cacheKey(j.model, j.dbName, j.table, ci))
+		if menc != nil {
+			j.latentHits++
+		} else if j.d.cache.Enabled() {
+			j.latentMisses++
+		}
 		reqs = append(reqs, adtd.ContentRequest{Menc: menc, Table: chunk, Cols: localCols})
 		globalsPerReq = append(globalsPerReq, globals)
 		keysPerReq = append(keysPerReq, rkey)
@@ -892,9 +865,7 @@ func (j *tableJob) contentForward(reqs []adtd.ContentRequest) (batch [][][]float
 			reqs[i].Menc = j.model.EncodeMetadata(j.model.Encoder().BuildMetaInput(r.Table, j.d.Opts.UseHistogram))
 		}
 	}
-	if j.fwd != nil {
-		j.fwd.Add(1)
-	}
+	j.forwards++
 	return j.model.PredictContentBatch(reqs, j.d.Opts.CellsPerColumn), nil
 }
 
@@ -969,27 +940,19 @@ func (j *tableJob) stages() []pipeline.Stage {
 }
 
 // DetectTable runs end-to-end detection for one table over an existing
-// connection. A nil ctx means context.Background().
+// connection: DetectDatabaseOn with the one name, sequentially. A table the
+// detect could not answer (an unknown name, a deadline before Phase 1, a
+// failed stage) comes back as the report's error. A nil ctx means
+// context.Background().
 func (d *Detector) DetectTable(ctx context.Context, conn *simdb.Conn, dbName, table string) (*TableResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	rep, err := d.DetectDatabaseOn(ctx, conn, dbName, []string{table}, SequentialMode)
+	if err != nil {
+		return nil, err
 	}
-	j := &tableJob{d: d, model: d.requestModel(ctx), conn: conn, dbName: dbName, table: table}
-	for _, st := range j.stages() {
-		if err := st.Run(ctx); err != nil {
-			// Salvage a deadline-killed job when Phase 1 already answered.
-			if j.res != nil && errors.Is(err, context.DeadlineExceeded) {
-				j.degrade(j.uncertain, "deadline exceeded", true)
-				j.res.Retries = j.retries
-				tablesDetectedTotal.Inc()
-				return j.res, nil
-			}
-			return nil, fmt.Errorf("core: table %s, stage %s: %w", table, st.Name, err)
-		}
+	if len(rep.Tables) == 0 {
+		return nil, rep.Errors[0]
 	}
-	j.res.Retries = j.retries
-	tablesDetectedTotal.Inc()
-	return j.res, nil
+	return rep.Tables[0], nil
 }
 
 // Connect opens a connection to dbName under the detector's retry policy:
@@ -1026,7 +989,7 @@ func (d *Detector) DetectDatabase(ctx context.Context, server *simdb.Server, dbN
 		return nil, err
 	}
 	defer conn.Close()
-	rep, err := d.DetectDatabaseOn(ctx, conn, dbName, mode)
+	rep, err := d.DetectDatabaseOn(ctx, conn, dbName, nil, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -1035,17 +998,26 @@ func (d *Detector) DetectDatabase(ctx context.Context, server *simdb.Server, dbN
 	return rep, nil
 }
 
-// DetectDatabaseOn runs end-to-end detection over every table of a database
-// over an existing connection, the way DetectTable does for one table,
-// executing per the given mode. It first reads every table's metadata in one
+// DetectDatabaseOn runs end-to-end detection over an existing connection,
+// executing per the given mode: over every table of the database when
+// tables is empty, else over the named tables in request order. Every detect
+// runs through here. It first reads the tables' metadata in one
 // information_schema query (SchemaMetadata, retried like any metadata read;
 // a failure fails the call), so no table pays a metadata round trip of its
 // own. The connection stays open and is the caller's to close or reuse;
-// nothing reads from it once the call returns. Per-table failures are
-// collected in Report.Errors without aborting the batch; tables whose Phase
-// 1 completed before a deadline killed the batch are salvaged with their
-// unresolved columns degraded. A nil ctx means context.Background().
-func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbName string, mode ExecMode) (*Report, error) {
+// nothing reads from it once the call returns. One table never aborts the
+// batch; each ends up in exactly one place:
+//
+//   - Report.Tables, answered — or salvaged, when Phase 1 finished before
+//     the deadline killed the batch: the columns Phase 2 never resolved are
+//     degraded;
+//   - Report.Skipped, when the deadline caught it before Phase 1 finished;
+//     one summary error in Report.Errors counts these;
+//   - Report.Errors, one error each: a name the database does not have, or
+//     a table that failed for any other reason.
+//
+// A nil ctx means context.Background().
+func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbName string, tables []string, mode ExecMode) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -1054,7 +1026,7 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 	_, schemaSpan := obs.StartSpan(ctx, "schema_metadata")
 	batchRetries, err := d.retry(ctx, conn.Accounting(), func() error {
 		var e error
-		metas, e = conn.SchemaMetadata(ctx)
+		metas, e = conn.SchemaMetadata(ctx, tables...)
 		return e
 	})
 	schemaSpan.End()
@@ -1062,21 +1034,23 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 		return nil, err
 	}
 	schemaRead := time.Since(start)
+	rep := &Report{Retries: batchRetries}
+	if len(metas) < len(tables) {
+		rep.Errors = unknownTables(dbName, tables, metas)
+	}
 
-	cs0 := d.cache.Stats()
 	// One model for the whole batch: every table of the request is answered
 	// by the same weights, however long the batch runs across swaps.
 	model := d.requestModel(ctx)
 	mode = mode.withDefaults()
-	var fwd atomic.Int64
 	var pf *prefetcher
 	if mode.Pipelined {
 		pf = newPrefetcher(ctx, d, conn, metas, mode.Workers, prefetchBudget(d.Opts), schemaRead)
 	}
 	jobs := make([]*pipeline.Job, len(metas))
-	tjobs := make([]*tableJob, len(metas))
+	tjobs := make([]tableJob, len(metas))
 	for i, tm := range metas {
-		tjobs[i] = &tableJob{d: d, model: model, conn: conn, dbName: dbName, table: tm.Name, meta: tm, pf: pf, fwd: &fwd}
+		tjobs[i] = tableJob{d: d, model: model, conn: conn, dbName: dbName, table: tm.Name, meta: tm, pf: pf}
 		jobs[i] = &pipeline.Job{ID: tm.Name, Stages: tjobs[i].stages()}
 	}
 	sched := pipeline.Scheduler{Pipelined: mode.Pipelined, Workers: mode.Workers}
@@ -1091,29 +1065,31 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 		return nil, err
 	}
 
-	rep := &Report{
-		Duration: time.Since(start), Retries: batchRetries,
-		ContentForwards: int(fwd.Load()),
-		Steals:          stats.Steals, StolenStages: stats.Stolen,
-	}
+	rep.Steals, rep.StolenStages = stats.Steals, stats.Stolen
 	if pf != nil {
 		rep.PrefetchHits, rep.PrefetchWasted, rep.PrefetchSkipped = pf.hits, pf.waste, pf.skipped
 		rep.Retries += pf.wastedRetries
 	}
 	for i, j := range jobs {
-		tj := tjobs[i]
-		// Retries spent on a table count even when the table ultimately
-		// failed — the server-side ledger saw them too.
+		tj := &tjobs[i]
+		// Retries, forwards and lookups spent on a table count even when the
+		// table ultimately failed — the server-side ledger saw them too.
 		rep.Retries += tj.retries
+		rep.ContentForwards += tj.forwards
+		rep.CacheHits += tj.latentHits
+		rep.CacheMisses += tj.latentMisses
 		if j.Err != nil {
-			if tj.res != nil && errors.Is(j.Err, context.DeadlineExceeded) {
-				// Phase 1 finished before the deadline: keep the table,
-				// degrading everything Phase 2 never reached.
-				tj.degrade(tj.uncertain, "deadline exceeded before phase 2", true)
-			} else {
+			switch {
+			case !errors.Is(j.Err, context.DeadlineExceeded):
 				rep.Errors = append(rep.Errors, fmt.Errorf("table %s: %w", j.ID, j.Err))
 				continue
+			case tj.res == nil:
+				rep.Skipped = append(rep.Skipped, j.ID)
+				continue
 			}
+			// Phase 1 finished before the deadline: keep the table,
+			// degrading everything Phase 2 never reached.
+			tj.degrade(tj.uncertain, "deadline exceeded before phase 2", true)
 		}
 		tr := tj.res
 		tr.Retries = tj.retries
@@ -1130,10 +1106,23 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 			}
 		}
 	}
-	cs1 := d.cache.Stats()
-	rep.CacheHits = int(cs1.Hits - cs0.Hits)
-	rep.CacheMisses = int(cs1.Misses - cs0.Misses)
+	if len(rep.Skipped) > 0 {
+		rep.Errors = append(rep.Errors, fmt.Errorf("%w: skipped %d tables", context.DeadlineExceeded, len(rep.Skipped)))
+	}
+	rep.Duration = time.Since(start)
 	return rep, nil
+}
+
+// unknownTables returns one error per requested name the schema read did not
+// return.
+func unknownTables(dbName string, tables []string, metas []*simdb.TableMeta) []error {
+	var errs []error
+	for _, name := range tables {
+		if !slices.ContainsFunc(metas, func(tm *simdb.TableMeta) bool { return tm.Name == name }) {
+			errs = append(errs, fmt.Errorf("table %s: no such table in database %s", name, dbName))
+		}
+	}
+	return errs
 }
 
 // Feedback records user corrections and immediately applies a lightweight

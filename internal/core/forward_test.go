@@ -198,7 +198,7 @@ func TestMetadataForwardPanicFailsTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	tm, _, err := det.fetchTableMeta(ctx, conn, table.Name)
+	tm, err := conn.TableMetadata(ctx, table.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

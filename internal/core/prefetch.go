@@ -1,4 +1,4 @@
-// The scan prefetcher (DESIGN.md §16). A bulk detect reads every table's
+// The scan prefetcher (DESIGN.md §16). A detect reads its tables'
 // information_schema rows in one query before the batch starts
 // (simdb.Conn.SchemaMetadata), so what is left to prefetch is each table's
 // uncertain-column content scan, issued the moment s2 knows the columns,

@@ -81,7 +81,7 @@ func TestPrefetcherParity(t *testing.T) {
 		if f == nil || f.err != nil {
 			t.Fatalf("await(analyze, %s): %+v", tb.Name, f)
 		}
-		direct, _, err := det.fetchTableMeta(ctx, conn, tb.Name)
+		direct, err := conn.TableMetadata(ctx, tb.Name)
 		if err != nil {
 			t.Fatal(err)
 		}

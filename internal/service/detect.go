@@ -12,19 +12,22 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-// DetectRequest is the /v1/detect payload. Pipelined runs a whole-database
-// request on the service's work-stealing pool. DeadlineMillis, when
-// positive, bounds the whole request: stages past the deadline degrade to
-// Phase-1 answers instead of running.
+// DetectRequest is the /v1/detect payload. Pipelined runs the request, named
+// tables or whole database, on the service's work-stealing pool.
+// DeadlineMillis, when positive, bounds the whole request: stages past the
+// deadline degrade to Phase-1 answers instead of running.
 type DetectRequest struct {
-	Database       string   `json:"database"`
-	Tables         []string `json:"tables,omitempty"` // empty = all tables
+	Database string `json:"database"`
+	// Tables names the tables to detect, each at most once; empty means
+	// every table of the database.
+	Tables         []string `json:"tables,omitempty"`
 	Pipelined      bool     `json:"pipelined"`
 	DeadlineMillis int64    `json:"deadline_ms,omitempty"`
 	// Trace requests the span tree of this detection inline in the
@@ -182,6 +185,11 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 	if req.ModelVersion < 0 {
 		return nil, apiErrorf(http.StatusBadRequest, "model_version must be ≥ 0")
 	}
+	for i, name := range req.Tables {
+		if slices.Contains(req.Tables[:i], name) {
+			return nil, apiErrorf(http.StatusBadRequest, "table %q named twice", name)
+		}
+	}
 	tn, ok := s.tenant(req.Database)
 	if !ok {
 		return nil, apiErrorf(http.StatusNotFound, "unknown database %q", req.Database)
@@ -238,15 +246,20 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 		}
 		return resp
 	}
+	// deadlineBeforeStart answers a request whose deadline fired before core
+	// returned a report: a valid, fully degraded response — not a server
+	// error — with every named table skipped.
+	deadlineBeforeStart := func(err error) *DetectResponse {
+		resp.Degraded = true
+		resp.Errors = append(resp.Errors, err.Error())
+		resp.Tables = appendSkipped(resp.Tables, req.Tables)
+		return finish()
+	}
 	conn, retries, err := tn.checkout(ctx, s.detector, req.Database)
 	resp.Retries = retries
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			// The deadline fired before a connection was up: still a valid,
-			// fully degraded response — not a server error.
-			resp.Degraded = true
-			resp.Errors = append(resp.Errors, err.Error())
-			return finish(), nil
+			return deadlineBeforeStart(err), nil
 		}
 		return nil, apiErrorf(http.StatusInternalServerError, "connect: %v", err)
 	}
@@ -255,78 +268,47 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 	// and the release closes it.
 	clean := false
 	defer func() { tn.release(conn, clean && ctx.Err() == nil) }()
-	if len(req.Tables) == 0 {
-		mode := core.SequentialMode
-		if req.Pipelined {
-			mode = s.defaultMode
-			mode.Pipelined = true
+	mode := core.SequentialMode
+	if req.Pipelined {
+		mode = s.defaultMode
+		mode.Pipelined = true
+	}
+	rep, err := s.detector.DetectDatabaseOn(ctx, conn, req.Database, req.Tables, mode)
+	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) {
+			return deadlineBeforeStart(err), nil
 		}
-		rep, err := s.detector.DetectDatabaseOn(ctx, conn, req.Database, mode)
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				// The deadline fired before any table resolved: still a
-				// valid, fully degraded response — not a server error.
-				resp.Degraded = true
-				resp.Errors = append(resp.Errors, err.Error())
-				return finish(), nil
-			}
-			return nil, apiErrorf(http.StatusInternalServerError, "detection failed: %v", err)
-		}
-		for _, tr := range rep.Tables {
-			resp.Tables = append(resp.Tables, toDetectTable(tr))
-		}
-		resp.TotalColumns = rep.TotalColumns
-		resp.ScannedColumns = rep.ScannedColumns
-		resp.DegradedColumns = rep.DegradedColumns
-		resp.Retries += rep.Retries
-		resp.Degraded = rep.DegradedColumns > 0
-		for _, e := range rep.Errors {
-			resp.Errors = append(resp.Errors, e.Error())
-			if errors.Is(e, context.DeadlineExceeded) {
-				resp.Degraded = true
-			}
-		}
-	} else {
-		for i, table := range req.Tables {
-			if err := ctx.Err(); err != nil {
-				// The request context is dead: every further DetectTable
-				// call would fail identically, so stop issuing them and
-				// record the remaining tables as skipped rather than
-				// appending one duplicate error per table.
-				resp.Degraded = true
-				for _, rest := range req.Tables[i:] {
-					resp.Tables = append(resp.Tables, DetectTable{
-						Table: rest, Columns: []DetectColumn{},
-						Skipped: true, SkipReason: err.Error(),
-					})
-				}
-				resp.Errors = append(resp.Errors,
-					fmt.Sprintf("%v: skipped %d remaining tables", err, len(req.Tables)-i))
-				break
-			}
-			tr, err := s.detector.DetectTable(ctx, conn, req.Database, table)
-			if err != nil {
-				resp.Errors = append(resp.Errors, err.Error())
-				if errors.Is(err, context.DeadlineExceeded) {
-					resp.Degraded = true
-				}
-				continue
-			}
-			resp.Tables = append(resp.Tables, toDetectTable(tr))
-			resp.TotalColumns += len(tr.Columns)
-			resp.ScannedColumns += tr.ScannedColumns
-			resp.DegradedColumns += tr.DegradedColumns()
-			// Per-call retry counts, not a before/after diff of the global
-			// fault ledger: concurrent requests would otherwise leak their
-			// retries into each other's responses.
-			resp.Retries += tr.Retries
-		}
-		if resp.DegradedColumns > 0 {
+		return nil, apiErrorf(http.StatusInternalServerError, "detection failed: %v", err)
+	}
+	for _, tr := range rep.Tables {
+		resp.Tables = append(resp.Tables, toDetectTable(tr))
+	}
+	resp.Tables = appendSkipped(resp.Tables, rep.Skipped)
+	resp.TotalColumns = rep.TotalColumns
+	resp.ScannedColumns = rep.ScannedColumns
+	resp.DegradedColumns = rep.DegradedColumns
+	resp.Retries += rep.Retries
+	resp.Degraded = rep.DegradedColumns > 0
+	for _, e := range rep.Errors {
+		resp.Errors = append(resp.Errors, e.Error())
+		if errors.Is(e, context.DeadlineExceeded) {
 			resp.Degraded = true
 		}
 	}
 	clean = !resp.Degraded && len(resp.Errors) == 0 && resp.Retries == 0
 	return finish(), nil
+}
+
+// appendSkipped lists tables the deadline caught before Phase 1: no columns,
+// the deadline as the reason.
+func appendSkipped(out []DetectTable, tables []string) []DetectTable {
+	for _, name := range tables {
+		out = append(out, DetectTable{
+			Table: name, Columns: []DetectColumn{},
+			Skipped: true, SkipReason: context.DeadlineExceeded.Error(),
+		})
+	}
+	return out
 }
 
 func toDetectTable(tr *core.TableResult) DetectTable {

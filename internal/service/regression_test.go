@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/simdb"
 )
@@ -131,43 +133,147 @@ func TestConcurrentDetectsMatchSerial(t *testing.T) {
 	assertClosedOnce(t, idle...)
 }
 
-// TestDetectDeadContextStopsTableLoop: after the deadline killed the context,
-// the named-tables loop used to keep calling DetectTable once per remaining
-// table, appending one identical error each. It now breaks out, reports the
-// remaining tables as skipped, and appends a single summary error.
+// TestDetectDeadContextStopsTableLoop: a deadline that fires mid-batch ends
+// every table exactly once — answered (a table Phase 1 finished is salvaged,
+// its unresolved columns degraded) or skipped with a reason — and adds at
+// most one deadline error, never one per unreached table. The rule is one
+// for both request shapes and both schedulers.
+//
+// The batch is timed by the tenant's round trip: with histograms on, the
+// first half of the tables already has statistics and the second half needs
+// an ANALYZE, so a deadline of 1.5 round trips fires after the one schema
+// read returned and before any ANALYZE can: the second half is caught before
+// Phase 1 on every run, while the first half may already be answered.
 func TestDetectDeadContextStopsTableLoop(t *testing.T) {
-	svc, ds := testService(t)
+	_, ds := testService(t)
 	var tables []string
+	cols := map[string]int{}
 	for _, tb := range ds.Test {
 		tables = append(tables, tb.Name)
+		cols[tb.Name] = len(tb.Columns)
 	}
 	if len(tables) < 3 {
 		t.Fatalf("need ≥ 3 test tables, have %d", len(tables))
 	}
-	rec := doJSON(t, svc.Handler(), http.MethodPost, "/v1/detect", DetectRequest{
-		Database: "tenantdb", Tables: tables, DeadlineMillis: 1,
-	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
-	}
-	var resp DetectResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+	opts := shared.det.Opts
+	opts.UseHistogram = true
+	det, err := core.NewDetector(shared.det.Model(), opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Degraded {
-		t.Fatalf("expired deadline must mark the response degraded: %s", rec.Body)
+	latency := simdb.PaperLatency(20)
+	for _, named := range []bool{true, false} {
+		for _, pipelined := range []bool{false, true} {
+			t.Run(fmt.Sprintf("named=%v/pipelined=%v", named, pipelined), func(t *testing.T) {
+				svc := New(det)
+				slow := simdb.NewServer(latency)
+				slow.LoadTables("slowdb", ds.Test)
+				svc.RegisterTenant("slowdb", slow)
+				h := svc.Handler()
+				// Analyze the first half, pooling the connection so the
+				// deadline's request pays no handshake.
+				detectOne(t, h, DetectRequest{Database: "slowdb", Tables: tables[:len(tables)/2], Pipelined: true})
+				req := DetectRequest{Database: "slowdb", Pipelined: pipelined, DeadlineMillis: (latency.QueryRoundTrip * 3 / 2).Milliseconds()}
+				if named {
+					req.Tables = tables
+				}
+				resp := detectOne(t, h, req)
+				if len(resp.Tables) != len(tables) {
+					t.Fatalf("%d tables in the response, want all %d exactly once: %+v", len(resp.Tables), len(tables), resp.Tables)
+				}
+				seen, skipped := map[string]bool{}, 0
+				for _, tb := range resp.Tables {
+					if tb.Skipped {
+						skipped++
+					}
+					switch {
+					case seen[tb.Table]:
+						t.Fatalf("table %s appears twice", tb.Table)
+					case tb.Skipped && (tb.SkipReason == "" || len(tb.Columns) != 0):
+						t.Fatalf("skipped table %s: reason %q, %d columns", tb.Table, tb.SkipReason, len(tb.Columns))
+					case !tb.Skipped && len(tb.Columns) != cols[tb.Table]:
+						t.Fatalf("table %s answered %d of %d columns", tb.Table, len(tb.Columns), cols[tb.Table])
+					}
+					seen[tb.Table] = true
+				}
+				t.Logf("%d ms deadline: %d tables answered (%d columns degraded), %d skipped",
+					req.DeadlineMillis, len(tables)-skipped, resp.DegradedColumns, skipped)
+				if !resp.Degraded || skipped < len(tables)-len(tables)/2 {
+					t.Fatalf("degraded %v, %d tables skipped: the deadline must catch every table still waiting on its ANALYZE", resp.Degraded, skipped)
+				}
+				if len(resp.Errors) != 1 || !strings.Contains(resp.Errors[0], "deadline exceeded") {
+					t.Fatalf("errors %v: want exactly one, the deadline's", resp.Errors)
+				}
+			})
+		}
 	}
-	if len(resp.Errors) >= len(tables) {
-		t.Fatalf("dead context produced %d errors for %d tables — the loop did not stop", len(resp.Errors), len(tables))
+}
+
+// TestNamedTablesMatchBulkInOneRoundTrip: a request that names tables runs
+// the whole-database path — one metadata query however many names, on the
+// scheduler the request asks for. Named sequential, named pipelined and bulk
+// requests, run at once, answer byte for byte the same, and each reads the
+// tenant's metadata in one table_metadata query.
+func TestNamedTablesMatchBulkInOneRoundTrip(t *testing.T) {
+	svc, ds := testService(t)
+	h := svc.Handler()
+	tn, _ := svc.tenant("tenantdb")
+	var names []string
+	for _, tb := range ds.Test {
+		names = append(names, tb.Name)
 	}
-	for _, tb := range resp.Tables {
-		if tb.Skipped {
-			if tb.SkipReason == "" {
-				t.Fatalf("skipped table %s without a reason", tb.Table)
+	reqs := []DetectRequest{
+		{Database: "tenantdb", Tables: names},
+		{Database: "tenantdb", Tables: names, Pipelined: true},
+		{Database: "tenantdb"},
+	}
+	metaOps := func() float64 {
+		body := doJSON(t, h, http.MethodGet, "/metrics", nil).Body.String()
+		return metricValue(t, body, `taste_simdb_op_seconds_count{op="table_metadata"}`)
+	}
+	ops, queries := metaOps(), tn.server.Accounting().Snapshot().Queries
+	resps := make([]DetectResponse, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func(i int, req DetectRequest) {
+			defer wg.Done()
+			// Not detectOne: t.Fatal must stay on the test's goroutine.
+			rec := doJSON(t, h, http.MethodPost, "/v1/detect", req)
+			if err := json.Unmarshal(rec.Body.Bytes(), &resps[i]); rec.Code != http.StatusOK || err != nil {
+				t.Errorf("%+v: status %d, decode error %v: %s", req, rec.Code, err, rec.Body)
 			}
-			if len(tb.Columns) != 0 {
-				t.Fatalf("skipped table %s carries columns", tb.Table)
+		}(i, req)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if got := metaOps() - ops; got != float64(len(reqs)) {
+		t.Fatalf("%d requests made %v table_metadata queries, want one each", len(reqs), got)
+	}
+	// Every other query is one table's one content scan.
+	scans := 0
+	for _, resp := range resps {
+		for _, tb := range resp.Tables {
+			for _, c := range tb.Columns {
+				if c.Scanned {
+					scans++
+					break
+				}
 			}
+		}
+	}
+	if got := tn.server.Accounting().Snapshot().Queries - queries; got != len(reqs)+scans {
+		t.Fatalf("ledger counted %d queries, want %d metadata reads + %d scans", got, len(reqs), scans)
+	}
+	bulk := tablesJSON(t, resps[2])
+	if scans == 0 || len(resps[2].Tables) != len(names) {
+		t.Fatalf("bulk answered %d of %d tables with %d scans: %s", len(resps[2].Tables), len(names), scans, bulk)
+	}
+	for i, resp := range resps[:2] {
+		if got := tablesJSON(t, resp); got != bulk {
+			t.Fatalf("%+v answers differently from the bulk request\nnamed: %s\nbulk:  %s", reqs[i], got, bulk)
 		}
 	}
 }
@@ -198,7 +304,7 @@ func TestDetectTraceReturnsSpanTree(t *testing.T) {
 		}
 	})
 	// "connect" is the pool checkout: a handshake on a miss, ≈ 0 on a hit.
-	for _, want := range []string{"connect", "s1", "s2", "s3", "s4"} {
+	for _, want := range []string{"connect", "schema_metadata", "s1", "s2", "s3", "s4"} {
 		if !stages[want] {
 			t.Fatalf("trace misses stage %s: have %v", want, stages)
 		}

@@ -14,11 +14,19 @@
 //	GET  /v1/stats             accounting ledger + cache + fault statistics
 //	GET  /metrics              Prometheus text exposition of the obs registry
 //
+// A detect request that names its tables and one that does not run the same
+// path: one information_schema read for all of them, then the scheduler the
+// request picks — "pipelined" applies to both shapes. A name the tenant does
+// not have is one entry in "errors"; a tables list that repeats a name is a
+// 400.
+//
 // A detect request with deadline_ms > 0 runs under a context deadline that
 // propagates into every prep and inference stage. When the deadline (or a
 // flaky tenant database) prevents Phase 2, the response still carries typed
 // results for every reachable column, with "degraded": true and a
-// per-column reason — a deadline is an SLO, not a 500.
+// per-column reason — a deadline is an SLO, not a 500. A table the deadline
+// reached before its Phase 1 is listed "skipped": true, and one summary
+// error counts the skipped tables.
 //
 // Requests that read a tenant database run on a connection checked out of
 // that tenant's pool of warm connections (connpool.go), so the handshake is

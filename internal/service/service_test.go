@@ -230,18 +230,32 @@ func TestDetectBadBody(t *testing.T) {
 	}
 }
 
+// TestDetectUnknownTableReportsError: a name the tenant does not have is one
+// error naming it, and every other named table is still answered.
 func TestDetectUnknownTableReportsError(t *testing.T) {
-	svc, _ := testService(t)
-	rec := doJSON(t, svc.Handler(), http.MethodPost, "/v1/detect", DetectRequest{Database: "tenantdb", Tables: []string{"ghost_table"}})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	var resp DetectResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Errors) != 1 {
-		t.Fatalf("errors = %v", resp.Errors)
+	svc, ds := testService(t)
+	known := ds.Test[0]
+	for _, tables := range [][]string{{"ghost_table"}, {known.Name, "ghost_table"}} {
+		rec := doJSON(t, svc.Handler(), http.MethodPost, "/v1/detect", DetectRequest{Database: "tenantdb", Tables: tables})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%v: status %d", tables, rec.Code)
+		}
+		var resp DetectResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Errors) != 1 || !strings.Contains(resp.Errors[0], "ghost_table") {
+			t.Fatalf("%v: errors = %v, want one naming ghost_table", tables, resp.Errors)
+		}
+		if len(resp.Tables) != len(tables)-1 {
+			t.Fatalf("%v: %d tables answered, want %d", tables, len(resp.Tables), len(tables)-1)
+		}
+		for _, tb := range resp.Tables {
+			if tb.Table != known.Name || tb.Skipped || len(tb.Columns) != len(known.Columns) {
+				t.Fatalf("%v: table %s answered with %d columns (skipped %v), want %s with %d",
+					tables, tb.Table, len(tb.Columns), tb.Skipped, known.Name, len(known.Columns))
+			}
+		}
 	}
 }
 
@@ -323,15 +337,18 @@ func TestDetectDeadlineDegradedNot500(t *testing.T) {
 }
 
 // TestDetectNegativeDeadlineRejected: a negative deadline_ms or
-// model_version is a bad request, not a silent default.
+// model_version is a bad request, not a silent default; so is a tables list
+// that names one table twice, since detection keys its work by table name.
 func TestDetectNegativeDeadlineRejected(t *testing.T) {
-	svc, _ := testService(t)
+	svc, ds := testService(t)
+	name := ds.Test[0].Name
 	for _, c := range []struct {
 		name string
 		req  DetectRequest
 	}{
 		{"deadline_ms", DetectRequest{Database: "tenantdb", DeadlineMillis: -5}},
 		{"model_version", DetectRequest{Database: "tenantdb", ModelVersion: -1}},
+		{"repeated table", DetectRequest{Database: "tenantdb", Tables: []string{name, ds.Test[1].Name, name}}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rec := doJSON(t, svc.Handler(), http.MethodPost, "/v1/detect", c.req)
@@ -444,6 +461,7 @@ func FuzzHandleDetect(f *testing.F) {
 	f.Add(``)
 	f.Add(`{"database":"tenantdb","deadline_ms":9999999999999}`)
 	f.Add(`{"database":"tenantdb","model_version":-1}`)
+	f.Add(`{"database":"tenantdb","tables":["a","a"]}`)
 	// Fields the schema no longer has (retired knobs of old clients) are ignored.
 	f.Add(`{"database":"tenantdb","tables":["ghost"],"pipelined":true,"retired_knob":4}`)
 	f.Add(`{"database":"tenantdb","pipelined":true,"quantize":true,"batch_chunks":8}`)

@@ -87,7 +87,9 @@ func TestTableMetadataUnknownTable(t *testing.T) {
 // TestSchemaMetadataIsOneQuery: the schema read returns, in ListTables
 // order, exactly what the per-table reads return, for the price of one
 // query, one table_metadata observation and one fault decision — the
-// up-front failure fires once, and a slow draw scales one round trip.
+// up-front failure fires once, and a slow draw scales one round trip. A read
+// that names tables returns theirs in request order, each once, an unknown
+// name absent, at the same price.
 func TestSchemaMetadataIsOneQuery(t *testing.T) {
 	const rtt, factor = 10 * time.Millisecond, 4
 	s := faultTestServer(LatencyProfile{QueryRoundTrip: rtt, SamplingPenalty: 1})
@@ -120,6 +122,17 @@ func TestSchemaMetadataIsOneQuery(t *testing.T) {
 		if !reflect.DeepEqual(schema[i], single) {
 			t.Fatalf("entry %d is %s, want the single-table read of %s (ListTables order)", i, schema[i].Name, name)
 		}
+	}
+	before, observed = s.Accounting().Snapshot().Queries, opSeconds["table_metadata"].Count()
+	named, err := conn.SchemaMetadata(ctx, names[1], "ghost", names[0], names[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, o := s.Accounting().Snapshot().Queries-before, opSeconds["table_metadata"].Count()-observed; q != 1 || o != 1 {
+		t.Fatalf("named schema read cost %d queries and %d observations, want 1 and 1", q, o)
+	}
+	if want := []*TableMeta{schema[1], schema[0]}; !reflect.DeepEqual(named, want) {
+		t.Fatalf("named schema read returned %d entries, want %s then %s", len(named), names[1], names[0])
 	}
 
 	// oneDecision fails unless the injector armed with seed has drawn exactly

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Observability smoke test: boot tasted with the debug listener, fire one
-# traced detect request, then verify that /metrics serves the core series
-# and that the pprof index answers. Run from the repo root (CI does).
+# traced detect request, then verify that /metrics serves the core series,
+# that a second request naming two tables costs one metadata read, and that
+# the pprof index answers. Run from the repo root (CI does).
 set -euo pipefail
 
 ADDR=127.0.0.1:18080
@@ -65,6 +66,36 @@ done
 grep -qxF 'taste_connpool_checkouts_total{outcome="miss"} 1' <<<"$METRICS" \
     && grep -qxF 'taste_connpool_idle 1' <<<"$METRICS" \
     || { echo "connection pool series wrong after one detect:" >&2; grep taste_connpool <<<"$METRICS" >&2; exit 1; }
+
+# A request that names two of the demo tables (the first response's first
+# two) runs the same path as the whole-database one: pipelined, and one
+# information_schema read for both tables. It reuses the pooled connection.
+NAMES=$(grep -o '"table":"[^"]*"' <<<"$DETECT" | cut -d'"' -f4 | awk 'NR <= 2')
+T1=$(sed -n 1p <<<"$NAMES"); T2=$(sed -n 2p <<<"$NAMES")
+[[ -n "${T1:-}" && -n "${T2:-}" ]] || { echo "first detect named fewer than two tables: $DETECT" >&2; exit 1; }
+meta_reads() { grep -F 'taste_simdb_op_seconds_count{op="table_metadata"}' <<<"$1" | awk '{print $2}'; }
+META_BEFORE=$(meta_reads "$METRICS")
+NAMED_OUT=$(mktemp)
+STATUS=$(curl -s -o "$NAMED_OUT" -w '%{http_code}' -XPOST "http://$ADDR/v1/detect" \
+    -d "{\"database\":\"demo\",\"tables\":[\"$T1\",\"$T2\"],\"pipelined\":true}")
+NAMED=$(cat "$NAMED_OUT"); rm -f "$NAMED_OUT"
+[[ "$STATUS" == 200 ]] || { echo "named-tables detect: status $STATUS: $NAMED" >&2; exit 1; }
+for t in "$T1" "$T2"; do
+    grep -qF "\"table\":\"$t\",\"columns\":[{" <<<"$NAMED" \
+        || { echo "named-tables detect did not answer $t: $NAMED" >&2; exit 1; }
+done
+if grep -qF '"skipped":true' <<<"$NAMED" || grep -qF '"errors"' <<<"$NAMED"; then
+    echo "named-tables detect skipped a table or reported an error: $NAMED" >&2; exit 1
+fi
+METRICS_AFTER=$(curl -sf "http://$DEBUG/metrics")
+META_AFTER=$(meta_reads "$METRICS_AFTER")
+if ! awk -v a="$META_BEFORE" -v b="$META_AFTER" 'BEGIN { exit !(b - a == 1) }'; then
+    echo "named-tables detect made $META_BEFORE -> $META_AFTER table_metadata reads, want exactly one" >&2
+    exit 1
+fi
+grep -qxF 'taste_connpool_checkouts_total{outcome="miss"} 1' <<<"$METRICS_AFTER" \
+    && grep -qxF 'taste_connpool_idle 1' <<<"$METRICS_AFTER" \
+    || { echo "named-tables detect did not reuse the pooled connection:" >&2; grep taste_connpool <<<"$METRICS_AFTER" >&2; exit 1; }
 
 # /metrics must also be mounted on the tenant-facing mux. Capture before
 # grepping: piping curl straight into grep -q trips pipefail when grep
