@@ -614,23 +614,6 @@ func TestConcurrentEvalInference(t *testing.T) {
 	}
 }
 
-func TestEpochLRSchedule(t *testing.T) {
-	if got := epochLR(1e-3, 0, 3, 10); got != 1e-3 {
-		t.Fatalf("no decay expected, got %v", got)
-	}
-	if got := epochLR(1e-3, 1e-4, 0, 10); got != 1e-3 {
-		t.Fatalf("first epoch LR = %v", got)
-	}
-	last := epochLR(1e-3, 1e-4, 9, 10)
-	if math.Abs(last-1e-4) > 1e-9 {
-		t.Fatalf("last epoch LR = %v", last)
-	}
-	mid := epochLR(1e-3, 1e-4, 5, 10)
-	if mid >= 1e-3 || mid <= 1e-4 {
-		t.Fatalf("mid LR %v out of bounds", mid)
-	}
-}
-
 func TestPretrainImprovesMLMLoss(t *testing.T) {
 	m, ds := tinyModel(t)
 	cfg := DefaultPretrainConfig()

@@ -252,10 +252,3 @@ func (m *Model) ApplyFeedback(examples []FeedbackExample, lr float64, steps int)
 	}
 	return nil
 }
-
-// epochLR interpolates the learning rate exponentially from lr to finalLR
-// (when set) across epochs. Kept as a thin wrapper over the training
-// runtime's schedule so existing call sites and tests stay stable.
-func epochLR(lr, finalLR float64, epoch, epochs int) float64 {
-	return train.EpochLR(lr, finalLR, epoch, epochs)
-}

@@ -494,20 +494,18 @@ func (d *Detector) cacheKey(m *adtd.Model, dbName, table string, chunk int) stri
 	return string(b)
 }
 
-// deadlineNear reports whether the request deadline has passed or is within
-// margin — the trigger for pre-emptive degradation. A plain cancellation
-// (no deadline) is not "near": it is handled as an abort by the caller.
-func deadlineNear(ctx context.Context, margin time.Duration) (string, bool) {
-	if err := ctx.Err(); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return "deadline exceeded", true
-		}
-		return "", false
+// errDeadlineImminent is a Phase-2 stage's error when too little of the
+// request deadline remains to start it.
+var errDeadlineImminent = errors.New("deadline imminent")
+
+// phase2Deadline is s3's and s4's one deadline check: with the request
+// deadline within DeadlineMargin, or past, Phase 2 is not started and the
+// table keeps its Phase-1 answer rather than risk returning nothing at all.
+func (d *Detector) phase2Deadline(ctx context.Context) error {
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= d.Opts.DeadlineMargin {
+		return errDeadlineImminent
 	}
-	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= margin {
-		return "deadline imminent", true
-	}
-	return "", false
+	return nil
 }
 
 // needsAnalyze reports whether histograms are on and any column of tm still
@@ -566,13 +564,11 @@ func (j *tableJob) s1PrepMetadata(ctx context.Context) error {
 }
 
 // s2InferMetadata runs Phase 1 inference per chunk, populates the latent
-// cache, and classifies columns into certain/uncertain.
-func (j *tableJob) s2InferMetadata(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+// cache, and classifies columns into certain/uncertain. Phase 1 has finished
+// once j.res is set, which is the stage's last step: a panic anywhere before
+// it leaves no half-built table for DetectDatabaseOn to salvage.
+func (j *tableJob) s2InferMetadata(context.Context) error {
 	opts := j.d.Opts
-	j.res = &TableResult{Table: j.table}
 	// Chunks cover the columns consecutively, so appending per chunk keeps
 	// p1Probs indexed by global column position.
 	for ci, chunk := range j.chunks {
@@ -589,10 +585,7 @@ func (j *tableJob) s2InferMetadata(ctx context.Context) error {
 				continue
 			}
 		}
-		menc, probs, err := j.metaForward(chunk)
-		if err != nil {
-			return err
-		}
+		menc, probs := j.model.PredictMeta(chunk, opts.UseHistogram)
 		if !j.d.cache.Put(j.d.cacheKey(j.model, j.dbName, j.table, ci), menc) {
 			// Not consumed (disabled, oversized, or an equal entry already
 			// cached): the fresh graph goes back to the tensor arena.
@@ -603,6 +596,7 @@ func (j *tableJob) s2InferMetadata(ctx context.Context) error {
 		}
 		j.p1Probs = append(j.p1Probs, probs...)
 	}
+	res := &TableResult{Table: j.table}
 	for global, row := range j.p1Probs {
 		col := j.info.Columns[global]
 		cr := ColumnResult{Table: j.table, Column: col.Name, Phase: 1, Probs: row}
@@ -611,7 +605,7 @@ func (j *tableJob) s2InferMetadata(ctx context.Context) error {
 			cr.Uncertain = true
 			j.uncertain = append(j.uncertain, global)
 		}
-		j.res.Columns = append(j.res.Columns, cr)
+		res.Columns = append(res.Columns, cr)
 	}
 	// The uncertain set is known the moment Phase 1 resolves: start the
 	// content scan now, overlapping it with whatever inference the pool
@@ -623,41 +617,30 @@ func (j *tableJob) s2InferMetadata(ctx context.Context) error {
 		}
 		j.pf.tryStartScan(j.table, names)
 	}
+	j.res = res
 	return nil
 }
 
-// degrade marks the given (global) columns as degraded with the reason,
-// leaving their Phase-1 answer in place. Columns Phase 2 already resolved
-// are skipped.
-func (j *tableJob) degrade(globals []int, reason string, deadline bool) {
+// degradeWithRules marks the uncertain columns Phase 2 did not resolve as
+// degraded with the reason. Each keeps its Phase-1 answer; where s3 fetched
+// its content, the rule-based detector (regex/dictionary validators) runs
+// over the values and its hits are merged in — cheaper than the content
+// tower by orders of magnitude, so it fits inside a dying deadline.
+func (j *tableJob) degradeWithRules(reason string, deadline bool) {
 	n := 0
-	for _, g := range globals {
+	for _, g := range j.uncertain {
 		cr := &j.res.Columns[g]
-		if cr.Degraded || cr.Phase == 2 {
+		if cr.Phase == 2 {
 			continue
+		}
+		if vals := j.info.Columns[g].Values; len(vals) > 0 {
+			cr.Admitted = mergeTypes(cr.Admitted, j.d.ruleFallback(j.model, vals))
 		}
 		cr.Degraded = true
 		cr.DegradeReason = reason
 		n++
 	}
 	j.d.noteDegraded(n, deadline)
-}
-
-// degradeWithRules degrades columns whose content was already fetched: the
-// rule-based detector (regex/dictionary validators) runs over the scanned
-// values and its hits are merged into the Phase-1 answer — cheaper than the
-// content tower by orders of magnitude, so it fits inside a dying deadline.
-func (j *tableJob) degradeWithRules(globals []int, reason string, deadline bool) {
-	for _, g := range globals {
-		cr := &j.res.Columns[g]
-		if cr.Degraded || cr.Phase == 2 {
-			continue
-		}
-		if vals := j.info.Columns[g].Values; len(vals) > 0 {
-			cr.Admitted = mergeTypes(cr.Admitted, j.d.ruleFallback(j.model, vals))
-		}
-	}
-	j.degrade(globals, reason, deadline)
 }
 
 // ruleFallback runs the rule-based detector over values, keeping only types
@@ -696,20 +679,16 @@ func mergeTypes(a, b []string) []string {
 
 // s3PrepContent scans the uncertain columns' content (§3.3). Certain
 // columns are never scanned. Transient scan failures are retried with
-// backoff; exhausted retries or permanent errors degrade the columns to
-// Phase 1 instead of failing the table.
+// backoff; a scan that still fails, or a deadline too near to start, is the
+// stage's error, on which DetectDatabaseOn degrades the columns.
 func (j *tableJob) s3PrepContent(ctx context.Context) error {
 	if len(j.uncertain) == 0 {
 		return nil
 	}
+	if err := j.d.phase2Deadline(ctx); err != nil {
+		return err
+	}
 	opts := j.d.Opts
-	if err := ctx.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return err // user cancellation: abort, nothing to salvage
-	}
-	if reason, ok := deadlineNear(ctx, opts.DeadlineMargin); ok {
-		j.degrade(j.uncertain, reason, true)
-		return nil
-	}
 	var content map[string][]string
 	var n int
 	var err error
@@ -735,15 +714,7 @@ func (j *tableJob) s3PrepContent(ctx context.Context) error {
 	}
 	j.retries += n
 	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil && !errors.Is(ctxErr, context.DeadlineExceeded) {
-			return ctxErr
-		}
-		if reason, ok := deadlineNear(ctx, opts.DeadlineMargin); ok {
-			j.degrade(j.uncertain, reason, true)
-		} else {
-			j.degrade(j.uncertain, "content scan failed: "+err.Error(), false)
-		}
-		return nil
+		return fmt.Errorf("content scan failed: %w", err)
 	}
 	for _, g := range j.uncertain {
 		j.info.Columns[g].Values = content[j.info.Columns[g].Name]
@@ -753,34 +724,23 @@ func (j *tableJob) s3PrepContent(ctx context.Context) error {
 	return nil
 }
 
-// s4InferContent runs Phase 2 over the table's pending uncertain columns,
-// reusing cached metadata latents when available and recomputing them
-// otherwise. All chunks are classified in one batched forward
-// (PredictContentBatch), which amortizes kernel dispatch and classifier
-// overhead across chunks. Columns already degraded by s3 are skipped; when
-// the deadline is near, the remaining columns degrade too — with the
-// rule-based detector over their already-fetched content as a cheap stand-in
-// for the content tower.
+// s4InferContent runs Phase 2 over the table's uncertain columns, reusing
+// cached metadata latents when available and recomputing them otherwise.
+// All chunks are classified in one batched forward (PredictContentBatch),
+// which amortizes kernel dispatch and classifier overhead across chunks. A
+// deadline too near to start is the stage's error, as is a panic in the
+// forward (the scheduler recovers it); on either, DetectDatabaseOn degrades
+// the columns with the rules over the content s3 fetched.
 func (j *tableJob) s4InferContent(ctx context.Context) error {
-	var pending []int
-	for _, g := range j.uncertain {
-		if !j.res.Columns[g].Degraded {
-			pending = append(pending, g)
-		}
-	}
-	if len(pending) == 0 {
+	if len(j.uncertain) == 0 {
 		return nil
 	}
-	opts := j.d.Opts
-	if err := ctx.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+	if err := j.d.phase2Deadline(ctx); err != nil {
 		return err
 	}
-	if reason, ok := deadlineNear(ctx, opts.DeadlineMargin); ok {
-		j.degradeWithRules(pending, reason, true)
-		return nil
-	}
-	pendingSet := make(map[int]bool, len(pending))
-	for _, g := range pending {
+	opts := j.d.Opts
+	pendingSet := make(map[int]bool, len(j.uncertain))
+	for _, g := range j.uncertain {
 		pendingSet[g] = true
 	}
 	applyRows := func(globals []int, rows [][]float64) {
@@ -817,13 +777,19 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 				continue
 			}
 		}
-		// A nil Menc (cache disabled or evicted) is re-encoded inside
-		// contentForward.
 		menc := j.d.cache.Get(j.d.cacheKey(j.model, j.dbName, j.table, ci))
 		if menc != nil {
 			j.latentHits++
-		} else if j.d.cache.Enabled() {
-			j.latentMisses++
+		} else {
+			if j.d.cache.Enabled() {
+				j.latentMisses++
+			}
+			// Latents not cached (tier disabled or evicted): re-encode the
+			// chunk's metadata, the duplicate metadata-tower computation the
+			// latent cache exists to avoid (§4.2.2). The batch call releases
+			// this fresh encoding; cached ones are graph-free views and
+			// survive it.
+			menc = j.model.EncodeMetadata(j.model.Encoder().BuildMetaInput(chunk, opts.UseHistogram))
 		}
 		reqs = append(reqs, adtd.ContentRequest{Menc: menc, Table: chunk, Cols: localCols})
 		globalsPerReq = append(globalsPerReq, globals)
@@ -832,13 +798,8 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	batch, err := j.contentForward(reqs)
-	if err != nil {
-		// The columns keep their Phase-1 answer, sharpened by the rules over
-		// the already-fetched content.
-		j.degradeWithRules(pending, "content inference failed: "+err.Error(), false)
-		return nil
-	}
+	j.forwards++
+	batch := j.model.PredictContentBatch(reqs, opts.CellsPerColumn)
 	for r, globals := range globalsPerReq {
 		applyRows(globals, batch[r])
 		if keysPerReq[r] != "" {
@@ -848,43 +809,6 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// contentForward runs the table's one Phase-2 forward over its chunks, first
-// re-encoding the metadata of any chunk whose latents were not cached: the
-// duplicate metadata-tower computation the latent cache exists to avoid
-// (§4.2.2). The fresh encoding is released by the batch call; cached
-// encodings are graph-free views and survive it. A panic inside the model (a
-// corrupt latent, a kernel bug) comes back as an error, so s4 degrades this
-// table's columns instead of the panic killing a scheduler worker goroutine
-// and with it the process.
-func (j *tableJob) contentForward(reqs []adtd.ContentRequest) (batch [][][]float64, err error) {
-	defer recoverForward("content", &err)
-	for i, r := range reqs {
-		if r.Menc == nil {
-			reqs[i].Menc = j.model.EncodeMetadata(j.model.Encoder().BuildMetaInput(r.Table, j.d.Opts.UseHistogram))
-		}
-	}
-	j.forwards++
-	return j.model.PredictContentBatch(reqs, j.d.Opts.CellsPerColumn), nil
-}
-
-// metaForward runs Phase 1's forward over one chunk. A panic inside it comes
-// back as an error, as contentForward's does; s2 fails the table with it, as
-// there is no Phase-1 answer to degrade to.
-func (j *tableJob) metaForward(chunk *metafeat.TableInfo) (menc *adtd.MetaEncoding, probs [][]float64, err error) {
-	defer recoverForward("metadata", &err)
-	menc, probs = j.model.PredictMeta(chunk, j.d.Opts.UseHistogram)
-	return menc, probs, nil
-}
-
-// recoverForward, deferred by a forward, turns its panic into *err and
-// counts it in taste_detector_forward_panics_total.
-func recoverForward(kind string, err *error) {
-	if r := recover(); r != nil {
-		forwardPanicsTotal.Inc()
-		*err = fmt.Errorf("core: %s forward panic: %v", kind, r)
-	}
 }
 
 // admitted returns the sorted type names with probability ≥ threshold,
@@ -916,16 +840,17 @@ func isUncertain(probs []float64, alpha, beta float64) bool {
 
 // stages exposes the job's four ordered stages for the scheduler, each
 // wrapped with its duration histogram and (when the request is traced) a
-// span named "s<N>:<table>". Under a prefetcher the two prep stages are
-// gated on the storage read they consume (s1 on an ANALYZE, s3 on a scan),
-// so the scheduler parks the table — not a worker — while the read is on the
-// wire, and every stage's duration feeds the prefetcher's depth estimate.
+// span named "s<N>:<table>". The scheduler reports a stage's panic as
+// "<Name> panic: …". Under a prefetcher the two prep stages are gated on the
+// storage read they consume (s1 on an ANALYZE, s3 on a scan), so the
+// scheduler parks the table — not a worker — while the read is on the wire,
+// and every stage's duration feeds the prefetcher's depth estimate.
 func (j *tableJob) stages() []pipeline.Stage {
 	raw := []pipeline.Stage{
-		{Kind: pipeline.Prep, Name: j.table + "/p1-prep", Run: j.s1PrepMetadata},
-		{Kind: pipeline.Infer, Name: j.table + "/p1-infer", Run: j.s2InferMetadata},
-		{Kind: pipeline.Prep, Name: j.table + "/p2-prep", Run: j.s3PrepContent},
-		{Kind: pipeline.Infer, Name: j.table + "/p2-infer", Run: j.s4InferContent},
+		{Kind: pipeline.Prep, Name: "metadata prep", Run: j.s1PrepMetadata},
+		{Kind: pipeline.Infer, Name: "metadata forward", Run: j.s2InferMetadata},
+		{Kind: pipeline.Prep, Name: "content scan", Run: j.s3PrepContent},
+		{Kind: pipeline.Infer, Name: "content forward", Run: j.s4InferContent},
 	}
 	var busy func(stage int, d time.Duration)
 	if pf := j.pf; pf != nil {
@@ -942,7 +867,7 @@ func (j *tableJob) stages() []pipeline.Stage {
 // DetectTable runs end-to-end detection for one table over an existing
 // connection: DetectDatabaseOn with the one name, sequentially. A table the
 // detect could not answer (an unknown name, a deadline before Phase 1, a
-// failed stage) comes back as the report's error. A nil ctx means
+// failed or cancelled stage) comes back as the report's error. A nil ctx means
 // context.Background().
 func (d *Detector) DetectTable(ctx context.Context, conn *simdb.Conn, dbName, table string) (*TableResult, error) {
 	rep, err := d.DetectDatabaseOn(ctx, conn, dbName, []string{table}, SequentialMode)
@@ -1006,17 +931,9 @@ func (d *Detector) DetectDatabase(ctx context.Context, server *simdb.Server, dbN
 // a failure fails the call), so no table pays a metadata round trip of its
 // own. The connection stays open and is the caller's to close or reuse;
 // nothing reads from it once the call returns. One table never aborts the
-// batch; each ends up in exactly one place:
-//
-//   - Report.Tables, answered — or salvaged, when Phase 1 finished before
-//     the deadline killed the batch: the columns Phase 2 never resolved are
-//     degraded;
-//   - Report.Skipped, when the deadline caught it before Phase 1 finished;
-//     one summary error in Report.Errors counts these;
-//   - Report.Errors, one error each: a name the database does not have, or
-//     a table that failed for any other reason.
-//
-// A nil ctx means context.Background().
+// batch: Report.settle ends each table exactly once, and a name the
+// database does not have is one error in Report.Errors. A nil ctx means
+// context.Background().
 func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbName string, tables []string, mode ExecMode) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -1071,46 +988,62 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 		rep.Retries += pf.wastedRetries
 	}
 	for i, j := range jobs {
-		tj := &tjobs[i]
-		// Retries, forwards and lookups spent on a table count even when the
-		// table ultimately failed — the server-side ledger saw them too.
-		rep.Retries += tj.retries
-		rep.ContentForwards += tj.forwards
-		rep.CacheHits += tj.latentHits
-		rep.CacheMisses += tj.latentMisses
-		if j.Err != nil {
-			switch {
-			case !errors.Is(j.Err, context.DeadlineExceeded):
-				rep.Errors = append(rep.Errors, fmt.Errorf("table %s: %w", j.ID, j.Err))
-				continue
-			case tj.res == nil:
-				rep.Skipped = append(rep.Skipped, j.ID)
-				continue
-			}
-			// Phase 1 finished before the deadline: keep the table,
-			// degrading everything Phase 2 never reached.
-			tj.degrade(tj.uncertain, "deadline exceeded before phase 2", true)
-		}
-		tr := tj.res
-		tr.Retries = tj.retries
-		tablesDetectedTotal.Inc()
-		rep.Tables = append(rep.Tables, tr)
-		rep.TotalColumns += len(tr.Columns)
-		rep.ScannedColumns += tr.ScannedColumns
-		for _, c := range tr.Columns {
-			if c.Uncertain {
-				rep.UncertainColumns++
-			}
-			if c.Degraded {
-				rep.DegradedColumns++
-			}
-		}
+		rep.settle(&tjobs[i], j.Err)
 	}
 	if len(rep.Skipped) > 0 {
 		rep.Errors = append(rep.Errors, fmt.Errorf("%w: skipped %d tables", context.DeadlineExceeded, len(rep.Skipped)))
 	}
 	rep.Duration = time.Since(start)
 	return rep, nil
+}
+
+// settle is the one place a table ends (DESIGN.md §7), given the error its
+// job ended with:
+//
+//   - Phase 1 not finished (s2 did not complete): Report.Skipped on a
+//     deadline, else one error in Report.Errors;
+//   - a cancellation: one error — the caller walked away, there is nobody
+//     to degrade for;
+//   - otherwise the table is answered, and when Phase 2 failed (a scan
+//     error, a deadline, a recovered panic) its uncertain columns Phase 2
+//     did not resolve are degraded with the error as the reason.
+//
+// Retries, forwards and lookups spent on a table count whatever its end —
+// the server-side ledger saw them too.
+func (rep *Report) settle(tj *tableJob, err error) {
+	rep.Retries += tj.retries
+	rep.ContentForwards += tj.forwards
+	rep.CacheHits += tj.latentHits
+	rep.CacheMisses += tj.latentMisses
+	deadline := errors.Is(err, context.DeadlineExceeded)
+	switch {
+	case err == nil:
+	case tj.res == nil && deadline:
+		rep.Skipped = append(rep.Skipped, tj.table)
+		return
+	case tj.res == nil || errors.Is(err, context.Canceled):
+		rep.Errors = append(rep.Errors, fmt.Errorf("table %s: %w", tj.table, err))
+		return
+	case err == context.DeadlineExceeded:
+		// The scheduler abandoned the table between stages.
+		tj.degradeWithRules("deadline exceeded before phase 2", true)
+	default:
+		tj.degradeWithRules(err.Error(), deadline || errors.Is(err, errDeadlineImminent))
+	}
+	tr := tj.res
+	tr.Retries = tj.retries
+	tablesDetectedTotal.Inc()
+	rep.Tables = append(rep.Tables, tr)
+	rep.TotalColumns += len(tr.Columns)
+	rep.ScannedColumns += tr.ScannedColumns
+	for _, c := range tr.Columns {
+		if c.Uncertain {
+			rep.UncertainColumns++
+		}
+		if c.Degraded {
+			rep.DegradedColumns++
+		}
+	}
 }
 
 // unknownTables returns one error per requested name the schema read did not

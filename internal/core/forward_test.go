@@ -6,10 +6,13 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/adtd"
 	"repro/internal/corpus"
 	"repro/internal/metafeat"
+	"repro/internal/obs"
 )
+
+// stagePanicsTotal reads the scheduler's count of recovered stage panics.
+var stagePanicsTotal = obs.Default.Counter("taste_pipeline_stage_panics_total")
 
 // canonTables serializes per-table results for byte comparison across
 // execution modes.
@@ -90,7 +93,7 @@ func TestForwardPanicDegradesTable(t *testing.T) {
 			in := enc.In
 			enc.In = nil
 
-			panics := forwardPanicsTotal.Value()
+			panics := stagePanicsTotal.Value()
 			rep, err := det.DetectDatabase(context.Background(), server, "tenant", tc.mode)
 			if err != nil {
 				t.Fatal(err)
@@ -98,8 +101,8 @@ func TestForwardPanicDegradesTable(t *testing.T) {
 			if len(rep.Errors) != 0 {
 				t.Fatalf("a panicking forward must degrade, not fail, its table: %v", rep.Errors)
 			}
-			if got := forwardPanicsTotal.Value() - panics; got != 1 {
-				t.Fatalf("taste_detector_forward_panics_total rose by %d, want 1", got)
+			if got := stagePanicsTotal.Value() - panics; got != 1 {
+				t.Fatalf("taste_pipeline_stage_panics_total rose by %d, want 1", got)
 			}
 			checkScannedFlags(t, rep)
 			if len(rep.Tables) != len(ref.Tables) {
@@ -168,31 +171,19 @@ func checkScannedFlags(t *testing.T, rep *Report) {
 // slice (capacity too, so the kernels' bounds checks see it) panics in every
 // forward it runs. Pipelined, Phase 1's forward panics
 // on a scheduler worker goroutine; recovered, it fails that table with the
-// panic as its error, counted once in taste_detector_forward_panics_total,
+// panic as its error, counted once in taste_pipeline_stage_panics_total,
 // and the process lives on. Phase 2's re-encode of latents the cache does
-// not hold runs the same kernels and comes back the same way, as a content
-// forward error.
+// not hold runs the same kernels and comes back the same way, as the content
+// forward's panic.
 func TestMetadataForwardPanicFailsTable(t *testing.T) {
 	det, ds := phase2Detector(t, 4)
 	table := allTables(ds)[0]
 	server := newServerWith([]*corpus.Table{table})
 	m := det.Model()
-	w := m.Blocks[0].FF1.W
-	w.Data = w.Data[: len(w.Data)-1 : len(w.Data)-1]
 
+	// Phase 1's rows, taken from the healthy model before the weight is cut,
+	// let the second half's s2 answer from the result cache.
 	ctx := context.Background()
-	panics := forwardPanicsTotal.Value()
-	rep, err := det.DetectDatabase(ctx, server, "tenant", ExecMode{Pipelined: true, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Tables) != 0 || len(rep.Errors) != 1 || !strings.Contains(rep.Errors[0].Error(), "metadata forward panic") {
-		t.Fatalf("%d tables answered, errors %v: want the one table failed by its metadata forward's panic", len(rep.Tables), rep.Errors)
-	}
-	if got := forwardPanicsTotal.Value() - panics; got != 1 {
-		t.Fatalf("taste_detector_forward_panics_total rose by %d, want 1", got)
-	}
-
 	conn, err := server.Connect(ctx, "tenant")
 	if err != nil {
 		t.Fatal(err)
@@ -202,13 +193,52 @@ func TestMetadataForwardPanicFailsTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunk := metafeat.FromTableMeta(tm).Split(det.Opts.SplitThreshold)[0]
-	j := &tableJob{d: det, model: m}
-	panics = forwardPanicsTotal.Value()
-	if _, err := j.contentForward([]adtd.ContentRequest{{Table: chunk, Cols: []int{0}}}); err == nil || !strings.Contains(err.Error(), "content forward panic") {
-		t.Fatalf("content forward over an uncached chunk: err %v, want its re-encode's panic", err)
+	chunks := metafeat.FromTableMeta(tm).Split(det.Opts.SplitThreshold)
+	p1 := make([][][]float64, len(chunks))
+	for i, chunk := range chunks {
+		_, p1[i] = m.PredictMeta(chunk, det.Opts.UseHistogram)
 	}
-	if got := forwardPanicsTotal.Value() - panics; got != 1 {
-		t.Fatalf("taste_detector_forward_panics_total rose by %d on the re-encode, want 1", got)
+
+	w := m.Blocks[0].FF1.W
+	w.Data = w.Data[: len(w.Data)-1 : len(w.Data)-1]
+
+	panics := stagePanicsTotal.Value()
+	rep, err := det.DetectDatabase(ctx, server, "tenant", ExecMode{Pipelined: true, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Tables) != 0 || len(rep.Errors) != 1 || !strings.Contains(rep.Errors[0].Error(), "metadata forward panic") {
+		t.Fatalf("%d tables answered, errors %v: want the one table failed by its metadata forward's panic", len(rep.Tables), rep.Errors)
+	}
+	if got := stagePanicsTotal.Value() - panics; got != 1 {
+		t.Fatalf("taste_pipeline_stage_panics_total rose by %d, want 1", got)
+	}
+
+	// A detector with the latent tier off and Phase 1 memoized: s2 runs no
+	// forward, and s4 must re-encode every chunk's metadata.
+	opts := det.Opts
+	opts.CacheBytes, opts.ResultCacheBytes = 0, 1<<20
+	uncached, err := NewDetector(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, chunk := range chunks {
+		uncached.results.Put(uncached.metaResultKey(m, chunk), p1[i])
+	}
+	panics = stagePanicsTotal.Value()
+	rep, err = uncached.DetectDatabase(ctx, server, "tenant", SequentialMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Errors) != 0 || len(rep.Tables) != 1 || rep.DegradedColumns == 0 {
+		t.Fatalf("errors %v, %d tables, %d degraded: want the table answered with Phase 2 degraded", rep.Errors, len(rep.Tables), rep.DegradedColumns)
+	}
+	for _, c := range rep.Tables[0].Columns {
+		if c.Degraded && !strings.Contains(c.DegradeReason, "content forward panic") {
+			t.Fatalf("content forward over an uncached chunk: column %s degraded for %q, want its re-encode's panic", c.Column, c.DegradeReason)
+		}
+	}
+	if got := stagePanicsTotal.Value() - panics; got != 1 {
+		t.Fatalf("taste_pipeline_stage_panics_total rose by %d on the re-encode, want 1", got)
 	}
 }

@@ -29,7 +29,6 @@ var (
 	degradedDeadlineTotal = obs.Default.Counter("taste_detector_degraded_columns_total", "cause", "deadline")
 	degradedFailureTotal  = obs.Default.Counter("taste_detector_degraded_columns_total", "cause", "failure")
 	tablesDetectedTotal   = obs.Default.Counter("taste_detector_tables_total")
-	forwardPanicsTotal    = obs.Default.Counter("taste_detector_forward_panics_total")
 )
 
 // prefetchOutcome indexes the outcome label of taste_pipeline_prefetch_total.
@@ -63,27 +62,29 @@ var stageLabels = [4]string{"s1", "s2", "s3", "s4"}
 
 // instrumentStage wraps a stage Run with a trace span (child of the request
 // trace, when one is active) and the stage's duration histogram; busy, when
-// set, receives the same duration.
+// set, receives the same duration. They are recorded on the way out of a
+// panic too, which the scheduler then recovers.
 func instrumentStage(idx int, table string, st pipeline.Stage, busy func(stage int, d time.Duration)) pipeline.Stage {
 	run := st.Run
-	st.Run = func(ctx context.Context) error {
+	st.Run = func(ctx context.Context) (err error) {
 		// The span name is built only for a traced request.
 		var sp *obs.Span
 		if obs.FromContext(ctx) != nil {
 			ctx, sp = obs.StartSpan(ctx, stageLabels[idx]+":"+table)
 		}
 		start := time.Now()
-		err := run(ctx)
-		elapsed := time.Since(start)
-		stageSeconds[idx].ObserveDuration(elapsed)
-		if busy != nil {
-			busy(idx, elapsed)
-		}
-		if err != nil {
-			stageErrorsTotal[idx].Inc()
-		}
-		sp.End()
-		return err
+		defer func() {
+			elapsed := time.Since(start)
+			stageSeconds[idx].ObserveDuration(elapsed)
+			if busy != nil {
+				busy(idx, elapsed)
+			}
+			if err != nil {
+				stageErrorsTotal[idx].Inc()
+			}
+			sp.End()
+		}()
+		return run(ctx)
 	}
 	return st
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/simdb"
+	"repro/internal/train"
 )
 
 // Dataset names used throughout the suite.
@@ -245,19 +245,11 @@ func (s *Suite) buildTasteWith(key string, ds *corpus.Dataset, mcfg adtd.Config,
 // fineTuneWithValSelection trains in 4-epoch stages and keeps the
 // parameters with the best validation F1 (under the default detector).
 func (s *Suite) fineTuneWithValSelection(m *adtd.Model, ds *corpus.Dataset, tcfg adtd.TrainConfig, hist bool) {
-	stage := 4
-	stages := (tcfg.Epochs + stage - 1) / stage
+	stages := (tcfg.Epochs + valStageEpochs - 1) / valStageEpochs
 	bestF1 := -1.0
 	var best bytes.Buffer
-	totalLR, finalLR := tcfg.LR, tcfg.FinalLR
 	for i := 0; i < stages; i++ {
-		cfg := tcfg
-		cfg.Epochs = stage
-		// Continue the global decay schedule across stages.
-		cfg.LR = lrAt(totalLR, finalLR, i, stages)
-		cfg.FinalLR = lrAt(totalLR, finalLR, i+1, stages)
-		cfg.Seed = tcfg.Seed + int64(i)
-		if _, err := adtd.FineTune(m, ds.Train, cfg); err != nil {
+		if _, err := adtd.FineTune(m, ds.Train, valStage(tcfg, i, stages)); err != nil {
 			panic(fmt.Sprintf("experiments: fine-tune stage %d: %v", i, err))
 		}
 		f1 := s.validationF1(m, ds, hist)
@@ -277,13 +269,19 @@ func (s *Suite) fineTuneWithValSelection(m *adtd.Model, ds *corpus.Dataset, tcfg
 	}
 }
 
-// lrAt interpolates the global decay schedule exponentially across stages.
-func lrAt(lr, finalLR float64, stage, stages int) float64 {
-	if finalLR <= 0 || finalLR >= lr || stages <= 1 {
-		return lr
-	}
-	frac := float64(stage) / float64(stages)
-	return lr * math.Pow(finalLR/lr, frac)
+// valStageEpochs is how many epochs one validation-selection stage trains.
+const valStageEpochs = 4
+
+// valStage is the training config of stage i of a validation-selected run:
+// valStageEpochs epochs that continue the run's global decay schedule, so
+// stage i starts where the schedule stands after i of its stages.
+func valStage(tcfg adtd.TrainConfig, i, stages int) adtd.TrainConfig {
+	cfg := tcfg
+	cfg.Epochs = valStageEpochs
+	cfg.LR = train.EpochLR(tcfg.LR, tcfg.FinalLR, i, stages+1)
+	cfg.FinalLR = train.EpochLR(tcfg.LR, tcfg.FinalLR, i+1, stages+1)
+	cfg.Seed = tcfg.Seed + int64(i)
+	return cfg
 }
 
 // validationF1 scores the current model on the validation split with the

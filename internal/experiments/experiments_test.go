@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -251,17 +252,29 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLrAtSchedule(t *testing.T) {
-	if lrAt(1e-3, 0, 0, 4) != 1e-3 {
-		t.Fatal("no decay when FinalLR unset")
+// TestValStageSchedule: each validation-selection stage trains four epochs
+// on the run's one decay schedule, with the bits the stage loop passed
+// before it shared train.EpochLR — LR·(FinalLR/LR)^(i/n) at the start of
+// stage i of n — at the stage counts the shipped configs reach.
+func TestValStageSchedule(t *testing.T) {
+	tcfg := testSuite().tasteTrainConfig(16, false)
+	lrAt := func(i, n int) float64 {
+		return tcfg.LR * math.Pow(tcfg.FinalLR/tcfg.LR, float64(i)/float64(n))
 	}
-	first := lrAt(1e-3, 1e-4, 0, 4)
-	last := lrAt(1e-3, 1e-4, 4, 4)
-	if first != 1e-3 {
-		t.Fatalf("first stage LR = %v", first)
+	for _, n := range []int{2, 4} {
+		for i := 0; i < n; i++ {
+			cfg := valStage(tcfg, i, n)
+			if math.Float64bits(cfg.LR) != math.Float64bits(lrAt(i, n)) || math.Float64bits(cfg.FinalLR) != math.Float64bits(lrAt(i+1, n)) {
+				t.Fatalf("stage %d of %d: LR %v → %v, want %v → %v", i, n, cfg.LR, cfg.FinalLR, lrAt(i, n), lrAt(i+1, n))
+			}
+			if cfg.Epochs != 4 || cfg.Seed != tcfg.Seed+int64(i) {
+				t.Fatalf("stage %d of %d: %d epochs, seed %d", i, n, cfg.Epochs, cfg.Seed)
+			}
+		}
 	}
-	if last < 0.9e-4 || last > 1.1e-4 {
-		t.Fatalf("final stage LR = %v", last)
+	tcfg.FinalLR = 0
+	if cfg := valStage(tcfg, 1, 4); cfg.LR != tcfg.LR || cfg.FinalLR != tcfg.LR {
+		t.Fatalf("no decay when FinalLR unset, got %v → %v", cfg.LR, cfg.FinalLR)
 	}
 }
 

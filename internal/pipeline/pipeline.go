@@ -109,8 +109,8 @@ func (k StageKind) String() string {
 }
 
 // Stage is one unit of work for one job (table). Run receives the batch
-// context and may return an error; a failed stage cancels the job's
-// remaining stages but not other jobs.
+// context and may return an error or panic; either way the job's remaining
+// stages are cancelled but not other jobs (runStage).
 type Stage struct {
 	Kind StageKind
 	Name string
@@ -145,8 +145,10 @@ func (st Stage) pending() <-chan struct{} {
 type Job struct {
 	ID     string
 	Stages []Stage
-	// Err records the first stage error, if any. When the batch context is
-	// cancelled before the job finishes, Err is the context's error.
+	// Err records the first stage error as the stage returned it, or
+	// "<Stage.Name> panic: <value>" for a stage that panicked. When the
+	// batch context is cancelled before the job finishes, Err is the
+	// context's error.
 	Err error
 }
 
@@ -226,10 +228,26 @@ func runSequential(ctx context.Context, jobs []*Job) {
 				j.Err = err
 				break
 			}
-			if err := st.Run(ctx); err != nil {
-				j.Err = fmt.Errorf("stage %s: %w", st.Name, err)
+			if err := runStage(ctx, st); err != nil {
+				j.Err = err
 				break
 			}
 		}
 	}
+}
+
+// stagePanicsTotal counts stage panics runStage recovered.
+var stagePanicsTotal = obs.Default.Counter("taste_pipeline_stage_panics_total")
+
+// runStage runs one stage for either engine and is the one place a stage
+// panic is recovered: the panic becomes the stage's error, so its job stops
+// like any failed job while every other job, and the worker, runs on.
+func runStage(ctx context.Context, st Stage) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			stagePanicsTotal.Inc()
+			err = fmt.Errorf("%s panic: %v", st.Name, r)
+		}
+	}()
+	return st.Run(ctx)
 }

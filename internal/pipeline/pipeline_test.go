@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,6 +219,84 @@ func TestFailedStageCancelsJobOnly(t *testing.T) {
 		if !ran["good/0"] || !ran["good/1"] {
 			t.Fatalf("pipelined=%v: other jobs must complete", pipelined)
 		}
+	}
+}
+
+// TestPanickingStageFailsItsJobOnly: in both engines a stage that panics ends
+// its job with an error naming the stage, and the job's later stages never
+// run. Every other job completes, the run returns (no "scheduler deadlock",
+// no dead worker), no goroutine outlives it, the panic is counted once, and
+// the same Scheduler value runs a second batch.
+func TestPanickingStageFailsItsJobOnly(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
+			var mu sync.Mutex
+			ran := map[string]bool{}
+			mark := func(k string) func(context.Context) error {
+				return func(context.Context) error {
+					mu.Lock()
+					ran[k] = true
+					mu.Unlock()
+					return nil
+				}
+			}
+			goodJobs := func(prefix string) []*Job {
+				var jobs []*Job
+				for i := 0; i < 6; i++ {
+					id := fmt.Sprintf("%s%d", prefix, i)
+					jobs = append(jobs, &Job{ID: id, Stages: []Stage{
+						{Kind: Prep, Name: "prep", Run: mark(id + "/0")},
+						{Kind: Infer, Name: "infer", Run: mark(id + "/1")},
+						{Kind: Prep, Name: "late", Run: mark(id + "/2")},
+					}})
+				}
+				return jobs
+			}
+			bad := &Job{ID: "bad", Stages: []Stage{
+				{Kind: Prep, Name: "prep", Run: mark("bad/0")},
+				{Kind: Infer, Name: "bad infer", Run: func(context.Context) error { panic("kaboom") }},
+				{Kind: Prep, Name: "late", Run: mark("bad/2")},
+			}}
+			s := Scheduler{Pipelined: pipelined, Workers: 3}
+			before := runtime.NumGoroutine()
+			panics := stagePanicsTotal.Value()
+
+			jobs := append([]*Job{bad}, goodJobs("good")...)
+			if _, err := s.RunStats(context.Background(), jobs); err != nil {
+				t.Fatal(err)
+			}
+			if bad.Err == nil || !strings.Contains(bad.Err.Error(), "bad infer panic: kaboom") {
+				t.Fatalf("panicking job err = %v, want the stage's panic", bad.Err)
+			}
+			if !ran["bad/0"] || ran["bad/2"] {
+				t.Fatalf("panicking job: first stage ran %v, later stage ran %v", ran["bad/0"], ran["bad/2"])
+			}
+			if got := stagePanicsTotal.Value() - panics; got != 1 {
+				t.Fatalf("taste_pipeline_stage_panics_total rose by %d, want 1", got)
+			}
+
+			again := goodJobs("again")
+			if _, err := s.RunStats(context.Background(), again); err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range append(jobs[1:], again...) {
+				if j.Err != nil {
+					t.Fatalf("job %s: %v", j.ID, j.Err)
+				}
+				for k := range j.Stages {
+					if !ran[fmt.Sprintf("%s/%d", j.ID, k)] {
+						t.Fatalf("job %s stage %d never ran", j.ID, k)
+					}
+				}
+			}
+			deadline := time.Now().Add(time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("goroutines leaked: before=%d after=%d", before, after)
+			}
+		})
 	}
 }
 

@@ -21,7 +21,6 @@ package pipeline
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -156,7 +155,7 @@ func (e *engine) worker(id int) {
 		js := it.js
 		stage := js.job.Stages[js.next]
 		queueWait(js.next, stage.Kind, it.stolen, time.Since(it.readyAt))
-		err := stage.Run(e.ctx)
+		err := runStage(e.ctx, stage)
 		// Resolve the successor's gate outside the engine lock: Ready is
 		// caller code.
 		var ready <-chan struct{}
@@ -168,7 +167,7 @@ func (e *engine) worker(id int) {
 		e.mu.Lock()
 		e.inflight--
 		if err != nil {
-			js.job.Err = fmt.Errorf("stage %s: %w", stage.Name, err)
+			js.job.Err = err
 			e.remaining -= len(js.job.Stages) - js.next
 		} else {
 			js.next++

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -290,4 +291,21 @@ func TestItemRNGIndependentStreams(t *testing.T) {
 func gomaxprocs(t testing.TB, n int) {
 	old := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+func TestEpochLRSchedule(t *testing.T) {
+	if got := EpochLR(1e-3, 0, 3, 10); got != 1e-3 {
+		t.Fatalf("no decay expected, got %v", got)
+	}
+	if got := EpochLR(1e-3, 1e-4, 0, 10); got != 1e-3 {
+		t.Fatalf("first epoch LR = %v", got)
+	}
+	last := EpochLR(1e-3, 1e-4, 9, 10)
+	if math.Abs(last-1e-4) > 1e-9 {
+		t.Fatalf("last epoch LR = %v", last)
+	}
+	mid := EpochLR(1e-3, 1e-4, 5, 10)
+	if mid >= 1e-3 || mid <= 1e-4 {
+		t.Fatalf("mid LR %v out of bounds", mid)
+	}
 }
