@@ -36,7 +36,8 @@ test: build
 # latent-key, over-a-connection and stage-failure tests: they drive core's
 # concurrent code (prefetch.go, jobs parked on storage futures and cancelled
 # there, s4 forwards on every worker at once, two tenants sharing one
-# detector's cache tiers, a pipelined batch on a connection its caller
+# detector's cache tiers, one table name holding two metadata versions
+# between detects, a pipelined batch on a connection its caller
 # keeps, a stage that panics or is abandoned by the deadline on a worker
 # while other tables run on) on an untrained model, so they need neither the
 # trained fixture nor race-all's 45 minutes.

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,6 +23,32 @@ func admittedByColumn(rep *Report) map[string]string {
 		}
 	}
 	return out
+}
+
+// chunkKeys returns the keys s2 gives table's chunks — each chunk's content
+// key, which names its Phase-1 result and its latents — framed from the
+// database's metadata as s1 prepares it.
+func chunkKeys(t *testing.T, det *Detector, server *simdb.Server, db, table string) []string {
+	t.Helper()
+	ctx := context.Background()
+	conn, err := server.Connect(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	tm, err := conn.TableMetadata(ctx, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &tableJob{d: det, model: det.Model(), conn: conn, table: table, meta: tm}
+	if err := j.s1PrepMetadata(ctx); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(j.chunks))
+	for i, chunk := range j.chunks {
+		keys[i] = det.metaResultKey(j.model, chunk)
+	}
+	return keys
 }
 
 // TestResultCacheMemoizesDetect: a repeat detect over unchanged metadata is
@@ -89,7 +117,10 @@ func TestGenerationInvalidatesKeys(t *testing.T) {
 		RowCount: 3,
 		Columns:  []*metafeat.ColumnInfo{{Name: "c", DataType: "text"}},
 	}
-	latentBefore := d.cacheKey(m, "tenant", "t", 0)
+	latentBefore := chunkKeys(t, d, srv, "tenant", ds.Test[0].Name)[0]
+	if d.cache.Get(latentBefore) == nil {
+		t.Fatal("no latents under the chunk's content key")
+	}
 	resultBefore := d.metaResultKey(m, chunk)
 	genBefore := m.Generation()
 
@@ -103,7 +134,7 @@ func TestGenerationInvalidatesKeys(t *testing.T) {
 	if m.Generation() <= genBefore {
 		t.Fatalf("generation not bumped by Load: %d -> %d", genBefore, m.Generation())
 	}
-	if d.cacheKey(m, "tenant", "t", 0) == latentBefore {
+	if chunkKeys(t, d, srv, "tenant", ds.Test[0].Name)[0] == latentBefore {
 		t.Fatal("latent cache key unchanged after Load")
 	}
 	if d.metaResultKey(m, chunk) == resultBefore {
@@ -140,31 +171,12 @@ func TestFeedbackBumpsGeneration(t *testing.T) {
 	}
 }
 
-// TestLatentKeyFramesNames: database and table names are not validated
-// anywhere, so the latent key must tell every (database, table) split of the
-// same characters apart.
-func TestLatentKeyFramesNames(t *testing.T) {
-	d, _ := phase2Detector(t, 1)
-	m := d.Model()
-	pairs := [][2]string{
-		{"a.b", "c"}, {"a", "b.c"}, {"a.b.c", ""}, {"", "a.b.c"},
-		{"a/1:b", "c"}, {"a", "1:b/c"}, {"a#0", "b"}, {"a", "b#0"},
-	}
-	seen := make(map[string][2]string)
-	for _, p := range pairs {
-		key := d.cacheKey(m, p[0], p[1], 0)
-		if prev, dup := seen[key]; dup {
-			t.Fatalf("tenant %q table %q and tenant %q table %q share latent key %q", prev[0], prev[1], p[0], p[1], key)
-		}
-		seen[key] = p
-	}
-}
-
 // TestLatentKeysKeepTenantsApart: tenant "a.b" with table "c" and tenant
 // "a" with table "b.c" share one detector. A's repeat detect answers Phase 1
 // from the result tier, which skips the latent Put, so its Phase 2 reads
-// whatever latents sit under A's key. After B's detect those must still be
-// A's, or A's second answer silently runs on B's metadata.
+// the latents under its chunks' content keys. B's metadata differs, so its
+// detect stores under other keys and A's second answer still runs on A's
+// latents: the tenants stay apart by content, not by how names are framed.
 func TestLatentKeysKeepTenantsApart(t *testing.T) {
 	base, ds := phase2Detector(t, 2)
 	opts := base.Opts
@@ -206,7 +218,7 @@ func TestLatentKeysKeepTenantsApart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &tableJob{d: probe, model: probe.Model(), conn: conn, dbName: "a.b", table: "c", meta: tm}
+	j := &tableJob{d: probe, model: probe.Model(), conn: conn, table: "c", meta: tm}
 	for _, st := range j.stages()[:3] {
 		if err := st.Run(context.Background()); err != nil {
 			t.Fatal(err)
@@ -229,5 +241,99 @@ func TestLatentKeysKeepTenantsApart(t *testing.T) {
 
 	if detect("a.b") != first {
 		t.Fatal("tenant a.b's repeat detect ran Phase 2 on tenant a's latents")
+	}
+}
+
+// TestLatentKeyFollowsMetadataChange: one table name holds three versions on
+// one detector with both tiers on — A as generated, B with columns 0 and 1
+// renamed into each other (a tenant re-registered with a changed schema),
+// then C with A's metadata and every column's values reversed. C's Phase 1
+// hits A's memoized result, which skips the latent Put, and its new content
+// misses the Phase-2 tier, so s4 reads latents: they must be A's, which C
+// shares by content, and never B's. C must answer what a detector with both
+// tiers off answers.
+func TestLatentKeyFollowsMetadataChange(t *testing.T) {
+	base, ds := phase2Detector(t, 20)
+	var a *corpus.Table
+	for _, tb := range allTables(ds) {
+		if len(tb.Columns) >= 3 {
+			a = tb
+			break
+		}
+	}
+	if a == nil {
+		t.Fatal("no table with three columns")
+	}
+	version := func(edit func(cols []*corpus.Column)) *simdb.Server {
+		tb := *a
+		tb.Columns = make([]*corpus.Column, len(a.Columns))
+		for i, c := range a.Columns {
+			cc := *c
+			cc.Values = slices.Clone(c.Values)
+			tb.Columns[i] = &cc
+		}
+		edit(tb.Columns)
+		return newServerWith([]*corpus.Table{&tb})
+	}
+	srvA := newServerWith([]*corpus.Table{a})
+	srvB := version(func(cols []*corpus.Column) { cols[0].Name, cols[1].Name = cols[1].Name, cols[0].Name })
+	srvC := version(func(cols []*corpus.Column) {
+		for _, c := range cols {
+			slices.Reverse(c.Values)
+		}
+	})
+
+	type answer struct {
+		Probs    []float64
+		Admitted []string
+		Degraded bool
+	}
+	answers := func(rep *Report) []answer {
+		t.Helper()
+		if len(rep.Errors) != 0 || len(rep.Tables) != 1 {
+			t.Fatalf("errors %v, %d tables", rep.Errors, len(rep.Tables))
+		}
+		var out []answer
+		for _, c := range rep.Tables[0].Columns {
+			if c.Phase != 2 {
+				t.Fatalf("column %s stopped at phase %d", c.Column, c.Phase)
+			}
+			out = append(out, answer{c.Probs, c.Admitted, c.Degraded})
+		}
+		return out
+	}
+	for _, mode := range []ExecMode{SequentialMode, {Pipelined: true, Workers: 4}} {
+		opts := base.Opts
+		opts.CacheBytes, opts.ResultCacheBytes = 0, 0
+		cold, err := NewDetector(base.Model(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.CacheBytes, opts.ResultCacheBytes = base.Opts.CacheBytes, 4<<20
+		det, err := NewDetector(base.Model(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		detect := func(d *Detector, srv *simdb.Server) *Report {
+			t.Helper()
+			rep, err := d.DetectDatabase(context.Background(), srv, "tenant", mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
+		want := answers(detect(cold, srvC))
+		detect(det, srvA)
+		detect(det, srvB)
+		rep := detect(det, srvC)
+		if rep.CacheHits == 0 {
+			t.Fatalf("pipelined=%v: C's Phase 2 never read the latent tier", mode.Pipelined)
+		}
+		for i, got := range answers(rep) {
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("pipelined=%v: column %d of C after A and B answers %v (degraded %v), a cold detector %v (degraded %v); probabilities equal: %v",
+					mode.Pipelined, i, got.Admitted, got.Degraded, want[i].Admitted, want[i].Degraded, slices.Equal(got.Probs, want[i].Probs))
+			}
+		}
 	}
 }

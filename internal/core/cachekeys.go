@@ -40,8 +40,9 @@ var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b 
 
 const maxPooledKeyBuf = 64 << 10
 
-// metaResultKey memoizes Phase 1's probability rows for one chunk, under the
-// generation of the model the request actually runs on.
+// metaResultKey is a chunk's one identity, under the generation of the model
+// the request actually runs on: it keys Phase 1's probability rows in the
+// result tier and the chunk's metadata latents in the latent tier.
 func (d *Detector) metaResultKey(m *adtd.Model, chunk *metafeat.TableInfo) string {
 	bp := keyBufs.Get().(*[]byte)
 	b := appendTableInfo((*bp)[:0], chunk)

@@ -39,10 +39,6 @@ func refContentResultKey(m *adtd.Model, hist bool, chunk *metafeat.TableInfo, co
 	return fmt.Sprintf("p2|g%d|h%v|%s", m.Generation(), hist, hex.EncodeToString(h.Sum(nil)))
 }
 
-func refCacheKey(m *adtd.Model, hist bool, dbName, table string, chunk int) string {
-	return fmt.Sprintf("g%d/%d:%s/%d:%s#%d/h=%v", m.Generation(), len(dbName), dbName, len(table), table, chunk, hist)
-}
-
 func refHashInt(h hash.Hash, v int) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(v))
@@ -107,7 +103,8 @@ func refHashTableInfo(h hash.Hash, ti *metafeat.TableInfo) {
 }
 
 // keyModel builds a small untrained model: the keys read only its
-// generation, which is process-unique per model.
+// generation, which is process-unique per model, and its metadata forward
+// (s2's, which stores the latents) is cheap.
 func keyModel(tb testing.TB) *adtd.Model {
 	tb.Helper()
 	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.SmallTablesProfile(2), 5)
@@ -122,19 +119,46 @@ func keyModel(tb testing.TB) *adtd.Model {
 	return m
 }
 
-// checkKeyParity asserts that the meta, content and latent keys of chunk
-// equal the streaming reference's.
-func checkKeyParity(t *testing.T, m *adtd.Model, hist bool, chunk *metafeat.TableInfo, cols []int, n int, db string, ci int) {
+// keyDetectors returns a detector over m per histogram flag (index 0 off,
+// 1 on), with the latent tier on.
+func keyDetectors(tb testing.TB, m *adtd.Model) [2]*Detector {
+	tb.Helper()
+	var ds [2]*Detector
+	for i := range ds {
+		opts := DefaultOptions()
+		opts.UseHistogram = i == 1
+		d, err := NewDetector(m, opts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ds[i] = d
+	}
+	return ds
+}
+
+// checkKeyParity asserts that the meta and content keys of chunk equal the
+// streaming reference's, and that the latent key is the chunk's Phase-1
+// key: s2 stores the chunk's latents under the reference meta key and
+// keeps that key for s4.
+func checkKeyParity(t *testing.T, d *Detector, chunk *metafeat.TableInfo, cols []int, n int) {
 	t.Helper()
-	d := &Detector{Opts: Options{UseHistogram: hist}}
-	if got, want := d.metaResultKey(m, chunk), refMetaResultKey(m, hist, chunk); got != want {
+	m, hist := d.Model(), d.Opts.UseHistogram
+	want := refMetaResultKey(m, hist, chunk)
+	if got := d.metaResultKey(m, chunk); got != want {
 		t.Fatalf("meta key %q, reference %q", got, want)
 	}
 	if got, want := d.contentResultKey(m, chunk, cols, n), refContentResultKey(m, hist, chunk, cols, n); got != want {
 		t.Fatalf("content key %q, reference %q", got, want)
 	}
-	if got, want := d.cacheKey(m, db, chunk.Name, ci), refCacheKey(m, hist, db, chunk.Name, ci); got != want {
-		t.Fatalf("latent key %q, reference %q", got, want)
+	j := &tableJob{d: d, model: m, table: chunk.Name, info: chunk, chunks: []*metafeat.TableInfo{chunk}, offsets: []int{0}}
+	if err := j.s2InferMetadata(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(j.keys) != 1 || j.keys[0] != want {
+		t.Fatalf("s2 keyed the chunk %q, want its Phase-1 key %q", j.keys, want)
+	}
+	if d.cache.Get(want) == nil {
+		t.Fatalf("no latents under the chunk's Phase-1 key %q", want)
 	}
 }
 
@@ -143,21 +167,21 @@ func checkKeyParity(t *testing.T, m *adtd.Model, hist bool, chunk *metafeat.Tabl
 // scanned content Phase 2 hashes; with and without ANALYZE statistics and
 // their histogram buckets — and over a hand-built chunk of empty strings,
 // non-ASCII and invalid UTF-8, every key is byte-identical to the streaming
-// reference.
+// reference, and s2 stores the chunk's latents under its Phase-1 key.
 func TestResultKeysMatchStreamingReference(t *testing.T) {
-	m := keyModel(t)
+	dets := keyDetectors(t, keyModel(t))
 	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.WikiTableProfile(30), 11)
 	chunks := 0
-	for _, hist := range []bool{false, true} {
+	for _, d := range dets {
 		for ti, tb := range ds.Test {
-			info := metafeat.FromCorpusTable(tb, hist, 8)
-			for ci, chunk := range info.Split(DefaultOptions().SplitThreshold) {
+			info := metafeat.FromCorpusTable(tb, d.Opts.UseHistogram, 8)
+			for _, chunk := range info.Split(DefaultOptions().SplitThreshold) {
 				all := make([]int, len(chunk.Columns))
 				for i := range all {
 					all[i] = i
 				}
-				checkKeyParity(t, m, hist, chunk, all, 10, "tenant", ci)
-				checkKeyParity(t, m, hist, chunk, all[len(all)/2:], ti, "", ci)
+				checkKeyParity(t, d, chunk, all, 10)
+				checkKeyParity(t, d, chunk, all[len(all)/2:], ti)
 
 				meta := cloneChunk(chunk)
 				for i, c := range meta.Columns {
@@ -167,7 +191,7 @@ func TestResultKeysMatchStreamingReference(t *testing.T) {
 						c.Values = []string{}
 					}
 				}
-				checkKeyParity(t, m, hist, meta, nil, 0, "db.schema", ci)
+				checkKeyParity(t, d, meta, nil, 0)
 				chunks++
 			}
 		}
@@ -189,9 +213,9 @@ func TestResultKeysMatchStreamingReference(t *testing.T) {
 			{Name: "c", Stats: &simdb.ColumnStats{Histogram: &simdb.Histogram{}}, Values: []string{}},
 		},
 	}
-	for _, hist := range []bool{false, true} {
-		checkKeyParity(t, m, hist, odd, []int{0, 1, 2}, 7, "ünï/cødé:#", 3)
-		checkKeyParity(t, m, hist, odd, []int{}, -5, "", 0)
+	for _, d := range dets {
+		checkKeyParity(t, d, odd, []int{0, 1, 2}, 7)
+		checkKeyParity(t, d, odd, []int{}, -5)
 	}
 }
 
@@ -338,17 +362,19 @@ func chunkMutations(ti *metafeat.TableInfo) []func(*metafeat.TableInfo) {
 	return muts
 }
 
-// FuzzResultKeyFraming: on any chunk, the meta, content and latent keys
-// equal the streaming reference's, and changing any one framed field — of
-// the chunk, the requested columns, the cell budget, the histogram flag,
-// the database name or the chunk index — changes the key that frames it.
+// FuzzResultKeyFraming: on any chunk, the meta and content keys equal the
+// streaming reference's, the latent key is the chunk's Phase-1 key, and
+// changing any one framed field — of the chunk, the requested columns, the
+// cell budget, the histogram flag or the model — changes the key that
+// frames it.
 func FuzzResultKeyFraming(f *testing.F) {
-	f.Add([]byte{}, false, 0, "db")
-	f.Add([]byte("\x03tab\x02cm\x05\x03\x01col\x00\x04INT\x02\x05\x01\x02\x03\x04\x10\x20\x30\x40\x50\x60\x70\x80\x01\x02\x02lo\x02hi\x07\x03\x02ab\x00"), true, 10, "tenant")
-	f.Add([]byte("\x04Zürich\x00\x00\x02\x01\x00\x00\x00\x00\x01\x03\xff\xfe\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), false, -3, "")
+	f.Add([]byte{}, false, 0)
+	f.Add([]byte("\x03tab\x02cm\x05\x03\x01col\x00\x04INT\x02\x05\x01\x02\x03\x04\x10\x20\x30\x40\x50\x60\x70\x80\x01\x02\x02lo\x02hi\x07\x03\x02ab\x00"), true, 10)
+	f.Add([]byte("\x04Zürich\x00\x00\x02\x01\x00\x00\x00\x00\x01\x03\xff\xfe\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), false, -3)
 	m := keyModel(f)
 	other := keyModel(f)
-	f.Fuzz(func(t *testing.T, data []byte, hist bool, n int, db string) {
+	dets := keyDetectors(f, m)
+	f.Fuzz(func(t *testing.T, data []byte, hist bool, n int) {
 		chunk := fuzzChunk(data)
 		var cols []int
 		for i := range chunk.Columns {
@@ -356,13 +382,14 @@ func FuzzResultKeyFraming(f *testing.F) {
 				cols = append(cols, i)
 			}
 		}
-		ci := len(data) % 4
-		checkKeyParity(t, m, hist, chunk, cols, n, db, ci)
+		d := dets[0]
+		if hist {
+			d = dets[1]
+		}
+		checkKeyParity(t, d, chunk, cols, n)
 
-		d := &Detector{Opts: Options{UseHistogram: hist}}
 		meta := d.metaResultKey(m, chunk)
 		content := d.contentResultKey(m, chunk, cols, n)
-		latent := d.cacheKey(m, db, chunk.Name, ci)
 		for i, mut := range chunkMutations(chunk) {
 			c := cloneChunk(chunk)
 			mut(c)
@@ -385,17 +412,6 @@ func FuzzResultKeyFraming(f *testing.F) {
 		}
 		if (&Detector{Opts: Options{UseHistogram: !hist}}).metaResultKey(m, chunk) == meta || d.metaResultKey(other, chunk) == meta {
 			t.Fatal("changing hist or the model left the meta key unchanged")
-		}
-		for name, k := range map[string]string{
-			"db":    d.cacheKey(m, db+"x", chunk.Name, ci),
-			"table": d.cacheKey(m, db, chunk.Name+"x", ci),
-			"chunk": d.cacheKey(m, db, chunk.Name, ci+1),
-			"model": d.cacheKey(other, db, chunk.Name, ci),
-			"hist":  (&Detector{Opts: Options{UseHistogram: !hist}}).cacheKey(m, db, chunk.Name, ci),
-		} {
-			if k == latent {
-				t.Fatalf("changing %s left the latent key unchanged", name)
-			}
 		}
 	})
 }

@@ -22,7 +22,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -345,8 +344,10 @@ type Report struct {
 	// Retries counts backoff retries spent on this batch.
 	Retries int
 	// CacheHits and CacheMisses count this request's latent-tier lookups
-	// in Phase 2: a hit reused Phase 1's latents, a miss re-encoded the
-	// chunk's metadata although the tier was enabled.
+	// in Phase 2, each under the chunk's content key: a hit reused latents
+	// encoded from this very metadata (by this request's Phase 1, an
+	// earlier request, or another table with identical chunk metadata), a
+	// miss re-encoded the chunk's metadata although the tier was enabled.
 	CacheHits   int
 	CacheMisses int
 	// ContentForwards counts the Phase-2 content forwards this request ran:
@@ -443,11 +444,10 @@ func prefetchBudget(opts Options) int64 {
 // captured once at job creation: all four stages (and their cache keys) use
 // the same weights even if the detector hot-swaps mid-request.
 type tableJob struct {
-	d      *Detector
-	model  *adtd.Model
-	conn   *simdb.Conn
-	dbName string
-	table  string
+	d     *Detector
+	model *adtd.Model
+	conn  *simdb.Conn
+	table string
 	// meta is the table's information_schema view from the batch's schema
 	// read.
 	meta *simdb.TableMeta
@@ -457,6 +457,11 @@ type tableJob struct {
 	info    *metafeat.TableInfo
 	chunks  []*metafeat.TableInfo
 	offsets []int // global index of each chunk's first column
+	// keys[i] is chunk i's one identity, its content key (metaResultKey),
+	// framed by s2 over the metadata alone. It names the chunk's Phase-1
+	// result and its latents; s4 reads it back because by then s3 has
+	// filled in values the latents never saw.
+	keys []string
 	// p1Probs[i] is Phase 1's probability row for global column i.
 	p1Probs   [][]float64
 	uncertain []int // global indices of uncertain columns
@@ -465,33 +470,6 @@ type tableJob struct {
 	// latentHits and latentMisses count s4's latent-tier lookups.
 	latentHits, latentMisses int
 	res                      *TableResult
-}
-
-// cacheKey identifies a chunk's latents in the latent cache. The model
-// generation prefix orphans every cached latent in O(1) when the weights
-// change (SetTrain, Load, ApplyFeedback) — and, because generations are
-// process-unique, keeps entries from hot-swapped models from ever aliasing.
-// Database and table names are free-form (nothing validates them), so each
-// is length-prefixed: tenant "a.b" with table "c" and tenant "a" with table
-// "b.c" must not share latents. The key reads
-// "g<gen>/<len>:<db>/<len>:<table>#<chunk>/h=<hist>".
-func (d *Detector) cacheKey(m *adtd.Model, dbName, table string, chunk int) string {
-	var buf [128]byte
-	b := append(buf[:0], 'g')
-	b = strconv.AppendUint(b, m.Generation(), 10)
-	b = append(b, '/')
-	b = strconv.AppendInt(b, int64(len(dbName)), 10)
-	b = append(b, ':')
-	b = append(b, dbName...)
-	b = append(b, '/')
-	b = strconv.AppendInt(b, int64(len(table)), 10)
-	b = append(b, ':')
-	b = append(b, table...)
-	b = append(b, '#')
-	b = strconv.AppendInt(b, int64(chunk), 10)
-	b = append(b, "/h="...)
-	b = strconv.AppendBool(b, d.Opts.UseHistogram)
-	return string(b)
 }
 
 // errDeadlineImminent is a Phase-2 stage's error when too little of the
@@ -571,29 +549,28 @@ func (j *tableJob) s2InferMetadata(context.Context) error {
 	opts := j.d.Opts
 	// Chunks cover the columns consecutively, so appending per chunk keeps
 	// p1Probs indexed by global column position.
-	for ci, chunk := range j.chunks {
-		// Result-cache fast path: the chunk's metadata hashes to a key that
-		// memoizes Phase 1's probability rows, so a repeat detect over
-		// unchanged metadata skips the metadata tower entirely. The latent
-		// cache keeps its (older) entry for this chunk, so a Phase-2 stage
-		// downstream still finds latents without recomputing them.
-		var rkey string
+	for _, chunk := range j.chunks {
+		// One key per chunk, the hash of its metadata: it names the chunk's
+		// Phase-1 result, so a repeat detect over unchanged metadata skips
+		// the metadata tower, and its latents, so those s4 finds were
+		// encoded from this metadata and never another version's. It is
+		// computed even with both tiers off: a disabled latent tier still
+		// counts s4's misses.
+		key := j.d.metaResultKey(j.model, chunk)
+		j.keys = append(j.keys, key)
 		if j.d.results.Enabled() {
-			rkey = j.d.metaResultKey(j.model, chunk)
-			if probs, ok := j.d.results.Get(rkey); ok {
+			if probs, ok := j.d.results.Get(key); ok {
 				j.p1Probs = append(j.p1Probs, probs...)
 				continue
 			}
 		}
 		menc, probs := j.model.PredictMeta(chunk, opts.UseHistogram)
-		if !j.d.cache.Put(j.d.cacheKey(j.model, j.dbName, j.table, ci), menc) {
+		if !j.d.cache.Put(key, menc) {
 			// Not consumed (disabled, oversized, or an equal entry already
 			// cached): the fresh graph goes back to the tensor arena.
 			menc.Release()
 		}
-		if rkey != "" {
-			j.d.results.Put(rkey, probs)
-		}
+		j.d.results.Put(key, probs)
 		j.p1Probs = append(j.p1Probs, probs...)
 	}
 	res := &TableResult{Table: j.table}
@@ -777,7 +754,7 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 				continue
 			}
 		}
-		menc := j.d.cache.Get(j.d.cacheKey(j.model, j.dbName, j.table, ci))
+		menc := j.d.cache.Get(j.keys[ci])
 		if menc != nil {
 			j.latentHits++
 		} else {
@@ -967,7 +944,7 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 	jobs := make([]*pipeline.Job, len(metas))
 	tjobs := make([]tableJob, len(metas))
 	for i, tm := range metas {
-		tjobs[i] = tableJob{d: d, model: model, conn: conn, dbName: dbName, table: tm.Name, meta: tm, pf: pf}
+		tjobs[i] = tableJob{d: d, model: model, conn: conn, table: tm.Name, meta: tm, pf: pf}
 		jobs[i] = &pipeline.Job{ID: tm.Name, Stages: tjobs[i].stages()}
 	}
 	sched := pipeline.Scheduler{Pipelined: mode.Pipelined, Workers: mode.Workers}

@@ -85,7 +85,7 @@ func TestForwardPanicDegradesTable(t *testing.T) {
 			// entry and s4 hands it to the content tower, which dereferences
 			// the missing input.
 			victim := tables[len(tables)/2].Name
-			key := det.cacheKey(det.Model(), "tenant", victim, 0)
+			key := chunkKeys(t, det, server, "tenant", victim)[0]
 			enc := det.cache.Get(key)
 			if enc == nil {
 				t.Fatalf("no cached latents for %s", victim)

@@ -29,7 +29,7 @@ func settleRun(ctx context.Context, t *testing.T, det *Detector, conn *simdb.Con
 	tjobs := make([]tableJob, len(metas))
 	jobs := make([]*pipeline.Job, len(metas))
 	for i, tm := range metas {
-		tjobs[i] = tableJob{d: det, model: det.Model(), conn: conn, dbName: "tenant", table: tm.Name, meta: tm}
+		tjobs[i] = tableJob{d: det, model: det.Model(), conn: conn, table: tm.Name, meta: tm}
 		jobs[i] = &pipeline.Job{ID: tm.Name, Stages: tjobs[i].stages()}
 	}
 	st := &jobs[victim].Stages[idx]

@@ -52,17 +52,6 @@ type Config struct {
 	Client *http.Client
 }
 
-// routingStats is the coordinator's accounting ledger (the /v1/stats view;
-// the obs registry mirrors it for /metrics).
-type routingStats struct {
-	Routed      atomic.Int64
-	Shed        atomic.Int64
-	Unavailable atomic.Int64
-	Errors      atomic.Int64
-	Failovers   atomic.Int64
-	Retries     atomic.Int64
-}
-
 // Coordinator routes /v1/detect across a fleet of tasted replicas.
 type Coordinator struct {
 	cfg     Config
@@ -74,19 +63,17 @@ type Coordinator struct {
 	sem     chan struct{}
 	waiters atomic.Int64
 
-	stats routingStats
-
+	// reg is the coordinator's one routing ledger: /metrics writes it and
+	// /v1/stats reads the same counters.
 	reg             *obs.Registry
 	reqOutcomes     map[string]*obs.Counter
+	replicaRoutes   map[string]*obs.Counter // by replica name; fixed at construction
 	failoversTotal  *obs.Counter
 	retriesTotal    *obs.Counter
 	scrapeErrsTotal *obs.Counter
 	queueWaitSecs   *obs.Histogram
 	requestSecs     *obs.Histogram
 	healthyGauge    *obs.Gauge
-
-	perReplicaMu sync.Mutex
-	perReplica   map[string]int64
 }
 
 // NewCoordinator builds a coordinator over name→baseURL replicas. Call
@@ -129,7 +116,7 @@ func NewCoordinator(replicas map[string]string, cfg Config) *Coordinator {
 		queueWaitSecs:   reg.LatencyHistogram("taste_fleet_queue_wait_seconds"),
 		requestSecs:     reg.LatencyHistogram("taste_fleet_request_seconds"),
 		healthyGauge:    reg.Gauge("taste_fleet_replicas_healthy"),
-		perReplica:      make(map[string]int64),
+		replicaRoutes:   make(map[string]*obs.Counter),
 	}
 	// Ring membership is the full replica set; health is a routing-time
 	// filter. Keeping ejected replicas on the ring preserves the
@@ -137,6 +124,7 @@ func NewCoordinator(replicas map[string]string, cfg Config) *Coordinator {
 	// gets exactly its old keys back.
 	for _, name := range c.pool.Names() {
 		c.ring.Add(name)
+		c.replicaRoutes[name] = reg.Counter("taste_fleet_replica_requests_total", "replica", name)
 	}
 	c.healthyGauge.Set(int64(len(c.pool.Names())))
 	c.pool.SetTransitionHook(func(string, bool) {
@@ -233,21 +221,12 @@ type statusError struct{ status int }
 
 func (e *statusError) Error() string { return fmt.Sprintf("replica status %d", e.status) }
 
-// transientAttempt classifies proxied-attempt errors for the retrier:
-// network errors (the replica is unreachable, mid-flight drop) and 5xx
-// statuses are transient — the request is idempotent (detection is a read),
-// so re-sending is safe.
-func transientAttempt(err error) bool {
-	if err == nil {
-		return false
-	}
-	if _, ok := err.(*statusError); ok {
-		return true
-	}
-	// Everything else reaching the retrier from http.Client.Do is a
-	// transport-level failure; context errors are handled by Do itself.
-	return true
-}
+// transientAttempt classifies proxied-attempt errors for the retrier: every
+// error is transient — a 5xx status or a transport failure from
+// http.Client.Do (the replica is unreachable, a mid-flight drop) — because
+// the request is idempotent (detection is a read), so re-sending is safe.
+// Context errors are handled by Do itself.
+func transientAttempt(err error) bool { return err != nil }
 
 // captured is one proxied response read fully into memory.
 type captured struct {
@@ -310,7 +289,6 @@ func (c *Coordinator) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if !c.acquire(r.Context()) {
-		c.stats.Shed.Add(1)
 		c.reqOutcomes["shed"].Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "fleet at capacity (in-flight %d, queue %d)", c.cfg.MaxInFlight, c.cfg.QueueDepth)
@@ -334,32 +312,23 @@ func (c *Coordinator) handleDetect(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if attempted > 0 {
-			c.stats.Failovers.Add(1)
 			c.failoversTotal.Inc()
 		}
 		attempted++
 		var out *captured
-		retries, err := c.retrier.Do(ctx, transientAttempt, func() {
-			c.stats.Retries.Add(1)
-			c.retriesTotal.Inc()
-		}, func() error {
+		_, err := c.retrier.Do(ctx, transientAttempt, c.retriesTotal.Inc, func() error {
 			var aerr error
 			out, aerr = c.attempt(ctx, c.pool.URL(name), body)
 			return aerr
 		})
-		_ = retries
 		if err != nil {
 			lastErr = fmt.Errorf("replica %s: %w", name, err)
 			c.pool.ReportRequest(name, false)
 			continue
 		}
 		c.pool.ReportRequest(name, true)
-		c.stats.Routed.Add(1)
 		c.reqOutcomes["routed"].Inc()
-		c.reg.Counter("taste_fleet_replica_requests_total", "replica", name).Inc()
-		c.perReplicaMu.Lock()
-		c.perReplica[name]++
-		c.perReplicaMu.Unlock()
+		c.replicaRoutes[name].Inc()
 		c.requestSecs.ObserveDuration(time.Since(start))
 		// Pass the replica's answer through verbatim: status (200-degraded
 		// included) and body bytes untouched.
@@ -370,7 +339,6 @@ func (c *Coordinator) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	c.stats.Unavailable.Add(1)
 	c.reqOutcomes["unavailable"].Inc()
 	reason := "no healthy replica"
 	if lastErr != nil {
@@ -545,18 +513,16 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{Replicas: c.pool.Snapshot()}
 	resp.Caches, resp.Models = c.scrapeCaches(r.Context())
 	resp.CacheTotals = rollupCaches(resp.Caches)
-	resp.Routing.Routed = c.stats.Routed.Load()
-	resp.Routing.Shed = c.stats.Shed.Load()
-	resp.Routing.Unavailable = c.stats.Unavailable.Load()
-	resp.Routing.Errors = c.stats.Errors.Load()
-	resp.Routing.Failovers = c.stats.Failovers.Load()
-	resp.Routing.Retries = c.stats.Retries.Load()
-	resp.Routing.PerReplica = make(map[string]int64)
-	c.perReplicaMu.Lock()
-	for k, v := range c.perReplica {
-		resp.Routing.PerReplica[k] = v
+	resp.Routing.Routed = c.reqOutcomes["routed"].Value()
+	resp.Routing.Shed = c.reqOutcomes["shed"].Value()
+	resp.Routing.Unavailable = c.reqOutcomes["unavailable"].Value()
+	resp.Routing.Errors = c.reqOutcomes["error"].Value()
+	resp.Routing.Failovers = c.failoversTotal.Value()
+	resp.Routing.Retries = c.retriesTotal.Value()
+	resp.Routing.PerReplica = make(map[string]int64, len(c.replicaRoutes))
+	for name, n := range c.replicaRoutes {
+		resp.Routing.PerReplica[name] = n.Value()
 	}
-	c.perReplicaMu.Unlock()
 	resp.Ring.Nodes = c.ring.Nodes()
 	vn := c.ring.vnodes
 	resp.Ring.Vnodes = vn

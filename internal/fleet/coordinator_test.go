@@ -555,3 +555,36 @@ func TestCoordinatorBadRequest(t *testing.T) {
 		t.Fatalf("bad requests reached the replica %d times", got)
 	}
 }
+
+// TestCoordinatorStatsReadTheMetricsLedger: /v1/stats reads the counters
+// /metrics exposes, so a 400 for a malformed body shows as one routing
+// error in both, and a routed request as one route for its replica.
+func TestCoordinatorStatsReadTheMetricsLedger(t *testing.T) {
+	a := newStubReplica("a")
+	defer a.srv.Close()
+	_, srv := startCoordinator(t, fastCfg(), a)
+
+	for _, body := range []string{`{not json`, `{"database":"d"}`} {
+		resp := postDetect(t, srv.URL, body)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	st := fetchStats(t, srv.URL)
+	if st.Routing.Errors != 1 || st.Routing.Routed != 1 || st.Routing.PerReplica["a"] != 1 {
+		t.Fatalf("stats: %+v", st.Routing)
+	}
+	mresp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	text, _ := io.ReadAll(mresp.Body)
+	for _, want := range []string{
+		`taste_fleet_requests_total{outcome="error"} 1`,
+		`taste_fleet_replica_requests_total{replica="a"} 1`,
+	} {
+		if !strings.Contains(string(text), want) {
+			t.Fatalf("missing %q in:\n%s", want, text)
+		}
+	}
+}
