@@ -32,18 +32,18 @@ vet-arm64:
 test: build
 	$(GO) test ./...
 
-# race also runs internal/core's prefetcher, gate, per-table-forward,
-# latent-key, over-a-connection and stage-failure tests: they drive core's
-# concurrent code (prefetch.go, jobs parked on storage futures and cancelled
-# there, s4 forwards on every worker at once, two tenants sharing one
-# detector's cache tiers, one table name holding two metadata versions
-# between detects, a pipelined batch on a connection its caller
-# keeps, a stage that panics or is abandoned by the deadline on a worker
-# while other tables run on) on an untrained model, so they need neither the
-# trained fixture nor race-all's 45 minutes.
+# race also runs internal/core's read-stage, per-table-forward, latent-key,
+# over-a-connection and stage-failure tests: they drive core's concurrent
+# code (scans and ANALYZEs as read stages on goroutines of their own,
+# cancelled mid-read, s4 forwards on every worker at once, two tenants
+# sharing one detector's cache tiers, one table name holding two metadata
+# versions between detects, a pipelined batch on a connection its caller
+# keeps, a stage that panics or is abandoned by the deadline while other
+# tables run on) on an untrained model, so they need neither the trained
+# fixture nor race-all's 45 minutes.
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'Prefetch|Forward|LatentKey|DetectDatabaseOn|StagePanic|DeadlineAfterScan' ./internal/core/
+	$(GO) test -race -run 'HitsEveryRead|Forward|LatentKey|DetectDatabaseOn|StagePanic|DeadlineAfterScan' ./internal/core/
 
 # bench-check builds and smoke-tests the benchmark module against this
 # checkout. bench/ is a module of its own (replace repro => ..), so the root

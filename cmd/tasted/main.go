@@ -54,7 +54,7 @@ func main() {
 		epochs       = flag.Int("epochs", 8, "training epochs when -train is set")
 		trainWorkers = flag.Int("train-workers", 1, "data-parallel gradient workers when -train is set (bit-reproducible per (seed, workers))")
 		gradAccum    = flag.Int("grad-accum", 1, "micro-batches accumulated per worker per optimizer step when -train is set")
-		pipeWorkers  = flag.Int("pipeline-workers", 0, "work-stealing pool size for pipelined detect requests (0 = one per CPU, floor 4)")
+		pipeWorkers  = flag.Int("pipeline-workers", 0, "inference workers (TP2) for pipelined detect requests; reads run off the pool (0 = one per CPU, floor 4)")
 		deadline     = flag.Duration("deadline", 0, "default per-request deadline for /v1/detect (0 = none; requests can override via deadline_ms)")
 		faultProb    = flag.Float64("fault-prob", 0, "demo tenant: probability of a transient fault per scan/query/connect (chaos mode)")
 		faultSeed    = flag.Int64("fault-seed", 1, "demo tenant: fault-injection seed")

@@ -354,12 +354,6 @@ type Report struct {
 	// one per table that reached Phase 2 with a chunk the result cache
 	// did not answer.
 	ContentForwards int
-	// PrefetchHits/PrefetchWasted/PrefetchSkipped summarize the scan
-	// prefetcher: consumed reads, reads issued for nothing, and scans
-	// declined by the byte brake.
-	PrefetchHits    int
-	PrefetchWasted  int
-	PrefetchSkipped int
 	// Steals and StolenStages summarize work-stealing migrations during
 	// pipelined execution.
 	Steals       int64
@@ -399,9 +393,9 @@ type ExecMode struct {
 	// Pipelined enables the work-stealing scheduler (Algorithm 1 +
 	// DESIGN.md §16); false processes tables sequentially.
 	Pipelined bool
-	// Workers sizes the work-stealing pool. 0 resolves to one worker per
-	// logical CPU, floor 4, so a small host still overlaps I/O with
-	// compute.
+	// Workers sizes the work-stealing pool that runs the inference stages
+	// (TP2); every read runs on a goroutine of its own. 0 resolves to one
+	// worker per logical CPU, floor 4.
 	Workers int
 
 	// Deprecated: ignored; kept so bench/ compiles.
@@ -412,8 +406,8 @@ type ExecMode struct {
 // pipelining".
 var SequentialMode = ExecMode{}
 
-// PipelinedMode returns the paper's pool (§6.3): TP1=TP2=2, 4 workers in
-// the work-stealing pool.
+// PipelinedMode returns a pool of 4 inference workers. The paper's §6.3
+// pools are TP1=TP2=2; here reads are not pooled at all (DESIGN.md §16).
 func PipelinedMode() ExecMode {
 	return ExecMode{Pipelined: true, Workers: 4}
 }
@@ -425,19 +419,16 @@ func AutoMode() ExecMode {
 	return ExecMode{Pipelined: true}.withDefaults()
 }
 
-// withDefaults resolves a pipelined mode's zero worker count. Sequential
-// modes pass through untouched.
+// withDefaults resolves a pipelined mode's zero worker count to one
+// inference worker per CPU. The floor of 4 is unmeasured since reads left
+// the pool (it no longer buys I/O overlap) and is kept as it is until the
+// core budget is settled (ROADMAP item 19c). Sequential modes pass through
+// untouched.
 func (m ExecMode) withDefaults() ExecMode {
 	if m.Pipelined && m.Workers == 0 {
 		m.Workers = max(runtime.GOMAXPROCS(0), 4)
 	}
 	return m
-}
-
-// prefetchBudget is the prefetcher's byte brake: a quarter of the latent
-// cache budget, floor 1 MiB.
-func prefetchBudget(opts Options) int64 {
-	return max(opts.CacheBytes/4, 1<<20)
 }
 
 // tableJob carries per-table state across the four stages. The model is
@@ -451,12 +442,12 @@ type tableJob struct {
 	// meta is the table's information_schema view from the batch's schema
 	// read.
 	meta *simdb.TableMeta
-	// pf, when set, serves this job's storage reads from the batch's scan
-	// prefetcher.
-	pf      *prefetcher
-	info    *metafeat.TableInfo
-	chunks  []*metafeat.TableInfo
-	offsets []int // global index of each chunk's first column
+	// pipelined marks a job of a pipelined detect, whose reads
+	// taste_pipeline_prefetch_total counts.
+	pipelined bool
+	info      *metafeat.TableInfo
+	chunks    []*metafeat.TableInfo
+	offsets   []int // global index of each chunk's first column
 	// keys[i] is chunk i's one identity, its content key (metaResultKey),
 	// framed by s2 over the metadata alone. It names the chunk's Phase-1
 	// result and its latents; s4 reads it back because by then s3 has
@@ -500,32 +491,18 @@ func (d *Detector) needsAnalyze(tm *simdb.TableMeta) bool {
 	return false
 }
 
-// analyzeTable runs ANALYZE under the retry policy and returns the refreshed
-// metadata it replies with.
-func (d *Detector) analyzeTable(ctx context.Context, conn *simdb.Conn, table string) (*simdb.TableMeta, int, error) {
-	var tm *simdb.TableMeta
-	retries, err := d.retry(ctx, conn.Accounting(), func() error {
-		var e error
-		tm, e = conn.AnalyzeTable(ctx, table, simdb.AnalyzeOptions{})
-		return e
-	})
-	return tm, retries, err
-}
-
 // s1PrepMetadata takes the table's metadata from the batch's schema read —
-// refreshed by ANALYZE when histograms need statistics it lacks (the
-// prefetcher's future, which the stage was gated on, or a synchronous call
-// without a prefetcher) — and builds the chunked table view.
+// refreshed by ANALYZE, under the retry policy, when histograms need
+// statistics it lacks — and builds the chunked table view.
 func (j *tableJob) s1PrepMetadata(ctx context.Context) error {
 	tm := j.meta
 	if j.d.needsAnalyze(tm) {
-		var n int
-		var err error
-		if f := j.pf.await(analyzeRead, j.table); f != nil {
-			tm, n, err = f.tm, f.retries, f.err
-		} else {
-			tm, n, err = j.d.analyzeTable(ctx, j.conn, j.table)
-		}
+		j.countRead(analyzeReads)
+		n, err := j.d.retry(ctx, j.conn.Accounting(), func() error {
+			var e error
+			tm, e = j.conn.AnalyzeTable(ctx, j.table, simdb.AnalyzeOptions{})
+			return e
+		})
 		j.retries += n
 		if err != nil {
 			return err
@@ -583,16 +560,6 @@ func (j *tableJob) s2InferMetadata(context.Context) error {
 			j.uncertain = append(j.uncertain, global)
 		}
 		res.Columns = append(res.Columns, cr)
-	}
-	// The uncertain set is known the moment Phase 1 resolves: start the
-	// content scan now, overlapping it with whatever inference the pool
-	// runs before this job's s3 is dispatched.
-	if j.pf != nil && len(j.uncertain) > 0 {
-		names := make([]string, len(j.uncertain))
-		for i, g := range j.uncertain {
-			names[i] = j.info.Columns[g].Name
-		}
-		j.pf.tryStartScan(j.table, names)
 	}
 	j.res = res
 	return nil
@@ -655,8 +622,10 @@ func mergeTypes(a, b []string) []string {
 }
 
 // s3PrepContent scans the uncertain columns' content (§3.3). Certain
-// columns are never scanned. Transient scan failures are retried with
-// backoff; a scan that still fails, or a deadline too near to start, is the
+// columns are never scanned, and neither is any column when the deadline is
+// too near for Phase 2: the check comes before the scan, so the tenant
+// exposes no content Phase 2 will not use. Transient scan failures are
+// retried with backoff; a scan that still fails, or the deadline, is the
 // stage's error, on which DetectDatabaseOn degrades the columns.
 func (j *tableJob) s3PrepContent(ctx context.Context) error {
 	if len(j.uncertain) == 0 {
@@ -666,29 +635,21 @@ func (j *tableJob) s3PrepContent(ctx context.Context) error {
 		return err
 	}
 	opts := j.d.Opts
-	var content map[string][]string
-	var n int
-	var err error
-	// Consume the scan s2 started (same columns, same options), which the
-	// stage was gated on; without one (no prefetcher, or the byte brake
-	// skipped it) the stage scans synchronously.
-	if f := j.pf.await(scanRead, j.table); f != nil {
-		content, n, err = f.content, f.retries, f.err
-	} else {
-		names := make([]string, len(j.uncertain))
-		for i, g := range j.uncertain {
-			names[i] = j.info.Columns[g].Name
-		}
-		n, err = j.d.retry(ctx, j.conn.Accounting(), func() error {
-			var e error
-			content, e = j.conn.ScanColumns(ctx, j.table, names, simdb.ScanOptions{
-				Strategy: opts.Strategy,
-				Rows:     opts.RowsToRead,
-				Seed:     opts.ScanSeed,
-			})
-			return e
-		})
+	names := make([]string, len(j.uncertain))
+	for i, g := range j.uncertain {
+		names[i] = j.info.Columns[g].Name
 	}
+	j.countRead(scanReads)
+	var content map[string][]string
+	n, err := j.d.retry(ctx, j.conn.Accounting(), func() error {
+		var e error
+		content, e = j.conn.ScanColumns(ctx, j.table, names, simdb.ScanOptions{
+			Strategy: opts.Strategy,
+			Rows:     opts.RowsToRead,
+			Seed:     opts.ScanSeed,
+		})
+		return e
+	})
 	j.retries += n
 	if err != nil {
 		return fmt.Errorf("content scan failed: %w", err)
@@ -818,27 +779,32 @@ func isUncertain(probs []float64, alpha, beta float64) bool {
 // stages exposes the job's four ordered stages for the scheduler, each
 // wrapped with its duration histogram and (when the request is traced) a
 // span named "s<N>:<table>". The scheduler reports a stage's panic as
-// "<Name> panic: …". Under a prefetcher the two prep stages are gated on the
-// storage read they consume (s1 on an ANALYZE, s3 on a scan), so the
-// scheduler parks the table — not a worker — while the read is on the wire,
-// and every stage's duration feeds the prefetcher's depth estimate.
+// "<Name> panic: …". The stages that read storage are Prep, which the
+// pipelined scheduler runs off its worker pool: s3 (the content scan) and
+// s1 when it runs ANALYZE. Without one, s1 only unwraps the schema read's
+// metadata, CPU work the pool runs like any Infer stage.
 func (j *tableJob) stages() []pipeline.Stage {
+	s1 := pipeline.Infer
+	if j.d.needsAnalyze(j.meta) {
+		s1 = pipeline.Prep
+	}
 	raw := []pipeline.Stage{
-		{Kind: pipeline.Prep, Name: "metadata prep", Run: j.s1PrepMetadata},
+		{Kind: s1, Name: "metadata prep", Run: j.s1PrepMetadata},
 		{Kind: pipeline.Infer, Name: "metadata forward", Run: j.s2InferMetadata},
 		{Kind: pipeline.Prep, Name: "content scan", Run: j.s3PrepContent},
 		{Kind: pipeline.Infer, Name: "content forward", Run: j.s4InferContent},
 	}
-	var busy func(stage int, d time.Duration)
-	if pf := j.pf; pf != nil {
-		raw[0].Ready = func() <-chan struct{} { return pf.ready(analyzeRead, j.table) }
-		raw[2].Ready = func() <-chan struct{} { return pf.ready(scanRead, j.table) }
-		busy = pf.observeBusy
-	}
 	for i := range raw {
-		raw[i] = instrumentStage(i, j.table, raw[i], busy)
+		raw[i] = instrumentStage(i, j.table, raw[i])
 	}
 	return raw
+}
+
+// countRead counts one read of a pipelined detect's job.
+func (j *tableJob) countRead(c *obs.Counter) {
+	if j.pipelined {
+		c.Inc()
+	}
 }
 
 // DetectTable runs end-to-end detection for one table over an existing
@@ -927,7 +893,6 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 	if err != nil {
 		return nil, err
 	}
-	schemaRead := time.Since(start)
 	rep := &Report{Retries: batchRetries}
 	if len(metas) < len(tables) {
 		rep.Errors = unknownTables(dbName, tables, metas)
@@ -937,33 +902,19 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 	// by the same weights, however long the batch runs across swaps.
 	model := d.requestModel(ctx)
 	mode = mode.withDefaults()
-	var pf *prefetcher
-	if mode.Pipelined {
-		pf = newPrefetcher(ctx, d, conn, metas, mode.Workers, prefetchBudget(d.Opts), schemaRead)
-	}
 	jobs := make([]*pipeline.Job, len(metas))
 	tjobs := make([]tableJob, len(metas))
 	for i, tm := range metas {
-		tjobs[i] = tableJob{d: d, model: model, conn: conn, table: tm.Name, meta: tm, pf: pf}
+		tjobs[i] = tableJob{d: d, model: model, conn: conn, table: tm.Name, meta: tm, pipelined: mode.Pipelined}
 		jobs[i] = &pipeline.Job{ID: tm.Name, Stages: tjobs[i].stages()}
 	}
 	sched := pipeline.Scheduler{Pipelined: mode.Pipelined, Workers: mode.Workers}
 	stats, err := sched.RunStats(ctx, jobs)
-	if pf != nil {
-		// Drain before assembling the report: close waits for in-flight
-		// prefetches, so returning from here is a no-leak barrier even on
-		// cancellation, and wasted reads land in the retry ledger below.
-		pf.close()
-	}
 	if err != nil {
 		return nil, err
 	}
 
 	rep.Steals, rep.StolenStages = stats.Steals, stats.Stolen
-	if pf != nil {
-		rep.PrefetchHits, rep.PrefetchWasted, rep.PrefetchSkipped = pf.hits, pf.waste, pf.skipped
-		rep.Retries += pf.wastedRetries
-	}
 	for i, j := range jobs {
 		rep.settle(&tjobs[i], j.Err)
 	}

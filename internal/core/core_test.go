@@ -153,37 +153,55 @@ func TestDetectTableProducesResults(t *testing.T) {
 	}
 }
 
+// TestDetectDatabaseSequentialVsPipelinedSameAnswers: pipelining changes
+// neither an answer nor what the tenant is asked for — the same columns
+// admitted and scanned, and the same queries and scanned columns in the
+// tenant's ledger — with histograms off and on (an ANALYZE per table, a
+// read stage of its own when pipelined).
 func TestDetectDatabaseSequentialVsPipelinedSameAnswers(t *testing.T) {
 	m, ds := trainedModel(t)
-	d, _ := NewDetector(m, DefaultOptions())
-	s1 := newServer(ds)
-	seq, err := d.DetectDatabase(context.Background(), s1, "tenant", SequentialMode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, _ := NewDetector(m, DefaultOptions())
-	s2 := newServer(ds)
-	pipe, err := d2.DetectDatabase(context.Background(), s2, "tenant", PipelinedMode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Errors) > 0 || len(pipe.Errors) > 0 {
-		t.Fatalf("errors: %v / %v", seq.Errors, pipe.Errors)
-	}
-	if seq.TotalColumns != pipe.TotalColumns || seq.ScannedColumns != pipe.ScannedColumns {
-		t.Fatalf("pipelining changed outcomes: %d/%d vs %d/%d",
-			seq.TotalColumns, seq.ScannedColumns, pipe.TotalColumns, pipe.ScannedColumns)
-	}
-	for _, tr := range seq.Tables {
-		for _, c := range tr.Columns {
-			pc := pipe.Find(tr.Table, c.Column)
-			if pc == nil {
-				t.Fatalf("pipelined run missing %s.%s", tr.Table, c.Column)
+	for _, hist := range []bool{false, true} {
+		t.Run(fmt.Sprintf("histogram=%v", hist), func(t *testing.T) {
+			run := func(mode ExecMode) (*Report, simdb.AccountingSnapshot) {
+				t.Helper()
+				opts := DefaultOptions()
+				opts.UseHistogram = hist
+				d, err := NewDetector(m, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := newServer(ds)
+				rep, err := d.DetectDatabase(context.Background(), s, "tenant", mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep, s.Accounting().Snapshot()
 			}
-			if strings.Join(pc.Admitted, ",") != strings.Join(c.Admitted, ",") {
-				t.Fatalf("admitted types differ for %s.%s", tr.Table, c.Column)
+			seq, seqLedger := run(SequentialMode)
+			pipe, pipeLedger := run(PipelinedMode())
+			if len(seq.Errors) > 0 || len(pipe.Errors) > 0 {
+				t.Fatalf("errors: %v / %v", seq.Errors, pipe.Errors)
 			}
-		}
+			if seq.TotalColumns != pipe.TotalColumns || seq.ScannedColumns != pipe.ScannedColumns {
+				t.Fatalf("pipelining changed outcomes: %d/%d vs %d/%d",
+					seq.TotalColumns, seq.ScannedColumns, pipe.TotalColumns, pipe.ScannedColumns)
+			}
+			if seqLedger.Queries != pipeLedger.Queries || seqLedger.ColumnsScanned != pipeLedger.ColumnsScanned {
+				t.Fatalf("pipelining changed the tenant's ledger: %d queries, %d columns scanned vs %d, %d",
+					seqLedger.Queries, seqLedger.ColumnsScanned, pipeLedger.Queries, pipeLedger.ColumnsScanned)
+			}
+			for _, tr := range seq.Tables {
+				for _, c := range tr.Columns {
+					pc := pipe.Find(tr.Table, c.Column)
+					if pc == nil {
+						t.Fatalf("pipelined run missing %s.%s", tr.Table, c.Column)
+					}
+					if strings.Join(pc.Admitted, ",") != strings.Join(c.Admitted, ",") {
+						t.Fatalf("admitted types differ for %s.%s", tr.Table, c.Column)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -6,9 +6,8 @@ import (
 )
 
 // TestExecModeOneRule pins the single worker knob: Workers 0 resolves to one
-// worker per CPU (floor 4), PipelinedMode is the paper's 2+2, the deprecated
-// per-kind fields are ignored, and the prefetch brake is a quarter of the
-// latent cache budget, floored at 1 MiB.
+// worker per CPU (floor 4), PipelinedMode is 4 workers, and the deprecated
+// per-kind fields are ignored.
 func TestExecModeOneRule(t *testing.T) {
 	want := max(runtime.GOMAXPROCS(0), 4)
 	if got := (ExecMode{Pipelined: true}).withDefaults().Workers; got != want {
@@ -29,14 +28,5 @@ func TestExecModeOneRule(t *testing.T) {
 	}
 	if got := SequentialMode.withDefaults(); got != SequentialMode {
 		t.Fatalf("sequential mode mutated: %+v", got)
-	}
-
-	opts := DefaultOptions() // CacheBytes 64 MiB → brake 16 MiB
-	if got := prefetchBudget(opts); got != opts.CacheBytes/4 {
-		t.Fatalf("prefetch brake = %d, want %d", got, opts.CacheBytes/4)
-	}
-	opts.CacheBytes = 100
-	if got := prefetchBudget(opts); got != 1<<20 {
-		t.Fatalf("floored prefetch brake = %d, want %d", got, 1<<20)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -31,40 +30,23 @@ var (
 	tablesDetectedTotal   = obs.Default.Counter("taste_detector_tables_total")
 )
 
-// prefetchOutcome indexes the outcome label of taste_pipeline_prefetch_total.
-type prefetchOutcome int
-
-const (
-	prefetchHit     prefetchOutcome = iota // consumed by its stage
-	prefetchWaste                          // issued but never consumed
-	prefetchSkipped                        // declined by the byte brake
+// analyzeReads and scanReads count the reads pipelined detects ran as
+// stages: an ANALYZE ("meta") and a content scan ("scan"). The series keeps
+// the name and "hit" outcome of the retired scan prefetcher (DESIGN.md §16),
+// so core.prefetch_hit_ratio reads 1 wherever pipelined detects read.
+var (
+	analyzeReads = obs.Default.Counter("taste_pipeline_prefetch_total", "kind", "meta", "outcome", "hit")
+	scanReads    = obs.Default.Counter("taste_pipeline_prefetch_total", "kind", "scan", "outcome", "hit")
 )
-
-var outcomeLabel = [3]string{"hit", "waste", "skipped"}
-
-// prefetchTotals[kind][outcome] holds the counter handles, resolved on first
-// use so a series appears in /metrics only once it has counted something.
-var prefetchTotals [2][3]atomic.Pointer[obs.Counter]
-
-// prefetchCount records one scan-prefetcher outcome.
-func prefetchCount(k readKind, o prefetchOutcome) {
-	c := prefetchTotals[k][o].Load()
-	if c == nil {
-		c = obs.Default.Counter("taste_pipeline_prefetch_total", "kind", kindLabel[k], "outcome", outcomeLabel[o])
-		prefetchTotals[k][o].Store(c)
-	}
-	c.Inc()
-}
 
 // stageLabels name the four stages in spans: "s<N>:<table>", so a trace
 // consumer can aggregate by the prefix before ':'.
 var stageLabels = [4]string{"s1", "s2", "s3", "s4"}
 
 // instrumentStage wraps a stage Run with a trace span (child of the request
-// trace, when one is active) and the stage's duration histogram; busy, when
-// set, receives the same duration. They are recorded on the way out of a
-// panic too, which the scheduler then recovers.
-func instrumentStage(idx int, table string, st pipeline.Stage, busy func(stage int, d time.Duration)) pipeline.Stage {
+// trace, when one is active) and the stage's duration histogram. They are
+// recorded on the way out of a panic too, which the scheduler then recovers.
+func instrumentStage(idx int, table string, st pipeline.Stage) pipeline.Stage {
 	run := st.Run
 	st.Run = func(ctx context.Context) (err error) {
 		// The span name is built only for a traced request.
@@ -74,11 +56,7 @@ func instrumentStage(idx int, table string, st pipeline.Stage, busy func(stage i
 		}
 		start := time.Now()
 		defer func() {
-			elapsed := time.Since(start)
-			stageSeconds[idx].ObserveDuration(elapsed)
-			if busy != nil {
-				busy(idx, elapsed)
-			}
+			stageSeconds[idx].ObserveDuration(time.Since(start))
 			if err != nil {
 				stageErrorsTotal[idx].Inc()
 			}

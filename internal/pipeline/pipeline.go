@@ -1,9 +1,9 @@
 // Package pipeline implements the pipelined execution engine of §5
 // (Algorithm 1): each table contributes an ordered list of stages
-// alternating between data preparation (I/O + CPU) and inference (compute),
-// and a work-stealing scheduler interleaves stages of different tables
-// across a single worker pool so that one table's inference overlaps
-// another's data fetch (DESIGN.md §16).
+// alternating between data preparation (reads) and inference (compute). The
+// work-stealing scheduler starts every read the moment it is runnable and
+// interleaves the inference stages of different tables on one worker pool,
+// so one table's inference overlaps another's data fetch (DESIGN.md §16).
 //
 // Both schedulers propagate a context.Context into every stage and stop
 // dispatching once it is cancelled, so a per-request deadline genuinely
@@ -25,25 +25,23 @@ import (
 // the registry on each call.
 const waitStages = 8
 
-// Wait-histogram handles, resolved on first use (so a series still appears
-// in /metrics only once it has been observed) and then read without a
-// registry lookup: queueWaitHists[stage][kind][stolen], parkWaitHists[stage].
-var (
-	queueWaitHists [waitStages][2][2]atomic.Pointer[obs.Histogram]
-	parkWaitHists  [waitStages]atomic.Pointer[obs.Histogram]
-)
+// queueWaitHists[stage][stolen] holds the wait-histogram handles, resolved
+// on first use (so a series still appears in /metrics only once it has been
+// observed) and then read without a registry lookup.
+var queueWaitHists [waitStages][2]atomic.Pointer[obs.Histogram]
 
-// queueWait records how long a stage sat runnable-but-undispatched in a
-// worker deque: the scheduler-added latency the paper's §5 pipelining
-// analysis cares about. Stages are labeled by position (s1..s4 for Taste's
-// four-stage jobs) so the histogram lines up with the per-stage duration
-// series in core; the stolen label splits waits of migrated stages from
-// stages their owner ran locally.
-func queueWait(stageIdx int, kind StageKind, stolen bool, d time.Duration) {
+// queueWait records how long an Infer stage sat runnable-but-undispatched in
+// a worker deque: the scheduler-added latency the paper's §5 pipelining
+// analysis cares about. A Prep stage starts the moment it is runnable and
+// never waits. Stages are labeled by position (s1..s4 for Taste's four-stage
+// jobs) so the histogram lines up with the per-stage duration series in
+// core; the stolen label splits waits of migrated stages from stages their
+// owner ran locally.
+func queueWait(stageIdx int, stolen bool, d time.Duration) {
 	lookup := func() *obs.Histogram {
 		return obs.Default.LatencyHistogram("taste_pipeline_queue_wait_seconds",
 			"stage", stageLabel(stageIdx),
-			"kind", kind.String(),
+			"kind", Infer.String(),
 			"stolen", strconv.FormatBool(stolen))
 	}
 	if stageIdx >= waitStages {
@@ -54,21 +52,7 @@ func queueWait(stageIdx int, kind StageKind, stolen bool, d time.Duration) {
 	if stolen {
 		s = 1
 	}
-	resolved(&queueWaitHists[stageIdx][kind][s], lookup).ObserveDuration(d)
-}
-
-// parkWait records how long a job sat parked on a stage's Ready completion:
-// time spent waiting for storage (or any other gate), which queueWait never
-// sees because a parked job is in no deque.
-func parkWait(stageIdx int, d time.Duration) {
-	lookup := func() *obs.Histogram {
-		return obs.Default.LatencyHistogram("taste_pipeline_park_seconds", "stage", stageLabel(stageIdx))
-	}
-	if stageIdx >= waitStages {
-		lookup().ObserveDuration(d)
-		return
-	}
-	resolved(&parkWaitHists[stageIdx], lookup).ObserveDuration(d)
+	resolved(&queueWaitHists[stageIdx][s], lookup).ObserveDuration(d)
 }
 
 // resolved returns the handle in slot, filling it with lookup on first use.
@@ -85,17 +69,17 @@ func resolved(slot *atomic.Pointer[obs.Histogram], lookup func() *obs.Histogram)
 // stageLabel names stage position idx: "s1" for the first.
 func stageLabel(idx int) string { return "s" + strconv.Itoa(idx+1) }
 
-// StageKind distinguishes the two resource classes of §5. The work-stealing
-// scheduler treats the kind as a priority hint, not a dedicated lane: a
-// worker prefers running its own freshest Infer stage (hot caches) and
-// stealing victims' oldest Prep stages (starts I/O early so it overlaps
-// the victim's compute).
+// StageKind distinguishes the two resources of §5, and the work-stealing
+// engine runs them differently: a Prep stage on a goroutine of its own the
+// moment it is runnable, an Infer stage on the worker pool.
 type StageKind int
 
 const (
-	// Prep stages consume I/O and CPU (thread pool TP1 in the paper).
+	// Prep stages wait on storage (thread pool TP1 in the paper). The
+	// work-stealing engine starts each one at once; Workers does not cap
+	// them.
 	Prep StageKind = iota
-	// Infer stages consume compute — the GPU in the paper, the inference
+	// Infer stages consume compute — the GPU in the paper, the pool's
 	// workers here (TP2).
 	Infer
 )
@@ -115,29 +99,6 @@ type Stage struct {
 	Kind StageKind
 	Name string
 	Run  func(ctx context.Context) error
-	// Ready, when set, names the completion the stage waits for — a storage
-	// read in flight, a forward someone else will run. It is called once,
-	// after the job's previous stage finished, and returns a channel that
-	// is closed when Run can proceed without blocking; a nil func or a nil
-	// channel means "runnable now". The work-stealing engine parks the job,
-	// not a worker, until the channel closes or the context dies.
-	Ready func() <-chan struct{}
-}
-
-// pending resolves the stage's gate: the channel the job must park on, or
-// nil when the stage has no gate or its completion already fired (no park,
-// no goroutine).
-func (st Stage) pending() <-chan struct{} {
-	if st.Ready == nil {
-		return nil
-	}
-	ch := st.Ready()
-	select {
-	case <-ch: // a nil channel never fires and falls to default
-		return nil
-	default:
-		return ch
-	}
 }
 
 // Job is an ordered list of stages for one table: P1-prep, P1-infer,
@@ -156,7 +117,9 @@ type Job struct {
 // prior work) or through the work-stealing pool (Algorithm 1 + DESIGN.md
 // §16).
 type Scheduler struct {
-	// Workers sizes the work-stealing pool; pipelined mode needs ≥ 1.
+	// Workers sizes the work-stealing pool, which runs Infer stages (TP2);
+	// Prep stages each run on a goroutine of their own. Pipelined mode
+	// needs ≥ 1.
 	Workers int
 	// Pipelined selects the work-stealing engine; false degenerates to the
 	// sequential mode that processes tables and stages one by one.
@@ -182,9 +145,6 @@ type Stats struct {
 	// MaxQueueDepth is the peak number of runnable stages queued across
 	// all worker deques at any instant.
 	MaxQueueDepth int
-	// Parks counts stages whose job left the deques to wait for a Ready
-	// completion; a gate that had already fired does not count.
-	Parks int64
 }
 
 // Run executes all jobs under ctx and returns after every job finishes,
@@ -216,14 +176,6 @@ func (s Scheduler) RunStats(ctx context.Context, jobs []*Job) (Stats, error) {
 func runSequential(ctx context.Context, jobs []*Job) {
 	for _, j := range jobs {
 		for _, st := range j.Stages {
-			if ready := st.pending(); ready != nil {
-				// One table at a time: there is nothing else to run
-				// meanwhile, so the caller itself waits.
-				select {
-				case <-ready:
-				case <-ctx.Done():
-				}
-			}
 			if err := ctx.Err(); err != nil {
 				j.Err = err
 				break

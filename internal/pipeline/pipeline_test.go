@@ -158,12 +158,14 @@ func TestPipelinedFasterThanSequential(t *testing.T) {
 	}
 }
 
+// TestWorkersCapConcurrency: Workers caps the Infer stages running at once,
+// while the reads before them run off the pool.
 func TestWorkersCapConcurrency(t *testing.T) {
 	var active, maxActive int64
 	var jobs []*Job
 	for i := 0; i < 10; i++ {
 		j := &Job{ID: fmt.Sprintf("j%d", i)}
-		j.Stages = append(j.Stages, Stage{Kind: Prep, Name: "p", Run: func(context.Context) error {
+		j.Stages = append(j.Stages, Stage{Kind: Prep, Name: "p", Run: nop}, Stage{Kind: Infer, Name: "i", Run: func(context.Context) error {
 			cur := atomic.AddInt64(&active, 1)
 			for {
 				old := atomic.LoadInt64(&maxActive)
@@ -179,7 +181,7 @@ func TestWorkersCapConcurrency(t *testing.T) {
 	}
 	Scheduler{Pipelined: true, Workers: 3}.Run(context.Background(), jobs)
 	if m := atomic.LoadInt64(&maxActive); m > 3 {
-		t.Fatalf("stage concurrency %d exceeded pool size 3", m)
+		t.Fatalf("Infer stage concurrency %d exceeded pool size 3", m)
 	}
 }
 

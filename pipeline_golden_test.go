@@ -7,15 +7,15 @@ import (
 )
 
 // TestPipelineGoldenParity pins the work-stealing scheduler's determinism
-// contract (DESIGN.md §16): a pipelined run — stage stealing and scan
-// prefetch enabled — must produce byte-identical results to the sequential
-// baseline. Prefetched reads use the same scan options as synchronous ones
-// and every table runs the same forward on either path, so any divergence
-// here is a bug, not noise.
+// contract (DESIGN.md §16): a pipelined run — stage stealing and reads off
+// the worker pool — must produce byte-identical results to the sequential
+// baseline. Both run the same stages with the same scan options, and every
+// table runs the same forward on either path, so any divergence here is a
+// bug, not noise.
 func TestPipelineGoldenParity(t *testing.T) {
 	// Untrained model with a near-full uncertainty band: every column goes
-	// through Phase 2, exercising prefetched scans and the content forward
-	// on every table.
+	// through Phase 2, exercising the scan stage and the content forward on
+	// every table.
 	ds := WikiTableDataset(40, 7)
 	opts := DefaultOptions()
 	opts.Alpha, opts.Beta = 0.01, 0.99
