@@ -6,14 +6,15 @@ GO ?= go
 
 # Packages whose concurrency the race detector must vet: the tensor
 # runtime's borrowed-core sharding + arena, the sharded tiered cache with its
-# singleflight groups, the pipelined scheduler, the fault-injecting simdb,
+# singleflight groups, the fault-injecting simdb,
 # the HTTP service, the lock-free metrics registry, the data-parallel
 # training runtime with its gradient workers (plus the two model packages
 # whose multi-worker training tests exercise it), the fleet coordinator with
 # its health prober and admission queue, the shared retry core, and the
 # deduplicated model registry whose page store backs concurrent
-# publish/checkpoint traffic.
-RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/sherlock/... ./internal/baselines/... ./internal/cache/... ./internal/pipeline/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
+# publish/checkpoint traffic. The pipelined scheduler has a race line of its
+# own (race, race-all).
+RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/sherlock/... ./internal/baselines/... ./internal/cache/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
 
 .PHONY: build vet vet-arm64 test race race-all bench-check fuzz ci bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
 
@@ -41,8 +42,14 @@ test: build
 # keeps, a stage that panics or is abandoned by the deadline while other
 # tables run on) on an untrained model, so they need neither the trained
 # fixture nor race-all's 45 minutes.
+#
+# The scheduler runs ten times over: its tests drive goroutine interleavings
+# (token handoff order, a cancel while stages wait for a token, a panic
+# mid-run) that one pass may not hit, and a rewrite of the stage loop is
+# where an interleaving bug would hide. It takes seconds.
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -count=10 ./internal/pipeline/
 	$(GO) test -race -run 'HitsEveryRead|Forward|LatentKey|DetectDatabaseOn|StagePanic|DeadlineAfterScan' ./internal/core/
 
 # bench-check builds and smoke-tests the benchmark module against this
@@ -101,7 +108,7 @@ ci: vet vet-arm64 test race bench-check metrics-smoke fleet-smoke cache-smoke re
 # race-all adds internal/core, whose fixture trains a model and needs a
 # far longer deadline under the race detector's ~10x slowdown.
 race-all:
-	$(GO) test -race -timeout 45m $(RACE_PKGS) ./internal/core/...
+	$(GO) test -race -timeout 45m $(RACE_PKGS) ./internal/pipeline/... ./internal/core/...
 
 # bench-smoke compiles and runs every package micro-benchmark exactly once —
 # no timing value, but it keeps the benchmark code from rotting between full

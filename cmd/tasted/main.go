@@ -54,7 +54,7 @@ func main() {
 		epochs       = flag.Int("epochs", 8, "training epochs when -train is set")
 		trainWorkers = flag.Int("train-workers", 1, "data-parallel gradient workers when -train is set (bit-reproducible per (seed, workers))")
 		gradAccum    = flag.Int("grad-accum", 1, "micro-batches accumulated per worker per optimizer step when -train is set")
-		pipeWorkers  = flag.Int("pipeline-workers", 0, "inference workers (TP2) for pipelined detect requests; reads run off the pool (0 = one per CPU, floor 4)")
+		pipeWorkers  = flag.Int("pipeline-workers", 0, "inference stages a pipelined detect request runs at once (TP2); reads are not capped (0 = one per CPU, floor 4; negative is refused at boot)")
 		deadline     = flag.Duration("deadline", 0, "default per-request deadline for /v1/detect (0 = none; requests can override via deadline_ms)")
 		faultProb    = flag.Float64("fault-prob", 0, "demo tenant: probability of a transient fault per scan/query/connect (chaos mode)")
 		faultSeed    = flag.Int64("fault-seed", 1, "demo tenant: fault-injection seed")
@@ -62,6 +62,9 @@ func main() {
 		resultCache  = flag.Int64("result-cache", 16<<20, "result-cache byte budget memoizing per-column detect outputs (0 disables; invalidated on any weight update)")
 	)
 	flag.Parse()
+	if *pipeWorkers < 0 {
+		log.Fatalf("tasted: -pipeline-workers must be ≥ 0, got %d", *pipeWorkers)
+	}
 
 	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.WikiTableProfile(*tables), *seed)
 	tok := adtd.BuildVocabulary(ds.Train, ds.Registry.Names(), 4000)

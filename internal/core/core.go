@@ -354,10 +354,6 @@ type Report struct {
 	// one per table that reached Phase 2 with a chunk the result cache
 	// did not answer.
 	ContentForwards int
-	// Steals and StolenStages summarize work-stealing migrations during
-	// pipelined execution.
-	Steals       int64
-	StolenStages int64
 	// Skipped names the tables the deadline caught before Phase 1 finished;
 	// one summary error in Errors counts them.
 	Skipped []string
@@ -390,12 +386,13 @@ func (r *Report) Find(table, column string) *ColumnResult {
 // ExecMode selects how a batch is executed (§5, DESIGN.md §16). The zero
 // ExecMode is SequentialMode.
 type ExecMode struct {
-	// Pipelined enables the work-stealing scheduler (Algorithm 1 +
-	// DESIGN.md §16); false processes tables sequentially.
+	// Pipelined runs every table's stages on a goroutine of its own
+	// (Algorithm 1 + DESIGN.md §16); false processes tables sequentially.
 	Pipelined bool
-	// Workers sizes the work-stealing pool that runs the inference stages
-	// (TP2); every read runs on a goroutine of its own. 0 resolves to one
-	// worker per logical CPU, floor 4.
+	// Workers is the number of tokens that cap the inference stages (TP2)
+	// running at once; reads take none. 0 resolves to one worker per
+	// logical CPU, floor 4; a negative count fails the detect before it
+	// reads anything.
 	Workers int
 
 	// Deprecated: ignored; kept so bench/ compiles.
@@ -406,8 +403,9 @@ type ExecMode struct {
 // pipelining".
 var SequentialMode = ExecMode{}
 
-// PipelinedMode returns a pool of 4 inference workers. The paper's §6.3
-// pools are TP1=TP2=2; here reads are not pooled at all (DESIGN.md §16).
+// PipelinedMode returns a pipelined mode of 4 inference workers: at most 4
+// inference stages run at once. The paper's §6.3 pools are TP1=TP2=2; here
+// reads are not pooled at all (DESIGN.md §16).
 func PipelinedMode() ExecMode {
 	return ExecMode{Pipelined: true, Workers: 4}
 }
@@ -420,10 +418,10 @@ func AutoMode() ExecMode {
 }
 
 // withDefaults resolves a pipelined mode's zero worker count to one
-// inference worker per CPU. The floor of 4 is unmeasured since reads left
-// the pool (it no longer buys I/O overlap) and is kept as it is until the
-// core budget is settled (ROADMAP item 19c). Sequential modes pass through
-// untouched.
+// inference worker per CPU. The floor of 4 is unmeasured since reads
+// stopped taking workers (it no longer buys I/O overlap) and is kept as it
+// is until the core budget is settled (ROADMAP item 19c). Sequential modes
+// pass through untouched.
 func (m ExecMode) withDefaults() ExecMode {
 	if m.Pipelined && m.Workers == 0 {
 		m.Workers = max(runtime.GOMAXPROCS(0), 4)
@@ -780,9 +778,9 @@ func isUncertain(probs []float64, alpha, beta float64) bool {
 // wrapped with its duration histogram and (when the request is traced) a
 // span named "s<N>:<table>". The scheduler reports a stage's panic as
 // "<Name> panic: …". The stages that read storage are Prep, which the
-// pipelined scheduler runs off its worker pool: s3 (the content scan) and
+// pipelined scheduler runs without a worker token: s3 (the content scan) and
 // s1 when it runs ANALYZE. Without one, s1 only unwraps the schema read's
-// metadata, CPU work the pool runs like any Infer stage.
+// metadata, CPU work that takes a token like any Infer stage.
 func (j *tableJob) stages() []pipeline.Stage {
 	s1 := pipeline.Infer
 	if j.d.needsAnalyze(j.meta) {
@@ -882,6 +880,12 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 		ctx = context.Background()
 	}
 	start := time.Now()
+	// A mode the scheduler would refuse fails before the tenant pays a read.
+	mode = mode.withDefaults()
+	sched := pipeline.Scheduler{Pipelined: mode.Pipelined, Workers: mode.Workers}
+	if err := sched.Validate(); err != nil {
+		return nil, err
+	}
 	var metas []*simdb.TableMeta
 	_, schemaSpan := obs.StartSpan(ctx, "schema_metadata")
 	batchRetries, err := d.retry(ctx, conn.Accounting(), func() error {
@@ -901,20 +905,15 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 	// One model for the whole batch: every table of the request is answered
 	// by the same weights, however long the batch runs across swaps.
 	model := d.requestModel(ctx)
-	mode = mode.withDefaults()
 	jobs := make([]*pipeline.Job, len(metas))
 	tjobs := make([]tableJob, len(metas))
 	for i, tm := range metas {
 		tjobs[i] = tableJob{d: d, model: model, conn: conn, table: tm.Name, meta: tm, pipelined: mode.Pipelined}
 		jobs[i] = &pipeline.Job{ID: tm.Name, Stages: tjobs[i].stages()}
 	}
-	sched := pipeline.Scheduler{Pipelined: mode.Pipelined, Workers: mode.Workers}
-	stats, err := sched.RunStats(ctx, jobs)
-	if err != nil {
+	if err := sched.Run(ctx, jobs); err != nil {
 		return nil, err
 	}
-
-	rep.Steals, rep.StolenStages = stats.Steals, stats.Stolen
 	for i, j := range jobs {
 		rep.settle(&tjobs[i], j.Err)
 	}

@@ -164,3 +164,22 @@ func TestDetectDatabaseOnCancelMidReadNoLeak(t *testing.T) {
 	}
 	waitGoroutines(t, before)
 }
+
+// TestDetectDatabaseOnRefusesNegativeWorkers: a pipelined mode the scheduler
+// would refuse fails the call before the schema read, so a misconfigured
+// worker count costs the tenant no query.
+func TestDetectDatabaseOnRefusesNegativeWorkers(t *testing.T) {
+	det, ds := phase2Detector(t, 4)
+	server := newServerWith(allTables(ds))
+	conn, err := server.Connect(context.Background(), "tenant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := det.DetectDatabaseOn(context.Background(), conn, "tenant", nil, ExecMode{Pipelined: true, Workers: -1}); err == nil {
+		t.Fatal("a pipelined mode with -1 workers ran")
+	}
+	if got := server.Accounting().Snapshot().Queries; got != 0 {
+		t.Fatalf("tenant ledger: %d queries, want 0", got)
+	}
+}

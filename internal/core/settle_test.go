@@ -35,7 +35,7 @@ func settleRun(ctx context.Context, t *testing.T, det *Detector, conn *simdb.Con
 	st := &jobs[victim].Stages[idx]
 	st.Run = wrap(st.Run)
 	mode = mode.withDefaults()
-	if _, err := (pipeline.Scheduler{Pipelined: mode.Pipelined, Workers: mode.Workers}).RunStats(ctx, jobs); err != nil {
+	if err := (pipeline.Scheduler{Pipelined: mode.Pipelined, Workers: mode.Workers}).Run(ctx, jobs); err != nil {
 		t.Fatal(err)
 	}
 	rep := &Report{}

@@ -84,8 +84,9 @@ func (s *Suite) Ablations() *AblationResult {
 	return res
 }
 
-// runTasteWithPool runs the default variant on the pool the paper's
-// TP1=TP2=workers would make: 2·workers in the work-stealing pool.
+// runTasteWithPool runs the default variant with the inference cap the
+// paper's TP1=TP2=workers would make: 2·workers worker tokens (reads are
+// not pooled).
 func (s *Suite) runTasteWithPool(dsName string, v TasteVariant, workers int) *RunResult {
 	ds := s.Dataset(dsName)
 	model := s.TasteModel(dsName, v.Hist)

@@ -1,12 +1,13 @@
-// Package pipeline implements the pipelined execution engine of §5
+// Package pipeline implements the pipelined execution of §5
 // (Algorithm 1): each table contributes an ordered list of stages
-// alternating between data preparation (reads) and inference (compute). The
-// work-stealing scheduler starts every read the moment it is runnable and
-// interleaves the inference stages of different tables on one worker pool,
-// so one table's inference overlaps another's data fetch (DESIGN.md §16).
+// alternating between data preparation (reads) and inference (compute).
+// Each table's stages run in order on a goroutine of its own, so a read
+// starts the moment its table is ready for it, and at most Workers inference
+// stages run at once: one table's inference overlaps another's data fetch
+// (DESIGN.md §16).
 //
-// Both schedulers propagate a context.Context into every stage and stop
-// dispatching once it is cancelled, so a per-request deadline genuinely
+// Both modes propagate a context.Context into every stage and stop running
+// a job's stages once it is cancelled, so a per-request deadline genuinely
 // cancels in-flight detection work instead of letting it run to completion.
 package pipeline
 
@@ -14,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,62 +27,46 @@ import (
 // the registry on each call.
 const waitStages = 8
 
-// queueWaitHists[stage][stolen] holds the wait-histogram handles, resolved
-// on first use (so a series still appears in /metrics only once it has been
-// observed) and then read without a registry lookup.
-var queueWaitHists [waitStages][2]atomic.Pointer[obs.Histogram]
+// queueWaitHists[stage] holds the wait-histogram handles, resolved on first
+// use (so a series still appears in /metrics only once it has been observed)
+// and then read without a registry lookup.
+var queueWaitHists [waitStages]atomic.Pointer[obs.Histogram]
 
-// queueWait records how long an Infer stage sat runnable-but-undispatched in
-// a worker deque: the scheduler-added latency the paper's §5 pipelining
-// analysis cares about. A Prep stage starts the moment it is runnable and
-// never waits. Stages are labeled by position (s1..s4 for Taste's four-stage
-// jobs) so the histogram lines up with the per-stage duration series in
-// core; the stolen label splits waits of migrated stages from stages their
-// owner ran locally.
-func queueWait(stageIdx int, stolen bool, d time.Duration) {
+// queueWait records how long an Infer stage waited for a worker token: the
+// scheduler-added latency the paper's §5 pipelining analysis cares about. A
+// Prep stage takes no token and never waits. Stages are labeled by position
+// (s1..s4 for Taste's four-stage jobs) so the histogram lines up with the
+// per-stage duration series in core.
+func queueWait(stageIdx int, d time.Duration) {
 	lookup := func() *obs.Histogram {
 		return obs.Default.LatencyHistogram("taste_pipeline_queue_wait_seconds",
-			"stage", stageLabel(stageIdx),
-			"kind", Infer.String(),
-			"stolen", strconv.FormatBool(stolen))
+			"stage", "s"+strconv.Itoa(stageIdx+1), "kind", Infer.String())
 	}
 	if stageIdx >= waitStages {
 		lookup().ObserveDuration(d)
 		return
 	}
-	s := 0
-	if stolen {
-		s = 1
-	}
-	resolved(&queueWaitHists[stageIdx][s], lookup).ObserveDuration(d)
-}
-
-// resolved returns the handle in slot, filling it with lookup on first use.
-// Racing first uses store the same registry-owned histogram.
-func resolved(slot *atomic.Pointer[obs.Histogram], lookup func() *obs.Histogram) *obs.Histogram {
+	slot := &queueWaitHists[stageIdx]
 	h := slot.Load()
 	if h == nil {
+		// Racing first uses store the same registry-owned histogram.
 		h = lookup()
 		slot.Store(h)
 	}
-	return h
+	h.ObserveDuration(d)
 }
 
-// stageLabel names stage position idx: "s1" for the first.
-func stageLabel(idx int) string { return "s" + strconv.Itoa(idx+1) }
-
-// StageKind distinguishes the two resources of §5, and the work-stealing
-// engine runs them differently: a Prep stage on a goroutine of its own the
-// moment it is runnable, an Infer stage on the worker pool.
+// StageKind distinguishes the two resources of §5: a Prep stage runs the
+// moment its job reaches it, an Infer stage first takes one of the
+// scheduler's Workers tokens.
 type StageKind int
 
 const (
-	// Prep stages wait on storage (thread pool TP1 in the paper). The
-	// work-stealing engine starts each one at once; Workers does not cap
-	// them.
+	// Prep stages wait on storage (thread pool TP1 in the paper). They take
+	// no token; Workers does not cap them.
 	Prep StageKind = iota
-	// Infer stages consume compute — the GPU in the paper, the pool's
-	// workers here (TP2).
+	// Infer stages consume compute — the GPU in the paper, one of Workers
+	// tokens here (TP2).
 	Infer
 )
 
@@ -114,15 +100,14 @@ type Job struct {
 }
 
 // Scheduler runs jobs either sequentially (the baseline execution mode of
-// prior work) or through the work-stealing pool (Algorithm 1 + DESIGN.md
-// §16).
+// prior work) or pipelined, each job on a goroutine of its own (Algorithm 1
+// + DESIGN.md §16). Both modes run a job through the same stage loop.
 type Scheduler struct {
-	// Workers sizes the work-stealing pool, which runs Infer stages (TP2);
-	// Prep stages each run on a goroutine of their own. Pipelined mode
-	// needs ≥ 1.
+	// Workers is the number of tokens that cap the Infer stages running at
+	// once (TP2); Prep stages take none. Pipelined mode needs ≥ 1.
 	Workers int
-	// Pipelined selects the work-stealing engine; false degenerates to the
-	// sequential mode that processes tables and stages one by one.
+	// Pipelined runs every job on a goroutine of its own; false degenerates
+	// to the sequential mode that processes tables and stages one by one.
 	Pipelined bool
 }
 
@@ -134,56 +119,88 @@ func (s Scheduler) Validate() error {
 	return nil
 }
 
-// Stats summarizes one Run of the work-stealing engine.
-type Stats struct {
-	// Steals counts steal operations that migrated at least one stage from
-	// a victim's deque.
-	Steals int64
-	// Stolen counts stages migrated by those steals (steal-half takes up
-	// to half a victim queue per operation).
-	Stolen int64
-	// MaxQueueDepth is the peak number of runnable stages queued across
-	// all worker deques at any instant.
-	MaxQueueDepth int
-}
+// Stats is empty.
+//
+// Deprecated: the scheduler keeps no statistics; kept so bench/ compiles.
+type Stats struct{}
 
 // Run executes all jobs under ctx and returns after every job finishes,
 // fails, or is cancelled. A nil ctx means context.Background(). Run never
 // leaks goroutines: it waits for in-flight stages even after cancellation.
 func (s Scheduler) Run(ctx context.Context, jobs []*Job) error {
-	_, err := s.RunStats(ctx, jobs)
-	return err
-}
-
-// RunStats is Run plus the engine's steal/queue statistics (zero for
-// sequential mode).
-func (s Scheduler) RunStats(ctx context.Context, jobs []*Job) (Stats, error) {
 	if err := s.Validate(); err != nil {
-		return Stats{}, err
+		return err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if !s.Pipelined {
-		runSequential(ctx, jobs)
-		return Stats{}, nil
+		for _, j := range jobs {
+			runJob(ctx, j, nil)
+		}
+		return nil
 	}
-	return runStealing(ctx, jobs, s.Workers), nil
+	tokens := make(chan struct{}, s.Workers)
+	var wg sync.WaitGroup
+	for _, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runJob(ctx, j, tokens)
+		}()
+	}
+	wg.Wait()
+	return nil
 }
 
-// runSequential processes tables one by one, each stage in order — the
-// execution mode of TURL/Doduo and of "Taste w/o pipelining".
-func runSequential(ctx context.Context, jobs []*Job) {
-	for _, j := range jobs {
-		for _, st := range j.Stages {
+// RunStats is Run.
+//
+// Deprecated: use Run; kept so bench/ compiles. Stats is always empty.
+func (s Scheduler) RunStats(ctx context.Context, jobs []*Job) (Stats, error) {
+	return Stats{}, s.Run(ctx, jobs)
+}
+
+// runJob is the one stage loop of both modes: it runs j's stages in order
+// and stops at the first error or once ctx is dead, leaving that error in
+// j.Err. With tokens non-nil an Infer stage first takes a token — a send on
+// the channel, whose capacity is Workers — and gives it back when the stage
+// returns; a Prep stage takes none.
+//
+// Tokens go to waiting stages in the order they began to wait. The Go spec
+// does not promise that; it holds because the runtime queues blocked senders
+// FIFO and a receive from a full channel admits the oldest one.
+// TestInferStagesRunInReadyOrder pins it.
+func runJob(ctx context.Context, j *Job, tokens chan struct{}) {
+	for i, st := range j.Stages {
+		if err := ctx.Err(); err != nil {
+			j.Err = err
+			return
+		}
+		token := tokens != nil && st.Kind == Infer
+		if token {
+			ready := time.Now()
+			select {
+			case tokens <- struct{}{}:
+			case <-ctx.Done():
+				j.Err = ctx.Err()
+				return
+			}
+			queueWait(i, time.Since(ready))
+			// Both select cases may have been ready: a token taken after the
+			// cancel must not start the stage.
 			if err := ctx.Err(); err != nil {
+				<-tokens
 				j.Err = err
-				break
+				return
 			}
-			if err := runStage(ctx, st); err != nil {
-				j.Err = err
-				break
-			}
+		}
+		err := runStage(ctx, st)
+		if token {
+			<-tokens
+		}
+		if err != nil {
+			j.Err = err
+			return
 		}
 	}
 }
@@ -191,9 +208,9 @@ func runSequential(ctx context.Context, jobs []*Job) {
 // stagePanicsTotal counts stage panics runStage recovered.
 var stagePanicsTotal = obs.Default.Counter("taste_pipeline_stage_panics_total")
 
-// runStage runs one stage for either engine and is the one place a stage
-// panic is recovered: the panic becomes the stage's error, so its job stops
-// like any failed job while every other job, and the worker, runs on.
+// runStage runs one stage and is the one place a stage panic is recovered:
+// the panic becomes the stage's error, so its job stops like any failed job
+// while every other job runs on.
 func runStage(ctx context.Context, st Stage) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

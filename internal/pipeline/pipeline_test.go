@@ -224,10 +224,10 @@ func TestFailedStageCancelsJobOnly(t *testing.T) {
 	}
 }
 
-// TestPanickingStageFailsItsJobOnly: in both engines a stage that panics ends
+// TestPanickingStageFailsItsJobOnly: in both modes a stage that panics ends
 // its job with an error naming the stage, and the job's later stages never
-// run. Every other job completes, the run returns (no "scheduler deadlock",
-// no dead worker), no goroutine outlives it, the panic is counted once, and
+// run. Every other job completes, the run returns (the panicking stage gave
+// its token back), no goroutine outlives it, the panic is counted once, and
 // the same Scheduler value runs a second batch.
 func TestPanickingStageFailsItsJobOnly(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
@@ -264,7 +264,7 @@ func TestPanickingStageFailsItsJobOnly(t *testing.T) {
 			panics := stagePanicsTotal.Value()
 
 			jobs := append([]*Job{bad}, goodJobs("good")...)
-			if _, err := s.RunStats(context.Background(), jobs); err != nil {
+			if err := s.Run(context.Background(), jobs); err != nil {
 				t.Fatal(err)
 			}
 			if bad.Err == nil || !strings.Contains(bad.Err.Error(), "bad infer panic: kaboom") {
@@ -278,7 +278,7 @@ func TestPanickingStageFailsItsJobOnly(t *testing.T) {
 			}
 
 			again := goodJobs("again")
-			if _, err := s.RunStats(context.Background(), again); err != nil {
+			if err := s.Run(context.Background(), again); err != nil {
 				t.Fatal(err)
 			}
 			for _, j := range append(jobs[1:], again...) {
@@ -355,43 +355,5 @@ func TestManyJobsStress(t *testing.T) {
 	}
 	if done != 800 {
 		t.Fatalf("ran %d stages, want 800", done)
-	}
-}
-
-// TestSingleWorkerRunsDepthFirst pins the local deque discipline: a lone
-// worker pops its own deque LIFO, so it drives the most recently runnable
-// job to completion before touching older ones — the locality-first policy
-// that keeps a job's latents hot across its stages. Three jobs of three
-// infer stages each, seeded j0 j1 j2, must run j2 j2 j2 j1 j1 j1 j0 j0 j0.
-func TestSingleWorkerRunsDepthFirst(t *testing.T) {
-	const jobsN, stagesN = 3, 3
-	var mu sync.Mutex
-	var order []string
-	var jobs []*Job
-	for i := 0; i < jobsN; i++ {
-		id := fmt.Sprintf("j%d", i)
-		j := &Job{ID: id}
-		for k := 0; k < stagesN; k++ {
-			j.Stages = append(j.Stages, Stage{Kind: Infer, Name: fmt.Sprintf("%s/%d", id, k), Run: func(context.Context) error {
-				mu.Lock()
-				order = append(order, id)
-				mu.Unlock()
-				return nil
-			}})
-		}
-		jobs = append(jobs, j)
-	}
-	// One worker makes the schedule deterministic.
-	if err := (Scheduler{Pipelined: true, Workers: 1}).Run(context.Background(), jobs); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"j2", "j2", "j2", "j1", "j1", "j1", "j0", "j0", "j0"}
-	if len(order) != len(want) {
-		t.Fatalf("ran %d stages, want %d", len(order), len(want))
-	}
-	for i, id := range order {
-		if id != want[i] {
-			t.Fatalf("schedule %v: position %d is %s, want %s (not depth-first LIFO)", order, i, id, want[i])
-		}
 	}
 }

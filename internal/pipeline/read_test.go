@@ -77,8 +77,8 @@ func TestBlockedReadFreesTheWorker(t *testing.T) {
 			return nil
 		}},
 	}}
-	// Seeded [B, A]: an engine that queued reads on the lone worker's deque
-	// would pop A's read first (LIFO) and block on it.
+	// Listed [B, A]: a scheduler that ran A's read on the lone worker would
+	// block on it while B waits.
 	runGuarded(t, Scheduler{Pipelined: true, Workers: 1}, []*Job{b, a})
 }
 
@@ -149,11 +149,12 @@ func TestCancelWhileReading(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestStealHammerGated is TestStealHammer with reads in the mix: every job
-// is gated by Prep stages of random delays, which run off the pool. Every
-// stage still runs exactly once and after its predecessor, Infer stages
-// never run more than Workers at a time, and no read outlives the run.
-func TestStealHammerGated(t *testing.T) {
+// TestSchedulerHammer is the exactly-once battery: many jobs with mixed
+// stage counts and kinds, the Prep stages of random delays, run repeatedly
+// (and under -race in CI). Every stage runs exactly once and after its
+// predecessor, Infer stages never run more than Workers at a time, and no
+// job outlives the run.
+func TestSchedulerHammer(t *testing.T) {
 	const workers = 8
 	before := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(11))
@@ -206,6 +207,102 @@ func TestStealHammerGated(t *testing.T) {
 		}
 		if maxInfers > workers {
 			t.Fatalf("round %d: %d Infer stages ran at once on %d workers", round, maxInfers, workers)
+		}
+	}
+	waitGoroutines(t, before)
+}
+
+// TestInferStagesRunInReadyOrder: tokens go to Infer stages in the order they
+// became runnable. With one worker, A's first stage holds the token while
+// six other jobs finish their reads, which start only once it runs, and
+// queue their Infer stage b; A's last stage becomes runnable after all six,
+// so it must run after every b — a LIFO pop would run it second.
+func TestInferStagesRunInReadyOrder(t *testing.T) {
+	const others = 6
+	var mu sync.Mutex
+	var order []string
+	mark := func(id string) {
+		mu.Lock()
+		order = append(order, id)
+		mu.Unlock()
+	}
+	a1Running := make(chan struct{})
+	var reads sync.WaitGroup
+	reads.Add(others)
+	jobs := []*Job{{ID: "A", Stages: []Stage{
+		{Kind: Infer, Name: "a1", Run: func(context.Context) error {
+			close(a1Running)
+			reads.Wait()
+			time.Sleep(20 * time.Millisecond) // let every b reach the token
+			return nil
+		}},
+		{Kind: Prep, Name: "a2", Run: nop},
+		{Kind: Infer, Name: "a3", Run: func(context.Context) error { mark("a3"); return nil }},
+	}}}
+	for i := 0; i < others; i++ {
+		id := fmt.Sprintf("b%d", i)
+		jobs = append(jobs, &Job{ID: id, Stages: []Stage{
+			{Kind: Prep, Name: "p", Run: func(context.Context) error {
+				<-a1Running
+				reads.Done()
+				return nil
+			}},
+			{Kind: Infer, Name: "b", Run: func(context.Context) error {
+				time.Sleep(time.Millisecond)
+				mark(id)
+				return nil
+			}},
+		}})
+	}
+	runGuarded(t, Scheduler{Pipelined: true, Workers: 1}, jobs)
+	if len(order) != others+1 || order[others] != "a3" {
+		t.Fatalf("Infer stages ran %v, want a3 after every b", order)
+	}
+}
+
+// TestCancelWhileWaitingForAWorker: with one worker held by an Infer stage
+// that blocks until the context dies, seven Infer stages wait for the
+// token. A cancel must return promptly, run none of the seven, mark every
+// job with the context error, and leave no goroutine behind.
+func TestCancelWhileWaitingForAWorker(t *testing.T) {
+	const waiting = 7
+	before := runtime.NumGoroutine()
+	holding := make(chan struct{})
+	var ran atomic.Int32
+	jobs := []*Job{{ID: "holder", Stages: []Stage{{Kind: Infer, Name: "hold", Run: func(ctx context.Context) error {
+		close(holding)
+		<-ctx.Done()
+		return ctx.Err()
+	}}}}}
+	for i := 0; i < waiting; i++ {
+		jobs = append(jobs, &Job{ID: fmt.Sprintf("j%d", i), Stages: []Stage{
+			{Kind: Prep, Name: "p", Run: func(context.Context) error { <-holding; return nil }},
+			{Kind: Infer, Name: "i", Run: func(context.Context) error { ran.Add(1); return nil }},
+		}})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		<-holding
+		time.Sleep(20 * time.Millisecond) // let the seven queue for the token
+		cancel()
+	}()
+	done := make(chan error, 1)
+	go func() { done <- Scheduler{Pipelined: true, Workers: 1}.Run(ctx, jobs) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after a cancel with seven stages waiting for a worker")
+	}
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("%d Infer stages ran after the cancel", n)
+	}
+	for _, j := range jobs {
+		if !errors.Is(j.Err, context.Canceled) {
+			t.Fatalf("job %s: err = %v, want context.Canceled", j.ID, j.Err)
 		}
 	}
 	waitGoroutines(t, before)

@@ -20,7 +20,8 @@ import (
 )
 
 // DetectRequest is the /v1/detect payload. Pipelined runs the request, named
-// tables or whole database, on the service's work-stealing pool.
+// tables or whole database, with each table on a goroutine of its own and
+// the service's worker count capping its inference stages.
 // DeadlineMillis, when positive, bounds the whole request: stages past the
 // deadline degrade to Phase-1 answers instead of running.
 type DetectRequest struct {
@@ -46,9 +47,9 @@ type DetectRequest struct {
 // request by: the tenant database, refined to database/table for
 // single-table requests. Whole-database (and multi-table) batches stay on
 // one replica to reuse its connection; single-table requests — the common
-// API-gateway shape — spread across the fleet at the same granularity the
-// latent cache is keyed on (database.table), so each replica's cache stays
-// hot for the tables it owns.
+// API-gateway shape — spread across the fleet by table, so a table's repeat
+// requests reach the replica whose caches hold its entries (the caches key
+// each chunk by its content, not by database.table; DESIGN.md §14).
 func (r *DetectRequest) RouteKey() string {
 	if len(r.Tables) == 1 {
 		return r.Database + "/" + r.Tables[0]

@@ -362,7 +362,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, series := range []string{
 		`taste_stage_seconds_bucket{stage="s1",le="+Inf"}`,
 		`taste_stage_seconds_bucket{stage="s4",le="+Inf"}`,
-		`taste_pipeline_queue_wait_seconds_count{kind="infer",stage="s1",stolen="false"}`,
+		`taste_pipeline_queue_wait_seconds_count{kind="infer",stage="s1"}`,
 		`taste_pipeline_stage_panics_total`,
 		`taste_detect_requests_total{outcome="ok"}`,
 		`taste_detect_requests_total{outcome="degraded"}`,

@@ -75,8 +75,8 @@ type Service struct {
 }
 
 // New creates a service around a detector. Pipelined requests run on
-// ExecMode{Pipelined: true}, one worker per CPU (floor 4); SetDefaultMode
-// overrides that.
+// ExecMode{Pipelined: true}: at most one inference stage per CPU (floor 4)
+// at once; SetDefaultMode overrides that.
 func New(det *core.Detector) *Service {
 	return &Service{
 		detector:    det,

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestPipelineGoldenParity pins the work-stealing scheduler's determinism
-// contract (DESIGN.md §16): a pipelined run — stage stealing and reads off
-// the worker pool — must produce byte-identical results to the sequential
-// baseline. Both run the same stages with the same scan options, and every
+// TestPipelineGoldenParity pins the pipelined scheduler's determinism
+// contract (DESIGN.md §16): a pipelined run — every table on a goroutine of
+// its own, inference stages capped by worker tokens — must produce
+// byte-identical results to the sequential baseline. Both run the same stages with the same scan options, and every
 // table runs the same forward on either path, so any divergence here is a
 // bug, not noise.
 func TestPipelineGoldenParity(t *testing.T) {
@@ -55,7 +55,7 @@ func TestPipelineGoldenParity(t *testing.T) {
 		name string
 		mode ExecMode
 	}{
-		{"stealing", ExecMode{Pipelined: true, Workers: 8}},
+		{"wide_pool", ExecMode{Pipelined: true, Workers: 8}},
 		{"paper_pool", PipelinedMode()},
 	} {
 		if got := canon(tc.mode); got != want {
