@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -54,7 +55,6 @@ func main() {
 		epochs       = flag.Int("epochs", 8, "training epochs when -train is set")
 		trainWorkers = flag.Int("train-workers", 1, "data-parallel gradient workers when -train is set (bit-reproducible per (seed, workers))")
 		gradAccum    = flag.Int("grad-accum", 1, "micro-batches accumulated per worker per optimizer step when -train is set")
-		pipeWorkers  = flag.Int("pipeline-workers", 0, "inference stages a pipelined detect request runs at once (TP2); reads are not capped (0 = one per CPU, floor 4; negative is refused at boot)")
 		deadline     = flag.Duration("deadline", 0, "default per-request deadline for /v1/detect (0 = none; requests can override via deadline_ms)")
 		faultProb    = flag.Float64("fault-prob", 0, "demo tenant: probability of a transient fault per scan/query/connect (chaos mode)")
 		faultSeed    = flag.Int64("fault-seed", 1, "demo tenant: fault-injection seed")
@@ -62,8 +62,8 @@ func main() {
 		resultCache  = flag.Int64("result-cache", 16<<20, "result-cache byte budget memoizing per-column detect outputs (0 disables; invalidated on any weight update)")
 	)
 	flag.Parse()
-	if *pipeWorkers < 0 {
-		log.Fatalf("tasted: -pipeline-workers must be ≥ 0, got %d", *pipeWorkers)
+	if err := checkBootFlags(*train, *checkpoint, *registryDir, *modelVersion); err != nil {
+		log.Fatalf("tasted: %v", err)
 	}
 
 	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.WikiTableProfile(*tables), *seed)
@@ -127,8 +127,6 @@ func main() {
 		}
 		bootVersion = version
 		log.Printf("loaded %s@%d from registry %s", *modelName, version, *registryDir)
-	default:
-		log.Fatal("tasted: need -checkpoint, -registry, or -train")
 	}
 
 	opts := core.DefaultOptions()
@@ -143,7 +141,6 @@ func main() {
 		svc.AttachRegistry(reg, *modelName, bootVersion)
 		log.Printf("model registry attached (%s, serving %s@%d): /v1/models endpoints enabled", *registryDir, *modelName, bootVersion)
 	}
-	svc.SetDefaultMode(core.ExecMode{Pipelined: true, Workers: *pipeWorkers})
 	svc.SetDefaultDeadline(*deadline)
 
 	demo := simdb.NewServer(simdb.PaperLatency(0.1))
@@ -200,4 +197,27 @@ func main() {
 	<-drained
 	svc.Close()
 	log.Printf("tasted: graceful shutdown complete")
+}
+
+// checkBootFlags refuses, before anything loads, the flag combinations that
+// name no model or that would drop one silently: the model comes from
+// -train, -checkpoint or -registry (in that order), and -model-version picks
+// the registry version served at boot, so it needs -registry and means
+// nothing beside -train or -checkpoint.
+func checkBootFlags(train bool, checkpoint, registryDir string, modelVersion int) error {
+	switch {
+	case !train && checkpoint == "" && registryDir == "":
+		return errors.New("need -checkpoint, -registry, or -train")
+	case modelVersion < 0:
+		return fmt.Errorf("-model-version must be ≥ 0, got %d", modelVersion)
+	case modelVersion == 0:
+		return nil
+	case registryDir == "":
+		return fmt.Errorf("-model-version %d requires -registry", modelVersion)
+	case train:
+		return fmt.Errorf("-model-version %d conflicts with -train: the trained model is served", modelVersion)
+	case checkpoint != "":
+		return fmt.Errorf("-model-version %d conflicts with -checkpoint: the checkpoint is served", modelVersion)
+	}
+	return nil
 }

@@ -46,10 +46,9 @@ func main() {
 	runs := []run{
 		{"sequential, no cache", taste.SequentialMode, false},
 		{"sequential, latent cache", taste.SequentialMode, true},
-		// Reads are not pooled (TP1 is unbounded); Workers caps the
-		// inference stages running at once (TP2).
-		{"pipelined (TP2=4), latent cache", taste.PipelinedMode(), true},
-		{"pipelined (TP2=8), latent cache", taste.ExecMode{Pipelined: true, Workers: 8}, true},
+		// Reads are not pooled (TP1 is unbounded); at most GOMAXPROCS
+		// inference stages run at once (TP2).
+		{"pipelined, latent cache", taste.PipelinedMode(), true},
 	}
 	fmt.Printf("%-38s %12s %10s %12s\n", "execution mode", "duration", "scanned", "cache hits")
 	var baseline time.Duration

@@ -302,7 +302,7 @@ func TestLatentKeyFollowsMetadataChange(t *testing.T) {
 		}
 		return out
 	}
-	for _, mode := range []ExecMode{SequentialMode, {Pipelined: true, Workers: 4}} {
+	for _, mode := range []ExecMode{SequentialMode, {Pipelined: true}} {
 		opts := base.Opts
 		opts.CacheBytes, opts.ResultCacheBytes = 0, 0
 		cold, err := NewDetector(base.Model(), opts)

@@ -40,7 +40,7 @@ func TestDetectDatabaseOnMatchesWrapper(t *testing.T) {
 		mode ExecMode
 	}{
 		{"sequential", SequentialMode},
-		{"pipelined", ExecMode{Pipelined: true, Workers: 4}},
+		{"pipelined", ExecMode{Pipelined: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			det, ds := phase2Detector(t, 24)
@@ -123,7 +123,7 @@ func TestDetectDatabaseOnSchemaReadFault(t *testing.T) {
 		mode ExecMode
 	}{
 		{"sequential", SequentialMode},
-		{"pipelined", ExecMode{Pipelined: true, Workers: 4}},
+		{"pipelined", ExecMode{Pipelined: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			det, ds := phase2Detector(t, 8)
@@ -185,7 +185,7 @@ func TestDetectDatabaseOnSchemaReadFault(t *testing.T) {
 func TestDetectDatabaseOnConcurrentCacheCounts(t *testing.T) {
 	ctx := context.Background()
 	det, ds := phase2Detector(t, 12)
-	mode := ExecMode{Pipelined: true, Workers: 4}
+	mode := ExecMode{Pipelined: true}
 	servers := [2]*simdb.Server{}
 	for i, tables := range [][]*corpus.Table{ds.Train, ds.Val} {
 		servers[i] = simdb.NewServer(simdb.PaperLatency(1))

@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -387,13 +386,9 @@ func (r *Report) Find(table, column string) *ColumnResult {
 // ExecMode is SequentialMode.
 type ExecMode struct {
 	// Pipelined runs every table's stages on a goroutine of its own
-	// (Algorithm 1 + DESIGN.md §16); false processes tables sequentially.
+	// (Algorithm 1 + DESIGN.md §16), at most GOMAXPROCS inference stages
+	// (TP2) at once and reads uncapped; false processes tables sequentially.
 	Pipelined bool
-	// Workers is the number of tokens that cap the inference stages (TP2)
-	// running at once; reads take none. 0 resolves to one worker per
-	// logical CPU, floor 4; a negative count fails the detect before it
-	// reads anything.
-	Workers int
 
 	// Deprecated: ignored; kept so bench/ compiles.
 	PrepWorkers, InferWorkers int
@@ -403,30 +398,19 @@ type ExecMode struct {
 // pipelining".
 var SequentialMode = ExecMode{}
 
-// PipelinedMode returns a pipelined mode of 4 inference workers: at most 4
+// PipelinedMode returns ExecMode{Pipelined: true}: at most GOMAXPROCS
 // inference stages run at once. The paper's §6.3 pools are TP1=TP2=2; here
-// reads are not pooled at all (DESIGN.md §16).
+// reads are not pooled at all and the inference cap is the host's
+// (DESIGN.md §16).
 func PipelinedMode() ExecMode {
-	return ExecMode{Pipelined: true, Workers: 4}
+	return ExecMode{Pipelined: true}
 }
 
-// AutoMode is ExecMode{Pipelined: true} with its worker count resolved.
+// AutoMode is PipelinedMode.
 //
-// Deprecated: use ExecMode{Pipelined: true}; kept so bench/ compiles.
+// Deprecated: use PipelinedMode; kept so bench/ compiles.
 func AutoMode() ExecMode {
-	return ExecMode{Pipelined: true}.withDefaults()
-}
-
-// withDefaults resolves a pipelined mode's zero worker count to one
-// inference worker per CPU. The floor of 4 is unmeasured since reads
-// stopped taking workers (it no longer buys I/O overlap) and is kept as it
-// is until the core budget is settled (ROADMAP item 19c). Sequential modes
-// pass through untouched.
-func (m ExecMode) withDefaults() ExecMode {
-	if m.Pipelined && m.Workers == 0 {
-		m.Workers = max(runtime.GOMAXPROCS(0), 4)
-	}
-	return m
+	return PipelinedMode()
 }
 
 // tableJob carries per-table state across the four stages. The model is
@@ -778,7 +762,7 @@ func isUncertain(probs []float64, alpha, beta float64) bool {
 // wrapped with its duration histogram and (when the request is traced) a
 // span named "s<N>:<table>". The scheduler reports a stage's panic as
 // "<Name> panic: …". The stages that read storage are Prep, which the
-// pipelined scheduler runs without a worker token: s3 (the content scan) and
+// pipelined scheduler runs without a token: s3 (the content scan) and
 // s1 when it runs ANALYZE. Without one, s1 only unwraps the schema read's
 // metadata, CPU work that takes a token like any Infer stage.
 func (j *tableJob) stages() []pipeline.Stage {
@@ -880,12 +864,6 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 		ctx = context.Background()
 	}
 	start := time.Now()
-	// A mode the scheduler would refuse fails before the tenant pays a read.
-	mode = mode.withDefaults()
-	sched := pipeline.Scheduler{Pipelined: mode.Pipelined, Workers: mode.Workers}
-	if err := sched.Validate(); err != nil {
-		return nil, err
-	}
 	var metas []*simdb.TableMeta
 	_, schemaSpan := obs.StartSpan(ctx, "schema_metadata")
 	batchRetries, err := d.retry(ctx, conn.Accounting(), func() error {
@@ -911,9 +889,7 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 		tjobs[i] = tableJob{d: d, model: model, conn: conn, table: tm.Name, meta: tm, pipelined: mode.Pipelined}
 		jobs[i] = &pipeline.Job{ID: tm.Name, Stages: tjobs[i].stages()}
 	}
-	if err := sched.Run(ctx, jobs); err != nil {
-		return nil, err
-	}
+	pipeline.Scheduler{Pipelined: mode.Pipelined}.Run(ctx, jobs)
 	for i, j := range jobs {
 		rep.settle(&tjobs[i], j.Err)
 	}

@@ -44,7 +44,7 @@ func TestEveryTableRunsItsOwnForward(t *testing.T) {
 	}
 
 	det2, _ := phase2Detector(t, 40) // fresh caches
-	piped, err := det2.DetectDatabase(context.Background(), server, "tenant", ExecMode{Pipelined: true, Workers: 8})
+	piped, err := det2.DetectDatabase(context.Background(), server, "tenant", ExecMode{Pipelined: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestForwardPanicDegradesTable(t *testing.T) {
 		mode ExecMode
 	}{
 		{"sequential", SequentialMode},
-		{"pipelined", ExecMode{Pipelined: true, Workers: 4}},
+		{"pipelined", ExecMode{Pipelined: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			det, ds := phase2Detector(t, 12)
@@ -203,7 +203,7 @@ func TestMetadataForwardPanicFailsTable(t *testing.T) {
 	w.Data = w.Data[: len(w.Data)-1 : len(w.Data)-1]
 
 	panics := stagePanicsTotal.Value()
-	rep, err := det.DetectDatabase(ctx, server, "tenant", ExecMode{Pipelined: true, Workers: 4})
+	rep, err := det.DetectDatabase(ctx, server, "tenant", ExecMode{Pipelined: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // execModes are the two ways a detect runs.
-var execModes = []ExecMode{SequentialMode, {Pipelined: true, Workers: 4}}
+var execModes = []ExecMode{SequentialMode, {Pipelined: true}}
 
 // TestDetectDatabaseOnScansOnlyWhatPhase2Uses: with the request deadline
 // inside DeadlineMargin, Phase 2 starts for no table, so no content is worth
@@ -84,7 +84,7 @@ func TestPipelinedPrefetchHitsEveryRead(t *testing.T) {
 	server := simdb.NewServer(simdb.PaperLatency(20))
 	server.LoadTables("tenant", tables)
 	hits := scanReads.Value()
-	rep, err := det.DetectDatabase(context.Background(), server, "tenant", ExecMode{Pipelined: true, Workers: 4})
+	rep, err := det.DetectDatabase(context.Background(), server, "tenant", ExecMode{Pipelined: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestDetectDatabaseOnCancelMidReadNoLeak(t *testing.T) {
 	// so a cancel at 200 ms is guaranteed to land mid-run.
 	server := simdb.NewServer(simdb.PaperLatency(10))
 	server.LoadTables("tenant", allTables(ds))
-	mode := ExecMode{Pipelined: true, Workers: 8}
+	mode := ExecMode{Pipelined: true}
 
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -163,23 +163,4 @@ func TestDetectDatabaseOnCancelMidReadNoLeak(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, before)
-}
-
-// TestDetectDatabaseOnRefusesNegativeWorkers: a pipelined mode the scheduler
-// would refuse fails the call before the schema read, so a misconfigured
-// worker count costs the tenant no query.
-func TestDetectDatabaseOnRefusesNegativeWorkers(t *testing.T) {
-	det, ds := phase2Detector(t, 4)
-	server := newServerWith(allTables(ds))
-	conn, err := server.Connect(context.Background(), "tenant")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := det.DetectDatabaseOn(context.Background(), conn, "tenant", nil, ExecMode{Pipelined: true, Workers: -1}); err == nil {
-		t.Fatal("a pipelined mode with -1 workers ran")
-	}
-	if got := server.Accounting().Snapshot().Queries; got != 0 {
-		t.Fatalf("tenant ledger: %d queries, want 0", got)
-	}
 }

@@ -34,10 +34,7 @@ func settleRun(ctx context.Context, t *testing.T, det *Detector, conn *simdb.Con
 	}
 	st := &jobs[victim].Stages[idx]
 	st.Run = wrap(st.Run)
-	mode = mode.withDefaults()
-	if err := (pipeline.Scheduler{Pipelined: mode.Pipelined, Workers: mode.Workers}).Run(ctx, jobs); err != nil {
-		t.Fatal(err)
-	}
+	pipeline.Scheduler{Pipelined: mode.Pipelined}.Run(ctx, jobs)
 	rep := &Report{}
 	for i, j := range jobs {
 		rep.settle(&tjobs[i], j.Err)
@@ -75,7 +72,7 @@ func checkDegradedWithRules(t *testing.T, tj *tableJob, tr *TableResult, reason 
 // reference, the panic is counted once, and the detector answers the
 // reference afterwards.
 func TestStagePanicSettlesOneTable(t *testing.T) {
-	for _, mode := range []ExecMode{SequentialMode, {Pipelined: true, Workers: 4}} {
+	for _, mode := range []ExecMode{SequentialMode, {Pipelined: true}} {
 		det, ds := phase2Detector(t, 12)
 		tables := allTables(ds)
 		server := newServerWith(tables)
@@ -186,7 +183,7 @@ func TestDeadlineAfterScanMergesRules(t *testing.T) {
 		t.Fatal("no table the rules recognize")
 	}
 
-	for _, mode := range []ExecMode{SequentialMode, {Pipelined: true, Workers: 4}} {
+	for _, mode := range []ExecMode{SequentialMode, {Pipelined: true}} {
 		t.Run(fmt.Sprintf("pipelined=%v", mode.Pipelined), func(t *testing.T) {
 			conn, err := newServerWith([]*corpus.Table{victim}).Connect(ctx, "tenant")
 			if err != nil {

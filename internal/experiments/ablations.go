@@ -14,8 +14,6 @@ import (
 // AblationResult collects the design-choice studies listed in DESIGN.md §4
 // beyond what Fig 4 already covers (latent cache and pipelining variants).
 type AblationResult struct {
-	// PipelinePoolSweep measures execution time versus worker pool size.
-	PipelinePoolSweep []PoolPoint
 	// AutoWeightedLoss compares §4.4's learnable weighting against a fixed
 	// 50/50 combination.
 	AutoWeightedLoss []LossPoint
@@ -28,12 +26,6 @@ type AblationResult struct {
 	}
 }
 
-// PoolPoint is one pool-size measurement.
-type PoolPoint struct {
-	Workers  int
-	Duration time.Duration
-}
-
 // LossPoint is one trained-variant measurement.
 type LossPoint struct {
 	Name string
@@ -43,14 +35,6 @@ type LossPoint struct {
 // Ablations runs the extra design-choice studies on WikiTable.
 func (s *Suite) Ablations() *AblationResult {
 	res := &AblationResult{}
-
-	// Pipelining pool-size sweep (Algorithm 1 worker pools).
-	for _, workers := range []int{1, 2, 4} {
-		v := DefaultTaste()
-		v.Name = fmt.Sprintf("Taste pool=%d", workers)
-		run := s.runTasteWithPool(Wiki, v, workers)
-		res.PipelinePoolSweep = append(res.PipelinePoolSweep, PoolPoint{Workers: workers, Duration: run.Duration})
-	}
 
 	// Latent cache speedup, from the main runs.
 	main := s.MainRuns(Wiki)
@@ -84,26 +68,6 @@ func (s *Suite) Ablations() *AblationResult {
 	return res
 }
 
-// runTasteWithPool runs the default variant with the inference cap the
-// paper's TP1=TP2=workers would make: 2·workers worker tokens (reads are
-// not pooled).
-func (s *Suite) runTasteWithPool(dsName string, v TasteVariant, workers int) *RunResult {
-	ds := s.Dataset(dsName)
-	model := s.TasteModel(dsName, v.Hist)
-	det, err := core.NewDetector(model, s.options(v))
-	if err != nil {
-		panic(err)
-	}
-	server := s.newTestServer(ds)
-	rep, err := det.DetectDatabase(context.Background(), server, "tenant", core.ExecMode{Pipelined: true, Workers: 2 * workers})
-	if err != nil {
-		panic(err)
-	}
-	res := &RunResult{Name: v.Name, Dataset: dsName, Duration: rep.Duration}
-	s.logf("experiments: %-22s workers=%d time=%v", v.Name, workers, rep.Duration.Round(time.Millisecond))
-	return res
-}
-
 // quickF1 scores a model's default two-phase detection on the WikiTable
 // test split without latency.
 func (s *Suite) quickF1(m *adtd.Model) float64 {
@@ -125,10 +89,6 @@ func (s *Suite) quickF1(m *adtd.Model) float64 {
 func (r *AblationResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablations (WikiTable)\n")
-	fmt.Fprintf(&b, "Pipelining pool size sweep:\n")
-	for _, p := range r.PipelinePoolSweep {
-		fmt.Fprintf(&b, "  TP1=TP2=%d: %v\n", p.Workers, p.Duration.Round(time.Millisecond))
-	}
 	fmt.Fprintf(&b, "Latent cache: with=%v without=%v (%.1f%% reduction)\n",
 		r.CacheSpeedup.With.Round(time.Millisecond), r.CacheSpeedup.Without.Round(time.Millisecond),
 		reduction(r.CacheSpeedup.Without, r.CacheSpeedup.With))

@@ -32,26 +32,15 @@ func mixedJobs(n int, prep, infer time.Duration) []*Job {
 
 func BenchmarkSequentialExecution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := (Scheduler{}).Run(context.Background(), mixedJobs(16, 200*time.Microsecond, 200*time.Microsecond)); err != nil {
-			b.Fatal(err)
-		}
+		Scheduler{}.Run(context.Background(), mixedJobs(16, 200*time.Microsecond, 200*time.Microsecond))
 	}
 }
 
+// BenchmarkPipelinedExecution runs under the cap of GOMAXPROCS Infer stages;
+// -cpu sweeps it.
 func BenchmarkPipelinedExecution(b *testing.B) {
-	s := Scheduler{Pipelined: true, Workers: 4}
+	s := Scheduler{Pipelined: true}
 	for i := 0; i < b.N; i++ {
-		if err := s.Run(context.Background(), mixedJobs(16, 200*time.Microsecond, 200*time.Microsecond)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPipelinedWidePools(b *testing.B) {
-	s := Scheduler{Pipelined: true, Workers: 16}
-	for i := 0; i < b.N; i++ {
-		if err := s.Run(context.Background(), mixedJobs(16, 200*time.Microsecond, 200*time.Microsecond)); err != nil {
-			b.Fatal(err)
-		}
+		s.Run(context.Background(), mixedJobs(16, 200*time.Microsecond, 200*time.Microsecond))
 	}
 }

@@ -33,9 +33,7 @@ func TestSequentialCancellation(t *testing.T) {
 	var started atomic.Int64
 	jobs := blockingJobs(4, &started)
 	time.AfterFunc(20*time.Millisecond, cancel)
-	if err := (Scheduler{}).Run(ctx, jobs); err != nil {
-		t.Fatal(err)
-	}
+	Scheduler{}.Run(ctx, jobs)
 	for _, j := range jobs {
 		if !errors.Is(j.Err, context.Canceled) {
 			t.Fatalf("job %s: err = %v, want context.Canceled", j.ID, j.Err)
@@ -53,9 +51,7 @@ func TestPipelinedCancellationDrainsWithoutLeaks(t *testing.T) {
 	var started atomic.Int64
 	jobs := blockingJobs(8, &started)
 	time.AfterFunc(20*time.Millisecond, cancel)
-	if err := (Scheduler{Pipelined: true, Workers: 4}).Run(ctx, jobs); err != nil {
-		t.Fatal(err)
-	}
+	Scheduler{Pipelined: true}.Run(ctx, jobs)
 	for _, j := range jobs {
 		if !errors.Is(j.Err, context.Canceled) {
 			t.Fatalf("job %s: err = %v, want context.Canceled", j.ID, j.Err)
@@ -71,9 +67,7 @@ func TestPipelinedDeadlineMarksUnfinishedJobs(t *testing.T) {
 	defer cancel()
 	var started atomic.Int64
 	jobs := blockingJobs(4, &started)
-	if err := (Scheduler{Pipelined: true, Workers: 2}).Run(ctx, jobs); err != nil {
-		t.Fatal(err)
-	}
+	Scheduler{Pipelined: true}.Run(ctx, jobs)
 	for _, j := range jobs {
 		if !errors.Is(j.Err, context.DeadlineExceeded) {
 			t.Fatalf("job %s: err = %v, want DeadlineExceeded", j.ID, j.Err)
@@ -86,12 +80,10 @@ func TestPipelinedDeadlineMarksUnfinishedJobs(t *testing.T) {
 func TestPreCancelledContextRunsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, sched := range []Scheduler{{}, {Pipelined: true, Workers: 4}} {
+	for _, sched := range []Scheduler{{}, {Pipelined: true}} {
 		var started atomic.Int64
 		jobs := blockingJobs(3, &started)
-		if err := sched.Run(ctx, jobs); err != nil {
-			t.Fatal(err)
-		}
+		sched.Run(ctx, jobs)
 		if got := started.Load(); got != 0 {
 			t.Fatalf("pipelined=%v: %d stages started on dead context", sched.Pipelined, got)
 		}
@@ -119,9 +111,7 @@ func TestCancellationDoesNotOverwriteStageErrors(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	}}}}
-	if err := (Scheduler{Pipelined: true, Workers: 2}).Run(ctx, []*Job{bad, slow}); err != nil {
-		t.Fatal(err)
-	}
+	Scheduler{Pipelined: true}.Run(ctx, []*Job{bad, slow})
 	if !errors.Is(bad.Err, boom) {
 		t.Fatalf("bad job err = %v, want boom", bad.Err)
 	}
@@ -146,9 +136,7 @@ func TestCompletedJobsSurviveLateCancellation(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	}}}}
-	if err := (Scheduler{Pipelined: true, Workers: 2}).Run(ctx, []*Job{fast, slow}); err != nil {
-		t.Fatal(err)
-	}
+	Scheduler{Pipelined: true}.Run(ctx, []*Job{fast, slow})
 	if fast.Err != nil {
 		t.Fatalf("fast job err = %v, want nil", fast.Err)
 	}

@@ -2,9 +2,9 @@
 // (Algorithm 1): each table contributes an ordered list of stages
 // alternating between data preparation (reads) and inference (compute).
 // Each table's stages run in order on a goroutine of its own, so a read
-// starts the moment its table is ready for it, and at most Workers inference
-// stages run at once: one table's inference overlaps another's data fetch
-// (DESIGN.md §16).
+// starts the moment its table is ready for it, and at most GOMAXPROCS
+// inference stages run at once: one table's inference overlaps another's
+// data fetch (DESIGN.md §16).
 //
 // Both modes propagate a context.Context into every stage and stop running
 // a job's stages once it is cancelled, so a per-request deadline genuinely
@@ -14,6 +14,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -32,7 +33,7 @@ const waitStages = 8
 // and then read without a registry lookup.
 var queueWaitHists [waitStages]atomic.Pointer[obs.Histogram]
 
-// queueWait records how long an Infer stage waited for a worker token: the
+// queueWait records how long an Infer stage waited for a token: the
 // scheduler-added latency the paper's §5 pipelining analysis cares about. A
 // Prep stage takes no token and never waits. Stages are labeled by position
 // (s1..s4 for Taste's four-stage jobs) so the histogram lines up with the
@@ -58,15 +59,15 @@ func queueWait(stageIdx int, d time.Duration) {
 
 // StageKind distinguishes the two resources of §5: a Prep stage runs the
 // moment its job reaches it, an Infer stage first takes one of the
-// scheduler's Workers tokens.
+// scheduler's GOMAXPROCS tokens.
 type StageKind int
 
 const (
 	// Prep stages wait on storage (thread pool TP1 in the paper). They take
-	// no token; Workers does not cap them.
+	// no token and nothing caps them.
 	Prep StageKind = iota
-	// Infer stages consume compute — the GPU in the paper, one of Workers
-	// tokens here (TP2).
+	// Infer stages consume compute — the GPU in the paper, one of
+	// GOMAXPROCS tokens here (TP2).
 	Infer
 )
 
@@ -103,20 +104,12 @@ type Job struct {
 // prior work) or pipelined, each job on a goroutine of its own (Algorithm 1
 // + DESIGN.md §16). Both modes run a job through the same stage loop.
 type Scheduler struct {
-	// Workers is the number of tokens that cap the Infer stages running at
-	// once (TP2); Prep stages take none. Pipelined mode needs ≥ 1.
+	// Deprecated: ignored; kept so bench/ compiles. The Infer stages of a
+	// pipelined Run are capped at GOMAXPROCS.
 	Workers int
 	// Pipelined runs every job on a goroutine of its own; false degenerates
 	// to the sequential mode that processes tables and stages one by one.
 	Pipelined bool
-}
-
-// Validate reports configuration errors.
-func (s Scheduler) Validate() error {
-	if s.Pipelined && s.Workers < 1 {
-		return fmt.Errorf("pipeline: pipelined mode needs a positive worker count, got %d", s.Workers)
-	}
-	return nil
 }
 
 // Stats is empty.
@@ -127,10 +120,9 @@ type Stats struct{}
 // Run executes all jobs under ctx and returns after every job finishes,
 // fails, or is cancelled. A nil ctx means context.Background(). Run never
 // leaks goroutines: it waits for in-flight stages even after cancellation.
-func (s Scheduler) Run(ctx context.Context, jobs []*Job) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
+// A pipelined Run caps its Infer stages at runtime.GOMAXPROCS(0), read once
+// per call: TP2 stands in for the paper's GPU, a property of the host.
+func (s Scheduler) Run(ctx context.Context, jobs []*Job) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -138,9 +130,9 @@ func (s Scheduler) Run(ctx context.Context, jobs []*Job) error {
 		for _, j := range jobs {
 			runJob(ctx, j, nil)
 		}
-		return nil
+		return
 	}
-	tokens := make(chan struct{}, s.Workers)
+	tokens := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for _, j := range jobs {
 		wg.Add(1)
@@ -150,20 +142,20 @@ func (s Scheduler) Run(ctx context.Context, jobs []*Job) error {
 		}()
 	}
 	wg.Wait()
-	return nil
 }
 
 // RunStats is Run.
 //
 // Deprecated: use Run; kept so bench/ compiles. Stats is always empty.
 func (s Scheduler) RunStats(ctx context.Context, jobs []*Job) (Stats, error) {
-	return Stats{}, s.Run(ctx, jobs)
+	s.Run(ctx, jobs)
+	return Stats{}, nil
 }
 
 // runJob is the one stage loop of both modes: it runs j's stages in order
 // and stops at the first error or once ctx is dead, leaving that error in
 // j.Err. With tokens non-nil an Infer stage first takes a token — a send on
-// the channel, whose capacity is Workers — and gives it back when the stage
+// the channel, whose capacity is the cap — and gives it back when the stage
 // returns; a Prep stage takes none.
 //
 // Tokens go to waiting stages in the order they began to wait. The Go spec

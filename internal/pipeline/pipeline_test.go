@@ -58,9 +58,7 @@ func TestSequentialRunsInOrder(t *testing.T) {
 	r := &recorder{}
 	jobs := []*Job{makeJob(r, "a", 0), makeJob(r, "b", 0)}
 	s := Scheduler{Pipelined: false}
-	if err := s.Run(context.Background(), jobs); err != nil {
-		t.Fatal(err)
-	}
+	s.Run(context.Background(), jobs)
 	if len(r.events) != 16 {
 		t.Fatalf("events = %d", len(r.events))
 	}
@@ -84,10 +82,8 @@ func TestPipelinedPreservesPerJobOrder(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		jobs = append(jobs, makeJob(r, fmt.Sprintf("j%d", i), time.Millisecond))
 	}
-	s := Scheduler{Pipelined: true, Workers: 4}
-	if err := s.Run(context.Background(), jobs); err != nil {
-		t.Fatal(err)
-	}
+	s := Scheduler{Pipelined: true}
+	s.Run(context.Background(), jobs)
 	// For each job, stage starts must be ordered and each stage must start
 	// only after the previous ended.
 	lastEnd := map[string]int{}
@@ -113,10 +109,8 @@ func TestPipelinedOverlapsStages(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		jobs = append(jobs, makeJob(r, fmt.Sprintf("j%d", i), 3*time.Millisecond))
 	}
-	s := Scheduler{Pipelined: true, Workers: 4}
-	if err := s.Run(context.Background(), jobs); err != nil {
-		t.Fatal(err)
-	}
+	s := Scheduler{Pipelined: true}
+	s.Run(context.Background(), jobs)
 	// Overlap check: some stage must start while a stage of another job is
 	// still running.
 	running := map[string]bool{}
@@ -151,37 +145,55 @@ func TestPipelinedFasterThanSequential(t *testing.T) {
 	Scheduler{Pipelined: false}.Run(context.Background(), mk())
 	seq := time.Since(start)
 	start = time.Now()
-	Scheduler{Pipelined: true, Workers: 4}.Run(context.Background(), mk())
+	Scheduler{Pipelined: true}.Run(context.Background(), mk())
 	pipe := time.Since(start)
 	if pipe >= seq {
 		t.Fatalf("pipelined (%v) not faster than sequential (%v)", pipe, seq)
 	}
 }
 
-// TestWorkersCapConcurrency: Workers caps the Infer stages running at once,
-// while the reads before them run off the pool.
-func TestWorkersCapConcurrency(t *testing.T) {
-	var active, maxActive int64
-	var jobs []*Job
-	for i := 0; i < 10; i++ {
-		j := &Job{ID: fmt.Sprintf("j%d", i)}
-		j.Stages = append(j.Stages, Stage{Kind: Prep, Name: "p", Run: nop}, Stage{Kind: Infer, Name: "i", Run: func(context.Context) error {
-			cur := atomic.AddInt64(&active, 1)
-			for {
-				old := atomic.LoadInt64(&maxActive)
-				if cur <= old || atomic.CompareAndSwapInt64(&maxActive, old, cur) {
-					break
-				}
+// TestInferCapIsGOMAXPROCS: a pipelined Run lets exactly GOMAXPROCS Infer
+// stages run at once — no more, and, with ten jobs ready, no fewer — while
+// the reads before them take no token. Each stage holds until the n-th has
+// started (or a second has passed), then a moment longer so a stage past the
+// cap would start too.
+func TestInferCapIsGOMAXPROCS(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", n), func(t *testing.T) {
+			gomaxprocs(t, n)
+			var mu sync.Mutex
+			active, high := 0, 0
+			full := make(chan struct{})
+			var once sync.Once
+			var jobs []*Job
+			for i := 0; i < 10; i++ {
+				jobs = append(jobs, &Job{ID: fmt.Sprintf("j%d", i), Stages: []Stage{
+					{Kind: Prep, Name: "p", Run: nop},
+					{Kind: Infer, Name: "i", Run: func(context.Context) error {
+						mu.Lock()
+						active++
+						high = max(high, active)
+						if active == n {
+							once.Do(func() { close(full) })
+						}
+						mu.Unlock()
+						select {
+						case <-full:
+						case <-time.After(time.Second):
+						}
+						time.Sleep(2 * time.Millisecond)
+						mu.Lock()
+						active--
+						mu.Unlock()
+						return nil
+					}},
+				}})
 			}
-			time.Sleep(time.Millisecond)
-			atomic.AddInt64(&active, -1)
-			return nil
-		}})
-		jobs = append(jobs, j)
-	}
-	Scheduler{Pipelined: true, Workers: 3}.Run(context.Background(), jobs)
-	if m := atomic.LoadInt64(&maxActive); m > 3 {
-		t.Fatalf("Infer stage concurrency %d exceeded pool size 3", m)
+			Scheduler{Pipelined: true}.Run(context.Background(), jobs)
+			if high != n {
+				t.Fatalf("%d Infer stages ran at once, want GOMAXPROCS = %d", high, n)
+			}
+		})
 	}
 }
 
@@ -208,10 +220,8 @@ func TestFailedStageCancelsJobOnly(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
 		ran = map[string]bool{}
 		bad.Err, good.Err = nil, nil
-		s := Scheduler{Pipelined: pipelined, Workers: 2}
-		if err := s.Run(context.Background(), []*Job{bad, good}); err != nil {
-			t.Fatal(err)
-		}
+		s := Scheduler{Pipelined: pipelined}
+		s.Run(context.Background(), []*Job{bad, good})
 		if bad.Err == nil || !errors.Is(bad.Err, boom) {
 			t.Fatalf("pipelined=%v: bad job error = %v", pipelined, bad.Err)
 		}
@@ -259,14 +269,12 @@ func TestPanickingStageFailsItsJobOnly(t *testing.T) {
 				{Kind: Infer, Name: "bad infer", Run: func(context.Context) error { panic("kaboom") }},
 				{Kind: Prep, Name: "late", Run: mark("bad/2")},
 			}}
-			s := Scheduler{Pipelined: pipelined, Workers: 3}
+			s := Scheduler{Pipelined: pipelined}
 			before := runtime.NumGoroutine()
 			panics := stagePanicsTotal.Value()
 
 			jobs := append([]*Job{bad}, goodJobs("good")...)
-			if err := s.Run(context.Background(), jobs); err != nil {
-				t.Fatal(err)
-			}
+			s.Run(context.Background(), jobs)
 			if bad.Err == nil || !strings.Contains(bad.Err.Error(), "bad infer panic: kaboom") {
 				t.Fatalf("panicking job err = %v, want the stage's panic", bad.Err)
 			}
@@ -278,9 +286,7 @@ func TestPanickingStageFailsItsJobOnly(t *testing.T) {
 			}
 
 			again := goodJobs("again")
-			if err := s.Run(context.Background(), again); err != nil {
-				t.Fatal(err)
-			}
+			s.Run(context.Background(), again)
 			for _, j := range append(jobs[1:], again...) {
 				if j.Err != nil {
 					t.Fatalf("job %s: %v", j.ID, j.Err)
@@ -302,28 +308,31 @@ func TestPanickingStageFailsItsJobOnly(t *testing.T) {
 	}
 }
 
+// TestValidate: no Scheduler value is invalid — there is no worker count to
+// get wrong. The zero value of either mode runs every stage of its jobs.
 func TestValidate(t *testing.T) {
-	if err := (Scheduler{Pipelined: true, Workers: -1}).Run(context.Background(), nil); err == nil {
-		t.Fatal("expected validation error for negative worker count")
-	}
-	if err := (Scheduler{Pipelined: true}).Run(context.Background(), nil); err == nil {
-		t.Fatal("expected validation error for a pipelined scheduler with no workers")
-	}
-	if err := (Scheduler{Pipelined: false}).Run(context.Background(), nil); err != nil {
-		t.Fatalf("sequential with no workers must be fine: %v", err)
+	for _, s := range []Scheduler{{}, {Pipelined: true}} {
+		var ran atomic.Int32
+		j := &Job{ID: "j", Stages: []Stage{
+			{Kind: Prep, Name: "p", Run: func(context.Context) error { ran.Add(1); return nil }},
+			{Kind: Infer, Name: "i", Run: func(context.Context) error { ran.Add(1); return nil }},
+		}}
+		s.Run(context.Background(), []*Job{j})
+		if j.Err != nil || ran.Load() != 2 {
+			t.Fatalf("pipelined=%v: err = %v, %d of 2 stages ran", s.Pipelined, j.Err, ran.Load())
+		}
 	}
 }
 
 func TestEmptyJobList(t *testing.T) {
-	if err := (Scheduler{Pipelined: true, Workers: 2}).Run(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
+	Scheduler{Pipelined: true}.Run(context.Background(), nil)
 }
 
 func TestJobWithNoStages(t *testing.T) {
 	j := &Job{ID: "empty"}
-	if err := (Scheduler{Pipelined: true, Workers: 2}).Run(context.Background(), []*Job{j}); err != nil {
-		t.Fatal(err)
+	Scheduler{Pipelined: true}.Run(context.Background(), []*Job{j})
+	if j.Err != nil {
+		t.Fatal(j.Err)
 	}
 }
 
@@ -350,9 +359,7 @@ func TestManyJobsStress(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
-	if err := (Scheduler{Pipelined: true, Workers: 8}).Run(context.Background(), jobs); err != nil {
-		t.Fatal(err)
-	}
+	Scheduler{Pipelined: true}.Run(context.Background(), jobs)
 	if done != 800 {
 		t.Fatalf("ran %d stages, want 800", done)
 	}

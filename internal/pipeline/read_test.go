@@ -27,24 +27,32 @@ func waitGoroutines(t *testing.T, before int) {
 	}
 }
 
-// runGuarded runs jobs under a context it cancels when the run has not
-// returned within a few seconds, so a scheduler that holds a read on a
-// worker fails the test instead of hanging it. The stages must honour ctx.
-func runGuarded(t *testing.T, s Scheduler, jobs []*Job) {
+// gomaxprocs sets GOMAXPROCS, and with it a pipelined Run's cap on Infer
+// stages, to n for the rest of the test.
+func gomaxprocs(t *testing.T, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// runGuarded runs jobs pipelined under a context it cancels when the run has
+// not returned within a few seconds, so a scheduler whose reads hold a token
+// fails the test instead of hanging it. The stages must honour ctx.
+func runGuarded(t *testing.T, jobs []*Job) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx, jobs) }()
+	done := make(chan struct{})
+	go func() {
+		Scheduler{Pipelined: true}.Run(ctx, jobs)
+		close(done)
+	}()
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
+	case <-done:
 	case <-time.After(5 * time.Second):
 		cancel()
 		<-done
-		t.Fatal("run did not complete: a blocked read held the only worker")
+		t.Fatal("run did not complete: a blocked read held the only token")
 	}
 	for _, j := range jobs {
 		if j.Err != nil {
@@ -53,9 +61,10 @@ func runGuarded(t *testing.T, s Scheduler, jobs []*Job) {
 	}
 }
 
-// TestBlockedReadFreesTheWorker: with one worker, job A's read returns only
-// after job B has run all of its Infer stages. A read on the worker would
-// starve B; a read on a goroutine of its own lets B finish first.
+// TestBlockedReadFreesTheWorker: under GOMAXPROCS 1 (one token), job A's
+// read returns only after job B has run all of its Infer stages. A read
+// holding the token would starve B; a read on a goroutine of its own lets B
+// finish first.
 func TestBlockedReadFreesTheWorker(t *testing.T) {
 	bDone := make(chan struct{})
 	a := &Job{ID: "A", Stages: []Stage{
@@ -77,14 +86,15 @@ func TestBlockedReadFreesTheWorker(t *testing.T) {
 			return nil
 		}},
 	}}
-	// Listed [B, A]: a scheduler that ran A's read on the lone worker would
-	// block on it while B waits.
-	runGuarded(t, Scheduler{Pipelined: true, Workers: 1}, []*Job{b, a})
+	// Listed [B, A]: a scheduler that ran A's read holding the lone token
+	// would block on it while B waits.
+	gomaxprocs(t, 1)
+	runGuarded(t, []*Job{b, a})
 }
 
 // TestReadsAreNotCappedByWorkers: eight reads that each wait for all eight
-// to have started complete on a pool of one worker — Workers caps Infer
-// stages only.
+// to have started complete under GOMAXPROCS 1 — the cap holds Infer stages
+// only.
 func TestReadsAreNotCappedByWorkers(t *testing.T) {
 	const jobsN = 8
 	var arrived atomic.Int32
@@ -106,7 +116,8 @@ func TestReadsAreNotCappedByWorkers(t *testing.T) {
 			{Kind: Infer, Name: "infer", Run: nop},
 		}})
 	}
-	runGuarded(t, Scheduler{Pipelined: true, Workers: 1}, jobs)
+	gomaxprocs(t, 1)
+	runGuarded(t, jobs)
 }
 
 // TestCancelWhileReading: reads that block until the context dies hold
@@ -128,13 +139,13 @@ func TestCancelWhileReading(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(20*time.Millisecond, cancel)
-	done := make(chan error, 1)
-	go func() { done <- Scheduler{Pipelined: true, Workers: 4}.Run(ctx, jobs) }()
+	done := make(chan struct{})
+	go func() {
+		Scheduler{Pipelined: true}.Run(ctx, jobs)
+		close(done)
+	}()
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
+	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not return after a cancel with every job reading")
 	}
@@ -152,10 +163,11 @@ func TestCancelWhileReading(t *testing.T) {
 // TestSchedulerHammer is the exactly-once battery: many jobs with mixed
 // stage counts and kinds, the Prep stages of random delays, run repeatedly
 // (and under -race in CI). Every stage runs exactly once and after its
-// predecessor, Infer stages never run more than Workers at a time, and no
+// predecessor, Infer stages never run more than GOMAXPROCS at a time, and no
 // job outlives the run.
 func TestSchedulerHammer(t *testing.T) {
-	const workers = 8
+	const procs = 8
+	gomaxprocs(t, procs)
 	before := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 5; round++ {
@@ -195,9 +207,7 @@ func TestSchedulerHammer(t *testing.T) {
 			}
 			jobs = append(jobs, j)
 		}
-		if err := (Scheduler{Pipelined: true, Workers: workers}).Run(context.Background(), jobs); err != nil {
-			t.Fatal(err)
-		}
+		Scheduler{Pipelined: true}.Run(context.Background(), jobs)
 		for i := range runs {
 			for k := range runs[i] {
 				if n := runs[i][k].Load(); n != 1 {
@@ -205,15 +215,15 @@ func TestSchedulerHammer(t *testing.T) {
 				}
 			}
 		}
-		if maxInfers > workers {
-			t.Fatalf("round %d: %d Infer stages ran at once on %d workers", round, maxInfers, workers)
+		if maxInfers > procs {
+			t.Fatalf("round %d: %d Infer stages ran at once under GOMAXPROCS %d", round, maxInfers, procs)
 		}
 	}
 	waitGoroutines(t, before)
 }
 
 // TestInferStagesRunInReadyOrder: tokens go to Infer stages in the order they
-// became runnable. With one worker, A's first stage holds the token while
+// became runnable. Under GOMAXPROCS 1, A's first stage holds the token while
 // six other jobs finish their reads, which start only once it runs, and
 // queue their Infer stage b; A's last stage becomes runnable after all six,
 // so it must run after every b — a LIFO pop would run it second.
@@ -254,18 +264,20 @@ func TestInferStagesRunInReadyOrder(t *testing.T) {
 			}},
 		}})
 	}
-	runGuarded(t, Scheduler{Pipelined: true, Workers: 1}, jobs)
+	gomaxprocs(t, 1)
+	runGuarded(t, jobs)
 	if len(order) != others+1 || order[others] != "a3" {
 		t.Fatalf("Infer stages ran %v, want a3 after every b", order)
 	}
 }
 
-// TestCancelWhileWaitingForAWorker: with one worker held by an Infer stage
-// that blocks until the context dies, seven Infer stages wait for the
+// TestCancelWhileWaitingForAWorker: under GOMAXPROCS 1, with the one token
+// held by an Infer stage that blocks until the context dies, seven Infer stages wait for the
 // token. A cancel must return promptly, run none of the seven, mark every
 // job with the context error, and leave no goroutine behind.
 func TestCancelWhileWaitingForAWorker(t *testing.T) {
 	const waiting = 7
+	gomaxprocs(t, 1)
 	before := runtime.NumGoroutine()
 	holding := make(chan struct{})
 	var ran atomic.Int32
@@ -287,15 +299,15 @@ func TestCancelWhileWaitingForAWorker(t *testing.T) {
 		time.Sleep(20 * time.Millisecond) // let the seven queue for the token
 		cancel()
 	}()
-	done := make(chan error, 1)
-	go func() { done <- Scheduler{Pipelined: true, Workers: 1}.Run(ctx, jobs) }()
+	done := make(chan struct{})
+	go func() {
+		Scheduler{Pipelined: true}.Run(ctx, jobs)
+		close(done)
+	}()
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
+	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not return after a cancel with seven stages waiting for a worker")
+		t.Fatal("Run did not return after a cancel with seven stages waiting for a token")
 	}
 	if n := ran.Load(); n != 0 {
 		t.Fatalf("%d Infer stages ran after the cancel", n)

@@ -20,8 +20,8 @@ import (
 )
 
 // DetectRequest is the /v1/detect payload. Pipelined runs the request, named
-// tables or whole database, with each table on a goroutine of its own and
-// the service's worker count capping its inference stages.
+// tables or whole database, with each table on a goroutine of its own and at
+// most GOMAXPROCS inference stages at once.
 // DeadlineMillis, when positive, bounds the whole request: stages past the
 // deadline degrade to Phase-1 answers instead of running.
 type DetectRequest struct {
@@ -269,12 +269,7 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 	// and the release closes it.
 	clean := false
 	defer func() { tn.release(conn, clean && ctx.Err() == nil) }()
-	mode := core.SequentialMode
-	if req.Pipelined {
-		mode = s.defaultMode
-		mode.Pipelined = true
-	}
-	rep, err := s.detector.DetectDatabaseOn(ctx, conn, req.Database, req.Tables, mode)
+	rep, err := s.detector.DetectDatabaseOn(ctx, conn, req.Database, req.Tables, core.ExecMode{Pipelined: req.Pipelined})
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			return deadlineBeforeStart(err), nil

@@ -58,7 +58,6 @@ type Service struct {
 	tenants  map[string]*tenant
 	closed   bool // Close ran: tenants registered from now on are born retired
 
-	defaultMode     core.ExecMode
 	defaultDeadline time.Duration
 	flight          *cache.Group[flightResult]
 
@@ -75,21 +74,20 @@ type Service struct {
 }
 
 // New creates a service around a detector. Pipelined requests run on
-// ExecMode{Pipelined: true}: at most one inference stage per CPU (floor 4)
-// at once; SetDefaultMode overrides that.
+// ExecMode{Pipelined: true}: at most GOMAXPROCS inference stages at once.
 func New(det *core.Detector) *Service {
 	return &Service{
-		detector:    det,
-		tenants:     make(map[string]*tenant),
-		defaultMode: core.ExecMode{Pipelined: true},
-		flight:      cache.NewGroup[flightResult](obs.Default.Counter(cache.MetricCoalesced)),
+		detector: det,
+		tenants:  make(map[string]*tenant),
+		flight:   cache.NewGroup[flightResult](obs.Default.Counter(cache.MetricCoalesced)),
 	}
 }
 
-// SetDefaultMode sets the execution mode of pipelined detect requests; its
-// Pipelined flag is ignored, the request's decides. Call before serving
-// traffic.
-func (s *Service) SetDefaultMode(mode core.ExecMode) { s.defaultMode = mode }
+// SetDefaultMode does nothing: a request's "pipelined" field is the whole
+// execution mode.
+//
+// Deprecated: kept so bench/ compiles.
+func (s *Service) SetDefaultMode(core.ExecMode) {}
 
 // SetDefaultDeadline sets the per-request deadline applied to detect
 // requests that do not carry their own deadline_ms (0 disables). Call

@@ -3,15 +3,18 @@ package taste
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
 )
 
 // TestPipelineGoldenParity pins the pipelined scheduler's determinism
 // contract (DESIGN.md §16): a pipelined run — every table on a goroutine of
-// its own, inference stages capped by worker tokens — must produce
-// byte-identical results to the sequential baseline. Both run the same stages with the same scan options, and every
-// table runs the same forward on either path, so any divergence here is a
-// bug, not noise.
+// its own, at most GOMAXPROCS inference stages at once — must produce
+// byte-identical results to the sequential baseline. Both run the same
+// stages with the same scan options, and every table runs the same forward
+// on either path, so any divergence here is a bug, not noise. The pipelined
+// run repeats under GOMAXPROCS 1 and 8, which moves both the inference cap
+// and the kernels' shard counts.
 func TestPipelineGoldenParity(t *testing.T) {
 	// Untrained model with a near-full uncertainty band: every column goes
 	// through Phase 2, exercising the scan stage and the content forward on
@@ -51,15 +54,11 @@ func TestPipelineGoldenParity(t *testing.T) {
 	}
 
 	want := canon(SequentialMode)
-	for _, tc := range []struct {
-		name string
-		mode ExecMode
-	}{
-		{"wide_pool", ExecMode{Pipelined: true, Workers: 8}},
-		{"paper_pool", PipelinedMode()},
-	} {
-		if got := canon(tc.mode); got != want {
-			t.Fatalf("%s: results differ from sequential mode", tc.name)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		if got := canon(PipelinedMode()); got != want {
+			t.Fatalf("pipelined under GOMAXPROCS %d: results differ from sequential mode", procs)
 		}
 	}
 }

@@ -112,8 +112,8 @@ var (
 	// DefaultOptions is the paper's default configuration (α=0.1, β=0.9,
 	// m=50, n=10, l=20).
 	DefaultOptions = core.DefaultOptions
-	// PipelinedMode returns Algorithm 1 execution with 4 inference workers
-	// (TP2); reads are not pooled.
+	// PipelinedMode returns Algorithm 1 execution: at most GOMAXPROCS
+	// inference stages (TP2) at once; reads are not pooled.
 	PipelinedMode = core.PipelinedMode
 	// SequentialMode processes tables one by one.
 	SequentialMode = core.SequentialMode
