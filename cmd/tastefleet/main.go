@@ -2,7 +2,9 @@
 // consistent-hash routing of /v1/detect by tenant (database, or
 // database/table for single-table requests), health-checked replica pools
 // with hysteresis, per-replica transient retries with cross-replica
-// failover, admission control, and fleet-wide /metrics aggregation.
+// failover, admission control, and fleet-wide /metrics aggregation. The
+// routing, health and admission policy is fixed (DESIGN.md §12): the only
+// flags name where to listen and which replicas to route to.
 //
 // Usage:
 //
@@ -31,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/retry"
 )
 
 // parseReplicas accepts "name=url,name=url" (or bare URLs, auto-named
@@ -66,21 +67,8 @@ func parseReplicas(spec string) (map[string]string, error) {
 
 func main() {
 	var (
-		addr          = flag.String("addr", ":8080", "listen address")
-		replicasSpec  = flag.String("replicas", "", "comma-separated tasted replicas, name=url or bare url")
-		vnodes        = flag.Int("vnodes", fleet.DefaultVnodes, "virtual nodes per replica on the hash ring")
-		maxInFlight   = flag.Int("max-inflight", 64, "admission control: max concurrently routed requests")
-		queueDepth    = flag.Int("queue-depth", 32, "admission control: max requests queued for a slot (0 = no queue, negative = unbounded)")
-		queueWait     = flag.Duration("queue-wait", 100*time.Millisecond, "admission control: max time a queued request waits before 429")
-		probeInterval = flag.Duration("probe-interval", time.Second, "health probe period (≤ 0 disables probing)")
-		probeTimeout  = flag.Duration("probe-timeout", 2*time.Second, "health probe request timeout")
-		ejectAfter    = flag.Int("eject-after", 3, "consecutive failures before a replica is ejected")
-		readmitAfter  = flag.Int("readmit-after", 2, "consecutive good probes before an ejected replica is readmitted")
-		maxRetries    = flag.Int("max-retries", 2, "transient retries per replica before failing over")
-		retryBase     = flag.Duration("retry-base", 2*time.Millisecond, "base backoff between per-replica retries (doubles per attempt, jittered)")
-		retryMax      = flag.Duration("retry-max", 100*time.Millisecond, "backoff cap")
-		retrySeed     = flag.Int64("retry-seed", 1, "backoff jitter seed")
-		attemptTO     = flag.Duration("attempt-timeout", 0, "per-attempt timeout against one replica (0 = request deadline only)")
+		addr         = flag.String("addr", ":8080", "listen address")
+		replicasSpec = flag.String("replicas", "", "comma-separated tasted replicas, name=url or bare url")
 	)
 	flag.Parse()
 
@@ -89,25 +77,7 @@ func main() {
 		log.Fatalf("tastefleet: %v", err)
 	}
 
-	coord := fleet.NewCoordinator(replicas, fleet.Config{
-		Vnodes:      *vnodes,
-		MaxInFlight: *maxInFlight,
-		QueueDepth:  *queueDepth,
-		QueueWait:   *queueWait,
-		Retry: retry.Policy{
-			MaxRetries: *maxRetries,
-			BaseDelay:  *retryBase,
-			MaxDelay:   *retryMax,
-		},
-		RetrySeed:      *retrySeed,
-		AttemptTimeout: *attemptTO,
-		Pool: fleet.PoolConfig{
-			ProbeInterval: *probeInterval,
-			ProbeTimeout:  *probeTimeout,
-			EjectAfter:    *ejectAfter,
-			ReadmitAfter:  *readmitAfter,
-		},
-	})
+	coord := fleet.NewCoordinator(replicas, fleet.Config{})
 	coord.Start()
 	defer coord.Stop()
 

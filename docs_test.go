@@ -1,7 +1,6 @@
 package taste
 
 import (
-	"bufio"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -19,13 +18,20 @@ var (
 	docFlag = regexp.MustCompile(`(?:^|\s)--?([A-Za-z][\w-]*)`)
 	// docFlagRow is a flag-table row: | `-flag` (cmd, cmd `-other`) | …
 	docFlagRow = regexp.MustCompile("^\\| `-([\\w-]+)` \\(([^)]*)\\) \\|")
+	// shellFence opens a fenced block of shell.
+	shellFence = regexp.MustCompile("^```(bash|sh|shell|console)$")
+	// shellSep splits a shell line into its commands.
+	shellSep = regexp.MustCompile(`&&|\|\||\$\(|[|;&()]`)
+	// shellAssign is a variable assignment: BIN=$(mktemp -d)/tasted.
+	shellAssign = regexp.MustCompile(`^(\w+)=(.+)$`)
 )
 
-// TestDocFlagsExist keeps README.md and EXPERIMENTS.md in step with the
-// commands: every inline span that invokes a command with flags
-// (`tasted -deadline 2s`) and every flag-table row
-// (| `-cache-bytes` (tasted) | …) must name flags that cmd/<cmd>/main.go
-// defines. Fenced code blocks are not checked.
+// TestDocFlagsExist keeps README.md, EXPERIMENTS.md and scripts/*.sh in
+// step with the commands: every inline span that invokes a command with
+// flags (`tasted -deadline 2s`), every flag-table row
+// (| `-cache-bytes` (tasted) | …), and every invocation in a fenced shell
+// block or a script (see shellInvocations) must name flags that
+// cmd/<cmd>/main.go defines.
 func TestDocFlagsExist(t *testing.T) {
 	dirs, err := os.ReadDir("cmd")
 	if err != nil {
@@ -52,22 +58,27 @@ func TestDocFlagsExist(t *testing.T) {
 		}
 	}
 	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
-		f, err := os.Open(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := bufio.NewScanner(f)
-		fenced := false
-		for n := 1; sc.Scan(); n++ {
-			line := sc.Text()
-			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+		lines := readLines(t, doc)
+		fenced, shell := false, false
+		vars := map[string]string{}
+		for i := 0; i < len(lines); i++ {
+			line := lines[i]
+			where := doc + ":" + strconv.Itoa(i+1)
+			if fence := strings.TrimSpace(line); strings.HasPrefix(fence, "```") {
 				fenced = !fenced
+				shell = fenced && shellFence.MatchString(fence)
+				continue
+			}
+			if shell {
+				line, i = joinContinued(lines, i)
+				for _, inv := range shellInvocations(line, flags, vars) {
+					check(where, inv[0], inv[1])
+				}
 				continue
 			}
 			if fenced {
 				continue
 			}
-			where := doc + ":" + strconv.Itoa(n)
 			if m := docFlagRow.FindStringSubmatch(line); m != nil {
 				for _, entry := range strings.Split(m[2], ",") {
 					cmd, rest, _ := strings.Cut(strings.TrimSpace(entry), " ")
@@ -81,11 +92,94 @@ func TestDocFlagsExist(t *testing.T) {
 				}
 			}
 		}
-		f.Close()
-		if err := sc.Err(); err != nil {
-			t.Fatal(err)
+	}
+	scripts, err := filepath.Glob(filepath.Join("scripts", "*.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, script := range scripts {
+		lines := readLines(t, script)
+		vars := map[string]string{}
+		for i := 0; i < len(lines); i++ {
+			where := script + ":" + strconv.Itoa(i+1)
+			var line string
+			line, i = joinContinued(lines, i)
+			for _, inv := range shellInvocations(line, flags, vars) {
+				check(where, inv[0], inv[1])
+			}
 		}
 	}
+}
+
+func readLines(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(string(data), "\n")
+}
+
+// joinContinued returns lines[i] joined with the lines its trailing
+// backslashes continue onto, and the index of the last line it used.
+func joinContinued(lines []string, i int) (string, int) {
+	line := lines[i]
+	for strings.HasSuffix(line, "\\") && i+1 < len(lines) {
+		i++
+		line = strings.TrimSuffix(line, "\\") + " " + lines[i]
+	}
+	return line, i
+}
+
+// shellInvocations returns each (cmd, "cmd args…") that one shell line runs
+// for a cmd under cmd/: bare (tasted -x), by path (./cmd/tasted,
+// "$BINDIR/tasted"), through go run, or through a variable the same file
+// set to such a path (BIN=$(mktemp -d)/tasted, then "$BIN" -x). The args
+// end at a redirection or a comment. vars collects those assignments.
+func shellInvocations(line string, flags map[string]map[string]bool, vars map[string]string) [][2]string {
+	// cmdOf names the cmd a command word runs, or "".
+	cmdOf := func(word string) string {
+		word = strings.Trim(word, `"'`)
+		if name := filepath.Base(word); flags[name] != nil && (name == word || strings.Contains(word, "/")) {
+			return name
+		}
+		if strings.HasPrefix(word, "$") {
+			return vars[strings.Trim(word[1:], "{}")]
+		}
+		return ""
+	}
+	trimmed := strings.TrimSpace(line)
+	if strings.HasPrefix(trimmed, "#") {
+		return nil
+	}
+	if m := shellAssign.FindStringSubmatch(trimmed); m != nil {
+		if name := filepath.Base(strings.Trim(m[2], `"'`)); flags[name] != nil {
+			vars[m[1]] = name
+		}
+	}
+	var out [][2]string
+	for _, command := range shellSep.Split(trimmed, -1) {
+		words := strings.Fields(command)
+		if len(words) > 2 && words[0] == "go" && words[1] == "run" {
+			words = words[2:]
+		}
+		if len(words) == 0 {
+			continue
+		}
+		cmd := cmdOf(words[0])
+		if cmd == "" {
+			continue
+		}
+		args := []string{cmd}
+		for _, w := range words[1:] {
+			if strings.HasPrefix(w, "#") || strings.ContainsAny(w, "<>") {
+				break
+			}
+			args = append(args, w)
+		}
+		out = append(out, [2]string{cmd, strings.Join(args, " ")})
+	}
+	return out
 }
 
 // definedFlags returns the names cmd/<cmd>/main.go passes to the flag

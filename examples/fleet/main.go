@@ -33,6 +33,28 @@ func detect(baseURL, body string) (int, string, error) {
 		parsed.TotalColumns, parsed.Degraded, resp.Header.Get(fleet.ReplicaHeader)), nil
 }
 
+func fetchStats(baseURL string) fleet.StatsResponse {
+	resp, err := http.Get(baseURL + "/v1/stats")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats fleet.StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		log.Fatal(err)
+	}
+	return stats
+}
+
+func replicaHealthy(stats fleet.StatsResponse, name string) bool {
+	for _, r := range stats.Replicas {
+		if r.Name == name {
+			return r.Healthy
+		}
+	}
+	return false
+}
+
 func main() {
 	fmt.Println("booting a 3-replica fleet (one model, per-replica detectors) …")
 	h, err := fleet.StartLocal(fleet.HarnessConfig{
@@ -79,17 +101,17 @@ func main() {
 		fmt.Printf("  %-10s → %s  (owner %s is down)\n", tenant, summary, victim)
 	}
 
-	// Give the prober a moment to eject the dead replica, then show the
-	// fleet's view of itself.
-	time.Sleep(500 * time.Millisecond)
-	resp, err := http.Get(h.CoordinatorURL + "/v1/stats")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats fleet.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		log.Fatal(err)
+	// Wait (at most 10 s) until the fleet reports the dead replica ejected:
+	// the failed routes above count toward its 3 strikes, and the prober,
+	// once a second, supplies the rest.
+	deadline := time.Now().Add(10 * time.Second)
+	stats := fetchStats(h.CoordinatorURL)
+	for replicaHealthy(stats, victim) {
+		if time.Now().After(deadline) {
+			log.Fatalf("%s still reads healthy after 10 s", victim)
+		}
+		time.Sleep(100 * time.Millisecond)
+		stats = fetchStats(h.CoordinatorURL)
 	}
 	fmt.Printf("\nfleet stats: routed=%d failovers=%d retries=%d\n",
 		stats.Routing.Routed, stats.Routing.Failovers, stats.Routing.Retries)

@@ -59,10 +59,7 @@ func TestFleetGoldenParity(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		replicas[fmt.Sprintf("replica%02d", i)] = newNode().URL
 	}
-	coord := fleet.NewCoordinator(replicas, fleet.Config{
-		Pool: fleet.PoolConfig{ProbeInterval: -1},
-	})
-	coord.Start()
+	coord := fleet.NewCoordinator(replicas, fleet.Config{})
 	defer coord.Stop()
 	coordSrv := httptest.NewServer(coord.Handler())
 	defer coordSrv.Close()

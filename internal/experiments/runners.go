@@ -39,17 +39,16 @@ func (r *RunResult) ScannedRatio() float64 {
 
 // TasteVariant selects one of the six Taste configurations of §6.2.
 type TasteVariant struct {
-	Name       string
-	Hist       bool
-	Pipelined  bool
-	Cache      bool
-	Sampling   bool
-	DisableP2  bool
-	Alpha      float64 // 0 = use default
-	Beta       float64 // 0 = use default
-	SplitL     int     // 0 = default 20
-	CellsN     int     // 0 = default 10
-	Sequential bool    // redundant with !Pipelined; kept for clarity
+	Name      string
+	Hist      bool
+	Pipelined bool
+	Cache     bool
+	Sampling  bool
+	DisableP2 bool
+	Alpha     float64 // 0 = use default
+	Beta      float64 // 0 = use default
+	SplitL    int     // 0 = default 20
+	CellsN    int     // 0 = default 10
 }
 
 // DefaultTaste is the paper's default Taste configuration.

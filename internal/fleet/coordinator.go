@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -20,48 +19,39 @@ import (
 // routed request.
 const ReplicaHeader = "X-Taste-Replica"
 
-// Config tunes a Coordinator.
+// The admission and retry policy every coordinator runs: 64 requests in
+// flight, 32 more queued for up to 100 ms each, 2 retries per replica with
+// a 2 ms base backoff capped at 100 ms and jitter seeded with 1, and a
+// 4 MiB request body. A proxied attempt has no timeout of its own; the
+// request's deadline bounds it.
+const (
+	maxInFlight  = 64
+	queueDepth   = 32
+	queueWait    = 100 * time.Millisecond
+	retrySeed    = 1
+	maxBodyBytes = 4 << 20
+)
+
+var retryPolicy = retry.Policy{MaxRetries: 2, BaseDelay: 2 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
+
+// Config holds what a Coordinator needs from its caller.
 type Config struct {
-	// Vnodes is the ring's virtual-node count per replica (0 =
-	// DefaultVnodes).
-	Vnodes int
-	// MaxInFlight bounds concurrently routed requests (admission control);
-	// 0 = 64.
-	MaxInFlight int
-	// QueueDepth bounds how many requests may wait for an in-flight slot;
-	// the QueueDepth+1-th waiter is shed with 429 immediately. 0 disables
-	// queueing (full ⇒ immediate 429); negative = unbounded queue.
-	QueueDepth int
-	// QueueWait bounds how long one request waits for a slot before being
-	// shed; 0 = 100 ms.
-	QueueWait time.Duration
-	// Retry is the per-replica transient-retry policy — the same machinery
-	// the detector uses against tenant databases (internal/retry), seeded
-	// by RetrySeed. Zero value = 2 retries, 2 ms base, 100 ms cap.
-	Retry     retry.Policy
-	RetrySeed int64
-	// AttemptTimeout bounds a single proxied attempt; 0 = none (the
-	// request's own deadline still applies).
-	AttemptTimeout time.Duration
-	// MaxBodyBytes bounds an accepted request body; 0 = 4 MiB.
-	MaxBodyBytes int64
-	// Pool tunes health probing/hysteresis.
-	Pool PoolConfig
-	// Client issues proxied requests; nil uses http.DefaultTransport with
-	// no overall timeout (per-request contexts bound attempts).
+	// Client issues every request to a replica; nil uses a default client
+	// with no overall timeout (per-request contexts bound each one).
 	Client *http.Client
 }
 
 // Coordinator routes /v1/detect across a fleet of tasted replicas.
 type Coordinator struct {
-	cfg     Config
 	ring    *Ring
 	pool    *Pool
 	client  *http.Client
 	retrier *retry.Retrier
 
-	sem     chan struct{}
-	waiters atomic.Int64
+	// sem holds one token per routed request in flight, queue one per
+	// request waiting for a slot.
+	sem   chan struct{}
+	queue chan struct{}
 
 	// reg is the coordinator's one routing ledger: /metrics writes it and
 	// /v1/stats reads the same counters.
@@ -79,30 +69,18 @@ type Coordinator struct {
 // NewCoordinator builds a coordinator over name→baseURL replicas. Call
 // Start to launch health probing and Stop to tear it down.
 func NewCoordinator(replicas map[string]string, cfg Config) *Coordinator {
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 64
-	}
-	if cfg.QueueWait <= 0 {
-		cfg.QueueWait = 100 * time.Millisecond
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 4 << 20
-	}
-	if cfg.Retry == (retry.Policy{}) {
-		cfg.Retry = retry.Policy{MaxRetries: 2, BaseDelay: 2 * time.Millisecond, MaxDelay: 100 * time.Millisecond}
-	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{}
 	}
 	reg := obs.NewRegistry()
 	c := &Coordinator{
-		cfg:     cfg,
-		ring:    NewRing(cfg.Vnodes),
-		pool:    NewPool(replicas, cfg.Pool),
+		ring:    NewRing(DefaultVnodes),
+		pool:    NewPool(replicas, client),
 		client:  client,
-		retrier: retry.New(cfg.Retry, cfg.RetrySeed+1),
-		sem:     make(chan struct{}, cfg.MaxInFlight),
+		retrier: retry.New(retryPolicy, retrySeed),
+		sem:     make(chan struct{}, maxInFlight),
+		queue:   make(chan struct{}, queueDepth),
 		reg:     reg,
 		reqOutcomes: map[string]*obs.Counter{
 			"routed":      reg.Counter("taste_fleet_requests_total", "outcome", "routed"),
@@ -136,7 +114,7 @@ func NewCoordinator(replicas map[string]string, cfg Config) *Coordinator {
 // Start launches background health probing.
 func (c *Coordinator) Start() { c.pool.Start() }
 
-// Stop halts health probing.
+// Stop halts health probing; it returns at once if Start was never called.
 func (c *Coordinator) Stop() { c.pool.Stop() }
 
 // Pool exposes the replica pool (for stats and tests).
@@ -181,26 +159,23 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // acquire implements admission control: a free in-flight slot is taken
-// immediately; otherwise the request queues (bounded by QueueDepth) for up
-// to QueueWait. Returns false when the request must be shed.
+// immediately; otherwise the request takes a queue slot and waits up to
+// queueWait for an in-flight one. Returns false when the request must be
+// shed: the queue is full, the wait ran out or the caller went away.
 func (c *Coordinator) acquire(ctx context.Context) bool {
 	select {
 	case c.sem <- struct{}{}:
 		return true
 	default:
 	}
-	if c.cfg.QueueDepth == 0 {
+	select {
+	case c.queue <- struct{}{}:
+	default:
 		return false
 	}
-	if c.cfg.QueueDepth > 0 && c.waiters.Add(1) > int64(c.cfg.QueueDepth) {
-		c.waiters.Add(-1)
-		return false
-	} else if c.cfg.QueueDepth < 0 {
-		c.waiters.Add(1)
-	}
-	defer c.waiters.Add(-1)
+	defer func() { <-c.queue }()
 	start := time.Now()
-	t := time.NewTimer(c.cfg.QueueWait)
+	t := time.NewTimer(queueWait)
 	defer t.Stop()
 	select {
 	case c.sem <- struct{}{}:
@@ -235,11 +210,6 @@ type captured struct {
 }
 
 func (c *Coordinator) attempt(ctx context.Context, baseURL string, body []byte) (*captured, error) {
-	if c.cfg.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.AttemptTimeout)
-		defer cancel()
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/detect", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -270,15 +240,15 @@ func (c *Coordinator) handleDetect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, c.cfg.MaxBodyBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
 		c.reqOutcomes["error"].Inc()
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	if int64(len(body)) > c.cfg.MaxBodyBytes {
+	if len(body) > maxBodyBytes {
 		c.reqOutcomes["error"].Inc()
-		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", c.cfg.MaxBodyBytes)
+		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxBodyBytes)
 		return
 	}
 	var req service.DetectRequest
@@ -291,7 +261,7 @@ func (c *Coordinator) handleDetect(w http.ResponseWriter, r *http.Request) {
 	if !c.acquire(r.Context()) {
 		c.reqOutcomes["shed"].Inc()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "fleet at capacity (in-flight %d, queue %d)", c.cfg.MaxInFlight, c.cfg.QueueDepth)
+		writeError(w, http.StatusTooManyRequests, "fleet at capacity (in-flight %d, queue %d)", maxInFlight, queueDepth)
 		return
 	}
 	defer c.release()
@@ -361,18 +331,11 @@ func (c *Coordinator) handleTypes(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, name := range c.pool.Healthy() {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, c.pool.URL(name)+"/v1/types", nil)
+		data, err := c.pool.get(r.Context(), name, "/v1/types")
+		// A replica that cannot serve its API counts against its health
+		// here as on /v1/detect, whether it failed to answer or said 500.
+		c.pool.ReportRequest(name, err == nil)
 		if err != nil {
-			continue
-		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			c.pool.ReportRequest(name, false)
-			continue
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
 			continue
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -426,59 +389,62 @@ type StatsResponse struct {
 	Models map[string]service.ModelBlock `json:"models,omitempty"`
 }
 
-// scrapeCaches collects the cache and serving-model blocks from every
-// healthy replica's /v1/stats concurrently. The coordinator holds no cache
-// or model state of its own: both live in the replicas, so the fleet-wide
-// view is a scrape-time rollup.
-func (c *Coordinator) scrapeCaches(ctx context.Context) (map[string]service.CacheBlock, map[string]service.ModelBlock) {
+// scraped is one healthy replica's answer to a scrape.
+type scraped struct {
+	name string
+	body []byte
+}
+
+// scrape GETs path from every healthy replica concurrently and returns the
+// answers in name order. A replica that fails to answer is absent and bumps
+// taste_fleet_scrape_errors_total.
+func (c *Coordinator) scrape(ctx context.Context, path string) []scraped {
 	healthy := c.pool.Healthy()
-	type scraped struct {
-		name  string
-		block service.CacheBlock
-		model service.ModelBlock
-		ok    bool
-	}
 	results := make([]scraped, len(healthy))
 	var wg sync.WaitGroup
 	for i, name := range healthy {
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			defer cancel()
-			req, err := http.NewRequestWithContext(sctx, http.MethodGet, c.pool.URL(name)+"/v1/stats", nil)
+			body, err := c.pool.get(ctx, name, path)
 			if err != nil {
 				c.scrapeErrsTotal.Inc()
 				return
 			}
-			resp, err := c.client.Do(req)
-			if err != nil {
-				c.scrapeErrsTotal.Inc()
-				return
-			}
-			defer resp.Body.Close()
-			var body struct {
-				Cache service.CacheBlock `json:"cache"`
-				Model service.ModelBlock `json:"model"`
-			}
-			if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&body) != nil {
-				c.scrapeErrsTotal.Inc()
-				return
-			}
-			results[i] = scraped{name: name, block: body.Cache, model: body.Model, ok: true}
+			results[i] = scraped{name, body}
 		}(i, name)
 	}
 	wg.Wait()
+	out := results[:0]
+	for _, r := range results {
+		if r.name != "" {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// scrapeCaches collects the cache and serving-model blocks from every
+// healthy replica's /v1/stats. The coordinator holds no cache or model
+// state of its own: both live in the replicas, so the fleet-wide view is a
+// scrape-time rollup.
+func (c *Coordinator) scrapeCaches(ctx context.Context) (map[string]service.CacheBlock, map[string]service.ModelBlock) {
 	caches := make(map[string]service.CacheBlock)
 	models := make(map[string]service.ModelBlock)
-	for _, r := range results {
-		if r.ok {
-			caches[r.name] = r.block
-			// The scrape is per replica, but the registry economics inside
-			// the block are store-wide; keep only the per-replica fields.
-			r.model.Registry = nil
-			models[r.name] = r.model
+	for _, s := range c.scrape(ctx, "/v1/stats") {
+		var body struct {
+			Cache service.CacheBlock `json:"cache"`
+			Model service.ModelBlock `json:"model"`
 		}
+		if json.Unmarshal(s.body, &body) != nil {
+			c.scrapeErrsTotal.Inc()
+			continue
+		}
+		caches[s.name] = body.Cache
+		// The scrape is per replica, but the registry economics inside the
+		// block are store-wide; keep only the per-replica fields.
+		body.Model.Registry = nil
+		models[s.name] = body.Model
 	}
 	return caches, models
 }
@@ -524,8 +490,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Routing.PerReplica[name] = n.Value()
 	}
 	resp.Ring.Nodes = c.ring.Nodes()
-	vn := c.ring.vnodes
-	resp.Ring.Vnodes = vn
+	resp.Ring.Vnodes = c.ring.vnodes
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -535,49 +500,18 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 // series. A replica that fails to answer its scrape contributes nothing and
 // bumps taste_fleet_scrape_errors_total.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	healthy := c.pool.Healthy()
-	texts := make([]string, len(healthy))
-	var wg sync.WaitGroup
-	for i, name := range healthy {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.pool.URL(name)+"/metrics", nil)
-			if err != nil {
-				c.scrapeErrsTotal.Inc()
-				return
-			}
-			resp, err := c.client.Do(req)
-			if err != nil {
-				c.scrapeErrsTotal.Inc()
-				return
-			}
-			defer resp.Body.Close()
-			data, err := io.ReadAll(resp.Body)
-			if err != nil || resp.StatusCode != http.StatusOK {
-				c.scrapeErrsTotal.Inc()
-				return
-			}
-			texts[i] = string(data)
-		}(i, name)
+	var texts []string
+	for _, s := range c.scrape(r.Context(), "/metrics") {
+		texts = append(texts, string(s.body))
 	}
-	wg.Wait()
-	nonEmpty := texts[:0]
-	for _, t := range texts {
-		if t != "" {
-			nonEmpty = append(nonEmpty, t)
-		}
-	}
-	merged, err := obs.MergeText(nonEmpty...)
+	merged, err := obs.MergeText(texts...)
 	if err != nil {
 		// A malformed replica scrape must not take down the fleet's own
 		// series; serve those and report the aggregation failure.
 		c.scrapeErrsTotal.Inc()
 		merged = fmt.Sprintf("# aggregation error: %v\n", err)
 	}
-	c.healthyGauge.Set(int64(len(healthy)))
+	c.healthyGauge.Set(int64(len(c.pool.Healthy())))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = io.WriteString(w, merged)
 	_ = c.reg.WritePrometheus(w)

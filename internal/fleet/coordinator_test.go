@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/retry"
 )
 
 // stubReplica is a scriptable fake tasted replica.
@@ -87,28 +87,15 @@ func (s *stubReplica) detectCount() int {
 	return s.detects
 }
 
-// fastCfg keeps retries and probing snappy and deterministic for tests:
-// background probing off (tests drive ProbeOnce), 1 retry, 1 ms backoff.
-func fastCfg() Config {
-	return Config{
-		Retry: retry.Policy{MaxRetries: 1, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
-		Pool: PoolConfig{
-			ProbeInterval: -1, // disabled
-			ProbeTimeout:  time.Second,
-			EjectAfter:    2,
-			ReadmitAfter:  2,
-		},
-	}
-}
-
-func startCoordinator(t *testing.T, cfg Config, stubs ...*stubReplica) (*Coordinator, *httptest.Server) {
+// startCoordinator serves a coordinator over the stubs. It does not Start
+// the background prober: tests drive ProbeOnce themselves.
+func startCoordinator(t *testing.T, stubs ...*stubReplica) (*Coordinator, *httptest.Server) {
 	t.Helper()
 	replicas := make(map[string]string, len(stubs))
 	for _, s := range stubs {
 		replicas[s.name] = s.srv.URL
 	}
-	c := NewCoordinator(replicas, cfg)
-	c.Start()
+	c := NewCoordinator(replicas, Config{})
 	srv := httptest.NewServer(c.Handler())
 	t.Cleanup(func() {
 		srv.Close()
@@ -159,7 +146,7 @@ func TestCoordinatorRoutesToOwner(t *testing.T) {
 	a, b := newStubReplica("a"), newStubReplica("b")
 	defer a.srv.Close()
 	defer b.srv.Close()
-	c, srv := startCoordinator(t, fastCfg(), a, b)
+	c, srv := startCoordinator(t, a, b)
 
 	for _, want := range []string{"a", "b"} {
 		db := keyOwnedBy(c.Ring(), want)
@@ -195,7 +182,7 @@ func TestCoordinatorSingleTableSpreads(t *testing.T) {
 	defer a.srv.Close()
 	defer b.srv.Close()
 	defer c3.srv.Close()
-	_, srv := startCoordinator(t, fastCfg(), a, b, c3)
+	_, srv := startCoordinator(t, a, b, c3)
 
 	hit := make(map[string]bool)
 	for i := 0; i < 24; i++ {
@@ -217,7 +204,7 @@ func TestCoordinatorSingleTableSpreads(t *testing.T) {
 func TestCoordinatorFailoverMidBurst(t *testing.T) {
 	a, b := newStubReplica("a"), newStubReplica("b")
 	defer b.srv.Close()
-	c, srv := startCoordinator(t, fastCfg(), a, b)
+	c, srv := startCoordinator(t, a, b)
 
 	db := keyOwnedBy(c.Ring(), "a")
 	body := fmt.Sprintf(`{"database":%q}`, db)
@@ -248,14 +235,12 @@ func TestCoordinatorFailoverMidBurst(t *testing.T) {
 	if st.Routing.Routed != 7 {
 		t.Fatalf("routed = %d, want 7", st.Routing.Routed)
 	}
-	if st.Routing.Failovers == 0 {
-		t.Fatalf("no failovers accounted: %+v", st.Routing)
+	// ejectAfter is 3 and each failed routing attempt reports one failure:
+	// the first 3 post-kill requests each burn 2 retries on "a" and fail
+	// over to "b", after which "a" must be ejected…
+	if st.Routing.Failovers != 3 || st.Routing.Retries != 6 {
+		t.Fatalf("failovers = %d, retries = %d, want 3 and 6", st.Routing.Failovers, st.Routing.Retries)
 	}
-	if st.Routing.Retries == 0 {
-		t.Fatalf("no retries accounted: %+v", st.Routing)
-	}
-	// EjectAfter=2 and each failed routing attempt reports a failure: after
-	// ≥2 post-kill requests "a" must be ejected…
 	if c.Pool().IsHealthy("a") {
 		t.Fatalf("dead replica still marked healthy after %d failures", st.Routing.Failovers)
 	}
@@ -274,7 +259,7 @@ func TestCoordinatorFailoverMidBurst(t *testing.T) {
 // answers 503 with a machine-readable reason, not a hang or a 500.
 func TestCoordinatorAllDown503(t *testing.T) {
 	a, b := newStubReplica("a"), newStubReplica("b")
-	_, srv := startCoordinator(t, fastCfg(), a, b)
+	_, srv := startCoordinator(t, a, b)
 	a.srv.Close()
 	b.srv.Close()
 
@@ -300,9 +285,10 @@ func TestCoordinatorAllDown503(t *testing.T) {
 	}
 }
 
-// TestCoordinatorQueueOverflow429: MaxInFlight=1, QueueDepth=1 — the third
-// concurrent request must shed with 429 + Retry-After while the first still
-// occupies the slot.
+// TestCoordinatorQueueOverflow429: with all 64 in-flight slots held by
+// requests blocked inside the replica and all 32 queue slots taken, the
+// next request is shed with 429 + Retry-After; the blocked ones still
+// finish.
 func TestCoordinatorQueueOverflow429(t *testing.T) {
 	a := newStubReplica("a")
 	defer a.srv.Close()
@@ -310,44 +296,28 @@ func TestCoordinatorQueueOverflow429(t *testing.T) {
 	a.mu.Lock()
 	a.blockOn = release
 	a.mu.Unlock()
+	c, srv := startCoordinator(t, a)
 
-	cfg := fastCfg()
-	cfg.MaxInFlight = 1
-	cfg.QueueDepth = 1
-	cfg.QueueWait = 2 * time.Second
-	c, srv := startCoordinator(t, cfg, a)
+	statuses := make(chan int, maxInFlight)
+	for i := 0; i < maxInFlight; i++ {
+		go func() {
+			resp, err := http.Post(srv.URL+"/v1/detect", "application/json", strings.NewReader(`{"database":"d"}`))
+			if err != nil {
+				statuses <- -1
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			statuses <- resp.StatusCode
+		}()
+	}
+	waitUntil(t, 5*time.Second, func() bool { return a.blockedAt.Load() == maxInFlight })
+	// A queued request gives up after queueWait, too soon to line 32 of
+	// them up over HTTP; a token stands for each waiter instead.
+	for i := 0; i < queueDepth; i++ {
+		c.queue <- struct{}{}
+	}
 
-	// First request takes the in-flight slot and blocks inside the stub.
-	first := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(srv.URL+"/v1/detect", "application/json", strings.NewReader(`{"database":"d"}`))
-		if err != nil {
-			first <- -1
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		first <- resp.StatusCode
-	}()
-	waitUntil(t, time.Second, func() bool { return a.blockedAt.Load() == 1 })
-
-	// Second request fills the queue (it will eventually succeed).
-	second := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(srv.URL+"/v1/detect", "application/json", strings.NewReader(`{"database":"d"}`))
-		if err != nil {
-			second <- -1
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		second <- resp.StatusCode
-	}()
-	// Probe only once the second request holds the one queue slot: probing
-	// earlier lets the probe take the slot and the second request be shed.
-	waitUntil(t, time.Second, func() bool { return c.waiters.Load() == 1 })
-
-	// The third request finds the slot taken and the queue full.
 	resp := postDetect(t, srv.URL, `{"database":"d"}`)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
@@ -358,19 +328,62 @@ func TestCoordinatorQueueOverflow429(t *testing.T) {
 		t.Fatalf("429 without Retry-After")
 	}
 
-	close(release)
-	if got := <-first; got != http.StatusOK {
-		t.Fatalf("first request status = %d", got)
+	for i := 0; i < queueDepth; i++ {
+		<-c.queue
 	}
-	if got := <-second; got != http.StatusOK {
-		t.Fatalf("queued request status = %d", got)
+	close(release)
+	for i := 0; i < maxInFlight; i++ {
+		if got := <-statuses; got != http.StatusOK {
+			t.Fatalf("in-flight request status = %d", got)
+		}
 	}
 	st := fetchStats(t, srv.URL)
-	if st.Routing.Shed == 0 {
-		t.Fatalf("shed not accounted: %+v", st.Routing)
+	if st.Routing.Shed != 1 || st.Routing.Routed != maxInFlight {
+		t.Fatalf("shed = %d, routed = %d, want 1 and %d", st.Routing.Shed, st.Routing.Routed, maxInFlight)
 	}
-	if st.Routing.Routed != 2 {
-		t.Fatalf("routed = %d, want 2", st.Routing.Routed)
+}
+
+// TestCoordinatorQueuesAtCapacity pins the queue: with 64 requests in
+// flight, the 65th waits for a slot rather than being shed, and is served
+// when one frees.
+func TestCoordinatorQueuesAtCapacity(t *testing.T) {
+	a := newStubReplica("a")
+	defer a.srv.Close()
+	c, srv := startCoordinator(t, a)
+
+	// A token in sem is a request in flight; taking one back frees its
+	// slot at once, well inside queueWait.
+	for i := 0; i < maxInFlight; i++ {
+		c.sem <- struct{}{}
+	}
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/detect", "application/json", strings.NewReader(`{"database":"d"}`))
+		if err != nil {
+			status <- -1
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	// Spin rather than poll: the request gives up queueWait after it
+	// queued, so the slot must free well before that.
+	for deadline := time.Now().Add(5 * time.Second); len(c.queue) == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("request 65 never queued")
+		}
+	}
+	<-c.sem
+	if got := <-status; got != http.StatusOK {
+		t.Fatalf("queued request status = %d, want 200", got)
+	}
+	for i := 1; i < maxInFlight; i++ {
+		<-c.sem
+	}
+	st := fetchStats(t, srv.URL)
+	if st.Routing.Shed != 0 || st.Routing.Routed != 1 {
+		t.Fatalf("shed = %d, routed = %d, want 0 and 1", st.Routing.Shed, st.Routing.Routed)
 	}
 }
 
@@ -386,13 +399,12 @@ func waitUntil(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Fatalf("condition not met within %v", timeout)
 }
 
-// TestPoolHysteresis: EjectAfter consecutive probe failures eject; a single
-// success resets the streak; ReadmitAfter consecutive good probes readmit.
+// TestPoolHysteresis: 3 consecutive probe failures eject; a single success
+// resets the streak; 2 consecutive good probes readmit.
 func TestPoolHysteresis(t *testing.T) {
 	a := newStubReplica("a")
 	defer a.srv.Close()
-	cfg := PoolConfig{ProbeInterval: -1, ProbeTimeout: time.Second, EjectAfter: 3, ReadmitAfter: 2}
-	p := NewPool(map[string]string{"a": a.srv.URL}, cfg)
+	p := NewPool(map[string]string{"a": a.srv.URL}, http.DefaultClient)
 
 	var transitions []bool
 	var tmu sync.Mutex
@@ -410,7 +422,7 @@ func TestPoolHysteresis(t *testing.T) {
 	a.setStatsOK(true)
 	p.ProbeOnce(ctx)
 	if !p.IsHealthy("a") {
-		t.Fatal("ejected before EjectAfter consecutive failures")
+		t.Fatal("ejected before 3 consecutive failures")
 	}
 	// 3 consecutive failures: ejected.
 	a.setStatsOK(false)
@@ -418,7 +430,7 @@ func TestPoolHysteresis(t *testing.T) {
 		p.ProbeOnce(ctx)
 	}
 	if p.IsHealthy("a") {
-		t.Fatal("not ejected after EjectAfter consecutive failures")
+		t.Fatal("not ejected after 3 consecutive failures")
 	}
 	// 1 good probe is not enough to readmit…
 	a.setStatsOK(true)
@@ -429,7 +441,7 @@ func TestPoolHysteresis(t *testing.T) {
 	// …2 consecutive are.
 	p.ProbeOnce(ctx)
 	if !p.IsHealthy("a") {
-		t.Fatal("not readmitted after ReadmitAfter good probes")
+		t.Fatal("not readmitted after 2 good probes")
 	}
 	tmu.Lock()
 	defer tmu.Unlock()
@@ -455,7 +467,7 @@ func TestCoordinatorMetricsAggregation(t *testing.T) {
 	b.mu.Lock()
 	b.metrics = "# TYPE taste_detect_requests_total counter\ntaste_detect_requests_total{outcome=\"ok\"} 4\n"
 	b.mu.Unlock()
-	_, srv := startCoordinator(t, fastCfg(), a, b)
+	_, srv := startCoordinator(t, a, b)
 
 	resp := postDetect(t, srv.URL, `{"database":"d"}`)
 	io.Copy(io.Discard, resp.Body)
@@ -490,7 +502,7 @@ func TestCoordinatorMetricsAggregation(t *testing.T) {
 func TestCoordinatorTypesPassthrough(t *testing.T) {
 	a, b := newStubReplica("a"), newStubReplica("b")
 	defer b.srv.Close()
-	_, srv := startCoordinator(t, fastCfg(), a, b)
+	_, srv := startCoordinator(t, a, b)
 	a.srv.Close()
 
 	resp, err := http.Get(srv.URL + "/v1/types")
@@ -507,6 +519,51 @@ func TestCoordinatorTypesPassthrough(t *testing.T) {
 	}
 }
 
+// TestCoordinatorTypes500Ejects: a replica whose /v1/types answers 500 is
+// charged a failure per call, as a transport error is, so the third call
+// ejects it.
+func TestCoordinatorTypes500Ejects(t *testing.T) {
+	a := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "broken", http.StatusInternalServerError)
+	}))
+	defer a.Close()
+	c := NewCoordinator(map[string]string{"a": a.URL}, Config{})
+	defer c.Stop()
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	for i := 1; i <= 3; i++ {
+		resp, err := http.Get(srv.URL + "/v1/types")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("call %d: status %d, want 503", i, resp.StatusCode)
+		}
+		if healthy := c.Pool().IsHealthy("a"); healthy != (i < 3) {
+			t.Fatalf("after %d 500s healthy = %v", i, healthy)
+		}
+	}
+}
+
+// TestCoordinatorStopWithoutStart: Stop on a coordinator whose prober was
+// never started returns instead of waiting for a goroutine that never ran.
+func TestCoordinatorStopWithoutStart(t *testing.T) {
+	c := NewCoordinator(map[string]string{"a": "http://a.invalid"}, Config{})
+	stopped := make(chan struct{})
+	go func() {
+		c.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop without Start did not return")
+	}
+}
+
 // TestCoordinatorDegradedPassThrough: a 200-degraded replica answer passes
 // through byte-identical — the coordinator must not re-interpret it.
 func TestCoordinatorDegradedPassThrough(t *testing.T) {
@@ -519,7 +576,7 @@ func TestCoordinatorDegradedPassThrough(t *testing.T) {
 		io.WriteString(w, degraded)
 	}
 	a.mu.Unlock()
-	_, srv := startCoordinator(t, fastCfg(), a)
+	_, srv := startCoordinator(t, a)
 
 	resp := postDetect(t, srv.URL, `{"database":"d"}`)
 	defer resp.Body.Close()
@@ -534,9 +591,7 @@ func TestCoordinatorDegradedPassThrough(t *testing.T) {
 func TestCoordinatorBadRequest(t *testing.T) {
 	a := newStubReplica("a")
 	defer a.srv.Close()
-	cfg := fastCfg()
-	cfg.MaxBodyBytes = 64
-	_, srv := startCoordinator(t, cfg, a)
+	_, srv := startCoordinator(t, a)
 
 	resp := postDetect(t, srv.URL, `{not json`)
 	io.Copy(io.Discard, resp.Body)
@@ -544,7 +599,8 @@ func TestCoordinatorBadRequest(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
 	}
-	big := fmt.Sprintf(`{"database":%q}`, strings.Repeat("x", 128))
+	// maxBodyBytes+1 bytes of otherwise valid JSON.
+	big := fmt.Sprintf(`{"database":%q}`, strings.Repeat("x", maxBodyBytes+1-len(`{"database":""}`)))
 	resp = postDetect(t, srv.URL, big)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
@@ -562,7 +618,7 @@ func TestCoordinatorBadRequest(t *testing.T) {
 func TestCoordinatorStatsReadTheMetricsLedger(t *testing.T) {
 	a := newStubReplica("a")
 	defer a.srv.Close()
-	_, srv := startCoordinator(t, fastCfg(), a)
+	_, srv := startCoordinator(t, a)
 
 	for _, body := range []string{`{not json`, `{"database":"d"}`} {
 		resp := postDetect(t, srv.URL, body)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"time"
 
 	"repro/internal/adtd"
 	"repro/internal/core"
@@ -33,8 +32,8 @@ type HarnessConfig struct {
 // Replicas in-process tasted services (each with its own detector and
 // latent cache) behind a coordinator, everything on real loopback sockets.
 // examples/fleet and the fleet tests drive fleets through this one
-// constructor. The coordinator probes replica health every 200 ms; each
-// replica's detector runs the process defaults with the result cache on at
+// constructor. The coordinator runs the fleet's one policy, as tastefleet
+// does; each replica's detector runs the process defaults with the result cache on at
 // 16 MiB, because a serving fleet is the deployment that tier exists for.
 type Harness struct {
 	Coordinator    *Coordinator
@@ -141,9 +140,7 @@ func StartLocal(cfg HarnessConfig) (*Harness, error) {
 		h.ReplicaURLs[name] = "http://" + ln.Addr().String()
 	}
 
-	pool := DefaultPoolConfig()
-	pool.ProbeInterval = 200 * time.Millisecond
-	h.Coordinator = NewCoordinator(h.ReplicaURLs, Config{Pool: pool})
+	h.Coordinator = NewCoordinator(h.ReplicaURLs, Config{})
 	h.Coordinator.Start()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -3,40 +3,22 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
 )
 
-// PoolConfig tunes replica health gating.
-type PoolConfig struct {
-	// ProbeInterval is the period of the background health prober; ≤ 0
-	// disables the background goroutine (tests drive ProbeOnce manually).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe request.
-	ProbeTimeout time.Duration
-	// EjectAfter is the hysteresis down-threshold: this many *consecutive*
-	// failures (probes or routed requests) eject a replica from rotation.
-	EjectAfter int
-	// ReadmitAfter is the up-threshold: this many consecutive successful
-	// probes readmit an ejected replica. Readmission is probe-driven only —
-	// an ejected replica receives no routed traffic to prove itself with.
-	ReadmitAfter int
-	// Client issues probe requests; nil uses a default with ProbeTimeout.
-	Client *http.Client
-}
-
-// DefaultPoolConfig: probe every second, eject after 3 consecutive
-// failures, readmit after 2 consecutive good probes.
-func DefaultPoolConfig() PoolConfig {
-	return PoolConfig{
-		ProbeInterval: time.Second,
-		ProbeTimeout:  2 * time.Second,
-		EjectAfter:    3,
-		ReadmitAfter:  2,
-	}
-}
+// The health policy every pool runs: probe each replica once a second,
+// bound each probe (and every other replica GET) by 2 s, eject after 3
+// consecutive failures and readmit after 2 consecutive good probes.
+const (
+	probeInterval = time.Second
+	getTimeout    = 2 * time.Second
+	ejectAfter    = 3
+	readmitAfter  = 2
+)
 
 // ReplicaState is one replica's health snapshot.
 type ReplicaState struct {
@@ -66,14 +48,14 @@ type replica struct {
 // static after construction (the ring depends on it for minimal key
 // movement); health is a dynamic filter over that membership.
 type Pool struct {
-	cfg      PoolConfig
 	client   *http.Client
 	replicas []*replica
 	byName   map[string]*replica
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	// ctx is cancelled by Stop; it ends the prober and any probe in flight.
+	ctx    context.Context
+	cancel context.CancelFunc
+	prober sync.WaitGroup
 
 	// onTransition, when set, runs after any health transition (both
 	// directions) with the replica name and its new health. The coordinator
@@ -81,30 +63,16 @@ type Pool struct {
 	onTransition func(name string, healthy bool)
 }
 
-// NewPool creates a pool over name→baseURL replicas. Replicas start
-// healthy: the fleet boots optimistic and ejects on evidence, so a cold
-// start does not shed every request while the first probe round runs.
-func NewPool(replicas map[string]string, cfg PoolConfig) *Pool {
-	if cfg.EjectAfter <= 0 {
-		cfg.EjectAfter = DefaultPoolConfig().EjectAfter
-	}
-	if cfg.ReadmitAfter <= 0 {
-		cfg.ReadmitAfter = DefaultPoolConfig().ReadmitAfter
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = DefaultPoolConfig().ProbeTimeout
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: cfg.ProbeTimeout}
-	}
+// NewPool creates a pool over name→baseURL replicas whose GETs go through
+// client. Replicas start healthy: the fleet boots optimistic and ejects on
+// evidence, so a cold start does not shed every request while the first
+// probe round runs.
+func NewPool(replicas map[string]string, client *http.Client) *Pool {
 	p := &Pool{
-		cfg:    cfg,
 		client: client,
 		byName: make(map[string]*replica, len(replicas)),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
 	}
+	p.ctx, p.cancel = context.WithCancel(context.Background())
 	// Sorted iteration keeps replica order deterministic everywhere.
 	names := make([]string, 0, len(replicas))
 	for name := range replicas {
@@ -124,31 +92,29 @@ func NewPool(replicas map[string]string, cfg PoolConfig) *Pool {
 // Start.
 func (p *Pool) SetTransitionHook(fn func(name string, healthy bool)) { p.onTransition = fn }
 
-// Start launches the background prober (no-op when ProbeInterval ≤ 0).
+// Start launches the background prober.
 func (p *Pool) Start() {
-	if p.cfg.ProbeInterval <= 0 {
-		close(p.done)
-		return
-	}
+	p.prober.Add(1)
 	go func() {
-		defer close(p.done)
-		t := time.NewTicker(p.cfg.ProbeInterval)
+		defer p.prober.Done()
+		t := time.NewTicker(probeInterval)
 		defer t.Stop()
 		for {
 			select {
-			case <-p.stop:
+			case <-p.ctx.Done():
 				return
 			case <-t.C:
-				p.ProbeOnce(context.Background())
+				p.ProbeOnce(p.ctx)
 			}
 		}
 	}()
 }
 
-// Stop terminates the prober and waits for it to exit.
+// Stop terminates the prober, if Start launched one, and waits for it to
+// exit.
 func (p *Pool) Stop() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	<-p.done
+	p.cancel()
+	p.prober.Wait()
 }
 
 // ProbeOnce probes every replica's /v1/stats once, sequentially in name
@@ -157,31 +123,37 @@ func (p *Pool) Stop() {
 // so a replica that accepts TCP but cannot serve its API is ejected too.
 func (p *Pool) ProbeOnce(ctx context.Context) {
 	for _, r := range p.replicas {
-		err := p.probe(ctx, r)
-		if err != nil {
-			p.noteProbe(r, false)
-		} else {
-			p.noteProbe(r, true)
+		_, err := p.get(ctx, r.name, "/v1/stats")
+		if ctx.Err() != nil {
+			return // cut short by Stop: no evidence either way
 		}
+		p.noteProbe(r, err == nil)
 	}
 }
 
-func (p *Pool) probe(ctx context.Context, r *replica) error {
-	ctx, cancel := context.WithTimeout(ctx, p.cfg.ProbeTimeout)
+// get is the one replica GET: the probe, /v1/types and both scrapes use
+// it. It returns the body of a 200 answer within getTimeout; a transport
+// error, another status or a failed read is an error.
+func (p *Pool) get(ctx context.Context, name, path string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, getTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url+"/v1/stats", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.URL(name)+path, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fleet: probe %s: status %d", r.name, resp.StatusCode)
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("fleet: %s %s: status %d", name, path, resp.StatusCode)
+	}
+	return data, nil
 }
 
 func (p *Pool) noteProbe(r *replica, ok bool) {
@@ -190,7 +162,7 @@ func (p *Pool) noteProbe(r *replica, ok bool) {
 	if !ok {
 		r.state.ProbeFailures++
 	}
-	transition, healthy := r.noteOutcomeLocked(ok, p.cfg)
+	transition, healthy := r.noteOutcomeLocked(ok)
 	r.mu.Unlock()
 	if transition && p.onTransition != nil {
 		p.onTransition(r.name, healthy)
@@ -206,7 +178,7 @@ func (p *Pool) ReportRequest(name string, ok bool) {
 		return
 	}
 	r.mu.Lock()
-	transition, healthy := r.noteOutcomeLocked(ok, p.cfg)
+	transition, healthy := r.noteOutcomeLocked(ok)
 	r.mu.Unlock()
 	if transition && p.onTransition != nil {
 		p.onTransition(r.name, healthy)
@@ -215,11 +187,11 @@ func (p *Pool) ReportRequest(name string, ok bool) {
 
 // noteOutcomeLocked updates the hysteresis counters and returns whether a
 // health transition happened. Caller holds r.mu.
-func (r *replica) noteOutcomeLocked(ok bool, cfg PoolConfig) (transition, healthy bool) {
+func (r *replica) noteOutcomeLocked(ok bool) (transition, healthy bool) {
 	if ok {
 		r.state.ConsecFailures = 0
 		r.state.ConsecSuccesses++
-		if !r.healthy && r.state.ConsecSuccesses >= cfg.ReadmitAfter {
+		if !r.healthy && r.state.ConsecSuccesses >= readmitAfter {
 			r.healthy = true
 			r.state.Healthy = true
 			return true, true
@@ -227,7 +199,7 @@ func (r *replica) noteOutcomeLocked(ok bool, cfg PoolConfig) (transition, health
 	} else {
 		r.state.ConsecSuccesses = 0
 		r.state.ConsecFailures++
-		if r.healthy && r.state.ConsecFailures >= cfg.EjectAfter {
+		if r.healthy && r.state.ConsecFailures >= ejectAfter {
 			r.healthy = false
 			r.state.Healthy = false
 			r.state.Ejections++
