@@ -11,8 +11,8 @@ GO ?= go
 # training runtime with its gradient workers (plus the two model packages
 # whose multi-worker training tests exercise it), the fleet coordinator with
 # its health prober and admission queue, the shared retry core, and the
-# deduplicated model registry whose page store backs concurrent
-# publish/checkpoint traffic. The pipelined scheduler has a race line of its
+# deduplicated model registry, whose page and manifest maps and journal
+# take concurrent publish/checkpoint traffic behind one mutex. The pipelined scheduler has a race line of its
 # own (race, race-all).
 RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/sherlock/... ./internal/baselines/... ./internal/cache/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
 
@@ -63,8 +63,11 @@ bench-check:
 # /v1/detect handler, the cache-key framing against its streaming reference,
 # the tokenizer's append path against Encode, the four row kernels (the
 # matmul's with its K-block edges), the fused add-and-LayerNorm and the
-# attention core (with its span validation) against their references, and
-# the checkpoint decoder (go test takes one -fuzz target per run).
+# attention core (with its span validation) against their references, the
+# checkpoint decoder, and the registry's journal replay (go test takes one
+# -fuzz target per run). Replay's inputs are whole journals, so its
+# minimisation of each new input is capped at 200 runs; uncapped it takes
+# the whole budget.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzHandleDetect -fuzztime=20s ./internal/service/
 	$(GO) test -run=^$$ -fuzz=^FuzzResultKeyFraming$$ -fuzztime=10s ./internal/core/
@@ -72,6 +75,7 @@ fuzz:
 	for f in FuzzExpRow FuzzGELURow FuzzMulRowRange FuzzScoreRow FuzzLayerNormRows FuzzAttnCore FuzzReadTensors; do \
 		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzztime=10s ./internal/tensor/ || exit 1; \
 	done
+	$(GO) test -run=^$$ -fuzz=^FuzzJournalReplay$$ -fuzztime=10s -fuzzminimizetime=200x ./internal/registry/
 
 # metrics-smoke boots tasted with -debug-addr, fires a traced detect, and
 # asserts /metrics and /debug/pprof serve what DESIGN.md §9 promises.

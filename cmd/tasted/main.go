@@ -74,12 +74,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The registry lives on its own zero-latency simulated store: the
-	// latency/fault model belongs to tenant databases, not to the service's
-	// control plane.
 	var reg *registry.Registry
 	if *registryDir != "" {
-		reg, err = registry.Open(simdb.NewServer(simdb.NoLatency), *registryDir, registry.Options{})
+		reg, err = registry.Open(*registryDir)
 		if err != nil {
 			log.Fatalf("open registry: %v", err)
 		}
@@ -118,7 +115,7 @@ func main() {
 			}
 			version = latest
 		}
-		ckpt, err := reg.Checkpoint(context.Background(), *modelName, version)
+		ckpt, err := reg.Checkpoint(*modelName, version)
 		if err != nil {
 			log.Fatalf("registry checkpoint %s@%d: %v", *modelName, version, err)
 		}

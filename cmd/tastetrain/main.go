@@ -15,7 +15,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -26,7 +25,6 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/corpus"
 	"repro/internal/registry"
-	"repro/internal/simdb"
 )
 
 func main() {
@@ -104,11 +102,11 @@ func main() {
 		}
 		fmt.Printf("trained taste model (%d params) in %v → %s\n", m.NumParams(), time.Since(start).Round(time.Second), *out)
 		if *publish != "" {
-			reg, err := registry.Open(simdb.NewServer(simdb.NoLatency), *publish, registry.Options{})
+			reg, err := registry.Open(*publish)
 			if err != nil {
 				log.Fatalf("open registry: %v", err)
 			}
-			res, err := reg.Publish(context.Background(), *pubName, m.Params())
+			res, err := reg.Publish(*pubName, m.Params())
 			if err != nil {
 				log.Fatalf("publish: %v", err)
 			}

@@ -24,6 +24,9 @@ var (
 	shellSep = regexp.MustCompile(`&&|\|\||\$\(|[|;&()]`)
 	// shellAssign is a variable assignment: BIN=$(mktemp -d)/tasted.
 	shellAssign = regexp.MustCompile(`^(\w+)=(.+)$`)
+	// docSeries is a metric series name: taste_stage_seconds_bucket,
+	// or taste_fleet_ for the family taste_fleet_*.
+	docSeries = regexp.MustCompile(`taste_\w*`)
 )
 
 // TestDocFlagsExist keeps README.md, EXPERIMENTS.md and scripts/*.sh in
@@ -109,6 +112,78 @@ func TestDocFlagsExist(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDocSeriesExist keeps README.md, EXPERIMENTS.md and scripts/*.sh in
+// step with the metrics: every taste_* series they name must be a string
+// literal in non-test Go under internal/, once a _bucket, _count or _sum
+// suffix is stripped; a name ending in _ (taste_fleet_*) must begin one.
+func TestDocSeriesExist(t *testing.T) {
+	defined := seriesLiterals(t)
+	docs, err := filepath.Glob(filepath.Join("scripts", "*.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append([]string{"README.md", "EXPERIMENTS.md"}, docs...) {
+		for i, line := range readLines(t, doc) {
+			for _, name := range docSeries.FindAllString(line, -1) {
+				if !seriesDefined(name, defined) {
+					t.Errorf("%s:%d: no Go under internal/ defines series %s", doc, i+1, name)
+				}
+			}
+		}
+	}
+}
+
+// seriesDefined reports whether the doc's series name is one of defined,
+// as seriesLiterals collects them.
+func seriesDefined(name string, defined map[string]bool) bool {
+	if strings.HasSuffix(name, "_") {
+		for lit := range defined {
+			if strings.HasPrefix(lit, name) {
+				return true
+			}
+		}
+		return false
+	}
+	if defined[name] {
+		return true
+	}
+	for _, suffix := range []string{"_bucket", "_count", "_sum"} {
+		if base, ok := strings.CutSuffix(name, suffix); ok && defined[base] {
+			return true
+		}
+	}
+	return false
+}
+
+// seriesLiterals returns every string literal beginning "taste_" in the
+// non-test Go files under internal/.
+func seriesLiterals(t *testing.T) map[string]bool {
+	t.Helper()
+	out := map[string]bool{}
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(s, "taste_") {
+					out[s] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func readLines(t *testing.T, path string) []string {

@@ -1,33 +1,34 @@
 package registry
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sync"
 
-	"repro/internal/simdb"
+	"repro/internal/tensor"
 )
 
-// journal is the registry's durable redo log: two append-only files under a
-// directory, one for pages and one for manifests. Publish appends every new
-// page before the manifest that references it, so any manifest visible after
-// a crash has all of its pages. Replay is tolerant of a truncated tail —
-// a half-written final record is discarded, never fatal — which is all the
-// crash-consistency this format needs.
+// journal is the registry's durable copy: two append-only files under a
+// directory, one for pages and one for manifests.
 //
 //	pages.log:     repeat{ sha256 [32]byte | uint32 len | data }
 //	manifests.log: repeat{ uint32 len | manifest JSON }
+//
+// Publish appends every new page before the manifest that references it,
+// and fsyncs both logs when it appends the manifest. Replay keeps the
+// longest prefix of each log it can trust, and Open cuts each file back to
+// that prefix before it appends: a record written after a crash never
+// follows a partial one, and neither does one written after a failed
+// append (logFile.append). Replay stops at a torn record, at a page whose
+// bytes do not match its hash, and at a manifest that does not decode,
+// repeats a name@version or does not resolve against the pages replay
+// kept. One process writes a journal directory at a time.
 type journal struct {
-	mu    sync.Mutex
-	pages *os.File
-	mans  *os.File
+	pages, mans logFile
 }
 
 const (
@@ -35,149 +36,145 @@ const (
 	manifestsLogName = "manifests.log"
 )
 
-// openJournal replays any existing journal in dir into the store (calling
-// onManifest for each decoded manifest) and opens both logs for append.
-func openJournal(dir string, store *simdb.PageStore, onManifest func(*Manifest)) (*journal, error) {
+// openJournal replays the journal in dir into r and opens both logs for
+// append.
+func openJournal(dir string, r *Registry) (*journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: create journal dir: %w", err)
 	}
-	if err := replayPages(filepath.Join(dir, pagesLogName), store); err != nil {
+	pages, err := openLog(filepath.Join(dir, pagesLogName), r.replayPages)
+	if err != nil {
 		return nil, err
 	}
-	if err := replayManifests(filepath.Join(dir, manifestsLogName), store, onManifest); err != nil {
+	mans, err := openLog(filepath.Join(dir, manifestsLogName), r.replayManifests)
+	if err != nil {
+		pages.f.Close()
 		return nil, err
-	}
-	pages, err := os.OpenFile(filepath.Join(dir, pagesLogName), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("registry: open pages log: %w", err)
-	}
-	mans, err := os.OpenFile(filepath.Join(dir, manifestsLogName), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		pages.Close()
-		return nil, fmt.Errorf("registry: open manifests log: %w", err)
 	}
 	return &journal{pages: pages, mans: mans}, nil
 }
 
-// truncatedTail reports whether err marks a record cut off mid-write — the
-// expected shape of a crash, ending replay without error.
-func truncatedTail(err error) bool {
-	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
+// logFile is one journal file open for writing, and the length of its
+// valid prefix, where the next record goes.
+type logFile struct {
+	f   *os.File
+	end int64
 }
 
-func replayPages(path string, store *simdb.PageStore) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
+// openLog hands the contents of the log at path to replay, which returns
+// the length of the prefix it accepted, then opens the file for writing
+// and cuts it to that prefix.
+func openLog(path string, replay func([]byte) (int, error)) (logFile, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return logFile{}, fmt.Errorf("registry: read %s: %w", filepath.Base(path), err)
+	}
+	valid, err := replay(raw)
+	if err != nil {
+		return logFile{}, err
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+	if err == nil && valid < len(raw) {
+		err = f.Truncate(int64(valid))
 	}
 	if err != nil {
-		return fmt.Errorf("registry: open pages log: %w", err)
+		f.Close()
+		return logFile{}, fmt.Errorf("registry: open %s: %w", filepath.Base(path), err)
 	}
-	defer f.Close()
-	r := newByteReader(f)
-	for {
-		var hash simdb.PageHash
-		if _, err := io.ReadFull(r, hash[:]); err != nil {
-			if truncatedTail(err) {
-				return nil
-			}
-			return fmt.Errorf("registry: replay pages: %w", err)
-		}
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			if truncatedTail(err) {
-				return nil
-			}
-			return fmt.Errorf("registry: replay pages: %w", err)
-		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(r, data); err != nil {
-			if truncatedTail(err) {
-				return nil
-			}
-			return fmt.Errorf("registry: replay pages: %w", err)
-		}
-		if sha256.Sum256(data) != [32]byte(hash) {
-			// A corrupt record and everything after it is untrustworthy;
-			// stop replay at the last verified page.
-			return nil
-		}
-		store.RestorePage(hash, data)
-	}
+	return logFile{f: f, end: int64(valid)}, nil
 }
 
-func replayManifests(path string, store *simdb.PageStore, onManifest func(*Manifest)) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("registry: open manifests log: %w", err)
-	}
-	defer f.Close()
-	r := newByteReader(f)
-	for {
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			if truncatedTail(err) {
-				return nil
-			}
-			return fmt.Errorf("registry: replay manifests: %w", err)
+// replayPages stores each page record of raw, stopping at the first that is
+// torn or whose bytes do not match its hash — a corrupt record and
+// everything after it are untrustworthy. It returns the length of the
+// prefix it stored.
+func (r *Registry) replayPages(raw []byte) (int, error) {
+	off := 0
+	for len(raw)-off >= sha256.Size+4 {
+		start := off + sha256.Size + 4
+		n := int(binary.LittleEndian.Uint32(raw[start-4:]))
+		if n > len(raw)-start {
+			break
 		}
-		raw := make([]byte, n)
-		if _, err := io.ReadFull(r, raw); err != nil {
-			if truncatedTail(err) {
-				return nil
-			}
-			return fmt.Errorf("registry: replay manifests: %w", err)
+		data := raw[start : start+n : start+n]
+		hash := [sha256.Size]byte(raw[off : off+sha256.Size])
+		if sha256.Sum256(data) != hash {
+			break
 		}
+		r.addPage(hash, data)
+		off = start + n
+	}
+	return off, nil
+}
+
+// replayManifests indexes each manifest record of raw, stopping at the
+// first that is torn, does not decode to a published name@version, repeats
+// one, or does not resolve against the replayed pages. It returns the
+// length of the prefix it indexed. A manifest in a checkpoint format newer
+// than this build reads fails Open instead: cutting it would destroy a
+// version a newer build can serve.
+func (r *Registry) replayManifests(raw []byte) (int, error) {
+	off := 0
+	for len(raw)-off >= 4 {
+		start := off + 4
+		n := int(binary.LittleEndian.Uint32(raw[off:]))
+		if n > len(raw)-start {
+			break
+		}
+		rec := raw[start : start+n : start+n]
 		var m Manifest
-		if err := json.Unmarshal(raw, &m); err != nil {
-			// Truncation can only hit the last record; a JSON that does not
-			// parse means the tail was cut inside a record whose length
-			// prefix survived. Stop at the last good manifest.
-			return nil
+		if json.Unmarshal(rec, &m) != nil || m.Name == "" || m.Version < 1 {
+			break
 		}
-		store.RestoreManifest(manifestKey(m.Name, m.Version), raw)
-		onManifest(&m)
+		if m.Format > tensor.SerializeVersion {
+			return 0, fmt.Errorf("registry: %s@%d uses checkpoint format %d, this build reads ≤ %d", m.Name, m.Version, m.Format, tensor.SerializeVersion)
+		}
+		if _, dup := r.manifests[manifestKey(m.Name, m.Version)]; dup {
+			break
+		}
+		if _, err := r.resolve(&m); err != nil {
+			break
+		}
+		r.addManifest(&m, rec)
+		off = start + n
 	}
+	return off, nil
 }
 
-func (j *journal) appendPage(hash simdb.PageHash, data []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+func (j *journal) appendPage(hash [sha256.Size]byte, data []byte) error {
 	rec := make([]byte, 0, len(hash)+4+len(data))
 	rec = append(rec, hash[:]...)
 	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(data)))
-	rec = append(rec, data...)
-	_, err := j.pages.Write(rec)
-	return err
+	return j.pages.append(append(rec, data...), false)
 }
 
 func (j *journal) appendManifest(raw []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	// A manifest makes a version visible: flush the pages written before it,
+	// then the manifest, so another process opening the journal sees a
+	// whole version.
+	if err := j.pages.f.Sync(); err != nil {
+		return err
+	}
 	rec := binary.LittleEndian.AppendUint32(nil, uint32(len(raw)))
-	rec = append(rec, raw...)
-	if _, err := j.mans.Write(rec); err != nil {
+	return j.mans.append(append(rec, raw...), true)
+}
+
+// append writes rec at the end of the log's valid prefix, and fsyncs it
+// when sync is set. Only a record that succeeded extends the prefix: the
+// next append overwrites one that failed, so a failed record never sits
+// before a later one.
+func (l *logFile) append(rec []byte, sync bool) error {
+	_, err := l.f.WriteAt(rec, l.end)
+	if err == nil && sync {
+		err = l.f.Sync()
+	}
+	if err != nil {
 		return err
 	}
-	// A manifest makes a version visible: flush it and the pages written
-	// before it so another process opening the journal sees a whole version.
-	if err := j.pages.Sync(); err != nil {
-		return err
-	}
-	return j.mans.Sync()
+	l.end += int64(len(rec))
+	return nil
 }
 
 func (j *journal) close() error {
-	err1 := j.pages.Close()
-	err2 := j.mans.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	return errors.Join(j.pages.f.Close(), j.mans.f.Close())
 }
-
-// newByteReader wraps f with buffering for the many small record reads.
-func newByteReader(f *os.File) io.Reader { return bufio.NewReader(f) }

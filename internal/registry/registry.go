@@ -1,5 +1,5 @@
 // Package registry implements a versioned, deduplicated model checkpoint
-// store on top of the simulated database's content-addressed page store.
+// store.
 //
 // A published checkpoint is decomposed per tensor: each tensor's raw
 // little-endian float64 stream is chunked into fixed-size pages, every page
@@ -10,18 +10,16 @@
 // therefore pay storage only for the pages that changed, exactly the
 // trade explored by deduplicated model serving over relational databases.
 //
-// The page store lives in the simulated database, so publishes and
-// checkpoint reads pay realistic round trips and show up in the same
-// accounting ledger as detection scans. Cross-process durability — training
-// publishes in one process, serving loads in another — comes from an
-// append-only journal directory replayed on Open; pages are journaled
-// before the manifest that references them, so a visible manifest always
-// has all of its pages.
+// The registry holds its pages and manifests in memory. Cross-process
+// durability — training publishes in one process, serving loads in another
+// — comes from an append-only journal directory, the one durable copy,
+// replayed on Open. A page joins the store only once its record is written,
+// and a manifest only once its record and every page it names are: a
+// version the registry lists is always one it can load.
 package registry
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -31,31 +29,23 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/simdb"
 	"repro/internal/tensor"
 )
 
 // DefaultPageSize is the page granularity for checkpoint chunking. 64 KiB
-// (8192 float64s) balances dedup resolution against per-page round trips.
+// (8192 float64s) balances dedup resolution against per-page overhead.
 const DefaultPageSize = 64 * 1024
-
-// Options configures a Registry.
-type Options struct {
-	// PageSize is the chunk size in bytes; DefaultPageSize when 0. Smaller
-	// pages dedup at finer grain but pay more round trips per publish.
-	PageSize int
-}
 
 // Registry is a versioned checkpoint store. All methods are safe for
 // concurrent use.
 type Registry struct {
-	store    *simdb.PageStore
-	pageSize int
-
-	mu       sync.Mutex
-	versions map[string][]int // model name → sorted published versions
-	logical  int64            // sum of pre-dedup checkpoint bytes
-	jnl      *journal         // nil without a durable directory
+	mu        sync.Mutex
+	pages     map[[sha256.Size]byte][]byte // content hash → page
+	manifests map[string][]byte            // name@version → manifest JSON
+	versions  map[string][]int             // model name → sorted published versions
+	logical   int64                        // sum of pre-dedup checkpoint bytes
+	stored    int64                        // sum of page bytes
+	jnl       *journal                     // nil without a durable directory
 }
 
 // Manifest describes one published checkpoint version.
@@ -75,36 +65,24 @@ type TensorEntry struct {
 	Pages []string `json:"pages"`
 }
 
-// Open creates a registry over the server's page store. If dir is non-empty
-// it is used as a durable journal: existing journal records are replayed
-// into the store first (so versions published by another process become
-// visible), and subsequent publishes are appended.
-func Open(server *simdb.Server, dir string, opts Options) (*Registry, error) {
+// Open creates a registry. If dir is non-empty it is used as a durable
+// journal: existing journal records are replayed first (so versions
+// published by another process become visible), each log is cut back to
+// its last record replay accepted, and subsequent publishes are appended.
+func Open(dir string) (*Registry, error) {
 	r := &Registry{
-		store:    server.PageStore(),
-		pageSize: opts.PageSize,
-		versions: make(map[string][]int),
-	}
-	if r.pageSize <= 0 {
-		r.pageSize = DefaultPageSize
+		pages:     make(map[[sha256.Size]byte][]byte),
+		manifests: make(map[string][]byte),
+		versions:  make(map[string][]int),
 	}
 	if dir != "" {
-		jnl, err := openJournal(dir, r.store, func(m *Manifest) { r.indexManifest(m) })
+		jnl, err := openJournal(dir, r)
 		if err != nil {
 			return nil, err
 		}
 		r.jnl = jnl
 	}
 	return r, nil
-}
-
-// indexManifest records a manifest in the in-memory version index.
-func (r *Registry) indexManifest(m *Manifest) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.versions[m.Name] = append(r.versions[m.Name], m.Version)
-	sort.Ints(r.versions[m.Name])
-	r.logical += m.LogicalBytes
 }
 
 // Close releases the journal file handles, if any.
@@ -117,6 +95,24 @@ func (r *Registry) Close() error {
 
 func manifestKey(name string, version int) string {
 	return fmt.Sprintf("%s@%d", name, version)
+}
+
+// addPage stores a page unless one with its hash is present. Callers hold
+// r.mu.
+func (r *Registry) addPage(hash [sha256.Size]byte, data []byte) {
+	if _, ok := r.pages[hash]; !ok {
+		r.pages[hash] = data
+		r.stored += int64(len(data))
+	}
+}
+
+// addManifest indexes a manifest. Callers hold r.mu and have checked that
+// its key is new and its pages resolve.
+func (r *Registry) addManifest(m *Manifest, raw []byte) {
+	r.manifests[manifestKey(m.Name, m.Version)] = raw
+	r.versions[m.Name] = append(r.versions[m.Name], m.Version)
+	sort.Ints(r.versions[m.Name])
+	r.logical += m.LogicalBytes
 }
 
 // PublishResult reports what a publish cost.
@@ -133,7 +129,7 @@ type PublishResult struct {
 // Publish stores the given parameter tensors as the next version of name and
 // returns what it cost. Pages already present in the store — typically the
 // frozen encoder of a fine-tuned variant — are referenced, not rewritten.
-func (r *Registry) Publish(ctx context.Context, name string, ts []*tensor.Tensor) (*PublishResult, error) {
+func (r *Registry) Publish(name string, ts []*tensor.Tensor) (*PublishResult, error) {
 	if name == "" {
 		return nil, fmt.Errorf("registry: empty model name")
 	}
@@ -148,35 +144,25 @@ func (r *Registry) Publish(ctx context.Context, name string, ts []*tensor.Tensor
 		Name:     name,
 		Version:  version,
 		Format:   tensor.SerializeVersion,
-		PageSize: r.pageSize,
+		PageSize: DefaultPageSize,
 	}
 	res := &PublishResult{Name: name, Version: version}
-	buf := make([]byte, 0, r.pageSize)
 	for _, t := range ts {
 		entry := TensorEntry{Rows: t.Rows, Cols: t.Cols}
 		raw := encodeFloats(t.Data)
 		man.LogicalBytes += int64(len(raw))
-		for off := 0; off < len(raw); off += r.pageSize {
-			end := off + r.pageSize
-			if end > len(raw) {
-				end = len(raw)
-			}
-			buf = append(buf[:0], raw[off:end]...)
-			hash := simdb.PageHash(sha256.Sum256(buf))
-			added, err := r.store.PutPage(ctx, hash, buf)
+		for off := 0; off < len(raw); off += DefaultPageSize {
+			page := raw[off:min(off+DefaultPageSize, len(raw))]
+			hash := sha256.Sum256(page)
+			added, err := r.putPage(hash, page)
 			if err != nil {
-				return nil, fmt.Errorf("registry: store page: %w", err)
+				return nil, fmt.Errorf("registry: journal page: %w", err)
 			}
 			res.Pages++
 			if added {
 				res.NewPages++
-				res.StoredBytes += int64(end - off)
+				res.StoredBytes += int64(len(page))
 				pagesWrittenTotal.Inc()
-				if r.jnl != nil {
-					if err := r.jnl.appendPage(hash, buf); err != nil {
-						return nil, fmt.Errorf("registry: journal page: %w", err)
-					}
-				}
 			} else {
 				pagesDedupedTotal.Inc()
 			}
@@ -193,28 +179,62 @@ func (r *Registry) Publish(ctx context.Context, name string, ts []*tensor.Tensor
 	if err != nil {
 		return nil, fmt.Errorf("registry: marshal manifest: %w", err)
 	}
-	if err := r.store.PutManifest(ctx, manifestKey(name, version), manJSON); err != nil {
+	if err := r.putManifest(man, manJSON); err != nil {
 		return nil, err
 	}
-	if r.jnl != nil {
-		if err := r.jnl.appendManifest(manJSON); err != nil {
-			return nil, fmt.Errorf("registry: journal manifest: %w", err)
-		}
-	}
-	r.indexManifest(man)
 	publishesTotal.Inc()
 	return res, nil
 }
 
+// putPage stores a copy of data under hash unless the page is present. The
+// page's journal record is written first: a page whose write failed is not
+// stored, so the next publish writes it again instead of deduping against a
+// page the journal never saw.
+func (r *Registry) putPage(hash [sha256.Size]byte, data []byte) (bool, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.pages[hash]; ok {
+		return false, nil
+	}
+	if r.jnl != nil {
+		if err := r.jnl.appendPage(hash, data); err != nil {
+			return false, err
+		}
+	}
+	r.addPage(hash, bytes.Clone(data))
+	return true, nil
+}
+
+// putManifest journals and indexes a manifest, refusing a second manifest
+// for an existing name@version: versions are immutable.
+func (r *Registry) putManifest(m *Manifest, raw []byte) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	key := manifestKey(m.Name, m.Version)
+	if _, dup := r.manifests[key]; dup {
+		return fmt.Errorf("registry: manifest %q already exists", key)
+	}
+	if r.jnl != nil {
+		if err := r.jnl.appendManifest(raw); err != nil {
+			return fmt.Errorf("registry: journal manifest: %w", err)
+		}
+	}
+	r.addManifest(m, raw)
+	return nil
+}
+
 // GetManifest fetches and decodes the manifest for name@version.
-func (r *Registry) GetManifest(ctx context.Context, name string, version int) (*Manifest, error) {
-	raw, err := r.store.GetManifest(ctx, manifestKey(name, version))
-	if err != nil {
-		return nil, err
+func (r *Registry) GetManifest(name string, version int) (*Manifest, error) {
+	key := manifestKey(name, version)
+	r.mu.Lock()
+	raw, ok := r.manifests[key]
+	r.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("registry: manifest %q not found", key)
 	}
 	var m Manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("registry: decode manifest %s@%d: %w", name, version, err)
+		return nil, fmt.Errorf("registry: decode manifest %s: %w", key, err)
 	}
 	return &m, nil
 }
@@ -223,39 +243,25 @@ func (r *Registry) GetManifest(ctx context.Context, name string, version int) (*
 // verifying every page against its content hash. The result is exactly what
 // Model.Save would have produced, so Model.Load's atomic validation applies
 // unchanged on the way back in.
-func (r *Registry) Checkpoint(ctx context.Context, name string, version int) ([]byte, error) {
-	man, err := r.GetManifest(ctx, name, version)
+func (r *Registry) Checkpoint(name string, version int) ([]byte, error) {
+	man, err := r.GetManifest(name, version)
 	if err != nil {
 		return nil, err
 	}
-	if man.Format > tensor.SerializeVersion {
-		return nil, fmt.Errorf("registry: %s@%d uses checkpoint format %d, this build reads ≤ %d", name, version, man.Format, tensor.SerializeVersion)
+	r.mu.Lock()
+	pages, err := r.resolve(man)
+	r.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 	ts := make([]*tensor.Tensor, len(man.Tensors))
 	for i, entry := range man.Tensors {
 		t := tensor.New(entry.Rows, entry.Cols)
-		want := len(t.Data) * 8
-		raw := make([]byte, 0, want)
-		for _, hs := range entry.Pages {
-			var hash simdb.PageHash
-			hb, err := hex.DecodeString(hs)
-			if err != nil || len(hb) != len(hash) {
-				return nil, fmt.Errorf("registry: %s@%d tensor %d: bad page hash %q", name, version, i, hs)
-			}
-			copy(hash[:], hb)
-			page, err := r.store.GetPage(ctx, hash)
-			if err != nil {
-				return nil, fmt.Errorf("registry: %s@%d tensor %d: %w", name, version, i, err)
-			}
-			if sha256.Sum256(page) != [32]byte(hash) {
-				return nil, fmt.Errorf("registry: %s@%d tensor %d: page %s failed verification", name, version, i, hs)
-			}
-			raw = append(raw, page...)
+		off := 0
+		for _, page := range pages[i] {
+			decodeFloats(page, t.Data[off:])
+			off += len(page) / 8
 		}
-		if len(raw) != want {
-			return nil, fmt.Errorf("registry: %s@%d tensor %d: have %d bytes, shape %dx%d needs %d", name, version, i, len(raw), entry.Rows, entry.Cols, want)
-		}
-		decodeFloats(raw, t.Data)
 		ts[i] = t
 	}
 	var out bytes.Buffer
@@ -264,6 +270,42 @@ func (r *Registry) Checkpoint(ctx context.Context, name string, version int) ([]
 	}
 	checkpointsServedTotal.Inc()
 	return out.Bytes(), nil
+}
+
+// resolve returns the pages of each of m's tensors, in order. It fails when
+// a page hash is malformed or absent, a page does not match its hash, or a
+// tensor's pages do not fill its shape exactly — so a manifest that
+// resolves is one Checkpoint can load. Callers hold r.mu.
+func (r *Registry) resolve(m *Manifest) ([][][]byte, error) {
+	where := func(i int) string { return fmt.Sprintf("registry: %s@%d tensor %d", m.Name, m.Version, i) }
+	out := make([][][]byte, len(m.Tensors))
+	for i, entry := range m.Tensors {
+		n := 0
+		for _, hs := range entry.Pages {
+			hb, err := hex.DecodeString(hs)
+			if err != nil || len(hb) != sha256.Size {
+				return nil, fmt.Errorf("%s: bad page hash %q", where(i), hs)
+			}
+			hash := [sha256.Size]byte(hb)
+			page, ok := r.pages[hash]
+			if !ok {
+				return nil, fmt.Errorf("%s: page %s not found", where(i), hs)
+			}
+			if sha256.Sum256(page) != hash {
+				return nil, fmt.Errorf("%s: page %s failed verification", where(i), hs)
+			}
+			if len(page)%8 != 0 {
+				return nil, fmt.Errorf("%s: page %s splits a float64", where(i), hs)
+			}
+			out[i] = append(out[i], page)
+			n += len(page) / 8
+		}
+		// n must be rows×cols, checked by division so no product overflows.
+		if entry.Rows <= 0 || entry.Cols <= 0 || n%entry.Cols != 0 || n/entry.Cols != entry.Rows {
+			return nil, fmt.Errorf("%s: have %d float64s, shape %dx%d", where(i), n, entry.Rows, entry.Cols)
+		}
+	}
+	return out, nil
 }
 
 // Latest returns the newest published version of name.
@@ -311,14 +353,13 @@ type Stats struct {
 
 // Stats reports the registry's current storage economics.
 func (r *Registry) Stats() Stats {
-	ps := r.store.Stats()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Stats{
 		Models:       len(r.versions),
-		Pages:        ps.Pages,
+		Pages:        len(r.pages),
 		LogicalBytes: r.logical,
-		StoredBytes:  ps.PageBytes,
+		StoredBytes:  r.stored,
 	}
 	for _, vs := range r.versions {
 		s.Versions += len(vs)
@@ -344,8 +385,9 @@ func encodeFloats(vals []float64) []byte {
 	return out
 }
 
+// decodeFloats fills dst from the little-endian float64s in raw.
 func decodeFloats(raw []byte, dst []float64) {
-	for i := range dst {
+	for i := range len(raw) / 8 {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 }

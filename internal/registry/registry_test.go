@@ -2,13 +2,11 @@ package registry
 
 import (
 	"bytes"
-	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/simdb"
 	"repro/internal/tensor"
 )
 
@@ -31,9 +29,9 @@ func params(rng *rand.Rand) []*tensor.Tensor {
 	}
 }
 
-func openMem(t *testing.T, pageSize int) *Registry {
+func openMem(t *testing.T) *Registry {
 	t.Helper()
-	r, err := Open(simdb.NewServer(simdb.NoLatency), "", Options{PageSize: pageSize})
+	r, err := Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +41,9 @@ func openMem(t *testing.T, pageSize int) *Registry {
 func TestPublishCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ts := params(rng)
-	r := openMem(t, 512)
-	ctx := context.Background()
+	r := openMem(t)
 
-	res, err := r.Publish(ctx, "taste", ts)
+	res, err := r.Publish("taste", ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +51,7 @@ func TestPublishCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("first publish: %+v", res)
 	}
 
-	ckpt, err := r.Checkpoint(ctx, "taste", 1)
+	ckpt, err := r.Checkpoint("taste", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +76,10 @@ func TestPublishCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, err := r.Checkpoint(ctx, "taste", 7); err == nil {
+	if _, err := r.Checkpoint("taste", 7); err == nil {
 		t.Fatal("want error for unknown version")
 	}
-	if _, err := r.Checkpoint(ctx, "nope", 1); err == nil {
+	if _, err := r.Checkpoint("nope", 1); err == nil {
 		t.Fatal("want error for unknown model")
 	}
 }
@@ -103,13 +100,12 @@ func TestDedupAcrossVariants(t *testing.T) {
 		variant[len(variant)-1].Data[i] += 0.01
 	}
 
-	r := openMem(t, 512)
-	ctx := context.Background()
-	res1, err := r.Publish(ctx, "taste", base)
+	r := openMem(t)
+	res1, err := r.Publish("taste", base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := r.Publish(ctx, "taste", variant)
+	res2, err := r.Publish("taste", variant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +133,7 @@ func TestDedupAcrossVariants(t *testing.T) {
 
 	// Both versions must still reassemble correctly despite sharing pages.
 	for v, want := range map[int][]*tensor.Tensor{1: base, 2: variant} {
-		ckpt, err := r.Checkpoint(ctx, "taste", v)
+		ckpt, err := r.Checkpoint("taste", v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,17 +149,16 @@ func TestDedupAcrossVariants(t *testing.T) {
 
 func TestVersionIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	r := openMem(t, 4096)
-	ctx := context.Background()
+	r := openMem(t)
 	if _, ok := r.Latest("taste"); ok {
 		t.Fatal("Latest on empty registry")
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := r.Publish(ctx, "taste", params(rng)); err != nil {
+		if _, err := r.Publish("taste", params(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r.Publish(ctx, "other", params(rng)); err != nil {
+	if _, err := r.Publish("other", params(rng)); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := r.Latest("taste"); !ok || v != 3 {
@@ -175,7 +170,7 @@ func TestVersionIndex(t *testing.T) {
 	if ms := r.Models(); len(ms) != 2 || ms[0] != "other" || ms[1] != "taste" {
 		t.Fatalf("Models = %v", ms)
 	}
-	if _, err := r.Publish(ctx, "", params(rng)); err == nil {
+	if _, err := r.Publish("", params(rng)); err == nil {
 		t.Fatal("want error for empty name")
 	}
 }
@@ -187,16 +182,15 @@ func TestJournalReplayAcrossProcesses(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(4))
 	base := params(rng)
-	ctx := context.Background()
 
-	w, err := Open(simdb.NewServer(simdb.NoLatency), dir, Options{PageSize: 512})
+	w, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Publish(ctx, "taste", base); err != nil {
+	if _, err := w.Publish("taste", base); err != nil {
 		t.Fatal(err)
 	}
-	wantCkpt, err := w.Checkpoint(ctx, "taste", 1)
+	wantCkpt, err := w.Checkpoint("taste", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +198,7 @@ func TestJournalReplayAcrossProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rd, err := Open(simdb.NewServer(simdb.NoLatency), dir, Options{PageSize: 512})
+	rd, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +206,7 @@ func TestJournalReplayAcrossProcesses(t *testing.T) {
 	if v, ok := rd.Latest("taste"); !ok || v != 1 {
 		t.Fatalf("replayed Latest = %d, %v", v, ok)
 	}
-	got, err := rd.Checkpoint(ctx, "taste", 1)
+	got, err := rd.Checkpoint("taste", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +215,7 @@ func TestJournalReplayAcrossProcesses(t *testing.T) {
 	}
 	// Publishing after replay continues the version sequence and dedups
 	// against replayed pages.
-	res, err := rd.Publish(ctx, "taste", base)
+	res, err := rd.Publish("taste", base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,15 +229,14 @@ func TestJournalReplayAcrossProcesses(t *testing.T) {
 func TestJournalTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(5))
-	ctx := context.Background()
-	w, err := Open(simdb.NewServer(simdb.NoLatency), dir, Options{PageSize: 512})
+	w, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Publish(ctx, "taste", params(rng)); err != nil {
+	if _, err := w.Publish("taste", params(rng)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Publish(ctx, "taste", params(rng)); err != nil {
+	if _, err := w.Publish("taste", params(rng)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -259,13 +252,13 @@ func TestJournalTruncatedTail(t *testing.T) {
 		}
 	}
 
-	rd, err := Open(simdb.NewServer(simdb.NoLatency), dir, Options{PageSize: 512})
+	rd, err := Open(dir)
 	if err != nil {
 		t.Fatalf("truncated journal must still open: %v", err)
 	}
 	defer rd.Close()
 	// Version 1 survives whole (its pages and manifest precede the cut).
-	if _, err := rd.Checkpoint(ctx, "taste", 1); err != nil {
+	if _, err := rd.Checkpoint("taste", 1); err != nil {
 		t.Fatalf("version 1 lost to an unrelated truncation: %v", err)
 	}
 }

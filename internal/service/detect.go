@@ -203,7 +203,7 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 	m := s.detector.Model()
 	if req.ModelVersion > 0 {
 		var apiErr *APIError
-		m, apiErr = s.modelForVersion(ctx, req.ModelVersion)
+		m, apiErr = s.modelForVersion(req.ModelVersion)
 		if apiErr != nil {
 			return nil, apiErr
 		}

@@ -137,7 +137,7 @@ func (s *Service) noteServingDrift() {
 // published version. The checkpoint is reassembled from content-verified
 // pages and loaded through Model.Load's all-or-nothing path into a fresh
 // sibling of the serving model.
-func (s *Service) modelForVersion(ctx context.Context, version int) (*adtd.Model, *APIError) {
+func (s *Service) modelForVersion(version int) (*adtd.Model, *APIError) {
 	s.regMu.Lock()
 	reg, name := s.registry, s.modelName
 	s.regMu.Unlock()
@@ -147,7 +147,7 @@ func (s *Service) modelForVersion(ctx context.Context, version int) (*adtd.Model
 	if m := s.cachedVersion(version); m != nil {
 		return m, nil
 	}
-	ckpt, err := reg.Checkpoint(ctx, name, version)
+	ckpt, err := reg.Checkpoint(name, version)
 	if err != nil {
 		return nil, apiErrorf(http.StatusNotFound, "model %s@%d: %v", name, version, err)
 	}
@@ -245,7 +245,7 @@ func (s *Service) Swap(ctx context.Context, version int) (*SwapResponse, *APIErr
 		}
 		version = latest
 	}
-	m, apiErr := s.modelForVersion(ctx, version)
+	m, apiErr := s.modelForVersion(version)
 	if apiErr != nil {
 		modelSwapErrorsTotal.Inc()
 		return nil, apiErr
@@ -300,7 +300,7 @@ func (s *Service) handleModelPublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := s.detector.Model()
-	res, err := reg.Publish(r.Context(), name, m.Params())
+	res, err := reg.Publish(name, m.Params())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "publish: %v", err)
 		return

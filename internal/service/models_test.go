@@ -42,7 +42,7 @@ func registryService(t *testing.T) (*Service, *registry.Registry, *corpus.Datase
 	server := simdb.NewServer(simdb.NoLatency)
 	server.LoadTables("tenantdb", shared.ds.Test)
 	svc.RegisterTenant("tenantdb", server)
-	reg, err := registry.Open(simdb.NewServer(simdb.NoLatency), "", registry.Options{})
+	reg, err := registry.Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestHotSwapUnderDetectLoadConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2.SetEval()
-	if _, err := reg.Publish(ctx, "taste", m2.Params()); err != nil {
+	if _, err := reg.Publish("taste", m2.Params()); err != nil {
 		t.Fatal(err)
 	}
 

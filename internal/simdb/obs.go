@@ -16,16 +16,10 @@ var (
 		"table_metadata": obs.Default.LatencyHistogram("taste_simdb_op_seconds", "op", "table_metadata"),
 		"analyze":        obs.Default.LatencyHistogram("taste_simdb_op_seconds", "op", "analyze"),
 		"scan":           obs.Default.LatencyHistogram("taste_simdb_op_seconds", "op", "scan"),
-		"page_put":       obs.Default.LatencyHistogram("taste_simdb_op_seconds", "op", "page_put"),
-		"page_get":       obs.Default.LatencyHistogram("taste_simdb_op_seconds", "op", "page_get"),
-		"manifest_put":   obs.Default.LatencyHistogram("taste_simdb_op_seconds", "op", "manifest_put"),
-		"manifest_get":   obs.Default.LatencyHistogram("taste_simdb_op_seconds", "op", "manifest_get"),
 	}
-	opErrorsTotal    = obs.Default.Counter("taste_simdb_op_errors_total")
-	faultsTotal      = obs.Default.Counter("taste_simdb_faults_total")
-	retriesTotal     = obs.Default.Counter("taste_simdb_retries_total")
-	pagesStoredTotal = obs.Default.Counter("taste_simdb_pages_stored_total")
-	pageBytesStored  = obs.Default.Counter("taste_simdb_page_bytes_stored")
+	opErrorsTotal = obs.Default.Counter("taste_simdb_op_errors_total")
+	faultsTotal   = obs.Default.Counter("taste_simdb_faults_total")
+	retriesTotal  = obs.Default.Counter("taste_simdb_retries_total")
 )
 
 // observeOp records one database operation's wall time and error outcome.

@@ -101,9 +101,6 @@ type Accounting struct {
 	BytesRead      int
 	Faults         int // server-side injected faults that fired
 	Retries        int // client-reported retry attempts (AddRetry)
-	PagesStored    int // content-addressed pages newly written (dedup hits excluded)
-	PageBytes      int // bytes of newly stored pages
-	BlobBytesRead  int // bytes served from the page store (pages + manifests)
 	scannedCols    map[string]bool
 }
 
@@ -121,9 +118,6 @@ func (a *Accounting) Snapshot() AccountingSnapshot {
 		BytesRead:           a.BytesRead,
 		Faults:              a.Faults,
 		Retries:             a.Retries,
-		PagesStored:         a.PagesStored,
-		PageBytes:           a.PageBytes,
-		BlobBytesRead:       a.BlobBytesRead,
 	}
 }
 
@@ -138,9 +132,6 @@ type AccountingSnapshot struct {
 	BytesRead           int
 	Faults              int
 	Retries             int
-	PagesStored         int
-	PageBytes           int
-	BlobBytesRead       int
 }
 
 // Reset zeroes all counters.
@@ -150,21 +141,7 @@ func (a *Accounting) Reset() {
 	a.Connections, a.Queries, a.ColumnsScanned = 0, 0, 0
 	a.RowsScanned, a.CellsRead, a.BytesRead = 0, 0, 0
 	a.Faults, a.Retries = 0, 0
-	a.PagesStored, a.PageBytes, a.BlobBytesRead = 0, 0, 0
 	a.scannedCols = nil
-}
-
-func (a *Accounting) addPagePut(bytes int) {
-	a.mu.Lock()
-	a.PagesStored++
-	a.PageBytes += bytes
-	a.mu.Unlock()
-}
-
-func (a *Accounting) addBlobRead(bytes int) {
-	a.mu.Lock()
-	a.BlobBytesRead += bytes
-	a.mu.Unlock()
 }
 
 func (a *Accounting) addConn() {
@@ -221,8 +198,6 @@ type Server struct {
 	faultMu      sync.Mutex
 	faults       map[string]error // table name → error returned by the next scan
 	faultProfile *faultState      // nil = no probabilistic fault injection
-
-	pageStore *PageStore // lazily created by PageStore(); guarded by mu
 }
 
 type database struct {

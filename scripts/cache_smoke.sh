@@ -58,7 +58,7 @@ RESULT_HITS=$(hits result)
 LATENT_HITS=$(hits latent)
 if [[ "$RESULT_HITS" -le 0 && "$LATENT_HITS" -le 0 ]]; then
     echo "repeated detect produced no warm cache hits (latent=$LATENT_HITS result=$RESULT_HITS)" >&2
-    grep taste_cache <<<"$METRICS" >&2 || true
+    grep taste_cache_ <<<"$METRICS" >&2 || true
     exit 1
 fi
 

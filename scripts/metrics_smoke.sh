@@ -51,7 +51,7 @@ for series in \
     'taste_detect_request_seconds_count' \
     'taste_adtd_forward_seconds' \
     'taste_simdb_op_seconds' \
-    'taste_cache_hits' \
+    'taste_cache_hits_total' \
     'taste_detector_tables_total'
 do
     if ! grep -qF "$series" <<<"$METRICS"; then
@@ -65,7 +65,7 @@ done
 # connection warm in the pool (DESIGN.md §7 "Connection reuse").
 grep -qxF 'taste_connpool_checkouts_total{outcome="miss"} 1' <<<"$METRICS" \
     && grep -qxF 'taste_connpool_idle 1' <<<"$METRICS" \
-    || { echo "connection pool series wrong after one detect:" >&2; grep taste_connpool <<<"$METRICS" >&2; exit 1; }
+    || { echo "connection pool series wrong after one detect:" >&2; grep taste_connpool_ <<<"$METRICS" >&2; exit 1; }
 
 # A request that names two of the demo tables (the first response's first
 # two) runs the same path as the whole-database one: pipelined, and one
@@ -95,7 +95,7 @@ if ! awk -v a="$META_BEFORE" -v b="$META_AFTER" 'BEGIN { exit !(b - a == 1) }'; 
 fi
 grep -qxF 'taste_connpool_checkouts_total{outcome="miss"} 1' <<<"$METRICS_AFTER" \
     && grep -qxF 'taste_connpool_idle 1' <<<"$METRICS_AFTER" \
-    || { echo "named-tables detect did not reuse the pooled connection:" >&2; grep taste_connpool <<<"$METRICS_AFTER" >&2; exit 1; }
+    || { echo "named-tables detect did not reuse the pooled connection:" >&2; grep taste_connpool_ <<<"$METRICS_AFTER" >&2; exit 1; }
 
 # /metrics must also be mounted on the tenant-facing mux. Capture before
 # grepping: piping curl straight into grep -q trips pipefail when grep
