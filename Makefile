@@ -40,8 +40,10 @@ test: build
 # sharing one detector's cache tiers, one table name holding two metadata
 # versions between detects, a pipelined batch on a connection its caller
 # keeps, a stage that panics or is abandoned by the deadline while other
-# tables run on) on an untrained model, so they need neither the trained
-# fixture nor race-all's 45 minutes.
+# tables run on, a warm detector answering a table that changed in one
+# cell) on an untrained model, so they need neither the trained fixture nor
+# race-all's 45 minutes. The allocation ceiling of one result-tier hit runs
+# there too.
 #
 # The scheduler runs ten times over: its tests drive goroutine interleavings
 # (token handoff order, a cancel while stages wait for a token, a panic
@@ -50,7 +52,7 @@ test: build
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 ./internal/pipeline/
-	$(GO) test -race -run 'HitsEveryRead|Forward|LatentKey|DetectDatabaseOn|StagePanic|DeadlineAfterScan' ./internal/core/
+	$(GO) test -race -run 'HitsEveryRead|Forward|LatentKey|DetectDatabaseOn|StagePanic|DeadlineAfterScan|ResultTier|CachedDetectTableAllocs' ./internal/core/
 
 # bench-check builds and smoke-tests the benchmark module against this
 # checkout. bench/ is a module of its own (replace repro => ..), so the root

@@ -110,24 +110,35 @@ func (e *Encoder) BuildContentInput(t *metafeat.TableInfo, cols []int, n int) *C
 		start := len(in.IDs)
 		in.ValAnchors = append(in.ValAnchors, start)
 		in.IDs = append(in.IDs, e.Tok.MustID(tokenizer.VAL))
-		used := 0
-		for _, v := range c.Values {
-			if used >= n {
-				break
-			}
-			if v == "" {
-				continue // §6.1.2: skip empty cells, they contribute nothing
-			}
-			used++
+		VisibleCells(c.Values, n, func(v string) {
 			mark := len(in.IDs)
 			in.IDs = append(in.IDs, e.Tok.MustID(tokenizer.CLS), e.Tok.ID(LengthBucketToken(len(v))))
 			in.IDs = e.Tok.EncodeAppend(in.IDs, v)
 			// +2: the [CLS] and length tokens.
 			in.IDs = truncate(in.IDs, mark+e.Cfg.CellTokens+2)
-		}
+		})
 		in.ColSpans = append(in.ColSpans, [2]int{start, len(in.IDs)})
 	}
 	return in
+}
+
+// VisibleCells calls fn, in order, on the cells of a column the content
+// tower reads: the first n non-empty values (§6.1.2: empty cells contribute
+// nothing). BuildContentInput serializes exactly these, and the Phase-2
+// result key hashes exactly these, so a change to any other cell can never
+// change an answer the key memoizes.
+func VisibleCells(values []string, n int, fn func(v string)) {
+	used := 0
+	for _, v := range values {
+		if used >= n {
+			return
+		}
+		if v == "" {
+			continue
+		}
+		used++
+		fn(v)
+	}
 }
 
 // LengthBucketToken names the value-length bucket token included before each

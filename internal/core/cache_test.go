@@ -232,7 +232,7 @@ func TestLatentKeysKeepTenantsApart(t *testing.T) {
 		for local := range cols {
 			cols[local] = local
 		}
-		key := probe.contentResultKey(j.model, chunk, cols, opts.CellsPerColumn)
+		key := probe.contentResultKey(j.model, j.keys[ci], chunk, cols, opts.CellsPerColumn)
 		if _, ok := det.Results().Get(key); !ok {
 			t.Fatalf("chunk %d: no Phase-2 result entry to drop", ci)
 		}
@@ -333,6 +333,105 @@ func TestLatentKeyFollowsMetadataChange(t *testing.T) {
 			if !reflect.DeepEqual(got, want[i]) {
 				t.Fatalf("pipelined=%v: column %d of C after A and B answers %v (degraded %v), a cold detector %v (degraded %v); probabilities equal: %v",
 					mode.Pipelined, i, got.Admitted, got.Degraded, want[i].Admitted, want[i].Degraded, slices.Equal(got.Probs, want[i].Probs))
+			}
+		}
+	}
+}
+
+// TestResultTierDifferential: a detector warmed on one server detects a
+// table on a second server whose copy differs in one cell. (i) The cell
+// lies inside the scan but past a column's n-th non-empty cell, so the
+// content tower never reads it: the result tier answers Phase 2 and no
+// content forward runs. (ii) The cell is one the content tower reads:
+// Phase 2 misses and runs its forward. Either way the answer is
+// byte-identical to a cold detector's on the second server.
+func TestResultTierDifferential(t *testing.T) {
+	base, ds := phase2Detector(t, 20)
+	opts := base.Opts
+	opts.ResultCacheBytes = 4 << 20
+	n := opts.CellsPerColumn
+
+	// A column with a cell after its n-th non-empty one within the first
+	// RowsToRead rows, which the FirstRows scan reads.
+	var src *corpus.Table
+	col, read, unread := -1, -1, -1
+	for _, tb := range allTables(ds) {
+		for ci, c := range tb.Columns {
+			seen := 0
+			for r := 0; r+1 < min(len(c.Values), opts.RowsToRead); r++ {
+				if c.Values[r] == "" {
+					continue
+				}
+				if seen++; seen == 1 {
+					read = r
+				}
+				if seen == n {
+					src, col, unread = tb, ci, r+1
+					break
+				}
+			}
+			if src != nil {
+				break
+			}
+		}
+		if src != nil {
+			break
+		}
+	}
+	if src == nil {
+		t.Fatalf("no column with a cell past its %d-th non-empty one in the first %d rows", n, opts.RowsToRead)
+	}
+	edited := func(row int) *simdb.Server {
+		tb := *src
+		tb.Columns = slices.Clone(src.Columns)
+		c := *src.Columns[col]
+		c.Values = slices.Clone(c.Values)
+		c.Values[row] += "~"
+		tb.Columns[col] = &c
+		return newServerWith([]*corpus.Table{&tb})
+	}
+	first := newServerWith([]*corpus.Table{src})
+
+	for _, tc := range []struct {
+		name string
+		row  int
+		hit  bool
+	}{{"unread cell", unread, true}, {"read cell", read, false}} {
+		second := edited(tc.row)
+		for _, mode := range []ExecMode{SequentialMode, {Pipelined: true}} {
+			detect := func(d *Detector, srv *simdb.Server) *Report {
+				t.Helper()
+				rep, err := d.DetectDatabase(context.Background(), srv, "tenant", mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rep.Errors) != 0 || len(rep.Tables) != 1 {
+					t.Fatalf("errors %v, %d tables", rep.Errors, len(rep.Tables))
+				}
+				return rep
+			}
+			warm, err := NewDetector(base.Model(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := NewDetector(base.Model(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			detect(warm, first)
+			got := detect(warm, second)
+			want := detect(cold, second)
+			if want.ContentForwards == 0 {
+				t.Fatalf("%s: the cold detect never reached Phase 2", tc.name)
+			}
+			if tc.hit && got.ContentForwards != 0 {
+				t.Fatalf("%s, pipelined=%v: %d content forwards, want the result tier to answer", tc.name, mode.Pipelined, got.ContentForwards)
+			}
+			if !tc.hit && got.ContentForwards == 0 {
+				t.Fatalf("%s, pipelined=%v: the result tier answered content the model reads differently", tc.name, mode.Pipelined)
+			}
+			if g, w := canonTables(t, got), canonTables(t, want); g != w {
+				t.Fatalf("%s, pipelined=%v: warm answer differs from a cold detector's\n warm %s\n cold %s", tc.name, mode.Pipelined, g, w)
 			}
 		}
 	}

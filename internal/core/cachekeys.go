@@ -21,12 +21,16 @@ import (
 //     in O(1) without touching the cache;
 //   - the detector knobs that shape the model input — UseHistogram, and for
 //     the content tier the requested columns and cell budget n;
-//   - the chunk itself, hashed by content: table/column names, comments,
-//     declared types, row count, ANALYZE statistics (histogram buckets
-//     included) and — in the content tier, where s3 has populated them —
-//     the scanned values. Hashing the values means changed table data
-//     yields a fresh key and stale memoized answers silently age out; no
-//     explicit data-change invalidation hook is needed.
+//   - the chunk itself, hashed by content. The Phase-1 key (the chunk key)
+//     frames table/column names, comments, declared types, row count and
+//     ANALYZE statistics (histogram buckets included). The Phase-2 key is
+//     chained from it: sha256(chunk key ‖ cols ‖ n ‖ each requested column's
+//     model-visible cells), the first n non-empty values that
+//     adtd.VisibleCells hands BuildContentInput, and nothing else of the
+//     scan. Changed content the model reads yields a fresh key and stale
+//     memoized answers silently age out; a changed cell the model never
+//     reads keeps the key, because it cannot change the answer. No explicit
+//     data-change invalidation hook is needed.
 //
 // Framing is length-prefixed (every string and list is preceded by its
 // length as a little-endian uint64) so distinct field sequences can never
@@ -52,18 +56,38 @@ func (d *Detector) metaResultKey(m *adtd.Model, chunk *metafeat.TableInfo) strin
 }
 
 // contentResultKey memoizes Phase 2's probability rows for one chunk
+// request. chunkKey is the chunk's Phase-1 key (s2's metaResultKey), which
+// already frames the chunk's metadata, the histogram flag and the
+// generation; the rest of the frame is what the content tower reads of the
 // request.
-func (d *Detector) contentResultKey(m *adtd.Model, chunk *metafeat.TableInfo, cols []int, n int) string {
+func (d *Detector) contentResultKey(m *adtd.Model, chunkKey string, chunk *metafeat.TableInfo, cols []int, n int) string {
 	bp := keyBufs.Get().(*[]byte)
-	b := appendTableInfo((*bp)[:0], chunk)
+	b := appendStr((*bp)[:0], chunkKey)
 	b = appendInt(b, len(cols))
 	for _, c := range cols {
 		b = appendInt(b, c)
 	}
 	b = appendInt(b, n)
+	for _, c := range cols {
+		b = appendVisibleCells(b, chunk.Columns[c].Values, n)
+	}
 	key := resultKey("p2", m.Generation(), d.Opts.UseHistogram, b)
 	putKeyBuf(bp, b)
 	return key
+}
+
+// appendVisibleCells frames the cells of values the content tower reads:
+// their count, then each cell.
+func appendVisibleCells(b []byte, values []string, n int) []byte {
+	at := len(b)
+	b = appendInt(b, 0)
+	count := 0
+	adtd.VisibleCells(values, n, func(v string) {
+		b = appendStr(b, v)
+		count++
+	})
+	binary.LittleEndian.PutUint64(b[at:], uint64(count))
+	return b
 }
 
 func putKeyBuf(bp *[]byte, b []byte) {
@@ -128,9 +152,9 @@ func appendStats(b []byte, st *simdb.ColumnStats) []byte {
 	return b
 }
 
-// appendTableInfo frames every model-visible field of a chunk onto b. Values
-// are nil during Phase 1 (metadata only) and populated for scanned columns
-// by the time Phase 2 frames the chunk.
+// appendTableInfo frames every field of a chunk onto b. s2 frames a chunk
+// before s3 has scanned anything, so its Values are nil there and the
+// Phase-1 key covers the metadata alone.
 func appendTableInfo(b []byte, ti *metafeat.TableInfo) []byte {
 	b = appendStr(b, ti.Name)
 	b = appendStr(b, ti.Comment)

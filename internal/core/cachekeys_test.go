@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/adtd"
@@ -16,11 +17,11 @@ import (
 	"repro/internal/simdb"
 )
 
-// The streaming reference: every key as it was built before keys were
-// framed into one buffer — each field written through a hash.Hash, the key
-// string rendered by fmt. The production keys must match it byte for byte,
-// so that framing them differently never orphans a cached entry or lets two
-// inputs share one.
+// The streaming reference: every key built field by field through a
+// hash.Hash, the key string rendered by fmt, and the content tower's cells
+// picked by a loop of its own rather than adtd.VisibleCells. The production
+// keys must match it byte for byte, so that framing them differently never
+// orphans a cached entry or lets two inputs share one.
 
 func refMetaResultKey(m *adtd.Model, hist bool, chunk *metafeat.TableInfo) string {
 	h := sha256.New()
@@ -28,15 +29,37 @@ func refMetaResultKey(m *adtd.Model, hist bool, chunk *metafeat.TableInfo) strin
 	return fmt.Sprintf("p1|g%d|h%v|%s", m.Generation(), hist, hex.EncodeToString(h.Sum(nil)))
 }
 
-func refContentResultKey(m *adtd.Model, hist bool, chunk *metafeat.TableInfo, cols []int, n int) string {
+func refContentResultKey(m *adtd.Model, hist bool, chunkKey string, chunk *metafeat.TableInfo, cols []int, n int) string {
 	h := sha256.New()
-	refHashTableInfo(h, chunk)
+	refHashStr(h, chunkKey)
 	refHashInt(h, len(cols))
 	for _, c := range cols {
 		refHashInt(h, c)
 	}
 	refHashInt(h, n)
+	for _, c := range cols {
+		cells := refVisibleCells(chunk.Columns[c].Values, n)
+		refHashInt(h, len(cells))
+		for _, v := range cells {
+			refHashStr(h, v)
+		}
+	}
 	return fmt.Sprintf("p2|g%d|h%v|%s", m.Generation(), hist, hex.EncodeToString(h.Sum(nil)))
+}
+
+// refVisibleCells is what BuildContentInput reads of a column (§6.1.2): the
+// first n non-empty values.
+func refVisibleCells(values []string, n int) []string {
+	var out []string
+	for _, v := range values {
+		if len(out) >= n {
+			break
+		}
+		if v != "" {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 func refHashInt(h hash.Hash, v int) {
@@ -136,6 +159,22 @@ func keyDetectors(tb testing.TB, m *adtd.Model) [2]*Detector {
 	return ds
 }
 
+// metadataOnly clones chunk without its values, as s2 sees it: the chunk
+// key a Phase-2 key chains from is framed before s3 scans anything.
+func metadataOnly(chunk *metafeat.TableInfo) *metafeat.TableInfo {
+	c := cloneChunk(chunk)
+	for _, col := range c.Columns {
+		col.Values = nil
+	}
+	return c
+}
+
+// contentKey is s4's Phase-2 key of chunk, chained from the key s2 gives
+// the chunk's metadata.
+func contentKey(d *Detector, m *adtd.Model, chunk *metafeat.TableInfo, cols []int, n int) string {
+	return d.contentResultKey(m, d.metaResultKey(m, metadataOnly(chunk)), chunk, cols, n)
+}
+
 // checkKeyParity asserts that the meta and content keys of chunk equal the
 // streaming reference's, and that the latent key is the chunk's Phase-1
 // key: s2 stores the chunk's latents under the reference meta key and
@@ -147,7 +186,7 @@ func checkKeyParity(t *testing.T, d *Detector, chunk *metafeat.TableInfo, cols [
 	if got := d.metaResultKey(m, chunk); got != want {
 		t.Fatalf("meta key %q, reference %q", got, want)
 	}
-	if got, want := d.contentResultKey(m, chunk, cols, n), refContentResultKey(m, hist, chunk, cols, n); got != want {
+	if got, want := d.contentResultKey(m, want, chunk, cols, n), refContentResultKey(m, hist, want, chunk, cols, n); got != want {
 		t.Fatalf("content key %q, reference %q", got, want)
 	}
 	j := &tableJob{d: d, model: m, table: chunk.Name, info: chunk, chunks: []*metafeat.TableInfo{chunk}, offsets: []int{0}}
@@ -298,9 +337,12 @@ func fuzzChunk(data []byte) *metafeat.TableInfo {
 
 // chunkMutations returns one edit per field the keys frame: each bumps an
 // int, flips a float's low bit, extends a string, or adds an element to a
-// list. Every edit applies to a fresh clone.
-func chunkMutations(ti *metafeat.TableInfo) []func(*metafeat.TableInfo) {
-	muts := []func(*metafeat.TableInfo){
+// list. The metadata edits come back in meta, the edits of a column's
+// values in cells: every one of them moves the Phase-1 frame, but only
+// those that change a requested column's visible cells may move a Phase-2
+// key. Every edit applies to a fresh clone.
+func chunkMutations(ti *metafeat.TableInfo) (meta, cells []func(*metafeat.TableInfo)) {
+	meta = []func(*metafeat.TableInfo){
 		func(t *metafeat.TableInfo) { t.Name += "x" },
 		func(t *metafeat.TableInfo) { t.Comment += "x" },
 		func(t *metafeat.TableInfo) { t.RowCount++ },
@@ -312,24 +354,29 @@ func chunkMutations(ti *metafeat.TableInfo) []func(*metafeat.TableInfo) {
 		col := func(f func(c *metafeat.ColumnInfo)) func(*metafeat.TableInfo) {
 			return func(t *metafeat.TableInfo) { f(t.Columns[i]) }
 		}
-		muts = append(muts,
+		meta = append(meta,
 			col(func(c *metafeat.ColumnInfo) { c.Name += "x" }),
 			col(func(c *metafeat.ColumnInfo) { c.Comment += "x" }),
 			col(func(c *metafeat.ColumnInfo) { c.DataType += "x" }),
+		)
+		cells = append(cells,
 			col(func(c *metafeat.ColumnInfo) { c.Values = append(c.Values, "") }),
+			col(func(c *metafeat.ColumnInfo) { c.Values = append(c.Values, "y") }),
+			col(func(c *metafeat.ColumnInfo) { c.Values = append([]string{""}, c.Values...) }),
+			col(func(c *metafeat.ColumnInfo) { c.Values = append([]string{"z"}, c.Values...) }),
 		)
 		for v := range c.Values {
 			v := v
-			muts = append(muts, col(func(c *metafeat.ColumnInfo) { c.Values[v] += "x" }))
+			cells = append(cells, col(func(c *metafeat.ColumnInfo) { c.Values[v] += "x" }))
 		}
 		if c.Stats == nil {
-			muts = append(muts, col(func(c *metafeat.ColumnInfo) { c.Stats = &simdb.ColumnStats{} }))
+			meta = append(meta, col(func(c *metafeat.ColumnInfo) { c.Stats = &simdb.ColumnStats{} }))
 			continue
 		}
 		st := func(f func(s *simdb.ColumnStats)) func(*metafeat.TableInfo) {
 			return col(func(c *metafeat.ColumnInfo) { f(c.Stats) })
 		}
-		muts = append(muts,
+		meta = append(meta,
 			col(func(c *metafeat.ColumnInfo) { c.Stats = nil }),
 			st(func(s *simdb.ColumnStats) { s.RowCount++ }),
 			st(func(s *simdb.ColumnStats) { s.NullCount++ }),
@@ -342,35 +389,52 @@ func chunkMutations(ti *metafeat.TableInfo) []func(*metafeat.TableInfo) {
 			st(func(s *simdb.ColumnStats) { flip(&s.NumericMax) }),
 		)
 		if c.Stats.Histogram == nil {
-			muts = append(muts, st(func(s *simdb.ColumnStats) { s.Histogram = &simdb.Histogram{} }))
+			meta = append(meta, st(func(s *simdb.ColumnStats) { s.Histogram = &simdb.Histogram{} }))
 			continue
 		}
-		muts = append(muts,
+		meta = append(meta,
 			st(func(s *simdb.ColumnStats) { s.Histogram = nil }),
 			st(func(s *simdb.ColumnStats) { s.Histogram.Kind++ }),
 			st(func(s *simdb.ColumnStats) { s.Histogram.Buckets = append(s.Histogram.Buckets, simdb.Bucket{}) }),
 		)
 		for b := range c.Stats.Histogram.Buckets {
 			b := b
-			muts = append(muts,
+			meta = append(meta,
 				st(func(s *simdb.ColumnStats) { s.Histogram.Buckets[b].Lower += "x" }),
 				st(func(s *simdb.ColumnStats) { s.Histogram.Buckets[b].Upper += "x" }),
 				st(func(s *simdb.ColumnStats) { s.Histogram.Buckets[b].Count++ }),
 			)
 		}
 	}
-	return muts
+	return meta, cells
+}
+
+// checkEqualKeysEqualInputs asserts the property the Phase-2 key rests on:
+// two chunks whose keys are equal give the content tower the same input,
+// token for token and span for span.
+func checkEqualKeysEqualInputs(t *testing.T, m *adtd.Model, a, b *metafeat.TableInfo, cols []int, n int) {
+	t.Helper()
+	ia := m.Encoder().BuildContentInput(a, cols, n)
+	ib := m.Encoder().BuildContentInput(b, cols, n)
+	if !slices.Equal(ia.IDs, ib.IDs) || !slices.Equal(ia.ColSpans, ib.ColSpans) {
+		t.Fatalf("equal Phase-2 keys, different content inputs:\n ids %v spans %v\n ids %v spans %v", ia.IDs, ia.ColSpans, ib.IDs, ib.ColSpans)
+	}
 }
 
 // FuzzResultKeyFraming: on any chunk, the meta and content keys equal the
-// streaming reference's, the latent key is the chunk's Phase-1 key, and
-// changing any one framed field — of the chunk, the requested columns, the
-// cell budget, the histogram flag or the model — changes the key that
-// frames it.
+// streaming reference's and the latent key is the chunk's Phase-1 key.
+// Changing any one framed field — the chunk's metadata, the requested
+// columns, the cell budget, the histogram flag, the model, or a cell the
+// content tower reads — changes the key that frames it; changing a cell it
+// does not read (past the n-th non-empty one, an empty one, or one of a
+// column not requested) leaves the Phase-2 key as it was, and then the
+// content tower's input is the same too.
 func FuzzResultKeyFraming(f *testing.F) {
 	f.Add([]byte{}, false, 0)
 	f.Add([]byte("\x03tab\x02cm\x05\x03\x01col\x00\x04INT\x02\x05\x01\x02\x03\x04\x10\x20\x30\x40\x50\x60\x70\x80\x01\x02\x02lo\x02hi\x07\x03\x02ab\x00"), true, 10)
 	f.Add([]byte("\x04Zürich\x00\x00\x02\x01\x00\x00\x00\x00\x01\x03\xff\xfe\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"), false, -3)
+	f.Add([]byte("\x01t\x00\x03\x02\x01a\x00\x00\x00\x04\x00\x01b\x01c\x01b\x00\x00\x00\x03\x01d\x00"), false, 1)
+	f.Add([]byte("\x01t\x00\x03\x02\x01a\x00\x00\x00\x04\x01x\x00\x01y\x01b\x00\x00\x00\x04\x01d\x01e\x00"), false, 4)
 	m := keyModel(f)
 	other := keyModel(f)
 	dets := keyDetectors(f, m)
@@ -389,23 +453,44 @@ func FuzzResultKeyFraming(f *testing.F) {
 		checkKeyParity(t, d, chunk, cols, n)
 
 		meta := d.metaResultKey(m, chunk)
-		content := d.contentResultKey(m, chunk, cols, n)
-		for i, mut := range chunkMutations(chunk) {
+		content := contentKey(d, m, chunk, cols, n)
+		metaMuts, cellMuts := chunkMutations(chunk)
+		for i, mut := range metaMuts {
 			c := cloneChunk(chunk)
 			mut(c)
 			if d.metaResultKey(m, c) == meta {
-				t.Fatalf("mutation %d left the meta key unchanged", i)
+				t.Fatalf("metadata mutation %d left the meta key unchanged", i)
 			}
-			if d.contentResultKey(m, c, cols, n) == content {
-				t.Fatalf("mutation %d left the content key unchanged", i)
+			if contentKey(d, m, c, cols, n) == content {
+				t.Fatalf("metadata mutation %d left the content key unchanged", i)
 			}
 		}
-		for name, k := range map[string]string{
-			"cols":  d.contentResultKey(m, chunk, append(append([]int(nil), cols...), 0), n),
-			"n":     d.contentResultKey(m, chunk, cols, n+1),
-			"model": d.contentResultKey(other, chunk, cols, n),
-			"hist":  (&Detector{Opts: Options{UseHistogram: !hist}}).contentResultKey(m, chunk, cols, n),
-		} {
+		for i, mut := range cellMuts {
+			c := cloneChunk(chunk)
+			mut(c)
+			if d.metaResultKey(m, c) == meta {
+				t.Fatalf("cell mutation %d left the meta key unchanged", i)
+			}
+			seen := false
+			for _, col := range cols {
+				seen = seen || !slices.Equal(refVisibleCells(chunk.Columns[col].Values, n), refVisibleCells(c.Columns[col].Values, n))
+			}
+			if moved := contentKey(d, m, c, cols, n) != content; moved != seen {
+				t.Fatalf("cell mutation %d: content key moved %v, cells the model reads changed %v", i, moved, seen)
+			}
+			if !seen {
+				checkEqualKeysEqualInputs(t, m, chunk, c, cols, n)
+			}
+		}
+		moved := map[string]string{
+			"n":     contentKey(d, m, chunk, cols, n+1),
+			"model": contentKey(d, other, chunk, cols, n),
+			"hist":  contentKey(&Detector{Opts: Options{UseHistogram: !hist}}, m, chunk, cols, n),
+		}
+		if len(chunk.Columns) > 0 {
+			moved["cols"] = contentKey(d, m, chunk, append(slices.Clone(cols), 0), n)
+		}
+		for name, k := range moved {
 			if k == content {
 				t.Fatalf("changing %s left the content key unchanged", name)
 			}
@@ -449,10 +534,13 @@ func cachedDetector(tb testing.TB) (*Detector, *simdb.Conn, string) {
 	return det, conn, table
 }
 
-// TestCachedDetectTableAllocs: a DetectTable that the result tier answers —
-// both phases hit — allocates no more than a bounded handful per call. Each
-// key is framed in one pooled buffer and hashed once; streaming every field
-// through a hash.Hash cost several hundred allocations here.
+// TestCachedDetectTableAllocs: a DetectTable on a sequential zero-latency
+// tenant that the result tier answers — both phases hit — allocates at most
+// 36 times. Each key is framed in one pooled buffer and hashed once, the
+// Phase-2 key chained from the Phase-1 key; s2 builds admitted sets only
+// for the columns Phase 1 answers; the scan finds columns through the
+// table's index and copies its cells into one array. A ceiling set at the
+// count keeps any new per-hit allocation from going unnoticed.
 func TestCachedDetectTableAllocs(t *testing.T) {
 	det, conn, table := cachedDetector(t)
 	hits := det.Results().Stats().Hits
@@ -465,8 +553,13 @@ func TestCachedDetectTableAllocs(t *testing.T) {
 		t.Fatal("the repeat detects never hit the result tier")
 	}
 	t.Logf("%.0f allocations per cached DetectTable", allocs)
-	if allocs > 100 {
-		t.Fatalf("%.0f allocations per cached DetectTable, want ≤ 100", allocs)
+	ceiling := 36.0
+	if raceEnabled {
+		// A key buffer the pool dropped is refilled by New and may grow.
+		ceiling += 4
+	}
+	if allocs > ceiling {
+		t.Fatalf("%.0f allocations per cached DetectTable, want ≤ %.0f", allocs, ceiling)
 	}
 }
 

@@ -492,6 +492,7 @@ func (j *tableJob) s1PrepMetadata(ctx context.Context) error {
 	}
 	j.info = metafeat.FromTableMeta(tm)
 	j.chunks = j.info.Split(j.d.Opts.SplitThreshold)
+	j.offsets = make([]int, 0, len(j.chunks))
 	off := 0
 	for _, ch := range j.chunks {
 		j.offsets = append(j.offsets, off)
@@ -508,6 +509,8 @@ func (j *tableJob) s2InferMetadata(context.Context) error {
 	opts := j.d.Opts
 	// Chunks cover the columns consecutively, so appending per chunk keeps
 	// p1Probs indexed by global column position.
+	j.keys = make([]string, 0, len(j.chunks))
+	j.p1Probs = make([][]float64, 0, len(j.info.Columns))
 	for _, chunk := range j.chunks {
 		// One key per chunk, the hash of its metadata: it names the chunk's
 		// Phase-1 result, so a repeat detect over unchanged metadata skips
@@ -532,26 +535,36 @@ func (j *tableJob) s2InferMetadata(context.Context) error {
 		j.d.results.Put(key, probs)
 		j.p1Probs = append(j.p1Probs, probs...)
 	}
+	// Phase 1 answers its certain columns here. An uncertain column's
+	// Phase-1 admitted set is built only if Phase 2 does not answer it, by
+	// degradeWithRules.
 	res := &TableResult{Table: j.table}
+	if len(j.p1Probs) > 0 {
+		res.Columns = make([]ColumnResult, len(j.p1Probs))
+	}
 	for global, row := range j.p1Probs {
-		col := j.info.Columns[global]
-		cr := ColumnResult{Table: j.table, Column: col.Name, Phase: 1, Probs: row}
-		cr.Admitted = admitted(j.model, row, opts.Beta)
+		cr := &res.Columns[global]
+		*cr = ColumnResult{Table: j.table, Column: j.info.Columns[global].Name, Phase: 1, Probs: row}
 		if !opts.P2Disabled() && isUncertain(row, opts.Alpha, opts.Beta) {
 			cr.Uncertain = true
+			if j.uncertain == nil {
+				j.uncertain = make([]int, 0, len(j.p1Probs)-global)
+			}
 			j.uncertain = append(j.uncertain, global)
+		} else {
+			cr.Admitted = admitted(j.model, row, opts.Beta)
 		}
-		res.Columns = append(res.Columns, cr)
 	}
 	j.res = res
 	return nil
 }
 
 // degradeWithRules marks the uncertain columns Phase 2 did not resolve as
-// degraded with the reason. Each keeps its Phase-1 answer; where s3 fetched
-// its content, the rule-based detector (regex/dictionary validators) runs
-// over the values and its hits are merged in — cheaper than the content
-// tower by orders of magnitude, so it fits inside a dying deadline.
+// degraded with the reason. Each keeps its Phase-1 answer, whose admitted
+// set s2 left to be built here; where s3 fetched its content, the
+// rule-based detector (regex/dictionary validators) runs over the values
+// and its hits are merged in — cheaper than the content tower by orders of
+// magnitude, so it fits inside a dying deadline.
 func (j *tableJob) degradeWithRules(reason string, deadline bool) {
 	n := 0
 	for _, g := range j.uncertain {
@@ -559,6 +572,7 @@ func (j *tableJob) degradeWithRules(reason string, deadline bool) {
 		if cr.Phase == 2 {
 			continue
 		}
+		cr.Admitted = admitted(j.model, cr.Probs, j.d.Opts.Beta)
 		if vals := j.info.Columns[g].Values; len(vals) > 0 {
 			cr.Admitted = mergeTypes(cr.Admitted, j.d.ruleFallback(j.model, vals))
 		}
@@ -659,10 +673,6 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 		return err
 	}
 	opts := j.d.Opts
-	pendingSet := make(map[int]bool, len(j.uncertain))
-	for _, g := range j.uncertain {
-		pendingSet[g] = true
-	}
 	applyRows := func(globals []int, rows [][]float64) {
 		for slot, g := range globals {
 			cr := &j.res.Columns[g]
@@ -674,24 +684,32 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 	var reqs []adtd.ContentRequest
 	var globalsPerReq [][]int
 	var keysPerReq []string
+	// uncertain is sorted and chunks cover the columns consecutively, so
+	// each chunk's pending columns are the next run of it.
+	pending := j.uncertain
 	for ci, chunk := range j.chunks {
-		var localCols []int
-		var globals []int
-		for local := range chunk.Columns {
-			if pendingSet[j.offsets[ci]+local] {
-				localCols = append(localCols, local)
-				globals = append(globals, j.offsets[ci]+local)
-			}
+		end := j.offsets[ci] + len(chunk.Columns)
+		k := 0
+		for k < len(pending) && pending[k] < end {
+			k++
 		}
-		if len(localCols) == 0 {
+		globals := pending[:k:k]
+		pending = pending[k:]
+		if len(globals) == 0 {
 			continue
 		}
-		// Result-cache fast path: the key hashes the chunk's metadata AND
-		// the scanned values, so changed table content yields a different
-		// key and stale memoized answers simply never resolve again.
+		localCols := make([]int, len(globals))
+		for i, g := range globals {
+			localCols[i] = g - j.offsets[ci]
+		}
+		// Result-cache fast path: the key chains the chunk's Phase-1 key
+		// (its metadata) with the cells the content tower reads of each
+		// requested column, so changed content the model sees yields a
+		// different key and stale memoized answers simply never resolve
+		// again.
 		var rkey string
 		if j.d.results.Enabled() {
-			rkey = j.d.contentResultKey(j.model, chunk, localCols, opts.CellsPerColumn)
+			rkey = j.d.contentResultKey(j.model, j.keys[ci], chunk, localCols, opts.CellsPerColumn)
 			if rows, ok := j.d.results.Get(rkey); ok && len(rows) == len(globals) {
 				applyRows(globals, rows)
 				continue
@@ -732,16 +750,23 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 }
 
 // admitted returns the sorted type names with probability ≥ threshold,
-// excluding the background type. Names resolve against the request's model,
-// whose type space indexed the probability row.
+// excluding the background type (index 0), or nil when there are none.
+// Names resolve against the request's model, whose type space indexed the
+// probability row.
 func admitted(m *adtd.Model, probs []float64, threshold float64) []string {
-	var out []string
-	for i, p := range probs {
-		if i == 0 {
-			continue // background type is never reported
-		}
+	n := 0
+	for _, p := range probs[min(1, len(probs)):] {
 		if p >= threshold {
-			out = append(out, m.Types.Name(i))
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for i, p := range probs[1:] {
+		if p >= threshold {
+			out = append(out, m.Types.Name(i+1))
 		}
 	}
 	sort.Strings(out)

@@ -53,14 +53,22 @@ func FromCorpusTable(t *corpus.Table, withStats bool, buckets int) *TableInfo {
 // content). Stats ride along if the table was analyzed.
 func FromTableMeta(tm *simdb.TableMeta) *TableInfo {
 	ti := &TableInfo{Name: tm.Name, Comment: tm.Comment, RowCount: tm.RowCount}
+	if len(tm.Columns) == 0 {
+		return ti
+	}
+	// One array holds every column, so a table costs two allocations, not
+	// one per column.
+	cols := make([]ColumnInfo, len(tm.Columns))
+	ti.Columns = make([]*ColumnInfo, len(tm.Columns))
 	for i := range tm.Columns {
 		cm := &tm.Columns[i]
-		ti.Columns = append(ti.Columns, &ColumnInfo{
+		cols[i] = ColumnInfo{
 			Name:     cm.Name,
 			Comment:  cm.Comment,
 			DataType: cm.DataType,
 			Stats:    cm.Stats,
-		})
+		}
+		ti.Columns[i] = &cols[i]
 	}
 	return ti
 }

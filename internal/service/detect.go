@@ -309,6 +309,9 @@ func appendSkipped(out []DetectTable, tables []string) []DetectTable {
 
 func toDetectTable(tr *core.TableResult) DetectTable {
 	out := DetectTable{Table: tr.Table}
+	if len(tr.Columns) > 0 {
+		out.Columns = make([]DetectColumn, 0, len(tr.Columns))
+	}
 	for _, c := range tr.Columns {
 		types := c.Admitted
 		if types == nil {

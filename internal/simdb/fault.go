@@ -129,14 +129,20 @@ const (
 )
 
 // decide draws this operation's fate. Every call consumes a fixed number of
-// random values per op kind, keeping the stream aligned across runs.
-func (s *Server) decide(op faultOp, detail string) faultDecision {
+// random values per op kind, keeping the stream aligned across runs. The
+// operation targets db, or object within it when object is not empty; the
+// two are joined into an error's text only when a fault fires.
+func (s *Server) decide(op faultOp, db, object string) faultDecision {
 	s.faultMu.Lock()
 	defer s.faultMu.Unlock()
 	d := faultDecision{slowFactor: 1}
 	fs := s.faultProfile
 	if fs == nil {
 		return d
+	}
+	detail := db
+	if object != "" {
+		detail += "." + object
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

@@ -86,7 +86,7 @@ func (c *Conn) AnalyzeTable(ctx context.Context, table string, opts AnalyzeOptio
 	if buckets <= 0 {
 		buckets = 8
 	}
-	d := c.server.decide(opQuery, c.db.name+"."+table)
+	d := c.server.decide(opQuery, c.db.name, table)
 	cost := c.server.latency.QueryRoundTrip + time.Duration(st.rows)*c.server.latency.PerCell/10
 	if err := c.server.latency.sleep(ctx, scaleDur(cost, d.slowFactor)); err != nil {
 		return nil, err

@@ -101,7 +101,11 @@ type Accounting struct {
 	BytesRead      int
 	Faults         int // server-side injected faults that fired
 	Retries        int // client-reported retry attempts (AddRetry)
-	scannedCols    map[string]bool
+	// scannedCols holds every column a scan has read, by its stored column,
+	// which is one column of one table of one database: database "a.b",
+	// table "c", column "d" and database "a", table "b.c", column "d" are
+	// two, however their names would join.
+	scannedCols map[*storedColumn]struct{}
 }
 
 // Snapshot returns a copy of the current counters.
@@ -172,7 +176,7 @@ func (a *Accounting) AddRetry() {
 	retriesTotal.Inc()
 }
 
-func (a *Accounting) addScan(db, table string, cols []string, rows, cells, bytes int) {
+func (a *Accounting) addScan(cols []*storedColumn, rows, cells, bytes int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.Queries++
@@ -181,10 +185,10 @@ func (a *Accounting) addScan(db, table string, cols []string, rows, cells, bytes
 	a.CellsRead += cells
 	a.BytesRead += bytes
 	if a.scannedCols == nil {
-		a.scannedCols = make(map[string]bool)
+		a.scannedCols = make(map[*storedColumn]struct{})
 	}
 	for _, c := range cols {
-		a.scannedCols[db+"."+table+"."+c] = true
+		a.scannedCols[c] = struct{}{}
 	}
 }
 
@@ -210,7 +214,10 @@ type storedTable struct {
 	name    string
 	comment string
 	columns []*storedColumn
-	rows    int
+	// byName indexes columns by name, built once by LoadTables for
+	// ScanColumns.
+	byName map[string]*storedColumn
+	rows   int
 }
 
 type storedColumn struct {
@@ -271,14 +278,16 @@ func (s *Server) LoadTables(dbName string, tables []*corpus.Table) {
 		s.databases[dbName] = db
 	}
 	for _, t := range tables {
-		st := &storedTable{name: t.Name, comment: t.Comment, rows: t.Rows()}
+		st := &storedTable{name: t.Name, comment: t.Comment, rows: t.Rows(), byName: make(map[string]*storedColumn, len(t.Columns))}
 		for _, c := range t.Columns {
-			st.columns = append(st.columns, &storedColumn{
+			col := &storedColumn{
 				name:    c.Name,
 				comment: c.Comment,
 				sqlType: c.SQLType,
 				values:  c.Values,
-			})
+			}
+			st.columns = append(st.columns, col)
+			st.byName[c.Name] = col
 		}
 		if _, dup := db.tables[t.Name]; dup {
 			panic(fmt.Sprintf("simdb: duplicate table %s.%s", dbName, t.Name))
@@ -294,7 +303,7 @@ func (s *Server) LoadTables(dbName string, tables []*corpus.Table) {
 func (s *Server) Connect(ctx context.Context, dbName string) (_ *Conn, err error) {
 	start := time.Now()
 	defer func() { observeOp("connect", start, err) }()
-	d := s.decide(opConnect, dbName)
+	d := s.decide(opConnect, dbName, "")
 	if err := s.latency.sleep(ctx, scaleDur(s.latency.ConnectionSetup, d.slowFactor)); err != nil {
 		return nil, err
 	}
@@ -361,7 +370,7 @@ func (c *Conn) ListTables(ctx context.Context) (_ []string, err error) {
 	if err := c.check(); err != nil {
 		return nil, err
 	}
-	d := c.server.decide(opQuery, c.db.name)
+	d := c.server.decide(opQuery, c.db.name, "")
 	if err := c.server.latency.sleep(ctx, scaleDur(c.server.latency.QueryRoundTrip, d.slowFactor)); err != nil {
 		return nil, err
 	}
@@ -439,7 +448,7 @@ func (c *Conn) metadataQuery(ctx context.Context, detail string) error {
 	if err := c.check(); err != nil {
 		return err
 	}
-	d := c.server.decide(opQuery, c.db.name+"."+detail)
+	d := c.server.decide(opQuery, c.db.name, detail)
 	if err := c.server.latency.sleep(ctx, scaleDur(c.server.latency.QueryRoundTrip, d.slowFactor)); err != nil {
 		return err
 	}
@@ -450,7 +459,7 @@ func (c *Conn) metadataQuery(ctx context.Context, detail string) error {
 // meta builds the table's information_schema view, statistics included when
 // ANALYZE has run.
 func (st *storedTable) meta() *TableMeta {
-	tm := &TableMeta{Name: st.name, Comment: st.comment, RowCount: st.rows}
+	tm := &TableMeta{Name: st.name, Comment: st.comment, RowCount: st.rows, Columns: make([]ColumnMeta, 0, len(st.columns))}
 	for _, col := range st.columns {
 		cm := ColumnMeta{Name: col.name, Comment: col.comment, DataType: col.sqlType}
 		col.statsMu.Lock()
@@ -496,7 +505,7 @@ func (c *Conn) ScanColumns(ctx context.Context, table string, cols []string, opt
 	if err := c.server.takeFault(table); err != nil {
 		return nil, err
 	}
-	d := c.server.decide(opScan, c.db.name+"."+table)
+	d := c.server.decide(opScan, c.db.name, table)
 	lat := c.server.latency
 	if d.err != nil && !d.midScan {
 		// Up-front failure: the round trip is paid, nothing is transferred.
@@ -510,13 +519,9 @@ func (c *Conn) ScanColumns(ctx context.Context, table string, cols []string, opt
 	if !ok {
 		return nil, fmt.Errorf("simdb: unknown table %s.%s", c.db.name, table)
 	}
-	byName := make(map[string]*storedColumn, len(st.columns))
-	for _, col := range st.columns {
-		byName[col.name] = col
-	}
 	selected := make([]*storedColumn, len(cols))
 	for i, name := range cols {
-		col, ok := byName[name]
+		col, ok := st.byName[name]
 		if !ok {
 			return nil, fmt.Errorf("simdb: unknown column %s.%s.%s", c.db.name, table, name)
 		}
@@ -527,28 +532,33 @@ func (c *Conn) ScanColumns(ctx context.Context, table string, cols []string, opt
 	if m <= 0 || m > st.rows {
 		m = st.rows
 	}
-	rowIdx := make([]int, m)
+	// rowIdx lists a sample's rows; nil means the first m.
+	var rowIdx []int
 	switch opts.Strategy {
 	case FirstRows:
-		for i := range rowIdx {
-			rowIdx[i] = i
-		}
 	case RandomSample:
-		perm := rand.New(rand.NewSource(opts.Seed)).Perm(st.rows)
-		copy(rowIdx, perm[:m])
+		rowIdx = rand.New(rand.NewSource(opts.Seed)).Perm(st.rows)[:m]
 		sort.Ints(rowIdx)
 	default:
 		return nil, fmt.Errorf("simdb: unknown scan strategy %d", opts.Strategy)
 	}
 
 	out := make(map[string][]string, len(cols))
-	cells, bytes := 0, 0
+	cells, bytes := m*len(selected), 0
+	// One backing array holds every column's cells; each column's slice is
+	// capped so an append by the caller cannot run into the next column.
+	backing := make([]string, m*len(selected))
 	for i, col := range selected {
-		vals := make([]string, m)
-		for j, r := range rowIdx {
-			vals[j] = col.values[r]
-			cells++
-			bytes += len(col.values[r])
+		vals := backing[i*m : (i+1)*m : (i+1)*m]
+		if rowIdx == nil {
+			copy(vals, col.values[:m])
+		} else {
+			for j, r := range rowIdx {
+				vals[j] = col.values[r]
+			}
+		}
+		for _, v := range vals {
+			bytes += len(v)
 		}
 		out[cols[i]] = vals
 	}
@@ -573,6 +583,6 @@ func (c *Conn) ScanColumns(ctx context.Context, table string, cols []string, opt
 	if err := lat.sleep(ctx, scaleDur(lat.QueryRoundTrip+transfer, d.slowFactor)); err != nil {
 		return nil, err
 	}
-	c.server.acct.addScan(c.db.name, table, cols, m, cells, bytes)
+	c.server.acct.addScan(selected, m, cells, bytes)
 	return out, nil
 }

@@ -285,6 +285,31 @@ func TestAccountingTracksScans(t *testing.T) {
 	}
 }
 
+// TestDistinctColumnsKeepDottedNamesApart: column d of table c in database
+// "a.b" and column d of table "b.c" in database "a" are two columns, though
+// both join to "a.b.c.d".
+func TestDistinctColumnsKeepDottedNamesApart(t *testing.T) {
+	s := NewServer(NoLatency)
+	table := func(name string) []*corpus.Table {
+		return []*corpus.Table{{Name: name, Columns: []*corpus.Column{{Name: "d", Values: []string{"x", "y"}}}}}
+	}
+	s.LoadTables("a.b", table("c"))
+	s.LoadTables("a", table("b.c"))
+	for _, tc := range []struct{ db, table string }{{"a.b", "c"}, {"a", "b.c"}} {
+		conn, err := s.Connect(context.Background(), tc.db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.ScanColumns(context.Background(), tc.table, []string{"d"}, ScanOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+	}
+	if got := s.Accounting().Snapshot().DistinctColsScanned; got != 2 {
+		t.Fatalf("DistinctColsScanned = %d, want 2", got)
+	}
+}
+
 func TestMetadataQueriesDoNotCountAsScans(t *testing.T) {
 	s, tables := testServer(t)
 	conn, _ := s.Connect(context.Background(), "userdb")
