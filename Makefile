@@ -62,7 +62,9 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz gives each fuzzer a short budget beyond its seed corpus: the
-# /v1/detect handler, the cache-key framing against its streaming reference,
+# /v1/detect handler, its hand-written request decoder and response encoder
+# against encoding/json, its singleflight key (equal exactly when every
+# field but trace is), the cache-key framing against its streaming reference,
 # the tokenizer's append path against Encode, the four row kernels (the
 # matmul's with its K-block edges), the fused add-and-LayerNorm and the
 # attention core (with its span validation) against their references, the
@@ -72,6 +74,9 @@ bench-check:
 # the whole budget.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzHandleDetect -fuzztime=20s ./internal/service/
+	for f in FuzzDetectRequestDecode FuzzDetectResponseEncode FuzzFlightKey; do \
+		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzztime=10s ./internal/service/ || exit 1; \
+	done
 	$(GO) test -run=^$$ -fuzz=^FuzzResultKeyFraming$$ -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=^FuzzEncodeAppend$$ -fuzztime=10s ./internal/tokenizer/
 	for f in FuzzExpRow FuzzGELURow FuzzMulRowRange FuzzScoreRow FuzzLayerNormRows FuzzAttnCore FuzzReadTensors; do \

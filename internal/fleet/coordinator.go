@@ -21,15 +21,16 @@ const ReplicaHeader = "X-Taste-Replica"
 
 // The admission and retry policy every coordinator runs: 64 requests in
 // flight, 32 more queued for up to 100 ms each, 2 retries per replica with
-// a 2 ms base backoff capped at 100 ms and jitter seeded with 1, and a
-// 4 MiB request body. A proxied attempt has no timeout of its own; the
-// request's deadline bounds it.
+// a 2 ms base backoff capped at 100 ms and jitter seeded with 1, and the
+// replicas' own cap on a request body (service.MaxBodyBytes, 4 MiB). A
+// proxied attempt has no timeout of its own; the request's deadline bounds
+// it.
 const (
 	maxInFlight  = 64
 	queueDepth   = 32
 	queueWait    = 100 * time.Millisecond
 	retrySeed    = 1
-	maxBodyBytes = 4 << 20
+	maxBodyBytes = service.MaxBodyBytes
 )
 
 var retryPolicy = retry.Policy{MaxRetries: 2, BaseDelay: 2 * time.Millisecond, MaxDelay: 100 * time.Millisecond}

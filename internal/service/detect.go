@@ -8,11 +8,9 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -125,21 +123,6 @@ type flightResult struct {
 	apiErr *APIError
 }
 
-// flightKey identifies identical detect requests for singleflight
-// coalescing. The route-key prefix matches the granularity the fleet
-// coordinator shards by, so on a replica the colliding traffic is exactly
-// the traffic routed to collide there; the canonical JSON body makes any
-// parameter difference (tables, deadline, mode, model version) a different
-// key. It is the decoded request re-encoded, so fields the service does not
-// know, retired request knobs included, never split it.
-func flightKey(req DetectRequest) string {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return "" // unkeyable: caller runs without coalescing
-	}
-	return req.RouteKey() + "\x00" + string(body)
-}
-
 // Detect executes one detection request end-to-end and returns the
 // (always-200) response, or an APIError for requests that cannot be
 // attempted at all (bad parameters, unknown tenant, non-deadline detection
@@ -150,9 +133,9 @@ func flightKey(req DetectRequest) string {
 // Concurrent identical requests are coalesced: while one execution is in
 // flight, callers with the same flightKey wait for its result instead of
 // recomputing all four stages. Traced requests bypass coalescing (their
-// response embeds a per-request span tree), as do requests whose body
-// cannot be canonicalized. A waiting caller whose context dies before the
-// leader finishes gets 503; the leader is never cancelled by followers.
+// response embeds a per-request span tree). A waiting caller whose context
+// dies before the leader finishes gets 503; the leader is never cancelled by
+// followers.
 func (s *Service) Detect(ctx context.Context, req DetectRequest) (*DetectResponse, *APIError) {
 	run := func() flightResult {
 		resp, apiErr := s.detect(ctx, req)
@@ -161,15 +144,11 @@ func (s *Service) Detect(ctx context.Context, req DetectRequest) (*DetectRespons
 		}
 		return flightResult{resp: resp, apiErr: apiErr}
 	}
-	key := ""
-	if !req.Trace {
-		key = flightKey(req)
-	}
-	if key == "" {
+	if req.Trace {
 		r := run()
 		return r.resp, r.apiErr
 	}
-	r, _, err := s.flight.Do(ctx, key, func() (flightResult, error) { return run(), nil })
+	r, _, err := s.flight.Do(ctx, flightKey(req), func() (flightResult, error) { return run(), nil })
 	if err != nil {
 		// Follower context died while waiting, or the leader panicked:
 		// nothing was computed for this caller.
@@ -186,10 +165,8 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 	if req.ModelVersion < 0 {
 		return nil, apiErrorf(http.StatusBadRequest, "model_version must be ≥ 0")
 	}
-	for i, name := range req.Tables {
-		if slices.Contains(req.Tables[:i], name) {
-			return nil, apiErrorf(http.StatusBadRequest, "table %q named twice", name)
-		}
+	if name, ok := firstRepeat(req.Tables); ok {
+		return nil, apiErrorf(http.StatusBadRequest, "table %q named twice", name)
 	}
 	tn, ok := s.tenant(req.Database)
 	if !ok {
@@ -293,6 +270,23 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 	}
 	clean = !resp.Degraded && len(resp.Errors) == 0 && resp.Retries == 0
 	return finish(), nil
+}
+
+// firstRepeat returns the first name that an earlier one repeats, in one
+// pass: the coordinator forwards bodies of up to MaxBodyBytes, so a list can
+// hold hundreds of thousands of names.
+func firstRepeat(names []string) (string, bool) {
+	if len(names) < 2 {
+		return "", false
+	}
+	seen := make(map[string]struct{}, len(names))
+	for _, name := range names {
+		if _, ok := seen[name]; ok {
+			return name, true
+		}
+		seen[name] = struct{}{}
+	}
+	return "", false
 }
 
 // appendSkipped lists tables the deadline caught before Phase 1: no columns,

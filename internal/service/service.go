@@ -35,6 +35,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -176,15 +177,25 @@ func (s *Service) handleTypes(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDetect is the HTTP front end over the transport-agnostic Detect
-// core (detect.go): decode, execute, encode.
+// core (detect.go): decode, execute, encode, with the hand-written codec of
+// detectcodec.go. A body whose decoding reads past MaxBodyBytes is 413.
 func (s *Service) handleDetect(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	var req DetectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := r.Body
+	if r.ContentLength <= 0 || r.ContentLength > fastBodyBytes {
+		body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	}
+	req, err := readDetectRequest(body, r.ContentLength)
+	if err != nil {
 		detectOutcomes["error"].Inc()
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", MaxBodyBytes)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -193,7 +204,15 @@ func (s *Service) handleDetect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr.Status, "%s", apiErr.Msg)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	bp := bufPool.Get().(*[]byte)
+	out, err := appendDetectResponse(*bp, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err == nil {
+		// As json.Encoder: a response that fails to encode writes no body.
+		_, _ = w.Write(out)
+	}
+	putBuf(bp, out)
 }
 
 // FeedbackRequest is the /v1/feedback payload: the tenant corrects a

@@ -25,7 +25,7 @@ var shared struct {
 
 // testService builds a service around a lightly trained detector once per
 // test binary.
-func testService(t *testing.T) (*Service, *corpus.Dataset) {
+func testService(t testing.TB) (*Service, *corpus.Dataset) {
 	t.Helper()
 	shared.once.Do(func() {
 		ds := corpus.Generate(corpus.DefaultRegistry(), corpus.WikiTableProfile(60), 1)
