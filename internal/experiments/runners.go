@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/baselines"
@@ -27,6 +28,10 @@ type RunResult struct {
 	ScannedCols  int
 	CacheHits    int
 	Errors       int
+	// Answers maps "table.column" to the column's answer, and Ledger is
+	// the tenant database's accounting, both of the first repeat.
+	Answers map[string]core.ColumnResult
+	Ledger  simdb.AccountingSnapshot
 }
 
 // ScannedRatio is the intrusiveness metric of §6.2.
@@ -194,6 +199,7 @@ func (s *Suite) RunBaseline(dsName string, v baselines.Variant, withContent bool
 		server := s.newTestServer(ds)
 		start := time.Now()
 		acc := metrics.NewF1Accumulator()
+		answers := make(map[string]core.ColumnResult)
 		scanned, totalCols := 0, 0
 		conn, err := server.Connect(context.Background(), "tenant")
 		if err != nil {
@@ -232,7 +238,9 @@ func (s *Suite) RunBaseline(dsName string, v baselines.Variant, withContent bool
 				for i, c := range chunk.Columns {
 					totalCols++
 					var admitted []string
+					var row []float64
 					if i < len(probs) {
+						row = probs[i]
 						for j, p := range probs[i] {
 							if j == 0 {
 								continue // background type
@@ -244,6 +252,8 @@ func (s *Suite) RunBaseline(dsName string, v baselines.Variant, withContent bool
 					}
 					if r == 0 {
 						acc.Add(admitted, truth[tn+"."+c.Name])
+						sort.Strings(admitted)
+						answers[tn+"."+c.Name] = core.ColumnResult{Table: tn, Column: c.Name, Admitted: admitted, Probs: row}
 					}
 				}
 			}
@@ -256,6 +266,8 @@ func (s *Suite) RunBaseline(dsName string, v baselines.Variant, withContent bool
 			res.Precision, res.Recall, res.F1 = acc.Precision(), acc.Recall(), acc.F1()
 			res.TotalColumns = totalCols
 			res.ScannedCols = scanned
+			res.Answers = answers
+			res.Ledger = server.Accounting().Snapshot()
 		}
 	}
 	res.Duration = total / time.Duration(repeats)
