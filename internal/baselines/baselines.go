@@ -269,6 +269,10 @@ func (m *Model) Predict(t *metafeat.TableInfo, n int, withContent bool) [][]floa
 	return adtd.Sigmoid(logits)
 }
 
+// TypeSpace returns the type space Predict's rows index, so that a
+// detector can run the model (core.NewBaselineDetector).
+func (m *Model) TypeSpace() *adtd.TypeSpace { return m.Types }
+
 // TrainConfig mirrors adtd.TrainConfig for the baselines.
 type TrainConfig struct {
 	Epochs int

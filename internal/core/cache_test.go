@@ -40,13 +40,13 @@ func chunkKeys(t *testing.T, det *Detector, server *simdb.Server, db, table stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &tableJob{d: det, model: det.Model(), conn: conn, table: table, meta: tm}
+	j := &tableJob{d: det, cls: adtdClassifier{det.Model()}, conn: conn, table: table, meta: tm}
 	if err := j.s1PrepMetadata(ctx); err != nil {
 		t.Fatal(err)
 	}
 	keys := make([]string, len(j.chunks))
 	for i, chunk := range j.chunks {
-		keys[i] = det.metaResultKey(j.model, chunk)
+		keys[i] = det.metaResultKey(det.Model(), chunk)
 	}
 	return keys
 }
@@ -218,7 +218,7 @@ func TestLatentKeysKeepTenantsApart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := &tableJob{d: probe, model: probe.Model(), conn: conn, table: "c", meta: tm}
+	j := &tableJob{d: probe, cls: adtdClassifier{probe.Model()}, conn: conn, table: "c", meta: tm}
 	for _, st := range j.stages()[:3] {
 		if err := st.Run(context.Background()); err != nil {
 			t.Fatal(err)
@@ -232,7 +232,7 @@ func TestLatentKeysKeepTenantsApart(t *testing.T) {
 		for local := range cols {
 			cols[local] = local
 		}
-		key := probe.contentResultKey(j.model, j.keys[ci], chunk, cols, opts.CellsPerColumn)
+		key := probe.contentResultKey(probe.Model(), j.keys[ci], chunk, cols, opts.CellsPerColumn)
 		if _, ok := det.Results().Get(key); !ok {
 			t.Fatalf("chunk %d: no Phase-2 result entry to drop", ci)
 		}

@@ -189,7 +189,7 @@ func checkKeyParity(t *testing.T, d *Detector, chunk *metafeat.TableInfo, cols [
 	if got, want := d.contentResultKey(m, want, chunk, cols, n), refContentResultKey(m, hist, want, chunk, cols, n); got != want {
 		t.Fatalf("content key %q, reference %q", got, want)
 	}
-	j := &tableJob{d: d, model: m, table: chunk.Name, info: chunk, chunks: []*metafeat.TableInfo{chunk}, offsets: []int{0}}
+	j := &tableJob{d: d, cls: adtdClassifier{m}, table: chunk.Name, info: chunk, chunks: []*metafeat.TableInfo{chunk}, offsets: []int{0}}
 	if err := j.s2InferMetadata(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -158,7 +158,10 @@ type FaultStats struct {
 // the model's process-unique generation.
 type Detector struct {
 	model atomic.Pointer[adtd.Model]
-	Opts  Options
+	// baseline is the classifier of a NewBaselineDetector, which runs it in
+	// place of the model; nil on an ADTD detector.
+	baseline classifier
+	Opts     Options
 
 	cache   *cache.Latent
 	results *cache.Result
@@ -176,10 +179,35 @@ type Detector struct {
 // NewDetector creates a detector over a trained model. The model is
 // switched to eval mode.
 func NewDetector(model *adtd.Model, opts Options) (*Detector, error) {
-	if err := opts.Validate(); err != nil {
+	d, err := newDetector(opts)
+	if err != nil {
 		return nil, err
 	}
 	model.SetEval()
+	d.model.Store(model)
+	return d, nil
+}
+
+// NewBaselineDetector creates a detector that runs a single-phase content
+// classifier (TURL, Doduo) in place of ADTD, on the same stages, connection
+// handling and ExecMode (DESIGN.md §3). With Phase 2 on (α < β), Phase 1
+// defers every column, s3 scans them all in one read and Phase 2 predicts
+// from their content; with it off (α = β), Phase 1 predicts from the
+// metadata alone and nothing is scanned. It never touches the latent or
+// result tier, and its Model is nil.
+func NewBaselineDetector(m Baseline, opts Options) (*Detector, error) {
+	d, err := newDetector(opts)
+	if err != nil {
+		return nil, err
+	}
+	d.baseline = baselineClassifier{m}
+	return d, nil
+}
+
+func newDetector(opts Options) (*Detector, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	latents := cache.NewLatent(opts.CacheBytes, 0)
 	latents.SetMetrics(cache.NewTierMetrics(obs.Default, "latent"))
 	results := cache.NewResult(opts.ResultCacheBytes, 0)
@@ -196,7 +224,6 @@ func NewDetector(model *adtd.Model, opts Options) (*Detector, error) {
 			DeadlineMargin: opts.DeadlineMargin,
 		}, opts.ScanSeed+1),
 	}
-	d.model.Store(model)
 	return d, nil
 }
 
@@ -235,6 +262,15 @@ func (d *Detector) requestModel(ctx context.Context) *adtd.Model {
 		return m
 	}
 	return d.model.Load()
+}
+
+// classifier returns what a request's inference stages run: the detector's
+// baseline, or ADTD on the request's model.
+func (d *Detector) classifier(ctx context.Context) classifier {
+	if d.baseline != nil {
+		return d.baseline
+	}
+	return adtdClassifier{d.requestModel(ctx)}
 }
 
 // Cache exposes the latent cache tier (for stats and tests).
@@ -413,12 +449,12 @@ func AutoMode() ExecMode {
 	return PipelinedMode()
 }
 
-// tableJob carries per-table state across the four stages. The model is
-// captured once at job creation: all four stages (and their cache keys) use
-// the same weights even if the detector hot-swaps mid-request.
+// tableJob carries per-table state across the four stages. The classifier
+// is captured once at job creation: all four stages (and their cache keys)
+// use the same weights even if the detector hot-swaps mid-request.
 type tableJob struct {
 	d     *Detector
-	model *adtd.Model
+	cls   classifier
 	conn  *simdb.Conn
 	table string
 	// meta is the table's information_schema view from the batch's schema
@@ -435,7 +471,8 @@ type tableJob struct {
 	// result and its latents; s4 reads it back because by then s3 has
 	// filled in values the latents never saw.
 	keys []string
-	// p1Probs[i] is Phase 1's probability row for global column i.
+	// p1Probs[i] is Phase 1's probability row for global column i; nil
+	// defers the column to Phase 2.
 	p1Probs   [][]float64
 	uncertain []int // global indices of uncertain columns
 	retries   int   // backoff retries spent on this table
@@ -501,39 +538,18 @@ func (j *tableJob) s1PrepMetadata(ctx context.Context) error {
 	return nil
 }
 
-// s2InferMetadata runs Phase 1 inference per chunk, populates the latent
-// cache, and classifies columns into certain/uncertain. Phase 1 has finished
-// once j.res is set, which is the stage's last step: a panic anywhere before
-// it leaves no half-built table for DetectDatabaseOn to salvage.
+// s2InferMetadata runs Phase 1 inference per chunk and classifies columns
+// into certain/uncertain; a column the classifier deferred is uncertain.
+// Phase 1 has finished once j.res is set, which is the stage's last step: a
+// panic anywhere before it leaves no half-built table for DetectDatabaseOn
+// to salvage.
 func (j *tableJob) s2InferMetadata(context.Context) error {
 	opts := j.d.Opts
 	// Chunks cover the columns consecutively, so appending per chunk keeps
 	// p1Probs indexed by global column position.
-	j.keys = make([]string, 0, len(j.chunks))
 	j.p1Probs = make([][]float64, 0, len(j.info.Columns))
-	for _, chunk := range j.chunks {
-		// One key per chunk, the hash of its metadata: it names the chunk's
-		// Phase-1 result, so a repeat detect over unchanged metadata skips
-		// the metadata tower, and its latents, so those s4 finds were
-		// encoded from this metadata and never another version's. It is
-		// computed even with both tiers off: a disabled latent tier still
-		// counts s4's misses.
-		key := j.d.metaResultKey(j.model, chunk)
-		j.keys = append(j.keys, key)
-		if j.d.results.Enabled() {
-			if probs, ok := j.d.results.Get(key); ok {
-				j.p1Probs = append(j.p1Probs, probs...)
-				continue
-			}
-		}
-		menc, probs := j.model.PredictMeta(chunk, opts.UseHistogram)
-		if !j.d.cache.Put(key, menc) {
-			// Not consumed (disabled, oversized, or an equal entry already
-			// cached): the fresh graph goes back to the tensor arena.
-			menc.Release()
-		}
-		j.d.results.Put(key, probs)
-		j.p1Probs = append(j.p1Probs, probs...)
+	for ci := range j.chunks {
+		j.p1Probs = append(j.p1Probs, j.cls.phase1(j, ci)...)
 	}
 	// Phase 1 answers its certain columns here. An uncertain column's
 	// Phase-1 admitted set is built only if Phase 2 does not answer it, by
@@ -545,14 +561,14 @@ func (j *tableJob) s2InferMetadata(context.Context) error {
 	for global, row := range j.p1Probs {
 		cr := &res.Columns[global]
 		*cr = ColumnResult{Table: j.table, Column: j.info.Columns[global].Name, Phase: 1, Probs: row}
-		if !opts.P2Disabled() && isUncertain(row, opts.Alpha, opts.Beta) {
+		if !opts.P2Disabled() && (row == nil || isUncertain(row, opts.Alpha, opts.Beta)) {
 			cr.Uncertain = true
 			if j.uncertain == nil {
 				j.uncertain = make([]int, 0, len(j.p1Probs)-global)
 			}
 			j.uncertain = append(j.uncertain, global)
 		} else {
-			cr.Admitted = admitted(j.model, row, opts.Beta)
+			cr.Admitted = admitted(j.cls.types(), row, opts.Beta)
 		}
 	}
 	j.res = res
@@ -572,9 +588,9 @@ func (j *tableJob) degradeWithRules(reason string, deadline bool) {
 		if cr.Phase == 2 {
 			continue
 		}
-		cr.Admitted = admitted(j.model, cr.Probs, j.d.Opts.Beta)
+		cr.Admitted = admitted(j.cls.types(), cr.Probs, j.d.Opts.Beta)
 		if vals := j.info.Columns[g].Values; len(vals) > 0 {
-			cr.Admitted = mergeTypes(cr.Admitted, j.d.ruleFallback(j.model, vals))
+			cr.Admitted = mergeTypes(cr.Admitted, j.d.ruleFallback(j.cls.types(), vals))
 		}
 		cr.Degraded = true
 		cr.DegradeReason = reason
@@ -584,14 +600,14 @@ func (j *tableJob) degradeWithRules(reason string, deadline bool) {
 }
 
 // ruleFallback runs the rule-based detector over values, keeping only types
-// the given model's type space knows.
-func (d *Detector) ruleFallback(m *adtd.Model, values []string) []string {
+// the given type space knows.
+func (d *Detector) ruleFallback(types *adtd.TypeSpace, values []string) []string {
 	if d.rules == nil {
 		return nil
 	}
 	var out []string
 	for _, t := range d.rules.DetectColumn(values) {
-		if _, ok := m.Types.Index(t); ok {
+		if _, ok := types.Index(t); ok {
 			out = append(out, t)
 		}
 	}
@@ -658,10 +674,7 @@ func (j *tableJob) s3PrepContent(ctx context.Context) error {
 	return nil
 }
 
-// s4InferContent runs Phase 2 over the table's uncertain columns, reusing
-// cached metadata latents when available and recomputing them otherwise.
-// All chunks are classified in one batched forward (PredictContentBatch),
-// which amortizes kernel dispatch and classifier overhead across chunks. A
+// s4InferContent runs Phase 2 over the table's uncertain columns. A
 // deadline too near to start is the stage's error, as is a panic in the
 // forward (the scheduler recovers it); on either, DetectDatabaseOn degrades
 // the columns with the rules over the content s3 fetched.
@@ -672,18 +685,14 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 	if err := j.d.phase2Deadline(ctx); err != nil {
 		return err
 	}
-	opts := j.d.Opts
-	applyRows := func(globals []int, rows [][]float64) {
-		for slot, g := range globals {
-			cr := &j.res.Columns[g]
-			cr.Phase = 2
-			cr.Probs = rows[slot]
-			cr.Admitted = admitted(j.model, rows[slot], opts.AdmitThreshold)
-		}
-	}
-	var reqs []adtd.ContentRequest
-	var globalsPerReq [][]int
-	var keysPerReq []string
+	j.cls.phase2(j)
+	return nil
+}
+
+// eachPending calls fn for every chunk holding uncertain columns, with the
+// chunk's index, those columns' global indices and their positions in the
+// chunk.
+func (j *tableJob) eachPending(fn func(ci int, globals, cols []int)) {
 	// uncertain is sorted and chunks cover the columns consecutively, so
 	// each chunk's pending columns are the next run of it.
 	pending := j.uncertain
@@ -698,62 +707,33 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 		if len(globals) == 0 {
 			continue
 		}
-		localCols := make([]int, len(globals))
+		cols := make([]int, len(globals))
 		for i, g := range globals {
-			localCols[i] = g - j.offsets[ci]
+			cols[i] = g - j.offsets[ci]
 		}
-		// Result-cache fast path: the key chains the chunk's Phase-1 key
-		// (its metadata) with the cells the content tower reads of each
-		// requested column, so changed content the model sees yields a
-		// different key and stale memoized answers simply never resolve
-		// again.
-		var rkey string
-		if j.d.results.Enabled() {
-			rkey = j.d.contentResultKey(j.model, j.keys[ci], chunk, localCols, opts.CellsPerColumn)
-			if rows, ok := j.d.results.Get(rkey); ok && len(rows) == len(globals) {
-				applyRows(globals, rows)
-				continue
-			}
-		}
-		menc := j.d.cache.Get(j.keys[ci])
-		if menc != nil {
-			j.latentHits++
-		} else {
-			if j.d.cache.Enabled() {
-				j.latentMisses++
-			}
-			// Latents not cached (tier disabled or evicted): re-encode the
-			// chunk's metadata, the duplicate metadata-tower computation the
-			// latent cache exists to avoid (§4.2.2). The batch call releases
-			// this fresh encoding; cached ones are graph-free views and
-			// survive it.
-			menc = j.model.EncodeMetadata(j.model.Encoder().BuildMetaInput(chunk, opts.UseHistogram))
-		}
-		reqs = append(reqs, adtd.ContentRequest{Menc: menc, Table: chunk, Cols: localCols})
-		globalsPerReq = append(globalsPerReq, globals)
-		keysPerReq = append(keysPerReq, rkey)
+		fn(ci, globals, cols)
 	}
-	if len(reqs) == 0 {
-		return nil
-	}
-	j.forwards++
-	batch := j.model.PredictContentBatch(reqs, opts.CellsPerColumn)
-	for r, globals := range globalsPerReq {
-		applyRows(globals, batch[r])
-		if keysPerReq[r] != "" {
-			// Memoize only full successes: degraded and error paths never
-			// reach here, so cached entries are always clean answers.
-			j.d.results.Put(keysPerReq[r], batch[r])
+}
+
+// answer gives the columns globals Phase 2's rows, in order; a column
+// without a row is answered with no types.
+func (j *tableJob) answer(globals []int, rows [][]float64) {
+	for slot, g := range globals {
+		cr := &j.res.Columns[g]
+		cr.Phase = 2
+		cr.Probs = nil
+		if slot < len(rows) {
+			cr.Probs = rows[slot]
 		}
+		cr.Admitted = admitted(j.cls.types(), cr.Probs, j.d.Opts.AdmitThreshold)
 	}
-	return nil
 }
 
 // admitted returns the sorted type names with probability ≥ threshold,
 // excluding the background type (index 0), or nil when there are none.
-// Names resolve against the request's model, whose type space indexed the
+// Names resolve against the request's type space, which indexed the
 // probability row.
-func admitted(m *adtd.Model, probs []float64, threshold float64) []string {
+func admitted(types *adtd.TypeSpace, probs []float64, threshold float64) []string {
 	n := 0
 	for _, p := range probs[min(1, len(probs)):] {
 		if p >= threshold {
@@ -766,7 +746,7 @@ func admitted(m *adtd.Model, probs []float64, threshold float64) []string {
 	out := make([]string, 0, n)
 	for i, p := range probs[1:] {
 		if p >= threshold {
-			out = append(out, m.Types.Name(i+1))
+			out = append(out, types.Name(i+1))
 		}
 	}
 	sort.Strings(out)
@@ -905,13 +885,13 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 		rep.Errors = unknownTables(dbName, tables, metas)
 	}
 
-	// One model for the whole batch: every table of the request is answered
-	// by the same weights, however long the batch runs across swaps.
-	model := d.requestModel(ctx)
+	// One classifier for the whole batch: every table of the request is
+	// answered by the same weights, however long the batch runs across swaps.
+	cls := d.classifier(ctx)
 	jobs := make([]*pipeline.Job, len(metas))
 	tjobs := make([]tableJob, len(metas))
 	for i, tm := range metas {
-		tjobs[i] = tableJob{d: d, model: model, conn: conn, table: tm.Name, meta: tm, pipelined: mode.Pipelined}
+		tjobs[i] = tableJob{d: d, cls: cls, conn: conn, table: tm.Name, meta: tm, pipelined: mode.Pipelined}
 		jobs[i] = &pipeline.Job{ID: tm.Name, Stages: tjobs[i].stages()}
 	}
 	pipeline.Scheduler{Pipelined: mode.Pipelined}.Run(ctx, jobs)

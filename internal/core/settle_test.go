@@ -29,7 +29,7 @@ func settleRun(ctx context.Context, t *testing.T, det *Detector, conn *simdb.Con
 	tjobs := make([]tableJob, len(metas))
 	jobs := make([]*pipeline.Job, len(metas))
 	for i, tm := range metas {
-		tjobs[i] = tableJob{d: det, model: det.Model(), conn: conn, table: tm.Name, meta: tm}
+		tjobs[i] = tableJob{d: det, cls: adtdClassifier{det.Model()}, conn: conn, table: tm.Name, meta: tm}
 		jobs[i] = &pipeline.Job{ID: tm.Name, Stages: tjobs[i].stages()}
 	}
 	st := &jobs[victim].Stages[idx]
@@ -51,8 +51,8 @@ func checkDegradedWithRules(t *testing.T, tj *tableJob, tr *TableResult, reason 
 	changed := 0
 	for _, g := range tj.uncertain {
 		c := tr.Columns[g]
-		p1 := admitted(tj.model, c.Probs, tj.d.Opts.Beta)
-		want := mergeTypes(p1, tj.d.ruleFallback(tj.model, tj.info.Columns[g].Values))
+		p1 := admitted(tj.cls.types(), c.Probs, tj.d.Opts.Beta)
+		want := mergeTypes(p1, tj.d.ruleFallback(tj.cls.types(), tj.info.Columns[g].Values))
 		if !c.Degraded || c.Phase != 1 || c.DegradeReason != reason || !slices.Equal(c.Admitted, want) {
 			t.Fatalf("column %s: phase=%d degraded=%v reason=%q admitted=%v, want %q and %v",
 				c.Column, c.Phase, c.Degraded, c.DegradeReason, c.Admitted, reason, want)
@@ -171,7 +171,7 @@ func TestDeadlineAfterScanMergesRules(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, vals := range content {
-			if len(det.ruleFallback(m, vals)) > 0 {
+			if len(det.ruleFallback(m.Types, vals)) > 0 {
 				victim = tb
 			}
 		}

@@ -71,10 +71,19 @@ func baselineGoldenRun(run *RunResult, s *Suite, v baselines.Variant) goldenBase
 //	go test ./internal/experiments/ -run TestBaselineGolden -update
 func TestBaselineGolden(t *testing.T) {
 	s := testSuite()
+	tables := len(s.Dataset(Wiki).Test)
 	var got []goldenBaselineRun
 	for _, v := range []baselines.Variant{baselines.TURL, baselines.Doduo} {
 		for _, withContent := range []bool{true, false} {
-			got = append(got, baselineGoldenRun(s.RunBaseline(Wiki, v, withContent), s, v))
+			run := baselineGoldenRun(s.RunBaseline(Wiki, v, withContent), s, v)
+			want := 1 // one schema read
+			if withContent {
+				want += tables // and one scan per table
+			}
+			if run.Queries != want {
+				t.Errorf("%s: %d queries over %d tables, want %d", run.Name, run.Queries, tables, want)
+			}
+			got = append(got, run)
 		}
 	}
 	if *updateGolden {

@@ -3,13 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/metafeat"
 	"repro/internal/metrics"
 	"repro/internal/simdb"
 )
@@ -132,33 +130,54 @@ func (s *Suite) newTestServer(ds *corpus.Dataset) *simdb.Server {
 	return server
 }
 
-// RunTaste executes one Taste variant end-to-end on a dataset's test split,
-// repeating the timed portion Cfg.Repeats times (fresh server each run, as
-// each run must pay its own ANALYZE/scan costs).
+// RunTaste executes one Taste variant end-to-end on a dataset's test split.
 func (s *Suite) RunTaste(dsName string, v TasteVariant) *RunResult {
-	ds := s.Dataset(dsName)
 	model := s.TasteModel(dsName, v.Hist)
-	truth := truthOf(ds.Test)
-
-	res := &RunResult{Name: v.Name, Dataset: dsName}
-	repeats := s.Cfg.Repeats
-	if repeats < 1 {
-		repeats = 1
+	mode := core.SequentialMode
+	if v.Pipelined {
+		mode = core.PipelinedMode()
 	}
+	return s.run(v.Name, dsName, mode, func() (*core.Detector, error) {
+		return core.NewDetector(model, s.options(v))
+	})
+}
+
+// RunBaseline executes TURL or Doduo end-to-end as a detector configuration
+// (core.NewBaselineDetector), sequentially as the paper runs them: a
+// full-content scan per table, their models cannot predict without content,
+// then inference. withContent=false is the strict-privacy setting of
+// Table 4: α = β, as for "Taste w/o P2", so Phase 1 predicts from the
+// metadata alone and nothing is scanned.
+func (s *Suite) RunBaseline(dsName string, v baselines.Variant, withContent bool) *RunResult {
+	model := s.BaselineModel(v, dsName)
+	name, opts := v.String(), core.DefaultOptions()
+	if !withContent {
+		name += " w/o content"
+		opts.Alpha, opts.Beta = 0.5, 0.5
+	}
+	return s.run(name, dsName, core.SequentialMode, func() (*core.Detector, error) {
+		return core.NewBaselineDetector(model, opts)
+	})
+}
+
+// run measures one detector configuration end-to-end on a dataset's test
+// split: Cfg.Repeats timed detects, each on a fresh detector and server (so
+// each pays its own ANALYZE and scan costs), the first one scored.
+func (s *Suite) run(name, dsName string, mode core.ExecMode, newDetector func() (*core.Detector, error)) *RunResult {
+	ds := s.Dataset(dsName)
+	truth := truthOf(ds.Test)
+	res := &RunResult{Name: name, Dataset: dsName}
+	repeats := max(s.Cfg.Repeats, 1)
 	var total time.Duration
 	for r := 0; r < repeats; r++ {
-		det, err := core.NewDetector(model, s.options(v))
+		det, err := newDetector()
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %v", err))
 		}
 		server := s.newTestServer(ds)
-		mode := core.SequentialMode
-		if v.Pipelined {
-			mode = core.PipelinedMode()
-		}
 		rep, err := det.DetectDatabase(context.Background(), server, "tenant", mode)
 		if err != nil {
-			panic(fmt.Sprintf("experiments: run %s: %v", v.Name, err))
+			panic(fmt.Sprintf("experiments: run %s: %v", name, err))
 		}
 		total += rep.Duration
 		res.DurationsAll = append(res.DurationsAll, rep.Duration)
@@ -169,104 +188,12 @@ func (s *Suite) RunTaste(dsName string, v TasteVariant) *RunResult {
 			res.ScannedCols = rep.ScannedColumns
 			res.CacheHits = rep.CacheHits
 			res.Errors = len(rep.Errors)
-		}
-	}
-	res.Duration = total / time.Duration(repeats)
-	s.logf("experiments: %-22s %-9s time=%-12v F1=%.4f scanned=%.1f%%",
-		v.Name, dsName, res.Duration.Round(time.Millisecond), res.F1, 100*res.ScannedRatio())
-	return res
-}
-
-// RunBaseline executes TURL or Doduo end-to-end: sequential processing, one
-// metadata fetch plus a full-content scan per table (their models cannot
-// predict without content), then inference. withContent=false is the
-// strict-privacy setting of Table 4 (content blanked, no scans).
-func (s *Suite) RunBaseline(dsName string, v baselines.Variant, withContent bool) *RunResult {
-	ds := s.Dataset(dsName)
-	model := s.BaselineModel(v, dsName)
-	truth := truthOf(ds.Test)
-	name := v.String()
-	if !withContent {
-		name += " w/o content"
-	}
-	res := &RunResult{Name: name, Dataset: dsName}
-	repeats := s.Cfg.Repeats
-	if repeats < 1 {
-		repeats = 1
-	}
-	var total time.Duration
-	for r := 0; r < repeats; r++ {
-		server := s.newTestServer(ds)
-		start := time.Now()
-		acc := metrics.NewF1Accumulator()
-		answers := make(map[string]core.ColumnResult)
-		scanned, totalCols := 0, 0
-		conn, err := server.Connect(context.Background(), "tenant")
-		if err != nil {
-			panic(err)
-		}
-		tables, err := conn.ListTables(context.Background())
-		if err != nil {
-			panic(err)
-		}
-		for _, tn := range tables {
-			tm, err := conn.TableMetadata(context.Background(), tn)
-			if err != nil {
-				panic(err)
-			}
-			info := metafeat.FromTableMeta(tm)
-			if withContent {
-				names := make([]string, len(info.Columns))
-				for i, c := range info.Columns {
-					names[i] = c.Name
-				}
-				content, err := conn.ScanColumns(context.Background(), tn, names, simdb.ScanOptions{Strategy: simdb.FirstRows, Rows: 50})
-				if err != nil {
-					panic(err)
-				}
-				for _, c := range info.Columns {
-					c.Values = content[c.Name]
-				}
-				scanned += len(names)
-			}
-			for _, chunk := range info.Split(20) {
-				probs := model.Predict(chunk, 10, withContent)
-				// Wide chunks can exceed the model's W_max: columns whose
-				// anchors were truncated away get no prediction (the same
-				// sequence-length limitation §6.1.2 works around by
-				// splitting), which scores as missed labels.
-				for i, c := range chunk.Columns {
-					totalCols++
-					var admitted []string
-					var row []float64
-					if i < len(probs) {
-						row = probs[i]
-						for j, p := range probs[i] {
-							if j == 0 {
-								continue // background type
-							}
-							if p >= 0.5 {
-								admitted = append(admitted, model.Types.Name(j))
-							}
-						}
-					}
-					if r == 0 {
-						acc.Add(admitted, truth[tn+"."+c.Name])
-						sort.Strings(admitted)
-						answers[tn+"."+c.Name] = core.ColumnResult{Table: tn, Column: c.Name, Admitted: admitted, Probs: row}
-					}
+			res.Answers = make(map[string]core.ColumnResult, rep.TotalColumns)
+			for _, tr := range rep.Tables {
+				for _, c := range tr.Columns {
+					res.Answers[tr.Table+"."+c.Column] = c
 				}
 			}
-		}
-		conn.Close()
-		dur := time.Since(start)
-		total += dur
-		res.DurationsAll = append(res.DurationsAll, dur)
-		if r == 0 {
-			res.Precision, res.Recall, res.F1 = acc.Precision(), acc.Recall(), acc.F1()
-			res.TotalColumns = totalCols
-			res.ScannedCols = scanned
-			res.Answers = answers
 			res.Ledger = server.Accounting().Snapshot()
 		}
 	}
