@@ -14,7 +14,7 @@ GO ?= go
 # deduplicated model registry, whose page and manifest maps and journal
 # take concurrent publish/checkpoint traffic behind one mutex. The pipelined scheduler has a race line of its
 # own (race, race-all).
-RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/sherlock/... ./internal/baselines/... ./internal/cache/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
+RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/baselines/... ./internal/cache/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
 
 .PHONY: build vet vet-arm64 test race race-all bench-check fuzz ci bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
 
@@ -43,7 +43,8 @@ test: build
 # tables run on, a warm detector answering a table that changed in one
 # cell) on an untrained model, so they need neither the trained fixture nor
 # race-all's 45 minutes. The allocation ceiling of one result-tier hit runs
-# there too.
+# there too, and so does a fake baseline classifier on the same stages in
+# both modes.
 #
 # The scheduler runs ten times over: its tests drive goroutine interleavings
 # (token handoff order, a cancel while stages wait for a token, a panic
@@ -52,7 +53,7 @@ test: build
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 ./internal/pipeline/
-	$(GO) test -race -run 'HitsEveryRead|Forward|LatentKey|DetectDatabaseOn|StagePanic|DeadlineAfterScan|ResultTier|CachedDetectTableAllocs' ./internal/core/
+	$(GO) test -race -run 'HitsEveryRead|Forward|LatentKey|DetectDatabaseOn|StagePanic|DeadlineAfterScan|ResultTier|CachedDetectTableAllocs|BaselineSeam' ./internal/core/
 
 # bench-check builds and smoke-tests the benchmark module against this
 # checkout. bench/ is a module of its own (replace repro => ..), so the root

@@ -27,6 +27,9 @@ var (
 	// docSeries is a metric series name: taste_stage_seconds_bucket,
 	// or taste_fleet_ for the family taste_fleet_*.
 	docSeries = regexp.MustCompile(`taste_\w*`)
+	// docPath is a repository path inside a code span: internal/core,
+	// ./internal/tensor/, cmd/tasted/main.go.
+	docPath = regexp.MustCompile(`(?:^|[\s./])((?:internal|cmd)/[\w./-]+)`)
 )
 
 // TestDocFlagsExist keeps README.md, EXPERIMENTS.md and scripts/*.sh in
@@ -129,6 +132,40 @@ func TestDocSeriesExist(t *testing.T) {
 			for _, name := range docSeries.FindAllString(line, -1) {
 				if !seriesDefined(name, defined) {
 					t.Errorf("%s:%d: no Go under internal/ defines series %s", doc, i+1, name)
+				}
+			}
+		}
+	}
+}
+
+// TestDocPathsExist keeps README.md and EXPERIMENTS.md in step with the
+// tree: every internal/… or cmd/… path an inline code span names must
+// exist, outside fenced blocks and outside a paragraph that opens
+// "**Removed", which records what is gone.
+func TestDocPathsExist(t *testing.T) {
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+		fenced, removed := false, false
+		for i, line := range readLines(t, doc) {
+			trimmed := strings.TrimSpace(line)
+			switch {
+			case strings.HasPrefix(trimmed, "```"):
+				fenced = !fenced
+				continue
+			case trimmed == "":
+				removed = false
+				continue
+			case !removed && strings.HasPrefix(trimmed, "**Removed"):
+				removed = true
+			}
+			if fenced || removed {
+				continue
+			}
+			for _, span := range docSpan.FindAllStringSubmatch(line, -1) {
+				for _, m := range docPath.FindAllStringSubmatch(span[1], -1) {
+					path := strings.TrimRight(m[1], "./")
+					if _, err := os.Stat(path); err != nil {
+						t.Errorf("%s:%d: `%s` names %s, which does not exist", doc, i+1, span[1], path)
+					}
 				}
 			}
 		}

@@ -139,7 +139,7 @@ func (c baselineClassifier) phase1(j *tableJob, ci int) [][]float64 {
 }
 
 // phase2 predicts each chunk with pending columns from its content, one
-// forward per chunk.
+// forward per chunk. A column Predict returned no row for gets a nil row.
 func (c baselineClassifier) phase2(j *tableJob) {
 	j.eachPending(func(ci int, globals, cols []int) {
 		j.forwards++

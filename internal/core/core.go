@@ -147,8 +147,9 @@ type FaultStats struct {
 	FailureDegraded int
 }
 
-// Detector is the Taste detection service: a trained ADTD model plus the
-// framework configuration. It is safe for concurrent use once the model is
+// Detector is the Taste detection service: a trained ADTD model (or a
+// baseline classifier, NewBaselineDetector) plus the framework
+// configuration. It is safe for concurrent use once the model is
 // in eval mode.
 //
 // The model is held behind an atomic pointer (RCU style): every request
@@ -387,7 +388,7 @@ type Report struct {
 	CacheMisses int
 	// ContentForwards counts the Phase-2 content forwards this request ran:
 	// one per table that reached Phase 2 with a chunk the result cache
-	// did not answer.
+	// did not answer (a baseline: one per chunk).
 	ContentForwards int
 	// Skipped names the tables the deadline caught before Phase 1 finished;
 	// one summary error in Errors counts them.
@@ -715,17 +716,13 @@ func (j *tableJob) eachPending(fn func(ci int, globals, cols []int)) {
 	}
 }
 
-// answer gives the columns globals Phase 2's rows, in order; a column
-// without a row is answered with no types.
+// answer gives the columns globals Phase 2's rows, in order; a nil row
+// answers its column with no types.
 func (j *tableJob) answer(globals []int, rows [][]float64) {
 	for slot, g := range globals {
 		cr := &j.res.Columns[g]
-		cr.Phase = 2
-		cr.Probs = nil
-		if slot < len(rows) {
-			cr.Probs = rows[slot]
-		}
-		cr.Admitted = admitted(j.cls.types(), cr.Probs, j.d.Opts.AdmitThreshold)
+		cr.Phase, cr.Probs = 2, rows[slot]
+		cr.Admitted = admitted(j.cls.types(), rows[slot], j.d.Opts.AdmitThreshold)
 	}
 }
 

@@ -106,8 +106,8 @@ func GitTablesProfile(tables int) Profile {
 	}
 }
 
-// SmallTablesProfile mimics the Sherlock/Sato-scale corpora dominated by
-// many narrow tables (see PAPERS.md): exactly 3 columns per table, with
+// SmallTablesProfile mimics the web-table corpora of the related work,
+// dominated by many narrow tables (see PAPERS.md): exactly 3 columns per table, with
 // WikiTable-like ambiguity so a steady fraction of columns reaches Phase 2.
 // This is the workload shape where per-table dispatch overhead and
 // unbatched Phase-2 forwards dominate — the case cross-table inference

@@ -277,29 +277,3 @@ func TestValStageSchedule(t *testing.T) {
 		t.Fatalf("no decay when FinalLR unset, got %v → %v", cfg.LR, cfg.FinalLR)
 	}
 }
-
-func TestExtrasShape(t *testing.T) {
-	s := testSuite()
-	res := s.Extras()
-	for _, ds := range []string{Wiki, Git} {
-		runs := res.Runs[ds]
-		if len(runs) != 3 {
-			t.Fatalf("%s: runs = %d, want 3", ds, len(runs))
-		}
-		rules, sherlock := runs[0], runs[1]
-		if rules.Name != "Rules (regex+dict)" || sherlock.Name != "Sherlock (features)" {
-			t.Fatalf("unexpected run names: %s / %s", rules.Name, sherlock.Name)
-		}
-		// Both traditional baselines must scan everything.
-		if rules.ScannedRatio() != 1 || sherlock.ScannedRatio() != 1 {
-			t.Fatalf("%s: traditional baselines must scan 100%%", ds)
-		}
-		// Rules are high-precision on pattern types even untrained.
-		if rules.Precision < 0.5 {
-			t.Fatalf("%s: rule precision %.3f too low", ds, rules.Precision)
-		}
-	}
-	if !strings.Contains(res.String(), "Extras") {
-		t.Fatal("report missing title")
-	}
-}

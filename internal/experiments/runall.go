@@ -7,7 +7,7 @@ import (
 )
 
 // Names of the runnable experiments, in presentation order.
-var AllExperiments = []string{"table2", "fig4", "table3", "table4", "fig5", "fig6", "fig7", "fig8", "table7", "ablations", "extras"}
+var AllExperiments = []string{"table2", "fig4", "table3", "table4", "fig5", "fig6", "fig7", "fig8", "table7", "ablations"}
 
 // Run executes one named experiment, or every experiment for "all", and
 // writes the reports to w. Names are case-insensitive.
@@ -35,8 +35,6 @@ func (s *Suite) Run(name string, w io.Writer) error {
 		return s.TraceBreakdown(w)
 	case "ablations":
 		fmt.Fprintln(w, s.Ablations())
-	case "extras":
-		fmt.Fprintln(w, s.Extras())
 	default:
 		return fmt.Errorf("experiments: unknown experiment %q (have all, %s)", name, strings.Join(AllExperiments, ", "))
 	}

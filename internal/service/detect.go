@@ -170,7 +170,7 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 	}
 	tn, ok := s.tenant(req.Database)
 	if !ok {
-		return nil, apiErrorf(http.StatusNotFound, "unknown database %q", req.Database)
+		return nil, apiErrorf(http.StatusNotFound, "unknown database %s", quoteName(req.Database))
 	}
 
 	// Pin the request's model here, once: the version label below is derived

@@ -21,7 +21,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 
 	"repro/internal/adtd"
@@ -270,8 +269,7 @@ func (s *Service) handleModelSwap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SwapRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	resp, apiErr := s.Swap(r.Context(), req.Version)

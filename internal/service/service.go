@@ -38,9 +38,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/adtd"
 	"repro/internal/cache"
@@ -163,6 +165,47 @@ func writeError(w http.ResponseWriter, status int, format string, args ...interf
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// decodeBody decodes r's JSON body, read through http.MaxBytesReader at
+// MaxBodyBytes, into v. On failure it writes the error response itself and
+// reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v); err != nil {
+		writeBodyError(w, err)
+		return false
+	}
+	return true
+}
+
+// writeBodyError answers a body that failed to read or decode: 413 once it
+// ran past MaxBodyBytes, else 400.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", MaxBodyBytes)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+}
+
+// maxQuotedName caps how many bytes of a client-supplied name an error
+// message quotes.
+const maxQuotedName = 128
+
+// quoteName renders a client-supplied name for an error message: quoted
+// whole when it is at most maxQuotedName bytes, else its first
+// maxQuotedName bytes (cut at a rune boundary) and its length, so a huge
+// name cannot make a huge error body.
+func quoteName(name string) string {
+	if len(name) <= maxQuotedName {
+		return strconv.Quote(name)
+	}
+	cut := maxQuotedName
+	for cut > 0 && !utf8.RuneStart(name[cut]) {
+		cut--
+	}
+	return fmt.Sprintf("%q… (%d bytes)", name[:cut], len(name))
+}
+
 func (s *Service) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -191,12 +234,7 @@ func (s *Service) handleDetect(w http.ResponseWriter, r *http.Request) {
 	req, err := readDetectRequest(body, r.ContentLength)
 	if err != nil {
 		detectOutcomes["error"].Inc()
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", MaxBodyBytes)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		writeBodyError(w, err)
 		return
 	}
 	resp, apiErr := s.Detect(r.Context(), req)
@@ -230,13 +268,12 @@ func (s *Service) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FeedbackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	tn, ok := s.tenant(req.Database)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown database %q", req.Database)
+		writeError(w, http.StatusNotFound, "unknown database %s", quoteName(req.Database))
 		return
 	}
 	ctx := r.Context()
@@ -260,7 +297,7 @@ func (s *Service) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if col < 0 {
-		writeError(w, http.StatusNotFound, "unknown column %q", req.Column)
+		writeError(w, http.StatusNotFound, "unknown column %s", quoteName(req.Column))
 		return
 	}
 	if err := s.detector.Feedback(info, col, req.Labels); err != nil {

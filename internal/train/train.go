@@ -1,6 +1,6 @@
 // Package train is the data-parallel training runtime shared by every
 // training loop in the reproduction (adtd.FineTune, adtd.Pretrain,
-// sherlock.Train, baselines.FineTune).
+// baselines.FineTune).
 //
 // A Trainer run owns the epoch/shuffle/LR-decay loop and fans mini-batches
 // out to W gradient workers. Worker 0 trains against the canonical model
