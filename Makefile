@@ -66,6 +66,8 @@ bench-check:
 # /v1/detect handler, its hand-written request decoder and response encoder
 # against encoding/json, its singleflight key (equal exactly when every
 # field but trace is), the cache-key framing against its streaming reference,
+# the scan's cut to each column's first n non-empty cells against the full
+# scan,
 # the tokenizer's append path against Encode, the four row kernels (the
 # matmul's with its K-block edges), the fused add-and-LayerNorm and the
 # attention core (with its span validation) against their references, the
@@ -79,6 +81,7 @@ fuzz:
 		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzztime=10s ./internal/service/ || exit 1; \
 	done
 	$(GO) test -run=^$$ -fuzz=^FuzzResultKeyFraming$$ -fuzztime=10s ./internal/core/
+	$(GO) test -run=^$$ -fuzz=^FuzzScanCells$$ -fuzztime=10s ./internal/simdb/
 	$(GO) test -run=^$$ -fuzz=^FuzzEncodeAppend$$ -fuzztime=10s ./internal/tokenizer/
 	for f in FuzzExpRow FuzzGELURow FuzzMulRowRange FuzzScoreRow FuzzLayerNormRows FuzzAttnCore FuzzReadTensors; do \
 		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzztime=10s ./internal/tensor/ || exit 1; \

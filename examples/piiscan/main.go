@@ -82,7 +82,7 @@ func main() {
 		}
 		fmt.Printf("impact on the user database:\n")
 		fmt.Printf("  columns scanned:   %d of %d (%.1f%%)\n", rep.ScannedColumns, rep.TotalColumns, 100*rep.ScannedRatio())
-		fmt.Printf("  rows transferred:  %d (%d bytes)\n", snap.RowsScanned, snap.BytesRead)
+		fmt.Printf("  cells transferred: %d (%d bytes)\n", snap.CellsRead, snap.BytesRead)
 		fmt.Printf("  queries issued:    %d over %d connection(s)\n", snap.Queries, snap.Connections)
 		fmt.Printf("  end-to-end time:   %v\n", rep.Duration.Round(1e6))
 	}

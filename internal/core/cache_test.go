@@ -219,8 +219,8 @@ func TestLatentKeysKeepTenantsApart(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := &tableJob{d: probe, cls: adtdClassifier{probe.Model()}, conn: conn, table: "c", meta: tm}
-	for _, st := range j.stages()[:3] {
-		if err := st.Run(context.Background()); err != nil {
+	for i := range 3 {
+		if err := j.RunStage(context.Background(), i); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -481,6 +481,8 @@ type tableJob struct {
 	// latentHits and latentMisses count s4's latent-tier lookups.
 	latentHits, latentMisses int
 	res                      *TableResult
+	// job is the scheduler's view of this table (pipelineJob).
+	job pipeline.Job
 }
 
 // errDeadlineImminent is a Phase-2 stage's error when too little of the
@@ -579,9 +581,10 @@ func (j *tableJob) s2InferMetadata(context.Context) error {
 // degradeWithRules marks the uncertain columns Phase 2 did not resolve as
 // degraded with the reason. Each keeps its Phase-1 answer, whose admitted
 // set s2 left to be built here; where s3 fetched its content, the
-// rule-based detector (regex/dictionary validators) runs over the values
-// and its hits are merged in — cheaper than the content tower by orders of
-// magnitude, so it fits inside a dying deadline.
+// rule-based detector (regex/dictionary validators) runs over the cells s3
+// shipped, exactly those the model would have read, and its hits are
+// merged in — cheaper than the content tower by orders of magnitude, so it
+// fits inside a dying deadline.
 func (j *tableJob) degradeWithRules(reason string, deadline bool) {
 	n := 0
 	for _, g := range j.uncertain {
@@ -634,7 +637,20 @@ func mergeTypes(a, b []string) []string {
 	return out
 }
 
-// s3PrepContent scans the uncertain columns' content (§3.3). Certain
+// scanOptions is the detector's Phase-2 scan: m rows by its strategy, of
+// which each column ships only its first n non-empty cells, the ones the
+// model reads (adtd.VisibleCells).
+func (d *Detector) scanOptions() simdb.ScanOptions {
+	return simdb.ScanOptions{
+		Strategy: d.Opts.Strategy,
+		Rows:     d.Opts.RowsToRead,
+		Cells:    d.Opts.CellsPerColumn,
+		Seed:     d.Opts.ScanSeed,
+	}
+}
+
+// s3PrepContent scans the uncertain columns' content (§3.3): of the m rows
+// it reads, each column ships only the n cells the model reads. Certain
 // columns are never scanned, and neither is any column when the deadline is
 // too near for Phase 2: the check comes before the scan, so the tenant
 // exposes no content Phase 2 will not use. Transient scan failures are
@@ -647,7 +663,6 @@ func (j *tableJob) s3PrepContent(ctx context.Context) error {
 	if err := j.d.phase2Deadline(ctx); err != nil {
 		return err
 	}
-	opts := j.d.Opts
 	names := make([]string, len(j.uncertain))
 	for i, g := range j.uncertain {
 		names[i] = j.info.Columns[g].Name
@@ -656,11 +671,7 @@ func (j *tableJob) s3PrepContent(ctx context.Context) error {
 	var content map[string][]string
 	n, err := j.d.retry(ctx, j.conn.Accounting(), func() error {
 		var e error
-		content, e = j.conn.ScanColumns(ctx, j.table, names, simdb.ScanOptions{
-			Strategy: opts.Strategy,
-			Rows:     opts.RowsToRead,
-			Seed:     opts.ScanSeed,
-		})
+		content, e = j.conn.ScanColumns(ctx, j.table, names, j.d.scanOptions())
 		return e
 	})
 	j.retries += n
@@ -760,28 +771,62 @@ func isUncertain(probs []float64, alpha, beta float64) bool {
 	return false
 }
 
-// stages exposes the job's four ordered stages for the scheduler, each
-// wrapped with its duration histogram and (when the request is traced) a
-// span named "s<N>:<table>". The scheduler reports a stage's panic as
-// "<Name> panic: …". The stages that read storage are Prep, which the
-// pipelined scheduler runs without a token: s3 (the content scan) and
-// s1 when it runs ANALYZE. Without one, s1 only unwraps the schema read's
-// metadata, CPU work that takes a token like any Infer stage.
-func (j *tableJob) stages() []pipeline.Stage {
-	s1 := pipeline.Infer
+// tableStages are every table job's four stages by kind and name, shared
+// by all jobs; tableJob.RunStage runs them. The stages that read storage
+// are Prep, which the pipelined scheduler runs without a token: s3 (the
+// content scan) and s1 when it runs ANALYZE (analyzeStages). Without one,
+// s1 only unwraps the schema read's metadata, CPU work that takes a token
+// like any Infer stage. The scheduler reports a stage's panic as
+// "<Name> panic: …".
+var (
+	tableStages = []pipeline.Stage{
+		{Kind: pipeline.Infer, Name: "metadata prep"},
+		{Kind: pipeline.Infer, Name: "metadata forward"},
+		{Kind: pipeline.Prep, Name: "content scan"},
+		{Kind: pipeline.Infer, Name: "content forward"},
+	}
+	analyzeStages = append([]pipeline.Stage{{Kind: pipeline.Prep, Name: "metadata prep"}}, tableStages[1:]...)
+)
+
+// pipelineJob readies the job the scheduler runs for this table, held in
+// the tableJob itself: its stages are analyzeStages when s1 runs ANALYZE,
+// else tableStages, run by RunStage.
+func (j *tableJob) pipelineJob() *pipeline.Job {
+	j.job = pipeline.Job{ID: j.table, Stages: tableStages, Runner: j}
 	if j.d.needsAnalyze(j.meta) {
-		s1 = pipeline.Prep
+		j.job.Stages = analyzeStages
 	}
-	raw := []pipeline.Stage{
-		{Kind: s1, Name: "metadata prep", Run: j.s1PrepMetadata},
-		{Kind: pipeline.Infer, Name: "metadata forward", Run: j.s2InferMetadata},
-		{Kind: pipeline.Prep, Name: "content scan", Run: j.s3PrepContent},
-		{Kind: pipeline.Infer, Name: "content forward", Run: j.s4InferContent},
+	return &j.job
+}
+
+// RunStage runs the job's stage i (pipeline.StageRunner) under a trace
+// span "s<N>:<table>" (child of the request trace, when one is active) and
+// the stage's duration histogram. They are recorded on the way out of a
+// panic too, which the scheduler then recovers.
+func (j *tableJob) RunStage(ctx context.Context, i int) (err error) {
+	// The span name is built only for a traced request.
+	var sp *obs.Span
+	if obs.FromContext(ctx) != nil {
+		ctx, sp = obs.StartSpan(ctx, stageLabels[i]+":"+j.table)
 	}
-	for i := range raw {
-		raw[i] = instrumentStage(i, j.table, raw[i])
+	start := time.Now()
+	defer func() {
+		stageSeconds[i].ObserveDuration(time.Since(start))
+		if err != nil {
+			stageErrorsTotal[i].Inc()
+		}
+		sp.End()
+	}()
+	switch i {
+	case 0:
+		return j.s1PrepMetadata(ctx)
+	case 1:
+		return j.s2InferMetadata(ctx)
+	case 2:
+		return j.s3PrepContent(ctx)
+	default:
+		return j.s4InferContent(ctx)
 	}
-	return raw
 }
 
 // countRead counts one read of a pipelined detect's job.
@@ -889,7 +934,7 @@ func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbNam
 	tjobs := make([]tableJob, len(metas))
 	for i, tm := range metas {
 		tjobs[i] = tableJob{d: d, cls: cls, conn: conn, table: tm.Name, meta: tm, pipelined: mode.Pipelined}
-		jobs[i] = &pipeline.Job{ID: tm.Name, Stages: tjobs[i].stages()}
+		jobs[i] = tjobs[i].pipelineJob()
 	}
 	pipeline.Scheduler{Pipelined: mode.Pipelined}.Run(ctx, jobs)
 	for i, j := range jobs {

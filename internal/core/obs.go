@@ -1,12 +1,6 @@
 package core
 
-import (
-	"context"
-	"time"
-
-	"repro/internal/obs"
-	"repro/internal/pipeline"
-)
+import "repro/internal/obs"
 
 // Stage metric handles (DESIGN.md §9). Each of the four Taste stages gets a
 // duration histogram sharing the common latency bucket layout, so the
@@ -42,27 +36,3 @@ var (
 // stageLabels name the four stages in spans: "s<N>:<table>", so a trace
 // consumer can aggregate by the prefix before ':'.
 var stageLabels = [4]string{"s1", "s2", "s3", "s4"}
-
-// instrumentStage wraps a stage Run with a trace span (child of the request
-// trace, when one is active) and the stage's duration histogram. They are
-// recorded on the way out of a panic too, which the scheduler then recovers.
-func instrumentStage(idx int, table string, st pipeline.Stage) pipeline.Stage {
-	run := st.Run
-	st.Run = func(ctx context.Context) (err error) {
-		// The span name is built only for a traced request.
-		var sp *obs.Span
-		if obs.FromContext(ctx) != nil {
-			ctx, sp = obs.StartSpan(ctx, stageLabels[idx]+":"+table)
-		}
-		start := time.Now()
-		defer func() {
-			stageSeconds[idx].ObserveDuration(time.Since(start))
-			if err != nil {
-				stageErrorsTotal[idx].Inc()
-			}
-			sp.End()
-		}()
-		return run(ctx)
-	}
-	return st
-}

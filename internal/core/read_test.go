@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/corpus"
 	"repro/internal/simdb"
 )
 
@@ -163,4 +167,96 @@ func TestDetectDatabaseOnCancelMidReadNoLeak(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, before)
+}
+
+// sparseTables copies tables with cells blanked in a fixed pattern: of every
+// three columns one keeps a cell in seven (fewer than n non-empty cells in
+// the m-row window), one keeps every other cell, one is left as generated.
+func sparseTables(tables []*corpus.Table) []*corpus.Table {
+	out := make([]*corpus.Table, len(tables))
+	for ti, tb := range tables {
+		cp := *tb
+		cp.Columns = make([]*corpus.Column, len(tb.Columns))
+		for ci, c := range tb.Columns {
+			col := *c
+			col.Values = slices.Clone(c.Values)
+			keep := []int{7, 2, 1}[(ti+ci)%3]
+			for r := range col.Values {
+				if r%keep != 0 {
+					col.Values[r] = ""
+				}
+			}
+			cp.Columns[ci] = &col
+		}
+		out[ti] = &cp
+	}
+	return out
+}
+
+// TestScanShipsVisibleCells: a Phase-2 scan ships each scanned column's
+// first n non-empty cells of the m-row window and nothing else, so the
+// tenant's CellsRead is the sum over the scanned columns of min(n, the
+// window's non-empty cells), in both modes, with one scan query per table
+// that reached Phase 2; and the answers are the same bytes in both modes.
+func TestScanShipsVisibleCells(t *testing.T) {
+	det, ds := phase2Detector(t, 12)
+	tables := sparseTables(allTables(ds))
+	byName := make(map[string]*corpus.Table, len(tables))
+	for _, tb := range tables {
+		byName[tb.Name] = tb
+	}
+	n, m := det.Opts.CellsPerColumn, det.Opts.RowsToRead
+	var answers [2][]byte
+	for i, mode := range execModes {
+		server := newServerWith(tables)
+		rep, err := det.DetectDatabase(context.Background(), server, "tenant", mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Errors) != 0 || rep.DegradedColumns != 0 {
+			t.Fatalf("pipelined=%v: errors %v, %d degraded", mode.Pipelined, rep.Errors, rep.DegradedColumns)
+		}
+		want, short, scans := 0, 0, 0
+		for _, tr := range rep.Tables {
+			if tr.ScannedColumns > 0 {
+				scans++
+			}
+			for _, cr := range tr.Columns {
+				if !cr.Scanned {
+					continue
+				}
+				nonEmpty := 0
+				for _, c := range byName[tr.Table].Columns {
+					if c.Name != cr.Column {
+						continue
+					}
+					for _, v := range c.Values[:min(m, len(c.Values))] {
+						if v != "" {
+							nonEmpty++
+						}
+					}
+				}
+				if nonEmpty < n {
+					short++
+				}
+				want += min(n, nonEmpty)
+			}
+		}
+		if short == 0 || rep.ScannedColumns == 0 {
+			t.Fatalf("pipelined=%v: %d scanned columns, %d with fewer than n cells: test is vacuous", mode.Pipelined, rep.ScannedColumns, short)
+		}
+		snap := server.Accounting().Snapshot()
+		if snap.CellsRead != want {
+			t.Fatalf("pipelined=%v: CellsRead %d, want %d (the visible cells of %d scanned columns)", mode.Pipelined, snap.CellsRead, want, rep.ScannedColumns)
+		}
+		if snap.ColumnsScanned != rep.ScannedColumns || snap.Queries != 1+scans {
+			t.Fatalf("pipelined=%v: %d columns in %d queries, want %d in 1 schema read + %d scans", mode.Pipelined, snap.ColumnsScanned, snap.Queries, rep.ScannedColumns, scans)
+		}
+		if answers[i], err = json.Marshal(rep.Tables); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(answers[0], answers[1]) {
+		t.Fatal("the pipelined answers differ from the sequential ones")
+	}
 }

@@ -16,9 +16,23 @@ import (
 // stageWrap replaces a stage's Run, given the real one.
 type stageWrap func(run func(context.Context) error) func(context.Context) error
 
+// wrappedRunner runs a table job's stages with stage idx replaced by wrap.
+type wrappedRunner struct {
+	*tableJob
+	idx  int
+	wrap stageWrap
+}
+
+func (w wrappedRunner) RunStage(ctx context.Context, i int) error {
+	if i != w.idx {
+		return w.tableJob.RunStage(ctx, i)
+	}
+	return w.wrap(func(ctx context.Context) error { return w.tableJob.RunStage(ctx, i) })(ctx)
+}
+
 // settleRun drives one batch the way DetectDatabaseOn does — every table's
-// stages() through the scheduler, then Report.settle per table — with stage
-// idx of table victim replaced by wrap. It returns the report and the
+// pipelineJob() through the scheduler, then Report.settle per table — with
+// stage idx of table victim replaced by wrap. It returns the report and the
 // victim's job.
 func settleRun(ctx context.Context, t *testing.T, det *Detector, conn *simdb.Conn, mode ExecMode, victim, idx int, wrap stageWrap) (*Report, *tableJob) {
 	t.Helper()
@@ -30,10 +44,9 @@ func settleRun(ctx context.Context, t *testing.T, det *Detector, conn *simdb.Con
 	jobs := make([]*pipeline.Job, len(metas))
 	for i, tm := range metas {
 		tjobs[i] = tableJob{d: det, cls: adtdClassifier{det.Model()}, conn: conn, table: tm.Name, meta: tm}
-		jobs[i] = &pipeline.Job{ID: tm.Name, Stages: tjobs[i].stages()}
+		jobs[i] = tjobs[i].pipelineJob()
 	}
-	st := &jobs[victim].Stages[idx]
-	st.Run = wrap(st.Run)
+	jobs[victim].Runner = wrappedRunner{&tjobs[victim], idx, wrap}
 	pipeline.Scheduler{Pipelined: mode.Pipelined}.Run(ctx, jobs)
 	rep := &Report{}
 	for i, j := range jobs {
@@ -153,7 +166,9 @@ func TestDeadlineAfterScanMergesRules(t *testing.T) {
 	det, ds := phase2Detector(t, 12)
 	m := det.Model()
 	ctx := context.Background()
-	// A table whose first RowsToRead rows the rules recognize in some column.
+	// A table the rules recognize in some column from what the detector's
+	// own scan ships: of RowsToRead rows, each column's first
+	// CellsPerColumn non-empty cells.
 	var victim *corpus.Table
 	for _, tb := range allTables(ds) {
 		server := newServerWith([]*corpus.Table{tb})
@@ -165,7 +180,7 @@ func TestDeadlineAfterScanMergesRules(t *testing.T) {
 		for _, c := range tb.Columns {
 			names = append(names, c.Name)
 		}
-		content, err := conn.ScanColumns(ctx, tb.Name, names, simdb.ScanOptions{Strategy: det.Opts.Strategy, Rows: det.Opts.RowsToRead, Seed: det.Opts.ScanSeed})
+		content, err := conn.ScanColumns(ctx, tb.Name, names, det.scanOptions())
 		conn.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -88,11 +88,22 @@ type Stage struct {
 	Run  func(ctx context.Context) error
 }
 
+// StageRunner runs a job's stages by position, in place of their Run
+// fields: a job whose stages are methods of one value shares one
+// []Stage of kinds and names with every other such job and needs no
+// closure per stage.
+type StageRunner interface {
+	RunStage(ctx context.Context, i int) error
+}
+
 // Job is an ordered list of stages for one table: P1-prep, P1-infer,
 // P2-prep, P2-infer in the Taste framework.
 type Job struct {
 	ID     string
 	Stages []Stage
+	// Runner, when set, runs stage i as Runner.RunStage(ctx, i); the
+	// stages' Run fields are not read.
+	Runner StageRunner
 	// Err records the first stage error as the stage returned it, or
 	// "<Stage.Name> panic: <value>" for a stage that panicked. When the
 	// batch context is cancelled before the job finishes, Err is the
@@ -186,7 +197,7 @@ func runJob(ctx context.Context, j *Job, tokens chan struct{}) {
 				return
 			}
 		}
-		err := runStage(ctx, st)
+		err := runStage(ctx, j, i, st)
 		if token {
 			<-tokens
 		}
@@ -203,12 +214,15 @@ var stagePanicsTotal = obs.Default.Counter("taste_pipeline_stage_panics_total")
 // runStage runs one stage and is the one place a stage panic is recovered:
 // the panic becomes the stage's error, so its job stops like any failed job
 // while every other job runs on.
-func runStage(ctx context.Context, st Stage) (err error) {
+func runStage(ctx context.Context, j *Job, i int, st Stage) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			stagePanicsTotal.Inc()
 			err = fmt.Errorf("%s panic: %v", st.Name, r)
 		}
 	}()
+	if j.Runner != nil {
+		return j.Runner.RunStage(ctx, i)
+	}
 	return st.Run(ctx)
 }

@@ -336,6 +336,53 @@ func TestJobWithNoStages(t *testing.T) {
 	}
 }
 
+// positionRunner records the stage positions it ran and fails or panics at
+// one of them.
+type positionRunner struct {
+	ran       []int
+	failAt    int
+	panicking bool
+}
+
+func (r *positionRunner) RunStage(_ context.Context, i int) error {
+	r.ran = append(r.ran, i)
+	if i != r.failAt {
+		return nil
+	}
+	if r.panicking {
+		panic("kaboom")
+	}
+	return errors.New("boom")
+}
+
+// TestRunnerRunsStagesByPosition: a job with a Runner runs RunStage(i) for
+// each stage in order, never a Stage's Run (here nil), and ends at the first
+// error or panic as any job does, the panic named by the Stage.
+func TestRunnerRunsStagesByPosition(t *testing.T) {
+	stages := []Stage{{Kind: Prep, Name: "s1"}, {Kind: Infer, Name: "s2"}, {Kind: Prep, Name: "s3"}}
+	for _, pipelined := range []bool{false, true} {
+		for _, tc := range []struct {
+			failAt    int
+			panicking bool
+			want      string
+		}{{-1, false, ""}, {1, false, "boom"}, {1, true, "s2 panic: kaboom"}} {
+			r := &positionRunner{failAt: tc.failAt, panicking: tc.panicking}
+			j := &Job{ID: "j", Stages: stages, Runner: r}
+			Scheduler{Pipelined: pipelined}.Run(context.Background(), []*Job{j})
+			wantRan := []int{0, 1, 2}
+			if tc.failAt >= 0 {
+				wantRan = wantRan[:tc.failAt+1]
+			}
+			if fmt.Sprint(r.ran) != fmt.Sprint(wantRan) {
+				t.Fatalf("pipelined=%v failAt=%d: ran %v, want %v", pipelined, tc.failAt, r.ran, wantRan)
+			}
+			if got := fmt.Sprint(j.Err); (tc.want == "" && j.Err != nil) || (tc.want != "" && got != tc.want) {
+				t.Fatalf("pipelined=%v failAt=%d: err %v, want %q", pipelined, tc.failAt, j.Err, tc.want)
+			}
+		}
+	}
+}
+
 func TestStageKindString(t *testing.T) {
 	if Prep.String() != "prep" || Infer.String() != "infer" {
 		t.Fatal("StageKind strings wrong")

@@ -284,8 +284,15 @@ func (s *Service) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 	tm, err := conn.TableMetadata(ctx, req.Table)
 	tn.release(conn, err == nil && retries == 0 && ctx.Err() == nil)
-	if err != nil {
+	switch {
+	case errors.Is(err, simdb.ErrUnknownTable) && len(req.Table) <= maxQuotedName:
 		writeError(w, http.StatusNotFound, "table: %v", err)
+		return
+	case errors.Is(err, simdb.ErrUnknownTable):
+		writeError(w, http.StatusNotFound, "table: unknown table %s", quoteName(req.Table))
+		return
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "table: %v", err)
 		return
 	}
 	info := metafeat.FromTableMeta(tm)

@@ -6,9 +6,10 @@
 //     comments, data types, row counts) that is cheap to query,
 //   - ANALYZE TABLE statistics and histograms (equal-height/equal-width),
 //   - column-content scans with both "first m rows" and "random sampling of
-//     m rows" strategies (§6.1.2),
+//     m rows" strategies (§6.1.2), optionally cut in the database to each
+//     column's first n non-empty values among those rows,
 //   - a configurable latency model injecting real delays for connection
-//     setup, query round trips, and per-row transfer,
+//     setup, query round trips, and per cell returned,
 //   - deterministic, seedable fault injection (transient errors, slow
 //     queries, mid-scan connection drops — see FaultProfile), and
 //   - an accounting ledger tracking connections, queries, scanned columns,
@@ -23,6 +24,7 @@ package simdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -32,6 +34,15 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+)
+
+// ErrUnknownTable and ErrUnknownColumn are wrapped by the error of an
+// operation that names a table or column the database does not have, so a
+// caller can tell a bad name (errors.Is) from a failed or cancelled
+// operation.
+var (
+	ErrUnknownTable  = errors.New("unknown table")
+	ErrUnknownColumn = errors.New("unknown column")
 )
 
 // LatencyProfile models the time cost of talking to a remote database. All
@@ -44,8 +55,8 @@ type LatencyProfile struct {
 	ConnectionClose time.Duration
 	// QueryRoundTrip is paid once per metadata query, scan, or ANALYZE.
 	QueryRoundTrip time.Duration
-	// PerCell is paid per cell (row × column) transferred by a content
-	// scan, so scanning fewer columns genuinely costs less.
+	// PerCell is paid per cell returned by a content scan, so scanning
+	// fewer columns, or fewer cells of each, genuinely costs less.
 	PerCell time.Duration
 	// SamplingPenalty multiplies PerCell for random-sampling scans, which
 	// are slower than sequential first-m scans in MySQL (§6.3).
@@ -409,7 +420,7 @@ func (c *Conn) TableMetadata(ctx context.Context, table string) (_ *TableMeta, e
 	}
 	st, ok := c.db.tables[table]
 	if !ok {
-		return nil, fmt.Errorf("simdb: unknown table %s.%s", c.db.name, table)
+		return nil, fmt.Errorf("simdb: %w %s.%s", ErrUnknownTable, c.db.name, table)
 	}
 	return st.meta(), nil
 }
@@ -486,16 +497,25 @@ type ScanOptions struct {
 	Strategy ScanStrategy
 	// Rows is the number of rows to retrieve (m in the paper; ≤0 means all).
 	Rows int
+	// Cells, when > 0, is n: of the Rows rows picked, each column returns
+	// only its first Cells non-empty values, in row order — the cells a
+	// content model reads (§6.1.2). In MySQL it is one UNION ALL of
+	// per-column SELECT c … WHERE c <> '' LIMIT n over the m-row window, in
+	// one round trip. ≤0 returns every picked row of every column.
+	Cells int
 	// Seed seeds the RandomSample strategy.
 	Seed int64
 }
 
 // ScanColumns retrieves content for the named columns of a table. The
-// result maps column name → cell values in row order. The call pays one
-// query round trip plus a per-row transfer cost, and is recorded in the
-// accounting ledger as an intrusive operation. Under an armed FaultProfile
-// the scan may fail transiently up front, or drop mid-transfer after paying
-// part of the per-cell latency.
+// result maps column name → cell values in row order: every one of the m
+// rows picked, or with opts.Cells > 0 each column's first Cells non-empty
+// values among them. The call pays one query round trip plus PerCell per
+// cell returned, and is recorded in the accounting ledger as an intrusive
+// operation: one query, the columns, the m-row window in RowsScanned and the
+// cells and bytes returned. Under an armed FaultProfile the scan may fail
+// transiently up front, or drop mid-transfer after paying part of the
+// per-cell latency.
 func (c *Conn) ScanColumns(ctx context.Context, table string, cols []string, opts ScanOptions) (_ map[string][]string, err error) {
 	start := time.Now()
 	defer func() { observeOp("scan", start, err) }()
@@ -517,13 +537,13 @@ func (c *Conn) ScanColumns(ctx context.Context, table string, cols []string, opt
 	}
 	st, ok := c.db.tables[table]
 	if !ok {
-		return nil, fmt.Errorf("simdb: unknown table %s.%s", c.db.name, table)
+		return nil, fmt.Errorf("simdb: %w %s.%s", ErrUnknownTable, c.db.name, table)
 	}
 	selected := make([]*storedColumn, len(cols))
 	for i, name := range cols {
 		col, ok := st.byName[name]
 		if !ok {
-			return nil, fmt.Errorf("simdb: unknown column %s.%s.%s", c.db.name, table, name)
+			return nil, fmt.Errorf("simdb: %w %s.%s.%s", ErrUnknownColumn, c.db.name, table, name)
 		}
 		selected[i] = col
 	}
@@ -542,24 +562,30 @@ func (c *Conn) ScanColumns(ctx context.Context, table string, cols []string, opt
 	default:
 		return nil, fmt.Errorf("simdb: unknown scan strategy %d", opts.Strategy)
 	}
+	// per is the most cells one column returns.
+	per := m
+	if opts.Cells > 0 {
+		per = min(opts.Cells, m)
+	}
 
 	out := make(map[string][]string, len(cols))
-	cells, bytes := m*len(selected), 0
+	cells, bytes := 0, 0
 	// One backing array holds every column's cells; each column's slice is
 	// capped so an append by the caller cannot run into the next column.
-	backing := make([]string, m*len(selected))
+	backing := make([]string, per*len(selected))
 	for i, col := range selected {
-		vals := backing[i*m : (i+1)*m : (i+1)*m]
-		if rowIdx == nil {
-			copy(vals, col.values[:m])
-		} else {
-			for j, r := range rowIdx {
-				vals[j] = col.values[r]
+		vals := backing[i*per : i*per : (i+1)*per]
+		for j := 0; j < m && len(vals) < per; j++ {
+			r := j
+			if rowIdx != nil {
+				r = rowIdx[j]
+			}
+			if v := col.values[r]; v != "" || opts.Cells <= 0 {
+				vals = append(vals, v)
+				bytes += len(v)
 			}
 		}
-		for _, v := range vals {
-			bytes += len(v)
-		}
+		cells += len(vals)
 		out[cols[i]] = vals
 	}
 

@@ -2,6 +2,7 @@ package simdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -231,6 +232,37 @@ func TestScanUnknownColumn(t *testing.T) {
 	defer conn.Close()
 	if _, err := conn.ScanColumns(context.Background(), tables[0].Name, []string{"ghost_col"}, ScanOptions{Rows: 1}); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestUnknownNamesWrapSentinels: a read naming a table or column the
+// database lacks wraps ErrUnknownTable or ErrUnknownColumn, worded as
+// before; SchemaMetadata leaves an unknown name out instead.
+func TestUnknownNamesWrapSentinels(t *testing.T) {
+	s, tables := testServer(t)
+	conn, _ := s.Connect(context.Background(), "userdb")
+	defer conn.Close()
+	ctx := context.Background()
+	_, errMeta := conn.TableMetadata(ctx, "ghost")
+	_, errScan := conn.ScanColumns(ctx, "ghost", []string{"c"}, ScanOptions{Rows: 1})
+	_, errAnalyze := conn.AnalyzeTable(ctx, "ghost", AnalyzeOptions{})
+	_, errCol := conn.ScanColumns(ctx, tables[0].Name, []string{"ghost_col"}, ScanOptions{Rows: 1})
+	for _, tc := range []struct {
+		err      error
+		sentinel error
+		text     string
+	}{
+		{errMeta, ErrUnknownTable, "simdb: unknown table userdb.ghost"},
+		{errScan, ErrUnknownTable, "simdb: unknown table userdb.ghost"},
+		{errAnalyze, ErrUnknownTable, "simdb: unknown table userdb.ghost"},
+		{errCol, ErrUnknownColumn, "simdb: unknown column userdb." + tables[0].Name + ".ghost_col"},
+	} {
+		if !errors.Is(tc.err, tc.sentinel) || tc.err.Error() != tc.text {
+			t.Errorf("error %v, want %q wrapping %v", tc.err, tc.text, tc.sentinel)
+		}
+	}
+	if metas, err := conn.SchemaMetadata(ctx, "ghost"); err != nil || len(metas) != 0 {
+		t.Errorf("SchemaMetadata(ghost) = %v, %v; want nothing and no error", metas, err)
 	}
 }
 
