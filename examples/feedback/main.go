@@ -50,8 +50,9 @@ func main() {
 	if err := det.RegisterTypes(ds.Registry, []*taste.SemanticType{custom}); err != nil {
 		log.Fatal(err)
 	}
+	// RegisterTypes installs a grown copy of the model; det.Model() is it.
 	fmt.Printf("registered tenant type %q — classifier now covers %d classes\n",
-		custom.Name, model.Types.Len())
+		custom.Name, det.Model().Types.Len())
 
 	// --- 2. User feedback ------------------------------------------------
 	// Build the column the tenant complained about: named "trk", holding
@@ -66,8 +67,8 @@ func main() {
 			{Name: "city", DataType: "VARCHAR", Values: []string{"london", "paris", "tokyo", "lima", "oslo"}},
 		},
 	}
-	idx, _ := model.Types.Index(custom.Name)
-	probBefore := probeColumn(model, table, 0, idx)
+	idx, _ := det.Model().Types.Index(custom.Name)
+	probBefore := probeColumn(det.Model(), table, 0, idx)
 
 	fmt.Println("applying user feedback: column \"trk\" is parcel_tracking_code …")
 	for i := 0; i < 5; i++ {
@@ -75,9 +76,9 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	probAfter := probeColumn(model, table, 0, idx)
+	probAfter := probeColumn(det.Model(), table, 0, idx)
 	fmt.Printf("P(parcel_tracking_code | column trk): %.4f → %.4f\n", probBefore, probAfter)
-	fmt.Printf("feedback log holds %d correction(s)\n", len(det.FeedbackLog()))
+	fmt.Printf("detector has applied %d correction(s)\n", det.Feedbacks())
 
 	// The adapted detector now admits the custom type on similar columns.
 	res := detectInfo(det, table)

@@ -10,6 +10,8 @@ package adtd
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/corpus"
@@ -135,6 +137,12 @@ func (ts *TypeSpace) Targets(labels []string) []float64 {
 		}
 	}
 	return v
+}
+
+// Clone returns a copy of the type space that Extend can grow without
+// changing ts.
+func (ts *TypeSpace) Clone() *TypeSpace {
+	return &TypeSpace{names: slices.Clone(ts.names), index: maps.Clone(ts.index)}
 }
 
 // Extend appends new type names (the §8 type-domain extension), returning

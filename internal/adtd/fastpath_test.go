@@ -108,10 +108,9 @@ func TestInferenceCallsPanicInTrainMode(t *testing.T) {
 	}
 }
 
-// TestInferenceWithHeadsRequiringGrad: while ApplyFeedback trains the
-// classifier heads of a serving model, detects keep running with only the
-// heads requiring grad. Their answers must be the eval-mode bits, before
-// and after.
+// TestInferenceWithHeadsRequiringGrad: a model whose classifier heads alone
+// require grad (the state ApplyFeedback runs an eval-mode model in) must
+// still answer the eval-mode bits, before and after.
 func TestInferenceWithHeadsRequiringGrad(t *testing.T) {
 	m, ds := tinyModel(t)
 	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)

@@ -209,8 +209,10 @@ type FeedbackExample struct {
 
 // ApplyFeedback performs a lightweight online update of the classifier
 // heads only, adapting predictions to user corrections without a full
-// re-train. It runs on a serving (eval-mode) model as well as on one in
-// train mode, and leaves each head's gradient flag as it found it.
+// re-train. It runs on an eval-mode model as well as on one in train mode,
+// and leaves each head's gradient flag as it found it. It writes the
+// weights in place: core.Detector.Feedback runs it on a copy of the
+// serving model.
 func (m *Model) ApplyFeedback(examples []FeedbackExample, lr float64, steps int) error {
 	if len(examples) == 0 {
 		return fmt.Errorf("adtd: no feedback examples")

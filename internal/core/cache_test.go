@@ -152,9 +152,9 @@ func TestGenerationInvalidatesKeys(t *testing.T) {
 	}
 }
 
-// TestFeedbackBumpsGeneration: an online feedback update changes the
-// weights, so it must advance the generation and thereby orphan cached
-// latents and memoized results.
+// TestFeedbackBumpsGeneration: an online feedback update installs a model
+// of a new generation, which orphans cached latents and memoized results;
+// the model it was copied from keeps its generation.
 func TestFeedbackBumpsGeneration(t *testing.T) {
 	m, ds := trainedModel(t)
 	d, err := NewDetector(m, DefaultOptions())
@@ -166,8 +166,11 @@ func TestFeedbackBumpsGeneration(t *testing.T) {
 	if err := d.Feedback(info, 0, ds.Test[0].Columns[0].Labels); err != nil {
 		t.Fatal(err)
 	}
-	if m.Generation() <= before {
-		t.Fatalf("generation not bumped by Feedback: %d -> %d", before, m.Generation())
+	if got := d.Model().Generation(); got <= before {
+		t.Fatalf("generation not bumped by Feedback: %d -> %d", before, got)
+	}
+	if m.Generation() != before {
+		t.Fatalf("Feedback moved the copied model's generation: %d -> %d", before, m.Generation())
 	}
 }
 

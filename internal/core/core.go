@@ -16,6 +16,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -155,8 +156,9 @@ type FaultStats struct {
 // The model is held behind an atomic pointer (RCU style): every request
 // captures the pointer exactly once when its table job is created and uses
 // that model for all four stages, so SwapModel never tears a request across
-// two weight sets. Caches need no flushing on swap — every cache key embeds
-// the model's process-unique generation.
+// two weight sets; Feedback and RegisterTypes install changed copies, never
+// writing an installed model. Caches need no flushing on swap — every cache
+// key embeds the model's process-unique generation.
 type Detector struct {
 	model atomic.Pointer[adtd.Model]
 	// baseline is the classifier of a NewBaselineDetector, which runs it in
@@ -168,8 +170,10 @@ type Detector struct {
 	results *cache.Result
 	rules   *ruledet.Detector
 
-	mu       sync.Mutex
-	feedback []adtd.FeedbackExample
+	// writeMu serializes SwapModel, Feedback and RegisterTypes, so no write
+	// is lost; readers take no lock.
+	writeMu   sync.Mutex
+	feedbacks atomic.Int64
 
 	retrier *retry.Retrier
 
@@ -239,8 +243,39 @@ func (d *Detector) Model() *adtd.Model { return d.model.Load() }
 // which is process-unique, so entries from the two models can never alias.
 // The old model is returned (not destroyed) so callers can swap back.
 func (d *Detector) SwapModel(m *adtd.Model) *adtd.Model {
+	d.writeMu.Lock()
+	defer d.writeMu.Unlock()
 	m.SetEval()
 	return d.model.Swap(m)
+}
+
+// adapt installs an edited copy of the serving model. edit runs on a
+// train-mode copy (same configuration, tokenizer, type space and weights)
+// that no request holds; on success the copy is frozen and installed.
+func (d *Detector) adapt(edit func(m *adtd.Model) error) error {
+	d.writeMu.Lock()
+	defer d.writeMu.Unlock()
+	src := d.model.Load()
+	if src == nil {
+		return errors.New("core: a baseline detector has no model to adapt")
+	}
+	var buf bytes.Buffer
+	m, err := src.Sibling()
+	if err == nil {
+		err = src.Save(&buf)
+	}
+	if err == nil {
+		err = m.Load(&buf)
+	}
+	if err != nil {
+		return fmt.Errorf("core: copy the serving model: %w", err)
+	}
+	if err := edit(m); err != nil {
+		return err
+	}
+	m.SetEval()
+	d.model.Store(m)
+	return nil
 }
 
 // modelKey carries a per-request model override through the stage contexts.
@@ -1008,38 +1043,41 @@ func unknownTables(dbName string, tables []string, metas []*simdb.TableMeta) []e
 	return errs
 }
 
-// Feedback records user corrections and immediately applies a lightweight
-// online update of the classifier heads (§8 future work). table must carry
-// the column's metadata; content values are optional.
+// Feedback installs a copy of the serving model adapted to a user
+// correction by a lightweight online update of its classifier heads (§8
+// future work). table must carry the column's metadata; content values are
+// optional.
 func (d *Detector) Feedback(table *metafeat.TableInfo, column int, labels []string) error {
 	if column < 0 || column >= len(table.Columns) {
 		return fmt.Errorf("core: column index %d out of range", column)
 	}
-	ex := adtd.FeedbackExample{Table: table, Column: column, Labels: labels}
-	d.mu.Lock()
-	d.feedback = append(d.feedback, ex)
-	d.mu.Unlock()
-	return d.Model().ApplyFeedback([]adtd.FeedbackExample{ex}, 0.02, 5)
+	err := d.adapt(func(m *adtd.Model) error {
+		m.SetEval() // so only the heads take gradients
+		return m.ApplyFeedback([]adtd.FeedbackExample{{Table: table, Column: column, Labels: labels}}, 0.02, 5)
+	})
+	if err == nil {
+		d.feedbacks.Add(1)
+	}
+	return err
 }
 
-// FeedbackLog returns all recorded corrections.
-func (d *Detector) FeedbackLog() []adtd.FeedbackExample {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]adtd.FeedbackExample(nil), d.feedback...)
-}
+// Feedbacks returns how many corrections Feedback has applied.
+func (d *Detector) Feedbacks() int { return int(d.feedbacks.Load()) }
 
 // RegisterTypes extends the detector's type domain with user-defined
-// semantic types (§8): the registry entries drive future corpus generation
-// and the model's classifier heads grow in place.
+// semantic types (§8): the registry entries drive future corpus generation,
+// and the installed copy of the model grows its own type space and heads.
 func (d *Detector) RegisterTypes(reg *corpus.Registry, types []*corpus.Type) error {
-	var names []string
-	for _, t := range types {
-		if err := reg.Register(t); err != nil {
-			return err
+	return d.adapt(func(m *adtd.Model) error {
+		var names []string
+		for _, t := range types {
+			if err := reg.Register(t); err != nil {
+				return err
+			}
+			names = append(names, t.Name)
 		}
-		names = append(names, t.Name)
-	}
-	d.Model().ExtendTypes(names, 0)
-	return nil
+		m.Types = m.Types.Clone()
+		m.ExtendTypes(names, 0)
+		return nil
+	})
 }

@@ -414,25 +414,42 @@ func TestDetectDatabaseUnknownDB(t *testing.T) {
 	}
 }
 
+// TestFeedbackRecordedAndApplied: a correction is counted and installs an
+// adapted copy of the serving model; the model the detector was built on
+// keeps its generation and weights.
 func TestFeedbackRecordedAndApplied(t *testing.T) {
 	m, ds := trainedModel(t)
 	d, _ := NewDetector(m, DefaultOptions())
+	gen, sum := m.Generation(), paramsHash(t, m)
 	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
 	if err := d.Feedback(info, 0, []string{"email"}); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.FeedbackLog()) != 1 {
+	if d.Feedbacks() != 1 {
 		t.Fatal("feedback not recorded")
+	}
+	if d.Model() == m || paramsHash(t, d.Model()) == sum {
+		t.Fatal("feedback did not install an adapted model")
+	}
+	if m.Generation() != gen || paramsHash(t, m) != sum {
+		t.Fatal("feedback wrote the model it adapted")
 	}
 	if err := d.Feedback(info, 999, nil); err == nil {
 		t.Fatal("out-of-range column must error")
 	}
+	if d.Feedbacks() != 1 {
+		t.Fatal("a rejected feedback was counted")
+	}
 }
 
+// TestRegisterTypesExtendsModel: registering a type installs a copy of the
+// serving model whose type space and heads cover it; the original model, its
+// type space and its weights are unchanged.
 func TestRegisterTypesExtendsModel(t *testing.T) {
 	m, ds := trainedModel(t)
 	d, _ := NewDetector(m, DefaultOptions())
-	before := m.Types.Len()
+	before, classes := m.Types.Len(), m.MetaCls.Classes()
+	gen, sum := m.Generation(), paramsHash(t, m)
 	err := d.RegisterTypes(ds.Registry, []*corpus.Type{{
 		Name:        "custom_tracking_code",
 		Category:    "identifier",
@@ -443,11 +460,18 @@ func TestRegisterTypesExtendsModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Types.Len() != before+1 {
-		t.Fatalf("type space len = %d, want %d", m.Types.Len(), before+1)
+	got := d.Model()
+	if got == m || got.Types == m.Types {
+		t.Fatal("RegisterTypes did not install a copy with its own type space")
 	}
-	if _, ok := m.Types.Index("custom_tracking_code"); !ok {
+	if got.Types.Len() != before+1 || got.MetaCls.Classes() != before+1 || got.ContCls.Classes() != before+1 {
+		t.Fatalf("type space len = %d, heads %d/%d, want %d", got.Types.Len(), got.MetaCls.Classes(), got.ContCls.Classes(), before+1)
+	}
+	if _, ok := got.Types.Index("custom_tracking_code"); !ok {
 		t.Fatal("new type missing from type space")
+	}
+	if m.Types.Len() != before || m.MetaCls.Classes() != classes || m.Generation() != gen || paramsHash(t, m) != sum {
+		t.Fatal("RegisterTypes changed the model it copied")
 	}
 	// Duplicate registration must fail cleanly.
 	if err := d.RegisterTypes(ds.Registry, []*corpus.Type{{
@@ -455,6 +479,9 @@ func TestRegisterTypesExtendsModel(t *testing.T) {
 		ColumnNames: []string{"x"}, Gen: func(r *rand.Rand) string { return "x" },
 	}}); err == nil {
 		t.Fatal("duplicate registration should error")
+	}
+	if d.Model() != got {
+		t.Fatal("a failed registration replaced the serving model")
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"runtime"
 	"testing"
 	"time"
@@ -78,4 +79,15 @@ func tableCols(tb *corpus.Table) []string {
 		out[i] = c.Name
 	}
 	return out
+}
+
+// paramsHash is the SHA-256 of m's checkpoint: equal exactly when every
+// parameter holds the same bits.
+func paramsHash(t *testing.T, m *adtd.Model) [sha256.Size]byte {
+	t.Helper()
+	h := sha256.New()
+	if err := m.Save(h); err != nil {
+		t.Fatal(err)
+	}
+	return [sha256.Size]byte(h.Sum(nil))
 }

@@ -53,12 +53,6 @@ type Config struct {
 	Repeats int
 	// CheckpointDir caches trained models on disk ("" disables).
 	CheckpointDir string
-	// TrainWorkers/GradAccum configure the training runtime for every
-	// model the suite trains (internal/train); 0 means 1. Accuracy results
-	// are bit-reproducible per (Seed, TrainWorkers), not across worker
-	// counts (DESIGN.md §10).
-	TrainWorkers int
-	GradAccum    int
 	// Log receives progress lines (nil silences).
 	Log io.Writer
 }
@@ -159,8 +153,6 @@ func (s *Suite) tasteTrainConfig(epochs int, withStats bool) adtd.TrainConfig {
 	cfg.Cells = 6
 	cfg.ContentColumnsPerChunk = 4
 	cfg.WithStats = withStats
-	cfg.Workers = s.Cfg.TrainWorkers
-	cfg.GradAccum = s.Cfg.GradAccum
 	cfg.Log = s.Cfg.Log
 	return cfg
 }
@@ -221,8 +213,6 @@ func (s *Suite) buildTasteWith(key string, ds *corpus.Dataset, mcfg adtd.Config,
 	if pretrain && s.Cfg.PretrainSteps > 0 {
 		pcfg := adtd.DefaultPretrainConfig()
 		pcfg.Steps = s.Cfg.PretrainSteps
-		pcfg.Workers = s.Cfg.TrainWorkers
-		pcfg.GradAccum = s.Cfg.GradAccum
 		pcfg.Log = s.Cfg.Log
 		s.logf("experiments: pre-training %s (%d MLM steps)", key, pcfg.Steps)
 		if _, err := adtd.Pretrain(m, ds.Train, pcfg); err != nil {
@@ -348,8 +338,6 @@ func (s *Suite) BaselineModel(v baselines.Variant, dsName string) *baselines.Mod
 	// length and the baselines put full content in one sequence.
 	// Evaluation still splits at the paper default l=20.
 	tcfg.SplitThreshold = 10
-	tcfg.Workers = s.Cfg.TrainWorkers
-	tcfg.GradAccum = s.Cfg.GradAccum
 	tcfg.Log = s.Cfg.Log
 	s.logf("experiments: fine-tuning %s (%d epochs)", key, tcfg.Epochs)
 	if _, err := baselines.FineTune(m, ds.Train, tcfg); err != nil {

@@ -395,3 +395,31 @@ func TestPoolCheckoutIsExclusive(t *testing.T) {
 	svc.Close()
 	assertClosedOnce(t, idle...)
 }
+
+// TestUnknownTableFeedbackKeepsConnection: a feedback naming a table the
+// tenant does not have gets its 404 over a healthy connection, which goes
+// back to the pool, so the detect after it opens no connection the detect
+// before it did not (/v1/stats Connections).
+func TestUnknownTableFeedbackKeepsConnection(t *testing.T) {
+	svc, ds := testService(t)
+	h := svc.Handler()
+	connections := func() int {
+		t.Helper()
+		var stats StatsResponse
+		if err := json.Unmarshal(doJSON(t, h, http.MethodGet, "/v1/stats", nil).Body.Bytes(), &stats); err != nil {
+			t.Fatal(err)
+		}
+		return stats.Tenants["tenantdb"].Connections
+	}
+	detectOne(t, h, DetectRequest{Database: "tenantdb", Pipelined: true})
+	opened := connections()
+	if rec := doJSON(t, h, http.MethodPost, "/v1/feedback", FeedbackRequest{
+		Database: "tenantdb", Table: "ghost", Column: ds.Test[0].Columns[0].Name, Labels: []string{"email"},
+	}); rec.Code != http.StatusNotFound {
+		t.Fatalf("unknown-table feedback: status %d, want 404: %s", rec.Code, rec.Body)
+	}
+	detectOne(t, h, DetectRequest{Database: "tenantdb", Pipelined: true})
+	if got := connections(); got != opened {
+		t.Fatalf("connections %d -> %d across an unknown-table feedback, want no new one", opened, got)
+	}
+}

@@ -13,7 +13,8 @@
 // immediately. No cache is flushed — latent and result keys embed the
 // process-unique weight generation, so the two models' entries cannot
 // alias, and entries for the returning version are still valid if it swaps
-// back. A failed materialization (missing version, corrupt page, shape
+// back; feedback installs an adapted copy, so a cached version stays
+// pristine. A failed materialization (missing version, corrupt page, shape
 // mismatch) leaves the serving model untouched: Model.Load validates the
 // whole checkpoint before installing anything.
 package service
@@ -21,7 +22,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"maps"
 	"net/http"
+	"slices"
 
 	"repro/internal/adtd"
 	"repro/internal/registry"
@@ -40,48 +43,44 @@ func (s *Service) AttachRegistry(reg *registry.Registry, name string, version in
 	defer s.regMu.Unlock()
 	s.registry = reg
 	s.modelName = name
-	s.servingVersion.Store(int64(version))
 	if version > 0 {
 		s.verCache = map[int]*adtd.Model{version: s.detector.Model()}
 		s.verOrder = []int{version}
 	}
-	servingVersionGauge.Set(int64(version))
 }
 
-// Registry returns the attached registry, or nil.
-func (s *Service) Registry() *registry.Registry {
+// attachedRegistry returns the attached registry (nil when none) and the
+// name the serving model publishes under.
+func (s *Service) attachedRegistry() (*registry.Registry, string) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
-	return s.registry
+	return s.registry, s.modelName
 }
 
 // ServingVersion returns the registry version of the serving model (0 when
 // unknown or no registry is attached).
-func (s *Service) ServingVersion() int { return int(s.servingVersion.Load()) }
+func (s *Service) ServingVersion() int { return s.versionOf(s.detector.Model()) }
 
-// cachedVersion returns a previously materialized model for version, if any.
-func (s *Service) cachedVersion(version int) *adtd.Model {
+// cacheVersion caches m as version's one object, unless a concurrent
+// materialization cached one first, and returns the cached object. An object
+// published again moves to its new version. Past the cap the oldest entry is
+// evicted, never the serving model's.
+func (s *Service) cacheVersion(version int, m *adtd.Model) *adtd.Model {
+	serving := s.detector.Model()
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
-	return s.verCache[version]
-}
-
-// cacheVersion remembers a materialized model, evicting the oldest entry
-// past the cap (never the serving version's).
-func (s *Service) cacheVersion(version int, m *adtd.Model) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
+	if cm := s.verCache[version]; cm != nil {
+		return cm
+	}
 	if s.verCache == nil {
 		s.verCache = make(map[int]*adtd.Model)
 	}
-	if _, ok := s.verCache[version]; !ok {
-		s.verOrder = append(s.verOrder, version)
-	}
+	maps.DeleteFunc(s.verCache, func(v int, cm *adtd.Model) bool { return cm == m })
 	s.verCache[version] = m
-	serving := int(s.servingVersion.Load())
+	s.verOrder = append(slices.DeleteFunc(s.verOrder, func(v int) bool { return s.verCache[v] == nil }), version)
 	for len(s.verOrder) > maxMaterializedVersions {
 		evict, rest := s.verOrder[0], s.verOrder[1:]
-		if evict == serving && len(rest) > 0 {
+		if s.verCache[evict] == serving && len(rest) > 0 {
 			// Keep the serving version cached; rotate it to the back.
 			s.verOrder = append(rest, evict)
 			continue
@@ -89,14 +88,13 @@ func (s *Service) cacheVersion(version int, m *adtd.Model) {
 		s.verOrder = rest
 		delete(s.verCache, evict)
 	}
+	return m
 }
 
 // versionOf returns the registry version a model object was materialized or
-// published as, or 0 when it has none (no registry, never published, or its
-// weights drifted since). Deriving the version from the model pointer — not
-// from a separate serving-version read — is what keeps a detect response's
-// model_version label coherent with the weights that computed it during a
-// concurrent hot-swap.
+// published as, or 0 when it has none. Deriving the version from the model
+// pointer, not from a separate read, keeps a detect response's model_version
+// coherent with the weights that computed it during a concurrent hot-swap.
 func (s *Service) versionOf(m *adtd.Model) int {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
@@ -108,43 +106,19 @@ func (s *Service) versionOf(m *adtd.Model) int {
 	return 0
 }
 
-// noteServingDrift records that the serving weights changed in place (online
-// feedback): they no longer match any published version. The serving version
-// resets to 0 and the stale cache entry is dropped, so a later swap back to
-// that version rematerializes pristine weights from the registry instead of
-// serving the drifted object.
-func (s *Service) noteServingDrift() {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	if s.registry == nil {
-		return
-	}
-	old := int(s.servingVersion.Swap(0))
-	if old > 0 {
-		delete(s.verCache, old)
-		for i, v := range s.verOrder {
-			if v == old {
-				s.verOrder = append(s.verOrder[:i], s.verOrder[i+1:]...)
-				break
-			}
-		}
-	}
-	servingVersionGauge.Set(0)
-}
-
 // modelForVersion materializes (or returns the cached) model for a
 // published version. The checkpoint is reassembled from content-verified
 // pages and loaded through Model.Load's all-or-nothing path into a fresh
 // sibling of the serving model.
 func (s *Service) modelForVersion(version int) (*adtd.Model, *APIError) {
 	s.regMu.Lock()
-	reg, name := s.registry, s.modelName
+	reg, name, cached := s.registry, s.modelName, s.verCache[version]
 	s.regMu.Unlock()
 	if reg == nil {
 		return nil, apiErrorf(http.StatusBadRequest, "no model registry attached")
 	}
-	if m := s.cachedVersion(version); m != nil {
-		return m, nil
+	if cached != nil {
+		return cached, nil
 	}
 	ckpt, err := reg.Checkpoint(name, version)
 	if err != nil {
@@ -158,8 +132,7 @@ func (s *Service) modelForVersion(version int) (*adtd.Model, *APIError) {
 		return nil, apiErrorf(http.StatusInternalServerError, "load %s@%d: %v", name, version, err)
 	}
 	m.SetEval()
-	s.cacheVersion(version, m)
-	return m, nil
+	return s.cacheVersion(version, m), nil
 }
 
 // ModelBlock is the /v1/stats (and fleet-scraped) view of the serving
@@ -175,14 +148,13 @@ type ModelBlock struct {
 
 // ModelStats snapshots the serving-model block.
 func (s *Service) ModelStats() ModelBlock {
+	m := s.detector.Model()
 	mb := ModelBlock{
-		Generation: s.detector.Model().Generation(),
-		Version:    int(s.servingVersion.Load()),
+		Generation: m.Generation(),
+		Version:    s.versionOf(m),
 		Swaps:      s.swaps.Load(),
 	}
-	s.regMu.Lock()
-	reg, name := s.registry, s.modelName
-	s.regMu.Unlock()
+	reg, name := s.attachedRegistry()
 	if reg != nil {
 		mb.Name = name
 		st := reg.Stats()
@@ -198,7 +170,7 @@ func (s *Service) handleModels(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	reg := s.Registry()
+	reg, _ := s.attachedRegistry()
 	if reg == nil {
 		writeError(w, http.StatusNotFound, "no model registry attached")
 		return
@@ -231,9 +203,7 @@ type SwapResponse struct {
 // latest). Shared by the HTTP handler and in-process callers (fleet
 // harness, tests).
 func (s *Service) Swap(ctx context.Context, version int) (*SwapResponse, *APIError) {
-	s.regMu.Lock()
-	reg, name := s.registry, s.modelName
-	s.regMu.Unlock()
+	reg, name := s.attachedRegistry()
 	if reg == nil {
 		return nil, apiErrorf(http.StatusBadRequest, "no model registry attached")
 	}
@@ -250,14 +220,12 @@ func (s *Service) Swap(ctx context.Context, version int) (*SwapResponse, *APIErr
 		return nil, apiErr
 	}
 	old := s.detector.SwapModel(m)
-	oldVersion := int(s.servingVersion.Swap(int64(version)))
 	s.swaps.Add(1)
 	modelSwapsTotal.Inc()
-	servingVersionGauge.Set(int64(version))
 	return &SwapResponse{
 		Name:          name,
 		Version:       version,
-		OldVersion:    oldVersion,
+		OldVersion:    s.versionOf(old),
 		OldGeneration: old.Generation(),
 		Generation:    m.Generation(),
 	}, nil
@@ -290,9 +258,7 @@ func (s *Service) handleModelPublish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	s.regMu.Lock()
-	reg, name := s.registry, s.modelName
-	s.regMu.Unlock()
+	reg, name := s.attachedRegistry()
 	if reg == nil {
 		writeError(w, http.StatusBadRequest, "no model registry attached")
 		return
@@ -303,11 +269,9 @@ func (s *Service) handleModelPublish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "publish: %v", err)
 		return
 	}
-	// The serving weights now have a registry identity: record it so stats
-	// and responses report the published version, and cache the model so a
-	// later swap back to this version is free.
-	s.servingVersion.Store(int64(res.Version))
-	servingVersionGauge.Set(int64(res.Version))
+	// The published weights now have a registry identity: cache the model
+	// under it, so stats and responses report the version and a later swap
+	// back to it is free.
 	s.cacheVersion(res.Version, m)
 	writeJSON(w, http.StatusOK, res)
 }

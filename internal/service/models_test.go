@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/adtd"
 	"repro/internal/core"
@@ -17,16 +20,17 @@ import (
 )
 
 // registryService builds a service around a private copy of the shared
-// trained model (so swap/feedback tests never mutate the detector other
-// tests share) plus an in-memory model registry.
+// trained model as training left it (so swap/feedback tests neither change
+// the detector other tests share nor see the feedback those tests gave it)
+// plus an in-memory model registry.
 func registryService(t *testing.T) (*Service, *registry.Registry, *corpus.Dataset) {
 	t.Helper()
 	testService(t) // ensure the shared model is trained
 	var buf bytes.Buffer
-	if err := shared.det.Model().Save(&buf); err != nil {
+	if err := shared.model.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m, err := shared.det.Model().Sibling()
+	m, err := shared.model.Sibling()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +54,10 @@ func registryService(t *testing.T) (*Service, *registry.Registry, *corpus.Datase
 }
 
 // TestModelRegistryEndpoints walks the closed loop the registry enables:
-// publish the serving weights, adapt them with online feedback (which must
-// drop their registry identity — the weights drifted), publish the variant
-// (which must dedup against the base), then hot-swap back to the base.
+// publish the serving weights, adapt them with online feedback (which
+// installs an unpublished copy, version 0), publish the variant (which must
+// dedup against the base), then hot-swap back to the base, whose published
+// object feedback left untouched.
 func TestModelRegistryEndpoints(t *testing.T) {
 	svc, reg, ds := registryService(t)
 	svc.AttachRegistry(reg, "taste", 0)
@@ -70,6 +75,7 @@ func TestModelRegistryEndpoints(t *testing.T) {
 	if res1.Version != 1 || res1.NewPages != res1.Pages {
 		t.Fatalf("first publish must store every page: %+v", res1)
 	}
+	v1 := svc.detector.Model()
 
 	// Detect responses now carry the serving version.
 	rec = doJSON(t, h, http.MethodPost, "/v1/detect", DetectRequest{Database: "tenantdb", Tables: []string{ds.Test[0].Name}})
@@ -84,9 +90,8 @@ func TestModelRegistryEndpoints(t *testing.T) {
 		t.Fatalf("detect model_version = %d, want 1", dresp.ModelVersion)
 	}
 
-	// Online feedback mutates the serving weights in place: they no longer
-	// match version 1, so the serving version must reset to 0 — otherwise a
-	// later swap "back to 1" would silently serve the drifted weights.
+	// Online feedback installs an adapted copy of version 1: the copy has no
+	// registry version until it is published.
 	table := ds.Test[0]
 	rec = doJSON(t, h, http.MethodPost, "/v1/feedback", FeedbackRequest{
 		Database: "tenantdb", Table: table.Name, Column: table.Columns[0].Name, Labels: []string{"email"},
@@ -95,7 +100,7 @@ func TestModelRegistryEndpoints(t *testing.T) {
 		t.Fatalf("feedback status %d: %s", rec.Code, rec.Body)
 	}
 	if got := svc.ServingVersion(); got != 0 {
-		t.Fatalf("serving version after feedback = %d, want 0 (drifted)", got)
+		t.Fatalf("serving version after feedback = %d, want 0 (an unpublished copy)", got)
 	}
 
 	// Publishing the adapted weights dedups against version 1: feedback only
@@ -140,8 +145,8 @@ func TestModelRegistryEndpoints(t *testing.T) {
 		t.Fatalf("dedup ratio = %v, want > 1", listing.Serving.Registry.DedupRatio)
 	}
 
-	// Hot-swap back to the base version: a fresh materialization, not the
-	// drifted object.
+	// Hot-swap back to the base version: the object published as version 1,
+	// which feedback never wrote.
 	before := svc.detector.Model()
 	rec = doJSON(t, h, http.MethodPost, "/v1/models/swap", SwapRequest{Version: 1})
 	if rec.Code != http.StatusOK {
@@ -154,8 +159,8 @@ func TestModelRegistryEndpoints(t *testing.T) {
 	if sw.Version != 1 || sw.OldVersion != 2 || sw.Generation == sw.OldGeneration {
 		t.Fatalf("swap response = %+v", sw)
 	}
-	if svc.detector.Model() == before {
-		t.Fatal("swap did not replace the serving model")
+	if got := svc.detector.Model(); got == before || got != v1 {
+		t.Fatal("swap back to version 1 did not reinstall its published object")
 	}
 	if got := svc.ServingVersion(); got != 1 {
 		t.Fatalf("serving version after swap = %d, want 1", got)
@@ -349,5 +354,151 @@ func TestHotSwapUnderDetectLoadConsistency(t *testing.T) {
 	}
 	if got := svc.ModelStats().Swaps; got != swapRounds {
 		t.Fatalf("swaps = %d, want %d", got, swapRounds)
+	}
+}
+
+// TestFeedbackAndSwapUnderDetectLoad interleaves live /v1/feedback and
+// /v1/models/swap calls with pipelined and sequential /v1/detect, meant to
+// run under -race. A writer cycles feedback f1, feedback f2, swap to v1, so
+// the serving model is always v1, v1+f1 or v1+f1+f2. Feedback is
+// deterministic: the same sequence on a private copy gives each stage's
+// reference answer first. Every detect response must equal, byte for byte,
+// the answer of one stage and carry that stage's model_version (1 for v1, 0
+// for an unpublished copy): a detect that read weights while feedback
+// stepped them, or a swap back to v1 that served adapted weights, fails.
+func TestFeedbackAndSwapUnderDetectLoad(t *testing.T) {
+	svc, reg, ds := registryService(t)
+	svc.AttachRegistry(reg, "taste", 0)
+	h := svc.Handler()
+	if rec := doJSON(t, h, http.MethodPost, "/v1/models/publish", struct{}{}); rec.Code != http.StatusOK {
+		t.Fatalf("publish status %d: %s", rec.Code, rec.Body)
+	}
+	tables := []string{ds.Test[0].Name, ds.Test[1].Name, ds.Test[2].Name}
+	// Each feedback confirms a column's true types.
+	var feedbacks []FeedbackRequest
+	for _, tb := range ds.Test[:3] {
+		c := tb.Columns[len(tb.Columns)-1]
+		feedbacks = append(feedbacks, FeedbackRequest{Database: "tenantdb", Table: tb.Name, Column: c.Name, Labels: c.Labels})
+	}
+	feedback := func(h http.Handler, req FeedbackRequest) string {
+		rec := doJSON(t, h, http.MethodPost, "/v1/feedback", req)
+		if rec.Code != http.StatusOK {
+			return rec.Body.String()
+		}
+		return ""
+	}
+
+	// References: stage k is v1 with the first k feedbacks applied.
+	private, _, _ := registryService(t)
+	ph := private.Handler()
+	var refs []string
+	for k := 0; ; k++ {
+		refs = append(refs, tablesJSON(t, detectOne(t, ph, DetectRequest{Database: "tenantdb", Tables: tables})))
+		if k == len(feedbacks) {
+			break
+		}
+		if msg := feedback(ph, feedbacks[k]); msg != "" {
+			t.Fatal(msg)
+		}
+	}
+	if refs[0] == refs[len(refs)-1] {
+		t.Fatal("feedback leaves the answers unchanged; the check would be vacuous")
+	}
+	stageVersion := func(k int) int {
+		if k == 0 {
+			return 1
+		}
+		return 0
+	}
+
+	const cycles = 3
+	stop := make(chan struct{})
+	errs := make(chan string, 8)
+	var answered atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(pipelined bool) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rec := doJSON(t, h, http.MethodPost, "/v1/detect", DetectRequest{Database: "tenantdb", Tables: tables, Pipelined: pipelined})
+				var resp DetectResponse
+				if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+					errs <- "detect: " + rec.Body.String()
+					return
+				}
+				got := tablesJSON(t, resp)
+				matched := false
+				for k, ref := range refs {
+					matched = matched || (got == ref && resp.ModelVersion == stageVersion(k))
+				}
+				if !matched {
+					errs <- "a detect answer (model_version " + strconv.Itoa(resp.ModelVersion) + ") matches no stage's reference: " + got
+					return
+				}
+				answered.Add(1)
+			}
+		}(w == 0)
+	}
+	// Each write waits for two more answers, so every stage serves detects
+	// and writes land while detects run.
+	settle := func() {
+		for n := answered.Load() + 2; answered.Load() < n && len(errs) == 0; {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	settle()
+	for c := 0; c < cycles; c++ {
+		for _, req := range feedbacks {
+			if msg := feedback(h, req); msg != "" {
+				t.Error(msg)
+			}
+			settle()
+		}
+		if rec := doJSON(t, h, http.MethodPost, "/v1/models/swap", SwapRequest{Version: 1}); rec.Code != http.StatusOK {
+			t.Errorf("swap status %d: %s", rec.Code, rec.Body)
+		}
+		settle()
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+}
+
+// TestCacheVersionOneObjectPerVersion: a version keeps the first object
+// cached for it (a second, concurrent materialization gets that object
+// back), and an object published again carries only its new version, so
+// versionOf has one answer.
+func TestCacheVersionOneObjectPerVersion(t *testing.T) {
+	svc, reg, _ := registryService(t)
+	svc.AttachRegistry(reg, "taste", 0)
+	a := svc.detector.Model()
+	b, err := a.Sibling()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.cacheVersion(1, a); got != a {
+		t.Fatal("the first object cached for a version was not returned")
+	}
+	if got := svc.cacheVersion(1, b); got != a {
+		t.Fatal("a second object for a cached version replaced the first")
+	}
+	if svc.versionOf(a) != 1 || svc.versionOf(b) != 0 {
+		t.Fatalf("versionOf: a=%d b=%d, want 1 and 0", svc.versionOf(a), svc.versionOf(b))
+	}
+	svc.cacheVersion(2, a)
+	if svc.versionOf(a) != 2 || svc.ServingVersion() != 2 {
+		t.Fatalf("republished object: versionOf %d, serving version %d, want 2", svc.versionOf(a), svc.ServingVersion())
+	}
+	if _, ok := svc.verCache[1]; ok || len(svc.verOrder) != 1 {
+		t.Fatalf("version 1 still cached for the republished object: order %v", svc.verOrder)
 	}
 }

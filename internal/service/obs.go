@@ -30,7 +30,7 @@ var (
 )
 
 // syncGauges mirrors externally-owned ledgers (cache occupancy, the
-// detector's fault stats) into gauges right before a scrape, so /metrics
+// detector's fault stats, the serving model's version) into gauges right before a scrape, so /metrics
 // carries them without hooking every cache operation. Hit/miss/eviction
 // flows are counters owned by the cache tiers themselves
 // (taste_cache_*_total, tier=latent|result); only point-in-time state is
@@ -50,6 +50,7 @@ func (s *Service) syncGauges() {
 	g("taste_cache_skipped_copies").Set(s.detector.Cache().Stats().SkippedCopies)
 	fs := s.detector.FaultStats()
 	g("taste_detector_degraded_columns").Set(int64(fs.DegradedColumns))
+	servingVersionGauge.Set(int64(s.ServingVersion()))
 }
 
 // MetricsHandler serves the process-wide metric registry in Prometheus text

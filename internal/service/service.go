@@ -65,15 +65,14 @@ type Service struct {
 	flight          *cache.Group[flightResult]
 
 	// Model registry state (models.go). regMu guards the registry handle
-	// and the materialized-version cache; the serving version and swap
-	// count are atomics so the stats path never takes the lock.
-	regMu          sync.Mutex
-	registry       *registry.Registry
-	modelName      string
-	verCache       map[int]*adtd.Model
-	verOrder       []int
-	servingVersion atomic.Int64
-	swaps          atomic.Int64
+	// and the materialized-version cache, from which every version label
+	// is derived (versionOf); the swap count is an atomic.
+	regMu     sync.Mutex
+	registry  *registry.Registry
+	modelName string
+	verCache  map[int]*adtd.Model
+	verOrder  []int
+	swaps     atomic.Int64
 }
 
 // New creates a service around a detector. Pipelined requests run on
@@ -283,7 +282,8 @@ func (s *Service) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tm, err := conn.TableMetadata(ctx, req.Table)
-	tn.release(conn, err == nil && retries == 0 && ctx.Err() == nil)
+	// An unknown table is the tenant's answer, not a fault of the connection.
+	tn.release(conn, (err == nil || errors.Is(err, simdb.ErrUnknownTable)) && retries == 0 && ctx.Err() == nil)
 	switch {
 	case errors.Is(err, simdb.ErrUnknownTable) && len(req.Table) <= maxQuotedName:
 		writeError(w, http.StatusNotFound, "table: %v", err)
@@ -311,10 +311,9 @@ func (s *Service) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "feedback: %v", err)
 		return
 	}
-	s.noteServingDrift()
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"applied":   true,
-		"feedbacks": len(s.detector.FeedbackLog()),
+		"feedbacks": s.detector.Feedbacks(),
 	})
 }
 

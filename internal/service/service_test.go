@@ -19,8 +19,11 @@ import (
 var shared struct {
 	once sync.Once
 	det  *core.Detector
-	ds   *corpus.Dataset
-	err  error
+	// model is the trained model det started on. Feedback through det
+	// installs adapted copies and never writes it.
+	model *adtd.Model
+	ds    *corpus.Dataset
+	err   error
 }
 
 // testService builds a service around a lightly trained detector once per
@@ -47,7 +50,7 @@ func testService(t testing.TB) (*Service, *corpus.Dataset) {
 			shared.err = err
 			return
 		}
-		shared.det, shared.ds = det, ds
+		shared.det, shared.model, shared.ds = det, m, ds
 	})
 	if shared.err != nil {
 		t.Fatal(shared.err)

@@ -5,8 +5,8 @@
 #  1. tastetrain -publish stores the trained checkpoint in a journaled
 #     registry as taste@1.
 #  2. tasted -registry boots serving taste@1 straight from the registry.
-#  3. Online feedback adapts the serving weights; the serving version must
-#     drop to 0 (the weights drifted off the published version).
+#  3. Online feedback installs an adapted copy of the serving model; the
+#     serving version must read 0 (the copy is not published).
 #  4. POST /v1/models/publish stores the adapted weights as taste@2, and the
 #     publish must dedup against taste@1: fewer new pages than total pages,
 #     stored bytes < logical bytes, dedup ratio > 1.
@@ -63,7 +63,7 @@ DETECT=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d '{"database":"demo"}')
 V=$(jnum model_version <<<"$DETECT")
 [[ "$V" == 1 ]] || { echo "detect served model_version=$V, want 1" >&2; exit 1; }
 
-# 3. Feedback drifts the serving weights off version 1.
+# 3. Feedback installs an adapted copy of version 1, which has no version.
 TABLE=$(grep -o '"table":"[^"]*"' <<<"$DETECT" | head -1 | cut -d'"' -f4)
 COLUMN=$(grep -o '"column":"[^"]*"' <<<"$DETECT" | head -1 | cut -d'"' -f4)
 curl -sf -XPOST "http://$ADDR/v1/feedback" \
@@ -71,7 +71,7 @@ curl -sf -XPOST "http://$ADDR/v1/feedback" \
 STATS=$(curl -sf "http://$ADDR/v1/stats")
 SV=$(grep -o '"model":{[^}]*' <<<"$STATS" | jnum version)
 [[ "${SV:-0}" == "" || "${SV:-0}" == 0 ]] \
-    || { echo "serving version after feedback = $SV, want 0 (drifted)" >&2; exit 1; }
+    || { echo "serving version after feedback = $SV, want 0 (an unpublished copy)" >&2; exit 1; }
 
 # 4. Publish the adapted weights: must dedup against version 1.
 PUB=$(curl -sf -XPOST "http://$ADDR/v1/models/publish" -d '{}')
