@@ -45,7 +45,8 @@ test: build
 # race-all's 45 minutes. The allocation ceiling of one result-tier hit runs
 # there too, and so does a fake baseline classifier on the same stages in
 # both modes, and Feedback and RegisterTypes during pipelined detects, which
-# must leave every model a request captured unchanged.
+# must leave every model a request captured unchanged and install a model
+# that shares every buffer but the classifier heads' with it.
 #
 # The scheduler runs ten times over: its tests drive goroutine interleavings
 # (token handoff order, a cancel while stages wait for a token, a panic
@@ -72,8 +73,9 @@ bench-check:
 # the tokenizer's append path against Encode, the four row kernels (the
 # matmul's with its K-block edges), the fused add-and-LayerNorm and the
 # attention core (with its span validation) against their references, the
-# checkpoint decoder, and the registry's journal replay (go test takes one
-# -fuzz target per run). Replay's inputs are whole journals, so its
+# checkpoint decoder, the registry's journal replay, and the Prometheus text
+# checker against the exposition writer (go test takes one -fuzz target per
+# run). Replay's inputs are whole journals, so its
 # minimisation of each new input is capped at 200 runs; uncapped it takes
 # the whole budget.
 fuzz:
@@ -88,6 +90,7 @@ fuzz:
 		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzztime=10s ./internal/tensor/ || exit 1; \
 	done
 	$(GO) test -run=^$$ -fuzz=^FuzzJournalReplay$$ -fuzztime=10s -fuzzminimizetime=200x ./internal/registry/
+	$(GO) test -run=^$$ -fuzz=^FuzzCheckText$$ -fuzztime=10s ./internal/obs/
 
 # metrics-smoke boots tasted with -debug-addr, fires a traced detect, and
 # asserts /metrics and /debug/pprof serve what DESIGN.md §9 promises.

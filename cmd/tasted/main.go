@@ -20,7 +20,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -54,7 +53,6 @@ func main() {
 		seed         = flag.Int64("seed", 1, "corpus seed (must match the checkpoint)")
 		epochs       = flag.Int("epochs", 8, "training epochs when -train is set")
 		trainWorkers = flag.Int("train-workers", 1, "data-parallel gradient workers when -train is set (bit-reproducible per (seed, workers))")
-		gradAccum    = flag.Int("grad-accum", 1, "micro-batches accumulated per worker per optimizer step when -train is set")
 		deadline     = flag.Duration("deadline", 0, "default per-request deadline for /v1/detect (0 = none; requests can override via deadline_ms)")
 		faultProb    = flag.Float64("fault-prob", 0, "demo tenant: probability of a transient fault per scan/query/connect (chaos mode)")
 		faultSeed    = flag.Int64("fault-seed", 1, "demo tenant: fault-injection seed")
@@ -81,8 +79,6 @@ func main() {
 			log.Fatalf("open registry: %v", err)
 		}
 	}
-	bootVersion := 0
-
 	switch {
 	case *train:
 		cfg := adtd.DefaultTrainConfig()
@@ -90,7 +86,6 @@ func main() {
 		cfg.LR, cfg.FinalLR = 1.5e-3, 4e-4
 		cfg.PosWeight = 6
 		cfg.Workers = *trainWorkers
-		cfg.GradAccum = *gradAccum
 		cfg.Log = os.Stderr
 		log.Printf("training model (%d epochs) …", cfg.Epochs)
 		if _, err := adtd.FineTune(model, ds.Train, cfg); err != nil {
@@ -106,24 +101,6 @@ func main() {
 		}
 		f.Close()
 		log.Printf("loaded checkpoint %s", *checkpoint)
-	case reg != nil:
-		version := *modelVersion
-		if version == 0 {
-			latest, ok := reg.Latest(*modelName)
-			if !ok {
-				log.Fatalf("registry %s has no published versions of %q", *registryDir, *modelName)
-			}
-			version = latest
-		}
-		ckpt, err := reg.Checkpoint(*modelName, version)
-		if err != nil {
-			log.Fatalf("registry checkpoint %s@%d: %v", *modelName, version, err)
-		}
-		if err := model.Load(bytes.NewReader(ckpt)); err != nil {
-			log.Fatalf("load %s@%d: %v", *modelName, version, err)
-		}
-		bootVersion = version
-		log.Printf("loaded %s@%d from registry %s", *modelName, version, *registryDir)
 	}
 
 	opts := core.DefaultOptions()
@@ -135,7 +112,13 @@ func main() {
 	}
 	svc := service.New(det)
 	if reg != nil {
-		svc.AttachRegistry(reg, *modelName, bootVersion)
+		svc.AttachRegistry(reg, *modelName)
+		bootVersion := 0
+		if !*train && *checkpoint == "" {
+			if bootVersion, err = svc.ServeVersion(*modelVersion); err != nil {
+				log.Fatalf("registry %s: %v", *registryDir, err)
+			}
+		}
 		log.Printf("model registry attached (%s, serving %s@%d): /v1/models endpoints enabled", *registryDir, *modelName, bootVersion)
 	}
 	svc.SetDefaultDeadline(*deadline)

@@ -37,7 +37,6 @@ func main() {
 		pretrain  = flag.Int("pretrain", 0, "MLM pre-training steps before fine-tuning (taste only)")
 		hist      = flag.Bool("histogram", false, "train the with-histogram variant (taste only)")
 		workers   = flag.Int("train-workers", 1, "data-parallel gradient workers (results are bit-reproducible per (seed, workers))")
-		gradAccum = flag.Int("grad-accum", 1, "micro-batches accumulated per worker per optimizer step")
 		out       = flag.String("o", "model.ckpt", "checkpoint output path")
 		publish   = flag.String("publish", "", "also publish the checkpoint to the model registry rooted at this directory (taste only)")
 		pubName   = flag.String("publish-name", "taste", "registry model name to publish under")
@@ -77,7 +76,6 @@ func main() {
 			pcfg := adtd.DefaultPretrainConfig()
 			pcfg.Steps = *pretrain
 			pcfg.Workers = *workers
-			pcfg.GradAccum = *gradAccum
 			pcfg.Log = os.Stderr
 			if _, err := adtd.Pretrain(m, ds.Train, pcfg); err != nil {
 				log.Fatal(err)
@@ -92,7 +90,6 @@ func main() {
 		cfg.ContentColumnsPerChunk = 4
 		cfg.WithStats = *hist
 		cfg.Workers = *workers
-		cfg.GradAccum = *gradAccum
 		cfg.Log = os.Stderr
 		if _, err := adtd.FineTune(m, ds.Train, cfg); err != nil {
 			log.Fatal(err)
@@ -106,7 +103,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("open registry: %v", err)
 			}
-			res, err := reg.Publish(*pubName, m.Params())
+			res, err := reg.Publish(*pubName, m.Types.Names(), m.Params())
 			if err != nil {
 				log.Fatalf("publish: %v", err)
 			}
@@ -125,7 +122,6 @@ func main() {
 		tcfg.PosWeight = 6
 		tcfg.WeightDecay = 1e-4
 		tcfg.Workers = *workers
-		tcfg.GradAccum = *gradAccum
 		tcfg.Log = os.Stderr
 		if _, err := baselines.FineTune(m, ds.Train, tcfg); err != nil {
 			log.Fatal(err)

@@ -95,16 +95,15 @@ type TypeSpace struct {
 func NewTypeSpace(typeNames []string) *TypeSpace {
 	sorted := append([]string(nil), typeNames...)
 	sort.Strings(sorted)
-	ts := &TypeSpace{index: make(map[string]int, len(sorted)+1)}
-	ts.names = append(ts.names, corpus.NullType)
-	ts.index[corpus.NullType] = 0
-	for _, n := range sorted {
-		if _, dup := ts.index[n]; dup {
-			continue
-		}
-		ts.index[n] = len(ts.names)
-		ts.names = append(ts.names, n)
-	}
+	return TypeSpaceOf(append([]string{corpus.NullType}, sorted...))
+}
+
+// TypeSpaceOf rebuilds a type space from the class names in index order, as
+// Names returns them (the background type first); a repeated name keeps its
+// first index.
+func TypeSpaceOf(names []string) *TypeSpace {
+	ts := &TypeSpace{index: make(map[string]int, len(names))}
+	ts.Extend(names)
 	return ts
 }
 

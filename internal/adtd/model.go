@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"time"
 
 	"sync/atomic"
@@ -110,12 +111,27 @@ func New(cfg Config, tok *tokenizer.Tokenizer, types *TypeSpace, seed int64) (*M
 
 // Sibling creates a fresh, randomly initialized model with the same
 // configuration, tokenizer, and type space — the right shape to Load any
-// checkpoint this model could have Saved. The model registry uses it to
-// materialize additional versions for zero-downtime hot-swap: the sibling
-// gets its own weight generation and fast-path packs, so serving two
-// versions side by side never aliases caches.
+// checkpoint this model could have Saved. It gets its own weight generation
+// and fast-path packs, so serving two models side by side never aliases
+// caches.
 func (m *Model) Sibling() (*Model, error) {
 	return New(m.Cfg, m.Tok, m.Types, 0)
+}
+
+// Derive returns the model an online edit (ApplyFeedback, ExtendTypes) runs
+// on without touching m: its parameters alias m's weights, except the two
+// classifier heads', which are copies of their own. Deriving serializes
+// nothing and writes nothing m's readers read; the derived model gets its
+// own weight generation and fast-path packs, and starts in train mode.
+func (m *Model) Derive() (*Model, error) {
+	d, err := m.trainingReplica()
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range append(d.MetaCls.Params(), d.ContCls.Params()...) {
+		p.Data = slices.Clone(p.Data)
+	}
+	return d, nil
 }
 
 // Encoder returns the input encoder bound to this model's tokenizer and

@@ -22,9 +22,6 @@ type PretrainConfig struct {
 	Steps int
 	// Workers is the number of data-parallel gradient workers (≤0 → 1).
 	Workers int
-	// GradAccum accumulates this many steps per worker into each optimizer
-	// step (≤0 → 1).
-	GradAccum int
 	// LR is the Adam learning rate.
 	LR float64
 	// MaskProb is the fraction of tokens replaced by [MASK].
@@ -72,7 +69,7 @@ func Pretrain(m *Model, tables []*corpus.Table, cfg PretrainConfig) (float64, er
 			}
 			return train.Worker{
 				Params: mm.Params(),
-				Step: func(items []int, rng *rand.Rand) *tensor.Tensor {
+				Step: func(_ int, rng *rand.Rand) *tensor.Tensor {
 					return mm.mlmStep(tables, cfg, rng, maskID)
 				},
 			}, nil
@@ -81,7 +78,6 @@ func Pretrain(m *Model, tables []*corpus.Table, cfg PretrainConfig) (float64, er
 	return train.Run(spec, train.Config{
 		Epochs:    1,
 		Workers:   cfg.Workers,
-		GradAccum: cfg.GradAccum,
 		LR:        cfg.LR,
 		ClipNorm:  1,
 		Seed:      cfg.Seed,

@@ -19,9 +19,6 @@ type TrainConfig struct {
 	// Workers is the number of data-parallel gradient workers (≤0 → 1).
 	// See DESIGN.md §10 for the determinism contract.
 	Workers int
-	// GradAccum accumulates this many chunks per worker into each optimizer
-	// step (≤0 → 1).
-	GradAccum int
 	// LR is the initial Adam learning rate.
 	LR float64
 	// FinalLR, when positive, decays the learning rate exponentially from
@@ -95,17 +92,18 @@ func buildTrainChunks(tables []*corpus.Table, withStats bool, splitThreshold int
 	return chunks
 }
 
-// trainingReplica builds a worker-private model whose parameters alias the
-// canonical model's weights (shared, read-only during a micro-batch group)
-// but own their gradient state, so concurrent backward passes never write
-// the same buffer.
+// trainingReplica builds a model with m's configuration, tokenizer and type
+// space whose parameters alias m's weights (tensor.AliasData): each
+// parameter tensor, its gradient state and its grad flag are its own, its
+// Data is m's buffer. A training worker reads the shared weights during a
+// group of items and writes only its own gradients; Derive starts from one
+// too. It starts in train mode.
 func (m *Model) trainingReplica() (*Model, error) {
-	r, err := New(m.Cfg, m.Tok, m.Types, 0)
+	r, err := m.Sibling()
 	if err != nil {
 		return nil, err
 	}
 	tensor.AliasData(r.Params(), m.Params())
-	r.SetTrain()
 	return r, nil
 }
 
@@ -138,8 +136,8 @@ func FineTune(m *Model, tables []*corpus.Table, cfg TrainConfig) (float64, error
 			}
 			return train.Worker{
 				Params: mm.Params(),
-				Step: func(items []int, rng *rand.Rand) *tensor.Tensor {
-					ch := chunks[items[0]]
+				Step: func(item int, rng *rand.Rand) *tensor.Tensor {
+					ch := chunks[item]
 					return mm.trainStep(ch.info, ch.labels, cfg, rng)
 				},
 			}, nil
@@ -148,7 +146,6 @@ func FineTune(m *Model, tables []*corpus.Table, cfg TrainConfig) (float64, error
 	return train.Run(spec, train.Config{
 		Epochs:      cfg.Epochs,
 		Workers:     cfg.Workers,
-		GradAccum:   cfg.GradAccum,
 		Shuffle:     true,
 		LR:          cfg.LR,
 		FinalLR:     cfg.FinalLR,
@@ -210,9 +207,9 @@ type FeedbackExample struct {
 // ApplyFeedback performs a lightweight online update of the classifier
 // heads only, adapting predictions to user corrections without a full
 // re-train. It runs on an eval-mode model as well as on one in train mode,
-// and leaves each head's gradient flag as it found it. It writes the
-// weights in place: core.Detector.Feedback runs it on a copy of the
-// serving model.
+// and leaves each head's gradient flag as it found it. It writes the head
+// weights in place: core.Detector.Feedback runs it on a model Derived from
+// the serving one, whose heads are its own.
 func (m *Model) ApplyFeedback(examples []FeedbackExample, lr float64, steps int) error {
 	if len(examples) == 0 {
 		return fmt.Errorf("adtd: no feedback examples")

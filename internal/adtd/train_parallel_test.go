@@ -132,7 +132,6 @@ func TestFineTuneMultiWorkerDeterministic(t *testing.T) {
 	cfg := parallelTrainConfig()
 	cfg.Epochs = 1
 	cfg.Workers = 3
-	cfg.GradAccum = 2
 	lossA, err := FineTune(a, ds.Train, cfg)
 	if err != nil {
 		t.Fatal(err)

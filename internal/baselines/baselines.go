@@ -276,11 +276,9 @@ func (m *Model) TypeSpace() *adtd.TypeSpace { return m.Types }
 // TrainConfig mirrors adtd.TrainConfig for the baselines.
 type TrainConfig struct {
 	Epochs int
-	// Workers is the number of data-parallel gradient workers (≤0 → 1);
-	// GradAccum accumulates chunks per worker into each optimizer step.
-	Workers   int
-	GradAccum int
-	LR        float64
+	// Workers is the number of data-parallel gradient workers (≤0 → 1).
+	Workers int
+	LR      float64
 	// FinalLR, when positive, decays the learning rate exponentially from
 	// LR to FinalLR across the epochs.
 	FinalLR        float64
@@ -369,8 +367,8 @@ func FineTune(m *Model, tables []*corpus.Table, cfg TrainConfig) (float64, error
 			}
 			return train.Worker{
 				Params: mm.Params(),
-				Step: func(items []int, rng *rand.Rand) *tensor.Tensor {
-					return mm.chunkLoss(chunks[items[0]], cfg.Cells, cfg.PosWeight)
+				Step: func(item int, rng *rand.Rand) *tensor.Tensor {
+					return mm.chunkLoss(chunks[item], cfg.Cells, cfg.PosWeight)
 				},
 			}, nil
 		},
@@ -378,7 +376,6 @@ func FineTune(m *Model, tables []*corpus.Table, cfg TrainConfig) (float64, error
 	return train.Run(spec, train.Config{
 		Epochs:      cfg.Epochs,
 		Workers:     cfg.Workers,
-		GradAccum:   cfg.GradAccum,
 		Shuffle:     true,
 		LR:          cfg.LR,
 		FinalLR:     cfg.FinalLR,

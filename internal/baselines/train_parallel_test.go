@@ -79,7 +79,6 @@ func TestFineTuneMultiWorkerDeterministic(t *testing.T) {
 	cfg.Epochs = 1
 	cfg.Cells = 4
 	cfg.Workers = 2
-	cfg.GradAccum = 2
 	lossA, err := FineTune(a, ds.Train, cfg)
 	if err != nil {
 		t.Fatal(err)

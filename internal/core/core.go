@@ -16,7 +16,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -156,9 +155,10 @@ type FaultStats struct {
 // The model is held behind an atomic pointer (RCU style): every request
 // captures the pointer exactly once when its table job is created and uses
 // that model for all four stages, so SwapModel never tears a request across
-// two weight sets; Feedback and RegisterTypes install changed copies, never
-// writing an installed model. Caches need no flushing on swap — every cache
-// key embeds the model's process-unique generation.
+// two weight sets; Feedback and RegisterTypes install models derived from
+// the serving one, never writing an installed model. Caches need no
+// flushing on swap — every cache key embeds the model's process-unique
+// generation.
 type Detector struct {
 	model atomic.Pointer[adtd.Model]
 	// baseline is the classifier of a NewBaselineDetector, which runs it in
@@ -249,9 +249,10 @@ func (d *Detector) SwapModel(m *adtd.Model) *adtd.Model {
 	return d.model.Swap(m)
 }
 
-// adapt installs an edited copy of the serving model. edit runs on a
-// train-mode copy (same configuration, tokenizer, type space and weights)
-// that no request holds; on success the copy is frozen and installed.
+// adapt installs an edited derivation of the serving model. edit runs on
+// a train-mode model no request holds (adtd.Model.Derive: the serving
+// weights shared, the classifier heads its own); on success it is frozen
+// and installed.
 func (d *Detector) adapt(edit func(m *adtd.Model) error) error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
@@ -259,16 +260,9 @@ func (d *Detector) adapt(edit func(m *adtd.Model) error) error {
 	if src == nil {
 		return errors.New("core: a baseline detector has no model to adapt")
 	}
-	var buf bytes.Buffer
-	m, err := src.Sibling()
-	if err == nil {
-		err = src.Save(&buf)
-	}
-	if err == nil {
-		err = m.Load(&buf)
-	}
+	m, err := src.Derive()
 	if err != nil {
-		return fmt.Errorf("core: copy the serving model: %w", err)
+		return fmt.Errorf("core: derive from the serving model: %w", err)
 	}
 	if err := edit(m); err != nil {
 		return err
@@ -283,10 +277,11 @@ type modelKey struct{}
 
 // WithModel returns a context pinning detection to the given model instead
 // of the detector's current one — the mechanism behind per-request model
-// version overrides. The model must share the detector's type space
-// semantics (it normally comes from the registry as a Sibling of the serving
-// model); it is used for every stage of the request, so the answer is
-// internally consistent with exactly one model.
+// version overrides. The model must share the serving model's configuration
+// and tokenizer; its type space is its own (a registry version carries the
+// one it was published with), and the request answers over it. It is used
+// for every stage of the request, so the answer is internally consistent
+// with exactly one model.
 func WithModel(ctx context.Context, m *adtd.Model) context.Context {
 	return context.WithValue(ctx, modelKey{}, m)
 }
@@ -1043,10 +1038,10 @@ func unknownTables(dbName string, tables []string, metas []*simdb.TableMeta) []e
 	return errs
 }
 
-// Feedback installs a copy of the serving model adapted to a user
-// correction by a lightweight online update of its classifier heads (§8
-// future work). table must carry the column's metadata; content values are
-// optional.
+// Feedback installs a model derived from the serving one and adapted to a
+// user correction by a lightweight online update of its classifier heads
+// (§8 future work). table must carry the column's metadata; content values
+// are optional.
 func (d *Detector) Feedback(table *metafeat.TableInfo, column int, labels []string) error {
 	if column < 0 || column >= len(table.Columns) {
 		return fmt.Errorf("core: column index %d out of range", column)
@@ -1066,7 +1061,7 @@ func (d *Detector) Feedbacks() int { return int(d.feedbacks.Load()) }
 
 // RegisterTypes extends the detector's type domain with user-defined
 // semantic types (§8): the registry entries drive future corpus generation,
-// and the installed copy of the model grows its own type space and heads.
+// and the installed derived model grows its own type space and heads.
 func (d *Detector) RegisterTypes(reg *corpus.Registry, types []*corpus.Type) error {
 	return d.adapt(func(m *adtd.Model) error {
 		var names []string

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -92,5 +93,38 @@ func TestBaselineDetectorRefusesModelWrites(t *testing.T) {
 	}
 	if det.Model() != nil || reg.Lookup("baseline_type") != nil {
 		t.Fatal("a refused write left a model or a registered type behind")
+	}
+}
+
+// TestModelWritersShareTheEncoder: Feedback and RegisterTypes derive the
+// model they install instead of copying it. Every parameter outside the two
+// classifier heads shares the previous model's buffer; every head parameter
+// has a buffer of its own.
+func TestModelWritersShareTheEncoder(t *testing.T) {
+	det, ds := phase2Detector(t, 2)
+	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
+	writes := map[string]func() error{
+		"Feedback": func() error { return det.Feedback(info, 0, ds.Test[0].Columns[0].Labels) },
+		"RegisterTypes": func() error {
+			return det.RegisterTypes(corpus.DefaultRegistry(), []*corpus.Type{{
+				Name: "shared_encoder_type", Category: "identifier", SQLType: "VARCHAR",
+				ColumnNames: []string{"code"}, Gen: func(r *rand.Rand) string { return "x" },
+			}})
+		},
+	}
+	for _, name := range []string{"Feedback", "RegisterTypes"} {
+		before := det.Model()
+		if err := writes[name](); err != nil {
+			t.Fatal(err)
+		}
+		after := det.Model()
+		heads := append(after.MetaCls.Params(), after.ContCls.Params()...)
+		old, cur := before.Params(), after.Params()
+		for i := range cur {
+			shared := &cur[i].Data[0] == &old[i].Data[0]
+			if isHead := slices.Contains(heads, cur[i]); shared == isHead {
+				t.Fatalf("%s: parameter %d shares its buffer = %v, head = %v", name, i, shared, isHead)
+			}
+		}
 	}
 }

@@ -161,19 +161,23 @@ func parseSample(line string) (name string, labels map[string]string, value floa
 	return name, labels, v, nil
 }
 
-// splitLabels splits a label body on commas outside quotes.
+// splitLabels splits a label body on commas outside quotes. Inside quotes a
+// backslash escapes the next byte, so an escaped backslash before a closing
+// quote does not keep the value open.
 func splitLabels(s string) []string {
 	var out []string
-	depth := false
+	quoted := false
 	start := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
-		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				depth = !depth
+		case '\\':
+			if quoted {
+				i++
 			}
+		case '"':
+			quoted = !quoted
 		case ',':
-			if !depth {
+			if !quoted {
 				out = append(out, s[start:i])
 				start = i + 1
 			}

@@ -6,17 +6,20 @@
 //	POST /v1/models/swap     {"version": N}  hot-swap to a published version
 //	POST /v1/models/publish  {}              publish the serving weights
 //
-// A swap materializes the requested version from the registry's
-// content-addressed pages into a fresh sibling model, then atomically
-// replaces the detector's serving pointer. In-flight requests finish on the
-// model they captured at admission; new requests see the new weights
-// immediately. No cache is flushed — latent and result keys embed the
-// process-unique weight generation, so the two models' entries cannot
-// alias, and entries for the returning version are still valid if it swaps
-// back; feedback installs an adapted copy, so a cached version stays
-// pristine. A failed materialization (missing version, corrupt page, shape
-// mismatch) leaves the serving model untouched: Model.Load validates the
-// whole checkpoint before installing anything.
+// A registry version becomes a model in one place, modelForVersion: a
+// fresh model over the version's own type space (the names its manifest
+// recorded at publish) with the serving model's configuration and
+// tokenizer, loaded from the registry's content-addressed pages. A swap, a
+// per-request model_version pin and tasted's boot all go through it. A swap
+// then atomically replaces the detector's serving pointer. In-flight
+// requests finish on the model they captured at admission; new requests see
+// the new weights immediately. No cache is flushed — latent and result keys
+// embed the process-unique weight generation, so the two models' entries
+// cannot alias, and entries for the returning version are still valid if it
+// swaps back; feedback installs a model derived from the serving one, so a
+// cached version stays pristine. A failed materialization (missing version,
+// corrupt page, shape mismatch) leaves the serving model untouched:
+// Model.Load validates the whole checkpoint before installing anything.
 package service
 
 import (
@@ -35,18 +38,13 @@ import (
 const maxMaterializedVersions = 8
 
 // AttachRegistry connects a model registry. name is the registry name the
-// serving model publishes under and version the serving model's version (0
-// when the serving weights were not loaded from the registry). Call before
-// serving traffic.
-func (s *Service) AttachRegistry(reg *registry.Registry, name string, version int) {
+// serving model publishes under. Call before serving traffic; ServeVersion
+// then installs a published version, if the serving model should be one.
+func (s *Service) AttachRegistry(reg *registry.Registry, name string) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
 	s.registry = reg
 	s.modelName = name
-	if version > 0 {
-		s.verCache = map[int]*adtd.Model{version: s.detector.Model()}
-		s.verOrder = []int{version}
-	}
 }
 
 // attachedRegistry returns the attached registry (nil when none) and the
@@ -107,9 +105,11 @@ func (s *Service) versionOf(m *adtd.Model) int {
 }
 
 // modelForVersion materializes (or returns the cached) model for a
-// published version. The checkpoint is reassembled from content-verified
-// pages and loaded through Model.Load's all-or-nothing path into a fresh
-// sibling of the serving model.
+// published version: the only way a registry version becomes a model. The
+// model has the serving model's configuration and tokenizer and the type
+// space the version was published over (a manifest that records none gets
+// the serving model's); its checkpoint is reassembled from content-verified
+// pages and loaded through Model.Load's all-or-nothing path.
 func (s *Service) modelForVersion(version int) (*adtd.Model, *APIError) {
 	s.regMu.Lock()
 	reg, name, cached := s.registry, s.modelName, s.verCache[version]
@@ -120,11 +120,20 @@ func (s *Service) modelForVersion(version int) (*adtd.Model, *APIError) {
 	if cached != nil {
 		return cached, nil
 	}
-	ckpt, err := reg.Checkpoint(name, version)
+	man, err := reg.GetManifest(name, version)
+	var ckpt []byte
+	if err == nil {
+		ckpt, err = reg.Checkpoint(name, version)
+	}
 	if err != nil {
 		return nil, apiErrorf(http.StatusNotFound, "model %s@%d: %v", name, version, err)
 	}
-	m, err := s.detector.Model().Sibling()
+	serving := s.detector.Model()
+	types := serving.Types
+	if len(man.Types) > 0 {
+		types = adtd.TypeSpaceOf(man.Types)
+	}
+	m, err := adtd.New(serving.Cfg, serving.Tok, types, 0)
 	if err != nil {
 		return nil, apiErrorf(http.StatusInternalServerError, "materialize %s@%d: %v", name, version, err)
 	}
@@ -203,6 +212,30 @@ type SwapResponse struct {
 // latest). Shared by the HTTP handler and in-process callers (fleet
 // harness, tests).
 func (s *Service) Swap(ctx context.Context, version int) (*SwapResponse, *APIError) {
+	resp, apiErr := s.install(version)
+	if apiErr != nil {
+		modelSwapErrorsTotal.Inc()
+		return nil, apiErr
+	}
+	s.swaps.Add(1)
+	modelSwapsTotal.Inc()
+	return resp, nil
+}
+
+// ServeVersion installs a published version (0 = latest) as the serving
+// model and returns it: a swap's materialization, at boot, where it is not
+// counted as a hot-swap.
+func (s *Service) ServeVersion(version int) (int, error) {
+	resp, apiErr := s.install(version)
+	if apiErr != nil {
+		return 0, apiErr
+	}
+	return resp.Version, nil
+}
+
+// install materializes a published version (0 = latest) and makes it the
+// serving model.
+func (s *Service) install(version int) (*SwapResponse, *APIError) {
 	reg, name := s.attachedRegistry()
 	if reg == nil {
 		return nil, apiErrorf(http.StatusBadRequest, "no model registry attached")
@@ -216,12 +249,9 @@ func (s *Service) Swap(ctx context.Context, version int) (*SwapResponse, *APIErr
 	}
 	m, apiErr := s.modelForVersion(version)
 	if apiErr != nil {
-		modelSwapErrorsTotal.Inc()
 		return nil, apiErr
 	}
 	old := s.detector.SwapModel(m)
-	s.swaps.Add(1)
-	modelSwapsTotal.Inc()
 	return &SwapResponse{
 		Name:          name,
 		Version:       version,
@@ -264,7 +294,7 @@ func (s *Service) handleModelPublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := s.detector.Model()
-	res, err := reg.Publish(name, m.Params())
+	res, err := reg.Publish(name, m.Types.Names(), m.Params())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "publish: %v", err)
 		return

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -60,7 +62,7 @@ func registryService(t *testing.T) (*Service, *registry.Registry, *corpus.Datase
 // object feedback left untouched.
 func TestModelRegistryEndpoints(t *testing.T) {
 	svc, reg, ds := registryService(t)
-	svc.AttachRegistry(reg, "taste", 0)
+	svc.AttachRegistry(reg, "taste")
 	h := svc.Handler()
 
 	// Publish the serving weights as version 1.
@@ -212,7 +214,7 @@ func TestModelEndpointsWithoutRegistry(t *testing.T) {
 // published) must leave the serving model untouched and report the failure.
 func TestSwapUnknownVersionLeavesServing(t *testing.T) {
 	svc, reg, _ := registryService(t)
-	svc.AttachRegistry(reg, "taste", 0)
+	svc.AttachRegistry(reg, "taste")
 	h := svc.Handler()
 	rec := doJSON(t, h, http.MethodPost, "/v1/models/publish", struct{}{})
 	if rec.Code != http.StatusOK {
@@ -239,7 +241,7 @@ func TestSwapUnknownVersionLeavesServing(t *testing.T) {
 // with one version but computed by the other, fails.
 func TestHotSwapUnderDetectLoadConsistency(t *testing.T) {
 	svc, reg, ds := registryService(t)
-	svc.AttachRegistry(reg, "taste", 0)
+	svc.AttachRegistry(reg, "taste")
 	h := svc.Handler()
 	ctx := context.Background()
 
@@ -267,7 +269,7 @@ func TestHotSwapUnderDetectLoadConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2.SetEval()
-	if _, err := reg.Publish("taste", m2.Params()); err != nil {
+	if _, err := reg.Publish("taste", m2.Types.Names(), m2.Params()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -368,7 +370,7 @@ func TestHotSwapUnderDetectLoadConsistency(t *testing.T) {
 // stepped them, or a swap back to v1 that served adapted weights, fails.
 func TestFeedbackAndSwapUnderDetectLoad(t *testing.T) {
 	svc, reg, ds := registryService(t)
-	svc.AttachRegistry(reg, "taste", 0)
+	svc.AttachRegistry(reg, "taste")
 	h := svc.Handler()
 	if rec := doJSON(t, h, http.MethodPost, "/v1/models/publish", struct{}{}); rec.Code != http.StatusOK {
 		t.Fatalf("publish status %d: %s", rec.Code, rec.Body)
@@ -479,7 +481,7 @@ func TestFeedbackAndSwapUnderDetectLoad(t *testing.T) {
 // versionOf has one answer.
 func TestCacheVersionOneObjectPerVersion(t *testing.T) {
 	svc, reg, _ := registryService(t)
-	svc.AttachRegistry(reg, "taste", 0)
+	svc.AttachRegistry(reg, "taste")
 	a := svc.detector.Model()
 	b, err := a.Sibling()
 	if err != nil {
@@ -500,5 +502,133 @@ func TestCacheVersionOneObjectPerVersion(t *testing.T) {
 	}
 	if _, ok := svc.verCache[1]; ok || len(svc.verOrder) != 1 {
 		t.Fatalf("version 1 still cached for the republished object: order %v", svc.verOrder)
+	}
+}
+
+// servedTypes lists the serving model's types as GET /v1/types reports them.
+func servedTypes(t *testing.T, h http.Handler) []string {
+	t.Helper()
+	rec := doJSON(t, h, http.MethodGet, "/v1/types", nil)
+	var body struct {
+		Types []string `json:"types"`
+	}
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &body) != nil {
+		t.Fatalf("types status %d: %s", rec.Code, rec.Body)
+	}
+	return body.Types
+}
+
+// TestRegistryVersionsKeepTheirTypeSpace: a version loads over the type
+// space it was published with, whatever the serving model's is. After
+// RegisterTypes widens the serving heads, a version published before it
+// still answers a pinned detect byte for byte as it did, and a swap to it
+// serves its own types; a version published after it serves the registered
+// type, on this registry and on one replayed from the journal.
+func TestRegistryVersionsKeepTheirTypeSpace(t *testing.T) {
+	dir := t.TempDir()
+	svc, _, ds := registryService(t)
+	reg, err := registry.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	svc.AttachRegistry(reg, "taste")
+	h := svc.Handler()
+	req := DetectRequest{Database: "tenantdb", Tables: []string{ds.Test[0].Name}}
+
+	// taste@1 is the serving weights, published straight to the registry so
+	// that the service has not cached it.
+	v1 := svc.detector.Model()
+	ref := tablesJSON(t, detectOne(t, h, req))
+	v1Types := servedTypes(t, h)
+	if _, err := reg.Publish("taste", v1.Types.Names(), v1.Params()); err != nil {
+		t.Fatal(err)
+	}
+	const custom = "tenant_tracking_code"
+	if err := svc.detector.RegisterTypes(corpus.DefaultRegistry(), []*corpus.Type{{
+		Name: custom, Category: "identifier", SQLType: "VARCHAR",
+		ColumnNames: []string{"tracking_code"}, Gen: func(r *rand.Rand) string { return "trk" },
+	}}); err != nil {
+		t.Fatal(err)
+	}
+
+	pinned := req
+	pinned.ModelVersion = 1
+	if got := detectOne(t, h, pinned); got.ModelVersion != 1 || tablesJSON(t, got) != ref {
+		t.Fatalf("detect pinned to v1 (model_version %d) answered %s, want %s", got.ModelVersion, tablesJSON(t, got), ref)
+	}
+	if rec := doJSON(t, h, http.MethodPost, "/v1/models/publish", struct{}{}); rec.Code != http.StatusOK {
+		t.Fatalf("publish status %d: %s", rec.Code, rec.Body)
+	}
+	if rec := doJSON(t, h, http.MethodPost, "/v1/models/swap", SwapRequest{Version: 1}); rec.Code != http.StatusOK {
+		t.Fatalf("swap to v1 status %d: %s", rec.Code, rec.Body)
+	}
+	if got := servedTypes(t, h); !slices.Equal(got, v1Types) {
+		t.Fatalf("v1 serves types %v, want its own %v", got, v1Types)
+	}
+	if rec := doJSON(t, h, http.MethodPost, "/v1/models/swap", SwapRequest{Version: 2}); rec.Code != http.StatusOK {
+		t.Fatalf("swap to v2 status %d: %s", rec.Code, rec.Body)
+	}
+	if !slices.Contains(servedTypes(t, h), custom) {
+		t.Fatal("v2, published after the registration, does not serve the registered type")
+	}
+
+	// A second process replays the journal: v2 materializes over the type
+	// space its manifest recorded, not over the booting model's.
+	replayed, err := registry.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replayed.Close()
+	fresh, _, _ := registryService(t)
+	fresh.AttachRegistry(replayed, "taste")
+	fh := fresh.Handler()
+	if rec := doJSON(t, fh, http.MethodPost, "/v1/models/swap", SwapRequest{Version: 2}); rec.Code != http.StatusOK {
+		t.Fatalf("swap to replayed v2 status %d: %s", rec.Code, rec.Body)
+	}
+	if !slices.Contains(servedTypes(t, fh), custom) {
+		t.Fatal("replayed v2 does not serve the registered type")
+	}
+	if got := detectOne(t, fh, req); got.ModelVersion != 2 {
+		t.Fatalf("detect on replayed v2 labeled model_version %d", got.ModelVersion)
+	}
+}
+
+// TestReplayedUntypedManifestLoadsOverServingTypes: a manifest that records
+// no type space, as every manifest did before versions kept theirs, still
+// loads after a journal replay, over the serving model's type space, and
+// answers as the weights it holds.
+func TestReplayedUntypedManifestLoadsOverServingTypes(t *testing.T) {
+	dir := t.TempDir()
+	svc, _, ds := registryService(t)
+	w, err := registry.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Publish("taste", nil, svc.detector.Model().Params()); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	reg, err := registry.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	if man, err := reg.GetManifest("taste", 1); err != nil || man.Types != nil {
+		t.Fatalf("replayed manifest: %v, types %v; want none", err, man)
+	}
+	svc.AttachRegistry(reg, "taste")
+	h := svc.Handler()
+	req := DetectRequest{Database: "tenantdb", Tables: []string{ds.Test[0].Name}}
+	ref := tablesJSON(t, detectOne(t, h, req))
+	serving := svc.detector.Model()
+	if rec := doJSON(t, h, http.MethodPost, "/v1/models/swap", SwapRequest{Version: 1}); rec.Code != http.StatusOK {
+		t.Fatalf("swap status %d: %s", rec.Code, rec.Body)
+	}
+	if got := svc.detector.Model(); got == serving || got.Types != serving.Types {
+		t.Fatal("an untyped version did not load as a new model over the serving type space")
+	}
+	if got := detectOne(t, h, req); got.ModelVersion != 1 || tablesJSON(t, got) != ref {
+		t.Fatalf("untyped v1 (model_version %d) answered %s, want %s", got.ModelVersion, tablesJSON(t, got), ref)
 	}
 }

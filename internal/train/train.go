@@ -2,26 +2,26 @@
 // training loop in the reproduction (adtd.FineTune, adtd.Pretrain,
 // baselines.FineTune).
 //
-// A Trainer run owns the epoch/shuffle/LR-decay loop and fans mini-batches
-// out to W gradient workers. Worker 0 trains against the canonical model
-// directly; every other worker runs forward+backward on its own replica
-// model whose parameters alias the canonical weights (tensor.AliasData) but
-// own pooled gradient buffers (tensor.AttachGrads), so no Tensor.Grad is
-// ever written concurrently. After each group of Workers×GradAccum
-// micro-batches the trainer reduces worker gradients into the canonical
-// parameters in a fixed binary-tree order, averages them, and takes one
-// optimizer step.
+// A Trainer run owns the epoch/shuffle/LR-decay loop and fans items out to
+// W gradient workers, one item per worker per optimizer step. Worker 0
+// trains against the canonical model directly; every other worker runs
+// forward+backward on its own replica model whose parameters alias the
+// canonical weights (tensor.AliasData) but own pooled gradient buffers
+// (tensor.AttachGrads), so no Tensor.Grad is ever written concurrently.
+// After each group of Workers items the trainer reduces worker gradients
+// into the canonical parameters in a fixed binary-tree order, averages
+// them, and takes one optimizer step.
 //
 // Determinism contract: a run is bit-reproducible for a fixed
-// (Seed, Workers, GradAccum, BatchItems) configuration — shuffling and all
-// per-item sampling derive from counter-based RNGs (EpochPerm, ItemRNG)
-// keyed by stable item identity, never from a shared stream, so results do
-// not depend on which worker processed which batch first. Workers=1 with
-// GradAccum=1 executes exactly the classic serial loop (zero → loss →
-// backward → step per micro-batch, no gradient scaling). Changing Workers
-// or GradAccum regroups micro-batches per optimizer step and therefore
-// changes the floating-point summation order of the averaged gradient;
-// losses follow a statistically equivalent but not bit-identical trajectory.
+// (Seed, Workers) pair — shuffling and all per-item sampling derive from
+// counter-based RNGs (EpochPerm, ItemRNG) keyed by stable item identity,
+// never from a shared stream, so results do not depend on which worker
+// processed which item first. Workers=1 executes exactly the classic serial
+// loop (zero → loss → backward → step per item, no gradient scaling).
+// Changing Workers regroups items per optimizer step (W items, so W× fewer
+// steps per epoch) and therefore changes the floating-point summation order
+// of the averaged gradient; losses follow a statistically equivalent but
+// not bit-identical trajectory.
 package train
 
 import (
@@ -36,18 +36,13 @@ import (
 )
 
 // Config controls one training run. The zero value of every optional field
-// selects the serial-equivalent default (1 worker, no accumulation,
-// batch size 1, no shuffling, no clipping, no logging).
+// selects the serial default (1 worker, no shuffling, no clipping, no
+// logging).
 type Config struct {
 	// Epochs over the item set. Must be positive.
 	Epochs int
 	// Workers is the number of data-parallel gradient workers (≤0 → 1).
 	Workers int
-	// GradAccum accumulates this many micro-batches per worker into each
-	// optimizer step (≤0 → 1).
-	GradAccum int
-	// BatchItems is the number of items per micro-batch (≤0 → 1).
-	BatchItems int
 	// Shuffle reshuffles item order every epoch (EpochPerm).
 	Shuffle bool
 	// LR is the initial Adam learning rate; FinalLR, when positive, decays
@@ -61,7 +56,7 @@ type Config struct {
 	// Seed drives shuffling and all per-item RNG derivation.
 	Seed int64
 	// Log, when non-nil, receives one progress line per epoch (and every
-	// LogEvery micro-batches when LogEvery > 0), prefixed with LogPrefix.
+	// LogEvery items when LogEvery > 0), prefixed with LogPrefix.
 	Log       io.Writer
 	LogPrefix string
 	LogEvery  int
@@ -69,14 +64,14 @@ type Config struct {
 
 // Worker is one gradient worker: a parameter list (canonical for worker 0,
 // replica tensors aliasing the canonical weights for the rest) and a step
-// function that builds the loss graph for one micro-batch. Step receives
-// the stable item indices of the micro-batch and a micro-batch-scoped RNG
-// (ItemRNG-derived), and returns the loss tensor — or nil to skip the
-// micro-batch (it then contributes nothing to the gradient or the epoch
-// loss). The trainer runs Backward and releases the graph.
+// function that builds the loss graph for one item. Step receives the
+// item's stable index and an item-scoped RNG (ItemRNG-derived), and returns
+// the loss tensor — or nil to skip the item (it then contributes nothing to
+// the gradient or the epoch loss). The trainer runs Backward and releases
+// the graph.
 type Worker struct {
 	Params []*tensor.Tensor
-	Step   func(items []int, rng *rand.Rand) *tensor.Tensor
+	Step   func(item int, rng *rand.Rand) *tensor.Tensor
 }
 
 // Spec describes what to train: the canonical parameters the optimizer
@@ -92,15 +87,8 @@ type Spec struct {
 	NewWorker func(w int) (Worker, error)
 }
 
-// microbatch is one unit of worker work: its global step index within the
-// epoch (for deterministic loss bookkeeping) and the stable item ids.
-type microbatch struct {
-	index int
-	items []int
-}
-
 // Run executes the training loop and returns the mean loss of the final
-// epoch (mean over micro-batches that produced a loss).
+// epoch (mean over items that produced a loss).
 func Run(spec Spec, cfg Config) (float64, error) {
 	if cfg.Epochs <= 0 {
 		return 0, fmt.Errorf("train: Epochs must be positive")
@@ -111,14 +99,6 @@ func Run(spec Spec, cfg Config) (float64, error) {
 	nw := cfg.Workers
 	if nw <= 0 {
 		nw = 1
-	}
-	accum := cfg.GradAccum
-	if accum <= 0 {
-		accum = 1
-	}
-	batch := cfg.BatchItems
-	if batch <= 0 {
-		batch = 1
 	}
 
 	workers := make([]Worker, nw)
@@ -139,8 +119,7 @@ func Run(spec Spec, cfg Config) (float64, error) {
 	opt.ClipNorm = cfg.ClipNorm
 	opt.WeightDecay = cfg.WeightDecay
 
-	steps := (spec.Items + batch - 1) / batch
-	group := nw * accum
+	steps := spec.Items
 	losses := make([]float64, steps)
 	haveLoss := make([]bool, steps)
 	busy := make([]time.Duration, nw)
@@ -167,39 +146,24 @@ func Run(spec Spec, cfg Config) (float64, error) {
 		}
 
 		logged, windowSum, windowN := 0, 0.0, 0
-		for g0 := 0; g0 < steps; g0 += group {
-			g1 := g0 + group
-			if g1 > steps {
-				g1 = steps
-			}
-			// Micro-batch s goes to worker s%nw: a fixed assignment, so the
-			// per-worker gradient sums — and hence the reduced gradient — are
+		for g0 := 0; g0 < steps; g0 += nw {
+			g1 := min(g0+nw, steps)
+			// Step s goes to worker s-g0: a fixed assignment, so the
+			// per-worker gradients — and hence the reduced gradient — are
 			// identical across runs with the same configuration.
-			var wg sync.WaitGroup
-			for w := 0; w < nw; w++ {
-				var mbs []microbatch
-				for s := g0 + w; s < g1; s += nw {
-					lo := s * batch
-					hi := lo + batch
-					if hi > spec.Items {
-						hi = spec.Items
-					}
-					mbs = append(mbs, microbatch{index: s, items: order[lo:hi]})
+			if nw == 1 {
+				runWorker(workers[0], g0, order[g0], epoch, cfg.Seed, losses, haveLoss, &busy[0])
+			} else {
+				var wg sync.WaitGroup
+				for s := g0; s < g1; s++ {
+					wg.Add(1)
+					go func(w, s int) {
+						defer wg.Done()
+						runWorker(workers[w], s, order[s], epoch, cfg.Seed, losses, haveLoss, &busy[w])
+					}(s-g0, s)
 				}
-				if len(mbs) == 0 {
-					continue
-				}
-				if nw == 1 {
-					runWorker(workers[w], mbs, epoch, cfg.Seed, losses, haveLoss, &busy[w])
-					continue
-				}
-				wg.Add(1)
-				go func(w int, mbs []microbatch) {
-					defer wg.Done()
-					runWorker(workers[w], mbs, epoch, cfg.Seed, losses, haveLoss, &busy[w])
-				}(w, mbs)
+				wg.Wait()
 			}
-			wg.Wait()
 
 			// Fixed binary-tree reduction into worker 0 (the canonical
 			// parameters): stride doubling keeps the summation order
@@ -274,26 +238,23 @@ func Run(spec Spec, cfg Config) (float64, error) {
 	return meanLoss, nil
 }
 
-// runWorker processes one worker's share of a micro-batch group: build the
-// loss, record it at the micro-batch's global index (indices are disjoint
-// across workers), backprop into this worker's own gradient buffers, and
-// release the graph.
-func runWorker(wk Worker, mbs []microbatch, epoch int, seed int64, losses []float64, haveLoss []bool, busy *time.Duration) {
+// runWorker processes one worker's item of a group: build the loss, record
+// it at the item's position s in the epoch (positions are disjoint across
+// workers), backprop into this worker's own gradient buffers, and release
+// the graph.
+func runWorker(wk Worker, s, item, epoch int, seed int64, losses []float64, haveLoss []bool, busy *time.Duration) {
 	t0 := time.Now()
-	for _, mb := range mbs {
-		stepStart := time.Now()
-		rng := ItemRNG(seed, epoch, mb.items[0])
-		loss := wk.Step(mb.items, rng)
-		if loss != nil {
-			losses[mb.index] = loss.Item()
-			haveLoss[mb.index] = true
-			loss.Backward()
-			tensor.ReleaseGraph(loss)
-		}
-		mStepSeconds.ObserveDuration(time.Since(stepStart))
-		mMicrobatches.Inc()
+	loss := wk.Step(item, ItemRNG(seed, epoch, item))
+	if loss != nil {
+		losses[s] = loss.Item()
+		haveLoss[s] = true
+		loss.Backward()
+		tensor.ReleaseGraph(loss)
 	}
-	*busy += time.Since(t0)
+	d := time.Since(t0)
+	mStepSeconds.ObserveDuration(d)
+	mMicrobatches.Inc()
+	*busy += d
 }
 
 // EpochLR interpolates the learning rate exponentially from lr to finalLR
@@ -326,10 +287,9 @@ func deriveSeed(seed int64, epoch, counter int, stream uint64) int64 {
 	return int64(h >> 1) // keep non-negative for rand.NewSource symmetry
 }
 
-// ItemRNG returns the RNG for one micro-batch, keyed by the stable
-// (pre-shuffle) identity of its first item. Sampling decisions made with it
-// are independent of the order in which micro-batches are processed and of
-// which worker runs them.
+// ItemRNG returns the RNG for one item, keyed by its stable (pre-shuffle)
+// identity. Sampling decisions made with it are independent of the order in
+// which items are processed and of which worker runs them.
 func ItemRNG(seed int64, epoch, item int) *rand.Rand {
 	return rand.New(rand.NewSource(deriveSeed(seed, epoch, item, 0x7461737465727367)))
 }

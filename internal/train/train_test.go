@@ -41,19 +41,13 @@ func newSynthModel(x, y [][]float64) *synthModel {
 	return &synthModel{w: w, x: x, y: y}
 }
 
-// step builds the loss for one micro-batch: mean squared residual plus a
-// small rng-driven feature dropout so the test also covers per-item RNG use.
-func (m *synthModel) step(items []int, rng *rand.Rand) *tensor.Tensor {
-	rows := make([][]float64, len(items))
-	tgts := make([][]float64, len(items))
-	for i, it := range items {
-		row := append([]float64(nil), m.x[it]...)
-		row[rng.Intn(len(row))] = 0 // rng-dependent: order-invariance matters
-		rows[i] = row
-		tgts[i] = m.y[it]
-	}
-	pred := tensor.MatMul(tensor.FromRows(rows), m.w)
-	diff := tensor.Sub(pred, tensor.FromRows(tgts))
+// step builds the loss for one item: squared residual plus a small
+// rng-driven feature dropout so the test also covers per-item RNG use.
+func (m *synthModel) step(item int, rng *rand.Rand) *tensor.Tensor {
+	row := append([]float64(nil), m.x[item]...)
+	row[rng.Intn(len(row))] = 0 // rng-dependent: order-invariance matters
+	pred := tensor.MatMul(tensor.FromRows([][]float64{row}), m.w)
+	diff := tensor.Sub(pred, tensor.FromRows([][]float64{m.y[item]}))
 	return tensor.Mean(tensor.Mul(diff, diff))
 }
 
@@ -76,16 +70,12 @@ func (m *synthModel) spec(workers ...func(w int)) Spec {
 }
 
 // serialReference replays the exact classic loop (zero → loss → backward →
-// step per micro-batch) using the same EpochPerm/ItemRNG derivation, as the
-// ground truth for the workers=1 bit-exactness contract.
+// step per item) using the same EpochPerm/ItemRNG derivation, as the ground
+// truth for the workers=1 bit-exactness contract.
 func serialReference(m *synthModel, cfg Config) float64 {
 	opt := tensor.NewAdam([]*tensor.Tensor{m.w}, cfg.LR)
 	opt.ClipNorm = cfg.ClipNorm
 	opt.WeightDecay = cfg.WeightDecay
-	batch := cfg.BatchItems
-	if batch <= 0 {
-		batch = 1
-	}
 	last := 0.0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		opt.LR = EpochLR(cfg.LR, cfg.FinalLR, epoch, cfg.Epochs)
@@ -99,14 +89,9 @@ func serialReference(m *synthModel, cfg Config) float64 {
 			}
 		}
 		total, n := 0.0, 0
-		for lo := 0; lo < len(order); lo += batch {
-			hi := lo + batch
-			if hi > len(order) {
-				hi = len(order)
-			}
-			items := order[lo:hi]
+		for _, item := range order {
 			opt.ZeroGrads()
-			loss := m.step(items, ItemRNG(cfg.Seed, epoch, items[0]))
+			loss := m.step(item, ItemRNG(cfg.Seed, epoch, item))
 			loss.Backward()
 			opt.Step()
 			total += loss.Item()
@@ -139,24 +124,22 @@ func paramsEqual(t *testing.T, a, b [][]float64, what string) {
 
 func TestWorkers1BitExactVsSerial(t *testing.T) {
 	for _, shuffle := range []bool{false, true} {
-		for _, batch := range []int{1, 3} {
-			x, y := newSynthData(5, 17, 6)
-			serial := newSynthModel(x, y)
-			trained := newSynthModel(x, y)
-			cfg := Config{Epochs: 3, Workers: 1, BatchItems: batch, Shuffle: shuffle,
-				LR: 1e-2, FinalLR: 1e-3, ClipNorm: 1, WeightDecay: 1e-4, Seed: 11}
-			refLoss := serialReference(serial, cfg)
-			gotLoss, err := Run(trained.spec(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotLoss != refLoss {
-				t.Fatalf("shuffle=%v batch=%d: loss %v vs serial %v", shuffle, batch, gotLoss, refLoss)
-			}
-			paramsEqual(t, cloneParams([]*tensor.Tensor{trained.w}),
-				cloneParams([]*tensor.Tensor{serial.w}),
-				"workers=1 vs serial")
+		x, y := newSynthData(5, 17, 6)
+		serial := newSynthModel(x, y)
+		trained := newSynthModel(x, y)
+		cfg := Config{Epochs: 3, Workers: 1, Shuffle: shuffle,
+			LR: 1e-2, FinalLR: 1e-3, ClipNorm: 1, WeightDecay: 1e-4, Seed: 11}
+		refLoss := serialReference(serial, cfg)
+		gotLoss, err := Run(trained.spec(), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if gotLoss != refLoss {
+			t.Fatalf("shuffle=%v: loss %v vs serial %v", shuffle, gotLoss, refLoss)
+		}
+		paramsEqual(t, cloneParams([]*tensor.Tensor{trained.w}),
+			cloneParams([]*tensor.Tensor{serial.w}),
+			"workers=1 vs serial")
 	}
 }
 
@@ -167,8 +150,8 @@ func TestMultiWorkerDeterminism(t *testing.T) {
 	for run := 0; run < 2; run++ {
 		x, y := newSynthData(9, 23, 5)
 		m := newSynthModel(x, y)
-		loss, err := Run(m.spec(), Config{Epochs: 2, Workers: 4, GradAccum: 2,
-			BatchItems: 2, Shuffle: true, LR: 5e-3, ClipNorm: 1, Seed: 3})
+		loss, err := Run(m.spec(), Config{Epochs: 2, Workers: 4,
+			Shuffle: true, LR: 5e-3, ClipNorm: 1, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +171,7 @@ func TestMultiWorkerEpochRace(t *testing.T) {
 	gomaxprocs(t, 4)
 	x, y := newSynthData(2, 40, 8)
 	m := newSynthModel(x, y)
-	if _, err := Run(m.spec(), Config{Epochs: 2, Workers: 4, BatchItems: 2,
+	if _, err := Run(m.spec(), Config{Epochs: 2, Workers: 4,
 		Shuffle: true, LR: 1e-2, ClipNorm: 1, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +202,7 @@ func TestNilLossSkipsStep(t *testing.T) {
 	inner := spec.NewWorker
 	spec.NewWorker = func(w int) (Worker, error) {
 		wk, err := inner(w)
-		wk.Step = func(items []int, rng *rand.Rand) *tensor.Tensor { return nil }
+		wk.Step = func(int, *rand.Rand) *tensor.Tensor { return nil }
 		return wk, err
 	}
 	loss, err := Run(spec, Config{Epochs: 2, LR: 1e-2, Seed: 1})
