@@ -43,10 +43,12 @@ test: build
 # tables run on, a warm detector answering a table that changed in one
 # cell) on an untrained model, so they need neither the trained fixture nor
 # race-all's 45 minutes. The allocation ceiling of one result-tier hit runs
-# there too, and so does a fake baseline classifier on the same stages in
-# both modes, and Feedback and RegisterTypes during pipelined detects, which
-# must leave every model a request captured unchanged and install a model
-# that shares every buffer but the classifier heads' with it.
+# there too, and so do detects that reuse the storage of released ones,
+# pipelined batches among them, against answers on unused storage; a fake
+# baseline classifier on the same stages in both modes; and Feedback and
+# RegisterTypes during pipelined detects, which must leave every model a
+# request captured unchanged and install a model that shares every buffer
+# but the classifier heads' with it.
 #
 # The scheduler runs ten times over: its tests drive goroutine interleavings
 # (token handoff order, a cancel while stages wait for a token, a panic
@@ -55,7 +57,7 @@ test: build
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 ./internal/pipeline/
-	$(GO) test -race -run 'HitsEveryRead|Forward|LatentKey|DetectDatabaseOn|StagePanic|DeadlineAfterScan|ResultTier|CachedDetectTableAllocs|BaselineSeam|ModelWriters' ./internal/core/
+	$(GO) test -race -run 'HitsEveryRead|Forward|LatentKey|DetectDatabaseOn|StagePanic|DeadlineAfterScan|ResultTier|CachedDetectTableAllocs|BatchReuse|BaselineSeam|ModelWriters' ./internal/core/
 
 # bench-check builds and smoke-tests the benchmark module against this
 # checkout. bench/ is a module of its own (replace repro => ..), so the root

@@ -67,7 +67,15 @@ func main() {
 	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.WikiTableProfile(*tables), *seed)
 	tok := adtd.BuildVocabulary(ds.Train, ds.Registry.Names(), 4000)
 	types := adtd.NewTypeSpace(ds.Registry.Names())
-	model, err := adtd.New(adtd.ReproScale(), tok, types, *seed)
+	var model *adtd.Model
+	var err error
+	if *train {
+		model, err = adtd.New(adtd.ReproScale(), tok, types, *seed)
+	} else {
+		// A checkpoint or a registry version replaces every weight: there is
+		// nothing to draw.
+		model, err = adtd.Blank(adtd.ReproScale(), tok, types)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -88,6 +88,8 @@ func (c Config) Validate() error {
 type TypeSpace struct {
 	names []string
 	index map[string]int
+	// alone is a copy of names, behind NameSlice.
+	alone []string
 }
 
 // NewTypeSpace builds a type space over the given type names (sorted for
@@ -119,6 +121,11 @@ func (ts *TypeSpace) Index(name string) (int, bool) {
 	return i, ok
 }
 
+// NameSlice returns []string{Name(i)} without allocating: one slice per type,
+// shared by every caller and read-only (writing to it would change later
+// answers, never the type space), capped so an append copies.
+func (ts *TypeSpace) NameSlice(i int) []string { return ts.alone[i : i+1 : i+1] }
+
 // Names returns a copy of all class names in index order.
 func (ts *TypeSpace) Names() []string { return append([]string(nil), ts.names...) }
 
@@ -141,7 +148,7 @@ func (ts *TypeSpace) Targets(labels []string) []float64 {
 // Clone returns a copy of the type space that Extend can grow without
 // changing ts.
 func (ts *TypeSpace) Clone() *TypeSpace {
-	return &TypeSpace{names: slices.Clone(ts.names), index: maps.Clone(ts.index)}
+	return &TypeSpace{names: slices.Clone(ts.names), index: maps.Clone(ts.index), alone: slices.Clone(ts.alone)}
 }
 
 // Extend appends new type names (the §8 type-domain extension), returning
@@ -155,6 +162,7 @@ func (ts *TypeSpace) Extend(names []string) []int {
 		}
 		ts.index[n] = len(ts.names)
 		ts.names = append(ts.names, n)
+		ts.alone = append(ts.alone, n)
 		idx = append(idx, ts.index[n])
 	}
 	return idx

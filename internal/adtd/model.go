@@ -77,10 +77,22 @@ func (m *Model) Generation() uint64 { return m.gen.Load() }
 
 // New creates a randomly initialized ADTD model.
 func New(cfg Config, tok *tokenizer.Tokenizer, types *TypeSpace, seed int64) (*Model, error) {
+	return build(cfg, tok, types, rand.New(rand.NewSource(seed)))
+}
+
+// Blank creates an ADTD model with every parameter shaped and nothing drawn
+// (weights zero, layer-norm gains one): the model a Load or AliasData fills
+// next, whose random initialization would only be thrown away.
+func Blank(cfg Config, tok *tokenizer.Tokenizer, types *TypeSpace) (*Model, error) {
+	return build(cfg, tok, types, nil)
+}
+
+// build shapes a model's parameters and, with an rng, draws and sets their
+// initial values; with none they stay zero.
+func build(cfg Config, tok *tokenizer.Tokenizer, types *TypeSpace, rng *rand.Rand) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
 	m := &Model{
 		Cfg:      cfg,
 		Types:    types,
@@ -93,15 +105,18 @@ func New(cfg Config, tok *tokenizer.Tokenizer, types *TypeSpace, seed int64) (*M
 		MLMHead:  nn.NewLinear(cfg.Hidden, tok.VocabSize(), rng),
 		LossW:    tensor.Param(1, 2),
 	}
-	m.LossW.Fill(1)
-	// Multi-label targets are extremely sparse (one or two positives among
-	// |S| types), so the output layers start biased toward "not this type":
-	// untrained columns then read as confidently type-less rather than as
-	// uniformly uncertain, and training only has to raise the positives.
-	m.MetaCls.Out.B.Fill(-3)
-	m.ContCls.Out.B.Fill(-3)
 	for i := 0; i < cfg.Layers; i++ {
 		m.Blocks = append(m.Blocks, nn.NewTransformerBlock(cfg.Hidden, cfg.Heads, cfg.Intermediate, rng))
+	}
+	if rng != nil {
+		m.LossW.Fill(1)
+		// Multi-label targets are extremely sparse (one or two positives
+		// among |S| types), so the output layers start biased toward "not
+		// this type": untrained columns then read as confidently type-less
+		// rather than as uniformly uncertain, and training only has to raise
+		// the positives.
+		m.MetaCls.Out.B.Fill(-3)
+		m.ContCls.Out.B.Fill(-3)
 	}
 	m.enc = Encoder{Tok: tok, Cfg: cfg}
 	m.training.Store(true) // tensor.Param starts with gradients enabled
@@ -109,13 +124,12 @@ func New(cfg Config, tok *tokenizer.Tokenizer, types *TypeSpace, seed int64) (*M
 	return m, nil
 }
 
-// Sibling creates a fresh, randomly initialized model with the same
-// configuration, tokenizer, and type space — the right shape to Load any
-// checkpoint this model could have Saved. It gets its own weight generation
-// and fast-path packs, so serving two models side by side never aliases
-// caches.
+// Sibling creates a Blank model with the same configuration, tokenizer, and
+// type space — the right shape to Load any checkpoint this model could have
+// Saved. It gets its own weight generation and fast-path packs, so serving
+// two models side by side never aliases caches.
 func (m *Model) Sibling() (*Model, error) {
-	return New(m.Cfg, m.Tok, m.Types, 0)
+	return Blank(m.Cfg, m.Tok, m.Types)
 }
 
 // Derive returns the model an online edit (ApplyFeedback, ExtendTypes) runs

@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"time"
-
-	"repro/internal/adtd"
-)
+import "repro/internal/adtd"
 
 // Latent is the metadata-latent tier (§4.2.2): it stores the per-chunk
 // metadata-tower encodings Phase 1 computes so Phase 2 — and every later
@@ -56,7 +52,7 @@ func NewLatent(budgetBytes int64, shards int) *Latent {
 }
 
 // SetMetrics attaches obs handles for the tier's hit/miss/eviction
-// counters and hit-path latency histogram.
+// counters.
 func (c *Latent) SetMetrics(m *TierMetrics) { c.s.SetMetrics(m) }
 
 // Enabled reports whether the tier can store anything.
@@ -85,18 +81,7 @@ func (c *Latent) Put(key string, enc *adtd.MetaEncoding) bool {
 
 // Get returns the cached encoding (shared, read-only) or nil on miss.
 func (c *Latent) Get(key string) *adtd.MetaEncoding {
-	var start time.Time
-	m := c.s.metrics
-	if m != nil {
-		start = time.Now()
-	}
-	enc, ok := c.s.Get(key)
-	if !ok {
-		return nil
-	}
-	if m != nil {
-		m.observeHit(time.Since(start))
-	}
+	enc, _ := c.s.Get(key)
 	return enc
 }
 

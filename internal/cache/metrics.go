@@ -1,27 +1,18 @@
 package cache
 
-import (
-	"time"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Metric names exported by the cache subsystem. Counters carry a `tier`
 // label ("latent" or "result"); the coalesced counter is tier-less because
-// singleflight sits above both tiers at the request boundary.
+// singleflight sits above both tiers at the request boundary. A hit is
+// counted, not timed: the two clock reads around it cost about as much as
+// the lookup itself.
 const (
 	MetricHits      = "taste_cache_hits_total"
 	MetricMisses    = "taste_cache_misses_total"
 	MetricEvictions = "taste_cache_evictions_total"
 	MetricCoalesced = "taste_cache_coalesced_total"
-	MetricHitSecs   = "taste_cache_hit_seconds"
 )
-
-// HitLatencyBuckets is the bucket layout for the hit-path latency
-// histogram. The shared obs.LatencyBuckets floor of 10 µs would put every
-// cache hit in its first bucket, so this layout starts at 100 ns and
-// quadruples: 100ns … ~107ms over 16 buckets.
-func HitLatencyBuckets() []float64 { return obs.ExpBuckets(100e-9, 4, 16) }
 
 // TierMetrics bundles the obs handles one cache tier bumps on its hot path.
 // Handles are resolved once at construction so recording is a single atomic
@@ -30,7 +21,6 @@ type TierMetrics struct {
 	hits      *obs.Counter
 	misses    *obs.Counter
 	evictions *obs.Counter
-	hitSecs   *obs.Histogram
 }
 
 // NewTierMetrics registers (or re-resolves) the cache series for one tier
@@ -40,13 +30,9 @@ func NewTierMetrics(r *obs.Registry, tier string) *TierMetrics {
 		hits:      r.Counter(MetricHits, "tier", tier),
 		misses:    r.Counter(MetricMisses, "tier", tier),
 		evictions: r.Counter(MetricEvictions, "tier", tier),
-		hitSecs:   r.Histogram(MetricHitSecs, HitLatencyBuckets(), "tier", tier),
 	}
 }
 
 func (m *TierMetrics) hit()   { m.hits.Inc() }
 func (m *TierMetrics) miss()  { m.misses.Inc() }
 func (m *TierMetrics) evict() { m.evictions.Inc() }
-
-// observeHit records one hit-path lookup duration.
-func (m *TierMetrics) observeHit(d time.Duration) { m.hitSecs.ObserveDuration(d) }

@@ -1,7 +1,5 @@
 package cache
 
-import "time"
-
 // Result is the content-hash result tier: it memoizes per-chunk model
 // outputs (per-column probability rows) keyed by a hash of everything that
 // determines them — column metadata, scanned values for the content phase,
@@ -36,8 +34,7 @@ func NewResult(budgetBytes int64, shards int) *Result {
 	return &Result{s: New[[][]float64](budgetBytes, shards, probsBytes)}
 }
 
-// SetMetrics attaches obs handles for the tier's counters and hit-path
-// latency histogram.
+// SetMetrics attaches obs handles for the tier's counters.
 func (c *Result) SetMetrics(m *TierMetrics) { c.s.SetMetrics(m) }
 
 // Enabled reports whether the tier can store anything. Callers use this to
@@ -45,18 +42,7 @@ func (c *Result) SetMetrics(m *TierMetrics) { c.s.SetMetrics(m) }
 func (c *Result) Enabled() bool { return c.s.Enabled() }
 
 // Get returns the memoized probability rows for key.
-func (c *Result) Get(key string) ([][]float64, bool) {
-	var start time.Time
-	m := c.s.metrics
-	if m != nil {
-		start = time.Now()
-	}
-	rows, ok := c.s.Get(key)
-	if ok && m != nil {
-		m.observeHit(time.Since(start))
-	}
-	return rows, ok
-}
+func (c *Result) Get(key string) ([][]float64, bool) { return c.s.Get(key) }
 
 // Put memoizes rows under key. The rows become cache-owned and must not be
 // mutated afterwards.

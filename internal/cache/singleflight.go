@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -19,9 +21,16 @@ import (
 // In the serving path the key is the fleet route key plus the canonical
 // request body, so dedup fires exactly where the fleet's consistent-hash
 // routing concentrates identical traffic on one replica.
+//
+// A call nobody joined allocates nothing: the in-flight table is keyed by
+// the key's hash (a call keeps the key's bytes to tell a hash collision from
+// a repeat), a call's record is recycled when no follower holds it, and its
+// done channel is made only when a first follower arrives to wait on it.
 type Group[V any] struct {
 	mu    sync.Mutex
-	calls map[string]*call[V]
+	seed  maphash.Seed
+	calls map[uint64]*call[V]
+	free  sync.Pool // *call[V] records no follower holds
 
 	leaders   atomic.Int64
 	coalesced atomic.Int64
@@ -29,9 +38,12 @@ type Group[V any] struct {
 }
 
 type call[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
+	key []byte
+	// done is closed when the leader finishes; nil until a follower waits.
+	done      chan struct{}
+	followers int
+	val       V
+	err       error
 }
 
 // FlightStats is a snapshot of a Group's counters for /v1/stats.
@@ -48,7 +60,7 @@ type FlightStats struct {
 // per coalesced caller (wire it to MetricCoalesced on the serving
 // registry).
 func NewGroup[V any](coalesced *obs.Counter) *Group[V] {
-	return &Group[V]{calls: make(map[string]*call[V]), counter: coalesced}
+	return &Group[V]{calls: make(map[uint64]*call[V]), seed: maphash.MakeSeed(), counter: coalesced}
 }
 
 // Do executes fn for key, coalescing with an in-flight execution of the
@@ -56,23 +68,54 @@ func NewGroup[V any](coalesced *obs.Counter) *Group[V] {
 // execution. A follower whose ctx dies while waiting returns ctx.Err()
 // without cancelling the leader (other waiters may still want the result).
 func (g *Group[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v V, shared bool, err error) {
+	v, shared, _, err = g.do(ctx, []byte(key), fn)
+	return v, shared, err
+}
+
+// Run is Do for a caller that recycles the value once it is done with it:
+// key is read only during the call, and alone reports that the value went
+// to this caller only — it led, and no follower joined — so nobody else
+// reads it.
+func (g *Group[V]) Run(ctx context.Context, key []byte, fn func() (V, error)) (v V, alone bool, err error) {
+	v, shared, followed, err := g.do(ctx, key, fn)
+	return v, !shared && !followed, err
+}
+
+// do is Do and Run: shared reports a follower, followed a leader that a
+// follower joined.
+func (g *Group[V]) do(ctx context.Context, key []byte, fn func() (V, error)) (v V, shared, followed bool, err error) {
+	h := maphash.Bytes(g.seed, key)
 	g.mu.Lock()
-	if c, ok := g.calls[key]; ok {
+	c, ok := g.calls[h]
+	if ok && bytes.Equal(c.key, key) {
+		c.followers++
+		if c.done == nil {
+			c.done = make(chan struct{})
+		}
+		done := c.done
 		g.mu.Unlock()
 		g.coalesced.Add(1)
 		if g.counter != nil {
 			g.counter.Inc()
 		}
 		select {
-		case <-c.done:
-			return c.val, true, c.err
+		case <-done:
+			return c.val, true, false, c.err
 		case <-ctx.Done():
 			var zero V
-			return zero, true, ctx.Err()
+			return zero, true, false, ctx.Err()
 		}
 	}
-	c := &call[V]{done: make(chan struct{})}
-	g.calls[key] = c
+	c, _ = g.free.Get().(*call[V])
+	if c == nil {
+		c = new(call[V])
+	}
+	c.key = append(c.key[:0], key...)
+	// A different key whose hash is in flight runs on its own, unregistered.
+	register := !ok
+	if register {
+		g.calls[h] = c
+	}
 	g.mu.Unlock()
 	g.leaders.Add(1)
 
@@ -85,11 +128,22 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v 
 		c.val, c.err = fn()
 	}()
 
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
-	return c.val, false, c.err
+	if register {
+		g.mu.Lock()
+		delete(g.calls, h)
+		g.mu.Unlock()
+	}
+	// Unregistered, the call gains no follower: those counted are all there are.
+	v, err, followed = c.val, c.err, c.followers > 0
+	if c.done != nil {
+		close(c.done)
+	}
+	if !followed {
+		var zero V
+		c.val, c.err = zero, nil
+		g.free.Put(c)
+	}
+	return v, false, followed, err
 }
 
 // Stats returns a snapshot of the group's counters.

@@ -536,17 +536,23 @@ func cachedDetector(tb testing.TB) (*Detector, *simdb.Conn, string) {
 
 // TestCachedDetectTableAllocs: a DetectTable on a sequential zero-latency
 // tenant that the result tier answers — both phases hit — allocates at most
-// 26 times. Each key is framed in one pooled buffer and hashed once, the
-// Phase-2 key chained from the Phase-1 key; s2 builds admitted sets only
-// for the columns Phase 1 answers; the scan finds columns through the
-// table's index and copies its cells into one array; the table's
-// scheduler job lives in its tableJob, over a shared stage list, with no
-// closure per stage. A ceiling set at the count keeps any new per-hit
-// allocation from going unnoticed.
+// 5 times: the TableResult it returns and its columns, the two cache keys,
+// and the one-name table list. Every other byte of the detect — the schema
+// read's list, the table job, its metadata view, key frame, scan cells and
+// the report — is the storage of the last detect, which DetectTable releases
+// (Report.Release); the schema read shares the table's metadata view, and a
+// one-type admitted set is the type space's own slice. A ceiling set at the
+// count keeps any new per-hit allocation from going unnoticed.
 func TestCachedDetectTableAllocs(t *testing.T) {
 	det, conn, table := cachedDetector(t)
 	hits := det.Results().Stats().Hits
-	allocs := testing.AllocsPerRun(20, func() {
+	runs := 20
+	if raceEnabled {
+		// A detect whose pooled storage the race detector dropped rebuilds
+		// all of it; many runs keep the average near its expectation.
+		runs = 400
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
 		if _, err := det.DetectTable(context.Background(), conn, "tenant", table); err != nil {
 			t.Fatal(err)
 		}
@@ -555,10 +561,12 @@ func TestCachedDetectTableAllocs(t *testing.T) {
 		t.Fatal("the repeat detects never hit the result tier")
 	}
 	t.Logf("%.0f allocations per cached DetectTable", allocs)
-	ceiling := 26.0
+	ceiling := 5.0
 	if raceEnabled {
-		// A key buffer the pool dropped is refilled by New and may grow.
-		ceiling += 4
+		// The race detector drops a quarter of sync.Pool's Puts, and a detect
+		// whose storage was dropped allocates all of it anew: about 6 more
+		// per detect over 400 runs.
+		ceiling += 9
 	}
 	if allocs > ceiling {
 		t.Fatalf("%.0f allocations per cached DetectTable, want ≤ %.0f", allocs, ceiling)

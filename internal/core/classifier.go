@@ -45,9 +45,6 @@ func (c adtdClassifier) types() *adtd.TypeSpace { return c.m.Types }
 func (c adtdClassifier) phase1(j *tableJob, ci int) [][]float64 {
 	d, chunk := j.d, j.chunks[ci]
 	key := d.metaResultKey(c.m, chunk)
-	if j.keys == nil {
-		j.keys = make([]string, 0, len(j.chunks))
-	}
 	j.keys = append(j.keys, key)
 	if d.results.Enabled() {
 		if probs, ok := d.results.Get(key); ok {

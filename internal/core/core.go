@@ -272,36 +272,17 @@ func (d *Detector) adapt(edit func(m *adtd.Model) error) error {
 	return nil
 }
 
-// modelKey carries a per-request model override through the stage contexts.
-type modelKey struct{}
-
-// WithModel returns a context pinning detection to the given model instead
-// of the detector's current one — the mechanism behind per-request model
-// version overrides. The model must share the serving model's configuration
-// and tokenizer; its type space is its own (a registry version carries the
-// one it was published with), and the request answers over it. It is used
-// for every stage of the request, so the answer is internally consistent
-// with exactly one model.
-func WithModel(ctx context.Context, m *adtd.Model) context.Context {
-	return context.WithValue(ctx, modelKey{}, m)
-}
-
-// requestModel resolves the model a request should run on: the WithModel
-// override when present, else the current serving model.
-func (d *Detector) requestModel(ctx context.Context) *adtd.Model {
-	if m, ok := ctx.Value(modelKey{}).(*adtd.Model); ok && m != nil {
-		return m
-	}
-	return d.model.Load()
-}
-
 // classifier returns what a request's inference stages run: the detector's
-// baseline, or ADTD on the request's model.
-func (d *Detector) classifier(ctx context.Context) classifier {
+// baseline, or ADTD on the request's model (Request.Model), else on the
+// serving one.
+func (d *Detector) classifier(m *adtd.Model) classifier {
 	if d.baseline != nil {
 		return d.baseline
 	}
-	return adtdClassifier{d.requestModel(ctx)}
+	if m == nil {
+		m = d.model.Load()
+	}
+	return adtdClassifier{m}
 }
 
 // Cache exposes the latent cache tier (for stats and tests).
@@ -383,7 +364,9 @@ type ColumnResult struct {
 	// "deadline imminent", …). Empty unless Degraded.
 	DegradeReason string
 	// Probs are the deciding phase's probabilities indexed by the model's
-	// type space.
+	// type space. They are read-only: a row the result tier answered is the
+	// tier's own, shared by every later hit, so writing to it would change
+	// later answers. Admitted is read-only too (a one-type set is shared).
 	Probs []float64
 }
 
@@ -424,6 +407,23 @@ type Report struct {
 	// one summary error in Errors counts them.
 	Skipped []string
 	Errors  []error
+
+	// b is the working state the report lives in, until Release.
+	b *batch
+}
+
+// Release hands the report's storage — its TableResults, their columns and
+// every table job's buffers — to a later detect, so a server that answers
+// one detect after another reuses one detect's storage instead of
+// allocating its own. Nothing the report holds may be read after, except
+// what was copied out of it before: strings, the columns' Admitted and
+// Probs, the errors. Release is optional; a report never released is
+// collected like any other value.
+func (r *Report) Release() {
+	if b := r.b; b != nil {
+		r.b = nil
+		b.release()
+	}
 }
 
 // ScannedRatio returns the intrusiveness metric of §6.2.
@@ -482,7 +482,9 @@ func AutoMode() ExecMode {
 
 // tableJob carries per-table state across the four stages. The classifier
 // is captured once at job creation: all four stages (and their cache keys)
-// use the same weights even if the detector hot-swaps mid-request.
+// use the same weights even if the detector hot-swaps mid-request. A job
+// lives in its detect's batch and keeps its buffers for the batch's next
+// detect (drop).
 type tableJob struct {
 	d     *Detector
 	cls   classifier
@@ -494,9 +496,15 @@ type tableJob struct {
 	// pipelined marks a job of a pipelined detect, whose reads
 	// taste_pipeline_prefetch_total counts.
 	pipelined bool
-	info      *metafeat.TableInfo
-	chunks    []*metafeat.TableInfo
-	offsets   []int // global index of each chunk's first column
+	// clock is the job's stage-boundary clock (RunStage): the batch's in a
+	// sequential detect, whose jobs run one after another; nil for
+	// job.Clock.
+	clock *time.Time
+	// view holds info and chunks.
+	view    metafeat.Scratch
+	info    *metafeat.TableInfo
+	chunks  []*metafeat.TableInfo
+	offsets []int // global index of each chunk's first column
 	// keys[i] is chunk i's one identity, its content key (metaResultKey),
 	// framed by s2 over the metadata alone. It names the chunk's Phase-1
 	// result and its latents; s4 reads it back because by then s3 has
@@ -510,9 +518,39 @@ type tableJob struct {
 	forwards  int   // Phase-2 content forwards run for this table
 	// latentHits and latentMisses count s4's latent-tier lookups.
 	latentHits, latentMisses int
-	res                      *TableResult
+	// res is the table's result once Phase 1 has finished (s2): result,
+	// its columns carved from resCols.
+	res     *TableResult
+	result  TableResult
+	resCols []ColumnResult
+	// names, scanned and cells are s3's scan: the columns, each column's
+	// cells, and their backing array. pending is eachPending's column
+	// positions.
+	names   []string
+	scanned [][]string
+	cells   []string
+	pending []int
 	// job is the scheduler's view of this table (pipelineJob).
 	job pipeline.Job
+}
+
+// drop empties j for a later detect. It keeps its buffers' storage but
+// nothing they or j referred to — the detector, connection and model, the
+// table's metadata, rows, cells and result — so a pooled batch keeps neither
+// a retired detector's caches nor a tenant's data alive.
+func (j *tableJob) drop() {
+	clear(j.keys)
+	clear(j.p1Probs)
+	clear(j.resCols)
+	clear(j.names)
+	clear(j.scanned)
+	clear(j.cells)
+	j.view.Clear()
+	*j = tableJob{
+		view:    j.view,
+		offsets: j.offsets[:0], keys: j.keys[:0], p1Probs: j.p1Probs[:0], uncertain: j.uncertain[:0],
+		resCols: j.resCols, names: j.names[:0], scanned: j.scanned, cells: j.cells, pending: j.pending[:0],
+	}
 }
 
 // errDeadlineImminent is a Phase-2 stage's error when too little of the
@@ -560,9 +598,8 @@ func (j *tableJob) s1PrepMetadata(ctx context.Context) error {
 			return err
 		}
 	}
-	j.info = metafeat.FromTableMeta(tm)
-	j.chunks = j.info.Split(j.d.Opts.SplitThreshold)
-	j.offsets = make([]int, 0, len(j.chunks))
+	j.info = j.view.Set(tm)
+	j.chunks = j.view.Split(j.d.Opts.SplitThreshold)
 	off := 0
 	for _, ch := range j.chunks {
 		j.offsets = append(j.offsets, off)
@@ -580,25 +617,25 @@ func (j *tableJob) s2InferMetadata(context.Context) error {
 	opts := j.d.Opts
 	// Chunks cover the columns consecutively, so appending per chunk keeps
 	// p1Probs indexed by global column position.
-	j.p1Probs = make([][]float64, 0, len(j.info.Columns))
 	for ci := range j.chunks {
 		j.p1Probs = append(j.p1Probs, j.cls.phase1(j, ci)...)
 	}
 	// Phase 1 answers its certain columns here. An uncertain column's
 	// Phase-1 admitted set is built only if Phase 2 does not answer it, by
 	// degradeWithRules.
-	res := &TableResult{Table: j.table}
-	if len(j.p1Probs) > 0 {
-		res.Columns = make([]ColumnResult, len(j.p1Probs))
+	res := &j.result
+	*res = TableResult{Table: j.table}
+	if n := len(j.p1Probs); n > 0 {
+		if cap(j.resCols) < n {
+			j.resCols = make([]ColumnResult, n)
+		}
+		res.Columns = j.resCols[:n:n]
 	}
 	for global, row := range j.p1Probs {
 		cr := &res.Columns[global]
 		*cr = ColumnResult{Table: j.table, Column: j.info.Columns[global].Name, Phase: 1, Probs: row}
 		if !opts.P2Disabled() && (row == nil || isUncertain(row, opts.Alpha, opts.Beta)) {
 			cr.Uncertain = true
-			if j.uncertain == nil {
-				j.uncertain = make([]int, 0, len(j.p1Probs)-global)
-			}
 			j.uncertain = append(j.uncertain, global)
 		} else {
 			cr.Admitted = admitted(j.cls.types(), row, opts.Beta)
@@ -693,23 +730,25 @@ func (j *tableJob) s3PrepContent(ctx context.Context) error {
 	if err := j.d.phase2Deadline(ctx); err != nil {
 		return err
 	}
-	names := make([]string, len(j.uncertain))
-	for i, g := range j.uncertain {
-		names[i] = j.info.Columns[g].Name
+	for _, g := range j.uncertain {
+		j.names = append(j.names, j.info.Columns[g].Name)
 	}
+	if cap(j.scanned) < len(j.names) {
+		j.scanned = make([][]string, len(j.names))
+	}
+	scanned := j.scanned[:len(j.names)]
 	j.countRead(scanReads)
-	var content map[string][]string
 	n, err := j.d.retry(ctx, j.conn.Accounting(), func() error {
 		var e error
-		content, e = j.conn.ScanColumns(ctx, j.table, names, j.d.scanOptions())
+		j.cells, e = j.conn.ScanCells(ctx, j.table, j.names, j.d.scanOptions(), scanned, j.cells)
 		return e
 	})
 	j.retries += n
 	if err != nil {
 		return fmt.Errorf("content scan failed: %w", err)
 	}
-	for _, g := range j.uncertain {
-		j.info.Columns[g].Values = content[j.info.Columns[g].Name]
+	for i, g := range j.uncertain {
+		j.info.Columns[g].Values = scanned[i]
 		j.res.Columns[g].Scanned = true
 	}
 	j.res.ScannedColumns = len(j.uncertain)
@@ -733,8 +772,13 @@ func (j *tableJob) s4InferContent(ctx context.Context) error {
 
 // eachPending calls fn for every chunk holding uncertain columns, with the
 // chunk's index, those columns' global indices and their positions in the
-// chunk.
+// chunk. Each chunk's positions are a slice of their own, which fn may keep
+// until the detect ends.
 func (j *tableJob) eachPending(fn func(ci int, globals, cols []int)) {
+	// Sized once, so no chunk's positions move when the next are appended.
+	if cap(j.pending) < len(j.uncertain) {
+		j.pending = make([]int, 0, len(j.uncertain))
+	}
 	// uncertain is sorted and chunks cover the columns consecutively, so
 	// each chunk's pending columns are the next run of it.
 	pending := j.uncertain
@@ -749,11 +793,11 @@ func (j *tableJob) eachPending(fn func(ci int, globals, cols []int)) {
 		if len(globals) == 0 {
 			continue
 		}
-		cols := make([]int, len(globals))
-		for i, g := range globals {
-			cols[i] = g - j.offsets[ci]
+		at := len(j.pending)
+		for _, g := range globals {
+			j.pending = append(j.pending, g-j.offsets[ci])
 		}
-		fn(ci, globals, cols)
+		fn(ci, globals, j.pending[at:len(j.pending):len(j.pending)])
 	}
 }
 
@@ -770,16 +814,19 @@ func (j *tableJob) answer(globals []int, rows [][]float64) {
 // admitted returns the sorted type names with probability ≥ threshold,
 // excluding the background type (index 0), or nil when there are none.
 // Names resolve against the request's type space, which indexed the
-// probability row.
+// probability row; a single name is the type space's shared slice of it.
 func admitted(types *adtd.TypeSpace, probs []float64, threshold float64) []string {
-	n := 0
-	for _, p := range probs[min(1, len(probs)):] {
-		if p >= threshold {
-			n++
+	n, last := 0, 0
+	for i := 1; i < len(probs); i++ {
+		if probs[i] >= threshold {
+			n, last = n+1, i
 		}
 	}
-	if n == 0 {
+	switch n {
+	case 0:
 		return nil
+	case 1:
+		return types.NameSlice(last)
 	}
 	out := make([]string, 0, n)
 	for i, p := range probs[1:] {
@@ -832,16 +879,26 @@ func (j *tableJob) pipelineJob() *pipeline.Job {
 // RunStage runs the job's stage i (pipeline.StageRunner) under a trace
 // span "s<N>:<table>" (child of the request trace, when one is active) and
 // the stage's duration histogram. They are recorded on the way out of a
-// panic too, which the scheduler then recovers.
+// panic too, which the scheduler then recovers. The stage is timed from the
+// job's clock, the last stage boundary, to one clock read at its end, which
+// becomes the clock: a stage's end is the next stage's start. A clock never
+// set is read at the stage's start.
 func (j *tableJob) RunStage(ctx context.Context, i int) (err error) {
 	// The span name is built only for a traced request.
 	var sp *obs.Span
 	if obs.FromContext(ctx) != nil {
 		ctx, sp = obs.StartSpan(ctx, stageLabels[i]+":"+j.table)
 	}
-	start := time.Now()
+	if j.clock == nil {
+		j.clock = &j.job.Clock
+	}
+	if j.clock.IsZero() {
+		*j.clock = time.Now()
+	}
 	defer func() {
-		stageSeconds[i].ObserveDuration(time.Since(start))
+		end := time.Now()
+		stageSeconds[i].ObserveDuration(end.Sub(*j.clock))
+		*j.clock = end
 		if err != nil {
 			stageErrorsTotal[i].Inc()
 		}
@@ -876,10 +933,13 @@ func (d *Detector) DetectTable(ctx context.Context, conn *simdb.Conn, dbName, ta
 	if err != nil {
 		return nil, err
 	}
+	defer rep.Release()
 	if len(rep.Tables) == 0 {
 		return nil, rep.Errors[0]
 	}
-	return rep.Tables[0], nil
+	tr := *rep.Tables[0]
+	tr.Columns = slices.Clone(tr.Columns)
+	return &tr, nil
 }
 
 // Connect opens a connection to dbName under the detector's retry policy:
@@ -916,64 +976,141 @@ func (d *Detector) DetectDatabase(ctx context.Context, server *simdb.Server, dbN
 		return nil, err
 	}
 	defer conn.Close()
-	rep, err := d.DetectDatabaseOn(ctx, conn, dbName, nil, mode)
+	rep, err := d.Detect(ctx, Request{Conn: conn, DBName: dbName, Mode: mode, Start: start})
 	if err != nil {
 		return nil, err
 	}
 	rep.Retries += retries
-	rep.Duration = time.Since(start)
 	return rep, nil
 }
 
 // DetectDatabaseOn runs end-to-end detection over an existing connection,
 // executing per the given mode: over every table of the database when
-// tables is empty, else over the named tables in request order. Every detect
-// runs through here. It first reads the tables' metadata in one
-// information_schema query (SchemaMetadata, retried like any metadata read;
-// a failure fails the call), so no table pays a metadata round trip of its
-// own. The connection stays open and is the caller's to close or reuse;
-// nothing reads from it once the call returns. One table never aborts the
-// batch: Report.settle ends each table exactly once, and a name the
-// database does not have is one error in Report.Errors. A nil ctx means
-// context.Background().
+// tables is empty, else over the named tables in request order. It is
+// Detect on the serving model. A nil ctx means context.Background().
 func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbName string, tables []string, mode ExecMode) (*Report, error) {
+	return d.Detect(ctx, Request{Conn: conn, DBName: dbName, Tables: tables, Mode: mode})
+}
+
+// Request is one detect over an open connection: what DetectDatabaseOn
+// takes, plus what a server that pins models per request and keeps its own
+// request clock passes in.
+type Request struct {
+	Conn   *simdb.Conn
+	DBName string
+	// Tables names the tables to detect, in request order; empty means every
+	// table of the database.
+	Tables []string
+	Mode   ExecMode
+	// Model, when set, answers the request instead of the serving model —
+	// the mechanism behind per-request model versions. It must share the
+	// serving model's configuration and tokenizer; its type space is its own
+	// (a registry version carries the one it was published with), and the
+	// request answers over it. Every stage of every table runs on it, so the
+	// answer is internally consistent with exactly one model.
+	Model *adtd.Model
+	// Start is when the request began, a clock read the caller already made;
+	// Report.Duration counts from it. Zero reads the clock.
+	Start time.Time
+}
+
+// batch is one detect's working state: its Report, the schema read and one
+// table job per table. Detect takes one from batches and Report.Release
+// returns it, so detects that release their reports reuse one another's
+// storage.
+type batch struct {
+	rep   Report
+	metas []*simdb.TableMeta
+	tjobs []tableJob
+	jobs  []*pipeline.Job
+	// clock is a sequential detect's stage-boundary clock, which its jobs
+	// share: they run one after another.
+	clock time.Time
+}
+
+var batches = sync.Pool{New: func() any { return new(batch) }}
+
+// release returns b to batches with every table job dropped: a batch in the
+// pool refers to nothing a detect left.
+func (b *batch) release() {
+	clear(b.metas)
+	for i := range b.tjobs {
+		b.tjobs[i].drop()
+	}
+	clear(b.jobs)
+	clear(b.rep.Tables)
+	b.rep = Report{Tables: b.rep.Tables[:0]}
+	batches.Put(b)
+}
+
+// Detect runs end-to-end detection of req. Every detect runs through here.
+// It first reads the tables' metadata in one information_schema query
+// (SchemaMetadata, retried like any metadata read; a failure fails the
+// call), so no table pays a metadata round trip of its own. The connection
+// stays open and is the caller's to close or reuse; nothing reads from it
+// once the call returns. One table never aborts the batch: Report.settle
+// ends each table exactly once, and a name the database does not have is
+// one error in Report.Errors. A nil ctx means context.Background().
+//
+// A detect reads the clock once at its start (unless req.Start is set) and
+// once per stage boundary; Report.Duration ends at the last one.
+func (d *Detector) Detect(ctx context.Context, req Request) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	start := time.Now()
-	var metas []*simdb.TableMeta
+	start := req.Start
+	if start.IsZero() {
+		start = time.Now()
+	}
+	b := batches.Get().(*batch)
 	_, schemaSpan := obs.StartSpan(ctx, "schema_metadata")
-	batchRetries, err := d.retry(ctx, conn.Accounting(), func() error {
+	batchRetries, err := d.retry(ctx, req.Conn.Accounting(), func() error {
 		var e error
-		metas, e = conn.SchemaMetadata(ctx, tables...)
+		b.metas, e = req.Conn.AppendSchemaMetadata(ctx, b.metas[:0], req.Tables...)
 		return e
 	})
 	schemaSpan.End()
 	if err != nil {
+		b.release()
 		return nil, err
 	}
-	rep := &Report{Retries: batchRetries}
-	if len(metas) < len(tables) {
-		rep.Errors = unknownTables(dbName, tables, metas)
+	rep := &b.rep
+	*rep = Report{Tables: rep.Tables[:0], Retries: batchRetries, b: b}
+	if len(b.metas) < len(req.Tables) {
+		rep.Errors = unknownTables(req.DBName, req.Tables, b.metas)
 	}
 
 	// One classifier for the whole batch: every table of the request is
 	// answered by the same weights, however long the batch runs across swaps.
-	cls := d.classifier(ctx)
-	jobs := make([]*pipeline.Job, len(metas))
-	tjobs := make([]tableJob, len(metas))
-	for i, tm := range metas {
-		tjobs[i] = tableJob{d: d, cls: cls, conn: conn, table: tm.Name, meta: tm, pipelined: mode.Pipelined}
-		jobs[i] = tjobs[i].pipelineJob()
+	cls := d.classifier(req.Model)
+	b.tjobs, b.jobs = slices.Grow(b.tjobs[:0], len(b.metas))[:len(b.metas)], b.jobs[:0]
+	b.clock = time.Now()
+	for i, tm := range b.metas {
+		tj := &b.tjobs[i]
+		tj.d, tj.cls, tj.conn, tj.table, tj.meta, tj.pipelined = d, cls, req.Conn, tm.Name, tm, req.Mode.Pipelined
+		job := tj.pipelineJob()
+		if req.Mode.Pipelined {
+			job.Clock = b.clock
+		} else {
+			tj.clock = &b.clock
+		}
+		b.jobs = append(b.jobs, job)
 	}
-	pipeline.Scheduler{Pipelined: mode.Pipelined}.Run(ctx, jobs)
-	for i, j := range jobs {
-		rep.settle(&tjobs[i], j.Err)
+	pipeline.Scheduler{Pipelined: req.Mode.Pipelined}.Run(ctx, b.jobs)
+	for i, j := range b.jobs {
+		rep.settle(&b.tjobs[i], j.Err)
 	}
 	if len(rep.Skipped) > 0 {
 		rep.Errors = append(rep.Errors, fmt.Errorf("%w: skipped %d tables", context.DeadlineExceeded, len(rep.Skipped)))
 	}
-	rep.Duration = time.Since(start)
+	if len(rep.Tables) == 0 {
+		rep.Tables = nil
+	}
+	end := b.clock
+	if req.Mode.Pipelined {
+		end = time.Now()
+	}
+	rep.Duration = end.Sub(start)
 	return rep, nil
 }
 

@@ -52,48 +52,94 @@ func FromCorpusTable(t *corpus.Table, withStats bool, buckets int) *TableInfo {
 // FromTableMeta converts database metadata into the unified view (no
 // content). Stats ride along if the table was analyzed.
 func FromTableMeta(tm *simdb.TableMeta) *TableInfo {
-	ti := &TableInfo{Name: tm.Name, Comment: tm.Comment, RowCount: tm.RowCount}
-	if len(tm.Columns) == 0 {
-		return ti
+	return new(Scratch).Set(tm)
+}
+
+// Scratch holds one table's unified view and its chunks in storage that the
+// next Set reuses, for a caller that builds a view per request (a detect's
+// table job). What Set and Split return lives until the next Set.
+type Scratch struct {
+	table  TableInfo
+	cols   []ColumnInfo
+	ptrs   []*ColumnInfo
+	chunks []*TableInfo
+	heads  []TableInfo
+}
+
+// Set makes the scratch's view the unified view of tm, as FromTableMeta
+// builds it, and returns it. A table costs no allocation once the scratch
+// has held one as wide.
+func (s *Scratch) Set(tm *simdb.TableMeta) *TableInfo {
+	s.table = TableInfo{Name: tm.Name, Comment: tm.Comment, RowCount: tm.RowCount}
+	n := len(tm.Columns)
+	if n == 0 {
+		return &s.table
 	}
-	// One array holds every column, so a table costs two allocations, not
-	// one per column.
-	cols := make([]ColumnInfo, len(tm.Columns))
-	ti.Columns = make([]*ColumnInfo, len(tm.Columns))
+	if cap(s.cols) < n {
+		s.cols = make([]ColumnInfo, n)
+		s.ptrs = make([]*ColumnInfo, n)
+	}
+	s.cols, s.ptrs = s.cols[:n], s.ptrs[:n]
 	for i := range tm.Columns {
 		cm := &tm.Columns[i]
-		cols[i] = ColumnInfo{
+		s.cols[i] = ColumnInfo{
 			Name:     cm.Name,
 			Comment:  cm.Comment,
 			DataType: cm.DataType,
 			Stats:    cm.Stats,
 		}
-		ti.Columns[i] = &cols[i]
+		s.ptrs[i] = &s.cols[i]
 	}
-	return ti
+	s.table.Columns = s.ptrs
+	return &s.table
+}
+
+// Clear drops what the scratch's view referred to (names, statistics,
+// values), keeping its storage for the next Set.
+func (s *Scratch) Clear() {
+	s.table = TableInfo{}
+	clear(s.cols)
+	clear(s.heads)
+}
+
+// Split is TableInfo.Split of the scratch's view, its chunk list and chunk
+// headers kept in the scratch.
+func (s *Scratch) Split(l int) []*TableInfo {
+	s.chunks, s.heads = s.table.appendSplit(s.chunks[:0], s.heads, l)
+	return s.chunks
 }
 
 // Split partitions a table into chunks of at most l columns, implementing
 // the column-splitting threshold of §6.1.2. Chunks share the table-level
 // metadata. l ≤ 0 means no splitting.
 func (t *TableInfo) Split(l int) []*TableInfo {
+	out, _ := t.appendSplit(nil, nil, l)
+	return out
+}
+
+// appendSplit appends t's chunks to dst: t itself when it needs no split,
+// else headers carved from heads, which is grown when short and returned.
+func (t *TableInfo) appendSplit(dst []*TableInfo, heads []TableInfo, l int) ([]*TableInfo, []TableInfo) {
 	if l <= 0 || len(t.Columns) <= l {
-		return []*TableInfo{t}
+		return append(dst, t), heads
 	}
-	var out []*TableInfo
-	for start := 0; start < len(t.Columns); start += l {
-		end := start + l
-		if end > len(t.Columns) {
-			end = len(t.Columns)
-		}
-		out = append(out, &TableInfo{
+	n := (len(t.Columns) + l - 1) / l
+	if cap(heads) < n {
+		heads = make([]TableInfo, n)
+	}
+	heads = heads[:n]
+	for k := range heads {
+		start := k * l
+		end := min(start+l, len(t.Columns))
+		heads[k] = TableInfo{
 			Name:     t.Name,
 			Comment:  t.Comment,
 			RowCount: t.RowCount,
 			Columns:  t.Columns[start:end],
-		})
+		}
+		dst = append(dst, &heads[k])
 	}
-	return out
+	return dst, heads
 }
 
 // sqlTypes is the one-hot vocabulary for declared data types.

@@ -48,10 +48,13 @@ type Linear struct {
 	B *tensor.Tensor // 1 × out
 }
 
-// NewLinear creates a Xavier-initialized linear layer.
+// NewLinear creates a Xavier-initialized linear layer; with a nil rng its
+// weights stay zero, for a layer whose weights are loaded next.
 func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	l := &Linear{W: tensor.Param(in, out), B: tensor.Param(1, out)}
-	tensor.XavierUniform(l.W, rng)
+	if rng != nil {
+		tensor.XavierUniform(l.W, rng)
+	}
 	return l
 }
 
@@ -108,10 +111,13 @@ type Embedding struct {
 	Table *tensor.Tensor // vocab × dim
 }
 
-// NewEmbedding creates an embedding table initialized N(0, 0.02²).
+// NewEmbedding creates an embedding table initialized N(0, 0.02²); with a
+// nil rng it stays zero, for a table that is loaded next.
 func NewEmbedding(vocab, dim int, rng *rand.Rand) *Embedding {
 	e := &Embedding{Table: tensor.Param(vocab, dim)}
-	tensor.NormalInit(e.Table, 0.02, rng)
+	if rng != nil {
+		tensor.NormalInit(e.Table, 0.02, rng)
+	}
 	return e
 }
 

@@ -34,8 +34,9 @@ const waitStages = 8
 var queueWaitHists [waitStages]atomic.Pointer[obs.Histogram]
 
 // queueWait records how long an Infer stage waited for a token: the
-// scheduler-added latency the paper's §5 pipelining analysis cares about. A
-// Prep stage takes no token and never waits. Stages are labeled by position
+// scheduler-added latency the paper's §5 pipelining analysis cares about;
+// every Infer stage of a pipelined Run records exactly one wait, zero when a
+// token was free. A Prep stage takes no token and never waits. Stages are labeled by position
 // (s1..s4 for Taste's four-stage jobs) so the histogram lines up with the
 // per-stage duration series in core.
 func queueWait(stageIdx int, d time.Duration) {
@@ -104,6 +105,13 @@ type Job struct {
 	// Runner, when set, runs stage i as Runner.RunStage(ctx, i); the
 	// stages' Run fields are not read.
 	Runner StageRunner
+	// Clock, when set, is the time of the job's last stage boundary: the
+	// instant its next stage became ready. A Runner that times its stages
+	// from one clock read per boundary keeps it (a stage's end is the next
+	// stage's start); a pipelined Run reads it as the start of a token
+	// wait and moves it to the wait's end, so the wait is not timed as the
+	// stage's.
+	Clock time.Time
 	// Err records the first stage error as the stage returned it, or
 	// "<Stage.Name> panic: <value>" for a stage that panicked. When the
 	// batch context is cancelled before the job finishes, Err is the
@@ -143,6 +151,12 @@ func (s Scheduler) Run(ctx context.Context, jobs []*Job) {
 		}
 		return
 	}
+	runPipelined(ctx, jobs)
+}
+
+// runPipelined is Run's pipelined mode, apart so that the goroutines'
+// captures do not move a sequential Run's arguments to the heap.
+func runPipelined(ctx context.Context, jobs []*Job) {
 	tokens := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for _, j := range jobs {
@@ -172,7 +186,10 @@ func (s Scheduler) RunStats(ctx context.Context, jobs []*Job) (Stats, error) {
 // Tokens go to waiting stages in the order they began to wait. The Go spec
 // does not promise that; it holds because the runtime queues blocked senders
 // FIFO and a receive from a full channel admits the oldest one.
-// TestInferStagesRunInReadyOrder pins it.
+// TestInferStagesRunInReadyOrder pins it. A stage first tries a send that
+// does not block, which succeeds only while the channel has room, so never
+// while a sender is queued: it cannot overtake a waiting stage, and a free
+// token costs no clock read (its wait is recorded as zero).
 func runJob(ctx context.Context, j *Job, tokens chan struct{}) {
 	for i, st := range j.Stages {
 		if err := ctx.Err(); err != nil {
@@ -181,20 +198,13 @@ func runJob(ctx context.Context, j *Job, tokens chan struct{}) {
 		}
 		token := tokens != nil && st.Kind == Infer
 		if token {
-			ready := time.Now()
 			select {
 			case tokens <- struct{}{}:
-			case <-ctx.Done():
-				j.Err = ctx.Err()
-				return
-			}
-			queueWait(i, time.Since(ready))
-			// Both select cases may have been ready: a token taken after the
-			// cancel must not start the stage.
-			if err := ctx.Err(); err != nil {
-				<-tokens
-				j.Err = err
-				return
+				queueWait(i, 0)
+			default:
+				if !waitToken(ctx, j, i, tokens) {
+					return
+				}
 			}
 		}
 		err := runStage(ctx, j, i, st)
@@ -206,6 +216,35 @@ func runJob(ctx context.Context, j *Job, tokens chan struct{}) {
 			return
 		}
 	}
+}
+
+// waitToken blocks for a token for stage i and records the wait, from the
+// job's Clock (its last stage boundary) when set, and moves the Clock to the
+// wait's end. It reports false, with j.Err set, when ctx died first; a token
+// taken after the cancel is given back, since both select cases may have
+// been ready.
+func waitToken(ctx context.Context, j *Job, i int, tokens chan struct{}) bool {
+	ready := j.Clock
+	if ready.IsZero() {
+		ready = time.Now()
+	}
+	select {
+	case tokens <- struct{}{}:
+	case <-ctx.Done():
+		j.Err = ctx.Err()
+		return false
+	}
+	now := time.Now()
+	queueWait(i, now.Sub(ready))
+	if !j.Clock.IsZero() {
+		j.Clock = now
+	}
+	if err := ctx.Err(); err != nil {
+		<-tokens
+		j.Err = err
+		return false
+	}
+	return true
 }
 
 // stagePanicsTotal counts stage panics runStage recovered.

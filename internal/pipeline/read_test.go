@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func nop(context.Context) error { return nil }
@@ -318,4 +320,50 @@ func TestCancelWhileWaitingForAWorker(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, before)
+}
+
+// TestEveryInferStageRecordsOneWait: each Infer stage of a pipelined Run
+// records exactly one taste_pipeline_queue_wait_seconds observation, whether
+// its token was free (A's, recorded as a zero wait without a clock read) or
+// it queued behind A (every b's), and a Prep stage records none. A job that
+// keeps a Clock has it moved to the end of a real wait.
+func TestEveryInferStageRecordsOneWait(t *testing.T) {
+	const others = 4
+	wait := func(stage string) *obs.Histogram {
+		return obs.Default.LatencyHistogram("taste_pipeline_queue_wait_seconds", "stage", stage, "kind", Infer.String())
+	}
+	before := [2]int64{wait("s1").Count(), wait("s2").Count()}
+	a1Running := make(chan struct{})
+	var reads sync.WaitGroup
+	reads.Add(others)
+	jobs := []*Job{{ID: "A", Stages: []Stage{{Kind: Infer, Name: "a", Run: func(context.Context) error {
+		close(a1Running)
+		reads.Wait()
+		time.Sleep(20 * time.Millisecond) // let every b queue for the token
+		return nil
+	}}}}}
+	clock := time.Now()
+	for i := 0; i < others; i++ {
+		jobs = append(jobs, &Job{ID: fmt.Sprintf("b%d", i), Clock: clock, Stages: []Stage{
+			{Kind: Prep, Name: "p", Run: func(context.Context) error {
+				<-a1Running
+				reads.Done()
+				return nil
+			}},
+			{Kind: Infer, Name: "b", Run: nop},
+		}})
+	}
+	gomaxprocs(t, 1)
+	runGuarded(t, jobs)
+	if got := wait("s1").Count() - before[0]; got != 1 {
+		t.Errorf("stage s1 recorded %d waits, want 1 (A's; the b's s1 is a read)", got)
+	}
+	if got := wait("s2").Count() - before[1]; got != others {
+		t.Errorf("stage s2 recorded %d waits, want %d", got, others)
+	}
+	for _, j := range jobs[1:] {
+		if !j.Clock.After(clock) {
+			t.Errorf("job %s: Clock %v not moved past its wait", j.ID, j.Clock)
+		}
+	}
 }

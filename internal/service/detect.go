@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -119,8 +120,25 @@ func apiErrorf(status int, format string, args ...interface{}) *APIError {
 // flightResult is the unit singleflight shares between coalesced callers:
 // a detect outcome, success or API error alike.
 type flightResult struct {
-	resp   *DetectResponse
+	resp   *response
 	apiErr *APIError
+}
+
+// response is a DetectResponse with the storage its tables and columns are
+// built in. The HTTP handler recycles it once the body is written, when no
+// other caller holds it (serve); any other caller keeps it.
+type response struct {
+	DetectResponse
+	tables []DetectTable
+	cols   []DetectColumn
+}
+
+var responses = sync.Pool{New: func() any { return new(response) }}
+
+// release hands r's storage to a later request.
+func (r *response) release() {
+	r.DetectResponse = DetectResponse{}
+	responses.Put(r)
 }
 
 // Detect executes one detection request end-to-end and returns the
@@ -137,6 +155,17 @@ type flightResult struct {
 // dies before the leader finishes gets 503; the leader is never cancelled by
 // followers.
 func (s *Service) Detect(ctx context.Context, req DetectRequest) (*DetectResponse, *APIError) {
+	resp, apiErr, _ := s.serve(ctx, req)
+	if resp == nil {
+		return nil, apiErr
+	}
+	return &resp.DetectResponse, apiErr
+}
+
+// serve is Detect for the HTTP handler, which recycles the response once it
+// has written it: alone reports that no other caller holds the response (no
+// coalesced follower got it, and this caller did not get another's).
+func (s *Service) serve(ctx context.Context, req DetectRequest) (resp *response, apiErr *APIError, alone bool) {
 	run := func() flightResult {
 		resp, apiErr := s.detect(ctx, req)
 		if apiErr != nil {
@@ -146,19 +175,20 @@ func (s *Service) Detect(ctx context.Context, req DetectRequest) (*DetectRespons
 	}
 	if req.Trace {
 		r := run()
-		return r.resp, r.apiErr
+		return r.resp, r.apiErr, true
 	}
-	r, _, err := s.flight.Do(ctx, flightKey(req), func() (flightResult, error) { return run(), nil })
+	var key [128]byte
+	r, alone, err := s.flight.Run(ctx, appendFlightKey(key[:0], req), func() (flightResult, error) { return run(), nil })
 	if err != nil {
 		// Follower context died while waiting, or the leader panicked:
 		// nothing was computed for this caller.
 		detectOutcomes["error"].Inc()
-		return nil, apiErrorf(http.StatusServiceUnavailable, "coalesced request failed: %v", err)
+		return nil, apiErrorf(http.StatusServiceUnavailable, "coalesced request failed: %v", err), false
 	}
-	return r.resp, r.apiErr
+	return r.resp, r.apiErr, alone
 }
 
-func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectResponse, *APIError) {
+func (s *Service) detect(ctx context.Context, req DetectRequest) (*response, *APIError) {
 	if req.DeadlineMillis < 0 {
 		return nil, apiErrorf(http.StatusBadRequest, "deadline_ms must be ≥ 0")
 	}
@@ -185,7 +215,6 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 			return nil, apiErr
 		}
 	}
-	ctx = core.WithModel(ctx, m)
 	modelVersion := s.versionOf(m)
 	var root *obs.Span
 	if req.Trace {
@@ -201,12 +230,14 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 		defer cancel()
 	}
 
-	resp := &DetectResponse{Database: req.Database, ModelVersion: modelVersion}
+	resp := responses.Get().(*response)
+	resp.DetectResponse = DetectResponse{Database: req.Database, ModelVersion: modelVersion}
+	// The request's one clock read before its answer: core's stages count
+	// from it, and a detect that ran ends at core's last stage boundary.
 	start := time.Now()
 	// finish stamps the duration and trace and records the request's
 	// outcome metrics.
-	finish := func() *DetectResponse {
-		elapsed := time.Since(start)
+	finish := func(elapsed time.Duration) *response {
 		resp.DurationMillis = elapsed.Milliseconds()
 		if root != nil {
 			root.End()
@@ -227,11 +258,11 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 	// deadlineBeforeStart answers a request whose deadline fired before core
 	// returned a report: a valid, fully degraded response — not a server
 	// error — with every named table skipped.
-	deadlineBeforeStart := func(err error) *DetectResponse {
+	deadlineBeforeStart := func(err error) *response {
 		resp.Degraded = true
 		resp.Errors = append(resp.Errors, err.Error())
 		resp.Tables = appendSkipped(resp.Tables, req.Tables)
-		return finish()
+		return finish(time.Since(start))
 	}
 	conn, retries, err := tn.checkout(ctx, s.detector, req.Database)
 	resp.Retries = retries
@@ -246,16 +277,18 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 	// and the release closes it.
 	clean := false
 	defer func() { tn.release(conn, clean && ctx.Err() == nil) }()
-	rep, err := s.detector.DetectDatabaseOn(ctx, conn, req.Database, req.Tables, core.ExecMode{Pipelined: req.Pipelined})
+	rep, err := s.detector.Detect(ctx, core.Request{
+		Conn: conn, DBName: req.Database, Tables: req.Tables,
+		Mode: core.ExecMode{Pipelined: req.Pipelined}, Model: m, Start: start,
+	})
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			return deadlineBeforeStart(err), nil
 		}
 		return nil, apiErrorf(http.StatusInternalServerError, "detection failed: %v", err)
 	}
-	for _, tr := range rep.Tables {
-		resp.Tables = append(resp.Tables, toDetectTable(tr))
-	}
+	defer rep.Release()
+	resp.setTables(rep.Tables)
 	resp.Tables = appendSkipped(resp.Tables, rep.Skipped)
 	resp.TotalColumns = rep.TotalColumns
 	resp.ScannedColumns = rep.ScannedColumns
@@ -269,7 +302,7 @@ func (s *Service) detect(ctx context.Context, req DetectRequest) (*DetectRespons
 		}
 	}
 	clean = !resp.Degraded && len(resp.Errors) == 0 && resp.Retries == 0
-	return finish(), nil
+	return finish(rep.Duration), nil
 }
 
 // firstRepeat returns the first name that an earlier one repeats, in one
@@ -301,24 +334,42 @@ func appendSkipped(out []DetectTable, tables []string) []DetectTable {
 	return out
 }
 
-func toDetectTable(tr *core.TableResult) DetectTable {
-	out := DetectTable{Table: tr.Table}
-	if len(tr.Columns) > 0 {
-		out.Columns = make([]DetectColumn, 0, len(tr.Columns))
+// setTables sets r.Tables to the report's tables, built in r's storage; nil
+// when there are none. A table without columns has nil Columns.
+func (r *response) setTables(tables []*core.TableResult) {
+	if len(tables) == 0 {
+		return
 	}
-	for _, c := range tr.Columns {
-		types := c.Admitted
-		if types == nil {
-			types = []string{}
+	n := 0
+	for _, tr := range tables {
+		n += len(tr.Columns)
+	}
+	if cap(r.cols) < n {
+		r.cols = make([]DetectColumn, 0, n)
+	}
+	cols := r.cols[:0]
+	r.tables = r.tables[:0]
+	for _, tr := range tables {
+		out := DetectTable{Table: tr.Table}
+		at := len(cols)
+		for _, c := range tr.Columns {
+			types := c.Admitted
+			if types == nil {
+				types = []string{}
+			}
+			cols = append(cols, DetectColumn{
+				Column:        c.Column,
+				Types:         types,
+				Phase:         c.Phase,
+				Scanned:       c.Scanned,
+				Degraded:      c.Degraded,
+				DegradeReason: c.DegradeReason,
+			})
 		}
-		out.Columns = append(out.Columns, DetectColumn{
-			Column:        c.Column,
-			Types:         types,
-			Phase:         c.Phase,
-			Scanned:       c.Scanned,
-			Degraded:      c.Degraded,
-			DegradeReason: c.DegradeReason,
-		})
+		if len(cols) > at {
+			out.Columns = cols[at:len(cols):len(cols)]
+		}
+		r.tables = append(r.tables, out)
 	}
-	return out
+	r.Tables = r.tables[:len(r.tables):len(r.tables)]
 }

@@ -50,10 +50,8 @@ func putBuf(bp *[]byte, b []byte) {
 // other body is decoded by json.Decoder over the bytes already read followed
 // by the rest of the body, or by the read error that cut it short.
 func readDetectRequest(body io.Reader, size int64) (DetectRequest, error) {
-	var req DetectRequest
 	if size < 0 || size > fastBodyBytes {
-		err := json.NewDecoder(body).Decode(&req)
-		return req, err
+		return decodeDetectRequest(body)
 	}
 	bp := bufPool.Get().(*[]byte)
 	buf := (*bp)[:size]
@@ -68,6 +66,7 @@ func readDetectRequest(body io.Reader, size int64) (DetectRequest, error) {
 	// json.Decoder completes an object at its closing brace, before it looks
 	// at a read error or at anything after it, so a whole object in buf
 	// decodes the same whatever follows.
+	var req DetectRequest
 	if parseDetectRequest(buf, &req) {
 		return req, nil
 	}
@@ -78,6 +77,14 @@ func readDetectRequest(body io.Reader, size int64) (DetectRequest, error) {
 	case rerr != io.EOF:
 		r = io.MultiReader(r, errReader{rerr})
 	}
+	return decodeDetectRequest(r)
+}
+
+// decodeDetectRequest is json.NewDecoder(r).Decode into a DetectRequest, in
+// a function of its own: the decoder takes the request's address, which
+// moves it to the heap, and the parsed path need not pay for that.
+func decodeDetectRequest(r io.Reader) (DetectRequest, error) {
+	var req DetectRequest
 	err := json.NewDecoder(r).Decode(&req)
 	return req, err
 }
@@ -431,7 +438,7 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// flightKey identifies identical detect requests for singleflight
+// appendFlightKey appends the key that identifies identical detect requests for singleflight
 // coalescing: RouteKey() ‖ 0, then the database, the table count and each
 // table, each length-prefixed, then pipelined, deadline_ms, model_version and
 // the route key's length at fixed width. The route-key prefix matches the
@@ -442,9 +449,7 @@ func appendJSONString(dst []byte, s string) []byte {
 // decoded fields, so fields the service does not know, retired request knobs
 // included, never split it. Trace is not in it: traced requests bypass the
 // group.
-func flightKey(req DetectRequest) string {
-	var stack [128]byte
-	b := stack[:0]
+func appendFlightKey(b []byte, req DetectRequest) []byte {
 	b = append(b, req.Database...)
 	if len(req.Tables) == 1 {
 		b = append(b, '/')
@@ -467,5 +472,5 @@ func flightKey(req DetectRequest) string {
 	b = binary.LittleEndian.AppendUint64(b, uint64(req.DeadlineMillis))
 	b = binary.LittleEndian.AppendUint64(b, uint64(req.ModelVersion))
 	b = binary.LittleEndian.AppendUint64(b, uint64(routeLen))
-	return string(b)
+	return b
 }

@@ -266,7 +266,7 @@ func FuzzFlightKey(f *testing.F) {
 				b.ModelVersion = m2
 			}
 		}
-		ka, kb := flightKey(a), flightKey(b)
+		ka, kb := string(appendFlightKey(nil, a)), string(appendFlightKey(nil, b))
 		for _, r := range []struct {
 			req DetectRequest
 			key string
@@ -356,23 +356,33 @@ func TestManyDistinctTablesAnswerFast(t *testing.T) {
 
 // TestCachedDetectRequestAllocs: one /v1/detect the result tier answers,
 // through the HTTP handler on a zero-latency tenant with a single-table
-// body, allocates at most 57 times, the test's own request and recorder
-// included. The request is parsed, the flight keyed and the response
-// written without reflection, and the detect builds no stage closures; a
-// ceiling at the count keeps a new per-request allocation from going
-// unnoticed.
+// body, allocates at most 24 times, the test's own request and recorder
+// included (18 of them, with the recorder's header map). Of the handler's
+// own, the request's database and table names and the table list are
+// what it parsed, and the two cache keys are core's; the flight is keyed in
+// a stack buffer and its record recycled, the response is built in the
+// storage of the last one and written from a pooled buffer, and the detect
+// reuses the last detect's storage (DetectTable's test lists it). A ceiling
+// at the count keeps a new per-request allocation from going unnoticed.
 func TestCachedDetectRequestAllocs(t *testing.T) {
 	post, det := cachedDetectPost(t)
 	hits := det.Results().Stats().Hits
-	allocs := testing.AllocsPerRun(20, post)
+	runs := 20
+	if raceEnabled {
+		// Many runs keep the average near its expectation (see below).
+		runs = 400
+	}
+	allocs := testing.AllocsPerRun(runs, post)
 	if det.Results().Stats().Hits == hits {
 		t.Fatal("the repeat detects never hit the result tier")
 	}
 	t.Logf("%.0f allocations per cached /v1/detect", allocs)
-	ceiling := 57.0
+	ceiling := 24.0
 	if raceEnabled {
-		// Buffers the pools dropped are refilled by New.
-		ceiling += 6
+		// The race detector drops a quarter of sync.Pool's Puts, and a
+		// request whose storage was dropped allocates all of it anew: about
+		// 10 more per request over 400 runs.
+		ceiling += 13
 	}
 	if allocs > ceiling {
 		t.Fatalf("%.0f allocations per cached /v1/detect, want ≤ %.0f", allocs, ceiling)

@@ -114,7 +114,7 @@ func TestLegacyRequestFieldsAreHarmless(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return flightKey(req), string(out)
+		return string(appendFlightKey(nil, req)), string(out)
 	}
 	legacyKey, legacyResp := answer(legacy)
 	plainKey, plainResp := answer(plain)

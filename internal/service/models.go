@@ -133,7 +133,7 @@ func (s *Service) modelForVersion(version int) (*adtd.Model, *APIError) {
 	if len(man.Types) > 0 {
 		types = adtd.TypeSpaceOf(man.Types)
 	}
-	m, err := adtd.New(serving.Cfg, serving.Tok, types, 0)
+	m, err := adtd.Blank(serving.Cfg, serving.Tok, types)
 	if err != nil {
 		return nil, apiErrorf(http.StatusInternalServerError, "materialize %s@%d: %v", name, version, err)
 	}

@@ -236,14 +236,17 @@ func (s *Service) handleDetect(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	resp, apiErr := s.Detect(r.Context(), req)
+	resp, apiErr, alone := s.serve(r.Context(), req)
 	if apiErr != nil {
 		writeError(w, apiErr.Status, "%s", apiErr.Msg)
 		return
 	}
 	bp := bufPool.Get().(*[]byte)
-	out, err := appendDetectResponse(*bp, resp)
-	w.Header().Set("Content-Type", "application/json")
+	out, err := appendDetectResponse(*bp, &resp.DetectResponse)
+	if alone {
+		resp.release()
+	}
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	if err == nil {
 		// As json.Encoder: a response that fails to encode writes no body.
@@ -251,6 +254,10 @@ func (s *Service) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	putBuf(bp, out)
 }
+
+// jsonContentType is a detect response's Content-Type value, shared by every
+// response: the header map holds it without a copy per request.
+var jsonContentType = []string{"application/json"}
 
 // FeedbackRequest is the /v1/feedback payload: the tenant corrects a
 // column's types; the service adapts online (§8).

@@ -95,13 +95,11 @@ func (c *Conn) AnalyzeTable(ctx context.Context, table string, opts AnalyzeOptio
 	if d.err != nil {
 		return nil, d.err
 	}
-	for _, col := range st.columns {
-		stats := computeStats(col.values, buckets)
-		col.statsMu.Lock()
-		col.stats = stats
-		col.statsMu.Unlock()
+	stats := make([]*ColumnStats, len(st.columns))
+	for i, col := range st.columns {
+		stats[i] = computeStats(col.values, buckets)
 	}
-	return st.meta(), nil
+	return st.publish(stats), nil
 }
 
 // ComputeStats derives ColumnStats from raw values ("" = NULL). It is the

@@ -31,6 +31,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/corpus"
@@ -229,6 +230,9 @@ type storedTable struct {
 	// ScanColumns.
 	byName map[string]*storedColumn
 	rows   int
+	// view is the table's information_schema view, statistics included once
+	// ANALYZE has run. Readers share it; ANALYZE replaces it, never writes it.
+	view atomic.Pointer[TableMeta]
 }
 
 type storedColumn struct {
@@ -236,8 +240,6 @@ type storedColumn struct {
 	comment string
 	sqlType string
 	values  []string
-	statsMu sync.Mutex
-	stats   *ColumnStats // populated by ANALYZE TABLE
 }
 
 // NewServer creates an empty server with the given latency profile.
@@ -300,6 +302,7 @@ func (s *Server) LoadTables(dbName string, tables []*corpus.Table) {
 			st.columns = append(st.columns, col)
 			st.byName[c.Name] = col
 		}
+		st.publish(nil)
 		if _, dup := db.tables[t.Name]; dup {
 			panic(fmt.Sprintf("simdb: duplicate table %s.%s", dbName, t.Name))
 		}
@@ -401,7 +404,9 @@ type ColumnMeta struct {
 	Stats *ColumnStats
 }
 
-// TableMeta is the information_schema view of one table.
+// TableMeta is the information_schema view of one table. A TableMeta the
+// database returns is shared by every reader of the table until ANALYZE
+// replaces it, and must not be modified.
 type TableMeta struct {
 	Name     string
 	Comment  string
@@ -422,7 +427,7 @@ func (c *Conn) TableMetadata(ctx context.Context, table string) (_ *TableMeta, e
 	if !ok {
 		return nil, fmt.Errorf("simdb: %w %s.%s", ErrUnknownTable, c.db.name, table)
 	}
-	return st.meta(), nil
+	return st.view.Load(), nil
 }
 
 // SchemaMetadata fetches information_schema rows in one query round trip —
@@ -433,7 +438,13 @@ func (c *Conn) TableMetadata(ctx context.Context, table string) (_ *TableMeta, e
 // way it is charged exactly like one TableMetadata (the rows are free there
 // too): one round trip, one ledger query, one fault decision, one
 // table_metadata observation.
-func (c *Conn) SchemaMetadata(ctx context.Context, tables ...string) (_ []*TableMeta, err error) {
+func (c *Conn) SchemaMetadata(ctx context.Context, tables ...string) ([]*TableMeta, error) {
+	return c.AppendSchemaMetadata(ctx, nil, tables...)
+}
+
+// AppendSchemaMetadata is SchemaMetadata appending the tables' views to dst,
+// for a caller that reuses one slice across reads.
+func (c *Conn) AppendSchemaMetadata(ctx context.Context, dst []*TableMeta, tables ...string) (_ []*TableMeta, err error) {
 	start := time.Now()
 	defer func() { observeOp("table_metadata", start, err) }()
 	names, detail := c.db.order, "*"
@@ -441,15 +452,14 @@ func (c *Conn) SchemaMetadata(ctx context.Context, tables ...string) (_ []*Table
 		names, detail = tables, strings.Join(tables, ",")
 	}
 	if err := c.metadataQuery(ctx, detail); err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]*TableMeta, 0, len(names))
 	for i, table := range names {
 		if st, ok := c.db.tables[table]; ok && (len(tables) == 0 || !slices.Contains(names[:i], table)) {
-			out = append(out, st.meta())
+			dst = append(dst, st.view.Load())
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // metadataQuery pays for one information_schema query over the named table
@@ -467,17 +477,17 @@ func (c *Conn) metadataQuery(ctx context.Context, detail string) error {
 	return d.err
 }
 
-// meta builds the table's information_schema view, statistics included when
-// ANALYZE has run.
-func (st *storedTable) meta() *TableMeta {
-	tm := &TableMeta{Name: st.name, Comment: st.comment, RowCount: st.rows, Columns: make([]ColumnMeta, 0, len(st.columns))}
-	for _, col := range st.columns {
-		cm := ColumnMeta{Name: col.name, Comment: col.comment, DataType: col.sqlType}
-		col.statsMu.Lock()
-		cm.Stats = col.stats
-		col.statsMu.Unlock()
-		tm.Columns = append(tm.Columns, cm)
+// publish installs a fresh information_schema view of the table with
+// stats[i] as column i's statistics (none when stats is nil) and returns it.
+func (st *storedTable) publish(stats []*ColumnStats) *TableMeta {
+	tm := &TableMeta{Name: st.name, Comment: st.comment, RowCount: st.rows, Columns: make([]ColumnMeta, len(st.columns))}
+	for i, col := range st.columns {
+		tm.Columns[i] = ColumnMeta{Name: col.name, Comment: col.comment, DataType: col.sqlType}
+		if stats != nil {
+			tm.Columns[i].Stats = stats[i]
+		}
 	}
+	st.view.Store(tm)
 	return tm
 }
 
@@ -516,36 +526,54 @@ type ScanOptions struct {
 // cells and bytes returned. Under an armed FaultProfile the scan may fail
 // transiently up front, or drop mid-transfer after paying part of the
 // per-cell latency.
-func (c *Conn) ScanColumns(ctx context.Context, table string, cols []string, opts ScanOptions) (_ map[string][]string, err error) {
+func (c *Conn) ScanColumns(ctx context.Context, table string, cols []string, opts ScanOptions) (map[string][]string, error) {
+	dst := make([][]string, len(cols))
+	if _, err := c.ScanCells(ctx, table, cols, opts, dst, nil); err != nil {
+		return nil, err
+	}
+	out := make(map[string][]string, len(cols))
+	for i, name := range cols {
+		out[name] = dst[i]
+	}
+	return out, nil
+}
+
+// ScanCells is ScanColumns into the caller's storage: column cols[i]'s cells
+// land in dst[i] (len(dst) ≥ len(cols)), all of them carved from one backing
+// array, cells when it is large enough, and each capped so an append by the
+// caller cannot run into the next column. It returns the backing array, for
+// a caller that reuses it on its next scan once it is done with these cells.
+func (c *Conn) ScanCells(ctx context.Context, table string, cols []string, opts ScanOptions, dst [][]string, cells []string) (_ []string, err error) {
 	start := time.Now()
 	defer func() { observeOp("scan", start, err) }()
 	if err := c.check(); err != nil {
-		return nil, err
+		return cells, err
 	}
 	if err := c.server.takeFault(table); err != nil {
-		return nil, err
+		return cells, err
 	}
 	d := c.server.decide(opScan, c.db.name, table)
 	lat := c.server.latency
 	if d.err != nil && !d.midScan {
 		// Up-front failure: the round trip is paid, nothing is transferred.
 		if err := lat.sleep(ctx, scaleDur(lat.QueryRoundTrip, d.slowFactor)); err != nil {
-			return nil, err
+			return cells, err
 		}
 		c.server.acct.addQuery()
-		return nil, d.err
+		return cells, d.err
 	}
 	st, ok := c.db.tables[table]
 	if !ok {
-		return nil, fmt.Errorf("simdb: %w %s.%s", ErrUnknownTable, c.db.name, table)
+		return cells, fmt.Errorf("simdb: %w %s.%s", ErrUnknownTable, c.db.name, table)
 	}
-	selected := make([]*storedColumn, len(cols))
-	for i, name := range cols {
+	var stack [32]*storedColumn
+	selected := stack[:0]
+	for _, name := range cols {
 		col, ok := st.byName[name]
 		if !ok {
-			return nil, fmt.Errorf("simdb: %w %s.%s.%s", ErrUnknownColumn, c.db.name, table, name)
+			return cells, fmt.Errorf("simdb: %w %s.%s.%s", ErrUnknownColumn, c.db.name, table, name)
 		}
-		selected[i] = col
+		selected = append(selected, col)
 	}
 
 	m := opts.Rows
@@ -560,7 +588,7 @@ func (c *Conn) ScanColumns(ctx context.Context, table string, cols []string, opt
 		rowIdx = rand.New(rand.NewSource(opts.Seed)).Perm(st.rows)[:m]
 		sort.Ints(rowIdx)
 	default:
-		return nil, fmt.Errorf("simdb: unknown scan strategy %d", opts.Strategy)
+		return cells, fmt.Errorf("simdb: unknown scan strategy %d", opts.Strategy)
 	}
 	// per is the most cells one column returns.
 	per := m
@@ -568,13 +596,12 @@ func (c *Conn) ScanColumns(ctx context.Context, table string, cols []string, opt
 		per = min(opts.Cells, m)
 	}
 
-	out := make(map[string][]string, len(cols))
-	cells, bytes := 0, 0
-	// One backing array holds every column's cells; each column's slice is
-	// capped so an append by the caller cannot run into the next column.
-	backing := make([]string, per*len(selected))
+	nCells, bytes := 0, 0
+	if need := per * len(selected); cap(cells) < need {
+		cells = make([]string, need)
+	}
 	for i, col := range selected {
-		vals := backing[i*per : i*per : (i+1)*per]
+		vals := cells[i*per : i*per : (i+1)*per]
 		for j := 0; j < m && len(vals) < per; j++ {
 			r := j
 			if rowIdx != nil {
@@ -585,8 +612,8 @@ func (c *Conn) ScanColumns(ctx context.Context, table string, cols []string, opt
 				bytes += len(v)
 			}
 		}
-		cells += len(vals)
-		out[cols[i]] = vals
+		nCells += len(vals)
+		dst[i] = vals
 	}
 
 	// Latency: one round trip plus per-cell transfer (sampling pays the
@@ -595,20 +622,20 @@ func (c *Conn) ScanColumns(ctx context.Context, table string, cols []string, opt
 	if opts.Strategy == RandomSample && lat.SamplingPenalty > 0 {
 		perCell = time.Duration(float64(perCell) * lat.SamplingPenalty)
 	}
-	transfer := time.Duration(cells) * perCell
+	transfer := time.Duration(nCells) * perCell
 	if d.midScan {
 		// Pay the round trip plus the fraction of the transfer that made it
 		// through before the drop; the partial rows are discarded.
 		partial := time.Duration(float64(transfer) * d.dropAt)
 		if err := lat.sleep(ctx, scaleDur(lat.QueryRoundTrip+partial, d.slowFactor)); err != nil {
-			return nil, err
+			return cells, err
 		}
 		c.server.acct.addQuery()
-		return nil, d.err
+		return cells, d.err
 	}
 	if err := lat.sleep(ctx, scaleDur(lat.QueryRoundTrip+transfer, d.slowFactor)); err != nil {
-		return nil, err
+		return cells, err
 	}
-	c.server.acct.addScan(selected, m, cells, bytes)
-	return out, nil
+	c.server.acct.addScan(selected, m, nCells, bytes)
+	return cells, nil
 }
