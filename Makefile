@@ -16,7 +16,7 @@ GO ?= go
 # own (race, race-all).
 RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/baselines/... ./internal/cache/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
 
-.PHONY: build vet vet-arm64 test race race-all bench-check fuzz ci bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
+.PHONY: build vet vet-arm64 test deadcode race race-all bench-check fuzz ci bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,15 @@ vet-arm64:
 
 test: build
 	$(GO) test ./...
+
+# deadcode builds every program this repository ships (./cmd/...,
+# ./examples/... and the bench/ module) with inlining off and fails naming
+# each function declared under internal/ that no program links and
+# deadcode_test.go's allowlist does not hold: a function only tests call
+# belongs in a _test.go file. It needs no network; a cold build cache makes
+# it take about half a minute.
+deadcode:
+	$(GO) test -tags deadcode -count=1 -run TestEveryFunctionIsLinked .
 
 # race also runs internal/core's read-stage, per-table-forward, latent-key,
 # over-a-connection and stage-failure tests: they drive core's concurrent
@@ -118,12 +127,13 @@ registry-smoke:
 	bash scripts/registry_smoke.sh
 
 # ci is the gate a pull request must pass: vet, build, the full test suite,
+# the check that every function under internal/ is linked into a program,
 # the race detector over every concurrent package, the benchmark module's
 # build and smoke test, the serving smoke tests, and last the goldens, the
 # answer-bit pin and the kernel bit tests again in a process without FMA
 # (math.Exp takes its other branch there; Exp runs on software FMA and must
 # not move).
-ci: vet vet-arm64 test race bench-check metrics-smoke fleet-smoke cache-smoke registry-smoke
+ci: vet vet-arm64 test deadcode race bench-check metrics-smoke fleet-smoke cache-smoke registry-smoke
 	GODEBUG=cpu.fma=off $(GO) test -count=1 . ./internal/tensor/
 
 # race-all adds internal/core, whose fixture trains a model and needs a

@@ -1,6 +1,7 @@
 // Command tastegen generates a synthetic table corpus and either prints its
-// summary statistics (the Table 2 view) or dumps tables as JSON for
-// inspection and external tooling.
+// summary statistics (the Table 2 view) or dumps tables as JSONL, one table
+// per line in the format taste.ReadTables reads, for inspection and external
+// tooling.
 //
 // Usage:
 //
@@ -9,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -24,7 +24,7 @@ func main() {
 		tables  = flag.Int("tables", 100, "corpus size in tables")
 		seed    = flag.Int64("seed", 1, "generation seed")
 		stats   = flag.Bool("stats", true, "print per-split summary statistics")
-		dump    = flag.Bool("dump", false, "dump test-split tables as JSON to stdout")
+		dump    = flag.Bool("dump", false, "dump test-split tables to stdout as JSONL, one table per line")
 		types   = flag.Bool("types", false, "list the semantic type domain")
 	)
 	flag.Parse()
@@ -49,12 +49,8 @@ func main() {
 	ds := corpus.Generate(reg, profile, *seed)
 
 	if *dump {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		for _, t := range ds.Test {
-			if err := enc.Encode(t); err != nil {
-				log.Fatal(err)
-			}
+		if err := corpus.WriteJSONL(os.Stdout, ds.Test); err != nil {
+			log.Fatal(err)
 		}
 		return
 	}

@@ -30,6 +30,9 @@ var (
 	// docPath is a repository path inside a code span: internal/core,
 	// ./internal/tensor/, cmd/tasted/main.go.
 	docPath = regexp.MustCompile(`(?:^|[\s./])((?:internal|cmd)/[\w./-]+)`)
+	// docIdent is a qualified exported identifier inside a code span:
+	// core.Detect, (*simdb.Conn).SchemaMetadata, cache.Sharded[V].
+	docIdent = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
 )
 
 // TestDocFlagsExist keeps README.md, EXPERIMENTS.md and scripts/*.sh in
@@ -139,37 +142,110 @@ func TestDocSeriesExist(t *testing.T) {
 }
 
 // TestDocPathsExist keeps README.md and EXPERIMENTS.md in step with the
-// tree: every internal/… or cmd/… path an inline code span names must
-// exist, outside fenced blocks and outside a paragraph that opens
-// "**Removed", which records what is gone.
+// tree: every internal/… or cmd/… path an inline code span of their prose
+// (docProseSpans) names must exist.
 func TestDocPathsExist(t *testing.T) {
 	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
-		fenced, removed := false, false
-		for i, line := range readLines(t, doc) {
-			trimmed := strings.TrimSpace(line)
-			switch {
-			case strings.HasPrefix(trimmed, "```"):
-				fenced = !fenced
-				continue
-			case trimmed == "":
-				removed = false
-				continue
-			case !removed && strings.HasPrefix(trimmed, "**Removed"):
-				removed = true
+		docProseSpans(t, doc, func(where, span string) {
+			for _, m := range docPath.FindAllStringSubmatch(span, -1) {
+				path := strings.TrimRight(m[1], "./")
+				if _, err := os.Stat(path); err != nil {
+					t.Errorf("%s: `%s` names %s, which does not exist", where, span, path)
+				}
 			}
-			if fenced || removed {
-				continue
+		})
+	}
+}
+
+// TestDocIdentifiersExist keeps README.md, DESIGN.md and EXPERIMENTS.md in
+// step with the code: every pkg.Exported an inline code span of their
+// prose (docProseSpans) names, with pkg a package under internal/, must be
+// a top-level declaration in internal/<pkg>: a function, a method (the
+// docs write adtd.PredictContentBatch for Model's), a test, a type, a
+// variable or a constant.
+func TestDocIdentifiersExist(t *testing.T) {
+	pkgs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]map[string]bool{}
+	for _, p := range pkgs {
+		if p.IsDir() {
+			declared[p.Name()] = topLevelNames(t, filepath.Join("internal", p.Name()))
+		}
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		docProseSpans(t, doc, func(where, span string) {
+			for _, m := range docIdent.FindAllStringSubmatch(span, -1) {
+				if names, ok := declared[m[1]]; ok && !names[m[2]] {
+					t.Errorf("%s: `%s` names %s.%s, which internal/%s does not declare", where, span, m[1], m[2], m[1])
+				}
 			}
-			for _, span := range docSpan.FindAllStringSubmatch(line, -1) {
-				for _, m := range docPath.FindAllStringSubmatch(span[1], -1) {
-					path := strings.TrimRight(m[1], "./")
-					if _, err := os.Stat(path); err != nil {
-						t.Errorf("%s:%d: `%s` names %s, which does not exist", doc, i+1, span[1], path)
+		})
+	}
+}
+
+// docProseSpans calls fn with every inline code span of doc's prose: outside
+// fenced blocks and outside a paragraph that opens "**Removed", which
+// records what is gone. where is doc:line.
+func docProseSpans(t *testing.T, doc string, fn func(where, span string)) {
+	t.Helper()
+	fenced, removed := false, false
+	for i, line := range readLines(t, doc) {
+		trimmed := strings.TrimSpace(line)
+		switch {
+		case strings.HasPrefix(trimmed, "```"):
+			fenced = !fenced
+			continue
+		case trimmed == "":
+			removed = false
+			continue
+		case !removed && strings.HasPrefix(trimmed, "**Removed"):
+			removed = true
+		}
+		if fenced || removed {
+			continue
+		}
+		for _, span := range docSpan.FindAllStringSubmatch(line, -1) {
+			fn(doc+":"+strconv.Itoa(i+1), span[1])
+		}
+	}
+}
+
+// topLevelNames returns the names of the functions, methods, types,
+// variables and constants the Go files in dir declare, tests and every
+// platform's files included.
+func topLevelNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, path := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				names[d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
 					}
 				}
 			}
 		}
 	}
+	return names
 }
 
 // seriesDefined reports whether the doc's series name is one of defined,

@@ -445,8 +445,8 @@ func TestAutoWeightedLossGradients(t *testing.T) {
 }
 
 func TestFixedWeightedLoss(t *testing.T) {
-	l1 := tensor.FromSlice(1, 1, []float64{2})
-	l2 := tensor.FromSlice(1, 1, []float64{4})
+	l1 := tensor.FromRows([][]float64{{2}})
+	l2 := tensor.FromRows([][]float64{{4}})
 	if got := FixedWeightedLoss(l1, l2).Item(); got != 3 {
 		t.Fatalf("fixed loss = %v, want 3", got)
 	}

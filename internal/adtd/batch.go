@@ -32,7 +32,7 @@ type ContentRequest struct {
 // Encodings obtained from the latent cache (internal/cache) are graph-free
 // Detach views: their layers are leaves, so the release walk skips them and
 // cached latents survive. Callers who want a fresh encoding to survive must
-// hand it to the cache (whose Put consumes it) or CloneDetach it first.
+// hand it to the cache, whose Put consumes it.
 //
 // n is the per-column cell budget. The outer result slice is indexed like
 // reqs; each entry holds one probability row per requested column.

@@ -2,10 +2,22 @@ package adtd
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/metafeat"
+	"repro/internal/tensor"
 )
+
+// CloneDetach returns a graph-free deep copy whose buffers are independent
+// of the producing graph, so it survives Release of the original encoding.
+func (e *MetaEncoding) CloneDetach() *MetaEncoding {
+	out := &MetaEncoding{In: e.In}
+	for _, l := range e.Layers {
+		out.Layers = append(out.Layers, &tensor.Tensor{Rows: l.Rows, Cols: l.Cols, Data: slices.Clone(l.Data)})
+	}
+	return out
+}
 
 // TestPredictContentBatchMatchesUnbatched verifies the batched Phase-2 path
 // against one call per chunk: the key spans must isolate the chunks so every

@@ -81,14 +81,25 @@ func New(cfg Config, tok *tokenizer.Tokenizer, types *TypeSpace, seed int64) (*M
 }
 
 // Blank creates an ADTD model with every parameter shaped and nothing drawn
-// (weights zero, layer-norm gains one): the model a Load or AliasData fills
-// next, whose random initialization would only be thrown away.
+// (weights zero, layer-norm gains one): the model a Load fills next, whose
+// random initialization would only be thrown away.
 func Blank(cfg Config, tok *tokenizer.Tokenizer, types *TypeSpace) (*Model, error) {
-	return build(cfg, tok, types, nil)
+	m, err := build(cfg, tok, types, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range m.Params() {
+		if p.Data == nil {
+			p.Data = make([]float64, p.Rows*p.Cols)
+		}
+	}
+	return m, nil
 }
 
 // build shapes a model's parameters and, with an rng, draws and sets their
-// initial values; with none they stay zero.
+// initial values. With none, the embedding and linear weights hold no data
+// yet (nn.NewLinear): Blank allocates them, a training replica points them
+// at another model's.
 func build(cfg Config, tok *tokenizer.Tokenizer, types *TypeSpace, rng *rand.Rand) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -232,8 +243,7 @@ type MetaEncoding struct {
 func (e *MetaEncoding) Final() *tensor.Tensor { return e.Layers[len(e.Layers)-1] }
 
 // Detach returns a graph-free view sharing the layers' buffers. The view
-// must not outlive a Release/ReleaseGraph of the producing graph; use
-// CloneDetach for a copy that does.
+// must not outlive a Release/ReleaseGraph of the producing graph.
 func (e *MetaEncoding) Detach() *MetaEncoding {
 	out := &MetaEncoding{In: e.In}
 	for _, l := range e.Layers {
@@ -242,21 +252,10 @@ func (e *MetaEncoding) Detach() *MetaEncoding {
 	return out
 }
 
-// CloneDetach returns a graph-free deep copy whose buffers are independent
-// of the producing graph, so it survives Release of the original encoding.
-// This is what the latent cache stores.
-func (e *MetaEncoding) CloneDetach() *MetaEncoding {
-	out := &MetaEncoding{In: e.In}
-	for _, l := range e.Layers {
-		out.Layers = append(out.Layers, l.Clone())
-	}
-	return out
-}
-
 // Release returns the encoding's graph buffers to the tensor arena once the
-// latents have been consumed (classified and/or deep-copied into the cache).
-// On a detached or cloned encoding whose layers are graph leaves this is a
-// no-op apart from clearing the layer slice.
+// latents have been consumed (classified and/or handed to the cache). On a
+// detached encoding whose layers are graph leaves this is a no-op apart from
+// clearing the layer slice.
 func (e *MetaEncoding) Release() {
 	if len(e.Layers) == 0 {
 		return

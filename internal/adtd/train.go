@@ -97,9 +97,10 @@ func buildTrainChunks(tables []*corpus.Table, withStats bool, splitThreshold int
 // parameter tensor, its gradient state and its grad flag are its own, its
 // Data is m's buffer. A training worker reads the shared weights during a
 // group of items and writes only its own gradients; Derive starts from one
-// too. It starts in train mode.
+// too. It starts in train mode. Its weights are never allocated: build
+// leaves them without data and AliasData points them at m's.
 func (m *Model) trainingReplica() (*Model, error) {
-	r, err := m.Sibling()
+	r, err := build(m.Cfg, m.Tok, m.Types, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +230,11 @@ func (m *Model) ApplyFeedback(examples []FeedbackExample, lr float64, steps int)
 		// predictions are stale — invalidate them like SetTrain/Load do.
 		m.invalidatePacks()
 	}()
+	// The heads' gradients and momentum live for this call only: they come
+	// from the tensor arena and go back to it.
+	defer tensor.AttachGrads(heads).Release()
 	opt := tensor.NewSGD(heads, lr, 0.9)
+	defer opt.Release()
 	for s := 0; s < steps; s++ {
 		for _, ex := range examples {
 			opt.ZeroGrads()

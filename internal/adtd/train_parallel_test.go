@@ -75,7 +75,7 @@ func TestFineTuneWorkers1BitExactVsSerial(t *testing.T) {
 		total := 0.0
 		for _, item := range train.EpochPerm(cfg.Seed, epoch, len(chunks)) {
 			ch := chunks[item]
-			opt.ZeroGrads()
+			tensor.ZeroGrads(serial.Params())
 			loss := serial.trainStep(ch.info, ch.labels, cfg, train.ItemRNG(cfg.Seed, epoch, item))
 			loss.Backward()
 			opt.Step()
@@ -164,7 +164,7 @@ func TestPretrainWorkers1BitExactVsSerial(t *testing.T) {
 		if loss == nil {
 			continue
 		}
-		opt.ZeroGrads()
+		tensor.ZeroGrads(serial.Params())
 		loss.Backward()
 		opt.Step()
 		tensor.ReleaseGraph(loss)

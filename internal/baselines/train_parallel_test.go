@@ -55,7 +55,7 @@ func TestFineTuneWorkers1BitExactVsSerial(t *testing.T) {
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		opt.LR = train.EpochLR(cfg.LR, cfg.FinalLR, epoch, cfg.Epochs)
 		for _, item := range train.EpochPerm(cfg.Seed, epoch, len(chunks)) {
-			opt.ZeroGrads()
+			tensor.ZeroGrads(serial.Params())
 			loss := serial.chunkLoss(chunks[item], cfg.Cells, cfg.PosWeight)
 			loss.Backward()
 			opt.Step()

@@ -63,17 +63,15 @@ func (c *Latent) Enabled() bool { return c.s.Enabled() }
 //
 //   - disabled or encoding larger than a shard's budget → false (caller
 //     keeps ownership and should Release);
-//   - key already holds an equal encoding (the steady-state re-Put after a
-//     Phase-1 pass over an unchanged chunk) → recency refreshed, skipped
-//     copy counted, false — the fresh duplicate goes back to the arena;
+//   - key already present (the steady-state re-Put after a Phase-1 pass
+//     over an unchanged chunk) → recency refreshed, skipped copy counted,
+//     false — the fresh duplicate goes back to the arena. A key is a content
+//     key: it hashes everything the metadata tower reads and the weight
+//     generation, so two encodings under one key are equal;
 //   - otherwise the encoding's graph-free Detach view is stored → true,
 //     and the caller must not Release it.
 func (c *Latent) Put(key string, enc *adtd.MetaEncoding) bool {
-	if !c.s.Enabled() {
-		return false
-	}
-	if prev, ok := c.s.Peek(key); ok && encodingsEqual(prev, enc) {
-		c.s.Touch(key)
+	if !c.s.Enabled() || c.s.Touch(key) {
 		return false
 	}
 	return c.s.Put(key, enc.Detach())
@@ -85,9 +83,6 @@ func (c *Latent) Get(key string) *adtd.MetaEncoding {
 	return enc
 }
 
-// Delete evicts one key.
-func (c *Latent) Delete(key string) { c.s.Delete(key) }
-
 // Len returns the number of cached encodings.
 func (c *Latent) Len() int { return c.s.Len() }
 
@@ -96,24 +91,3 @@ func (c *Latent) Bytes() int64 { return c.s.Bytes() }
 
 // Stats returns a snapshot of the tier counters.
 func (c *Latent) Stats() Stats { return c.s.Stats() }
-
-// encodingsEqual reports whether two encodings hold identical latents
-// (same layer count, shapes and bytes). NaNs compare unequal, which only
-// means a redundant store, never a wrong skip.
-func encodingsEqual(a, b *adtd.MetaEncoding) bool {
-	if len(a.Layers) != len(b.Layers) {
-		return false
-	}
-	for i, la := range a.Layers {
-		lb := b.Layers[i]
-		if la.Rows != lb.Rows || la.Cols != lb.Cols {
-			return false
-		}
-		for j, v := range la.Data {
-			if v != lb.Data[j] {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -53,9 +53,6 @@ func (c *Result) Put(key string, rows [][]float64) {
 	c.s.Put(key, rows)
 }
 
-// Delete evicts one key.
-func (c *Result) Delete(key string) { c.s.Delete(key) }
-
 // Len returns the number of memoized entries.
 func (c *Result) Len() int { return c.s.Len() }
 

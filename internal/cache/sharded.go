@@ -36,8 +36,8 @@ type Stats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
-	// SkippedCopies counts Puts that found the key already holding an equal
-	// value and refreshed recency instead of storing (latent tier only).
+	// SkippedCopies counts Puts that found the key already present and
+	// refreshed recency instead of storing (latent tier only).
 	SkippedCopies int64 `json:"skipped_copies,omitempty"`
 	Entries       int   `json:"entries"`
 	Bytes         int64 `json:"bytes"`
@@ -125,9 +125,6 @@ func (s *Sharded[V]) SetMetrics(m *TierMetrics) { s.metrics = m }
 // Enabled reports whether the cache can store anything at all.
 func (s *Sharded[V]) Enabled() bool { return s.budget > 0 }
 
-// NumShards returns the (power-of-two) shard count.
-func (s *Sharded[V]) NumShards() int { return len(s.shards) }
-
 // fnv1a64 is hash/fnv inlined for the hot path: no allocation, no
 // interface dispatch.
 func fnv1a64(key string) uint64 {
@@ -198,21 +195,9 @@ func (sh *shard[V]) bump(key string, el *list.Element, e *entry[V]) {
 	}
 }
 
-// Peek returns the cached value without touching recency or the hit/miss
-// counters — the equality-skip probe of the latent tier.
-func (s *Sharded[V]) Peek(key string) (V, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.items[key]; ok {
-		return el.Value.(*entry[V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
 // Touch refreshes a key's recency (with SLRU promotion) and counts a
-// skipped copy — the bookkeeping for an equal re-Put.
+// skipped copy — the bookkeeping for a re-Put of a present key. It reports
+// whether the key was present.
 func (s *Sharded[V]) Touch(key string) bool {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
@@ -293,16 +278,6 @@ func (sh *shard[V]) remove(e *entry[V], el *list.Element) {
 	}
 	delete(sh.items, e.key)
 	sh.bytes -= e.size
-}
-
-// Delete evicts one key (not counted as an eviction — the caller asked).
-func (s *Sharded[V]) Delete(key string) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.items[key]; ok {
-		sh.remove(el.Value.(*entry[V]), el)
-	}
 }
 
 // Len returns the entry count across all shards.

@@ -9,6 +9,29 @@ import (
 
 func strBytes(v string) int64 { return int64(len(v)) }
 
+// Peek returns the cached value without touching recency or the hit/miss
+// counters: the tests' probe of what a shard holds.
+func (s *Sharded[V]) Peek(key string) (V, bool) {
+	sh := s.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if el, ok := sh.items[key]; ok {
+		return el.Value.(*entry[V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
+// Delete evicts one key (not counted as an eviction — the caller asked).
+func (s *Sharded[V]) Delete(key string) {
+	sh := s.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if el, ok := sh.items[key]; ok {
+		sh.remove(el.Value.(*entry[V]), el)
+	}
+}
+
 // TestShardPartitionProperty: every key maps to exactly one shard,
 // deterministically, and the shard count rounds up to a power of two.
 // Inserted keys must all be retrievable and the global entry count must
@@ -17,7 +40,7 @@ func strBytes(v string) int64 { return int64(len(v)) }
 func TestShardPartitionProperty(t *testing.T) {
 	for _, requested := range []int{1, 2, 3, 5, 8, 16, 17} {
 		c := New[string](1<<20, requested, strBytes)
-		n := c.NumShards()
+		n := len(c.shards)
 		if n&(n-1) != 0 || n < requested {
 			t.Fatalf("shards(%d) = %d, want power of two ≥ requested", requested, n)
 		}

@@ -63,25 +63,18 @@ func NewGroup[V any](coalesced *obs.Counter) *Group[V] {
 	return &Group[V]{calls: make(map[uint64]*call[V]), seed: maphash.MakeSeed(), counter: coalesced}
 }
 
-// Do executes fn for key, coalescing with an in-flight execution of the
-// same key. shared reports whether the result came from another caller's
-// execution. A follower whose ctx dies while waiting returns ctx.Err()
-// without cancelling the leader (other waiters may still want the result).
-func (g *Group[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v V, shared bool, err error) {
-	v, shared, _, err = g.do(ctx, []byte(key), fn)
-	return v, shared, err
-}
-
-// Run is Do for a caller that recycles the value once it is done with it:
+// Run executes fn for key, coalescing with an in-flight execution of the
+// same key, for a caller that recycles the value once it is done with it:
 // key is read only during the call, and alone reports that the value went
 // to this caller only — it led, and no follower joined — so nobody else
-// reads it.
+// reads it. A follower whose ctx dies while waiting returns ctx.Err()
+// without cancelling the leader (other waiters may still want the result).
 func (g *Group[V]) Run(ctx context.Context, key []byte, fn func() (V, error)) (v V, alone bool, err error) {
 	v, shared, followed, err := g.do(ctx, key, fn)
 	return v, !shared && !followed, err
 }
 
-// do is Do and Run: shared reports a follower, followed a leader that a
+// do is Run's body: shared reports a follower, followed a leader that a
 // follower joined.
 func (g *Group[V]) do(ctx context.Context, key []byte, fn func() (V, error)) (v V, shared, followed bool, err error) {
 	h := maphash.Bytes(g.seed, key)

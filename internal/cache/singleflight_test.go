@@ -9,6 +9,13 @@ import (
 	"time"
 )
 
+// Do is Run for a key held as a string, reporting whether the result came
+// from another caller's execution: the form these tests read.
+func (g *Group[V]) Do(ctx context.Context, key string, fn func() (V, error)) (v V, shared bool, err error) {
+	v, shared, _, err = g.do(ctx, []byte(key), fn)
+	return v, shared, err
+}
+
 // TestSingleflightCoalesces: concurrent callers of one key share a single
 // execution; exactly one leader runs fn.
 func TestSingleflightCoalesces(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/corpus"
 	"repro/internal/metafeat"
 	"repro/internal/simdb"
@@ -205,9 +206,10 @@ func TestLatentKeysKeepTenantsApart(t *testing.T) {
 
 	first := detect("a.b")
 	detect("a")
-	// Drop A's Phase-2 result entries, keyed as s4 keys them: a probe
-	// detector on the same model and options replays A's first three stages
-	// without touching det's caches.
+	// Keep only A's Phase-1 result entries, so A's repeat detect answers
+	// Phase 1 from the tier and runs Phase 2: a probe detector on the same
+	// model and options replays A's first three stages without touching
+	// det's caches, and gives the keys s2 and s4 use.
 	probe, err := NewDetector(det.Model(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -230,6 +232,7 @@ func TestLatentKeysKeepTenantsApart(t *testing.T) {
 	if len(j.uncertain) == 0 {
 		t.Fatal("no uncertain column: Phase 2 never runs")
 	}
+	kept := cache.NewResult(opts.ResultCacheBytes, 0)
 	for ci, chunk := range j.chunks {
 		cols := make([]int, len(chunk.Columns))
 		for local := range cols {
@@ -239,8 +242,13 @@ func TestLatentKeysKeepTenantsApart(t *testing.T) {
 		if _, ok := det.Results().Get(key); !ok {
 			t.Fatalf("chunk %d: no Phase-2 result entry to drop", ci)
 		}
-		det.Results().Delete(key)
+		rows, ok := det.Results().Get(j.keys[ci])
+		if !ok {
+			t.Fatalf("chunk %d: no Phase-1 result entry to keep", ci)
+		}
+		kept.Put(j.keys[ci], rows)
 	}
+	det.results = kept
 
 	if detect("a.b") != first {
 		t.Fatal("tenant a.b's repeat detect ran Phase 2 on tenant a's latents")

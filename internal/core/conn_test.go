@@ -28,8 +28,8 @@ func canonReport(t *testing.T, rep *Report) string {
 }
 
 // TestDetectDatabaseOnMatchesWrapper pins the split of DetectDatabase:
-// the wrapper (connect, run, close) and the body run over a connection the
-// caller opened return the same Report bytes, sequential and pipelined; the
+// the wrapper (connect, run, close) and the body (Detect) run over a
+// connection the caller opened return the same Report bytes, sequential and pipelined; the
 // wrapper still pays exactly one connection per call and closes it; the body
 // neither opens nor closes one; and a retried connect still lands in
 // Report.Retries.
@@ -61,7 +61,7 @@ func TestDetectDatabaseOnMatchesWrapper(t *testing.T) {
 			if err != nil || retries != 0 {
 				t.Fatalf("Connect: retries %d, err %v", retries, err)
 			}
-			over, err := det2.DetectDatabaseOn(ctx, conn, "tenant", nil, tc.mode)
+			over, err := det2.Detect(ctx, Request{Conn: conn, DBName: "tenant", Mode: tc.mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func TestDetectDatabaseOnMatchesWrapper(t *testing.T) {
 			// The body left the connection open and usable; closing it now
 			// is its first close.
 			if _, err := conn.ListTables(ctx); err != nil {
-				t.Fatalf("connection unusable after DetectDatabaseOn: %v", err)
+				t.Fatalf("connection unusable after Detect: %v", err)
 			}
 			if err := conn.Close(); err != nil {
 				t.Fatalf("body closed the caller's connection: %v", err)
@@ -145,7 +145,7 @@ func TestDetectDatabaseOnSchemaReadFault(t *testing.T) {
 				defer conn.Close()
 				server.SetFaultProfile(p)
 				before := server.Accounting().Snapshot()
-				rep, err := det2.DetectDatabaseOn(ctx, conn, "tenant", nil, tc.mode)
+				rep, err := det2.Detect(ctx, Request{Conn: conn, DBName: "tenant", Mode: tc.mode})
 				snap := server.Accounting().Snapshot()
 				snap.Queries -= before.Queries
 				return rep, err, snap
@@ -197,7 +197,7 @@ func TestDetectDatabaseOnConcurrentCacheCounts(t *testing.T) {
 			return nil, err
 		}
 		defer conn.Close()
-		return det.DetectDatabaseOn(ctx, conn, "tenant", nil, mode)
+		return det.Detect(ctx, Request{Conn: conn, DBName: "tenant", Mode: mode})
 	}
 	var alone [2]*Report
 	for i := range servers {

@@ -434,21 +434,6 @@ func (r *Report) ScannedRatio() float64 {
 	return float64(r.ScannedColumns) / float64(r.TotalColumns)
 }
 
-// Find returns the result for a column, or nil.
-func (r *Report) Find(table, column string) *ColumnResult {
-	for _, t := range r.Tables {
-		if t.Table != table {
-			continue
-		}
-		for i := range t.Columns {
-			if t.Columns[i].Column == column {
-				return &t.Columns[i]
-			}
-		}
-	}
-	return nil
-}
-
 // ExecMode selects how a batch is executed (§5, DESIGN.md §16). The zero
 // ExecMode is SequentialMode.
 type ExecMode struct {
@@ -611,8 +596,8 @@ func (j *tableJob) s1PrepMetadata(ctx context.Context) error {
 // s2InferMetadata runs Phase 1 inference per chunk and classifies columns
 // into certain/uncertain; a column the classifier deferred is uncertain.
 // Phase 1 has finished once j.res is set, which is the stage's last step: a
-// panic anywhere before it leaves no half-built table for DetectDatabaseOn
-// to salvage.
+// panic anywhere before it leaves no half-built table for Detect to
+// salvage.
 func (j *tableJob) s2InferMetadata(context.Context) error {
 	opts := j.d.Opts
 	// Chunks cover the columns consecutively, so appending per chunk keeps
@@ -722,7 +707,7 @@ func (d *Detector) scanOptions() simdb.ScanOptions {
 // too near for Phase 2: the check comes before the scan, so the tenant
 // exposes no content Phase 2 will not use. Transient scan failures are
 // retried with backoff; a scan that still fails, or the deadline, is the
-// stage's error, on which DetectDatabaseOn degrades the columns.
+// stage's error, on which Detect degrades the columns.
 func (j *tableJob) s3PrepContent(ctx context.Context) error {
 	if len(j.uncertain) == 0 {
 		return nil
@@ -757,7 +742,7 @@ func (j *tableJob) s3PrepContent(ctx context.Context) error {
 
 // s4InferContent runs Phase 2 over the table's uncertain columns. A
 // deadline too near to start is the stage's error, as is a panic in the
-// forward (the scheduler recovers it); on either, DetectDatabaseOn degrades
+// forward (the scheduler recovers it); on either, Detect degrades
 // the columns with the rules over the content s3 fetched.
 func (j *tableJob) s4InferContent(ctx context.Context) error {
 	if len(j.uncertain) == 0 {
@@ -924,12 +909,12 @@ func (j *tableJob) countRead(c *obs.Counter) {
 }
 
 // DetectTable runs end-to-end detection for one table over an existing
-// connection: DetectDatabaseOn with the one name, sequentially. A table the
+// connection: Detect with the one name, sequentially. A table the
 // detect could not answer (an unknown name, a deadline before Phase 1, a
 // failed or cancelled stage) comes back as the report's error. A nil ctx means
 // context.Background().
 func (d *Detector) DetectTable(ctx context.Context, conn *simdb.Conn, dbName, table string) (*TableResult, error) {
-	rep, err := d.DetectDatabaseOn(ctx, conn, dbName, []string{table}, SequentialMode)
+	rep, err := d.Detect(ctx, Request{Conn: conn, DBName: dbName, Tables: []string{table}, Mode: SequentialMode})
 	if err != nil {
 		return nil, err
 	}
@@ -958,12 +943,12 @@ func (d *Detector) Connect(ctx context.Context, server *simdb.Server, dbName str
 }
 
 // DetectDatabase runs end-to-end detection over every table of a database
-// on a connection of its own: connect (retried), DetectDatabaseOn, close.
+// on a connection of its own: connect (retried), Detect, close.
 // One connection serves the whole batch (§5 recommends connection reuse),
 // and because the handshake is paid inside the call, Report.Duration is the
 // paper's end-to-end time — Fig 4's retrieval time includes it. A caller
 // that keeps connections across requests (the service's pool) calls Connect
-// and DetectDatabaseOn itself.
+// and Detect itself.
 func (d *Detector) DetectDatabase(ctx context.Context, server *simdb.Server, dbName string, mode ExecMode) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -984,17 +969,9 @@ func (d *Detector) DetectDatabase(ctx context.Context, server *simdb.Server, dbN
 	return rep, nil
 }
 
-// DetectDatabaseOn runs end-to-end detection over an existing connection,
-// executing per the given mode: over every table of the database when
-// tables is empty, else over the named tables in request order. It is
-// Detect on the serving model. A nil ctx means context.Background().
-func (d *Detector) DetectDatabaseOn(ctx context.Context, conn *simdb.Conn, dbName string, tables []string, mode ExecMode) (*Report, error) {
-	return d.Detect(ctx, Request{Conn: conn, DBName: dbName, Tables: tables, Mode: mode})
-}
-
-// Request is one detect over an open connection: what DetectDatabaseOn
-// takes, plus what a server that pins models per request and keeps its own
-// request clock passes in.
+// Request is one detect over an open connection: the database, the tables
+// and the execution mode, plus what a server that pins models per request
+// and keeps its own request clock passes in.
 type Request struct {
 	Conn   *simdb.Conn
 	DBName string

@@ -190,16 +190,8 @@ func TestDetectDatabaseSequentialVsPipelinedSameAnswers(t *testing.T) {
 				t.Fatalf("pipelining changed the tenant's ledger: %d queries, %d columns scanned vs %d, %d",
 					seqLedger.Queries, seqLedger.ColumnsScanned, pipeLedger.Queries, pipeLedger.ColumnsScanned)
 			}
-			for _, tr := range seq.Tables {
-				for _, c := range tr.Columns {
-					pc := pipe.Find(tr.Table, c.Column)
-					if pc == nil {
-						t.Fatalf("pipelined run missing %s.%s", tr.Table, c.Column)
-					}
-					if strings.Join(pc.Admitted, ",") != strings.Join(c.Admitted, ",") {
-						t.Fatalf("admitted types differ for %s.%s", tr.Table, c.Column)
-					}
-				}
+			if canonTables(t, seq) != canonTables(t, pipe) {
+				t.Fatal("pipelining changed the per-column answers")
 			}
 		})
 	}
@@ -328,13 +320,8 @@ func TestCacheDisabledStillCorrect(t *testing.T) {
 	if rep2.CacheHits != 0 {
 		t.Fatal("disabled cache must never hit")
 	}
-	for _, tr := range rep1.Tables {
-		for _, c := range tr.Columns {
-			c2 := rep2.Find(tr.Table, c.Column)
-			if strings.Join(c.Admitted, ",") != strings.Join(c2.Admitted, ",") {
-				t.Fatalf("caching changed results for %s.%s", tr.Table, c.Column)
-			}
-		}
+	if canonTables(t, rep1) != canonTables(t, rep2) {
+		t.Fatal("caching changed the per-column answers")
 	}
 }
 

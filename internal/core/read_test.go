@@ -37,7 +37,7 @@ func TestDetectDatabaseOnScansOnlyWhatPhase2Uses(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			rep, err := det.DetectDatabaseOn(ctx, conn, "tenant", nil, mode)
+			rep, err := det.Detect(ctx, Request{Conn: conn, DBName: "tenant", Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -43,7 +43,7 @@ func TestBatchReuseMatchesFresh(t *testing.T) {
 	runtime.GC()
 	want := map[string]string{}
 	for _, name := range names {
-		rep, err := fresh.DetectDatabaseOn(context.Background(), conn, "tenant", []string{name}, SequentialMode)
+		rep, err := fresh.Detect(context.Background(), Request{Conn: conn, DBName: "tenant", Tables: []string{name}, Mode: SequentialMode})
 		if err != nil || len(rep.Tables) != 1 {
 			t.Fatalf("%s: %v %v", name, err, rep.Errors)
 		}
@@ -64,14 +64,14 @@ func TestBatchReuseMatchesFresh(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, order := range [][]string{names, backwards} {
 			for _, name := range order {
-				rep, err := reused.DetectDatabaseOn(context.Background(), conn, "tenant", []string{name}, SequentialMode)
+				rep, err := reused.Detect(context.Background(), Request{Conn: conn, DBName: "tenant", Tables: []string{name}, Mode: SequentialMode})
 				if err != nil {
 					t.Fatal(err)
 				}
 				check("one by one", rep)
 			}
 			for at := 0; at < len(order); at += 5 {
-				rep, err := reused.DetectDatabaseOn(context.Background(), conn, "tenant", order[at:min(at+5, len(order))], PipelinedMode())
+				rep, err := reused.Detect(context.Background(), Request{Conn: conn, DBName: "tenant", Tables: order[at:min(at+5, len(order))], Mode: PipelinedMode()})
 				if err != nil {
 					t.Fatal(err)
 				}

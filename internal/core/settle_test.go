@@ -30,7 +30,7 @@ func (w wrappedRunner) RunStage(ctx context.Context, i int) error {
 	return w.wrap(func(ctx context.Context) error { return w.tableJob.RunStage(ctx, i) })(ctx)
 }
 
-// settleRun drives one batch the way DetectDatabaseOn does — every table's
+// settleRun drives one batch the way Detect does — every table's
 // pipelineJob() through the scheduler, then Report.settle per table — with
 // stage idx of table victim replaced by wrap. It returns the report and the
 // victim's job.
@@ -95,7 +95,7 @@ func TestStagePanicSettlesOneTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		ref, err := det.DetectDatabaseOn(ctx, conn, "tenant", nil, mode)
+		ref, err := det.Detect(ctx, Request{Conn: conn, DBName: "tenant", Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestStagePanicSettlesOneTable(t *testing.T) {
 					}
 				}
 
-				again, err := det.DetectDatabaseOn(ctx, conn, "tenant", nil, mode)
+				again, err := det.Detect(ctx, Request{Conn: conn, DBName: "tenant", Mode: mode})
 				if err != nil {
 					t.Fatal(err)
 				}

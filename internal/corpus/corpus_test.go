@@ -27,7 +27,7 @@ func TestDefaultRegistryWellFormed(t *testing.T) {
 			}
 		}
 		for _, co := range typ.CoTypes {
-			if reg.Lookup(co) == nil {
+			if reg.byName[co] == nil {
 				t.Fatalf("type %s references unknown co-type %s", typ.Name, co)
 			}
 		}
@@ -36,10 +36,10 @@ func TestDefaultRegistryWellFormed(t *testing.T) {
 
 func TestRegistryLookupAndNames(t *testing.T) {
 	reg := DefaultRegistry()
-	if reg.Lookup("email") == nil {
+	if reg.byName["email"] == nil {
 		t.Fatal("email type missing")
 	}
-	if reg.Lookup("no_such_type") != nil {
+	if reg.byName["no_such_type"] != nil {
 		t.Fatal("lookup of unknown type should be nil")
 	}
 	names := reg.Names()
@@ -63,7 +63,7 @@ func TestRegistryRegisterUserDefined(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if reg.Len() != before+1 || reg.Lookup("employee_badge") == nil {
+	if reg.Len() != before+1 || reg.byName["employee_badge"] == nil {
 		t.Fatal("registration did not take effect")
 	}
 	// Duplicate and invalid registrations must fail.
@@ -81,7 +81,7 @@ func TestRegistrySubset(t *testing.T) {
 	if sub.Len() != 2 {
 		t.Fatalf("subset has %d types, want 2", sub.Len())
 	}
-	if sub.Lookup("email") == nil || sub.Lookup("city") == nil {
+	if sub.byName["email"] == nil || sub.byName["city"] == nil {
 		t.Fatal("subset missing requested types")
 	}
 }

@@ -85,9 +85,6 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Lookup returns the type with the given name, or nil.
-func (r *Registry) Lookup(name string) *Type { return r.byName[name] }
-
 // Len returns the number of registered types.
 func (r *Registry) Len() int { return len(r.types) }
 

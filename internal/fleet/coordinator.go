@@ -118,9 +118,6 @@ func (c *Coordinator) Start() { c.pool.Start() }
 // Stop halts health probing; it returns at once if Start was never called.
 func (c *Coordinator) Stop() { c.pool.Stop() }
 
-// Pool exposes the replica pool (for stats and tests).
-func (c *Coordinator) Pool() *Pool { return c.pool }
-
 // Ring exposes the hash ring (for stats and tests).
 func (c *Coordinator) Ring() *Ring { return c.ring }
 

@@ -241,7 +241,7 @@ func TestCoordinatorFailoverMidBurst(t *testing.T) {
 	if st.Routing.Failovers != 3 || st.Routing.Retries != 6 {
 		t.Fatalf("failovers = %d, retries = %d, want 3 and 6", st.Routing.Failovers, st.Routing.Retries)
 	}
-	if c.Pool().IsHealthy("a") {
+	if c.pool.IsHealthy("a") {
 		t.Fatalf("dead replica still marked healthy after %d failures", st.Routing.Failovers)
 	}
 	// …and later requests skip it without burning retries (chain starts at
@@ -542,7 +542,7 @@ func TestCoordinatorTypes500Ejects(t *testing.T) {
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("call %d: status %d, want 503", i, resp.StatusCode)
 		}
-		if healthy := c.Pool().IsHealthy("a"); healthy != (i < 3) {
+		if healthy := c.pool.IsHealthy("a"); healthy != (i < 3) {
 			t.Fatalf("after %d 500s healthy = %v", i, healthy)
 		}
 	}

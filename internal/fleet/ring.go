@@ -34,7 +34,7 @@ type ringPoint struct {
 
 // DefaultVnodes spreads each replica over 128 ring positions — enough to
 // keep the balance bound across 1000 tenants under ~1.35× the mean (see
-// TestRingBalance) while keeping Add/Remove cheap.
+// TestRingBalance) while keeping Add cheap.
 const DefaultVnodes = 128
 
 // NewRing creates an empty ring; vnodes ≤ 0 uses DefaultVnodes.
@@ -76,23 +76,6 @@ func (r *Ring) Add(node string) {
 		r.points = append(r.points, ringPoint{hash: hashKey(fmt.Sprintf("%s#%d", node, v)), node: node})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-}
-
-// Remove deletes a node; removing an absent node is a no-op.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
 }
 
 // Nodes returns the member names, sorted.

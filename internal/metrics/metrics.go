@@ -1,13 +1,8 @@
 // Package metrics implements the evaluation metrics of §6.2: micro-averaged
-// precision/recall/F1 for multi-label semantic type detection, plus simple
-// aggregation helpers for the scanned-column ratio and end-to-end timing.
+// precision/recall/F1 for multi-label semantic type detection.
 package metrics
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "sync"
 
 // F1Accumulator accumulates micro-averaged multi-label counts. The
 // background "no type" outcome is represented by empty label sets on both
@@ -16,15 +11,10 @@ import (
 type F1Accumulator struct {
 	mu         sync.Mutex
 	tp, fp, fn int
-	perType    map[string]*typeCounts
 }
-
-type typeCounts struct{ tp, fp, fn int }
 
 // NewF1Accumulator creates an empty accumulator.
-func NewF1Accumulator() *F1Accumulator {
-	return &F1Accumulator{perType: make(map[string]*typeCounts)}
-}
+func NewF1Accumulator() *F1Accumulator { return &F1Accumulator{} }
 
 // Add records one column's predicted and ground-truth label sets.
 func (a *F1Accumulator) Add(predicted, truth []string) {
@@ -35,27 +25,15 @@ func (a *F1Accumulator) Add(predicted, truth []string) {
 	for p := range predSet {
 		if truthSet[p] {
 			a.tp++
-			a.counts(p).tp++
 		} else {
 			a.fp++
-			a.counts(p).fp++
 		}
 	}
 	for t := range truthSet {
 		if !predSet[t] {
 			a.fn++
-			a.counts(t).fn++
 		}
 	}
-}
-
-func (a *F1Accumulator) counts(t string) *typeCounts {
-	c := a.perType[t]
-	if c == nil {
-		c = &typeCounts{}
-		a.perType[t] = c
-	}
-	return c
 }
 
 func toSet(ss []string) map[string]bool {
@@ -89,56 +67,9 @@ func (a *F1Accumulator) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// Counts returns (tp, fp, fn).
-func (a *F1Accumulator) Counts() (tp, fp, fn int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.tp, a.fp, a.fn
-}
-
-// TypeReport is the per-type breakdown entry.
-type TypeReport struct {
-	Type                  string
-	TP, FP, FN            int
-	Precision, Recall, F1 float64
-}
-
-// PerType returns per-type scores sorted by descending support then name,
-// useful for error analysis.
-func (a *F1Accumulator) PerType() []TypeReport {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]TypeReport, 0, len(a.perType))
-	for t, c := range a.perType {
-		r := TypeReport{Type: t, TP: c.tp, FP: c.fp, FN: c.fn}
-		r.Precision = safeDiv(c.tp, c.tp+c.fp)
-		r.Recall = safeDiv(c.tp, c.tp+c.fn)
-		if r.Precision+r.Recall > 0 {
-			r.F1 = 2 * r.Precision * r.Recall / (r.Precision + r.Recall)
-		}
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := out[i].TP+out[i].FN, out[j].TP+out[j].FN
-		if si != sj {
-			return si > sj
-		}
-		return out[i].Type < out[j].Type
-	})
-	return out
-}
-
 func safeDiv(num, den int) float64 {
 	if den == 0 {
 		return 1
 	}
 	return float64(num) / float64(den)
-}
-
-// Ratio renders a fraction as a percentage string for reports.
-func Ratio(num, den int) string {
-	if den == 0 {
-		return "0.0%"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(num)/float64(den))
 }

@@ -18,7 +18,7 @@ func TestPerfectPrediction(t *testing.T) {
 func TestEmptyBothSidesIsNeutral(t *testing.T) {
 	a := NewF1Accumulator()
 	a.Add(nil, nil) // column without type, correctly left unlabelled
-	tp, fp, fn := a.Counts()
+	tp, fp, fn := a.tp, a.fp, a.fn
 	if tp != 0 || fp != 0 || fn != 0 {
 		t.Fatal("empty/empty must contribute nothing")
 	}
@@ -30,7 +30,7 @@ func TestEmptyBothSidesIsNeutral(t *testing.T) {
 func TestFalsePositiveAndNegative(t *testing.T) {
 	a := NewF1Accumulator()
 	a.Add([]string{"x"}, []string{"y"})
-	tp, fp, fn := a.Counts()
+	tp, fp, fn := a.tp, a.fp, a.fn
 	if tp != 0 || fp != 1 || fn != 1 {
 		t.Fatalf("counts = %d/%d/%d", tp, fp, fn)
 	}
@@ -61,28 +61,9 @@ func TestMicroAveraging(t *testing.T) {
 func TestDuplicateLabelsCountOnce(t *testing.T) {
 	a := NewF1Accumulator()
 	a.Add([]string{"x", "x"}, []string{"x", "x"})
-	tp, fp, fn := a.Counts()
+	tp, fp, fn := a.tp, a.fp, a.fn
 	if tp != 1 || fp != 0 || fn != 0 {
 		t.Fatalf("counts = %d/%d/%d", tp, fp, fn)
-	}
-}
-
-func TestPerTypeBreakdown(t *testing.T) {
-	a := NewF1Accumulator()
-	a.Add([]string{"common"}, []string{"common"})
-	a.Add([]string{"common"}, []string{"common"})
-	a.Add([]string{"rare"}, []string{"other"})
-	per := a.PerType()
-	if len(per) != 3 {
-		t.Fatalf("per-type entries = %d", len(per))
-	}
-	if per[0].Type != "common" || per[0].F1 != 1 {
-		t.Fatalf("first entry = %+v (sorted by support)", per[0])
-	}
-	for _, r := range per {
-		if r.Type == "rare" && (r.FP != 1 || r.Precision != 0) {
-			t.Fatalf("rare = %+v", r)
-		}
 	}
 }
 
@@ -99,18 +80,9 @@ func TestConcurrentAdds(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	tp, _, _ := a.Counts()
+	tp := a.tp
 	if tp != 1600 {
 		t.Fatalf("tp = %d, want 1600", tp)
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(1, 2) != "50.0%" {
-		t.Fatalf("Ratio = %s", Ratio(1, 2))
-	}
-	if Ratio(5, 0) != "0.0%" {
-		t.Fatalf("Ratio(_,0) = %s", Ratio(5, 0))
 	}
 }
 

@@ -82,33 +82,6 @@ func (a *MultiHeadAttention) Params() []*tensor.Tensor {
 	return CollectParams(a.WQ, a.WK, a.WV, a.WO)
 }
 
-// PaddingMask builds an additive Lq × Lkv mask hiding key positions where
-// keyPad[j] is true. Returns nil when nothing is padded, avoiding per-call
-// allocation on the common unpadded path.
-func PaddingMask(lq int, keyPad []bool) *tensor.Tensor {
-	any := false
-	for _, p := range keyPad {
-		if p {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil
-	}
-	m := tensor.New(lq, len(keyPad))
-	neg := math.Inf(-1)
-	for i := 0; i < lq; i++ {
-		row := m.Row(i)
-		for j, p := range keyPad {
-			if p {
-				row[j] = neg
-			}
-		}
-	}
-	return m
-}
-
 // TransformerBlock is a post-norm Transformer encoder layer as in Fig. 2:
 // multi-head attention with residual + layer norm, followed by a
 // position-wise feed-forward network (H → I → H, GELU) with residual +

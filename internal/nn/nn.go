@@ -33,15 +33,6 @@ func CollectParams(ms ...Module) []*tensor.Tensor {
 	return out
 }
 
-// NumParams returns the total number of scalar parameters in the modules.
-func NumParams(ms ...Module) int {
-	n := 0
-	for _, p := range CollectParams(ms...) {
-		n += len(p.Data)
-	}
-	return n
-}
-
 // Linear is a fully connected layer: y = xW + b.
 type Linear struct {
 	W *tensor.Tensor // in × out
@@ -49,13 +40,26 @@ type Linear struct {
 }
 
 // NewLinear creates a Xavier-initialized linear layer; with a nil rng its
-// weights stay zero, for a layer whose weights are loaded next.
+// parameters are shaped but hold no data (see param).
 func NewLinear(in, out int, rng *rand.Rand) *Linear {
-	l := &Linear{W: tensor.Param(in, out), B: tensor.Param(1, out)}
+	l := &Linear{W: param(in, out, rng), B: param(1, out, rng)}
 	if rng != nil {
 		tensor.XavierUniform(l.W, rng)
 	}
 	return l
+}
+
+// param returns a zero rows × cols parameter. With a nil rng it holds no
+// data: the caller allocates it or points it at another model's weights
+// (tensor.AliasData), so a layer whose weights come from elsewhere never
+// allocates its own.
+func param(rows, cols int, rng *rand.Rand) *tensor.Tensor {
+	if rng != nil {
+		return tensor.Param(rows, cols)
+	}
+	p := &tensor.Tensor{Rows: rows, Cols: cols}
+	p.SetRequiresGrad(true)
+	return p
 }
 
 // Forward applies the affine transform to x (rows × in). When neither x
@@ -112,9 +116,9 @@ type Embedding struct {
 }
 
 // NewEmbedding creates an embedding table initialized N(0, 0.02²); with a
-// nil rng it stays zero, for a table that is loaded next.
+// nil rng it is shaped but holds no data (see param).
 func NewEmbedding(vocab, dim int, rng *rand.Rand) *Embedding {
-	e := &Embedding{Table: tensor.Param(vocab, dim)}
+	e := &Embedding{Table: param(vocab, dim, rng)}
 	if rng != nil {
 		tensor.NormalInit(e.Table, 0.02, rng)
 	}
@@ -128,9 +132,3 @@ func (e *Embedding) Forward(ids []int) *tensor.Tensor {
 
 // Params implements Module.
 func (e *Embedding) Params() []*tensor.Tensor { return []*tensor.Tensor{e.Table} }
-
-// Vocab returns the number of rows in the table.
-func (e *Embedding) Vocab() int { return e.Table.Rows }
-
-// Dim returns the embedding width.
-func (e *Embedding) Dim() int { return e.Table.Cols }

@@ -243,10 +243,10 @@ func regressionJournals(tb testing.TB) [][2][]byte {
 		}
 		return raw
 	}
-	v1 := []*tensor.Tensor{tensor.FromSlice(2, 2, []float64{1, 2, 3, 4}), tensor.FromSlice(1, 3, []float64{5, 6, 7})}
+	v1 := []*tensor.Tensor{tensor.FromRows([][]float64{{1, 2}, {3, 4}}), tensor.FromRows([][]float64{{5, 6, 7}})}
 	mustPublish(tb, r, "taste", v1)
 	p1 := read(pagesLogName)
-	mustPublish(tb, r, "taste", []*tensor.Tensor{tensor.FromSlice(2, 2, []float64{8, 9, 10, 11}), v1[1]})
+	mustPublish(tb, r, "taste", []*tensor.Tensor{tensor.FromRows([][]float64{{8, 9}, {10, 11}}), v1[1]})
 	pages, mans := read(pagesLogName), read(manifestsLogName)
 	r.Close()
 	torn := slices.Concat(p1, bytes.Repeat([]byte{0xa5}, 10), pages[len(p1):])

@@ -45,9 +45,6 @@ func New(policy Policy, seed int64) *Retrier {
 	return &Retrier{policy: policy, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Policy returns the retrier's policy.
-func (r *Retrier) Policy() Policy { return r.policy }
-
 // Backoff returns the sleep before retry attempt+1: base·2^attempt plus up
 // to 50 % seeded jitter, capped at MaxDelay (pre-jitter).
 func (r *Retrier) Backoff(attempt int) time.Duration {

@@ -140,7 +140,7 @@ func TestRuleDetectorMissesFreeText(t *testing.T) {
 	d := Default()
 	rng := rand.New(rand.NewSource(2))
 	for _, name := range []string{"city", "company", "job_title", "album"} {
-		typ := reg.Lookup(name)
+		typ := reg.Subset([]string{name}).Types()[0]
 		values := make([]string, 20)
 		for i := range values {
 			values[i] = typ.Gen(rng)

@@ -109,16 +109,6 @@ func (s *Server) SetFaultProfile(p FaultProfile) {
 	s.faultProfile = &faultState{profile: p, rng: rand.New(rand.NewSource(p.Seed))}
 }
 
-// FaultProfile returns the armed profile (zero value when disarmed).
-func (s *Server) FaultProfile() FaultProfile {
-	s.faultMu.Lock()
-	defer s.faultMu.Unlock()
-	if s.faultProfile == nil {
-		return FaultProfile{}
-	}
-	return s.faultProfile.profile
-}
-
 // opConnect/opQuery/opScan classify operations for the injector.
 type faultOp int
 

@@ -227,8 +227,8 @@ func TestZeroProfileDisarms(t *testing.T) {
 	s := faultTestServer(NoLatency)
 	s.SetFaultProfile(FaultProfile{Seed: 1, ScanFailProb: 1})
 	s.SetFaultProfile(FaultProfile{})
-	if p := s.FaultProfile(); p.enabled() {
-		t.Fatalf("zero profile must disarm, got %+v", p)
+	if s.faultProfile != nil {
+		t.Fatalf("zero profile must disarm, got %+v", s.faultProfile.profile)
 	}
 	conn := mustConnect(t, s)
 	defer conn.Close()

@@ -250,9 +250,6 @@ func NewServer(latency LatencyProfile) *Server {
 // Accounting returns the server's accounting ledger.
 func (s *Server) Accounting() *Accounting { return &s.acct }
 
-// Latency returns the configured latency profile.
-func (s *Server) Latency() LatencyProfile { return s.latency }
-
 // InjectScanFault arms a one-shot failure: the next ScanColumns against the
 // named table returns err. Used to exercise the detection service's
 // partial-failure handling (a flaky table must not abort a batch). Wrap err

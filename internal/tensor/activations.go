@@ -45,42 +45,6 @@ func GELU(a *Tensor) *Tensor {
 	return out
 }
 
-// Sigmoid applies the logistic function elementwise.
-func Sigmoid(a *Tensor) *Tensor {
-	out := result(a.Rows, a.Cols, []*Tensor{a}, nil)
-	for i, v := range a.Data {
-		out.Data[i] = 1 / (1 + Exp(-v))
-	}
-	if out.requiresGrad {
-		out.backward = func() {
-			a.ensureGrad()
-			for i, g := range out.Grad {
-				y := out.Data[i]
-				a.Grad[i] += g * y * (1 - y)
-			}
-		}
-	}
-	return out
-}
-
-// Tanh applies the hyperbolic tangent elementwise.
-func Tanh(a *Tensor) *Tensor {
-	out := result(a.Rows, a.Cols, []*Tensor{a}, nil)
-	for i, v := range a.Data {
-		out.Data[i] = tanh(v)
-	}
-	if out.requiresGrad {
-		out.backward = func() {
-			a.ensureGrad()
-			for i, g := range out.Grad {
-				y := out.Data[i]
-				a.Grad[i] += g * (1 - y*y)
-			}
-		}
-	}
-	return out
-}
-
 // LayerNorm normalizes each row to zero mean and unit variance, then applies
 // a learnable per-column scale (gamma, 1×cols) and shift (beta, 1×cols).
 func LayerNorm(a, gamma, beta *Tensor, eps float64) *Tensor {

@@ -109,9 +109,6 @@ func AttachGrads(params []*Tensor) *GradArena {
 	return &GradArena{params: params}
 }
 
-// Zero clears the arena's gradient buffers (sharded).
-func (a *GradArena) Zero() { ZeroGrads(a.params) }
-
 // Release returns the pooled gradient buffers to the arena and detaches
 // them from the parameters. The arena must not be used afterwards.
 func (a *GradArena) Release() {

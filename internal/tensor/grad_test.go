@@ -178,9 +178,9 @@ func TestGradArenaAttachZeroRelease(t *testing.T) {
 		}
 	}
 	params[0].Grad[0] = 5
-	arena.Zero()
+	ZeroGrads(params)
 	if params[0].Grad[0] != 0 {
-		t.Fatal("Zero did not clear")
+		t.Fatal("ZeroGrads did not clear an attached gradient")
 	}
 	arena.Release()
 	for i, p := range params {

@@ -668,7 +668,7 @@ func TestMulAddIsFused(t *testing.T) {
 				}
 			}
 		}
-		if got := MatMulNT(FromSlice(1, 5, []float64{1, 0, 0, 0, a}), FromSlice(1, 5, []float64{y, 0, 0, 0, x})).Data[0]; got != fused {
+		if got := MatMulNT(fromSlice(1, 5, []float64{1, 0, 0, 0, a}), fromSlice(1, 5, []float64{y, 0, 0, 0, x})).Data[0]; got != fused {
 			t.Fatalf("MatMulNT: %g, want the fused 2^-60", got)
 		}
 	})
@@ -707,10 +707,10 @@ func TestLinearAndAttentionSameBitsOnBothKernels(t *testing.T) {
 			kc.with(t, func() {
 				LinearInto(proj, x, lq, h, w, 3*h, 0, 3*h, bias)
 				lin = append(lin, proj...)
-				composed = AddRowVector(MatMul(FromSlice(lq, h, x), FromSlice(h, 3*h, w)), FromSlice(1, 3*h, bias)).Data
+				composed = AddRowVector(MatMul(fromSlice(lq, h, x), fromSlice(h, 3*h, w)), fromSlice(1, 3*h, bias)).Data
 				FusedAttentionCore(ws, got, proj, proj, sh, spans)
 				ws.Reset()
-				got = append(got, SoftmaxRows(FromSlice(lq, 3*h, proj), nil).Data...)
+				got = append(got, SoftmaxRows(fromSlice(lq, 3*h, proj), nil).Data...)
 				FusedGELUInPlace(proj)
 				got = append(got, proj...)
 			})

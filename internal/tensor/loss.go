@@ -5,47 +5,16 @@ import (
 	"math"
 )
 
-// BCEWithLogits computes the mean multi-label binary cross-entropy between
-// logits and targets (same shape; targets in {0,1}). Working on logits rather
-// than probabilities keeps the backward pass numerically stable: the gradient
-// per element is simply (σ(x) − y) / N.
+// WeightedBCEWithLogits computes the mean multi-label binary cross-entropy
+// between logits and targets (same shape; targets in {0,1}) with a
+// per-element positive-class weight: loss_i = posWeight*y*log(1+e^-x) +
+// (1-y)*log(1+e^x). Working on logits rather than probabilities keeps the
+// backward pass numerically stable, and the weight lets training compensate
+// for the extreme label sparsity of multi-label type detection (most
+// (column, type) pairs are negative).
 //
 // This is the per-task loss L_BCE of §4.3 in the paper, averaged over all
 // (column, type) pairs in the batch.
-func BCEWithLogits(logits, targets *Tensor) *Tensor {
-	checkSameShape("BCEWithLogits", logits, targets)
-	out := result(1, 1, []*Tensor{logits}, nil)
-	n := float64(len(logits.Data))
-	s := 0.0
-	for i, x := range logits.Data {
-		y := targets.Data[i]
-		// log(1+e^x) computed stably.
-		var l float64
-		if x > 0 {
-			l = x + math.Log1p(math.Exp(-x)) - y*x
-		} else {
-			l = math.Log1p(math.Exp(x)) - y*x
-		}
-		s += l
-	}
-	out.Data[0] = s / n
-	if out.requiresGrad {
-		out.backward = func() {
-			logits.ensureGrad()
-			g := out.Grad[0] / n
-			for i, x := range logits.Data {
-				sig := 1 / (1 + math.Exp(-x))
-				logits.Grad[i] += g * (sig - targets.Data[i])
-			}
-		}
-	}
-	return out
-}
-
-// WeightedBCEWithLogits is BCEWithLogits with a per-element positive-class
-// weight: loss_i = posWeight*y*log(1+e^-x) + (1-y)*log(1+e^x). It lets
-// training compensate for the extreme label sparsity of multi-label type
-// detection (most (column, type) pairs are negative).
 func WeightedBCEWithLogits(logits, targets *Tensor, posWeight float64) *Tensor {
 	checkSameShape("WeightedBCEWithLogits", logits, targets)
 	if posWeight <= 0 {

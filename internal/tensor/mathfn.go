@@ -73,7 +73,6 @@ func fma(x, y, z float64) float64 {
 
 // tanh is math.tanh's arms in its order, over Exp, with every product that
 // feeds a sum rounded on its own (as the GELU kernel's VMULPD/VADDPD are).
-// Tanh is the graph op.
 func tanh(x float64) float64 {
 	const (
 		p0, p1, p2 = -9.64399179425052238628e-1, -9.92877231001918586564e1, -1.61468768441708447952e3

@@ -157,32 +157,6 @@ func Add(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Sub returns a − b (same shape).
-func Sub(a, b *Tensor) *Tensor {
-	checkSameShape("Sub", a, b)
-	out := result(a.Rows, a.Cols, []*Tensor{a, b}, nil)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	if out.requiresGrad {
-		out.backward = func() {
-			if a.requiresGrad {
-				a.ensureGrad()
-				for i, g := range out.Grad {
-					a.Grad[i] += g
-				}
-			}
-			if b.requiresGrad {
-				b.ensureGrad()
-				for i, g := range out.Grad {
-					b.Grad[i] -= g
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Mul returns the elementwise product a ⊙ b (same shape).
 func Mul(a, b *Tensor) *Tensor {
 	checkSameShape("Mul", a, b)
@@ -470,12 +444,6 @@ func Sum(a *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// Mean reduces the whole tensor to its scalar mean.
-func Mean(a *Tensor) *Tensor {
-	out := Sum(a)
-	return Scale(out, 1.0/float64(len(a.Data)))
 }
 
 func checkSameShape(op string, a, b *Tensor) {

@@ -2,16 +2,6 @@ package tensor
 
 import "math"
 
-// Optimizer updates a fixed set of parameter tensors from their accumulated
-// gradients.
-type Optimizer interface {
-	// Step applies one update using the gradients currently stored in the
-	// parameters, then the caller typically invokes ZeroGrads.
-	Step()
-	// ZeroGrads clears the gradients of all managed parameters.
-	ZeroGrads()
-}
-
 // adamMulAddsPerElem is the per-element cost estimate fed to the runtime's
 // sharding heuristic: one Adam element touches m, v, grad and data with a
 // sqrt, worth roughly eight scalar multiply-adds.
@@ -64,9 +54,6 @@ func NewAdam(params []*Tensor, lr float64) *Adam {
 	}
 	return a
 }
-
-// Params returns the managed parameter tensors.
-func (a *Adam) Params() []*Tensor { return a.params }
 
 // LastGradNorm returns the pre-clip global gradient L2 norm computed by the
 // most recent Step, or zero if no clipping Step has run yet. Only meaningful
@@ -154,9 +141,6 @@ func (a *Adam) clip() {
 	ScaleGrads(a.params, a.ClipNorm/norm)
 }
 
-// ZeroGrads clears all parameter gradients.
-func (a *Adam) ZeroGrads() { ZeroGrads(a.params) }
-
 // SGD is a plain stochastic-gradient-descent optimizer with optional
 // momentum; kept as a baseline and for the lightweight online feedback
 // updates in the Taste detector.
@@ -165,19 +149,29 @@ type SGD struct {
 	Momentum float64
 
 	params []*Tensor
-	vel    [][]float64
+	vel    [][]float64 // momentum buffers, drawn from the arena
 }
 
-// NewSGD creates an SGD optimizer over params.
+// NewSGD creates an SGD optimizer over params. Release returns its momentum
+// buffers to the arena.
 func NewSGD(params []*Tensor, lr, momentum float64) *SGD {
 	s := &SGD{LR: lr, Momentum: momentum, params: params}
 	if momentum > 0 {
 		s.vel = make([][]float64, len(params))
 		for i, p := range params {
-			s.vel[i] = make([]float64, len(p.Data))
+			s.vel[i], _ = allocData(len(p.Data))
 		}
 	}
 	return s
+}
+
+// Release returns the momentum buffers to the arena. The optimizer must not
+// step afterwards.
+func (s *SGD) Release() {
+	for _, v := range s.vel {
+		freeData(v)
+	}
+	s.vel = nil
 }
 
 // Step applies one SGD update.

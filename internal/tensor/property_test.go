@@ -46,7 +46,7 @@ func TestMatMulNTEquivalenceProperty(t *testing.T) {
 		bt := New(4, 5)
 		for i := 0; i < b.Rows; i++ {
 			for j := 0; j < b.Cols; j++ {
-				bt.Set(j, i, b.At(i, j))
+				bt.Data[j*bt.Cols+i] = b.At(i, j)
 			}
 		}
 		x := MatMulNT(a, b)

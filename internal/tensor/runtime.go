@@ -157,10 +157,11 @@ func allocData(n int) ([]float64, bool) {
 	return make([]float64, n, 1<<c), true
 }
 
-// freeData returns an allocData slice to its size-class pool.
+// freeData returns an allocData slice to its size-class pool; a slice of no
+// pooled size class is left to the GC.
 func freeData(s []float64) {
 	c := cap(s)
-	if c < 1<<arenaMinClass || c&(c-1) != 0 {
+	if c < 1<<arenaMinClass || c > 1<<arenaMaxClass || c&(c-1) != 0 {
 		return
 	}
 	full := s[:c]

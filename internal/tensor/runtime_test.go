@@ -249,7 +249,7 @@ func TestSoftmaxRowsFullyMaskedRow(t *testing.T) {
 	}
 	mask := New(2, 3)
 	for j := 0; j < 3; j++ {
-		mask.Set(1, j, neg) // second row fully masked
+		mask.Row(1)[j] = neg // second row fully masked
 	}
 	out := SoftmaxRows(a, mask)
 	sum0 := 0.0

@@ -199,8 +199,8 @@ func FuzzReadTensors(f *testing.F) {
 		return buf.Bytes()
 	}
 	src := []*Tensor{
-		FromSlice(2, 3, []float64{1, math.NaN(), -2, 0, 5e-324, math.Inf(-1)}),
-		FromSlice(1, 4, []float64{math.Copysign(0, -1), 3, 0.5, -7}),
+		fromSlice(2, 3, []float64{1, math.NaN(), -2, 0, 5e-324, math.Inf(-1)}),
+		fromSlice(1, 4, []float64{math.Copysign(0, -1), 3, 0.5, -7}),
 	}
 	var v1 bytes.Buffer
 	writeTensorsV1(&v1, src)

@@ -21,10 +21,7 @@
 // via ReleaseGraph after each training step or inference pass.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor is a dense row-major matrix that optionally participates in the
 // autograd graph.
@@ -40,7 +37,6 @@ type Tensor struct {
 	requiresGrad bool
 	parents      []*Tensor
 	backward     func()
-	name         string
 
 	// pooled/gradPooled mark Data/Grad as drawn from the buffer arena, so
 	// ReleaseGraph knows which slices to recycle.
@@ -55,15 +51,6 @@ func New(rows, cols int) *Tensor {
 		panic(fmt.Sprintf("tensor: invalid shape %dx%d", rows, cols))
 	}
 	return &Tensor{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromSlice wraps data (row-major) in a tensor of the given shape. The slice
-// is used directly, not copied. It panics if len(data) != rows*cols.
-func FromSlice(rows, cols int, data []float64) *Tensor {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %dx%d", len(data), rows, cols))
-	}
-	return &Tensor{Rows: rows, Cols: cols, Data: data}
 }
 
 // FromRows builds a tensor from a slice of equal-length rows, copying them.
@@ -89,15 +76,6 @@ func Param(rows, cols int) *Tensor {
 	return t
 }
 
-// WithName attaches a debug name and returns the receiver.
-func (t *Tensor) WithName(name string) *Tensor {
-	t.name = name
-	return t
-}
-
-// Name returns the debug name set by WithName, or "".
-func (t *Tensor) Name() string { return t.name }
-
 // RequiresGrad reports whether this tensor participates in gradient
 // accumulation.
 func (t *Tensor) RequiresGrad() bool { return t.requiresGrad }
@@ -108,23 +86,12 @@ func (t *Tensor) SetRequiresGrad(v bool) { t.requiresGrad = v }
 // At returns the element at row i, column j.
 func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.Cols+j] }
 
-// Set assigns the element at row i, column j.
-func (t *Tensor) Set(i, j int, v float64) { t.Data[i*t.Cols+j] = v }
-
 // Row returns a view (not a copy) of row i.
 func (t *Tensor) Row(i int) []float64 { return t.Data[i*t.Cols : (i+1)*t.Cols] }
 
-// Clone returns a deep copy that is detached from the autograd graph.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Rows, t.Cols)
-	copy(c.Data, t.Data)
-	return c
-}
-
 // Detach returns a view of the same data that is cut off from the graph.
 // Mutating one mutates the other. A detached view must not outlive a
-// ReleaseGraph of the producing graph — the underlying buffer is recycled;
-// use Clone for a copy that survives release.
+// ReleaseGraph of the producing graph — the underlying buffer is recycled.
 func (t *Tensor) Detach() *Tensor {
 	return &Tensor{Rows: t.Rows, Cols: t.Cols, Data: t.Data}
 }
@@ -144,14 +111,8 @@ func (t *Tensor) Item() float64 {
 	return t.Data[0]
 }
 
-// Shape returns (rows, cols).
-func (t *Tensor) Shape() (int, int) { return t.Rows, t.Cols }
-
 // String renders a compact description for debugging.
 func (t *Tensor) String() string {
-	if t.name != "" {
-		return fmt.Sprintf("Tensor(%s %dx%d)", t.name, t.Rows, t.Cols)
-	}
 	return fmt.Sprintf("Tensor(%dx%d)", t.Rows, t.Cols)
 }
 
@@ -246,25 +207,4 @@ func topoSort(root *Tensor) []*Tensor {
 		stack = stack[:len(stack)-1]
 	}
 	return order
-}
-
-// MaxAbs returns the largest absolute value in the tensor; useful in tests
-// and gradient-clipping.
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// L2Norm returns the Euclidean norm of the data.
-func (t *Tensor) L2Norm() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

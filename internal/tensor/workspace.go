@@ -53,15 +53,6 @@ func wsClass(n int) int {
 	return ((n-1)>>shift + 1) << shift
 }
 
-// TakeZero is Take with the buffer cleared.
-func (w *Workspace) TakeZero(n int) []float64 {
-	b := w.Take(n)
-	for i := range b {
-		b[i] = 0
-	}
-	return b
-}
-
 // Matrix wraps a Take buffer in a leaf tensor (no parents, no grad). The
 // tensor must not outlive the next Reset; ReleaseGraph skips it because
 // leaves are never freed.

@@ -47,8 +47,9 @@ func (m *synthModel) step(item int, rng *rand.Rand) *tensor.Tensor {
 	row := append([]float64(nil), m.x[item]...)
 	row[rng.Intn(len(row))] = 0 // rng-dependent: order-invariance matters
 	pred := tensor.MatMul(tensor.FromRows([][]float64{row}), m.w)
-	diff := tensor.Sub(pred, tensor.FromRows([][]float64{m.y[item]}))
-	return tensor.Mean(tensor.Mul(diff, diff))
+	diff := tensor.Add(pred, tensor.Scale(tensor.FromRows([][]float64{m.y[item]}), -1))
+	sq := tensor.Mul(diff, diff)
+	return tensor.Scale(tensor.Sum(sq), 1/float64(len(sq.Data)))
 }
 
 func (m *synthModel) spec(workers ...func(w int)) Spec {
@@ -90,7 +91,7 @@ func serialReference(m *synthModel, cfg Config) float64 {
 		}
 		total, n := 0.0, 0
 		for _, item := range order {
-			opt.ZeroGrads()
+			tensor.ZeroGrads([]*tensor.Tensor{m.w})
 			loss := m.step(item, ItemRNG(cfg.Seed, epoch, item))
 			loss.Backward()
 			opt.Step()
