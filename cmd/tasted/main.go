@@ -89,10 +89,7 @@ func main() {
 	}
 	switch {
 	case *train:
-		cfg := adtd.DefaultTrainConfig()
-		cfg.Epochs = *epochs
-		cfg.LR, cfg.FinalLR = 1.5e-3, 4e-4
-		cfg.PosWeight = 6
+		cfg := adtd.TunedTrainConfig(*epochs, false)
 		cfg.Workers = *trainWorkers
 		cfg.Log = os.Stderr
 		log.Printf("training model (%d epochs) …", cfg.Epochs)

@@ -81,14 +81,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		cfg := adtd.DefaultTrainConfig()
-		cfg.Epochs = *epochs
-		cfg.LR, cfg.FinalLR = 1.5e-3, 3e-4
-		cfg.PosWeight = 6
-		cfg.WeightDecay = 1e-4
-		cfg.Cells = 6
-		cfg.ContentColumnsPerChunk = 4
-		cfg.WithStats = *hist
+		cfg := adtd.TunedTrainConfig(*epochs, *hist)
 		cfg.Workers = *workers
 		cfg.Log = os.Stderr
 		if _, err := adtd.FineTune(m, ds.Train, cfg); err != nil {
@@ -116,11 +109,7 @@ func main() {
 			v, cfg = baselines.Doduo, baselines.DoduoScale()
 		}
 		m := baselines.New(v, cfg, tok, types, *seed)
-		tcfg := baselines.DefaultTrainConfig()
-		tcfg.Epochs = *epochs
-		tcfg.LR, tcfg.FinalLR = 1.5e-3, 3e-4
-		tcfg.PosWeight = 6
-		tcfg.WeightDecay = 1e-4
+		tcfg := baselines.TunedTrainConfig(v, *epochs)
 		tcfg.Workers = *workers
 		tcfg.Log = os.Stderr
 		if _, err := baselines.FineTune(m, ds.Train, tcfg); err != nil {

@@ -35,12 +35,13 @@ var (
 	docIdent = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
 )
 
-// TestDocFlagsExist keeps README.md, EXPERIMENTS.md and scripts/*.sh in
-// step with the commands: every inline span that invokes a command with
-// flags (`tasted -deadline 2s`), every flag-table row
+// TestDocFlagsExist keeps README.md, DESIGN.md, EXPERIMENTS.md and
+// scripts/*.sh in step with the commands: every inline span that invokes a
+// command with flags (`tasted -deadline 2s`), every flag-table row
 // (| `-cache-bytes` (tasted) | …), and every invocation in a fenced shell
 // block or a script (see shellInvocations) must name flags that
-// cmd/<cmd>/main.go defines.
+// cmd/<cmd>/main.go defines, outside a paragraph that opens "**Removed"
+// (removedLines).
 func TestDocFlagsExist(t *testing.T) {
 	dirs, err := os.ReadDir("cmd")
 	if err != nil {
@@ -66,8 +67,9 @@ func TestDocFlagsExist(t *testing.T) {
 			}
 		}
 	}
-	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		lines := readLines(t, doc)
+		removed := removedLines(lines)
 		fenced, shell := false, false
 		vars := map[string]string{}
 		for i := 0; i < len(lines); i++ {
@@ -76,6 +78,9 @@ func TestDocFlagsExist(t *testing.T) {
 			if fence := strings.TrimSpace(line); strings.HasPrefix(fence, "```") {
 				fenced = !fenced
 				shell = fenced && shellFence.MatchString(fence)
+				continue
+			}
+			if removed[i] {
 				continue
 			}
 			if shell {
@@ -120,18 +125,24 @@ func TestDocFlagsExist(t *testing.T) {
 	}
 }
 
-// TestDocSeriesExist keeps README.md, EXPERIMENTS.md and scripts/*.sh in
-// step with the metrics: every taste_* series they name must be a string
-// literal in non-test Go under internal/, once a _bucket, _count or _sum
-// suffix is stripped; a name ending in _ (taste_fleet_*) must begin one.
+// TestDocSeriesExist keeps README.md, DESIGN.md, EXPERIMENTS.md and
+// scripts/*.sh in step with the metrics: every taste_* series they name
+// outside a "**Removed" paragraph (removedLines) must be a string literal
+// in non-test Go under internal/, once a _bucket, _count or _sum suffix is
+// stripped; a name ending in _ (taste_fleet_*) must begin one.
 func TestDocSeriesExist(t *testing.T) {
 	defined := seriesLiterals(t)
 	docs, err := filepath.Glob(filepath.Join("scripts", "*.sh"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range append([]string{"README.md", "EXPERIMENTS.md"}, docs...) {
-		for i, line := range readLines(t, doc) {
+	for _, doc := range append([]string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}, docs...) {
+		lines := readLines(t, doc)
+		removed := removedLines(lines)
+		for i, line := range lines {
+			if removed[i] {
+				continue
+			}
 			for _, name := range docSeries.FindAllString(line, -1) {
 				if !seriesDefined(name, defined) {
 					t.Errorf("%s:%d: no Go under internal/ defines series %s", doc, i+1, name)
@@ -141,11 +152,11 @@ func TestDocSeriesExist(t *testing.T) {
 	}
 }
 
-// TestDocPathsExist keeps README.md and EXPERIMENTS.md in step with the
-// tree: every internal/… or cmd/… path an inline code span of their prose
-// (docProseSpans) names must exist.
+// TestDocPathsExist keeps README.md, DESIGN.md and EXPERIMENTS.md in step
+// with the tree: every internal/… or cmd/… path an inline code span of
+// their prose (docProseSpans) names must exist.
 func TestDocPathsExist(t *testing.T) {
-	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		docProseSpans(t, doc, func(where, span string) {
 			for _, m := range docPath.FindAllStringSubmatch(span, -1) {
 				path := strings.TrimRight(m[1], "./")
@@ -185,31 +196,48 @@ func TestDocIdentifiersExist(t *testing.T) {
 	}
 }
 
-// docProseSpans calls fn with every inline code span of doc's prose: outside
-// fenced blocks and outside a paragraph that opens "**Removed", which
-// records what is gone. where is doc:line.
+// docProseSpans calls fn with every inline code span of doc's prose:
+// outside fenced blocks and outside "**Removed" paragraphs (removedLines).
+// where is doc:line.
 func docProseSpans(t *testing.T, doc string, fn func(where, span string)) {
 	t.Helper()
-	fenced, removed := false, false
-	for i, line := range readLines(t, doc) {
-		trimmed := strings.TrimSpace(line)
-		switch {
-		case strings.HasPrefix(trimmed, "```"):
+	lines := readLines(t, doc)
+	removed := removedLines(lines)
+	fenced := false
+	for i, line := range lines {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
 			fenced = !fenced
 			continue
-		case trimmed == "":
-			removed = false
-			continue
-		case !removed && strings.HasPrefix(trimmed, "**Removed"):
-			removed = true
 		}
-		if fenced || removed {
+		if fenced || removed[i] {
 			continue
 		}
 		for _, span := range docSpan.FindAllStringSubmatch(line, -1) {
 			fn(doc+":"+strconv.Itoa(i+1), span[1])
 		}
 	}
+}
+
+// removedLines marks the lines of each paragraph that opens "**Removed"
+// outside a fenced block, up to the next blank line. Such a paragraph
+// records a deleted design, so the names it gives need not exist; nowhere
+// else may a document name what the code does not have.
+func removedLines(lines []string) []bool {
+	out := make([]bool, len(lines))
+	fenced, removed := false, false
+	for i, line := range lines {
+		trimmed := strings.TrimSpace(line)
+		switch {
+		case strings.HasPrefix(trimmed, "```"):
+			fenced = !fenced
+		case trimmed == "":
+			removed = false
+		case !fenced && strings.HasPrefix(trimmed, "**Removed"):
+			removed = true
+		}
+		out[i] = removed
+	}
+	return out
 }
 
 // topLevelNames returns the names of the functions, methods, types,

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/metafeat"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -536,6 +537,61 @@ func TestApplyFeedbackMovesPrediction(t *testing.T) {
 	if after[0][wi] <= before[0][wi] {
 		t.Fatalf("feedback did not raise target probability: %v → %v", before[0][wi], after[0][wi])
 	}
+}
+
+// TestFeedbackKeepsValidPacks: ApplyFeedback steps only the classifier
+// heads, which no pack holds, so the attention packs its steps build stay on
+// the model (pointer-equal after a predict, which would otherwise repack),
+// a model derived from it shares them, and its answers are the bits of the
+// same model with its packs dropped and rebuilt. The weight generation still
+// moves, since the heads did.
+func TestFeedbackKeepsValidPacks(t *testing.T) {
+	src, ds := tinyModel(t)
+	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
+	m, err := src.Derive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range m.Blocks {
+		if b.Attn.Pack() != nil {
+			t.Fatalf("block %d: a model derived from one that never ran a fast forward has a pack", i)
+		}
+	}
+	gen := m.Generation()
+	if err := m.ApplyFeedback([]FeedbackExample{{Table: info, Column: 0, Labels: []string{"email"}}}, 0.05, 3); err != nil {
+		t.Fatal(err)
+	}
+	if m.Generation() == gen {
+		t.Fatal("feedback left the weight generation as it was")
+	}
+	packs := make([]*nn.QKVPack, len(m.Blocks))
+	for i, b := range m.Blocks {
+		if packs[i] = b.Attn.Pack(); packs[i] == nil {
+			t.Fatalf("block %d: feedback dropped the pack its steps built", i)
+		}
+	}
+	cols := []int{0, len(info.Columns) - 1}
+	run := func() ([][]float64, [][]float64) {
+		menc, meta := m.PredictMeta(info, false)
+		return meta, m.PredictContentBatch([]ContentRequest{{Menc: menc, Table: info, Cols: cols}}, 3)[0]
+	}
+	meta, content := run()
+	d, err := m.Derive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Blocks {
+		if m.Blocks[i].Attn.Pack() != packs[i] {
+			t.Fatalf("block %d: a predict after feedback repacked", i)
+		}
+		if d.Blocks[i].Attn.Pack() != packs[i] {
+			t.Fatalf("block %d: a derived model does not share its source's pack", i)
+		}
+		m.Blocks[i].InvalidateFastPath()
+	}
+	gotMeta, gotContent := run()
+	sameProbs(t, "meta, packs rebuilt", gotMeta, meta)
+	sameProbs(t, "content, packs rebuilt", gotContent, content)
 }
 
 // TestApplyFeedbackKeepsTrainModeHeadsTrainable: feedback on a model in

@@ -16,17 +16,21 @@ import (
 )
 
 // invalidatePacks drops every cached fast-path weight pack (the fused
-// attention projections) and bumps the weight generation that versions
-// memoized model outputs; called whenever parameters may have changed in
-// place (grad-mode flips, checkpoint loads, feedback updates) so the next
-// fast forward repacks fresh weights and stale cached predictions stop
-// resolving.
+// attention projections) and redraws the weight generation; called whenever
+// tower weights may have changed in place (grad-mode flips, checkpoint
+// loads) so the next fast forward repacks fresh weights and stale cached
+// predictions stop resolving.
 func (m *Model) invalidatePacks() {
 	for _, b := range m.Blocks {
 		b.InvalidateFastPath()
 	}
-	m.gen.Store(nextGeneration())
+	m.redrawGeneration()
 }
+
+// redrawGeneration gives the model a fresh weight generation, which orphans
+// every memoized output; called alone when only the classifier heads
+// changed (feedback steps, grown type spaces), whose weights no pack holds.
+func (m *Model) redrawGeneration() { m.gen.Store(nextGeneration()) }
 
 // embedFast is embed() in one pass: token+position+segment rows summed
 // directly into an arena tensor, with no per-table gather tensors and no

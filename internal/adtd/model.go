@@ -146,8 +146,11 @@ func (m *Model) Sibling() (*Model, error) {
 // Derive returns the model an online edit (ApplyFeedback, ExtendTypes) runs
 // on without touching m: its parameters alias m's weights, except the two
 // classifier heads', which are copies of their own. Deriving serializes
-// nothing and writes nothing m's readers read; the derived model gets its
-// own weight generation and fast-path packs, and starts in train mode.
+// nothing and writes nothing m's readers read. The derived model gets its
+// own weight generation, starts in eval mode (an edit that trains the heads
+// sets their grad flags, as ApplyFeedback does), and shares m's attention
+// packs: they are a function of tower weights that are m's and that no edit
+// writes.
 func (m *Model) Derive() (*Model, error) {
 	d, err := m.trainingReplica()
 	if err != nil {
@@ -155,6 +158,10 @@ func (m *Model) Derive() (*Model, error) {
 	}
 	for _, p := range append(d.MetaCls.Params(), d.ContCls.Params()...) {
 		p.Data = slices.Clone(p.Data)
+	}
+	d.SetEval()
+	for i, b := range d.Blocks {
+		b.Attn.SetPack(m.Blocks[i].Attn.Pack())
 	}
 	return d, nil
 }
@@ -401,6 +408,7 @@ func (m *Model) ExtendTypes(names []string, seed int64) {
 	m.MetaCls.ExtendClasses(m.Types.Len(), rng)
 	m.ContCls.ExtendClasses(m.Types.Len(), rng)
 	// The classifier heads changed shape in place: redraw the generation so
-	// memoized predictions (now the wrong width) age out.
-	m.invalidatePacks()
+	// memoized predictions (now the wrong width) age out. No pack holds a
+	// head, so the attention packs stay.
+	m.redrawGeneration()
 }

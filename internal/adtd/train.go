@@ -65,6 +65,22 @@ func DefaultTrainConfig() TrainConfig {
 	}
 }
 
+// TunedTrainConfig is the fine-tuning recipe the experiment suite tuned for
+// Taste at repro scale (DESIGN.md §5): Adam from LR 1.5e-3 decayed to 3e-4,
+// positive-class weight 6, weight decay 1e-4, 6 cells per column and 4
+// content columns per chunk. tastetrain and tasted -train train with it too.
+func TunedTrainConfig(epochs int, withStats bool) TrainConfig {
+	cfg := DefaultTrainConfig()
+	cfg.Epochs = epochs
+	cfg.LR, cfg.FinalLR = 1.5e-3, 3e-4
+	cfg.PosWeight = 6
+	cfg.WeightDecay = 1e-4
+	cfg.Cells = 6
+	cfg.ContentColumnsPerChunk = 4
+	cfg.WithStats = withStats
+	return cfg
+}
+
 // trainChunk is one fine-tuning item: a table chunk plus per-column labels.
 type trainChunk struct {
 	info   *metafeat.TableInfo
@@ -225,10 +241,10 @@ func (m *Model) ApplyFeedback(examples []FeedbackExample, lr float64, steps int)
 		for i, p := range heads {
 			p.SetRequiresGrad(wasGrad[i])
 		}
-		// The SGD steps mutated head weights in place behind the model-level
-		// setGrad hooks, so packed fast-path weights and any memoized
-		// predictions are stale — invalidate them like SetTrain/Load do.
-		m.invalidatePacks()
+		// The SGD steps wrote the head weights in place, so memoized
+		// predictions are stale. The attention packs the steps built hold
+		// tower weights, which no step touched: they stay.
+		m.redrawGeneration()
 	}()
 	// The heads' gradients and momentum live for this call only: they come
 	// from the tensor arena and go back to it.

@@ -92,3 +92,23 @@ func TestFineTuneMultiWorkerDeterministic(t *testing.T) {
 	}
 	requireSameParams(t, a, b, "baselines identical (seed,workers) runs")
 }
+
+// TestTrainingReplicaAliasesWeights: a worker's replica shares every
+// parameter's backing array with the canonical model, draws nothing, and
+// keeps its gradients to itself.
+func TestTrainingReplicaAliasesWeights(t *testing.T) {
+	m, _, _ := twinModels(t)
+	r := m.trainingReplica()
+	src, dst := m.Params(), r.Params()
+	if len(dst) != len(src) {
+		t.Fatalf("replica has %d parameters, model %d", len(dst), len(src))
+	}
+	for i := range dst {
+		if &dst[i].Data[0] != &src[i].Data[0] || len(dst[i].Data) != len(src[i].Data) {
+			t.Fatalf("parameter %d does not share its source's backing array", i)
+		}
+		if dst[i] == src[i] {
+			t.Fatalf("parameter %d is the source's tensor, not a replica's", i)
+		}
+	}
+}

@@ -536,13 +536,14 @@ func cachedDetector(tb testing.TB) (*Detector, *simdb.Conn, string) {
 
 // TestCachedDetectTableAllocs: a DetectTable on a sequential zero-latency
 // tenant that the result tier answers — both phases hit — allocates at most
-// 5 times: the TableResult it returns and its columns, the two cache keys,
-// and the one-name table list. Every other byte of the detect — the schema
-// read's list, the table job, its metadata view, key frame, scan cells and
-// the report — is the storage of the last detect, which DetectTable releases
-// (Report.Release); the schema read shares the table's metadata view, and a
-// one-type admitted set is the type space's own slice. A ceiling set at the
-// count keeps any new per-hit allocation from going unnoticed.
+// 4 times: the TableResult it returns and its columns, and the two cache
+// keys; the one-name table list stays on DetectTable's stack. Every other
+// byte of the detect — the schema read's list, the table job, its metadata
+// view, key frame, scan cells and the report — is the storage of the last
+// detect, which DetectTable releases (Report.Release); the schema read
+// shares the table's metadata view, and a one-type admitted set is the type
+// space's own slice. A ceiling set at the count keeps any new per-hit
+// allocation from going unnoticed.
 func TestCachedDetectTableAllocs(t *testing.T) {
 	det, conn, table := cachedDetector(t)
 	hits := det.Results().Stats().Hits
@@ -561,7 +562,7 @@ func TestCachedDetectTableAllocs(t *testing.T) {
 		t.Fatal("the repeat detects never hit the result tier")
 	}
 	t.Logf("%.0f allocations per cached DetectTable", allocs)
-	ceiling := 5.0
+	ceiling := 4.0
 	if raceEnabled {
 		// The race detector drops a quarter of sync.Pool's Puts, and a detect
 		// whose storage was dropped allocates all of it anew: about 6 more

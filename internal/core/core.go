@@ -195,7 +195,7 @@ func NewDetector(model *adtd.Model, opts Options) (*Detector, error) {
 
 // NewBaselineDetector creates a detector that runs a single-phase content
 // classifier (TURL, Doduo) in place of ADTD, on the same stages, connection
-// handling and ExecMode (DESIGN.md §3). With Phase 2 on (α < β), Phase 1
+// handling and ExecMode (DESIGN.md §16). With Phase 2 on (α < β), Phase 1
 // defers every column, s3 scans them all in one read and Phase 2 predicts
 // from their content; with it off (α = β), Phase 1 predicts from the
 // metadata alone and nothing is scanned. It never touches the latent or
@@ -250,9 +250,9 @@ func (d *Detector) SwapModel(m *adtd.Model) *adtd.Model {
 }
 
 // adapt installs an edited derivation of the serving model. edit runs on
-// a train-mode model no request holds (adtd.Model.Derive: the serving
-// weights shared, the classifier heads its own); on success it is frozen
-// and installed.
+// an eval-mode model no request holds (adtd.Model.Derive: the serving
+// weights and attention packs shared, the classifier heads its own); on
+// success it is frozen and installed.
 func (d *Detector) adapt(edit func(m *adtd.Model) error) error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
@@ -914,7 +914,7 @@ func (j *tableJob) countRead(c *obs.Counter) {
 // failed or cancelled stage) comes back as the report's error. A nil ctx means
 // context.Background().
 func (d *Detector) DetectTable(ctx context.Context, conn *simdb.Conn, dbName, table string) (*TableResult, error) {
-	rep, err := d.Detect(ctx, Request{Conn: conn, DBName: dbName, Tables: []string{table}, Mode: SequentialMode})
+	rep, err := d.detect(ctx, Request{Conn: conn, DBName: dbName, Mode: SequentialMode}, []string{table})
 	if err != nil {
 		return nil, err
 	}
@@ -1032,6 +1032,15 @@ func (b *batch) release() {
 // A detect reads the clock once at its start (unless req.Start is set) and
 // once per stage boundary; Report.Duration ends at the last one.
 func (d *Detector) Detect(ctx context.Context, req Request) (*Report, error) {
+	return d.detect(ctx, req, req.Tables)
+}
+
+// detect is Detect with the table names passed apart from req, whose Tables
+// it ignores. Escape analysis treats a struct parameter as one unit, and
+// req's connection outlives the call in the table jobs, so a list inside req
+// would go to the heap with it; passed alone it stays on its caller's stack
+// (DetectTable's one name).
+func (d *Detector) detect(ctx context.Context, req Request, tables []string) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -1043,7 +1052,7 @@ func (d *Detector) Detect(ctx context.Context, req Request) (*Report, error) {
 	_, schemaSpan := obs.StartSpan(ctx, "schema_metadata")
 	batchRetries, err := d.retry(ctx, req.Conn.Accounting(), func() error {
 		var e error
-		b.metas, e = req.Conn.AppendSchemaMetadata(ctx, b.metas[:0], req.Tables...)
+		b.metas, e = req.Conn.AppendSchemaMetadata(ctx, b.metas[:0], tables...)
 		return e
 	})
 	schemaSpan.End()
@@ -1053,8 +1062,8 @@ func (d *Detector) Detect(ctx context.Context, req Request) (*Report, error) {
 	}
 	rep := &b.rep
 	*rep = Report{Tables: rep.Tables[:0], Retries: batchRetries, b: b}
-	if len(b.metas) < len(req.Tables) {
-		rep.Errors = unknownTables(req.DBName, req.Tables, b.metas)
+	if len(b.metas) < len(tables) {
+		rep.Errors = unknownTables(req.DBName, tables, b.metas)
 	}
 
 	// One classifier for the whole batch: every table of the request is
@@ -1161,7 +1170,6 @@ func (d *Detector) Feedback(table *metafeat.TableInfo, column int, labels []stri
 		return fmt.Errorf("core: column index %d out of range", column)
 	}
 	err := d.adapt(func(m *adtd.Model) error {
-		m.SetEval() // so only the heads take gradients
 		return m.ApplyFeedback([]adtd.FeedbackExample{{Table: table, Column: column, Labels: labels}}, 0.02, 5)
 	})
 	if err == nil {

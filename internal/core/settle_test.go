@@ -161,7 +161,7 @@ func TestStagePanicSettlesOneTable(t *testing.T) {
 // between s3 and s4, the content s3 fetched still counts: its uncertain
 // columns degrade with the rule hits over that content merged into the
 // Phase-1 answer, as they do when s4 itself finds the deadline imminent
-// (DESIGN.md §7, rung 2).
+// (DESIGN.md §7, rule 3).
 func TestDeadlineAfterScanMergesRules(t *testing.T) {
 	det, ds := phase2Detector(t, 12)
 	m := det.Model()

@@ -111,7 +111,7 @@ func GitTablesProfile(tables int) Profile {
 // WikiTable-like ambiguity so a steady fraction of columns reaches Phase 2.
 // This is the workload shape where per-table dispatch overhead and
 // unbatched Phase-2 forwards dominate — the case cross-table inference
-// batching (DESIGN.md §16) exists for.
+// batching was built for (DESIGN.md §8, "Removed: the batching layers").
 func SmallTablesProfile(tables int) Profile {
 	return Profile{
 		Name:             "smalltables",

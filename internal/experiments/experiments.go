@@ -142,21 +142,6 @@ func (s *Suite) datasetLocked(name string) *corpus.Dataset {
 	return ds
 }
 
-// tasteTrainConfig is the tuned fine-tuning recipe shared by all Taste
-// models in the suite.
-func (s *Suite) tasteTrainConfig(epochs int, withStats bool) adtd.TrainConfig {
-	cfg := adtd.DefaultTrainConfig()
-	cfg.Epochs = epochs
-	cfg.LR, cfg.FinalLR = 1.5e-3, 3e-4
-	cfg.PosWeight = 6
-	cfg.WeightDecay = 1e-4
-	cfg.Cells = 6
-	cfg.ContentColumnsPerChunk = 4
-	cfg.WithStats = withStats
-	cfg.Log = s.Cfg.Log
-	return cfg
-}
-
 // TasteModel returns the trained ADTD model for a dataset, optionally the
 // histogram variant, training (or loading a checkpoint) on first use.
 func (s *Suite) TasteModel(dsName string, hist bool) *adtd.Model {
@@ -167,7 +152,7 @@ func (s *Suite) TasteModel(dsName string, hist bool) *adtd.Model {
 		return m
 	}
 	ds := s.datasetLocked(dsName)
-	m := s.buildTaste(key, ds, s.tasteTrainConfig(s.Cfg.TasteEpochs, hist), hist)
+	m := s.buildTaste(key, ds, adtd.TunedTrainConfig(s.Cfg.TasteEpochs, hist), hist)
 	s.taste[key] = m
 	return m
 }
@@ -180,7 +165,7 @@ func (s *Suite) tunedTasteModel(key string, ds *corpus.Dataset, mutate func(*adt
 	if m, ok := s.taste[key]; ok {
 		return m
 	}
-	tcfg := s.tasteTrainConfig(s.Cfg.TunedEpochs, false)
+	tcfg := adtd.TunedTrainConfig(s.Cfg.TunedEpochs, false)
 	mcfg := adtd.ReproScale()
 	if mutate != nil {
 		mutate(&mcfg, &tcfg)
@@ -198,6 +183,7 @@ func (s *Suite) buildTaste(key string, ds *corpus.Dataset, tcfg adtd.TrainConfig
 }
 
 func (s *Suite) buildTasteWith(key string, ds *corpus.Dataset, mcfg adtd.Config, tcfg adtd.TrainConfig, hist, pretrain bool) *adtd.Model {
+	tcfg.Log = s.Cfg.Log
 	tok := adtd.BuildVocabulary(ds.Train, ds.Registry.Names(), 4000)
 	types := adtd.NewTypeSpace(ds.Registry.Names())
 	m, err := adtd.New(mcfg, tok, types, s.Cfg.Seed)
@@ -321,23 +307,7 @@ func (s *Suite) BaselineModel(v baselines.Variant, dsName string) *baselines.Mod
 		s.base[key] = m
 		return m
 	}
-	tcfg := baselines.DefaultTrainConfig()
-	tcfg.Epochs = s.Cfg.BaselineEpochs
-	tcfg.LR, tcfg.FinalLR = 1.5e-3, 3e-4
-	if v == baselines.Doduo {
-		// The larger global-attention model destabilizes at the TURL
-		// learning rate (loss plateaus); it needs a gentler schedule and a
-		// little more time.
-		tcfg.LR, tcfg.FinalLR = 5e-4, 2e-4
-		tcfg.Epochs += 2
-	}
-	tcfg.PosWeight = 6
-	tcfg.WeightDecay = 1e-4
-	tcfg.Cells = 4
-	// Train on narrower chunks: attention cost is quadratic in chunk
-	// length and the baselines put full content in one sequence.
-	// Evaluation still splits at the paper default l=20.
-	tcfg.SplitThreshold = 10
+	tcfg := baselines.TunedTrainConfig(v, s.Cfg.BaselineEpochs)
 	tcfg.Log = s.Cfg.Log
 	s.logf("experiments: fine-tuning %s (%d epochs)", key, tcfg.Epochs)
 	if _, err := baselines.FineTune(m, ds.Train, tcfg); err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/adtd"
 	"repro/internal/baselines"
 )
 
@@ -257,7 +258,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // before it shared train.EpochLR — LR·(FinalLR/LR)^(i/n) at the start of
 // stage i of n — at the stage counts the shipped configs reach.
 func TestValStageSchedule(t *testing.T) {
-	tcfg := testSuite().tasteTrainConfig(16, false)
+	tcfg := adtd.TunedTrainConfig(16, false)
 	lrAt := func(i, n int) float64 {
 		return tcfg.LR * math.Pow(tcfg.FinalLR/tcfg.LR, float64(i)/float64(n))
 	}
