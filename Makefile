@@ -16,7 +16,7 @@ GO ?= go
 # own (race, race-all).
 RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/baselines/... ./internal/cache/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
 
-.PHONY: build vet vet-arm64 test deadcode race race-all bench-check fuzz ci bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke clean
+.PHONY: build vet vet-arm64 test deadcode race race-all bench-check fuzz ci bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke fault-smoke clean
 
 build:
 	$(GO) build ./...
@@ -54,10 +54,9 @@ deadcode:
 # race-all's 45 minutes. The allocation ceiling of one result-tier hit runs
 # there too, and so do detects that reuse the storage of released ones,
 # pipelined batches among them, against answers on unused storage; a fake
-# baseline classifier on the same stages in both modes; and Feedback and
-# RegisterTypes during pipelined detects, which must leave every model a
-# request captured unchanged and install a model that shares every buffer
-# but the classifier heads' with it.
+# baseline classifier on the same stages in both modes; and SwapModel
+# during pipelined detects, which must leave every model a request captured
+# unchanged while every detect answers the reference bytes.
 #
 # The scheduler runs ten times over: its tests drive goroutine interleavings
 # (token handoff order, a cancel while stages wait for a token, a panic
@@ -120,11 +119,18 @@ fleet-smoke:
 cache-smoke:
 	bash scripts/cache_smoke.sh
 
-# registry-smoke runs the train → publish → serve → feedback → republish →
-# hot-swap loop against real binaries and asserts the fine-tuned publish
-# dedups against the base version (DESIGN.md §15).
+# registry-smoke runs the train → publish → serve → republish → hot-swap
+# loop against real binaries and asserts the republish stores no page the
+# base version did not (DESIGN.md §15).
 registry-smoke:
 	bash scripts/registry_smoke.sh
+
+# fault-smoke boots tasted with -fault-prob 0.3 -fault-seed 1 beside a
+# fault-free twin trained to the same bits, and asserts that every column
+# of every detect is either marked degraded with a reason or equal to the
+# twin's answer (DESIGN.md §7).
+fault-smoke:
+	bash scripts/fault_smoke.sh
 
 # ci is the gate a pull request must pass: vet, build, the full test suite,
 # the check that every function under internal/ is linked into a program,
@@ -133,7 +139,7 @@ registry-smoke:
 # answer-bit pin and the kernel bit tests again in a process without FMA
 # (math.Exp takes its other branch there; Exp runs on software FMA and must
 # not move).
-ci: vet vet-arm64 test deadcode race bench-check metrics-smoke fleet-smoke cache-smoke registry-smoke
+ci: vet vet-arm64 test deadcode race bench-check metrics-smoke fleet-smoke cache-smoke registry-smoke fault-smoke
 	GODEBUG=cpu.fma=off $(GO) test -count=1 . ./internal/tensor/
 
 # race-all adds internal/core, whose fixture trains a model and needs a

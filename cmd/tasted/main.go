@@ -11,7 +11,7 @@
 //
 // With -registry the /v1/models endpoints come alive: list published
 // versions, hot-swap the serving model with zero downtime, and publish the
-// (possibly feedback-adapted) serving weights as a new deduplicated version.
+// serving weights as a new deduplicated version.
 //
 // Then:
 //

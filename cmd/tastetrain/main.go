@@ -96,7 +96,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("open registry: %v", err)
 			}
-			res, err := reg.Publish(*pubName, m.Types.Names(), m.Params())
+			res, err := reg.Publish(*pubName, m.Params())
 			if err != nil {
 				log.Fatalf("publish: %v", err)
 			}

@@ -33,6 +33,15 @@ var (
 	// docIdent is a qualified exported identifier inside a code span:
 	// core.Detect, (*simdb.Conn).SchemaMetadata, cache.Sharded[V].
 	docIdent = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	// designCite is a citation of DESIGN.md by section, with an optional
+	// quoted subsection name: DESIGN.md §7, DESIGN.md §9/§15,
+	// DESIGN.md §7 "Connection reuse", DESIGN.md §10, "Measured shape".
+	designCite = regexp.MustCompile(`DESIGN\.md,?\s+§(\d+)((?:/§\d+)*)(?:,?\s+"([^"]+)")?`)
+	// commentBreak is a line break inside a comment, with the next line's
+	// comment marker: a citation may wrap onto it.
+	commentBreak = regexp.MustCompile(`\s*\n\s*(?://|#)?\s*`)
+	// designSection opens a numbered DESIGN.md section: ## 7. Failure model
+	designSection = regexp.MustCompile(`^## (\d+)\. `)
 )
 
 // TestDocFlagsExist keeps README.md, DESIGN.md, EXPERIMENTS.md and
@@ -193,6 +202,69 @@ func TestDocIdentifiersExist(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDesignCitationsExist keeps the code's citations of DESIGN.md in step
+// with it: every "DESIGN.md §N" in a .go file, a script under scripts/ or
+// the Makefile must name a section DESIGN.md has, and a quoted name after
+// it ("DESIGN.md §7 "Connection reuse"") must appear in the first section
+// cited. A citation may wrap across comment lines.
+func TestDesignCitationsExist(t *testing.T) {
+	sections := map[string]string{}
+	num := ""
+	for _, line := range readLines(t, "DESIGN.md") {
+		if m := designSection.FindStringSubmatch(line); m != nil {
+			num = m[1]
+		} else if strings.HasPrefix(line, "## ") {
+			num = ""
+		}
+		if num != "" {
+			sections[num] += line + "\n"
+		}
+	}
+	for n, text := range sections {
+		sections[n] = strings.Join(strings.Fields(text), " ")
+	}
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != ".":
+			return filepath.SkipDir
+		case strings.HasSuffix(path, ".go"),
+			filepath.Dir(path) == "scripts" && strings.HasSuffix(path, ".sh"),
+			path == "Makefile":
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cites := 0
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := commentBreak.ReplaceAllString(string(data), " ")
+		for _, m := range designCite.FindAllStringSubmatch(text, -1) {
+			cites++
+			nums := append([]string{m[1]}, strings.Split(strings.TrimPrefix(m[2], "/§"), "/§")...)
+			for _, n := range nums {
+				if _, ok := sections[n]; n != "" && !ok {
+					t.Errorf("%s: %q cites §%s, which DESIGN.md does not have", path, m[0], n)
+				}
+			}
+			if name := strings.Join(strings.Fields(m[3]), " "); name != "" && !strings.Contains(sections[m[1]], name) {
+				t.Errorf("%s: %q: DESIGN.md §%s has no %q", path, m[0], m[1], name)
+			}
+		}
+	}
+	if cites == 0 {
+		t.Fatal("found no DESIGN.md citation; the pattern no longer matches how the code cites")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/metafeat"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -67,17 +66,6 @@ func TestTypeSpaceBasics(t *testing.T) {
 	empty := ts.Targets(nil)
 	if empty[0] != 1 {
 		t.Fatal("empty labels must target the background type")
-	}
-}
-
-func TestTypeSpaceExtend(t *testing.T) {
-	ts := NewTypeSpace([]string{"x"})
-	idx := ts.Extend([]string{"y", "x", "z"})
-	if len(idx) != 3 || idx[1] != 1 {
-		t.Fatalf("Extend indices = %v", idx)
-	}
-	if ts.Len() != 4 {
-		t.Fatalf("Len after extend = %d", ts.Len())
 	}
 }
 
@@ -305,12 +293,12 @@ func TestEvalModeBuildsNoGraph(t *testing.T) {
 	m.SetEval()
 	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
 	enc := m.EncodeMetadata(m.Encoder().BuildMetaInput(info, false))
-	if enc.Final().RequiresGrad() {
+	if !tensor.NoGrad(enc.Final()) {
 		t.Fatal("eval-mode forward must not track gradients")
 	}
 	m.SetTrain()
 	enc = m.encodeMetadataGraph(m.Encoder().BuildMetaInput(info, false))
-	if !enc.Final().RequiresGrad() {
+	if tensor.NoGrad(enc.Final()) {
 		t.Fatal("train-mode forward must track gradients")
 	}
 	m.SetEval()
@@ -453,23 +441,6 @@ func TestFixedWeightedLoss(t *testing.T) {
 	}
 }
 
-func TestExtendTypesGrowsClassifiers(t *testing.T) {
-	m, _ := tinyModel(t)
-	before := m.Types.Len()
-	m.ExtendTypes([]string{"brand_new_type"}, 1)
-	if m.Types.Len() != before+1 {
-		t.Fatalf("type space len = %d", m.Types.Len())
-	}
-	if m.MetaCls.Classes() != before+1 || m.ContCls.Classes() != before+1 {
-		t.Fatal("classifiers not extended")
-	}
-	// Extending with only known names is a no-op.
-	m.ExtendTypes([]string{"brand_new_type"}, 1)
-	if m.MetaCls.Classes() != before+1 {
-		t.Fatal("re-extension should be a no-op")
-	}
-}
-
 func TestFineTuneReducesLoss(t *testing.T) {
 	m, ds := tinyModel(t)
 	cfg := DefaultTrainConfig()
@@ -517,114 +488,6 @@ func TestPretrainRuns(t *testing.T) {
 	}
 	if _, err := Pretrain(m, nil, cfg); err == nil {
 		t.Fatal("expected error for empty corpus")
-	}
-}
-
-func TestApplyFeedbackMovesPrediction(t *testing.T) {
-	m, ds := tinyModel(t)
-	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
-	wanted := "email"
-	wi, ok := m.Types.Index(wanted)
-	if !ok {
-		t.Fatal("email type missing")
-	}
-	_, before := m.PredictMeta(info, false)
-	err := m.ApplyFeedback([]FeedbackExample{{Table: info, Column: 0, Labels: []string{wanted}}}, 0.05, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, after := m.PredictMeta(info, false)
-	if after[0][wi] <= before[0][wi] {
-		t.Fatalf("feedback did not raise target probability: %v → %v", before[0][wi], after[0][wi])
-	}
-}
-
-// TestFeedbackKeepsValidPacks: ApplyFeedback steps only the classifier
-// heads, which no pack holds, so the attention packs its steps build stay on
-// the model (pointer-equal after a predict, which would otherwise repack),
-// a model derived from it shares them, and its answers are the bits of the
-// same model with its packs dropped and rebuilt. The weight generation still
-// moves, since the heads did.
-func TestFeedbackKeepsValidPacks(t *testing.T) {
-	src, ds := tinyModel(t)
-	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
-	m, err := src.Derive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range m.Blocks {
-		if b.Attn.Pack() != nil {
-			t.Fatalf("block %d: a model derived from one that never ran a fast forward has a pack", i)
-		}
-	}
-	gen := m.Generation()
-	if err := m.ApplyFeedback([]FeedbackExample{{Table: info, Column: 0, Labels: []string{"email"}}}, 0.05, 3); err != nil {
-		t.Fatal(err)
-	}
-	if m.Generation() == gen {
-		t.Fatal("feedback left the weight generation as it was")
-	}
-	packs := make([]*nn.QKVPack, len(m.Blocks))
-	for i, b := range m.Blocks {
-		if packs[i] = b.Attn.Pack(); packs[i] == nil {
-			t.Fatalf("block %d: feedback dropped the pack its steps built", i)
-		}
-	}
-	cols := []int{0, len(info.Columns) - 1}
-	run := func() ([][]float64, [][]float64) {
-		menc, meta := m.PredictMeta(info, false)
-		return meta, m.PredictContentBatch([]ContentRequest{{Menc: menc, Table: info, Cols: cols}}, 3)[0]
-	}
-	meta, content := run()
-	d, err := m.Derive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m.Blocks {
-		if m.Blocks[i].Attn.Pack() != packs[i] {
-			t.Fatalf("block %d: a predict after feedback repacked", i)
-		}
-		if d.Blocks[i].Attn.Pack() != packs[i] {
-			t.Fatalf("block %d: a derived model does not share its source's pack", i)
-		}
-		m.Blocks[i].InvalidateFastPath()
-	}
-	gotMeta, gotContent := run()
-	sameProbs(t, "meta, packs rebuilt", gotMeta, meta)
-	sameProbs(t, "content, packs rebuilt", gotContent, content)
-}
-
-// TestApplyFeedbackKeepsTrainModeHeadsTrainable: feedback on a model in
-// train mode must leave its heads requiring grad, so a following FineTune
-// still trains them (it once froze them behind the model's back, and the
-// SetTrain that FineTune starts with was then a no-op).
-func TestApplyFeedbackKeepsTrainModeHeadsTrainable(t *testing.T) {
-	m, ds := tinyModel(t)
-	m.SetTrain()
-	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
-	if err := m.ApplyFeedback([]FeedbackExample{{Table: info, Column: 0, Labels: []string{"email"}}}, 0.05, 1); err != nil {
-		t.Fatal(err)
-	}
-	var before []float64
-	for _, p := range m.MetaCls.Params() {
-		before = append(before, p.Data...)
-	}
-	cfg := DefaultTrainConfig()
-	cfg.Epochs = 1
-	if _, err := FineTune(m, ds.Train[:5], cfg); err != nil {
-		t.Fatal(err)
-	}
-	moved, i := 0, 0
-	for _, p := range m.MetaCls.Params() {
-		for _, v := range p.Data {
-			if v != before[i] {
-				moved++
-			}
-			i++
-		}
-	}
-	if moved == 0 {
-		t.Fatalf("meta head weights moved: 0 of %d", len(before))
 	}
 }
 

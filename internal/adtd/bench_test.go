@@ -85,24 +85,6 @@ func BenchmarkP2InferenceBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionNewTypes measures growing the classifier heads for a
-// freshly registered semantic type (§8).
-func BenchmarkExtensionNewTypes(b *testing.B) {
-	_, ds := benchSetup(b)
-	tok := BuildVocabulary(ds.Train, ds.Registry.Names(), 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		types := NewTypeSpace(ds.Registry.Names())
-		m, err := New(ReproScale(), tok, types, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		m.ExtendTypes([]string{"new_type_a", "new_type_b"}, 1)
-	}
-}
-
 // BenchmarkBuildMetaInput measures metadata serialization.
 func BenchmarkBuildMetaInput(b *testing.B) {
 	m, ds := benchSetup(b)

@@ -10,7 +10,6 @@ package adtd
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -93,19 +92,19 @@ type TypeSpace struct {
 }
 
 // NewTypeSpace builds a type space over the given type names (sorted for
-// determinism); the background type is prepended automatically.
+// determinism); the background type is prepended automatically. A repeated
+// name keeps its first index.
 func NewTypeSpace(typeNames []string) *TypeSpace {
-	sorted := append([]string(nil), typeNames...)
+	sorted := slices.Clone(typeNames)
 	sort.Strings(sorted)
-	return TypeSpaceOf(append([]string{corpus.NullType}, sorted...))
-}
-
-// TypeSpaceOf rebuilds a type space from the class names in index order, as
-// Names returns them (the background type first); a repeated name keeps its
-// first index.
-func TypeSpaceOf(names []string) *TypeSpace {
-	ts := &TypeSpace{index: make(map[string]int, len(names))}
-	ts.Extend(names)
+	ts := &TypeSpace{index: make(map[string]int, len(sorted)+1)}
+	for _, n := range append([]string{corpus.NullType}, sorted...) {
+		if _, ok := ts.index[n]; !ok {
+			ts.index[n] = len(ts.names)
+			ts.names = append(ts.names, n)
+		}
+	}
+	ts.alone = slices.Clone(ts.names)
 	return ts
 }
 
@@ -143,27 +142,4 @@ func (ts *TypeSpace) Targets(labels []string) []float64 {
 		}
 	}
 	return v
-}
-
-// Clone returns a copy of the type space that Extend can grow without
-// changing ts.
-func (ts *TypeSpace) Clone() *TypeSpace {
-	return &TypeSpace{names: slices.Clone(ts.names), index: maps.Clone(ts.index), alone: slices.Clone(ts.alone)}
-}
-
-// Extend appends new type names (the §8 type-domain extension), returning
-// the indices assigned. Existing indices are preserved.
-func (ts *TypeSpace) Extend(names []string) []int {
-	var idx []int
-	for _, n := range names {
-		if i, ok := ts.index[n]; ok {
-			idx = append(idx, i)
-			continue
-		}
-		ts.index[n] = len(ts.names)
-		ts.names = append(ts.names, n)
-		ts.alone = append(ts.alone, n)
-		idx = append(idx, ts.index[n])
-	}
-	return idx
 }

@@ -24,13 +24,8 @@ func (m *Model) invalidatePacks() {
 	for _, b := range m.Blocks {
 		b.InvalidateFastPath()
 	}
-	m.redrawGeneration()
+	m.gen.Store(nextGeneration())
 }
-
-// redrawGeneration gives the model a fresh weight generation, which orphans
-// every memoized output; called alone when only the classifier heads
-// changed (feedback steps, grown type spaces), whose weights no pack holds.
-func (m *Model) redrawGeneration() { m.gen.Store(nextGeneration()) }
 
 // embedFast is embed() in one pass: token+position+segment rows summed
 // directly into an arena tensor, with no per-table gather tensors and no

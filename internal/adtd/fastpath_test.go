@@ -109,8 +109,8 @@ func TestInferenceCallsPanicInTrainMode(t *testing.T) {
 }
 
 // TestInferenceWithHeadsRequiringGrad: a model whose classifier heads alone
-// require grad (the state ApplyFeedback runs an eval-mode model in) must
-// still answer the eval-mode bits, before and after.
+// require grad must still answer the eval-mode bits, before and after: the
+// fast path is chosen per layer, and the frozen towers keep theirs.
 func TestInferenceWithHeadsRequiringGrad(t *testing.T) {
 	m, ds := tinyModel(t)
 	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)

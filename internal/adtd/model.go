@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"slices"
 	"time"
 
 	"sync/atomic"
@@ -46,11 +45,11 @@ type Model struct {
 	// gen identifies the current weight state. It is drawn from a
 	// process-global counter — unique across every live model, not just
 	// monotonic within one — and redrawn on weight-mutating events
-	// (grad-mode flips, checkpoint loads, feedback updates). Result-cache
-	// keys embed it, so a bump orphans every memoized prediction in O(1) —
-	// the same contract the fast-path weight packs follow via
-	// invalidatePacks — and hot-swapping between models can never alias two
-	// models' cached outputs.
+	// (grad-mode flips, checkpoint loads). Result-cache keys embed it, so
+	// a bump orphans every memoized prediction in O(1) — the same contract
+	// the fast-path weight packs follow via invalidatePacks — and
+	// hot-swapping between models can never alias two models' cached
+	// outputs.
 	gen atomic.Uint64
 
 	// training mirrors the parameters' requiresGrad state so SetEval/SetTrain
@@ -141,29 +140,6 @@ func build(cfg Config, tok *tokenizer.Tokenizer, types *TypeSpace, rng *rand.Ran
 // two models side by side never aliases caches.
 func (m *Model) Sibling() (*Model, error) {
 	return Blank(m.Cfg, m.Tok, m.Types)
-}
-
-// Derive returns the model an online edit (ApplyFeedback, ExtendTypes) runs
-// on without touching m: its parameters alias m's weights, except the two
-// classifier heads', which are copies of their own. Deriving serializes
-// nothing and writes nothing m's readers read. The derived model gets its
-// own weight generation, starts in eval mode (an edit that trains the heads
-// sets their grad flags, as ApplyFeedback does), and shares m's attention
-// packs: they are a function of tower weights that are m's and that no edit
-// writes.
-func (m *Model) Derive() (*Model, error) {
-	d, err := m.trainingReplica()
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range append(d.MetaCls.Params(), d.ContCls.Params()...) {
-		p.Data = slices.Clone(p.Data)
-	}
-	d.SetEval()
-	for i, b := range d.Blocks {
-		b.Attn.SetPack(m.Blocks[i].Attn.Pack())
-	}
-	return d, nil
 }
 
 // Encoder returns the input encoder bound to this model's tokenizer and
@@ -394,21 +370,4 @@ func (m *Model) PredictMeta(t *metafeat.TableInfo, includeStats bool) (*MetaEnco
 	probs := Sigmoid(m.metaLogitsWS(ws, menc))
 	tensor.ReleaseWorkspace(ws)
 	return menc, probs
-}
-
-// ExtendTypes grows both classifier heads to cover newly registered
-// semantic types (§8 future work). Existing class weights are preserved;
-// fine-tuning on examples of the new types is the caller's responsibility.
-func (m *Model) ExtendTypes(names []string, seed int64) {
-	m.Types.Extend(names)
-	if m.Types.Len() <= m.MetaCls.Classes() {
-		return // every name was already known
-	}
-	rng := rand.New(rand.NewSource(seed))
-	m.MetaCls.ExtendClasses(m.Types.Len(), rng)
-	m.ContCls.ExtendClasses(m.Types.Len(), rng)
-	// The classifier heads changed shape in place: redraw the generation so
-	// memoized predictions (now the wrong width) age out. No pack holds a
-	// head, so the attention packs stay.
-	m.redrawGeneration()
 }

@@ -112,9 +112,9 @@ func buildTrainChunks(tables []*corpus.Table, withStats bool, splitThreshold int
 // space whose parameters alias m's weights (tensor.AliasData): each
 // parameter tensor, its gradient state and its grad flag are its own, its
 // Data is m's buffer. A training worker reads the shared weights during a
-// group of items and writes only its own gradients; Derive starts from one
-// too. It starts in train mode. Its weights are never allocated: build
-// leaves them without data and AliasData points them at m's.
+// group of items and writes only its own gradients. It starts in train
+// mode. Its weights are never allocated: build leaves them without data
+// and AliasData points them at m's.
 func (m *Model) trainingReplica() (*Model, error) {
 	r, err := build(m.Cfg, m.Tok, m.Types, nil)
 	if err != nil {
@@ -211,64 +211,4 @@ func (m *Model) trainStep(info *metafeat.TableInfo, labels [][]string, cfg Train
 		return AutoWeightedLoss(m.LossW, metaLoss, contLoss)
 	}
 	return FixedWeightedLoss(metaLoss, contLoss)
-}
-
-// FeedbackExample is one user correction (§8 future work): the column as
-// the user saw it plus the types it should (or should not) have.
-type FeedbackExample struct {
-	Table  *metafeat.TableInfo
-	Column int
-	Labels []string
-}
-
-// ApplyFeedback performs a lightweight online update of the classifier
-// heads only, adapting predictions to user corrections without a full
-// re-train. It runs on an eval-mode model as well as on one in train mode,
-// and leaves each head's gradient flag as it found it. It writes the head
-// weights in place: core.Detector.Feedback runs it on a model Derived from
-// the serving one, whose heads are its own.
-func (m *Model) ApplyFeedback(examples []FeedbackExample, lr float64, steps int) error {
-	if len(examples) == 0 {
-		return fmt.Errorf("adtd: no feedback examples")
-	}
-	heads := append(m.MetaCls.Params(), m.ContCls.Params()...)
-	wasGrad := make([]bool, len(heads))
-	for i, p := range heads {
-		wasGrad[i] = p.RequiresGrad()
-		p.SetRequiresGrad(true)
-	}
-	defer func() {
-		for i, p := range heads {
-			p.SetRequiresGrad(wasGrad[i])
-		}
-		// The SGD steps wrote the head weights in place, so memoized
-		// predictions are stale. The attention packs the steps built hold
-		// tower weights, which no step touched: they stay.
-		m.redrawGeneration()
-	}()
-	// The heads' gradients and momentum live for this call only: they come
-	// from the tensor arena and go back to it.
-	defer tensor.AttachGrads(heads).Release()
-	opt := tensor.NewSGD(heads, lr, 0.9)
-	defer opt.Release()
-	for s := 0; s < steps; s++ {
-		for _, ex := range examples {
-			opt.ZeroGrads()
-			menc := m.encodeMetadataGraph(m.enc.BuildMetaInput(ex.Table, false))
-			logits := m.MetaLogits(menc)
-			row := tensor.SliceRows(logits, ex.Column, ex.Column+1)
-			target := tensor.FromRows([][]float64{m.Types.Targets(ex.Labels)})
-			loss := tensor.WeightedBCEWithLogits(row, target, 4)
-			if ex.Table.Columns[ex.Column].Values != nil {
-				cin := m.enc.BuildContentInput(ex.Table, []int{ex.Column}, 10)
-				content := m.EncodeContent(menc, cin)
-				closs := tensor.WeightedBCEWithLogits(m.ContentLogits(menc, cin, content), target, 4)
-				loss = tensor.Add(loss, closs)
-			}
-			loss.Backward()
-			opt.Step()
-			tensor.ReleaseGraph(loss)
-		}
-	}
-	return nil
 }

@@ -43,7 +43,7 @@ func TestLatentPutConsumesZeroCopy(t *testing.T) {
 	// The stored view must be graph-free: the release walk of any consumer
 	// graph skips parentless leaves, which is what keeps cached entries
 	// alive across batch releases.
-	if got.Layers[0].RequiresGrad() {
+	if !tensor.NoGrad(got.Layers[0]) {
 		t.Fatal("cached layer carries autograd state")
 	}
 }

@@ -7,8 +7,8 @@ package cache
 // internal/core/cachekeys.go for the key construction). Because the key
 // covers the inputs by content, a change to the underlying table data
 // produces a different key and the stale entry simply ages out; a change
-// to the model (SetTrain, Load, ApplyFeedback) bumps the generation and
-// orphans every old key in O(1).
+// to the model (SetTrain, Load) bumps the generation and orphans every old
+// key in O(1).
 //
 // Values are [][]float64 probability rows shared with the detection
 // pipeline; they are immutable by contract (the pipeline never mutates

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/adtd"
 	"repro/internal/corpus"
-	"repro/internal/metafeat"
 	"repro/internal/simdb"
 )
 
@@ -63,30 +62,5 @@ func BenchmarkDetectDatabase(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkFeedback times one Feedback on an untrained repro-scale model:
-// deriving the edit target from the serving model, five head-only SGD steps,
-// and installing the result.
-func BenchmarkFeedback(b *testing.B) {
-	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.WikiTableProfile(40), 1)
-	tok := adtd.BuildVocabulary(ds.Train, ds.Registry.Names(), 2000)
-	m, err := adtd.New(adtd.ReproScale(), tok, adtd.NewTypeSpace(ds.Registry.Names()), 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	det, err := NewDetector(m, DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
-	labels := ds.Test[0].Columns[0].Labels
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := det.Feedback(info, 0, labels); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -153,25 +153,42 @@ func TestGenerationInvalidatesKeys(t *testing.T) {
 	}
 }
 
-// TestFeedbackBumpsGeneration: an online feedback update installs a model
-// of a new generation, which orphans cached latents and memoized results;
-// the model it was copied from keeps its generation.
-func TestFeedbackBumpsGeneration(t *testing.T) {
+// TestSwapModelKeysByGeneration: a hot-swap to a model holding the very
+// same bits (its own generation) orphans every memoized result, so the
+// swapped-in model's first detect hits nothing; swapping back finds the
+// first model's entries still valid, with no flush on either swap.
+func TestSwapModelKeysByGeneration(t *testing.T) {
 	m, ds := trainedModel(t)
-	d, err := NewDetector(m, DefaultOptions())
+	opts := DefaultOptions()
+	opts.ResultCacheBytes = 16 << 20
+	d, err := NewDetector(m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
-	before := m.Generation()
-	if err := d.Feedback(info, 0, ds.Test[0].Columns[0].Labels); err != nil {
-		t.Fatal(err)
+	srv := newServer(ds)
+	detect := func() (hits int64) {
+		t.Helper()
+		before := d.Results().Stats().Hits
+		if _, err := d.DetectDatabase(context.Background(), srv, "tenant", SequentialMode); err != nil {
+			t.Fatal(err)
+		}
+		return d.Results().Stats().Hits - before
 	}
-	if got := d.Model().Generation(); got <= before {
-		t.Fatalf("generation not bumped by Feedback: %d -> %d", before, got)
+	detect()
+	if detect() == 0 {
+		t.Fatal("a repeat detect on the same model hit no memoized result")
 	}
-	if m.Generation() != before {
-		t.Fatalf("Feedback moved the copied model's generation: %d -> %d", before, m.Generation())
+	twin := twinModel(t, m)
+	if twin.Generation() == m.Generation() {
+		t.Fatal("a loaded sibling shares its source's generation")
+	}
+	d.SwapModel(twin)
+	if hits := detect(); hits != 0 {
+		t.Fatalf("the swapped-in model hit %d results memoized under the old generation", hits)
+	}
+	d.SwapModel(m)
+	if detect() == 0 {
+		t.Fatal("swapping back lost the first model's memoized results")
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // could change the memoized model output changes:
 //
 //   - the model weights — covered by the Generation() prefix, bumped on
-//     SetTrain/Load/ApplyFeedback, so a weight change orphans every old key
-//     in O(1) without touching the cache;
+//     SetTrain/Load, so a weight change orphans every old key in O(1)
+//     without touching the cache;
 //   - the detector knobs that shape the model input — UseHistogram, and for
 //     the content tier the requested columns and cell budget n;
 //   - the chunk itself, hashed by content. The Phase-1 key (the chunk key)

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/adtd"
 	"repro/internal/cache"
-	"repro/internal/corpus"
 	"repro/internal/metafeat"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -155,10 +154,8 @@ type FaultStats struct {
 // The model is held behind an atomic pointer (RCU style): every request
 // captures the pointer exactly once when its table job is created and uses
 // that model for all four stages, so SwapModel never tears a request across
-// two weight sets; Feedback and RegisterTypes install models derived from
-// the serving one, never writing an installed model. Caches need no
-// flushing on swap — every cache key embeds the model's process-unique
-// generation.
+// two weight sets. Caches need no flushing on swap — every cache key embeds
+// the model's process-unique generation.
 type Detector struct {
 	model atomic.Pointer[adtd.Model]
 	// baseline is the classifier of a NewBaselineDetector, which runs it in
@@ -169,11 +166,6 @@ type Detector struct {
 	cache   *cache.Latent
 	results *cache.Result
 	rules   *ruledet.Detector
-
-	// writeMu serializes SwapModel, Feedback and RegisterTypes, so no write
-	// is lost; readers take no lock.
-	writeMu   sync.Mutex
-	feedbacks atomic.Int64
 
 	retrier *retry.Retrier
 
@@ -242,34 +234,12 @@ func (d *Detector) Model() *adtd.Model { return d.model.Load() }
 // flush is needed — latent and result keys embed the weight generation,
 // which is process-unique, so entries from the two models can never alias.
 // The old model is returned (not destroyed) so callers can swap back.
+// SwapModel is the detector's one model writer and takes no lock: the
+// install is one atomic exchange, so of two concurrent swaps the later
+// exchange serves and each caller gets back the model it replaced.
 func (d *Detector) SwapModel(m *adtd.Model) *adtd.Model {
-	d.writeMu.Lock()
-	defer d.writeMu.Unlock()
 	m.SetEval()
 	return d.model.Swap(m)
-}
-
-// adapt installs an edited derivation of the serving model. edit runs on
-// an eval-mode model no request holds (adtd.Model.Derive: the serving
-// weights and attention packs shared, the classifier heads its own); on
-// success it is frozen and installed.
-func (d *Detector) adapt(edit func(m *adtd.Model) error) error {
-	d.writeMu.Lock()
-	defer d.writeMu.Unlock()
-	src := d.model.Load()
-	if src == nil {
-		return errors.New("core: a baseline detector has no model to adapt")
-	}
-	m, err := src.Derive()
-	if err != nil {
-		return fmt.Errorf("core: derive from the serving model: %w", err)
-	}
-	if err := edit(m); err != nil {
-		return err
-	}
-	m.SetEval()
-	d.model.Store(m)
-	return nil
 }
 
 // classifier returns what a request's inference stages run: the detector's
@@ -1159,42 +1129,4 @@ func unknownTables(dbName string, tables []string, metas []*simdb.TableMeta) []e
 		}
 	}
 	return errs
-}
-
-// Feedback installs a model derived from the serving one and adapted to a
-// user correction by a lightweight online update of its classifier heads
-// (§8 future work). table must carry the column's metadata; content values
-// are optional.
-func (d *Detector) Feedback(table *metafeat.TableInfo, column int, labels []string) error {
-	if column < 0 || column >= len(table.Columns) {
-		return fmt.Errorf("core: column index %d out of range", column)
-	}
-	err := d.adapt(func(m *adtd.Model) error {
-		return m.ApplyFeedback([]adtd.FeedbackExample{{Table: table, Column: column, Labels: labels}}, 0.02, 5)
-	})
-	if err == nil {
-		d.feedbacks.Add(1)
-	}
-	return err
-}
-
-// Feedbacks returns how many corrections Feedback has applied.
-func (d *Detector) Feedbacks() int { return int(d.feedbacks.Load()) }
-
-// RegisterTypes extends the detector's type domain with user-defined
-// semantic types (§8): the registry entries drive future corpus generation,
-// and the installed derived model grows its own type space and heads.
-func (d *Detector) RegisterTypes(reg *corpus.Registry, types []*corpus.Type) error {
-	return d.adapt(func(m *adtd.Model) error {
-		var names []string
-		for _, t := range types {
-			if err := reg.Register(t); err != nil {
-				return err
-			}
-			names = append(names, t.Name)
-		}
-		m.Types = m.Types.Clone()
-		m.ExtendTypes(names, 0)
-		return nil
-	})
 }

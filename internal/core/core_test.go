@@ -3,14 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/adtd"
 	"repro/internal/corpus"
-	"repro/internal/metafeat"
 	"repro/internal/metrics"
 	"repro/internal/simdb"
 )
@@ -398,77 +396,6 @@ func TestDetectDatabaseUnknownDB(t *testing.T) {
 	d, _ := NewDetector(m, DefaultOptions())
 	if _, err := d.DetectDatabase(context.Background(), simdb.NewServer(simdb.NoLatency), "ghost", SequentialMode); err == nil {
 		t.Fatal("expected error")
-	}
-}
-
-// TestFeedbackRecordedAndApplied: a correction is counted and installs an
-// adapted copy of the serving model; the model the detector was built on
-// keeps its generation and weights.
-func TestFeedbackRecordedAndApplied(t *testing.T) {
-	m, ds := trainedModel(t)
-	d, _ := NewDetector(m, DefaultOptions())
-	gen, sum := m.Generation(), paramsHash(t, m)
-	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
-	if err := d.Feedback(info, 0, []string{"email"}); err != nil {
-		t.Fatal(err)
-	}
-	if d.Feedbacks() != 1 {
-		t.Fatal("feedback not recorded")
-	}
-	if d.Model() == m || paramsHash(t, d.Model()) == sum {
-		t.Fatal("feedback did not install an adapted model")
-	}
-	if m.Generation() != gen || paramsHash(t, m) != sum {
-		t.Fatal("feedback wrote the model it adapted")
-	}
-	if err := d.Feedback(info, 999, nil); err == nil {
-		t.Fatal("out-of-range column must error")
-	}
-	if d.Feedbacks() != 1 {
-		t.Fatal("a rejected feedback was counted")
-	}
-}
-
-// TestRegisterTypesExtendsModel: registering a type installs a copy of the
-// serving model whose type space and heads cover it; the original model, its
-// type space and its weights are unchanged.
-func TestRegisterTypesExtendsModel(t *testing.T) {
-	m, ds := trainedModel(t)
-	d, _ := NewDetector(m, DefaultOptions())
-	before, classes := m.Types.Len(), m.MetaCls.Classes()
-	gen, sum := m.Generation(), paramsHash(t, m)
-	err := d.RegisterTypes(ds.Registry, []*corpus.Type{{
-		Name:        "custom_tracking_code",
-		Category:    "identifier",
-		SQLType:     "VARCHAR",
-		ColumnNames: []string{"tracking_code"},
-		Gen:         func(r *rand.Rand) string { return fmt.Sprintf("trk-%06d", r.Intn(1000000)) },
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := d.Model()
-	if got == m || got.Types == m.Types {
-		t.Fatal("RegisterTypes did not install a copy with its own type space")
-	}
-	if got.Types.Len() != before+1 || got.MetaCls.Classes() != before+1 || got.ContCls.Classes() != before+1 {
-		t.Fatalf("type space len = %d, heads %d/%d, want %d", got.Types.Len(), got.MetaCls.Classes(), got.ContCls.Classes(), before+1)
-	}
-	if _, ok := got.Types.Index("custom_tracking_code"); !ok {
-		t.Fatal("new type missing from type space")
-	}
-	if m.Types.Len() != before || m.MetaCls.Classes() != classes || m.Generation() != gen || paramsHash(t, m) != sum {
-		t.Fatal("RegisterTypes changed the model it copied")
-	}
-	// Duplicate registration must fail cleanly.
-	if err := d.RegisterTypes(ds.Registry, []*corpus.Type{{
-		Name: "custom_tracking_code", Category: "identifier", SQLType: "VARCHAR",
-		ColumnNames: []string{"x"}, Gen: func(r *rand.Rand) string { return "x" },
-	}}); err == nil {
-		t.Fatal("duplicate registration should error")
-	}
-	if d.Model() != got {
-		t.Fatal("a failed registration replaced the serving model")
 	}
 }
 

@@ -1,31 +1,55 @@
 package core
 
 import (
+	"bytes"
 	"context"
-	"fmt"
-	"math/rand"
-	"slices"
+	"encoding/json"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
-	"repro/internal/corpus"
-	"repro/internal/metafeat"
+	"repro/internal/adtd"
 )
 
-// TestModelWritersLeaveCapturedModel runs Feedback and RegisterTypes while
-// pipelined DetectDatabase calls read the serving model (run it under
-// -race). A model captured before a write must keep its generation and every
-// parameter bit: the writers change a copy and install it, so a request
-// never reads weights that move under it.
+// twinModel returns a model of its own (own parameters, own generation)
+// holding m's bits: a Sibling loaded from m's checkpoint.
+func twinModel(t *testing.T, m *adtd.Model) *adtd.Model {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := m.Sibling()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return twin
+}
+
+// TestModelWritersLeaveCapturedModel hot-swaps the serving model back and
+// forth while pipelined DetectDatabase calls read it (run it under -race).
+// SwapModel is the detector's one model writer: every swap hands back the
+// model it replaced, a model captured before a swap keeps its generation and
+// every parameter bit, and since the two models hold the same bits every
+// detect on either side of a swap answers the reference bytes.
 func TestModelWritersLeaveCapturedModel(t *testing.T) {
 	det, ds := phase2Detector(t, 4)
 	server := newServerWith(allTables(ds))
-	reg := corpus.DefaultRegistry()
-	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
-	types := det.Model().Types.Len()
+	ref, err := det.DetectDatabase(context.Background(), server, "tenant", PipelinedMode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := canonTables(t, ref)
+	models := [2]*adtd.Model{det.Model(), twinModel(t, det.Model())}
 
 	stop := make(chan struct{})
-	errs := make(chan error, 2)
+	errs := make(chan string, 2)
+	// detects counts the detects that completed; a failed one sets it to -1.
+	var detects atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
@@ -37,94 +61,45 @@ func TestModelWritersLeaveCapturedModel(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := det.DetectDatabase(context.Background(), server, "tenant", PipelinedMode()); err != nil {
-					errs <- err
+				rep, err := det.DetectDatabase(context.Background(), server, "tenant", PipelinedMode())
+				if err != nil {
+					errs <- err.Error()
+					detects.Store(-1)
 					return
 				}
+				// canonTables' t.Fatal may not run off the test goroutine.
+				if got, _ := json.Marshal(rep.Tables); string(got) != want {
+					errs <- "a detect during hot-swaps answered other bytes than the reference"
+					detects.Store(-1)
+					return
+				}
+				detects.Add(1)
 			}
 		}()
 	}
-	const writes = 3
-	for i := 0; i < writes; i++ {
+	const swaps = 6
+	for i := 0; i < swaps; i++ {
+		// Each swap waits for a detect to complete since the last one.
+		for n := detects.Load(); n >= 0 && n < int64(i); n = detects.Load() {
+			runtime.Gosched()
+		}
 		captured := det.Model()
 		gen, sum := captured.Generation(), paramsHash(t, captured)
-		if err := det.Feedback(info, 0, ds.Test[0].Columns[0].Labels); err != nil {
-			t.Fatal(err)
+		next := models[(i+1)%2]
+		if old := det.SwapModel(next); old != captured {
+			t.Fatalf("swap %d returned a model other than the one it replaced", i)
 		}
-		if err := det.RegisterTypes(reg, []*corpus.Type{{
-			Name: fmt.Sprintf("writer_type_%d", i), Category: "identifier", SQLType: "VARCHAR",
-			ColumnNames: []string{"code"}, Gen: func(r *rand.Rand) string { return "x" },
-		}}); err != nil {
-			t.Fatal(err)
+		if det.Model() != next {
+			t.Fatalf("swap %d did not install its model", i)
 		}
 		if captured.Generation() != gen || paramsHash(t, captured) != sum {
-			t.Fatalf("write %d changed a model captured before it", i)
+			t.Fatalf("swap %d changed a model captured before it", i)
 		}
 	}
 	close(stop)
 	wg.Wait()
 	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if got := det.Model().Types.Len(); got != types+writes {
-		t.Fatalf("serving type space has %d types, want %d", got, types+writes)
-	}
-	if det.Feedbacks() != writes {
-		t.Fatalf("Feedbacks() = %d, want %d", det.Feedbacks(), writes)
-	}
-}
-
-// TestBaselineDetectorRefusesModelWrites: a baseline detector has no model
-// to adapt, so Feedback and RegisterTypes return an error instead of
-// panicking.
-func TestBaselineDetectorRefusesModelWrites(t *testing.T) {
-	det, _, tables := baselineFixture(t, true)
-	info := metafeat.FromCorpusTable(tables[0], false, 0)
-	if err := det.Feedback(info, 0, nil); err == nil {
-		t.Fatal("Feedback on a baseline detector returned no error")
-	}
-	reg := corpus.DefaultRegistry()
-	if err := det.RegisterTypes(reg, []*corpus.Type{{
-		Name: "baseline_type", Category: "identifier", SQLType: "VARCHAR",
-		ColumnNames: []string{"code"}, Gen: func(r *rand.Rand) string { return "x" },
-	}}); err == nil {
-		t.Fatal("RegisterTypes on a baseline detector returned no error")
-	}
-	if det.Model() != nil || slices.Contains(reg.Names(), "baseline_type") {
-		t.Fatal("a refused write left a model or a registered type behind")
-	}
-}
-
-// TestModelWritersShareTheEncoder: Feedback and RegisterTypes derive the
-// model they install instead of copying it. Every parameter outside the two
-// classifier heads shares the previous model's buffer; every head parameter
-// has a buffer of its own.
-func TestModelWritersShareTheEncoder(t *testing.T) {
-	det, ds := phase2Detector(t, 2)
-	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
-	writes := map[string]func() error{
-		"Feedback": func() error { return det.Feedback(info, 0, ds.Test[0].Columns[0].Labels) },
-		"RegisterTypes": func() error {
-			return det.RegisterTypes(corpus.DefaultRegistry(), []*corpus.Type{{
-				Name: "shared_encoder_type", Category: "identifier", SQLType: "VARCHAR",
-				ColumnNames: []string{"code"}, Gen: func(r *rand.Rand) string { return "x" },
-			}})
-		},
-	}
-	for _, name := range []string{"Feedback", "RegisterTypes"} {
-		before := det.Model()
-		if err := writes[name](); err != nil {
-			t.Fatal(err)
-		}
-		after := det.Model()
-		heads := append(after.MetaCls.Params(), after.ContCls.Params()...)
-		old, cur := before.Params(), after.Params()
-		for i := range cur {
-			shared := &cur[i].Data[0] == &old[i].Data[0]
-			if isHead := slices.Contains(heads, cur[i]); shared == isHead {
-				t.Fatalf("%s: parameter %d shares its buffer = %v, head = %v", name, i, shared, isHead)
-			}
-		}
+	for msg := range errs {
+		t.Fatal(msg)
 	}
 }

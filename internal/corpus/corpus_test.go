@@ -50,31 +50,6 @@ func TestRegistryLookupAndNames(t *testing.T) {
 	}
 }
 
-func TestRegistryRegisterUserDefined(t *testing.T) {
-	reg := DefaultRegistry()
-	before := reg.Len()
-	err := reg.Register(&Type{
-		Name:        "employee_badge",
-		Category:    "identifier",
-		SQLType:     "VARCHAR",
-		ColumnNames: []string{"badge", "badge_id"},
-		Gen:         pattern("B-#####"),
-	})
-	if err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	if reg.Len() != before+1 || reg.byName["employee_badge"] == nil {
-		t.Fatal("registration did not take effect")
-	}
-	// Duplicate and invalid registrations must fail.
-	if err := reg.Register(&Type{Name: "employee_badge", ColumnNames: []string{"x"}, Gen: pattern("#")}); err == nil {
-		t.Fatal("duplicate registration should error")
-	}
-	if err := reg.Register(&Type{Name: "incomplete"}); err == nil {
-		t.Fatal("invalid registration should error")
-	}
-}
-
 func TestRegistrySubset(t *testing.T) {
 	reg := DefaultRegistry()
 	sub := reg.Subset([]string{"email", "city", "unknown_type"})

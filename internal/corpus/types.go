@@ -58,20 +58,6 @@ func NewRegistry(types []*Type) *Registry {
 	return r
 }
 
-// Register adds a user-defined semantic type (the §8 extension). It returns
-// an error instead of panicking so applications can validate tenant input.
-func (r *Registry) Register(t *Type) error {
-	if t.Name == "" || t.Gen == nil || len(t.ColumnNames) == 0 {
-		return fmt.Errorf("corpus: type needs a name, generator, and at least one column name")
-	}
-	if _, dup := r.byName[t.Name]; dup {
-		return fmt.Errorf("corpus: type %q already registered", t.Name)
-	}
-	r.types = append(r.types, t)
-	r.byName[t.Name] = t
-	return nil
-}
-
 // Types returns all registered types in registration order.
 func (r *Registry) Types() []*Type { return r.types }
 

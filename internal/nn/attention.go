@@ -23,7 +23,7 @@ type MultiHeadAttention struct {
 	// packed caches the fused [WQ|WK|WV] projection for the NoGrad fast
 	// path (fastpath.go); nil until first fast forward, dropped by
 	// InvalidateFastPath when the weights change.
-	packed atomic.Pointer[QKVPack]
+	packed atomic.Pointer[qkvPack]
 }
 
 // NewMultiHeadAttention creates an attention layer with hidden size divisible
@@ -164,31 +164,3 @@ func (c *MLPClassifier) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Params implements Module.
 func (c *MLPClassifier) Params() []*tensor.Tensor { return CollectParams(c.Hidden, c.Out) }
-
-// Classes returns the number of output classes.
-func (c *MLPClassifier) Classes() int { return c.Out.Out() }
-
-// ExtendClasses grows the output layer to newClasses, preserving the learned
-// weights for existing classes and Xavier-initializing the new columns. It
-// implements the "accommodate new semantic types" extension from §8. The
-// grown layer takes the old one's grad flag, so a frozen head stays frozen.
-func (c *MLPClassifier) ExtendClasses(newClasses int, rng *rand.Rand) {
-	old := c.Out
-	if newClasses <= old.Out() {
-		panic(fmt.Sprintf("nn: ExtendClasses to %d but already %d", newClasses, old.Out()))
-	}
-	grown := NewLinear(old.In(), newClasses, rng)
-	grown.W.SetRequiresGrad(old.W.RequiresGrad())
-	grown.B.SetRequiresGrad(old.B.RequiresGrad())
-	for i := 0; i < old.W.Rows; i++ {
-		copy(grown.W.Row(i)[:old.Out()], old.W.Row(i))
-	}
-	copy(grown.B.Data[:old.Out()], old.B.Data)
-	// Bias new classes strongly negative so they start as "not predicted"
-	// rather than coin flips, matching how an operator would want a freshly
-	// added type to behave before fine-tuning.
-	for j := old.Out(); j < newClasses; j++ {
-		grown.B.Data[j] = -2
-	}
-	c.Out = grown
-}

@@ -13,11 +13,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// QKVPack is the fused attention projection: the three H×H query/key/value
+// qkvPack is the fused attention projection: the three H×H query/key/value
 // weight matrices packed column-wise into one H×3H matrix (and biases into
 // one 3H vector), so self-attention projects Q, K and V with a single
 // matmul over the input.
-type QKVPack struct {
+type qkvPack struct {
 	w []float64 // in × 3H row-major: [WQ | WK | WV]
 	b []float64 // 3H
 }
@@ -25,12 +25,12 @@ type QKVPack struct {
 // pack returns the cached packed projection, building it on first use.
 // Safe for concurrent inference: the pointer is published atomically and a
 // racing rebuild just wastes one allocation.
-func (a *MultiHeadAttention) pack() *QKVPack {
+func (a *MultiHeadAttention) pack() *qkvPack {
 	if p := a.packed.Load(); p != nil {
 		return p
 	}
 	h := a.Hidden
-	p := &QKVPack{w: make([]float64, h*3*h), b: make([]float64, 3*h)}
+	p := &qkvPack{w: make([]float64, h*3*h), b: make([]float64, 3*h)}
 	for i := 0; i < h; i++ {
 		row := p.w[i*3*h : (i+1)*3*h]
 		copy(row[0:h], a.WQ.W.Row(i))
@@ -43,15 +43,6 @@ func (a *MultiHeadAttention) pack() *QKVPack {
 	a.packed.Store(p)
 	return p
 }
-
-// Pack returns the packed projection a fast forward cached, or nil before
-// one has.
-func (a *MultiHeadAttention) Pack() *QKVPack { return a.packed.Load() }
-
-// SetPack installs p as the packed projection. A pack is a function of the
-// Q/K/V weights alone, so p may come only from a layer whose weights are
-// a's (tensor.AliasData) and are not written.
-func (a *MultiHeadAttention) SetPack(p *QKVPack) { a.packed.Store(p) }
 
 // InvalidateFastPath drops the packed projection; call after mutating the
 // attention weights in place (checkpoint load, optimizer step) so the next

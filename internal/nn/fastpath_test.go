@@ -20,9 +20,9 @@ func bothPaths(t *testing.T, name string, mod Module, f func() *tensor.Tensor) {
 	}
 	slow := f()
 	evalMode(mod)
-	if fast.RequiresGrad() || !slow.RequiresGrad() {
+	if !tensor.NoGrad(fast) || tensor.NoGrad(slow) {
 		t.Fatalf("%s: fast run requires grad %v, slow run %v: the paths were not the fused and composed ones",
-			name, fast.RequiresGrad(), slow.RequiresGrad())
+			name, !tensor.NoGrad(fast), !tensor.NoGrad(slow))
 	}
 	if fast.Rows != slow.Rows || fast.Cols != slow.Cols {
 		t.Fatalf("%s: fast %dx%d vs slow %dx%d", name, fast.Rows, fast.Cols, slow.Rows, slow.Cols)
@@ -168,7 +168,7 @@ func TestFastPathSkippedUnderGrad(t *testing.T) {
 	x := randFilled(rng, 8, 64)
 	x.SetRequiresGrad(true)
 	out := a.Forward(x, x, nil)
-	if !out.RequiresGrad() {
+	if tensor.NoGrad(out) {
 		t.Fatal("grad-requiring input produced a detached output: fast path taken during training")
 	}
 }

@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -218,9 +217,7 @@ func TestAttentionGradCheck(t *testing.T) {
 		kv.Data[i] = rng.NormFloat64()
 	}
 	forward := func() *tensor.Tensor {
-		for _, p := range a.Params() {
-			p.ZeroGrad()
-		}
+		tensor.ZeroGrads(a.Params())
 		out := a.Forward(q, kv, nil)
 		return tensor.Sum(tensor.Mul(out, out))
 	}
@@ -258,46 +255,6 @@ func TestMLPClassifier(t *testing.T) {
 	if logits.Rows != 2 || logits.Cols != 3 {
 		t.Fatalf("classifier output %dx%d", logits.Rows, logits.Cols)
 	}
-	if c.Classes() != 3 {
-		t.Fatalf("Classes() = %d", c.Classes())
-	}
-}
-
-func TestExtendClassesPreservesWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	c := NewMLPClassifier(4, 8, 3, rng)
-	x := tensor.New(1, 4)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	before := slices.Clone(c.Forward(x).Data)
-	c.ExtendClasses(5, rng)
-	after := c.Forward(x)
-	if after.Cols != 5 {
-		t.Fatalf("extended classifier has %d classes, want 5", after.Cols)
-	}
-	for j := 0; j < 3; j++ {
-		if math.Abs(before[j]-after.At(0, j)) > 1e-12 {
-			t.Fatalf("old class %d logit changed: %v → %v", j, before[j], after.At(0, j))
-		}
-	}
-	// New classes should start strongly negative (not predicted).
-	for j := 3; j < 5; j++ {
-		if after.At(0, j) > 0 {
-			t.Fatalf("new class %d starts with positive logit %v", j, after.At(0, j))
-		}
-	}
-}
-
-func TestExtendClassesPanicsOnShrink(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	c := NewMLPClassifier(4, 8, 3, rng)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c.ExtendClasses(2, rng)
 }
 
 func TestCollectAndNumParams(t *testing.T) {

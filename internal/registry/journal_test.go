@@ -38,7 +38,7 @@ func openDir(tb testing.TB, dir string) *Registry {
 
 func mustPublish(tb testing.TB, r *Registry, name string, ts []*tensor.Tensor) *PublishResult {
 	tb.Helper()
-	res, err := r.Publish(name, nil, ts)
+	res, err := r.Publish(name, ts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFailedPageWriteIsNotDeduped(t *testing.T) {
 
 	v2 := params(rng)
 	r.jnl.pages.f.Close()
-	if _, err := r.Publish("taste", nil, v2); err == nil {
+	if _, err := r.Publish("taste", v2); err == nil {
 		t.Fatal("publish with a closed pages log succeeded")
 	}
 	f, err := os.OpenFile(filepath.Join(dir, pagesLogName), os.O_WRONLY, 0)
@@ -211,7 +211,7 @@ func TestConcurrentPublishAndCheckpoint(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + g)))
 			for v := 1; v <= 3; v++ {
 				ts := params(rng)
-				if res, err := r.Publish(name, nil, ts); err != nil || res.Version != v {
+				if res, err := r.Publish(name, ts); err != nil || res.Version != v {
 					t.Errorf("%s publish %d: %+v, %v", name, v, res, err)
 					return
 				}

@@ -6,7 +6,7 @@
 // is addressed by its sha256, and pages are stored at most once. A manifest
 // — small JSON naming the tensor shapes and their page hashes — is what a
 // version actually owns. Fine-tuned variants that share most weights with
-// their base (feedback adaptation only touches the classifier heads)
+// their base (say, retrained classifier heads over a frozen encoder)
 // therefore pay storage only for the pages that changed, exactly the
 // trade explored by deduplicated model serving over relational databases.
 //
@@ -56,10 +56,6 @@ type Manifest struct {
 	PageSize     int           `json:"page_size"`
 	Tensors      []TensorEntry `json:"tensors"`
 	LogicalBytes int64         `json:"logical_bytes"`
-	// Types names the version's type space, class by class in head order:
-	// what the checkpoint's classifier heads predict. A manifest written
-	// before versions recorded it has none.
-	Types []string `json:"types,omitempty"`
 }
 
 // TensorEntry is one tensor's shape plus its ordered page hashes.
@@ -130,11 +126,11 @@ type PublishResult struct {
 	SharedFrac   float64 `json:"shared_fraction"` // fraction of bytes deduped away
 }
 
-// Publish stores the given parameter tensors as the next version of name,
-// over the type space types (the class names in head order), and returns
-// what it cost. Pages already present in the store — typically the frozen
-// encoder of a fine-tuned variant — are referenced, not rewritten.
-func (r *Registry) Publish(name string, types []string, ts []*tensor.Tensor) (*PublishResult, error) {
+// Publish stores the given parameter tensors as the next version of name
+// and returns what it cost. Pages already present in the store — typically
+// the frozen encoder of a fine-tuned variant — are referenced, not
+// rewritten.
+func (r *Registry) Publish(name string, ts []*tensor.Tensor) (*PublishResult, error) {
 	if name == "" {
 		return nil, fmt.Errorf("registry: empty model name")
 	}
@@ -150,7 +146,6 @@ func (r *Registry) Publish(name string, types []string, ts []*tensor.Tensor) (*P
 		Version:  version,
 		Format:   tensor.SerializeVersion,
 		PageSize: DefaultPageSize,
-		Types:    types,
 	}
 	res := &PublishResult{Name: name, Version: version}
 	for _, t := range ts {

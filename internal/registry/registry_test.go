@@ -43,7 +43,7 @@ func TestPublishCheckpointRoundTrip(t *testing.T) {
 	ts := params(rng)
 	r := openMem(t)
 
-	res, err := r.Publish("taste", nil, ts)
+	res, err := r.Publish("taste", ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,11 @@ func TestDedupAcrossVariants(t *testing.T) {
 	}
 
 	r := openMem(t)
-	res1, err := r.Publish("taste", nil, base)
+	res1, err := r.Publish("taste", base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := r.Publish("taste", nil, variant)
+	res2, err := r.Publish("taste", variant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestVersionIndex(t *testing.T) {
 		t.Fatal("Latest on empty registry")
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := r.Publish("taste", nil, params(rng)); err != nil {
+		if _, err := r.Publish("taste", params(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r.Publish("other", nil, params(rng)); err != nil {
+	if _, err := r.Publish("other", params(rng)); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := r.Latest("taste"); !ok || v != 3 {
@@ -170,7 +170,7 @@ func TestVersionIndex(t *testing.T) {
 	if ms := r.Models(); len(ms) != 2 || ms[0] != "other" || ms[1] != "taste" {
 		t.Fatalf("Models = %v", ms)
 	}
-	if _, err := r.Publish("", nil, params(rng)); err == nil {
+	if _, err := r.Publish("", params(rng)); err == nil {
 		t.Fatal("want error for empty name")
 	}
 }
@@ -187,7 +187,7 @@ func TestJournalReplayAcrossProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Publish("taste", nil, base); err != nil {
+	if _, err := w.Publish("taste", base); err != nil {
 		t.Fatal(err)
 	}
 	wantCkpt, err := w.Checkpoint("taste", 1)
@@ -215,7 +215,7 @@ func TestJournalReplayAcrossProcesses(t *testing.T) {
 	}
 	// Publishing after replay continues the version sequence and dedups
 	// against replayed pages.
-	res, err := rd.Publish("taste", nil, base)
+	res, err := rd.Publish("taste", base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +233,10 @@ func TestJournalTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Publish("taste", nil, params(rng)); err != nil {
+	if _, err := w.Publish("taste", params(rng)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Publish("taste", nil, params(rng)); err != nil {
+	if _, err := w.Publish("taste", params(rng)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

@@ -6,18 +6,16 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/simdb"
 )
 
-// TestBodiesOverCapAre413: /v1/feedback and /v1/models/swap read their
-// bodies through the same MaxBodyBytes cap as /v1/detect, so a 16 MiB body
-// is refused with 413 instead of being decoded whole.
+// TestBodiesOverCapAre413: /v1/models/swap reads its body through the same
+// MaxBodyBytes cap as /v1/detect, so a 16 MiB body is refused with 413
+// instead of being decoded whole.
 func TestBodiesOverCapAre413(t *testing.T) {
 	svc, _ := testService(t)
 	h := svc.Handler()
 	body := fmt.Sprintf(`{"database":%q}`, strings.Repeat("x", 16<<20))
-	for _, path := range []string{"/v1/feedback", "/v1/models/swap"} {
+	for _, path := range []string{"/v1/models/swap"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
 		want := fmt.Sprintf(`{"error":"body exceeds %d bytes"}`+"\n", MaxBodyBytes)
@@ -29,28 +27,18 @@ func TestBodiesOverCapAre413(t *testing.T) {
 
 // TestHugeNamesGiveSmallNotFounds: a 404 quotes at most maxQuotedName bytes
 // of the name it could not find, so a 1 MiB name gets a body under 1 KiB,
-// and a name of maxQuotedName bytes or less is quoted whole, as before (an
-// unknown table's as simdb words it).
+// and a name of maxQuotedName bytes or less is quoted whole, as before.
 func TestHugeNamesGiveSmallNotFounds(t *testing.T) {
-	svc, ds := testService(t)
+	svc, _ := testService(t)
 	h := svc.Handler()
 	huge := strings.Repeat("é", 1<<19) // 1 MiB, two bytes a rune
-	table := ds.Test[0].Name
 	for _, tc := range []struct {
 		path, body, want string
 	}{
 		{"/v1/detect", fmt.Sprintf(`{"database":%q}`, huge), ""},
-		{"/v1/feedback", fmt.Sprintf(`{"database":%q}`, huge), ""},
-		{"/v1/feedback", fmt.Sprintf(`{"database":"tenantdb","table":%q,"column":%q}`, table, huge), ""},
-		{"/v1/feedback", fmt.Sprintf(`{"database":"tenantdb","table":%q}`, huge),
-			fmt.Sprintf(`{"error":"table: unknown table %s"}`, strings.ReplaceAll(quoteName(huge), `"`, `\"`))},
-		{"/v1/feedback", `{"database":"tenantdb","table":"nope"}`, `{"error":"table: simdb: unknown table tenantdb.nope"}`},
-		{"/v1/feedback", fmt.Sprintf(`{"database":"tenantdb","table":%q}`, strings.Repeat("t", maxQuotedName)),
-			fmt.Sprintf(`{"error":"table: simdb: unknown table tenantdb.%s"}`, strings.Repeat("t", maxQuotedName))},
 		{"/v1/detect", `{"database":"nope"}`, `{"error":"unknown database \"nope\""}`},
-		{"/v1/feedback", fmt.Sprintf(`{"database":%q}`, strings.Repeat("d", maxQuotedName)),
+		{"/v1/detect", fmt.Sprintf(`{"database":%q}`, strings.Repeat("d", maxQuotedName)),
 			fmt.Sprintf(`{"error":"unknown database \"%s\""}`, strings.Repeat("d", maxQuotedName))},
-		{"/v1/feedback", fmt.Sprintf(`{"database":"tenantdb","table":%q,"column":"nope"}`, table), `{"error":"unknown column \"nope\""}`},
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
@@ -67,22 +55,5 @@ func TestHugeNamesGiveSmallNotFounds(t *testing.T) {
 	}
 	if got := quoteName("x" + huge); !strings.HasPrefix(got, fmt.Sprintf("%q…", "x"+huge[:maxQuotedName-2])) {
 		t.Errorf("quoteName split a rune: %q", got)
-	}
-}
-
-// TestFeedbackMetadataFaultIsNotNotFound: a table read that fails for any
-// reason but an unknown name (here an injected query fault) answers 500, as
-// a failed connect does, not 404.
-func TestFeedbackMetadataFaultIsNotNotFound(t *testing.T) {
-	svc, ds := testService(t)
-	flaky := simdb.NewServer(simdb.NoLatency)
-	flaky.LoadTables("flakydb", ds.Test)
-	flaky.SetFaultProfile(simdb.FaultProfile{Seed: 1, QueryFailProb: 1})
-	svc.RegisterTenant("flakydb", flaky)
-	body := fmt.Sprintf(`{"database":"flakydb","table":%q,"column":%q,"labels":["x"]}`, ds.Test[0].Name, ds.Test[0].Columns[0].Name)
-	rec := httptest.NewRecorder()
-	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/feedback", strings.NewReader(body)))
-	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "transient") {
-		t.Fatalf("faulted table read: %d %q, want 500 with the fault", rec.Code, rec.Body.String())
 	}
 }

@@ -1,8 +1,8 @@
 // The connection pool under every request that talks to a tenant database
 // (DESIGN.md §7 "Connection reuse"): /v1/detect, single-table and
-// whole-database, and /v1/feedback all check a connection out of their
-// tenant's idle list and hand it back when they are done, so a request pays
-// the handshake only when no warm connection is waiting.
+// whole-database, checks a connection out of its tenant's idle list and
+// hands it back when it is done, so a request pays the handshake only when
+// no warm connection is waiting.
 package service
 
 import (

@@ -68,7 +68,7 @@ func referenceAnswers(t *testing.T, ds *corpus.Dataset) map[string]string {
 }
 
 // TestPoolReusesOneConnection: one serial client's clean requests — single
-// table, whole database sequential and pipelined, feedback — all ride the
+// table, whole database sequential and pipelined — all ride the
 // connection the first of them opened, and Close closes it exactly once,
 // after which requests still answer but pool nothing.
 func TestPoolReusesOneConnection(t *testing.T) {
@@ -95,14 +95,8 @@ func TestPoolReusesOneConnection(t *testing.T) {
 	step("sequential bulk detect")
 	detectOne(t, h, DetectRequest{Database: "tenantdb", Pipelined: true})
 	step("pipelined bulk detect")
-	if rec := doJSON(t, h, http.MethodPost, "/v1/feedback", FeedbackRequest{
-		Database: "tenantdb", Table: ds.Test[0].Name, Column: ds.Test[0].Columns[0].Name, Labels: []string{"email"},
-	}); rec.Code != http.StatusOK {
-		t.Fatalf("feedback: status %d: %s", rec.Code, rec.Body)
-	}
-	step("feedback")
-	if hits, misses := connpoolHits.Value()-hits0, connpoolMisses.Value()-misses0; hits != 3 || misses != 1 {
-		t.Fatalf("checkouts: %d hits, %d misses, want 3 and 1", hits, misses)
+	if hits, misses := connpoolHits.Value()-hits0, connpoolMisses.Value()-misses0; hits != 2 || misses != 1 {
+		t.Fatalf("checkouts: %d hits, %d misses, want 2 and 1", hits, misses)
 	}
 	if got := connpoolIdle.Value() - idle0; got != 1 {
 		t.Fatalf("idle gauge moved by %d, want 1", got)
@@ -122,8 +116,8 @@ func TestPoolReusesOneConnection(t *testing.T) {
 	}
 }
 
-// TestConnectFaultRetriedNot500: single-table detect and feedback used to
-// call server.Connect bare, so one transient connect fault — which `tasted
+// TestConnectFaultRetriedNot500: single-table detect used to call
+// server.Connect bare, so one transient connect fault — which `tasted
 // -fault-prob` arms — was an HTTP 500 while the bulk path retried it. Every
 // fresh connect now pays the detector's retry ladder and reports its retries.
 func TestConnectFaultRetriedNot500(t *testing.T) {
@@ -138,10 +132,14 @@ func TestConnectFaultRetriedNot500(t *testing.T) {
 	_, ds := testService(t)
 	refs := referenceAnswers(t, ds)
 
-	// Seed 9's first two connect draws fail. A request that spent a retry
-	// does not pool its connection, so the draws keep coming until a first
-	// attempt succeeds; re-registering the tenant empties the pool again.
-	svc, h, ds, flaky := flakyTenant(9)
+	// Every read draws from the tenant's one fault sequence, so which draws
+	// land on a connect depends on how many scans the model asks for. With
+	// the shared model as training left it, seed 4 fails seven connect draws
+	// over the three rounds and never four in a row, which three retries
+	// could not absorb. A request that spent a retry does not pool its
+	// connection, so the draws keep coming until a first attempt succeeds;
+	// re-registering the tenant empties the pool again.
+	svc, h, ds, flaky := flakyTenant(4)
 	retries := 0
 	for round := 0; round < 3; round++ {
 		for _, tb := range ds.Test {
@@ -159,19 +157,6 @@ func TestConnectFaultRetriedNot500(t *testing.T) {
 	snap := flaky.Accounting().Snapshot()
 	if retries == 0 || retries != snap.Faults || retries != snap.Retries {
 		t.Fatalf("response retries %d, ledger retries %d, connect faults %d: want all equal and > 0", retries, snap.Retries, snap.Faults)
-	}
-
-	// Feedback's connect is retried the same way (seed 2 fails the first
-	// connect draw).
-	_, h, ds, flaky = flakyTenant(2)
-	rec := doJSON(t, h, http.MethodPost, "/v1/feedback", FeedbackRequest{
-		Database: "flaky", Table: ds.Test[0].Name, Column: ds.Test[0].Columns[0].Name, Labels: []string{"email"},
-	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("feedback over a transient connect fault: status %d: %s", rec.Code, rec.Body)
-	}
-	if flaky.Accounting().Snapshot().Faults == 0 {
-		t.Fatal("the seeded connect fault never fired")
 	}
 
 	// A deadline that is dead on arrival is still a degraded 200.
@@ -394,32 +379,4 @@ func TestPoolCheckoutIsExclusive(t *testing.T) {
 	idle := idleConns(tn)
 	svc.Close()
 	assertClosedOnce(t, idle...)
-}
-
-// TestUnknownTableFeedbackKeepsConnection: a feedback naming a table the
-// tenant does not have gets its 404 over a healthy connection, which goes
-// back to the pool, so the detect after it opens no connection the detect
-// before it did not (/v1/stats Connections).
-func TestUnknownTableFeedbackKeepsConnection(t *testing.T) {
-	svc, ds := testService(t)
-	h := svc.Handler()
-	connections := func() int {
-		t.Helper()
-		var stats StatsResponse
-		if err := json.Unmarshal(doJSON(t, h, http.MethodGet, "/v1/stats", nil).Body.Bytes(), &stats); err != nil {
-			t.Fatal(err)
-		}
-		return stats.Tenants["tenantdb"].Connections
-	}
-	detectOne(t, h, DetectRequest{Database: "tenantdb", Pipelined: true})
-	opened := connections()
-	if rec := doJSON(t, h, http.MethodPost, "/v1/feedback", FeedbackRequest{
-		Database: "tenantdb", Table: "ghost", Column: ds.Test[0].Columns[0].Name, Labels: []string{"email"},
-	}); rec.Code != http.StatusNotFound {
-		t.Fatalf("unknown-table feedback: status %d, want 404: %s", rec.Code, rec.Body)
-	}
-	detectOne(t, h, DetectRequest{Database: "tenantdb", Pipelined: true})
-	if got := connections(); got != opened {
-		t.Fatalf("connections %d -> %d across an unknown-table feedback, want no new one", opened, got)
-	}
 }

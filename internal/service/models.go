@@ -7,19 +7,17 @@
 //	POST /v1/models/publish  {}              publish the serving weights
 //
 // A registry version becomes a model in one place, modelForVersion: a
-// fresh model over the version's own type space (the names its manifest
-// recorded at publish) with the serving model's configuration and
-// tokenizer, loaded from the registry's content-addressed pages. A swap, a
+// fresh model with the serving model's configuration, tokenizer and type
+// space, loaded from the registry's content-addressed pages. A swap, a
 // per-request model_version pin and tasted's boot all go through it. A swap
 // then atomically replaces the detector's serving pointer. In-flight
 // requests finish on the model they captured at admission; new requests see
 // the new weights immediately. No cache is flushed — latent and result keys
 // embed the process-unique weight generation, so the two models' entries
 // cannot alias, and entries for the returning version are still valid if it
-// swaps back; feedback installs a model derived from the serving one, so a
-// cached version stays pristine. A failed materialization (missing version,
-// corrupt page, shape mismatch) leaves the serving model untouched:
-// Model.Load validates the whole checkpoint before installing anything.
+// swaps back. A failed materialization (missing version, corrupt page,
+// shape mismatch) leaves the serving model untouched: Model.Load validates
+// the whole checkpoint before installing anything.
 package service
 
 import (
@@ -106,10 +104,10 @@ func (s *Service) versionOf(m *adtd.Model) int {
 
 // modelForVersion materializes (or returns the cached) model for a
 // published version: the only way a registry version becomes a model. The
-// model has the serving model's configuration and tokenizer and the type
-// space the version was published over (a manifest that records none gets
-// the serving model's); its checkpoint is reassembled from content-verified
-// pages and loaded through Model.Load's all-or-nothing path.
+// model has the serving model's configuration, tokenizer and type space;
+// its checkpoint is reassembled from content-verified pages and loaded
+// through Model.Load's all-or-nothing path, which refuses a checkpoint of
+// another shape.
 func (s *Service) modelForVersion(version int) (*adtd.Model, *APIError) {
 	s.regMu.Lock()
 	reg, name, cached := s.registry, s.modelName, s.verCache[version]
@@ -120,20 +118,11 @@ func (s *Service) modelForVersion(version int) (*adtd.Model, *APIError) {
 	if cached != nil {
 		return cached, nil
 	}
-	man, err := reg.GetManifest(name, version)
-	var ckpt []byte
-	if err == nil {
-		ckpt, err = reg.Checkpoint(name, version)
-	}
+	ckpt, err := reg.Checkpoint(name, version)
 	if err != nil {
 		return nil, apiErrorf(http.StatusNotFound, "model %s@%d: %v", name, version, err)
 	}
-	serving := s.detector.Model()
-	types := serving.Types
-	if len(man.Types) > 0 {
-		types = adtd.TypeSpaceOf(man.Types)
-	}
-	m, err := adtd.Blank(serving.Cfg, serving.Tok, types)
+	m, err := s.detector.Model().Sibling()
 	if err != nil {
 		return nil, apiErrorf(http.StatusInternalServerError, "materialize %s@%d: %v", name, version, err)
 	}
@@ -279,10 +268,9 @@ func (s *Service) handleModelSwap(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleModelPublish serves POST /v1/models/publish: the serving model's
-// current weights become the next registry version — the online-feedback
-// path to a durable, swappable variant. The publish dedups against earlier
-// versions page by page, so a feedback-adapted model (classifier heads
-// changed, encoder shared) stores only its changed pages.
+// current weights become the next registry version, durable and
+// swappable. The publish dedups against earlier versions page by page, so
+// republishing weights the registry already holds stores no page.
 func (s *Service) handleModelPublish(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -294,7 +282,7 @@ func (s *Service) handleModelPublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := s.detector.Model()
-	res, err := reg.Publish(name, m.Types.Names(), m.Params())
+	res, err := reg.Publish(name, m.Params())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "publish: %v", err)
 		return

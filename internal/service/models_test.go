@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math/rand"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -16,23 +14,21 @@ import (
 	"repro/internal/adtd"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/metafeat"
 	"repro/internal/registry"
 	"repro/internal/simdb"
 )
 
 // registryService builds a service around a private copy of the shared
-// trained model as training left it (so swap/feedback tests neither change
-// the detector other tests share nor see the feedback those tests gave it)
-// plus an in-memory model registry.
+// trained model as training left it (so swap tests never change the
+// detector other tests share) plus an in-memory model registry.
 func registryService(t *testing.T) (*Service, *registry.Registry, *corpus.Dataset) {
 	t.Helper()
 	testService(t) // ensure the shared model is trained
 	var buf bytes.Buffer
-	if err := shared.model.Save(&buf); err != nil {
+	if err := shared.det.Model().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m, err := shared.model.Sibling()
+	m, err := shared.det.Model().Sibling()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +51,35 @@ func registryService(t *testing.T) (*Service, *registry.Registry, *corpus.Datase
 	return svc, reg, shared.ds
 }
 
-// TestModelRegistryEndpoints walks the closed loop the registry enables:
-// publish the serving weights, adapt them with online feedback (which
-// installs an unpublished copy, version 0), publish the variant (which must
-// dedup against the base), then hot-swap back to the base, whose published
-// object feedback left untouched.
+// headVariant returns a model of its own holding m's weights with the
+// classifier heads' output biases raised by 0.5: every probability moves, no
+// encoder page does.
+func headVariant(t *testing.T, m *adtd.Model) *adtd.Model {
+	t.Helper()
+	v, err := m.Sibling()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Load(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]float64{v.MetaCls.Out.B.Data, v.ContCls.Out.B.Data} {
+		for i := range b {
+			b[i] += 0.5
+		}
+	}
+	v.SetEval()
+	return v
+}
+
+// TestModelRegistryEndpoints walks the loop the registry enables: publish
+// the serving weights, install a head-only variant (an unpublished model,
+// version 0), publish it (which must dedup against the base), then hot-swap
+// back to the base, whose published object the variant never wrote.
 func TestModelRegistryEndpoints(t *testing.T) {
 	svc, reg, ds := registryService(t)
 	svc.AttachRegistry(reg, "taste")
@@ -92,21 +112,14 @@ func TestModelRegistryEndpoints(t *testing.T) {
 		t.Fatalf("detect model_version = %d, want 1", dresp.ModelVersion)
 	}
 
-	// Online feedback installs an adapted copy of version 1: the copy has no
-	// registry version until it is published.
-	table := ds.Test[0]
-	rec = doJSON(t, h, http.MethodPost, "/v1/feedback", FeedbackRequest{
-		Database: "tenantdb", Table: table.Name, Column: table.Columns[0].Name, Labels: []string{"email"},
-	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("feedback status %d: %s", rec.Code, rec.Body)
-	}
+	// The variant has no registry version until it is published.
+	svc.detector.SwapModel(headVariant(t, v1))
 	if got := svc.ServingVersion(); got != 0 {
-		t.Fatalf("serving version after feedback = %d, want 0 (an unpublished copy)", got)
+		t.Fatalf("serving version of the variant = %d, want 0 (unpublished)", got)
 	}
 
-	// Publishing the adapted weights dedups against version 1: feedback only
-	// touches the classifier heads, so the encoder pages are shared.
+	// Publishing the variant dedups against version 1: only the classifier
+	// heads differ, so the encoder pages are shared.
 	rec = doJSON(t, h, http.MethodPost, "/v1/models/publish", struct{}{})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("second publish status %d: %s", rec.Code, rec.Body)
@@ -147,8 +160,7 @@ func TestModelRegistryEndpoints(t *testing.T) {
 		t.Fatalf("dedup ratio = %v, want > 1", listing.Serving.Registry.DedupRatio)
 	}
 
-	// Hot-swap back to the base version: the object published as version 1,
-	// which feedback never wrote.
+	// Hot-swap back to the base version: the object published as version 1.
 	before := svc.detector.Model()
 	rec = doJSON(t, h, http.MethodPost, "/v1/models/swap", SwapRequest{Version: 1})
 	if rec.Code != http.StatusOK {
@@ -250,26 +262,9 @@ func TestHotSwapUnderDetectLoadConsistency(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("publish status %d: %s", rec.Code, rec.Body)
 	}
-	// Version 2: a feedback-adapted variant, built offline so the serving
-	// model itself never drifts during the test.
-	m2, err := svc.detector.Model().Sibling()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := svc.detector.Model().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
-	fb := []adtd.FeedbackExample{{Table: info, Column: 0, Labels: []string{"email"}}}
-	if err := m2.ApplyFeedback(fb, 0.3, 40); err != nil {
-		t.Fatal(err)
-	}
-	m2.SetEval()
-	if _, err := reg.Publish("taste", m2.Types.Names(), m2.Params()); err != nil {
+	// Version 2: a head-only variant, built offline so the serving model
+	// itself never drifts during the test.
+	if _, err := reg.Publish("taste", headVariant(t, svc.detector.Model()).Params()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -359,16 +354,15 @@ func TestHotSwapUnderDetectLoadConsistency(t *testing.T) {
 	}
 }
 
-// TestFeedbackAndSwapUnderDetectLoad interleaves live /v1/feedback and
-// /v1/models/swap calls with pipelined and sequential /v1/detect, meant to
-// run under -race. A writer cycles feedback f1, feedback f2, swap to v1, so
-// the serving model is always v1, v1+f1 or v1+f1+f2. Feedback is
-// deterministic: the same sequence on a private copy gives each stage's
-// reference answer first. Every detect response must equal, byte for byte,
-// the answer of one stage and carry that stage's model_version (1 for v1, 0
-// for an unpublished copy): a detect that read weights while feedback
-// stepped them, or a swap back to v1 that served adapted weights, fails.
-func TestFeedbackAndSwapUnderDetectLoad(t *testing.T) {
+// TestSwapModelUnderDetectLoad interleaves in-process SwapModel calls that
+// install an unpublished variant with /v1/models/swap calls back to the
+// published v1, under pipelined and sequential /v1/detect, meant to run
+// under -race. The serving model is always v1 or the variant. Every detect
+// response must equal, byte for byte, one of the two models' reference
+// answers and carry that model's model_version (1 for v1, 0 for the
+// unpublished variant): a detect that mixed the two models' weights, or a
+// response labeled with one model but computed by the other, fails.
+func TestSwapModelUnderDetectLoad(t *testing.T) {
 	svc, reg, ds := registryService(t)
 	svc.AttachRegistry(reg, "taste")
 	h := svc.Handler()
@@ -376,41 +370,15 @@ func TestFeedbackAndSwapUnderDetectLoad(t *testing.T) {
 		t.Fatalf("publish status %d: %s", rec.Code, rec.Body)
 	}
 	tables := []string{ds.Test[0].Name, ds.Test[1].Name, ds.Test[2].Name}
-	// Each feedback confirms a column's true types.
-	var feedbacks []FeedbackRequest
-	for _, tb := range ds.Test[:3] {
-		c := tb.Columns[len(tb.Columns)-1]
-		feedbacks = append(feedbacks, FeedbackRequest{Database: "tenantdb", Table: tb.Name, Column: c.Name, Labels: c.Labels})
-	}
-	feedback := func(h http.Handler, req FeedbackRequest) string {
-		rec := doJSON(t, h, http.MethodPost, "/v1/feedback", req)
-		if rec.Code != http.StatusOK {
-			return rec.Body.String()
-		}
-		return ""
-	}
+	variant := headVariant(t, svc.detector.Model())
 
-	// References: stage k is v1 with the first k feedbacks applied.
+	// References: stage 0 is v1, stage 1 the variant.
+	refs := []string{tablesJSON(t, detectOne(t, h, DetectRequest{Database: "tenantdb", Tables: tables}))}
 	private, _, _ := registryService(t)
-	ph := private.Handler()
-	var refs []string
-	for k := 0; ; k++ {
-		refs = append(refs, tablesJSON(t, detectOne(t, ph, DetectRequest{Database: "tenantdb", Tables: tables})))
-		if k == len(feedbacks) {
-			break
-		}
-		if msg := feedback(ph, feedbacks[k]); msg != "" {
-			t.Fatal(msg)
-		}
-	}
-	if refs[0] == refs[len(refs)-1] {
-		t.Fatal("feedback leaves the answers unchanged; the check would be vacuous")
-	}
-	stageVersion := func(k int) int {
-		if k == 0 {
-			return 1
-		}
-		return 0
+	private.detector.SwapModel(variant)
+	refs = append(refs, tablesJSON(t, detectOne(t, private.Handler(), DetectRequest{Database: "tenantdb", Tables: tables})))
+	if refs[0] == refs[1] {
+		t.Fatal("the variant answers as v1 does; the check would be vacuous")
 	}
 
 	const cycles = 3
@@ -435,20 +403,16 @@ func TestFeedbackAndSwapUnderDetectLoad(t *testing.T) {
 					return
 				}
 				got := tablesJSON(t, resp)
-				matched := false
-				for k, ref := range refs {
-					matched = matched || (got == ref && resp.ModelVersion == stageVersion(k))
-				}
-				if !matched {
-					errs <- "a detect answer (model_version " + strconv.Itoa(resp.ModelVersion) + ") matches no stage's reference: " + got
+				if !(got == refs[0] && resp.ModelVersion == 1) && !(got == refs[1] && resp.ModelVersion == 0) {
+					errs <- "a detect answer (model_version " + strconv.Itoa(resp.ModelVersion) + ") matches neither model's reference: " + got
 					return
 				}
 				answered.Add(1)
 			}
 		}(w == 0)
 	}
-	// Each write waits for two more answers, so every stage serves detects
-	// and writes land while detects run.
+	// Each swap waits for two more answers, so both models serve detects
+	// and swaps land while detects run.
 	settle := func() {
 		for n := answered.Load() + 2; answered.Load() < n && len(errs) == 0; {
 			time.Sleep(time.Millisecond)
@@ -456,12 +420,8 @@ func TestFeedbackAndSwapUnderDetectLoad(t *testing.T) {
 	}
 	settle()
 	for c := 0; c < cycles; c++ {
-		for _, req := range feedbacks {
-			if msg := feedback(h, req); msg != "" {
-				t.Error(msg)
-			}
-			settle()
-		}
+		svc.detector.SwapModel(variant)
+		settle()
 		if rec := doJSON(t, h, http.MethodPost, "/v1/models/swap", SwapRequest{Version: 1}); rec.Code != http.StatusOK {
 			t.Errorf("swap status %d: %s", rec.Code, rec.Body)
 		}
@@ -505,99 +465,9 @@ func TestCacheVersionOneObjectPerVersion(t *testing.T) {
 	}
 }
 
-// servedTypes lists the serving model's types as GET /v1/types reports them.
-func servedTypes(t *testing.T, h http.Handler) []string {
-	t.Helper()
-	rec := doJSON(t, h, http.MethodGet, "/v1/types", nil)
-	var body struct {
-		Types []string `json:"types"`
-	}
-	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &body) != nil {
-		t.Fatalf("types status %d: %s", rec.Code, rec.Body)
-	}
-	return body.Types
-}
-
-// TestRegistryVersionsKeepTheirTypeSpace: a version loads over the type
-// space it was published with, whatever the serving model's is. After
-// RegisterTypes widens the serving heads, a version published before it
-// still answers a pinned detect byte for byte as it did, and a swap to it
-// serves its own types; a version published after it serves the registered
-// type, on this registry and on one replayed from the journal.
-func TestRegistryVersionsKeepTheirTypeSpace(t *testing.T) {
-	dir := t.TempDir()
-	svc, _, ds := registryService(t)
-	reg, err := registry.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	svc.AttachRegistry(reg, "taste")
-	h := svc.Handler()
-	req := DetectRequest{Database: "tenantdb", Tables: []string{ds.Test[0].Name}}
-
-	// taste@1 is the serving weights, published straight to the registry so
-	// that the service has not cached it.
-	v1 := svc.detector.Model()
-	ref := tablesJSON(t, detectOne(t, h, req))
-	v1Types := servedTypes(t, h)
-	if _, err := reg.Publish("taste", v1.Types.Names(), v1.Params()); err != nil {
-		t.Fatal(err)
-	}
-	const custom = "tenant_tracking_code"
-	if err := svc.detector.RegisterTypes(corpus.DefaultRegistry(), []*corpus.Type{{
-		Name: custom, Category: "identifier", SQLType: "VARCHAR",
-		ColumnNames: []string{"tracking_code"}, Gen: func(r *rand.Rand) string { return "trk" },
-	}}); err != nil {
-		t.Fatal(err)
-	}
-
-	pinned := req
-	pinned.ModelVersion = 1
-	if got := detectOne(t, h, pinned); got.ModelVersion != 1 || tablesJSON(t, got) != ref {
-		t.Fatalf("detect pinned to v1 (model_version %d) answered %s, want %s", got.ModelVersion, tablesJSON(t, got), ref)
-	}
-	if rec := doJSON(t, h, http.MethodPost, "/v1/models/publish", struct{}{}); rec.Code != http.StatusOK {
-		t.Fatalf("publish status %d: %s", rec.Code, rec.Body)
-	}
-	if rec := doJSON(t, h, http.MethodPost, "/v1/models/swap", SwapRequest{Version: 1}); rec.Code != http.StatusOK {
-		t.Fatalf("swap to v1 status %d: %s", rec.Code, rec.Body)
-	}
-	if got := servedTypes(t, h); !slices.Equal(got, v1Types) {
-		t.Fatalf("v1 serves types %v, want its own %v", got, v1Types)
-	}
-	if rec := doJSON(t, h, http.MethodPost, "/v1/models/swap", SwapRequest{Version: 2}); rec.Code != http.StatusOK {
-		t.Fatalf("swap to v2 status %d: %s", rec.Code, rec.Body)
-	}
-	if !slices.Contains(servedTypes(t, h), custom) {
-		t.Fatal("v2, published after the registration, does not serve the registered type")
-	}
-
-	// A second process replays the journal: v2 materializes over the type
-	// space its manifest recorded, not over the booting model's.
-	replayed, err := registry.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer replayed.Close()
-	fresh, _, _ := registryService(t)
-	fresh.AttachRegistry(replayed, "taste")
-	fh := fresh.Handler()
-	if rec := doJSON(t, fh, http.MethodPost, "/v1/models/swap", SwapRequest{Version: 2}); rec.Code != http.StatusOK {
-		t.Fatalf("swap to replayed v2 status %d: %s", rec.Code, rec.Body)
-	}
-	if !slices.Contains(servedTypes(t, fh), custom) {
-		t.Fatal("replayed v2 does not serve the registered type")
-	}
-	if got := detectOne(t, fh, req); got.ModelVersion != 2 {
-		t.Fatalf("detect on replayed v2 labeled model_version %d", got.ModelVersion)
-	}
-}
-
-// TestReplayedUntypedManifestLoadsOverServingTypes: a manifest that records
-// no type space, as every manifest did before versions kept theirs, still
-// loads after a journal replay, over the serving model's type space, and
-// answers as the weights it holds.
+// TestReplayedUntypedManifestLoadsOverServingTypes: a manifest records no
+// type space, and a version replayed from the journal loads as a new model
+// over the serving model's type space and answers as the weights it holds.
 func TestReplayedUntypedManifestLoadsOverServingTypes(t *testing.T) {
 	dir := t.TempDir()
 	svc, _, ds := registryService(t)
@@ -605,7 +475,7 @@ func TestReplayedUntypedManifestLoadsOverServingTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Publish("taste", nil, svc.detector.Model().Params()); err != nil {
+	if _, err := w.Publish("taste", svc.detector.Model().Params()); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -614,9 +484,6 @@ func TestReplayedUntypedManifestLoadsOverServingTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	if man, err := reg.GetManifest("taste", 1); err != nil || man.Types != nil {
-		t.Fatalf("replayed manifest: %v, types %v; want none", err, man)
-	}
 	svc.AttachRegistry(reg, "taste")
 	h := svc.Handler()
 	req := DetectRequest{Database: "tenantdb", Tables: []string{ds.Test[0].Name}}

@@ -10,7 +10,6 @@
 //	GET  /v1/types             the semantic type domain
 //	POST /v1/detect            {"database": "...", "tables": ["t1"]?, "pipelined": bool,
 //	                            "deadline_ms": 0}
-//	POST /v1/feedback          {"database", "table", "column", "labels": [...]}
 //	GET  /v1/stats             accounting ledger + cache + fault statistics
 //	GET  /metrics              Prometheus text exposition of the obs registry
 //
@@ -47,7 +46,6 @@ import (
 	"repro/internal/adtd"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/metafeat"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/simdb"
@@ -145,7 +143,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/v1/types", s.handleTypes)
 	mux.HandleFunc("/v1/detect", s.handleDetect)
-	mux.HandleFunc("/v1/feedback", s.handleFeedback)
 	mux.HandleFunc("/v1/models", s.handleModels)
 	mux.HandleFunc("/v1/models/swap", s.handleModelSwap)
 	mux.HandleFunc("/v1/models/publish", s.handleModelPublish)
@@ -258,71 +255,6 @@ func (s *Service) handleDetect(w http.ResponseWriter, r *http.Request) {
 // jsonContentType is a detect response's Content-Type value, shared by every
 // response: the header map holds it without a copy per request.
 var jsonContentType = []string{"application/json"}
-
-// FeedbackRequest is the /v1/feedback payload: the tenant corrects a
-// column's types; the service adapts online (§8).
-type FeedbackRequest struct {
-	Database string   `json:"database"`
-	Table    string   `json:"table"`
-	Column   string   `json:"column"`
-	Labels   []string `json:"labels"`
-}
-
-func (s *Service) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	var req FeedbackRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	tn, ok := s.tenant(req.Database)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown database %s", quoteName(req.Database))
-		return
-	}
-	ctx := r.Context()
-	conn, retries, err := tn.checkout(ctx, s.detector, req.Database)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "connect: %v", err)
-		return
-	}
-	tm, err := conn.TableMetadata(ctx, req.Table)
-	// An unknown table is the tenant's answer, not a fault of the connection.
-	tn.release(conn, (err == nil || errors.Is(err, simdb.ErrUnknownTable)) && retries == 0 && ctx.Err() == nil)
-	switch {
-	case errors.Is(err, simdb.ErrUnknownTable) && len(req.Table) <= maxQuotedName:
-		writeError(w, http.StatusNotFound, "table: %v", err)
-		return
-	case errors.Is(err, simdb.ErrUnknownTable):
-		writeError(w, http.StatusNotFound, "table: unknown table %s", quoteName(req.Table))
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "table: %v", err)
-		return
-	}
-	info := metafeat.FromTableMeta(tm)
-	col := -1
-	for i, c := range info.Columns {
-		if c.Name == req.Column {
-			col = i
-			break
-		}
-	}
-	if col < 0 {
-		writeError(w, http.StatusNotFound, "unknown column %s", quoteName(req.Column))
-		return
-	}
-	if err := s.detector.Feedback(info, col, req.Labels); err != nil {
-		writeError(w, http.StatusInternalServerError, "feedback: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"applied":   true,
-		"feedbacks": s.detector.Feedbacks(),
-	})
-}
 
 // CacheBlock is the /v1/stats view of the tiered detection cache: both
 // tier snapshots plus the request-level singleflight counters. Exported so

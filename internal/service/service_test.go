@@ -19,11 +19,8 @@ import (
 var shared struct {
 	once sync.Once
 	det  *core.Detector
-	// model is the trained model det started on. Feedback through det
-	// installs adapted copies and never writes it.
-	model *adtd.Model
-	ds    *corpus.Dataset
-	err   error
+	ds   *corpus.Dataset
+	err  error
 }
 
 // testService builds a service around a lightly trained detector once per
@@ -50,7 +47,7 @@ func testService(t testing.TB) (*Service, *corpus.Dataset) {
 			shared.err = err
 			return
 		}
-		shared.det, shared.model, shared.ds = det, m, ds
+		shared.det, shared.ds = det, ds
 	})
 	if shared.err != nil {
 		t.Fatal(shared.err)
@@ -262,27 +259,16 @@ func TestDetectUnknownTableReportsError(t *testing.T) {
 	}
 }
 
+// TestFeedbackEndpoint: /v1/feedback was deleted with runtime type
+// registration (DESIGN.md §13), so a client that still posts a correction
+// gets a 404 instead of a 200 that changes nothing.
 func TestFeedbackEndpoint(t *testing.T) {
 	svc, ds := testService(t)
-	table := ds.Test[0]
-	rec := doJSON(t, svc.Handler(), http.MethodPost, "/v1/feedback", FeedbackRequest{
-		Database: "tenantdb",
-		Table:    table.Name,
-		Column:   table.Columns[0].Name,
-		Labels:   []string{"email"},
-	})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
-	}
-	if !strings.Contains(rec.Body.String(), `"applied":true`) {
-		t.Fatalf("body %s", rec.Body)
-	}
-	// Unknown column.
-	rec = doJSON(t, svc.Handler(), http.MethodPost, "/v1/feedback", FeedbackRequest{
-		Database: "tenantdb", Table: table.Name, Column: "ghost",
+	rec := doJSON(t, svc.Handler(), http.MethodPost, "/v1/feedback", map[string]any{
+		"database": "tenantdb", "table": ds.Test[0].Name, "column": ds.Test[0].Columns[0].Name, "labels": []string{"email"},
 	})
 	if rec.Code != http.StatusNotFound {
-		t.Fatalf("status %d", rec.Code)
+		t.Fatalf("POST /v1/feedback: status %d, want 404: %s", rec.Code, rec.Body)
 	}
 }
 

@@ -104,6 +104,15 @@ func BenchmarkBackwardSmallGraph(b *testing.B) {
 	}
 }
 
+// reportGFLOPs reports b's throughput as GFLOP/s for flops floating-point
+// operations per iteration (a fused multiply-add counts two), so a kernel's
+// figure reads against the host's FMA peak.
+func reportGFLOPs(b *testing.B, flops float64) {
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(flops*float64(b.N)/s/1e9, "GFLOP/s")
+	}
+}
+
 // benchKernels runs body as one sub-benchmark per kernel choice ("avx512",
 // "asm", "generic").
 func benchKernels(b *testing.B, body func(b *testing.B)) {
@@ -123,7 +132,8 @@ func benchKernels(b *testing.B, body func(b *testing.B)) {
 // metadata forward's QKV (30 rows) and an odd-length content forward's
 // feed-forward up-projection (107 rows: the two-row tile's pairs and its
 // one-row tail) — and at the paper config's QKV projection and its
-// feed-forward up- and down-projections (312→1200, 1200→312).
+// feed-forward up- and down-projections (312→1200, 1200→312). GFLOP/s
+// counts 2·rows·in·out per call.
 func BenchmarkLinearInto(b *testing.B) {
 	for _, sh := range [][3]int{{128, 64, 192}, {128, 64, 128}, {128, 128, 64}, {1024, 64, 192}, {30, 64, 192}, {107, 64, 128}, {128, 312, 936}, {128, 312, 1200}, {128, 1200, 312}} {
 		rows, in, out := sh[0], sh[1], sh[2]
@@ -137,6 +147,7 @@ func BenchmarkLinearInto(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					LinearInto(dst, x, rows, in, w, out, 0, out, bias)
 				}
+				reportGFLOPs(b, 2*float64(rows*in*out))
 			})
 		})
 	}
@@ -146,7 +157,9 @@ func BenchmarkLinearInto(b *testing.B) {
 // scale (4 heads of 16) on the shapes scan_cpu runs — metadata
 // self-attention (30 rows, packed QKV, every key visible) and a content
 // layer (two 54-row column spans, each seeing the 30 metadata keys and its
-// own column, over packed K|V) — and on 128-token self-attention.
+// own column, over packed K|V) — and on 128-token self-attention. GFLOP/s
+// counts 4·HeadDim per visible query–key pair per head: a score's dot
+// product and the weight's pass over V.
 func BenchmarkFusedAttentionCore(b *testing.B) {
 	const h = 64
 	rng := rand.New(rand.NewSource(1))
@@ -170,6 +183,13 @@ func BenchmarkFusedAttentionCore(b *testing.B) {
 			c.qp = benchTensor(rng, c.sh.Lq, c.sh.QStride).Data
 		}
 		ws, dst := NewWorkspace(), make([]float64, c.sh.Lq*h)
+		pairs := c.sh.Lq * c.sh.Lkv
+		if c.spans != nil {
+			pairs = 0
+			for _, sp := range c.spans {
+				pairs += (sp.RowHi - sp.RowLo) * (sp.A[1] - sp.A[0] + sp.B[1] - sp.B[0])
+			}
+		}
 		b.Run(c.name, func(b *testing.B) {
 			benchKernels(b, func(b *testing.B) {
 				FusedAttentionCore(ws, dst, c.qp, c.kvp, c.sh, c.spans)
@@ -180,6 +200,7 @@ func BenchmarkFusedAttentionCore(b *testing.B) {
 					FusedAttentionCore(ws, dst, c.qp, c.kvp, c.sh, c.spans)
 					ws.Reset()
 				}
+				reportGFLOPs(b, 4*float64(c.sh.HeadDim*c.sh.Heads*pairs))
 			})
 		})
 	}
@@ -309,11 +330,12 @@ func BenchmarkTrainStepRelease(b *testing.B) {
 			XavierUniform(w1, rng)
 			XavierUniform(w2, rng)
 			x := benchTensor(rng, 32, 64)
-			opt := NewSGD([]*Tensor{w1, w2}, 0.01, 0.9)
+			params := []*Tensor{w1, w2}
+			opt := NewAdam(params, 0.01)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				opt.ZeroGrads()
+				ZeroGrads(params)
 				loss := Sum(GELU(MatMul(GELU(MatMul(x, w1)), w2)))
 				loss.Backward()
 				opt.Step()

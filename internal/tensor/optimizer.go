@@ -140,63 +140,3 @@ func (a *Adam) clip() {
 	}
 	ScaleGrads(a.params, a.ClipNorm/norm)
 }
-
-// SGD is a plain stochastic-gradient-descent optimizer with optional
-// momentum; kept as a baseline and for the lightweight online feedback
-// updates in the Taste detector.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	params []*Tensor
-	vel    [][]float64 // momentum buffers, drawn from the arena
-}
-
-// NewSGD creates an SGD optimizer over params. Release returns its momentum
-// buffers to the arena.
-func NewSGD(params []*Tensor, lr, momentum float64) *SGD {
-	s := &SGD{LR: lr, Momentum: momentum, params: params}
-	if momentum > 0 {
-		s.vel = make([][]float64, len(params))
-		for i, p := range params {
-			s.vel[i], _ = allocData(len(p.Data))
-		}
-	}
-	return s
-}
-
-// Release returns the momentum buffers to the arena. The optimizer must not
-// step afterwards.
-func (s *SGD) Release() {
-	for _, v := range s.vel {
-		freeData(v)
-	}
-	s.vel = nil
-}
-
-// Step applies one SGD update.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		if p.Grad == nil {
-			continue
-		}
-		if s.Momentum > 0 {
-			v := s.vel[i]
-			for j, g := range p.Grad {
-				v[j] = s.Momentum*v[j] + g
-				p.Data[j] -= s.LR * v[j]
-			}
-		} else {
-			for j, g := range p.Grad {
-				p.Data[j] -= s.LR * g
-			}
-		}
-	}
-}
-
-// ZeroGrads clears all parameter gradients.
-func (s *SGD) ZeroGrads() {
-	for _, p := range s.params {
-		p.ZeroGrad()
-	}
-}

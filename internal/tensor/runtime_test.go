@@ -184,10 +184,11 @@ func TestReleaseGraphRecyclesOpOutputs(t *testing.T) {
 	runLoop := func(release bool) *Tensor {
 		w := Param(64, 64)
 		XavierUniform(w, rand.New(rand.NewSource(5)))
-		opt := NewSGD([]*Tensor{w}, 0.01, 0.9)
+		params := []*Tensor{w}
+		opt := NewAdam(params, 0.01)
 		for step := 0; step < 5; step++ {
 			x := benchTensor(rand.New(rand.NewSource(int64(step))), 32, 64)
-			opt.ZeroGrads()
+			ZeroGrads(params)
 			loss := Sum(GELU(MatMul(x, w)))
 			loss.Backward()
 			opt.Step()

@@ -76,10 +76,6 @@ func Param(rows, cols int) *Tensor {
 	return t
 }
 
-// RequiresGrad reports whether this tensor participates in gradient
-// accumulation.
-func (t *Tensor) RequiresGrad() bool { return t.requiresGrad }
-
 // SetRequiresGrad toggles gradient tracking for a leaf tensor.
 func (t *Tensor) SetRequiresGrad(v bool) { t.requiresGrad = v }
 
@@ -126,13 +122,6 @@ func (t *Tensor) ensureGrad() {
 		} else {
 			t.Grad = make([]float64, len(t.Data))
 		}
-	}
-}
-
-// ZeroGrad clears the gradient buffer if present.
-func (t *Tensor) ZeroGrad() {
-	for i := range t.Grad {
-		t.Grad[i] = 0
 	}
 }
 
