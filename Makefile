@@ -11,8 +11,9 @@ GO ?= go
 # training runtime with its gradient workers (plus the two model packages
 # whose multi-worker training tests exercise it), the fleet coordinator with
 # its health prober and admission queue, the shared retry core, and the
-# deduplicated model registry, whose page and manifest maps and journal
-# take concurrent publish/checkpoint traffic behind one mutex. The pipelined scheduler has a race line of its
+# deduplicated model registry, whose eight concurrent publishes must take
+# eight distinct versions while checkpoints read the pages and manifests
+# behind the same mutex. The pipelined scheduler has a race line of its
 # own (race, race-all).
 RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/baselines/... ./internal/cache/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
 
@@ -83,11 +84,12 @@ bench-check:
 # the tokenizer's append path against Encode, the four row kernels (the
 # matmul's with its K-block edges), the fused add-and-LayerNorm and the
 # attention core (with its span validation) against their references, the
-# checkpoint decoder, the registry's journal replay, and the Prometheus text
-# checker against the exposition writer (go test takes one -fuzz target per
-# run). Replay's inputs are whole journals, so its
-# minimisation of each new input is capped at 200 runs; uncapped it takes
-# the whole budget.
+# checkpoint decoder, the registry's journal replay (one log, one record per
+# version, seeded with a clean two-version log, a torn tail before a record
+# and a flipped page byte), and the Prometheus text checker against the
+# exposition writer (go test takes one -fuzz target per run). Replay's
+# inputs are whole journals, so its minimisation of each new input is
+# capped at 200 runs; uncapped it takes the whole budget.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzHandleDetect -fuzztime=20s ./internal/service/
 	for f in FuzzDetectRequestDecode FuzzDetectResponseEncode FuzzFlightKey; do \

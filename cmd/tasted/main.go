@@ -11,7 +11,8 @@
 //
 // With -registry the /v1/models endpoints come alive: list published
 // versions, hot-swap the serving model with zero downtime, and publish the
-// serving weights as a new deduplicated version.
+// serving weights as a new deduplicated version. A registry directory is
+// one model's version history; a second model is a second directory.
 //
 // Then:
 //
@@ -46,7 +47,6 @@ func main() {
 		debugAddr    = flag.String("debug-addr", "", "observability listener serving /metrics and /debug/pprof (empty disables)")
 		checkpoint   = flag.String("checkpoint", "", "ADTD checkpoint from tastetrain (matching -tables/-seed)")
 		registryDir  = flag.String("registry", "", "model-registry journal directory (from tastetrain -publish); enables /v1/models list/swap/publish")
-		modelName    = flag.String("model-name", "taste", "registry model name to serve and publish under")
 		modelVersion = flag.Int("model-version", 0, "registry version to serve at boot (0 = latest; requires -registry)")
 		train        = flag.Bool("train", false, "train a fresh model at startup instead of loading a checkpoint")
 		tables       = flag.Int("tables", 200, "corpus size backing the vocabulary/type space (must match the checkpoint)")
@@ -117,14 +117,14 @@ func main() {
 	}
 	svc := service.New(det)
 	if reg != nil {
-		svc.AttachRegistry(reg, *modelName)
+		svc.AttachRegistry(reg)
 		bootVersion := 0
 		if !*train && *checkpoint == "" {
 			if bootVersion, err = svc.ServeVersion(*modelVersion); err != nil {
 				log.Fatalf("registry %s: %v", *registryDir, err)
 			}
 		}
-		log.Printf("model registry attached (%s, serving %s@%d): /v1/models endpoints enabled", *registryDir, *modelName, bootVersion)
+		log.Printf("model registry attached (%s, serving version %d): /v1/models endpoints enabled", *registryDir, bootVersion)
 	}
 	svc.SetDefaultDeadline(*deadline)
 
@@ -181,6 +181,11 @@ func main() {
 	// finish draining in-flight requests before closing what they use.
 	<-drained
 	svc.Close()
+	if reg != nil {
+		if err := reg.Close(); err != nil {
+			log.Printf("close registry: %v", err)
+		}
+	}
 	log.Printf("tasted: graceful shutdown complete")
 }
 

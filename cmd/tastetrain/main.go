@@ -8,10 +8,10 @@
 //	tastetrain -model taste -dataset wikitable -tables 600 -epochs 16 -o taste.ckpt
 //	tastetrain -model taste -publish /var/taste/registry   # also publish to a model registry
 //
-// With -publish the checkpoint is additionally stored in a deduplicated
-// model registry (content-hashed pages, shared across versions): publishing
-// a fine-tuned variant of an earlier version pays only for the pages that
-// changed. tasted -registry serves straight from the same directory.
+// With -publish the checkpoint is additionally stored as the next version
+// in a deduplicated model registry (content-hashed pages, shared across
+// versions): a version pays only for the pages no earlier version holds.
+// tasted -registry serves straight from the same directory.
 package main
 
 import (
@@ -39,7 +39,6 @@ func main() {
 		workers   = flag.Int("train-workers", 1, "data-parallel gradient workers (results are bit-reproducible per (seed, workers))")
 		out       = flag.String("o", "model.ckpt", "checkpoint output path")
 		publish   = flag.String("publish", "", "also publish the checkpoint to the model registry rooted at this directory (taste only)")
-		pubName   = flag.String("publish-name", "taste", "registry model name to publish under")
 	)
 	flag.Parse()
 	if *publish != "" && *modelKind != "taste" {
@@ -96,12 +95,15 @@ func main() {
 			if err != nil {
 				log.Fatalf("open registry: %v", err)
 			}
-			res, err := reg.Publish(*pubName, m.Params())
+			res, err := reg.Publish(m.Params())
 			if err != nil {
 				log.Fatalf("publish: %v", err)
 			}
-			fmt.Printf("published %s@%d → %s: %d pages (%d new), %d bytes stored, %.1f%% shared with earlier versions\n",
-				res.Name, res.Version, *publish, res.Pages, res.NewPages, res.StoredBytes, 100*res.SharedFrac)
+			if err := reg.Close(); err != nil {
+				log.Fatalf("close registry: %v", err)
+			}
+			fmt.Printf("published version %d → %s: %d pages (%d new), %d bytes stored, %.1f%% shared with earlier versions\n",
+				res.Version, *publish, res.Pages, res.NewPages, res.StoredBytes, 100*res.SharedFrac)
 		}
 	case "turl", "doduo":
 		v, cfg := baselines.TURL, baselines.TURLScale()

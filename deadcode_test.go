@@ -30,8 +30,6 @@ var unlinkedAllowed = map[string]string{
 	"corpus.Load":                     "public API of the root taste package (taste.LoadDataset)",
 	"corpus.(*Dataset).Save":          "public API of the root taste package (Dataset.Save)",
 	"adtd.PaperScale":                 "public API of the root taste package (taste.PaperScale)",
-	"registry.(*Registry).Close":      "resource release: closes the registry's journal files",
-	"registry.(*journal).close":       "resource release: Registry.Close's file close",
 }
 
 // TestEveryFunctionIsLinked builds every program this repository ships —

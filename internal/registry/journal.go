@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,66 +11,47 @@ import (
 	"repro/internal/tensor"
 )
 
-// journal is the registry's durable copy: two append-only files under a
-// directory, one for pages and one for manifests.
+// The journal is the registry's durable copy: one append-only file in its
+// directory with one record per published version, in version order.
 //
-//	pages.log:     repeat{ sha256 [32]byte | uint32 len | data }
-//	manifests.log: repeat{ uint32 len | manifest JSON }
+//	versions.log: repeat{ uint64 n | record (n bytes) }
+//	record:       uint32 m | manifest JSON (m bytes) | repeat{ sha256 [32]byte | uint32 len | page }
 //
-// Publish appends every new page before the manifest that references it,
-// and fsyncs both logs when it appends the manifest. Replay keeps the
-// longest prefix of each log it can trust, and Open cuts each file back to
-// that prefix before it appends: a record written after a crash never
-// follows a partial one, and neither does one written after a failed
-// append (logFile.append). Replay stops at a torn record, at a page whose
-// bytes do not match its hash, and at a manifest that does not decode,
-// repeats a name@version or does not resolve against the pages replay
-// kept. One process writes a journal directory at a time.
-type journal struct {
-	pages, mans logFile
-}
+// A record holds its version's manifest and the pages the store did not
+// already hold; Publish writes it with one write and one fsync. Replay
+// keeps the longest prefix of whole records whose pages match their hashes
+// and whose manifest decodes to the next version and resolves against the
+// pages kept so far, and Open cuts the file to that prefix before it
+// appends: a record written after a crash never follows a partial one, and
+// neither does one written after a failed append (appendRecord). One
+// process writes a registry directory at a time.
+const logName = "versions.log"
 
-const (
-	pagesLogName     = "pages.log"
-	manifestsLogName = "manifests.log"
-)
+// twoLogNames are the files of the earlier layout, which kept pages and
+// manifests in two logs.
+var twoLogNames = []string{"pages.log", "manifests.log"}
 
-// openJournal replays the journal in dir into r and opens both logs for
-// append.
-func openJournal(dir string, r *Registry) (*journal, error) {
+// Open opens the registry in dir, creating it if needed: it replays the
+// journal (so versions published by another process become visible), cuts
+// the file to the prefix replay kept, and appends later publishes there. A
+// directory that holds the earlier two-log layout is refused.
+func Open(dir string) (*Registry, error) {
+	for _, name := range twoLogNames {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return nil, fmt.Errorf("registry: %s holds %s, a two-log journal this build does not read; publish into a new directory", dir, name)
+		}
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: create journal dir: %w", err)
 	}
-	pages, err := openLog(filepath.Join(dir, pagesLogName), r.replayPages)
-	if err != nil {
-		return nil, err
-	}
-	mans, err := openLog(filepath.Join(dir, manifestsLogName), r.replayManifests)
-	if err != nil {
-		pages.f.Close()
-		return nil, err
-	}
-	return &journal{pages: pages, mans: mans}, nil
-}
-
-// logFile is one journal file open for writing, and the length of its
-// valid prefix, where the next record goes.
-type logFile struct {
-	f   *os.File
-	end int64
-}
-
-// openLog hands the contents of the log at path to replay, which returns
-// the length of the prefix it accepted, then opens the file for writing
-// and cuts it to that prefix.
-func openLog(path string, replay func([]byte) (int, error)) (logFile, error) {
+	path := filepath.Join(dir, logName)
 	raw, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
-		return logFile{}, fmt.Errorf("registry: read %s: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("registry: read %s: %w", logName, err)
 	}
-	valid, err := replay(raw)
+	r, valid, err := replay(raw)
 	if err != nil {
-		return logFile{}, err
+		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err == nil && valid < len(raw) {
@@ -79,102 +59,117 @@ func openLog(path string, replay func([]byte) (int, error)) (logFile, error) {
 	}
 	if err != nil {
 		f.Close()
-		return logFile{}, fmt.Errorf("registry: open %s: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("registry: open %s: %w", logName, err)
 	}
-	return logFile{f: f, end: int64(valid)}, nil
+	r.log, r.end = f, int64(valid)
+	return r, nil
 }
 
-// replayPages stores each page record of raw, stopping at the first that is
-// torn or whose bytes do not match its hash — a corrupt record and
-// everything after it are untrustworthy. It returns the length of the
-// prefix it stored.
-func (r *Registry) replayPages(raw []byte) (int, error) {
-	off := 0
-	for len(raw)-off >= sha256.Size+4 {
-		start := off + sha256.Size + 4
-		n := int(binary.LittleEndian.Uint32(raw[start-4:]))
-		if n > len(raw)-start {
-			break
-		}
-		data := raw[start : start+n : start+n]
-		hash := [sha256.Size]byte(raw[off : off+sha256.Size])
-		if sha256.Sum256(data) != hash {
-			break
-		}
-		r.addPage(hash, data)
-		off = start + n
-	}
-	return off, nil
-}
+// Close closes the journal.
+func (r *Registry) Close() error { return r.log.Close() }
 
-// replayManifests indexes each manifest record of raw, stopping at the
-// first that is torn, does not decode to a published name@version, repeats
-// one, or does not resolve against the replayed pages. It returns the
-// length of the prefix it indexed. A manifest in a checkpoint format newer
-// than this build reads fails Open instead: cutting it would destroy a
-// version a newer build can serve.
-func (r *Registry) replayManifests(raw []byte) (int, error) {
+// replay builds a registry from a journal's bytes and returns the length
+// of the prefix it kept. A manifest in a checkpoint format newer than this
+// build reads fails it instead: cutting that record would destroy a version
+// a newer build can serve.
+func replay(raw []byte) (*Registry, int, error) {
+	r := &Registry{pages: make(map[[sha256.Size]byte][]byte)}
 	off := 0
-	for len(raw)-off >= 4 {
-		start := off + 4
-		n := int(binary.LittleEndian.Uint32(raw[off:]))
-		if n > len(raw)-start {
+	for len(raw)-off >= 8 {
+		n := binary.LittleEndian.Uint64(raw[off:])
+		if n > uint64(len(raw)-off-8) {
 			break
 		}
-		rec := raw[start : start+n : start+n]
-		var m Manifest
-		if json.Unmarshal(rec, &m) != nil || m.Name == "" || m.Version < 1 {
+		end := off + 8 + int(n)
+		m, fresh, ok := decodeRecord(raw[off+8 : end])
+		if !ok {
 			break
 		}
 		if m.Format > tensor.SerializeVersion {
-			return 0, fmt.Errorf("registry: %s@%d uses checkpoint format %d, this build reads ≤ %d", m.Name, m.Version, m.Format, tensor.SerializeVersion)
+			return nil, 0, fmt.Errorf("registry: version %d uses checkpoint format %d, this build reads ≤ %d", m.Version, m.Format, tensor.SerializeVersion)
 		}
-		if _, dup := r.manifests[manifestKey(m.Name, m.Version)]; dup {
+		if m.Version != len(r.manifests)+1 {
 			break
 		}
-		if _, err := r.resolve(&m); err != nil {
+		extra := make(map[[sha256.Size]byte][]byte, len(fresh))
+		for _, p := range fresh {
+			extra[p.hash] = p.data
+		}
+		if _, err := r.resolve(m, extra); err != nil {
 			break
 		}
-		r.addManifest(&m, rec)
+		r.install(m, fresh)
+		off = end
+	}
+	return r, off, nil
+}
+
+// encodeRecord lays out one version's journal record, length prefix
+// included.
+func encodeRecord(m *Manifest, fresh []page) ([]byte, error) {
+	man, err := json.Marshal(m)
+	if err != nil {
+		return nil, fmt.Errorf("registry: marshal manifest: %w", err)
+	}
+	size := 4 + len(man)
+	for _, p := range fresh {
+		size += sha256.Size + 4 + len(p.data)
+	}
+	rec := make([]byte, 0, 8+size)
+	rec = binary.LittleEndian.AppendUint64(rec, uint64(size))
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(man)))
+	rec = append(rec, man...)
+	for _, p := range fresh {
+		rec = append(rec, p.hash[:]...)
+		rec = binary.LittleEndian.AppendUint32(rec, uint32(len(p.data)))
+		rec = append(rec, p.data...)
+	}
+	return rec, nil
+}
+
+// decodeRecord splits a record into its manifest and pages. It fails on a
+// length that runs past the record, a manifest that does not decode, and a
+// page that does not match its hash.
+func decodeRecord(rec []byte) (*Manifest, []page, bool) {
+	if len(rec) < 4 || int(binary.LittleEndian.Uint32(rec)) > len(rec)-4 {
+		return nil, nil, false
+	}
+	off := 4 + int(binary.LittleEndian.Uint32(rec))
+	var m Manifest
+	if json.Unmarshal(rec[4:off], &m) != nil {
+		return nil, nil, false
+	}
+	var pages []page
+	for off < len(rec) {
+		start := off + sha256.Size + 4
+		if start > len(rec) {
+			return nil, nil, false
+		}
+		n := int(binary.LittleEndian.Uint32(rec[start-4:]))
+		if n > len(rec)-start {
+			return nil, nil, false
+		}
+		p := page{hash: [sha256.Size]byte(rec[off : off+sha256.Size]), data: rec[start : start+n : start+n]}
+		if sha256.Sum256(p.data) != p.hash {
+			return nil, nil, false
+		}
+		pages = append(pages, p)
 		off = start + n
 	}
-	return off, nil
+	return &m, pages, true
 }
 
-func (j *journal) appendPage(hash [sha256.Size]byte, data []byte) error {
-	rec := make([]byte, 0, len(hash)+4+len(data))
-	rec = append(rec, hash[:]...)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(data)))
-	return j.pages.append(append(rec, data...), false)
-}
-
-func (j *journal) appendManifest(raw []byte) error {
-	// A manifest makes a version visible: flush the pages written before it,
-	// then the manifest, so another process opening the journal sees a
-	// whole version.
-	if err := j.pages.f.Sync(); err != nil {
-		return err
-	}
-	rec := binary.LittleEndian.AppendUint32(nil, uint32(len(raw)))
-	return j.mans.append(append(rec, raw...), true)
-}
-
-// append writes rec at the end of the log's valid prefix, and fsyncs it
-// when sync is set. Only a record that succeeded extends the prefix: the
+// appendRecord writes rec at the end of the journal's valid prefix with one
+// write and one fsync. Only a record that succeeded extends the prefix: the
 // next append overwrites one that failed, so a failed record never sits
-// before a later one.
-func (l *logFile) append(rec []byte, sync bool) error {
-	_, err := l.f.WriteAt(rec, l.end)
-	if err == nil && sync {
-		err = l.f.Sync()
-	}
-	if err != nil {
+// before a later one. Callers hold r.mu.
+func (r *Registry) appendRecord(rec []byte) error {
+	if _, err := r.log.WriteAt(rec, r.end); err != nil {
 		return err
 	}
-	l.end += int64(len(rec))
+	if err := r.log.Sync(); err != nil {
+		return err
+	}
+	r.end += int64(len(rec))
 	return nil
-}
-
-func (j *journal) close() error {
-	return errors.Join(j.pages.f.Close(), j.mans.f.Close())
 }

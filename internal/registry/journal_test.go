@@ -2,9 +2,7 @@ package registry
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/json"
-	"fmt"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -36,39 +34,48 @@ func openDir(tb testing.TB, dir string) *Registry {
 	return r
 }
 
-func mustPublish(tb testing.TB, r *Registry, name string, ts []*tensor.Tensor) *PublishResult {
+func mustPublish(tb testing.TB, r *Registry, ts []*tensor.Tensor) *PublishResult {
 	tb.Helper()
-	res, err := r.Publish(name, ts)
+	res, err := r.Publish(ts)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return res
 }
 
-// wantLoads fails unless name@version reassembles to exactly ts.
-func wantLoads(tb testing.TB, r *Registry, name string, version int, ts []*tensor.Tensor) {
+// wantLoads fails unless version reassembles to exactly ts.
+func wantLoads(tb testing.TB, r *Registry, version int, ts []*tensor.Tensor) {
 	tb.Helper()
-	got, err := r.Checkpoint(name, version)
+	got, err := r.Checkpoint(version)
 	if err != nil {
-		tb.Fatalf("%s@%d: %v", name, version, err)
+		tb.Fatalf("version %d: %v", version, err)
 	}
 	if !bytes.Equal(got, ckptOf(tb, ts)) {
-		tb.Fatalf("%s@%d does not reassemble to what was published", name, version)
+		tb.Fatalf("version %d does not reassemble to what was published", version)
 	}
 }
 
+func readLog(tb testing.TB, dir string) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
 // TestJournalTornTailThenPublish: a crash can leave a partial record at the
-// end of a log. Open must cut it off before appending, or the next replay
+// end of the log. Open must cut it off before appending, or the next replay
 // reads the partial record's bytes into the first new one and loses every
 // version published after the crash.
 func TestJournalTornTailThenPublish(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(6))
 	w := openDir(t, dir)
-	mustPublish(t, w, "taste", params(rng))
+	mustPublish(t, w, params(rng))
 	w.Close()
 
-	f, err := os.OpenFile(filepath.Join(dir, pagesLogName), os.O_APPEND|os.O_WRONLY, 0)
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,120 +86,219 @@ func TestJournalTornTailThenPublish(t *testing.T) {
 
 	w = openDir(t, dir)
 	v2 := params(rng)
-	if res := mustPublish(t, w, "taste", v2); res.Version != 2 {
+	if res := mustPublish(t, w, v2); res.Version != 2 {
 		t.Fatalf("publish after a torn tail: %+v", res)
 	}
 	w.Close()
 
 	rd := openDir(t, dir)
 	defer rd.Close()
-	if v, ok := rd.Latest("taste"); !ok || v != 2 {
+	if v, ok := rd.Latest(); !ok || v != 2 {
 		t.Fatalf("Latest = %d, %v; want 2", v, ok)
 	}
-	wantLoads(t, rd, "taste", 2, v2)
+	wantLoads(t, rd, 2, v2)
 }
 
-// TestFailedPageWriteIsNotDeduped: a page whose journal write failed must
-// not stay in the store, or every later publish dedups against it and never
-// journals it, and the version is lost on the next Open.
+// TestFailedPageWriteIsNotDeduped: a publish whose record write failed must
+// install none of its pages, or every later publish dedups against them and
+// never journals them, and the version is lost on the next Open.
 func TestFailedPageWriteIsNotDeduped(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(7))
 	r := openDir(t, dir)
-	mustPublish(t, r, "taste", params(rng))
+	mustPublish(t, r, params(rng))
+	before := r.Stats()
 
 	v2 := params(rng)
-	r.jnl.pages.f.Close()
-	if _, err := r.Publish("taste", v2); err == nil {
-		t.Fatal("publish with a closed pages log succeeded")
+	r.log.Close()
+	if _, err := r.Publish(v2); err == nil {
+		t.Fatal("publish with a closed journal succeeded")
 	}
-	f, err := os.OpenFile(filepath.Join(dir, pagesLogName), os.O_WRONLY, 0)
+	if st := r.Stats(); st != before {
+		t.Fatalf("a failed publish changed the store: %+v, before %+v", st, before)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.jnl.pages.f = f
-	res := mustPublish(t, r, "taste", v2)
+	r.log = f
+	res := mustPublish(t, r, v2)
 	if res.Version != 2 || res.NewPages != res.Pages {
-		t.Fatalf("retry after a failed page write: %+v; want version 2 with every page new", res)
+		t.Fatalf("retry after a failed write: %+v; want version 2 with every page new", res)
 	}
 	r.Close()
 
 	rd := openDir(t, dir)
 	defer rd.Close()
-	wantLoads(t, rd, "taste", 2, v2)
+	wantLoads(t, rd, 2, v2)
 }
 
-// TestCorruptPageHidesItsVersions: replay stops at a corrupt page record, so
-// a manifest naming a page after it must not be listed — Latest never names
-// a version Checkpoint cannot load.
+// TestCorruptPageHidesItsVersions: replay stops at a record whose page does
+// not match its hash, so that version and every later one are hidden —
+// Latest never names a version Checkpoint cannot load — and Open cuts the
+// log there, so the next publish takes the hidden version's number.
 func TestCorruptPageHidesItsVersions(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(8))
 	w := openDir(t, dir)
 	v1 := params(rng)
-	mustPublish(t, w, "taste", v1)
-	path := filepath.Join(dir, pagesLogName)
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPublish(t, w, "taste", params(rng))
+	mustPublish(t, w, v1)
+	v1End := w.end
+	mustPublish(t, w, params(rng))
+	mustPublish(t, w, params(rng))
 	w.Close()
 
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[st.Size()+sha256.Size+4] ^= 0xff // first data byte of v2's first page
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	raw := readLog(t, dir)
+	manLen := int64(binary.LittleEndian.Uint32(raw[v1End+8:]))
+	raw[v1End+8+4+manLen+32+4] ^= 0xff // first byte of version 2's first page
+	if err := os.WriteFile(filepath.Join(dir, logName), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	rd := openDir(t, dir)
 	defer rd.Close()
-	if vs := rd.Versions("taste"); !slices.Equal(vs, []int{1}) {
+	if vs := rd.Versions(); !slices.Equal(vs, []int{1}) {
 		t.Fatalf("Versions = %v, want [1]", vs)
 	}
-	wantLoads(t, rd, "taste", 1, v1)
+	wantLoads(t, rd, 1, v1)
+	if got := int64(len(readLog(t, dir))); got != v1End {
+		t.Fatalf("log is %d bytes after Open, want it cut to version 1's %d", got, v1End)
+	}
+	v2 := params(rng)
+	if res := mustPublish(t, rd, v2); res.Version != 2 {
+		t.Fatalf("publish after the cut: %+v, want version 2", res)
+	}
+	wantLoads(t, rd, 2, v2)
 }
 
-// TestDuplicateManifestRefused: versions are immutable, so a second
-// manifest for an existing name@version is refused and changes nothing.
+// TestDuplicateManifestRefused: versions are immutable, so replay refuses a
+// record that claims a version already replayed, hides everything after it
+// and Open cuts the log there.
 func TestDuplicateManifestRefused(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(9))
 	r := openDir(t, dir)
-	defer r.Close()
 	v1 := params(rng)
-	mustPublish(t, r, "taste", v1)
-	before, err := os.ReadFile(filepath.Join(dir, manifestsLogName))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := r.GetManifest("taste", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustPublish(t, r, v1)
+	before := readLog(t, dir)
+	m := *r.manifests[0]
 	m.LogicalBytes++
-	raw, err := json.Marshal(m)
+	r.Close()
+
+	dup, err := encodeRecord(&m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.putManifest(m, raw); err == nil || !strings.Contains(err.Error(), "already exists") {
-		t.Fatalf("second manifest for taste@1: err = %v, want already exists", err)
-	}
-	after, err := os.ReadFile(filepath.Join(dir, manifestsLogName))
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, logName), slices.Concat(before, dup), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("a refused manifest reached the journal")
-	}
-	if vs := r.Versions("taste"); !slices.Equal(vs, []int{1}) {
+	rd := openDir(t, dir)
+	defer rd.Close()
+	if vs := rd.Versions(); !slices.Equal(vs, []int{1}) {
 		t.Fatalf("Versions = %v, want [1]", vs)
 	}
-	wantLoads(t, r, "taste", 1, v1)
+	if st := rd.Stats(); st.LogicalBytes != m.LogicalBytes-1 {
+		t.Fatalf("the second record for version 1 reached the store: %+v", st)
+	}
+	if !bytes.Equal(readLog(t, dir), before) {
+		t.Fatal("Open did not cut the duplicate record")
+	}
+	wantLoads(t, rd, 1, v1)
+}
+
+// TestPublishAppendsOneRecord: a registry directory holds one file, and
+// each publish appends exactly one record to it.
+func TestPublishAppendsOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(11))
+	r := openDir(t, dir)
+	defer r.Close()
+	base := params(rng)
+	for v := 1; v <= 3; v++ {
+		mustPublish(t, r, base)
+		raw := readLog(t, dir)
+		records := 0
+		for off := 0; off < len(raw); off += 8 + int(binary.LittleEndian.Uint64(raw[off:])) {
+			records++
+		}
+		if records != v {
+			t.Fatalf("after %d publishes the log holds %d records", v, records)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 || entries[0].Name() != logName {
+		t.Fatalf("registry directory holds %v (%v), want only %s", entries, err, logName)
+	}
+}
+
+// TestOpenRefusesTwoLogLayout: a directory journaled by the earlier
+// two-log layout is refused by name, not opened as an empty registry.
+func TestOpenRefusesTwoLogLayout(t *testing.T) {
+	for _, name := range twoLogNames {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte{1, 2, 3}, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(dir)
+		if err == nil {
+			r.Close()
+			t.Fatalf("Open of a directory holding %s succeeded", name)
+		}
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("Open of a directory holding %s: %v, want the file named", name, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, logName)); !os.IsNotExist(err) {
+			t.Fatalf("a refused Open created %s: %v", logName, err)
+		}
+	}
+}
+
+// TestConcurrentPublishesClaimDistinctVersions: publishes racing on one
+// registry all succeed, take versions 1 through n between them, and each
+// version loads, after a reopen, as exactly what its publisher sent.
+func TestConcurrentPublishesClaimDistinctVersions(t *testing.T) {
+	const n = 8
+	dir := t.TempDir()
+	r := openDir(t, dir)
+	sets := make([][]*tensor.Tensor, n)
+	for g := range sets {
+		sets[g] = params(rand.New(rand.NewSource(int64(200 + g))))
+	}
+	got := make([]int, n)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for g := range sets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start.Wait()
+			res, err := r.Publish(sets[g])
+			if err != nil {
+				t.Errorf("publish %d: %v", g, err)
+				return
+			}
+			got[g] = res.Version
+		}()
+	}
+	start.Done()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	vs := slices.Clone(got)
+	slices.Sort(vs)
+	if !slices.Equal(vs, []int{1, 2, 3, 4, 5, 6, 7, 8}) {
+		t.Fatalf("concurrent publishes took versions %v, want 1 through %d", got, n)
+	}
+	r.Close()
+
+	rd := openDir(t, dir)
+	defer rd.Close()
+	if vs := rd.Versions(); len(vs) != n {
+		t.Fatalf("reopened registry lists %v, want %d versions", vs, n)
+	}
+	for g, v := range got {
+		wantLoads(t, rd, v, sets[g])
+	}
 }
 
 // TestConcurrentPublishAndCheckpoint gives the race detector publishes,
@@ -201,21 +307,19 @@ func TestConcurrentPublishAndCheckpoint(t *testing.T) {
 	r := openDir(t, t.TempDir())
 	defer r.Close()
 	base := params(rand.New(rand.NewSource(10)))
-	mustPublish(t, r, "base", base)
+	mustPublish(t, r, base)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			name := fmt.Sprintf("m%d", g)
 			rng := rand.New(rand.NewSource(int64(100 + g)))
-			for v := 1; v <= 3; v++ {
-				ts := params(rng)
-				if res, err := r.Publish(name, ts); err != nil || res.Version != v {
-					t.Errorf("%s publish %d: %+v, %v", name, v, res, err)
+			for range 3 {
+				if _, err := r.Publish(params(rng)); err != nil {
+					t.Error(err)
 					return
 				}
-				if _, err := r.Checkpoint("base", 1); err != nil {
+				if _, err := r.Checkpoint(1); err != nil {
 					t.Error(err)
 				}
 				r.Stats()
@@ -223,75 +327,56 @@ func TestConcurrentPublishAndCheckpoint(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st := r.Stats(); st.Models != 5 || st.Versions != 13 {
+	if st := r.Stats(); st.Versions != 13 {
 		t.Fatalf("stats after concurrent publishes: %+v", st)
 	}
-	wantLoads(t, r, "base", 1, base)
+	wantLoads(t, r, 1, base)
 }
 
-// regressionJournals returns (pages.log, manifests.log) pairs: a clean
-// two-version journal, and the shapes two old bugs left on disk — v2's page
-// records appended after a torn tail, and v2's manifest journaled without
-// its one new page.
-func regressionJournals(tb testing.TB) [][2][]byte {
+// seedJournals returns journal files for the fuzzer to start from: a clean
+// two-version log, a torn tail followed by version 2's record (replay keeps
+// only version 1), and the clean log with a byte of version 2's one new
+// page flipped.
+func seedJournals(tb testing.TB) [][]byte {
 	dir := tb.TempDir()
 	r := openDir(tb, dir)
-	read := func(name string) []byte {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return raw
-	}
 	v1 := []*tensor.Tensor{tensor.FromRows([][]float64{{1, 2}, {3, 4}}), tensor.FromRows([][]float64{{5, 6, 7}})}
-	mustPublish(tb, r, "taste", v1)
-	p1 := read(pagesLogName)
-	mustPublish(tb, r, "taste", []*tensor.Tensor{tensor.FromRows([][]float64{{8, 9}, {10, 11}}), v1[1]})
-	pages, mans := read(pagesLogName), read(manifestsLogName)
+	mustPublish(tb, r, v1)
+	v1End := r.end
+	mustPublish(tb, r, []*tensor.Tensor{tensor.FromRows([][]float64{{8, 9}, {10, 11}}), v1[1]})
 	r.Close()
-	torn := slices.Concat(p1, bytes.Repeat([]byte{0xa5}, 10), pages[len(p1):])
-	unjournaled := pages[:len(p1)]
-	return [][2][]byte{{pages, mans}, {torn, mans}, {unjournaled, mans}}
+	clean := readLog(tb, dir)
+	torn := slices.Concat(clean[:v1End], bytes.Repeat([]byte{0xa5}, 10), clean[v1End:])
+	flipped := slices.Clone(clean)
+	flipped[len(flipped)-1] ^= 0x01
+	return [][]byte{clean, torn, flipped}
 }
 
-// FuzzJournalReplay feeds arbitrary bytes as both logs to the replay Open
-// runs on the files' contents (without the files, so that each run and the
+// FuzzJournalReplay feeds arbitrary bytes as the journal to the replay Open
+// runs on the file's contents (without the file, so that each run and the
 // fuzzer's minimisation stay cheap). Replay must not panic, every version
-// it lists must load, and replaying the prefixes it kept — the logs as
-// Open cuts them — must keep all of them and list the same versions.
+// it lists must load, and replaying the prefix it kept — the log as Open
+// cuts it — must keep all of it and list the same versions.
 func FuzzJournalReplay(f *testing.F) {
-	for _, seed := range regressionJournals(f) {
-		f.Add(seed[0], seed[1])
+	for _, seed := range seedJournals(f) {
+		f.Add(seed)
 	}
-	replay := func(pages, mans []byte) (r *Registry, pn, mn int, err error) {
-		r, _ = Open("")
-		pn, _ = r.replayPages(pages)
-		mn, err = r.replayManifests(mans)
-		return r, pn, mn, err
-	}
-	f.Fuzz(func(t *testing.T, pages, mans []byte) {
-		r, pn, mn, err := replay(pages, mans)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		r, n, err := replay(raw)
 		if err != nil {
 			return
 		}
-		for _, name := range r.Models() {
-			for _, v := range r.Versions(name) {
-				if _, err := r.Checkpoint(name, v); err != nil {
-					t.Fatalf("%s@%d is listed but does not load: %v", name, v, err)
-				}
+		for _, v := range r.Versions() {
+			if _, err := r.Checkpoint(v); err != nil {
+				t.Fatalf("version %d is listed but does not load: %v", v, err)
 			}
 		}
-		cut, pn2, mn2, err := replay(pages[:pn], mans[:mn])
-		if err != nil || pn2 != pn || mn2 != mn {
-			t.Fatalf("replaying the kept prefixes (%d, %d) kept (%d, %d), err %v", pn, mn, pn2, mn2, err)
+		cut, n2, err := replay(raw[:n])
+		if err != nil || n2 != n {
+			t.Fatalf("replaying the kept prefix (%d bytes) kept %d, err %v", n, n2, err)
 		}
-		if !slices.Equal(cut.Models(), r.Models()) {
-			t.Fatalf("after the cut: models %v, before %v", cut.Models(), r.Models())
-		}
-		for _, name := range r.Models() {
-			if !slices.Equal(cut.Versions(name), r.Versions(name)) {
-				t.Fatalf("%s after the cut: %v, before %v", name, cut.Versions(name), r.Versions(name))
-			}
+		if !slices.Equal(cut.Versions(), r.Versions()) {
+			t.Fatalf("after the cut: versions %v, before %v", cut.Versions(), r.Versions())
 		}
 	})
 }

@@ -1,21 +1,25 @@
 // Package registry implements a versioned, deduplicated model checkpoint
-// store.
+// store: one directory holds one model's version history.
 //
 // A published checkpoint is decomposed per tensor: each tensor's raw
 // little-endian float64 stream is chunked into fixed-size pages, every page
 // is addressed by its sha256, and pages are stored at most once. A manifest
-// — small JSON naming the tensor shapes and their page hashes — is what a
-// version actually owns. Fine-tuned variants that share most weights with
-// their base (say, retrained classifier heads over a frozen encoder)
-// therefore pay storage only for the pages that changed, exactly the
-// trade explored by deduplicated model serving over relational databases.
+// — the tensor shapes and their page hashes — is what a version actually
+// owns, so a version pays storage only for the pages no earlier version
+// holds, the trade explored by deduplicated model serving over relational
+// databases. Variants trained on one corpus (tastetrain -tables 24 -seed 1)
+// shared 14.7 % of their pages with earlier versions at -epochs 2, 12.7 %
+// at -pretrain 20, 27.4 % with -histogram and 0.2 % at -train-workers 2;
+// an identical retrain, or republishing the serving weights, shares all of
+// them.
 //
 // The registry holds its pages and manifests in memory. Cross-process
 // durability — training publishes in one process, serving loads in another
-// — comes from an append-only journal directory, the one durable copy,
-// replayed on Open. A page joins the store only once its record is written,
-// and a manifest only once its record and every page it names are: a
-// version the registry lists is always one it can load.
+// — comes from one append-only log, the one durable copy, replayed on Open
+// (journal.go). A version is one record in it, holding its manifest and the
+// pages the store did not already hold, and joins the store only once that
+// record is written and synced: a version the registry lists is always one
+// it can load.
 package registry
 
 import (
@@ -23,10 +27,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"os"
 	"sync"
 
 	"repro/internal/tensor"
@@ -41,16 +44,15 @@ const DefaultPageSize = 64 * 1024
 type Registry struct {
 	mu        sync.Mutex
 	pages     map[[sha256.Size]byte][]byte // content hash → page
-	manifests map[string][]byte            // name@version → manifest JSON
-	versions  map[string][]int             // model name → sorted published versions
+	manifests []*Manifest                  // version v at index v-1
 	logical   int64                        // sum of pre-dedup checkpoint bytes
 	stored    int64                        // sum of page bytes
-	jnl       *journal                     // nil without a durable directory
+	log       *os.File                     // the journal, open for writing
+	end       int64                        // length of its valid prefix, where the next record goes
 }
 
 // Manifest describes one published checkpoint version.
 type Manifest struct {
-	Name         string        `json:"name"`
 	Version      int           `json:"version"`
 	Format       int           `json:"format"` // checkpoint format (tensor.SerializeVersion)
 	PageSize     int           `json:"page_size"`
@@ -65,59 +67,8 @@ type TensorEntry struct {
 	Pages []string `json:"pages"`
 }
 
-// Open creates a registry. If dir is non-empty it is used as a durable
-// journal: existing journal records are replayed first (so versions
-// published by another process become visible), each log is cut back to
-// its last record replay accepted, and subsequent publishes are appended.
-func Open(dir string) (*Registry, error) {
-	r := &Registry{
-		pages:     make(map[[sha256.Size]byte][]byte),
-		manifests: make(map[string][]byte),
-		versions:  make(map[string][]int),
-	}
-	if dir != "" {
-		jnl, err := openJournal(dir, r)
-		if err != nil {
-			return nil, err
-		}
-		r.jnl = jnl
-	}
-	return r, nil
-}
-
-// Close releases the journal file handles, if any.
-func (r *Registry) Close() error {
-	if r.jnl != nil {
-		return r.jnl.close()
-	}
-	return nil
-}
-
-func manifestKey(name string, version int) string {
-	return fmt.Sprintf("%s@%d", name, version)
-}
-
-// addPage stores a page unless one with its hash is present. Callers hold
-// r.mu.
-func (r *Registry) addPage(hash [sha256.Size]byte, data []byte) {
-	if _, ok := r.pages[hash]; !ok {
-		r.pages[hash] = data
-		r.stored += int64(len(data))
-	}
-}
-
-// addManifest indexes a manifest. Callers hold r.mu and have checked that
-// its key is new and its pages resolve.
-func (r *Registry) addManifest(m *Manifest, raw []byte) {
-	r.manifests[manifestKey(m.Name, m.Version)] = raw
-	r.versions[m.Name] = append(r.versions[m.Name], m.Version)
-	sort.Ints(r.versions[m.Name])
-	r.logical += m.LogicalBytes
-}
-
 // PublishResult reports what a publish cost.
 type PublishResult struct {
-	Name         string  `json:"name"`
 	Version      int     `json:"version"`
 	Pages        int     `json:"pages"`           // pages referenced by the manifest
 	NewPages     int     `json:"new_pages"`       // pages actually stored
@@ -126,131 +77,90 @@ type PublishResult struct {
 	SharedFrac   float64 `json:"shared_fraction"` // fraction of bytes deduped away
 }
 
-// Publish stores the given parameter tensors as the next version of name
-// and returns what it cost. Pages already present in the store — typically
-// the frozen encoder of a fine-tuned variant — are referenced, not
-// rewritten.
-func (r *Registry) Publish(name string, ts []*tensor.Tensor) (*PublishResult, error) {
-	if name == "" {
-		return nil, fmt.Errorf("registry: empty model name")
-	}
-	r.mu.Lock()
-	version := 1
-	if vs := r.versions[name]; len(vs) > 0 {
-		version = vs[len(vs)-1] + 1
-	}
-	r.mu.Unlock()
+// page is one chunk of a tensor's float64 stream and its content hash.
+type page struct {
+	hash [sha256.Size]byte
+	data []byte
+}
 
-	man := &Manifest{
-		Name:     name,
-		Version:  version,
-		Format:   tensor.SerializeVersion,
-		PageSize: DefaultPageSize,
-	}
-	res := &PublishResult{Name: name, Version: version}
+// Publish stores the given parameter tensors as the next version and
+// returns what it cost. Pages already present in the store are referenced,
+// not rewritten. The pages are cut and hashed before the lock; under it the
+// version is picked, its record written and synced, and the version
+// installed, so two publishes never claim one version and a publish whose
+// write failed installs nothing.
+func (r *Registry) Publish(ts []*tensor.Tensor) (*PublishResult, error) {
+	man := &Manifest{Format: tensor.SerializeVersion, PageSize: DefaultPageSize}
+	var pages []page
 	for _, t := range ts {
 		entry := TensorEntry{Rows: t.Rows, Cols: t.Cols}
-		raw := encodeFloats(t.Data)
-		man.LogicalBytes += int64(len(raw))
-		for off := 0; off < len(raw); off += DefaultPageSize {
-			page := raw[off:min(off+DefaultPageSize, len(raw))]
-			hash := sha256.Sum256(page)
-			added, err := r.putPage(hash, page)
-			if err != nil {
-				return nil, fmt.Errorf("registry: journal page: %w", err)
-			}
-			res.Pages++
-			if added {
-				res.NewPages++
-				res.StoredBytes += int64(len(page))
-				pagesWrittenTotal.Inc()
-			} else {
-				pagesDedupedTotal.Inc()
-			}
-			entry.Pages = append(entry.Pages, hex.EncodeToString(hash[:]))
+		for off := 0; off < len(t.Data); off += DefaultPageSize / 8 {
+			data := encodeFloats(t.Data[off:min(off+DefaultPageSize/8, len(t.Data))])
+			p := page{hash: sha256.Sum256(data), data: data}
+			pages = append(pages, p)
+			entry.Pages = append(entry.Pages, hex.EncodeToString(p.hash[:]))
 		}
 		man.Tensors = append(man.Tensors, entry)
+		man.LogicalBytes += 8 * int64(len(t.Data))
 	}
-	res.LogicalBytes = man.LogicalBytes
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	man.Version = len(r.manifests) + 1
+	res := &PublishResult{Version: man.Version, Pages: len(pages), LogicalBytes: man.LogicalBytes}
+	var fresh []page
+	seen := make(map[[sha256.Size]byte]bool)
+	for _, p := range pages {
+		if _, ok := r.pages[p.hash]; !ok && !seen[p.hash] {
+			seen[p.hash] = true
+			fresh = append(fresh, p)
+			res.StoredBytes += int64(len(p.data))
+		}
+	}
+	rec, err := encodeRecord(man, fresh)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.appendRecord(rec); err != nil {
+		return nil, fmt.Errorf("registry: journal version %d: %w", man.Version, err)
+	}
+	r.install(man, fresh)
+
+	res.NewPages = len(fresh)
 	if man.LogicalBytes > 0 {
 		res.SharedFrac = 1 - float64(res.StoredBytes)/float64(man.LogicalBytes)
 	}
-
-	manJSON, err := json.Marshal(man)
-	if err != nil {
-		return nil, fmt.Errorf("registry: marshal manifest: %w", err)
-	}
-	if err := r.putManifest(man, manJSON); err != nil {
-		return nil, err
-	}
 	publishesTotal.Inc()
+	pagesWrittenTotal.Add(int64(res.NewPages))
+	pagesDedupedTotal.Add(int64(res.Pages - res.NewPages))
 	return res, nil
 }
 
-// putPage stores a copy of data under hash unless the page is present. The
-// page's journal record is written first: a page whose write failed is not
-// stored, so the next publish writes it again instead of deduping against a
-// page the journal never saw.
-func (r *Registry) putPage(hash [sha256.Size]byte, data []byte) (bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.pages[hash]; ok {
-		return false, nil
-	}
-	if r.jnl != nil {
-		if err := r.jnl.appendPage(hash, data); err != nil {
-			return false, err
+// install adds a version's new pages and its manifest, the next version.
+// Callers hold r.mu.
+func (r *Registry) install(m *Manifest, fresh []page) {
+	for _, p := range fresh {
+		if _, ok := r.pages[p.hash]; !ok {
+			r.pages[p.hash] = p.data
+			r.stored += int64(len(p.data))
 		}
 	}
-	r.addPage(hash, bytes.Clone(data))
-	return true, nil
+	r.manifests = append(r.manifests, m)
+	r.logical += m.LogicalBytes
 }
 
-// putManifest journals and indexes a manifest, refusing a second manifest
-// for an existing name@version: versions are immutable.
-func (r *Registry) putManifest(m *Manifest, raw []byte) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	key := manifestKey(m.Name, m.Version)
-	if _, dup := r.manifests[key]; dup {
-		return fmt.Errorf("registry: manifest %q already exists", key)
-	}
-	if r.jnl != nil {
-		if err := r.jnl.appendManifest(raw); err != nil {
-			return fmt.Errorf("registry: journal manifest: %w", err)
-		}
-	}
-	r.addManifest(m, raw)
-	return nil
-}
-
-// GetManifest fetches and decodes the manifest for name@version.
-func (r *Registry) GetManifest(name string, version int) (*Manifest, error) {
-	key := manifestKey(name, version)
-	r.mu.Lock()
-	raw, ok := r.manifests[key]
-	r.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("registry: manifest %q not found", key)
-	}
-	var m Manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("registry: decode manifest %s: %w", key, err)
-	}
-	return &m, nil
-}
-
-// Checkpoint reassembles name@version into a serialized checkpoint stream,
+// Checkpoint reassembles a version into a serialized checkpoint stream,
 // verifying every page against its content hash. The result is exactly what
 // Model.Save would have produced, so Model.Load's atomic validation applies
 // unchanged on the way back in.
-func (r *Registry) Checkpoint(name string, version int) ([]byte, error) {
-	man, err := r.GetManifest(name, version)
-	if err != nil {
-		return nil, err
-	}
+func (r *Registry) Checkpoint(version int) ([]byte, error) {
 	r.mu.Lock()
-	pages, err := r.resolve(man)
+	if version < 1 || version > len(r.manifests) {
+		r.mu.Unlock()
+		return nil, fmt.Errorf("registry: version %d not found", version)
+	}
+	man := r.manifests[version-1]
+	pages, err := r.resolve(man, nil)
 	r.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -273,12 +183,13 @@ func (r *Registry) Checkpoint(name string, version int) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// resolve returns the pages of each of m's tensors, in order. It fails when
-// a page hash is malformed or absent, a page does not match its hash, or a
-// tensor's pages do not fill its shape exactly — so a manifest that
-// resolves is one Checkpoint can load. Callers hold r.mu.
-func (r *Registry) resolve(m *Manifest) ([][][]byte, error) {
-	where := func(i int) string { return fmt.Sprintf("registry: %s@%d tensor %d", m.Name, m.Version, i) }
+// resolve returns the pages of each of m's tensors, in order, looking each
+// up in the store and then in extra. It fails when a page hash is malformed
+// or absent, a page does not match its hash, or a tensor's pages do not
+// fill its shape exactly — so a manifest that resolves is one Checkpoint
+// can load. Callers hold r.mu.
+func (r *Registry) resolve(m *Manifest, extra map[[sha256.Size]byte][]byte) ([][][]byte, error) {
+	where := func(i int) string { return fmt.Sprintf("registry: version %d tensor %d", m.Version, i) }
 	out := make([][][]byte, len(m.Tensors))
 	for i, entry := range m.Tensors {
 		n := 0
@@ -289,6 +200,9 @@ func (r *Registry) resolve(m *Manifest) ([][][]byte, error) {
 			}
 			hash := [sha256.Size]byte(hb)
 			page, ok := r.pages[hash]
+			if !ok {
+				page, ok = extra[hash]
+			}
 			if !ok {
 				return nil, fmt.Errorf("%s: page %s not found", where(i), hs)
 			}
@@ -309,41 +223,29 @@ func (r *Registry) resolve(m *Manifest) ([][][]byte, error) {
 	return out, nil
 }
 
-// Latest returns the newest published version of name.
-func (r *Registry) Latest(name string) (int, bool) {
+// Latest returns the newest published version.
+func (r *Registry) Latest() (int, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	vs := r.versions[name]
-	if len(vs) == 0 {
-		return 0, false
-	}
-	return vs[len(vs)-1], true
+	return len(r.manifests), len(r.manifests) > 0
 }
 
-// Versions returns the published versions of name in ascending order.
-func (r *Registry) Versions(name string) []int {
+// Versions returns the published versions in ascending order: 1 through
+// Latest.
+func (r *Registry) Versions() []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]int(nil), r.versions[name]...)
-}
-
-// Models returns all model names with at least one version, sorted.
-func (r *Registry) Models() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.versions))
-	for name := range r.versions {
-		out = append(out, name)
+	out := make([]int, len(r.manifests))
+	for i := range out {
+		out[i] = i + 1
 	}
-	sort.Strings(out)
 	return out
 }
 
-// Stats summarizes the registry: version counts plus the dedup economics.
-// DedupRatio is logical/stored — 2.0 means the store holds half of what the
-// checkpoints sum to; SavedBytes is the absolute saving.
+// Stats summarizes the registry: the version count plus the dedup
+// economics. DedupRatio is logical/stored — 2.0 means the store holds half
+// of what the checkpoints sum to; SavedBytes is the absolute saving.
 type Stats struct {
-	Models       int     `json:"models"`
 	Versions     int     `json:"versions"`
 	Pages        int     `json:"pages"`
 	LogicalBytes int64   `json:"logical_bytes"`
@@ -357,15 +259,12 @@ func (r *Registry) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Stats{
-		Models:       len(r.versions),
+		Versions:     len(r.manifests),
 		Pages:        len(r.pages),
 		LogicalBytes: r.logical,
 		StoredBytes:  r.stored,
+		SavedBytes:   r.logical - r.stored,
 	}
-	for _, vs := range r.versions {
-		s.Versions += len(vs)
-	}
-	s.SavedBytes = s.LogicalBytes - s.StoredBytes
 	if s.StoredBytes > 0 {
 		s.DedupRatio = float64(s.LogicalBytes) / float64(s.StoredBytes)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -29,21 +30,13 @@ func params(rng *rand.Rand) []*tensor.Tensor {
 	}
 }
 
-func openMem(t *testing.T) *Registry {
-	t.Helper()
-	r, err := Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
 func TestPublishCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ts := params(rng)
-	r := openMem(t)
+	r := openDir(t, t.TempDir())
+	defer r.Close()
 
-	res, err := r.Publish("taste", ts)
+	res, err := r.Publish(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +44,7 @@ func TestPublishCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("first publish: %+v", res)
 	}
 
-	ckpt, err := r.Checkpoint("taste", 1)
+	ckpt, err := r.Checkpoint(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +69,10 @@ func TestPublishCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, err := r.Checkpoint("taste", 7); err == nil {
-		t.Fatal("want error for unknown version")
-	}
-	if _, err := r.Checkpoint("nope", 1); err == nil {
-		t.Fatal("want error for unknown model")
+	for _, v := range []int{0, 2, 7} {
+		if _, err := r.Checkpoint(v); err == nil {
+			t.Fatalf("want error for unknown version %d", v)
+		}
 	}
 }
 
@@ -100,12 +92,13 @@ func TestDedupAcrossVariants(t *testing.T) {
 		variant[len(variant)-1].Data[i] += 0.01
 	}
 
-	r := openMem(t)
-	res1, err := r.Publish("taste", base)
+	r := openDir(t, t.TempDir())
+	defer r.Close()
+	res1, err := r.Publish(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := r.Publish("taste", variant)
+	res2, err := r.Publish(variant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +120,13 @@ func TestDedupAcrossVariants(t *testing.T) {
 	if st.SavedBytes <= 0 || st.DedupRatio <= 1 {
 		t.Fatalf("stats report no saving: %+v", st)
 	}
-	if st.Models != 1 || st.Versions != 2 {
+	if st.Versions != 2 {
 		t.Fatalf("stats counts: %+v", st)
 	}
 
 	// Both versions must still reassemble correctly despite sharing pages.
 	for v, want := range map[int][]*tensor.Tensor{1: base, 2: variant} {
-		ckpt, err := r.Checkpoint("taste", v)
+		ckpt, err := r.Checkpoint(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,29 +142,21 @@ func TestDedupAcrossVariants(t *testing.T) {
 
 func TestVersionIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	r := openMem(t)
-	if _, ok := r.Latest("taste"); ok {
+	r := openDir(t, t.TempDir())
+	defer r.Close()
+	if _, ok := r.Latest(); ok {
 		t.Fatal("Latest on empty registry")
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := r.Publish("taste", params(rng)); err != nil {
+		if _, err := r.Publish(params(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := r.Publish("other", params(rng)); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := r.Latest("taste"); !ok || v != 3 {
+	if v, ok := r.Latest(); !ok || v != 3 {
 		t.Fatalf("Latest = %d, %v", v, ok)
 	}
-	if vs := r.Versions("taste"); len(vs) != 3 || vs[0] != 1 || vs[2] != 3 {
+	if vs := r.Versions(); !slices.Equal(vs, []int{1, 2, 3}) {
 		t.Fatalf("Versions = %v", vs)
-	}
-	if ms := r.Models(); len(ms) != 2 || ms[0] != "other" || ms[1] != "taste" {
-		t.Fatalf("Models = %v", ms)
-	}
-	if _, err := r.Publish("", params(rng)); err == nil {
-		t.Fatal("want error for empty name")
 	}
 }
 
@@ -187,10 +172,10 @@ func TestJournalReplayAcrossProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Publish("taste", base); err != nil {
+	if _, err := w.Publish(base); err != nil {
 		t.Fatal(err)
 	}
-	wantCkpt, err := w.Checkpoint("taste", 1)
+	wantCkpt, err := w.Checkpoint(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +188,10 @@ func TestJournalReplayAcrossProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	if v, ok := rd.Latest("taste"); !ok || v != 1 {
+	if v, ok := rd.Latest(); !ok || v != 1 {
 		t.Fatalf("replayed Latest = %d, %v", v, ok)
 	}
-	got, err := rd.Checkpoint("taste", 1)
+	got, err := rd.Checkpoint(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +200,7 @@ func TestJournalReplayAcrossProcesses(t *testing.T) {
 	}
 	// Publishing after replay continues the version sequence and dedups
 	// against replayed pages.
-	res, err := rd.Publish("taste", base)
+	res, err := rd.Publish(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +209,7 @@ func TestJournalReplayAcrossProcesses(t *testing.T) {
 	}
 }
 
-// TestJournalTruncatedTail pins crash tolerance: cutting the logs mid-record
+// TestJournalTruncatedTail pins crash tolerance: cutting the log mid-record
 // must lose at most the unfinished version, never fail to open.
 func TestJournalTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
@@ -233,23 +218,22 @@ func TestJournalTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Publish("taste", params(rng)); err != nil {
+	if _, err := w.Publish(params(rng)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Publish("taste", params(rng)); err != nil {
+	v1End := w.end
+	if _, err := w.Publish(params(rng)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
 
-	for _, name := range []string{pagesLogName, manifestsLogName} {
-		path := filepath.Join(dir, name)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, raw[:len(raw)-11], 0o644); err != nil {
-			t.Fatal(err)
-		}
+	path := filepath.Join(dir, logName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-11], 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	rd, err := Open(dir)
@@ -257,8 +241,15 @@ func TestJournalTruncatedTail(t *testing.T) {
 		t.Fatalf("truncated journal must still open: %v", err)
 	}
 	defer rd.Close()
-	// Version 1 survives whole (its pages and manifest precede the cut).
-	if _, err := rd.Checkpoint("taste", 1); err != nil {
+	// Version 1 survives whole (its record precedes the cut); version 2's
+	// record is torn, so it is gone and Open cut the file before it.
+	if _, err := rd.Checkpoint(1); err != nil {
 		t.Fatalf("version 1 lost to an unrelated truncation: %v", err)
+	}
+	if vs := rd.Versions(); !slices.Equal(vs, []int{1}) {
+		t.Fatalf("Versions = %v, want [1]", vs)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != v1End {
+		t.Fatalf("Open left the log at %v bytes (%v), want %d: the torn record was not cut", st.Size(), err, v1End)
 	}
 }

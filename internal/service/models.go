@@ -35,22 +35,20 @@ import (
 // per-request version overrides; the least recently materialized is dropped.
 const maxMaterializedVersions = 8
 
-// AttachRegistry connects a model registry. name is the registry name the
-// serving model publishes under. Call before serving traffic; ServeVersion
-// then installs a published version, if the serving model should be one.
-func (s *Service) AttachRegistry(reg *registry.Registry, name string) {
+// AttachRegistry connects a model registry, the serving model's version
+// history. Call before serving traffic; ServeVersion then installs a
+// published version, if the serving model should be one.
+func (s *Service) AttachRegistry(reg *registry.Registry) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
 	s.registry = reg
-	s.modelName = name
 }
 
-// attachedRegistry returns the attached registry (nil when none) and the
-// name the serving model publishes under.
-func (s *Service) attachedRegistry() (*registry.Registry, string) {
+// attachedRegistry returns the attached registry (nil when none).
+func (s *Service) attachedRegistry() *registry.Registry {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
-	return s.registry, s.modelName
+	return s.registry
 }
 
 // ServingVersion returns the registry version of the serving model (0 when
@@ -110,7 +108,7 @@ func (s *Service) versionOf(m *adtd.Model) int {
 // another shape.
 func (s *Service) modelForVersion(version int) (*adtd.Model, *APIError) {
 	s.regMu.Lock()
-	reg, name, cached := s.registry, s.modelName, s.verCache[version]
+	reg, cached := s.registry, s.verCache[version]
 	s.regMu.Unlock()
 	if reg == nil {
 		return nil, apiErrorf(http.StatusBadRequest, "no model registry attached")
@@ -118,16 +116,16 @@ func (s *Service) modelForVersion(version int) (*adtd.Model, *APIError) {
 	if cached != nil {
 		return cached, nil
 	}
-	ckpt, err := reg.Checkpoint(name, version)
+	ckpt, err := reg.Checkpoint(version)
 	if err != nil {
-		return nil, apiErrorf(http.StatusNotFound, "model %s@%d: %v", name, version, err)
+		return nil, apiErrorf(http.StatusNotFound, "model version %d: %v", version, err)
 	}
 	m, err := s.detector.Model().Sibling()
 	if err != nil {
-		return nil, apiErrorf(http.StatusInternalServerError, "materialize %s@%d: %v", name, version, err)
+		return nil, apiErrorf(http.StatusInternalServerError, "materialize version %d: %v", version, err)
 	}
 	if err := m.Load(bytes.NewReader(ckpt)); err != nil {
-		return nil, apiErrorf(http.StatusInternalServerError, "load %s@%d: %v", name, version, err)
+		return nil, apiErrorf(http.StatusInternalServerError, "load version %d: %v", version, err)
 	}
 	m.SetEval()
 	return s.cacheVersion(version, m), nil
@@ -137,7 +135,6 @@ func (s *Service) modelForVersion(version int) (*adtd.Model, *APIError) {
 // model: which registry version is live, its weight generation, and how
 // many hot-swaps the replica has performed.
 type ModelBlock struct {
-	Name       string          `json:"name,omitempty"`
 	Version    int             `json:"version,omitempty"`
 	Generation uint64          `json:"generation"`
 	Swaps      int64           `json:"swaps"`
@@ -152,9 +149,7 @@ func (s *Service) ModelStats() ModelBlock {
 		Version:    s.versionOf(m),
 		Swaps:      s.swaps.Load(),
 	}
-	reg, name := s.attachedRegistry()
-	if reg != nil {
-		mb.Name = name
+	if reg := s.attachedRegistry(); reg != nil {
 		st := reg.Stats()
 		mb.Registry = &st
 	}
@@ -168,18 +163,14 @@ func (s *Service) handleModels(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	reg, _ := s.attachedRegistry()
+	reg := s.attachedRegistry()
 	if reg == nil {
 		writeError(w, http.StatusNotFound, "no model registry attached")
 		return
 	}
-	versions := make(map[string][]int)
-	for _, name := range reg.Models() {
-		versions[name] = reg.Versions(name)
-	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"models":  versions,
-		"serving": s.ModelStats(),
+		"versions": reg.Versions(),
+		"serving":  s.ModelStats(),
 	})
 }
 
@@ -190,7 +181,6 @@ type SwapRequest struct {
 
 // SwapResponse reports a completed hot-swap.
 type SwapResponse struct {
-	Name          string `json:"name"`
 	Version       int    `json:"version"`
 	OldVersion    int    `json:"old_version"`
 	OldGeneration uint64 `json:"old_generation"`
@@ -225,14 +215,14 @@ func (s *Service) ServeVersion(version int) (int, error) {
 // install materializes a published version (0 = latest) and makes it the
 // serving model.
 func (s *Service) install(version int) (*SwapResponse, *APIError) {
-	reg, name := s.attachedRegistry()
+	reg := s.attachedRegistry()
 	if reg == nil {
 		return nil, apiErrorf(http.StatusBadRequest, "no model registry attached")
 	}
 	if version == 0 {
-		latest, ok := reg.Latest(name)
+		latest, ok := reg.Latest()
 		if !ok {
-			return nil, apiErrorf(http.StatusNotFound, "model %q has no published versions", name)
+			return nil, apiErrorf(http.StatusNotFound, "the registry has no published versions")
 		}
 		version = latest
 	}
@@ -242,7 +232,6 @@ func (s *Service) install(version int) (*SwapResponse, *APIError) {
 	}
 	old := s.detector.SwapModel(m)
 	return &SwapResponse{
-		Name:          name,
 		Version:       version,
 		OldVersion:    s.versionOf(old),
 		OldGeneration: old.Generation(),
@@ -276,13 +265,13 @@ func (s *Service) handleModelPublish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	reg, name := s.attachedRegistry()
+	reg := s.attachedRegistry()
 	if reg == nil {
 		writeError(w, http.StatusBadRequest, "no model registry attached")
 		return
 	}
 	m := s.detector.Model()
-	res, err := reg.Publish(name, m.Params())
+	res, err := reg.Publish(m.Params())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "publish: %v", err)
 		return

@@ -20,7 +20,8 @@ import (
 
 // registryService builds a service around a private copy of the shared
 // trained model as training left it (so swap tests never change the
-// detector other tests share) plus an in-memory model registry.
+// detector other tests share) plus a model registry in a temporary
+// directory.
 func registryService(t *testing.T) (*Service, *registry.Registry, *corpus.Dataset) {
 	t.Helper()
 	testService(t) // ensure the shared model is trained
@@ -44,10 +45,11 @@ func registryService(t *testing.T) (*Service, *registry.Registry, *corpus.Datase
 	server := simdb.NewServer(simdb.NoLatency)
 	server.LoadTables("tenantdb", shared.ds.Test)
 	svc.RegisterTenant("tenantdb", server)
-	reg, err := registry.Open("")
+	reg, err := registry.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { reg.Close() })
 	return svc, reg, shared.ds
 }
 
@@ -82,7 +84,7 @@ func headVariant(t *testing.T, m *adtd.Model) *adtd.Model {
 // back to the base, whose published object the variant never wrote.
 func TestModelRegistryEndpoints(t *testing.T) {
 	svc, reg, ds := registryService(t)
-	svc.AttachRegistry(reg, "taste")
+	svc.AttachRegistry(reg)
 	h := svc.Handler()
 
 	// Publish the serving weights as version 1.
@@ -144,13 +146,13 @@ func TestModelRegistryEndpoints(t *testing.T) {
 		t.Fatalf("models status %d: %s", rec.Code, rec.Body)
 	}
 	var listing struct {
-		Models  map[string][]int `json:"models"`
-		Serving ModelBlock       `json:"serving"`
+		Versions []int      `json:"versions"`
+		Serving  ModelBlock `json:"serving"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &listing); err != nil {
 		t.Fatal(err)
 	}
-	if got := listing.Models["taste"]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := listing.Versions; len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("versions = %v, want [1 2]", got)
 	}
 	if listing.Serving.Version != 2 || listing.Serving.Registry == nil {
@@ -186,7 +188,7 @@ func TestModelRegistryEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Model.Version != 1 || stats.Model.Swaps != 1 || stats.Model.Name != "taste" {
+	if stats.Model.Version != 1 || stats.Model.Swaps != 1 {
 		t.Fatalf("stats model block = %+v", stats.Model)
 	}
 
@@ -226,7 +228,7 @@ func TestModelEndpointsWithoutRegistry(t *testing.T) {
 // published) must leave the serving model untouched and report the failure.
 func TestSwapUnknownVersionLeavesServing(t *testing.T) {
 	svc, reg, _ := registryService(t)
-	svc.AttachRegistry(reg, "taste")
+	svc.AttachRegistry(reg)
 	h := svc.Handler()
 	rec := doJSON(t, h, http.MethodPost, "/v1/models/publish", struct{}{})
 	if rec.Code != http.StatusOK {
@@ -253,7 +255,7 @@ func TestSwapUnknownVersionLeavesServing(t *testing.T) {
 // with one version but computed by the other, fails.
 func TestHotSwapUnderDetectLoadConsistency(t *testing.T) {
 	svc, reg, ds := registryService(t)
-	svc.AttachRegistry(reg, "taste")
+	svc.AttachRegistry(reg)
 	h := svc.Handler()
 	ctx := context.Background()
 
@@ -264,7 +266,7 @@ func TestHotSwapUnderDetectLoadConsistency(t *testing.T) {
 	}
 	// Version 2: a head-only variant, built offline so the serving model
 	// itself never drifts during the test.
-	if _, err := reg.Publish("taste", headVariant(t, svc.detector.Model()).Params()); err != nil {
+	if _, err := reg.Publish(headVariant(t, svc.detector.Model()).Params()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -364,7 +366,7 @@ func TestHotSwapUnderDetectLoadConsistency(t *testing.T) {
 // response labeled with one model but computed by the other, fails.
 func TestSwapModelUnderDetectLoad(t *testing.T) {
 	svc, reg, ds := registryService(t)
-	svc.AttachRegistry(reg, "taste")
+	svc.AttachRegistry(reg)
 	h := svc.Handler()
 	if rec := doJSON(t, h, http.MethodPost, "/v1/models/publish", struct{}{}); rec.Code != http.StatusOK {
 		t.Fatalf("publish status %d: %s", rec.Code, rec.Body)
@@ -441,7 +443,7 @@ func TestSwapModelUnderDetectLoad(t *testing.T) {
 // versionOf has one answer.
 func TestCacheVersionOneObjectPerVersion(t *testing.T) {
 	svc, reg, _ := registryService(t)
-	svc.AttachRegistry(reg, "taste")
+	svc.AttachRegistry(reg)
 	a := svc.detector.Model()
 	b, err := a.Sibling()
 	if err != nil {
@@ -475,7 +477,7 @@ func TestReplayedUntypedManifestLoadsOverServingTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Publish("taste", svc.detector.Model().Params()); err != nil {
+	if _, err := w.Publish(svc.detector.Model().Params()); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -484,7 +486,7 @@ func TestReplayedUntypedManifestLoadsOverServingTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	svc.AttachRegistry(reg, "taste")
+	svc.AttachRegistry(reg)
 	h := svc.Handler()
 	req := DetectRequest{Database: "tenantdb", Tables: []string{ds.Test[0].Name}}
 	ref := tablesJSON(t, detectOne(t, h, req))

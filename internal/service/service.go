@@ -65,12 +65,11 @@ type Service struct {
 	// Model registry state (models.go). regMu guards the registry handle
 	// and the materialized-version cache, from which every version label
 	// is derived (versionOf); the swap count is an atomic.
-	regMu     sync.Mutex
-	registry  *registry.Registry
-	modelName string
-	verCache  map[int]*adtd.Model
-	verOrder  []int
-	swaps     atomic.Int64
+	regMu    sync.Mutex
+	registry *registry.Registry
+	verCache map[int]*adtd.Model
+	verOrder []int
+	swaps    atomic.Int64
 }
 
 // New creates a service around a detector. Pipelined requests run on

@@ -80,7 +80,7 @@ func (c *Conn) AnalyzeTable(ctx context.Context, table string, opts AnalyzeOptio
 	}
 	st, ok := c.db.tables[table]
 	if !ok {
-		return nil, fmt.Errorf("simdb: %w %s.%s", ErrUnknownTable, c.db.name, table)
+		return nil, fmt.Errorf("simdb: unknown table %s.%s", c.db.name, table)
 	}
 	buckets := opts.Buckets
 	if buckets <= 0 {

@@ -24,7 +24,6 @@ package simdb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -35,15 +34,6 @@ import (
 	"time"
 
 	"repro/internal/corpus"
-)
-
-// ErrUnknownTable and ErrUnknownColumn are wrapped by the error of an
-// operation that names a table or column the database does not have, so a
-// caller can tell a bad name (errors.Is) from a failed or cancelled
-// operation.
-var (
-	ErrUnknownTable  = errors.New("unknown table")
-	ErrUnknownColumn = errors.New("unknown column")
 )
 
 // LatencyProfile models the time cost of talking to a remote database. All
@@ -422,7 +412,7 @@ func (c *Conn) TableMetadata(ctx context.Context, table string) (_ *TableMeta, e
 	}
 	st, ok := c.db.tables[table]
 	if !ok {
-		return nil, fmt.Errorf("simdb: %w %s.%s", ErrUnknownTable, c.db.name, table)
+		return nil, fmt.Errorf("simdb: unknown table %s.%s", c.db.name, table)
 	}
 	return st.view.Load(), nil
 }
@@ -561,14 +551,14 @@ func (c *Conn) ScanCells(ctx context.Context, table string, cols []string, opts 
 	}
 	st, ok := c.db.tables[table]
 	if !ok {
-		return cells, fmt.Errorf("simdb: %w %s.%s", ErrUnknownTable, c.db.name, table)
+		return cells, fmt.Errorf("simdb: unknown table %s.%s", c.db.name, table)
 	}
 	var stack [32]*storedColumn
 	selected := stack[:0]
 	for _, name := range cols {
 		col, ok := st.byName[name]
 		if !ok {
-			return cells, fmt.Errorf("simdb: %w %s.%s.%s", ErrUnknownColumn, c.db.name, table, name)
+			return cells, fmt.Errorf("simdb: unknown column %s.%s.%s", c.db.name, table, name)
 		}
 		selected = append(selected, col)
 	}

@@ -3,12 +3,13 @@
 # hot-swap loop against real binaries (DESIGN.md §15).
 #
 #  1. tastetrain -publish stores the trained checkpoint in a journaled
-#     registry as taste@1.
-#  2. tasted -registry boots serving taste@1 straight from the registry.
-#  3. POST /v1/models/publish stores the serving weights again as taste@2,
-#     and the publish must dedup against taste@1 completely: no new page,
-#     so stored bytes < logical bytes across the two versions.
-#  4. Hot-swaps between the two versions run under concurrent detect load:
+#     registry as version 1: the directory holds one file, versions.log.
+#  2. tasted -registry boots serving version 1 straight from the registry.
+#  3. POST /v1/models/publish stores the serving weights again as version
+#     2, and the publish must dedup against version 1 completely: no new
+#     page, so stored bytes < logical bytes across the two versions. Two
+#     publishes fired at once must both answer 200 with distinct versions.
+#  4. Hot-swaps between versions 1 and 2 run under concurrent detect load:
 #     every response must be a 200 labeled with a version in {1,2}.
 #
 # Run from the repo root (CI does).
@@ -35,10 +36,10 @@ jnum() { grep -o "\"$1\":[0-9.]*" | head -1 | cut -d: -f2 || true; }
 go build -o "$TRAIN" ./cmd/tastetrain
 go build -o "$SERVE" ./cmd/tasted
 
-# 1. Train a tiny model and publish it as taste@1.
+# 1. Train a tiny model and publish it as version 1.
 "$TRAIN" -model taste -tables 24 -seed 1 -epochs 1 -o "$TMP/taste.ckpt" -publish "$REG"
-[[ -f "$REG/pages.log" && -f "$REG/manifests.log" ]] \
-    || { echo "registry journal files missing in $REG" >&2; ls -la "$REG" >&2; exit 1; }
+[[ "$(ls "$REG")" == versions.log ]] \
+    || { echo "registry directory does not hold just versions.log:" >&2; ls -la "$REG" >&2; exit 1; }
 
 # 2. Serve straight from the registry (corpus knobs must match training).
 "$SERVE" -registry "$REG" -tables 24 -seed 1 -addr "$ADDR" >"$LOG" 2>&1 &
@@ -55,13 +56,13 @@ done
 curl -sf "http://$ADDR/healthz" >/dev/null || { echo "tasted never became healthy" >&2; cat "$LOG" >&2; exit 1; }
 
 MODELS=$(curl -sf "http://$ADDR/v1/models")
-grep -qF '"taste":[1]' <<<"$MODELS" || { echo "registry listing missing taste@1: $MODELS" >&2; exit 1; }
+grep -qF '"versions":[1]' <<<"$MODELS" || { echo "registry listing is not version 1: $MODELS" >&2; exit 1; }
 
 DETECT=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d '{"database":"demo"}')
 V=$(jnum model_version <<<"$DETECT")
 [[ "$V" == 1 ]] || { echo "detect served model_version=$V, want 1" >&2; exit 1; }
 
-# 3. Republish the serving weights: every page is taste@1's.
+# 3. Republish the serving weights: every page is version 1's.
 PUB=$(curl -sf -XPOST "http://$ADDR/v1/models/publish" -d '{}')
 PAGES=$(jnum pages <<<"$PUB")
 NEW=$(jnum new_pages <<<"$PUB")
@@ -74,6 +75,20 @@ STORED=$(jnum stored_bytes <<<"$MODELS")
 SAVED=$(jnum saved_bytes <<<"$MODELS")
 [[ "$STORED" -lt "$LOGICAL" && "$SAVED" -gt 0 ]] \
     || { echo "two versions did not dedup: stored=$STORED logical=$LOGICAL saved=$SAVED" >&2; exit 1; }
+
+# Two publishes at once: each must claim its own version.
+PUBPIDS=()
+for p in a b; do
+    curl -s -o "$TMP/pub_$p" -w '%{http_code}' -XPOST "http://$ADDR/v1/models/publish" -d '{}' >"$TMP/code_$p" &
+    PUBPIDS+=($!)
+done
+wait "${PUBPIDS[@]}"
+VA=$(jnum version <"$TMP/pub_a")
+VB=$(jnum version <"$TMP/pub_b")
+[[ "$(cat "$TMP/code_a") $(cat "$TMP/code_b")" == "200 200" && -n "$VA" && -n "$VB" && "$VA" != "$VB" ]] \
+    || { echo "concurrent publishes: codes $(cat "$TMP/code_a") $(cat "$TMP/code_b"), versions '$VA' '$VB'" >&2; exit 1; }
+MODELS=$(curl -sf "http://$ADDR/v1/models")
+grep -qF '"versions":[1,2,3,4]' <<<"$MODELS" || { echo "listing after the concurrent publishes: $MODELS" >&2; exit 1; }
 
 # 4. Hot-swap between the versions under concurrent detect load.
 LOADLOG="$TMP/load.log"
