@@ -17,7 +17,7 @@ GO ?= go
 # own (race, race-all).
 RACE_PKGS = ./internal/tensor/... ./internal/nn/... ./internal/train/... ./internal/adtd/... ./internal/baselines/... ./internal/cache/... ./internal/simdb/... ./internal/service/... ./internal/obs/... ./internal/fleet/... ./internal/retry/... ./internal/registry/...
 
-.PHONY: build vet vet-arm64 test deadcode race race-all bench-check fuzz ci bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke fault-smoke clean
+.PHONY: build vet vet-arm64 test scenarios race race-all bench-check fuzz ci bench-smoke metrics-smoke fleet-smoke cache-smoke registry-smoke fault-smoke clean
 
 build:
 	$(GO) build ./...
@@ -34,14 +34,18 @@ vet-arm64:
 test: build
 	$(GO) test ./...
 
-# deadcode builds every program this repository ships (./cmd/...,
-# ./examples/... and the bench/ module) with inlining off and fails naming
-# each function declared under internal/ that no program links and
-# deadcode_test.go's allowlist does not hold: a function only tests call
-# belongs in a _test.go file. It needs no network; with an empty build
-# cache it takes about a minute on two cores.
-deadcode:
-	$(GO) test -tags deadcode -count=1 -run TestEveryFunctionIsLinked .
+# scenarios builds every program this repository ships (./cmd/...,
+# ./examples/... and the bench/ module) with -cover, runs the fixed scenario
+# list of scripts/scenarios.sh (the examples, tastegen, tastetrain, the
+# quick tastebench suite and a checkpoint reload, the five serving smoke
+# scripts, each bench/ workload untraced and traced) and fails naming each
+# function declared under internal/ that ran no statement and
+# scenarios_test.go's allowlist does not hold with a reason. The scripts'
+# own checks run with it: the ablations' latent-cache line and F1 rows,
+# each workload's "correct":true and "failed":0. It writes nothing into the
+# checkout and takes about four minutes on two cores.
+scenarios:
+	$(GO) test -v -tags scenarios -count=1 -timeout 30m -run TestEveryFunctionRuns .
 
 # race also runs internal/core's read-stage, per-table-forward, latent-key,
 # over-a-connection and stage-failure tests: they drive core's concurrent
@@ -105,25 +109,31 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzCheckText$$ -fuzztime=10s ./internal/obs/
 
 # metrics-smoke boots tasted with -debug-addr, fires a traced detect, and
-# asserts /metrics and /debug/pprof serve what DESIGN.md §9 promises.
+# asserts /metrics and /debug/pprof serve what DESIGN.md §9 promises; then
+# it sends the request shapes besides a plain detect (405, 400, 413, 404,
+# an unknown table, a padded body, deadline_ms, a cut body, /v1/types).
+# The five smoke scripts run inside make scenarios; these targets run one.
 metrics-smoke:
 	bash scripts/metrics_smoke.sh
 
 # fleet-smoke boots two tasted replicas behind a tastefleet coordinator,
 # routes a detect, scrapes the aggregated /metrics, then kills a replica
-# and asserts failover (DESIGN.md §12).
+# and asserts failover, and a 503 through a replica that answers 503
+# (DESIGN.md §12).
 fleet-smoke:
 	bash scripts/fleet_smoke.sh
 
 # cache-smoke boots tasted with both cache tiers on, repeats a detect, and
 # asserts the warm response is byte-identical to the cold one while the
-# warm-hit counters on /metrics move (DESIGN.md §14).
+# warm-hit counters on /metrics move; then again at budgets that must evict
+# (DESIGN.md §14).
 cache-smoke:
 	bash scripts/cache_smoke.sh
 
 # registry-smoke runs the train → publish → serve → republish → hot-swap
 # loop against real binaries and asserts the republish stores no page the
-# base version did not (DESIGN.md §15).
+# base version did not, then that a -checkpoint boot and a -model-version 1
+# boot answer version 1's bytes (DESIGN.md §15).
 registry-smoke:
 	bash scripts/registry_smoke.sh
 
@@ -135,13 +145,14 @@ fault-smoke:
 	bash scripts/fault_smoke.sh
 
 # ci is the gate a pull request must pass: vet, build, the full test suite,
-# the check that every function under internal/ is linked into a program,
-# the race detector over every concurrent package, the benchmark module's
-# build and smoke test, the serving smoke tests, and last the goldens, the
-# answer-bit pin and the kernel bit tests again in a process without FMA
-# (math.Exp takes its other branch there; Exp runs on software FMA and must
-# not move).
-ci: vet vet-arm64 test deadcode race bench-check metrics-smoke fleet-smoke cache-smoke registry-smoke fault-smoke
+# the scenario run (every function under internal/ runs in a shipped
+# scenario or is allowlisted with a reason; it includes the serving smoke
+# tests, the quick ablations and a short correctness run of each bench/
+# workload), the race detector over every concurrent package, the benchmark
+# module's build and smoke test, and last the goldens, the answer-bit pin
+# and the kernel bit tests again in a process without FMA (math.Exp takes
+# its other branch there; Exp runs on software FMA and must not move).
+ci: vet vet-arm64 test scenarios race bench-check
 	GODEBUG=cpu.fma=off $(GO) test -count=1 . ./internal/tensor/
 
 # race-all adds internal/core, whose fixture trains a model and needs a

@@ -399,36 +399,6 @@ func TestDetectDatabaseUnknownDB(t *testing.T) {
 	}
 }
 
-func TestCalibrateThresholds(t *testing.T) {
-	m, ds := trainedModel(t)
-	truth := truthMap(ds.Test)
-	res, err := CalibrateThresholds(context.Background(), m, newServer(ds), "tenant", truth, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Frontier) != 7 {
-		t.Fatalf("frontier has %d points", len(res.Frontier))
-	}
-	if res.Chosen.ScannedRatio > 0.5 {
-		t.Fatalf("chosen pair violates scan budget: %.2f", res.Chosen.ScannedRatio)
-	}
-	// Frontier is ordered by widening band; scanned ratio must be
-	// non-decreasing along it.
-	for i := 1; i < len(res.Frontier); i++ {
-		if res.Frontier[i].ScannedRatio+1e-9 < res.Frontier[i-1].ScannedRatio {
-			t.Fatalf("scanned ratio not monotone along widening bands: %v then %v",
-				res.Frontier[i-1].ScannedRatio, res.Frontier[i].ScannedRatio)
-		}
-	}
-	// The narrowest band never scans.
-	if res.Frontier[0].ScannedRatio != 0 {
-		t.Fatalf("α=β point scanned %.2f", res.Frontier[0].ScannedRatio)
-	}
-	if _, err := CalibrateThresholds(context.Background(), m, newServer(ds), "tenant", truth, 1.5); err == nil {
-		t.Fatal("expected error for invalid budget")
-	}
-}
-
 func TestScanFaultDoesNotAbortBatch(t *testing.T) {
 	m, ds := trainedModel(t)
 	d, _ := NewDetector(m, DefaultOptions())

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 )
 
 // Table serialization: one JSON object per line (JSONL), the same layout
@@ -67,75 +65,4 @@ func validateTable(t *Table) error {
 		}
 	}
 	return nil
-}
-
-// Save writes the dataset's three splits as JSONL files plus a manifest to
-// dir, creating it if needed.
-func (d *Dataset) Save(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	manifest := struct {
-		Name  string   `json:"name"`
-		Types []string `json:"types"`
-	}{Name: d.Name, Types: d.Registry.Names()}
-	mb, err := json.MarshalIndent(manifest, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), mb, 0o644); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	for _, split := range []struct {
-		name   string
-		tables []*Table
-	}{{"train", d.Train}, {"val", d.Val}, {"test", d.Test}} {
-		f, err := os.Create(filepath.Join(dir, split.name+".jsonl"))
-		if err != nil {
-			return fmt.Errorf("corpus: %w", err)
-		}
-		if err := WriteJSONL(f, split.tables); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("corpus: %w", err)
-		}
-	}
-	return nil
-}
-
-// Load reads a dataset saved by Save. The registry is reconstructed as the
-// subset of reg covering the manifest's type names; labels referencing
-// types absent from reg are preserved in the tables but will not be part of
-// the returned registry.
-func Load(dir string, reg *Registry) (*Dataset, error) {
-	mb, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		return nil, fmt.Errorf("corpus: %w", err)
-	}
-	var manifest struct {
-		Name  string   `json:"name"`
-		Types []string `json:"types"`
-	}
-	if err := json.Unmarshal(mb, &manifest); err != nil {
-		return nil, fmt.Errorf("corpus: manifest: %w", err)
-	}
-	ds := &Dataset{Name: manifest.Name, Registry: reg.Subset(manifest.Types)}
-	for _, split := range []struct {
-		name string
-		dst  *[]*Table
-	}{{"train", &ds.Train}, {"val", &ds.Val}, {"test", &ds.Test}} {
-		f, err := os.Open(filepath.Join(dir, split.name+".jsonl"))
-		if err != nil {
-			return nil, fmt.Errorf("corpus: %w", err)
-		}
-		tables, err := ReadJSONL(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("corpus: %s split: %w", split.name, err)
-		}
-		*split.dst = tables
-	}
-	return ds, nil
 }

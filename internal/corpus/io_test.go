@@ -60,33 +60,3 @@ func TestReadJSONLEmpty(t *testing.T) {
 		t.Fatalf("empty input: %v, %d tables", err, len(got))
 	}
 }
-
-func TestDatasetSaveLoad(t *testing.T) {
-	dir := t.TempDir()
-	ds := Generate(DefaultRegistry(), GitTablesProfile(30), 2)
-	if err := ds.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(dir, DefaultRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Name != ds.Name {
-		t.Fatalf("name %q, want %q", loaded.Name, ds.Name)
-	}
-	if len(loaded.Train) != len(ds.Train) || len(loaded.Val) != len(ds.Val) || len(loaded.Test) != len(ds.Test) {
-		t.Fatal("split sizes differ")
-	}
-	if loaded.Registry.Len() != ds.Registry.Len() {
-		t.Fatalf("registry %d types, want %d", loaded.Registry.Len(), ds.Registry.Len())
-	}
-	if loaded.Stats() != ds.Stats() {
-		t.Fatal("statistics differ after round trip")
-	}
-}
-
-func TestLoadMissingDir(t *testing.T) {
-	if _, err := Load(t.TempDir()+"/nope", DefaultRegistry()); err == nil {
-		t.Fatal("expected error")
-	}
-}

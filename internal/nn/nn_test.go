@@ -193,9 +193,9 @@ func TestTransformerBlockGradientsFlow(t *testing.T) {
 	}
 	loss := tensor.Sum(b.SelfForward(x, nil))
 	loss.Backward()
-	for _, p := range b.Params() {
+	for i, p := range b.Params() {
 		if p.Grad == nil {
-			t.Fatalf("parameter %s got no gradient", p)
+			t.Fatalf("parameter %d (%dx%d) got no gradient", i, p.Rows, p.Cols)
 		}
 	}
 	if x.Grad == nil {

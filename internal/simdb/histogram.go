@@ -20,18 +20,6 @@ const (
 	EqualWidth
 )
 
-// String implements fmt.Stringer.
-func (k HistogramKind) String() string {
-	switch k {
-	case EqualHeight:
-		return "equal-height"
-	case EqualWidth:
-		return "equal-width"
-	default:
-		return fmt.Sprintf("HistogramKind(%d)", int(k))
-	}
-}
-
 // Bucket is one histogram bucket.
 type Bucket struct {
 	Lower, Upper string

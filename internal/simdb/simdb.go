@@ -140,16 +140,6 @@ type AccountingSnapshot struct {
 	Retries             int
 }
 
-// Reset zeroes all counters.
-func (a *Accounting) Reset() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.Connections, a.Queries, a.ColumnsScanned = 0, 0, 0
-	a.RowsScanned, a.CellsRead, a.BytesRead = 0, 0, 0
-	a.Faults, a.Retries = 0, 0
-	a.scannedCols = nil
-}
-
 func (a *Accounting) addConn() {
 	a.mu.Lock()
 	a.Connections++

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -459,13 +458,14 @@ func TestEqualHeightFewerValuesThanBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramKindString(t *testing.T) {
-	if EqualHeight.String() != "equal-height" || EqualWidth.String() != "equal-width" {
-		t.Fatal("String() mismatch")
-	}
-	if !strings.Contains(HistogramKind(9).String(), "9") {
-		t.Fatal("unknown kind should render its value")
-	}
+// Reset zeroes all counters.
+func (a *Accounting) Reset() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.Connections, a.Queries, a.ColumnsScanned = 0, 0, 0
+	a.RowsScanned, a.CellsRead, a.BytesRead = 0, 0, 0
+	a.Faults, a.Retries = 0, 0
+	a.scannedCols = nil
 }
 
 func TestLatencyInjectsDelay(t *testing.T) {

@@ -16,8 +16,7 @@ import (
 // which catches configuration drift between a trained checkpoint and the
 // model being restored. The explicit version field lets the layout evolve
 // (the model registry chunks this same stream into content-hashed pages)
-// without breaking old readers; the original unversioned "TSR1" layout is
-// still accepted on read, so seed checkpoints keep loading.
+// without breaking old readers.
 //
 // ReadTensors is atomic with respect to the destination tensors: the whole
 // checkpoint is decoded and validated into scratch buffers first, and the
@@ -26,8 +25,6 @@ import (
 // it was.
 
 const (
-	// serializeMagicV1 is the legacy unversioned header.
-	serializeMagicV1 = "TSR1"
 	// serializeMagic introduces the explicit format-version field.
 	serializeMagic = "TSRv"
 	// SerializeVersion is the checkpoint format version this package
@@ -66,28 +63,24 @@ func WriteTensors(w io.Writer, ts []*Tensor) error {
 	return nil
 }
 
-// ReadCheckpointVersion consumes and validates a checkpoint header,
-// returning its format version (1 for legacy "TSR1" files).
-func ReadCheckpointVersion(r io.Reader) (int, error) {
+// readCheckpointHeader consumes and validates a checkpoint's magic and
+// format version.
+func readCheckpointHeader(r io.Reader) error {
 	magic := make([]byte, len(serializeMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
-		return 0, fmt.Errorf("tensor: read magic: %w", err)
+		return fmt.Errorf("tensor: read magic: %w", err)
 	}
-	switch string(magic) {
-	case serializeMagicV1:
-		return 1, nil
-	case serializeMagic:
-		var v uint32
-		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-			return 0, fmt.Errorf("tensor: read version: %w", err)
-		}
-		if v < 2 || v > SerializeVersion {
-			return 0, fmt.Errorf("tensor: checkpoint format version %d not supported (this reader handles ≤ %d)", v, SerializeVersion)
-		}
-		return int(v), nil
-	default:
-		return 0, fmt.Errorf("tensor: bad magic %q", magic)
+	if string(magic) != serializeMagic {
+		return fmt.Errorf("tensor: bad magic %q", magic)
 	}
+	var v uint32
+	if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
+		return fmt.Errorf("tensor: read version: %w", err)
+	}
+	if v < 2 || v > SerializeVersion {
+		return fmt.Errorf("tensor: checkpoint format version %d not supported (this reader handles ≤ %d)", v, SerializeVersion)
+	}
+	return nil
 }
 
 // ReadTensors deserializes values from r into the given tensors, which must
@@ -96,7 +89,7 @@ func ReadCheckpointVersion(r io.Reader) (int, error) {
 // rejects trailing bytes after the last tensor, so a concatenated or
 // wrong-architecture file that happens to prefix-match cannot half-load.
 func ReadTensors(r io.Reader, ts []*Tensor) error {
-	if _, err := ReadCheckpointVersion(r); err != nil {
+	if err := readCheckpointHeader(r); err != nil {
 		return err
 	}
 	var count uint32

@@ -107,11 +107,6 @@ func (t *Tensor) Item() float64 {
 	return t.Data[0]
 }
 
-// String renders a compact description for debugging.
-func (t *Tensor) String() string {
-	return fmt.Sprintf("Tensor(%dx%d)", t.Rows, t.Cols)
-}
-
 // ensureGrad allocates the gradient buffer if needed. Op outputs draw from
 // the arena (their grads die with the graph); leaves get plain slices that
 // persist across steps.

@@ -2,19 +2,22 @@
 # Tiered-cache smoke test: boot tasted with the result cache on, run the
 # same detect twice, and assert (a) the second response is byte-identical
 # to the first modulo the duration stamp, (b) /metrics reports warm cache
-# hits > 0, and (c) /v1/stats exposes the cache block. Run from the repo
+# hits > 0, and (c) /v1/stats exposes the cache block. Then boot it again
+# with budgets below one detect's entries and assert that the caches evicted
+# and that the warm answer still equals the cold one. Run from the repo
 # root (CI does).
 set -euo pipefail
 
 ADDR=127.0.0.1:18090
 DEBUG=127.0.0.1:18091
-LOG=$(mktemp)
-BIN=$(mktemp -d)/tasted
+TMP=$(mktemp -d)
+LOG="$TMP/tasted.log"
+BIN="$TMP/tasted"
 
 cleanup() {
     [[ -n "${PID:-}" ]] && kill "$PID" 2>/dev/null || true
     wait 2>/dev/null || true
-    rm -f "$LOG"
+    rm -rf "$TMP"
 }
 trap cleanup EXIT
 
@@ -70,4 +73,27 @@ for key in '"latent"' '"result"' '"singleflight"'; do
     grep -qF "$key" <<<"$STATS" || { echo "/v1/stats cache block missing $key: $STATS" >&2; exit 1; }
 done
 
-echo "cache smoke: OK (latent_hits=$LATENT_HITS result_hits=$RESULT_HITS)"
+# Budgets below one detect's entries: each shard (1/16 of a budget) holds
+# one latent encoding or one result entry but not two, so the cold detect
+# already evicts, and the warm one recomputes what was evicted.
+kill "$PID"
+wait "$PID" 2>/dev/null || true
+"$BIN" -train -epochs 1 -tables 24 -addr "$ADDR" -debug-addr "$DEBUG" \
+    -cache-bytes $((16 * 48 * 1024)) -result-cache $((16 * 3 * 1024)) >"$LOG" 2>&1 &
+PID=$!
+for i in $(seq 1 120); do
+    curl -sf "http://$ADDR/healthz" >/dev/null 2>&1 && break
+    sleep 1
+done
+curl -sf "http://$ADDR/healthz" >/dev/null || { echo "small-budget tasted never became healthy" >&2; cat "$LOG" >&2; exit 1; }
+SMALL_COLD=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d "$REQ" | canon)
+SMALL_WARM=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d "$REQ" | canon)
+if [[ "$SMALL_COLD" != "$COLD" || "$SMALL_WARM" != "$COLD" ]]; then
+    echo "small-budget responses differ from the full-budget one" >&2
+    diff <(echo "$COLD") <(echo "$SMALL_WARM") | head -20 >&2
+    exit 1
+fi
+EVICTIONS=$(curl -sf "http://$DEBUG/metrics" | grep -F 'taste_cache_evictions_total{' | awk '{s+=$2} END {print s+0}')
+[[ "$EVICTIONS" -gt 0 ]] || { echo "small budgets evicted nothing" >&2; exit 1; }
+
+echo "cache smoke: OK (latent_hits=$LATENT_HITS result_hits=$RESULT_HITS evictions=$EVICTIONS)"

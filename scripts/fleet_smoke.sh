@@ -2,23 +2,28 @@
 # Fleet smoke test: boot two tasted replicas and a tastefleet coordinator,
 # route a detect through the ring, scrape the aggregated fleet /metrics,
 # then kill one replica and verify failover keeps the fleet answering.
-# Run from the repo root (CI does).
+# Last, the type passthrough, a GET on /v1/detect, and a replica that
+# answers 5xx. Run from the repo root (CI does).
 set -euo pipefail
 
 R0=127.0.0.1:18085
 R1=127.0.0.1:18086
 FLEET=127.0.0.1:18087
-LOG0=$(mktemp)
-LOG1=$(mktemp)
-LOGF=$(mktemp)
+INNER=127.0.0.1:18088
+OUTER=127.0.0.1:18089
 BINDIR=$(mktemp -d)
+LOG0="$BINDIR/r0.log"
+LOG1="$BINDIR/r1.log"
+LOGF="$BINDIR/fleet.log"
+LOGI="$BINDIR/inner.log"
+LOGO="$BINDIR/outer.log"
 
 cleanup() {
-    for pid in "${PID0:-}" "${PID1:-}" "${PIDF:-}"; do
+    for pid in "${PID0:-}" "${PID1:-}" "${PIDF:-}" "${PIDI:-}" "${PIDO:-}"; do
         [[ -n "$pid" ]] && kill "$pid" 2>/dev/null || true
     done
     wait 2>/dev/null || true
-    rm -f "$LOG0" "$LOG1" "$LOGF"
+    rm -rf "$BINDIR"
 }
 trap cleanup EXIT
 
@@ -96,5 +101,27 @@ grep -q '"name":"r0","url":[^,]*,"healthy":false' <<<"$STATS" \
 FAILOVER=$(curl -sfi -XPOST "http://$FLEET/v1/detect" -d '{"database":"demo"}')
 grep -q '^X-Taste-Replica: r1' <<<"$FAILOVER" \
     || { echo "failover detect not served by surviving replica:" >&2; head -20 <<<"$FAILOVER" >&2; exit 1; }
+
+# The type domain passes through from a healthy replica; a detect must be a
+# POST.
+TYPES=$(curl -sf "http://$FLEET/v1/types")
+grep -qF '{"background":"type:null","types":["' <<<"$TYPES" \
+    || { echo "fleet /v1/types: $TYPES" >&2; exit 1; }
+GETDETECT=$(curl -s -w ' %{http_code}' "http://$FLEET/v1/detect")
+[[ "$GETDETECT" == '{"error":"use POST"}'*' 405' ]] \
+    || { echo "GET on the fleet's /v1/detect: $GETDETECT, want 405" >&2; exit 1; }
+
+# A replica that answers 5xx: a second coordinator whose one replica is the
+# dead r0 answers 503, and a third coordinator in front of it retries, then
+# answers 503 naming the status.
+"$BINDIR/tastefleet" -addr "$INNER" -replicas "dead=$R0" >"$LOGI" 2>&1 &
+PIDI=$!
+"$BINDIR/tastefleet" -addr "$OUTER" -replicas "inner=$INNER" >"$LOGO" 2>&1 &
+PIDO=$!
+wait_healthy "$INNER" "$PIDI" "$LOGI" "the inner tastefleet"
+wait_healthy "$OUTER" "$PIDO" "$LOGO" "the outer tastefleet"
+NESTED=$(curl -s -w ' %{http_code}' -XPOST "http://$OUTER/v1/detect" -d '{"database":"demo"}')
+[[ "$NESTED" == *'"reason":"replica inner: replica status 503"'*' 503' ]] \
+    || { echo "detect through a replica answering 503: $NESTED" >&2; exit 1; }
 
 echo "fleet smoke: OK"

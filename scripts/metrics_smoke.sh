@@ -2,18 +2,21 @@
 # Observability smoke test: boot tasted with the debug listener, fire one
 # traced detect request, then verify that /metrics serves the core series,
 # that a second request naming two tables costs one metadata read, and that
-# the pprof index answers. Run from the repo root (CI does).
+# the pprof index answers. Last come the request shapes a client can send
+# besides a plain detect, each with its status and body. Run from the repo
+# root (CI does).
 set -euo pipefail
 
 ADDR=127.0.0.1:18080
 DEBUG=127.0.0.1:18081
-LOG=$(mktemp)
-BIN=$(mktemp -d)/tasted
+TMP=$(mktemp -d)
+LOG="$TMP/tasted.log"
+BIN="$TMP/tasted"
 
 cleanup() {
     [[ -n "${PID:-}" ]] && kill "$PID" 2>/dev/null || true
     wait 2>/dev/null || true
-    rm -f "$LOG"
+    rm -rf "$TMP"
 }
 trap cleanup EXIT
 
@@ -108,5 +111,58 @@ grep -qF 'taste_detect_requests_total' <<<"$SVC_METRICS" \
 PPROF=$(curl -sf "http://$DEBUG/debug/pprof/") || PPROF=""
 grep -qi 'profile' <<<"$PPROF" \
     || { echo "pprof index not served" >&2; exit 1; }
+
+# The request shapes a client can send besides a plain detect, each with its
+# status and body. post FILE POSTs FILE to /v1/detect, get PATH GETs PATH;
+# both set CODE and OUT.
+BODY="$TMP/body"
+post() { OUT=$(curl -s -w '\n%{http_code}' -XPOST "http://$ADDR/v1/detect" --data-binary "@$1"); CODE=${OUT##*$'\n'}; OUT=${OUT%$'\n'*}; }
+get() { OUT=$(curl -s -w '\n%{http_code}' "http://$ADDR$1"); CODE=${OUT##*$'\n'}; OUT=${OUT%$'\n'*}; }
+want() { # want STATUS STRING WHAT: the last response has STATUS and a body holding STRING
+    [[ "$CODE" == "$1" ]] && grep -qF -- "$2" <<<"$OUT" \
+        || { echo "$3: status $CODE, body $OUT; want $1 with $2" >&2; exit 1; }
+}
+canon() { sed 's/"duration_ms":[0-9]*//' <<<"$OUT"; }
+xs() { printf "x%.0s" $(seq 1 "$1"); }
+
+get /v1/detect
+want 405 '{"error":"use POST"}' "GET /v1/detect"
+
+printf '{"database":' >"$BODY"; post "$BODY"
+want 400 '{"error":"bad request body: unexpected EOF"}' "malformed JSON"
+
+{ printf '{"database":"demo"'; head -c $((4 << 20)) /dev/zero | tr '\0' ' '; printf '}'; } >"$BODY"; post "$BODY"
+want 413 '{"error":"body exceeds 4194304 bytes"}' "a body over MaxBodyBytes"
+
+printf '{"database":"%s"}' "$(xs 200)" >"$BODY"; post "$BODY"
+want 404 "{\"error\":\"unknown database \\\"$(xs 128)\\\"… (200 bytes)\"}" "an unknown database named in 200 bytes"
+
+printf '{"database":"demo","tables":["no_such_table"]}' >"$BODY"; post "$BODY"
+want 200 '"tables":null,' "an unknown table"
+want 200 '"errors":["table no_such_table: no such table in database demo"]}' "an unknown table"
+
+# One request in its short form, padded past the 4 KiB the hand-written
+# parser takes, and with a deadline it meets: the same bytes each time.
+printf '{"database":"demo","tables":["%s"]}' "$T1" >"$BODY"; post "$BODY"
+want 200 "\"table\":\"$T1\",\"columns\":[{" "the short form"
+SHORT=$(canon)
+{ printf '{"database":"demo",'; head -c 5000 /dev/zero | tr '\0' ' '; printf '"tables":["%s"]}' "$T1"; } >"$BODY"; post "$BODY"
+[[ "$CODE" == 200 && "$(canon)" == "$SHORT" ]] || { echo "padded request: status $CODE, body $OUT; want $SHORT" >&2; exit 1; }
+printf '{"database":"demo","tables":["%s"],"deadline_ms":60000}' "$T1" >"$BODY"; post "$BODY"
+[[ "$CODE" == 200 && "$(canon)" == "$SHORT" ]] || { echo "request with deadline_ms: status $CODE, body $OUT; want $SHORT" >&2; exit 1; }
+
+# A body that ends before its Content-Length: the read error is a 400.
+CUT=$(python3 -c '
+import socket, sys
+host, port = sys.argv[1].rsplit(":", 1)
+s = socket.create_connection((host, int(port)), timeout=10)
+s.sendall(b"POST /v1/detect HTTP/1.1\r\nHost: smoke\r\nContent-Length: 100\r\n\r\n{\"database\":\"demo\"")
+s.shutdown(socket.SHUT_WR)
+print(s.recv(4096).decode().split("\r\n")[0])
+' "$ADDR")
+[[ "$CUT" == "HTTP/1.1 400 Bad Request" ]] || { echo "a body cut short of its Content-Length: $CUT, want 400" >&2; exit 1; }
+
+get /v1/types
+want 200 '{"background":"type:null","types":["' "GET /v1/types"
 
 echo "metrics smoke: OK"

@@ -11,6 +11,10 @@
 #     publishes fired at once must both answer 200 with distinct versions.
 #  4. Hot-swaps between versions 1 and 2 run under concurrent detect load:
 #     every response must be a 200 labeled with a version in {1,2}.
+#  5. tasted boots twice more, from tastetrain's checkpoint file and with
+#     -registry -model-version 1: each answers the demo detect with the
+#     bytes the step-2 boot served from version 1 (the checkpoint boot
+#     carries no model_version).
 #
 # Run from the repo root (CI does).
 set -euo pipefail
@@ -29,6 +33,27 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# boot ARGS...: start tasted on ADDR with the given model flags and wait
+# for it to answer.
+boot() {
+    "$SERVE" "$@" -tables 24 -seed 1 -addr "$ADDR" >"$LOG" 2>&1 &
+    PID=$!
+    for i in $(seq 1 120); do
+        curl -sf "http://$ADDR/healthz" >/dev/null 2>&1 && return 0
+        if ! kill -0 "$PID" 2>/dev/null; then
+            echo "tasted $* exited before becoming healthy:" >&2
+            cat "$LOG" >&2
+            exit 1
+        fi
+        sleep 1
+    done
+    echo "tasted $* never became healthy" >&2
+    cat "$LOG" >&2
+    exit 1
+}
+stop() { kill "$PID"; wait "$PID" 2>/dev/null || true; PID=; }
+canon() { sed 's/"duration_ms":[0-9]*//'; }
+
 # jq-free JSON field extraction: first occurrence of a numeric field
 # (empty when the field is absent, e.g. omitempty zeros).
 jnum() { grep -o "\"$1\":[0-9.]*" | head -1 | cut -d: -f2 || true; }
@@ -42,18 +67,7 @@ go build -o "$SERVE" ./cmd/tasted
     || { echo "registry directory does not hold just versions.log:" >&2; ls -la "$REG" >&2; exit 1; }
 
 # 2. Serve straight from the registry (corpus knobs must match training).
-"$SERVE" -registry "$REG" -tables 24 -seed 1 -addr "$ADDR" >"$LOG" 2>&1 &
-PID=$!
-for i in $(seq 1 120); do
-    curl -sf "http://$ADDR/healthz" >/dev/null 2>&1 && break
-    if ! kill -0 "$PID" 2>/dev/null; then
-        echo "tasted exited before becoming healthy:" >&2
-        cat "$LOG" >&2
-        exit 1
-    fi
-    sleep 1
-done
-curl -sf "http://$ADDR/healthz" >/dev/null || { echo "tasted never became healthy" >&2; cat "$LOG" >&2; exit 1; }
+boot -registry "$REG"
 
 MODELS=$(curl -sf "http://$ADDR/v1/models")
 grep -qF '"versions":[1]' <<<"$MODELS" || { echo "registry listing is not version 1: $MODELS" >&2; exit 1; }
@@ -61,6 +75,7 @@ grep -qF '"versions":[1]' <<<"$MODELS" || { echo "registry listing is not versio
 DETECT=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d '{"database":"demo"}')
 V=$(jnum model_version <<<"$DETECT")
 [[ "$V" == 1 ]] || { echo "detect served model_version=$V, want 1" >&2; exit 1; }
+V1=$(canon <<<"$DETECT")
 
 # 3. Republish the serving weights: every page is version 1's.
 PUB=$(curl -sf -XPOST "http://$ADDR/v1/models/publish" -d '{}')
@@ -110,5 +125,17 @@ MODELBLOCK=$(grep -o '"model":{[^}]*' <<<"$STATS")
 [[ "$(jnum swaps <<<"$MODELBLOCK")" == 2 ]] || { echo "swap count != 2: $MODELBLOCK" >&2; exit 1; }
 DETECT=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d '{"database":"demo"}')
 [[ "$(jnum model_version <<<"$DETECT")" == 2 ]] || { echo "post-swap detect not on version 2" >&2; exit 1; }
+
+# 5. The other two ways to boot a trained model serve version 1's bytes.
+stop
+boot -checkpoint "$TMP/taste.ckpt"
+GOT=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d '{"database":"demo"}' | canon)
+[[ "$GOT" == "${V1/,\"model_version\":1/}" ]] \
+    || { echo "the -checkpoint boot answers differently from version 1:" >&2; diff <(echo "$V1") <(echo "$GOT") >&2; exit 1; }
+stop
+boot -registry "$REG" -model-version 1
+GOT=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d '{"database":"demo"}' | canon)
+[[ "$GOT" == "$V1" ]] \
+    || { echo "the -model-version 1 boot answers differently from version 1:" >&2; diff <(echo "$V1") <(echo "$GOT") >&2; exit 1; }
 
 echo "registry smoke: OK (pages=$PAGES new_pages=$NEW saved_bytes=$SAVED)"

@@ -152,15 +152,9 @@ var (
 	// NewF1Accumulator creates a multi-label scorer.
 	NewF1Accumulator = metrics.NewF1Accumulator
 
-	// CalibrateThresholds sweeps (α, β) pairs on a validation database and
-	// recommends the best F1 within a scanned-column budget (§6.7).
-	CalibrateThresholds = core.CalibrateThresholds
-
 	// WriteTables / ReadTables serialize corpora as JSONL.
 	WriteTables = corpus.WriteJSONL
 	ReadTables  = corpus.ReadJSONL
-	// LoadDataset reads a corpus saved with Dataset.Save.
-	LoadDataset = corpus.Load
 )
 
 // WikiTableDataset generates a WikiTable-profile corpus with the default
