@@ -11,8 +11,10 @@
 //
 // With -registry the /v1/models endpoints come alive: list published
 // versions, hot-swap the serving model with zero downtime, and publish the
-// serving weights as a new deduplicated version. A registry directory is
-// one model's version history; a second model is a second directory.
+// serving weights as a new version. A registry directory is one model's
+// version history, one checkpoint file per version; a second model is a
+// second directory. A version tastetrain -publish adds while tasted serves
+// is listed at once, and POST /v1/models/swap {"version":0} serves it.
 //
 // Then:
 //
@@ -46,7 +48,7 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		debugAddr    = flag.String("debug-addr", "", "observability listener serving /metrics and /debug/pprof (empty disables)")
 		checkpoint   = flag.String("checkpoint", "", "ADTD checkpoint from tastetrain (matching -tables/-seed)")
-		registryDir  = flag.String("registry", "", "model-registry journal directory (from tastetrain -publish); enables /v1/models list/swap/publish")
+		registryDir  = flag.String("registry", "", "model-registry directory (from tastetrain -publish); enables /v1/models list/swap/publish")
 		modelVersion = flag.Int("model-version", 0, "registry version to serve at boot (0 = latest; requires -registry)")
 		train        = flag.Bool("train", false, "train a fresh model at startup instead of loading a checkpoint")
 		tables       = flag.Int("tables", 200, "corpus size backing the vocabulary/type space (must match the checkpoint)")
@@ -181,11 +183,6 @@ func main() {
 	// finish draining in-flight requests before closing what they use.
 	<-drained
 	svc.Close()
-	if reg != nil {
-		if err := reg.Close(); err != nil {
-			log.Printf("close registry: %v", err)
-		}
-	}
 	log.Printf("tasted: graceful shutdown complete")
 }
 

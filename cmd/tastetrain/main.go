@@ -9,9 +9,9 @@
 //	tastetrain -model taste -publish /var/taste/registry   # also publish to a model registry
 //
 // With -publish the checkpoint is additionally stored as the next version
-// in a deduplicated model registry (content-hashed pages, shared across
-// versions): a version pays only for the pages no earlier version holds.
-// tasted -registry serves straight from the same directory.
+// in a model registry, one checkpoint file per version. tasted -registry
+// serves straight from the same directory, and a tasted already serving it
+// lists the new version at once (swap to it with POST /v1/models/swap).
 package main
 
 import (
@@ -99,11 +99,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("publish: %v", err)
 			}
-			if err := reg.Close(); err != nil {
-				log.Fatalf("close registry: %v", err)
-			}
-			fmt.Printf("published version %d → %s: %d pages (%d new), %d bytes stored, %.1f%% shared with earlier versions\n",
-				res.Version, *publish, res.Pages, res.NewPages, res.StoredBytes, 100*res.SharedFrac)
+			fmt.Printf("published version %d → %s\n", res.Version, *publish)
 		}
 	case "turl", "doduo":
 		v, cfg := baselines.TURL, baselines.TURLScale()

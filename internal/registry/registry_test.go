@@ -2,10 +2,16 @@ package registry
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/tensor"
@@ -30,31 +36,70 @@ func params(rng *rand.Rand) []*tensor.Tensor {
 	}
 }
 
+// ckptOf is the checkpoint stream WriteTensors makes of ts: what
+// Checkpoint must return for a version published from ts.
+func ckptOf(tb testing.TB, ts []*tensor.Tensor) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := tensor.WriteTensors(&buf, ts); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func openDir(tb testing.TB, dir string) *Registry {
+	tb.Helper()
+	r, err := Open(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+func mustPublish(tb testing.TB, r *Registry, ts []*tensor.Tensor) int {
+	tb.Helper()
+	res, err := r.Publish(ts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Version
+}
+
+// wantLoads fails unless version loads as exactly ts.
+func wantLoads(tb testing.TB, r *Registry, version int, ts []*tensor.Tensor) {
+	tb.Helper()
+	got, err := r.Checkpoint(version)
+	if err != nil {
+		tb.Fatalf("version %d: %v", version, err)
+	}
+	if !bytes.Equal(got, ckptOf(tb, ts)) {
+		tb.Fatalf("version %d does not load as what was published", version)
+	}
+}
+
+func wantVersions(tb testing.TB, r *Registry, want ...int) {
+	tb.Helper()
+	vs, err := r.Versions()
+	if err != nil || !slices.Equal(vs, want) {
+		tb.Fatalf("Versions = %v, %v; want %v", vs, err, want)
+	}
+	if latest, err := r.Latest(); err != nil || latest != want[len(want)-1] {
+		tb.Fatalf("Latest = %d, %v; want %d", latest, err, want[len(want)-1])
+	}
+}
+
 func TestPublishCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ts := params(rng)
 	r := openDir(t, t.TempDir())
-	defer r.Close()
-
-	res, err := r.Publish(ts)
-	if err != nil {
-		t.Fatal(err)
+	if v := mustPublish(t, r, ts); v != 1 {
+		t.Fatalf("first publish took version %d", v)
 	}
-	if res.Version != 1 || res.NewPages != res.Pages || res.NewPages == 0 {
-		t.Fatalf("first publish: %+v", res)
-	}
-
+	// The stream must be exactly what WriteTensors produces.
+	wantLoads(t, r, 1, ts)
 	ckpt, err := r.Checkpoint(1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// The reassembled stream must be exactly what WriteTensors produces.
-	var want bytes.Buffer
-	if err := tensor.WriteTensors(&want, ts); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ckpt, want.Bytes()) {
-		t.Fatal("checkpoint differs from direct serialization")
 	}
 	// And it must load back bit-identically through the validated reader.
 	restored := []*tensor.Tensor{tensor.New(64, 32), tensor.New(32, 32), tensor.New(32, 16), tensor.New(16, 8)}
@@ -68,188 +113,373 @@ func TestPublishCheckpointRoundTrip(t *testing.T) {
 			}
 		}
 	}
-
-	for _, v := range []int{0, 2, 7} {
-		if _, err := r.Checkpoint(v); err == nil {
-			t.Fatalf("want error for unknown version %d", v)
+	for _, v := range []int{-1, 0, 2, 7} {
+		if _, err := r.Checkpoint(v); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("Checkpoint(%d) = %v, want a not-found error", v, err)
 		}
 	}
 }
 
-// TestDedupAcrossVariants is the acceptance pin: two versions that share all
-// but one tensor must store measurably less than two standalone checkpoints.
-func TestDedupAcrossVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	base := params(rng)
-	variant := make([]*tensor.Tensor, len(base))
-	for i, p := range base {
-		c := tensor.New(p.Rows, p.Cols)
-		copy(c.Data, p.Data)
-		variant[i] = c
+// TestVersionIndex: versions are the canonical <n>.ckpt names in the
+// directory, whatever else it holds.
+func TestVersionIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	dir := t.TempDir()
+	r := openDir(t, dir)
+	if vs, err := r.Versions(); err != nil || len(vs) != 0 {
+		t.Fatalf("Versions on an empty registry = %v, %v", vs, err)
 	}
-	// Fine-tuning touches only the classifier head (the last tensor).
-	for i := range variant[len(variant)-1].Data {
-		variant[len(variant)-1].Data[i] += 0.01
+	if v, err := r.Latest(); err != nil || v != 0 {
+		t.Fatalf("Latest on an empty registry = %d, %v", v, err)
 	}
-
-	r := openDir(t, t.TempDir())
-	defer r.Close()
-	res1, err := r.Publish(base)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"01.ckpt", "0.ckpt", "-2.ckpt", "x.ckpt", "3.ckpt.tmp", ".publish-1", "notes.txt"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	res2, err := r.Publish(variant)
-	if err != nil {
-		t.Fatal(err)
+	for range 3 {
+		mustPublish(t, r, params(rng))
 	}
-	if res2.Version != 2 {
-		t.Fatalf("version = %d, want 2", res2.Version)
+	wantVersions(t, r, 1, 2, 3)
+	st, err := r.Stats()
+	if err != nil || st.Versions != 3 {
+		t.Fatalf("Stats = %+v, %v", st, err)
 	}
-	if res2.NewPages >= res2.Pages {
-		t.Fatalf("variant stored all %d pages, dedup did nothing", res2.Pages)
-	}
-	if res2.SharedFrac <= 0.5 {
-		t.Fatalf("variant shared fraction = %v, want most of the checkpoint", res2.SharedFrac)
-	}
-
-	st := r.Stats()
-	standalone := res1.LogicalBytes + res2.LogicalBytes
-	if st.StoredBytes >= standalone {
-		t.Fatalf("stored %d bytes ≥ two standalone checkpoints (%d): no dedup", st.StoredBytes, standalone)
-	}
-	if st.SavedBytes <= 0 || st.DedupRatio <= 1 {
-		t.Fatalf("stats report no saving: %+v", st)
-	}
-	if st.Versions != 2 {
-		t.Fatalf("stats counts: %+v", st)
-	}
-
-	// Both versions must still reassemble correctly despite sharing pages.
-	for v, want := range map[int][]*tensor.Tensor{1: base, 2: variant} {
-		ckpt, err := r.Checkpoint(v)
+	var size int64
+	for v := 1; v <= 3; v++ {
+		fi, err := os.Stat(filepath.Join(dir, strconv.Itoa(v)+".ckpt"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var direct bytes.Buffer
-		if err := tensor.WriteTensors(&direct, want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ckpt, direct.Bytes()) {
-			t.Fatalf("version %d corrupted by page sharing", v)
-		}
+		size += fi.Size()
+	}
+	if st.StoredBytes != size {
+		t.Fatalf("Stats.StoredBytes = %d, want the version files' %d", st.StoredBytes, size)
 	}
 }
 
-func TestVersionIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	r := openDir(t, t.TempDir())
-	defer r.Close()
-	if _, ok := r.Latest(); ok {
-		t.Fatal("Latest on empty registry")
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := r.Publish(params(rng)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if v, ok := r.Latest(); !ok || v != 3 {
-		t.Fatalf("Latest = %d, %v", v, ok)
-	}
-	if vs := r.Versions(); !slices.Equal(vs, []int{1, 2, 3}) {
-		t.Fatalf("Versions = %v", vs)
-	}
-}
-
-// TestJournalReplayAcrossProcesses simulates train-then-serve: one registry
-// publishes into a journal dir, a second registry (fresh server, as a new
-// process would have) opens the same dir and sees every version and page.
-func TestJournalReplayAcrossProcesses(t *testing.T) {
+// TestSecondRegistrySeesLaterPublish: training and serving are separate
+// processes on one directory, so a registry opened before another one
+// publishes must list, pick as latest and load the new version.
+func TestSecondRegistrySeesLaterPublish(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(4))
-	base := params(rng)
+	server := openDir(t, dir)
+	v1 := params(rng)
+	mustPublish(t, server, v1)
 
-	w, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	trainer := openDir(t, dir)
+	v2 := params(rng)
+	if v := mustPublish(t, trainer, v2); v != 2 {
+		t.Fatalf("the second registry's publish took version %d, want 2", v)
 	}
-	if _, err := w.Publish(base); err != nil {
-		t.Fatal(err)
-	}
-	wantCkpt, err := w.Checkpoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	wantVersions(t, server, 1, 2)
+	wantLoads(t, server, 2, v2)
+	wantLoads(t, server, 1, v1)
+}
 
-	rd, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+// TestTwoRegistriesPublishDistinctVersions: two registries on one
+// directory publish, first alternately and then eight at once, and every
+// publish claims its own version, which loads as what its publisher sent
+// through either registry and through one opened afterwards.
+func TestTwoRegistriesPublishDistinctVersions(t *testing.T) {
+	dir := t.TempDir()
+	rs := []*Registry{openDir(t, dir), openDir(t, dir)}
+	published := map[int][]*tensor.Tensor{}
+	for i := range 4 {
+		ts := params(rand.New(rand.NewSource(int64(300 + i))))
+		v := mustPublish(t, rs[i%2], ts)
+		if v != i+1 {
+			t.Fatalf("alternate publish %d took version %d", i, v)
+		}
+		published[v] = ts
 	}
-	defer rd.Close()
-	if v, ok := rd.Latest(); !ok || v != 1 {
-		t.Fatalf("replayed Latest = %d, %v", v, ok)
+	const n = 8
+	sets := make([][]*tensor.Tensor, n)
+	got := make([]int, n)
+	for g := range sets {
+		sets[g] = params(rand.New(rand.NewSource(int64(400 + g))))
 	}
-	got, err := rd.Checkpoint(1)
-	if err != nil {
-		t.Fatal(err)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for g := range sets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start.Wait()
+			res, err := rs[g%2].Publish(sets[g])
+			if err != nil {
+				t.Errorf("publish %d: %v", g, err)
+				return
+			}
+			got[g] = res.Version
+		}()
 	}
-	if !bytes.Equal(got, wantCkpt) {
-		t.Fatal("replayed checkpoint differs")
+	start.Done()
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
-	// Publishing after replay continues the version sequence and dedups
-	// against replayed pages.
-	res, err := rd.Publish(base)
-	if err != nil {
-		t.Fatal(err)
+	for g, v := range got {
+		if published[v] != nil {
+			t.Fatalf("concurrent publishes took versions %v; version %d twice", got, v)
+		}
+		published[v] = sets[g]
 	}
-	if res.Version != 2 || res.NewPages != 0 {
-		t.Fatalf("post-replay publish: %+v", res)
+	want := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	for _, r := range append(rs, openDir(t, dir)) {
+		wantVersions(t, r, want...)
+		for v, ts := range published {
+			wantLoads(t, r, v, ts)
+		}
 	}
 }
 
-// TestJournalTruncatedTail pins crash tolerance: cutting the log mid-record
-// must lose at most the unfinished version, never fail to open.
-func TestJournalTruncatedTail(t *testing.T) {
+// TestConcurrentPublishesClaimDistinctVersions: publishes racing on one
+// registry all succeed, take versions 1 through n between them, and each
+// version loads, after a reopen, as exactly what its publisher sent.
+func TestConcurrentPublishesClaimDistinctVersions(t *testing.T) {
+	const n = 8
 	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(5))
-	w, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	r := openDir(t, dir)
+	sets := make([][]*tensor.Tensor, n)
+	for g := range sets {
+		sets[g] = params(rand.New(rand.NewSource(int64(200 + g))))
 	}
-	if _, err := w.Publish(params(rng)); err != nil {
-		t.Fatal(err)
+	got := make([]int, n)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for g := range sets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start.Wait()
+			res, err := r.Publish(sets[g])
+			if err != nil {
+				t.Errorf("publish %d: %v", g, err)
+				return
+			}
+			got[g] = res.Version
+		}()
 	}
-	v1End := w.end
-	if _, err := w.Publish(params(rng)); err != nil {
-		t.Fatal(err)
+	start.Done()
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
-	w.Close()
+	vs := slices.Clone(got)
+	slices.Sort(vs)
+	if !slices.Equal(vs, []int{1, 2, 3, 4, 5, 6, 7, 8}) {
+		t.Fatalf("concurrent publishes took versions %v, want 1 through %d", got, n)
+	}
+	rd := openDir(t, dir)
+	for g, v := range got {
+		wantLoads(t, rd, v, sets[g])
+	}
+}
 
-	path := filepath.Join(dir, logName)
+// TestConcurrentPublishAndCheckpoint gives the race detector publishes,
+// checkpoints and stats on one registry at once.
+func TestConcurrentPublishAndCheckpoint(t *testing.T) {
+	r := openDir(t, t.TempDir())
+	base := params(rand.New(rand.NewSource(10)))
+	mustPublish(t, r, base)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			for range 3 {
+				if _, err := r.Publish(params(rng)); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := r.Checkpoint(1); err != nil {
+					t.Error(err)
+				}
+				if _, err := r.Stats(); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st, err := r.Stats(); err != nil || st.Versions != 13 {
+		t.Fatalf("stats after concurrent publishes: %+v, %v", st, err)
+	}
+	wantLoads(t, r, 1, base)
+}
+
+// TestCorruptVersionFailsOnlyItself: a flipped byte in one version file
+// fails that version's load with a verification error; the other versions
+// still load, the next publish takes the next number, and the damaged file
+// is left as it is.
+func TestCorruptVersionFailsOnlyItself(t *testing.T) {
+	damageFailsOnlyItself(t, func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b })
+}
+
+// TestTruncatedVersionFailsOnlyItself: a version file cut short behaves as
+// a corrupt one: only its own load fails.
+func TestTruncatedVersionFailsOnlyItself(t *testing.T) {
+	damageFailsOnlyItself(t, func(b []byte) []byte { return b[:len(b)-11] })
+}
+
+// damageFailsOnlyItself publishes three versions, rewrites version 2 with
+// damage applied to its bytes, and checks that only version 2 fails to load.
+func damageFailsOnlyItself(t *testing.T, damage func([]byte) []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(8))
+	r := openDir(t, dir)
+	sets := [][]*tensor.Tensor{params(rng), params(rng), params(rng)}
+	for _, ts := range sets {
+		mustPublish(t, r, ts)
+	}
+	path := filepath.Join(dir, "2.ckpt")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, raw[:len(raw)-11], 0o644); err != nil {
+	damaged := damage(raw)
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := r.Checkpoint(2); err == nil || !strings.Contains(err.Error(), "failed verification") {
+		t.Fatalf("Checkpoint(2) of a damaged file = %v, want a verification error", err)
+	}
+	wantVersions(t, r, 1, 2, 3)
+	wantLoads(t, r, 1, sets[0])
+	wantLoads(t, r, 3, sets[2])
+	v4 := params(rng)
+	if v := mustPublish(t, r, v4); v != 4 {
+		t.Fatalf("publish after the damage took version %d, want 4", v)
+	}
+	wantLoads(t, r, 4, v4)
+	if raw, err := os.ReadFile(path); err != nil || !bytes.Equal(raw, damaged) {
+		t.Fatalf("2.ckpt changed after the damage (%v)", err)
+	}
+}
 
-	rd, err := Open(dir)
+// TestTornPublishIsInvisible: a publish that crashed before its link leaves
+// a temporary file, never a version; the next publish takes the next
+// number and leaves the stray file alone.
+func TestTornPublishIsInvisible(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(6))
+	r := openDir(t, dir)
+	mustPublish(t, r, params(rng))
+	torn := filepath.Join(dir, ".publish-12345")
+	if err := os.WriteFile(torn, ckptOf(t, params(rng))[:100], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantVersions(t, r, 1)
+	v2 := params(rng)
+	if v := mustPublish(t, openDir(t, dir), v2); v != 2 {
+		t.Fatalf("publish after a torn one took version %d, want 2", v)
+	}
+	wantVersions(t, r, 1, 2)
+	wantLoads(t, r, 2, v2)
+	if _, err := os.Stat(torn); err != nil {
+		t.Fatalf("the stray temporary file: %v", err)
+	}
+}
+
+// TestPublishWritesOneFile: each publish adds exactly one file to the
+// directory, <version>.ckpt, holding the checkpoint stream and its
+// SHA-256, and leaves no temporary file behind.
+func TestPublishWritesOneFile(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(11))
+	r := openDir(t, dir)
+	var want []string
+	for v := 1; v <= 3; v++ {
+		ts := params(rng)
+		mustPublish(t, r, ts)
+		want = append(want, strconv.Itoa(v)+".ckpt")
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if !slices.Equal(names, want) {
+			t.Fatalf("after %d publishes the directory holds %v, want %v", v, names, want)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, want[v-1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpt := ckptOf(t, ts)
+		sum := sha256.Sum256(ckpt)
+		if !bytes.Equal(raw, append(ckpt, sum[:]...)) {
+			t.Fatalf("version %d's file is not its checkpoint stream and SHA-256", v)
+		}
+	}
+}
+
+// wantRefused fails unless Open refuses a directory holding name, naming
+// it, and leaves the file byte for byte as it was.
+func wantRefused(t *testing.T, name string) {
+	t.Helper()
+	dir := t.TempDir()
+	content := []byte{1, 2, 3}
+	if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("Open of a directory holding %s: %v, want an error naming the file", name, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("a refused Open changed the directory: %v, %v", entries, err)
+	}
+	if raw, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(raw, content) {
+		t.Fatalf("a refused Open changed %s: %v", name, err)
+	}
+}
+
+// TestOpenRefusesTwoLogLayout: a directory journaled by the two-log layout
+// (pages.log, manifests.log) is refused by name, not opened as an empty
+// registry.
+func TestOpenRefusesTwoLogLayout(t *testing.T) {
+	for _, name := range []string{"pages.log", "manifests.log"} {
+		wantRefused(t, name)
+	}
+}
+
+// TestOpenRefusesJournal: a directory journaled as one log of whole
+// versions (versions.log) is refused by name.
+func TestOpenRefusesJournal(t *testing.T) {
+	wantRefused(t, "versions.log")
+}
+
+// FuzzVersionFile feeds arbitrary bytes to the version-file reader. It
+// must not panic, and what it accepts must be a stream followed by that
+// stream's SHA-256.
+func FuzzVersionFile(f *testing.F) {
+	dir := f.TempDir()
+	r := openDir(f, dir)
+	mustPublish(f, r, []*tensor.Tensor{tensor.FromRows([][]float64{{1, 2}, {3, 4}}), tensor.FromRows([][]float64{{5, 6, 7}})})
+	clean, err := os.ReadFile(filepath.Join(dir, "1.ckpt"))
 	if err != nil {
-		t.Fatalf("truncated journal must still open: %v", err)
+		f.Fatal(err)
 	}
-	defer rd.Close()
-	// Version 1 survives whole (its record precedes the cut); version 2's
-	// record is torn, so it is gone and Open cut the file before it.
-	if _, err := rd.Checkpoint(1); err != nil {
-		t.Fatalf("version 1 lost to an unrelated truncation: %v", err)
+	flipped := slices.Clone(clean)
+	flipped[len(flipped)/2] ^= 0x01
+	for _, seed := range [][]byte{clean, flipped, clean[:len(clean)-1], nil} {
+		f.Add(seed)
 	}
-	if vs := rd.Versions(); !slices.Equal(vs, []int{1}) {
-		t.Fatalf("Versions = %v, want [1]", vs)
-	}
-	if st, err := os.Stat(path); err != nil || st.Size() != v1End {
-		t.Fatalf("Open left the log at %v bytes (%v), want %d: the torn record was not cut", st.Size(), err, v1End)
-	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		ckpt, err := verify(raw)
+		if err != nil {
+			return
+		}
+		sum := sha256.Sum256(ckpt)
+		if len(raw) != len(ckpt)+sha256.Size || !bytes.Equal(raw[:len(ckpt)], ckpt) || !bytes.Equal(raw[len(ckpt):], sum[:]) {
+			t.Fatalf("verify accepted %d bytes as a %d-byte stream that they do not end in the hash of", len(raw), len(ckpt))
+		}
+	})
 }

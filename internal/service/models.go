@@ -8,21 +8,25 @@
 //
 // A registry version becomes a model in one place, modelForVersion: a
 // fresh model with the serving model's configuration, tokenizer and type
-// space, loaded from the registry's content-addressed pages. A swap, a
+// space, loaded from the version's verified checkpoint file. A swap, a
 // per-request model_version pin and tasted's boot all go through it. A swap
 // then atomically replaces the detector's serving pointer. In-flight
 // requests finish on the model they captured at admission; new requests see
 // the new weights immediately. No cache is flushed — latent and result keys
 // embed the process-unique weight generation, so the two models' entries
 // cannot alias, and entries for the returning version are still valid if it
-// swaps back. A failed materialization (missing version, corrupt page,
-// shape mismatch) leaves the serving model untouched: Model.Load validates
-// the whole checkpoint before installing anything.
+// swaps back. A failed materialization (missing version, a file that fails
+// its hash, shape mismatch) leaves the serving model untouched: Model.Load
+// validates the whole checkpoint before installing anything. The registry
+// is read afresh on every call, so a version another process publishes
+// (tastetrain -publish) is listed, and swappable, as soon as it exists.
 package service
 
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io/fs"
 	"maps"
 	"net/http"
 	"slices"
@@ -103,9 +107,10 @@ func (s *Service) versionOf(m *adtd.Model) int {
 // modelForVersion materializes (or returns the cached) model for a
 // published version: the only way a registry version becomes a model. The
 // model has the serving model's configuration, tokenizer and type space;
-// its checkpoint is reassembled from content-verified pages and loaded
-// through Model.Load's all-or-nothing path, which refuses a checkpoint of
-// another shape.
+// its checkpoint is the version file's verified stream, loaded through
+// Model.Load's all-or-nothing path, which refuses a checkpoint of another
+// shape. An unpublished version is 404; a version file that cannot be read
+// or fails its hash is 500.
 func (s *Service) modelForVersion(version int) (*adtd.Model, *APIError) {
 	s.regMu.Lock()
 	reg, cached := s.registry, s.verCache[version]
@@ -117,8 +122,11 @@ func (s *Service) modelForVersion(version int) (*adtd.Model, *APIError) {
 		return cached, nil
 	}
 	ckpt, err := reg.Checkpoint(version)
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, apiErrorf(http.StatusNotFound, "model version %d: %v", version, err)
+	}
+	if err != nil {
+		return nil, apiErrorf(http.StatusInternalServerError, "model version %d: %v", version, err)
 	}
 	m, err := s.detector.Model().Sibling()
 	if err != nil {
@@ -150,8 +158,10 @@ func (s *Service) ModelStats() ModelBlock {
 		Swaps:      s.swaps.Load(),
 	}
 	if reg := s.attachedRegistry(); reg != nil {
-		st := reg.Stats()
-		mb.Registry = &st
+		// A registry that cannot be listed leaves the block out.
+		if st, err := reg.Stats(); err == nil {
+			mb.Registry = &st
+		}
 	}
 	return mb
 }
@@ -168,8 +178,13 @@ func (s *Service) handleModels(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no model registry attached")
 		return
 	}
+	versions, err := reg.Versions()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"versions": reg.Versions(),
+		"versions": versions,
 		"serving":  s.ModelStats(),
 	})
 }
@@ -220,8 +235,11 @@ func (s *Service) install(version int) (*SwapResponse, *APIError) {
 		return nil, apiErrorf(http.StatusBadRequest, "no model registry attached")
 	}
 	if version == 0 {
-		latest, ok := reg.Latest()
-		if !ok {
+		latest, err := reg.Latest()
+		if err != nil {
+			return nil, apiErrorf(http.StatusInternalServerError, "%v", err)
+		}
+		if latest == 0 {
 			return nil, apiErrorf(http.StatusNotFound, "the registry has no published versions")
 		}
 		version = latest
@@ -258,8 +276,9 @@ func (s *Service) handleModelSwap(w http.ResponseWriter, r *http.Request) {
 
 // handleModelPublish serves POST /v1/models/publish: the serving model's
 // current weights become the next registry version, durable and
-// swappable. The publish dedups against earlier versions page by page, so
-// republishing weights the registry already holds stores no page.
+// swappable. It claims its version as any other publisher does, so a
+// tastetrain -publish into the same directory at the same moment takes
+// another.
 func (s *Service) handleModelPublish(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")

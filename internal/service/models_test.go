@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,7 +52,6 @@ func registryService(t *testing.T) (*Service, *registry.Registry, *corpus.Datase
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { reg.Close() })
 	return svc, reg, shared.ds
 }
 
@@ -80,8 +82,8 @@ func headVariant(t *testing.T, m *adtd.Model) *adtd.Model {
 
 // TestModelRegistryEndpoints walks the loop the registry enables: publish
 // the serving weights, install a head-only variant (an unpublished model,
-// version 0), publish it (which must dedup against the base), then hot-swap
-// back to the base, whose published object the variant never wrote.
+// version 0), publish it, then hot-swap back to the base, whose published
+// object the variant never wrote.
 func TestModelRegistryEndpoints(t *testing.T) {
 	svc, reg, ds := registryService(t)
 	svc.AttachRegistry(reg)
@@ -96,8 +98,8 @@ func TestModelRegistryEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &res1); err != nil {
 		t.Fatal(err)
 	}
-	if res1.Version != 1 || res1.NewPages != res1.Pages {
-		t.Fatalf("first publish must store every page: %+v", res1)
+	if res1.Version != 1 {
+		t.Fatalf("first publish: %+v, want version 1", res1)
 	}
 	v1 := svc.detector.Model()
 
@@ -120,8 +122,7 @@ func TestModelRegistryEndpoints(t *testing.T) {
 		t.Fatalf("serving version of the variant = %d, want 0 (unpublished)", got)
 	}
 
-	// Publishing the variant dedups against version 1: only the classifier
-	// heads differ, so the encoder pages are shared.
+	// Publishing the variant makes it version 2.
 	rec = doJSON(t, h, http.MethodPost, "/v1/models/publish", struct{}{})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("second publish status %d: %s", rec.Code, rec.Body)
@@ -132,12 +133,6 @@ func TestModelRegistryEndpoints(t *testing.T) {
 	}
 	if res2.Version != 2 {
 		t.Fatalf("second publish version = %d, want 2", res2.Version)
-	}
-	if res2.NewPages >= res2.Pages {
-		t.Fatalf("fine-tuned publish must share pages with the base: %+v", res2)
-	}
-	if res2.SharedFrac <= 0 {
-		t.Fatalf("shared fraction = %v, want > 0", res2.SharedFrac)
 	}
 
 	// The registry listing shows both versions and the serving block.
@@ -158,8 +153,8 @@ func TestModelRegistryEndpoints(t *testing.T) {
 	if listing.Serving.Version != 2 || listing.Serving.Registry == nil {
 		t.Fatalf("serving block = %+v", listing.Serving)
 	}
-	if listing.Serving.Registry.DedupRatio <= 1 {
-		t.Fatalf("dedup ratio = %v, want > 1", listing.Serving.Registry.DedupRatio)
+	if st := listing.Serving.Registry; st.Versions != 2 || st.StoredBytes <= 0 {
+		t.Fatalf("registry block = %+v, want 2 versions and their bytes", st)
 	}
 
 	// Hot-swap back to the base version: the object published as version 1.
@@ -243,6 +238,50 @@ func TestSwapUnknownVersionLeavesServing(t *testing.T) {
 	}
 	if got := svc.ServingVersion(); got != 1 {
 		t.Fatalf("serving version = %d, want 1", got)
+	}
+}
+
+// TestSwapToCorruptVersionLeavesServing: a version whose file fails its
+// hash is refused, with a 500 naming the verification, by a swap and by a
+// pinned request; the serving model stays as it was, and a swap to the
+// intact version still succeeds.
+func TestSwapToCorruptVersionLeavesServing(t *testing.T) {
+	dir := t.TempDir()
+	svc, _, ds := registryService(t)
+	reg, err := registry.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.AttachRegistry(reg)
+	h := svc.Handler()
+	for range 2 {
+		if rec := doJSON(t, h, http.MethodPost, "/v1/models/publish", struct{}{}); rec.Code != http.StatusOK {
+			t.Fatalf("publish status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	path := filepath.Join(dir, "1.ckpt")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	serving := svc.detector.Model()
+	rec := doJSON(t, h, http.MethodPost, "/v1/models/swap", SwapRequest{Version: 1})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "failed verification") {
+		t.Fatalf("swap to a corrupt version: status %d %s, want 500 naming the verification", rec.Code, rec.Body)
+	}
+	rec = doJSON(t, h, http.MethodPost, "/v1/detect", DetectRequest{Database: "tenantdb", Tables: []string{ds.Test[0].Name}, ModelVersion: 1})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("detect pinned to a corrupt version: status %d %s, want 500", rec.Code, rec.Body)
+	}
+	if svc.detector.Model() != serving || svc.ServingVersion() != 2 {
+		t.Fatalf("a refused swap changed serving: version %d", svc.ServingVersion())
+	}
+	if rec := doJSON(t, h, http.MethodPost, "/v1/models/swap", SwapRequest{Version: 2}); rec.Code != http.StatusOK {
+		t.Fatalf("swap to the intact version: status %d %s", rec.Code, rec.Body)
 	}
 }
 
@@ -467,9 +506,10 @@ func TestCacheVersionOneObjectPerVersion(t *testing.T) {
 	}
 }
 
-// TestReplayedUntypedManifestLoadsOverServingTypes: a manifest records no
-// type space, and a version replayed from the journal loads as a new model
-// over the serving model's type space and answers as the weights it holds.
+// TestReplayedUntypedManifestLoadsOverServingTypes: a version file records
+// no type space, and a version another registry published loads as a new
+// model over the serving model's type space and answers as the weights it
+// holds.
 func TestReplayedUntypedManifestLoadsOverServingTypes(t *testing.T) {
 	dir := t.TempDir()
 	svc, _, ds := registryService(t)
@@ -480,12 +520,10 @@ func TestReplayedUntypedManifestLoadsOverServingTypes(t *testing.T) {
 	if _, err := w.Publish(svc.detector.Model().Params()); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
 	reg, err := registry.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg.Close()
 	svc.AttachRegistry(reg)
 	h := svc.Handler()
 	req := DetectRequest{Database: "tenantdb", Tables: []string{ds.Test[0].Name}}

@@ -270,7 +270,7 @@ type StatsResponse struct {
 	Cache   CacheBlock                          `json:"cache"`
 	// Model describes the serving model: registry version, weight
 	// generation, hot-swap count, and (with a registry attached) the
-	// registry's dedup economics.
+	// registry's version count and file bytes.
 	Model ModelBlock `json:"model"`
 	// Detector is the fault-tolerance ledger: retries spent and columns
 	// degraded since the service started.

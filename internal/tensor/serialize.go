@@ -15,8 +15,8 @@ import (
 // Tensors are written and read back in order; shapes must match on load,
 // which catches configuration drift between a trained checkpoint and the
 // model being restored. The explicit version field lets the layout evolve
-// (the model registry chunks this same stream into content-hashed pages)
-// without breaking old readers.
+// without breaking old readers. The model registry stores this same stream,
+// followed by its SHA-256, as one file per version.
 //
 // ReadTensors is atomic with respect to the destination tensors: the whole
 // checkpoint is decoded and validated into scratch buffers first, and the

@@ -76,21 +76,18 @@ var notRunAllowed = map[string]string{
 	"service.(*APIError).Error": "bench/ returns a failed detect's *APIError as its error, which a correct bench run never has; the handlers write its Msg",
 }
 
-// selectedOnly holds tensor's Go functions that only an assembly path calls,
-// each with the kernel set that selects the path: "avx512" or "avx2". Where
-// the CPUID probe selects that set they are judged as any other function;
-// elsewhere nothing can call them, and they may stay unrun.
-var selectedOnly = map[string]string{
-	"tensor.laneRows":     "avx512",
-	"tensor.attnExp":      "avx512",
-	"tensor.rankBlock":    "avx2",
-	"tensor.gcd":          "avx2",
-	"tensor.detectAVX512": "avx2",
+// avx512Only holds tensor's Go functions that only the AVX-512 assembly
+// path calls. Where the CPUID probe selects that path they are judged as
+// any other function; elsewhere nothing can call them, and they may stay
+// unrun. The AVX2 path runs on every host the test accepts.
+var avx512Only = map[string]bool{
+	"tensor.laneRows": true,
+	"tensor.attnExp":  true,
 }
 
 const (
 	ruleRung = "the rule rung runs only for a column whose scan succeeded and whose Phase 2 then cannot start (deadline or stage failure), " +
-		"which no shipped scenario can arrange deterministically; TestDeadlineAfterScanMergesRules pins it"
+		"which no shipped scenario can arrange deterministically; TestDeadlineAfterScanMergesRules pins it, and DESIGN.md §7 measures what it buys"
 	valSelection = "validation selection runs only in tastebench's full configuration (tens of minutes of training); -quick skips it"
 	benchShim    = "empty shim that bench/ still calls, deleted with those calls in the next benchmark change; it has no statement a scenario could run"
 	goKernel     = "portable Go kernel: CPUID selects the assembly on an AVX-512 host, so it runs where AVX2 or AVX-512 is missing and on arm64; " +
@@ -103,7 +100,9 @@ const (
 //   - a function declared in a non-test file under internal/ that ran no
 //     statement and that notRunAllowed does not hold;
 //   - a notRunAllowed entry that ran, or that names no declared function;
-//   - a package under internal/ that is absent from the profile.
+//   - a package under internal/ that is absent from the profile;
+//   - a host whose tensor.Kernels() are the Go kernels, before any
+//     scenario runs.
 //
 // A function whose body has no statement has no counter: it is listed
 // unless allowlisted. A declaration without a body is an assembly
@@ -113,6 +112,15 @@ const (
 //
 //	go test -tags scenarios -count=1 -timeout 30m -run TestEveryFunctionRuns .
 func TestEveryFunctionRuns(t *testing.T) {
+	// The scenarios run on this host's kernels, whose marks in
+	// tensor.Kernels() TestKernelsReport pins to the CPUID flags. On the Go
+	// kernels the list runs about 14 times slower and needs over an hour,
+	// past the 30-minute timeout: fail at once, with the reason.
+	kernels := tensor.Kernels()
+	t.Logf("kernels: %s", kernels)
+	if !strings.HasSuffix(kernels, " fma exp gelu") {
+		t.Fatalf("kernels %q: the scenario list needs the AVX2+FMA assembly kernels (amd64) to finish inside the timeout; on the Go kernels it runs for over an hour", kernels)
+	}
 	table := filepath.Join(t.TempDir(), "func.txt")
 	cmd := exec.Command("bash", "scripts/scenarios.sh", table)
 	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
@@ -168,25 +176,15 @@ func TestEveryFunctionRuns(t *testing.T) {
 		t.Fatal("no function declarations found under internal/")
 	}
 
-	// The scenarios ran on this host's kernels, whose marks in
-	// tensor.Kernels() TestKernelsReport pins to the CPUID flags.
-	kernels := tensor.Kernels()
-	selected := map[string]bool{
-		"avx512": strings.HasPrefix(kernels, "avx512 "),
-		"avx2":   strings.HasSuffix(kernels, " fma exp gelu"),
-	}
-	t.Logf("kernels: %s", kernels)
-	for name, set := range selectedOnly {
-		if _, ok := selected[set]; !ok {
-			t.Errorf("selectedOnly: %s names kernel set %q; want avx512 or avx2", name, set)
-		}
-		if _, ok := declared[name]; !ok && selected[set] {
-			t.Errorf("selectedOnly: %s is not declared under internal/; drop its entry", name)
+	avx512 := strings.HasPrefix(kernels, "avx512 ")
+	for name := range avx512Only {
+		if _, ok := declared[name]; !ok && avx512 {
+			t.Errorf("avx512Only: %s is not declared under internal/; drop its entry", name)
 		}
 	}
 	var unrun []string
 	for name, d := range declared {
-		if set := selectedOnly[name]; d.asm || (!d.empty && ran[d.pos]) || (set != "" && !selected[set]) {
+		if d.asm || (!d.empty && ran[d.pos]) || (avx512Only[name] && !avx512) {
 			continue
 		}
 		if notRunAllowed[name] == "" {
@@ -207,7 +205,7 @@ func TestEveryFunctionRuns(t *testing.T) {
 		switch {
 		case !ok:
 			t.Errorf("notRunAllowed: %s is not declared under internal/; drop its entry", name)
-		case ran[d.pos] && (reason != goKernel || selected["avx512"]):
+		case ran[d.pos] && (reason != goKernel || avx512):
 			t.Errorf("notRunAllowed: a scenario runs %s; drop its entry", name)
 		}
 	}

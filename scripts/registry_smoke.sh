@@ -1,20 +1,27 @@
 #!/usr/bin/env bash
-# Model-registry smoke test: the full train → publish → serve → republish →
-# hot-swap loop against real binaries (DESIGN.md §15).
+# Model-registry smoke test: the full train → publish → serve → publish
+# from another process → swap loop against real binaries (DESIGN.md §15).
 #
-#  1. tastetrain -publish stores the trained checkpoint in a journaled
-#     registry as version 1: the directory holds one file, versions.log.
+#  1. tastetrain -publish stores the trained checkpoint as version 1: the
+#     directory holds one file, 1.ckpt.
 #  2. tasted -registry boots serving version 1 straight from the registry.
-#  3. POST /v1/models/publish stores the serving weights again as version
-#     2, and the publish must dedup against version 1 completely: no new
-#     page, so stored bytes < logical bytes across the two versions. Two
-#     publishes fired at once must both answer 200 with distinct versions.
-#  4. Hot-swaps between versions 1 and 2 run under concurrent detect load:
+#  3. While it serves, a second tastetrain run (-epochs 2) publishes
+#     version 2 into the same directory. The server lists it at once, POST
+#     /v1/models/swap {"version":0} serves it, and the answer is the bytes
+#     of a -checkpoint boot of that run's -o file (step 6).
+#  4. POST /v1/models/publish fired repeatedly while a third tastetrain run
+#     publishes: every publish answers 200, no two share a version, the
+#     listing is 1..N with nothing missing, and the directory holds only
+#     version files, no temporary one.
+#  5. Hot-swaps between versions 1 and 2 run under concurrent detect load:
 #     every response must be a 200 labeled with a version in {1,2}.
-#  5. tasted boots twice more, from tastetrain's checkpoint file and with
-#     -registry -model-version 1: each answers the demo detect with the
-#     bytes the step-2 boot served from version 1 (the checkpoint boot
-#     carries no model_version).
+#  6. tasted boots from the two tastetrain -o files and with -registry
+#     -model-version 1; each answers with the bytes the registry served for
+#     its version (a checkpoint boot carries no model_version). The first
+#     checkpoint boot sets -deadline 1ns: a detect naming every demo table
+#     answers 200, degraded, each table skipped, and one that sends
+#     "deadline_ms":600000 overrides the default and answers version 1's
+#     bytes.
 #
 # Run from the repo root (CI does).
 set -euo pipefail
@@ -61,10 +68,18 @@ jnum() { grep -o "\"$1\":[0-9.]*" | head -1 | cut -d: -f2 || true; }
 go build -o "$TRAIN" ./cmd/tastetrain
 go build -o "$SERVE" ./cmd/tasted
 
+# only_versions: the registry directory holds version files and nothing
+# else: no temporary file of a publish.
+only_versions() {
+    local stray
+    stray=$(ls -A "$REG" | grep -vxE '[1-9][0-9]*\.ckpt' || true)
+    [[ -z "$stray" ]] || { echo "registry directory holds more than version files: $stray" >&2; ls -la "$REG" >&2; exit 1; }
+}
+
 # 1. Train a tiny model and publish it as version 1.
 "$TRAIN" -model taste -tables 24 -seed 1 -epochs 1 -o "$TMP/taste.ckpt" -publish "$REG"
-[[ "$(ls "$REG")" == versions.log ]] \
-    || { echo "registry directory does not hold just versions.log:" >&2; ls -la "$REG" >&2; exit 1; }
+[[ "$(ls -A "$REG")" == 1.ckpt ]] \
+    || { echo "registry directory does not hold just 1.ckpt:" >&2; ls -la "$REG" >&2; exit 1; }
 
 # 2. Serve straight from the registry (corpus knobs must match training).
 boot -registry "$REG"
@@ -77,35 +92,41 @@ V=$(jnum model_version <<<"$DETECT")
 [[ "$V" == 1 ]] || { echo "detect served model_version=$V, want 1" >&2; exit 1; }
 V1=$(canon <<<"$DETECT")
 
-# 3. Republish the serving weights: every page is version 1's.
-PUB=$(curl -sf -XPOST "http://$ADDR/v1/models/publish" -d '{}')
-PAGES=$(jnum pages <<<"$PUB")
-NEW=$(jnum new_pages <<<"$PUB")
-[[ "$(jnum version <<<"$PUB")" == 2 ]] || { echo "republish version != 2: $PUB" >&2; exit 1; }
-[[ "$PAGES" -gt 0 && "${NEW:-0}" == 0 ]] || { echo "republish stored $NEW new of $PAGES pages, want 0: $PUB" >&2; exit 1; }
-
+# 3. Another process publishes version 2 while tasted serves; swapping to
+# the latest serves it.
+OUT=$("$TRAIN" -model taste -tables 24 -seed 1 -epochs 2 -o "$TMP/taste2.ckpt" -publish "$REG")
+grep -qF "published version 2 → $REG" <<<"$OUT" || { echo "second tastetrain did not publish version 2: $OUT" >&2; exit 1; }
 MODELS=$(curl -sf "http://$ADDR/v1/models")
-LOGICAL=$(jnum logical_bytes <<<"$MODELS")
-STORED=$(jnum stored_bytes <<<"$MODELS")
-SAVED=$(jnum saved_bytes <<<"$MODELS")
-[[ "$STORED" -lt "$LOGICAL" && "$SAVED" -gt 0 ]] \
-    || { echo "two versions did not dedup: stored=$STORED logical=$LOGICAL saved=$SAVED" >&2; exit 1; }
+grep -qF '"versions":[1,2]' <<<"$MODELS" || { echo "the server does not list tastetrain's version 2: $MODELS" >&2; exit 1; }
+SWAP=$(curl -sf -XPOST "http://$ADDR/v1/models/swap" -d '{"version":0}')
+[[ "$(jnum version <<<"$SWAP")" == 2 ]] || { echo "swap to latest did not serve version 2: $SWAP" >&2; exit 1; }
+DETECT=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d '{"database":"demo"}')
+[[ "$(jnum model_version <<<"$DETECT")" == 2 ]] || { echo "detect after swap to latest: $DETECT" >&2; exit 1; }
+V2=$(canon <<<"$DETECT")
+[[ "$V2" != "$V1" ]] || { echo "versions 1 and 2 answer alike; the byte checks would be vacuous" >&2; exit 1; }
 
-# Two publishes at once: each must claim its own version.
-PUBPIDS=()
-for p in a b; do
-    curl -s -o "$TMP/pub_$p" -w '%{http_code}' -XPOST "http://$ADDR/v1/models/publish" -d '{}' >"$TMP/code_$p" &
-    PUBPIDS+=($!)
+# 4. tasted publishes, over and over, while a tastetrain run publishes into
+# the same directory.
+"$TRAIN" -model taste -tables 24 -seed 1 -epochs 1 -train-workers 2 -o "$TMP/taste3.ckpt" -publish "$REG" >"$TMP/train3.out" &
+TRAINPID=$!
+PUBS=0
+while kill -0 "$TRAINPID" 2>/dev/null || [[ "$PUBS" -lt 2 ]]; do
+    [[ "$PUBS" -lt 30 ]] || break
+    curl -s -o "$TMP/pub_$PUBS" -w '%{http_code}' -XPOST "http://$ADDR/v1/models/publish" -d '{}' >"$TMP/code_$PUBS"
+    [[ "$(cat "$TMP/code_$PUBS")" == 200 ]] || { echo "publish $PUBS: status $(cat "$TMP/code_$PUBS"): $(cat "$TMP/pub_$PUBS")" >&2; exit 1; }
+    PUBS=$((PUBS + 1))
 done
-wait "${PUBPIDS[@]}"
-VA=$(jnum version <"$TMP/pub_a")
-VB=$(jnum version <"$TMP/pub_b")
-[[ "$(cat "$TMP/code_a") $(cat "$TMP/code_b")" == "200 200" && -n "$VA" && -n "$VB" && "$VA" != "$VB" ]] \
-    || { echo "concurrent publishes: codes $(cat "$TMP/code_a") $(cat "$TMP/code_b"), versions '$VA' '$VB'" >&2; exit 1; }
+wait "$TRAINPID"
+TV=$(grep -o 'published version [0-9]*' "$TMP/train3.out" | cut -d' ' -f3)
+CLAIMED=$( { echo "$TV"; for ((i = 0; i < PUBS; i++)); do jnum version <"$TMP/pub_$i"; done; } | sort -n)
+N=$((PUBS + 3))
+[[ "$CLAIMED" == "$(seq 3 "$N")" ]] \
+    || { echo "tastetrain (version '$TV') and $PUBS tasted publishes claimed: $(echo $CLAIMED), want 3..$N" >&2; exit 1; }
 MODELS=$(curl -sf "http://$ADDR/v1/models")
-grep -qF '"versions":[1,2,3,4]' <<<"$MODELS" || { echo "listing after the concurrent publishes: $MODELS" >&2; exit 1; }
+grep -qF "\"versions\":[$(seq -s, 1 "$N")]" <<<"$MODELS" || { echo "listing after the concurrent publishes: $MODELS" >&2; exit 1; }
+only_versions
 
-# 4. Hot-swap between the versions under concurrent detect load.
+# 5. Hot-swap between the versions under concurrent detect load.
 LOADLOG="$TMP/load.log"
 ( for i in $(seq 1 20); do
       curl -s -o /dev/null -w '%{http_code} ' -XPOST "http://$ADDR/v1/detect" -d '{"database":"demo"}'
@@ -122,20 +143,35 @@ CODES=$(cat "$LOADLOG")
 STATS=$(curl -sf "http://$ADDR/v1/stats")
 MODELBLOCK=$(grep -o '"model":{[^}]*' <<<"$STATS")
 [[ "$(jnum version <<<"$MODELBLOCK")" == 2 ]] || { echo "final serving version != 2: $MODELBLOCK" >&2; exit 1; }
-[[ "$(jnum swaps <<<"$MODELBLOCK")" == 2 ]] || { echo "swap count != 2: $MODELBLOCK" >&2; exit 1; }
+[[ "$(jnum swaps <<<"$MODELBLOCK")" == 3 ]] || { echo "swap count != 3: $MODELBLOCK" >&2; exit 1; }
 DETECT=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d '{"database":"demo"}')
 [[ "$(jnum model_version <<<"$DETECT")" == 2 ]] || { echo "post-swap detect not on version 2" >&2; exit 1; }
 
-# 5. The other two ways to boot a trained model serve version 1's bytes.
+# 6. The other ways to boot a trained model serve the registry's bytes.
 stop
-boot -checkpoint "$TMP/taste.ckpt"
-GOT=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d '{"database":"demo"}' | canon)
+boot -checkpoint "$TMP/taste.ckpt" -deadline 1ns
+NAMES=$(grep -o '"table":"[^"]*"' <<<"$V1" | cut -d'"' -f4)
+LIST=$(sed 's/.*/"&"/' <<<"$NAMES" | paste -sd,)
+OUT=$(curl -s -w '\n%{http_code}' -XPOST "http://$ADDR/v1/detect" -d "{\"database\":\"demo\",\"tables\":[$LIST]}")
+CODE=${OUT##*$'\n'}; OUT=${OUT%$'\n'*}
+[[ "$CODE" == 200 ]] && grep -qF '"degraded":true' <<<"$OUT" \
+    || { echo "detect under -deadline 1ns: status $CODE, want 200 and degraded: $OUT" >&2; exit 1; }
+while read -r t; do
+    grep -qF "\"table\":\"$t\",\"columns\":[],\"skipped\":true" <<<"$OUT" \
+        || { echo "detect under -deadline 1ns did not skip $t: $OUT" >&2; exit 1; }
+done <<<"$NAMES"
+GOT=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d '{"database":"demo","deadline_ms":600000}' | canon)
 [[ "$GOT" == "${V1/,\"model_version\":1/}" ]] \
     || { echo "the -checkpoint boot answers differently from version 1:" >&2; diff <(echo "$V1") <(echo "$GOT") >&2; exit 1; }
+stop
+boot -checkpoint "$TMP/taste2.ckpt"
+GOT=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d '{"database":"demo"}' | canon)
+[[ "$GOT" == "${V2/,\"model_version\":2/}" ]] \
+    || { echo "the -checkpoint boot of tastetrain's second model answers differently from version 2:" >&2; diff <(echo "$V2") <(echo "$GOT") >&2; exit 1; }
 stop
 boot -registry "$REG" -model-version 1
 GOT=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d '{"database":"demo"}' | canon)
 [[ "$GOT" == "$V1" ]] \
     || { echo "the -model-version 1 boot answers differently from version 1:" >&2; diff <(echo "$V1") <(echo "$GOT") >&2; exit 1; }
 
-echo "registry smoke: OK (pages=$PAGES new_pages=$NEW saved_bytes=$SAVED)"
+echo "registry smoke: OK (versions=$N, tastetrain published version $TV among $PUBS tasted publishes)"
