@@ -91,7 +91,10 @@ bench-check:
 # the tokenizer's append path against Encode, the four row kernels (the
 # matmul's with its K-block edges), the fused add-and-LayerNorm and the
 # attention core (with its span validation) against their references, the
-# checkpoint decoder, the registry's version-file reader (seeded with a
+# weights-stream decoder, the model-file reader (seeded with a written
+# file, a bare weights stream, a header cut short and one claiming 2^31
+# terms: it returns a model or an error, never panics), the registry's
+# version-file reader (seeded with a
 # published file, a flipped byte, a cut tail and no bytes: it returns an
 # error or a stream followed by that stream's SHA-256), and the Prometheus
 # text checker against the exposition writer (go test takes one -fuzz
@@ -104,6 +107,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=^FuzzResultKeyFraming$$ -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=^FuzzScanCells$$ -fuzztime=10s ./internal/simdb/
 	$(GO) test -run=^$$ -fuzz=^FuzzEncodeAppend$$ -fuzztime=10s ./internal/tokenizer/
+	$(GO) test -run=^$$ -fuzz=^FuzzReadModel$$ -fuzztime=10s ./internal/adtd/
 	for f in FuzzExpRow FuzzGELURow FuzzMulRowRange FuzzScoreRow FuzzLayerNormRows FuzzAttnCore FuzzReadTensors; do \
 		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzztime=10s ./internal/tensor/ || exit 1; \
 	done

@@ -1,12 +1,12 @@
 // Command tasted serves the Taste detector over HTTP (see
-// internal/service for the API). It loads an ADTD checkpoint produced by
-// tastetrain — or, with -train, trains a fresh model at startup — and hosts
-// a demo tenant database generated from the test split.
+// internal/service for the API). It serves a model file tastetrain wrote —
+// the file alone: its header carries the model's configuration, vocabulary
+// and type space — and hosts a demo tenant database generated from the
+// test split (-tables, -seed).
 //
 // Usage:
 //
-//	tasted -checkpoint taste.ckpt -addr :8080
-//	tasted -train -addr :8080        # self-contained demo
+//	tastetrain -o taste.ckpt && tasted -checkpoint taste.ckpt -addr :8080
 //	tasted -registry /var/taste/registry -addr :8080   # serve the latest published version
 //
 // With -registry the /v1/models endpoints come alive: list published
@@ -47,14 +47,11 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		debugAddr    = flag.String("debug-addr", "", "observability listener serving /metrics and /debug/pprof (empty disables)")
-		checkpoint   = flag.String("checkpoint", "", "ADTD checkpoint from tastetrain (matching -tables/-seed)")
+		checkpoint   = flag.String("checkpoint", "", "model file from tastetrain -o, served as it is")
 		registryDir  = flag.String("registry", "", "model-registry directory (from tastetrain -publish); enables /v1/models list/swap/publish")
 		modelVersion = flag.Int("model-version", 0, "registry version to serve at boot (0 = latest; requires -registry)")
-		train        = flag.Bool("train", false, "train a fresh model at startup instead of loading a checkpoint")
-		tables       = flag.Int("tables", 200, "corpus size backing the vocabulary/type space (must match the checkpoint)")
-		seed         = flag.Int64("seed", 1, "corpus seed (must match the checkpoint)")
-		epochs       = flag.Int("epochs", 8, "training epochs when -train is set")
-		trainWorkers = flag.Int("train-workers", 1, "data-parallel gradient workers when -train is set (bit-reproducible per (seed, workers))")
+		tables       = flag.Int("tables", 200, "demo tenant: tables in the generated corpus whose test split it holds (the model comes from its file)")
+		seed         = flag.Int64("seed", 1, "demo tenant: corpus seed")
 		deadline     = flag.Duration("deadline", 0, "default per-request deadline for /v1/detect (0 = none; requests can override via deadline_ms)")
 		faultProb    = flag.Float64("fault-prob", 0, "demo tenant: probability of a transient fault per scan/query/connect (chaos mode)")
 		faultSeed    = flag.Int64("fault-seed", 1, "demo tenant: fault-injection seed")
@@ -62,52 +59,38 @@ func main() {
 		resultCache  = flag.Int64("result-cache", 16<<20, "result-cache byte budget memoizing per-column detect outputs (0 disables; invalidated on any weight update)")
 	)
 	flag.Parse()
-	if err := checkBootFlags(*train, *checkpoint, *registryDir, *modelVersion); err != nil {
+	if err := checkBootFlags(*checkpoint, *registryDir, *modelVersion); err != nil {
 		log.Fatalf("tasted: %v", err)
 	}
 
-	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.WikiTableProfile(*tables), *seed)
-	tok := adtd.BuildVocabulary(ds.Train, ds.Registry.Names(), 4000)
-	types := adtd.NewTypeSpace(ds.Registry.Names())
-	var model *adtd.Model
-	var err error
-	if *train {
-		model, err = adtd.New(adtd.ReproScale(), tok, types, *seed)
-	} else {
-		// A checkpoint or a registry version replaces every weight: there is
-		// nothing to draw.
-		model, err = adtd.Blank(adtd.ReproScale(), tok, types)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var reg *registry.Registry
+	var (
+		model       *adtd.Model
+		reg         *registry.Registry
+		bootVersion int
+		err         error
+	)
 	if *registryDir != "" {
-		reg, err = registry.Open(*registryDir)
-		if err != nil {
+		if reg, err = registry.Open(*registryDir); err != nil {
 			log.Fatalf("open registry: %v", err)
 		}
 	}
-	switch {
-	case *train:
-		cfg := adtd.TunedTrainConfig(*epochs, false)
-		cfg.Workers = *trainWorkers
-		cfg.Log = os.Stderr
-		log.Printf("training model (%d epochs) …", cfg.Epochs)
-		if _, err := adtd.FineTune(model, ds.Train, cfg); err != nil {
-			log.Fatal(err)
-		}
-	case *checkpoint != "":
-		f, err := os.Open(*checkpoint)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := model.Load(f); err != nil {
+	if *checkpoint != "" {
+		if model, err = readModelFile(*checkpoint); err != nil {
 			log.Fatalf("load checkpoint: %v", err)
 		}
-		f.Close()
 		log.Printf("loaded checkpoint %s", *checkpoint)
+	} else {
+		if bootVersion = *modelVersion; bootVersion == 0 {
+			if bootVersion, err = reg.Latest(); err == nil && bootVersion == 0 {
+				err = errors.New("the registry has no published versions")
+			}
+		}
+		if err == nil {
+			model, err = service.ReadVersion(reg, bootVersion)
+		}
+		if err != nil {
+			log.Fatalf("registry %s: %v", *registryDir, err)
+		}
 	}
 
 	opts := core.DefaultOptions()
@@ -119,17 +102,12 @@ func main() {
 	}
 	svc := service.New(det)
 	if reg != nil {
-		svc.AttachRegistry(reg)
-		bootVersion := 0
-		if !*train && *checkpoint == "" {
-			if bootVersion, err = svc.ServeVersion(*modelVersion); err != nil {
-				log.Fatalf("registry %s: %v", *registryDir, err)
-			}
-		}
+		svc.AttachRegistry(reg, bootVersion)
 		log.Printf("model registry attached (%s, serving version %d): /v1/models endpoints enabled", *registryDir, bootVersion)
 	}
 	svc.SetDefaultDeadline(*deadline)
 
+	ds := corpus.Generate(corpus.DefaultRegistry(), corpus.WikiTableProfile(*tables), *seed)
 	demo := simdb.NewServer(simdb.PaperLatency(0.1))
 	demo.LoadTables("demo", ds.Test)
 	if *faultProb > 0 {
@@ -186,23 +164,31 @@ func main() {
 	log.Printf("tasted: graceful shutdown complete")
 }
 
+// readModelFile reads the model file at path.
+func readModelFile(path string) (*adtd.Model, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return adtd.ReadModel(f)
+}
+
 // checkBootFlags refuses, before anything loads, the flag combinations that
 // name no model or that would drop one silently: the model comes from
-// -train, -checkpoint or -registry (in that order), and -model-version picks
-// the registry version served at boot, so it needs -registry and means
-// nothing beside -train or -checkpoint.
-func checkBootFlags(train bool, checkpoint, registryDir string, modelVersion int) error {
+// -checkpoint or else -registry, and -model-version picks the registry
+// version served at boot, so it needs -registry and means nothing beside
+// -checkpoint.
+func checkBootFlags(checkpoint, registryDir string, modelVersion int) error {
 	switch {
-	case !train && checkpoint == "" && registryDir == "":
-		return errors.New("need -checkpoint, -registry, or -train")
+	case checkpoint == "" && registryDir == "":
+		return errors.New("need -checkpoint or -registry")
 	case modelVersion < 0:
 		return fmt.Errorf("-model-version must be ≥ 0, got %d", modelVersion)
 	case modelVersion == 0:
 		return nil
 	case registryDir == "":
 		return fmt.Errorf("-model-version %d requires -registry", modelVersion)
-	case train:
-		return fmt.Errorf("-model-version %d conflicts with -train: the trained model is served", modelVersion)
 	case checkpoint != "":
 		return fmt.Errorf("-model-version %d conflicts with -checkpoint: the checkpoint is served", modelVersion)
 	}

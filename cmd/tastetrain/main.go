@@ -1,17 +1,21 @@
 // Command tastetrain trains a single model (Taste ADTD, TURL, or Doduo) on
-// a generated corpus and writes the checkpoint to a file. It is the
-// standalone counterpart of the training the experiment suite performs
-// lazily; useful for preparing checkpoints once and serving them elsewhere.
+// a generated corpus and writes it as a model file: a header carrying the
+// model's kind, configuration, vocabulary and type space, then its
+// weights. It is the standalone counterpart of the training the experiment
+// suite performs lazily, and the one trainer of the models tasted serves:
+// tasted -checkpoint reads the file alone, whatever -tables and -seed it
+// was trained with. The file is written under a temporary name and renamed
+// over -o only once complete, so a run that fails leaves -o as it was.
 //
 // Usage:
 //
 //	tastetrain -model taste -dataset wikitable -tables 600 -epochs 16 -o taste.ckpt
 //	tastetrain -model taste -publish /var/taste/registry   # also publish to a model registry
 //
-// With -publish the checkpoint is additionally stored as the next version
-// in a model registry, one checkpoint file per version. tasted -registry
-// serves straight from the same directory, and a tasted already serving it
-// lists the new version at once (swap to it with POST /v1/models/swap).
+// With -publish the model file is additionally stored as the next version
+// in a model registry, one file per version. tasted -registry serves
+// straight from the same directory, and a tasted already serving it lists
+// the new version at once (swap to it with POST /v1/models/swap).
 package main
 
 import (
@@ -37,10 +41,15 @@ func main() {
 		pretrain  = flag.Int("pretrain", 0, "MLM pre-training steps before fine-tuning (taste only)")
 		hist      = flag.Bool("histogram", false, "train the with-histogram variant (taste only)")
 		workers   = flag.Int("train-workers", 1, "data-parallel gradient workers (results are bit-reproducible per (seed, workers))")
-		out       = flag.String("o", "model.ckpt", "checkpoint output path")
-		publish   = flag.String("publish", "", "also publish the checkpoint to the model registry rooted at this directory (taste only)")
+		out       = flag.String("o", "model.ckpt", "model file output path")
+		publish   = flag.String("publish", "", "also publish the model file to the model registry rooted at this directory (taste only)")
 	)
 	flag.Parse()
+	switch *modelKind {
+	case "taste", "turl", "doduo":
+	default:
+		log.Fatalf("tastetrain: unknown model %q", *modelKind)
+	}
 	if *publish != "" && *modelKind != "taste" {
 		log.Fatalf("tastetrain: -publish supports -model taste only (got %q)", *modelKind)
 	}
@@ -59,12 +68,6 @@ func main() {
 	types := adtd.NewTypeSpace(ds.Registry.Names())
 
 	start := time.Now()
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatalf("tastetrain: %v", err)
-	}
-	defer f.Close()
-
 	switch *modelKind {
 	case "taste":
 		m, err := adtd.New(adtd.ReproScale(), tok, types, *seed)
@@ -86,7 +89,7 @@ func main() {
 		if _, err := adtd.FineTune(m, ds.Train, cfg); err != nil {
 			log.Fatal(err)
 		}
-		if err := m.Save(f); err != nil {
+		if err := adtd.WriteFile(*out, m.WriteModel); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("trained taste model (%d params) in %v → %s\n", m.NumParams(), time.Since(start).Round(time.Second), *out)
@@ -95,7 +98,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("open registry: %v", err)
 			}
-			res, err := reg.Publish(m.Params())
+			res, err := reg.Publish(m.WriteModel)
 			if err != nil {
 				log.Fatalf("publish: %v", err)
 			}
@@ -113,11 +116,9 @@ func main() {
 		if _, err := baselines.FineTune(m, ds.Train, tcfg); err != nil {
 			log.Fatal(err)
 		}
-		if err := m.Save(f); err != nil {
+		if err := adtd.WriteFile(*out, m.WriteModel); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("trained %s model (%d params) in %v → %s\n", v, m.NumParams(), time.Since(start).Round(time.Second), *out)
-	default:
-		log.Fatalf("tastetrain: unknown model %q", *modelKind)
 	}
 }

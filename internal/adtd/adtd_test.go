@@ -392,13 +392,10 @@ func TestFailedLoadLeavesWeightsUntouched(t *testing.T) {
 // one model's memoized outputs resolve for the other.
 func TestGenerationsUniqueAcrossModels(t *testing.T) {
 	m1, _ := tinyModel(t)
-	m2, err := m1.Sibling()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m2 := roundTrip(t, m1)
 	m2.SetEval()
 	if m1.Generation() == m2.Generation() {
-		t.Fatalf("sibling models share generation %d", m1.Generation())
+		t.Fatalf("a model and its file's twin share generation %d", m1.Generation())
 	}
 	g1 := m1.Generation()
 	m2.SetTrain() // bump m2 only (a mode transition redraws its generation)

@@ -79,26 +79,10 @@ func New(cfg Config, tok *tokenizer.Tokenizer, types *TypeSpace, seed int64) (*M
 	return build(cfg, tok, types, rand.New(rand.NewSource(seed)))
 }
 
-// Blank creates an ADTD model with every parameter shaped and nothing drawn
-// (weights zero, layer-norm gains one): the model a Load fills next, whose
-// random initialization would only be thrown away.
-func Blank(cfg Config, tok *tokenizer.Tokenizer, types *TypeSpace) (*Model, error) {
-	m, err := build(cfg, tok, types, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range m.Params() {
-		if p.Data == nil {
-			p.Data = make([]float64, p.Rows*p.Cols)
-		}
-	}
-	return m, nil
-}
-
 // build shapes a model's parameters and, with an rng, draws and sets their
 // initial values. With none, the embedding and linear weights hold no data
-// yet (nn.NewLinear): Blank allocates them, a training replica points them
-// at another model's.
+// yet (nn.NewLinear): ReadWeights allocates them once a model file's
+// weights have arrived, a training replica points them at another model's.
 func build(cfg Config, tok *tokenizer.Tokenizer, types *TypeSpace, rng *rand.Rand) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -134,12 +118,23 @@ func build(cfg Config, tok *tokenizer.Tokenizer, types *TypeSpace, rng *rand.Ran
 	return m, nil
 }
 
-// Sibling creates a Blank model with the same configuration, tokenizer, and
-// type space — the right shape to Load any checkpoint this model could have
-// Saved. It gets its own weight generation and fast-path packs, so serving
-// two models side by side never aliases caches.
+// Sibling creates a model with the same configuration, tokenizer and type
+// space, its weights zero and its layer-norm gains one: the right shape to
+// Load any weights stream this model could have Saved. It gets its own
+// weight generation and fast-path packs. The benchmark times a Load into
+// one (registry.checkpoint_load_ms); a model that serves is read from a
+// model file (ReadModel) instead.
 func (m *Model) Sibling() (*Model, error) {
-	return Blank(m.Cfg, m.Tok, m.Types)
+	s, err := build(m.Cfg, m.Tok, m.Types, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range s.Params() {
+		if p.Data == nil {
+			p.Data = make([]float64, p.Rows*p.Cols)
+		}
+	}
+	return s, nil
 }
 
 // Encoder returns the input encoder bound to this model's tokenizer and
@@ -184,10 +179,12 @@ func (m *Model) setGrad(v bool) {
 	m.invalidatePacks()
 }
 
-// Save serializes all parameters.
+// Save writes all parameters as a bare weights stream: a model file's body
+// (WriteModel writes the whole file). Only in-memory snapshots and the
+// benchmark's fixture use it alone; ReadModel refuses its output by name.
 func (m *Model) Save(w io.Writer) error { return tensor.WriteTensors(w, m.Params()) }
 
-// Load restores all parameters from a checkpoint written by Save. The load
+// Load restores all parameters from a weights stream written by Save. The load
 // is atomic: tensor.ReadTensors validates the whole checkpoint in scratch
 // buffers before installing anything, so a truncated or corrupt file
 // returns an error with the live weights — and therefore serving —

@@ -148,11 +148,45 @@ func (m *Model) setGrad(v bool) {
 	}
 }
 
-// Save serializes all parameters.
+// Save writes all parameters as a bare weights stream: a model file's body
+// (WriteModel writes the whole file).
 func (m *Model) Save(w io.Writer) error { return tensor.WriteTensors(w, m.Params()) }
 
-// Load restores parameters saved by Save.
-func (m *Model) Load(r io.Reader) error { return tensor.ReadTensors(r, m.Params()) }
+// WriteModel writes m as a model file: adtd.WriteHeader's header of kind
+// TURL or Doduo, then its weights stream.
+func (m *Model) WriteModel(w io.Writer) error {
+	if err := adtd.WriteHeader(w, m.Variant.String(), m.Cfg, m.Tok, m.Types); err != nil {
+		return err
+	}
+	return m.Save(w)
+}
+
+// ReadModel reads a TURL or Doduo model file WriteModel wrote and returns
+// the model it describes, in train mode. A Taste file, a bare weights
+// stream and weights of another shape are refused.
+func ReadModel(r io.Reader) (*Model, error) {
+	var cfg Config
+	kind, tok, types, err := adtd.ReadHeader(r, &cfg, TURL.String(), Doduo.String())
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Heads < 1 || cfg.Hidden%cfg.Heads != 0 {
+		return nil, fmt.Errorf("model file: hidden %d not divisible by heads %d", cfg.Hidden, cfg.Heads)
+	}
+	if err := adtd.CheckDims(cfg.Layers, cfg.Heads, cfg.MaxSeq, cfg.Intermediate, cfg.Hidden,
+		cfg.ColTokens, cfg.CellTokens, cfg.ClsHidden); err != nil {
+		return nil, err
+	}
+	v := TURL
+	if kind == Doduo.String() {
+		v = Doduo
+	}
+	m := build(v, cfg, tok, types, nil)
+	if err := adtd.ReadWeights(r, m.Params()); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
 
 // input is a serialized table with per-column anchors and spans.
 type input struct {

@@ -2,7 +2,9 @@ package baselines
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/adtd"
@@ -180,6 +182,10 @@ func TestFineTuneErrors(t *testing.T) {
 	}
 }
 
+// Load restores parameters saved by Save. Outside tests a baseline is read
+// from its model file (ReadModel).
+func (m *Model) Load(r io.Reader) error { return tensor.ReadTensors(r, m.Params()) }
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m, ds := tiny(t, Doduo)
 	info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
@@ -200,5 +206,56 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Fatal("prediction drift after load")
 			}
 		}
+	}
+}
+
+// TestModelFileRoundTrip: each baseline written as a model file reads back
+// as its own variant, configuration, vocabulary and type space, predicting
+// bit-identically; a Taste file and a bare weights stream are refused by
+// what they hold.
+func TestModelFileRoundTrip(t *testing.T) {
+	for _, v := range []Variant{TURL, Doduo} {
+		m, ds := tiny(t, v)
+		info := metafeat.FromCorpusTable(ds.Test[0], false, 0)
+		before := m.Predict(info, 3, true)
+		var buf bytes.Buffer
+		if err := m.WriteModel(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := ReadModel(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Variant != v || r.Cfg != m.Cfg || r.Tok.VocabSize() != m.Tok.VocabSize() || r.Types.Len() != m.Types.Len() {
+			t.Fatalf("%v read back as %v %+v over %d terms and %d types", v, r.Variant, r.Cfg, r.Tok.VocabSize(), r.Types.Len())
+		}
+		r.SetEval()
+		after := r.Predict(info, 3, true)
+		for i := range before {
+			for j := range before[i] {
+				if math.Float64bits(before[i][j]) != math.Float64bits(after[i][j]) {
+					t.Fatalf("%v: prediction drift through the model file", v)
+				}
+			}
+		}
+	}
+	m, _ := tiny(t, TURL)
+	var weights bytes.Buffer
+	if err := m.Save(&weights); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadModel(&weights); err == nil || !strings.Contains(err.Error(), "weights only") {
+		t.Fatalf("a bare weights stream: %v, want it refused as weights only", err)
+	}
+	am, err := adtd.New(adtd.ReproScale(), m.Tok, m.Types, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var taste bytes.Buffer
+	if err := am.WriteModel(&taste); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadModel(&taste); err == nil || !strings.Contains(err.Error(), `holds a "taste" model`) {
+		t.Fatalf("a Taste model file: %v, want it refused as a taste model", err)
 	}
 }

@@ -950,11 +950,11 @@ type Request struct {
 	Tables []string
 	Mode   ExecMode
 	// Model, when set, answers the request instead of the serving model —
-	// the mechanism behind per-request model versions. It shares the
-	// serving model's configuration, tokenizer and type space (a registry
-	// version is loaded into the serving model's Sibling; it carries weights
-	// only). Every stage of every table runs on it, so the answer is
-	// internally consistent with exactly one model.
+	// the mechanism behind per-request model versions. It encodes with its
+	// own tokenizer and answers in its own type space (a registry version
+	// is read from its model file, which carries both). Every stage of
+	// every table runs on it, so the answer is internally consistent with
+	// exactly one model.
 	Model *adtd.Model
 	// Start is when the request began, a clock read the caller already made;
 	// Report.Duration counts from it. Zero reads the clock.

@@ -13,21 +13,46 @@ import (
 )
 
 // twinModel returns a model of its own (own parameters, own generation)
-// holding m's bits: a Sibling loaded from m's checkpoint.
+// holding m's description and bits: m written as a model file and read
+// back.
 func twinModel(t *testing.T, m *adtd.Model) *adtd.Model {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.WriteModel(&buf); err != nil {
 		t.Fatal(err)
 	}
-	twin, err := m.Sibling()
+	twin, err := adtd.ReadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := twin.Load(&buf); err != nil {
+	return twin
+}
+
+// TestModelFileRoundTripAnswersBitIdentically: a model written as a model
+// file and read back answers a sequential detect with the bytes of the
+// model it was written from, every probability included (a float64's JSON
+// form parses back to the same bits), through Phase 2 for every column.
+func TestModelFileRoundTripAnswersBitIdentically(t *testing.T) {
+	det, ds := phase2Detector(t, 4)
+	server := newServerWith(allTables(ds))
+	want, err := det.DetectDatabase(context.Background(), server, "tenant", SequentialMode)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return twin
+	twin, err := NewDetector(twinModel(t, det.Model()), det.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := twin.DetectDatabase(context.Background(), server, "tenant", SequentialMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ContentForwards == 0 || len(got.Tables[0].Columns[0].Probs) == 0 {
+		t.Fatal("no Phase-2 probabilities to compare")
+	}
+	if canonTables(t, got) != canonTables(t, want) {
+		t.Fatalf("the model read back answers\n%s\nthe model written answered\n%s", canonTables(t, got), canonTables(t, want))
+	}
 }
 
 // TestModelWritersLeaveCapturedModel hot-swaps the serving model back and

@@ -184,17 +184,16 @@ func (s *Suite) buildTaste(key string, ds *corpus.Dataset, tcfg adtd.TrainConfig
 
 func (s *Suite) buildTasteWith(key string, ds *corpus.Dataset, mcfg adtd.Config, tcfg adtd.TrainConfig, hist, pretrain bool) *adtd.Model {
 	tcfg.Log = s.Cfg.Log
+	ckpt := s.checkpointPath(key, ds, tcfg.Epochs)
+	if m, ok := loadCheckpoint(s, adtd.ReadModel, ckpt); ok {
+		m.SetEval()
+		return m
+	}
 	tok := adtd.BuildVocabulary(ds.Train, ds.Registry.Names(), 4000)
 	types := adtd.NewTypeSpace(ds.Registry.Names())
 	m, err := adtd.New(mcfg, tok, types, s.Cfg.Seed)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	ckpt := s.checkpointPath(key, ds, tcfg.Epochs)
-	if s.loadCheckpoint(m.Load, ckpt) {
-		s.logf("experiments: loaded checkpoint %s", ckpt)
-		m.SetEval()
-		return m
 	}
 	if pretrain && s.Cfg.PretrainSteps > 0 {
 		pcfg := adtd.DefaultPretrainConfig()
@@ -214,7 +213,7 @@ func (s *Suite) buildTasteWith(key string, ds *corpus.Dataset, mcfg adtd.Config,
 		}
 	}
 	m.SetEval()
-	s.saveCheckpoint(m.Save, ckpt)
+	s.saveCheckpoint(m.WriteModel, ckpt)
 	return m
 }
 
@@ -297,16 +296,15 @@ func (s *Suite) BaselineModel(v baselines.Variant, dsName string) *baselines.Mod
 	if v == baselines.Doduo {
 		cfg = baselines.DoduoScale()
 	}
-	tok := adtd.BuildVocabulary(ds.Train, ds.Registry.Names(), 4000)
-	types := adtd.NewTypeSpace(ds.Registry.Names())
-	m := baselines.New(v, cfg, tok, types, s.Cfg.Seed)
 	ckpt := s.checkpointPath(key, ds, s.Cfg.BaselineEpochs)
-	if s.loadCheckpoint(m.Load, ckpt) {
-		s.logf("experiments: loaded checkpoint %s", ckpt)
+	if m, ok := loadCheckpoint(s, baselines.ReadModel, ckpt); ok {
 		m.SetEval()
 		s.base[key] = m
 		return m
 	}
+	tok := adtd.BuildVocabulary(ds.Train, ds.Registry.Names(), 4000)
+	types := adtd.NewTypeSpace(ds.Registry.Names())
+	m := baselines.New(v, cfg, tok, types, s.Cfg.Seed)
 	tcfg := baselines.TunedTrainConfig(v, s.Cfg.BaselineEpochs)
 	tcfg.Log = s.Cfg.Log
 	s.logf("experiments: fine-tuning %s (%d epochs)", key, tcfg.Epochs)
@@ -314,7 +312,7 @@ func (s *Suite) BaselineModel(v baselines.Variant, dsName string) *baselines.Mod
 		panic(fmt.Sprintf("experiments: fine-tune %s: %v", key, err))
 	}
 	m.SetEval()
-	s.saveCheckpoint(m.Save, ckpt)
+	s.saveCheckpoint(m.WriteModel, ckpt)
 	s.base[key] = m
 	return m
 }
@@ -329,23 +327,30 @@ func (s *Suite) checkpointPath(key string, ds *corpus.Dataset, epochs int) strin
 	return filepath.Join(s.Cfg.CheckpointDir, fmt.Sprintf("%s-%x.ckpt", key, h.Sum64()))
 }
 
-func (s *Suite) loadCheckpoint(load func(io.Reader) error, path string) bool {
+// loadCheckpoint reads the model file at path with read (adtd.ReadModel,
+// baselines.ReadModel). A missing file is a cache miss; a file read
+// refuses — an earlier weights-only file among them — is logged and
+// retrained over.
+func loadCheckpoint[M any](s *Suite, read func(io.Reader) (M, error), path string) (M, bool) {
+	var m M
 	if path == "" {
-		return false
+		return m, false
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return false
+		return m, false
 	}
 	defer f.Close()
-	if err := load(f); err != nil {
+	if m, err = read(f); err != nil {
 		s.logf("experiments: ignoring bad checkpoint %s: %v", path, err)
-		return false
+		return m, false
 	}
-	return true
+	s.logf("experiments: loaded checkpoint %s", path)
+	return m, true
 }
 
-func (s *Suite) saveCheckpoint(save func(io.Writer) error, path string) {
+// saveCheckpoint writes a model file at path with write (a WriteModel).
+func (s *Suite) saveCheckpoint(write func(io.Writer) error, path string) {
 	if path == "" {
 		return
 	}
@@ -353,23 +358,7 @@ func (s *Suite) saveCheckpoint(save func(io.Writer) error, path string) {
 		s.logf("experiments: cannot create checkpoint dir: %v", err)
 		return
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		s.logf("experiments: cannot write checkpoint: %v", err)
-		return
-	}
-	if err := save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err := adtd.WriteFile(path, write); err != nil {
 		s.logf("experiments: checkpoint write failed: %v", err)
-		return
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		s.logf("experiments: checkpoint rename failed: %v", err)
 	}
 }

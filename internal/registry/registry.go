@@ -1,6 +1,6 @@
 // Package registry stores one model's published versions: a directory
-// holding one immutable file per version, <version>.ckpt, the
-// tensor.WriteTensors stream followed by its SHA-256. Publish writes the
+// holding one immutable file per version, <version>.ckpt, a model file
+// (adtd.WriteModel: its header, then its weights) followed by its SHA-256. Publish writes the
 // file under a temporary name, syncs it, then claims the next version by
 // hard-linking it to that version's name; a name another publish (in any
 // process) took first moves it on to the next number. Readers list the
@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/tensor"
 )
 
 // Runtime metric handles (DESIGN.md §9/§15). The gauges are synced on
@@ -76,8 +75,9 @@ func (r *Registry) path(version int) string {
 	return filepath.Join(r.dir, strconv.Itoa(version)+suffix)
 }
 
-// Publish stores the given parameter tensors as the next version.
-func (r *Registry) Publish(ts []*tensor.Tensor) (*PublishResult, error) {
+// Publish stores the model file write writes (a WriteModel) as the next
+// version.
+func (r *Registry) Publish(write func(io.Writer) error) (*PublishResult, error) {
 	tmp, err := os.CreateTemp(r.dir, ".publish-*")
 	if err != nil {
 		return nil, fmt.Errorf("registry: publish: %w", err)
@@ -87,8 +87,8 @@ func (r *Registry) Publish(ts []*tensor.Tensor) (*PublishResult, error) {
 	defer os.Remove(tmp.Name())
 	h := sha256.New()
 	w := bufio.NewWriter(io.MultiWriter(tmp, h))
-	if err = tensor.WriteTensors(w, ts); err == nil {
-		err = w.Flush() // h now holds the stream's hash
+	if err = write(w); err == nil {
+		err = w.Flush() // h now holds the file's hash
 	}
 	if err == nil {
 		_, err = tmp.Write(h.Sum(nil))
@@ -124,9 +124,9 @@ func (r *Registry) Publish(ts []*tensor.Tensor) (*PublishResult, error) {
 	return &PublishResult{Version: version}, nil
 }
 
-// Checkpoint returns a version's checkpoint stream, what Model.Save wrote,
-// once its hash has verified; Model.Load then validates it all or nothing.
-// An unpublished version's error wraps fs.ErrNotExist.
+// Checkpoint returns a version's model file, what Publish's writer wrote,
+// once its hash has verified; adtd.ReadModel then reads it. An unpublished
+// version's error wraps fs.ErrNotExist.
 func (r *Registry) Checkpoint(version int) ([]byte, error) {
 	raw, err := os.ReadFile(r.path(version))
 	if version < 1 || errors.Is(err, fs.ErrNotExist) {
@@ -142,12 +142,12 @@ func (r *Registry) Checkpoint(version int) ([]byte, error) {
 	return raw, nil
 }
 
-// verify splits a version file into its checkpoint stream and hash and
-// returns the stream when the hash matches it.
+// verify splits a version file into its model file and hash and returns
+// the model file when the hash matches it.
 func verify(raw []byte) ([]byte, error) {
 	n := len(raw) - sha256.Size
 	if n < 0 || sha256.Sum256(raw[:n]) != [sha256.Size]byte(raw[n:]) {
-		return nil, errors.New("failed verification: the file does not end in its checkpoint's SHA-256")
+		return nil, errors.New("failed verification: the file does not end in its model file's SHA-256")
 	}
 	return raw[:n], nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"io"
 	"io/fs"
 	"math/rand"
 	"os"
@@ -47,6 +48,12 @@ func ckptOf(tb testing.TB, ts []*tensor.Tensor) []byte {
 	return buf.Bytes()
 }
 
+// writeOf is a Publish writer of ts's weights stream: the registry stores
+// whatever bytes its writer writes.
+func writeOf(ts []*tensor.Tensor) func(io.Writer) error {
+	return func(w io.Writer) error { return tensor.WriteTensors(w, ts) }
+}
+
 func openDir(tb testing.TB, dir string) *Registry {
 	tb.Helper()
 	r, err := Open(dir)
@@ -58,7 +65,7 @@ func openDir(tb testing.TB, dir string) *Registry {
 
 func mustPublish(tb testing.TB, r *Registry, ts []*tensor.Tensor) int {
 	tb.Helper()
-	res, err := r.Publish(ts)
+	res, err := r.Publish(writeOf(ts))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -207,7 +214,7 @@ func TestTwoRegistriesPublishDistinctVersions(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			start.Wait()
-			res, err := rs[g%2].Publish(sets[g])
+			res, err := rs[g%2].Publish(writeOf(sets[g]))
 			if err != nil {
 				t.Errorf("publish %d: %v", g, err)
 				return
@@ -254,7 +261,7 @@ func TestConcurrentPublishesClaimDistinctVersions(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			start.Wait()
-			res, err := r.Publish(sets[g])
+			res, err := r.Publish(writeOf(sets[g]))
 			if err != nil {
 				t.Errorf("publish %d: %v", g, err)
 				return
@@ -291,7 +298,7 @@ func TestConcurrentPublishAndCheckpoint(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + g)))
 			for range 3 {
-				if _, err := r.Publish(params(rng)); err != nil {
+				if _, err := r.Publish(writeOf(params(rng))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -382,6 +389,24 @@ func TestTornPublishIsInvisible(t *testing.T) {
 	wantLoads(t, r, 2, v2)
 	if _, err := os.Stat(torn); err != nil {
 		t.Fatalf("the stray temporary file: %v", err)
+	}
+}
+
+// TestFailedWriterPublishesNothing: a writer that fails partway claims no
+// version and leaves no file in the directory.
+func TestFailedWriterPublishesNothing(t *testing.T) {
+	dir := t.TempDir()
+	r := openDir(t, dir)
+	mustPublish(t, r, params(rand.New(rand.NewSource(12))))
+	if _, err := r.Publish(func(w io.Writer) error {
+		w.Write([]byte("partial"))
+		return errors.New("writer failed")
+	}); err == nil || !strings.Contains(err.Error(), "writer failed") {
+		t.Fatalf("Publish with a failing writer: %v", err)
+	}
+	wantVersions(t, r, 1)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory after a failed publish: %v, %v; want only 1.ckpt", entries, err)
 	}
 }
 

@@ -6,18 +6,19 @@
 //	POST /v1/models/swap     {"version": N}  hot-swap to a published version
 //	POST /v1/models/publish  {}              publish the serving weights
 //
-// A registry version becomes a model in one place, modelForVersion: a
-// fresh model with the serving model's configuration, tokenizer and type
-// space, loaded from the version's verified checkpoint file. A swap, a
-// per-request model_version pin and tasted's boot all go through it. A swap
-// then atomically replaces the detector's serving pointer. In-flight
-// requests finish on the model they captured at admission; new requests see
-// the new weights immediately. No cache is flushed — latent and result keys
+// A registry version becomes a model in one place, ReadVersion: the model
+// the version's verified model file describes (adtd.ReadModel), with the
+// configuration, tokenizer and type space the file carries. A swap, a
+// per-request model_version pin (through modelForVersion's cache) and
+// tasted's boot all go through it. A swap then atomically replaces the
+// detector's serving pointer. In-flight requests finish on the model they
+// captured at admission; new requests see the new weights immediately. No cache is flushed — latent and result keys
 // embed the process-unique weight generation, so the two models' entries
 // cannot alias, and entries for the returning version are still valid if it
 // swaps back. A failed materialization (missing version, a file that fails
-// its hash, shape mismatch) leaves the serving model untouched: Model.Load
-// validates the whole checkpoint before installing anything. The registry
+// its hash, a bare weights stream, weights of another shape than the
+// file's header says) leaves the serving model untouched: nothing is
+// installed until ReadModel has read the whole file. The registry
 // is read afresh on every call, so a version another process publishes
 // (tastetrain -publish) is listed, and swappable, as soon as it exists.
 package service
@@ -26,6 +27,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io/fs"
 	"maps"
 	"net/http"
@@ -40,12 +42,34 @@ import (
 const maxMaterializedVersions = 8
 
 // AttachRegistry connects a model registry, the serving model's version
-// history. Call before serving traffic; ServeVersion then installs a
-// published version, if the serving model should be one.
-func (s *Service) AttachRegistry(reg *registry.Registry) {
+// history. servingVersion is the published version the serving model was
+// read from (ReadVersion), or 0 when it is none. Call before serving
+// traffic.
+func (s *Service) AttachRegistry(reg *registry.Registry, servingVersion int) {
 	s.regMu.Lock()
-	defer s.regMu.Unlock()
 	s.registry = reg
+	s.regMu.Unlock()
+	if servingVersion > 0 {
+		s.cacheVersion(servingVersion, s.detector.Model())
+	}
+}
+
+// ReadVersion reads a published version of reg as a model in eval mode:
+// the one way a registry version becomes a model. The model is what the
+// version's verified file describes, read by adtd.ReadModel, so it answers
+// with its own configuration, tokenizer and type space. An unpublished
+// version's error wraps fs.ErrNotExist.
+func ReadVersion(reg *registry.Registry, version int) (*adtd.Model, error) {
+	raw, err := reg.Checkpoint(version)
+	if err != nil {
+		return nil, err
+	}
+	m, err := adtd.ReadModel(bytes.NewReader(raw))
+	if err != nil {
+		return nil, fmt.Errorf("version %d: %w", version, err)
+	}
+	m.SetEval()
+	return m, nil
 }
 
 // attachedRegistry returns the attached registry (nil when none).
@@ -104,13 +128,10 @@ func (s *Service) versionOf(m *adtd.Model) int {
 	return 0
 }
 
-// modelForVersion materializes (or returns the cached) model for a
-// published version: the only way a registry version becomes a model. The
-// model has the serving model's configuration, tokenizer and type space;
-// its checkpoint is the version file's verified stream, loaded through
-// Model.Load's all-or-nothing path, which refuses a checkpoint of another
-// shape. An unpublished version is 404; a version file that cannot be read
-// or fails its hash is 500.
+// modelForVersion returns the cached model of a published version, or
+// reads it (ReadVersion) and caches it. An unpublished version is 404; a
+// version file that cannot be read, fails its hash or is refused by the
+// reader is 500.
 func (s *Service) modelForVersion(version int) (*adtd.Model, *APIError) {
 	s.regMu.Lock()
 	reg, cached := s.registry, s.verCache[version]
@@ -121,21 +142,13 @@ func (s *Service) modelForVersion(version int) (*adtd.Model, *APIError) {
 	if cached != nil {
 		return cached, nil
 	}
-	ckpt, err := reg.Checkpoint(version)
+	m, err := ReadVersion(reg, version)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, apiErrorf(http.StatusNotFound, "model version %d: %v", version, err)
 	}
 	if err != nil {
-		return nil, apiErrorf(http.StatusInternalServerError, "model version %d: %v", version, err)
+		return nil, apiErrorf(http.StatusInternalServerError, "%v", err)
 	}
-	m, err := s.detector.Model().Sibling()
-	if err != nil {
-		return nil, apiErrorf(http.StatusInternalServerError, "materialize version %d: %v", version, err)
-	}
-	if err := m.Load(bytes.NewReader(ckpt)); err != nil {
-		return nil, apiErrorf(http.StatusInternalServerError, "load version %d: %v", version, err)
-	}
-	m.SetEval()
 	return s.cacheVersion(version, m), nil
 }
 
@@ -216,17 +229,6 @@ func (s *Service) Swap(ctx context.Context, version int) (*SwapResponse, *APIErr
 	return resp, nil
 }
 
-// ServeVersion installs a published version (0 = latest) as the serving
-// model and returns it: a swap's materialization, at boot, where it is not
-// counted as a hot-swap.
-func (s *Service) ServeVersion(version int) (int, error) {
-	resp, apiErr := s.install(version)
-	if apiErr != nil {
-		return 0, apiErr
-	}
-	return resp.Version, nil
-}
-
 // install materializes a published version (0 = latest) and makes it the
 // serving model.
 func (s *Service) install(version int) (*SwapResponse, *APIError) {
@@ -275,10 +277,10 @@ func (s *Service) handleModelSwap(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleModelPublish serves POST /v1/models/publish: the serving model's
-// current weights become the next registry version, durable and
-// swappable. It claims its version as any other publisher does, so a
-// tastetrain -publish into the same directory at the same moment takes
-// another.
+// file (its header and current weights) becomes the next registry
+// version, durable and swappable. It claims its version as any other
+// publisher does, so a tastetrain -publish into the same directory at the
+// same moment takes another.
 func (s *Service) handleModelPublish(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -290,7 +292,7 @@ func (s *Service) handleModelPublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := s.detector.Model()
-	res, err := reg.Publish(m.Params())
+	res, err := reg.Publish(m.WriteModel)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "publish: %v", err)
 		return

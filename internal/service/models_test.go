@@ -19,6 +19,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/registry"
 	"repro/internal/simdb"
+	"repro/internal/tokenizer"
 )
 
 // registryService builds a service around a private copy of the shared
@@ -28,26 +29,7 @@ import (
 func registryService(t *testing.T) (*Service, *registry.Registry, *corpus.Dataset) {
 	t.Helper()
 	testService(t) // ensure the shared model is trained
-	var buf bytes.Buffer
-	if err := shared.det.Model().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m, err := shared.det.Model().Sibling()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	m.SetEval()
-	det, err := core.NewDetector(m, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := New(det)
-	server := simdb.NewServer(simdb.NoLatency)
-	server.LoadTables("tenantdb", shared.ds.Test)
-	svc.RegisterTenant("tenantdb", server)
+	svc := tenantService(t, fileTwin(t, shared.det.Model()), shared.ds.Test)
 	reg, err := registry.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -55,28 +37,49 @@ func registryService(t *testing.T) (*Service, *registry.Registry, *corpus.Datase
 	return svc, reg, shared.ds
 }
 
+// tenantService serves m over a zero-latency tenant "tenantdb" holding
+// tables.
+func tenantService(t *testing.T, m *adtd.Model, tables []*corpus.Table) *Service {
+	t.Helper()
+	det, err := core.NewDetector(m, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(det)
+	server := simdb.NewServer(simdb.NoLatency)
+	server.LoadTables("tenantdb", tables)
+	svc.RegisterTenant("tenantdb", server)
+	return svc
+}
+
+// fileTwin returns a model of its own (own parameters, own generation)
+// holding m's description and weights: m written as a model file and read
+// back.
+func fileTwin(t *testing.T, m *adtd.Model) *adtd.Model {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.WriteModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := adtd.ReadModel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin.SetEval()
+	return twin
+}
+
 // headVariant returns a model of its own holding m's weights with the
 // classifier heads' output biases raised by 0.5: every probability moves, no
 // encoder page does.
 func headVariant(t *testing.T, m *adtd.Model) *adtd.Model {
 	t.Helper()
-	v, err := m.Sibling()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
+	v := fileTwin(t, m)
 	for _, b := range [][]float64{v.MetaCls.Out.B.Data, v.ContCls.Out.B.Data} {
 		for i := range b {
 			b[i] += 0.5
 		}
 	}
-	v.SetEval()
 	return v
 }
 
@@ -86,7 +89,7 @@ func headVariant(t *testing.T, m *adtd.Model) *adtd.Model {
 // object the variant never wrote.
 func TestModelRegistryEndpoints(t *testing.T) {
 	svc, reg, ds := registryService(t)
-	svc.AttachRegistry(reg)
+	svc.AttachRegistry(reg, 0)
 	h := svc.Handler()
 
 	// Publish the serving weights as version 1.
@@ -223,7 +226,7 @@ func TestModelEndpointsWithoutRegistry(t *testing.T) {
 // published) must leave the serving model untouched and report the failure.
 func TestSwapUnknownVersionLeavesServing(t *testing.T) {
 	svc, reg, _ := registryService(t)
-	svc.AttachRegistry(reg)
+	svc.AttachRegistry(reg, 0)
 	h := svc.Handler()
 	rec := doJSON(t, h, http.MethodPost, "/v1/models/publish", struct{}{})
 	if rec.Code != http.StatusOK {
@@ -252,7 +255,7 @@ func TestSwapToCorruptVersionLeavesServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.AttachRegistry(reg)
+	svc.AttachRegistry(reg, 0)
 	h := svc.Handler()
 	for range 2 {
 		if rec := doJSON(t, h, http.MethodPost, "/v1/models/publish", struct{}{}); rec.Code != http.StatusOK {
@@ -294,7 +297,7 @@ func TestSwapToCorruptVersionLeavesServing(t *testing.T) {
 // with one version but computed by the other, fails.
 func TestHotSwapUnderDetectLoadConsistency(t *testing.T) {
 	svc, reg, ds := registryService(t)
-	svc.AttachRegistry(reg)
+	svc.AttachRegistry(reg, 0)
 	h := svc.Handler()
 	ctx := context.Background()
 
@@ -305,7 +308,7 @@ func TestHotSwapUnderDetectLoadConsistency(t *testing.T) {
 	}
 	// Version 2: a head-only variant, built offline so the serving model
 	// itself never drifts during the test.
-	if _, err := reg.Publish(headVariant(t, svc.detector.Model()).Params()); err != nil {
+	if _, err := reg.Publish(headVariant(t, svc.detector.Model()).WriteModel); err != nil {
 		t.Fatal(err)
 	}
 
@@ -405,7 +408,7 @@ func TestHotSwapUnderDetectLoadConsistency(t *testing.T) {
 // response labeled with one model but computed by the other, fails.
 func TestSwapModelUnderDetectLoad(t *testing.T) {
 	svc, reg, ds := registryService(t)
-	svc.AttachRegistry(reg)
+	svc.AttachRegistry(reg, 0)
 	h := svc.Handler()
 	if rec := doJSON(t, h, http.MethodPost, "/v1/models/publish", struct{}{}); rec.Code != http.StatusOK {
 		t.Fatalf("publish status %d: %s", rec.Code, rec.Body)
@@ -482,12 +485,9 @@ func TestSwapModelUnderDetectLoad(t *testing.T) {
 // versionOf has one answer.
 func TestCacheVersionOneObjectPerVersion(t *testing.T) {
 	svc, reg, _ := registryService(t)
-	svc.AttachRegistry(reg)
+	svc.AttachRegistry(reg, 0)
 	a := svc.detector.Model()
-	b, err := a.Sibling()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := fileTwin(t, a)
 	if got := svc.cacheVersion(1, a); got != a {
 		t.Fatal("the first object cached for a version was not returned")
 	}
@@ -506,36 +506,89 @@ func TestCacheVersionOneObjectPerVersion(t *testing.T) {
 	}
 }
 
-// TestReplayedUntypedManifestLoadsOverServingTypes: a version file records
-// no type space, and a version another registry published loads as a new
-// model over the serving model's type space and answers as the weights it
-// holds.
-func TestReplayedUntypedManifestLoadsOverServingTypes(t *testing.T) {
-	dir := t.TempDir()
-	svc, _, ds := registryService(t)
-	w, err := registry.Open(dir)
+// TestPinnedVersionAnswersWithItsOwnVocabulary: a published version is
+// read with the vocabulary its file carries, not the serving model's. At
+// 24 tables the seed-1 and seed-6 corpora build vocabularies of one size
+// but different terms, so weights of one fit the other's shapes: a detect
+// pinned to the seed-6 version must answer byte for byte as the seed-6
+// model does on its own, and not as its weights over the seed-1
+// vocabulary, which answer otherwise.
+func TestPinnedVersionAnswersWithItsOwnVocabulary(t *testing.T) {
+	vocab := func(seed int64) (*tokenizer.Tokenizer, *corpus.Dataset) {
+		ds := corpus.Generate(corpus.DefaultRegistry(), corpus.WikiTableProfile(24), seed)
+		return adtd.BuildVocabulary(ds.Train, ds.Registry.Names(), 4000), ds
+	}
+	tok1, ds := vocab(1)
+	tok6, _ := vocab(6)
+	if tok1.VocabSize() != tok6.VocabSize() {
+		t.Fatalf("vocabularies of %d and %d terms: the weights would not fit the other's shapes", tok1.VocabSize(), tok6.VocabSize())
+	}
+	types := adtd.NewTypeSpace(ds.Registry.Names())
+	model := func(tok *tokenizer.Tokenizer) *adtd.Model {
+		m, err := adtd.New(adtd.ReproScale(), tok, types, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Untrained heads biased to zero put every probability near ½, so
+		// the admitted types turn on every token id the towers read.
+		m.MetaCls.Out.B.Fill(0)
+		m.ContCls.Out.B.Fill(0)
+		return m
+	}
+	serving, version := model(tok1), model(tok6)
+	// What the version answered when it was loaded as weights only, over
+	// the serving model's vocabulary.
+	var weights bytes.Buffer
+	if err := version.Save(&weights); err != nil {
+		t.Fatal(err)
+	}
+	mixed := model(tok1)
+	if err := mixed.Load(&weights); err != nil {
+		t.Fatal(err)
+	}
+
+	reg, err := registry.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Publish(svc.detector.Model().Params()); err != nil {
+	if _, err := reg.Publish(version.WriteModel); err != nil {
 		t.Fatal(err)
 	}
-	reg, err := registry.Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	svc := tenantService(t, serving, ds.Test)
+	svc.AttachRegistry(reg, 0)
+	req := DetectRequest{Database: "tenantdb", Tables: []string{ds.Test[0].Name, ds.Test[1].Name}}
+	want := tablesJSON(t, detectOne(t, tenantService(t, version, ds.Test).Handler(), req))
+	if tablesJSON(t, detectOne(t, tenantService(t, mixed, ds.Test).Handler(), req)) == want {
+		t.Fatal("the version's weights answer alike over either vocabulary; the check would be vacuous")
 	}
-	svc.AttachRegistry(reg)
+	req.ModelVersion = 1
+	got := detectOne(t, svc.Handler(), req)
+	if got.ModelVersion != 1 || tablesJSON(t, got) != want {
+		t.Fatalf("detect pinned to version 1 (model_version %d) answered\n%s\nwant the version's own answer\n%s", got.ModelVersion, tablesJSON(t, got), want)
+	}
+}
+
+// TestWeightsOnlyVersionRefused: a version file holding a bare weights
+// stream (what every version file held before model files had a header) is
+// refused by name, as a 500, by a swap and by a pinned detect; serving is
+// untouched.
+func TestWeightsOnlyVersionRefused(t *testing.T) {
+	svc, reg, ds := registryService(t)
+	svc.AttachRegistry(reg, 0)
 	h := svc.Handler()
-	req := DetectRequest{Database: "tenantdb", Tables: []string{ds.Test[0].Name}}
-	ref := tablesJSON(t, detectOne(t, h, req))
+	if _, err := reg.Publish(svc.detector.Model().Save); err != nil {
+		t.Fatal(err)
+	}
 	serving := svc.detector.Model()
-	if rec := doJSON(t, h, http.MethodPost, "/v1/models/swap", SwapRequest{Version: 1}); rec.Code != http.StatusOK {
-		t.Fatalf("swap status %d: %s", rec.Code, rec.Body)
+	rec := doJSON(t, h, http.MethodPost, "/v1/models/swap", SwapRequest{Version: 1})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "weights only") {
+		t.Fatalf("swap to a weights-only version: status %d %s, want 500 saying the file holds weights only", rec.Code, rec.Body)
 	}
-	if got := svc.detector.Model(); got == serving || got.Types != serving.Types {
-		t.Fatal("an untyped version did not load as a new model over the serving type space")
+	rec = doJSON(t, h, http.MethodPost, "/v1/detect", DetectRequest{Database: "tenantdb", Tables: []string{ds.Test[0].Name}, ModelVersion: 1})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "weights only") {
+		t.Fatalf("detect pinned to a weights-only version: status %d %s, want 500", rec.Code, rec.Body)
 	}
-	if got := detectOne(t, h, req); got.ModelVersion != 1 || tablesJSON(t, got) != ref {
-		t.Fatalf("untyped v1 (model_version %d) answered %s, want %s", got.ModelVersion, tablesJSON(t, got), ref)
+	if svc.detector.Model() != serving || svc.ModelStats().Swaps != 0 {
+		t.Fatal("a refused version changed serving")
 	}
 }

@@ -15,8 +15,10 @@ import (
 // Tensors are written and read back in order; shapes must match on load,
 // which catches configuration drift between a trained checkpoint and the
 // model being restored. The explicit version field lets the layout evolve
-// without breaking old readers. The model registry stores this same stream,
-// followed by its SHA-256, as one file per version.
+// without breaking old readers. The stream is a model file's body: every
+// model file (adtd.WriteModel; tastetrain -o, each registry version) is a
+// header saying what the model is, then this stream. Alone it is a
+// weights-only stream, which the model-file readers refuse by name.
 //
 // ReadTensors is atomic with respect to the destination tensors: the whole
 // checkpoint is decoded and validated into scratch buffers first, and the
@@ -25,8 +27,9 @@ import (
 // it was.
 
 const (
-	// serializeMagic introduces the explicit format-version field.
-	serializeMagic = "TSRv"
+	// SerializeMagic opens the stream, ahead of its format-version field;
+	// a model-file reader tells a weights-only stream by it.
+	SerializeMagic = "TSRv"
 	// SerializeVersion is the checkpoint format version this package
 	// writes. Readers accept any version ≤ this and fail with a clear
 	// error on newer files.
@@ -36,7 +39,7 @@ const (
 // WriteTensors serializes the given tensors to w in the current format
 // version.
 func WriteTensors(w io.Writer, ts []*Tensor) error {
-	if _, err := io.WriteString(w, serializeMagic); err != nil {
+	if _, err := io.WriteString(w, SerializeMagic); err != nil {
 		return fmt.Errorf("tensor: write magic: %w", err)
 	}
 	if err := binary.Write(w, binary.LittleEndian, uint32(SerializeVersion)); err != nil {
@@ -66,11 +69,11 @@ func WriteTensors(w io.Writer, ts []*Tensor) error {
 // readCheckpointHeader consumes and validates a checkpoint's magic and
 // format version.
 func readCheckpointHeader(r io.Reader) error {
-	magic := make([]byte, len(serializeMagic))
+	magic := make([]byte, len(SerializeMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return fmt.Errorf("tensor: read magic: %w", err)
 	}
-	if string(magic) != serializeMagic {
+	if string(magic) != SerializeMagic {
 		return fmt.Errorf("tensor: bad magic %q", magic)
 	}
 	var v uint32

@@ -189,7 +189,7 @@ func FuzzReadTensors(f *testing.F) {
 
 func TestReadTensorsRejectsFutureVersion(t *testing.T) {
 	var buf bytes.Buffer
-	buf.WriteString(serializeMagic)
+	buf.WriteString(SerializeMagic)
 	var w [4]byte
 	binary.LittleEndian.PutUint32(w[:], uint32(SerializeVersion+1))
 	buf.Write(w[:])

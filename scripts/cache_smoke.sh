@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tiered-cache smoke test: boot tasted with the result cache on, run the
+# Tiered-cache smoke test: train one tiny model with tastetrain, boot
+# tasted on its file with the result cache on, run the
 # same detect twice, and assert (a) the second response is byte-identical
 # to the first modulo the duration stamp, (b) /metrics reports warm cache
 # hits > 0, and (c) /v1/stats exposes the cache block. Then boot it again
@@ -22,13 +23,16 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$BIN" ./cmd/tasted
-# Tiny self-trained model; the smoke test cares about the caching path,
-# not accuracy. Both cache tiers explicitly on.
-"$BIN" -train -epochs 1 -tables 24 -addr "$ADDR" -debug-addr "$DEBUG" \
+go build -o "$TMP/tastetrain" ./cmd/tastetrain
+# One tiny model, trained once, serves both boots; the smoke test cares
+# about the caching path, not accuracy. Both cache tiers explicitly on.
+"$TMP/tastetrain" -tables 24 -epochs 1 -o "$TMP/taste.ckpt" >"$TMP/train.log" 2>&1 \
+    || { cat "$TMP/train.log" >&2; exit 1; }
+"$BIN" -checkpoint "$TMP/taste.ckpt" -tables 24 -addr "$ADDR" -debug-addr "$DEBUG" \
     -cache-bytes $((64 * 1024 * 1024)) -result-cache $((16 * 1024 * 1024)) >"$LOG" 2>&1 &
 PID=$!
 
-# Training happens before the listener comes up; poll generously.
+# Reading the model file happens before the listener comes up.
 for i in $(seq 1 120); do
     if curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; then
         break
@@ -78,7 +82,7 @@ done
 # already evicts, and the warm one recomputes what was evicted.
 kill "$PID"
 wait "$PID" 2>/dev/null || true
-"$BIN" -train -epochs 1 -tables 24 -addr "$ADDR" -debug-addr "$DEBUG" \
+"$BIN" -checkpoint "$TMP/taste.ckpt" -tables 24 -addr "$ADDR" -debug-addr "$DEBUG" \
     -cache-bytes $((16 * 48 * 1024)) -result-cache $((16 * 3 * 1024)) >"$LOG" 2>&1 &
 PID=$!
 for i in $(seq 1 120); do

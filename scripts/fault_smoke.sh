@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Fault smoke test: the degradation ladder (DESIGN.md §7) against real
-# binaries. Two tasted processes train the same model (same corpus, seed
-# and epochs, so the same bits); one serves a demo tenant that injects
+# binaries. tastetrain trains one model; two tasted processes boot from
+# its one file, so they serve the same bits by construction. One serves a
+# demo tenant that injects
 # transient faults (-fault-prob 0.3 -fault-seed 1), its twin serves the
 # same tenant fault-free. Both answer whole-database detects, sequential
 # and pipelined, and a single-table detect per table. Every faulty answer
@@ -26,7 +27,10 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$BIN" ./cmd/tasted
-BOOT=(-train -epochs 1 -tables 100 -seed 1)
+go build -o "$TMP/tastetrain" ./cmd/tastetrain
+"$TMP/tastetrain" -tables 100 -seed 1 -epochs 1 -o "$TMP/taste.ckpt" >"$TMP/train.log" 2>&1 \
+    || { cat "$TMP/train.log" >&2; exit 1; }
+BOOT=(-checkpoint "$TMP/taste.ckpt" -tables 100 -seed 1)
 "$BIN" "${BOOT[@]}" -addr "$FAULTY" -fault-prob 0.3 -fault-seed 1 >"$TMP/faulty.log" 2>&1 &
 PIDS="$!"
 "$BIN" "${BOOT[@]}" -addr "$CLEAN" >"$TMP/clean.log" 2>&1 &

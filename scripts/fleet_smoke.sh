@@ -29,12 +29,16 @@ trap cleanup EXIT
 
 go build -o "$BINDIR/tasted" ./cmd/tasted
 go build -o "$BINDIR/tastefleet" ./cmd/tastefleet
+go build -o "$BINDIR/tastetrain" ./cmd/tastetrain
 
-# Two tiny self-trained replicas; the smoke test cares about routing, not
-# accuracy. Identical -tables/-seed so both host the same "demo" tenant.
-"$BINDIR/tasted" -train -epochs 1 -tables 24 -addr "$R0" >"$LOG0" 2>&1 &
+# Two replicas serving one tiny model file, trained once; the smoke test
+# cares about routing, not accuracy. Identical -tables/-seed so both host
+# the same "demo" tenant.
+"$BINDIR/tastetrain" -tables 24 -epochs 1 -o "$BINDIR/taste.ckpt" >"$BINDIR/train.log" 2>&1 \
+    || { cat "$BINDIR/train.log" >&2; exit 1; }
+"$BINDIR/tasted" -checkpoint "$BINDIR/taste.ckpt" -tables 24 -addr "$R0" >"$LOG0" 2>&1 &
 PID0=$!
-"$BINDIR/tasted" -train -epochs 1 -tables 24 -addr "$R1" >"$LOG1" 2>&1 &
+"$BINDIR/tasted" -checkpoint "$BINDIR/taste.ckpt" -tables 24 -addr "$R1" >"$LOG1" 2>&1 &
 PID1=$!
 
 wait_healthy() { # wait_healthy <addr> <pid> <log> <name>

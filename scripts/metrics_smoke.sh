@@ -21,12 +21,15 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$BIN" ./cmd/tasted
-# A tiny self-trained model: the smoke test cares about the serving path,
-# not accuracy.
-"$BIN" -train -epochs 1 -tables 24 -addr "$ADDR" -debug-addr "$DEBUG" >"$LOG" 2>&1 &
+go build -o "$TMP/tastetrain" ./cmd/tastetrain
+# A tiny model from tastetrain: the smoke test cares about the serving
+# path, not accuracy.
+"$TMP/tastetrain" -tables 24 -epochs 1 -o "$TMP/taste.ckpt" >"$TMP/train.log" 2>&1 \
+    || { cat "$TMP/train.log" >&2; exit 1; }
+"$BIN" -checkpoint "$TMP/taste.ckpt" -tables 24 -addr "$ADDR" -debug-addr "$DEBUG" >"$LOG" 2>&1 &
 PID=$!
 
-# Training happens before the listener comes up; poll generously.
+# Reading the model file happens before the listener comes up.
 for i in $(seq 1 120); do
     if curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; then
         break
