@@ -98,21 +98,21 @@ bench-check:
 # published file, a flipped byte, a cut tail and no bytes: it returns an
 # error or a stream followed by that stream's SHA-256), and the Prometheus
 # text checker against the exposition writer (go test takes one -fuzz
-# target per run).
+# target per run). Minimizing is capped at 1 s an input, or it eats the budget.
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzHandleDetect -fuzztime=20s ./internal/service/
+	$(GO) test -run=^$$ -fuzz=FuzzHandleDetect -fuzzminimizetime=1s -fuzztime=20s ./internal/service/
 	for f in FuzzDetectRequestDecode FuzzDetectResponseEncode FuzzFlightKey; do \
-		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzztime=10s ./internal/service/ || exit 1; \
+		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzzminimizetime=1s -fuzztime=10s ./internal/service/ || exit 1; \
 	done
-	$(GO) test -run=^$$ -fuzz=^FuzzResultKeyFraming$$ -fuzztime=10s ./internal/core/
-	$(GO) test -run=^$$ -fuzz=^FuzzScanCells$$ -fuzztime=10s ./internal/simdb/
-	$(GO) test -run=^$$ -fuzz=^FuzzEncodeAppend$$ -fuzztime=10s ./internal/tokenizer/
-	$(GO) test -run=^$$ -fuzz=^FuzzReadModel$$ -fuzztime=10s ./internal/adtd/
+	$(GO) test -run=^$$ -fuzz=^FuzzResultKeyFraming$$ -fuzzminimizetime=1s -fuzztime=10s ./internal/core/
+	$(GO) test -run=^$$ -fuzz=^FuzzScanCells$$ -fuzzminimizetime=1s -fuzztime=10s ./internal/simdb/
+	$(GO) test -run=^$$ -fuzz=^FuzzEncodeAppend$$ -fuzzminimizetime=1s -fuzztime=10s ./internal/tokenizer/
+	$(GO) test -run=^$$ -fuzz=^FuzzReadModel$$ -fuzzminimizetime=1s -fuzztime=10s ./internal/adtd/
 	for f in FuzzExpRow FuzzGELURow FuzzMulRowRange FuzzScoreRow FuzzLayerNormRows FuzzAttnCore FuzzReadTensors; do \
-		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzztime=10s ./internal/tensor/ || exit 1; \
+		$(GO) test -run=^$$ -fuzz=^$$f$$ -fuzzminimizetime=1s -fuzztime=10s ./internal/tensor/ || exit 1; \
 	done
-	$(GO) test -run=^$$ -fuzz=^FuzzVersionFile$$ -fuzztime=10s ./internal/registry/
-	$(GO) test -run=^$$ -fuzz=^FuzzCheckText$$ -fuzztime=10s ./internal/obs/
+	$(GO) test -run=^$$ -fuzz=^FuzzVersionFile$$ -fuzzminimizetime=1s -fuzztime=10s ./internal/registry/
+	$(GO) test -run=^$$ -fuzz=^FuzzCheckText$$ -fuzzminimizetime=1s -fuzztime=10s ./internal/obs/
 
 # metrics-smoke boots tasted with -debug-addr, fires a traced detect, and
 # asserts /metrics and /debug/pprof serve what DESIGN.md §9 promises; then

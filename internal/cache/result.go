@@ -14,15 +14,32 @@ package cache
 // pipeline; they are immutable by contract (the pipeline never mutates
 // probability rows after the model returns them — Report assembly only
 // reads them).
+//
+// The tier also keeps memos (PutMemo): a caller's records of what it
+// computed from which rows, held beside those rows, under keys of the
+// caller's own that never equal a row key, and charged to the same budget.
 type Result struct {
-	s *Sharded[[][]float64]
+	s *Sharded[resultValue]
 }
 
-// probsBytes accounts one cached result: row payloads plus slice headers
-// plus fixed entry overhead.
-func probsBytes(rows [][]float64) int64 {
+// Memo is a record kept in the result tier beside the rows it names; Bytes
+// is its charge against the tier's budget, beyond the fixed entry overhead.
+type Memo interface{ Bytes() int64 }
+
+// resultValue is one entry: probability rows, or a memo.
+type resultValue struct {
+	rows [][]float64
+	memo Memo
+}
+
+// valueBytes accounts one entry: a memo's own charge, or row payloads plus
+// slice headers; either plus fixed entry overhead.
+func valueBytes(v resultValue) int64 {
 	b := int64(entryOverhead)
-	for _, r := range rows {
+	if v.memo != nil {
+		return b + v.memo.Bytes()
+	}
+	for _, r := range v.rows {
 		b += int64(len(r))*8 + 48
 	}
 	return b
@@ -31,7 +48,7 @@ func probsBytes(rows [][]float64) int64 {
 // NewResult creates the result tier bounded by budgetBytes across shards
 // (≤ 0 shards selects DefaultShards). budgetBytes ≤ 0 disables the tier.
 func NewResult(budgetBytes int64, shards int) *Result {
-	return &Result{s: New[[][]float64](budgetBytes, shards, probsBytes)}
+	return &Result{s: New[resultValue](budgetBytes, shards, valueBytes)}
 }
 
 // SetMetrics attaches obs handles for the tier's counters.
@@ -42,7 +59,10 @@ func (c *Result) SetMetrics(m *TierMetrics) { c.s.SetMetrics(m) }
 func (c *Result) Enabled() bool { return c.s.Enabled() }
 
 // Get returns the memoized probability rows for key.
-func (c *Result) Get(key string) ([][]float64, bool) { return c.s.Get(key) }
+func (c *Result) Get(key string) ([][]float64, bool) {
+	v, ok := c.s.Get(key)
+	return v.rows, ok && v.memo == nil
+}
 
 // Put memoizes rows under key. The rows become cache-owned and must not be
 // mutated afterwards.
@@ -50,7 +70,23 @@ func (c *Result) Put(key string, rows [][]float64) {
 	if !c.s.Enabled() {
 		return
 	}
-	c.s.Put(key, rows)
+	c.s.Put(key, resultValue{rows: rows})
+}
+
+// GetMemo returns the memo under key. A lookup counts as a hit or a miss
+// like Get's.
+func (c *Result) GetMemo(key string) (Memo, bool) {
+	v, ok := c.s.Get(key)
+	return v.memo, ok && v.memo != nil
+}
+
+// PutMemo keeps m under key, which no row key may equal. m becomes
+// cache-owned and must not be mutated afterwards.
+func (c *Result) PutMemo(key string, m Memo) {
+	if !c.s.Enabled() {
+		return
+	}
+	c.s.Put(key, resultValue{memo: m})
 }
 
 // Len returns the number of memoized entries.

@@ -163,7 +163,7 @@ func (s *Sharded[V]) Get(key string) (V, bool) {
 	}
 	sh.hits++
 	e := el.Value.(*entry[V])
-	sh.bump(key, el, e)
+	sh.bump(el, e)
 	v := e.val
 	sh.mu.Unlock()
 	if s.metrics != nil {
@@ -173,15 +173,17 @@ func (s *Sharded[V]) Get(key string) (V, bool) {
 }
 
 // bump applies the SLRU access rule to an entry already under the shard
-// lock: promote from probation, or refresh within protected.
-func (sh *shard[V]) bump(key string, el *list.Element, e *entry[V]) {
+// lock: promote from probation, or refresh within protected. It re-indexes
+// the entry under its own key, never the caller's, so a lookup's key does
+// not outlive the call.
+func (sh *shard[V]) bump(el *list.Element, e *entry[V]) {
 	if e.protected {
 		sh.protected.MoveToFront(el)
 		return
 	}
 	sh.probation.Remove(el)
 	e.protected = true
-	sh.items[key] = sh.protected.PushFront(e)
+	sh.items[e.key] = sh.protected.PushFront(e)
 	sh.protBytes += e.size
 	// Demote protected-LRU entries (never the one just promoted) until the
 	// segment fits its cap again; demotion moves bytes, it never evicts.
@@ -207,7 +209,7 @@ func (s *Sharded[V]) Touch(key string) bool {
 		return false
 	}
 	sh.skipped++
-	sh.bump(key, el, el.Value.(*entry[V]))
+	sh.bump(el, el.Value.(*entry[V]))
 	return true
 }
 

@@ -172,3 +172,138 @@ func appendTableInfo(b []byte, ti *metafeat.TableInfo) []byte {
 	}
 	return b
 }
+
+// A table memo (DESIGN.md §14) is the result tier's record of one table's
+// last clean answer: the metadata view it was computed from and, per chunk,
+// the keys of its Phase-1 and Phase-2 rows. It sits under memoKey, the
+// generation of the model that answered and the table's Version, so a
+// repeat detect of an unchanged table finds it from the schema read alone
+// and answers from the tier by those keys: no stage, no scan, no hash.
+type tableMemo struct {
+	meta   *simdb.TableMeta
+	chunks []memoChunk
+}
+
+// memoChunk is one chunk of a memo: its column count, the key of its
+// Phase-1 rows and, when any of its columns was uncertain, the key of their
+// Phase-2 rows.
+type memoChunk struct {
+	cols   int
+	p1, p2 string
+}
+
+// Bytes charges the keys, the column layout and the metadata view, which
+// the memo keeps alive after simdb has published the next one.
+func (m *tableMemo) Bytes() int64 {
+	b := int64(48*len(m.chunks) + 64 + len(m.meta.Name) + len(m.meta.Comment))
+	for _, ch := range m.chunks {
+		b += int64(len(ch.p1) + len(ch.p2))
+	}
+	for _, c := range m.meta.Columns {
+		b += int64(64 + len(c.Name) + len(c.Comment) + len(c.DataType))
+		if st := c.Stats; st != nil {
+			b += 96
+			if st.Histogram != nil {
+				for _, bk := range st.Histogram.Buckets {
+					b += int64(40 + len(bk.Lower) + len(bk.Upper))
+				}
+			}
+		}
+	}
+	return b
+}
+
+// appendMemoKey appends "memo|g<gen>|v<version>", which no row key equals.
+// A lookup converts it where it calls the tier, so a short key is built on
+// the stack.
+func appendMemoKey(b []byte, gen, version uint64) []byte {
+	b = append(b, "memo|g"...)
+	b = strconv.AppendUint(b, gen, 10)
+	b = append(b, "|v"...)
+	return strconv.AppendUint(b, version, 10)
+}
+
+// remember memoizes j's answer under gen, the generation of the model that
+// computed it. Only a clean answer may be remembered: Phase 1 and, where it
+// was needed, Phase 2 answered every column, none degraded.
+func (j *tableJob) remember(gen uint64) {
+	m := &tableMemo{meta: j.meta, chunks: make([]memoChunk, len(j.chunks))}
+	for ci, ch := range j.chunks {
+		m.chunks[ci] = memoChunk{cols: len(ch.Columns), p1: j.keys[ci]}
+		if ci < len(j.p2keys) {
+			m.chunks[ci].p2 = j.p2keys[ci]
+		}
+	}
+	var key [48]byte
+	j.d.results.PutMemo(string(appendMemoKey(key[:0], gen, j.meta.Version)), m)
+}
+
+// answerFromMemo answers j from the result tier by the keys of the memo
+// under gen and the schema read's Version, when there is one and the read
+// returned the rows it was computed from, and reports whether it did. The
+// answer is built exactly as s2 and s4 build it from the same rows, so its
+// bytes are a cold detect's; s3's part, which columns were scanned, is the
+// uncertain set those rows imply. A row the tier no longer holds answers
+// nothing, and the job takes the stages from a clean state.
+func (j *tableJob) answerFromMemo(gen uint64) bool {
+	var key [48]byte
+	v, ok := j.d.results.GetMemo(string(appendMemoKey(key[:0], gen, j.meta.Version)))
+	if !ok {
+		return false
+	}
+	m := v.(*tableMemo)
+	if !m.meta.Equal(j.meta) {
+		return false
+	}
+	opts, types := j.d.Opts, j.cls.types()
+	n := len(j.meta.Columns)
+	if cap(j.resCols) < n {
+		j.resCols = make([]ColumnResult, n)
+	}
+	cols := j.resCols[:n:n]
+	global := 0
+	for _, ch := range m.chunks {
+		p1, ok := j.d.results.Get(ch.p1)
+		if !ok || len(p1) != ch.cols {
+			return j.forget()
+		}
+		var p2 [][]float64
+		slot := 0
+		for _, row := range p1 {
+			cr := &cols[global]
+			*cr = ColumnResult{Table: j.table, Column: j.meta.Columns[global].Name, Phase: 1, Probs: row}
+			if opts.P2Disabled() || (row != nil && !isUncertain(row, opts.Alpha, opts.Beta)) {
+				cr.Admitted = admitted(types, row, opts.Beta)
+			} else {
+				if p2 == nil {
+					if p2, ok = j.d.results.Get(ch.p2); !ok {
+						return j.forget()
+					}
+				}
+				if slot >= len(p2) {
+					return j.forget()
+				}
+				cr.Uncertain, cr.Scanned, cr.Phase, cr.Probs = true, true, 2, p2[slot]
+				cr.Admitted = admitted(types, p2[slot], opts.AdmitThreshold)
+				j.uncertain = append(j.uncertain, global)
+				slot++
+			}
+			global++
+		}
+		if slot != len(p2) {
+			return j.forget()
+		}
+	}
+	j.result = TableResult{Table: j.table, ScannedColumns: len(j.uncertain)}
+	if n > 0 {
+		j.result.Columns = cols
+	}
+	j.res, j.memoized = &j.result, true
+	return true
+}
+
+// forget undoes a partial answerFromMemo and reports false.
+func (j *tableJob) forget() bool {
+	j.uncertain = j.uncertain[:0]
+	return false
+}

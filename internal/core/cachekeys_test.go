@@ -535,11 +535,11 @@ func cachedDetector(tb testing.TB) (*Detector, *simdb.Conn, string) {
 }
 
 // TestCachedDetectTableAllocs: a DetectTable on a sequential zero-latency
-// tenant that the result tier answers — both phases hit — allocates at most
-// 4 times: the TableResult it returns and its columns, and the two cache
-// keys; the one-name table list stays on DetectTable's stack. Every other
-// byte of the detect — the schema read's list, the table job, its metadata
-// view, key frame, scan cells and the report — is the storage of the last
+// tenant that the result tier answers — its table memo names both phases'
+// rows — allocates at most 2 times: the TableResult it returns and its
+// columns. The one-name table list and the memo's key stay on the stack, and
+// the rows' keys are the memo's. Every other byte of the detect — the schema
+// read's list, the table job and the report — is the storage of the last
 // detect, which DetectTable releases (Report.Release); the schema read
 // shares the table's metadata view, and a one-type admitted set is the type
 // space's own slice. A ceiling set at the count keeps any new per-hit
@@ -547,6 +547,7 @@ func cachedDetector(tb testing.TB) (*Detector, *simdb.Conn, string) {
 func TestCachedDetectTableAllocs(t *testing.T) {
 	det, conn, table := cachedDetector(t)
 	hits := det.Results().Stats().Hits
+	cells := conn.Accounting().Snapshot().CellsRead
 	runs := 20
 	if raceEnabled {
 		// A detect whose pooled storage the race detector dropped rebuilds
@@ -561,8 +562,11 @@ func TestCachedDetectTableAllocs(t *testing.T) {
 	if det.Results().Stats().Hits == hits {
 		t.Fatal("the repeat detects never hit the result tier")
 	}
+	if conn.Accounting().Snapshot().CellsRead != cells {
+		t.Fatal("a repeat detect of the unchanged table scanned: its memo must answer it")
+	}
 	t.Logf("%.0f allocations per cached DetectTable", allocs)
-	ceiling := 4.0
+	ceiling := 2.0
 	if raceEnabled {
 		// The race detector drops a quarter of sync.Pool's Puts, and a detect
 		// whose storage was dropped allocates all of it anew: about 6 more

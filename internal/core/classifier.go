@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/adtd"
 	"repro/internal/metafeat"
 )
@@ -67,6 +69,8 @@ func (c adtdClassifier) phase1(j *tableJob, ci int) [][]float64 {
 // when available and recomputing them otherwise.
 func (c adtdClassifier) phase2(j *tableJob) {
 	d, n := j.d, j.d.Opts.CellsPerColumn
+	j.p2keys = slices.Grow(j.p2keys[:0], len(j.chunks))[:len(j.chunks)]
+	clear(j.p2keys)
 	var reqs []adtd.ContentRequest
 	var globalsPerReq [][]int
 	var keysPerReq []string
@@ -80,6 +84,7 @@ func (c adtdClassifier) phase2(j *tableJob) {
 		var rkey string
 		if d.results.Enabled() {
 			rkey = d.contentResultKey(c.m, j.keys[ci], chunk, cols, n)
+			j.p2keys[ci] = rkey
 			if rows, ok := d.results.Get(rkey); ok && len(rows) == len(globals) {
 				j.answer(globals, rows)
 				return

@@ -320,12 +320,16 @@ type ColumnResult struct {
 	Uncertain bool
 	// Phase records which phase produced the final answer (1 or 2).
 	Phase int
-	// Scanned reports that s3 read the column's content. It stays set when
-	// Phase 2 then degrades the column (the rules ran over that content), so
-	// a table's Scanned columns always number its ScannedColumns. It is left
-	// out of a result's JSON form, which stays byte-comparable with results
-	// rebuilt stage by stage outside core (the benchmark's trace replay);
-	// /v1/detect reports it per column as "scanned".
+	// Scanned reports that the answer was computed from the column's
+	// content, which s3 read: in this detect, or, when the table's memo
+	// answered (DESIGN.md §14), in the detect whose rows the result tier
+	// still holds. It names where the answer came from; what this detect
+	// cost the tenant is simdb's ledger. It stays set when Phase 2 then
+	// degrades the column (the rules ran over that content), so a table's
+	// Scanned columns always number its ScannedColumns. It is left out of a
+	// result's JSON form, which stays byte-comparable with results rebuilt
+	// stage by stage outside core (the benchmark's trace replay); /v1/detect
+	// reports it per column as "scanned".
 	Scanned bool `json:"-"`
 	// Degraded reports that Phase 2 was required but could not run; the
 	// answer is Phase 1's (possibly sharpened by the rule-based detector).
@@ -342,8 +346,10 @@ type ColumnResult struct {
 
 // TableResult aggregates one table's detection.
 type TableResult struct {
-	Table          string
-	Columns        []ColumnResult
+	Table   string
+	Columns []ColumnResult
+	// ScannedColumns counts the columns whose answer came from their
+	// content (ColumnResult.Scanned).
 	ScannedColumns int
 	// Retries counts the backoff retries spent on this table alone. Callers
 	// aggregating concurrent requests must sum these rather than diffing the
@@ -446,7 +452,8 @@ type tableJob struct {
 	conn  *simdb.Conn
 	table string
 	// meta is the table's information_schema view from the batch's schema
-	// read.
+	// read, or the one ANALYZE returned when s1 ran it: the view the answer
+	// is computed from.
 	meta *simdb.TableMeta
 	// pipelined marks a job of a pipelined detect, whose reads
 	// taste_pipeline_prefetch_total counts.
@@ -465,6 +472,13 @@ type tableJob struct {
 	// result and its latents; s4 reads it back because by then s3 has
 	// filled in values the latents never saw.
 	keys []string
+	// p2keys[i] is the key of chunk i's Phase-2 rows, set by s4 when the
+	// result tier is on and the chunk has uncertain columns; a memo of the
+	// answer (remember) names them.
+	p2keys []string
+	// memoized reports that the answer came from a memo (answerFromMemo) and
+	// no stage ran.
+	memoized bool
 	// p1Probs[i] is Phase 1's probability row for global column i; nil
 	// defers the column to Phase 2.
 	p1Probs   [][]float64
@@ -495,6 +509,7 @@ type tableJob struct {
 // a retired detector's caches nor a tenant's data alive.
 func (j *tableJob) drop() {
 	clear(j.keys)
+	clear(j.p2keys)
 	clear(j.p1Probs)
 	clear(j.resCols)
 	clear(j.names)
@@ -503,7 +518,7 @@ func (j *tableJob) drop() {
 	j.view.Clear()
 	*j = tableJob{
 		view:    j.view,
-		offsets: j.offsets[:0], keys: j.keys[:0], p1Probs: j.p1Probs[:0], uncertain: j.uncertain[:0],
+		offsets: j.offsets[:0], keys: j.keys[:0], p2keys: j.p2keys[:0], p1Probs: j.p1Probs[:0], uncertain: j.uncertain[:0],
 		resCols: j.resCols, names: j.names[:0], scanned: j.scanned, cells: j.cells, pending: j.pending[:0],
 	}
 }
@@ -552,6 +567,7 @@ func (j *tableJob) s1PrepMetadata(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
+		j.meta = tm
 	}
 	j.info = j.view.Set(tm)
 	j.chunks = j.view.Split(j.d.Opts.SplitThreshold)
@@ -1038,12 +1054,23 @@ func (d *Detector) detect(ctx context.Context, req Request, tables []string) (*R
 
 	// One classifier for the whole batch: every table of the request is
 	// answered by the same weights, however long the batch runs across swaps.
+	// An ADTD detect with the result tier on answers an unchanged table from
+	// its memo, under the generation the model has now.
 	cls := d.classifier(req.Model)
+	ac, memo := cls.(adtdClassifier)
+	memo = memo && d.results.Enabled()
+	var gen uint64
+	if memo {
+		gen = ac.m.Generation()
+	}
 	b.tjobs, b.jobs = slices.Grow(b.tjobs[:0], len(b.metas))[:len(b.metas)], b.jobs[:0]
 	b.clock = time.Now()
 	for i, tm := range b.metas {
 		tj := &b.tjobs[i]
 		tj.d, tj.cls, tj.conn, tj.table, tj.meta, tj.pipelined = d, cls, req.Conn, tm.Name, tm, req.Mode.Pipelined
+		if memo && tj.answerFromMemo(gen) {
+			continue
+		}
 		job := tj.pipelineJob()
 		if req.Mode.Pipelined {
 			job.Clock = b.clock
@@ -1053,8 +1080,15 @@ func (d *Detector) detect(ctx context.Context, req Request, tables []string) (*R
 		b.jobs = append(b.jobs, job)
 	}
 	pipeline.Scheduler{Pipelined: req.Mode.Pipelined}.Run(ctx, b.jobs)
-	for i, j := range b.jobs {
-		rep.settle(&b.tjobs[i], j.Err)
+	// A generation that moved during the detect (weights changed in place)
+	// leaves nothing to remember: the keys may span both.
+	memo = memo && ac.m.Generation() == gen
+	for i := range b.tjobs {
+		tj := &b.tjobs[i]
+		rep.settle(tj, tj.job.Err)
+		if memo && tj.job.Err == nil && !tj.memoized {
+			tj.remember(gen)
+		}
 	}
 	if len(rep.Skipped) > 0 {
 		rep.Errors = append(rep.Errors, fmt.Errorf("%w: skipped %d tables", context.DeadlineExceeded, len(rep.Skipped)))

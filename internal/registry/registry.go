@@ -94,6 +94,11 @@ func (r *Registry) Publish(write func(io.Writer) error) (*PublishResult, error) 
 		_, err = tmp.Write(h.Sum(nil))
 	}
 	if err == nil {
+		// CreateTemp makes the file 0600; a version is read by whoever
+		// serves the directory, which need not be the user who published.
+		err = tmp.Chmod(0o644)
+	}
+	if err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {

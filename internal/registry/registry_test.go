@@ -127,6 +127,22 @@ func TestPublishCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPublishedVersionIsWorldReadable: a version file is mode 0644, not the
+// 0600 of the temporary file it was written as, so a server running as
+// another user can read what a trainer published.
+func TestPublishedVersionIsWorldReadable(t *testing.T) {
+	dir := t.TempDir()
+	r := openDir(t, dir)
+	v := mustPublish(t, r, params(rand.New(rand.NewSource(2))))
+	fi, err := os.Stat(filepath.Join(dir, strconv.Itoa(v)+".ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode := fi.Mode().Perm(); mode != 0o644 {
+		t.Fatalf("version %d has mode %v, want -rw-r--r--", v, mode)
+	}
+}
+
 // TestVersionIndex: versions are the canonical <n>.ckpt names in the
 // directory, whatever else it holds.
 func TestVersionIndex(t *testing.T) {

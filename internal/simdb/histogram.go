@@ -3,6 +3,8 @@ package simdb
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -48,6 +50,23 @@ type ColumnStats struct {
 	Histogram    *Histogram
 }
 
+// equal reports whether s and o are the same statistics, floats compared by
+// their bits; nil equals only nil.
+func (s *ColumnStats) equal(o *ColumnStats) bool {
+	if s == nil || o == nil {
+		return s == o
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if s.RowCount != o.RowCount || s.NullCount != o.NullCount || s.NDV != o.NDV || s.MinLen != o.MinLen || s.MaxLen != o.MaxLen ||
+		!same(s.AvgLen, o.AvgLen) || !same(s.NumericRatio, o.NumericRatio) || !same(s.NumericMin, o.NumericMin) || !same(s.NumericMax, o.NumericMax) {
+		return false
+	}
+	if s.Histogram == nil || o.Histogram == nil {
+		return s.Histogram == o.Histogram
+	}
+	return s.Histogram.Kind == o.Histogram.Kind && slices.Equal(s.Histogram.Buckets, o.Histogram.Buckets)
+}
+
 // AnalyzeOptions configures ANALYZE TABLE.
 type AnalyzeOptions struct {
 	// Buckets is the histogram bucket count (default 8).
@@ -85,7 +104,7 @@ func (c *Conn) AnalyzeTable(ctx context.Context, table string, opts AnalyzeOptio
 	}
 	stats := make([]*ColumnStats, len(st.columns))
 	for i, col := range st.columns {
-		stats[i] = computeStats(col.values, buckets)
+		stats[i] = computeStats(col.cells(), buckets)
 	}
 	return st.publish(stats), nil
 }

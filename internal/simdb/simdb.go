@@ -219,8 +219,13 @@ type storedColumn struct {
 	name    string
 	comment string
 	sqlType string
-	values  []string
+	// values is the column's content, replaced whole by WriteCell (copy on
+	// write), so a scan reads one consistent state without a lock.
+	values atomic.Pointer[[]string]
 }
+
+// cells returns the column's content; it must not be modified.
+func (c *storedColumn) cells() []string { return *c.values.Load() }
 
 // NewServer creates an empty server with the given latency profile.
 func NewServer(latency LatencyProfile) *Server {
@@ -274,8 +279,8 @@ func (s *Server) LoadTables(dbName string, tables []*corpus.Table) {
 				name:    c.Name,
 				comment: c.Comment,
 				sqlType: c.SQLType,
-				values:  c.Values,
 			}
+			col.values.Store(&c.Values)
 			st.columns = append(st.columns, col)
 			st.byName[c.Name] = col
 		}
@@ -382,13 +387,41 @@ type ColumnMeta struct {
 }
 
 // TableMeta is the information_schema view of one table. A TableMeta the
-// database returns is shared by every reader of the table until ANALYZE
-// replaces it, and must not be modified.
+// database returns is shared by every reader of the table until ANALYZE or
+// a write replaces it, and must not be modified.
 type TableMeta struct {
 	Name     string
 	Comment  string
 	RowCount int
 	Columns  []ColumnMeta
+	// Version is the table's change marker, simdb's stand-in for MySQL's
+	// information_schema.TABLES.UPDATE_TIME, read in the same round trip.
+	// Every publish of the table's state (LoadTables, AnalyzeTable,
+	// WriteCell) draws a fresh one from one process-wide counter, so no two
+	// states of any table on any Server share a version: equal versions mean
+	// the same rows and the same content. UPDATE_TIME is weaker, and an
+	// adapter for a real MySQL keys what it remembers by (server, schema,
+	// table) as well: its one-second resolution repeats, so a value equal to
+	// the current second counts as changed, and it is NULL on engines that
+	// keep none, where nothing may be remembered at all.
+	Version uint64
+}
+
+// Equal reports whether tm and o hold the same information_schema rows:
+// names, comments, declared types, row count and statistics, every float
+// compared by its bits. Version is the marker, not a row, and is not
+// compared.
+func (tm *TableMeta) Equal(o *TableMeta) bool {
+	if tm.Name != o.Name || tm.Comment != o.Comment || tm.RowCount != o.RowCount || len(tm.Columns) != len(o.Columns) {
+		return false
+	}
+	for i := range tm.Columns {
+		a, b := &tm.Columns[i], &o.Columns[i]
+		if a.Name != b.Name || a.Comment != b.Comment || a.DataType != b.DataType || !a.Stats.equal(b.Stats) {
+			return false
+		}
+	}
+	return true
 }
 
 // TableMetadata fetches schema metadata for a table — the SELECT * FROM
@@ -454,10 +487,15 @@ func (c *Conn) metadataQuery(ctx context.Context, detail string) error {
 	return d.err
 }
 
-// publish installs a fresh information_schema view of the table with
-// stats[i] as column i's statistics (none when stats is nil) and returns it.
+// versions numbers every published table state of the process
+// (TableMeta.Version).
+var versions atomic.Uint64
+
+// publish installs a fresh information_schema view of the table, under a
+// fresh Version, with stats[i] as column i's statistics (none when stats is
+// nil) and returns it.
 func (st *storedTable) publish(stats []*ColumnStats) *TableMeta {
-	tm := &TableMeta{Name: st.name, Comment: st.comment, RowCount: st.rows, Columns: make([]ColumnMeta, len(st.columns))}
+	tm := &TableMeta{Name: st.name, Comment: st.comment, RowCount: st.rows, Columns: make([]ColumnMeta, len(st.columns)), Version: versions.Add(1)}
 	for i, col := range st.columns {
 		tm.Columns[i] = ColumnMeta{Name: col.name, Comment: col.comment, DataType: col.sqlType}
 		if stats != nil {
@@ -466,6 +504,42 @@ func (st *storedTable) publish(stats []*ColumnStats) *TableMeta {
 	}
 	st.view.Store(tm)
 	return tm
+}
+
+// WriteCell sets one cell, row of column in dbName.table, as another
+// client's UPDATE would, and publishes the table's view anew under a fresh
+// Version; the statistics stay what the last ANALYZE computed, as MySQL's
+// do. It stands for writes the detection service does not make, so it pays
+// no latency and is not in the ledger. It is safe alongside every read: a
+// reader that sees the new Version sees the new cell.
+func (s *Server) WriteCell(dbName, table, column string, row int, value string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	db := s.databases[dbName]
+	if db == nil {
+		return fmt.Errorf("simdb: unknown database %q", dbName)
+	}
+	st, ok := db.tables[table]
+	if !ok {
+		return fmt.Errorf("simdb: unknown table %s.%s", dbName, table)
+	}
+	col, ok := st.byName[column]
+	if !ok {
+		return fmt.Errorf("simdb: unknown column %s.%s.%s", dbName, table, column)
+	}
+	if row < 0 || row >= st.rows {
+		return fmt.Errorf("simdb: row %d out of range for %s.%s (%d rows)", row, dbName, table, st.rows)
+	}
+	values := slices.Clone(col.cells())
+	values[row] = value
+	col.values.Store(&values)
+	old := st.view.Load()
+	stats := make([]*ColumnStats, len(old.Columns))
+	for i := range old.Columns {
+		stats[i] = old.Columns[i].Stats
+	}
+	st.publish(stats)
+	return nil
 }
 
 // ScanStrategy selects how content scans pick rows (§6.1.2).
@@ -579,12 +653,13 @@ func (c *Conn) ScanCells(ctx context.Context, table string, cols []string, opts 
 	}
 	for i, col := range selected {
 		vals := cells[i*per : i*per : (i+1)*per]
+		values := col.cells()
 		for j := 0; j < m && len(vals) < per; j++ {
 			r := j
 			if rowIdx != nil {
 				r = rowIdx[j]
 			}
-			if v := col.values[r]; v != "" || opts.Cells <= 0 {
+			if v := values[r]; v != "" || opts.Cells <= 0 {
 				vals = append(vals, v)
 				bytes += len(v)
 			}

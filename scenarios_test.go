@@ -64,6 +64,7 @@ var notRunAllowed = map[string]string{
 	// cannot export to another package.
 	"obs.CheckText":                   "test oracle: the Prometheus text checker that the exposition tests of obs, service and fleet and FuzzCheckText run",
 	"simdb.(*Server).InjectScanFault": "fault hook that core's and service's tests arm",
+	"simdb.(*Server).WriteCell":       "write hook through which core's memo tests change a table between detects; the service never writes to a tenant",
 	"simdb.(*Conn).SchemaMetadata":    "schema read without the ledger's per-table query, which core's and service's tests compare against",
 	"corpus.SmallTablesProfile":       "fixture profile that core's and experiments' tests generate from",
 

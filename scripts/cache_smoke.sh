@@ -3,7 +3,9 @@
 # tasted on its file with the result cache on, run the
 # same detect twice, and assert (a) the second response is byte-identical
 # to the first modulo the duration stamp, (b) /metrics reports warm cache
-# hits > 0, and (c) /v1/stats exposes the cache block. Then boot it again
+# hits > 0, (c) the warm detect of the unchanged tables issued the one
+# schema read and no scan (the table memos answered it), and (d) /v1/stats
+# exposes the cache block. Then boot it again
 # with budgets below one detect's entries and assert that the caches evicted
 # and that the warm answer still equals the cold one. Run from the repo
 # root (CI does).
@@ -49,13 +51,24 @@ curl -sf "http://$ADDR/healthz" >/dev/null || { echo "tasted never became health
 REQ='{"database":"demo","pipelined":true}'
 canon() { sed 's/"duration_ms":[0-9]*//'; }
 
+# ops <op>: how many simdb operations of the kind tasted has issued.
+ops() {
+    curl -sf "http://$DEBUG/metrics" | grep -F "taste_simdb_op_seconds_count{op=\"$1\"}" | awk '{s+=$2} END {print s+0}'
+}
+
 COLD=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d "$REQ" | canon)
+SCANS=$(ops scan) SCHEMA=$(ops table_metadata)
 WARM=$(curl -sf -XPOST "http://$ADDR/v1/detect" -d "$REQ" | canon)
 if [[ "$COLD" != "$WARM" ]]; then
     echo "warm response differs from cold response" >&2
     diff <(echo "$COLD") <(echo "$WARM") | head -20 >&2
     exit 1
 fi
+[[ "$SCANS" -gt 0 ]] || { echo "the cold detect scanned nothing: the model must be uncertain somewhere" >&2; exit 1; }
+[[ "$(ops scan)" -eq "$SCANS" ]] \
+    || { echo "the warm detect of unchanged tables scanned: scans $SCANS -> $(ops scan)" >&2; exit 1; }
+[[ "$(ops table_metadata)" -eq $((SCHEMA + 1)) ]] \
+    || { echo "the warm detect issued $(( $(ops table_metadata) - SCHEMA )) schema reads, want 1" >&2; exit 1; }
 
 METRICS=$(curl -sf "http://$DEBUG/metrics")
 hits() { # hits <tier>: sum of the tier's hit counter on /metrics

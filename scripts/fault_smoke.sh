@@ -31,7 +31,11 @@ go build -o "$TMP/tastetrain" ./cmd/tastetrain
 "$TMP/tastetrain" -tables 100 -seed 1 -epochs 1 -o "$TMP/taste.ckpt" >"$TMP/train.log" 2>&1 \
     || { cat "$TMP/train.log" >&2; exit 1; }
 BOOT=(-checkpoint "$TMP/taste.ckpt" -tables 100 -seed 1)
-"$BIN" "${BOOT[@]}" -addr "$FAULTY" -fault-prob 0.3 -fault-seed 1 >"$TMP/faulty.log" 2>&1 &
+# The faulty server runs with its result tier off, so every detect reads
+# and meets the faults: with it on, a table's memo answers its repeat
+# detects with the schema read alone (DESIGN.md §14), which draws no scan
+# fault, and the ladder would see little more than the first detect.
+"$BIN" "${BOOT[@]}" -addr "$FAULTY" -fault-prob 0.3 -fault-seed 1 -result-cache 0 >"$TMP/faulty.log" 2>&1 &
 PIDS="$!"
 "$BIN" "${BOOT[@]}" -addr "$CLEAN" >"$TMP/clean.log" 2>&1 &
 PIDS="$PIDS $!"

@@ -3,7 +3,7 @@
 # from another process → swap loop against real binaries (DESIGN.md §15).
 #
 #  1. tastetrain -publish stores the trained checkpoint as version 1: the
-#     directory holds one file, 1.ckpt.
+#     directory holds one file, 1.ckpt, readable by every user (mode 0644).
 #  2. tasted -registry boots serving version 1 straight from the registry.
 #  3. While it serves, a second tastetrain run (-epochs 2) publishes
 #     version 2 into the same directory. The server lists it at once, POST
@@ -12,7 +12,7 @@
 #  4. POST /v1/models/publish fired repeatedly while a third tastetrain run
 #     publishes: every publish answers 200, no two share a version, the
 #     listing is 1..N with nothing missing, and the directory holds only
-#     version files, no temporary one.
+#     version files, each mode 0644, no temporary one.
 #  5. Hot-swaps between versions 1 and 2 run under concurrent detect load:
 #     every response must be a 200 labeled with a version in {1,2}.
 #  6. tasted boots from the two tastetrain -o files and with -registry
@@ -69,17 +69,21 @@ go build -o "$TRAIN" ./cmd/tastetrain
 go build -o "$SERVE" ./cmd/tasted
 
 # only_versions: the registry directory holds version files and nothing
-# else: no temporary file of a publish.
+# else: no temporary file of a publish. Every version is mode 0644, so a
+# server running as another user than the publisher can read it.
 only_versions() {
-    local stray
+    local stray unreadable
     stray=$(ls -A "$REG" | grep -vxE '[1-9][0-9]*\.ckpt' || true)
     [[ -z "$stray" ]] || { echo "registry directory holds more than version files: $stray" >&2; ls -la "$REG" >&2; exit 1; }
+    unreadable=$(cd "$REG" && stat -c '%a %n' -- * | grep -v '^644 ' || true)
+    [[ -z "$unreadable" ]] || { echo "registry versions not mode 0644: $unreadable" >&2; exit 1; }
 }
 
 # 1. Train a tiny model and publish it as version 1.
 "$TRAIN" -model taste -tables 24 -seed 1 -epochs 1 -o "$TMP/taste.ckpt" -publish "$REG"
 [[ "$(ls -A "$REG")" == 1.ckpt ]] \
     || { echo "registry directory does not hold just 1.ckpt:" >&2; ls -la "$REG" >&2; exit 1; }
+only_versions
 
 # 2. Serve straight from the registry (corpus knobs must match training).
 boot -registry "$REG"
