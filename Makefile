@@ -5,7 +5,7 @@
 GO ?= go
 
 # Packages whose concurrency the race detector must vet: the tensor
-# runtime's borrowed-core sharding + arena, the sharded tiered cache with its
+# runtime's borrowed-core sharding + arena, the tiered cache with its
 # singleflight groups, the fault-injecting simdb,
 # the HTTP service, the lock-free metrics registry, the data-parallel
 # training runtime with its gradient workers (plus the two model packages
@@ -69,10 +69,15 @@ scenarios:
 # The scheduler runs ten times over: its tests drive goroutine interleavings
 # (token handoff order, a cancel while stages wait for a token, a panic
 # mid-run) that one pass may not hit, and a rewrite of the stage loop is
-# where an interleaving bug would hide. It takes seconds.
+# where an interleaving bug would hide. It takes seconds. The cache's hammer
+# (Put, Get, Touch, Delete and Stats from eight goroutines, then the store's
+# byte and list invariants) runs ten times over too: a tier is one store
+# under one lock, so that lock is all of the cache's concurrency. Ten runs
+# take about two seconds under the race detector.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=10 ./internal/pipeline/
+	$(GO) test -race -count=10 -run 'TestConcurrentHammer$$' ./internal/cache/
 	$(GO) test -race -run 'HitsEveryRead|Forward|LatentKey|DetectDatabaseOn|StagePanic|DeadlineAfterScan|ResultTier|CachedDetectTableAllocs|BatchReuse|BaselineSeam|ModelWriters' ./internal/core/
 
 # bench-check builds and smoke-tests the benchmark module against this

@@ -31,7 +31,7 @@ var (
 	// ./internal/tensor/, cmd/tasted/main.go.
 	docPath = regexp.MustCompile(`(?:^|[\s./])((?:internal|cmd)/[\w./-]+)`)
 	// docIdent is a qualified exported identifier inside a code span:
-	// core.Detect, (*simdb.Conn).SchemaMetadata, cache.Sharded[V].
+	// core.Detect, (*simdb.Conn).SchemaMetadata, cache.LRU[V].
 	docIdent = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
 	// designCite is a citation of DESIGN.md by section, with an optional
 	// quoted subsection name: DESIGN.md §7, DESIGN.md §9/§15,

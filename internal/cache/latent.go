@@ -6,7 +6,7 @@ import "repro/internal/adtd"
 // metadata-tower encodings Phase 1 computes so Phase 2 — and every later
 // detect over the same chunk — skips the metadata tower. It replaces the
 // seed adtd.LatentCache, which deep-copied on Put and was capacity-bounded
-// by entry count behind one mutex.
+// by entry count.
 //
 // Ownership handoff (the zero-memcpy contract): Put takes the producer's
 // fresh encoding and, when it stores it, consumes it — the entry keeps a
@@ -26,7 +26,7 @@ import "repro/internal/adtd"
 // reference, and (c) all readers treat encodings as read-only (the content
 // tower only reads menc.Layers as attention keys/values).
 type Latent struct {
-	s *Sharded[*adtd.MetaEncoding]
+	s *LRU[*adtd.MetaEncoding]
 }
 
 // entryOverhead approximates the per-entry bookkeeping bytes (map cell,
@@ -45,10 +45,11 @@ func EncodingBytes(e *adtd.MetaEncoding) int64 {
 	return b
 }
 
-// NewLatent creates the latent tier bounded by budgetBytes across shards
-// (≤ 0 shards selects DefaultShards). budgetBytes ≤ 0 disables the tier.
-func NewLatent(budgetBytes int64, shards int) *Latent {
-	return &Latent{s: New[*adtd.MetaEncoding](budgetBytes, shards, EncodingBytes)}
+// NewLatent creates the latent tier bounded by budgetBytes; budgetBytes ≤ 0
+// disables the tier. The second parameter is ignored: it was the shard
+// count, and stays only because the benchmark module still passes one.
+func NewLatent(budgetBytes int64, _ int) *Latent {
+	return &Latent{s: New(budgetBytes, EncodingBytes)}
 }
 
 // SetMetrics attaches obs handles for the tier's hit/miss/eviction
@@ -61,7 +62,7 @@ func (c *Latent) Enabled() bool { return c.s.Enabled() }
 // Put offers the producer's encoding to the cache and reports whether it
 // was consumed. Three outcomes:
 //
-//   - disabled or encoding larger than a shard's budget → false (caller
+//   - disabled or encoding larger than the budget → false (caller
 //     keeps ownership and should Release);
 //   - key already present (the steady-state re-Put after a Phase-1 pass
 //     over an unchanged chunk) → recency refreshed, skipped copy counted,

@@ -28,7 +28,7 @@ func TestEncodingBytes(t *testing.T) {
 // sharing the producer's buffers — the hit path returns the same float64
 // backing array, no memcpy on either side.
 func TestLatentPutConsumesZeroCopy(t *testing.T) {
-	c := NewLatent(1<<20, 1)
+	c := NewLatent(1<<20, 0)
 	enc := testEncoding(1)
 	if !c.Put("k", enc) {
 		t.Fatal("put not consumed")
@@ -52,7 +52,7 @@ func TestLatentPutConsumesZeroCopy(t *testing.T) {
 // and reports not-consumed, so the caller recycles its fresh copy. Keys are
 // content keys, so the encoding offered again is the one stored.
 func TestLatentEqualRePutSkipped(t *testing.T) {
-	c := NewLatent(1<<20, 1)
+	c := NewLatent(1<<20, 0)
 	if !c.Put("k", testEncoding(2)) {
 		t.Fatal("first put not consumed")
 	}
@@ -86,7 +86,7 @@ func TestLatentDisabled(t *testing.T) {
 // bytes, not entry count.
 func TestLatentEvictionByBytes(t *testing.T) {
 	per := EncodingBytes(testEncoding(0))
-	c := NewLatent(2*per, 1) // room for exactly two encodings
+	c := NewLatent(2*per, 0) // room for exactly two encodings
 	for i := 0; i < 4; i++ {
 		c.Put(fmt.Sprintf("k%d", i), testEncoding(float64(i)))
 	}
@@ -102,7 +102,7 @@ func TestLatentEvictionByBytes(t *testing.T) {
 }
 
 func TestLatentOversizedNotConsumed(t *testing.T) {
-	c := NewLatent(64, 1) // smaller than any encoding with overhead
+	c := NewLatent(64, 0) // smaller than any encoding with overhead
 	enc := testEncoding(5)
 	if c.Put("k", enc) {
 		t.Fatal("oversized encoding consumed")
@@ -113,7 +113,7 @@ func TestLatentOversizedNotConsumed(t *testing.T) {
 }
 
 func TestResultTierRoundTrip(t *testing.T) {
-	c := NewResult(1<<20, 2)
+	c := NewResult(1<<20, 0)
 	rows := [][]float64{{0.1, 0.9}, {0.8, 0.2}}
 	c.Put("k", rows)
 	got, ok := c.Get("k")

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"container/list"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -10,12 +11,11 @@ import (
 func strBytes(v string) int64 { return int64(len(v)) }
 
 // Peek returns the cached value without touching recency or the hit/miss
-// counters: the tests' probe of what a shard holds.
-func (s *Sharded[V]) Peek(key string) (V, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.items[key]; ok {
+// counters: the tests' probe of what the store holds.
+func (c *LRU[V]) Peek(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
 		return el.Value.(*entry[V]).val, true
 	}
 	var zero V
@@ -23,64 +23,18 @@ func (s *Sharded[V]) Peek(key string) (V, bool) {
 }
 
 // Delete evicts one key (not counted as an eviction — the caller asked).
-func (s *Sharded[V]) Delete(key string) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.items[key]; ok {
-		sh.remove(el.Value.(*entry[V]), el)
+func (c *LRU[V]) Delete(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.remove(el.Value.(*entry[V]), el)
 	}
 }
 
-// TestShardPartitionProperty: every key maps to exactly one shard,
-// deterministically, and the shard count rounds up to a power of two.
-// Inserted keys must all be retrievable and the global entry count must
-// equal the number of distinct keys — i.e. no key is double-stored across
-// shards and none is lost to partitioning.
-func TestShardPartitionProperty(t *testing.T) {
-	for _, requested := range []int{1, 2, 3, 5, 8, 16, 17} {
-		c := New[string](1<<20, requested, strBytes)
-		n := len(c.shards)
-		if n&(n-1) != 0 || n < requested {
-			t.Fatalf("shards(%d) = %d, want power of two ≥ requested", requested, n)
-		}
-		const keys = 500
-		for i := 0; i < keys; i++ {
-			key := fmt.Sprintf("db%02d.table%03d#%d", i%7, i, i%3)
-			if !c.Put(key, key) {
-				t.Fatalf("put %q rejected", key)
-			}
-			// Same key must hash to the same shard on every call.
-			if c.shardFor(key) != c.shardFor(key) {
-				t.Fatalf("shardFor(%q) not deterministic", key)
-			}
-		}
-		if c.Len() != keys {
-			t.Fatalf("len = %d, want %d", c.Len(), keys)
-		}
-		for i := 0; i < keys; i++ {
-			key := fmt.Sprintf("db%02d.table%03d#%d", i%7, i, i%3)
-			got, ok := c.Get(key)
-			if !ok || got != key {
-				t.Fatalf("get %q = (%q, %v)", key, got, ok)
-			}
-		}
-		// Per-shard entry counts must sum to the total (each key in exactly
-		// one shard).
-		sum := 0
-		for _, sh := range c.shards {
-			sum += len(sh.items)
-		}
-		if sum != keys {
-			t.Fatalf("shard entries sum %d, want %d", sum, keys)
-		}
-	}
-}
-
-// TestByteBudgetEviction: a single-shard cache over its byte budget evicts
-// from the probation LRU end and never reports bytes above budget.
+// TestByteBudgetEviction: a cache over its byte budget evicts from the
+// probation LRU end and never reports bytes above budget.
 func TestByteBudgetEviction(t *testing.T) {
-	c := New[string](100, 1, strBytes)
+	c := New[string](100, strBytes)
 	val := "0123456789" // 10 bytes
 	for i := 0; i < 20; i++ {
 		c.Put(fmt.Sprintf("k%02d", i), val)
@@ -109,7 +63,7 @@ func TestByteBudgetEviction(t *testing.T) {
 // protected segment and survives a one-pass cold scan that would wipe a
 // plain LRU.
 func TestScanResistance(t *testing.T) {
-	c := New[string](100, 1, strBytes) // protected cap 80
+	c := New[string](100, strBytes) // protected cap 80
 	val := "0123456789"
 	hot := []string{"hot0", "hot1", "hot2", "hot3", "hot4"}
 	for _, k := range hot {
@@ -133,7 +87,7 @@ func TestScanResistance(t *testing.T) {
 // TestProtectedDemotionNotEviction: promoting beyond the protected cap
 // demotes protected-LRU entries back to probation; they stay retrievable.
 func TestProtectedDemotionNotEviction(t *testing.T) {
-	c := New[string](100, 1, strBytes) // protected cap 80 → 8 entries
+	c := New[string](100, strBytes) // protected cap 80 → 8 entries
 	val := "0123456789"
 	for i := 0; i < 10; i++ {
 		c.Put(fmt.Sprintf("k%d", i), val)
@@ -149,16 +103,15 @@ func TestProtectedDemotionNotEviction(t *testing.T) {
 	}
 }
 
-// TestOversizedRejected: a value larger than the per-shard budget is
-// refused (Put reports not-consumed) and any stale entry under the key is
-// dropped rather than left to serve old data.
+// TestOversizedRejected: a value up to the whole budget is stored, one
+// byte more is refused (Put reports not-consumed), and any stale entry under
+// the key is dropped rather than left to serve old data.
 func TestOversizedRejected(t *testing.T) {
-	c := New[string](64, 1, strBytes)
-	if !c.Put("k", "small") {
-		t.Fatal("small value rejected")
+	c := New[string](64, strBytes)
+	if !c.Put("k", string(make([]byte, 64))) {
+		t.Fatal("a value the size of the budget was rejected")
 	}
-	big := make([]byte, 100)
-	if c.Put("k", string(big)) {
+	if c.Put("k", string(make([]byte, 65))) {
 		t.Fatal("oversized value accepted")
 	}
 	if _, ok := c.Peek("k"); ok {
@@ -169,7 +122,7 @@ func TestOversizedRejected(t *testing.T) {
 // TestDisabledSemantics: budget ≤ 0 disables storage but still counts
 // misses — the "Taste w/o caching" ablation needs the traffic ledger.
 func TestDisabledSemantics(t *testing.T) {
-	c := New[string](0, 4, strBytes)
+	c := New[string](0, strBytes)
 	if c.Enabled() {
 		t.Fatal("zero-budget cache reports enabled")
 	}
@@ -188,7 +141,7 @@ func TestDisabledSemantics(t *testing.T) {
 // TestUpdateInPlace: re-Put under a live key replaces the value and
 // re-accounts bytes without duplicating the entry.
 func TestUpdateInPlace(t *testing.T) {
-	c := New[string](1<<10, 1, strBytes)
+	c := New[string](1<<10, strBytes)
 	c.Put("k", "short")
 	c.Put("k", "a considerably longer value")
 	if c.Len() != 1 {
@@ -205,7 +158,7 @@ func TestUpdateInPlace(t *testing.T) {
 // TestPeekAndTouchCounters: Peek must not move the hit/miss counters;
 // Touch counts a skipped copy and refreshes recency.
 func TestPeekAndTouchCounters(t *testing.T) {
-	c := New[string](1<<10, 1, strBytes)
+	c := New[string](1<<10, strBytes)
 	c.Put("k", "v")
 	c.Peek("k")
 	c.Peek("absent")
@@ -225,7 +178,7 @@ func TestPeekAndTouchCounters(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	c := New[string](1<<10, 2, strBytes)
+	c := New[string](1<<10, strBytes)
 	c.Put("k", "v")
 	c.Delete("k")
 	if _, ok := c.Get("k"); ok {
@@ -238,12 +191,13 @@ func TestDelete(t *testing.T) {
 }
 
 // TestConcurrentHammer drives Put/Get/Touch/Delete/Stats from many
-// goroutines over a small keyspace (run under -race). Afterwards every
-// shard's accounted bytes must equal the sum of its live entries and stay
-// within budget.
+// goroutines over a small keyspace (run under -race). Afterwards the store's
+// accounted bytes must equal the sum of its live entries, per segment, and
+// stay within budget (the protected segment within its cap); the two lists
+// must hold exactly the map's entries, each on the list its flag names.
 func TestConcurrentHammer(t *testing.T) {
 	const budget = 4 << 10
-	c := New[string](budget, 8, strBytes)
+	c := New[string](budget, strBytes)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -269,25 +223,37 @@ func TestConcurrentHammer(t *testing.T) {
 		}(int64(w + 1))
 	}
 	wg.Wait()
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		var sum, prot int64
-		for _, el := range sh.items {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var sum, prot int64
+	for key, el := range c.items {
+		e := el.Value.(*entry[string])
+		if e.key != key {
+			t.Fatalf("entry %q indexed under %q", e.key, key)
+		}
+		sum += e.size
+		if e.protected {
+			prot += e.size
+		}
+	}
+	if sum != c.bytes || prot != c.protBytes {
+		t.Fatalf("accounted bytes %d/%d, live %d/%d", c.bytes, c.protBytes, sum, prot)
+	}
+	if c.bytes > c.budget || c.protBytes > c.protCap {
+		t.Fatalf("over budget: %d > %d or protected %d > %d", c.bytes, c.budget, c.protBytes, c.protCap)
+	}
+	for _, seg := range []struct {
+		l         *list.List
+		protected bool
+	}{{c.probation, false}, {c.protected, true}} {
+		for el := seg.l.Front(); el != nil; el = el.Next() {
 			e := el.Value.(*entry[string])
-			sum += e.size
-			if e.protected {
-				prot += e.size
+			if e.protected != seg.protected || c.items[e.key] != el {
+				t.Fatalf("entry %q (protected=%v) misplaced", e.key, e.protected)
 			}
 		}
-		if sum != sh.bytes || prot != sh.protBytes {
-			t.Fatalf("shard %d: accounted bytes %d/%d, live %d/%d", i, sh.bytes, sh.protBytes, sum, prot)
-		}
-		if sh.bytes > sh.budget {
-			t.Fatalf("shard %d over budget: %d > %d", i, sh.bytes, sh.budget)
-		}
-		if sh.probation.Len()+sh.protected.Len() != len(sh.items) {
-			t.Fatalf("shard %d: list/map divergence", i)
-		}
-		sh.mu.Unlock()
+	}
+	if c.probation.Len()+c.protected.Len() != len(c.items) {
+		t.Fatalf("lists hold %d+%d entries, map %d", c.probation.Len(), c.protected.Len(), len(c.items))
 	}
 }

@@ -19,7 +19,7 @@ package cache
 // computed from which rows, held beside those rows, under keys of the
 // caller's own that never equal a row key, and charged to the same budget.
 type Result struct {
-	s *Sharded[resultValue]
+	s *LRU[resultValue]
 }
 
 // Memo is a record kept in the result tier beside the rows it names; Bytes
@@ -45,10 +45,11 @@ func valueBytes(v resultValue) int64 {
 	return b
 }
 
-// NewResult creates the result tier bounded by budgetBytes across shards
-// (≤ 0 shards selects DefaultShards). budgetBytes ≤ 0 disables the tier.
-func NewResult(budgetBytes int64, shards int) *Result {
-	return &Result{s: New[resultValue](budgetBytes, shards, valueBytes)}
+// NewResult creates the result tier bounded by budgetBytes; budgetBytes ≤ 0
+// disables the tier. The second parameter is ignored: it was the shard
+// count, and stays only because the benchmark module still passes one.
+func NewResult(budgetBytes int64, _ int) *Result {
+	return &Result{s: New(budgetBytes, valueBytes)}
 }
 
 // SetMetrics attaches obs handles for the tier's counters.

@@ -29,9 +29,9 @@ var (
 	servingVersionGauge  = obs.Default.Gauge("taste_model_serving_version")
 )
 
-// syncGauges mirrors externally-owned ledgers (cache occupancy, the
-// detector's fault stats, the serving model's version) into gauges right before a scrape, so /metrics
-// carries them without hooking every cache operation. Hit/miss/eviction
+// syncGauges mirrors externally-owned ledgers (cache occupancy, the serving
+// model's version) into gauges right before a scrape, so /metrics carries
+// them without hooking every cache operation. Hit/miss/eviction
 // flows are counters owned by the cache tiers themselves
 // (taste_cache_*_total, tier=latent|result); only point-in-time state is
 // mirrored here.
@@ -48,8 +48,6 @@ func (s *Service) syncGauges() {
 		g("taste_cache_bytes", "tier", tier).Set(st.bytes)
 	}
 	g("taste_cache_skipped_copies").Set(s.detector.Cache().Stats().SkippedCopies)
-	fs := s.detector.FaultStats()
-	g("taste_detector_degraded_columns").Set(int64(fs.DegradedColumns))
 	servingVersionGauge.Set(int64(s.ServingVersion()))
 }
 

@@ -38,8 +38,12 @@ func IsTransient(err error) bool {
 // FaultProfile injects the failure modes of a real cloud database (the
 // RDS-over-VPC deployment of §2.2 sees connection drops, slow queries, and
 // timeouts as routine events) into the simulated server. All draws come from
-// one seeded generator, so a given (profile, operation sequence) pair
-// produces the same faults on every run — tests can assert exact outcomes.
+// one seeded generator, in the order operations reach the server, so a
+// given (profile, operation sequence) pair produces the same faults on every
+// run. Outcomes repeat only where that order is fixed, as in a sequential
+// detect on one connection; a pipelined detect's order follows goroutine
+// scheduling, so which tables fault varies from run to run (ROADMAP item 35
+// keys faults by what they hit instead).
 //
 // Probabilities are per operation and independent; zero values disable that
 // fault kind, so the zero FaultProfile is the happy path.

@@ -56,8 +56,8 @@ func TestAdamStepParallelBitExact(t *testing.T) {
 		optSeq.Step()
 		runtime.GOMAXPROCS(8)
 		optPar.Step()
-		if optSeq.LastGradNorm() != optPar.LastGradNorm() {
-			t.Fatalf("step %d: grad norm differs: %v vs %v", step, optSeq.LastGradNorm(), optPar.LastGradNorm())
+		if optSeq.lastNorm != optPar.lastNorm {
+			t.Fatalf("step %d: grad norm differs: %v vs %v", step, optSeq.lastNorm, optPar.lastNorm)
 		}
 		for i := range seq {
 			for j := range seq[i].Data {

@@ -37,7 +37,7 @@ type Adam struct {
 	m, v   [][]float64
 	t      int
 
-	lastNorm float64
+	lastNorm float64     // pre-clip global gradient L2 norm of the last clipping Step
 	chunks   [][]float64 // scratch: per-chunk gradient views for the norm
 	partials []float64   // scratch: per-chunk sums of squares
 }
@@ -54,11 +54,6 @@ func NewAdam(params []*Tensor, lr float64) *Adam {
 	}
 	return a
 }
-
-// LastGradNorm returns the pre-clip global gradient L2 norm computed by the
-// most recent Step, or zero if no clipping Step has run yet. Only meaningful
-// when ClipNorm > 0 (the norm is not computed otherwise).
-func (a *Adam) LastGradNorm() float64 { return a.lastNorm }
 
 // Step applies one Adam update.
 func (a *Adam) Step() {

@@ -122,7 +122,6 @@ func Run(spec Spec, cfg Config) (float64, error) {
 	steps := spec.Items
 	losses := make([]float64, steps)
 	haveLoss := make([]bool, steps)
-	busy := make([]time.Duration, nw)
 
 	meanLoss := 0.0
 	runStart := time.Now()
@@ -141,9 +140,6 @@ func Run(spec Spec, cfg Config) (float64, error) {
 		for i := range losses {
 			losses[i], haveLoss[i] = 0, false
 		}
-		for w := range busy {
-			busy[w] = 0
-		}
 
 		logged, windowSum, windowN := 0, 0.0, 0
 		for g0 := 0; g0 < steps; g0 += nw {
@@ -152,14 +148,14 @@ func Run(spec Spec, cfg Config) (float64, error) {
 			// per-worker gradients — and hence the reduced gradient — are
 			// identical across runs with the same configuration.
 			if nw == 1 {
-				runWorker(workers[0], g0, order[g0], epoch, cfg.Seed, losses, haveLoss, &busy[0])
+				runWorker(workers[0], g0, order[g0], epoch, cfg.Seed, losses, haveLoss)
 			} else {
 				var wg sync.WaitGroup
 				for s := g0; s < g1; s++ {
 					wg.Add(1)
 					go func(w, s int) {
 						defer wg.Done()
-						runWorker(workers[w], s, order[s], epoch, cfg.Seed, losses, haveLoss, &busy[w])
+						runWorker(workers[w], s, order[s], epoch, cfg.Seed, losses, haveLoss)
 					}(s-g0, s)
 				}
 				wg.Wait()
@@ -186,10 +182,6 @@ func Run(spec Spec, cfg Config) (float64, error) {
 					tensor.ScaleGrads(spec.Params, 1/float64(n))
 				}
 				opt.Step()
-				mOptSteps.Inc()
-				if cfg.ClipNorm > 0 {
-					mGradNorm.Observe(opt.LastGradNorm())
-				}
 				for w := 0; w < nw; w++ {
 					tensor.ZeroGrads(workers[w].Params)
 				}
@@ -213,22 +205,11 @@ func Run(spec Spec, cfg Config) (float64, error) {
 		if cnt > 0 {
 			meanLoss = total / float64(cnt)
 		}
-		epochWall := time.Since(epochStart)
-		mEpochs.Inc()
-		mEpochLoss.Observe(meanLoss)
-		stepsPerSec := 0.0
-		if epochWall > 0 {
-			stepsPerSec = float64(steps) / epochWall.Seconds()
-		}
-		mStepsPerSec.Set(int64(stepsPerSec * 1000))
-		for w := 0; w < nw; w++ {
-			util := int64(0)
-			if epochWall > 0 {
-				util = int64(busy[w]) * 1000 / int64(epochWall)
-			}
-			workerUtil(w).Set(util)
-		}
 		if cfg.Log != nil {
+			stepsPerSec := 0.0
+			if epochWall := time.Since(epochStart); epochWall > 0 {
+				stepsPerSec = float64(steps) / epochWall.Seconds()
+			}
 			elapsed := time.Since(runStart)
 			eta := time.Duration(float64(elapsed) / float64(epoch+1) * float64(cfg.Epochs-epoch-1))
 			fmt.Fprintf(cfg.Log, "%s epoch %d/%d: loss %.4f (%.1f steps/s, eta %s)\n",
@@ -242,8 +223,7 @@ func Run(spec Spec, cfg Config) (float64, error) {
 // it at the item's position s in the epoch (positions are disjoint across
 // workers), backprop into this worker's own gradient buffers, and release
 // the graph.
-func runWorker(wk Worker, s, item, epoch int, seed int64, losses []float64, haveLoss []bool, busy *time.Duration) {
-	t0 := time.Now()
+func runWorker(wk Worker, s, item, epoch int, seed int64, losses []float64, haveLoss []bool) {
 	loss := wk.Step(item, ItemRNG(seed, epoch, item))
 	if loss != nil {
 		losses[s] = loss.Item()
@@ -251,10 +231,6 @@ func runWorker(wk Worker, s, item, epoch int, seed int64, losses []float64, have
 		loss.Backward()
 		tensor.ReleaseGraph(loss)
 	}
-	d := time.Since(t0)
-	mStepSeconds.ObserveDuration(d)
-	mMicrobatches.Inc()
-	*busy += d
 }
 
 // EpochLR interpolates the learning rate exponentially from lr to finalLR

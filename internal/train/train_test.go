@@ -293,41 +293,3 @@ func TestEpochLRSchedule(t *testing.T) {
 		t.Fatalf("mid LR %v out of bounds", mid)
 	}
 }
-
-// TestTrainCountersFollowTheLoop: over one small run,
-// taste_train_microbatches_total grows by every item of every epoch, an
-// item whose step returned no loss included, and
-// taste_train_optimizer_steps_total by the groups of Workers consecutive
-// items (the last one short when Workers does not divide Items) in which at
-// least one item produced a loss. Items 3–5 return none: with 1 worker each
-// of them takes no step, and with 3 they are the second group of 7 items, so
-// an epoch takes 2 steps of its 3 groups (6 ≤ 7 microbatches).
-func TestTrainCountersFollowTheLoop(t *testing.T) {
-	const items, epochs = 7, 2
-	x, y := newSynthData(5, items, 4)
-	for _, tc := range []struct{ workers, steps int }{{1, 4}, {3, 2}} {
-		spec := newSynthModel(x, y).spec()
-		newWorker := spec.NewWorker
-		spec.NewWorker = func(w int) (Worker, error) {
-			wk, err := newWorker(w)
-			step := wk.Step
-			wk.Step = func(item int, rng *rand.Rand) *tensor.Tensor {
-				if item >= 3 && item <= 5 {
-					return nil
-				}
-				return step(item, rng)
-			}
-			return wk, err
-		}
-		microbatches, steps := mMicrobatches.Value(), mOptSteps.Value()
-		if _, err := Run(spec, Config{Epochs: epochs, Workers: tc.workers, LR: 0.01}); err != nil {
-			t.Fatal(err)
-		}
-		if got := mMicrobatches.Value() - microbatches; got != items*epochs {
-			t.Errorf("workers=%d: microbatches grew by %d, want %d (every item of every epoch)", tc.workers, got, items*epochs)
-		}
-		if got := mOptSteps.Value() - steps; got != int64(tc.steps*epochs) {
-			t.Errorf("workers=%d: optimizer steps grew by %d, want %d (%d groups with a loss per epoch)", tc.workers, got, tc.steps*epochs, tc.steps)
-		}
-	}
-}

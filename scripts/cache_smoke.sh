@@ -6,7 +6,7 @@
 # hits > 0, (c) the warm detect of the unchanged tables issued the one
 # schema read and no scan (the table memos answered it), and (d) /v1/stats
 # exposes the cache block. Then boot it again
-# with budgets below one detect's entries and assert that the caches evicted
+# with budgets below one detect's entries and assert that each tier evicted
 # and that the warm answer still equals the cold one. Run from the repo
 # root (CI does).
 set -euo pipefail
@@ -90,13 +90,15 @@ for key in '"latent"' '"result"' '"singleflight"'; do
     grep -qF "$key" <<<"$STATS" || { echo "/v1/stats cache block missing $key: $STATS" >&2; exit 1; }
 done
 
-# Budgets below one detect's entries: each shard (1/16 of a budget) holds
-# one latent encoding or one result entry but not two, so the cold detect
-# already evicts, and the warm one recomputes what was evicted.
+# Budgets below one detect's entries: the latent tier (64 KiB) holds any one
+# of this model's three chunk encodings (29 440, 46 336 and 50 944 bytes)
+# but not two, and the result tier (2 560 bytes) any one of its row entries
+# (1 344 or 2 432 bytes) but not two, so the cold detect already evicts in
+# each tier, and the warm one recomputes what was evicted.
 kill "$PID"
 wait "$PID" 2>/dev/null || true
 "$BIN" -checkpoint "$TMP/taste.ckpt" -tables 24 -addr "$ADDR" -debug-addr "$DEBUG" \
-    -cache-bytes $((16 * 48 * 1024)) -result-cache $((16 * 3 * 1024)) >"$LOG" 2>&1 &
+    -cache-bytes $((64 * 1024)) -result-cache 2560 >"$LOG" 2>&1 &
 PID=$!
 for i in $(seq 1 120); do
     curl -sf "http://$ADDR/healthz" >/dev/null 2>&1 && break
@@ -110,7 +112,13 @@ if [[ "$SMALL_COLD" != "$COLD" || "$SMALL_WARM" != "$COLD" ]]; then
     diff <(echo "$COLD") <(echo "$SMALL_WARM") | head -20 >&2
     exit 1
 fi
-EVICTIONS=$(curl -sf "http://$DEBUG/metrics" | grep -F 'taste_cache_evictions_total{' | awk '{s+=$2} END {print s+0}')
-[[ "$EVICTIONS" -gt 0 ]] || { echo "small budgets evicted nothing" >&2; exit 1; }
+METRICS=$(curl -sf "http://$DEBUG/metrics")
+evictions() { # evictions <tier>: the tier's eviction counter on /metrics
+    grep -F "taste_cache_evictions_total{tier=\"$1\"}" <<<"$METRICS" | awk '{s+=$2} END {print s+0}'
+}
+LATENT_EVICTIONS=$(evictions latent)
+RESULT_EVICTIONS=$(evictions result)
+[[ "$LATENT_EVICTIONS" -gt 0 && "$RESULT_EVICTIONS" -gt 0 ]] \
+    || { echo "small budgets evicted nothing in a tier (latent=$LATENT_EVICTIONS result=$RESULT_EVICTIONS)" >&2; exit 1; }
 
-echo "cache smoke: OK (latent_hits=$LATENT_HITS result_hits=$RESULT_HITS evictions=$EVICTIONS)"
+echo "cache smoke: OK (latent_hits=$LATENT_HITS result_hits=$RESULT_HITS evictions latent=$LATENT_EVICTIONS result=$RESULT_EVICTIONS)"
